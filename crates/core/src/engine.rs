@@ -482,7 +482,8 @@ pub struct CoordinationEngine {
     pc_index: ShardedAtomIndex,
     /// The persistent match graph: edges + components + dirty tracking.
     resident: ResidentGraph,
-    /// Submission order for staleness sweeps.
+    /// Submission order for staleness sweeps; filled only under an
+    /// [`EngineConfig::staleness`] bound.
     age_queue: VecDeque<(Instant, QueryId)>,
     /// Per-query deadlines ([`SubmitOptions::deadline`]), earliest
     /// first. Entries for already-retired queries are skipped lazily.
@@ -793,7 +794,11 @@ impl CoordinationEngine {
         self.resident.link(slot, edges);
         self.by_id.insert(id, slot);
         self.statuses.insert(id, QueryStatus::Pending);
-        self.age_queue.push_back((submitted_at, id));
+        // Only `expire_stale` under a staleness bound ever pops this
+        // queue; without one it would grow for the engine's lifetime.
+        if self.config.staleness.is_some() {
+            self.age_queue.push_back((submitted_at, id));
+        }
         if let Some(deadline) = deadline {
             self.deadlines.push(Reverse((deadline, id)));
         }
@@ -818,39 +823,11 @@ impl CoordinationEngine {
             .collect();
         let mut out = Vec::with_capacity(victims.len());
         for slot in victims {
-            let pending = self.slots[slot as usize].take().expect("victim slot live");
+            let pending = self.detach(slot).expect("victim slot live");
             let id = pending.query.id;
-            self.by_id.remove(&id);
             // The Pending status entry travels with the query; the
             // destination re-inserts it on admission.
             self.statuses.remove(&id);
-            for &eid in self.resident.out_edges(slot) {
-                let e = self.resident.edge(eid);
-                if let Some(p) = self.slots[e.to as usize].as_mut() {
-                    let c = &mut p.pc_satisfiers[e.pc_idx as usize];
-                    *c = c.saturating_sub(1);
-                }
-            }
-            for (ai, atom) in pending.query.head.iter().enumerate() {
-                self.head_index.remove(
-                    AtomRef {
-                        query: slot,
-                        atom: ai as u32,
-                    },
-                    atom,
-                );
-            }
-            for (ai, atom) in pending.query.postconditions.iter().enumerate() {
-                self.pc_index.remove(
-                    AtomRef {
-                        query: slot,
-                        atom: ai as u32,
-                    },
-                    atom,
-                );
-            }
-            self.resident.unlink(slot);
-            self.free_slots.push(slot);
             out.push(MigratedQuery {
                 id,
                 query: pending.query,
@@ -1573,13 +1550,14 @@ impl CoordinationEngine {
         s
     }
 
-    /// Removes a query from all engine state and delivers its outcome.
-    fn retire(&mut self, slot: u32, outcome: Result<QueryAnswer, FailReason>) {
-        let Some(pending) = self.slots[slot as usize].take() else {
-            return;
-        };
-        let id = pending.query.id;
-        self.by_id.remove(&id);
+    /// Takes the query at `slot` out of the pending pool — id map,
+    /// partner satisfier counters, atom indexes (O(arity) per atom,
+    /// whatever the pool size), resident graph — and frees the slot.
+    /// Status and outcome delivery are the caller's. `None` if the slot
+    /// is not live.
+    fn detach(&mut self, slot: u32) -> Option<PendingQuery> {
+        let pending = self.slots[slot as usize].take()?;
+        self.by_id.remove(&pending.query.id);
         // A head leaving the pool frees up partner postconditions; the
         // resident out-edges name exactly the affected (partner, pc)
         // pairs — no index probing or re-unification needed.
@@ -1610,6 +1588,15 @@ impl CoordinationEngine {
         }
         self.resident.unlink(slot);
         self.free_slots.push(slot);
+        Some(pending)
+    }
+
+    /// Removes a query from all engine state and delivers its outcome.
+    fn retire(&mut self, slot: u32, outcome: Result<QueryAnswer, FailReason>) {
+        let Some(pending) = self.detach(slot) else {
+            return;
+        };
+        let id = pending.query.id;
 
         let (status, message) = match outcome {
             Ok(answer) => (QueryStatus::Answered, QueryOutcome::Answered(answer)),
@@ -2525,6 +2512,34 @@ mod tests {
             "slots: {}",
             engine.slot_capacity()
         );
+        // Twenty distinct user constants went through the indexes; no
+        // posting or relation list may outlive its last atom.
+        assert!(engine.head_index.is_empty() && engine.pc_index.is_empty());
+        assert_eq!(engine.head_index.list_count(), 0);
+        assert_eq!(engine.pc_index.list_count(), 0);
+    }
+
+    #[test]
+    fn age_queue_stays_empty_without_a_staleness_bound() {
+        let mut engine = CoordinationEngine::new(flight_db(), EngineConfig::default());
+        assert!(engine.config.staleness.is_none());
+        for round in 0..5_000 {
+            let (a, b) = (format!("A{round}"), format!("B{round}"));
+            let first = engine
+                .submit(q(&format!("{{R({b}, x)}} R({a}, x) <- F(x, Paris)")))
+                .unwrap();
+            let second = engine
+                .submit(q(&format!("{{R({a}, y)}} R({b}, y) <- F(y, Paris)")))
+                .unwrap();
+            for handle in [first, second] {
+                assert!(matches!(
+                    handle.outcome.try_recv(),
+                    Ok(QueryOutcome::Answered(_))
+                ));
+            }
+        }
+        assert_eq!(engine.pending_count(), 0);
+        assert!(engine.age_queue.is_empty());
     }
 
     #[test]

@@ -118,11 +118,10 @@ impl MatchGraph {
 
     fn discover_edges_for_pc(&mut self, to: u32, pc_idx: u32) {
         let pc = &self.queries[to as usize].postconditions[pc_idx as usize];
-        for cand in self.head_index.candidates(pc) {
+        self.head_index.for_each_candidate(pc, |cand, head| {
             if cand.query == to {
-                continue; // no self-coordination
+                return; // no self-coordination
             }
-            let head = &self.queries[cand.query as usize].head[cand.atom as usize];
             if let Some(mgu) = mgu_atoms(head, pc) {
                 let id = self.edges.len() as u32;
                 self.edges.push(Edge {
@@ -135,7 +134,7 @@ impl MatchGraph {
                 self.out[cand.query as usize].push(id);
                 self.inc[to as usize].push(id);
             }
-        }
+        });
     }
 
     /// The queries, by slot.

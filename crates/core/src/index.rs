@@ -14,8 +14,40 @@
 //! [`eq_unify::mgu_atoms`]. The paper makes the same observation and
 //! notes the index gives no complexity guarantee but is "immensely
 //! useful" in practice.
+//!
+//! # Layout and cost
+//!
+//! Every query the engine admits is retired exactly once (§5.1), so
+//! removal is as hot as insertion and must not depend on how many atoms
+//! are resident — the wildcard and per-relation lists hold *all* of
+//! them. Each atom lives once, in a cell of a slab; a posting list is a
+//! `Vec` of cell ids in insertion order. An atom of arity `a` sits in
+//! `a + 1` lists (one per position, plus its relation's).
+//!
+//! * [`AtomIndex::insert`]: `a + 2` hash operations and `a + 1` pushes.
+//! * [`AtomIndex::remove`]: `a + 2` hash operations; the cell is
+//!   emptied and its postings stay behind as tombstones. A list is
+//!   compacted in place (order kept) once more than half of it is dead,
+//!   and dropped from the map when its last live atom leaves, so a list
+//!   never holds more dead postings than live ones, removal is
+//!   **O(arity) amortized**, and memory follows the live pool rather
+//!   than every constant ever seen.
+//! * A cell returns to the free list only when the last posting naming
+//!   it has been discarded. A posting therefore can never come to name
+//!   a later occupant of its cell: re-inserting under a reused
+//!   [`AtomRef`] (the engine reuses query slots) takes a new cell and
+//!   new postings at the *end* of each list.
+//! * A probe reads each candidate's atom by slab index (no hash lookup
+//!   per candidate) and skips tombstones, at most one per live posting.
+//!
+//! **Ordering contract:** candidates are visited in the order their
+//! atoms were inserted into the driving list — exact-constant list
+//! first, then the wildcard list — exactly as if every removal had
+//! deleted its postings on the spot. Admission, the Figure-9 safety
+//! check and eager-pair choice depend on that order.
 
 use eq_ir::{Atom, FastMap, Symbol, Term, Value};
+use std::collections::hash_map::Entry;
 
 /// Reference to one atom: which query (by caller-chosen slot) and which
 /// atom position within that query's head or postcondition list.
@@ -40,14 +72,119 @@ struct Key {
     value: KeyValue,
 }
 
+impl Key {
+    /// The list of all of a relation's atoms (the fallback for probes
+    /// without constants), keyed under a position no atom has.
+    fn whole_relation(relation: Symbol) -> Key {
+        Key {
+            relation,
+            position: u32::MAX,
+            value: KeyValue::Wildcard,
+        }
+    }
+}
+
+/// The keys of every list `atom` sits in: one per position, then its
+/// relation's.
+fn keys(atom: &Atom) -> impl Iterator<Item = Key> + '_ {
+    let relation = atom.relation;
+    let positions = atom.terms.iter().enumerate().map(move |(pos, term)| Key {
+        relation,
+        position: pos as u32,
+        value: match term {
+            Term::Const(c) => KeyValue::Exact(*c),
+            Term::Var(_) => KeyValue::Wildcard,
+        },
+    });
+    positions.chain(std::iter::once(Key::whole_relation(relation)))
+}
+
+/// One slab cell. `atom` is `None` once the atom was removed; the cell
+/// stays allocated while `postings` lists still name it.
+struct Cell {
+    r: AtomRef,
+    atom: Option<Atom>,
+    /// Postings naming this cell, live or tombstoned.
+    postings: u32,
+}
+
+/// The atoms, each stored once and addressed by a dense cell id.
+#[derive(Default)]
+struct Slab {
+    cells: Vec<Cell>,
+    free: Vec<u32>,
+}
+
+impl Slab {
+    fn alloc(&mut self, cell: Cell) -> u32 {
+        match self.free.pop() {
+            Some(id) => {
+                self.cells[id as usize] = cell;
+                id
+            }
+            None => {
+                self.cells.push(cell);
+                (self.cells.len() - 1) as u32
+            }
+        }
+    }
+
+    /// The reference and atom in cell `id`, unless it is a tombstone.
+    fn live(&self, id: u32) -> Option<(AtomRef, &Atom)> {
+        let cell = &self.cells[id as usize];
+        cell.atom.as_ref().map(|atom| (cell.r, atom))
+    }
+
+    /// Records that one tombstoned posting of cell `id` was discarded;
+    /// the last one frees the cell for reuse.
+    fn release(&mut self, id: u32) {
+        let cell = &mut self.cells[id as usize];
+        cell.postings -= 1;
+        if cell.postings == 0 {
+            self.free.push(id);
+        }
+    }
+}
+
+/// Cell ids in insertion order, tombstones included.
+#[derive(Default)]
+struct PostingList {
+    ids: Vec<u32>,
+    live: usize,
+}
+
+impl PostingList {
+    /// Discards the tombstones, keeping the live postings in order.
+    fn compact(&mut self, slab: &mut Slab) {
+        let mut kept = 0;
+        for i in 0..self.ids.len() {
+            let id = self.ids[i];
+            if slab.live(id).is_some() {
+                self.ids[kept] = id;
+                kept += 1;
+            } else {
+                slab.release(id);
+            }
+        }
+        self.ids.truncate(kept);
+    }
+}
+
 /// An index over a set of atoms supporting unifiability-candidate lookup
 /// and removal (queries retire from the engine when answered or stale).
+/// Insert and remove cost O(arity) amortized however many atoms are
+/// resident; see the module docs for the layout.
 #[derive(Default)]
 pub struct AtomIndex {
-    postings: FastMap<Key, Vec<AtomRef>>,
-    by_relation: FastMap<Symbol, Vec<AtomRef>>,
-    /// Kept so that removal can locate all of an atom's postings.
-    atoms: FastMap<AtomRef, Atom>,
+    /// Position lists and per-relation lists under one map; a list
+    /// exists only while it holds a live atom.
+    lists: FastMap<Key, PostingList>,
+    slab: Slab,
+    /// The cell of every resident reference.
+    by_ref: FastMap<AtomRef, u32>,
+    /// Postings touched by [`AtomIndex::remove`], compaction included.
+    #[cfg(test)]
+    remove_steps: usize,
 }
 
 impl AtomIndex {
@@ -58,60 +195,73 @@ impl AtomIndex {
 
     /// Number of atoms currently indexed.
     pub fn len(&self) -> usize {
-        self.atoms.len()
+        self.by_ref.len()
     }
 
     /// True if no atoms are indexed.
     pub fn is_empty(&self) -> bool {
-        self.atoms.is_empty()
+        self.by_ref.is_empty()
     }
 
-    /// Inserts an atom under `r`.
+    /// Inserts an atom under `r`, which must not be resident (remove it
+    /// first to replace its atom). O(arity).
     pub fn insert(&mut self, r: AtomRef, atom: &Atom) {
-        for (pos, term) in atom.terms.iter().enumerate() {
-            let value = match term {
-                Term::Const(c) => KeyValue::Exact(*c),
-                Term::Var(_) => KeyValue::Wildcard,
-            };
-            self.postings
-                .entry(Key {
-                    relation: atom.relation,
-                    position: pos as u32,
-                    value,
-                })
-                .or_default()
-                .push(r);
+        let id = self.slab.alloc(Cell {
+            r,
+            atom: Some(atom.clone()),
+            postings: atom.arity() as u32 + 1,
+        });
+        let previous = self.by_ref.insert(r, id);
+        debug_assert!(previous.is_none(), "{r:?} inserted twice");
+        for key in keys(atom) {
+            let list = self.lists.entry(key).or_default();
+            list.ids.push(id);
+            list.live += 1;
         }
-        self.by_relation.entry(atom.relation).or_default().push(r);
-        self.atoms.insert(r, atom.clone());
     }
 
     /// Removes an atom by reference. No-op if absent.
+    ///
+    /// O(arity) amortized, independent of the number of resident atoms:
+    /// the atom's postings become tombstones, a list is compacted only
+    /// once tombstones outnumber its live postings (so the scan is paid
+    /// for by the removals, more than half the list, since the previous
+    /// one), and a list whose last live atom leaves is dropped from the
+    /// map. The relative order of the remaining atoms never changes.
     pub fn remove(&mut self, r: AtomRef) {
-        let Some(atom) = self.atoms.remove(&r) else {
+        let Some(id) = self.by_ref.remove(&r) else {
             return;
         };
-        for (pos, term) in atom.terms.iter().enumerate() {
-            let value = match term {
-                Term::Const(c) => KeyValue::Exact(*c),
-                Term::Var(_) => KeyValue::Wildcard,
+        let atom = self.slab.cells[id as usize]
+            .atom
+            .take()
+            .expect("by_ref names only live cells");
+        for key in keys(&atom) {
+            let Entry::Occupied(mut slot) = self.lists.entry(key) else {
+                continue;
             };
-            if let Some(list) = self.postings.get_mut(&Key {
-                relation: atom.relation,
-                position: pos as u32,
-                value,
-            }) {
-                list.retain(|&x| x != r);
+            let list = slot.get_mut();
+            list.live -= 1;
+            // More than half dead (always so when the last live atom
+            // left): sweep the tombstones out.
+            let sweep = list.ids.len() > 2 * list.live;
+            #[cfg(test)]
+            {
+                self.remove_steps += 1 + if sweep { list.ids.len() } else { 0 };
             }
-        }
-        if let Some(list) = self.by_relation.get_mut(&atom.relation) {
-            list.retain(|&x| x != r);
+            if sweep {
+                list.compact(&mut self.slab);
+                if list.ids.is_empty() {
+                    slot.remove();
+                }
+            }
         }
     }
 
     /// The stored atom for a reference, if present.
     pub fn get(&self, r: AtomRef) -> Option<&Atom> {
-        self.atoms.get(&r)
+        let &id = self.by_ref.get(&r)?;
+        self.slab.cells[id as usize].atom.as_ref()
     }
 
     /// Candidate atoms that may unify with `probe`:
@@ -134,79 +284,77 @@ impl AtomIndex {
     /// of [`AtomIndex::candidates`]:
     ///
     /// The driving posting list is the most selective constant position
-    /// (smallest `L(R,i,vi) ∪ L(R,i,Δ)`); the remaining positions are
-    /// enforced by filtering the candidates positionally, which costs
+    /// (fewest live atoms in `L(R,i,vi) ∪ L(R,i,Δ)`; the first such
+    /// position on a tie); the remaining positions are enforced by
+    /// filtering the candidates positionally, which costs
     /// `O(|smallest list| · arity)` instead of materializing every
     /// posting list — the difference between linear and quadratic total
     /// cost on hub-heavy workloads (every query sharing one destination
-    /// constant).
+    /// constant). A probe without constants drives from its relation's
+    /// list. Each candidate's atom is read by slab index; tombstones in
+    /// the driving list (never more than its live postings) are
+    /// skipped.
     ///
     /// Candidates are superset-correct; callers must confirm with a real
-    /// MGU check. Visit order is deterministic (insertion order within
-    /// the driving list) and free of duplicates — an atom appears in
-    /// exactly one of the exact/wildcard lists for a given position.
+    /// MGU check. Visit order is deterministic — the exact-constant
+    /// list, then the wildcard list, each in the insertion order of its
+    /// live atoms, whatever was removed or re-inserted under a reused
+    /// [`AtomRef`] in between — and free of duplicates: an atom appears
+    /// in exactly one of the exact/wildcard lists for a given position.
     pub fn for_each_candidate(&self, probe: &Atom, mut f: impl FnMut(AtomRef, &Atom)) {
+        let mut visit = |key: Key| {
+            let Some(list) = self.lists.get(&key) else {
+                return;
+            };
+            for &id in &list.ids {
+                if let Some((r, atom)) = self.slab.live(id) {
+                    // Also filters by arity: lists are keyed by
+                    // relation, not by relation and arity.
+                    if atom.positionally_compatible(probe) {
+                        f(r, atom);
+                    }
+                }
+            }
+        };
+
         let best = probe
             .terms
             .iter()
             .enumerate()
             .filter_map(|(i, t)| t.as_const().map(|c| (i as u32, c)))
             .min_by_key(|&(pos, val)| self.union_len(probe.relation, pos, val));
-
-        let Some((pos, val)) = best else {
-            // All-variable probe: every atom of the relation (with equal
-            // arity) is a candidate.
-            if let Some(refs) = self.by_relation.get(&probe.relation) {
-                for &r in refs {
-                    let atom = &self.atoms[&r];
-                    if atom.arity() == probe.arity() {
-                        f(r, atom);
-                    }
-                }
-            }
+        let Some((position, val)) = best else {
+            visit(Key::whole_relation(probe.relation));
             return;
         };
-
-        let mut visit = |list: Option<&Vec<AtomRef>>| {
-            if let Some(list) = list {
-                for &r in list {
-                    let atom = &self.atoms[&r];
-                    if atom.arity() == probe.arity() && atom.positionally_compatible(probe) {
-                        f(r, atom);
-                    }
-                }
-            }
-        };
-        visit(self.postings.get(&Key {
-            relation: probe.relation,
-            position: pos,
-            value: KeyValue::Exact(val),
-        }));
-        visit(self.postings.get(&Key {
-            relation: probe.relation,
-            position: pos,
-            value: KeyValue::Wildcard,
-        }));
+        for value in [KeyValue::Exact(val), KeyValue::Wildcard] {
+            visit(Key {
+                relation: probe.relation,
+                position,
+                value,
+            });
+        }
     }
 
+    /// Live atoms in `L(R, position, value) ∪ L(R, position, Δ)`.
     fn union_len(&self, relation: Symbol, position: u32, value: Value) -> usize {
-        let exact = self
-            .postings
-            .get(&Key {
-                relation,
-                position,
-                value: KeyValue::Exact(value),
+        [KeyValue::Exact(value), KeyValue::Wildcard]
+            .into_iter()
+            .filter_map(|value| {
+                self.lists.get(&Key {
+                    relation,
+                    position,
+                    value,
+                })
             })
-            .map_or(0, Vec::len);
-        let wild = self
-            .postings
-            .get(&Key {
-                relation,
-                position,
-                value: KeyValue::Wildcard,
-            })
-            .map_or(0, Vec::len);
-        exact + wild
+            .map(|list| list.live)
+            .sum()
+    }
+
+    /// Position and relation lists currently held.
+    #[cfg(test)]
+    pub(crate) fn list_count(&self) -> usize {
+        self.lists.len()
     }
 }
 
@@ -305,6 +453,12 @@ impl ShardedAtomIndex {
     pub fn candidates(&self, probe: &Atom) -> Vec<AtomRef> {
         self.shard_for(probe).candidates(probe)
     }
+
+    /// Position and relation lists currently held, over all shards.
+    #[cfg(test)]
+    pub(crate) fn list_count(&self) -> usize {
+        self.shards.iter().map(AtomIndex::list_count).sum()
+    }
 }
 
 #[cfg(test)]
@@ -396,6 +550,54 @@ mod tests {
         // Removing again is a no-op.
         idx.remove(r(0, 0));
         assert_eq!(idx.len(), 1);
+    }
+
+    #[test]
+    fn reinsert_under_reused_ref_goes_to_the_back() {
+        // The engine reuses query slots: a ref that left and came back
+        // is a new atom and must be visited after the ones that stayed.
+        let mut idx = AtomIndex::new();
+        idx.insert(r(0, 0), &atom!("R", [Term::str("a"), v(0)]));
+        idx.insert(r(1, 0), &atom!("R", [Term::str("a"), v(1)]));
+        idx.insert(r(2, 0), &atom!("R", [Term::str("a"), v(2)]));
+        idx.remove(r(0, 0));
+        idx.insert(r(0, 0), &atom!("R", [v(3), Term::str("b")]));
+        let probe = atom!("R", [v(4), v(5)]);
+        assert_eq!(idx.candidates(&probe), vec![r(1, 0), r(2, 0), r(0, 0)]);
+        let probe = atom!("R", [Term::str("a"), Term::str("b")]);
+        assert_eq!(idx.candidates(&probe), vec![r(1, 0), r(2, 0), r(0, 0)]);
+        assert_eq!(idx.get(r(0, 0)), Some(&atom!("R", [v(3), Term::str("b")])));
+    }
+
+    /// Postings touched while retiring `n` atoms that share a wildcard
+    /// column, a hub constant and a relation, oldest or newest first.
+    fn retire_steps(n: u32, newest_first: bool) -> usize {
+        let mut idx = AtomIndex::new();
+        for i in 0..n {
+            let atom = atom!("R", [v(i), Term::str("hub"), Term::int(i as i64)]);
+            idx.insert(r(i, 0), &atom);
+        }
+        for i in 0..n {
+            idx.remove(r(if newest_first { n - 1 - i } else { i }, 0));
+        }
+        assert!(idx.is_empty());
+        assert_eq!(idx.list_count(), 0);
+        idx.remove_steps
+    }
+
+    #[test]
+    fn removal_cost_does_not_grow_with_the_pool() {
+        // A count, not a timing: retiring four times the atoms may touch
+        // about four times the postings (a scan of the shared lists per
+        // removal would touch sixteen times as many).
+        for newest_first in [false, true] {
+            let small = retire_steps(500, newest_first);
+            let large = retire_steps(2000, newest_first);
+            assert!(
+                large <= 5 * small,
+                "newest_first={newest_first}: {small} steps for 500 atoms, {large} for 2000"
+            );
+        }
     }
 
     #[test]
@@ -493,6 +695,141 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+}
+
+/// Differential test of [`AtomIndex`] against a scan of a `Vec`.
+#[cfg(test)]
+mod differential {
+    use super::*;
+    use eq_ir::Var;
+    use proptest::prelude::*;
+
+    /// The live atoms in insertion order.
+    #[derive(Default)]
+    struct Oracle {
+        atoms: Vec<(AtomRef, Atom)>,
+    }
+
+    impl Oracle {
+        fn remove(&mut self, r: AtomRef) {
+            if let Some(i) = self.atoms.iter().position(|(x, _)| *x == r) {
+                self.atoms.remove(i);
+            }
+        }
+
+        fn get(&self, r: AtomRef) -> Option<&Atom> {
+            self.atoms.iter().find(|(x, _)| *x == r).map(|(_, a)| a)
+        }
+
+        /// The ordering contract of `for_each_candidate`, by scanning:
+        /// drive from the constant position the fewest atoms of the
+        /// relation agree with (the first on a tie), atoms holding that
+        /// constant first, then atoms holding a variable there; without
+        /// a constant, every compatible atom in insertion order.
+        fn candidates(&self, probe: &Atom) -> Vec<AtomRef> {
+            // Atoms of the relation, of any arity, that hold `c` or a
+            // variable at `pos`.
+            let agreeing = |pos: usize, c: Value| {
+                let agrees = |a: &Atom| {
+                    a.relation == probe.relation
+                        && match a.terms.get(pos) {
+                            Some(Term::Const(x)) => *x == c,
+                            Some(Term::Var(_)) => true,
+                            None => false,
+                        }
+                };
+                self.atoms.iter().filter(|(_, a)| agrees(a)).count()
+            };
+            let best = probe
+                .terms
+                .iter()
+                .enumerate()
+                .filter_map(|(pos, t)| t.as_const().map(|c| (pos, c)))
+                .min_by_key(|&(pos, c)| agreeing(pos, c));
+            let mut compatible: Vec<&(AtomRef, Atom)> = self
+                .atoms
+                .iter()
+                .filter(|(_, a)| a.positionally_compatible(probe))
+                .collect();
+            // Stable: insertion order survives within each half.
+            compatible.sort_by_key(|(_, a)| best.is_some_and(|(pos, _)| a.terms[pos].is_var()));
+            compatible.into_iter().map(|(r, _)| *r).collect()
+        }
+    }
+
+    fn arb_term() -> impl Strategy<Value = Term> {
+        prop_oneof![
+            (0u32..3).prop_map(|i| Term::var(Var(i))),
+            (0usize..3).prop_map(|i| Term::str(["a", "b", "hub"][i])),
+            (0i64..2).prop_map(Term::int),
+        ]
+    }
+
+    /// `R` and `S` atoms of arity 2 and 3 over few constants and few
+    /// (hence repeated) variables.
+    fn arb_atom() -> impl Strategy<Value = Atom> {
+        (0usize..2, proptest::collection::vec(arb_term(), 2..4))
+            .prop_map(|(rel, terms)| Atom::new(["R", "S"][rel], terms))
+    }
+
+    /// `(ref, Some(atom))` inserts — replacing whatever the ref held, as
+    /// the engine does when it reuses a slot — and `(ref, None)` removes.
+    fn arb_ops() -> impl Strategy<Value = Vec<(AtomRef, Option<Atom>)>> {
+        let r = (0u32..6, 0u32..2).prop_map(|(query, atom)| AtomRef { query, atom });
+        let action = prop_oneof![
+            arb_atom().prop_map(Some),
+            arb_atom().prop_map(Some),
+            Just(None)
+        ];
+        proptest::collection::vec((r, action), 1..120)
+    }
+
+    fn all_refs() -> impl Iterator<Item = AtomRef> {
+        (0..6).flat_map(|query| (0..2).map(move |atom| AtomRef { query, atom }))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn index_agrees_with_a_scan(
+            ops in arb_ops(),
+            probes in proptest::collection::vec(arb_atom(), 1..8),
+        ) {
+            let mut idx = AtomIndex::new();
+            let mut oracle = Oracle::default();
+            for (r, action) in ops {
+                idx.remove(r);
+                oracle.remove(r);
+                if let Some(atom) = action {
+                    idx.insert(r, &atom);
+                    oracle.atoms.push((r, atom));
+                }
+
+                prop_assert_eq!(idx.len(), oracle.atoms.len());
+                for r in all_refs() {
+                    prop_assert_eq!(idx.get(r), oracle.get(r));
+                }
+                for probe in &probes {
+                    let expected = oracle.candidates(probe);
+                    prop_assert_eq!(idx.candidates(probe), expected.clone(), "probe {}", probe);
+                    let mut visited = Vec::new();
+                    idx.for_each_candidate(probe, |r, atom| {
+                        assert_eq!(oracle.get(r), Some(atom));
+                        visited.push(r);
+                    });
+                    prop_assert_eq!(visited, expected, "probe {}", probe);
+                }
+            }
+
+            // Drained, the index holds nothing: no list, no pinned cell.
+            for r in all_refs() {
+                idx.remove(r);
+            }
+            prop_assert!(idx.is_empty());
+            prop_assert_eq!(idx.list_count(), 0);
+            prop_assert_eq!(idx.slab.free.len(), idx.slab.cells.len());
         }
     }
 }

@@ -77,6 +77,22 @@ pub(crate) fn count_snapshot() {
 
 pub(crate) fn count_clone() {
     CLONES.fetch_add(1, Ordering::Relaxed);
+    #[cfg(test)]
+    THREAD_CLONES.with(|c| c.set(c.get() + 1));
+}
+
+#[cfg(test)]
+thread_local! {
+    static THREAD_CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// `Unifier::clone` calls made on the calling thread. `cargo test` runs
+/// sibling tests — the differential oracles clone freely — on other
+/// threads of the same process, so a unit test asserting "this call did
+/// not clone" must not read the process total.
+#[cfg(test)]
+pub(crate) fn clones_on_this_thread() -> u64 {
+    THREAD_CLONES.with(std::cell::Cell::get)
 }
 
 /// Records the undo-log length at a snapshot-close boundary. The log

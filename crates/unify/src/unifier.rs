@@ -1001,9 +1001,9 @@ mod tests {
         a.equate(v(1), v(2)).unwrap();
         let mut b = Unifier::new();
         b.bind(v(2), Value::int(4)).unwrap();
-        let clones_before = ops::global().clones;
+        let clones_before = ops::clones_on_this_thread();
         let m = Unifier::mgu(&a, &b).unwrap();
-        assert_eq!(ops::global().clones, clones_before);
+        assert_eq!(ops::clones_on_this_thread(), clones_before);
         assert_eq!(m.constant_of(v(0)), Some(Value::int(4)));
         // Operands are untouched.
         assert_eq!(a.constant_of(v(0)), None);
