@@ -1,4 +1,4 @@
-//! Ablation benches for design decisions called out in DESIGN.md:
+//! Ablation benches for two design decisions the paper argues for:
 //!
 //! 1. **Atom index vs pairwise edge discovery** (§4.1.4): the paper's
 //!    `(Relation, Position, Value/Δ)` index against exhaustive pairwise

@@ -3,19 +3,15 @@
 //! sets `harness = false` and drives a [`BenchGroup`] from `main`.
 //!
 //! Reported statistics are min / median / mean wall-clock time over the
-//! sample runs, after one untimed warm-up. `--smoke` (or the
-//! `EQ_BENCH_SMOKE` environment variable) asks benches to shrink their
-//! workloads so CI can run them as build-and-run smoke tests.
+//! sample runs, after one untimed warm-up. `--smoke` asks benches to
+//! shrink their workloads so CI can run them as build-and-run smoke
+//! tests.
 
 use std::time::{Duration, Instant};
 
-/// Whether the process was asked for a fast smoke run.
-/// (`EQ_BENCH_SMOKE=0`, empty, or `false` count as disabled.)
+/// Whether the process was asked for a fast smoke run (`--smoke`).
 pub fn smoke_mode() -> bool {
     std::env::args().any(|a| a == "--smoke")
-        || std::env::var("EQ_BENCH_SMOKE")
-            .map(|v| !v.is_empty() && v != "0" && !v.eq_ignore_ascii_case("false"))
-            .unwrap_or(false)
 }
 
 /// A named group of benchmark cases, printed as an aligned table.

@@ -9,15 +9,12 @@
 //! | 8 | [`run_fig8`] | no-unification / usual partitions / giant cluster (incr. vs set-at-a-time) |
 //! | 9 | [`run_fig9`] | safety-check overhead against 20k resident queries |
 //!
-//! Beyond the paper's figures, [`run_fig_resident`] measures the
-//! resident match graph against a rebuild-per-flush baseline,
-//! [`run_fig_service`] measures the `Coordinator` service API —
-//! batched parallel admission versus sequential submission, and
-//! event-stream throughput — and [`run_fig_giant`] measures
-//! intra-component evaluation parallelism on a single giant entangled
-//! ring (one combined join versus partitioned work units at 1/2/4/8
-//! workers, plus the 100k [`run_fig_giant_sweep`] mode over bounded
-//! event subscriptions).
+//! The benches under `benches/` time the same four workloads at reduced
+//! scale, plus two ablations (atom index vs pairwise edge discovery,
+//! safe matching vs brute-force search). Everything beyond the paper's
+//! figures — churn, the sharded service, giant components, paging,
+//! durability — is measured by the repository's benchmark
+//! (`BENCHMARK.json`, `benchmark/run.sh`), not here.
 //!
 //! Absolute numbers differ from the paper (different hardware, MySQL →
 //! in-memory substrate); the claims under reproduction are the *shapes*
@@ -30,12 +27,8 @@ mod runner;
 
 pub use harness::BenchGroup;
 pub use runner::{
-    clone_db, drive_churn_rebuild, drive_churn_resident, drive_giant, drive_kill_recover,
-    drive_scale_harness, drive_service_harness, instrumented_batch, pairwise_edge_count, run_fig6,
-    run_fig7, run_fig8, run_fig9, run_fig_giant, run_fig_giant_sweep, run_fig_resident,
-    run_fig_service, run_fig_store, standard_graph, ChurnCounters, Fig6Config, Fig8Config,
-    Fig9Config, FigGiantConfig, FigGiantSweepConfig, FigResidentConfig, FigServiceConfig,
-    FigStoreConfig, Row, ServiceCounters, SplitTiming,
+    clone_db, instrumented_batch, pairwise_edge_count, run_fig6, run_fig7, run_fig8, run_fig9,
+    standard_graph, Fig6Config, Fig8Config, Fig9Config, Row, SplitTiming,
 };
 
 use std::io::Write as _;
@@ -74,10 +67,7 @@ pub fn report(figure: &str, rows: &[Row], json_path: Option<&Path>) {
 }
 
 /// Serializes rows as a JSON array (hand-rolled: the offline-dependency
-/// policy rules out serde, and `Row` is flat). Engine counters, when
-/// present, become a nested `"counters"` object so bench runs record
-/// match-state reuse (components evaluated, clean skips, MGU calls)
-/// alongside wall-clock numbers.
+/// policy rules out serde, and `Row` is flat).
 pub fn rows_to_json(rows: &[Row]) -> String {
     let mut out = String::from("[\n");
     for (i, r) in rows.iter().enumerate() {
@@ -90,20 +80,6 @@ pub fn rows_to_json(rows: &[Row]) -> String {
             json_number(r.millis),
             r.extra.map_or_else(|| "null".to_owned(), json_number),
         ));
-        if !r.counters.is_empty() {
-            out.push_str(", \"counters\": {");
-            for (j, (name, value)) in r.counters.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "\"{}\": {}",
-                    json_escape(name),
-                    json_number(*value)
-                ));
-            }
-            out.push('}');
-        }
         out.push('}');
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
@@ -132,22 +108,49 @@ fn json_number(v: f64) -> String {
     }
 }
 
-/// Parses `--sizes 5,100,1000`-style CLI arguments for the fig
-/// binaries; returns `default` when absent.
+/// Parses the operand of `--sizes`: comma-separated query counts, e.g.
+/// `5,100,1000` (blanks around a count are allowed). The error names
+/// the token that is not a count.
+pub fn parse_sizes(spec: &str) -> Result<Vec<usize>, String> {
+    spec.split(',')
+        .map(|token| {
+            token
+                .trim()
+                .parse()
+                .map_err(|_| format!("{token:?} is not a query count"))
+        })
+        .collect()
+}
+
+/// Reads `--sizes 5,100,1000` from the fig binaries' command line;
+/// returns `default` when the switch is absent. A missing or malformed
+/// operand is a usage error (exit status 2), never a silent fallback to
+/// the paper-scale default sweep.
 pub fn sizes_from_args(default: &[usize]) -> Vec<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    for i in 0..args.len() {
-        if args[i] == "--sizes" {
-            if let Some(spec) = args.get(i + 1) {
-                let parsed: Vec<usize> = spec
-                    .split(',')
-                    .filter_map(|s| s.trim().parse().ok())
-                    .collect();
-                if !parsed.is_empty() {
-                    return parsed;
-                }
-            }
-        }
+    let mut args = std::env::args().skip_while(|a| a != "--sizes");
+    if args.next().is_none() {
+        return default.to_vec();
     }
-    default.to_vec()
+    let parsed = match args.next() {
+        Some(spec) => parse_sizes(&spec),
+        None => Err("missing operand".to_owned()),
+    };
+    parsed.unwrap_or_else(|e| {
+        eprintln!("usage: --sizes N[,N...] (e.g. --sizes 5,200): {e}");
+        std::process::exit(2)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_sizes;
+
+    #[test]
+    fn sizes_parse_or_name_the_bad_token() {
+        assert_eq!(parse_sizes("5,200"), Ok(vec![5, 200]));
+        assert_eq!(parse_sizes("5, 200 "), Ok(vec![5, 200]));
+        assert!(parse_sizes("5,,200").unwrap_err().contains("\"\""));
+        assert!(parse_sizes("1e3").unwrap_err().contains("\"1e3\""));
+        assert!(parse_sizes("").unwrap_err().contains("\"\""));
+    }
 }

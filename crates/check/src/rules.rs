@@ -41,14 +41,10 @@ pub struct Rule {
 pub const RULES: &[Rule] = &[
     Rule {
         name: "spawn-confinement",
-        summary: "thread spawns are confined to the pool primitive, the event \
-                  plumbing, and the bench runner; everything else must go \
-                  through pool::parallel_claim",
-        allow: &[
-            "crates/core/src/pool.rs",
-            "crates/core/src/events.rs",
-            "crates/bench/src/runner.rs",
-        ],
+        summary: "thread spawns are confined to the pool primitive and the \
+                  event plumbing; everything else must go through \
+                  pool::parallel_claim",
+        allow: &["crates/core/src/pool.rs", "crates/core/src/events.rs"],
     },
     Rule {
         name: "unbounded-channel",
@@ -382,7 +378,7 @@ fn scan_spawn(path: &str, a: &Analysis, out: &mut Vec<Violation>) {
                 rule: r.name,
                 path: path.to_owned(),
                 line: a.tokens[i].line,
-                message: "thread spawn outside pool.rs/events.rs/bench runner; \
+                message: "thread spawn outside pool.rs/events.rs; \
                           use pool::parallel_claim"
                     .into(),
             });

@@ -130,19 +130,15 @@ pub struct EngineConfig {
     /// ([`crate::intra::split_unit`]): when the global unifier chains
     /// variables *across* bodies, the whole component can collapse into
     /// one shared-variable work unit, and this second-level split
-    /// decomposes it along articulation variables into regions evaluated
-    /// as independent work items with an exact tree semi-join merge
+    /// decomposes it along articulation variables into regions joined
+    /// over their block-cut tree by **streaming articulation
+    /// projection**: regions stream their solutions and retain only
+    /// per-articulation-value witness sets, and the chosen joint answer
+    /// is re-enumerated top-down with pinned articulation values —
+    /// memory proportional to articulation width, not solution count
     /// (deterministic for every thread count; a solution is found iff
     /// one exists). Set to `usize::MAX` to never split.
     pub intra_split_min_atoms: usize,
-    /// Per-region solution-enumeration cap of the **materialized**
-    /// split path (`intra_split_streaming: false`). A region that would
-    /// exceed it makes its unit fall back to whole-unit evaluation —
-    /// the cap bounds the semi-join's memory, never completeness.
-    /// Clamped to at least 1 (a zero budget would make every region
-    /// look unsatisfiable instead of truncated). The streaming path
-    /// never materializes region solutions and ignores it.
-    pub intra_region_cap: usize,
     /// Work/overhead crossover for the split decision: a unit that
     /// decomposes into `r` regions actually splits only when
     /// `atoms² ≥ crossover × r`. Per-region dispatch has a fixed cost
@@ -152,14 +148,6 @@ pub struct EngineConfig {
     /// splitting win as units grow. `0` splits whenever the unit
     /// decomposes.
     pub intra_split_crossover: usize,
-    /// Evaluate split units by **streaming articulation projection**
-    /// (default): regions stream their solutions and retain only
-    /// per-articulation-value witness sets, and the chosen joint answer
-    /// is re-enumerated top-down with pinned articulation values —
-    /// memory proportional to articulation width, not solution count.
-    /// `false` selects the materialized semi-join (kept as the
-    /// property-test oracle; answers are identical).
-    pub intra_split_streaming: bool,
     /// Number of independently locked **service shards** the
     /// `Coordinator` partitions its pending pool into (the engine
     /// itself ignores this; it is read once at service construction).
@@ -185,9 +173,7 @@ impl Default for EngineConfig {
             incremental_partition_limit: 64,
             intra_component_threshold: 128,
             intra_split_min_atoms: 16,
-            intra_region_cap: 4096,
             intra_split_crossover: 4096,
-            intra_split_streaming: true,
             service_shards: 1,
         }
     }
@@ -904,7 +890,8 @@ impl CoordinationEngine {
     /// With `SetAtATime { batch_size: 0 }`, `submit_batch` followed by
     /// [`CoordinationEngine::flush`] is observationally equivalent to
     /// sequential submits followed by `flush` (same admission results,
-    /// same terminal statuses) — property-tested in the bench crate.
+    /// same terminal statuses) — property-tested in
+    /// `tests/service_proptest.rs`.
     pub fn submit_batch(
         &mut self,
         batch: Vec<(EntangledQuery, SubmitOptions)>,
@@ -1883,9 +1870,7 @@ fn evaluate_survivors<V: MatchView>(
     if survivors.len() >= config.intra_component_threshold {
         let split = intra::SplitOptions {
             min_atoms: config.intra_split_min_atoms,
-            region_cap: config.intra_region_cap,
             crossover: config.intra_split_crossover,
-            streaming: config.intra_split_streaming,
         };
         let plan = intra::plan_component(graph, survivors, &global, &split);
         let mut counters = IntraCounters {
@@ -2547,7 +2532,7 @@ mod tests {
         // Same queries, one as a batch, one sequentially: identical
         // admission results and identical statuses after one flush —
         // with the safety check ON, so intra-batch safety accounting is
-        // exercised (the proptests in the bench crate churn this).
+        // exercised (`tests/service_proptest.rs` churns this).
         let texts: Vec<String> = (0..6)
             .flat_map(|i| {
                 vec![

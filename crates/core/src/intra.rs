@@ -58,31 +58,32 @@
 //! variables are exactly the join keys between regions.
 //!
 //! Region evaluation is Yannakakis over that tree, run as a
-//! **streaming articulation projection** (the default): bottom-up,
-//! children first, each region *streams* its local solutions through
-//! `eq_db`'s visitor enumeration and retains only a witness set of
-//! parent-articulation values bound by some locally-extensible
-//! solution — memory proportional to the articulation-value domain,
-//! never to the region's solution count; the root region streams until
-//! its first extensible solution. Top-down, the one chosen joint
-//! answer is re-enumerated region by region with the parent
-//! articulation variable *pinned* to the chosen value as an equality
-//! constraint pair, stopping at the first extensible solution — which
-//! is provably the representative the materialized semi-join would
-//! keep, because constraints never influence the evaluator's join
-//! order. The result is **exact** — a solution is produced iff the
-//! unit has one — and **deterministic** (independent of thread count;
-//! the tree walk is sequential within a unit, units run in parallel),
-//! but it is the tree-join's first solution, not necessarily the one
-//! the sequential whole-unit backtracking search would find first;
-//! when a unit's solution is unique the two coincide. The older
-//! **materialized** mode ([`SplitOptions::streaming`]` = false`) —
-//! enumerate up to [`SplitOptions::region_cap`] solutions per region
-//! in parallel, semi-join the sets, fall back to whole-unit evaluation
-//! on cap overflow — is kept as the property-test oracle; streaming
-//! needs no cap and no fallback. Splitting itself is gated by a
-//! work/overhead crossover ([`SplitOptions::crossover`]): small units
-//! evaluate faster whole than through per-region dispatch.
+//! **streaming articulation projection**: bottom-up, children first,
+//! each region *streams* its local solutions through `eq_db`'s visitor
+//! enumeration and retains only a witness set of parent-articulation
+//! values bound by some locally-extensible solution — memory
+//! proportional to the articulation-value domain, never to the region's
+//! solution count; the root region streams until its first extensible
+//! solution. Top-down, the one chosen joint answer is re-enumerated
+//! region by region with the parent articulation variable *pinned* to
+//! the chosen value as an equality constraint pair, stopping at the
+//! first extensible solution. The result is **exact** — a solution is
+//! produced iff the unit has one — and **deterministic** (independent
+//! of thread count; the tree walk is sequential within a unit, units
+//! run in parallel), but it is the tree-join's first solution, not
+//! necessarily the one the sequential whole-unit backtracking search
+//! would find first; when a unit's solution is unique the two coincide.
+//! Streaming needs no enumeration cap and no fallback. Splitting itself
+//! is gated by a work/overhead crossover ([`SplitOptions::crossover`]):
+//! small units evaluate faster whole than through per-region dispatch.
+//!
+//! The evaluator streaming replaced — materialize every region's
+//! solutions up to a cap, semi-join the sets over the tree, fall back
+//! to whole-unit evaluation on cap overflow — survives only as the
+//! `#[cfg(test)]` oracle `materialized_reference`. The pinned
+//! re-enumeration picks exactly the representative that semi-join keeps
+//! (constraints never influence the evaluator's join order), and the
+//! streaming path is property-tested against it answer for answer.
 //!
 //! Components below [`crate::EngineConfig::intra_component_threshold`]
 //! never reach this module — they evaluate through the plain
@@ -101,22 +102,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Knobs for shared-variable work-unit splitting (see the module docs'
 /// "biconnected regions" section). Derived from
-/// [`crate::EngineConfig::intra_split_min_atoms`],
-/// [`crate::EngineConfig::intra_region_cap`],
-/// [`crate::EngineConfig::intra_split_crossover`], and
-/// [`crate::EngineConfig::intra_split_streaming`] by the engine.
+/// [`crate::EngineConfig::intra_split_min_atoms`] and
+/// [`crate::EngineConfig::intra_split_crossover`] by the engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SplitOptions {
     /// Units with at least this many atoms are analyzed for
     /// biconnected-region splitting; smaller units always evaluate
     /// whole. `usize::MAX` disables splitting entirely.
     pub min_atoms: usize,
-    /// Per-region solution-enumeration cap for the **materialized**
-    /// semi-join phase (`streaming: false`). A region that would exceed
-    /// it aborts the split and the unit falls back to whole-unit
-    /// evaluation (completeness is never at stake; the cap bounds
-    /// memory). The streaming path never materializes and ignores it.
-    pub region_cap: usize,
     /// Work/overhead crossover for the split decision: a unit that
     /// decomposes into `r` regions actually splits only when
     /// `atoms² ≥ crossover × r`. Region dispatch has a fixed per-region
@@ -126,22 +119,13 @@ pub struct SplitOptions {
     /// — evaluate faster whole (measured crossover ≈ n=600..1200 chain
     /// queries; see the README scaling guide). `0` always splits.
     pub crossover: usize,
-    /// Evaluate split units by **streaming articulation projection**
-    /// (bottom-up witness maps + top-down pinned re-enumeration; memory
-    /// bounded by articulation-domain width) instead of materializing
-    /// each region's solutions for the semi-join. The materialized path
-    /// is kept as the property-test oracle the streaming path is
-    /// checked against, answer for answer.
-    pub streaming: bool,
 }
 
 impl Default for SplitOptions {
     fn default() -> Self {
         SplitOptions {
             min_atoms: 16,
-            region_cap: 4096,
             crossover: 4096,
-            streaming: true,
         }
     }
 }
@@ -169,8 +153,8 @@ pub struct WorkUnit {
     pub constraints: Vec<Constraint>,
     /// Biconnected-region decomposition, present when the unit met
     /// [`SplitOptions::min_atoms`] and actually decomposes (≥ 2
-    /// regions). `atoms`/`constraints` stay authoritative — the region
-    /// path falls back to them on enumeration overflow.
+    /// regions), in which case the unit is evaluated region by region.
+    /// `atoms`/`constraints` still hold the whole unit.
     pub regions: Option<RegionPlan>,
 }
 
@@ -182,14 +166,6 @@ pub struct RegionPlan {
     /// Regions in deterministic order (by first atom of the region in
     /// the unit's body order). Region 0 is the tree root.
     pub regions: Vec<Region>,
-    /// The [`SplitOptions::region_cap`] in force when the plan was
-    /// built; in materialized mode, a region whose enumeration reaches
-    /// it aborts the split at evaluation time. Ignored when streaming.
-    pub region_cap: usize,
-    /// Evaluate by streaming articulation projection (the default)
-    /// instead of the materialized semi-join; see
-    /// [`SplitOptions::streaming`].
-    pub streaming: bool,
 }
 
 /// One biconnected region: a sub-conjunction that overlaps the rest of
@@ -342,7 +318,7 @@ pub fn plan_component<V: MatchView>(
 
     for unit in &mut units {
         if unit.atoms.len() >= split.min_atoms {
-            unit.regions = split_unit(unit, split.region_cap).and_then(|mut rp| {
+            unit.regions = split_unit(unit).filter(|rp| {
                 // Work/overhead crossover gate: per-region dispatch has
                 // a fixed cost that whole-unit evaluation doesn't pay,
                 // so small units evaluate faster whole. The unit's
@@ -350,12 +326,7 @@ pub fn plan_component<V: MatchView>(
                 // atom-selection scan alone is quadratic); the split's
                 // overhead scales with the region count.
                 let a = unit.atoms.len();
-                if a.saturating_mul(a) >= split.crossover.saturating_mul(rp.regions.len()) {
-                    rp.streaming = split.streaming;
-                    Some(rp)
-                } else {
-                    None
-                }
+                a.saturating_mul(a) >= split.crossover.saturating_mul(rp.regions.len())
             });
         }
     }
@@ -378,7 +349,7 @@ pub fn plan_component<V: MatchView>(
 /// constraint spans regions and no region could enforce it, so the
 /// unit evaluates whole).
 ///
-/// Guarantees, relied on by [`evaluate_plan`]'s semi-join merge:
+/// Guarantees, relied on by [`evaluate_plan`]'s region tree join:
 ///
 /// * every **multi-variable** atom/constraint lands in exactly one
 ///   region (a clique is biconnected, so all of its variables share
@@ -397,16 +368,8 @@ pub fn plan_component<V: MatchView>(
 /// * every tree-edge articulation variable is **atom-anchored** in both
 ///   endpoint regions (bound by every region-local solution, so the
 ///   merge can always key on it) — units violating this refuse to
-///   split;
-/// * `region_cap` is at least 1, so an empty region enumeration means
-///   a genuinely unsatisfiable region, never a zero-budget truncation
-///   (materialized mode; the streaming path has no cap).
-pub fn split_unit(unit: &WorkUnit, region_cap: usize) -> Option<RegionPlan> {
-    // A zero cap would make every region look empty (= unsatisfiable)
-    // instead of truncated; clamp so "no solutions" keeps meaning
-    // exactly that and cap overflow still falls back to whole-unit
-    // evaluation.
-    let region_cap = region_cap.max(1);
+///   split.
+pub fn split_unit(unit: &WorkUnit) -> Option<RegionPlan> {
     // Variables in first-occurrence order (atoms, then constraints).
     let mut var_id: FastMap<Var, usize> = FastMap::default();
     let mut vars: Vec<Var> = Vec::new();
@@ -603,7 +566,7 @@ pub fn split_unit(unit: &WorkUnit, region_cap: usize) -> Option<RegionPlan> {
     // identically wherever it is checked, so replication is sound, and
     // it keeps every region anchored — a region whose only selective
     // atom sat across the articulation boundary would otherwise
-    // enumerate an unfiltered cross product and blow the cap.
+    // stream an unfiltered cross product.
     for (ai, vs) in atom_vars.iter().enumerate() {
         if vs.len() >= 2 {
             let r = new_id[raw_block(vs)?];
@@ -682,11 +645,7 @@ pub fn split_unit(unit: &WorkUnit, region_cap: usize) -> Option<RegionPlan> {
         }
     }
 
-    Some(RegionPlan {
-        regions,
-        region_cap,
-        streaming: true,
-    })
+    Some(RegionPlan { regions })
 }
 
 /// Outcome of one work unit's `LIMIT 1` evaluation.
@@ -701,31 +660,6 @@ enum UnitResult {
     Skipped,
 }
 
-/// One claimable piece of a plan's parallel phase: a whole (unsplit)
-/// unit, one biconnected region of a materialized-mode split unit, or
-/// one entire streaming-mode split unit (the streaming tree walk is
-/// sequential within a unit — that's what makes it deterministic — so
-/// the unit is the parallelism grain).
-#[derive(Clone, Copy)]
-enum WorkItem<'a> {
-    Unit(usize),
-    Region(usize, usize, &'a RegionPlan),
-    SplitUnit(usize, &'a RegionPlan),
-}
-
-/// Result of one [`WorkItem`].
-enum ItemResult {
-    Unit(UnitResult),
-    /// A region's enumerated solutions (up to the plan's cap; a full
-    /// cap'-worth means possibly truncated and triggers the whole-unit
-    /// fallback). Materialized mode only.
-    Region(Vec<Valuation>),
-    /// A streaming split unit's outcome plus its counters: solutions
-    /// streamed through the witness pass, and the peak witness-map
-    /// size (entries in any single region's articulation-value map).
-    Split(UnitResult, u64, u64),
-}
-
 /// Evaluation counters for one plan, surfaced through
 /// `BatchReport::{intra_region_streamed, intra_witness_peak}`: how many
 /// region-local solutions the streaming articulation-projection pass
@@ -735,10 +669,9 @@ enum ItemResult {
 /// the region's solution count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanStats {
-    /// Region-local solutions consumed by streaming split units.
+    /// Region-local solutions consumed by split units.
     pub region_streamed: u64,
-    /// Peak per-region witness-map entry count across streaming split
-    /// units.
+    /// Peak per-region witness-map entry count across split units.
     pub witness_peak: u64,
 }
 
@@ -752,11 +685,12 @@ pub fn evaluate_plan(
     evaluate_plan_with_stats(plan, db, threads).map(|(answers, _)| answers)
 }
 
-/// Evaluates a plan against `db`, dispatching work items — whole
-/// units, streaming split units, or the biconnected regions of
-/// materialized-mode split units — on up to `threads` scoped workers
-/// (largest item first; sizes are heavy-tailed when the global unifier
-/// merged some variables).
+/// Evaluates a plan against `db`, dispatching its units on up to
+/// `threads` scoped workers (largest unit first; sizes are heavy-tailed
+/// when the global unifier merged some variables). A split unit is one
+/// work item: its region tree walk (`stream_unit`) is sequential —
+/// that is what makes it deterministic — so the unit is the parallelism
+/// grain.
 ///
 /// Returns the component's first coordinated solution — one
 /// [`QueryAnswer`] per survivor, in survivor order — or `None` when any
@@ -769,15 +703,48 @@ pub fn evaluate_plan(
 /// block-cut tree join's first solution instead — still a solution iff
 /// the sequential path finds one, still deterministic in the plan and
 /// database for every `threads` value, but not necessarily the same
-/// valuation unless the unit's solution is unique. Streaming and
-/// materialized modes agree answer-for-answer (property-tested): the
-/// pinned re-enumeration picks exactly the representative the
-/// materialized semi-join would have kept.
+/// valuation unless the unit's solution is unique.
 pub fn evaluate_plan_with_stats(
     plan: &ComponentPlan,
     db: &Database,
     threads: usize,
 ) -> Result<(Option<Vec<QueryAnswer>>, PlanStats), DbError> {
+    let mut stats = PlanStats::default();
+    if !ground_residue_holds(plan, db)? {
+        return Ok((None, stats));
+    }
+
+    // Units run largest-first on the shared worker pool; the stop flag
+    // bails out of remaining claims as soon as any unit proves
+    // unsatisfiable.
+    let mut order: Vec<usize> = (0..plan.units.len()).collect();
+    order.sort_by_key(|&u| std::cmp::Reverse(plan.units[u].atoms.len()));
+    let failed = AtomicBool::new(false);
+    let produced = pool::parallel_claim(&order, threads, Some(&failed), |u| {
+        let unit = &plan.units[u];
+        let (result, streamed, peak) = match &unit.regions {
+            Some(rp) => stream_unit(rp, db),
+            None => (evaluate_unit(unit, db), 0, 0),
+        };
+        if matches!(result, UnitResult::Unsat) {
+            failed.store(true, Ordering::Relaxed);
+        }
+        (result, streamed, peak)
+    });
+    let mut unit_results: Vec<UnitResult> = Vec::with_capacity(plan.units.len());
+    unit_results.resize_with(plan.units.len(), || UnitResult::Skipped);
+    for (u, (result, streamed, peak)) in produced {
+        unit_results[u] = result;
+        stats.region_streamed += streamed;
+        stats.witness_peak = stats.witness_peak.max(peak);
+    }
+    Ok((glue_units(plan, &unit_results), stats))
+}
+
+/// The part of a plan that needs no search: validates every relation
+/// the plan mentions, then checks the ground constraints and the ground
+/// atoms' membership. `Ok(false)` means the component has no solution.
+fn ground_residue_holds(plan: &ComponentPlan, db: &Database) -> Result<bool, DbError> {
     // Whole-conjunction validation first, exactly like the one-shot
     // evaluator: an unknown relation anywhere in the body is an error
     // even if some other unit is unsatisfiable.
@@ -786,11 +753,10 @@ pub fn evaluate_plan_with_stats(
         db.check_atoms(&unit.atoms)?;
     }
 
-    let mut stats = PlanStats::default();
     let empty = Valuation::default();
     for c in &plan.ground_constraints {
         if !c.check(&|v| empty.get(&v).copied()) {
-            return Ok((None, stats));
+            return Ok(false);
         }
     }
     for atom in &plan.ground_atoms {
@@ -800,136 +766,24 @@ pub fn evaluate_plan_with_stats(
                 // Defensive: the planner routes only variable-free atoms
                 // here. A variable in a "ground" atom can never match a
                 // membership check, so the component has no solution.
-                return Ok((None, stats));
+                return Ok(false);
             };
             row.push(c);
         }
         let present = db.table(atom.relation).is_some_and(|t| t.contains(&row));
         if !present {
-            return Ok((None, stats));
+            return Ok(false);
         }
     }
-    if plan.units.is_empty() {
-        return Ok((Some(distribute_heads(&plan.heads, &empty)), stats));
-    }
+    Ok(true)
+}
 
-    // Build the claimable work items: whole units; one item per
-    // biconnected region for materialized-mode split units; one item
-    // per whole split unit in streaming mode (its internal tree walk is
-    // sequential — determinism — but distinct units still run in
-    // parallel). Items run largest-first on the shared worker pool; the
-    // stop flag bails out of remaining claims as soon as any unit or
-    // region proves unsatisfiable — a region with zero local solutions
-    // makes its whole unit (hence the component) unsatisfiable.
-    let mut items: Vec<WorkItem> = Vec::new();
-    for (u, unit) in plan.units.iter().enumerate() {
-        match &unit.regions {
-            Some(rp) if rp.streaming => items.push(WorkItem::SplitUnit(u, rp)),
-            Some(rp) => items.extend((0..rp.regions.len()).map(|r| WorkItem::Region(u, r, rp))),
-            None => items.push(WorkItem::Unit(u)),
-        }
-    }
-    let item_size = |item: &WorkItem| match *item {
-        WorkItem::Unit(u) | WorkItem::SplitUnit(u, _) => plan.units[u].atoms.len(),
-        WorkItem::Region(_, r, rp) => rp.regions[r].atoms.len(),
-    };
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(item_size(&items[i])));
-    let failed = AtomicBool::new(false);
-    let produced = pool::parallel_claim(&order, threads, Some(&failed), |idx| match items[idx] {
-        WorkItem::Unit(u) => {
-            let r = evaluate_unit(&plan.units[u], db);
-            if matches!(r, UnitResult::Unsat) {
-                failed.store(true, Ordering::Relaxed);
-            }
-            ItemResult::Unit(r)
-        }
-        WorkItem::SplitUnit(_, rp) => {
-            let (r, streamed, peak) = stream_unit(rp, db);
-            if matches!(r, UnitResult::Unsat) {
-                failed.store(true, Ordering::Relaxed);
-            }
-            ItemResult::Split(r, streamed, peak)
-        }
-        WorkItem::Region(_, r, rp) => {
-            let region = &rp.regions[r];
-            let sols = db
-                .evaluate_filtered(&region.atoms, &region.constraints, rp.region_cap)
-                // Unreachable after the up-front whole-unit validation;
-                // treat like an unsatisfiable region defensively.
-                .unwrap_or_default();
-            if sols.is_empty() {
-                failed.store(true, Ordering::Relaxed);
-            }
-            ItemResult::Region(sols)
-        }
-    });
-    let mut unit_results: Vec<UnitResult> = Vec::with_capacity(plan.units.len());
-    unit_results.resize_with(plan.units.len(), || UnitResult::Skipped);
-    let mut region_sols: FastMap<(usize, usize), Vec<Valuation>> = FastMap::default();
-    for (idx, result) in produced {
-        match (items[idx], result) {
-            (WorkItem::Unit(u), ItemResult::Unit(res)) => unit_results[u] = res,
-            (WorkItem::SplitUnit(u, _), ItemResult::Split(res, streamed, peak)) => {
-                unit_results[u] = res;
-                stats.region_streamed += streamed;
-                stats.witness_peak = stats.witness_peak.max(peak);
-            }
-            (WorkItem::Region(u, r, _), ItemResult::Region(sols)) => {
-                region_sols.insert((u, r), sols);
-            }
-            // Item kinds are fixed per index; a mismatch cannot happen,
-            // and ignoring one degrades to Skipped (= no solution).
-            _ => {}
-        }
-    }
-
-    // Sequential merge pass: materialized split units go through the
-    // tree semi-join (falling back to whole-unit evaluation when a
-    // region hit the enumeration cap); streaming units already carry
-    // their result. An Unsat or Skipped anything means the component
-    // has no solution this round.
-    for (u, unit) in plan.units.iter().enumerate() {
-        let Some(rp) = &unit.regions else { continue };
-        if rp.streaming {
-            continue;
-        }
-        let mut sols: Vec<Vec<Valuation>> = Vec::with_capacity(rp.regions.len());
-        let mut missing = false;
-        let mut truncated = false;
-        for r in 0..rp.regions.len() {
-            match region_sols.remove(&(u, r)) {
-                Some(s) => {
-                    truncated |= s.len() >= rp.region_cap;
-                    sols.push(s);
-                }
-                None => {
-                    // Skipped via the stop flag: something else already
-                    // proved the component unsatisfiable.
-                    missing = true;
-                    break;
-                }
-            }
-        }
-        unit_results[u] = if missing {
-            UnitResult::Skipped
-        } else if sols.iter().any(|s| s.is_empty()) {
-            UnitResult::Unsat
-        } else if truncated {
-            // A region may have overflowed the cap: the semi-join could
-            // miss keys, so evaluate the unit whole (complete, and the
-            // same deterministic path the unsplit plan takes).
-            evaluate_unit(unit, db)
-        } else {
-            match semijoin_merge(rp, &sols) {
-                Some(val) => UnitResult::Sat(val),
-                None => UnitResult::Unsat,
-            }
-        };
-    }
-
+/// Glues one valuation per unit into the component's answers. An
+/// `Unsat` or `Skipped` unit means the component has no solution this
+/// round.
+fn glue_units(plan: &ComponentPlan, unit_results: &[UnitResult]) -> Option<Vec<QueryAnswer>> {
     let mut merged = Valuation::default();
-    for r in &unit_results {
+    for r in unit_results {
         match r {
             UnitResult::Sat(val) => {
                 // Units are variable-disjoint: plain union.
@@ -937,14 +791,14 @@ pub fn evaluate_plan_with_stats(
                     merged.insert(v, value);
                 }
             }
-            UnitResult::Unsat | UnitResult::Skipped => return Ok((None, stats)),
+            UnitResult::Unsat | UnitResult::Skipped => return None,
         }
     }
-    Ok((Some(distribute_heads(&plan.heads, &merged)), stats))
+    Some(distribute_heads(&plan.heads, &merged))
 }
 
-/// Streaming articulation-projection evaluation of one split unit (the
-/// default mode; see the module docs). **Bottom-up**, children first:
+/// Streaming articulation-projection evaluation of one split unit (see
+/// the module docs). **Bottom-up**, children first:
 /// each non-root region streams its local solutions through
 /// [`Database::evaluate_visit`] and retains only a **witness set** of
 /// parent-articulation values bound by some locally-extensible solution
@@ -960,7 +814,7 @@ pub fn evaluate_plan_with_stats(
 /// the pinned search enumerates exactly the subsequence of the
 /// region's solutions binding that value, in the region's own order —
 /// its first extensible hit is precisely the representative the
-/// materialized [`semijoin_merge`] keeps, which is why the two modes
+/// `#[cfg(test)]` materialized semi-join keeps, which is why the two
 /// agree answer for answer (property-tested).
 ///
 /// As a constraint-aware refinement, a child whose witness set kept
@@ -1039,7 +893,7 @@ fn stream_unit(rp: &RegionPlan, db: &Database) -> (UnitResult, u64, u64) {
                         // for an unseen key (a later extensible solution
                         // may carry a key an earlier inextensible one
                         // did), and is skipped once the key is in — the
-                        // exact key set the materialized semi-join keeps.
+                        // exact key set a materialized semi-join keeps.
                         if !keys.contains(&key) && extensible(region, sol, &feasible) {
                             keys.insert(key);
                         }
@@ -1136,88 +990,6 @@ fn stream_unit(rp: &RegionPlan, db: &Database) -> (UnitResult, u64, u64) {
     (UnitResult::Sat(merged), streamed, peak)
 }
 
-/// The exact tree semi-join over a split unit's block-cut tree (see
-/// the module docs): bottom-up, keep per value of each region's parent
-/// articulation variable the first locally-enumerated solution every
-/// child can extend; top-down, glue the chosen representatives.
-/// Returns `None` iff the unit has no solution (given un-truncated
-/// region enumerations). Materialized mode only — kept as the oracle
-/// the streaming path ([`stream_unit`]) is property-tested against.
-fn semijoin_merge(rp: &RegionPlan, sols: &[Vec<Valuation>]) -> Option<Valuation> {
-    let n = rp.regions.len();
-    // Pre-order from the root; processing it in reverse visits children
-    // before parents.
-    let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut stack = vec![0usize];
-    while let Some(r) = stack.pop() {
-        order.push(r);
-        stack.extend(&rp.regions[r].children);
-    }
-    debug_assert_eq!(order.len(), n);
-
-    // For non-root regions: parent-variable value → index of the first
-    // extensible local solution. For the root: the index itself.
-    let mut feasible: Vec<FastMap<Value, usize>> = Vec::with_capacity(n);
-    feasible.resize_with(n, FastMap::default);
-    let mut root_choice: Option<usize> = None;
-    for &r in order.iter().rev() {
-        let region = &rp.regions[r];
-        let extensible = |sol: &Valuation| {
-            region.children.iter().all(|&c| {
-                // A walked child always has a parent edge; a missing
-                // one means a malformed tree — treat as inextensible.
-                let Some(v) = rp.regions[c].parent_var else {
-                    return false;
-                };
-                sol.get(&v)
-                    .is_some_and(|value| feasible[c].contains_key(value))
-            })
-        };
-        match region.parent_var {
-            Some(pv) => {
-                let mut map = FastMap::default();
-                for (si, sol) in sols[r].iter().enumerate() {
-                    if !extensible(sol) {
-                        continue;
-                    }
-                    // Anchoring (split_unit) guarantees region atoms
-                    // bind the articulation variable; skip defensively
-                    // otherwise.
-                    let Some(&key) = sol.get(&pv) else { continue };
-                    map.entry(key).or_insert(si);
-                }
-                if map.is_empty() {
-                    return None; // no child binding survives: unit unsat
-                }
-                feasible[r] = map;
-            }
-            None => {
-                root_choice = Some(sols[r].iter().position(extensible)?);
-            }
-        }
-    }
-
-    // Top-down reconstruction: every lookup hits by construction (the
-    // `?` arms are defensive against a malformed tree and read "no
-    // solution" rather than panicking).
-    let root_si = root_choice?;
-    let mut merged = Valuation::default();
-    let mut walk = vec![(0usize, root_si)];
-    while let Some((r, si)) = walk.pop() {
-        let sol = sols.get(r)?.get(si)?;
-        for (&v, &value) in sol.iter() {
-            merged.insert(v, value);
-        }
-        for &c in &rp.regions[r].children {
-            let pv = rp.regions[c].parent_var?;
-            let key = sol.get(&pv)?;
-            let si = *feasible[c].get(key)?;
-            walk.push((c, si));
-        }
-    }
-    Some(merged)
-}
-
 fn evaluate_unit(unit: &WorkUnit, db: &Database) -> UnitResult {
     match db.evaluate_filtered(&unit.atoms, &unit.constraints, 1) {
         Ok(vals) => match vals.into_iter().next() {
@@ -1227,6 +999,151 @@ fn evaluate_unit(unit: &WorkUnit, db: &Database) -> UnitResult {
         // Unreachable after the up-front validation (the search itself
         // cannot fail); treat like an unsatisfiable unit defensively.
         Err(_) => UnitResult::Unsat,
+    }
+}
+
+/// The region evaluator that [`stream_unit`] replaced, kept as the test
+/// oracle: materialize each region's solutions (up to `region_cap`),
+/// run the exact tree semi-join over the block-cut tree, and fall back
+/// to whole-unit evaluation when a region may have been truncated. Its
+/// memory grows with the regions' solution counts, which is why it is
+/// not the production path.
+#[cfg(test)]
+mod materialized_reference {
+    use super::*;
+
+    /// Same contract as [`super::evaluate_plan`], sequential, with every
+    /// split unit evaluated through the materialized semi-join.
+    /// `region_cap` is clamped to at least 1: a zero budget would make
+    /// every region look empty (= unsatisfiable) instead of truncated.
+    pub(super) fn evaluate_plan(
+        plan: &ComponentPlan,
+        db: &Database,
+        region_cap: usize,
+    ) -> Result<Option<Vec<QueryAnswer>>, DbError> {
+        if !ground_residue_holds(plan, db)? {
+            return Ok(None);
+        }
+        let region_cap = region_cap.max(1);
+        let unit_results: Vec<UnitResult> = plan
+            .units
+            .iter()
+            .map(|unit| match &unit.regions {
+                Some(rp) => evaluate_split_unit(unit, rp, db, region_cap),
+                None => evaluate_unit(unit, db),
+            })
+            .collect();
+        Ok(glue_units(plan, &unit_results))
+    }
+
+    fn evaluate_split_unit(
+        unit: &WorkUnit,
+        rp: &RegionPlan,
+        db: &Database,
+        region_cap: usize,
+    ) -> UnitResult {
+        let sols: Vec<Vec<Valuation>> = rp
+            .regions
+            .iter()
+            .map(|region| {
+                db.evaluate_filtered(&region.atoms, &region.constraints, region_cap)
+                    .expect("relations validated by ground_residue_holds")
+            })
+            .collect();
+        if sols.iter().any(|s| s.is_empty()) {
+            UnitResult::Unsat
+        } else if sols.iter().any(|s| s.len() >= region_cap) {
+            // A region may have overflowed the cap: the semi-join could
+            // miss keys, so evaluate the unit whole (complete, and the
+            // same deterministic path the unsplit plan takes).
+            evaluate_unit(unit, db)
+        } else {
+            match semijoin_merge(rp, &sols) {
+                Some(val) => UnitResult::Sat(val),
+                None => UnitResult::Unsat,
+            }
+        }
+    }
+
+    /// The exact tree semi-join over a split unit's block-cut tree:
+    /// bottom-up, keep per value of each region's parent articulation
+    /// variable the first locally-enumerated solution every child can
+    /// extend; top-down, glue the chosen representatives. Returns `None`
+    /// iff the unit has no solution (given un-truncated region
+    /// enumerations).
+    fn semijoin_merge(rp: &RegionPlan, sols: &[Vec<Valuation>]) -> Option<Valuation> {
+        let n = rp.regions.len();
+        // Pre-order from the root; processing it in reverse visits children
+        // before parents.
+        let mut order: Vec<usize> = Vec::with_capacity(n);
+        let mut stack = vec![0usize];
+        while let Some(r) = stack.pop() {
+            order.push(r);
+            stack.extend(&rp.regions[r].children);
+        }
+        debug_assert_eq!(order.len(), n);
+
+        // For non-root regions: parent-variable value → index of the first
+        // extensible local solution. For the root: the index itself.
+        let mut feasible: Vec<FastMap<Value, usize>> = Vec::with_capacity(n);
+        feasible.resize_with(n, FastMap::default);
+        let mut root_choice: Option<usize> = None;
+        for &r in order.iter().rev() {
+            let region = &rp.regions[r];
+            let extensible = |sol: &Valuation| {
+                region.children.iter().all(|&c| {
+                    // A walked child always has a parent edge; a missing
+                    // one means a malformed tree — treat as inextensible.
+                    let Some(v) = rp.regions[c].parent_var else {
+                        return false;
+                    };
+                    sol.get(&v)
+                        .is_some_and(|value| feasible[c].contains_key(value))
+                })
+            };
+            match region.parent_var {
+                Some(pv) => {
+                    let mut map = FastMap::default();
+                    for (si, sol) in sols[r].iter().enumerate() {
+                        if !extensible(sol) {
+                            continue;
+                        }
+                        // Anchoring (split_unit) guarantees region atoms
+                        // bind the articulation variable; skip defensively
+                        // otherwise.
+                        let Some(&key) = sol.get(&pv) else { continue };
+                        map.entry(key).or_insert(si);
+                    }
+                    if map.is_empty() {
+                        return None; // no child binding survives: unit unsat
+                    }
+                    feasible[r] = map;
+                }
+                None => {
+                    root_choice = Some(sols[r].iter().position(extensible)?);
+                }
+            }
+        }
+
+        // Top-down reconstruction: every lookup hits by construction (the
+        // `?` arms are defensive against a malformed tree and read "no
+        // solution" rather than panicking).
+        let root_si = root_choice?;
+        let mut merged = Valuation::default();
+        let mut walk = vec![(0usize, root_si)];
+        while let Some((r, si)) = walk.pop() {
+            let sol = sols.get(r)?.get(si)?;
+            for (&v, &value) in sol.iter() {
+                merged.insert(v, value);
+            }
+            for &c in &rp.regions[r].children {
+                let pv = rp.regions[c].parent_var?;
+                let key = sol.get(&pv)?;
+                let si = *feasible[c].get(key)?;
+                walk.push((c, si));
+            }
+        }
+        Some(merged)
     }
 }
 
@@ -1386,7 +1303,7 @@ mod tests {
         // x0—x1—x2—x3: every interior variable is an articulation
         // point, so each edge atom is its own region.
         let unit = raw_unit(vec![e(vx(0), vx(1)), e(vx(1), vx(2)), e(vx(2), vx(3))]);
-        let rp = split_unit(&unit, 64).expect("chain splits");
+        let rp = split_unit(&unit).expect("chain splits");
         assert_eq!(rp.regions.len(), 3);
         // Root is the region of the first atom; children chain off it
         // keyed by the shared articulation variable.
@@ -1404,7 +1321,7 @@ mod tests {
     fn cycle_unit_does_not_split() {
         // x0—x1—x2—x0 is 2-connected: one block, no articulation vars.
         let unit = raw_unit(vec![e(vx(0), vx(1)), e(vx(1), vx(2)), e(vx(2), vx(0))]);
-        assert!(split_unit(&unit, 64).is_none());
+        assert!(split_unit(&unit).is_none());
     }
 
     #[test]
@@ -1414,7 +1331,7 @@ mod tests {
             e(vx(1), vx(2)),
             Atom::new("E", vec![vx(1), Term::int(7)]), // only var x1
         ]);
-        let rp = split_unit(&unit, 64).expect("splits at x1");
+        let rp = split_unit(&unit).expect("splits at x1");
         assert_eq!(rp.regions.len(), 2);
         // x1 is the articulation variable: its single-var atom anchors
         // *both* regions (replication is sound — same conjunct, same
@@ -1434,7 +1351,7 @@ mod tests {
             constraints: vec![Constraint::new(vx(1), CmpOp::Lt, vx(2))],
             regions: None,
         };
-        assert!(split_unit(&unit, 64).is_none());
+        assert!(split_unit(&unit).is_none());
         // A multi-variable constraint *inside* a cluster is fine: its
         // clique edge coincides with an atom's, so its block is a real
         // region and the split goes through.
@@ -1443,34 +1360,27 @@ mod tests {
             constraints: vec![Constraint::new(vx(0), CmpOp::Lt, vx(1))],
             regions: None,
         };
-        let rp = split_unit(&unit, 64).expect("in-cluster constraint splits");
+        let rp = split_unit(&unit).expect("in-cluster constraint splits");
         assert_eq!(rp.regions.len(), 2);
         assert_eq!(rp.regions[0].constraints.len(), 1);
     }
 
     #[test]
     fn zero_region_cap_is_clamped_not_unsat() {
-        // Materialized mode: region_cap 0 must not reclassify every
-        // region as unsatisfiable; it clamps to 1, so overflowing
-        // regions fall back to whole-unit evaluation and the answer
-        // survives.
+        // The reference's region_cap 0 must not reclassify every region
+        // as unsatisfiable; it clamps to 1, so overflowing regions fall
+        // back to whole-unit evaluation and the answer survives.
         let db = split_db();
-        let atoms = vec![
-            Atom::new("A", vec![vx(0), vx(1)]),
-            Atom::new("B", vec![vx(0), vx(2)]),
-        ];
-        let mut unit = raw_unit(atoms);
-        unit.regions = split_unit(&unit, 0);
-        let rp = unit.regions.as_mut().expect("still splits");
-        rp.streaming = false;
-        assert_eq!(rp.region_cap, 1);
-        let plan = ComponentPlan {
-            units: vec![unit],
-            ground_atoms: vec![],
-            ground_constraints: vec![],
-            heads: vec![(QueryId(0), vec![Atom::new("H", vec![vx(0)])])],
-        };
-        let answers = evaluate_plan(&plan, &db, 2).unwrap().expect("satisfiable");
+        let plan = split_plan(
+            vec![
+                Atom::new("A", vec![vx(0), vx(1)]),
+                Atom::new("B", vec![vx(0), vx(2)]),
+            ],
+            &[0],
+        );
+        let answers = materialized_reference::evaluate_plan(&plan, &db, 0)
+            .unwrap()
+            .expect("satisfiable");
         assert_eq!(answers[0].tuples[0], vec![Value::int(2)]);
     }
 
@@ -1487,17 +1397,9 @@ mod tests {
 
     /// A plan whose single unit is pre-split, with one head atom that
     /// exposes the merged valuation as a grounded tuple.
-    fn split_plan(
-        atoms: Vec<Atom>,
-        head_vars: &[u32],
-        cap: usize,
-        streaming: bool,
-    ) -> ComponentPlan {
+    fn split_plan(atoms: Vec<Atom>, head_vars: &[u32]) -> ComponentPlan {
         let mut unit = raw_unit(atoms);
-        unit.regions = split_unit(&unit, cap).map(|mut rp| {
-            rp.streaming = streaming;
-            rp
-        });
+        unit.regions = split_unit(&unit);
         assert!(unit.regions.is_some(), "test unit must split");
         let head = Atom::new("H", head_vars.iter().map(|&i| vx(i)).collect::<Vec<_>>());
         ComponentPlan {
@@ -1512,28 +1414,27 @@ mod tests {
     fn semijoin_rejects_locally_first_but_globally_infeasible_choices() {
         // Region A(x,y) enumerates x=1 first, but region B(x,z) only
         // admits x=2: the merge must pick A's second solution, not
-        // fail or return an inconsistent pair — in both modes.
+        // fail or return an inconsistent pair — streamed and
+        // materialized alike.
         let db = split_db();
-        for streaming in [true, false] {
-            let plan = split_plan(
-                vec![
-                    Atom::new("A", vec![vx(0), vx(1)]),
-                    Atom::new("B", vec![vx(0), vx(2)]),
-                ],
-                &[0, 1, 2],
-                64,
-                streaming,
-            );
-            for threads in [1, 2, 4] {
-                let answers = evaluate_plan(&plan, &db, threads)
-                    .unwrap()
-                    .expect("x=2 is consistent");
-                assert_eq!(
-                    answers[0].tuples[0],
-                    vec![Value::int(2), Value::int(20), Value::int(30)]
-                );
-            }
+        let plan = split_plan(
+            vec![
+                Atom::new("A", vec![vx(0), vx(1)]),
+                Atom::new("B", vec![vx(0), vx(2)]),
+            ],
+            &[0, 1, 2],
+        );
+        let expect = vec![Value::int(2), Value::int(20), Value::int(30)];
+        for threads in [1, 2, 4] {
+            let answers = evaluate_plan(&plan, &db, threads)
+                .unwrap()
+                .expect("x=2 is consistent");
+            assert_eq!(answers[0].tuples[0], expect);
         }
+        let answers = materialized_reference::evaluate_plan(&plan, &db, 64)
+            .unwrap()
+            .expect("x=2 is consistent");
+        assert_eq!(answers[0].tuples[0], expect);
     }
 
     #[test]
@@ -1541,33 +1442,35 @@ mod tests {
         let mut db = split_db();
         // Remove B's only row: the B region enumerates nothing.
         db.delete("B", &[Value::int(2), Value::int(30)]).unwrap();
-        for streaming in [true, false] {
-            let plan = split_plan(
-                vec![
-                    Atom::new("A", vec![vx(0), vx(1)]),
-                    Atom::new("B", vec![vx(0), vx(2)]),
-                ],
-                &[0],
-                64,
-                streaming,
-            );
-            assert_eq!(evaluate_plan(&plan, &db, 2).unwrap(), None);
-        }
+        let plan = split_plan(
+            vec![
+                Atom::new("A", vec![vx(0), vx(1)]),
+                Atom::new("B", vec![vx(0), vx(2)]),
+            ],
+            &[0],
+        );
+        assert_eq!(evaluate_plan(&plan, &db, 2).unwrap(), None);
+        assert_eq!(
+            materialized_reference::evaluate_plan(&plan, &db, 64).unwrap(),
+            None
+        );
     }
 
     #[test]
     fn region_cap_overflow_falls_back_to_whole_unit_evaluation() {
-        // Materialized mode, cap 1 < the A region's 2 solutions: the
-        // split aborts and the unit evaluates whole — same first answer
-        // as the plain path. (Streaming mode has no cap to overflow.)
+        // Reference with cap 1 < the A region's 2 solutions: the split
+        // aborts and the unit evaluates whole — same first answer as
+        // the plain path. (Streaming has no cap to overflow.)
         let db = split_db();
         let atoms = vec![
             Atom::new("A", vec![vx(0), vx(1)]),
             Atom::new("B", vec![vx(0), vx(2)]),
         ];
-        let plan = split_plan(atoms.clone(), &[0, 1, 2], 1, false);
+        let plan = split_plan(atoms.clone(), &[0, 1, 2]);
         let whole = db.evaluate_filtered(&atoms, &[], 1).unwrap();
-        let answers = evaluate_plan(&plan, &db, 2).unwrap().expect("satisfiable");
+        let answers = materialized_reference::evaluate_plan(&plan, &db, 1)
+            .unwrap()
+            .expect("satisfiable");
         let expect: Vec<Value> = [Var(0), Var(1), Var(2)]
             .iter()
             .map(|v| whole[0][v])
@@ -1589,26 +1492,28 @@ mod tests {
         let head_vars: Vec<u32> = (0..13).collect();
         let whole = db.evaluate_filtered(&atoms, &[], 1).unwrap();
         let expect: Vec<Value> = (0..13).map(|i| whole[0][&Var(i)]).collect();
-        for streaming in [true, false] {
-            let plan = split_plan(atoms.clone(), &head_vars, 64, streaming);
-            assert_eq!(
-                plan.units[0].regions.as_ref().unwrap().regions.len(),
-                12,
-                "every interior variable is an articulation point"
-            );
-            for threads in [1, 3, 8] {
-                let answers = evaluate_plan(&plan, &db, threads).unwrap().unwrap();
-                assert_eq!(answers[0].tuples[0], expect, "chain solution is unique");
-            }
+        let plan = split_plan(atoms, &head_vars);
+        assert_eq!(
+            plan.units[0].regions.as_ref().unwrap().regions.len(),
+            12,
+            "every interior variable is an articulation point"
+        );
+        for threads in [1, 3, 8] {
+            let answers = evaluate_plan(&plan, &db, threads).unwrap().unwrap();
+            assert_eq!(answers[0].tuples[0], expect, "chain solution is unique");
         }
+        let answers = materialized_reference::evaluate_plan(&plan, &db, 64)
+            .unwrap()
+            .unwrap();
+        assert_eq!(answers[0].tuples[0], expect, "chain solution is unique");
     }
 
     #[test]
     fn streaming_matches_materialized_answer_for_answer() {
         // Many locally-valid keys per region, several of them globally
-        // consistent: both modes must pick the *same* representative
-        // (the pinned re-enumeration provably reproduces the
-        // materialized semi-join's per-key first choice).
+        // consistent: streaming must pick the *same* representative as
+        // the reference (the pinned re-enumeration provably reproduces
+        // the materialized semi-join's per-key first choice).
         let mut db = Database::new();
         db.create_table("A", &["x", "y"]).unwrap();
         db.create_table("B", &["x", "z"]).unwrap();
@@ -1628,13 +1533,140 @@ mod tests {
             Atom::new("A", vec![vx(0), vx(1)]),
             Atom::new("B", vec![vx(0), vx(2)]),
         ];
-        let streaming = split_plan(atoms.clone(), &[0, 1, 2], 4096, true);
-        let materialized = split_plan(atoms, &[0, 1, 2], 4096, false);
+        let plan = split_plan(atoms, &[0, 1, 2]);
+        let m = materialized_reference::evaluate_plan(&plan, &db, 4096).unwrap();
+        assert!(m.is_some());
         for threads in [1, 2, 4] {
-            let s = evaluate_plan(&streaming, &db, threads).unwrap();
-            let m = evaluate_plan(&materialized, &db, threads).unwrap();
-            assert_eq!(s, m, "modes diverged at {threads} threads");
-            assert!(s.is_some());
+            let s = evaluate_plan(&plan, &db, threads).unwrap();
+            assert_eq!(s, m, "streaming diverged at {threads} threads");
+        }
+    }
+
+    #[test]
+    fn interior_regions_skip_inextensible_solutions_in_both_passes() {
+        // A(x,y) — B(y,z) — C(z,w): the B region has a parent and a
+        // child, and C admits two z values, so no singleton push-down
+        // masks the extensibility check. B's first solution for y=1
+        // (z=1) and its only solution for y=2 (z=9) cannot be extended
+        // into C: bottom-up must not witness y=2, and the top-down pick
+        // for y=1 must skip z=1.
+        let mut db = Database::new();
+        for (name, rows) in [
+            ("A", &[(0, 2), (0, 1), (0, 3)][..]),
+            ("B", &[(1, 1), (1, 2), (2, 9), (3, 3)][..]),
+            ("C", &[(2, 20), (3, 30)][..]),
+        ] {
+            db.create_table(name, &["l", "r"]).unwrap();
+            for &(l, r) in rows {
+                db.insert(name, vec![Value::int(l), Value::int(r)]).unwrap();
+            }
+        }
+        let plan = split_plan(
+            vec![
+                Atom::new("A", vec![vx(0), vx(1)]),
+                Atom::new("B", vec![vx(1), vx(2)]),
+                Atom::new("C", vec![vx(2), vx(3)]),
+            ],
+            &[0, 1, 2, 3],
+        );
+        assert_eq!(plan.units[0].regions.as_ref().unwrap().regions.len(), 3);
+        let expect: Vec<Value> = [0, 1, 2, 20].map(Value::int).to_vec();
+        let m = materialized_reference::evaluate_plan(&plan, &db, 64)
+            .unwrap()
+            .expect("x=0, y=1, z=2, w=20 is consistent");
+        assert_eq!(m[0].tuples[0], expect);
+        for threads in [1, 4] {
+            let s = evaluate_plan(&plan, &db, threads).unwrap();
+            assert_eq!(s.as_ref(), Some(&m), "streaming diverged");
+        }
+    }
+
+    /// Plans one `eq_workload::giant_component` ring (one matched
+    /// component). `break_at` points one query's body anchor at a name
+    /// absent from Friends: one region becomes unsatisfiable, so the
+    /// whole ring has no solution.
+    fn ring_plan(
+        cfg: &eq_workload::GiantComponentConfig,
+        break_at: Option<usize>,
+        split: &SplitOptions,
+    ) -> (Database, ComponentPlan) {
+        let (db, mut queries) = eq_workload::giant_component(cfg);
+        if let Some(i) = break_at {
+            let q = &queries[i % cfg.queries];
+            let mut body = q.body.clone();
+            body[0].terms[0] = Term::str("NOBODY");
+            queries[i % cfg.queries] =
+                EntangledQuery::new(q.head.clone(), q.postconditions.clone(), body).with_id(q.id);
+        }
+        let gen = VarGen::new();
+        let g = MatchGraph::build(
+            queries
+                .iter()
+                .map(|q| q.rename_apart(&gen).with_id(q.id))
+                .collect(),
+        );
+        let members: Vec<u32> = (0..cfg.queries as u32).collect();
+        let m = match_component(&g, &members);
+        let global = m.global.expect("rings always match");
+        (db, plan_component(&g, &m.survivors, &global, split))
+    }
+
+    #[test]
+    fn crossover_gate_splits_only_when_atoms_squared_reaches_crossover_times_regions() {
+        // A 20-query shared chain is one unit of 40 atoms that
+        // decomposes into 20 regions: 40² = 80 × 20 exactly.
+        let cfg = eq_workload::GiantComponentConfig {
+            queries: 20,
+            friends_per_user: 1,
+            body: eq_workload::GiantBody::SharedChain,
+        };
+        for (crossover, regions) in [(0, Some(20)), (80, Some(20)), (81, None), (4096, None)] {
+            let split = SplitOptions {
+                min_atoms: 2,
+                crossover,
+            };
+            let (_, plan) = ring_plan(&cfg, None, &split);
+            assert_eq!(plan.units.len(), 1);
+            assert_eq!(plan.units[0].atoms.len(), 40);
+            assert_eq!(
+                plan.units[0].regions.as_ref().map(|rp| rp.regions.len()),
+                regions,
+                "crossover {crossover}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn streaming_equals_materialized_region_evaluation(
+            n in 9usize..36,
+            k in 1usize..5,
+            threads in 1usize..9,
+            break_at in proptest::option::of(0usize..36),
+            wide in 0usize..2,
+        ) {
+            // Shared-variable rings planned with the split forced: the
+            // streaming projection must be answer-for-answer identical
+            // to the materialized semi-join it replaced — for every k
+            // (many local solutions per region), on satisfiable and
+            // sabotaged rings, and on the wide flavor whose pendant
+            // regions carry Θ(k²) local solutions.
+            use eq_workload::{GiantBody, GiantComponentConfig};
+            proptest::prop_assume!(n > 4 * k);
+            let cfg = GiantComponentConfig {
+                queries: n,
+                friends_per_user: k,
+                body: if wide == 1 { GiantBody::SharedWide } else { GiantBody::SharedChain },
+            };
+            let split = SplitOptions { min_atoms: 2, crossover: 0 };
+            let (db, plan) = ring_plan(&cfg, break_at, &split);
+            proptest::prop_assert!(plan.units.iter().any(|u| u.regions.is_some()));
+            let streamed = evaluate_plan(&plan, &db, threads).unwrap();
+            let materialized = materialized_reference::evaluate_plan(&plan, &db, 4096).unwrap();
+            proptest::prop_assert_eq!(streamed.is_some(), break_at.is_none());
+            proptest::prop_assert_eq!(streamed, materialized);
         }
     }
 
@@ -1660,7 +1692,7 @@ mod tests {
             Atom::new("A", vec![vx(0), vx(1)]),
             Atom::new("B", vec![vx(0), vx(2)]),
         ];
-        let plan = split_plan(atoms, &[0, 1, 2], 1 << 20, true);
+        let plan = split_plan(atoms, &[0, 1, 2]);
         let (answers, stats) = evaluate_plan_with_stats(&plan, &db, 2).unwrap();
         assert!(answers.is_some());
         assert!(

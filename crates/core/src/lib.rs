@@ -22,7 +22,9 @@
 //! 8. [`intra`] — parallel evaluation *inside* one matched component:
 //!    the combined query partitioned into variable-disjoint work units
 //!    with a deterministic merge
-//!    ([`engine::EngineConfig::intra_component_threshold`]);
+//!    ([`engine::EngineConfig::intra_component_threshold`]), and
+//!    shared-variable units split into biconnected regions joined by a
+//!    streaming articulation projection — the one region evaluator;
 //! 9. [`engine`] — the D3C engine of §5.1: asynchronous submission,
 //!    set-at-a-time and incremental modes over resident match state,
 //!    staleness, per-component and intra-component parallelism;

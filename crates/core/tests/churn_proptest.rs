@@ -3,13 +3,17 @@
 //! engine's resident state internally consistent (no dangling
 //! `AtomRef`s in the sharded indexes, satisfier counters equal to
 //! resident in-edges, component registry in sync), must reuse freed
-//! slots instead of growing the slot table, and must stay
-//! observationally identical between sequential and parallel flushes.
+//! slots instead of growing the slot table, must stay observationally
+//! identical between sequential and parallel flushes, and must answer
+//! exactly the queries a rebuild-from-scratch-per-flush engine answers.
 //! Invariant failures surface as typed
 //! [`eq_core::InvariantViolation`]s, rendered into the panic message.
 
 use eq_core::engine::QueryOutcome;
-use eq_core::{CoordinationEngine, EngineConfig, EngineMode, FailReason};
+use eq_core::{
+    CoordinationEngine, Coordinator, EngineConfig, EngineMode, FailReason, QueryStatus,
+    SubmitRequest,
+};
 use eq_workload::{churn_script, ChurnConfig, ChurnOp, SocialGraph, SocialGraphConfig};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -27,16 +31,33 @@ fn graph() -> &'static SocialGraph {
     })
 }
 
+/// Enough users and airports that a few hundred reservations rarely
+/// name the same (user, destination) twice.
+fn sparse_graph() -> &'static SocialGraph {
+    static GRAPH: OnceLock<SocialGraph> = OnceLock::new();
+    GRAPH.get_or_init(|| {
+        SocialGraph::generate(&SocialGraphConfig {
+            users: 4_000,
+            planted_cliques: 60,
+            ..Default::default()
+        })
+    })
+}
+
+fn churn_config(threads: usize, staleness: Option<Duration>) -> EngineConfig {
+    EngineConfig {
+        mode: EngineMode::SetAtATime { batch_size: 0 },
+        admission_safety_check: false,
+        flush_threads: threads,
+        staleness,
+        ..Default::default()
+    }
+}
+
 fn engine(threads: usize, staleness: Option<Duration>) -> CoordinationEngine {
     CoordinationEngine::new(
         eq_workload::build_database(graph()),
-        EngineConfig {
-            mode: EngineMode::SetAtATime { batch_size: 0 },
-            admission_safety_check: false,
-            flush_threads: threads,
-            staleness,
-            ..Default::default()
-        },
+        churn_config(threads, staleness),
     )
 }
 
@@ -74,8 +95,99 @@ fn drive(mut engine: CoordinationEngine, ops: &[ChurnOp]) -> (Vec<Option<QueryOu
     )
 }
 
+/// Rebuild-per-flush reference for the resident graph: every `Flush`
+/// re-admits the entire live pool through a fresh session of one
+/// coordinator (all match state rebuilt from scratch), flushes once,
+/// and withdraws the survivors again by closing the session. Answered
+/// and rejected queries leave the pool; still-pending ones are
+/// re-admitted at the next flush. Returns the submission indices that
+/// were answered.
+fn rebuild_per_flush_answered(ops: &[ChurnOp]) -> Vec<usize> {
+    let coordinator = Coordinator::new(
+        eq_workload::build_database(sparse_graph()),
+        churn_config(1, None),
+    );
+    let mut pool = Vec::new();
+    let mut answered = Vec::new();
+    for op in ops {
+        match op {
+            ChurnOp::Submit(q) => pool.push(Some(q.clone())),
+            ChurnOp::Cancel(idx) => pool[*idx] = None,
+            ChurnOp::Flush => {
+                let live: Vec<usize> = (0..pool.len()).filter(|&i| pool[i].is_some()).collect();
+                let mut session = coordinator.session();
+                let handles = session.submit_batch(
+                    live.iter()
+                        .map(|&i| SubmitRequest::new(pool[i].clone().unwrap()))
+                        .collect(),
+                );
+                coordinator.flush();
+                for (&i, handle) in live.iter().zip(&handles) {
+                    match coordinator.status(handle.as_ref().unwrap().id) {
+                        Some(QueryStatus::Answered) => {
+                            answered.push(i);
+                            pool[i] = None;
+                        }
+                        Some(QueryStatus::Failed(FailReason::Rejected(_))) => pool[i] = None,
+                        _ => {}
+                    }
+                }
+                session.close();
+            }
+        }
+    }
+    answered.sort_unstable();
+    answered
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
+
+    #[test]
+    fn resident_graph_answers_what_a_rebuild_per_flush_answers(
+        queries in 200usize..400,
+        flush_every in 20usize..40,
+        seed in 0u64..1_000,
+    ) {
+        // At least five flushes per script, so some solo or half-pair
+        // outlives a flush untouched and must be skipped as clean.
+        let ops = churn_script(
+            sparse_graph(),
+            &ChurnConfig { queries, flush_every, solo_permille: 300, seed },
+        );
+        // Two pending queries with the same head make the pool unsafe,
+        // and §3.1.1's removal order is not Church-Rosser: which of the
+        // conflicting queries survive depends on slot order, which the
+        // two drives do not share. Compare on safe scripts only.
+        let mut heads = std::collections::HashSet::new();
+        prop_assume!(ops.iter().all(|op| match op {
+            ChurnOp::Submit(q) => q.head.iter().all(|h| heads.insert(h.clone())),
+            _ => true,
+        }));
+        let mut resident = CoordinationEngine::new(
+            eq_workload::build_database(sparse_graph()),
+            churn_config(1, None),
+        );
+        let mut handles = Vec::new();
+        let mut skipped_clean = 0;
+        for op in &ops {
+            match op {
+                ChurnOp::Submit(q) => handles.push(resident.submit(q.clone()).unwrap()),
+                ChurnOp::Cancel(idx) => {
+                    resident.cancel(handles[*idx].id);
+                }
+                ChurnOp::Flush => skipped_clean += resident.flush().skipped_clean,
+            }
+        }
+        let answered: Vec<usize> = (0..handles.len())
+            .filter(|&i| matches!(handles[i].outcome.try_recv(), Ok(QueryOutcome::Answered(_))))
+            .collect();
+        prop_assert_eq!(&answered, &rebuild_per_flush_answered(&ops));
+        prop_assert!(!answered.is_empty(), "churn script should coordinate pairs");
+        // The dirty set actually skips work: some flush left a clean
+        // component untouched.
+        prop_assert!(skipped_clean > 0, "no match-state reuse recorded");
+    }
 
     #[test]
     fn churn_preserves_invariants_and_reuses_slots(

@@ -40,7 +40,6 @@ fn outcomes(
     threshold: usize,
     threads: usize,
     split_min: usize,
-    streaming: bool,
 ) -> Vec<(QueryId, Option<QueryOutcome>)> {
     let mut engine = CoordinationEngine::new(
         db,
@@ -54,7 +53,6 @@ fn outcomes(
             // The tests force the split at small ring sizes; the
             // production crossover gate would keep these units whole.
             intra_split_crossover: 0,
-            intra_split_streaming: streaming,
             // Incremental mode must re-match whole rings, not
             // eager-pair them.
             incremental_partition_limit: usize::MAX,
@@ -115,8 +113,8 @@ proptest! {
         } else {
             EngineMode::Incremental
         };
-        let seq = outcomes(db.snapshot(), &queries, mode, usize::MAX, 1, usize::MAX, true);
-        let par = outcomes(db.snapshot(), &queries, mode, 1, threads, usize::MAX, true);
+        let seq = outcomes(db.snapshot(), &queries, mode, usize::MAX, 1, usize::MAX);
+        let par = outcomes(db.snapshot(), &queries, mode, 1, threads, usize::MAX);
         prop_assert_eq!(seq, par);
     }
 
@@ -150,8 +148,8 @@ proptest! {
         } else {
             EngineMode::Incremental
         };
-        let seq = outcomes(db.snapshot(), &queries, mode, usize::MAX, 1, usize::MAX, true);
-        let split = outcomes(db.snapshot(), &queries, mode, 1, threads, 2, true);
+        let seq = outcomes(db.snapshot(), &queries, mode, usize::MAX, 1, usize::MAX);
+        let split = outcomes(db.snapshot(), &queries, mode, 1, threads, 2);
         prop_assert_eq!(seq, split);
     }
 
@@ -171,8 +169,8 @@ proptest! {
             body: GiantBody::SharedChain,
         });
         let mode = EngineMode::SetAtATime { batch_size: 0 };
-        let one = outcomes(db.snapshot(), &queries, mode, 1, 1, 2, true);
-        let many = outcomes(db.snapshot(), &queries, mode, 1, threads, 2, true);
+        let one = outcomes(db.snapshot(), &queries, mode, 1, 1, 2);
+        let many = outcomes(db.snapshot(), &queries, mode, 1, threads, 2);
         prop_assert_eq!(&one, &many);
         // And the ring coordinates: every outcome is an answer.
         for (id, outcome) in &one {
@@ -181,45 +179,6 @@ proptest! {
                 "query {:?} did not coordinate", id
             );
         }
-    }
-
-    #[test]
-    fn streaming_equals_materialized_region_evaluation(
-        n in 9usize..36,
-        k in 1usize..5,
-        threads in 2usize..9,
-        break_at in proptest::option::of(0usize..36),
-        batch in 0usize..2,
-        wide in 0usize..2,
-    ) {
-        // The streaming articulation projection must be
-        // answer-for-answer identical to the materialized semi-join it
-        // replaced — for every k (many local solutions per region),
-        // in both engine modes, on satisfiable and sabotaged rings,
-        // and on the wide flavor whose pendant regions carry Θ(k²)
-        // local solutions.
-        prop_assume!(n > 4 * k);
-        let (db, mut queries) = giant_component(&GiantComponentConfig {
-            queries: n,
-            friends_per_user: k,
-            body: if wide == 1 { GiantBody::SharedWide } else { GiantBody::SharedChain },
-        });
-        if let Some(i) = break_at {
-            let i = i % queries.len();
-            let q = &queries[i];
-            let mut body = q.body.clone();
-            body[0].terms[0] = eq_ir::Term::str("NOBODY");
-            queries[i] =
-                EntangledQuery::new(q.head.clone(), q.postconditions.clone(), body).with_id(q.id);
-        }
-        let mode = if batch == 1 {
-            EngineMode::SetAtATime { batch_size: 0 }
-        } else {
-            EngineMode::Incremental
-        };
-        let streamed = outcomes(db.snapshot(), &queries, mode, 1, threads, 2, true);
-        let materialized = outcomes(db.snapshot(), &queries, mode, 1, threads, 2, false);
-        prop_assert_eq!(streamed, materialized);
     }
 
     #[test]
@@ -234,8 +193,8 @@ proptest! {
         prop_assume!(!queries.is_empty());
         let db = eq_workload::build_database(graph());
         let mode = EngineMode::SetAtATime { batch_size: 0 };
-        let seq = outcomes(db.snapshot(), &queries, mode, usize::MAX, 1, usize::MAX, true);
-        let par = outcomes(db.snapshot(), &queries, mode, 1, threads, usize::MAX, true);
+        let seq = outcomes(db.snapshot(), &queries, mode, usize::MAX, 1, usize::MAX);
+        let par = outcomes(db.snapshot(), &queries, mode, 1, threads, usize::MAX);
         prop_assert_eq!(seq, par);
     }
 }

@@ -249,8 +249,8 @@ pub fn giant_cluster(graph: &SocialGraph, n: usize, seed: u64) -> Vec<EntangledQ
     out
 }
 
-/// Collision-heavy ground pairs for the `fig_service` batch-submission
-/// sweep: pair `p` coordinates on the grid cell
+/// Collision-heavy ground pairs for batch-submission and durability
+/// drives: pair `p` coordinates on the grid cell
 /// `(A{a}/B{a}, City{d})`, with cells enumerated uniquely over a
 /// `side × side` grid (`side ≈ √(n/2)`), so every *user* name appears
 /// in ~`√(n/2)` queries and every *city* in ~`√(n/2)` queries while

@@ -7,9 +7,8 @@
 //! natural unit for batched parallel admission), abandon requests
 //! between bursts, and the service flushes on a cadence. The same
 //! script can be replayed through sequential `submit` calls and
-//! through `submit_batch`, which is exactly how the `fig_service`
-//! benchmark measures the parallel-admission speedup and how the
-//! equivalence proptests cross-check the two paths.
+//! through `submit_batch`, which is exactly how the equivalence
+//! proptests cross-check the two paths.
 //!
 //! Scripts are deterministic in the seed, and the submission stream is
 //! shared with the churn generator: `ServiceConfig { queries, burst: 1,
