@@ -131,13 +131,14 @@ pub struct EngineConfig {
     /// variables *across* bodies, the whole component can collapse into
     /// one shared-variable work unit, and this second-level split
     /// decomposes it along articulation variables into regions joined
-    /// over their block-cut tree by **streaming articulation
-    /// projection**: regions stream their solutions and retain only
-    /// per-articulation-value witness sets, and the chosen joint answer
-    /// is re-enumerated top-down with pinned articulation values —
-    /// memory proportional to articulation width, not solution count
-    /// (deterministic for every thread count; a solution is found iff
-    /// one exists). Set to `usize::MAX` to never split.
+    /// over their block-cut tree by **projection**: each region is
+    /// prepared once, run bottom-up as a projection onto its parent
+    /// articulation variable (retaining only per-value witness sets,
+    /// backjumping past a value once it is settled), and the chosen
+    /// joint answer is picked top-down with pinned articulation values
+    /// — memory and work proportional to articulation width, not
+    /// solution count (deterministic for every thread count; a solution
+    /// is found iff one exists). Set to `usize::MAX` to never split.
     pub intra_split_min_atoms: usize,
     /// Work/overhead crossover for the split decision: a unit that
     /// decomposes into `r` regions actually splits only when
@@ -284,17 +285,18 @@ pub struct BatchReport {
     /// Biconnected regions dispatched as work items across those split
     /// units.
     pub intra_regions: usize,
-    /// Region-local solutions consumed by the streaming
-    /// articulation-projection pass across split units (bottom-up
-    /// witness scan + top-down pinned re-enumeration). Grows with the
-    /// solution count; compare with [`BatchReport::intra_witness_peak`]
-    /// to see how little of it was retained.
+    /// Region-local solutions the region passes were handed across
+    /// split units (bottom-up projection + top-down pinned pick). Under
+    /// projection this tracks the articulation domain — a few per
+    /// witnessed value — rather than the regions' solution counts;
+    /// compare with [`BatchReport::intra_witness_peak`] to see how
+    /// little of it was retained.
     pub intra_region_streamed: u64,
     /// Peak witness-map size — the most entries any single region's
     /// articulation-value witness set held — across split units
     /// (maximum, not sum). Bounded by the articulation-value domain
-    /// width, **not** by region solution counts: this is the streaming
-    /// path's memory guarantee, surfaced as a counter.
+    /// width, **not** by region solution counts: this is the region
+    /// evaluator's memory guarantee, surfaced as a counter.
     pub intra_witness_peak: u64,
     /// Nanoseconds the **service shard locks** were held by the
     /// operation that produced this report (engine flush; event

@@ -57,33 +57,43 @@
 //! one vertex, the block-cut structure is a tree, and the articulation
 //! variables are exactly the join keys between regions.
 //!
-//! Region evaluation is Yannakakis over that tree, run as a
-//! **streaming articulation projection**: bottom-up, children first,
-//! each region *streams* its local solutions through `eq_db`'s visitor
-//! enumeration and retains only a witness set of parent-articulation
-//! values bound by some locally-extensible solution — memory
+//! Region evaluation is Yannakakis over that tree, and it **pays for
+//! what it keeps**. Every region's conjunction is resolved against the
+//! database once (`eq_db`'s `Prepared`: table handles, variable slots,
+//! join-order ranks — which is also the plan's one validation) and run
+//! twice. Bottom-up, children first, a region runs as a **projection**
+//! onto its parent articulation variable: it keeps a witness set of the
+//! values carried by some locally-extensible solution — memory
 //! proportional to the articulation-value domain, never to the region's
-//! solution count; the root region streams until its first extensible
-//! solution. Top-down, the one chosen joint answer is re-enumerated
-//! region by region with the parent articulation variable *pinned* to
-//! the chosen value as an equality constraint pair, stopping at the
-//! first extensible solution. The result is **exact** — a solution is
-//! produced iff the unit has one — and **deterministic** (independent
-//! of thread count; the tree walk is sequential within a unit, units
-//! run in parallel), but it is the tree-join's first solution, not
-//! necessarily the one the sequential whole-unit backtracking search
-//! would find first; when a unit's solution is unique the two coincide.
-//! Streaming needs no enumeration cap and no fallback. Splitting itself
-//! is gated by a work/overhead crossover ([`SplitOptions::crossover`]):
-//! small units evaluate faster whole than through per-region dispatch.
+//! solution count — and tells the evaluator "done with this value" the
+//! moment a value is witnessed, or a child value is found to have no
+//! witness, whereupon the search **backjumps** to the frame that bound
+//! it instead of enumerating the rest of that value's pre-image. Atoms
+//! whose terms are all bound by then are **filters** the memory-resident
+//! index decides without reading a row. A region therefore costs on the
+//! order of its articulation domain, not of its local solution count.
+//! Top-down from the root, the one joint answer is picked region by
+//! region: the same resolved query runs with its parent articulation
+//! variable *pinned* to the value the parent chose (an equality filter
+//! the evaluator applies through the index; a child's singleton witness
+//! set is pinned the same way), stopping at the first extensible
+//! solution. The result is **exact** — a solution is produced iff the
+//! unit has one — and **deterministic** (independent of thread count;
+//! the tree walk is sequential within a unit, units run in parallel),
+//! but it is the tree-join's first solution, not necessarily the one
+//! the sequential whole-unit backtracking search would find first; when
+//! a unit's solution is unique the two coincide. There is no
+//! enumeration cap and no fallback. Splitting itself is gated by a
+//! work/overhead crossover ([`SplitOptions::crossover`]): small units
+//! evaluate faster whole than through per-region dispatch.
 //!
-//! The evaluator streaming replaced — materialize every region's
-//! solutions up to a cap, semi-join the sets over the tree, fall back
-//! to whole-unit evaluation on cap overflow — survives only as the
-//! `#[cfg(test)]` oracle `materialized_reference`. The pinned
-//! re-enumeration picks exactly the representative that semi-join keeps
-//! (constraints never influence the evaluator's join order), and the
-//! streaming path is property-tested against it answer for answer.
+//! The first region evaluator — materialize every region's solutions up
+//! to a cap, semi-join the sets over the tree, fall back to whole-unit
+//! evaluation on cap overflow — survives only as the `#[cfg(test)]`
+//! oracle `materialized_reference`. The pinned run picks exactly the
+//! representative that semi-join keeps (neither pins nor skipped values
+//! influence the evaluator's join order), and the production path is
+//! property-tested against it answer for answer.
 //!
 //! Components below [`crate::EngineConfig::intra_component_threshold`]
 //! never reach this module — they evaluate through the plain
@@ -93,11 +103,10 @@
 use crate::combine::{distribute_heads, QueryAnswer};
 use crate::graph::MatchView;
 use crate::pool;
-use eq_db::{Database, DbError, Valuation};
-use eq_ir::{Atom, CmpOp, Constraint, FastMap, FastSet, QueryId, Term, Value, Var};
+use eq_db::{Database, DbError, EvalStats, Prepared, Slot, Solution, Valuation, Visit};
+use eq_ir::{Atom, Constraint, FastMap, FastSet, QueryId, Value, Var};
 use eq_unify::Unifier;
 use std::collections::VecDeque;
-use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Knobs for shared-variable work-unit splitting (see the module docs'
@@ -660,19 +669,31 @@ enum UnitResult {
     Skipped,
 }
 
-/// Evaluation counters for one plan, surfaced through
-/// `BatchReport::{intra_region_streamed, intra_witness_peak}`: how many
-/// region-local solutions the streaming articulation-projection pass
-/// consumed (bottom-up witness scan + top-down pinned re-enumeration),
-/// and the peak entry count of any single region's witness map — the
-/// retained state, bounded by the articulation-value domain, **not** by
-/// the region's solution count.
+/// Evaluation counters for one plan. The first two are surfaced
+/// through `BatchReport::{intra_region_streamed, intra_witness_peak}`:
+/// how many region-local solutions the region passes were handed
+/// (bottom-up witness pass + top-down pinned pass — under projection, a
+/// few per articulation value rather than the region's solution count),
+/// and the peak entry count of any single region's witness set — the
+/// retained state, bounded by the articulation-value domain.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Region-local solutions consumed by split units.
     pub region_streamed: u64,
-    /// Peak per-region witness-map entry count across split units.
+    /// Peak per-region witness-set entry count across split units.
     pub witness_peak: u64,
+    /// What the evaluator did for the whole plan: the sum of the
+    /// [`EvalStats`] of the ground residue, every whole unit and every
+    /// region run.
+    pub eval: EvalStats,
+}
+
+impl PlanStats {
+    fn absorb(&mut self, other: PlanStats) {
+        self.region_streamed += other.region_streamed;
+        self.witness_peak = self.witness_peak.max(other.witness_peak);
+        self.eval += other.eval;
+    }
 }
 
 /// Evaluates a plan against `db`; see [`evaluate_plan_with_stats`] for
@@ -685,12 +706,62 @@ pub fn evaluate_plan(
     evaluate_plan_with_stats(plan, db, threads).map(|(answers, _)| answers)
 }
 
+/// One region's conjunction, resolved against the database once for
+/// both of its passes.
+struct RegionQuery<'a> {
+    query: Prepared<'a>,
+    /// The parent articulation variable's slot in this region's query
+    /// and in the parent region's (`None` for the root).
+    parent: Option<(Slot, Slot)>,
+}
+
+/// A work unit resolved against the database: one conjunction, or one
+/// per region of its block-cut tree.
+enum UnitQuery<'a> {
+    Whole(Prepared<'a>),
+    Split(&'a RegionPlan, Vec<RegionQuery<'a>>),
+}
+
+impl<'a> UnitQuery<'a> {
+    fn resolve(unit: &'a WorkUnit, db: &'a Database) -> Result<Self, DbError> {
+        let Some(rp) = &unit.regions else {
+            return Ok(UnitQuery::Whole(
+                db.prepare(&unit.atoms, &unit.constraints)?,
+            ));
+        };
+        let mut queries = rp
+            .regions
+            .iter()
+            .map(|region| {
+                Ok(RegionQuery {
+                    query: db.prepare(&region.atoms, &region.constraints)?,
+                    parent: None,
+                })
+            })
+            .collect::<Result<Vec<_>, DbError>>()?;
+        for (r, region) in rp.regions.iter().enumerate() {
+            for &c in &region.children {
+                if let Some(pv) = rp.regions[c].parent_var {
+                    queries[c].parent = queries[c].query.slot(pv).zip(queries[r].query.slot(pv));
+                }
+            }
+        }
+        Ok(UnitQuery::Split(rp, queries))
+    }
+}
+
 /// Evaluates a plan against `db`, dispatching its units on up to
 /// `threads` scoped workers (largest unit first; sizes are heavy-tailed
 /// when the global unifier merged some variables). A split unit is one
 /// work item: its region tree walk (`stream_unit`) is sequential —
 /// that is what makes it deterministic — so the unit is the parallelism
 /// grain.
+///
+/// Every conjunction of the plan — ground residue, whole units, regions
+/// — is resolved against the database before any of them is searched,
+/// so an unknown relation or a wrong arity anywhere in the body is an
+/// error even if some other unit is unsatisfiable, exactly as one-shot
+/// evaluation of the whole body would report it.
 ///
 /// Returns the component's first coordinated solution — one
 /// [`QueryAnswer`] per survivor, in survivor order — or `None` when any
@@ -709,8 +780,20 @@ pub fn evaluate_plan_with_stats(
     db: &Database,
     threads: usize,
 ) -> Result<(Option<Vec<QueryAnswer>>, PlanStats), DbError> {
+    // The variable-free residue is a conjunction like any other: its
+    // atoms are filters the index decides, its constraints are checked
+    // against the empty valuation.
+    let ground = db.prepare(&plan.ground_atoms, &plan.ground_constraints)?;
+    let units = plan
+        .units
+        .iter()
+        .map(|unit| UnitQuery::resolve(unit, db))
+        .collect::<Result<Vec<_>, DbError>>()?;
+
     let mut stats = PlanStats::default();
-    if !ground_residue_holds(plan, db)? {
+    let (residue, residue_stats) = ground.collect(1);
+    stats.eval += residue_stats;
+    if residue.is_empty() {
         return Ok((None, stats));
     }
 
@@ -721,61 +804,37 @@ pub fn evaluate_plan_with_stats(
     order.sort_by_key(|&u| std::cmp::Reverse(plan.units[u].atoms.len()));
     let failed = AtomicBool::new(false);
     let produced = pool::parallel_claim(&order, threads, Some(&failed), |u| {
-        let unit = &plan.units[u];
-        let (result, streamed, peak) = match &unit.regions {
-            Some(rp) => stream_unit(rp, db),
-            None => (evaluate_unit(unit, db), 0, 0),
+        let (result, unit_stats) = match &units[u] {
+            UnitQuery::Split(rp, queries) => stream_unit(rp, queries),
+            UnitQuery::Whole(query) => evaluate_unit(query),
         };
         if matches!(result, UnitResult::Unsat) {
             failed.store(true, Ordering::Relaxed);
         }
-        (result, streamed, peak)
+        (result, unit_stats)
     });
+    // The resolved queries are dead weight from here on; the answers
+    // built below are the larger half of the flush's footprint.
+    drop(units);
     let mut unit_results: Vec<UnitResult> = Vec::with_capacity(plan.units.len());
     unit_results.resize_with(plan.units.len(), || UnitResult::Skipped);
-    for (u, (result, streamed, peak)) in produced {
+    for (u, (result, unit_stats)) in produced {
         unit_results[u] = result;
-        stats.region_streamed += streamed;
-        stats.witness_peak = stats.witness_peak.max(peak);
+        stats.absorb(unit_stats);
     }
     Ok((glue_units(plan, &unit_results), stats))
 }
 
-/// The part of a plan that needs no search: validates every relation
-/// the plan mentions, then checks the ground constraints and the ground
-/// atoms' membership. `Ok(false)` means the component has no solution.
-fn ground_residue_holds(plan: &ComponentPlan, db: &Database) -> Result<bool, DbError> {
-    // Whole-conjunction validation first, exactly like the one-shot
-    // evaluator: an unknown relation anywhere in the body is an error
-    // even if some other unit is unsatisfiable.
-    db.check_atoms(&plan.ground_atoms)?;
-    for unit in &plan.units {
-        db.check_atoms(&unit.atoms)?;
+fn evaluate_unit(query: &Prepared<'_>) -> (UnitResult, PlanStats) {
+    let (first, eval) = query.collect(1);
+    let stats = PlanStats {
+        eval,
+        ..PlanStats::default()
+    };
+    match first.into_iter().next() {
+        Some(valuation) => (UnitResult::Sat(valuation), stats),
+        None => (UnitResult::Unsat, stats),
     }
-
-    let empty = Valuation::default();
-    for c in &plan.ground_constraints {
-        if !c.check(&|v| empty.get(&v).copied()) {
-            return Ok(false);
-        }
-    }
-    for atom in &plan.ground_atoms {
-        let mut row: Vec<Value> = Vec::with_capacity(atom.terms.len());
-        for t in &atom.terms {
-            let Some(c) = t.as_const() else {
-                // Defensive: the planner routes only variable-free atoms
-                // here. A variable in a "ground" atom can never match a
-                // membership check, so the component has no solution.
-                return Ok(false);
-            };
-            row.push(c);
-        }
-        let present = db.table(atom.relation).is_some_and(|t| t.contains(&row));
-        if !present {
-            return Ok(false);
-        }
-    }
-    Ok(true)
 }
 
 /// Glues one valuation per unit into the component's answers. An
@@ -797,39 +856,44 @@ fn glue_units(plan: &ComponentPlan, unit_results: &[UnitResult]) -> Option<Vec<Q
     Some(distribute_heads(&plan.heads, &merged))
 }
 
-/// Streaming articulation-projection evaluation of one split unit (see
-/// the module docs). **Bottom-up**, children first:
-/// each non-root region streams its local solutions through
-/// [`Database::evaluate_visit`] and retains only a **witness set** of
-/// parent-articulation values bound by some locally-extensible solution
-/// — memory is bounded by the articulation-value domain, never by the
-/// region's solution count, and there is no enumeration cap or
-/// whole-unit fallback. The root streams until its first extensible
-/// solution. **Top-down**, the one chosen joint answer is re-enumerated
-/// region by region: the region query re-runs with its parent
-/// articulation variable *pinned* to the chosen value via a `Ge`/`Le`
-/// constraint pair (the IR has no `Eq` comparator) and stops at its
-/// first extensible solution. Constraints never influence the
-/// evaluator's join order (`choose_atom` inspects only bindings), so
-/// the pinned search enumerates exactly the subsequence of the
-/// region's solutions binding that value, in the region's own order —
-/// its first extensible hit is precisely the representative the
-/// `#[cfg(test)]` materialized semi-join keeps, which is why the two
-/// agree answer for answer (property-tested).
+/// Region evaluation of one split unit (see the module docs), over the
+/// unit's regions resolved once by [`UnitQuery::resolve`].
 ///
-/// As a constraint-aware refinement, a child whose witness set kept
-/// exactly one value is **pushed down** into the parent's enumeration
-/// as the same pinned constraint pair, so the join prunes the moment
-/// the articulation variable binds instead of filtering full solutions
-/// at the leaf; multi-value witness sets are not expressible as a
-/// comparison constraint and filter through the extensibility check.
+/// **Bottom-up**, children first, each non-root region runs as a
+/// *projection* onto its parent articulation variable. The visitor
+/// keeps a **witness set** of articulation values carried by some
+/// locally-extensible solution — memory is bounded by the
+/// articulation-value domain — and answers each solution with
+/// "done with this value" ([`Visit::SkipValue`]): of the articulation
+/// variable, as soon as its value is (or just went) in the set; of a
+/// child's articulation variable, when that child has no witness for
+/// its value, since no solution carrying it can ever extend. Either
+/// way the search backjumps past the joins hanging off a value whose
+/// fate is settled, so a region costs on the order of its articulation
+/// domain, not of its local solution count.
 ///
-/// Returns the unit outcome plus counters: region-local solutions
-/// streamed (bottom-up + top-down) and the peak witness-set size.
-fn stream_unit(rp: &RegionPlan, db: &Database) -> (UnitResult, u64, u64) {
+/// **Top-down**, the one joint answer is picked region by region from
+/// the root: the root runs until its first extensible solution, and
+/// every other region's same resolved query runs again with its parent
+/// articulation variable *pinned* to the value its parent chose,
+/// stopping at its first extensible solution. A pin never changes the
+/// evaluator's join order (see `eq_db`'s evaluator docs), so the pinned
+/// run enumerates exactly the subsequence of the region's solutions
+/// binding that value, in the region's own order — its first extensible
+/// hit is precisely the representative the `#[cfg(test)]` materialized
+/// semi-join keeps, which is why the two agree answer for answer
+/// (property-tested). Skipped solutions never matter to either pass:
+/// they carry a key already witnessed, or a child value without a
+/// witness.
+///
+/// A child whose witness set kept exactly one value is **pushed down**
+/// into the parent's run as a pin on the shared variable, so the parent
+/// only ever looks at rows carrying it.
+///
+/// Returns the unit outcome plus its counters.
+fn stream_unit(rp: &RegionPlan, queries: &[RegionQuery<'_>]) -> (UnitResult, PlanStats) {
     let n = rp.regions.len();
-    let mut streamed: u64 = 0;
-    let mut peak: u64 = 0;
+    let mut stats = PlanStats::default();
     // Pre-order from the root; reverse visit order is children-first.
     let mut order: Vec<usize> = Vec::with_capacity(n);
     let mut stack = vec![0usize];
@@ -837,169 +901,106 @@ fn stream_unit(rp: &RegionPlan, db: &Database) -> (UnitResult, u64, u64) {
         order.push(r);
         stack.extend(&rp.regions[r].children);
     }
-    if order.len() != n {
+    if order.len() != n || queries.len() != n {
         // Defensive: split_unit guarantees a spanning tree; a malformed
         // one cannot be evaluated, so report no solution.
-        return (UnitResult::Unsat, streamed, peak);
+        return (UnitResult::Unsat, stats);
     }
 
-    // Locally extensible = every child's articulation value is in that
-    // child's (already final) witness set.
-    let extensible = |region: &Region, sol: &Valuation, feasible: &[FastSet<Value>]| -> bool {
-        region.children.iter().all(|&c| {
-            let Some(pv) = rp.regions[c].parent_var else {
-                return false;
+    // `None` when every child has a witness for the value `sol` gives
+    // its articulation variable (the children's sets are final by the
+    // time a parent runs); otherwise the verdict that skips the first
+    // offending child value.
+    let blocked = |r: usize, sol: &Solution<'_>, feasible: &[FastSet<Value>]| -> Option<Visit> {
+        for &c in &rp.regions[r].children {
+            // A walked child always has a parent edge; a missing one
+            // means a malformed tree — treat as inextensible.
+            let Some((_, slot)) = queries[c].parent else {
+                return Some(Visit::Continue);
             };
-            sol.get(&pv)
-                .is_some_and(|value| feasible[c].contains(value))
-        })
+            match sol.at(slot) {
+                Some(value) if feasible[c].contains(&value) => {}
+                Some(_) => return Some(Visit::SkipValue(slot)),
+                None => return Some(Visit::Continue),
+            }
+        }
+        None
     };
     // Singleton push-down (see the doc comment above).
-    let push_down = |region: &Region, feasible: &[FastSet<Value>], out: &mut Vec<Constraint>| {
-        for &c in &region.children {
-            let Some(pv) = rp.regions[c].parent_var else {
-                continue;
-            };
+    let pins_for = |r: usize, feasible: &[FastSet<Value>], pins: &mut Vec<(Slot, Value)>| {
+        pins.clear();
+        for &c in &rp.regions[r].children {
             if feasible[c].len() == 1 {
-                if let Some(&value) = feasible[c].iter().next() {
-                    out.push(Constraint::new(
-                        Term::var(pv),
-                        CmpOp::Ge,
-                        Term::Const(value),
-                    ));
-                    out.push(Constraint::new(
-                        Term::var(pv),
-                        CmpOp::Le,
-                        Term::Const(value),
-                    ));
+                if let (Some((_, slot)), Some(&value)) =
+                    (queries[c].parent, feasible[c].iter().next())
+                {
+                    pins.push((slot, value));
                 }
             }
         }
     };
 
     let mut feasible: Vec<FastSet<Value>> = vec![FastSet::default(); n];
-    let mut root_witness: Option<Valuation> = None;
-    for &r in order.iter().rev() {
-        let region = &rp.regions[r];
-        let mut constraints = region.constraints.clone();
-        push_down(region, &feasible, &mut constraints);
-        match region.parent_var {
-            Some(pv) => {
-                let mut keys: FastSet<Value> = FastSet::default();
-                let res = db.evaluate_visit(&region.atoms, &constraints, |sol| {
-                    streamed += 1;
-                    if let Some(&key) = sol.get(&pv) {
-                        // The extensibility check runs per solution even
-                        // for an unseen key (a later extensible solution
-                        // may carry a key an earlier inextensible one
-                        // did), and is skipped once the key is in — the
-                        // exact key set a materialized semi-join keeps.
-                        if !keys.contains(&key) && extensible(region, sol, &feasible) {
-                            keys.insert(key);
-                        }
-                    }
-                    ControlFlow::Continue(())
-                });
-                if res.is_err() || keys.is_empty() {
-                    // Err is unreachable after the caller's up-front
-                    // validation; either way the unit has no solution
-                    // to offer.
-                    return (UnitResult::Unsat, streamed, peak);
-                }
-                peak = peak.max(keys.len() as u64);
-                feasible[r] = keys;
-            }
-            None => {
-                let mut witness: Option<Valuation> = None;
-                let res = db.evaluate_visit(&region.atoms, &constraints, |sol| {
-                    streamed += 1;
-                    if extensible(region, sol, &feasible) {
-                        witness = Some(sol.clone());
-                        ControlFlow::Break(())
-                    } else {
-                        ControlFlow::Continue(())
-                    }
-                });
-                match (res, witness) {
-                    (Ok(_), Some(w)) => root_witness = Some(w),
-                    _ => return (UnitResult::Unsat, streamed, peak),
-                }
-            }
-        }
-    }
-
-    // Top-down: glue the root witness, then re-enumerate each child
-    // region pinned to its chosen articulation value. Every pinned
-    // search hits: the key entered the witness set off an extensible
-    // solution, and child witness sets are final.
-    let Some(root) = root_witness else {
-        // Unreachable: region 0 is always the root and was visited.
-        return (UnitResult::Unsat, streamed, peak);
-    };
-    let push_children =
-        |region: &Region, sol: &Valuation, walk: &mut Vec<(usize, Value)>| -> bool {
-            for &c in &region.children {
-                let Some(pv) = rp.regions[c].parent_var else {
-                    return false;
-                };
-                let Some(&key) = sol.get(&pv) else {
-                    return false;
-                };
-                walk.push((c, key));
-            }
-            true
+    let mut pins: Vec<(Slot, Value)> = Vec::new();
+    // Bottom-up over the non-root regions, children first.
+    for &r in order[1..].iter().rev() {
+        let Some((own, _)) = queries[r].parent else {
+            // Unreachable: split_unit anchors every articulation
+            // variable in both regions of its tree edge.
+            return (UnitResult::Unsat, stats);
         };
-    let mut merged = Valuation::default();
-    for (&v, &value) in root.iter() {
-        merged.insert(v, value);
-    }
-    let mut walk: Vec<(usize, Value)> = Vec::new();
-    if !push_children(&rp.regions[0], &root, &mut walk) {
-        return (UnitResult::Unsat, streamed, peak);
-    }
-    while let Some((r, key)) = walk.pop() {
-        let region = &rp.regions[r];
-        let Some(pv) = region.parent_var else {
-            // Defensive: only non-root regions are walked.
-            return (UnitResult::Unsat, streamed, peak);
-        };
-        let mut constraints = region.constraints.clone();
-        push_down(region, &feasible, &mut constraints);
-        constraints.push(Constraint::new(Term::var(pv), CmpOp::Ge, Term::Const(key)));
-        constraints.push(Constraint::new(Term::var(pv), CmpOp::Le, Term::Const(key)));
-        let mut chosen: Option<Valuation> = None;
-        let res = db.evaluate_visit(&region.atoms, &constraints, |sol| {
-            streamed += 1;
-            if extensible(region, sol, &feasible) {
-                chosen = Some(sol.clone());
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
+        pins_for(r, &feasible, &mut pins);
+        let mut keys: FastSet<Value> = FastSet::default();
+        stats.eval += queries[r].query.run(&pins, |sol| {
+            stats.region_streamed += 1;
+            let Some(key) = sol.at(own) else {
+                return Visit::Continue;
+            };
+            if keys.contains(&key) {
+                return Visit::SkipValue(own);
             }
+            blocked(r, sol, &feasible).unwrap_or_else(|| {
+                keys.insert(key);
+                Visit::SkipValue(own)
+            })
         });
-        let (Ok(_), Some(sol)) = (res, chosen) else {
-            return (UnitResult::Unsat, streamed, peak);
-        };
-        for (&v, &value) in sol.iter() {
-            merged.insert(v, value);
+        if keys.is_empty() {
+            return (UnitResult::Unsat, stats);
         }
-        if !push_children(region, &sol, &mut walk) {
-            return (UnitResult::Unsat, streamed, peak);
-        }
+        stats.witness_peak = stats.witness_peak.max(keys.len() as u64);
+        feasible[r] = keys;
     }
-    (UnitResult::Sat(merged), streamed, peak)
-}
 
-fn evaluate_unit(unit: &WorkUnit, db: &Database) -> UnitResult {
-    match db.evaluate_filtered(&unit.atoms, &unit.constraints, 1) {
-        Ok(vals) => match vals.into_iter().next() {
-            Some(v) => UnitResult::Sat(v),
-            None => UnitResult::Unsat,
-        },
-        // Unreachable after the up-front validation (the search itself
-        // cannot fail); treat like an unsatisfiable unit defensively.
-        Err(_) => UnitResult::Unsat,
+    // Top-down from the root: each region runs until its first
+    // extensible solution, which joins the answer and hands every child
+    // the articulation value to run pinned to. Below the root every run
+    // hits: the value entered the child's witness set off an extensible
+    // solution, and witness sets are final.
+    let mut answer = Valuation::default();
+    let mut walk: Vec<(usize, Option<(Slot, Value)>)> = vec![(0, None)];
+    while let Some((r, pin)) = walk.pop() {
+        pins_for(r, &feasible, &mut pins);
+        pins.extend(pin);
+        let mut hit = false;
+        stats.eval += queries[r].query.run(&pins, |sol| {
+            stats.region_streamed += 1;
+            if let Some(verdict) = blocked(r, sol, &feasible) {
+                return verdict;
+            }
+            hit = true;
+            answer.extend(sol.bindings());
+            for &c in &rp.regions[r].children {
+                if let Some((own, in_parent)) = queries[c].parent {
+                    walk.push((c, sol.at(in_parent).map(|key| (own, key))));
+                }
+            }
+            Visit::Break
+        });
+        if !hit {
+            return (UnitResult::Unsat, stats);
+        }
     }
+    (UnitResult::Sat(answer), stats)
 }
 
 /// The region evaluator that [`stream_unit`] replaced, kept as the test
@@ -1021,7 +1022,11 @@ mod materialized_reference {
         db: &Database,
         region_cap: usize,
     ) -> Result<Option<Vec<QueryAnswer>>, DbError> {
-        if !ground_residue_holds(plan, db)? {
+        for unit in &plan.units {
+            db.prepare(&unit.atoms, &[])?;
+        }
+        let residue = db.evaluate_filtered(&plan.ground_atoms, &plan.ground_constraints, 1)?;
+        if residue.is_empty() {
             return Ok(None);
         }
         let region_cap = region_cap.max(1);
@@ -1036,6 +1041,16 @@ mod materialized_reference {
         Ok(glue_units(plan, &unit_results))
     }
 
+    fn evaluate_unit(unit: &WorkUnit, db: &Database) -> UnitResult {
+        let first = db
+            .evaluate_filtered(&unit.atoms, &unit.constraints, 1)
+            .expect("relations validated by evaluate_plan");
+        first
+            .into_iter()
+            .next()
+            .map_or(UnitResult::Unsat, UnitResult::Sat)
+    }
+
     fn evaluate_split_unit(
         unit: &WorkUnit,
         rp: &RegionPlan,
@@ -1047,7 +1062,7 @@ mod materialized_reference {
             .iter()
             .map(|region| {
                 db.evaluate_filtered(&region.atoms, &region.constraints, region_cap)
-                    .expect("relations validated by ground_residue_holds")
+                    .expect("relations validated by evaluate_plan")
             })
             .collect();
         if sols.iter().any(|s| s.is_empty()) {
@@ -1584,12 +1599,17 @@ mod tests {
     /// Plans one `eq_workload::giant_component` ring (one matched
     /// component). `break_at` points one query's body anchor at a name
     /// absent from Friends: one region becomes unsatisfiable, so the
-    /// whole ring has no solution.
+    /// whole ring has no solution. `arrival` seeds a shuffle of the
+    /// order the queries reach the graph in (`None`: ring order) — it
+    /// decides which region roots the block-cut tree, hence which side
+    /// of each region its parent articulation variable sits on.
     fn ring_plan(
         cfg: &eq_workload::GiantComponentConfig,
         break_at: Option<usize>,
+        arrival: Option<u64>,
         split: &SplitOptions,
     ) -> (Database, ComponentPlan) {
+        use eq_workload::rng::{SliceRandom, StdRng};
         let (db, mut queries) = eq_workload::giant_component(cfg);
         if let Some(i) = break_at {
             let q = &queries[i % cfg.queries];
@@ -1597,6 +1617,9 @@ mod tests {
             body[0].terms[0] = Term::str("NOBODY");
             queries[i % cfg.queries] =
                 EntangledQuery::new(q.head.clone(), q.postconditions.clone(), body).with_id(q.id);
+        }
+        if let Some(seed) = arrival {
+            queries.shuffle(&mut StdRng::seed_from_u64(seed));
         }
         let gen = VarGen::new();
         let g = MatchGraph::build(
@@ -1625,7 +1648,7 @@ mod tests {
                 min_atoms: 2,
                 crossover,
             };
-            let (_, plan) = ring_plan(&cfg, None, &split);
+            let (_, plan) = ring_plan(&cfg, None, None, &split);
             assert_eq!(plan.units.len(), 1);
             assert_eq!(plan.units[0].atoms.len(), 40);
             assert_eq!(
@@ -1633,6 +1656,50 @@ mod tests {
                 regions,
                 "crossover {crossover}"
             );
+        }
+    }
+
+    /// Step-count guard for region evaluation. A 2,000-query shared
+    /// chain with k = 12 has 2,000 three-atom regions of k(k+1)/2 = 78
+    /// local solutions each. Enumerating them all and reading every row
+    /// of every probed posting list cost ≈ 157·k rows and 6.6·k
+    /// solutions per region; projection backjumping and index-only
+    /// membership must hold that to the order of the articulation
+    /// domain — in ring order, where every region binds its parent
+    /// articulation variable first, and in a shuffled arrival order,
+    /// where the regions on one side of the root bind it second.
+    #[test]
+    fn region_cost_tracks_the_articulation_domain() {
+        const K: u64 = 12;
+        let cfg = eq_workload::GiantComponentConfig {
+            queries: 2_000,
+            friends_per_user: K as usize,
+            body: eq_workload::GiantBody::SharedChain,
+        };
+        for arrival in [None, Some(2011)] {
+            let (db, plan) = ring_plan(&cfg, None, arrival, &SplitOptions::default());
+            let regions = plan.units[0]
+                .regions
+                .as_ref()
+                .expect("the chain splits")
+                .regions
+                .len() as u64;
+            assert_eq!(regions, 2_000);
+            let (answers, stats) = evaluate_plan_with_stats(&plan, &db, 1).unwrap();
+            let reference = materialized_reference::evaluate_plan(&plan, &db, 4096).unwrap();
+            assert!(answers.is_some());
+            assert_eq!(answers, reference, "arrival {arrival:?}");
+            assert!(
+                stats.eval.rows_considered <= 25 * K * regions,
+                "arrival {arrival:?}: {} rows read for {regions} regions",
+                stats.eval.rows_considered
+            );
+            assert!(
+                stats.region_streamed <= 4 * K * regions,
+                "arrival {arrival:?}: {} solutions streamed for {regions} regions",
+                stats.region_streamed
+            );
+            assert!(stats.witness_peak <= K);
         }
     }
 
@@ -1645,14 +1712,16 @@ mod tests {
             k in 1usize..5,
             threads in 1usize..9,
             break_at in proptest::option::of(0usize..36),
+            arrival in proptest::option::of(0u64..1000),
             wide in 0usize..2,
         ) {
             // Shared-variable rings planned with the split forced: the
             // streaming projection must be answer-for-answer identical
             // to the materialized semi-join it replaced — for every k
             // (many local solutions per region), on satisfiable and
-            // sabotaged rings, and on the wide flavor whose pendant
-            // regions carry Θ(k²) local solutions.
+            // sabotaged rings, in ring and in shuffled arrival order,
+            // and on the wide flavor whose pendant regions carry Θ(k²)
+            // local solutions.
             use eq_workload::{GiantBody, GiantComponentConfig};
             proptest::prop_assume!(n > 4 * k);
             let cfg = GiantComponentConfig {
@@ -1661,7 +1730,7 @@ mod tests {
                 body: if wide == 1 { GiantBody::SharedWide } else { GiantBody::SharedChain },
             };
             let split = SplitOptions { min_atoms: 2, crossover: 0 };
-            let (db, plan) = ring_plan(&cfg, break_at, &split);
+            let (db, plan) = ring_plan(&cfg, break_at, arrival, &split);
             proptest::prop_assert!(plan.units.iter().any(|u| u.regions.is_some()));
             let streamed = evaluate_plan(&plan, &db, threads).unwrap();
             let materialized = materialized_reference::evaluate_plan(&plan, &db, 4096).unwrap();
@@ -1702,7 +1771,9 @@ mod tests {
             DOMAIN
         );
         // The child region streamed its full DOMAIN² solution set while
-        // retaining at most DOMAIN witness entries.
+        // retaining at most DOMAIN witness entries (it is a single
+        // atom: the frame that binds x is the leaf, so "done with this
+        // x" has no join to jump over).
         assert!(
             stats.region_streamed >= (DOMAIN * DOMAIN) as u64,
             "streamed only {}",

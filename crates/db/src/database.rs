@@ -1,6 +1,6 @@
 //! The database: a catalog of tables plus the public evaluation API.
 
-use crate::eval::{self, EvalStats, Valuation};
+use crate::eval::{EvalStats, Prepared, Valuation};
 use crate::table::{RowStore, StoreIoStats, Table, TableSchema, Tuple};
 use eq_ir::{Atom, Constraint, FastMap, Symbol, Value};
 use std::fmt;
@@ -281,32 +281,28 @@ impl Database {
         constraints: &[Constraint],
         limit: usize,
     ) -> Result<Vec<Valuation>, DbError> {
-        self.check_atoms(atoms)?;
-        Ok(eval::evaluate(self, atoms, constraints, limit).0)
+        Ok(self.prepare(atoms, constraints)?.collect(limit).0)
     }
 
-    /// Streaming form of [`Database::evaluate_filtered`]: `visit` is
-    /// called once per valuation, in the exact order `evaluate_filtered`
-    /// would collect them, without materializing a result set. Return
-    /// [`ControlFlow::Break`](std::ops::ControlFlow::Break) to stop the
-    /// enumeration early. The borrowed valuation is the search's live
-    /// binding map — clone it to keep a solution.
+    /// Resolves a conjunction against this database once — table
+    /// handles, variable slots, join-order ranks, and the fail-fast
+    /// relation/arity validation [`Database::evaluate`] runs — so it
+    /// can be searched any number of times: streamed to a visitor in
+    /// the exact order `evaluate_filtered` would collect, projected
+    /// ("done with this value"), or pinned. See [`Prepared`].
     ///
-    /// This is the enumeration primitive behind the engine's
-    /// articulation-projection region merge, which retains only a
-    /// projection of each streamed solution instead of the solution
-    /// set itself.
-    pub fn evaluate_visit(
+    /// This is the enumeration primitive behind the engine's region
+    /// evaluation, which prepares each region once and runs it for both
+    /// its bottom-up and its top-down pass.
+    pub fn prepare(
         &self,
         atoms: &[Atom],
         constraints: &[Constraint],
-        visit: impl FnMut(&Valuation) -> std::ops::ControlFlow<()>,
-    ) -> Result<EvalStats, DbError> {
-        self.check_atoms(atoms)?;
-        Ok(eval::evaluate_visit(self, atoms, constraints, visit))
+    ) -> Result<Prepared<'_>, DbError> {
+        Prepared::resolve(self, atoms, constraints)
     }
 
-    /// [`Database::evaluate`] plus evaluator statistics (rows touched,
+    /// [`Database::evaluate`] plus evaluator statistics (rows read,
     /// index probes), used by the Figure 7 harness to report DB time
     /// drivers.
     pub fn evaluate_with_stats(
@@ -314,33 +310,7 @@ impl Database {
         atoms: &[Atom],
         limit: usize,
     ) -> Result<(Vec<Valuation>, EvalStats), DbError> {
-        self.check_atoms(atoms)?;
-        Ok(eval::evaluate(self, atoms, &[], limit))
-    }
-
-    /// Validates that every atom names a known relation with the right
-    /// arity — the same fail-fast pre-check [`Database::evaluate`] runs
-    /// before searching. Public so callers that split a conjunction
-    /// into independently evaluated pieces (the engine's partitioned
-    /// intra-component evaluation) can report validation errors for the
-    /// *whole* conjunction up front, exactly as one-shot evaluation
-    /// would.
-    pub fn check_atoms(&self, atoms: &[Atom]) -> Result<(), DbError> {
-        for atom in atoms {
-            let table = self
-                .tables
-                .get(&atom.relation)
-                .ok_or(DbError::UnknownRelation(atom.relation))?;
-            let expected = table.schema().arity();
-            if atom.arity() != expected {
-                return Err(DbError::ArityMismatch {
-                    relation: atom.relation,
-                    expected,
-                    got: atom.arity(),
-                });
-            }
-        }
-        Ok(())
+        Ok(self.prepare(atoms, &[])?.collect(limit))
     }
 }
 

@@ -1,331 +1,610 @@
-//! Conjunctive-query evaluation: greedy atom ordering + indexed
-//! backtracking join, driven by an **iterative, explicit-frame search**.
+//! Conjunctive-query evaluation: a conjunction is **prepared once**,
+//! then searched by greedy atom ordering + indexed backtracking over an
+//! **iterative, explicit-frame search**.
 //!
-//! The join used to be a recursive `search` whose depth equaled the
-//! atom count, which put a hard stack bound on combined-query size (a
-//! 10k-query entangled ring produces a 20k-atom body — the bench
-//! runner had to spawn a 512 MiB-stack thread just to evaluate it).
-//! The search now keeps its own stack of [`Frame`]s on the heap — one
-//! frame per joined atom, holding the atom's candidate-row cursor and
-//! the variables its current row bound — so depth is bounded by memory,
-//! not thread stack: a 100k-atom body evaluates on a default 8 MiB
-//! stack.
+//! # Prepare once, run many
 //!
-//! The rewrite is a mechanical transformation of the recursion: frames
-//! open with the same greedy [`choose_atom`] pick (structural
-//! tie-break — see its docs; the engine's partitioned intra-component
-//! evaluation depends on it), iterate the same probe-else-scan
-//! candidate order, and unwind with the same worklist restoration, so
-//! answers, answer *order*, and [`EvalStats`] are bit-for-bit those of
-//! the old recursive evaluator. The recursion survives as a
-//! `#[cfg(test)]` oracle (`recursive_reference`) that the property
-//! tests below compare against on random databases and conjunctions.
+//! [`Prepared`] resolves everything about a conjunction that does not
+//! depend on bindings: relation names to table handles (this is also
+//! the validation — unknown relation, wrong arity), variables to dense
+//! [`Slot`]s, constants to their borrowed posting lists, and every
+//! atom's *structural tie-break rank* (its position in `(relation,
+//! terms)` order). [`Prepared::run`] can then be called any number of
+//! times — `eq_core::intra` runs each region once bottom-up and once
+//! pinned top-down — and the search itself touches no hash map for
+//! constants, variables or tables. Bindings live in a slot vector with
+//! one undo trail; frames hold positions in posting lists the backend
+//! lends out ([`RowStore::postings`]), never copies of them.
 //!
-//! The search core is exposed as a **visitor** ([`evaluate_visit`]):
-//! each full valuation is handed to a callback that can stop the
-//! enumeration early (`ControlFlow::Break`), so streaming consumers —
-//! notably `eq_core::intra`'s articulation-projection region merge —
-//! never materialize a solution set. The collecting [`evaluate`] is a
-//! thin wrapper over it.
+//! # The search
+//!
+//! One heap-allocated [`Frame`] per joined atom, so depth is bounded by
+//! memory, not thread stack: a 100k-atom body evaluates on a default
+//! 8 MiB stack. Each frame opens on the greedy [`Prepared::choose_atom`]
+//! pick (fewest unbound terms, then smallest cardinality, then
+//! structural rank — see its docs; the engine's partitioned
+//! intra-component evaluation depends on it). Its candidates are the
+//! row ids common to the posting lists of **every** term whose value is
+//! known, in ascending id order:
+//!
+//! * an atom whose terms are all known is a **filter** — index-only
+//!   membership. The intersection alone decides it, one visit per
+//!   matching row id, and no row is read (on a paged backend: no page
+//!   is touched);
+//! * an atom with unknown terms reads exactly the rows in the
+//!   intersection, to bind them;
+//! * an atom with no known term scans the table.
+//!
+//! Those are the rows, in the order, that probing any one list and
+//! comparing the other columns row by row would keep — so valuations
+//! and their **order** are bit-for-bit those of the recursive evaluator
+//! this search descends from, which survives as the `#[cfg(test)]`
+//! oracle `recursive_reference`. What is *not* the oracle's any more is
+//! [`EvalStats::rows_considered`]: it counts rows actually read, and
+//! rows the index rules out are never read. `index_probes` and
+//! `full_scans` count opened frames and still agree with the oracle.
+//! The property tests below pin exactly that down.
+//!
+//! # Visitor, projection, pins
+//!
+//! Each full valuation is handed to a visitor as a borrowed
+//! [`Solution`]; nothing is materialized. Its verdict ([`Visit`]) is
+//! continue, stop, or **"done with this value of variable `v`"**
+//! ([`Visit::SkipValue`]): the search *backjumps* to the frame that
+//! bound `v` and moves it to its next candidate, skipping every
+//! solution that shares the bindings up to and including `v`'s. A
+//! consumer that keeps only a projection of the solutions — the
+//! articulation witness sets of `eq_core::intra` — thereby pays for the
+//! values it keeps, not for the joins hanging off them.
+//!
+//! A run may **pin** slots to values. A pin is an equality filter, not
+//! a binding: `choose_atom` does not see it, so the pinned run walks
+//! the unpinned run's join orders and emits exactly the subsequence of
+//! its solutions that carry the pinned values, in the same order — but
+//! the pinned value does count as known when a frame intersects posting
+//! lists, so the filter costs an index lookup, not a scan of rejects.
 
-use crate::database::Database;
-use crate::table::{RowStore, Tuple};
+use crate::database::{Database, DbError};
+use crate::table::{next_common, PostingCursor, RowStore, Tuple};
 use eq_ir::{Atom, Constraint, FastMap, Term, Value, Var};
-use std::ops::ControlFlow;
+use std::ops::{AddAssign, Range};
 
 /// A valuation: an assignment of database values to query variables
 /// (§2.3's "assignment of a value from D to each variable of q").
 pub type Valuation = FastMap<Var, Value>;
 
 /// Evaluator statistics for one query, reported by
-/// [`Database::evaluate_with_stats`].
+/// [`Database::evaluate_with_stats`] and [`Prepared::run`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EvalStats {
-    /// Rows materialized and checked against the current pattern.
+    /// Rows read from the backend to bind an atom's unknown terms.
+    /// Filter atoms (every term known) read none.
     pub rows_considered: u64,
-    /// Index probes issued.
+    /// Frames opened over posting lists (at least one known term).
     pub index_probes: u64,
-    /// Full-table scans that had no usable bound column.
+    /// Frames opened as full-table scans (no known term).
     pub full_scans: u64,
 }
 
-/// Evaluates `atoms` (a conjunction over database relations) and returns
-/// up to `limit` valuations. Relations and arities are pre-checked by the
-/// caller. A thin collecting wrapper over [`evaluate_visit`].
-pub(crate) fn evaluate(
-    db: &Database,
-    atoms: &[Atom],
-    constraints: &[Constraint],
-    limit: usize,
-) -> (Vec<Valuation>, EvalStats) {
-    let mut results = Vec::new();
-    if limit == 0 {
-        // Never enter the search: the recursive oracle's stats for
-        // limit 0 are all-zero, and the bit-for-bit proptest holds the
-        // wrapper to that.
-        return (results, EvalStats::default());
+impl AddAssign for EvalStats {
+    fn add_assign(&mut self, other: EvalStats) {
+        self.rows_considered += other.rows_considered;
+        self.index_probes += other.index_probes;
+        self.full_scans += other.full_scans;
     }
-    let stats = evaluate_visit(db, atoms, constraints, |valuation| {
-        results.push(valuation.clone());
-        if results.len() >= limit {
-            ControlFlow::Break(())
-        } else {
-            ControlFlow::Continue(())
-        }
-    });
-    (results, stats)
 }
 
-/// Streaming enumeration over the iterative frame search: `visit` is
-/// called once per valuation, **in the exact order [`evaluate`] would
-/// collect them**, without materializing a result set. Returning
-/// [`ControlFlow::Break`] stops the search immediately (the stats
-/// reflect only the work done up to that point).
-///
-/// The borrowed valuation is the search's live binding map — callers
-/// that keep a solution must clone it before returning `Continue`.
-pub(crate) fn evaluate_visit(
-    db: &Database,
-    atoms: &[Atom],
-    constraints: &[Constraint],
-    mut visit: impl FnMut(&Valuation) -> ControlFlow<()>,
-) -> EvalStats {
-    let mut stats = EvalStats::default();
-    if atoms.is_empty() {
-        // The empty conjunction is true under the empty valuation —
-        // provided no fully-ground constraint refutes it.
-        let empty = Valuation::default();
-        if constraints_hold(constraints, &empty) {
-            let _ = visit(&empty);
-        }
-        return stats;
-    }
-    let mut bindings = Valuation::default();
-    let mut remaining: Vec<&Atom> = atoms.iter().collect();
-    let mut stack: Vec<Frame> = Vec::with_capacity(atoms.len());
-    // Cursors own their posting lists (a paged backend materializes
-    // them per probe); popped frames donate their buffers back to this
-    // pool so steady-state backtracking allocates nothing. One shared
-    // scratch tuple receives each candidate row from the backend.
-    let mut spare_ids: Vec<Vec<u32>> = Vec::new();
-    let mut row_buf: Tuple = Tuple::new();
-    let Some(first) = Frame::open(db, &mut remaining, &bindings, &mut spare_ids, &mut stats) else {
-        // A missing relation (pre-checked by the caller, so this is
-        // defensive) joins zero rows: the conjunction has no answers.
-        return stats;
-    };
-    stack.push(first);
+/// Position of one variable in a [`Prepared`] conjunction's binding
+/// vector. Only meaningful for the conjunction that issued it
+/// ([`Prepared::slot`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Slot(u32);
 
-    while let Some(top) = stack.last_mut() {
-        // Undo whatever the frame's previous candidate row bound (a
-        // no-op on a freshly opened frame), then advance to its next
-        // matching candidate.
-        for v in top.newly_bound.drain(..) {
-            bindings.remove(&v);
-        }
-        let mut matched = false;
-        while let Some(id) = top.cursor.next() {
-            if !top.table.read_row(id, &mut row_buf) {
-                // Tombstone: dead candidates are skipped before they
-                // count as considered (the oracle's is_live gate).
-                continue;
+/// A visitor's verdict on one solution.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Visit {
+    /// Go on to the next solution.
+    Continue,
+    /// Done with the current value of this variable: skip every
+    /// remaining solution that shares the bindings up to and including
+    /// the frame that bound it (all of them carry this value). A no-op
+    /// when that is the deepest frame. A slot no frame bound — a pinned
+    /// one — ends the search: every remaining solution shares it.
+    SkipValue(Slot),
+    /// Stop the search.
+    Break,
+}
+
+/// One full valuation, borrowed from the running search. Copy out what
+/// must outlive the visitor call.
+pub struct Solution<'s> {
+    vars: &'s [Var],
+    values: &'s [Option<Value>],
+}
+
+impl Solution<'_> {
+    /// The value bound to a slot.
+    pub fn at(&self, slot: Slot) -> Option<Value> {
+        self.values.get(slot.0 as usize).copied().flatten()
+    }
+
+    /// Every bound `(variable, value)` pair.
+    pub fn bindings(&self) -> impl Iterator<Item = (Var, Value)> + '_ {
+        self.vars
+            .iter()
+            .zip(self.values)
+            .filter_map(|(&var, value)| value.map(|value| (var, value)))
+    }
+
+    /// An owned copy of the valuation.
+    pub fn to_valuation(&self) -> Valuation {
+        self.bindings().collect()
+    }
+}
+
+/// One term of a prepared atom. A constant needs only its posting list:
+/// the intersection a frame iterates guarantees every candidate row
+/// carries it.
+#[derive(Clone, Copy)]
+enum PreparedTerm<'a> {
+    Const(&'a [u32]),
+    Var(u32),
+}
+
+struct PreparedAtom<'a> {
+    table: &'a dyn RowStore,
+    /// This atom's terms in [`Prepared::terms`].
+    terms: Range<u32>,
+    /// Position in `(relation, terms)` order among the conjunction's
+    /// atoms; identical atoms share a rank.
+    rank: u32,
+}
+
+/// A conjunction resolved against a database (see the module docs):
+/// built by [`Database::prepare`], searched by [`Prepared::run`].
+pub struct Prepared<'a> {
+    atoms: Vec<PreparedAtom<'a>>,
+    terms: Vec<PreparedTerm<'a>>,
+    /// The constraints with every variable renamed to its slot number.
+    constraints: Vec<Constraint>,
+    /// Slot → variable, ascending.
+    vars: Vec<Var>,
+}
+
+impl<'a> Prepared<'a> {
+    /// Resolves `atoms` and `constraints` against `db`. Fails on the
+    /// first atom that names an unknown relation or has the wrong arity
+    /// — programming errors in query generation, not coordination
+    /// failures.
+    pub(crate) fn resolve(
+        db: &'a Database,
+        atoms: &[Atom],
+        constraints: &[Constraint],
+    ) -> Result<Self, DbError> {
+        // Slots are the variables' ranks in sorted order: assignment and
+        // [`Prepared::slot`] are binary searches, no map is kept. A
+        // constraint over a variable no atom binds gets a slot that
+        // stays empty: undecidable, so it passes — as it always has.
+        let mut vars: Vec<Var> = atoms
+            .iter()
+            .flat_map(Atom::vars)
+            .chain(constraints.iter().flat_map(Constraint::vars))
+            .collect();
+        vars.sort_unstable();
+        vars.dedup();
+        // Every variable looked up below is in `vars`; the insertion
+        // point of a missing one is only there to keep this total.
+        let slot = |v: Var| vars.binary_search(&v).unwrap_or_else(|at| at) as u32;
+        let mut prepared = Vec::with_capacity(atoms.len());
+        let mut terms = Vec::with_capacity(atoms.iter().map(Atom::arity).sum());
+        for atom in atoms {
+            let table = db
+                .table(atom.relation)
+                .ok_or(DbError::UnknownRelation(atom.relation))?;
+            let expected = table.schema().arity();
+            if atom.arity() != expected {
+                return Err(DbError::ArityMismatch {
+                    relation: atom.relation,
+                    expected,
+                    got: atom.arity(),
+                });
             }
-            stats.rows_considered += 1;
-            let mut ok = true;
-            for (term, &value) in top.atom.terms.iter().zip(row_buf.iter()) {
-                match term {
-                    Term::Const(c) => {
-                        if *c != value {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    Term::Var(v) => match bindings.get(v) {
-                        Some(&bound) => {
-                            if bound != value {
-                                ok = false;
-                                break;
-                            }
-                        }
-                        None => {
-                            bindings.insert(*v, value);
-                            top.newly_bound.push(*v);
-                        }
+            let start = terms.len() as u32;
+            for (col, term) in atom.terms.iter().enumerate() {
+                terms.push(match *term {
+                    Term::Const(value) => PreparedTerm::Const(table.postings(col, value)),
+                    Term::Var(v) => PreparedTerm::Var(slot(v)),
+                });
+            }
+            prepared.push(PreparedAtom {
+                table,
+                terms: start..terms.len() as u32,
+                rank: 0,
+            });
+        }
+        let mut order: Vec<usize> = (0..atoms.len()).collect();
+        order.sort_by(|&a, &b| atoms[a].cmp(&atoms[b]));
+        let mut rank = 0;
+        for (i, &a) in order.iter().enumerate() {
+            if i > 0 && atoms[order[i - 1]] != atoms[a] {
+                rank += 1;
+            }
+            prepared[a].rank = rank;
+        }
+        let constraints = constraints
+            .iter()
+            .map(|c| c.apply(&|v| Some(Term::Var(Var(slot(v))))))
+            .collect();
+        Ok(Prepared {
+            atoms: prepared,
+            terms,
+            constraints,
+            vars,
+        })
+    }
+
+    /// The slot of a variable, `None` if the conjunction does not
+    /// mention it.
+    pub fn slot(&self, var: Var) -> Option<Slot> {
+        let at = self.vars.binary_search(&var).ok()?;
+        Some(Slot(at as u32))
+    }
+
+    fn terms_of(&self, atom: &PreparedAtom<'a>) -> &[PreparedTerm<'a>] {
+        &self.terms[atom.terms.start as usize..atom.terms.end as usize]
+    }
+
+    /// Checks every constraint decidable under `values`; undecidable
+    /// constraints pass provisionally and are re-checked at deeper
+    /// levels (all variables are bound at the leaf, by range
+    /// restriction).
+    fn constraints_hold(&self, values: &[Option<Value>]) -> bool {
+        self.constraints
+            .iter()
+            .all(|c| c.check(&|v| values[v.0 as usize]))
+    }
+
+    /// Greedy join ordering: pick the atom with the most bound
+    /// positions; break ties toward the smaller estimated cardinality
+    /// (shortest posting list of a bound column, or table size when
+    /// nothing is bound).
+    ///
+    /// Remaining ties are broken *structurally* — by `(relation, terms)`
+    /// rank — never by position in the worklist. An atom's full key
+    /// therefore depends only on the atom itself and the bindings of
+    /// its own variables, which makes the chosen join order invariant
+    /// under re-grouping of variable-disjoint sub-conjunctions:
+    /// evaluating a sub-conjunction alone picks its atoms in exactly
+    /// the order the whole query would. The engine's partitioned
+    /// intra-component evaluation (`eq_core::intra`) relies on this to
+    /// reproduce the sequential answer choice from independently
+    /// evaluated work units. Pins are not bindings: the key ignores
+    /// them (see the module docs).
+    fn choose_atom(&self, remaining: &[u32], values: &[Option<Value>]) -> usize {
+        if remaining.len() == 1 {
+            return 0;
+        }
+        let mut best_idx = 0;
+        let mut best_key = (usize::MAX, usize::MAX, u32::MAX); // (unbound, cardinality, rank)
+        for (i, &a) in remaining.iter().enumerate() {
+            let atom = &self.atoms[a as usize];
+            let mut unbound = 0usize;
+            let mut card = atom.table.len();
+            for (col, term) in self.terms_of(atom).iter().enumerate() {
+                match *term {
+                    PreparedTerm::Const(ids) => card = card.min(ids.len()),
+                    PreparedTerm::Var(s) => match values[s as usize] {
+                        Some(value) => card = card.min(atom.table.postings(col, value).len()),
+                        None => unbound += 1,
                     },
                 }
             }
-            if ok && constraints_hold(constraints, &bindings) {
-                if remaining.is_empty() {
-                    // A full valuation: emit it and keep enumerating
-                    // candidates at this deepest frame (exactly the
-                    // recursion's push-then-return-and-undo).
-                    if visit(&bindings).is_break() {
-                        return stats;
+            let key = (unbound, card, atom.rank);
+            if key < best_key {
+                best_key = key;
+                best_idx = i;
+            }
+        }
+        best_idx
+    }
+
+    /// The first `limit` valuations, in enumeration order: a thin
+    /// collecting wrapper over [`Prepared::run`].
+    pub fn collect(&self, limit: usize) -> (Vec<Valuation>, EvalStats) {
+        let mut results = Vec::new();
+        if limit == 0 {
+            return (results, EvalStats::default());
+        }
+        let stats = self.run(&[], |solution| {
+            results.push(solution.to_valuation());
+            if results.len() >= limit {
+                Visit::Break
+            } else {
+                Visit::Continue
+            }
+        });
+        (results, stats)
+    }
+
+    /// Streams the conjunction's valuations to `visit`, in the
+    /// evaluator's one enumeration order, restricted to those that give
+    /// every pinned slot its pinned value. The verdict steers the
+    /// search ([`Visit`]); the returned stats cover the work done up to
+    /// the point it stopped.
+    pub fn run(
+        &self,
+        pins: &[(Slot, Value)],
+        mut visit: impl FnMut(&Solution<'_>) -> Visit,
+    ) -> EvalStats {
+        let mut stats = EvalStats::default();
+        let mut search = Search {
+            values: vec![None; self.vars.len()],
+            pinned: Vec::new(),
+            binder: vec![0; self.vars.len()],
+            trail: Vec::new(),
+            remaining: (0..self.atoms.len() as u32).collect(),
+            lists: Vec::new(),
+        };
+        if !pins.is_empty() {
+            search.pinned = vec![None; self.vars.len()];
+            for &(slot, value) in pins {
+                if let Some(pin) = search.pinned.get_mut(slot.0 as usize) {
+                    if pin.is_some_and(|other| other != value) {
+                        return stats; // two values for one slot: nothing qualifies
                     }
-                } else {
-                    matched = true;
-                    break;
-                }
-            }
-            // Rejected row (or emitted leaf): unbind and try the next
-            // candidate of this same frame.
-            for v in top.newly_bound.drain(..) {
-                bindings.remove(&v);
-            }
-        }
-        if matched {
-            // Descend: open the next frame over the shrunk worklist.
-            let Some(frame) =
-                Frame::open(db, &mut remaining, &bindings, &mut spare_ids, &mut stats)
-            else {
-                // Defensive (relations are pre-checked): a missing
-                // relation joins zero rows, and since it is still in
-                // every unexplored branch's worklist no answer can
-                // exist — nothing was emitted before this point.
-                return stats;
-            };
-            stack.push(frame);
-        } else {
-            // Candidates exhausted: restore the atom into the worklist
-            // at its original position (mirroring the recursion's
-            // unwind) and backtrack into the frame below. The pop
-            // cannot miss (the loop condition saw a top frame).
-            let Some(frame) = stack.pop() else { break };
-            if let Cursor::Probe { ids, .. } = frame.cursor {
-                spare_ids.push(ids);
-            }
-            remaining.push(frame.atom);
-            let last = remaining.len() - 1;
-            remaining.swap(frame.pick, last);
-        }
-    }
-    stats
-}
-
-/// Candidate-row iteration state of one [`Frame`]: either the posting
-/// list of the frame atom's most selective bound column, or a full
-/// row-id scan when nothing is bound. The posting list is **owned** —
-/// a paged backend materializes it per probe (`probe_into`), so the
-/// cursor cannot borrow index internals; the search recycles the
-/// buffers through a pool to stay allocation-free in steady state.
-enum Cursor {
-    Probe { ids: Vec<u32>, pos: usize },
-    Scan { next: u32, bound: u32 },
-}
-
-impl Cursor {
-    fn next(&mut self) -> Option<u32> {
-        match self {
-            Cursor::Probe { ids, pos } => {
-                let id = *ids.get(*pos)?;
-                *pos += 1;
-                Some(id)
-            }
-            Cursor::Scan { next, bound } => {
-                if next < bound {
-                    let id = *next;
-                    *next += 1;
-                    Some(id)
-                } else {
-                    None
+                    *pin = Some(value);
                 }
             }
         }
+        if self.atoms.is_empty() {
+            // The empty conjunction is true under the empty valuation —
+            // provided no fully-ground constraint refutes it.
+            if self.constraints_hold(&search.values) {
+                let _ = visit(&Solution {
+                    vars: &self.vars,
+                    values: &search.values,
+                });
+            }
+            return stats;
+        }
+        let mut stack: Vec<Frame> = Vec::with_capacity(self.atoms.len());
+        // One scratch tuple receives each row a frame reads.
+        let mut row: Tuple = Tuple::new();
+        stack.push(search.open(self, &mut stats));
+
+        'search: while let Some(depth) = stack.len().checked_sub(1) {
+            let frame = &mut stack[depth];
+            let atom = &self.atoms[frame.atom as usize];
+            // Undo whatever the frame's previous candidate bound (a
+            // no-op on a freshly opened frame), then advance to its
+            // next matching candidate.
+            search.unbind(frame.trail_start);
+            let mut descend = false;
+            while let Some(id) = frame.next_candidate(&mut search.lists) {
+                if frame.reads_rows {
+                    if !atom.table.read_row(id, &mut row) {
+                        // Tombstone (scans only: posting lists hold
+                        // live ids).
+                        continue;
+                    }
+                    stats.rows_considered += 1;
+                }
+                if search.bind(self.terms_of(atom), frame, depth, &row)
+                    && self.constraints_hold(&search.values)
+                {
+                    if !search.remaining.is_empty() {
+                        descend = true;
+                        break;
+                    }
+                    // A full valuation: emit it, then keep enumerating
+                    // at this deepest frame unless the visitor says
+                    // otherwise.
+                    let verdict = visit(&Solution {
+                        vars: &self.vars,
+                        values: &search.values,
+                    });
+                    match verdict {
+                        Visit::Continue => {}
+                        Visit::Break => return stats,
+                        Visit::SkipValue(slot) => {
+                            if !matches!(search.values.get(slot.0 as usize), Some(Some(_))) {
+                                return stats;
+                            }
+                            let target = search.binder[slot.0 as usize] as usize;
+                            if target < depth {
+                                // Backjump: drop the frames above the
+                                // one that bound the slot; the loop top
+                                // unbinds its candidate and advances it.
+                                while stack.len() > target + 1 {
+                                    search.close(&mut stack);
+                                }
+                                continue 'search;
+                            }
+                        }
+                    }
+                }
+                // Rejected row (or emitted leaf): unbind and try the
+                // next candidate of this same frame.
+                search.unbind(frame.trail_start);
+            }
+            if descend {
+                stack.push(search.open(self, &mut stats));
+            } else {
+                // Candidates exhausted: backtrack into the frame below.
+                search.close(&mut stack);
+            }
+        }
+        stats
     }
+}
+
+/// The mutable state of one [`Prepared::run`].
+struct Search<'a> {
+    /// Slot → value bound by a frame.
+    values: Vec<Option<Value>>,
+    /// Slot → pinned value; empty when the run has no pins.
+    pinned: Vec<Option<Value>>,
+    /// Slot → depth of the frame that bound it (valid while bound).
+    binder: Vec<u32>,
+    /// Slots bound so far, in binding order; a frame undoes its own
+    /// suffix.
+    trail: Vec<u32>,
+    /// Atoms not yet joined.
+    remaining: Vec<u32>,
+    /// The posting-list cursors of every open frame, stacked; a frame
+    /// owns the suffix from its `lists_start` to the next frame's.
+    lists: Vec<PostingCursor<'a>>,
 }
 
 /// One level of the explicit-frame backtracking join: the atom chosen
 /// at this depth, where it sat in the worklist (for restoration on
-/// unwind), its candidate cursor, and the variables its current row
-/// bound (undone before the next candidate or on backtrack).
-struct Frame<'a> {
-    atom: &'a Atom,
-    table: &'a dyn RowStore,
-    pick: usize,
-    cursor: Cursor,
-    newly_bound: Vec<Var>,
+/// unwind), and where its bindings and cursors start in the search's
+/// shared stacks.
+struct Frame {
+    atom: u32,
+    pick: u32,
+    trail_start: u32,
+    lists_start: u32,
+    /// Row ids left to scan; empty for a frame that has posting lists.
+    scan: Range<u32>,
+    /// False for a filter frame: every term known, nothing to read.
+    reads_rows: bool,
 }
 
-impl<'a> Frame<'a> {
-    /// Picks the next atom greedily ([`choose_atom`]), removes it from
-    /// the worklist, and positions a cursor over its candidate rows —
-    /// the most selective bound column's posting list, or a full scan.
-    /// Stats accounting is identical to the recursive evaluator's.
-    ///
-    /// Returns `None` when the picked atom's relation has no table —
-    /// callers pre-check relations so this is defensive; the worklist
-    /// is left untouched in that case.
-    fn open(
-        db: &'a Database,
-        remaining: &mut Vec<&'a Atom>,
-        bindings: &Valuation,
-        spare_ids: &mut Vec<Vec<u32>>,
-        stats: &mut EvalStats,
-    ) -> Option<Frame<'a>> {
-        let pick = choose_atom(db, remaining, bindings);
-        let table = db.table(remaining[pick].relation)?;
-        let atom = remaining.swap_remove(pick);
-
-        // Find the best bound position to drive an index probe.
-        let mut best: Option<(usize, Value, usize)> = None; // (col, value, cardinality)
-        for (col, term) in atom.terms.iter().enumerate() {
-            let value = match term {
-                Term::Const(c) => Some(*c),
-                Term::Var(v) => bindings.get(v).copied(),
-            };
-            if let Some(value) = value {
-                let card = table.probe_len(col, value);
-                if best.is_none_or(|(_, _, c)| card < c) {
-                    best = Some((col, value, card));
-                }
-            }
+impl Frame {
+    fn next_candidate(&mut self, lists: &mut [PostingCursor<'_>]) -> Option<u32> {
+        let own = &mut lists[self.lists_start as usize..];
+        if own.is_empty() {
+            self.scan.next()
+        } else {
+            next_common(own)
         }
-        let cursor = match best {
-            Some((col, value, _)) => {
-                stats.index_probes += 1;
-                let mut ids = spare_ids.pop().unwrap_or_default();
-                table.probe_into(col, value, &mut ids);
-                Cursor::Probe { ids, pos: 0 }
-            }
-            None => {
-                stats.full_scans += 1;
-                Cursor::Scan {
-                    next: 0,
-                    bound: table.row_id_bound(),
-                }
-            }
-        };
-        Some(Frame {
-            atom,
-            table,
-            pick,
-            cursor,
-            newly_bound: Vec::new(),
-        })
     }
 }
 
-/// Checks every constraint decidable under `bindings`; undecidable
-/// constraints pass provisionally and are re-checked at deeper levels
-/// (all variables are bound at the leaf, by range restriction).
-fn constraints_hold(constraints: &[Constraint], bindings: &Valuation) -> bool {
-    constraints
-        .iter()
-        .all(|c| c.check(&|v| bindings.get(&v).copied()))
+impl<'a> Search<'a> {
+    /// A slot's value as far as candidate selection is concerned: bound
+    /// by a frame, or pinned for this run.
+    fn known(&self, slot: u32) -> Option<Value> {
+        self.values[slot as usize].or_else(|| self.pinned.get(slot as usize).copied().flatten())
+    }
+
+    /// Picks the next atom greedily ([`Prepared::choose_atom`]), removes
+    /// it from the worklist, and stacks the posting lists of its known
+    /// terms, shortest first (it drives the intersection).
+    fn open(&mut self, query: &Prepared<'a>, stats: &mut EvalStats) -> Frame {
+        let pick = query.choose_atom(&self.remaining, &self.values);
+        let index = self.remaining.swap_remove(pick);
+        let atom = &query.atoms[index as usize];
+        let lists_start = self.lists.len();
+        let mut unknown = false;
+        for (col, term) in query.terms_of(atom).iter().enumerate() {
+            let ids = match *term {
+                PreparedTerm::Const(ids) => ids,
+                PreparedTerm::Var(s) => match self.known(s) {
+                    Some(value) => atom.table.postings(col, value),
+                    None => {
+                        unknown = true;
+                        continue;
+                    }
+                },
+            };
+            self.lists.push(PostingCursor::new(ids));
+        }
+        let own = &mut self.lists[lists_start..];
+        let scan = match (0..own.len()).min_by_key(|&i| own[i].remaining()) {
+            Some(shortest) => {
+                own.swap(0, shortest);
+                stats.index_probes += 1;
+                0..0
+            }
+            None => {
+                stats.full_scans += 1;
+                0..atom.table.row_id_bound()
+            }
+        };
+        Frame {
+            atom: index,
+            pick: pick as u32,
+            trail_start: self.trail.len() as u32,
+            lists_start: lists_start as u32,
+            reads_rows: unknown || own.is_empty(),
+            scan,
+        }
+    }
+
+    /// Pops the top frame: its cursors go, and its atom returns to the
+    /// worklist at its original position.
+    fn close(&mut self, stack: &mut Vec<Frame>) {
+        let Some(frame) = stack.pop() else { return };
+        self.lists.truncate(frame.lists_start as usize);
+        self.remaining.push(frame.atom);
+        let last = self.remaining.len() - 1;
+        self.remaining.swap(frame.pick as usize, last);
+    }
+
+    /// Binds the frame atom's unbound variables from the candidate row
+    /// (`row` when the frame reads rows, the pins when it is a filter).
+    /// False if the row contradicts itself on a repeated variable —
+    /// every other known term is already guaranteed by the
+    /// intersection.
+    fn bind(
+        &mut self,
+        terms: &[PreparedTerm<'a>],
+        frame: &Frame,
+        depth: usize,
+        row: &[Value],
+    ) -> bool {
+        for (col, term) in terms.iter().enumerate() {
+            let PreparedTerm::Var(s) = *term else {
+                continue;
+            };
+            let slot = s as usize;
+            match self.values[slot] {
+                Some(bound) => {
+                    if frame.reads_rows && row[col] != bound {
+                        return false;
+                    }
+                }
+                None => {
+                    let value = if frame.reads_rows {
+                        row[col]
+                    } else {
+                        match self.known(s) {
+                            Some(pin) => pin,
+                            None => return false,
+                        }
+                    };
+                    self.values[slot] = Some(value);
+                    self.binder[slot] = depth as u32;
+                    self.trail.push(s);
+                }
+            }
+        }
+        true
+    }
+
+    /// Undoes every binding made since the trail was `start` long.
+    fn unbind(&mut self, start: u32) {
+        for s in self.trail.drain(start as usize..) {
+            self.values[s as usize] = None;
+        }
+    }
 }
 
-/// The original recursive backtracking join, kept **test-only** as the
-/// oracle for the iterative evaluator: property tests assert the two
-/// agree answer-for-answer (same valuations, same order, same stats)
-/// on random databases and conjunctions. Its recursion depth equals
-/// the atom count, which is exactly the stack bound the iterative
-/// rewrite removes — never call it on production-sized bodies.
+/// The original recursive backtracking join — probe the shortest
+/// bound column, read every row on its posting list, compare term by
+/// term — kept **test-only** as the oracle for [`Prepared::run`]:
+/// property tests assert the two produce the same valuations in the
+/// same order and open the same frames. Its recursion depth equals the
+/// atom count, which is exactly the stack bound the iterative search
+/// removes — never call it on production-sized bodies.
 #[cfg(test)]
 pub(crate) mod recursive_reference {
     use super::*;
 
     /// Recursive-evaluator entry with the same contract as
-    /// [`super::evaluate`].
+    /// [`Prepared::collect`] (relations pre-checked by the caller).
     pub(crate) fn evaluate(
         db: &Database,
         atoms: &[Atom],
@@ -358,10 +637,43 @@ pub(crate) mod recursive_reference {
         (results, stats)
     }
 
+    fn constraints_hold(constraints: &[Constraint], bindings: &Valuation) -> bool {
+        constraints
+            .iter()
+            .all(|c| c.check(&|v| bindings.get(&v).copied()))
+    }
+
+    /// The greedy pick, with the tie-break spelled out as an atom
+    /// comparison instead of a precomputed rank.
+    fn choose_atom(db: &Database, remaining: &[&Atom], bindings: &Valuation) -> usize {
+        let mut best_idx = 0;
+        let mut best_key = (usize::MAX, usize::MAX); // (unbound count, cardinality)
+        for (i, atom) in remaining.iter().enumerate() {
+            let table = db.table(atom.relation).expect("pre-checked relation");
+            let mut unbound = 0usize;
+            let mut card = table.len();
+            for (col, term) in atom.terms.iter().enumerate() {
+                let value = match term {
+                    Term::Const(c) => Some(*c),
+                    Term::Var(v) => bindings.get(v).copied(),
+                };
+                match value {
+                    Some(value) => card = card.min(table.postings(col, value).len()),
+                    None => unbound += 1,
+                }
+            }
+            let key = (unbound, card);
+            if key < best_key || (key == best_key && **atom < *remaining[best_idx]) {
+                best_key = key;
+                best_idx = i;
+            }
+        }
+        best_idx
+    }
+
     /// Recursive backtracking join. `remaining` holds the atoms not yet
     /// joined; each level picks the most-bound atom (greedy ordering),
     /// probes or scans its table, and recurses with extended bindings.
-    #[allow(clippy::too_many_arguments)]
     fn search(
         db: &Database,
         remaining: &mut Vec<&Atom>,
@@ -383,164 +695,74 @@ pub(crate) mod recursive_reference {
         let table = db.table(atom.relation).expect("pre-checked relation");
 
         // Find the best bound position to drive an index probe.
-        let mut best: Option<(usize, Value, usize)> = None; // (col, value, cardinality)
+        let mut best: Option<&[u32]> = None;
         for (col, term) in atom.terms.iter().enumerate() {
             let value = match term {
                 Term::Const(c) => Some(*c),
                 Term::Var(v) => bindings.get(v).copied(),
             };
             if let Some(value) = value {
-                let card = table.probe_len(col, value);
-                if best.is_none_or(|(_, _, c)| card < c) {
-                    best = Some((col, value, card));
+                let ids = table.postings(col, value);
+                if best.is_none_or(|b| ids.len() < b.len()) {
+                    best = Some(ids);
                 }
             }
         }
 
-        match best {
-            Some((col, value, _)) => {
+        let candidates: Vec<u32> = match best {
+            Some(ids) => {
                 stats.index_probes += 1;
-                let mut ids = Vec::new();
-                table.probe_into(col, value, &mut ids);
-                for id in ids {
-                    if results.len() >= limit {
-                        break;
-                    }
-                    try_row(
-                        db,
-                        table,
-                        atom,
-                        id,
-                        remaining,
-                        constraints,
-                        bindings,
-                        limit,
-                        results,
-                        stats,
-                    );
-                }
+                ids.to_vec()
             }
             None => {
                 stats.full_scans += 1;
-                for id in 0..table.row_id_bound() {
-                    if results.len() >= limit {
-                        break;
+                (0..table.row_id_bound()).collect()
+            }
+        };
+        for id in candidates {
+            if results.len() >= limit {
+                break;
+            }
+            let mut row = Tuple::new();
+            if !table.read_row(id, &mut row) {
+                continue;
+            }
+            stats.rows_considered += 1;
+            let mut newly_bound: Vec<Var> = Vec::new();
+            let mut ok = true;
+            for (term, &value) in atom.terms.iter().zip(row.iter()) {
+                match term {
+                    Term::Const(c) => {
+                        if *c != value {
+                            ok = false;
+                            break;
+                        }
                     }
-                    try_row(
-                        db,
-                        table,
-                        atom,
-                        id,
-                        remaining,
-                        constraints,
-                        bindings,
-                        limit,
-                        results,
-                        stats,
-                    );
+                    Term::Var(v) => match bindings.get(v) {
+                        Some(&bound) => {
+                            if bound != value {
+                                ok = false;
+                                break;
+                            }
+                        }
+                        None => {
+                            bindings.insert(*v, value);
+                            newly_bound.push(*v);
+                        }
+                    },
                 }
+            }
+            if ok && constraints_hold(constraints, bindings) {
+                search(db, remaining, constraints, bindings, limit, results, stats);
+            }
+            for v in newly_bound {
+                bindings.remove(&v);
             }
         }
         remaining.push(atom);
         let last = remaining.len() - 1;
         remaining.swap(pick, last);
     }
-
-    /// Attempts to match `atom` against row `id`, extending `bindings`; on
-    /// success recurses into the remaining atoms, then undoes the extension.
-    #[allow(clippy::too_many_arguments)]
-    fn try_row(
-        db: &Database,
-        table: &dyn RowStore,
-        atom: &Atom,
-        id: u32,
-        remaining: &mut Vec<&Atom>,
-        constraints: &[Constraint],
-        bindings: &mut Valuation,
-        limit: usize,
-        results: &mut Vec<Valuation>,
-        stats: &mut EvalStats,
-    ) {
-        let mut row = Tuple::new();
-        if !table.read_row(id, &mut row) {
-            return;
-        }
-        stats.rows_considered += 1;
-        let mut newly_bound: Vec<Var> = Vec::new();
-        let mut ok = true;
-        for (term, &value) in atom.terms.iter().zip(row.iter()) {
-            match term {
-                Term::Const(c) => {
-                    if *c != value {
-                        ok = false;
-                        break;
-                    }
-                }
-                Term::Var(v) => match bindings.get(v) {
-                    Some(&bound) => {
-                        if bound != value {
-                            ok = false;
-                            break;
-                        }
-                    }
-                    None => {
-                        bindings.insert(*v, value);
-                        newly_bound.push(*v);
-                    }
-                },
-            }
-        }
-        if ok && constraints_hold(constraints, bindings) {
-            search(db, remaining, constraints, bindings, limit, results, stats);
-        }
-        for v in newly_bound {
-            bindings.remove(&v);
-        }
-    }
-}
-
-/// Greedy join ordering: pick the atom with the most bound positions;
-/// break ties toward the smaller estimated cardinality (posting list of
-/// its best bound column, or table size when nothing is bound).
-///
-/// Remaining ties are broken *structurally* — by `(relation, terms)`
-/// order — never by position in the worklist. An atom's full key
-/// therefore depends only on the atom itself and the bindings of its own
-/// variables, which makes the chosen join order invariant under
-/// re-grouping of variable-disjoint sub-conjunctions: evaluating a
-/// sub-conjunction alone picks its atoms in exactly the order the whole
-/// query would. The engine's partitioned intra-component evaluation
-/// (`eq_core::intra`) relies on this to reproduce the sequential answer
-/// choice from independently evaluated work units.
-fn choose_atom(db: &Database, remaining: &[&Atom], bindings: &Valuation) -> usize {
-    let mut best_idx = 0;
-    let mut best_key = (usize::MAX, usize::MAX); // (unbound count, cardinality)
-    for (i, atom) in remaining.iter().enumerate() {
-        let Some(table) = db.table(atom.relation) else {
-            // Defensive (relations are pre-checked): a missing relation
-            // joins zero rows — pick it immediately so the caller can
-            // terminate the search without enumerating anything.
-            return i;
-        };
-        let mut unbound = 0usize;
-        let mut card = table.len();
-        for (col, term) in atom.terms.iter().enumerate() {
-            let value = match term {
-                Term::Const(c) => Some(*c),
-                Term::Var(v) => bindings.get(v).copied(),
-            };
-            match value {
-                Some(value) => card = card.min(table.probe_len(col, value)),
-                None => unbound += 1,
-            }
-        }
-        let key = (unbound, card);
-        if key < best_key || (key == best_key && **atom < *remaining[best_idx]) {
-            best_key = key;
-            best_idx = i;
-        }
-    }
-    best_idx
 }
 
 #[cfg(test)]
@@ -751,17 +973,98 @@ mod tests {
             stats.rows_considered
         );
     }
+
+    #[test]
+    fn fully_bound_atom_is_decided_by_the_index_alone() {
+        let db = flight_db();
+        // Airlines(y, United) drives (2 rows read); Flights(y, Paris) is
+        // then fully bound: a filter, no row read.
+        let (rows, stats) = db
+            .evaluate_with_stats(
+                &[
+                    atom!("Flights", [v(0), Term::str("Paris")]),
+                    atom!("Airlines", [v(0), Term::str("United")]),
+                ],
+                usize::MAX,
+            )
+            .unwrap();
+        assert_eq!(rows.len(), 2);
+        assert_eq!(stats.rows_considered, 2);
+        assert_eq!(stats.index_probes, 3);
+    }
+
+    #[test]
+    fn filter_atoms_keep_row_multiplicity() {
+        let mut db = Database::new();
+        db.create_table("D", &["a"]).unwrap();
+        for _ in 0..3 {
+            db.insert("D", vec![Value::int(7)]).unwrap();
+        }
+        db.delete("D", &[Value::int(7)]).unwrap();
+        let (rows, stats) = db
+            .evaluate_with_stats(&[atom!("D", [Term::int(7)])], usize::MAX)
+            .unwrap();
+        assert_eq!(rows.len(), 2, "one visit per live matching row");
+        assert_eq!(stats.rows_considered, 0);
+    }
+
+    #[test]
+    fn skip_value_backjumps_to_the_binding_frame() {
+        // Small(x) binds x first, Big(x, y) then offers 10 rows per x:
+        // answering "done with this x" on every solution must leave one
+        // solution per x, and read one Big row per x instead of ten.
+        let mut db = Database::new();
+        db.create_table("Small", &["x"]).unwrap();
+        db.create_table("Big", &["x", "y"]).unwrap();
+        for x in 0..4 {
+            db.insert("Small", vec![Value::int(x)]).unwrap();
+            for y in 0..10 {
+                db.insert("Big", vec![Value::int(x), Value::int(y)])
+                    .unwrap();
+            }
+        }
+        let query = db
+            .prepare(&[atom!("Big", [v(0), v(1)]), atom!("Small", [v(0)])], &[])
+            .unwrap();
+        let x = query.slot(Var(0)).unwrap();
+        let mut seen = Vec::new();
+        let stats = query.run(&[], |solution| {
+            seen.push(solution.at(x).unwrap());
+            Visit::SkipValue(x)
+        });
+        assert_eq!(seen, (0..4).map(Value::int).collect::<Vec<_>>());
+        assert_eq!(stats.rows_considered, 4 + 4);
+        // Skipping on the variable the leaf binds changes nothing.
+        let y = query.slot(Var(1)).unwrap();
+        let mut count = 0;
+        query.run(&[], |_| {
+            count += 1;
+            Visit::SkipValue(y)
+        });
+        assert_eq!(count, 40);
+    }
 }
 
-/// Property tests: the iterative explicit-frame evaluator is
-/// **bit-for-bit** the recursive oracle — same valuations, same answer
-/// order, same [`EvalStats`] — on random databases, conjunctions,
-/// constraints, and limits. This is the equivalence the engine's
-/// "intra ≡ sequential" guarantee now rests on.
+/// Property tests for the search core against the recursive oracle, on
+/// random databases **with duplicate rows and tombstones**, random
+/// conjunctions, constraints and limits.
+///
+/// What is compared: the valuations and their **order** are bit-for-bit
+/// the oracle's (the engine's "intra ≡ sequential" guarantee rests on
+/// this), and so are `index_probes` and `full_scans` — the two searches
+/// open the same frames. `rows_considered` is *not* the oracle's by
+/// design: the oracle reads every row on the posting list it probes,
+/// the core reads only rows every known term's list agrees on (none for
+/// a filter atom), so it may only be lower. Under projection and pins
+/// the solutions are a subsequence of the full enumeration, stated
+/// below. The paged backend is held to the in-memory one, order
+/// included, by `eq_store`'s backend-equivalence proptest; by
+/// transitivity it is held to this oracle.
 #[cfg(test)]
-mod equivalence_proptests {
+mod oracle_proptests {
     use super::recursive_reference;
     use super::*;
+    use eq_ir::CmpOp;
     use proptest::prelude::*;
 
     const RELS: [&str; 3] = ["P", "Q", "S"];
@@ -789,7 +1092,10 @@ mod equivalence_proptests {
 
     #[derive(Clone, Debug)]
     struct Instance {
+        /// 32 rows over a 3 × 4 × 4 space: duplicates are the rule.
         rows: Vec<(usize, i64, i64)>,
+        /// Indexes into `rows` (modulo its length) to delete again.
+        deletes: Vec<usize>,
         atoms: Vec<Atom>,
         constraints: Vec<Constraint>,
         limit: usize,
@@ -797,13 +1103,15 @@ mod equivalence_proptests {
 
     fn arb_instance() -> impl Strategy<Value = Instance> {
         (
-            proptest::collection::vec((0..RELS.len(), 0..DOMAIN, 0..DOMAIN), 0..24),
+            proptest::collection::vec((0..RELS.len(), 0..DOMAIN, 0..DOMAIN), 0..32),
+            proptest::collection::vec(0..32usize, 0..8),
             proptest::collection::vec(arb_atom(), 0..5),
             proptest::collection::vec(arb_constraint(), 0..3),
             0..6usize,
         )
-            .prop_map(|(rows, atoms, constraints, limit)| Instance {
+            .prop_map(|(rows, deletes, atoms, constraints, limit)| Instance {
                 rows,
+                deletes,
                 atoms,
                 constraints,
                 // Exercise both bounded and exhaustive enumeration.
@@ -820,23 +1128,96 @@ mod equivalence_proptests {
             db.insert(RELS[r], vec![Value::int(a), Value::int(b)])
                 .unwrap();
         }
+        for &d in &inst.deletes {
+            if let Some(&(r, a, b)) = inst.rows.get(d % inst.rows.len().max(1)) {
+                db.delete(RELS[r], &[Value::int(a), Value::int(b)]).unwrap();
+            }
+        }
         db
     }
 
-    use eq_ir::CmpOp;
+    /// Every solution of the instance, in enumeration order.
+    fn full(db: &Database, inst: &Instance) -> Vec<Valuation> {
+        let query = db.prepare(&inst.atoms, &inst.constraints).unwrap();
+        query.collect(usize::MAX).0
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
-        fn iterative_equals_recursive_oracle(inst in arb_instance()) {
+        fn same_valuations_same_order_same_frames_as_the_oracle(inst in arb_instance()) {
             let db = build_db(&inst);
-            let (fast, fast_stats) =
-                evaluate(&db, &inst.atoms, &inst.constraints, inst.limit);
+            let (fast, fast_stats) = db
+                .prepare(&inst.atoms, &inst.constraints)
+                .unwrap()
+                .collect(inst.limit);
             let (slow, slow_stats) = recursive_reference::evaluate(
                 &db, &inst.atoms, &inst.constraints, inst.limit);
             prop_assert_eq!(&fast, &slow, "valuations (or their order) diverge");
-            prop_assert_eq!(fast_stats, slow_stats, "evaluator stats diverge");
+            prop_assert_eq!(fast_stats.index_probes, slow_stats.index_probes);
+            prop_assert_eq!(fast_stats.full_scans, slow_stats.full_scans);
+            prop_assert!(
+                fast_stats.rows_considered <= slow_stats.rows_considered,
+                "read {} rows, the oracle {}",
+                fast_stats.rows_considered,
+                slow_stats.rows_considered
+            );
+        }
+
+        #[test]
+        fn projection_keeps_every_value_and_its_first_solution(
+            inst in arb_instance(),
+            var in 0..NUM_VARS,
+        ) {
+            let db = build_db(&inst);
+            let query = db.prepare(&inst.atoms, &inst.constraints).unwrap();
+            let Some(slot) = query.slot(Var(var)) else { return Ok(()) };
+            if !inst.atoms.iter().any(|a| a.vars().any(|v| v == Var(var))) {
+                return Ok(()); // a constraint-only variable never binds
+            }
+            // "Done with this value" on every solution: what is reported
+            // is, per distinct value in first-appearance order, the
+            // first solution of the full enumeration carrying it. (A
+            // value may be reported again when a later candidate of the
+            // binding frame carries it; a projecting consumer ignores
+            // the repeat, and so does this check.)
+            let mut reported: Vec<Valuation> = Vec::new();
+            query.run(&[], |solution| {
+                reported.push(solution.to_valuation());
+                Visit::SkipValue(slot)
+            });
+            let mut seen = Vec::new();
+            reported.retain(|s| !seen.contains(&s[&Var(var)]) && { seen.push(s[&Var(var)]); true });
+            let mut firsts: Vec<Valuation> = Vec::new();
+            for s in full(&db, &inst) {
+                if !firsts.iter().any(|f| f[&Var(var)] == s[&Var(var)]) {
+                    firsts.push(s);
+                }
+            }
+            prop_assert_eq!(reported, firsts);
+        }
+
+        #[test]
+        fn pinned_run_is_the_matching_subsequence(
+            inst in arb_instance(),
+            var in 0..NUM_VARS,
+            value in 0..DOMAIN,
+        ) {
+            let db = build_db(&inst);
+            let query = db.prepare(&inst.atoms, &inst.constraints).unwrap();
+            let Some(slot) = query.slot(Var(var)) else { return Ok(()) };
+            if !inst.atoms.iter().any(|a| a.vars().any(|v| v == Var(var))) {
+                return Ok(());
+            }
+            let mut pinned: Vec<Valuation> = Vec::new();
+            query.run(&[(slot, Value::int(value))], |solution| {
+                pinned.push(solution.to_valuation());
+                Visit::Continue
+            });
+            let mut expect = full(&db, &inst);
+            expect.retain(|s| s[&Var(var)] == Value::int(value));
+            prop_assert_eq!(pinned, expect);
         }
     }
 }

@@ -27,5 +27,5 @@ mod eval;
 mod table;
 
 pub use database::{Database, DbError};
-pub use eval::{EvalStats, Valuation};
+pub use eval::{EvalStats, Prepared, Slot, Solution, Valuation, Visit};
 pub use table::{RowStore, StoreIoStats, Table, TableSchema, Tuple};

@@ -56,9 +56,11 @@ impl StoreIoStats {
 /// * Row ids are assigned densely in insertion order and never reused.
 /// * Deletion tombstones a row in place: ids stay stable, and
 ///   [`RowStore::read_row`] returns `false` for dead ids.
-/// * [`RowStore::probe_into`] yields ids in ascending insertion order
-///   (the order index postings are appended) — the evaluator's
-///   answer-order guarantee rests on this.
+/// * The index is **memory-resident** on every backend and lent out as
+///   slices: [`RowStore::postings`] yields the live ids holding a value
+///   in ascending (= insertion) order — the evaluator's answer-order
+///   guarantee rests on this, and so does its index-only membership
+///   test, which intersects posting lists without reading a row.
 /// * Arity is validated by the database layer before `push`/`delete`
 ///   reach the backend.
 pub trait RowStore: fmt::Debug + Send + Sync {
@@ -72,9 +74,6 @@ pub trait RowStore: fmt::Debug + Send + Sync {
     /// tombstones.
     fn row_id_bound(&self) -> u32;
 
-    /// True if the row id refers to a live (non-tombstoned) row.
-    fn is_live(&self, id: u32) -> bool;
-
     /// Appends a row. The caller has already validated arity.
     fn push(&mut self, row: Tuple);
 
@@ -83,13 +82,10 @@ pub trait RowStore: fmt::Debug + Send + Sync {
     /// the id is a tombstone or out of bounds.
     fn read_row(&self, id: u32, out: &mut Tuple) -> bool;
 
-    /// Replaces `out` with the ids whose column `col` equals `value`,
-    /// in insertion order.
-    fn probe_into(&self, col: usize, value: Value, out: &mut Vec<u32>);
-
-    /// Posting-list length for a probe — the evaluator's cardinality
-    /// estimate when choosing which bound column drives a lookup.
-    fn probe_len(&self, col: usize, value: Value) -> usize;
+    /// The live row ids whose column `col` equals `value`, ascending;
+    /// empty if none. Its length is the evaluator's cardinality
+    /// estimate, the slice itself its candidate cursor.
+    fn postings(&self, col: usize, value: Value) -> &[u32];
 
     /// Deletes the first occurrence of an exact tuple (tombstoning it).
     /// Returns true if a row was removed.
@@ -103,19 +99,28 @@ pub trait RowStore: fmt::Debug + Send + Sync {
         self.len() == 0
     }
 
+    /// Id of the first live row equal to `row`, decided from the index
+    /// alone: the smallest id common to every column's posting list.
+    /// `None` for a wrong-arity or zero-column tuple (no column to look
+    /// up).
+    fn find_row(&self, row: &[Value]) -> Option<u32> {
+        if row.len() != self.schema().arity() {
+            return None;
+        }
+        let mut lists: Vec<PostingCursor<'_>> = row
+            .iter()
+            .enumerate()
+            .map(|(col, &value)| PostingCursor::new(self.postings(col, value)))
+            .collect();
+        next_common(&mut lists)
+    }
+
     /// True if an exact tuple is present.
     fn contains(&self, row: &[Value]) -> bool {
-        if row.len() != self.schema().arity() {
-            return false;
-        }
         if row.is_empty() {
-            return self.len() > 0;
+            return self.schema().arity() == 0 && self.len() > 0;
         }
-        let mut ids = Vec::new();
-        self.probe_into(0, row[0], &mut ids);
-        let mut buf = Tuple::new();
-        ids.iter()
-            .any(|&id| self.read_row(id, &mut buf) && buf == row)
+        self.find_row(row).is_some()
     }
 
     /// Visits every live row in id order.
@@ -132,6 +137,61 @@ pub trait RowStore: fmt::Debug + Send + Sync {
     /// report all zeros.
     fn io_stats(&self) -> StoreIoStats {
         StoreIoStats::default()
+    }
+}
+
+/// A read position in one borrowed posting list — the unit the
+/// evaluator's frames and [`RowStore::find_row`] intersect.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PostingCursor<'a> {
+    ids: &'a [u32],
+    pos: usize,
+}
+
+impl<'a> PostingCursor<'a> {
+    pub(crate) fn new(ids: &'a [u32]) -> Self {
+        PostingCursor { ids, pos: 0 }
+    }
+
+    /// Entries not yet consumed.
+    pub(crate) fn remaining(&self) -> usize {
+        self.ids.len() - self.pos
+    }
+
+    /// Skips entries below `id`; returns the entry now under the cursor.
+    fn seek(&mut self, id: u32) -> Option<u32> {
+        self.pos += self.ids[self.pos..].partition_point(|&x| x < id);
+        self.ids.get(self.pos).copied()
+    }
+}
+
+/// Next id present in **every** list, consuming it from the first
+/// (`lists[0]` drives; callers put the shortest list there). Posting
+/// lists are ascending, so the ids come out ascending: exactly the rows
+/// a probe of any one list followed by a row-by-row comparison of the
+/// other columns would keep, in the same order, once per matching row.
+/// `None` when `lists` is empty or any list is exhausted.
+pub(crate) fn next_common(lists: &mut [PostingCursor<'_>]) -> Option<u32> {
+    let (driver, rest) = lists.split_first_mut()?;
+    let mut id = *driver.ids.get(driver.pos)?;
+    loop {
+        // The smallest entry ≥ id across the other lists that is not id
+        // itself, if any, is the next id that can still be common.
+        let mut beyond = None;
+        for list in rest.iter_mut() {
+            let at = list.seek(id)?;
+            if at != id {
+                beyond = Some(at);
+                break;
+            }
+        }
+        match beyond {
+            None => {
+                driver.pos += 1;
+                return Some(id);
+            }
+            Some(at) => id = driver.seek(at)?,
+        }
     }
 }
 
@@ -227,9 +287,9 @@ impl Table {
         self.schema.arity() == 0 || !self.rows[id as usize].is_empty()
     }
 
-    /// True if the table has no rows.
+    /// True if the table has no live rows.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
     /// Appends a row (arity already checked by the database layer).
@@ -263,12 +323,6 @@ impl Table {
             .unwrap_or(&[])
     }
 
-    /// Posting-list length for a probe — the evaluator's cardinality
-    /// estimate when choosing which bound column to drive the lookup.
-    pub fn probe_len(&self, col: usize, value: Value) -> usize {
-        self.indexes[col].get(&value).map_or(0, Vec::len)
-    }
-
     /// Deletes the first occurrence of an exact tuple, updating all
     /// indexes. Returns true if a row was removed.
     ///
@@ -276,18 +330,7 @@ impl Table {
     /// shifting ids, so existing row ids stay stable; tombstones are
     /// skipped by scans and never referenced by indexes.
     pub(crate) fn delete(&mut self, row: &[Value]) -> bool {
-        if row.len() != self.schema.arity() {
-            return false;
-        }
-        let id = if row.is_empty() {
-            return false;
-        } else {
-            self.probe(0, row[0])
-                .iter()
-                .copied()
-                .find(|&id| self.rows[id as usize] == row)
-        };
-        let Some(id) = id else {
+        let Some(id) = self.find_row(row) else {
             return false;
         };
         for (col, value) in row.iter().enumerate() {
@@ -304,19 +347,6 @@ impl Table {
     pub fn tombstone_count(&self) -> usize {
         self.tombstones
     }
-
-    /// True if an exact tuple is present.
-    pub fn contains(&self, row: &[Value]) -> bool {
-        if row.len() != self.schema.arity() {
-            return false;
-        }
-        if row.is_empty() {
-            return !self.rows.is_empty();
-        }
-        self.probe(0, row[0])
-            .iter()
-            .any(|&id| self.rows[id as usize] == row)
-    }
 }
 
 impl RowStore for Table {
@@ -330,10 +360,6 @@ impl RowStore for Table {
 
     fn row_id_bound(&self) -> u32 {
         Table::row_id_bound(self)
-    }
-
-    fn is_live(&self, id: u32) -> bool {
-        Table::is_live(self, id)
     }
 
     fn push(&mut self, row: Tuple) {
@@ -352,13 +378,8 @@ impl RowStore for Table {
         true
     }
 
-    fn probe_into(&self, col: usize, value: Value, out: &mut Vec<u32>) {
-        out.clear();
-        out.extend_from_slice(Table::probe(self, col, value));
-    }
-
-    fn probe_len(&self, col: usize, value: Value) -> usize {
-        Table::probe_len(self, col, value)
+    fn postings(&self, col: usize, value: Value) -> &[u32] {
+        Table::probe(self, col, value)
     }
 
     fn delete(&mut self, row: &[Value]) -> bool {
@@ -367,14 +388,6 @@ impl RowStore for Table {
 
     fn tombstone_count(&self) -> usize {
         Table::tombstone_count(self)
-    }
-
-    fn is_empty(&self) -> bool {
-        Table::is_empty(self)
-    }
-
-    fn contains(&self, row: &[Value]) -> bool {
-        Table::contains(self, row)
     }
 
     fn for_each_row(&self, f: &mut dyn FnMut(&[Value])) {
@@ -425,7 +438,6 @@ mod tests {
         let t = flights();
         let paris = t.probe(1, Value::str("Paris"));
         assert_eq!(paris.len(), 2);
-        assert_eq!(t.probe_len(1, Value::str("Paris")), 2);
         assert_eq!(t.probe(1, Value::str("Athens")), &[] as &[u32]);
         assert_eq!(t.probe(0, Value::int(136)), &[2]);
     }

@@ -85,6 +85,11 @@ impl PagedTable {
         (page, offset)
     }
 
+    /// True if the row id refers to a live (non-tombstoned) row.
+    pub fn is_live(&self, id: u32) -> bool {
+        self.live.get(id as usize).copied().unwrap_or(false)
+    }
+
     fn local_symbol(&mut self, s: Symbol) -> u64 {
         if let Some(&id) = self.symbol_ids.get(&s) {
             return id;
@@ -129,10 +134,6 @@ impl RowStore for PagedTable {
 
     fn row_id_bound(&self) -> u32 {
         self.rows
-    }
-
-    fn is_live(&self, id: u32) -> bool {
-        self.live.get(id as usize).copied().unwrap_or(false)
     }
 
     fn push(&mut self, row: Tuple) {
@@ -200,28 +201,13 @@ impl RowStore for PagedTable {
         matches!(decoded, Ok(true))
     }
 
-    fn probe_into(&self, col: usize, value: Value, out: &mut Vec<u32>) {
-        out.clear();
-        if let Some(ids) = self.indexes[col].get(&value) {
-            out.extend_from_slice(ids);
-        }
-    }
-
-    fn probe_len(&self, col: usize, value: Value) -> usize {
-        self.indexes[col].get(&value).map_or(0, Vec::len)
+    fn postings(&self, col: usize, value: Value) -> &[u32] {
+        self.indexes[col].get(&value).map_or(&[], Vec::as_slice)
     }
 
     fn delete(&mut self, row: &[Value]) -> bool {
-        if row.len() != self.arity || row.is_empty() {
-            return false;
-        }
-        let mut ids = Vec::new();
-        self.probe_into(0, row[0], &mut ids);
-        let mut buf = Tuple::new();
-        let Some(id) = ids
-            .into_iter()
-            .find(|&id| self.read_row(id, &mut buf) && buf == row)
-        else {
+        // Found in the memory-resident index: no page is read.
+        let Some(id) = self.find_row(row) else {
             return false;
         };
         for (col, value) in row.iter().enumerate() {
@@ -297,10 +283,8 @@ mod tests {
         t.push(vec![Value::int(1), Value::str("x")]);
         t.push(vec![Value::int(2), Value::str("x")]);
         t.push(vec![Value::int(1), Value::str("y")]);
-        let mut ids = Vec::new();
-        t.probe_into(1, Value::str("x"), &mut ids);
-        assert_eq!(ids, vec![0, 1]);
-        assert_eq!(t.probe_len(0, Value::int(1)), 2);
+        assert_eq!(t.postings(1, Value::str("x")), &[0, 1]);
+        assert_eq!(t.postings(0, Value::int(1)).len(), 2);
         assert!(t.contains(&[Value::int(1), Value::str("y")]));
 
         assert!(t.delete(&[Value::int(1), Value::str("x")]));
@@ -310,8 +294,7 @@ mod tests {
         assert!(!t.is_live(0));
         let mut buf = Tuple::new();
         assert!(!t.read_row(0, &mut buf));
-        t.probe_into(0, Value::int(1), &mut ids);
-        assert_eq!(ids, vec![2]);
+        assert_eq!(t.postings(0, Value::int(1)), &[2]);
         // Ids stay stable: a fresh push gets the next id, not id 0.
         t.push(vec![Value::int(9), Value::str("z")]);
         assert_eq!(t.row_id_bound(), 4);

@@ -7,9 +7,9 @@
 # --smoke run of every bench target (paper Figs. 6-9 + ablations), and
 # last the benchmark package that judges every perf claim (benchmark/,
 # BENCHMARK.json): its own tests and short cliques_paged and
-# giant_shared runs whose output checks must pass. Everything runs
-# offline (vendored shims only — see README "Offline-dependency
-# policy").
+# giant_shared runs (the latter at two seeds) whose output checks must
+# pass. Everything runs offline (vendored shims only — see README
+# "Offline-dependency policy").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -76,15 +76,18 @@ echo "== 13/13 benchmark package: unit tests + cliques_paged and giant_shared ru
 # The benchmark is a package of its own, outside the workspace, so no
 # step above builds it. Short runs of the workload that retires the
 # most resident state per flush and of the one giant component (region
-# split + streaming evaluation, unify_clones == 0) must still end
-# correct: pinned seed-2011 accounting, per-iteration answer hash,
-# exact layer counts.
+# split + projection, unify_clones == 0) must still end correct: pinned
+# seed-2011 accounting, per-iteration answer hash, exact layer counts.
+# The giant component runs at a second seed too: the seed is its
+# arrival order, which decides the root of the block-cut tree and so
+# every region's join order and cost.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-for workload in cliques_paged giant_shared; do
-    result=$(benchmark/run.sh --workload "$workload" --seconds 2 --trace 0 | tail -n 1)
+for run in "cliques_paged" "giant_shared" "giant_shared --seed 7"; do
+    # shellcheck disable=SC2086  # $run is a workload name plus options
+    result=$(benchmark/run.sh --workload $run --seconds 2 --trace 0 | tail -n 1)
     echo "$result"
     if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0[,}]' <<<"$result"; then
-        echo "FATAL: $workload run did not end correct with 0 failed operations" >&2
+        echo "FATAL: $run run did not end correct with 0 failed operations" >&2
         exit 1
     fi
 done
