@@ -50,9 +50,7 @@
 //!   story); an application wanting out-of-core relations re-attaches
 //!   paged backends after `open`.
 
-use crate::engine::{
-    EngineConfig, FailReason, NoSolutionPolicy, QueryHandle, QueryOutcome, SubmitOptions,
-};
+use crate::engine::{EngineConfig, FailReason, NoSolutionPolicy, QueryHandle, QueryOutcome};
 use crate::error::CoordinationError;
 use crate::service::{Coordinator, DurabilitySink, SubmitRequest};
 use eq_db::{Database, Tuple};
@@ -502,24 +500,10 @@ fn get_outcome(cur: &mut Cur<'_>) -> Result<QueryOutcome, StoreError> {
 /// One durable event. Everything the service acknowledges flows
 /// through exactly one of these.
 enum WalRecord {
-    CreateTable {
-        name: String,
-        columns: Vec<String>,
-    },
-    Load {
-        table: String,
-        rows: Vec<Tuple>,
-    },
-    Submit {
-        id: QueryId,
-        query: EntangledQuery,
-        tag: Option<String>,
-        on_no_solution: Option<NoSolutionPolicy>,
-    },
-    Outcome {
-        id: QueryId,
-        outcome: QueryOutcome,
-    },
+    CreateTable { name: String, columns: Vec<String> },
+    Load { table: String, rows: Vec<Tuple> },
+    Submit { id: QueryId, record: SubmitRecord },
+    Outcome { id: QueryId, outcome: QueryOutcome },
 }
 
 /// Encodes one record under its sequence number. The number leads the
@@ -545,17 +529,12 @@ fn encode_record(seqno: u64, rec: &WalRecord) -> Vec<u8> {
                 put_tuple(&mut out, row);
             }
         }
-        WalRecord::Submit {
-            id,
-            query,
-            tag,
-            on_no_solution,
-        } => {
+        WalRecord::Submit { id, record } => {
             out.push(3);
             put_u64(&mut out, id.0);
-            put_query(&mut out, query);
-            put_opt_str(&mut out, tag.as_deref());
-            put_policy(&mut out, *on_no_solution);
+            put_query(&mut out, &record.query);
+            put_opt_str(&mut out, record.tag.as_deref());
+            put_policy(&mut out, record.on_no_solution);
         }
         WalRecord::Outcome { id, outcome } => {
             out.push(4);
@@ -593,12 +572,12 @@ fn decode_record(bytes: &[u8]) -> Result<(u64, WalRecord), StoreError> {
             let query = get_query(&mut cur)?;
             let tag = cur.opt_str()?;
             let on_no_solution = get_policy(&mut cur)?;
-            WalRecord::Submit {
-                id,
+            let record = SubmitRecord {
                 query,
                 tag,
                 on_no_solution,
-            }
+            };
+            WalRecord::Submit { id, record }
         }
         4 => {
             let id = QueryId(cur.u64()?);
@@ -785,25 +764,25 @@ impl DurabilitySink for WalSink {
     fn record_submit(
         &mut self,
         id: QueryId,
-        query: &EntangledQuery,
+        query: EntangledQuery,
         tag: Option<&str>,
         on_no_solution: Option<NoSolutionPolicy>,
     ) {
-        let mut state = self.state.lock();
-        state.append(&WalRecord::Submit {
+        // The service's one clone is encoded from a borrow, then moves
+        // into the pending mirror.
+        let record = WalRecord::Submit {
             id,
-            query: query.clone(),
-            tag: tag.map(str::to_owned),
-            on_no_solution,
-        });
-        state.pending.insert(
-            id,
-            SubmitRecord {
-                query: query.clone(),
+            record: SubmitRecord {
+                query,
                 tag: tag.map(str::to_owned),
                 on_no_solution,
             },
-        );
+        };
+        let mut state = self.state.lock();
+        state.append(&record);
+        if let WalRecord::Submit { record, .. } = record {
+            state.pending.insert(id, record);
+        }
     }
 
     fn record_outcome(&mut self, id: QueryId, outcome: &QueryOutcome) {
@@ -935,21 +914,9 @@ impl DurableCoordinator {
                     db.insert_many(&table, rows)
                         .map_err(CoordinationError::from)?;
                 }
-                WalRecord::Submit {
-                    id,
-                    query,
-                    tag,
-                    on_no_solution,
-                } => {
+                WalRecord::Submit { id, record } => {
                     watermark = watermark.max(id.0 + 1);
-                    pending.insert(
-                        id,
-                        SubmitRecord {
-                            query,
-                            tag,
-                            on_no_solution,
-                        },
-                    );
+                    pending.insert(id, record);
                 }
                 WalRecord::Outcome { id, outcome } => {
                     pending.remove(&id);
@@ -976,11 +943,7 @@ impl DurableCoordinator {
         let mut replay: Vec<(QueryId, SubmitRecord)> = pending.into_iter().collect();
         replay.sort_by_key(|(id, _)| id.0);
         for (id, rec) in replay {
-            let opts = SubmitOptions {
-                deadline: None,
-                on_no_solution: rec.on_no_solution,
-            };
-            coordinator.recover_submit(id, rec.query, opts, rec.tag)?;
+            coordinator.recover_submit(id, rec.query, rec.on_no_solution, rec.tag)?;
         }
         coordinator.set_id_watermark(watermark);
         // Outcomes produced by recovery-time coordination (incremental
@@ -1286,9 +1249,11 @@ mod tests {
             },
             WalRecord::Submit {
                 id: QueryId(7),
-                query: query.clone(),
-                tag: Some("t".into()),
-                on_no_solution: Some(NoSolutionPolicy::KeepPending),
+                record: SubmitRecord {
+                    query,
+                    tag: Some("t".into()),
+                    on_no_solution: Some(NoSolutionPolicy::KeepPending),
+                },
             },
             WalRecord::Outcome {
                 id: QueryId(7),

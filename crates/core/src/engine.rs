@@ -47,6 +47,7 @@ use eq_unify::Unifier;
 use parking_lot::RwLock;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -346,12 +347,18 @@ pub struct BatchReport {
     pub unify_undo_high_water: u64,
 }
 
-struct PendingQuery {
-    query: EntangledQuery,
+/// A pending query and everything that travels with it — also the
+/// unit the service's shard-merge migration lifts out of one engine
+/// ([`CoordinationEngine::extract_pending`]) and re-admits in another
+/// ([`CoordinationEngine::admit_migrated`]): the live outcome sender,
+/// per-query policy, deadline and submission instant survive the move.
+pub(crate) struct PendingQuery {
+    pub(crate) query: EntangledQuery,
     sender: SyncSender<QueryOutcome>,
     /// Number of live pending heads unifying each postcondition
     /// (admission-time bookkeeping for the safety check; equals the
-    /// resident graph's in-edge count per postcondition).
+    /// resident graph's in-edge count per postcondition). Rebuilt by
+    /// the linker on every admission.
     pc_satisfiers: Vec<u32>,
     /// Per-query no-solution policy override (see [`SubmitOptions`]).
     on_no_solution: Option<NoSolutionPolicy>,
@@ -365,55 +372,60 @@ struct PendingQuery {
     submitted_at: Instant,
 }
 
-/// A pending query lifted out of one engine for re-admission in
-/// another — the service's shard-merge migration path. Carries
-/// everything retirement would have destroyed (the live outcome
-/// sender, per-query policy, deadline, submission instant) but no
-/// outcome: the query stays pending across the move.
-pub(crate) struct MigratedQuery {
-    pub(crate) id: QueryId,
-    pub(crate) query: EntangledQuery,
-    pub(crate) sender: SyncSender<QueryOutcome>,
-    pub(crate) on_no_solution: Option<NoSolutionPolicy>,
-    pub(crate) deadline: Option<Instant>,
-    pub(crate) submitted_at: Instant,
+/// Stand-in for the arriving query's own slot on a probed [`Edge`]:
+/// the probe runs before the Figure-9 verdict, and only an admitted
+/// query is given a slot.
+const ARRIVAL: u32 = u32::MAX;
+
+/// What the one admission probe ([`CoordinationEngine::probe`]) found
+/// for one arrival.
+#[derive(Default)]
+struct Probe {
+    /// Edges from the arrival's heads to resident postconditions
+    /// (`from` is [`ARRIVAL`]).
+    outgoing: Vec<Edge>,
+    /// Edges from resident heads to the arrival's postconditions (`to`
+    /// is [`ARRIVAL`]).
+    incoming: Vec<Edge>,
+    /// Resident heads found per postcondition of the arrival — the
+    /// Figure-9 count the verdict carries on with batch heads.
+    pc_hits: Vec<u32>,
+    /// Candidate edges from the arrival's heads to *other batch
+    /// members'* postconditions (MGU-verified; `to` is a batch
+    /// position, not a slot — neither endpoint is admitted when the
+    /// probe runs). Each entry is taken exactly once, when the later of
+    /// its two endpoints links.
+    batch_out: Vec<Option<Edge>>,
+    /// The resident pool alone decides Figure 9 against the arrival.
+    /// Probing stopped at that point (the edge lists are incomplete),
+    /// and the verdict is final: nothing retires during admission, so
+    /// satisfier counts only grow.
+    unsafe_resident: bool,
 }
 
-/// A unifiability edge discovered by admission probing before the
-/// submitting query has a slot: `local_atom` indexes into the new
-/// query's head (outgoing) or postcondition list (incoming), `partner`
-/// is an already-resident slot.
-struct ProbedEdge {
-    /// True: new head → partner postcondition; false: partner head →
-    /// new postcondition.
-    outgoing: bool,
-    local_atom: u32,
-    partner: u32,
-    partner_atom: u32,
-    mgu: Unifier,
+/// One arrival's turn in the admission replay: its batch position and
+/// the batch state its verdict and its links read. A single submit (and
+/// a migrated query) is a batch of one — [`Turn::alone`].
+struct Turn<'a> {
+    k: usize,
+    /// Every batch member's probe; `probes[k]` is the arrival's own.
+    probes: &'a mut [Probe],
+    /// Candidate edges from other members into this one: (source
+    /// position, index into its `batch_out`).
+    incoming: &'a [(usize, usize)],
+    /// Slot of every member admitted so far, by batch position.
+    admitted: &'a [Option<u32>],
 }
 
-/// An intra-batch candidate edge discovered by
-/// [`CoordinationEngine::submit_batch`]'s parallel probing phase: the
-/// head of the probe's owner satisfies the postcondition `pc_idx` of
-/// batch position `to` (a position, not a slot — neither endpoint is
-/// admitted yet when the probe runs).
-struct BatchEdge {
-    head_idx: u32,
-    to: usize,
-    pc_idx: u32,
-    mgu: Unifier,
-}
-
-/// Per-query result of the parallel admission-probing phase. Each
-/// `batch_out` entry is consumed (`take`n) exactly once, when the later
-/// of its two endpoints is admitted.
-struct BatchProbe {
-    /// Edges against the pre-batch resident pool.
-    resident: Vec<ProbedEdge>,
-    /// Candidate edges from this query's heads to other batch members'
-    /// postconditions (MGU-verified; admission-filtered later).
-    batch_out: Vec<Option<BatchEdge>>,
+impl<'a> Turn<'a> {
+    fn alone(probe: &'a mut [Probe; 1]) -> Self {
+        Turn {
+            k: 0,
+            probes: probe,
+            incoming: &[],
+            admitted: &[],
+        }
+    }
 }
 
 /// Immutable view over the engine's resident match state: the slot
@@ -587,42 +599,36 @@ impl CoordinationEngine {
         query: EntangledQuery,
         opts: SubmitOptions,
     ) -> Result<QueryHandle, SubmitError> {
+        query.validate().map_err(SubmitError::Invalid)?;
         self.submit_with_source(query, opts, None)
     }
 
-    /// [`CoordinationEngine::submit_with`] drawing the query id from an
-    /// optional shared counter instead of the engine-local one — the
-    /// sharded `Coordinator` routes submissions to independently locked
-    /// engines but keeps one global id sequence. The id is consumed
-    /// only after validation and the admission safety check succeed
-    /// (both are id-agnostic), so successful submissions draw exactly
-    /// one id in either mode and the sequence matches single-shard
-    /// submission bit for bit.
+    /// [`CoordinationEngine::submit_with`] for an **already validated**
+    /// query (validation is pure, so the service runs it before routing
+    /// and before any lock), drawing the query id from an optional
+    /// shared counter instead of the engine-local one — the sharded
+    /// `Coordinator` routes submissions to independently locked engines
+    /// but keeps one global id sequence. The id is consumed only after
+    /// the admission safety check succeeds (it is id-agnostic), so
+    /// successful submissions draw exactly one id in either mode and
+    /// the sequence matches single-shard submission bit for bit.
+    ///
+    /// Admission is the body of the batch replay loop
+    /// ([`CoordinationEngine::admit_probed`]) run once with an empty
+    /// batch; only the evaluation epilogue is this path's own.
     pub(crate) fn submit_with_source(
         &mut self,
         query: EntangledQuery,
         opts: SubmitOptions,
         source: Option<&AtomicU64>,
     ) -> Result<QueryHandle, SubmitError> {
-        query.validate().map_err(SubmitError::Invalid)?;
+        debug_assert!(query.validate().is_ok(), "callers validate first");
         self.expire_stale();
 
         let renamed = query.rename_apart(&self.gen);
-
-        if self.config.admission_safety_check {
-            self.check_admission_safety(&renamed)?;
-        }
-        let id = self.draw_id(source);
-        let renamed = renamed.with_id(id);
-
-        let probed = self.probe_resident(&renamed);
-        let mut partners: FastSet<u32> = FastSet::default();
-        for e in &probed {
-            partners.insert(e.partner);
-        }
-        let slot = self.allocate_slot();
-        let edges = materialize_edges(slot, probed);
-        let handle = self.admit_at(slot, renamed, edges, opts);
+        let probe = self.probe(&renamed, self.config.admission_safety_check, None);
+        let (slot, handle) =
+            self.admit_probed(renamed, opts, source, &mut Turn::alone(&mut [probe]))?;
 
         match self.config.mode {
             EngineMode::Incremental => {
@@ -640,9 +646,18 @@ impl CoordinationEngine {
                         self.process_groups(&[members]);
                     }
                     None => {
-                        let mut ordered: Vec<u32> = partners.into_iter().collect();
-                        ordered.sort_unstable();
-                        self.eager_pair(slot, &ordered);
+                        // The direct unification partners, off the
+                        // edges just linked.
+                        let graph = &self.resident;
+                        let mut partners: Vec<u32> = graph
+                            .out_edges(slot)
+                            .iter()
+                            .map(|&e| graph.edge(e).to)
+                            .chain(graph.in_edges(slot).iter().map(|&e| graph.edge(e).from))
+                            .collect();
+                        partners.sort_unstable();
+                        partners.dedup();
+                        self.eager_pair(slot, &partners);
                     }
                 }
             }
@@ -657,103 +672,254 @@ impl CoordinationEngine {
         Ok(handle)
     }
 
-    /// Discovers unifiability edges between a (renamed) incoming query
-    /// and the resident pool through the sharded atom indexes, computing
-    /// each MGU exactly once — the unifier is kept on the resident edge
-    /// and reused by every future matching run over its component.
-    /// Read-only: [`CoordinationEngine::submit_batch`] runs this phase
-    /// for many queries in parallel, each probe touching only the
-    /// shards its atoms hash to.
-    fn probe_resident(&self, renamed: &EntangledQuery) -> Vec<ProbedEdge> {
-        let mut probed = Vec::new();
-        for (ai, atom) in renamed.head.iter().enumerate() {
-            // Existing postconditions this head satisfies.
-            self.pc_index.for_each_candidate(atom, |cand, pc| {
-                if let Some(mgu) = eq_unify::mgu_atoms(atom, pc) {
-                    probed.push(ProbedEdge {
-                        outgoing: true,
-                        local_atom: ai as u32,
-                        partner: cand.query,
-                        partner_atom: cand.atom,
-                        mgu,
-                    });
-                }
-            });
-        }
+    /// The one admission probe: discovers the unifiability edges
+    /// between a (renamed) arrival and the resident pool through the
+    /// sharded atom indexes — and, inside a batch, its candidate edges
+    /// into the other members' postconditions (`batch` is the arrival's
+    /// position and the batch-local postcondition index). Every MGU
+    /// admission needs is computed here, exactly once: the unifier is
+    /// kept on the resident edge and reused by every future matching
+    /// run over its component.
+    ///
+    /// With `check` set the probe follows the Figure-9 rule edge by
+    /// edge and returns the moment the resident pool decides against
+    /// the arrival ([`Probe::unsafe_resident`]), leaving the rest of
+    /// the posting list unvisited. Postconditions go first: Figure 9's
+    /// hub arrival — a wildcard postcondition over thousands of
+    /// resident heads — is refused at its second head.
+    ///
+    /// Read-only: [`CoordinationEngine::submit_batch`] runs this for
+    /// many queries in parallel, each probe touching only the shards
+    /// its atoms hash to.
+    fn probe(
+        &self,
+        renamed: &EntangledQuery,
+        check: bool,
+        batch: Option<(usize, &AtomIndex)>,
+    ) -> Probe {
+        let mut p = Probe {
+            pc_hits: vec![0; renamed.pc_count()],
+            ..Probe::default()
+        };
+        // Leaves the posting list once an edge decides the verdict.
+        let decided = |second_satisfier: bool| {
+            if check && second_satisfier {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        };
         for (ai, atom) in renamed.postconditions.iter().enumerate() {
-            // Existing heads satisfying this postcondition.
-            self.head_index.for_each_candidate(atom, |cand, head| {
-                if let Some(mgu) = eq_unify::mgu_atoms(head, atom) {
-                    probed.push(ProbedEdge {
-                        outgoing: false,
-                        local_atom: ai as u32,
-                        partner: cand.query,
-                        partner_atom: cand.atom,
+            // Resident heads satisfying this postcondition.
+            let walk = self.head_index.try_for_each_candidate(atom, |cand, head| {
+                let Some(mgu) = eq_unify::mgu_atoms(head, atom) else {
+                    return ControlFlow::Continue(());
+                };
+                p.incoming.push(Edge {
+                    from: cand.query,
+                    head_idx: cand.atom,
+                    to: ARRIVAL,
+                    pc_idx: ai as u32,
+                    mgu,
+                });
+                decided(self.second_satisfier(&mut p.pc_hits, None, ai as u32))
+            });
+            if walk.is_break() {
+                p.unsafe_resident = true;
+                return p;
+            }
+        }
+        for (ai, atom) in renamed.head.iter().enumerate() {
+            // Resident postconditions this head satisfies.
+            let walk = self.pc_index.try_for_each_candidate(atom, |cand, pc| {
+                let Some(mgu) = eq_unify::mgu_atoms(atom, pc) else {
+                    return ControlFlow::Continue(());
+                };
+                p.outgoing.push(Edge {
+                    from: ARRIVAL,
+                    head_idx: ai as u32,
+                    to: cand.query,
+                    pc_idx: cand.atom,
+                    mgu,
+                });
+                decided(self.second_satisfier(&mut [], Some(cand.query), cand.atom))
+            });
+            if walk.is_break() {
+                p.unsafe_resident = true;
+                return p;
+            }
+            let Some((k, batch_pcs)) = batch else {
+                continue;
+            };
+            batch_pcs.for_each_candidate(atom, |cand, pc| {
+                // No self-coordination.
+                if cand.query as usize == k {
+                    return;
+                }
+                if let Some(mgu) = eq_unify::mgu_atoms(atom, pc) {
+                    p.batch_out.push(Some(Edge {
+                        from: ARRIVAL,
+                        head_idx: ai as u32,
+                        to: cand.query,
+                        pc_idx: cand.atom,
                         mgu,
-                    });
+                    }));
                 }
             });
         }
-        probed
+        p
     }
 
-    /// Installs an admitted query at `slot`: satisfier bookkeeping,
-    /// atom indexing, resident-graph linking (merging partner
-    /// components and marking the result dirty), id/status/staleness
-    /// registration. `edges` must already use real slots at both
-    /// endpoints.
-    fn admit_at(
+    /// The §3.1.1 / Figure-9 rule, one edge at a time: is a further
+    /// head on this postcondition its **second** satisfier? `owner:
+    /// None` names a postcondition of the arrival itself, whose heads so
+    /// far are counted in `own_hits` (this one included); `Some(slot)`
+    /// names a pending query's, whose `pc_satisfiers` counter
+    /// [`CoordinationEngine::link_probed`] keeps current.
+    fn second_satisfier(&self, own_hits: &mut [u32], owner: Option<u32>, pc: u32) -> bool {
+        match owner {
+            None => {
+                own_hits[pc as usize] += 1;
+                own_hits[pc as usize] >= 2
+            }
+            Some(slot) => {
+                let owner = self.slots[slot as usize].as_ref();
+                owner.expect("live during admission").pc_satisfiers[pc as usize] >= 1
+            }
+        }
+    }
+
+    /// The Figure-9 verdict for the arrival whose turn it is: admitting
+    /// it must not give any postcondition — its own or a pending
+    /// query's — two or more unifying heads. Decided from the probe
+    /// alone (all MGU work is done): residents are all still live
+    /// during admission, and batch members count once admitted, which
+    /// makes this the sequential check run at the arrival's position in
+    /// submission order.
+    fn is_unsafe(&self, turn: &mut Turn<'_>) -> bool {
+        let Turn {
+            k,
+            probes,
+            incoming,
+            admitted,
+        } = turn;
+        if probes[*k].unsafe_resident {
+            return true;
+        }
+        // Own postconditions: the probe counted the resident heads;
+        // heads of earlier-admitted batch members count from there.
+        let mut hits = std::mem::take(&mut probes[*k].pc_hits);
+        for &(src, i) in incoming.iter() {
+            if admitted[src].is_some() {
+                let e = probes[src].batch_out[i].as_ref();
+                let pc = e.expect("unconsumed candidate").pc_idx;
+                if self.second_satisfier(&mut hits, None, pc) {
+                    return true;
+                }
+            }
+        }
+        // Own heads: re-read the resident counters (earlier batch
+        // members may have linked in since the probe), then ask the
+        // admitted batch members'.
+        let probe = &probes[*k];
+        let resident = probe.outgoing.iter().map(|e| (e.to, e.pc_idx));
+        let batch = probe.batch_out.iter().flatten();
+        let batch = batch.filter_map(|e| admitted[e.to as usize].map(|to| (to, e.pc_idx)));
+        resident
+            .chain(batch)
+            .any(|(to, pc)| self.second_satisfier(&mut [], Some(to), pc))
+    }
+
+    /// The admission core — the body of [`CoordinationEngine::submit_batch`]'s
+    /// replay loop, which a single submit runs once with an empty
+    /// batch: decide Figure 9 from the probe, draw the id, link.
+    /// Returns the new slot with the handle.
+    fn admit_probed(
         &mut self,
-        slot: u32,
         renamed: EntangledQuery,
-        edges: Vec<Edge>,
         opts: SubmitOptions,
-    ) -> QueryHandle {
-        let id = renamed.id;
-        let (tx, rx) = sync_channel(1);
-        self.admit_slot(
-            slot,
-            renamed,
-            edges,
-            tx,
-            opts.on_no_solution,
-            opts.deadline,
-            Instant::now(),
-        );
-        QueryHandle { id, outcome: rx }
+        source: Option<&AtomicU64>,
+        turn: &mut Turn<'_>,
+    ) -> Result<(u32, QueryHandle), SubmitError> {
+        if self.config.admission_safety_check && self.is_unsafe(turn) {
+            return Err(SubmitError::Unsafe);
+        }
+        let id = self.draw_id(source);
+        let (sender, outcome) = sync_channel(1);
+        let pending = PendingQuery {
+            query: renamed.with_id(id),
+            sender,
+            pc_satisfiers: Vec::new(),
+            on_no_solution: opts.on_no_solution,
+            deadline: opts.deadline,
+            submitted_at: Instant::now(),
+        };
+        Ok((self.link_probed(pending, turn), QueryHandle { id, outcome }))
     }
 
-    /// [`CoordinationEngine::admit_at`] with an externally supplied
-    /// outcome channel and timestamps — shared by fresh admission
-    /// (which creates the channel) and shard migration (which must
-    /// preserve the original one along with the query's real
-    /// submission instant and deadline).
-    #[allow(clippy::too_many_arguments)]
-    fn admit_slot(
-        &mut self,
-        slot: u32,
-        renamed: EntangledQuery,
-        edges: Vec<Edge>,
-        sender: SyncSender<QueryOutcome>,
-        on_no_solution: Option<NoSolutionPolicy>,
-        deadline: Option<Instant>,
-        submitted_at: Instant,
-    ) {
-        let id = renamed.id;
+    /// Turns a probe into a linked slot — where fresh, batched and
+    /// migrated admission all end. The probed edges get their real
+    /// endpoints (resident edges in probe order, heads before
+    /// postconditions, then the intra-batch edges whose other end is
+    /// already admitted), then: satisfier bookkeeping, atom indexing,
+    /// resident-graph linking (merging partner components and marking
+    /// the result dirty), id/status/staleness registration under the
+    /// query's own id, deadline and submission instant.
+    fn link_probed(&mut self, mut pending: PendingQuery, turn: &mut Turn<'_>) -> u32 {
+        let slot = self.allocate_slot();
+        let Turn {
+            k,
+            probes,
+            incoming,
+            admitted,
+        } = turn;
+        let mut edges = std::mem::take(&mut probes[*k].outgoing);
+        edges.append(&mut probes[*k].incoming);
+        for e in &mut edges {
+            if e.from == ARRIVAL {
+                e.from = slot;
+            } else {
+                e.to = slot;
+            }
+        }
+        // Edges from earlier-admitted batch members into this query.
+        for &(src, i) in incoming.iter() {
+            if let Some(from) = admitted[src] {
+                let e = probes[src].batch_out[i].take();
+                let e = e.expect("intra-batch edge consumed once");
+                edges.push(Edge {
+                    from,
+                    to: slot,
+                    ..e
+                });
+            }
+        }
+        // Edges from this query to earlier-admitted batch members. The
+        // candidates left behind target later members, which take them
+        // through their own `incoming` when they admit.
+        for e in probes[*k].batch_out.iter_mut() {
+            if let Some(to) = e.as_ref().and_then(|e| admitted[e.to as usize]) {
+                let e = e.take().expect("checked above");
+                edges.push(Edge {
+                    from: slot,
+                    to,
+                    ..e
+                });
+            }
+        }
 
         // Satisfier counters follow the discovered edges.
-        let mut pc_satisfiers = vec![0u32; renamed.pc_count()];
+        pending.pc_satisfiers = vec![0u32; pending.query.pc_count()];
         for e in &edges {
             if e.from == slot {
                 if let Some(p) = self.slots[e.to as usize].as_mut() {
                     p.pc_satisfiers[e.pc_idx as usize] += 1;
                 }
             } else {
-                pc_satisfiers[e.pc_idx as usize] += 1;
+                pending.pc_satisfiers[e.pc_idx as usize] += 1;
             }
         }
-
-        for (ai, atom) in renamed.head.iter().enumerate() {
+        for (ai, atom) in pending.query.head.iter().enumerate() {
             self.head_index.insert(
                 AtomRef {
                     query: slot,
@@ -762,7 +928,7 @@ impl CoordinationEngine {
                 atom,
             );
         }
-        for (ai, atom) in renamed.postconditions.iter().enumerate() {
+        for (ai, atom) in pending.query.postconditions.iter().enumerate() {
             self.pc_index.insert(
                 AtomRef {
                     query: slot,
@@ -771,25 +937,20 @@ impl CoordinationEngine {
                 atom,
             );
         }
-        self.slots[slot as usize] = Some(PendingQuery {
-            query: renamed,
-            sender,
-            pc_satisfiers,
-            on_no_solution,
-            deadline,
-            submitted_at,
-        });
-        self.resident.link(slot, edges);
-        self.by_id.insert(id, slot);
-        self.statuses.insert(id, QueryStatus::Pending);
+        let id = pending.query.id;
         // Only `expire_stale` under a staleness bound ever pops this
         // queue; without one it would grow for the engine's lifetime.
         if self.config.staleness.is_some() {
-            self.age_queue.push_back((submitted_at, id));
+            self.age_queue.push_back((pending.submitted_at, id));
         }
-        if let Some(deadline) = deadline {
+        if let Some(deadline) = pending.deadline {
             self.deadlines.push(Reverse((deadline, id)));
         }
+        self.slots[slot as usize] = Some(pending);
+        self.resident.link(slot, edges);
+        self.by_id.insert(id, slot);
+        self.statuses.insert(id, QueryStatus::Pending);
+        slot
     }
 
     /// Removes every pending query matching `pred` from this engine
@@ -802,7 +963,7 @@ impl CoordinationEngine {
     pub(crate) fn extract_pending(
         &mut self,
         mut pred: impl FnMut(&EntangledQuery) -> bool,
-    ) -> Vec<MigratedQuery> {
+    ) -> Vec<PendingQuery> {
         let victims: Vec<u32> = self
             .slots
             .iter()
@@ -812,20 +973,12 @@ impl CoordinationEngine {
         let mut out = Vec::with_capacity(victims.len());
         for slot in victims {
             let pending = self.detach(slot).expect("victim slot live");
-            let id = pending.query.id;
             // The Pending status entry travels with the query; the
             // destination re-inserts it on admission.
-            self.statuses.remove(&id);
-            out.push(MigratedQuery {
-                id,
-                query: pending.query,
-                sender: pending.sender,
-                on_no_solution: pending.on_no_solution,
-                deadline: pending.deadline,
-                submitted_at: pending.submitted_at,
-            });
+            self.statuses.remove(&pending.query.id);
+            out.push(pending);
         }
-        out.sort_by_key(|m| m.id);
+        out.sort_by_key(|m| m.query.id);
         out
     }
 
@@ -841,20 +994,10 @@ impl CoordinationEngine {
     /// submission that caused the merge (or the next flush) picks it
     /// up. Callers re-admitting a batch must call
     /// [`CoordinationEngine::resort_age_queue`] afterwards.
-    pub(crate) fn admit_migrated(&mut self, m: MigratedQuery) {
-        let renamed = m.query.rename_apart(&self.gen).with_id(m.id);
-        let probed = self.probe_resident(&renamed);
-        let slot = self.allocate_slot();
-        let edges = materialize_edges(slot, probed);
-        self.admit_slot(
-            slot,
-            renamed,
-            edges,
-            m.sender,
-            m.on_no_solution,
-            m.deadline,
-            m.submitted_at,
-        );
+    pub(crate) fn admit_migrated(&mut self, mut m: PendingQuery) {
+        m.query = m.query.rename_apart(&self.gen);
+        let probe = self.probe(&m.query, false, None);
+        self.link_probed(m, &mut Turn::alone(&mut [probe]));
     }
 
     /// Restores the age queue's monotone-time invariant after migrated
@@ -873,11 +1016,13 @@ impl CoordinationEngine {
     /// worker pool ([`EngineConfig::flush_threads`]; the sharded atom
     /// indexes make the probes read-disjoint per `(relation, arity)`
     /// shard). A cheap sequential pass then replays admission in
-    /// submission order, so ids, safety decisions, and linked edges are
-    /// the same as `n` individual [`CoordinationEngine::submit`] calls
-    /// would produce.
+    /// submission order through the same core a single
+    /// [`CoordinationEngine::submit`] runs, so ids, safety decisions,
+    /// and linked edges are the same as `n` individual submits would
+    /// produce.
     ///
-    /// Differences from sequential submission, by design:
+    /// Admission is one path; what differs from sequential submission,
+    /// by design, is the **evaluation epilogue**:
     ///
     /// * evaluation is deferred to the end of the batch — in
     ///   incremental mode every component the batch dirtied is
@@ -898,11 +1043,29 @@ impl CoordinationEngine {
         &mut self,
         batch: Vec<(EntangledQuery, SubmitOptions)>,
     ) -> Vec<Result<QueryHandle, SubmitError>> {
-        self.submit_batch_with_source(batch, None)
+        // Structurally invalid entries are refused in place; the rest
+        // is the batch.
+        let refused: Vec<Option<SubmitError>> = batch
+            .iter()
+            .map(|(q, _)| q.validate().err().map(SubmitError::Invalid))
+            .collect();
+        let valid = batch
+            .into_iter()
+            .zip(&refused)
+            .filter_map(|(entry, refused)| refused.is_none().then_some(entry))
+            .collect();
+        let mut admitted = self.submit_batch_with_source(valid, None).into_iter();
+        refused
+            .into_iter()
+            .map(|refused| match refused {
+                Some(e) => Err(e),
+                None => admitted.next().expect("one result per valid query"),
+            })
+            .collect()
     }
 
-    /// [`CoordinationEngine::submit_batch`] drawing ids from an
-    /// optional shared counter — see
+    /// [`CoordinationEngine::submit_batch`] for **already validated**
+    /// queries, drawing ids from an optional shared counter — see
     /// [`CoordinationEngine::submit_with_source`].
     pub(crate) fn submit_batch_with_source(
         &mut self,
@@ -912,27 +1075,24 @@ impl CoordinationEngine {
         self.expire_stale();
         let n = batch.len();
 
-        // Sequential prepass: validate and rename in submission order,
-        // so fresh variables are drawn exactly as sequential submits
-        // would draw them.
-        let mut opts_v: Vec<SubmitOptions> = Vec::with_capacity(n);
-        let mut prepared: Vec<Result<EntangledQuery, ValidationError>> = Vec::with_capacity(n);
-        for (query, opts) in batch {
-            opts_v.push(opts);
-            match query.validate() {
-                Ok(()) => prepared.push(Ok(query.rename_apart(&self.gen))),
-                Err(e) => prepared.push(Err(e)),
-            }
-        }
+        // Rename in submission order, so fresh variables are drawn
+        // exactly as sequential submits would draw them.
+        let renamed: Vec<(EntangledQuery, SubmitOptions)> = batch
+            .into_iter()
+            .map(|(query, opts)| {
+                debug_assert!(query.validate().is_ok(), "callers validate first");
+                (query.rename_apart(&self.gen), opts)
+            })
+            .collect();
 
         // Batch-local postcondition index: the probe target for
-        // intra-batch edge discovery. Building it is hashing only (no
-        // MGU work); the MGU-heavy probes against it run in phase A.
-        let mut batch_pcs = AtomIndex::new();
-        for (k, prep) in prepared.iter().enumerate() {
-            if let Ok(q) = prep {
+        // intra-batch edge discovery (hashing only; the MGU work runs
+        // in phase A). A batch of one has no other member to find.
+        let batch_pcs = (n > 1).then(|| {
+            let mut index = AtomIndex::new();
+            for (k, (q, _)) in renamed.iter().enumerate() {
                 for (ai, atom) in q.postconditions.iter().enumerate() {
-                    batch_pcs.insert(
+                    index.insert(
                         AtomRef {
                             query: k as u32,
                             atom: ai as u32,
@@ -941,103 +1101,51 @@ impl CoordinationEngine {
                     );
                 }
             }
-        }
+            index
+        });
 
         // Phase A (parallel, read-only): per query, discover edges
         // against the pre-batch resident pool and candidate edges
-        // against the rest of the batch.
-        let mut probes = self.probe_batch(&prepared, &batch_pcs);
+        // against the rest of the batch. Workers claim queries from a
+        // shared cursor (a single query is probed inline).
+        let check = self.config.admission_safety_check;
+        let work: Vec<usize> = (0..n).collect();
+        let threads = self.config.effective_flush_threads();
+        let mut probed = pool::parallel_claim(&work, threads, None, |k| {
+            self.probe(&renamed[k].0, check, batch_pcs.as_ref().map(|ix| (k, ix)))
+        });
+        probed.sort_unstable_by_key(|&(k, _)| k);
+        let mut probes: Vec<Probe> = probed.into_iter().map(|(_, probe)| probe).collect();
 
         // Incoming intra-batch candidates per target: (source batch
         // position, index into its batch_out list).
         let mut batch_in: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
         for (k, probe) in probes.iter().enumerate() {
-            if let Some(p) = probe {
-                for (i, e) in p.batch_out.iter().enumerate() {
-                    if let Some(e) = e {
-                        batch_in[e.to].push((k, i));
-                    }
+            for (i, e) in probe.batch_out.iter().enumerate() {
+                if let Some(e) = e {
+                    batch_in[e.to as usize].push((k, i));
                 }
             }
         }
 
         // Phase B (sequential, submission order): replay admission —
-        // id assignment, safety decisions against residents + admitted
-        // batch members, slot allocation, linking. All MGUs were
+        // safety decisions against residents + admitted batch members,
+        // id assignment, slot allocation, linking. All MGUs were
         // computed in phase A; this pass is counters and hash inserts.
         let mut results: Vec<Result<QueryHandle, SubmitError>> = Vec::with_capacity(n);
-        let mut admitted_slot: Vec<Option<u32>> = vec![None; n];
-        let mut admitted_count = 0usize;
-        for k in 0..n {
-            // The placeholder is never read back: each entry is
-            // consumed exactly once, in this iteration.
-            let renamed = match std::mem::replace(&mut prepared[k], Err(ValidationError::EmptyHead))
-            {
-                Ok(q) => q,
-                Err(e) => {
-                    results.push(Err(SubmitError::Invalid(e)));
-                    continue;
-                }
+        let mut admitted: Vec<Option<u32>> = vec![None; n];
+        for (k, (query, opts)) in renamed.into_iter().enumerate() {
+            let mut turn = Turn {
+                k,
+                probes: &mut probes,
+                incoming: &batch_in[k],
+                admitted: &admitted,
             };
-            let probe = probes[k].take().expect("valid queries were probed");
-
-            if self.config.admission_safety_check
-                && self.batch_is_unsafe(&renamed, &probe, &batch_in[k], &probes, &admitted_slot)
-            {
-                results.push(Err(SubmitError::Unsafe));
-                continue;
-            }
-
-            let id = self.draw_id(source);
-            let slot = self.allocate_slot();
-            let mut edges = materialize_edges(slot, probe.resident);
-            // Edges from earlier-admitted batch members into this query.
-            for &(src, i) in &batch_in[k] {
-                let Some(from_slot) = admitted_slot[src] else {
-                    continue;
-                };
-                let e = probes[src]
-                    .as_mut()
-                    .and_then(|p| p.batch_out[i].take())
-                    .expect("intra-batch edge consumed once");
-                edges.push(Edge {
-                    from: from_slot,
-                    head_idx: e.head_idx,
-                    to: slot,
-                    pc_idx: e.pc_idx,
-                    mgu: e.mgu,
-                });
-            }
-            // Edges from this query to earlier-admitted batch members.
-            let mut batch_out = probe.batch_out;
-            for e in batch_out.iter_mut() {
-                let Some(to_slot) = e.as_ref().and_then(|e| admitted_slot[e.to]) else {
-                    continue;
-                };
-                let e = e.take().expect("checked above");
-                edges.push(Edge {
-                    from: slot,
-                    head_idx: e.head_idx,
-                    to: to_slot,
-                    pc_idx: e.pc_idx,
-                    mgu: e.mgu,
-                });
-            }
-            // Remaining candidates target later batch members; they are
-            // consumed from `batch_in` when those members admit.
-            probes[k] = Some(BatchProbe {
-                resident: Vec::new(),
-                batch_out,
-            });
-
-            results.push(Ok(self.admit_at(
-                slot,
-                renamed.with_id(id),
-                edges,
-                opts_v[k],
-            )));
-            admitted_slot[k] = Some(slot);
-            admitted_count += 1;
+            let result = self.admit_probed(query, opts, source, &mut turn);
+            results.push(result.map(|(slot, handle)| {
+                admitted[k] = Some(slot);
+                handle
+            }));
         }
 
         // Evaluation epilogue, once for the whole batch.
@@ -1061,165 +1169,13 @@ impl CoordinationEngine {
                 }
             }
             EngineMode::SetAtATime { batch_size } => {
-                self.submissions_since_flush += admitted_count;
+                self.submissions_since_flush += admitted.iter().flatten().count();
                 if batch_size > 0 && self.submissions_since_flush >= batch_size {
                     self.flush();
                 }
             }
         }
         results
-    }
-
-    /// Phase A of [`CoordinationEngine::submit_batch`]: probe the
-    /// resident indexes and the batch-local postcondition index for
-    /// every valid query, on the flush worker pool. Read-only over the
-    /// engine; workers claim queries from a shared atomic cursor.
-    fn probe_batch(
-        &self,
-        prepared: &[Result<EntangledQuery, ValidationError>],
-        batch_pcs: &AtomIndex,
-    ) -> Vec<Option<BatchProbe>> {
-        let work: Vec<usize> = prepared
-            .iter()
-            .enumerate()
-            .filter_map(|(k, p)| p.is_ok().then_some(k))
-            .collect();
-        let probe_one = |k: usize| -> BatchProbe {
-            let q = prepared[k].as_ref().expect("work items are valid");
-            let resident = self.probe_resident(q);
-            let mut batch_out = Vec::new();
-            for (ai, atom) in q.head.iter().enumerate() {
-                batch_pcs.for_each_candidate(atom, |cand, pc| {
-                    if cand.query as usize == k {
-                        return; // no self-coordination
-                    }
-                    if let Some(mgu) = eq_unify::mgu_atoms(atom, pc) {
-                        batch_out.push(Some(BatchEdge {
-                            head_idx: ai as u32,
-                            to: cand.query as usize,
-                            pc_idx: cand.atom,
-                            mgu,
-                        }));
-                    }
-                });
-            }
-            BatchProbe {
-                resident,
-                batch_out,
-            }
-        };
-
-        let mut out: Vec<Option<BatchProbe>> = Vec::with_capacity(prepared.len());
-        out.resize_with(prepared.len(), || None);
-        let threads = self.config.effective_flush_threads();
-        for (k, probe) in pool::parallel_claim(&work, threads, None, probe_one) {
-            out[k] = Some(probe);
-        }
-        out
-    }
-
-    /// The admission safety check of [`CoordinationEngine::submit_batch`]'s
-    /// sequential pass, equivalent to
-    /// [`CoordinationEngine::check_admission_safety`] run at this
-    /// query's position in submission order: heads of residents and of
-    /// *earlier-admitted* batch members count, with all MGU work
-    /// already done in phase A.
-    fn batch_is_unsafe(
-        &self,
-        renamed: &EntangledQuery,
-        probe: &BatchProbe,
-        incoming: &[(usize, usize)],
-        probes: &[Option<BatchProbe>],
-        admitted_slot: &[Option<u32>],
-    ) -> bool {
-        // Each of the query's postconditions must unify with at most
-        // one live head (residents are all still live during admission;
-        // batch heads count once their owner is admitted).
-        let mut hits = vec![0u32; renamed.pc_count()];
-        for e in &probe.resident {
-            if !e.outgoing {
-                hits[e.local_atom as usize] += 1;
-            }
-        }
-        for &(src, i) in incoming {
-            if admitted_slot[src].is_some() {
-                let e = probes[src]
-                    .as_ref()
-                    .and_then(|p| p.batch_out[i].as_ref())
-                    .expect("unconsumed candidate");
-                hits[e.pc_idx as usize] += 1;
-            }
-        }
-        if hits.iter().any(|&h| h >= 2) {
-            return true;
-        }
-        // Each of the query's heads must not give a live postcondition
-        // a second satisfier. `pc_satisfiers` counters are kept current
-        // by `admit_at` as earlier batch members link in.
-        for e in &probe.resident {
-            if e.outgoing {
-                let owner = self.slots[e.partner as usize]
-                    .as_ref()
-                    .expect("resident slot live during admission");
-                if owner.pc_satisfiers[e.partner_atom as usize] >= 1 {
-                    return true;
-                }
-            }
-        }
-        for e in probe.batch_out.iter().flatten() {
-            let Some(to_slot) = admitted_slot[e.to] else {
-                continue;
-            };
-            let owner = self.slots[to_slot as usize]
-                .as_ref()
-                .expect("admitted batch slot live");
-            if owner.pc_satisfiers[e.pc_idx as usize] >= 1 {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Admission safety check (Figure 9): reject the query if admitting
-    /// it would give any postcondition (its own or a pending query's)
-    /// two or more unifying heads. Probes visit index candidates in
-    /// place ([`ShardedAtomIndex::for_each_candidate`]) — no per-probe
-    /// allocation on this hot path.
-    fn check_admission_safety(&self, q: &EntangledQuery) -> Result<(), SubmitError> {
-        // Each of q's postconditions must unify with at most one pending
-        // head.
-        for pc in &q.postconditions {
-            let mut hits = 0u32;
-            self.head_index.for_each_candidate(pc, |_, head| {
-                if hits < 2 && eq_unify::mgu_atoms(head, pc).is_some() {
-                    hits += 1;
-                }
-            });
-            if hits >= 2 {
-                return Err(SubmitError::Unsafe);
-            }
-        }
-        // Each of q's heads must not give a pending postcondition a
-        // second satisfier.
-        for head in &q.head {
-            let mut second_satisfier = false;
-            self.pc_index.for_each_candidate(head, |cand, pc| {
-                if second_satisfier || eq_unify::mgu_atoms(head, pc).is_none() {
-                    return;
-                }
-                let owner = self.slots[cand.query as usize].as_ref().expect("live slot");
-                if owner.pc_satisfiers[cand.atom as usize] >= 1 {
-                    second_satisfier = true;
-                }
-            });
-            if second_satisfier {
-                return Err(SubmitError::Unsafe);
-            }
-        }
-        // Within-query ambiguity: two of q's own heads unifying one of
-        // its postconditions is impossible to form (self-edges are
-        // excluded), so nothing to check.
-        Ok(())
     }
 
     /// Fails and removes every pending query older than the engine-wide
@@ -1776,34 +1732,6 @@ impl EngineConfig {
     }
 }
 
-/// Converts probed edges into resident [`Edge`]s once the submitting
-/// query's slot is known, preserving probe order (heads before
-/// postconditions — the order sequential submission links in).
-fn materialize_edges(slot: u32, probed: Vec<ProbedEdge>) -> Vec<Edge> {
-    probed
-        .into_iter()
-        .map(|e| {
-            if e.outgoing {
-                Edge {
-                    from: slot,
-                    head_idx: e.local_atom,
-                    to: e.partner,
-                    pc_idx: e.partner_atom,
-                    mgu: e.mgu,
-                }
-            } else {
-                Edge {
-                    from: e.partner,
-                    head_idx: e.partner_atom,
-                    to: slot,
-                    pc_idx: e.local_atom,
-                    mgu: e.mgu,
-                }
-            }
-        })
-        .collect()
-}
-
 /// Evaluates independent match-graph components (§4.1.2) on a sharded
 /// `std::thread` worker pool. `indices` selects which entries of
 /// `components` to process (the engine routes at-or-above-threshold
@@ -2023,6 +1951,19 @@ mod tests {
         db
     }
 
+    /// Everything a refused admission must leave untouched: the id
+    /// watermark, slot table, resident edges and both atom indexes.
+    fn admission_footprint(e: &CoordinationEngine) -> [usize; 5] {
+        e.check_invariants().unwrap();
+        [
+            e.next_id as usize,
+            e.slot_capacity(),
+            e.resident_edge_count(),
+            e.head_index.len(),
+            e.pc_index.len(),
+        ]
+    }
+
     #[test]
     fn incremental_pair_coordinates_on_second_arrival() {
         let mut engine = CoordinationEngine::new(flight_db(), EngineConfig::default());
@@ -2152,6 +2093,29 @@ mod tests {
             .submit(q("{} R(Kramer, ITH) <- F(w, Paris)"))
             .unwrap_err();
         assert_eq!(err, SubmitError::Unsafe);
+
+        // Figure 9's shape: k resident heads on one hub, and an arrival
+        // whose wildcard postcondition unifies with all of them. Both
+        // entry points refuse it the same way and leave no trace.
+        for i in 0..5 {
+            let resident = format!("{{R(Ghost{i}, HUB)}} R(Res{i}, HUB) <- F(h{i}, Paris)");
+            engine.submit(q(&resident)).unwrap();
+        }
+        let arrival = q("{R(x, HUB)} R(Att, Elsewhere) <- F(x, Paris)");
+        let before = admission_footprint(&engine);
+        assert_eq!(
+            engine.submit(arrival.clone()).unwrap_err(),
+            SubmitError::Unsafe
+        );
+        assert_eq!(admission_footprint(&engine), before);
+        let mut batched = engine.submit_batch(vec![(arrival.clone(), SubmitOptions::default())]);
+        assert_eq!(batched.pop().unwrap().unwrap_err(), SubmitError::Unsafe);
+        assert_eq!(admission_footprint(&engine), before);
+        // The probe stops unifying at the verdict — the second head —
+        // and finds all five when nothing is being decided.
+        let renamed = arrival.rename_apart(&engine.gen);
+        assert_eq!(engine.probe(&renamed, true, None).incoming.len(), 2);
+        assert_eq!(engine.probe(&renamed, false, None).incoming.len(), 5);
     }
 
     #[test]
@@ -2585,6 +2549,27 @@ mod tests {
         }
         bat.check_invariants().unwrap();
         seq.check_invariants().unwrap();
+
+        // One resident head on a hub, then a second head and a wildcard
+        // arrival: the batch member supplies the arrival's second hit
+        // exactly as the sequential submit before it does, and the
+        // refusal leaves both engines as they were.
+        let resident = "{R(Ghost, HUB)} R(Res, HUB) <- F(r, Paris)";
+        let member = "{R(Ghost2, HUB)} R(Mem, HUB) <- F(m, Paris)";
+        let arrival = "{R(w, HUB)} R(Att, Elsewhere) <- F(w, Paris)";
+        seq.submit(q(resident)).unwrap();
+        bat.submit(q(resident)).unwrap();
+        let member_id = seq.submit(q(member)).unwrap().id;
+        let before = admission_footprint(&seq);
+        assert_eq!(seq.submit(q(arrival)).unwrap_err(), SubmitError::Unsafe);
+        assert_eq!(admission_footprint(&seq), before);
+        let mut results = bat.submit_batch(vec![
+            (q(member), SubmitOptions::default()),
+            (q(arrival), SubmitOptions::default()),
+        ]);
+        assert_eq!(results.pop().unwrap().unwrap_err(), SubmitError::Unsafe);
+        assert_eq!(results.pop().unwrap().unwrap().id, member_id);
+        assert_eq!(admission_footprint(&bat), before);
     }
 
     #[test]

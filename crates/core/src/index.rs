@@ -48,6 +48,7 @@
 
 use eq_ir::{Atom, FastMap, Symbol, Term, Value};
 use std::collections::hash_map::Entry;
+use std::ops::ControlFlow;
 
 /// Reference to one atom: which query (by caller-chosen slot) and which
 /// atom position within that query's head or postcondition list.
@@ -302,19 +303,34 @@ impl AtomIndex {
     /// [`AtomRef`] in between — and free of duplicates: an atom appears
     /// in exactly one of the exact/wildcard lists for a given position.
     pub fn for_each_candidate(&self, probe: &Atom, mut f: impl FnMut(AtomRef, &Atom)) {
+        let _ = self.try_for_each_candidate(probe, |r, atom| {
+            f(r, atom);
+            ControlFlow::Continue(())
+        });
+    }
+
+    /// [`AtomIndex::for_each_candidate`] with an early exit: the visit
+    /// stops at the first `Break`, which is returned — how a decided
+    /// admission probe leaves a hub's posting list unwalked.
+    pub(crate) fn try_for_each_candidate(
+        &self,
+        probe: &Atom,
+        mut f: impl FnMut(AtomRef, &Atom) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         let mut visit = |key: Key| {
             let Some(list) = self.lists.get(&key) else {
-                return;
+                return ControlFlow::Continue(());
             };
             for &id in &list.ids {
                 if let Some((r, atom)) = self.slab.live(id) {
                     // Also filters by arity: lists are keyed by
                     // relation, not by relation and arity.
                     if atom.positionally_compatible(probe) {
-                        f(r, atom);
+                        f(r, atom)?;
                     }
                 }
             }
+            ControlFlow::Continue(())
         };
 
         let best = probe
@@ -324,16 +340,16 @@ impl AtomIndex {
             .filter_map(|(i, t)| t.as_const().map(|c| (i as u32, c)))
             .min_by_key(|&(pos, val)| self.union_len(probe.relation, pos, val));
         let Some((position, val)) = best else {
-            visit(Key::whole_relation(probe.relation));
-            return;
+            return visit(Key::whole_relation(probe.relation));
         };
         for value in [KeyValue::Exact(val), KeyValue::Wildcard] {
             visit(Key {
                 relation: probe.relation,
                 position,
                 value,
-            });
+            })?;
         }
+        ControlFlow::Continue(())
     }
 
     /// Live atoms in `L(R, position, value) ∪ L(R, position, Δ)`.
@@ -449,6 +465,15 @@ impl ShardedAtomIndex {
         self.shard_for(probe).for_each_candidate(probe, f);
     }
 
+    /// Early-exit visit (see [`AtomIndex::try_for_each_candidate`]).
+    pub(crate) fn try_for_each_candidate(
+        &self,
+        probe: &Atom,
+        f: impl FnMut(AtomRef, &Atom) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        self.shard_for(probe).try_for_each_candidate(probe, f)
+    }
+
     /// Materialized candidate list (see [`AtomIndex::candidates`]).
     pub fn candidates(&self, probe: &Atom) -> Vec<AtomRef> {
         self.shard_for(probe).candidates(probe)
@@ -513,6 +538,15 @@ mod tests {
         // Probe R(a, y): candidates are atoms compatible in both columns.
         let probe = atom!("R", [Term::str("a"), Term::str("y")]);
         assert_eq!(idx.candidates(&probe), vec![r(1, 0), r(2, 0)]);
+        // An early exit stops the visit where it breaks, before the
+        // wildcard list is reached.
+        let mut seen = Vec::new();
+        let walk = idx.try_for_each_candidate(&probe, |cand, _| {
+            seen.push(cand);
+            ControlFlow::Break(())
+        });
+        assert!(walk.is_break());
+        assert_eq!(seen, vec![r(1, 0)]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! Four call sites share it — the cross-component flush shard
 //! (`engine::sharded_process`), batched admission probing
-//! (`engine::probe_batch`), intra-component work-unit evaluation
+//! (`engine::submit_batch`), intra-component work-unit evaluation
 //! (`intra::evaluate_plan`), and the parallel matching seed phase
 //! (`matching::match_component_threads`) — so claim semantics, the
 //! sequential fallback, and panic propagation live in exactly one

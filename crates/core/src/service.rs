@@ -90,7 +90,7 @@ use crate::coordinate::RejectReason;
 use crate::dispatch::Dispatcher;
 use crate::engine::{
     BatchReport, CoordinationEngine, EngineConfig, FailReason, NoSolutionPolicy, QueryHandle,
-    QueryOutcome, QueryStatus, SubmitOptions,
+    QueryOutcome, QueryStatus, SubmitError, SubmitOptions,
 };
 use crate::error::CoordinationError;
 use crate::safety::SafetyViolation;
@@ -297,7 +297,7 @@ pub(crate) trait DurabilitySink: Send {
     fn record_submit(
         &mut self,
         id: QueryId,
-        query: &EntangledQuery,
+        query: EntangledQuery,
         tag: Option<&str>,
         on_no_solution: Option<NoSolutionPolicy>,
     );
@@ -922,40 +922,41 @@ impl Coordinator {
         &self,
         request: SubmitRequest,
     ) -> Result<QueryHandle, CoordinationError> {
-        let opts = request.to_options(Instant::now());
-        let result = self.submit_routed(request.query, opts, request.tag, true);
+        let result = self.submit_routed(request, true);
         self.shared.dispatcher.drain();
         result
     }
 
-    /// Routes one submission to its shard and admits it there. The
-    /// fast path resolves the query's keys under the router read lock
-    /// and holds that guard across the shard operation; unknown keys
-    /// or a group-spanning query take the write path, where groups
-    /// merge and losing shards migrate.
+    /// Validates one submission, routes it to its shard and admits it
+    /// there. Validation — the one pure step — goes first: a
+    /// structurally invalid request interns no key, merges no group and
+    /// takes no lock. The fast path then resolves the query's keys
+    /// under the router read lock and holds that guard across the shard
+    /// operation; unknown keys or a group-spanning query take the write
+    /// path, where groups merge and losing shards migrate.
     fn submit_routed(
         &self,
-        query: EntangledQuery,
-        opts: SubmitOptions,
-        tag: Option<String>,
+        request: SubmitRequest,
         record: bool,
     ) -> Result<QueryHandle, CoordinationError> {
+        request.query.validate().map_err(SubmitError::Invalid)?;
+        let now = Instant::now();
         if self.shared.shards.len() == 1 {
             let mut inner = self.shared.shards[0].lock();
-            return self.admit_in(&mut inner, query, opts, tag, record);
+            return self.admit_in(&mut inner, request, now, record);
         }
-        let keys = Router::query_keys(&query);
+        let keys = Router::query_keys(&request.query);
         {
             let router = self.shared.router.read();
             if let Some(shard) = router.resolve(&keys) {
                 let mut inner = self.shared.shards[shard].lock();
-                return self.admit_in(&mut inner, query, opts, tag, record);
+                return self.admit_in(&mut inner, request, now, record);
             }
         }
         let mut router = self.shared.router.write();
         let shard = self.route_and_migrate(&mut router, &keys);
         let mut inner = self.shared.shards[shard].lock();
-        self.admit_in(&mut inner, query, opts, tag, record)
+        self.admit_in(&mut inner, request, now, record)
     }
 
     /// Write-path routing: merges the key groups, and — when the
@@ -991,13 +992,13 @@ impl Coordinator {
                 .engine
                 .extract_pending(|q| snapshot.root_of(q) == Some(route.root));
             for m in &lifted {
-                if let Some(tag) = guard.tags.remove(&m.id) {
-                    moved_tags.push((m.id, tag));
+                if let Some(tag) = guard.tags.remove(&m.query.id) {
+                    moved_tags.push((m.query.id, tag));
                 }
             }
             migrated.extend(lifted);
         }
-        migrated.sort_by_key(|m| m.id);
+        migrated.sort_by_key(|m| m.query.id);
         let winner = guards
             .iter_mut()
             .find(|(i, _)| *i == route.shard)
@@ -1012,41 +1013,18 @@ impl Coordinator {
         route.shard
     }
 
-    /// Admission under a held shard guard: draw the id from the global
-    /// counter, record to the durability sink (inside the shard's
-    /// critical section, before the handle escapes — the
-    /// record-before-visibility contract), register the tag, and stage
-    /// any outcomes this submission produced (incremental mode
-    /// coordinates inline).
+    /// Single submission under a held shard guard: the one-request case
+    /// of [`Coordinator::admit_batch_in`], with sequential submission's
+    /// evaluation epilogue.
     fn admit_in(
         &self,
         inner: &mut ShardInner,
-        query: EntangledQuery,
-        opts: SubmitOptions,
-        tag: Option<String>,
+        request: SubmitRequest,
+        now: Instant,
         record: bool,
     ) -> Result<QueryHandle, CoordinationError> {
-        // The sink needs the query after the engine consumes it; pay
-        // for the clone only when durability is on.
-        let logged =
-            (record && self.shared.has_sink.load(Ordering::Relaxed)).then(|| query.clone());
-        let result = inner
-            .engine
-            .submit_with_source(query, opts, Some(&self.shared.next_id));
-        if let Ok(handle) = &result {
-            if let Some(query) = logged {
-                if let Some(sink) = self.shared.sink.lock().as_mut() {
-                    sink.record_submit(handle.id, &query, tag.as_deref(), opts.on_no_solution);
-                }
-            }
-            if let Some(tag) = tag {
-                inner.tags.insert(handle.id, tag);
-            }
-        }
-        // Stage after the submit record: an incremental-mode outcome of
-        // this very submission must land in the log *after* it.
-        self.stage_outcomes(inner);
-        result.map_err(CoordinationError::from)
+        let results = self.admit_batch_in(inner, vec![request], now, true, record);
+        results.into_iter().next().expect("one result per request")
     }
 
     pub(crate) fn submit_batch_request(
@@ -1063,10 +1041,13 @@ impl Coordinator {
         requests: Vec<SubmitRequest>,
     ) -> Vec<Result<QueryHandle, CoordinationError>> {
         let now = Instant::now();
-        if self.shared.shards.len() == 1 {
-            let mut inner = self.shared.shards[0].lock();
-            return self.admit_batch_in(&mut inner, requests, now);
-        }
+        // Validation first, as for a single submission: an invalid
+        // request is refused in place and never reaches the router.
+        let mut out: Vec<Option<Result<QueryHandle, CoordinationError>>> = requests
+            .iter()
+            .map(|r| r.query.validate().err())
+            .map(|refused| refused.map(|e| Err(SubmitError::Invalid(e).into())))
+            .collect();
         // Sharded: route the whole batch under the router write lock
         // (merges between batch members included), then admit each
         // maximal run of consecutive same-shard requests as one engine
@@ -1076,38 +1057,43 @@ impl Coordinator {
         // probe (earlier runs are resident by then). Requests on
         // different shards are provably edge-free (different key
         // groups), so per-shard admission loses no coordination.
-        let mut router = self.shared.router.write();
-        for request in &requests {
-            let keys = Router::query_keys(&request.query);
-            if router.resolve(&keys).is_none() {
-                self.route_and_migrate(&mut router, &keys);
-            }
-        }
-        // Final placement per request: a later merge in the routing
-        // pass may have moved a group routed earlier.
-        let shards: Vec<usize> = requests
-            .iter()
-            .map(|r| {
-                router
-                    .resolve(&Router::query_keys(&r.query))
-                    .expect("every batch key group was routed above")
-            })
-            .collect();
-        let n = requests.len();
-        let mut out: Vec<Option<Result<QueryHandle, CoordinationError>>> =
-            (0..n).map(|_| None).collect();
-        let mut run: Vec<(usize, SubmitRequest)> = Vec::new();
-        for (i, request) in requests.into_iter().enumerate() {
-            if let Some(&(j, _)) = run.first() {
-                if shards[j] != shards[i] {
-                    self.admit_run(&mut run, &shards, &mut out, now);
+        let router = (self.shared.shards.len() > 1).then(|| {
+            let mut router = self.shared.router.write();
+            let valid = requests
+                .iter()
+                .zip(&out)
+                .filter(|(_, refused)| refused.is_none());
+            for (request, _) in valid {
+                let keys = Router::query_keys(&request.query);
+                if router.resolve(&keys).is_none() {
+                    self.route_and_migrate(&mut router, &keys);
                 }
+            }
+            router
+        });
+        let mut run: Vec<(usize, SubmitRequest)> = Vec::new();
+        let mut run_shard = 0;
+        for (i, request) in requests.into_iter().enumerate() {
+            if out[i].is_some() {
+                continue;
+            }
+            // Placement is read after the whole routing pass: a later
+            // merge may have moved a group routed earlier.
+            let shard = router.as_ref().map_or(0, |router| {
+                let keys = Router::query_keys(&request.query);
+                router
+                    .resolve(&keys)
+                    .expect("every batch key group was routed above")
+            });
+            if shard != run_shard {
+                self.admit_run(&mut run, run_shard, &mut out, now);
+                run_shard = shard;
             }
             run.push((i, request));
         }
-        self.admit_run(&mut run, &shards, &mut out, now);
+        self.admit_run(&mut run, run_shard, &mut out, now);
         out.into_iter()
-            .map(|r| r.expect("every request admitted in some run"))
+            .map(|r| r.expect("every request was refused or admitted in some run"))
             .collect()
     }
 
@@ -1116,67 +1102,71 @@ impl Coordinator {
     fn admit_run(
         &self,
         run: &mut Vec<(usize, SubmitRequest)>,
-        shards: &[usize],
+        shard: usize,
         out: &mut [Option<Result<QueryHandle, CoordinationError>>],
         now: Instant,
     ) {
         if run.is_empty() {
             return;
         }
-        let shard = shards[run[0].0];
         let (positions, batch): (Vec<usize>, Vec<SubmitRequest>) = run.drain(..).unzip();
         let mut inner = self.shared.shards[shard].lock();
-        let results = self.admit_batch_in(&mut inner, batch, now);
+        let results = self.admit_batch_in(&mut inner, batch, now, false, true);
         for (pos, result) in positions.into_iter().zip(results) {
             out[pos] = Some(result);
         }
     }
 
-    /// Batch admission under a held shard guard — the batched
-    /// counterpart of [`Coordinator::admit_in`].
+    /// Admission under a held shard guard, written once for every entry
+    /// point: engine admission with ids drawn from the global counter,
+    /// the durability record (inside the shard's critical section,
+    /// before any handle escapes — the record-before-visibility
+    /// contract), tag registration, and staging of whatever outcomes
+    /// the admission produced (incremental mode coordinates inline).
+    /// The requests are validated. `sequential` admits the one request
+    /// of a single submission, with its evaluation epilogue instead of
+    /// the batch's; `record: false` is recovery replay, whose records
+    /// the log already holds.
     fn admit_batch_in(
         &self,
         inner: &mut ShardInner,
         requests: Vec<SubmitRequest>,
         now: Instant,
+        sequential: bool,
+        record: bool,
     ) -> Vec<Result<QueryHandle, CoordinationError>> {
-        let mut tags: Vec<Option<String>> = Vec::with_capacity(requests.len());
-        let mut opts_list: Vec<SubmitOptions> = Vec::with_capacity(requests.len());
-        let logged: Option<Vec<EntangledQuery>> = self
-            .shared
-            .has_sink
-            .load(Ordering::Relaxed)
-            .then(|| requests.iter().map(|r| r.query.clone()).collect());
-        let batch: Vec<(EntangledQuery, SubmitOptions)> = requests
+        // The sink needs each query after the engine consumes it; pay
+        // for the one clone only when durability is on.
+        let log = record && self.shared.has_sink.load(Ordering::Relaxed);
+        let mut logged = Vec::with_capacity(requests.len());
+        let mut batch: Vec<(EntangledQuery, SubmitOptions)> = requests
             .into_iter()
             .map(|r| {
                 let opts = r.to_options(now);
-                tags.push(r.tag);
-                opts_list.push(opts);
+                logged.push((log.then(|| r.query.clone()), r.tag, opts.on_no_solution));
                 (r.query, opts)
             })
             .collect();
-        let results = inner
-            .engine
-            .submit_batch_with_source(batch, Some(&self.shared.next_id));
-        {
-            let mut sink = self.shared.sink.lock();
-            for (i, (result, tag)) in results.iter().zip(tags).enumerate() {
-                if let Ok(handle) = result {
-                    if let (Some(sink), Some(queries)) = (sink.as_mut(), logged.as_ref()) {
-                        sink.record_submit(
-                            handle.id,
-                            &queries[i],
-                            tag.as_deref(),
-                            opts_list[i].on_no_solution,
-                        );
-                    }
-                    if let Some(tag) = tag {
-                        inner.tags.insert(handle.id, tag);
-                    }
+        let ids = Some(&self.shared.next_id);
+        let results = if sequential {
+            let (query, opts) = batch.pop().expect("a single submission");
+            vec![inner.engine.submit_with_source(query, opts, ids)]
+        } else {
+            inner.engine.submit_batch_with_source(batch, ids)
+        };
+        for (result, (query, tag, policy)) in results.iter().zip(logged) {
+            let Ok(handle) = result else { continue };
+            if let Some(query) = query {
+                if let Some(sink) = self.shared.sink.lock().as_mut() {
+                    sink.record_submit(handle.id, query, tag.as_deref(), policy);
                 }
             }
+            if let Some(tag) = tag {
+                inner.tags.insert(handle.id, tag);
+            }
         }
+        // Stage after the submit records: an incremental-mode outcome
+        // of these very submissions must land in the log *after* them.
         self.stage_outcomes(inner);
         results
             .into_iter()
@@ -1209,11 +1199,16 @@ impl Coordinator {
         &self,
         id: QueryId,
         query: EntangledQuery,
-        opts: SubmitOptions,
+        on_no_solution: Option<NoSolutionPolicy>,
         tag: Option<String>,
     ) -> Result<QueryHandle, CoordinationError> {
         self.shared.next_id.fetch_max(id.0, Ordering::Relaxed);
-        let handle = self.submit_routed(query, opts, tag, false)?;
+        let request = SubmitRequest {
+            on_no_solution,
+            tag,
+            ..SubmitRequest::new(query)
+        };
+        let handle = self.submit_routed(request, false)?;
         debug_assert_eq!(handle.id, id, "recovery must reproduce the logged id");
         Ok(handle)
     }
@@ -1927,6 +1922,61 @@ mod tests {
         let evs = events.drain();
         let moved = evs.iter().find(|e| e.tag() == Some("moved")).unwrap();
         assert!(matches!(**moved, Event::Answered { .. }));
+    }
+
+    #[test]
+    fn invalid_spanning_request_is_refused_before_routing() {
+        // Two disjoint groups pending on different shards; a
+        // structurally invalid query naming both must not merge them,
+        // migrate anything, or take a shard lock — through either
+        // entry point.
+        let coordinator = Coordinator::new(
+            flight_db(),
+            EngineConfig {
+                mode: crate::engine::EngineMode::SetAtATime { batch_size: 0 },
+                service_shards: 4,
+                ..Default::default()
+            },
+        );
+        let mut session = coordinator.session();
+        session
+            .submit(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"))
+            .unwrap();
+        session
+            .submit(q("{S(George, u)} S(Elaine, u) <- F(u, Rome)"))
+            .unwrap();
+        let spanning = || {
+            let mut bad = q("{S(Newman, w)} R(Newman, w) <- F(w, Paris)");
+            bad.body.clear(); // `w` is no longer range-restricted
+            bad
+        };
+        let per_shard_pending = || -> Vec<usize> {
+            let shards = coordinator.shared.shards.iter();
+            shards.map(|s| s.lock().engine.pending_count()).collect()
+        };
+        let acquisitions = || -> Vec<u64> {
+            let stats = coordinator.shard_lock_stats();
+            stats.iter().map(|s| s.acquisitions).collect()
+        };
+        let pending_before = per_shard_pending();
+        assert_eq!(pending_before.iter().filter(|&&n| n == 1).count(), 2);
+        let interned_before = coordinator.shared.router.read().index.len();
+        let locks_before = acquisitions();
+
+        let err = session.submit(spanning()).unwrap_err();
+        assert!(matches!(err, CoordinationError::Invalid(_)), "{err:?}");
+        let mut results = session.submit_batch(vec![SubmitRequest::new(spanning())]);
+        let err = results.pop().unwrap().unwrap_err();
+        assert!(matches!(err, CoordinationError::Invalid(_)), "{err:?}");
+
+        assert_eq!(acquisitions(), locks_before, "no shard lock taken");
+        assert_eq!(
+            coordinator.shared.router.read().index.len(),
+            interned_before,
+            "no key interned"
+        );
+        assert_eq!(per_shard_pending(), pending_before, "nothing migrated");
+        coordinator.check_invariants().unwrap();
     }
 
     #[test]

@@ -6,9 +6,9 @@
 # unifier, the small-stack evaluator regression (RUST_MIN_STACK), a
 # --smoke run of every bench target (paper Figs. 6-9 + ablations), and
 # last the benchmark package that judges every perf claim (benchmark/,
-# BENCHMARK.json): its own tests and short cliques_paged and
-# giant_shared runs (the latter at two seeds) whose output checks must
-# pass. Everything runs offline (vendored shims only — see README
+# BENCHMARK.json): its own tests and short pairs_incremental,
+# churn_sharded, cliques_paged and giant_shared runs (the last at two
+# seeds) whose output checks must pass. Everything runs offline (vendored shims only — see README
 # "Offline-dependency policy").
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -72,9 +72,12 @@ for bench in fig6_two_way fig7_postconditions fig8_stress fig9_safety ablation; 
     cargo bench -q --offline -p eq_bench --bench "$bench" -- --smoke
 done
 
-echo "== 13/13 benchmark package: unit tests + cliques_paged and giant_shared runs with their output checks =="
+echo "== 13/13 benchmark package: unit tests + four short workload runs with their output checks =="
 # The benchmark is a package of its own, outside the workspace, so no
-# step above builds it. Short runs of the workload that retires the
+# step above builds it. The admission path runs both ways:
+# pairs_incremental is the only workload that drives one `submit` per
+# query, churn_sharded sends tiny batches through router, rendezvous
+# and migration. Then short runs of the workload that retires the
 # most resident state per flush and of the one giant component (region
 # split + projection, unify_clones == 0) must still end correct: pinned
 # seed-2011 accounting, per-iteration answer hash, exact layer counts.
@@ -82,7 +85,7 @@ echo "== 13/13 benchmark package: unit tests + cliques_paged and giant_shared ru
 # arrival order, which decides the root of the block-cut tree and so
 # every region's join order and cost.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-for run in "cliques_paged" "giant_shared" "giant_shared --seed 7"; do
+for run in "pairs_incremental" "churn_sharded" "cliques_paged" "giant_shared" "giant_shared --seed 7"; do
     # shellcheck disable=SC2086  # $run is a workload name plus options
     result=$(benchmark/run.sh --workload $run --seconds 2 --trace 0 | tail -n 1)
     echo "$result"
