@@ -70,9 +70,10 @@ impl ResidentGraph {
         self.live_edges
     }
 
-    /// Number of live components.
+    /// Number of live components. O(1): every freed slab entry sits on
+    /// `free_comps` exactly once (`check_invariants` recounts the slab).
     pub fn component_count(&self) -> usize {
-        self.comps.iter().filter(|c| c.is_some()).count()
+        self.comps.len() - self.free_comps.len()
     }
 
     /// Number of currently dirty components.
@@ -457,8 +458,10 @@ impl ResidentGraph {
                 }
             }
         }
+        let mut seen_comps = 0usize;
         for (id, comp) in self.comps.iter().enumerate() {
             let Some(comp) = comp else { continue };
+            seen_comps += 1;
             if comp.members.is_empty() {
                 return Err(format!("component {id} is live but empty"));
             }
@@ -470,6 +473,12 @@ impl ResidentGraph {
                     ));
                 }
             }
+        }
+        if seen_comps != self.component_count() {
+            return Err(format!(
+                "component_count {} != slab count {seen_comps}",
+                self.component_count()
+            ));
         }
         for (slot, &c) in self.comp_of.iter().enumerate() {
             if c == NO_COMP {

@@ -282,30 +282,51 @@ impl Event {
 }
 
 /// The durability hook: a write-ahead recorder consulted inside the
-/// owning shard's critical section at the two points that define the
-/// crash-recovery contract — after a submission is admitted (before
-/// its handle is released to the caller) and when a terminal outcome
-/// is drained (before its event is staged for dispatch).
-/// `eq_core::durable` installs a WAL-backed implementation; the trait
-/// stays crate-private so the recording points cannot be bypassed or
-/// reordered from outside.
+/// owning critical section at the points that define the
+/// crash-recovery contract — after a batch of submissions is admitted
+/// (before any handle is released to the caller), when terminal
+/// outcomes are drained (before the first of their events is staged
+/// for dispatch), and after a bulk load (before the database lock is
+/// released). Each call is *encode into a buffer, commit once*: one
+/// log frame per service call. `eq_core::durable` installs a
+/// WAL-backed implementation; the trait stays crate-private so the
+/// recording points cannot be bypassed or reordered from outside.
 pub(crate) trait DurabilitySink: Send {
-    /// An admitted submission: `id` was assigned and the caller is
-    /// about to be handed its handle. Deadlines are deliberately not
-    /// recorded — wall-clock instants don't survive a restart; a
-    /// recovered query re-enters the pool deadline-free.
-    fn record_submit(
+    /// Encodes one submission about to be offered to the engine, from
+    /// a borrow (the engine consumes the query). Deadlines are
+    /// deliberately not recorded — wall-clock instants don't survive a
+    /// restart; a recovered query re-enters the pool deadline-free.
+    fn stage_submit(
         &mut self,
-        id: QueryId,
-        query: EntangledQuery,
+        staged: &mut StagedSubmits,
+        query: &EntangledQuery,
         tag: Option<&str>,
         on_no_solution: Option<NoSolutionPolicy>,
     );
-    /// A terminal outcome, drained from the engine's outcome log and
-    /// not yet staged for broadcast.
-    fn record_outcome(&mut self, id: QueryId, outcome: &QueryOutcome);
-    /// A successful bulk load into `table`.
-    fn record_load(&mut self, table: &str, rows: &[Tuple]);
+    /// Commits the staged submissions the engine admitted: `admitted`
+    /// yields, in staging order, the id each one drew or `None` for a
+    /// refused one, whose bytes are discarded.
+    fn commit_submits(
+        &mut self,
+        staged: &StagedSubmits,
+        admitted: &mut dyn Iterator<Item = Option<QueryId>>,
+    );
+    /// Commits terminal outcomes drained from the engine's outcome log
+    /// and not yet staged for broadcast.
+    fn commit_outcomes(&mut self, outcomes: &[(QueryId, QueryOutcome)]);
+    /// Encodes a bulk load into `record`, from a borrow of the rows.
+    fn stage_load(&mut self, record: &mut Vec<u8>, table: &str, rows: &[Tuple]);
+    /// Commits a staged load that succeeded.
+    fn commit_load(&mut self, record: &[u8]);
+}
+
+/// Submission records encoded ahead of admission, back to back; the
+/// `i`-th ends at `ends[i]`. Owned by the shard, so the buffers are
+/// reused from batch to batch under the shard lock.
+#[derive(Default)]
+pub(crate) struct StagedSubmits {
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) ends: Vec<usize>,
 }
 
 /// One engine shard: a slice of the pending pool behind its own lock.
@@ -315,6 +336,7 @@ pub(crate) trait DurabilitySink: Send {
 struct ShardInner {
     engine: CoordinationEngine,
     tags: FastMap<QueryId, String>,
+    staged: StagedSubmits,
 }
 
 /// Sentinel shard for a union-find group that has not been placed yet.
@@ -521,7 +543,7 @@ struct ServiceShared {
     /// section without a global service lock.
     sink: Mutex<Option<Box<dyn DurabilitySink>>>,
     /// Lock-free mirror of `sink.is_some()` — submission fast paths
-    /// consult it to decide whether to clone the query for logging.
+    /// consult it to decide whether to encode the query for logging.
     has_sink: AtomicBool,
 }
 
@@ -551,6 +573,7 @@ impl Coordinator {
                 Mutex::new(ShardInner {
                     engine: CoordinationEngine::with_shared_db(Arc::clone(&db), config.clone()),
                     tags: FastMap::default(),
+                    staged: StagedSubmits::default(),
                 })
             })
             .collect();
@@ -819,17 +842,26 @@ impl Coordinator {
     /// lock acquisition and one revision bump
     /// ([`Database::insert_many`]).
     pub fn load(&self, table: &str, rows: Vec<Tuple>) -> Result<usize, CoordinationError> {
-        let logged = self
-            .shared
-            .has_sink
-            .load(Ordering::Relaxed)
-            .then(|| rows.clone());
-        let inserted = self.shared.db.write().insert_many(table, rows)?;
+        // The durable record is encoded from a borrow, before
+        // `insert_many` takes the rows and outside the database lock.
+        let logged = self.shared.has_sink.load(Ordering::Relaxed);
+        let mut record = Vec::new();
+        if logged {
+            if let Some(sink) = self.shared.sink.lock().as_mut() {
+                sink.stage_load(&mut record, table, &rows);
+            }
+        }
+        let mut db = self.shared.db.write();
         // Only a load that actually happened is recorded; a refused one
         // (unknown table, arity mismatch) leaves no trace to replay.
-        if let Some(rows) = logged {
+        let inserted = db.insert_many(table, rows)?;
+        // Logged before the write guard goes: a checkpoint (which reads
+        // the database) can then never fold these rows into its image
+        // and leave their record above its watermark to be replayed on
+        // top of them.
+        if logged {
             if let Some(sink) = self.shared.sink.lock().as_mut() {
-                sink.record_load(table, &rows);
+                sink.commit_load(&record);
             }
         }
         Ok(inserted)
@@ -889,11 +921,14 @@ impl Coordinator {
     fn stage_outcomes(&self, inner: &mut ShardInner) {
         let outcomes = inner.engine.drain_outcome_log();
         if !outcomes.is_empty() {
+            // Two passes: the whole drain is logged, as one frame,
+            // before its first event is enqueued — a concurrent
+            // dispatcher drain can never publish an unlogged outcome.
             let mut sink = self.shared.sink.lock();
+            if let Some(sink) = sink.as_mut() {
+                sink.commit_outcomes(&outcomes);
+            }
             for (id, outcome) in outcomes {
-                if let Some(sink) = sink.as_mut() {
-                    sink.record_outcome(id, &outcome);
-                }
                 let tag = inner.tags.remove(&id);
                 let event = match outcome {
                     QueryOutcome::Answered(answer) => Event::Answered { id, tag, answer },
@@ -1135,15 +1170,30 @@ impl Coordinator {
         sequential: bool,
         record: bool,
     ) -> Vec<Result<QueryHandle, CoordinationError>> {
-        // The sink needs each query after the engine consumes it; pay
-        // for the one clone only when durability is on.
+        // The engine consumes each query, so its durable record is
+        // encoded from a borrow first; the id it draws (or its refusal)
+        // is settled at commit.
         let log = record && self.shared.has_sink.load(Ordering::Relaxed);
-        let mut logged = Vec::with_capacity(requests.len());
+        if log {
+            inner.staged.bytes.clear();
+            inner.staged.ends.clear();
+            if let Some(sink) = self.shared.sink.lock().as_mut() {
+                for r in &requests {
+                    sink.stage_submit(
+                        &mut inner.staged,
+                        &r.query,
+                        r.tag.as_deref(),
+                        r.on_no_solution,
+                    );
+                }
+            }
+        }
+        let mut tags = Vec::with_capacity(requests.len());
         let mut batch: Vec<(EntangledQuery, SubmitOptions)> = requests
             .into_iter()
             .map(|r| {
                 let opts = r.to_options(now);
-                logged.push((log.then(|| r.query.clone()), r.tag, opts.on_no_solution));
+                tags.push(r.tag);
                 (r.query, opts)
             })
             .collect();
@@ -1154,14 +1204,14 @@ impl Coordinator {
         } else {
             inner.engine.submit_batch_with_source(batch, ids)
         };
-        for (result, (query, tag, policy)) in results.iter().zip(logged) {
-            let Ok(handle) = result else { continue };
-            if let Some(query) = query {
-                if let Some(sink) = self.shared.sink.lock().as_mut() {
-                    sink.record_submit(handle.id, query, tag.as_deref(), policy);
-                }
+        if log {
+            if let Some(sink) = self.shared.sink.lock().as_mut() {
+                let mut admitted = results.iter().map(|r| r.as_ref().ok().map(|h| h.id));
+                sink.commit_submits(&inner.staged, &mut admitted);
             }
-            if let Some(tag) = tag {
+        }
+        for (result, tag) in results.iter().zip(tags) {
+            if let (Ok(handle), Some(tag)) = (result, tag) {
                 inner.tags.insert(handle.id, tag);
             }
         }
@@ -1420,6 +1470,101 @@ mod tests {
         )
         .unwrap();
         db
+    }
+
+    /// A sink that only watches the recording points: it logs each
+    /// commit with the dispatch queue's high-water mark at that moment.
+    /// (Holding the coordinator it is installed in leaks the pair — a
+    /// test-only cycle.)
+    struct ProbeSink {
+        coordinator: Coordinator,
+        commits: Arc<Mutex<Vec<(&'static str, u64)>>>,
+    }
+
+    impl ProbeSink {
+        fn install(coordinator: &Coordinator) -> Arc<Mutex<Vec<(&'static str, u64)>>> {
+            let commits = Arc::default();
+            coordinator.install_sink(Box::new(ProbeSink {
+                coordinator: coordinator.clone(),
+                commits: Arc::clone(&commits),
+            }));
+            commits
+        }
+
+        fn note(&self, what: &'static str) {
+            let peak = self.coordinator.dispatch_queue_peak();
+            self.commits.lock().push((what, peak));
+        }
+    }
+
+    impl DurabilitySink for ProbeSink {
+        fn stage_submit(
+            &mut self,
+            staged: &mut StagedSubmits,
+            _: &EntangledQuery,
+            _: Option<&str>,
+            _: Option<NoSolutionPolicy>,
+        ) {
+            staged.ends.push(0);
+        }
+
+        fn commit_submits(
+            &mut self,
+            staged: &StagedSubmits,
+            admitted: &mut dyn Iterator<Item = Option<QueryId>>,
+        ) {
+            assert_eq!(admitted.count(), staged.ends.len(), "a verdict per query");
+            self.note("submits");
+        }
+
+        fn commit_outcomes(&mut self, _: &[(QueryId, QueryOutcome)]) {
+            self.note("outcomes");
+        }
+
+        fn stage_load(&mut self, _: &mut Vec<u8>, _: &str, _: &[Tuple]) {}
+
+        fn commit_load(&mut self, _: &[u8]) {
+            // The load‖checkpoint race: a checkpoint reads the database
+            // under its read lock. If that lock can be had here, a
+            // checkpoint could fold the just-inserted rows into its image
+            // with this record still above its watermark.
+            assert!(
+                self.coordinator.shared.db.try_read().is_none(),
+                "the load record must be committed under the database write guard"
+            );
+            self.note("load");
+        }
+    }
+
+    #[test]
+    fn load_is_logged_while_the_database_write_guard_is_held() {
+        let coordinator = batch_coordinator(flight_db());
+        let commits = ProbeSink::install(&coordinator);
+        let n = coordinator
+            .load("F", vec![vec![Value::int(200), Value::str("Oslo")]])
+            .unwrap();
+        assert_eq!(n, 1);
+        // A refused load commits nothing.
+        assert!(coordinator.load("F", vec![vec![Value::int(1)]]).is_err());
+        assert!(coordinator.load("Nope", vec![]).is_err());
+        assert_eq!(*commits.lock(), [("load", 0)]);
+    }
+
+    #[test]
+    fn a_drain_is_committed_once_and_before_its_first_event_is_enqueued() {
+        let coordinator = batch_coordinator(flight_db());
+        let commits = ProbeSink::install(&coordinator);
+        let _events = coordinator.subscribe();
+        let results = coordinator.submit_batch_request(vec![
+            SubmitRequest::new(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)")),
+            SubmitRequest::new(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)")),
+        ]);
+        assert!(results.iter().all(Result::is_ok));
+        assert_eq!(coordinator.flush().answered, 2);
+        // One commit per batch, one for the whole drain — and when the
+        // drain was committed no event had ever been queued.
+        assert_eq!(*commits.lock(), [("submits", 0), ("outcomes", 0)]);
+        assert!(coordinator.dispatch_queue_peak() >= 2);
     }
 
     fn batch_coordinator(db: Database) -> Coordinator {

@@ -15,9 +15,9 @@
 //!   unchanged; cache counters surface through
 //!   [`eq_db::StoreIoStats`] into `BatchReport::io`.
 //! * **Durability primitives** ([`WriteAheadLog`], [`checkpoint`]):
-//!   length-prefixed checksummed log records with torn-tail-tolerant
-//!   replay, and temp-file+rename checkpoint images that truncate the
-//!   log. `eq_core::durable` composes them into the crash-recoverable
+//!   length-prefixed checksummed log frames (one per service call,
+//!   one `write` each) with torn-tail-tolerant replay, and
+//!   temp-file+rename checkpoint images that truncate the log. `eq_core::durable` composes them into the crash-recoverable
 //!   coordinator.
 //!
 //! This crate is the workspace's **I/O choke point**: the `eq_check`
@@ -39,7 +39,7 @@ pub use cache::{PageCacheConfig, PageStore};
 pub use checkpoint::{read_checkpoint, write_checkpoint};
 pub use error::StoreError;
 pub use table::PagedTable;
-pub use wal::WriteAheadLog;
+pub use wal::{WalStats, WriteAheadLog};
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -110,11 +110,14 @@ fn page_file_name(name: &str) -> String {
         .chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect();
-    format!(
-        "{}-{:08x}.pages",
-        sanitized,
-        crate::wal::fnv1a(name.as_bytes())
-    )
+    format!("{}-{:08x}.pages", sanitized, fnv1a(name.as_bytes()))
+}
+
+/// 32-bit FNV-1a — only ever a file-name disambiguator.
+fn fnv1a(bytes: &[u8]) -> u32 {
+    bytes.iter().fold(0x811c9dc5, |hash, &b| {
+        (hash ^ u32::from(b)).wrapping_mul(0x0100_0193)
+    })
 }
 
 fn le8(bytes: &[u8]) -> [u8; 8] {

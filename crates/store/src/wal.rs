@@ -1,22 +1,38 @@
-//! The write-ahead log: an append-only file of length-prefixed,
-//! checksummed records.
+//! The write-ahead log: an append-only file of checksummed **frames**.
 //!
-//! Record layout: `[u32 payload_len LE][u32 fnv1a(payload) LE][payload]`.
-//! Replay walks records from the front and stops at the first record
-//! that is short or fails its checksum — a torn tail from a crash
-//! mid-append — then truncates the file back to the last intact record
-//! so the next append starts clean. Everything before a torn tail is
-//! trusted (checksums passed), which is exactly the prefix the writer
-//! had acknowledged.
+//! # On-disk format
+//!
+//! ```text
+//! frame   := checksum:u64le  payload_len:u32le  records:u32le  payload
+//! log     := frame*
+//! ```
+//!
+//! * `checksum` is [`checksum64`] over everything after it (the two
+//!   counts and the payload), so a frame whose header was written but
+//!   whose body was not — or the reverse — fails validation.
+//! * `records` says how many logical records the caller packed into the
+//!   payload (`eq_core::durable` packs every record of one service call
+//!   into one frame — group commit). The log never looks inside a
+//!   payload; the count only feeds [`WriteAheadLog::stats`].
+//! * A frame is written with **one** `write` call.
+//!
+//! Replay walks frames from the front and stops at the first that is
+//! short or fails its checksum — a torn tail from a crash mid-append —
+//! then truncates the file back to the last intact frame so the next
+//! append starts clean. A torn frame is lost **whole**: every record in
+//! it, and anything else the caller put in its payload (`eq_core`'s
+//! dictionary definitions), goes with it. Everything before the torn
+//! tail is trusted (checksums passed), which is exactly the prefix the
+//! writer had acknowledged. `open` never rewrites intact frames.
 //!
 //! # Durability model
 //!
-//! [`WriteAheadLog::append`] is write-through to the OS but does
-//! **not** fsync: an acknowledged record survives a **process kill**
+//! [`WriteAheadLog::commit`] is write-through to the OS but does
+//! **not** fsync: an acknowledged frame survives a **process kill**
 //! (the tested crash model), not necessarily an OS crash or power
 //! loss. Callers that need machine-crash durability call
 //! [`WriteAheadLog::sync_data`] at their acknowledgment points and pay
-//! the fsync per batch; checkpoints are always fsync'd
+//! the fsync per frame; checkpoints are always fsync'd
 //! (`crate::checkpoint`).
 
 use crate::error::StoreError;
@@ -24,26 +40,51 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-/// 32-bit FNV-1a over a byte slice — the record checksum.
-pub fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c9dc5;
-    for &b in bytes {
-        hash ^= b as u32;
-        hash = hash.wrapping_mul(0x0100_0193);
+/// Bytes of frame header in front of every payload.
+const HEADER: usize = 16;
+
+/// 64-bit checksum over a byte slice, eight bytes per step — the frame
+/// and checkpoint-image checksum. Detects torn and bit-flipped writes;
+/// it is not a defence against crafted collisions. The length is mixed
+/// in, so a zero-filled region never validates as an empty frame.
+pub fn checksum64(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let step = |h: u64, word: u64| (h.rotate_left(5) ^ word).wrapping_mul(K);
+    let mut h = step(0xcbf2_9ce4_8422_2325, bytes.len() as u64);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        h = step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
     }
-    hash
+    let mut tail = [0u8; 8];
+    let rest = words.remainder();
+    tail[..rest.len()].copy_from_slice(rest);
+    h = step(h, u64::from_le_bytes(tail));
+    h ^ (h >> 32)
+}
+
+/// What the log currently holds (since the last truncation).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WalStats {
+    /// Intact frames — one per [`WriteAheadLog::commit`].
+    pub frames: u64,
+    /// Logical records the frames declare.
+    pub records: u64,
+    /// Bytes of intact frames, headers included.
+    pub bytes: u64,
 }
 
 /// An open write-ahead log.
 pub struct WriteAheadLog {
     file: File,
-    len: u64,
+    stats: WalStats,
+    /// The frame being assembled; reused so a commit allocates nothing.
+    frame: Vec<u8>,
 }
 
 impl WriteAheadLog {
-    /// Opens the log (creating it if absent), replays every intact
-    /// record, truncates any torn tail, and returns the log positioned
-    /// for appending plus the replayed payloads in append order.
+    /// Opens the log (creating it if absent), validates every frame,
+    /// truncates any torn tail, and returns the log positioned for
+    /// appending plus the intact frames' payloads in append order.
     pub fn open(path: &Path) -> Result<(WriteAheadLog, Vec<Vec<u8>>), StoreError> {
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
@@ -60,61 +101,70 @@ impl WriteAheadLog {
         file.seek(SeekFrom::Start(0))?;
         file.read_to_end(&mut bytes)?;
 
-        let mut records = Vec::new();
+        let mut payloads = Vec::new();
+        let mut stats = WalStats::default();
         let mut offset = 0usize;
-        while bytes.len() - offset >= 8 {
-            let len = u32::from_le_bytes([
-                bytes[offset],
-                bytes[offset + 1],
-                bytes[offset + 2],
-                bytes[offset + 3],
-            ]) as usize;
-            let sum = u32::from_le_bytes([
-                bytes[offset + 4],
-                bytes[offset + 5],
-                bytes[offset + 6],
-                bytes[offset + 7],
-            ]);
-            if bytes.len() - offset - 8 < len {
-                break; // torn tail: record body never finished
+        while bytes.len() - offset >= HEADER {
+            let header = &bytes[offset..offset + HEADER];
+            let sum = u64::from_le_bytes(header[..8].try_into().expect("8 bytes"));
+            let len = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")) as usize;
+            let records = u32::from_le_bytes(header[12..].try_into().expect("4 bytes"));
+            if bytes.len() - offset - HEADER < len {
+                break; // torn tail: frame body never finished
             }
-            let payload = &bytes[offset + 8..offset + 8 + len];
-            if fnv1a(payload) != sum {
+            let end = offset + HEADER + len;
+            if checksum64(&bytes[offset + 8..end]) != sum {
                 break; // torn or corrupted tail
             }
-            records.push(payload.to_vec());
-            offset += 8 + len;
+            payloads.push(bytes[offset + HEADER..end].to_vec());
+            stats.frames += 1;
+            stats.records += u64::from(records);
+            offset = end;
         }
-        if (offset as u64) < bytes.len() as u64 {
-            file.set_len(offset as u64)?;
+        stats.bytes = offset as u64;
+        if offset < bytes.len() {
+            file.set_len(stats.bytes)?;
         }
-        file.seek(SeekFrom::Start(offset as u64))?;
-        Ok((
-            WriteAheadLog {
-                file,
-                len: offset as u64,
-            },
-            records,
-        ))
+        file.seek(SeekFrom::Start(stats.bytes))?;
+        let wal = WriteAheadLog {
+            file,
+            stats,
+            frame: Vec::new(),
+        };
+        Ok((wal, payloads))
     }
 
-    /// Appends one record. The record is on the OS side of the write
-    /// when this returns — process-kill durable, not power-loss
-    /// durable (see the module docs; [`WriteAheadLog::sync_data`] is
-    /// the opt-in for the latter).
+    /// Appends a frame holding one record: [`WriteAheadLog::commit`]
+    /// with `records == 1`.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), StoreError> {
-        let mut record = Vec::with_capacity(8 + payload.len());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        record.extend_from_slice(payload);
-        self.file.write_all(&record)?;
-        self.len += record.len() as u64;
+        self.commit(payload, 1)
+    }
+
+    /// Appends one frame declaring `records` logical records, with one
+    /// `write`. The frame is on the OS side of the write when this
+    /// returns — process-kill durable, not power-loss durable (see the
+    /// module docs; [`WriteAheadLog::sync_data`] is the opt-in for the
+    /// latter).
+    pub fn commit(&mut self, payload: &[u8], records: u32) -> Result<(), StoreError> {
+        let len = u32::try_from(payload.len())
+            .map_err(|_| StoreError::Corrupt("wal frame larger than 4 GiB"))?;
+        self.frame.clear();
+        self.frame.extend_from_slice(&[0; 8]);
+        self.frame.extend_from_slice(&len.to_le_bytes());
+        self.frame.extend_from_slice(&records.to_le_bytes());
+        self.frame.extend_from_slice(payload);
+        let sum = checksum64(&self.frame[8..]);
+        self.frame[..8].copy_from_slice(&sum.to_le_bytes());
+        self.file.write_all(&self.frame)?;
+        self.stats.frames += 1;
+        self.stats.records += u64::from(records);
+        self.stats.bytes += self.frame.len() as u64;
         Ok(())
     }
 
-    /// Flushes every appended record to stable storage (`fdatasync`).
+    /// Flushes every appended frame to stable storage (`fdatasync`).
     /// Opt-in: appends alone survive a process kill; call this at an
-    /// acknowledgment point when records must also survive an OS crash
+    /// acknowledgment point when frames must also survive an OS crash
     /// or power loss.
     pub fn sync_data(&mut self) -> Result<(), StoreError> {
         self.file.sync_data()?;
@@ -122,17 +172,22 @@ impl WriteAheadLog {
     }
 
     /// Empties the log — called right after a checkpoint supersedes
-    /// every record in it.
+    /// every frame in it.
     pub fn truncate(&mut self) -> Result<(), StoreError> {
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;
-        self.len = 0;
+        self.stats = WalStats::default();
         Ok(())
     }
 
-    /// Bytes of intact records currently in the log.
+    /// Bytes of intact frames currently in the log.
     pub fn len_bytes(&self) -> u64 {
-        self.len
+        self.stats.bytes
+    }
+
+    /// Frames, records and bytes currently in the log.
+    pub fn stats(&self) -> WalStats {
+        self.stats
     }
 }
 
@@ -141,7 +196,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_round_trip() {
+    fn frames_round_trip_and_are_counted() {
         let dir = crate::scratch_dir("wal-test");
         let path = dir.join("log.wal");
         {
@@ -149,13 +204,24 @@ mod tests {
             assert!(replayed.is_empty());
             wal.append(b"alpha").unwrap();
             wal.append(b"").unwrap();
-            wal.append(b"gamma-record").unwrap();
+            wal.commit(b"gamma-frame", 7).unwrap();
             wal.sync_data().unwrap();
+            let stats = wal.stats();
+            assert_eq!((stats.frames, stats.records), (3, 9));
+            assert_eq!(stats.bytes, 3 * HEADER as u64 + 16);
         }
-        let (_, replayed) = WriteAheadLog::open(&path).unwrap();
+        let (wal, replayed) = WriteAheadLog::open(&path).unwrap();
         assert_eq!(
             replayed,
-            vec![b"alpha".to_vec(), vec![], b"gamma-record".to_vec()]
+            vec![b"alpha".to_vec(), vec![], b"gamma-frame".to_vec()]
+        );
+        assert_eq!(
+            wal.stats(),
+            WalStats {
+                frames: 3,
+                records: 9,
+                bytes: 3 * HEADER as u64 + 16
+            }
         );
         crate::purge_dir(&dir);
     }
@@ -169,9 +235,9 @@ mod tests {
             let (mut wal, _) = WriteAheadLog::open(&path).unwrap();
             wal.append(b"keep-me").unwrap();
             intact_len = wal.len_bytes();
-            wal.append(b"torn-record").unwrap();
+            wal.commit(b"torn-frame", 3).unwrap();
         }
-        // Chop mid-way through the second record's payload.
+        // Chop mid-way through the second frame's payload.
         let full = std::fs::metadata(&path).unwrap().len();
         let f = OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(full - 4).unwrap();
@@ -180,6 +246,7 @@ mod tests {
         let (wal, replayed) = WriteAheadLog::open(&path).unwrap();
         assert_eq!(replayed, vec![b"keep-me".to_vec()]);
         assert_eq!(wal.len_bytes(), intact_len);
+        assert_eq!(wal.stats().records, 1, "a torn frame loses all its records");
         assert_eq!(std::fs::metadata(&path).unwrap().len(), intact_len);
         crate::purge_dir(&dir);
     }
@@ -192,10 +259,44 @@ mod tests {
             let (mut wal, _) = WriteAheadLog::open(&path).unwrap();
             wal.append(b"old").unwrap();
             wal.truncate().unwrap();
+            assert_eq!(wal.stats(), WalStats::default());
             wal.append(b"new").unwrap();
         }
         let (_, replayed) = WriteAheadLog::open(&path).unwrap();
         assert_eq!(replayed, vec![b"new".to_vec()]);
+        crate::purge_dir(&dir);
+    }
+
+    #[test]
+    fn checksum_sees_every_byte_and_the_length() {
+        let base: Vec<u8> = (0u8..37).collect();
+        let sum = checksum64(&base);
+        for i in 0..base.len() {
+            let mut flipped = base.clone();
+            flipped[i] ^= 0x10;
+            assert_ne!(checksum64(&flipped), sum, "byte {i}");
+        }
+        assert_ne!(checksum64(&base[..36]), sum);
+        // Zero-filled regions of different lengths differ, and none is
+        // the all-zero header a pre-allocated file would show.
+        assert_ne!(checksum64(&[]), 0);
+        assert_ne!(checksum64(&[0; 8]), checksum64(&[0; 16]));
+    }
+
+    /// Pinned bytes: the frame layout is an on-disk format.
+    #[test]
+    fn golden_frame_bytes() {
+        let dir = crate::scratch_dir("wal-golden");
+        let path = dir.join("log.wal");
+        let (mut wal, _) = WriteAheadLog::open(&path).unwrap();
+        wal.commit(b"entangled", 2).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), HEADER + 9);
+        assert_eq!(&bytes[8..12], &9u32.to_le_bytes());
+        assert_eq!(&bytes[12..16], &2u32.to_le_bytes());
+        assert_eq!(&bytes[16..], b"entangled");
+        // Worked out by an independent implementation of the checksum.
+        assert_eq!(&bytes[..8], &0x2196_e701_cacc_a04b_u64.to_le_bytes());
         crate::purge_dir(&dir);
     }
 }

@@ -6,10 +6,11 @@
 # unifier, the small-stack evaluator regression (RUST_MIN_STACK), a
 # --smoke run of every bench target (paper Figs. 6-9 + ablations), and
 # last the benchmark package that judges every perf claim (benchmark/,
-# BENCHMARK.json): its own tests and short pairs_incremental,
-# churn_sharded, cliques_paged and giant_shared runs (the last at two
-# seeds) whose output checks must pass. Everything runs offline (vendored shims only — see README
-# "Offline-dependency policy").
+# BENCHMARK.json): its own tests and a short run of every workload —
+# pairs_incremental, churn_sharded, cliques_paged, giant_shared (at two
+# seeds) and pairs_durable (kill + recover compared id for id) — whose
+# output checks must pass. Everything runs offline (vendored shims only
+# — see README "Offline-dependency policy").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -72,7 +73,7 @@ for bench in fig6_two_way fig7_postconditions fig8_stress fig9_safety ablation; 
     cargo bench -q --offline -p eq_bench --bench "$bench" -- --smoke
 done
 
-echo "== 13/13 benchmark package: unit tests + four short workload runs with their output checks =="
+echo "== 13/13 benchmark package: unit tests + a short run of all five workloads with their output checks =="
 # The benchmark is a package of its own, outside the workspace, so no
 # step above builds it. The admission path runs both ways:
 # pairs_incremental is the only workload that drives one `submit` per
@@ -83,9 +84,12 @@ echo "== 13/13 benchmark package: unit tests + four short workload runs with the
 # seed-2011 accounting, per-iteration answer hash, exact layer counts.
 # The giant component runs at a second seed too: the seed is its
 # arrival order, which decides the root of the block-cut tree and so
-# every region's join order and cost.
+# every region's join order and cost. Last the durable path: the pair
+# stream through the WAL with a mid-stream checkpoint, then kill +
+# recover — accounting must match id for id and the pinned counts.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-for run in "pairs_incremental" "churn_sharded" "cliques_paged" "giant_shared" "giant_shared --seed 7"; do
+for run in "pairs_incremental" "churn_sharded" "cliques_paged" "giant_shared" "giant_shared --seed 7" \
+    "pairs_durable"; do
     # shellcheck disable=SC2086  # $run is a workload name plus options
     result=$(benchmark/run.sh --workload $run --seconds 2 --trace 0 | tail -n 1)
     echo "$result"
