@@ -51,15 +51,13 @@ impl fmt::Display for RejectReason {
     }
 }
 
-/// Configuration for one coordination round.
+/// Configuration for one coordination round. (Components violating UCS
+/// are always rejected: §3.1.2 rules out evaluating them as one
+/// combined query.)
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CoordinateConfig {
     /// How to react to safety violations.
     pub safety: SafetyPolicy,
-    /// If true, components violating UCS are still evaluated as one
-    /// combined query (unsound for completeness — §3.1.2 — but useful
-    /// for experiments). Default: reject them.
-    pub evaluate_non_ucs: bool,
 }
 
 /// Outcome of a coordination round.
@@ -178,7 +176,6 @@ pub fn coordinate_with_config(
         EngineConfig {
             mode: EngineMode::SetAtATime { batch_size: 0 },
             admission_safety_check: false,
-            evaluate_non_ucs: config.evaluate_non_ucs,
             on_no_solution: NoSolutionPolicy::Reject,
             flush_threads: 1,
             ..EngineConfig::default()
@@ -363,7 +360,6 @@ mod tests {
             &db,
             CoordinateConfig {
                 safety: SafetyPolicy::RejectAll,
-                ..Default::default()
             },
         )
         .unwrap_err();
@@ -387,29 +383,6 @@ mod tests {
         for i in 0..3 {
             assert_eq!(outcome.reason(QueryId(i)), Some(&RejectReason::NonUcs));
         }
-    }
-
-    #[test]
-    fn non_ucs_component_evaluated_when_configured() {
-        let db = flight_db();
-        let outcome = coordinate_with_config(
-            &[
-                q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"),
-                q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"),
-                q("{R(Jerry, z)} R(Frank, z) <- F(z, Paris), A(z, United)"),
-            ],
-            &db,
-            CoordinateConfig {
-                evaluate_non_ucs: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        // All three coordinate on a United Paris flight.
-        assert_eq!(outcome.answers.len(), 3);
-        let answers = outcome.all_answers();
-        let fno = answers[0].tuples[0][1];
-        assert!(answers.iter().all(|a| a.tuples[0][1] == fno));
     }
 
     #[test]

@@ -96,8 +96,7 @@
 //! # What is (deliberately) not durable
 //!
 //! * **Deadlines** — wall-clock instants do not survive a restart; a
-//!   recovered query re-enters the pool deadline-free (its staleness
-//!   clock restarts).
+//!   recovered query re-enters the pool deadline-free.
 //! * **Direct database writes** — mutations through
 //!   [`Coordinator::db`] bypass the log; durable applications load
 //!   data through [`DurableCoordinator::load`] /

@@ -23,9 +23,9 @@
 //! components.
 //!
 //! Queries that cannot currently be matched stay pending until they
-//! succeed, fail, or exceed the configured staleness bound (§5.1: "when
-//! a query becomes stale, it is removed from the list of pending queries
-//! and its evaluation is considered to have failed").
+//! succeed, fail, or pass their own deadline ([`SubmitOptions::deadline`];
+//! §5.1: "when a query becomes stale, it is removed from the list of
+//! pending queries and its evaluation is considered to have failed").
 //!
 //! Answers are delivered through per-query handles (the middleware
 //! layer's asynchronous callback abstraction).
@@ -46,12 +46,12 @@ use eq_ir::{EntangledQuery, FastMap, FastSet, QueryId, ValidationError, VarGen};
 use eq_unify::Unifier;
 use parking_lot::RwLock;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Evaluation scheduling mode (§5.1, §5.3.4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -84,9 +84,6 @@ pub enum NoSolutionPolicy {
 pub struct EngineConfig {
     /// Scheduling mode.
     pub mode: EngineMode,
-    /// Pending queries older than this are failed as stale. `None`
-    /// disables staleness.
-    pub staleness: Option<Duration>,
     /// Admission-time safety enforcement: a new query is rejected when
     /// it would make the pending set unsafe (one of its postconditions
     /// unifies with ≥ 2 pending heads, or one of its heads gives a
@@ -96,8 +93,6 @@ pub struct EngineConfig {
     pub admission_safety_check: bool,
     /// See [`NoSolutionPolicy`].
     pub on_no_solution: NoSolutionPolicy,
-    /// Evaluate components violating UCS instead of failing them.
-    pub evaluate_non_ucs: bool,
     /// Number of worker threads for per-component parallelism in
     /// set-at-a-time flushes (§4.1.2). 1 = sequential; 0 = one worker
     /// per available hardware thread.
@@ -115,10 +110,12 @@ pub struct EngineConfig {
     pub incremental_partition_limit: usize,
     /// Components with at least this many members are evaluated through
     /// the **partitioned intra-component path** ([`crate::intra`]): the
-    /// matching seed phase and the combined query's variable-disjoint
-    /// work units run on the flush worker pool, with a deterministic
-    /// merge that reproduces the sequential answer choice (the two
-    /// paths are property-tested answer-for-answer identical). Smaller
+    /// combined query's variable-disjoint work units run on the flush
+    /// worker pool, with a deterministic merge that reproduces the
+    /// sequential answer choice (the two paths are property-tested
+    /// answer-for-answer identical). A shared-variable unit that the
+    /// [`crate::intra::SplitOptions::default`] gate admits is further
+    /// split into biconnected regions joined by projection. Smaller
     /// components evaluate through the plain sequential
     /// [`CombinedQuery`] path. Set to `usize::MAX` to always evaluate
     /// sequentially; the partitioned path pays off even at
@@ -126,30 +123,6 @@ pub struct EngineConfig {
     /// size n/k sidesteps the whole-body join's quadratic atom-selection
     /// scan.
     pub intra_component_threshold: usize,
-    /// Work units of the partitioned path with at least this many atoms
-    /// are analyzed for **biconnected-region splitting**
-    /// ([`crate::intra::split_unit`]): when the global unifier chains
-    /// variables *across* bodies, the whole component can collapse into
-    /// one shared-variable work unit, and this second-level split
-    /// decomposes it along articulation variables into regions joined
-    /// over their block-cut tree by **projection**: each region is
-    /// prepared once, run bottom-up as a projection onto its parent
-    /// articulation variable (retaining only per-value witness sets,
-    /// backjumping past a value once it is settled), and the chosen
-    /// joint answer is picked top-down with pinned articulation values
-    /// — memory and work proportional to articulation width, not
-    /// solution count (deterministic for every thread count; a solution
-    /// is found iff one exists). Set to `usize::MAX` to never split.
-    pub intra_split_min_atoms: usize,
-    /// Work/overhead crossover for the split decision: a unit that
-    /// decomposes into `r` regions actually splits only when
-    /// `atoms² ≥ crossover × r`. Per-region dispatch has a fixed cost
-    /// whole-unit evaluation does not pay, so small shared-variable
-    /// units (≲ 600 chained queries at the default) evaluate faster
-    /// whole; the combined join's quadratic atom-selection scan makes
-    /// splitting win as units grow. `0` splits whenever the unit
-    /// decomposes.
-    pub intra_split_crossover: usize,
     /// Number of independently locked **service shards** the
     /// `Coordinator` partitions its pending pool into (the engine
     /// itself ignores this; it is read once at service construction).
@@ -167,15 +140,11 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             mode: EngineMode::Incremental,
-            staleness: None,
             admission_safety_check: true,
             on_no_solution: NoSolutionPolicy::default(),
-            evaluate_non_ucs: false,
             flush_threads: 1,
             incremental_partition_limit: 64,
             intra_component_threshold: 128,
-            intra_split_min_atoms: 16,
-            intra_split_crossover: 4096,
             service_shards: 1,
         }
     }
@@ -197,7 +166,7 @@ pub enum QueryStatus {
 pub enum FailReason {
     /// Rejected/removed per a [`RejectReason`].
     Rejected(RejectReason),
-    /// Exceeded the staleness bound without coordinating.
+    /// Passed its deadline without coordinating.
     Stale,
     /// Withdrawn by the application via
     /// [`CoordinationEngine::cancel`].
@@ -245,8 +214,8 @@ pub enum SubmitError {
 pub struct SubmitOptions {
     /// Absolute deadline: if the query is still pending when this
     /// instant passes, it is failed as [`FailReason::Stale`] at the next
-    /// staleness sweep — independent of (and in addition to) the
-    /// engine-wide `staleness` bound.
+    /// deadline sweep ([`CoordinationEngine::expire_stale`], which every
+    /// submit and flush runs first). `None` never expires.
     pub deadline: Option<Instant>,
     /// Per-query no-solution policy; `None` uses
     /// [`EngineConfig::on_no_solution`]. When a matched component's
@@ -280,8 +249,8 @@ pub struct BatchReport {
     /// combined query).
     pub intra_units: usize,
     /// Work units that additionally went through shared-variable
-    /// biconnected-region splitting
-    /// ([`EngineConfig::intra_split_min_atoms`]).
+    /// biconnected-region splitting (the gate of
+    /// [`crate::intra::SplitOptions::default`]).
     pub intra_split_units: usize,
     /// Biconnected regions dispatched as work items across those split
     /// units.
@@ -351,7 +320,7 @@ pub struct BatchReport {
 /// unit the service's shard-merge migration lifts out of one engine
 /// ([`CoordinationEngine::extract_pending`]) and re-admits in another
 /// ([`CoordinationEngine::admit_migrated`]): the live outcome sender,
-/// per-query policy, deadline and submission instant survive the move.
+/// per-query policy and deadline survive the move.
 pub(crate) struct PendingQuery {
     pub(crate) query: EntangledQuery,
     sender: SyncSender<QueryOutcome>,
@@ -366,10 +335,6 @@ pub(crate) struct PendingQuery {
     /// the deadline to the destination engine (heap entries don't
     /// travel; the donor's are skipped lazily).
     deadline: Option<Instant>,
-    /// Original submission instant — preserved across shard migration
-    /// so the staleness sweep ages a migrated query from its real
-    /// arrival, not from the merge.
-    submitted_at: Instant,
 }
 
 /// Stand-in for the arriving query's own slot on a probed [`Edge`]:
@@ -482,12 +447,14 @@ pub struct CoordinationEngine {
     pc_index: ShardedAtomIndex,
     /// The persistent match graph: edges + components + dirty tracking.
     resident: ResidentGraph,
-    /// Submission order for staleness sweeps; filled only under an
-    /// [`EngineConfig::staleness`] bound.
-    age_queue: VecDeque<(Instant, QueryId)>,
     /// Per-query deadlines ([`SubmitOptions::deadline`]), earliest
-    /// first. Entries for already-retired queries are skipped lazily.
+    /// first — the one expiry structure. Entries of queries that left
+    /// the pool early (answered, failed, cancelled, migrated) are dead:
+    /// skipped when popped, and dropped wholesale once they outnumber
+    /// the live ones ([`CoordinationEngine::compact_deadlines`]).
     deadlines: BinaryHeap<Reverse<(Instant, QueryId)>>,
+    /// Pending queries that carry a deadline — the heap's live entries.
+    dated: usize,
     submissions_since_flush: usize,
     /// Database revision seen by the last flush; a change marks every
     /// component dirty (kept-pending components may now be answerable).
@@ -521,8 +488,8 @@ impl CoordinationEngine {
             head_index: ShardedAtomIndex::default(),
             pc_index: ShardedAtomIndex::default(),
             resident: ResidentGraph::new(),
-            age_queue: VecDeque::new(),
             deadlines: BinaryHeap::new(),
+            dated: 0,
             submissions_since_flush: 0,
             flushed_db_revision: revision,
             outcome_log: None,
@@ -852,7 +819,6 @@ impl CoordinationEngine {
             pc_satisfiers: Vec::new(),
             on_no_solution: opts.on_no_solution,
             deadline: opts.deadline,
-            submitted_at: Instant::now(),
         };
         Ok((self.link_probed(pending, turn), QueryHandle { id, outcome }))
     }
@@ -863,8 +829,8 @@ impl CoordinationEngine {
     /// postconditions, then the intra-batch edges whose other end is
     /// already admitted), then: satisfier bookkeeping, atom indexing,
     /// resident-graph linking (merging partner components and marking
-    /// the result dirty), id/status/staleness registration under the
-    /// query's own id, deadline and submission instant.
+    /// the result dirty), id/status/deadline registration under the
+    /// query's own id and deadline.
     fn link_probed(&mut self, mut pending: PendingQuery, turn: &mut Turn<'_>) -> u32 {
         let slot = self.allocate_slot();
         let Turn {
@@ -938,13 +904,9 @@ impl CoordinationEngine {
             );
         }
         let id = pending.query.id;
-        // Only `expire_stale` under a staleness bound ever pops this
-        // queue; without one it would grow for the engine's lifetime.
-        if self.config.staleness.is_some() {
-            self.age_queue.push_back((pending.submitted_at, id));
-        }
         if let Some(deadline) = pending.deadline {
             self.deadlines.push(Reverse((deadline, id)));
+            self.dated += 1;
         }
         self.slots[slot as usize] = Some(pending);
         self.resident.link(slot, edges);
@@ -957,9 +919,8 @@ impl CoordinationEngine {
     /// without retiring it — no outcome is delivered, no terminal
     /// status is recorded — and returns the queries (ascending by id)
     /// for re-admission elsewhere. This is the donor half of the
-    /// service's shard-merge migration. Stale age-queue and
-    /// deadline-heap entries stay behind and are skipped lazily, like
-    /// any other retirement's.
+    /// service's shard-merge migration. Their deadline-heap entries
+    /// stay behind as dead entries, like any other retirement's.
     pub(crate) fn extract_pending(
         &mut self,
         mut pred: impl FnMut(&EntangledQuery) -> bool,
@@ -983,7 +944,7 @@ impl CoordinationEngine {
     }
 
     /// Re-admits a migrated query under its original id, outcome
-    /// channel, deadline, and submission instant. The query is renamed
+    /// channel and deadline. The query is renamed
     /// apart against *this* engine's variable generator (the donor's
     /// names could collide here) and re-probed against the resident
     /// pool; no safety re-check runs — the query passed Figure-9 on
@@ -992,22 +953,11 @@ impl CoordinationEngine {
     /// (disjoint key sets admit no new unifiable pairs). No evaluation
     /// is triggered; linking marks the component dirty, so the
     /// submission that caused the merge (or the next flush) picks it
-    /// up. Callers re-admitting a batch must call
-    /// [`CoordinationEngine::resort_age_queue`] afterwards.
+    /// up.
     pub(crate) fn admit_migrated(&mut self, mut m: PendingQuery) {
         m.query = m.query.rename_apart(&self.gen);
         let probe = self.probe(&m.query, false, None);
         self.link_probed(m, &mut Turn::alone(&mut [probe]));
-    }
-
-    /// Restores the age queue's monotone-time invariant after migrated
-    /// re-admissions pushed older submission instants at the back
-    /// (the staleness sweep pops from the front and assumes ascending
-    /// timestamps).
-    pub(crate) fn resort_age_queue(&mut self) {
-        let mut entries: Vec<(Instant, QueryId)> = self.age_queue.drain(..).collect();
-        entries.sort();
-        self.age_queue.extend(entries);
     }
 
     /// Submits a batch of queries, running the expensive admission work
@@ -1032,7 +982,7 @@ impl CoordinationEngine {
     ///   dirty for an explicit [`CoordinationEngine::flush`] (sequential
     ///   submission eager-pairs those instead); in set-at-a-time mode
     ///   the auto-flush threshold is checked once after the batch;
-    /// * the staleness sweep runs once, up front.
+    /// * the deadline sweep runs once, up front.
     ///
     /// With `SetAtATime { batch_size: 0 }`, `submit_batch` followed by
     /// [`CoordinationEngine::flush`] is observationally equivalent to
@@ -1178,14 +1128,13 @@ impl CoordinationEngine {
         results
     }
 
-    /// Fails and removes every pending query older than the engine-wide
-    /// staleness bound, plus every pending query whose per-query
-    /// deadline ([`SubmitOptions::deadline`]) has passed.
+    /// Fails and removes every pending query whose deadline
+    /// ([`SubmitOptions::deadline`]) has passed.
     pub fn expire_stale(&mut self) -> usize {
         let now = Instant::now();
         let mut expired = 0;
-        // Per-query deadlines, earliest first. Entries for queries that
-        // already retired for other reasons are skipped lazily.
+        // Earliest first. Dead entries (queries that already left the
+        // pool) are skipped.
         while let Some(&Reverse((t, id))) = self.deadlines.peek() {
             if t > now {
                 break;
@@ -1196,20 +1145,23 @@ impl CoordinationEngine {
                 expired += 1;
             }
         }
-        // Engine-wide staleness over the submission-order queue.
-        if let Some(bound) = self.config.staleness {
-            while let Some(&(t, id)) = self.age_queue.front() {
-                if now.duration_since(t) < bound {
-                    break;
-                }
-                self.age_queue.pop_front();
-                if let Some(&slot) = self.by_id.get(&id) {
-                    self.retire(slot, Err(FailReason::Stale));
-                    expired += 1;
-                }
-            }
-        }
         expired
+    }
+
+    /// Drops the deadline heap's dead entries once they outnumber its
+    /// live ones — the posting lists' compaction rule — so a query that
+    /// leaves the pool early holds heap space for a bounded time, not
+    /// until its deadline. (A query that migrates away and back can
+    /// leave two identical entries; the rebuild keeps one.)
+    fn compact_deadlines(&mut self) {
+        if self.deadlines.len() <= 2 * self.dated {
+            return;
+        }
+        let mut live = std::mem::take(&mut self.deadlines).into_vec();
+        live.retain(|Reverse((_, id))| self.by_id.contains_key(id));
+        live.sort_unstable();
+        live.dedup();
+        self.deadlines = BinaryHeap::from(live);
     }
 
     /// Set-at-a-time evaluation: takes the *dirty* components of the
@@ -1533,6 +1485,10 @@ impl CoordinationEngine {
         }
         self.resident.unlink(slot);
         self.free_slots.push(slot);
+        if pending.deadline.is_some() {
+            self.dated -= 1;
+            self.compact_deadlines();
+        }
         Some(pending)
     }
 
@@ -1779,7 +1735,9 @@ struct ComponentOutcome {
 /// Evaluates a matched component's combined query, routing by size: at
 /// or above [`EngineConfig::intra_component_threshold`] the body is
 /// partitioned into variable-disjoint work units evaluated on up to
-/// `threads` workers ([`intra`]), below it the plain sequential
+/// `threads` workers ([`intra`]; shared-variable units split into
+/// regions where [`intra::SplitOptions::default`]'s gate admits it),
+/// below it the plain sequential
 /// [`CombinedQuery`] path runs. The two produce identical answers by
 /// construction (see [`intra`]'s module docs); this helper is the **one
 /// evaluation code path** shared by set-at-a-time flushes, incremental
@@ -1798,11 +1756,8 @@ fn evaluate_survivors<V: MatchView>(
     Option<IntraCounters>,
 ) {
     if survivors.len() >= config.intra_component_threshold {
-        let split = intra::SplitOptions {
-            min_atoms: config.intra_split_min_atoms,
-            crossover: config.intra_split_crossover,
-        };
-        let plan = intra::plan_component(graph, survivors, &global, &split);
+        let plan =
+            intra::plan_component(graph, survivors, &global, &intra::SplitOptions::default());
         let mut counters = IntraCounters {
             units: plan.units.len(),
             split_units: plan.units.iter().filter(|u| u.regions.is_some()).count(),
@@ -1857,14 +1812,7 @@ fn process_component<V: MatchView + Sync>(
         intra: IntraCounters::default(),
     };
 
-    // The matching seed phase parallelizes for at-threshold components
-    // (identical results to the sequential fixpoint; see
-    // [`matching::match_component_threads`]).
-    let m = if members.len() >= config.intra_component_threshold {
-        matching::match_component_threads(graph, members, threads)
-    } else {
-        matching::match_component(graph, members)
-    };
+    let m = matching::match_component(graph, members);
     out.stats = m.stats;
     if m.survivors.is_empty() {
         return out; // everyone stays pending
@@ -1879,8 +1827,9 @@ fn process_component<V: MatchView + Sync>(
     };
 
     // UCS on the survivor subgraph (member-scoped: no allocation over
-    // the whole slot space).
-    if !config.evaluate_non_ucs && !ucs::violations_members(graph, &m.survivors).is_empty() {
+    // the whole slot space). §3.1.2: a non-UCS component is never
+    // evaluated as one combined query.
+    if !ucs::violations_members(graph, &m.survivors).is_empty() {
         for &s in &m.survivors {
             out.failed.push((s, RejectReason::NonUcs));
         }
@@ -1921,6 +1870,7 @@ mod tests {
     use super::*;
     use eq_ir::Value;
     use eq_sql::parse_ir_query;
+    use std::time::Duration;
 
     fn q(text: &str) -> EntangledQuery {
         parse_ir_query(text).unwrap()
@@ -2120,24 +2070,39 @@ mod tests {
 
     #[test]
     fn staleness_fails_old_queries() {
+        // A stale query fails at the engine's next operation: every
+        // submit and flush sweeps the deadline heap first.
         let mut engine = CoordinationEngine::new(
             flight_db(),
             EngineConfig {
-                staleness: Some(Duration::from_millis(1)),
+                mode: EngineMode::SetAtATime { batch_size: 0 },
                 ..Default::default()
             },
         );
-        let h = engine
-            .submit(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"))
+        let soon = || SubmitOptions {
+            deadline: Some(Instant::now() + Duration::from_millis(1)),
+            ..Default::default()
+        };
+        let h1 = engine
+            .submit_with(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"), soon())
             .unwrap();
         std::thread::sleep(Duration::from_millis(5));
-        let expired = engine.expire_stale();
-        assert_eq!(expired, 1);
+        // The partner arrives too late: its submit expires h1 first.
+        let h2 = engine
+            .submit_with(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"), soon())
+            .unwrap();
         assert_eq!(
-            h.outcome.try_recv().unwrap(),
+            h1.outcome.try_recv().unwrap(),
+            QueryOutcome::Failed(FailReason::Stale)
+        );
+        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(engine.flush().answered, 0);
+        assert_eq!(
+            h2.outcome.try_recv().unwrap(),
             QueryOutcome::Failed(FailReason::Stale)
         );
         assert_eq!(engine.pending_count(), 0);
+        engine.check_invariants().unwrap();
     }
 
     #[test]
@@ -2471,16 +2436,31 @@ mod tests {
     }
 
     #[test]
-    fn age_queue_stays_empty_without_a_staleness_bound() {
+    fn deadline_heap_compacts_once_dead_entries_outnumber_live_ones() {
+        // 10k queries with a one-hour deadline, each answered within
+        // its own submit: without compaction every one would leave its
+        // heap entry behind for the hour.
         let mut engine = CoordinationEngine::new(flight_db(), EngineConfig::default());
-        assert!(engine.config.staleness.is_none());
+        let hour = || SubmitOptions {
+            deadline: Some(Instant::now() + Duration::from_secs(3600)),
+            ..Default::default()
+        };
+        let lonely = engine
+            .submit_with(q("{R(Newman, z)} R(Frank, z) <- F(z, Rome)"), hour())
+            .unwrap();
         for round in 0..5_000 {
             let (a, b) = (format!("A{round}"), format!("B{round}"));
             let first = engine
-                .submit(q(&format!("{{R({b}, x)}} R({a}, x) <- F(x, Paris)")))
+                .submit_with(
+                    q(&format!("{{R({b}, x)}} R({a}, x) <- F(x, Paris)")),
+                    hour(),
+                )
                 .unwrap();
             let second = engine
-                .submit(q(&format!("{{R({a}, y)}} R({b}, y) <- F(y, Paris)")))
+                .submit_with(
+                    q(&format!("{{R({a}, y)}} R({b}, y) <- F(y, Paris)")),
+                    hour(),
+                )
                 .unwrap();
             for handle in [first, second] {
                 assert!(matches!(
@@ -2488,9 +2468,12 @@ mod tests {
                     Ok(QueryOutcome::Answered(_))
                 ));
             }
+            assert!(engine.deadlines.len() <= 2 * engine.pending_count());
         }
-        assert_eq!(engine.pending_count(), 0);
-        assert!(engine.age_queue.is_empty());
+        assert_eq!(engine.pending_count(), 1);
+        // The live entry survived every compaction.
+        assert!(engine.cancel(lonely.id));
+        assert!(engine.deadlines.is_empty());
     }
 
     #[test]

@@ -109,43 +109,46 @@ use eq_unify::Unifier;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Knobs for shared-variable work-unit splitting (see the module docs'
-/// "biconnected regions" section). Derived from
-/// [`crate::EngineConfig::intra_split_min_atoms`] and
-/// [`crate::EngineConfig::intra_split_crossover`] by the engine.
+/// The split gate for shared-variable work units (see the module docs'
+/// "biconnected regions" section). The engine always plans with
+/// [`SplitOptions::default`]; the field exists so plan-level tests can
+/// force splits on small units (`crossover: 0`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SplitOptions {
-    /// Units with at least this many atoms are analyzed for
-    /// biconnected-region splitting; smaller units always evaluate
-    /// whole. `usize::MAX` disables splitting entirely.
-    pub min_atoms: usize,
-    /// Work/overhead crossover for the split decision: a unit that
-    /// decomposes into `r` regions actually splits only when
-    /// `atoms² ≥ crossover × r`. Region dispatch has a fixed per-region
+    /// Work/overhead crossover for the split decision: a unit of `a`
+    /// atoms that decomposes into `r` regions splits only when
+    /// `a² ≥ crossover × r`. Region dispatch has a fixed per-region
     /// cost (plan walk, per-region join setup, witness bookkeeping)
     /// that whole-unit evaluation does not pay, so small units — where
     /// the combined join's quadratic atom-selection scan is still cheap
     /// — evaluate faster whole (measured crossover ≈ n=600..1200 chain
     /// queries; see the README scaling guide). `0` always splits.
+    ///
+    /// A split has at least two regions, so a unit with
+    /// `a² < 2 × crossover` is never analyzed at all: at the default
+    /// that is every unit under 91 atoms.
     pub crossover: usize,
 }
 
 impl Default for SplitOptions {
     fn default() -> Self {
-        SplitOptions {
-            min_atoms: 16,
-            crossover: 4096,
-        }
+        SplitOptions { crossover: 4096 }
     }
 }
 
 impl SplitOptions {
-    /// Splitting disabled: every unit evaluates whole.
-    pub fn disabled() -> Self {
-        SplitOptions {
-            min_atoms: usize::MAX,
-            ..Default::default()
+    /// The region decomposition `unit` is evaluated through, if any:
+    /// [`split_unit`]'s, when the crossover gate admits it. The unit's
+    /// whole-evaluation cost scales with atoms² (the greedy
+    /// atom-selection scan alone is quadratic); the split's overhead
+    /// scales with the region count.
+    fn regions(&self, unit: &WorkUnit) -> Option<RegionPlan> {
+        let a = unit.atoms.len();
+        let work = a.saturating_mul(a);
+        if work < self.crossover.saturating_mul(2) {
+            return None;
         }
+        split_unit(unit).filter(|rp| work >= self.crossover.saturating_mul(rp.regions.len()))
     }
 }
 
@@ -160,9 +163,10 @@ pub struct WorkUnit {
     pub atoms: Vec<Atom>,
     /// Simplified constraints whose variables belong to this unit.
     pub constraints: Vec<Constraint>,
-    /// Biconnected-region decomposition, present when the unit met
-    /// [`SplitOptions::min_atoms`] and actually decomposes (≥ 2
-    /// regions), in which case the unit is evaluated region by region.
+    /// Biconnected-region decomposition, present when the unit
+    /// decomposes (≥ 2 regions) and passes the
+    /// [`SplitOptions::crossover`] gate, in which case the unit is
+    /// evaluated region by region.
     /// `atoms`/`constraints` still hold the whole unit.
     pub regions: Option<RegionPlan>,
 }
@@ -249,9 +253,9 @@ impl VarUnion {
 /// global unifier, over any [`MatchView`]. The flat concatenation of
 /// `ground_atoms` and every unit's `atoms` is a permutation of the
 /// combined query's body; likewise for constraints; `heads` is
-/// identical to the combined query's. Units meeting
-/// [`SplitOptions::min_atoms`] additionally carry their
-/// biconnected-region decomposition ([`split_unit`]) when one exists.
+/// identical to the combined query's. Units the `split` gate admits
+/// additionally carry their biconnected-region decomposition
+/// ([`split_unit`]).
 pub fn plan_component<V: MatchView>(
     graph: &V,
     survivors: &[u32],
@@ -326,18 +330,7 @@ pub fn plan_component<V: MatchView>(
     }
 
     for unit in &mut units {
-        if unit.atoms.len() >= split.min_atoms {
-            unit.regions = split_unit(unit).filter(|rp| {
-                // Work/overhead crossover gate: per-region dispatch has
-                // a fixed cost that whole-unit evaluation doesn't pay,
-                // so small units evaluate faster whole. The unit's
-                // whole-evaluation cost scales with atoms² (the greedy
-                // atom-selection scan alone is quadratic); the split's
-                // overhead scales with the region count.
-                let a = unit.atoms.len();
-                a.saturating_mul(a) >= split.crossover.saturating_mul(rp.regions.len())
-            });
-        }
+        unit.regions = split.regions(unit);
     }
 
     ComponentPlan {
@@ -1637,24 +1630,52 @@ mod tests {
     #[test]
     fn crossover_gate_splits_only_when_atoms_squared_reaches_crossover_times_regions() {
         // A 20-query shared chain is one unit of 40 atoms that
-        // decomposes into 20 regions: 40² = 80 × 20 exactly.
+        // decomposes into 20 regions: 40² = 80 × 20 exactly. Past 800
+        // (40² = 2 × 800) the unit is not even analyzed.
         let cfg = eq_workload::GiantComponentConfig {
             queries: 20,
             friends_per_user: 1,
             body: eq_workload::GiantBody::SharedChain,
         };
-        for (crossover, regions) in [(0, Some(20)), (80, Some(20)), (81, None), (4096, None)] {
-            let split = SplitOptions {
-                min_atoms: 2,
-                crossover,
-            };
-            let (_, plan) = ring_plan(&cfg, None, None, &split);
+        for (crossover, regions) in [
+            (0, Some(20)),
+            (80, Some(20)),
+            (81, None),
+            (800, None),
+            (801, None),
+            (4096, None),
+        ] {
+            let (_, plan) = ring_plan(&cfg, None, None, &SplitOptions { crossover });
             assert_eq!(plan.units.len(), 1);
             assert_eq!(plan.units[0].atoms.len(), 40);
             assert_eq!(
                 plan.units[0].regions.as_ref().map(|rp| rp.regions.len()),
                 regions,
                 "crossover {crossover}"
+            );
+        }
+        // A two-region unit sits exactly on the pre-check boundary
+        // a² = 2 × crossover: one edge atom hung off a block of `t`
+        // atoms over one variable triangle. At the default crossover
+        // that boundary is 91 atoms (90² < 8,192 ≤ 91²).
+        let unit = |t: i64| {
+            let mut atoms = vec![e(vx(0), vx(1))];
+            atoms.extend((0..t).map(|c| Atom::new("T", vec![vx(1), vx(2), vx(3), Term::int(c)])));
+            raw_unit(atoms)
+        };
+        for (t, crossover, splits) in [
+            (1, 2, true),
+            (1, 3, false),
+            (89, 4096, false),
+            (90, 4096, true),
+        ] {
+            let unit = unit(t);
+            let regions = SplitOptions { crossover }.regions(&unit);
+            assert_eq!(
+                regions.map(|rp| rp.regions.len()),
+                splits.then_some(2),
+                "{} atoms, crossover {crossover}",
+                unit.atoms.len()
             );
         }
     }
@@ -1729,8 +1750,7 @@ mod tests {
                 friends_per_user: k,
                 body: if wide == 1 { GiantBody::SharedWide } else { GiantBody::SharedChain },
             };
-            let split = SplitOptions { min_atoms: 2, crossover: 0 };
-            let (db, plan) = ring_plan(&cfg, break_at, arrival, &split);
+            let (db, plan) = ring_plan(&cfg, break_at, arrival, &SplitOptions { crossover: 0 });
             proptest::prop_assert!(plan.units.iter().any(|u| u.regions.is_some()));
             let streamed = evaluate_plan(&plan, &db, threads).unwrap();
             let materialized = materialized_reference::evaluate_plan(&plan, &db, 4096).unwrap();

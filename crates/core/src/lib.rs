@@ -27,7 +27,8 @@
 //!    streaming articulation projection — the one region evaluator;
 //! 9. [`engine`] — the D3C engine of §5.1: asynchronous submission,
 //!    set-at-a-time and incremental modes over resident match state,
-//!    staleness, per-component and intra-component parallelism;
+//!    per-query deadlines, per-component and intra-component
+//!    parallelism;
 //! 10. [`events`] — bounded per-subscriber event queues with explicit
 //!     overflow policies (block / drop-oldest / disconnect), feeding
 //!     the service layer's push stream.

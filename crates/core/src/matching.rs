@@ -85,103 +85,18 @@ impl ComponentMatch {
 /// the property that makes dirty-component-only flushes O(dirty), not
 /// O(pending).
 pub fn match_component<V: MatchView>(graph: &V, members: &[u32]) -> ComponentMatch {
-    let in_component: FastSet<u32> = members.iter().copied().collect();
-    // Step 1+2 (seed phase): per-member, independent of every other
-    // member — the parallel entry point chunks exactly this loop.
-    let seeds: Vec<Seed> = members
-        .iter()
-        .map(|&m| seed_member(graph, &in_component, m))
-        .collect();
-    finish_match(graph, members, in_component, seeds)
-}
-
-/// [`match_component`] with the seed phase (in-edge MGU folding — the
-/// per-member, embarrassingly parallel part of Algorithm 1) run on
-/// `threads` scoped workers. Produces bit-identical results to the
-/// sequential entry point: each member's seed depends only on its own
-/// in-edges, chunks are merged back in member order, and the
-/// propagation fixpoint that follows is the same sequential worklist.
-/// Used by the engine for components at or above
-/// [`crate::EngineConfig::intra_component_threshold`].
-pub fn match_component_threads<V: MatchView + Sync>(
-    graph: &V,
-    members: &[u32],
-    threads: usize,
-) -> ComponentMatch {
-    let threads = threads.min(members.len().max(1));
-    if threads <= 1 {
-        return match_component(graph, members);
-    }
-    let in_component: FastSet<u32> = members.iter().copied().collect();
-    // Contiguous chunks claimed off the shared pool (chunking keeps the
-    // per-claim work coarse: one seed is a handful of MGU merges), then
-    // reassembled in chunk order so seeds line up with `members`.
-    let chunk = members.len().div_ceil(threads);
-    let chunk_order: Vec<usize> = (0..members.len().div_ceil(chunk)).collect();
-    let mut produced = crate::pool::parallel_claim(&chunk_order, threads, None, |c| {
-        members[c * chunk..((c + 1) * chunk).min(members.len())]
-            .iter()
-            .map(|&m| seed_member(graph, &in_component, m))
-            .collect::<Vec<Seed>>()
-    });
-    produced.sort_by_key(|&(c, _)| c);
-    let seeds: Vec<Seed> = produced.into_iter().flat_map(|(_, s)| s).collect();
-    finish_match(graph, members, in_component, seeds)
-}
-
-/// Result of seeding one member: its in-edge MGUs folded into a local
-/// unifier, whether the member is already unanswerable (a postcondition
-/// with no in-component satisfier, or conflicting in-edge MGUs), and the
-/// MGU merges performed.
-struct Seed {
-    unifier: Unifier,
-    doomed: bool,
-    mgu_calls: u64,
-}
-
-fn seed_member<V: MatchView>(graph: &V, in_component: &FastSet<u32>, m: u32) -> Seed {
-    let q = graph.query(m);
-    let mut satisfied = vec![false; q.pc_count()];
-    let mut unifier = Unifier::new();
-    let mut conflict = false;
-    let mut mgu_calls = 0u64;
-    for &eid in graph.in_edges(m) {
-        let e = graph.edge(eid);
-        if !in_component.contains(&e.from) {
-            continue;
-        }
-        satisfied[e.pc_idx as usize] = true;
-        mgu_calls += 1;
-        if unifier.merge_from(&e.mgu).is_err() {
-            conflict = true;
-            break;
-        }
-    }
-    Seed {
-        doomed: conflict || satisfied.iter().any(|&s| !s),
-        unifier,
-        mgu_calls,
-    }
-}
-
-/// Steps 2b–4 of Algorithm 1 over precomputed seeds: cascade the doomed
-/// removals, run the propagation fixpoint (SCC-condensed fast path,
-/// naive worklist fallback on conflict), fold the global unifier.
-fn finish_match<V: MatchView>(
-    graph: &V,
-    members: &[u32],
-    in_component: FastSet<u32>,
-    seeds: Vec<Seed>,
-) -> ComponentMatch {
     let mut stats = MatchStats::default();
-    let mut alive = in_component;
+    let mut alive: FastSet<u32> = members.iter().copied().collect();
     let mut unifiers: FastMap<u32, Unifier> = FastMap::default();
     let mut removed = Vec::new();
+    // Steps 1+2 (seed phase): fold each member's in-edge MGUs; a member
+    // with an unsatisfied postcondition or conflicting in-edges is
+    // doomed.
     let mut doomed: Vec<u32> = Vec::new();
-    for (&m, seed) in members.iter().zip(seeds) {
-        stats.mgu_calls += seed.mgu_calls;
-        unifiers.insert(m, seed.unifier);
-        if seed.doomed {
+    for &m in members {
+        let (unifier, ok) = seed_member(graph, &alive, m, &mut stats);
+        unifiers.insert(m, unifier);
+        if !ok {
             doomed.push(m);
         }
     }
@@ -282,6 +197,32 @@ fn finish_match<V: MatchView>(
         global,
         stats,
     }
+}
+
+/// Seeds one member: its in-component in-edge MGUs folded into a local
+/// unifier, and whether it can still be answered (every postcondition
+/// has an in-component satisfier and the in-edge MGUs agree).
+fn seed_member<V: MatchView>(
+    graph: &V,
+    in_component: &FastSet<u32>,
+    m: u32,
+    stats: &mut MatchStats,
+) -> (Unifier, bool) {
+    let mut satisfied = vec![false; graph.query(m).pc_count()];
+    let mut unifier = Unifier::new();
+    for &eid in graph.in_edges(m) {
+        let e = graph.edge(eid);
+        if !in_component.contains(&e.from) {
+            continue;
+        }
+        satisfied[e.pc_idx as usize] = true;
+        stats.mgu_calls += 1;
+        if unifier.merge_from(&e.mgu).is_err() {
+            return (unifier, false);
+        }
+    }
+    let ok = satisfied.iter().all(|&s| s);
+    (unifier, ok)
 }
 
 /// The SCC-condensed propagation fast path. At the fixpoint of
@@ -707,32 +648,6 @@ mod tests {
         let q2_z = g.queries()[2].head[0].terms[0].as_var().unwrap();
         assert_eq!(u.constant_of(q1_u), Some(Value::int(1)));
         assert_eq!(u.constant_of(q2_z), Some(Value::int(1)));
-    }
-
-    #[test]
-    fn threaded_seed_phase_matches_sequential() {
-        // A mixed component: a ring that closes, a doomed node with an
-        // unsatisfied postcondition, and variable chains — every branch
-        // of the seed phase. The parallel entry point must agree
-        // bit-for-bit with the sequential one.
-        let g = build(&[
-            "{R(B, x)} R(A, x) <- F(x)",
-            "{R(C, y)} R(B, y) <- F(y)",
-            "{R(A, z)} R(C, z) <- F(z)",
-            "{Missing(w)} R(D, w) <- F(w)",
-        ]);
-        let members: Vec<u32> = (0..4).collect();
-        let seq = match_component(&g, &members);
-        for threads in [2, 3, 8] {
-            let par = match_component_threads(&g, &members, threads);
-            assert_eq!(par.survivors, seq.survivors);
-            assert_eq!(par.removed, seq.removed);
-            assert_eq!(par.stats, seq.stats);
-            assert_eq!(par.global.is_some(), seq.global.is_some());
-            if let (Some(a), Some(b)) = (&par.global, &seq.global) {
-                assert!(a.equivalent(b));
-            }
-        }
     }
 
     #[test]

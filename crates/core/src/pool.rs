@@ -2,13 +2,11 @@
 //! crate uses: claim indices from a shared atomic cursor, run a
 //! read-only job per index, return results keyed by index.
 //!
-//! Four call sites share it — the cross-component flush shard
+//! Three call sites share it — the cross-component flush shard
 //! (`engine::sharded_process`), batched admission probing
-//! (`engine::submit_batch`), intra-component work-unit evaluation
-//! (`intra::evaluate_plan`), and the parallel matching seed phase
-//! (`matching::match_component_threads`) — so claim semantics, the
-//! sequential fallback, and panic propagation live in exactly one
-//! place.
+//! (`engine::submit_batch`) and intra-component work-unit evaluation
+//! (`intra::evaluate_plan`) — so claim semantics, the sequential
+//! fallback, and panic propagation live in exactly one place.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 

@@ -168,8 +168,10 @@ impl SubmitRequest {
     }
 
     /// Relative staleness bound: fail the query as expired if it is
-    /// still pending `bound` after submission (a per-query version of
-    /// [`EngineConfig::staleness`]).
+    /// still pending `bound` after submission — the paper's "stale
+    /// query … considered to have failed" (§5.1); an engine-wide bound
+    /// is this, set on every request. A bound too large for the clock
+    /// to represent (`Duration::MAX`) never expires.
     pub fn staleness(mut self, bound: Duration) -> Self {
         self.staleness = Some(bound);
         self
@@ -193,7 +195,7 @@ impl SubmitRequest {
         SubmitOptions {
             deadline: self
                 .deadline
-                .or_else(|| self.staleness.map(|bound| now + bound)),
+                .or_else(|| self.staleness.and_then(|bound| now.checked_add(bound))),
             on_no_solution: self.on_no_solution,
         }
     }
@@ -735,8 +737,8 @@ impl Coordinator {
         self.shared.dispatcher.queue_peak()
     }
 
-    /// Sweeps expired queries (engine staleness bound and per-query
-    /// deadlines) on every shard, staging their [`Event::Expired`]
+    /// Sweeps expired queries (per-query deadlines and staleness
+    /// bounds) on every shard, staging their [`Event::Expired`]
     /// events. Returns how many queries expired.
     pub fn expire_stale(&self) -> usize {
         let mut expired = 0;
@@ -1000,7 +1002,7 @@ impl Coordinator {
     /// involved shard locks in **ascending index order** (the debug
     /// lock-order graph validates the discipline): extract under each
     /// loser's lock, re-admit under the winner's, carrying outcome
-    /// channels, tags, deadlines, and submission instants unchanged.
+    /// channels, tags and deadlines unchanged.
     /// Returns the shard to admit on. Caller holds the router write
     /// guard, which keeps fast-path readers out until placement is
     /// consistent again.
@@ -1041,7 +1043,6 @@ impl Coordinator {
         for m in migrated {
             winner.1.engine.admit_migrated(m);
         }
-        winner.1.engine.resort_age_queue();
         for (id, tag) in moved_tags {
             winner.1.tags.insert(id, tag);
         }
@@ -1709,6 +1710,31 @@ mod tests {
             matches!(evs.as_slice(), [e] if matches!(&**e, Event::Expired { tag: Some(t), .. } if t == "doomed")),
             "{evs:?}"
         );
+    }
+
+    #[test]
+    fn unrepresentable_staleness_never_expires() {
+        // `now + Duration::MAX` is past what `Instant` can hold: both
+        // admission paths take it as "never expires" instead of
+        // panicking under the shard lock.
+        let coordinator = batch_coordinator(flight_db());
+        let mut session = coordinator.session();
+        let forever = |text: &str| SubmitRequest::new(q(text)).staleness(Duration::MAX);
+        let h1 = session
+            .submit(forever("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"))
+            .unwrap();
+        let mut batch =
+            session.submit_batch(vec![forever("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)")]);
+        let h2 = batch.pop().unwrap().unwrap();
+        assert_eq!(coordinator.expire_stale(), 0);
+        assert_eq!(coordinator.flush().answered, 2);
+        for h in [h1, h2] {
+            assert!(matches!(
+                h.outcome.try_recv().unwrap(),
+                QueryOutcome::Answered(_)
+            ));
+        }
+        coordinator.check_invariants().unwrap();
     }
 
     #[test]

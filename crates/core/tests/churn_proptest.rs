@@ -12,12 +12,12 @@
 use eq_core::engine::QueryOutcome;
 use eq_core::{
     CoordinationEngine, Coordinator, EngineConfig, EngineMode, FailReason, QueryStatus,
-    SubmitRequest,
+    SubmitOptions, SubmitRequest,
 };
 use eq_workload::{churn_script, ChurnConfig, ChurnOp, SocialGraph, SocialGraphConfig};
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn graph() -> &'static SocialGraph {
     static GRAPH: OnceLock<SocialGraph> = OnceLock::new();
@@ -44,31 +44,38 @@ fn sparse_graph() -> &'static SocialGraph {
     })
 }
 
-fn churn_config(threads: usize, staleness: Option<Duration>) -> EngineConfig {
+fn churn_config(threads: usize) -> EngineConfig {
     EngineConfig {
         mode: EngineMode::SetAtATime { batch_size: 0 },
         admission_safety_check: false,
         flush_threads: threads,
-        staleness,
         ..Default::default()
     }
 }
 
-fn engine(threads: usize, staleness: Option<Duration>) -> CoordinationEngine {
-    CoordinationEngine::new(
-        eq_workload::build_database(graph()),
-        churn_config(threads, staleness),
-    )
+fn engine(threads: usize) -> CoordinationEngine {
+    CoordinationEngine::new(eq_workload::build_database(graph()), churn_config(threads))
 }
 
-/// Runs a churn script, checking engine invariants at every flush.
+/// Runs a churn script, checking engine invariants at every flush;
+/// every submission carries the same staleness bound (`None`: none).
 /// Returns per-submission terminal outcomes (None = still pending) and
 /// the final slot capacity.
-fn drive(mut engine: CoordinationEngine, ops: &[ChurnOp]) -> (Vec<Option<QueryOutcome>>, usize) {
+fn drive(
+    mut engine: CoordinationEngine,
+    ops: &[ChurnOp],
+    staleness: Option<Duration>,
+) -> (Vec<Option<QueryOutcome>>, usize) {
     let mut handles = Vec::new();
     for op in ops {
         match op {
-            ChurnOp::Submit(q) => handles.push(engine.submit(q.clone()).unwrap()),
+            ChurnOp::Submit(q) => {
+                let opts = SubmitOptions {
+                    deadline: staleness.map(|bound| Instant::now() + bound),
+                    ..Default::default()
+                };
+                handles.push(engine.submit_with(q.clone(), opts).unwrap());
+            }
             ChurnOp::Cancel(idx) => {
                 engine.cancel(handles[*idx].id);
             }
@@ -103,10 +110,8 @@ fn drive(mut engine: CoordinationEngine, ops: &[ChurnOp]) -> (Vec<Option<QueryOu
 /// re-admitted at the next flush. Returns the submission indices that
 /// were answered.
 fn rebuild_per_flush_answered(ops: &[ChurnOp]) -> Vec<usize> {
-    let coordinator = Coordinator::new(
-        eq_workload::build_database(sparse_graph()),
-        churn_config(1, None),
-    );
+    let coordinator =
+        Coordinator::new(eq_workload::build_database(sparse_graph()), churn_config(1));
     let mut pool = Vec::new();
     let mut answered = Vec::new();
     for op in ops {
@@ -166,7 +171,7 @@ proptest! {
         }));
         let mut resident = CoordinationEngine::new(
             eq_workload::build_database(sparse_graph()),
-            churn_config(1, None),
+            churn_config(1),
         );
         let mut handles = Vec::new();
         let mut skipped_clean = 0;
@@ -201,7 +206,7 @@ proptest! {
             graph(),
             &ChurnConfig { queries, flush_every, solo_permille, seed },
         );
-        let (outcomes, capacity) = drive(engine(threads, None), &ops);
+        let (outcomes, capacity) = drive(engine(threads), &ops, None);
         prop_assert_eq!(outcomes.len(), queries);
         // Cancel + answer churn retires queries throughout the run, so
         // the slot table must stay well below one slot per submission.
@@ -233,8 +238,8 @@ proptest! {
             graph(),
             &ChurnConfig { queries, flush_every, solo_permille: 300, seed },
         );
-        let (seq, _) = drive(engine(1, None), &ops);
-        let (par, _) = drive(engine(threads, None), &ops);
+        let (seq, _) = drive(engine(1), &ops, None);
+        let (par, _) = drive(engine(threads), &ops, None);
         prop_assert_eq!(seq, par, "threads={}", threads);
     }
 
@@ -250,7 +255,7 @@ proptest! {
             graph(),
             &ChurnConfig { queries, flush_every, solo_permille: 400, seed },
         );
-        let (outcomes, capacity) = drive(engine(1, Some(Duration::ZERO)), &ops);
+        let (outcomes, capacity) = drive(engine(1), &ops, Some(Duration::ZERO));
         // Everything reaches a terminal state (stale, cancelled, or an
         // answer in the same-submit window), nothing stays pending.
         for (i, o) in outcomes.iter().enumerate() {

@@ -1,13 +1,13 @@
 //! Engine edge cases beyond the happy paths covered in `engine.rs`'s
 //! unit tests: empty flushes, status transitions, re-submission,
-//! multi-edge matching, and interaction of staleness with batching.
+//! multi-edge matching, and interaction of deadlines with batching.
 
 use eq_core::engine::{FailReason, NoSolutionPolicy, QueryOutcome};
-use eq_core::{CoordinationEngine, EngineConfig, EngineMode, QueryStatus};
+use eq_core::{CoordinationEngine, EngineConfig, EngineMode, QueryStatus, SubmitOptions};
 use eq_db::Database;
 use eq_ir::{EntangledQuery, Value};
 use eq_sql::parse_ir_query;
-use std::time::Duration;
+use std::time::Instant;
 
 fn q(text: &str) -> EntangledQuery {
     parse_ir_query(text).unwrap()
@@ -135,20 +135,18 @@ fn multi_edge_pair_coordinates() {
 
 #[test]
 fn staleness_zero_expires_everything_on_next_submit() {
-    let mut engine = CoordinationEngine::new(
-        db(),
-        EngineConfig {
-            staleness: Some(Duration::from_millis(0)),
-            ..Default::default()
-        },
-    );
+    let mut engine = CoordinationEngine::new(db(), EngineConfig::default());
+    let now = || SubmitOptions {
+        deadline: Some(Instant::now()),
+        ..Default::default()
+    };
     let h1 = engine
-        .submit(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"))
+        .submit_with(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"), now())
         .unwrap();
     // The next submission sweeps the (instantly stale) first query, so
     // the pair never forms.
     let h2 = engine
-        .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"))
+        .submit_with(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"), now())
         .unwrap();
     assert_eq!(
         h1.outcome.try_recv().unwrap(),

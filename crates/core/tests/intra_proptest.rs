@@ -4,12 +4,19 @@
 //! evaluates them on several workers must be **answer-for-answer
 //! identical** to the plain sequential engine (threshold ∞, one
 //! worker) — same terminal statuses, same answer tuples — in both
-//! engine modes (§5.1).
+//! engine modes (§5.1). Region splitting is checked at the plan level,
+//! the one place a split can be forced on a small ring
+//! (`SplitOptions { crossover: 0 }`; the engine always gates with the
+//! default, which keeps these rings whole).
 
 use eq_core::engine::{NoSolutionPolicy, QueryOutcome};
-use eq_core::{CoordinationEngine, EngineConfig, EngineMode};
+use eq_core::intra::{evaluate_plan, plan_component, SplitOptions};
+use eq_core::matching::match_component;
+use eq_core::{
+    CombinedQuery, ComponentPlan, CoordinationEngine, EngineConfig, EngineMode, MatchGraph,
+};
 use eq_db::Database;
-use eq_ir::{EntangledQuery, QueryId};
+use eq_ir::{EntangledQuery, QueryId, VarGen};
 use eq_workload::{
     giant_component, two_way_pairs, GiantBody, GiantComponentConfig, PairStyle, SocialGraph,
     SocialGraphConfig,
@@ -39,7 +46,6 @@ fn outcomes(
     mode: EngineMode,
     threshold: usize,
     threads: usize,
-    split_min: usize,
 ) -> Vec<(QueryId, Option<QueryOutcome>)> {
     let mut engine = CoordinationEngine::new(
         db,
@@ -49,10 +55,6 @@ fn outcomes(
             on_no_solution: NoSolutionPolicy::Reject,
             flush_threads: threads,
             intra_component_threshold: threshold,
-            intra_split_min_atoms: split_min,
-            // The tests force the split at small ring sizes; the
-            // production crossover gate would keep these units whole.
-            intra_split_crossover: 0,
             // Incremental mode must re-match whole rings, not
             // eager-pair them.
             incremental_partition_limit: usize::MAX,
@@ -73,16 +75,21 @@ fn outcomes(
         .collect()
 }
 
-/// A giant chain ring, optionally sabotaged: `break_at` (when set)
-/// points one query's body anchor at a name absent from the Friends
-/// table, making that work unit unsatisfiable — the whole component
+/// A giant ring, optionally sabotaged: `break_at` (when set) points one
+/// query's body anchor at a name absent from the Friends table, making
+/// that work unit (or region) unsatisfiable — the whole component
 /// becomes a no-solution case (the empty posting list also means the
 /// sequential join fails at its root, no thrashing).
-fn ring(n: usize, k: usize, break_at: Option<usize>) -> (Database, Vec<EntangledQuery>) {
+fn ring(
+    n: usize,
+    k: usize,
+    body: GiantBody,
+    break_at: Option<usize>,
+) -> (Database, Vec<EntangledQuery>) {
     let (db, mut queries) = giant_component(&GiantComponentConfig {
         queries: n,
         friends_per_user: k,
-        body: GiantBody::Chain,
+        body,
     });
     if let Some(i) = break_at {
         let i = i % queries.len();
@@ -93,6 +100,32 @@ fn ring(n: usize, k: usize, break_at: Option<usize>) -> (Database, Vec<Entangled
             EntangledQuery::new(q.head.clone(), q.postconditions.clone(), body).with_id(q.id);
     }
     (db, queries)
+}
+
+/// Matches a ring as one component and plans it with the split forced,
+/// next to the sequential combined query over the same survivors.
+fn forced_split_plan(queries: &[EntangledQuery]) -> (ComponentPlan, CombinedQuery) {
+    let gen = VarGen::new();
+    let graph = MatchGraph::build(
+        queries
+            .iter()
+            .map(|q| q.rename_apart(&gen).with_id(q.id))
+            .collect(),
+    );
+    let members: Vec<u32> = (0..queries.len() as u32).collect();
+    let m = match_component(&graph, &members);
+    let global = m.global.expect("rings always match");
+    let plan = plan_component(
+        &graph,
+        &m.survivors,
+        &global,
+        &SplitOptions { crossover: 0 },
+    );
+    assert!(
+        plan.units.iter().any(|u| u.regions.is_some()),
+        "ring must split"
+    );
+    (plan, CombinedQuery::build(&graph, &m.survivors, global))
 }
 
 proptest! {
@@ -107,14 +140,14 @@ proptest! {
         batch in 0usize..2,
     ) {
         prop_assume!(n > 4 * k);
-        let (db, queries) = ring(n, k, break_at);
+        let (db, queries) = ring(n, k, GiantBody::Chain, break_at);
         let mode = if batch == 1 {
             EngineMode::SetAtATime { batch_size: 0 }
         } else {
             EngineMode::Incremental
         };
-        let seq = outcomes(db.snapshot(), &queries, mode, usize::MAX, 1, usize::MAX);
-        let par = outcomes(db.snapshot(), &queries, mode, 1, threads, usize::MAX);
+        let seq = outcomes(db.snapshot(), &queries, mode, usize::MAX, 1);
+        let par = outcomes(db.snapshot(), &queries, mode, 1, threads);
         prop_assert_eq!(seq, par);
     }
 
@@ -123,34 +156,17 @@ proptest! {
         n in 6usize..40,
         threads in 2usize..9,
         break_at in proptest::option::of(0usize..40),
-        batch in 0usize..2,
     ) {
         // friends_per_user = 1 makes the shared-variable chain's
         // solution unique, so the biconnected-region split must agree
         // with the sequential combined join answer-for-answer — and a
         // sabotaged body turns one region unsatisfiable, which must
-        // fail the whole ring identically in both engines.
-        let (db, mut queries) = giant_component(&GiantComponentConfig {
-            queries: n,
-            friends_per_user: 1,
-            body: GiantBody::SharedChain,
-        });
-        if let Some(i) = break_at {
-            let i = i % queries.len();
-            let q = &queries[i];
-            let mut body = q.body.clone();
-            body[0].terms[0] = eq_ir::Term::str("NOBODY");
-            queries[i] =
-                EntangledQuery::new(q.head.clone(), q.postconditions.clone(), body).with_id(q.id);
-        }
-        let mode = if batch == 1 {
-            EngineMode::SetAtATime { batch_size: 0 }
-        } else {
-            EngineMode::Incremental
-        };
-        let seq = outcomes(db.snapshot(), &queries, mode, usize::MAX, 1, usize::MAX);
-        let split = outcomes(db.snapshot(), &queries, mode, 1, threads, 2);
-        prop_assert_eq!(seq, split);
+        // leave both without a solution.
+        let (db, queries) = ring(n, 1, GiantBody::SharedChain, break_at);
+        let (plan, combined) = forced_split_plan(&queries);
+        let sequential = combined.evaluate(&db, 1).unwrap().into_iter().next();
+        prop_assert_eq!(sequential.is_some(), break_at.is_none());
+        prop_assert_eq!(evaluate_plan(&plan, &db, threads).unwrap(), sequential);
     }
 
     #[test]
@@ -161,24 +177,14 @@ proptest! {
     ) {
         // Larger k: many local solutions per region. The split answer
         // may legitimately differ from the sequential join's first
-        // choice, but it must be identical for every worker count.
+        // choice, but it must be identical for every worker count —
+        // and the ring coordinates.
         prop_assume!(n > 4 * k);
-        let (db, queries) = giant_component(&GiantComponentConfig {
-            queries: n,
-            friends_per_user: k,
-            body: GiantBody::SharedChain,
-        });
-        let mode = EngineMode::SetAtATime { batch_size: 0 };
-        let one = outcomes(db.snapshot(), &queries, mode, 1, 1, 2);
-        let many = outcomes(db.snapshot(), &queries, mode, 1, threads, 2);
-        prop_assert_eq!(&one, &many);
-        // And the ring coordinates: every outcome is an answer.
-        for (id, outcome) in &one {
-            prop_assert!(
-                matches!(outcome, Some(QueryOutcome::Answered(_))),
-                "query {:?} did not coordinate", id
-            );
-        }
+        let (db, queries) = ring(n, k, GiantBody::SharedChain, None);
+        let (plan, _) = forced_split_plan(&queries);
+        let one = evaluate_plan(&plan, &db, 1).unwrap();
+        prop_assert!(one.is_some(), "the ring did not coordinate");
+        prop_assert_eq!(evaluate_plan(&plan, &db, threads).unwrap(), one);
     }
 
     #[test]
@@ -193,8 +199,8 @@ proptest! {
         prop_assume!(!queries.is_empty());
         let db = eq_workload::build_database(graph());
         let mode = EngineMode::SetAtATime { batch_size: 0 };
-        let seq = outcomes(db.snapshot(), &queries, mode, usize::MAX, 1, usize::MAX);
-        let par = outcomes(db.snapshot(), &queries, mode, 1, threads, usize::MAX);
+        let seq = outcomes(db.snapshot(), &queries, mode, usize::MAX, 1);
+        let par = outcomes(db.snapshot(), &queries, mode, 1, threads);
         prop_assert_eq!(seq, par);
     }
 }

@@ -9,7 +9,7 @@
 //! binary can only come from a regression in the engine.)
 
 use eq_core::engine::QueryOutcome;
-use eq_core::matching::{match_component, match_component_threads, ComponentMatch, MatchStats};
+use eq_core::matching::{match_component, ComponentMatch, MatchStats};
 use eq_core::{
     CoordinationEngine, EngineConfig, EngineMode, MatchGraph, NoSolutionPolicy, SubmitOptions,
 };
@@ -112,12 +112,12 @@ fn flush_outcomes(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The seed-parallel matching entry point is bit-identical to the
-    /// sequential one at every thread count — survivors, removals,
-    /// counters, and the global unifier's classes — and neither path
-    /// clones a unifier.
+    /// Matching the same component twice observes the same result —
+    /// survivors, removals, counters, and the global unifier's classes
+    /// (no state leaks between runs through the speculation paths) —
+    /// and clones no unifier.
     #[test]
-    fn threaded_matching_is_bit_identical(
+    fn matching_is_repeatable_and_clone_free(
         kind in 0usize..6,
         n in 8usize..32,
         seed in 0u64..1_000,
@@ -132,14 +132,9 @@ proptest! {
         let mg = MatchGraph::build(renamed);
         let before = eq_unify::ops::global();
         for component in mg.components() {
-            let base = observe(&match_component(&mg, &component));
-            for threads in [2usize, 4, 8] {
-                let threaded = observe(&match_component_threads(&mg, &component, threads));
-                prop_assert_eq!(
-                    &base, &threaded,
-                    "kind={} n={} seed={} threads={}", kind, n, seed, threads
-                );
-            }
+            let first = observe(&match_component(&mg, &component));
+            let again = observe(&match_component(&mg, &component));
+            prop_assert_eq!(&first, &again, "kind={} n={} seed={}", kind, n, seed);
         }
         let delta = eq_unify::ops::global().delta_since(&before);
         prop_assert_eq!(delta.clones, 0, "matching cloned a Unifier");

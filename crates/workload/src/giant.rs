@@ -308,56 +308,77 @@ mod tests {
 
     #[test]
     fn shared_chain_ring_coordinates_via_region_split() {
+        // The engine's own split gate, `SplitOptions::default()`: a
+        // k = 1 shared chain of n queries is one unit of 2n atoms and n
+        // regions, so it splits iff (2n)² ≥ 4,096 · n — from n = 1,024
+        // on — and answers the ring's unique valuation either way.
         use eq_core::{CoordinationEngine, EngineConfig, EngineMode, QueryOutcome};
-        let n = 40;
-        let cfg = GiantComponentConfig {
-            queries: n,
-            friends_per_user: 1, // unique chain solution: x_i = G_{i+1}
-            body: GiantBody::SharedChain,
-        };
-        let (db, queries) = giant_component(&cfg);
-        let mut engine = CoordinationEngine::new(
-            db,
-            EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
-                intra_component_threshold: 1,
-                // Force the split at this small n (the crossover gate
-                // would otherwise keep an 80-atom unit whole).
-                intra_split_crossover: 0,
-                flush_threads: 4,
-                ..Default::default()
-            },
-        );
-        let handles: Vec<_> = queries
-            .iter()
-            .map(|q| engine.submit(q.clone()).unwrap())
-            .collect();
-        let report = engine.flush();
-        assert_eq!(report.answered, n);
-        assert_eq!(report.intra_components, 1);
-        // One variable-connected unit, shattered into one region per
-        // chain edge by the biconnected split.
-        assert_eq!(report.intra_units, 1);
-        assert_eq!(report.intra_split_units, 1);
-        assert_eq!(report.intra_regions, n);
-        for (i, h) in handles.iter().enumerate() {
-            let QueryOutcome::Answered(answer) = h.outcome.try_recv().unwrap() else {
-                panic!("query {i} must coordinate");
+        for (n, split_units) in [(1_023, 0), (1_024, 1)] {
+            let cfg = GiantComponentConfig {
+                queries: n,
+                friends_per_user: 1, // unique chain solution: x_i = G_{i+1}
+                body: GiantBody::SharedChain,
             };
-            // k = 1 forces the unique valuation: guest i reserves its
-            // successor (guest 0 anchors on HUB).
-            let expect = if i == 0 {
-                Value::str("HUB")
-            } else {
-                Value::str(&format!("G{}", (i + 1) % n))
-            };
-            assert_eq!(answer.tuples[0][1], expect);
+            let (db, queries) = giant_component(&cfg);
+            let mut engine = CoordinationEngine::new(
+                db,
+                EngineConfig {
+                    mode: EngineMode::SetAtATime { batch_size: 0 },
+                    ..Default::default()
+                },
+            );
+            let handles: Vec<_> = queries
+                .iter()
+                .map(|q| engine.submit(q.clone()).unwrap())
+                .collect();
+            let report = engine.flush();
+            assert_eq!(report.answered, n);
+            assert_eq!(report.intra_components, 1);
+            assert_eq!(report.intra_units, 1);
+            assert_eq!(report.intra_split_units, split_units, "n = {n}");
+            // One region per chain edge when split.
+            assert_eq!(report.intra_regions, split_units * n, "n = {n}");
+            for (i, h) in handles.iter().enumerate() {
+                let QueryOutcome::Answered(answer) = h.outcome.try_recv().unwrap() else {
+                    panic!("query {i} must coordinate");
+                };
+                // k = 1 forces the unique valuation: guest i reserves
+                // its successor (guest 0 anchors on HUB).
+                let expect = if i == 0 {
+                    Value::str("HUB")
+                } else {
+                    Value::str(&format!("G{}", (i + 1) % n))
+                };
+                assert_eq!(answer.tuples[0][1], expect, "n = {n}");
+            }
         }
+    }
+
+    /// Matches a ring as one component and plans it under `split` — the
+    /// level at which a split can be forced on a ring too small for the
+    /// engine's gate (`crossover: 0`).
+    fn ring_plan(
+        cfg: &GiantComponentConfig,
+        split: &eq_core::intra::SplitOptions,
+    ) -> (Database, eq_core::ComponentPlan) {
+        let (db, queries) = giant_component(cfg);
+        let gen = VarGen::new();
+        let graph = eq_core::MatchGraph::build(
+            queries
+                .iter()
+                .map(|q| q.rename_apart(&gen).with_id(q.id))
+                .collect(),
+        );
+        let members: Vec<u32> = (0..cfg.queries as u32).collect();
+        let m = eq_core::matching::match_component(&graph, &members);
+        let global = m.global.expect("rings always match");
+        let plan = eq_core::intra::plan_component(&graph, &m.survivors, &global, split);
+        (db, plan)
     }
 
     #[test]
     fn shared_chain_split_matches_unsplit_statuses() {
-        use eq_core::{CoordinationEngine, EngineConfig, EngineMode};
+        use eq_core::intra::{evaluate_plan, SplitOptions};
         // Larger k: per-region solutions multiply, answers may differ
         // between split and whole-unit evaluation, but satisfiability —
         // hence every terminal status — must agree.
@@ -366,36 +387,26 @@ mod tests {
             friends_per_user: 4,
             body: GiantBody::SharedChain,
         };
-        let (db, queries) = giant_component(&cfg);
-        let run = |split: bool| {
-            let mut engine = CoordinationEngine::new(
-                db.snapshot(),
-                EngineConfig {
-                    mode: EngineMode::SetAtATime { batch_size: 0 },
-                    intra_component_threshold: 1,
-                    intra_split_min_atoms: if split { 2 } else { usize::MAX },
-                    intra_split_crossover: 0,
-                    flush_threads: 4,
-                    ..Default::default()
-                },
-            );
-            for q in &queries {
-                engine.submit(q.clone()).unwrap();
-            }
-            engine.flush()
+        let (db, split) = ring_plan(&cfg, &SplitOptions { crossover: 0 });
+        let (_, whole) = ring_plan(&cfg, &SplitOptions::default());
+        let regions = |plan: &eq_core::ComponentPlan| {
+            plan.units
+                .iter()
+                .filter_map(|u| u.regions.as_ref())
+                .map(|rp| rp.regions.len())
+                .sum::<usize>()
         };
-        let split = run(true);
-        let whole = run(false);
-        assert_eq!(split.answered, 30);
-        assert_eq!(split.answered, whole.answered);
-        assert_eq!(split.failed, whole.failed);
-        assert_eq!(split.intra_regions, 30);
-        assert_eq!(whole.intra_regions, 0);
+        assert_eq!(regions(&split), 30);
+        assert_eq!(regions(&whole), 0);
+        let split = evaluate_plan(&split, &db, 4).unwrap();
+        let whole = evaluate_plan(&whole, &db, 4).unwrap();
+        assert_eq!(split.map(|a| a.len()), Some(30));
+        assert_eq!(whole.map(|a| a.len()), Some(30));
     }
 
     #[test]
     fn shared_wide_witness_peak_is_bounded_by_articulation_domain() {
-        use eq_core::{CoordinationEngine, EngineConfig, EngineMode};
+        use eq_core::intra::{evaluate_plan_with_stats, SplitOptions};
         // The anti-materialization flavor: each pendant region carries
         // Θ(k²) local solutions, but the region evaluator retains only
         // the ≤ k articulation witness values per region — and, running
@@ -406,39 +417,27 @@ mod tests {
             friends_per_user: k,
             body: GiantBody::SharedWide,
         };
-        let (db, queries) = giant_component(&cfg);
-        let mut engine = CoordinationEngine::new(
-            db,
-            EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
-                intra_component_threshold: 1,
-                intra_split_crossover: 0,
-                flush_threads: 4,
-                ..Default::default()
-            },
-        );
-        for q in &queries {
-            engine.submit(q.clone()).unwrap();
-        }
-        let report = engine.flush();
-        assert_eq!(report.answered, n);
-        assert_eq!(report.intra_split_units, 1);
+        let (db, plan) = ring_plan(&cfg, &SplitOptions { crossover: 0 });
+        assert_eq!(plan.units.len(), 1);
         // n chain regions plus n pendant {x_i, z_i} regions.
-        assert_eq!(report.intra_regions, 2 * n);
+        let regions = plan.units[0].regions.as_ref().expect("the ring splits");
+        assert_eq!(regions.regions.len(), 2 * n);
+        let (answers, stats) = evaluate_plan_with_stats(&plan, &db, 4).unwrap();
+        assert_eq!(answers.map(|a| a.len()), Some(n));
         // Every region binds its parent articulation variable first, so
         // "done with this value" leaves one solution per value bottom-up
         // plus the one picked top-down — not the k² pre-image …
         assert!(
-            report.intra_region_streamed <= (2 * n * (k + 1)) as u64,
+            stats.region_streamed <= (2 * n * (k + 1)) as u64,
             "streamed {} > {}",
-            report.intra_region_streamed,
+            stats.region_streamed,
             2 * n * (k + 1)
         );
         // … and never held more than the articulation domain.
         assert!(
-            report.intra_witness_peak >= 1 && report.intra_witness_peak <= k as u64,
+            stats.witness_peak >= 1 && stats.witness_peak <= k as u64,
             "witness peak {} out of [1, {k}]",
-            report.intra_witness_peak
+            stats.witness_peak
         );
     }
 

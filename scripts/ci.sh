@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Full-workspace CI: format check, workspace-membership assertion,
-# build, test (incl. doctests), lint, docs-as-errors, doc-link check,
-# the eq_check concurrency-discipline analyzer (workspace scan +
-# fixture suite), the differential-oracle proptests for the undo-log
+# build, test (incl. doctests), lint, docs-as-errors, doc-link and
+# EngineConfig-drift check, the eq_check concurrency-discipline
+# analyzer (workspace scan + fixture suite), the differential-oracle proptests for the undo-log
 # unifier, the small-stack evaluator regression (RUST_MIN_STACK), a
 # --smoke run of every bench target (paper Figs. 6-9 + ablations), and
 # last the benchmark package that judges every perf claim (benchmark/,
@@ -44,7 +44,7 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== 7/13 cargo doc (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
-echo "== 8/13 docs dead-link check =="
+echo "== 8/13 docs dead-link + EngineConfig drift check =="
 python3 scripts/check_doc_links.py
 
 echo "== 9/13 eq_check concurrency-discipline analyzer =="
