@@ -1,9 +1,8 @@
 //@ path: crates/core/src/matching.rs
 //@ expect: no-unifier-clone
-// A speculative deep-copy of a live unifier on the matching hot path:
-// the undo-log snapshot/rollback discipline exists precisely so edge
-// propagation never clones a binding table before a merge it might
-// have to abandon.
+// A deep-copy of a live unifier on the matching hot path: propagation
+// moves a seed out and merges into it in place, never cloning a binding
+// table.
 
 pub fn propagate(parent_unifier: &Unifier, out: &mut Vec<Unifier>) {
     let speculative = parent_unifier.clone();

@@ -1,7 +1,7 @@
 //@ path: crates/core/src/combine.rs
 // Benign clones (tuples, survivor lists, reports) stay legal in the
-// speculative sites, and cfg(test) oracles may still deep-copy a
-// Unifier to cross-check the undo-log table.
+// watched files, and cfg(test) oracles may still deep-copy a Unifier
+// to cross-check it.
 
 pub fn collect(tup: &Tuple, out: &mut Vec<Tuple>) {
     out.push(tup.clone());

@@ -76,10 +76,9 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         name: "no-unifier-clone",
-        summary: "no Unifier deep-copies in the engine's speculative sites \
-                  (matching.rs, engine.rs, combine.rs, ucs.rs) outside \
-                  cfg(test) oracles — speculation rides undo-log \
-                  snapshot/rollback instead of cloning binding tables",
+        summary: "no Unifier deep-copies in matching.rs, engine.rs, \
+                  combine.rs or ucs.rs outside cfg(test) oracles — \
+                  unifiers are moved or merged in place, never copied",
         allow: &[],
     },
     Rule {
@@ -129,7 +128,7 @@ const HOT_PATH_FILES: &[&str] = &[
 ];
 
 /// Files whose non-test code must not deep-copy a `Unifier` (suffix
-/// match): the speculative sites converted to snapshot/rollback. The
+/// match): matching, evaluation and combined-query assembly. The
 /// detection is name-based — `.clone()` on a binding whose identifier
 /// is unifier-shaped, or an explicit `Unifier::clone(..)` — so benign
 /// clones of tuples, reports, and survivor lists stay legal.
@@ -490,10 +489,9 @@ fn scan_recursion(path: &str, a: &Analysis, out: &mut Vec<Violation>) {
 
 /// `.clone()` on a unifier-shaped receiver (`unifier`, `global`, `mgu`,
 /// or any `*_unifier` binding) or an explicit `Unifier::clone(..)` in
-/// the converted speculative sites, outside cfg(test). Keeps the
-/// zero-clone hot path honest: speculation must go through
-/// `snapshot()`/`rollback_to()` (or `try_merge_from`), never a deep
-/// copy of the binding table.
+/// the files of [`UNIFIER_CLONE_FILES`], outside cfg(test). Keeps the
+/// zero-clone hot path honest: a unifier is moved or merged in place
+/// (`merge_from`), never deep-copied.
 fn scan_unifier_clone(path: &str, a: &Analysis, out: &mut Vec<Violation>) {
     let r = rule("no-unifier-clone");
     if !UNIFIER_CLONE_FILES.iter().any(|f| path_matches(path, f)) || allowed(r, path, None) {
@@ -520,10 +518,9 @@ fn scan_unifier_clone(path: &str, a: &Analysis, out: &mut Vec<Violation>) {
                 rule: r.name,
                 path: path.to_owned(),
                 line: a.tokens[i].line,
-                message: "Unifier deep-copied on a speculative path; ride an \
-                          undo-log snapshot (snapshot/rollback_to or \
-                          try_merge_from) instead — clones are confined to \
-                          cfg(test) oracles"
+                message: "Unifier deep-copied on a matching/evaluation path; \
+                          move it or merge_from it instead — clones are \
+                          confined to cfg(test) oracles"
                     .into(),
             });
         }

@@ -1,7 +1,12 @@
 //! Combined-query construction and answer distribution (§4.2).
 //!
-//! After matching, a component's survivors and global unifier `U` are
-//! folded into one ordinary conjunctive query
+//! A combined query is built per *coordinating set*: a surviving SCC of
+//! the matched component with no surviving edge to or from another SCC
+//! ([`crate::matching::ComponentMatch::sets`]). When CLEANUP splits a
+//! component into several sets, each gets a combined query of its own,
+//! so one set's missing solution never fails another. The set's queries
+//! and the global unifier `U` are folded into one ordinary conjunctive
+//! query
 //!
 //! ```text
 //! ⋀ᵢ Hᵢ  ⊣  ⋀ᵢ Bᵢ ∧ φ_U
@@ -20,7 +25,7 @@ use eq_db::{Database, DbError, Tuple, Valuation};
 use eq_ir::{Atom, Constraint, QueryId, Symbol, Term, Value};
 use eq_unify::Unifier;
 
-/// The combined query for one matched component.
+/// The combined query for one coordinating set.
 #[derive(Clone, Debug)]
 pub struct CombinedQuery {
     /// Conjunction of all survivor bodies, simplified under the global
@@ -47,13 +52,15 @@ pub struct QueryAnswer {
 }
 
 impl CombinedQuery {
-    /// Builds the combined query from a matched component's `survivors`
-    /// (graph slots) and `global` unifier. Works over any
+    /// Builds the combined query from a coordinating set's members
+    /// `survivors` (graph slots) and the `global` unifier. Works over any
     /// [`MatchView`] — a batch-built graph or the engine's resident
     /// graph — borrowing the survivor queries in place. Takes the
-    /// global unifier by value: every caller owns it once matching
-    /// finishes, so assembly moves the table instead of cloning it
-    /// (eq_check's `no-unifier-clone` rule watches this file).
+    /// global unifier by value, so assembly moves the table instead of
+    /// cloning it (eq_check's `no-unifier-clone` rule watches this
+    /// file); the engine, which evaluates several sets against one
+    /// shared global, borrows it through the same simplification
+    /// instead.
     pub fn build<V: MatchView>(graph: &V, survivors: &[u32], global: Unifier) -> Self {
         let (body, constraints, heads) = simplify_survivors(graph, survivors, &global);
         CombinedQuery {
@@ -83,9 +90,9 @@ impl CombinedQuery {
 
 /// Grounds a list of per-query simplified head atoms under one valuation
 /// of the combined body, yielding one answer per entangled query. Shared
-/// by [`CombinedQuery::evaluate`] and the partitioned intra-component
-/// path ([`crate::intra::evaluate_plan`]), so the two produce answers
-/// through identical distribution code.
+/// by [`CombinedQuery::evaluate`], the engine's sequential join and the
+/// partitioned intra-component path ([`crate::intra::evaluate_plan`]),
+/// so all three produce answers through identical distribution code.
 pub(crate) fn distribute_heads(
     heads: &[(QueryId, Vec<Atom>)],
     valuation: &Valuation,
@@ -108,14 +115,15 @@ pub(crate) fn distribute_heads(
         .collect()
 }
 
-/// The §4.2 simplification of a matched component's survivors under
-/// the global unifier: concatenated body atoms, concatenated
-/// constraints, and per-survivor simplified heads (every term resolved
-/// to its class constant or representative). The **single** source of
-/// the simplification for both [`CombinedQuery::build`] and the
-/// partitioned intra-component plan ([`crate::intra::plan_component`])
-/// — the intra ≡ sequential answer guarantee requires the two paths to
-/// simplify byte-identically, so there is exactly one implementation.
+/// The §4.2 simplification of a coordinating set's queries under the
+/// global unifier: concatenated body atoms, concatenated constraints,
+/// and per-survivor simplified heads (every term resolved to its class
+/// constant or representative). The **single** source of the
+/// simplification for [`CombinedQuery::build`], the engine's sequential
+/// join and the partitioned intra-component plan
+/// ([`crate::intra::plan_component`]) — the intra ≡ sequential answer
+/// guarantee requires the paths to simplify byte-identically, so there
+/// is exactly one implementation.
 #[allow(clippy::type_complexity)]
 pub(crate) fn simplify_survivors<V: MatchView>(
     graph: &V,

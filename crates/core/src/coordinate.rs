@@ -28,8 +28,10 @@ pub enum RejectReason {
     /// Removed by the safety enforcement of §3.1.1 (its postcondition
     /// unified with more than one head).
     Unsafe,
-    /// Its component violated the unique-coordination-structure
-    /// condition of §3.1.2.
+    /// Its piece of the matched component — the survivors it is
+    /// connected to — spans several strongly connected components, so
+    /// it violates the unique-coordination-structure condition of
+    /// §3.1.2.
     NonUcs,
     /// Matching removed it: some postcondition had no satisfier, or its
     /// constraints were inconsistent (CLEANUP).
@@ -383,6 +385,64 @@ mod tests {
         for i in 0..3 {
             assert_eq!(outcome.reason(QueryId(i)), Some(&RejectReason::NonUcs));
         }
+    }
+
+    /// `F` rows for the `X`/`Xp` pair and for `D`; none for `Y`/`Yp`.
+    fn twin_db() -> Database {
+        let mut db = Database::new();
+        db.create_table("F", &["a", "b"]).unwrap();
+        db.create_table("T", &["a"]).unwrap();
+        for (a, b) in [("X", "Xp"), ("Xp", "X"), ("D", "X")] {
+            db.insert("F", vec![Value::str(a), Value::str(b)]).unwrap();
+        }
+        db.insert("T", vec![Value::str("C1")]).unwrap();
+        db
+    }
+
+    #[test]
+    fn each_coordinating_set_answers_alone() {
+        // Removing the doomed bridge (nobody heads `Missing(D)`) leaves
+        // two two-cycles in one component; the Y pair has no rows.
+        let outcome = coordinate(
+            &[
+                q("{R(Xp, ITH)} R(X, ITH) <- F(X, Xp)"),
+                q("{R(X, ITH)} R(Xp, ITH) <- F(Xp, X)"),
+                q("{R(Yp, ITH)} R(Y, ITH) <- F(Y, Yp)"),
+                q("{R(Y, ITH)} R(Yp, ITH) <- F(Yp, Y)"),
+                q("{R(X, ITH) & R(Y, ITH) & Missing(D)} R(D, ITH) <- F(D, X)"),
+            ],
+            &twin_db(),
+        )
+        .unwrap();
+        assert_eq!(outcome.answers.len(), 2);
+        assert_eq!(outcome.answers[&QueryId(0)].tuples[0][0], Value::str("X"));
+        assert_eq!(outcome.answers[&QueryId(1)].tuples[0][0], Value::str("Xp"));
+        assert_eq!(outcome.reason(QueryId(2)), Some(&RejectReason::NoSolution));
+        assert_eq!(outcome.reason(QueryId(3)), Some(&RejectReason::NoSolution));
+        assert_eq!(outcome.reason(QueryId(4)), Some(&RejectReason::Unmatched));
+    }
+
+    #[test]
+    fn non_ucs_piece_is_rejected_alone() {
+        // The doomed bridge joins the X pair to A → B, a piece of two
+        // SCCs.
+        let outcome = coordinate(
+            &[
+                q("{R(Xp, ITH)} R(X, ITH) <- F(X, Xp)"),
+                q("{R(X, ITH)} R(Xp, ITH) <- F(Xp, X)"),
+                q("{} A(C1) <- T(C1)"),
+                q("{A(v)} B(v) <- T(v)"),
+                q("{R(X, ITH) & B(C1) & Missing(D)} R(D, ITH) <- F(D, X)"),
+            ],
+            &twin_db(),
+        )
+        .unwrap();
+        assert_eq!(outcome.answers.len(), 2);
+        assert!(outcome.answers.contains_key(&QueryId(0)));
+        assert!(outcome.answers.contains_key(&QueryId(1)));
+        assert_eq!(outcome.reason(QueryId(2)), Some(&RejectReason::NonUcs));
+        assert_eq!(outcome.reason(QueryId(3)), Some(&RejectReason::NonUcs));
+        assert_eq!(outcome.reason(QueryId(4)), Some(&RejectReason::Unmatched));
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! Answers are delivered through per-query handles (the middleware
 //! layer's asynchronous callback abstraction).
 
-use crate::combine::{CombinedQuery, QueryAnswer};
+use crate::combine::{self, QueryAnswer};
 use crate::coordinate::RejectReason;
 use crate::error::InvariantViolation;
 use crate::graph::{Edge, MatchView};
@@ -40,7 +40,6 @@ use crate::matching::{self, MatchStats};
 use crate::pool;
 use crate::resident::ResidentGraph;
 use crate::safety::{self, SafetyViolation};
-use crate::ucs;
 use eq_db::{Database, StoreIoStats};
 use eq_ir::{EntangledQuery, FastMap, FastSet, QueryId, ValidationError, VarGen};
 use eq_unify::Unifier;
@@ -108,16 +107,17 @@ pub struct EngineConfig {
     /// partition (reproduces the giant-cluster blow-up of Figure 8 that
     /// motivates set-at-a-time mode).
     pub incremental_partition_limit: usize,
-    /// Components with at least this many members are evaluated through
-    /// the **partitioned intra-component path** ([`crate::intra`]): the
-    /// combined query's variable-disjoint work units run on the flush
-    /// worker pool, with a deterministic merge that reproduces the
-    /// sequential answer choice (the two paths are property-tested
-    /// answer-for-answer identical). A shared-variable unit that the
-    /// [`crate::intra::SplitOptions::default`] gate admits is further
-    /// split into biconnected regions joined by projection. Smaller
-    /// components evaluate through the plain sequential
-    /// [`CombinedQuery`] path. Set to `usize::MAX` to always evaluate
+    /// Coordinating sets with at least this many members are evaluated
+    /// through the **partitioned intra-component path**
+    /// ([`crate::intra`]): the combined query's variable-disjoint work
+    /// units run on the flush worker pool, with a deterministic merge
+    /// that reproduces the sequential answer choice (the two paths are
+    /// property-tested answer-for-answer identical). A shared-variable
+    /// unit that the [`crate::intra::SplitOptions::default`] gate admits
+    /// is further split into biconnected regions joined by projection.
+    /// Smaller sets evaluate their combined query
+    /// ([`crate::CombinedQuery`]) as one sequential join. Set to
+    /// `usize::MAX` to always evaluate
     /// sequentially; the partitioned path pays off even at
     /// `flush_threads: 1` because evaluating k independent joins of
     /// size n/k sidesteps the whole-body join's quadratic atom-selection
@@ -241,8 +241,8 @@ pub struct BatchReport {
     pub failed: usize,
     /// Queries left pending.
     pub pending: usize,
-    /// Components evaluated through the partitioned intra-component
-    /// path ([`EngineConfig::intra_component_threshold`]).
+    /// Coordinating sets evaluated through the partitioned
+    /// intra-component path ([`EngineConfig::intra_component_threshold`]).
     pub intra_components: usize,
     /// Work units dispatched by the partitioned path across those
     /// components (each unit is one variable-disjoint sub-join of a
@@ -302,18 +302,11 @@ pub struct BatchReport {
     /// the delta of [`eq_unify::ops`]'s process counter across the
     /// operation.
     pub unify_merges: u64,
-    /// Unifier snapshots rolled back across the operation: speculation
-    /// rejected in place (SCC fast-path bailouts, failed speculative
-    /// merges) instead of by rebuilding tables.
-    pub unify_rollbacks: u64,
     /// `Unifier::clone` calls across the operation. The engine's
-    /// matching / admission / combine paths ride snapshots, so this
-    /// must be 0 — ci asserts it on the benchmark counters.
+    /// matching / admission / combine paths move or merge unifiers in
+    /// place, so this must be 0 — ci asserts it on the benchmark
+    /// counters.
     pub unify_clones: u64,
-    /// Peak undo-log length (logged writes) observed at any
-    /// snapshot-close so far in this process — the in-place
-    /// speculation footprint that replaced whole-table copies.
-    pub unify_undo_high_water: u64,
 }
 
 /// A pending query and everything that travels with it — also the
@@ -1248,7 +1241,7 @@ impl CoordinationEngine {
                 // Same evaluation code path as flushes and incremental
                 // triggers (sequential here: one pair, submit thread).
                 let (solution, _) =
-                    evaluate_survivors(&view, &m.survivors, global, &db, &self.config, 1);
+                    evaluate_survivors(&view, &m.survivors, &global, &db, &self.config, 1);
                 (m.survivors, solution)
             };
             match solution {
@@ -1391,14 +1384,13 @@ impl CoordinationEngine {
             report.stats.dequeues += outcome.stats.dequeues;
             report.stats.mgu_calls += outcome.stats.mgu_calls;
             report.stats.cleanups += outcome.stats.cleanups;
-            if outcome.partitioned {
+            for intra in outcome.intra {
                 report.intra_components += 1;
-                report.intra_units += outcome.intra.units;
-                report.intra_split_units += outcome.intra.split_units;
-                report.intra_regions += outcome.intra.regions;
-                report.intra_region_streamed += outcome.intra.region_streamed;
-                report.intra_witness_peak =
-                    report.intra_witness_peak.max(outcome.intra.witness_peak);
+                report.intra_units += intra.units;
+                report.intra_split_units += intra.split_units;
+                report.intra_regions += intra.regions;
+                report.intra_region_streamed += intra.region_streamed;
+                report.intra_witness_peak = report.intra_witness_peak.max(intra.witness_peak);
             }
             for (slot, answer) in outcome.answered {
                 self.retire(slot, Ok(answer));
@@ -1423,9 +1415,7 @@ impl CoordinationEngine {
         report.pending = self.pending_count();
         let unify_delta = eq_unify::ops::global().delta_since(&unify_before);
         report.unify_merges = unify_delta.merges;
-        report.unify_rollbacks = unify_delta.rollbacks;
         report.unify_clones = unify_delta.clones;
-        report.unify_undo_high_water = unify_delta.undo_high_water;
         report
     }
 
@@ -1724,30 +1714,27 @@ struct ComponentOutcome {
     failed: Vec<(u32, RejectReason)>,
     no_solution: Vec<u32>,
     stats: MatchStats,
-    /// True when the combined query went through the partitioned
-    /// intra-component path.
-    partitioned: bool,
-    /// Work-unit / region counters of that path (zeros on the
-    /// sequential path).
-    intra: IntraCounters,
+    /// Work-unit / region counters of each coordinating set that went
+    /// through the partitioned intra-component path.
+    intra: Vec<IntraCounters>,
 }
 
-/// Evaluates a matched component's combined query, routing by size: at
+/// Evaluates one coordinating set's combined query, routing by size: at
 /// or above [`EngineConfig::intra_component_threshold`] the body is
 /// partitioned into variable-disjoint work units evaluated on up to
 /// `threads` workers ([`intra`]; shared-variable units split into
 /// regions where [`intra::SplitOptions::default`]'s gate admits it),
-/// below it the plain sequential
-/// [`CombinedQuery`] path runs. The two produce identical answers by
-/// construction (see [`intra`]'s module docs); this helper is the **one
-/// evaluation code path** shared by set-at-a-time flushes, incremental
-/// triggers, and the eager-pairing fallback. Returns the first
-/// coordinated solution (one answer per survivor, in survivor order)
-/// and the number of work units dispatched (0 for the sequential path).
+/// below it the body is one sequential join. The two produce identical
+/// answers by construction (see [`intra`]'s module docs); this helper is
+/// the **one evaluation code path** shared by set-at-a-time flushes,
+/// incremental triggers, and the eager-pairing fallback. Returns the
+/// first coordinated solution (one answer per survivor, in survivor
+/// order) and the partitioned path's counters (`None` for the
+/// sequential join).
 fn evaluate_survivors<V: MatchView>(
     graph: &V,
     survivors: &[u32],
-    global: Unifier,
+    global: &Unifier,
     db: &Database,
     config: &EngineConfig,
     threads: usize,
@@ -1756,8 +1743,7 @@ fn evaluate_survivors<V: MatchView>(
     Option<IntraCounters>,
 ) {
     if survivors.len() >= config.intra_component_threshold {
-        let plan =
-            intra::plan_component(graph, survivors, &global, &intra::SplitOptions::default());
+        let plan = intra::plan_component(graph, survivors, global, &intra::SplitOptions::default());
         let mut counters = IntraCounters {
             units: plan.units.len(),
             split_units: plan.units.iter().filter(|u| u.regions.is_some()).count(),
@@ -1777,16 +1763,20 @@ fn evaluate_survivors<V: MatchView>(
         });
         (result, Some(counters))
     } else {
-        let combined = CombinedQuery::build(graph, survivors, global);
-        let result = combined
-            .evaluate(db, 1)
-            .map(|solutions| solutions.into_iter().next());
+        let (body, constraints, heads) = combine::simplify_survivors(graph, survivors, global);
+        let result = db
+            .evaluate_filtered(&body, &constraints, 1)
+            .map(|valuations| {
+                valuations
+                    .first()
+                    .map(|v| combine::distribute_heads(&heads, v))
+            });
         (result, None)
     }
 }
 
-/// Work-partitioning counters of one partitioned component evaluation
-/// (folded into [`BatchReport`]).
+/// Work-partitioning counters of one partitioned evaluation (folded
+/// into [`BatchReport`]).
 #[derive(Clone, Copy, Default)]
 struct IntraCounters {
     units: usize,
@@ -1796,6 +1786,10 @@ struct IntraCounters {
     witness_peak: u64,
 }
 
+/// Matches one component and evaluates each of its coordinating sets
+/// alone, so one set's missing solution or database error never fails
+/// another. Members matching removed stay pending — their partners may
+/// still arrive.
 fn process_component<V: MatchView + Sync>(
     graph: &V,
     members: &[u32],
@@ -1803,63 +1797,47 @@ fn process_component<V: MatchView + Sync>(
     config: &EngineConfig,
     threads: usize,
 ) -> ComponentOutcome {
+    let m = matching::match_component(graph, members);
     let mut out = ComponentOutcome {
         answered: Vec::new(),
         failed: Vec::new(),
         no_solution: Vec::new(),
-        stats: MatchStats::default(),
-        partitioned: false,
-        intra: IntraCounters::default(),
+        stats: m.stats,
+        intra: Vec::new(),
     };
-
-    let m = matching::match_component(graph, members);
-    out.stats = m.stats;
-    if m.survivors.is_empty() {
-        return out; // everyone stays pending
-    }
-    let Some(global) = m.global else {
-        // Inconsistent component: reject survivors (removed stay
-        // pending — their partners may still arrive).
-        for &s in &m.survivors {
-            out.failed.push((s, RejectReason::Unmatched));
-        }
-        return out;
-    };
-
-    // UCS on the survivor subgraph (member-scoped: no allocation over
-    // the whole slot space). §3.1.2: a non-UCS component is never
+    // §3.1.2: a piece of the survivors spanning several SCCs is never
     // evaluated as one combined query.
-    if !ucs::violations_members(graph, &m.survivors).is_empty() {
-        for &s in &m.survivors {
-            out.failed.push((s, RejectReason::NonUcs));
-        }
-        return out;
+    for &s in &m.non_ucs {
+        out.failed.push((s, RejectReason::NonUcs));
     }
-
-    let (solution, counters) = evaluate_survivors(graph, &m.survivors, global, db, config, threads);
-    if let Some(counters) = counters {
-        out.partitioned = true;
-        out.intra = counters;
-    }
-    match solution {
-        Ok(Some(answers)) => {
-            // `answers` is parallel to `m.survivors`.
-            for (&slot, answer) in m.survivors.iter().zip(answers) {
-                out.answered.push((slot, answer));
+    for set in &m.sets {
+        // The all-survivor fold conflicts only inside a non-UCS piece;
+        // then each set folds its own unifier by matching alone (it has
+        // no in-edge from outside itself, so it matches to itself).
+        let own;
+        let global = match &m.global {
+            Some(global) => global,
+            None => {
+                own = matching::match_component(graph, set).global;
+                let Some(global) = own.as_ref() else {
+                    continue; // unreachable: a coordinating set matches alone
+                };
+                global
             }
-        }
-        Ok(None) => {
+        };
+        let (solution, counters) = evaluate_survivors(graph, set, global, db, config, threads);
+        out.intra.extend(counters);
+        match solution {
+            // `answers` is parallel to `set`.
+            Ok(Some(answers)) => out.answered.extend(set.iter().copied().zip(answers)),
             // Policy application happens on the engine's sequential
             // phase (per-query overrides live in the slot table).
-            out.no_solution = m.survivors.clone();
-        }
-        Err(e) => {
+            Ok(None) => out.no_solution.extend_from_slice(set),
             // Unknown relation / arity error in some body: fail those
             // queries rather than poisoning the component forever.
-            let _ = e;
-            for &s in &m.survivors {
-                out.failed.push((s, RejectReason::NoSolution));
-            }
+            Err(_) => out
+                .failed
+                .extend(set.iter().map(|&s| (s, RejectReason::NoSolution))),
         }
     }
     out
@@ -2812,5 +2790,92 @@ mod tests {
             h3.outcome.try_recv().unwrap(),
             QueryOutcome::Answered(_)
         ));
+    }
+
+    /// `F` rows for the `X`/`Xp` pair and for `D`; none for `Y`/`Yp`.
+    fn twin_db() -> Database {
+        let mut db = Database::new();
+        db.create_table("F", &["a", "b"]).unwrap();
+        db.create_table("T", &["a"]).unwrap();
+        for (a, b) in [("X", "Xp"), ("Xp", "X"), ("D", "X")] {
+            db.insert("F", vec![Value::str(a), Value::str(b)]).unwrap();
+        }
+        db.insert("T", vec![Value::str("C1")]).unwrap();
+        db
+    }
+
+    /// Submits `texts` in set-at-a-time mode, flushes once, and returns
+    /// each query's status.
+    fn flush_statuses(texts: &[&str]) -> Vec<QueryStatus> {
+        let mut engine = CoordinationEngine::new(
+            twin_db(),
+            EngineConfig {
+                mode: EngineMode::SetAtATime { batch_size: 0 },
+                ..Default::default()
+            },
+        );
+        let handles: Vec<QueryHandle> =
+            texts.iter().map(|t| engine.submit(q(t)).unwrap()).collect();
+        engine.flush();
+        handles
+            .iter()
+            .map(|h| engine.status(h.id).unwrap().clone())
+            .collect()
+    }
+
+    #[test]
+    fn each_coordinating_set_is_evaluated_alone() {
+        // The bridge demands both pairs' heads and `Missing(D)`, which
+        // nobody heads: CLEANUP removes it and leaves two two-cycles in
+        // one component. The Y pair has no rows; that must not fail
+        // the X pair.
+        let statuses = flush_statuses(&[
+            "{R(Xp, ITH)} R(X, ITH) <- F(X, Xp)",
+            "{R(X, ITH)} R(Xp, ITH) <- F(Xp, X)",
+            "{R(Yp, ITH)} R(Y, ITH) <- F(Y, Yp)",
+            "{R(Y, ITH)} R(Yp, ITH) <- F(Yp, Y)",
+            "{R(X, ITH) & R(Y, ITH) & Missing(D)} R(D, ITH) <- F(D, X)",
+        ]);
+        let no_solution = QueryStatus::Failed(FailReason::Rejected(RejectReason::NoSolution));
+        assert_eq!(
+            statuses,
+            [
+                QueryStatus::Answered,
+                QueryStatus::Answered,
+                no_solution.clone(),
+                no_solution,
+                QueryStatus::Pending,
+            ]
+        );
+    }
+
+    #[test]
+    fn a_non_ucs_piece_fails_without_its_neighbour_set() {
+        // The doomed bridge joins the X pair to a piece of several SCCs:
+        // A → B, or a provider whose two consumers bind its variable to
+        // 1 and to 2, so that the all-survivor fold conflicts as well
+        // and the X pair must fold its own unifier. Only the piece
+        // fails NonUcs.
+        let pieces: [&[&str]; 2] = [
+            &["{} A(C1) <- T(C1)", "{A(v)} B(v) <- T(v)"],
+            &[
+                "{} A(w) <- T(w)",
+                "{A(1)} B(1) <- T(1)",
+                "{A(2)} B(2) <- T(2)",
+            ],
+        ];
+        for piece in pieces {
+            let mut texts = vec![
+                "{R(Xp, ITH)} R(X, ITH) <- F(X, Xp)",
+                "{R(X, ITH)} R(Xp, ITH) <- F(Xp, X)",
+            ];
+            texts.extend_from_slice(piece);
+            texts.push("{R(X, ITH) & B(1) & Missing(D)} R(D, ITH) <- F(D, X)");
+            let non_ucs = QueryStatus::Failed(FailReason::Rejected(RejectReason::NonUcs));
+            let mut expected = vec![QueryStatus::Answered, QueryStatus::Answered];
+            expected.extend(piece.iter().map(|_| non_ucs.clone()));
+            expected.push(QueryStatus::Pending);
+            assert_eq!(flush_statuses(&texts), expected, "piece {piece:?}");
+        }
     }
 }

@@ -13,7 +13,8 @@
 //! 4. [`ucs`] — the unique-coordination-structure condition of §3.1.2
 //!    via strongly connected components;
 //! 5. [`matching`] — Algorithm 1: unifier propagation with cascading
-//!    cleanup (§4.1.3–4.1.4);
+//!    cleanup (§4.1.3–4.1.4), one pass over the SCC condensation that
+//!    also yields the coordinating sets the UCS condition allows;
 //! 6. [`combine`] — combined-query construction and answer distribution
 //!    (§4.2);
 //! 7. [`resident`] — the persistent match graph that survives across

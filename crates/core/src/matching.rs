@@ -1,5 +1,6 @@
 //! Query matching: Algorithm 1 of §4.1.3–4.1.4 — unifier propagation
-//! with cascading cleanup.
+//! with cascading cleanup — and the §3.1.2 UCS verdict, both read off
+//! one condensation of the component.
 //!
 //! Given one connected component of a *safe* unifiability graph, matching
 //!
@@ -7,39 +8,58 @@
 //!    constraint that its postconditions be satisfied by the matched
 //!    heads);
 //! 2. removes nodes with an unsatisfied postcondition (`INDEGREE(q) <
-//!    PCCOUNT(q)`), cascading the removal to all descendants (CLEANUP);
-//! 3. propagates unifiers along edges until fixpoint. The propagation
-//!    has two tiers:
-//!    * the **SCC-condensed fast path**: at the fixpoint, every node of
-//!      a strongly connected component provably carries the same
-//!      unifier — the merge of its SCC's seeds with the unifiers of all
-//!      predecessor SCCs — so the fast path runs one merge pass over
-//!      the condensation DAG in topological order instead of
-//!      re-propagating ever-growing unifiers node by node. On a
-//!      shared-variable entanglement ring (one big SCC whose global
-//!      unifier chains *n* variables) this is the difference between
-//!      O(n) unifier work and the naive fixpoint's O(n³);
-//!    * the **naive worklist fixpoint** (`U(child) := MGU(U(parent),
-//!      U(child))`, enqueue on growth): the exact Algorithm 1 loop,
-//!      used as the fallback whenever the fast path hits *any* MGU
-//!      conflict — conflicts trigger per-node CLEANUP whose outcome
-//!      depends on where the conflict materializes, which only the
-//!      faithful per-node propagation reproduces. The fast path never
-//!      commits a partial result, so the two tiers are observationally
-//!      identical: conflict-free components take the fast path, every
-//!      other component is re-run through the naive loop untouched.
+//!    PCCOUNT(q)`) or conflicting in-edges, cascading the removal to all
+//!    descendants (CLEANUP);
+//! 3. propagates unifiers along edges, removing a node whose unifier
+//!    conflicts with a parent's together with its descendants;
 //! 4. folds the survivors' unifiers into a single global unifier for the
-//!    component (§4.2); if that fails, the whole component is rejected.
+//!    component (§4.2).
+//!
+//! # Why one pass is exact
+//!
+//! Algorithm 1 states step 3 as a per-node worklist, but its outcome
+//! does not depend on the propagation order. Every unifier the worklist
+//! builds is a merge of the seeds of its node and of some of the node's
+//! ancestors, and merging a subset of a consistent constraint set cannot
+//! conflict. So if the seeds of a node and of all its ancestors unify,
+//! neither the node nor any ancestor (whose seed sets are subsets) ever
+//! conflicts, and no CLEANUP reaches it. If they do not unify, the node
+//! cannot survive: at the fixpoint a survivor's unifier holds the seeds
+//! of all its ancestors, and an ancestor that was removed takes its
+//! descendants with it. The survivors are therefore exactly
+//! `{n : the seeds of n and of all its ancestors unify}`, whatever the
+//! order.
+//!
+//! Members of one strongly connected component (SCC) share their
+//! ancestors, so that set is a union of SCCs, and step 3 is one pass
+//! over the condensation in topological order: an SCC dies if a
+//! predecessor died or if merging its seeds with its predecessors'
+//! unifiers conflicts; otherwise that merge is the fixpoint unifier of
+//! each of its members, and it is folded into the global. On a
+//! shared-variable entanglement ring (one SCC whose unifier chains *n*
+//! variables) this is O(n) unifier work, where the worklist spends
+//! O(n²) growing n copies of the chain.
+//!
+//! The same SCC ids give the UCS verdict: a piece of the survivors has a
+//! unique coordination structure iff it is one SCC, i.e. iff its SCC has
+//! no surviving edge to or from another SCC. Such a piece is a
+//! coordinating set and is evaluated alone.
 
 use crate::graph::MatchView;
 use eq_ir::{FastMap, FastSet};
-use eq_unify::{Snapshot, Unifier};
-use std::collections::VecDeque;
+use eq_unify::{Conflict, Unifier};
+
+#[cfg(test)]
+thread_local! {
+    /// Unifier entries folded by [`fold`] on this thread: the step count
+    /// the quadratic-cliff regression test reads.
+    static FOLD_STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// Counters for one matching run, reported by the benchmark harness.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MatchStats {
-    /// Nodes dequeued from the updates queue.
+    /// Live members whose seed the condensation pass visited.
     pub dequeues: u64,
     /// MGU merge operations performed.
     pub mgu_calls: u64,
@@ -49,9 +69,8 @@ pub struct MatchStats {
 
 /// Result of matching one component. (Per-node unifiers are an
 /// internal artifact of the propagation; only the survivors and the
-/// global unifier flow into combined-query construction, and the
-/// SCC-condensed fast path deliberately never materializes n copies of
-/// an n-entry unifier.)
+/// global unifier flow into combined-query construction, and the pass
+/// deliberately never materializes n copies of an n-entry unifier.)
 #[derive(Debug)]
 pub struct ComponentMatch {
     /// Slots that survived matching: every postcondition is satisfied
@@ -60,9 +79,21 @@ pub struct ComponentMatch {
     /// Slots removed as unanswerable.
     pub removed: Vec<u32>,
     /// The component-wide unifier `U = mgu({U(qi)})` of §4.2; `None`
-    /// when no survivors remain or when the global MGU does not exist
-    /// (in which case the component must be rejected).
+    /// when no survivors remain or when the survivors' unifiers do not
+    /// unify. The latter needs two SCCs with a common ancestor that
+    /// constrain its variables differently, so it happens only inside a
+    /// piece that is not UCS.
     pub global: Option<Unifier>,
+    /// The coordinating sets, in member order: each surviving SCC with
+    /// no surviving edge to or from another SCC. A set has no ancestor
+    /// outside itself, so no other survivor's unifier mentions its
+    /// variables, and each resolves under `global` exactly as under a
+    /// fold of its own.
+    pub sets: Vec<Vec<u32>>,
+    /// Survivors whose SCC has a surviving edge to or from another SCC:
+    /// their piece of the survivors spans several SCCs, so its
+    /// coordination structure is not unique (§3.1.2).
+    pub non_ucs: Vec<u32>,
     /// Run counters.
     pub stats: MatchStats,
 }
@@ -86,117 +117,136 @@ impl ComponentMatch {
 /// O(pending).
 pub fn match_component<V: MatchView>(graph: &V, members: &[u32]) -> ComponentMatch {
     let mut stats = MatchStats::default();
+    let (mut seeds, live, mut removed) = seed_phase(graph, members, &mut stats);
+
+    // Step 3 over the condensation. Tarjan ids are assigned at SCC
+    // completion, so every successor SCC has a smaller id than its
+    // predecessors — descending id order is a topological order.
+    let scc_of = crate::ucs::scc_ids_members(graph, &live);
+    let nscc = scc_of.values().copied().max().map_or(0, |m| m as usize + 1);
+    let mut members_of: Vec<Vec<u32>> = vec![Vec::new(); nscc];
+    for &m in &live {
+        members_of[scc_of[&m] as usize].push(m);
+    }
+    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nscc];
+    for &m in &live {
+        let from = scc_of[&m] as usize;
+        for &eid in graph.out_edges(m) {
+            let Some(&to) = scc_of.get(&graph.edge(eid).to) else {
+                continue; // edge out of the live set
+            };
+            if from != to as usize {
+                preds[to as usize].push(from);
+            }
+        }
+    }
+    // The fixpoint unifier of every SCC visited so far; `None` once the
+    // SCC died.
+    let mut scc_unifier: Vec<Option<Unifier>> = Vec::with_capacity(nscc);
+    scc_unifier.resize_with(nscc, || None);
+    let mut global = Some(Unifier::new());
+    for id in (0..nscc).rev() {
+        preds[id].sort_unstable();
+        preds[id].dedup();
+        let Some(u) = scc_fixpoint(
+            &members_of[id],
+            &preds[id],
+            &mut seeds,
+            &scc_unifier,
+            &mut stats,
+        ) else {
+            // CLEANUP: the SCC goes now, its descendants when the pass
+            // reaches them (each has a dead predecessor).
+            stats.cleanups += members_of[id].len() as u64;
+            removed.extend_from_slice(&members_of[id]);
+            continue;
+        };
+        // Step 4 as we go. The global absorbs each SCC's canonical class
+        // list rather than taking over a table, so its forest — and
+        // every representative the combined query resolves to — depends
+        // on the class lists and this order alone.
+        if let Some(g) = global.as_mut() {
+            if fold(g, &u, &mut stats).is_err() {
+                global = None;
+            }
+        }
+        scc_unifier[id] = Some(u);
+    }
+
+    // §3.1.2 from the same ids. A surviving SCC's predecessors all
+    // survived, so its cross edges in the condensation are exactly its
+    // surviving ones.
+    let mut crossed = vec![false; nscc];
+    for id in 0..nscc {
+        if scc_unifier[id].is_some() && !preds[id].is_empty() {
+            crossed[id] = true;
+            for &p in &preds[id] {
+                crossed[p] = true;
+            }
+        }
+    }
+    let mut survivors = Vec::with_capacity(live.len());
+    let mut sets: Vec<Vec<u32>> = Vec::new();
+    let mut set_of: Vec<Option<usize>> = vec![None; nscc];
+    let mut non_ucs = Vec::new();
+    for &m in &live {
+        let id = scc_of[&m] as usize;
+        if scc_unifier[id].is_none() {
+            continue;
+        }
+        survivors.push(m);
+        if crossed[id] {
+            non_ucs.push(m);
+            continue;
+        }
+        let set = *set_of[id].get_or_insert_with(|| {
+            sets.push(Vec::new());
+            sets.len() - 1
+        });
+        sets[set].push(m);
+    }
+    if survivors.is_empty() {
+        global = None;
+    }
+    ComponentMatch {
+        survivors,
+        removed,
+        global,
+        sets,
+        non_ucs,
+        stats,
+    }
+}
+
+/// Steps 1+2: seeds every member's unifier with its in-component in-edge
+/// MGUs, then removes each member with an unsatisfied postcondition or
+/// conflicting in-edges together with its descendants (CLEANUP).
+/// Returns the seeds, the live members in member order, and the removed.
+fn seed_phase<V: MatchView>(
+    graph: &V,
+    members: &[u32],
+    stats: &mut MatchStats,
+) -> (FastMap<u32, Unifier>, Vec<u32>, Vec<u32>) {
     let mut alive: FastSet<u32> = members.iter().copied().collect();
-    let mut unifiers: FastMap<u32, Unifier> = FastMap::default();
+    let mut seeds: FastMap<u32, Unifier> = FastMap::default();
     let mut removed = Vec::new();
-    // Steps 1+2 (seed phase): fold each member's in-edge MGUs; a member
-    // with an unsatisfied postcondition or conflicting in-edges is
-    // doomed.
     let mut doomed: Vec<u32> = Vec::new();
     for &m in members {
-        let (unifier, ok) = seed_member(graph, &alive, m, &mut stats);
-        unifiers.insert(m, unifier);
+        let (unifier, ok) = seed_member(graph, &alive, m, stats);
+        seeds.insert(m, unifier);
         if !ok {
             doomed.push(m);
         }
     }
     for d in doomed {
-        cleanup(graph, d, &mut alive, &mut removed, &mut stats);
+        cleanup(graph, d, &mut alive, &mut removed, stats);
     }
-    let live: Vec<u32> = members
+    let live = members
         .iter()
         .copied()
         .filter(|m| alive.contains(m))
         .collect();
-
-    // Step 3, fast path: SCC-condensed propagation riding the seeds
-    // in place (each is moved out and speculated on under a snapshot;
-    // a conflict rolls every seed back exactly). Commits only when
-    // conflict-free, in which case nothing is cleaned up and the
-    // returned unifier is exactly the step-4 global.
-    if let Some(global) = scc_propagate(graph, &live, &mut unifiers, &mut stats) {
-        return ComponentMatch {
-            survivors: live,
-            removed,
-            global: Some(global),
-            stats,
-        };
-    }
-
-    // Step 3, fallback: Algorithm 1's per-node worklist — propagate
-    // unifiers along edges, cleaning up on conflict.
-    let mut queue: VecDeque<u32> = live.iter().copied().collect();
-    let mut queued: FastSet<u32> = queue.iter().copied().collect();
-    while let Some(parent) = queue.pop_front() {
-        queued.remove(&parent);
-        if !alive.contains(&parent) {
-            continue;
-        }
-        stats.dequeues += 1;
-        // Move the parent's unifier out of the map for the fan-out
-        // instead of cloning it — sound because the graph has no
-        // self-edges (`discover_edges_for_pc` skips self-coordination),
-        // so no child lookup can hit the parent's vacated entry.
-        let Some(parent_unifier) = unifiers.remove(&parent) else {
-            continue; // unreachable: every live member has a seed
-        };
-        for &eid in graph.out_edges(parent) {
-            let child = graph.edge(eid).to;
-            if !alive.contains(&child) {
-                continue;
-            }
-            stats.mgu_calls += 1;
-            let Some(child_unifier) = unifiers.get_mut(&child) else {
-                continue; // unreachable: every live member has a seed
-            };
-            match child_unifier.merge_from(&parent_unifier) {
-                Ok(true) => {
-                    if queued.insert(child) {
-                        queue.push_back(child);
-                    }
-                }
-                Ok(false) => {}
-                Err(_) => {
-                    cleanup(graph, child, &mut alive, &mut removed, &mut stats);
-                }
-            }
-        }
-        unifiers.insert(parent, parent_unifier);
-    }
-
-    // Step 4: global unifier over survivors. The fold is clone-free by
-    // construction (a fresh table absorbs each survivor's classes); it
-    // deliberately does NOT move the first survivor's table in, because
-    // the global's representatives — and hence every resolved term in
-    // the combined query — depend on the fold building the forest from
-    // canonical class lists, smallest variable first.
-    let survivors: Vec<u32> = members
-        .iter()
-        .copied()
-        .filter(|m| alive.contains(m))
-        .collect();
-    let mut global = None;
-    if !survivors.is_empty() {
-        let mut folded = Unifier::new();
-        let mut conflicted = false;
-        for &s in &survivors {
-            stats.mgu_calls += 1;
-            if folded.merge_from(&unifiers[&s]).is_err() {
-                conflicted = true;
-                break;
-            }
-        }
-        if !conflicted {
-            global = Some(folded);
-        }
-    }
-
-    ComponentMatch {
-        survivors,
-        removed,
-        global,
-        stats,
-    }
+    (seeds, live, removed)
 }
 
 /// Seeds one member: its in-component in-edge MGUs folded into a local
@@ -216,8 +266,7 @@ fn seed_member<V: MatchView>(
             continue;
         }
         satisfied[e.pc_idx as usize] = true;
-        stats.mgu_calls += 1;
-        if unifier.merge_from(&e.mgu).is_err() {
+        if fold(&mut unifier, &e.mgu, stats).is_err() {
             return (unifier, false);
         }
     }
@@ -225,162 +274,36 @@ fn seed_member<V: MatchView>(
     (unifier, ok)
 }
 
-/// The SCC-condensed propagation fast path. At the fixpoint of
-/// Algorithm 1's step 3, every node of a strongly connected component
-/// carries the same unifier: the merge of all its SCC's seeds with the
-/// unifiers of all DAG-predecessor SCCs (information flows freely
-/// around a cycle, so SCC members are indistinguishable). This
-/// computes exactly that, one merge pass over the condensation in
-/// topological order, and folds the step-4 global unifier in the same
-/// pass.
-///
-/// Returns `None` on *any* MGU conflict — including one that only the
-/// final global fold would hit — with `seeds` restored exactly to its
-/// pre-call state; the caller then reruns the naive per-node fixpoint,
-/// whose conflict-cleanup semantics (which node is removed depends on
-/// where the conflict materializes) must not be second-guessed here.
-/// Also returns `None` for an empty live set (step 4 defines that as an
-/// unanswerable component, which the fallback reproduces trivially).
-///
-/// # Speculation discipline
-///
-/// Each SCC *rides* one of its seeds instead of rebuilding an n-entry
-/// unifier: the first member's table is moved out of the seed map, a
-/// snapshot is opened on it, and every other seed / predecessor SCC is
-/// merged into it in place. On success every snapshot is committed
-/// before the ridden tables drop — bookkeeping only (the caller never
-/// reuses the seed map after a fast-path commit), but it samples the
-/// undo high-water counter and keeps the no-open-snapshots invariant
-/// on drop. On conflict every ridden table — including the
-/// half-merged current one — is rolled back to its snapshot and
-/// reinserted, so the fallback sees pristine seeds. This halves the
-/// fast path's peak table count (the old code held every seed *plus* a
-/// rebuilt per-SCC copy) and makes rejection cost the logged writes,
-/// not a rebuild. The global's construction is unchanged: it still
-/// absorbs each SCC unifier's canonical class list in the same order,
-/// so its forest — and hence every downstream representative — is
-/// bit-identical to the pre-riding implementation.
-fn scc_propagate<V: MatchView>(
-    graph: &V,
-    live: &[u32],
+/// The fixpoint unifier of one SCC: its members' seeds merged with its
+/// predecessors' unifiers, riding the first member's seed (moved out of
+/// the map, not copied). `None` when a predecessor died (it has no
+/// unifier) or a merge conflicts — the SCC dies.
+fn scc_fixpoint(
+    members: &[u32],
+    preds: &[usize],
     seeds: &mut FastMap<u32, Unifier>,
+    scc_unifier: &[Option<Unifier>],
     stats: &mut MatchStats,
 ) -> Option<Unifier> {
-    if live.is_empty() {
-        return None;
-    }
-    let scc_of = crate::ucs::scc_ids_members(graph, live);
-    let nscc = scc_of.values().copied().max().map_or(0, |m| m as usize + 1);
-    let mut members_of: Vec<Vec<u32>> = vec![Vec::new(); nscc];
-    for &m in live {
-        members_of[scc_of[&m] as usize].push(m);
-    }
-    // Condensation predecessors. Tarjan ids are assigned at SCC
-    // completion, so every successor SCC has a smaller id than its
-    // predecessors — descending id order is a topological order.
-    let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nscc];
-    for &m in live {
-        let from = scc_of[&m] as usize;
-        for &eid in graph.out_edges(m) {
-            let child = graph.edge(eid).to;
-            let Some(&to) = scc_of.get(&child) else {
-                continue; // edge out of the live set
-            };
-            if from != to as usize {
-                preds[to as usize].push(from);
-            }
-        }
-    }
-    let mut scc_unifier: Vec<Option<Unifier>> = Vec::with_capacity(nscc);
-    scc_unifier.resize_with(nscc, || None);
-    // One (scc id, seed owner, snapshot) entry per committed SCC, kept
-    // so a later conflict can restore every moved seed exactly.
-    let mut marks: Vec<(usize, u32, Snapshot)> = Vec::with_capacity(nscc);
-    let mut global = Unifier::new();
-    for id in (0..nscc).rev() {
-        // `members_of[id]` is never empty: every id was assigned to at
-        // least one live member.
-        let Some((&first, rest)) = members_of[id].split_first() else {
-            restore_seeds(seeds, &mut scc_unifier, &mut marks, None);
-            return None;
-        };
-        let Some(mut u) = seeds.remove(&first) else {
-            // Unreachable: every live member has a seed.
-            restore_seeds(seeds, &mut scc_unifier, &mut marks, None);
-            return None;
-        };
-        let snap = u.snapshot();
+    let (&first, rest) = members.split_first()?;
+    let mut u = seeds.remove(&first)?;
+    stats.dequeues += 1;
+    for &m in rest {
         stats.dequeues += 1;
-        let mut conflicted = false;
-        for &m in rest {
-            stats.dequeues += 1;
-            stats.mgu_calls += 1;
-            if u.merge_from(&seeds[&m]).is_err() {
-                conflicted = true;
-                break;
-            }
-        }
-        if !conflicted {
-            preds[id].sort_unstable();
-            preds[id].dedup();
-            for &p in &preds[id] {
-                stats.mgu_calls += 1;
-                let Some(pred_unifier) = scc_unifier[p].as_ref() else {
-                    // Unreachable (descending-id order is topological,
-                    // so every predecessor was filled first); bailing
-                    // to the per-node fallback is the safe degradation.
-                    conflicted = true;
-                    break;
-                };
-                if u.merge_from(pred_unifier).is_err() {
-                    conflicted = true;
-                    break;
-                }
-            }
-        }
-        if !conflicted {
-            // Fold into the global as we go (step 4, same information).
-            stats.mgu_calls += 1;
-            conflicted = global.merge_from(&u).is_err();
-        }
-        if conflicted {
-            restore_seeds(seeds, &mut scc_unifier, &mut marks, Some((first, u, snap)));
-            return None;
-        }
-        marks.push((id, first, snap));
-        scc_unifier[id] = Some(u);
+        fold(&mut u, seeds.get(&m)?, stats).ok()?;
     }
-    for (id, _owner, snap) in marks.drain(..) {
-        if let Some(u) = scc_unifier[id].as_mut() {
-            let closed = u.commit(snap);
-            debug_assert!(closed.is_ok(), "seed snapshot discipline violated");
-        }
+    for &p in preds {
+        fold(&mut u, scc_unifier[p].as_ref()?, stats).ok()?;
     }
-    Some(global)
+    Some(u)
 }
 
-/// Unwinds [`scc_propagate`]'s speculation: rolls every ridden seed —
-/// the half-merged `current` one and every committed SCC's — back to
-/// its snapshot and reinserts it under its owner, leaving the seed map
-/// bit-identical to the fast path's entry state.
-fn restore_seeds(
-    seeds: &mut FastMap<u32, Unifier>,
-    scc_unifier: &mut [Option<Unifier>],
-    marks: &mut Vec<(usize, u32, Snapshot)>,
-    current: Option<(u32, Unifier, Snapshot)>,
-) {
-    if let Some((owner, mut u, snap)) = current {
-        let rolled = u.rollback_to(snap);
-        debug_assert!(rolled.is_ok(), "seed snapshot discipline violated");
-        seeds.insert(owner, u);
-    }
-    for (id, owner, snap) in marks.drain(..) {
-        if let Some(mut u) = scc_unifier[id].take() {
-            let rolled = u.rollback_to(snap);
-            debug_assert!(rolled.is_ok(), "seed snapshot discipline violated");
-            seeds.insert(owner, u);
-        }
-    }
+/// One counted MGU merge, `into := MGU(into, from)`.
+fn fold(into: &mut Unifier, from: &Unifier, stats: &mut MatchStats) -> Result<bool, Conflict> {
+    stats.mgu_calls += 1;
+    #[cfg(test)]
+    FOLD_STEPS.with(|steps| steps.set(steps.get() + from.len() as u64));
+    into.merge_from(from)
 }
 
 /// CLEANUP(n) from §4.1.3: removes `n` and all its descendants (via
@@ -415,8 +338,12 @@ fn cleanup<V: MatchView>(
 mod tests {
     use super::*;
     use crate::graph::MatchGraph;
-    use eq_ir::{EntangledQuery, QueryId, Value, VarGen};
+    use crate::ucs;
+    use eq_ir::{Atom, EntangledQuery, QueryId, Term, Value, Var, VarGen};
     use eq_sql::parse_ir_query;
+    use proptest::prelude::*;
+    use std::cell::Cell;
+    use std::collections::VecDeque;
 
     fn build(texts: &[&str]) -> MatchGraph {
         let gen = VarGen::new();
@@ -436,6 +363,254 @@ mod tests {
     fn run_all(graph: &MatchGraph) -> ComponentMatch {
         let members: Vec<u32> = (0..graph.len() as u32).collect();
         match_component(graph, &members)
+    }
+
+    /// Algorithm 1's per-node worklist (`U(child) := MGU(U(parent),
+    /// U(child))`, enqueue on growth, CLEANUP on conflict): the
+    /// order-dependent formulation the one pass replaces, kept as its
+    /// oracle. Returns the survivors in member order, the removed, and
+    /// every survivor's fixpoint unifier.
+    fn worklist_match<V: MatchView>(
+        graph: &V,
+        members: &[u32],
+    ) -> (Vec<u32>, Vec<u32>, FastMap<u32, Unifier>) {
+        let mut stats = MatchStats::default();
+        let (mut unifiers, live, mut removed) = seed_phase(graph, members, &mut stats);
+        let mut alive: FastSet<u32> = live.iter().copied().collect();
+        let mut queue: VecDeque<u32> = live.iter().copied().collect();
+        let mut queued: FastSet<u32> = alive.clone();
+        while let Some(parent) = queue.pop_front() {
+            queued.remove(&parent);
+            if !alive.contains(&parent) {
+                continue;
+            }
+            // Moved out for the fan-out: the graph has no self-edges, so
+            // no child lookup hits the vacated entry.
+            let parent_unifier = unifiers.remove(&parent).expect("live members are seeded");
+            for &eid in graph.out_edges(parent) {
+                let child = graph.edge(eid).to;
+                if !alive.contains(&child) {
+                    continue;
+                }
+                let child_unifier = unifiers.get_mut(&child).expect("live members are seeded");
+                match child_unifier.merge_from(&parent_unifier) {
+                    Ok(true) => {
+                        if queued.insert(child) {
+                            queue.push_back(child);
+                        }
+                    }
+                    Ok(false) => {}
+                    Err(_) => cleanup(graph, child, &mut alive, &mut removed, &mut stats),
+                }
+            }
+            unifiers.insert(parent, parent_unifier);
+        }
+        let survivors: Vec<u32> = live.into_iter().filter(|m| alive.contains(m)).collect();
+        unifiers.retain(|m, _| alive.contains(m));
+        (survivors, removed, unifiers)
+    }
+
+    /// `unifiers[s]` for each `s` of `order` folded into a fresh table;
+    /// `None` on conflict or an empty order.
+    fn fold_in(order: &[u32], unifiers: &FastMap<u32, Unifier>) -> Option<Unifier> {
+        let (&first, rest) = order.split_first()?;
+        let mut global = Unifier::new();
+        global.merge_from(&unifiers[&first]).ok()?;
+        for s in rest {
+            global.merge_from(&unifiers[s]).ok()?;
+        }
+        Some(global)
+    }
+
+    /// Every constrained variable with its representative.
+    fn representatives(u: &Unifier) -> Vec<(Var, Var)> {
+        u.classes()
+            .into_iter()
+            .flat_map(|(vars, _)| vars)
+            .map(|v| (v, u.find(v)))
+            .collect()
+    }
+
+    fn sorted(slots: &[u32]) -> Vec<u32> {
+        let mut out = slots.to_vec();
+        out.sort_unstable();
+        out
+    }
+
+    /// Draw `t` of `0..8` as a term: one of two constants when
+    /// `t >= 8 - consts`, else one of three variables. More constants,
+    /// more conflicting merges.
+    fn term(t: u8, consts: u8) -> Term {
+        if t + consts >= 8 {
+            Term::int(i64::from(t % 2) + 1)
+        } else {
+            Term::var(Var(u32::from(t % 3)))
+        }
+    }
+
+    /// One random query: the draws of its head's two terms, and per
+    /// postcondition the draws of its target and two terms.
+    type QuerySpec = ((u8, u8), Vec<(usize, u8, u8)>);
+
+    /// Query `i` heads `R(Ki, a, b)` and demands `R(Kj, c, d)` per
+    /// postcondition, `j` drawn from `0..12`: 11 names the missing key
+    /// `Kn`, anything else `Kj mod n`, moved off `i` itself. Random
+    /// targets give cycles with DAG tails and chords; queries without
+    /// postconditions are pure providers; a missing key or a clashing
+    /// constant leaves a postcondition unsatisfied, and a doomed query
+    /// that was the only link between two cycles leaves several
+    /// coordinating sets in one component.
+    fn random_graph(consts: u8, spec: &[QuerySpec]) -> MatchGraph {
+        let n = spec.len();
+        let key = |i: usize| Term::str(&format!("K{i}"));
+        let gen = VarGen::new();
+        let queries = spec
+            .iter()
+            .enumerate()
+            .map(|(i, ((a, b), pcs))| {
+                let target = |j: usize| match j {
+                    11 => n,
+                    _ if j % n == i => (i + 1) % n,
+                    _ => j % n,
+                };
+                EntangledQuery::new(
+                    vec![Atom::new(
+                        "R",
+                        vec![key(i), term(*a, consts), term(*b, consts)],
+                    )],
+                    pcs.iter()
+                        .map(|&(j, c, d)| {
+                            Atom::new("R", vec![key(target(j)), term(c, consts), term(d, consts)])
+                        })
+                        .collect(),
+                    vec![Atom::new("F", vec![term(0, 0), term(1, 0), term(2, 0)])],
+                )
+                .rename_apart(&gen)
+                .with_id(QueryId(i as u64))
+            })
+            .collect();
+        MatchGraph::build(queries)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The one pass against the worklist on random small components:
+        /// same survivors and removals, same global classes; on
+        /// conflict-free components, one visit per live member, one merge
+        /// per seed in-edge, live member and condensation edge, and the
+        /// representatives of the worklist's unifiers folded in
+        /// condensation order; and the UCS verdict of every piece of the
+        /// survivors.
+        #[test]
+        fn one_pass_equals_the_worklist(
+            consts in 1u8..4,
+            spec in prop::collection::vec(
+                ((0u8..8, 0u8..8), prop::collection::vec((0usize..12, 0u8..8, 0u8..8), 0..4)),
+                1..12,
+            ),
+        ) {
+            let g = random_graph(consts, &spec);
+            for component in g.components() {
+                let m = match_component(&g, &component);
+                let (survivors, removed, unifiers) = worklist_match(&g, &component);
+                prop_assert_eq!(&m.survivors, &survivors, "spec {:?}", spec);
+                prop_assert_eq!(sorted(&m.removed), sorted(&removed), "spec {:?}", spec);
+                prop_assert_eq!(m.stats.cleanups, m.removed.len() as u64);
+                let global = fold_in(&survivors, &unifiers);
+                prop_assert_eq!(
+                    m.global.as_ref().map(Unifier::classes),
+                    global.as_ref().map(Unifier::classes),
+                    "spec {:?}", spec
+                );
+
+                let mut seed_stats = MatchStats::default();
+                let (_, live, doomed) = seed_phase(&g, &component, &mut seed_stats);
+                if m.global.is_some() && removed.len() == doomed.len() {
+                    let scc = ucs::scc_ids_members(&g, &live);
+                    let mut order: Vec<u32> = live.clone();
+                    order.sort_by_key(|s| std::cmp::Reverse(scc[s]));
+                    order.dedup_by_key(|s| scc[s]);
+                    let mut cross: Vec<(u32, u32)> = g
+                        .edges()
+                        .iter()
+                        .filter_map(|e| Some((*scc.get(&e.from)?, *scc.get(&e.to)?)))
+                        .filter(|(from, to)| from != to)
+                        .collect();
+                    cross.sort_unstable();
+                    cross.dedup();
+                    prop_assert_eq!(m.stats.dequeues, live.len() as u64);
+                    prop_assert_eq!(
+                        m.stats.mgu_calls,
+                        seed_stats.mgu_calls + (live.len() + cross.len()) as u64
+                    );
+                    let in_order = fold_in(&order, &unifiers);
+                    prop_assert_eq!(
+                        m.global.as_ref().map(representatives),
+                        in_order.as_ref().map(representatives),
+                        "spec {:?}", spec
+                    );
+                }
+
+                let mut alive = vec![false; g.len()];
+                for &s in &m.survivors {
+                    alive[s as usize] = true;
+                }
+                for piece in g.components_live(&alive) {
+                    let mut mask = vec![false; g.len()];
+                    for &s in &piece {
+                        mask[s as usize] = true;
+                    }
+                    let is_set = m.sets.contains(&piece);
+                    prop_assert_eq!(
+                        is_set,
+                        ucs::violations(&g, &mask).is_empty(),
+                        "spec {:?}", spec
+                    );
+                    prop_assert!(is_set || piece.iter().all(|s| m.non_ucs.contains(s)));
+                }
+                let in_sets: usize = m.sets.iter().map(Vec::len).sum();
+                prop_assert_eq!(in_sets + m.non_ucs.len(), m.survivors.len());
+            }
+        }
+    }
+
+    /// A ring of `n` shared-variable queries anchored at 1 —
+    /// `{R(Q<i-1>, x)} R(Qi, x) <- F(x)`, query 0 heading `R(Q0, 1)` —
+    /// plus the sink `{R(Q<n/2>, 2)} S(y) <- F(y)`, whose seed conflicts
+    /// with the ring's unifier.
+    fn ring_with_conflicting_sink(n: usize) -> MatchGraph {
+        let mut texts: Vec<String> = (0..n)
+            .map(|i| {
+                let head = if i == 0 { "1" } else { "x" };
+                format!("{{R(Q{}, x)}} R(Q{i}, {head}) <- F(x)", (i + n - 1) % n)
+            })
+            .collect();
+        texts.push(format!("{{R(Q{}, 2)}} S(y) <- F(y)", n / 2));
+        let texts: Vec<&str> = texts.iter().map(String::as_str).collect();
+        build(&texts)
+    }
+
+    #[test]
+    fn conflicting_sink_on_a_ring_costs_linear_folds() {
+        // A count, not a timing: Algorithm 1's worklist regrows the
+        // ring's chain of equalities at every node, so unifier entries
+        // folded quadruple when the ring doubles; the pass folds each
+        // seed and each SCC once.
+        let steps = |n: usize| {
+            let g = ring_with_conflicting_sink(n);
+            let before = FOLD_STEPS.with(Cell::get);
+            let m = run_all(&g);
+            assert_eq!(m.removed, vec![n as u32], "the sink alone is removed");
+            assert_eq!(m.survivors.len(), n);
+            assert_eq!(m.sets.len(), 1);
+            FOLD_STEPS.with(Cell::get) - before
+        };
+        let (small, large) = (steps(256), steps(512));
+        assert!(
+            2 * large <= 5 * small,
+            "folded entries grew {small} -> {large} when the ring doubled"
+        );
     }
 
     #[test]
@@ -525,6 +700,9 @@ mod tests {
         let m = run_all(&g);
         assert_eq!(m.survivors, vec![0, 1]);
         assert_eq!(m.removed, vec![2]);
+        // q0 → q1 crosses two SCCs: no coordinating set survives.
+        assert!(m.sets.is_empty());
+        assert_eq!(m.non_ucs, vec![0, 1]);
     }
 
     #[test]
@@ -634,7 +812,7 @@ mod tests {
     fn constants_propagate_down_a_dag_chain() {
         // Three singleton SCCs in a line: q0's ground head binds q1's
         // variable, and that constant must flow through q1's unifier
-        // into q2's — the cross-SCC leg of the condensed fast path.
+        // into q2's — the cross-SCC leg of the condensation pass.
         let g = build(&[
             "{} A(1) <- D(w)",
             "{A(u)} B(u) <- D(u)",

@@ -1324,9 +1324,7 @@ fn merge_reports(into: &mut BatchReport, from: BatchReport) {
     into.stats.mgu_calls += from.stats.mgu_calls;
     into.stats.cleanups += from.stats.cleanups;
     into.unify_merges += from.unify_merges;
-    into.unify_rollbacks += from.unify_rollbacks;
     into.unify_clones += from.unify_clones;
-    into.unify_undo_high_water = into.unify_undo_high_water.max(from.unify_undo_high_water);
 }
 
 /// A group of queries owned by one client of the [`Coordinator`].

@@ -9,10 +9,12 @@
 //! but nothing depends on Frank — so a proper subset (Jerry, Kramer)
 //! could coordinate "locally" and the structure is not unique.
 //!
-//! The check runs Tarjan's algorithm over the live subgraph. All entry
-//! points are member-scoped internally (state is sized by the member
-//! set, not the slot space), so per-component checks on the engine's
-//! resident graph cost O(|component|).
+//! The check runs Tarjan's algorithm over the live subgraph, with state
+//! sized by the member set, not the slot space. The engine does not call
+//! [`violations`]: matching condenses each component with
+//! [`scc_ids_members`] anyway and reads the verdict off the same ids
+//! ([`crate::matching::ComponentMatch::sets`]), so an evaluated
+//! component costs one Tarjan.
 
 use crate::graph::MatchView;
 use eq_ir::{FastMap, QueryId};
@@ -52,19 +54,38 @@ pub fn violations<V: MatchView>(graph: &V, alive: &[bool]) -> Vec<UcsViolation> 
     let members: Vec<u32> = (0..graph.slot_bound() as u32)
         .filter(|&s| alive[s as usize])
         .collect();
-    violations_members(graph, &members)
+    let scc = scc_ids_members(graph, &members);
+    let mut out = Vec::new();
+    for &m in &members {
+        for &eid in graph.out_edges(m) {
+            let e = graph.edge(eid);
+            let (Some(from_scc), Some(to_scc)) = (scc.get(&e.from), scc.get(&e.to)) else {
+                continue;
+            };
+            if from_scc != to_scc {
+                out.push(UcsViolation {
+                    from_slot: e.from,
+                    from: graph.query(e.from).id,
+                    to_slot: e.to,
+                    to: graph.query(e.to).id,
+                });
+            }
+        }
+    }
+    out.sort_by_key(|v| (v.from_slot, v.to_slot));
+    out.dedup();
+    out
 }
 
 /// Member-scoped SCC ids: a map from each member slot to its SCC id.
 /// Edges to non-members are ignored.
 ///
-/// **Contract** (relied on by `matching`'s SCC-condensed propagation,
-/// and covered by `scc_ids_are_reverse_topological` below): ids are
+/// **Contract** (relied on by `matching`'s condensation pass, and
+/// covered by `scc_ids_are_reverse_topological` below): ids are
 /// assigned in Tarjan completion order, so they are
 /// **reverse-topological** — for every edge `u → v` with `u` and `v`
 /// in different SCCs, `id(u) > id(v)`. Any reimplementation must
-/// preserve this (or matching's fast path must compute its own
-/// topological order).
+/// preserve this (or matching must compute its own topological order).
 pub fn scc_ids_members<V: MatchView>(graph: &V, members: &[u32]) -> FastMap<u32, u32> {
     let local: FastMap<u32, u32> = members
         .iter()
@@ -94,33 +115,6 @@ pub fn scc_ids_members<V: MatchView>(graph: &V, members: &[u32]) -> FastMap<u32,
         .enumerate()
         .map(|(i, &s)| (s, state.scc[i].expect("visited")))
         .collect()
-}
-
-/// Member-scoped UCS check: returns every edge between `members` whose
-/// endpoints fall into different SCCs (empty means UCS holds for the
-/// member set).
-pub fn violations_members<V: MatchView>(graph: &V, members: &[u32]) -> Vec<UcsViolation> {
-    let scc = scc_ids_members(graph, members);
-    let mut out = Vec::new();
-    for &m in members {
-        for &eid in graph.out_edges(m) {
-            let e = graph.edge(eid);
-            let (Some(from_scc), Some(to_scc)) = (scc.get(&e.from), scc.get(&e.to)) else {
-                continue;
-            };
-            if from_scc != to_scc {
-                out.push(UcsViolation {
-                    from_slot: e.from,
-                    from: graph.query(e.from).id,
-                    to_slot: e.to,
-                    to: graph.query(e.to).id,
-                });
-            }
-        }
-    }
-    out.sort_by_key(|v| (v.from_slot, v.to_slot));
-    out.dedup();
-    out
 }
 
 struct Tarjan<'a, V: MatchView> {
@@ -345,8 +339,8 @@ mod tests {
             "{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)",
             "{R(Jerry, z)} R(Frank, z) <- F(z, Paris), A(z, United)",
         ]);
-        assert!(violations_members(&g, &[0, 1]).is_empty());
         let scc = scc_ids_members(&g, &[0, 1]);
+        assert_eq!(scc.len(), 2);
         assert_eq!(scc[&0], scc[&1]);
     }
 }

@@ -1,12 +1,12 @@
-//! Engine-level equivalence properties for the undo-log unifier core:
-//! the clone-free speculative paths (worklist propagation without
-//! per-edge copies, SCC seed riding with snapshot/rollback, batch-probe
-//! speculation) must leave every observable result bit-for-bit
-//! unchanged — across thread counts and between batched and sequential
-//! admission — and the process-global clone counter proves no
-//! production path deep-copied a `Unifier` along the way. (These tests
-//! never clone a `Unifier` themselves, so a nonzero delta in this
-//! binary can only come from a regression in the engine.)
+//! Engine-level equivalence properties for the unifier core: matching
+//! (one pass over the condensation, each SCC riding a seed it moved out
+//! of the seed map) and batch probes must leave every observable result
+//! bit-for-bit unchanged — across thread counts and between batched and
+//! sequential admission — and the process-global counters prove no
+//! production path deep-copied a `Unifier` or opened a snapshot along
+//! the way. (These tests never clone a `Unifier` or open a snapshot
+//! themselves, so a nonzero delta in this binary can only come from a
+//! regression in the engine.)
 
 use eq_core::engine::QueryOutcome;
 use eq_core::matching::{match_component, ComponentMatch, MatchStats};
@@ -114,8 +114,7 @@ proptest! {
 
     /// Matching the same component twice observes the same result —
     /// survivors, removals, counters, and the global unifier's classes
-    /// (no state leaks between runs through the speculation paths) —
-    /// and clones no unifier.
+    /// (no state leaks between runs) — and clones no unifier.
     #[test]
     fn matching_is_repeatable_and_clone_free(
         kind in 0usize..6,
@@ -144,7 +143,7 @@ proptest! {
     /// every thread count (same terminal outcomes, answers bit-for-bit),
     /// and the whole engine pipeline — probes, matching, SCC
     /// propagation, combined-query assembly — performs zero unifier
-    /// clones.
+    /// clones, snapshots and rollbacks.
     #[test]
     fn batch_flush_is_thread_stable_and_clone_free(
         kind in 0usize..6,
@@ -164,5 +163,7 @@ proptest! {
         }
         let delta = eq_unify::ops::global().delta_since(&before);
         prop_assert_eq!(delta.clones, 0, "engine pipeline cloned a Unifier");
+        prop_assert_eq!(delta.snapshots, 0, "engine pipeline opened a snapshot");
+        prop_assert_eq!(delta.rollbacks, 0, "engine pipeline rolled a unifier back");
     }
 }

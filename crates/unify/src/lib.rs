@@ -14,11 +14,11 @@
 //!
 //! Speculation is first-class: [`Unifier::snapshot`] opens an undo-log
 //! window, [`Unifier::rollback_to`] reverts it exactly (forest shape
-//! included) and [`Unifier::commit`] keeps it — so backtracking callers
-//! (matching propagation, admission probes, `mgu` itself) pay for the
-//! writes they make instead of cloning whole tables. The [`ops`] module
-//! counts merges/rollbacks/clones process-wide; the engine's benchmark
-//! reports surface them and ci asserts the hot-path clone count is 0.
+//! included) and [`Unifier::commit`] keeps it — so a backtracking caller
+//! (`mgu` itself) pays for the writes it makes instead of cloning whole
+//! tables. The [`ops`] module counts merges/rollbacks/clones
+//! process-wide; the engine's benchmark reports surface them and ci
+//! asserts the hot-path clone count is 0.
 
 #![forbid(unsafe_code)]
 

@@ -1,11 +1,10 @@
 //! Process-global unifier operation counters.
 //!
-//! The undo-log refactor's contract is "speculation never clones": every
-//! backtracking site in the engine rides [`crate::Unifier::snapshot`] /
-//! [`crate::Unifier::rollback_to`] instead of copying tables, and the
-//! only way to prove that negative — no hot-path clone crept back in —
-//! is to count. The counters are process totals; callers take a reading
-//! before and after an operation and diff with
+//! The engine's contract is that matching, admission and evaluation
+//! never clone a unifier: they move tables or merge into them in place.
+//! The only way to prove that negative — no hot-path clone crept back
+//! in — is to count. The counters are process totals; callers take a
+//! reading before and after an operation and diff with
 //! [`UnifyOps::delta_since`]. All updates use relaxed ordering: these
 //! are statistics, not synchronization.
 

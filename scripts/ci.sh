@@ -2,10 +2,11 @@
 # Full-workspace CI: format check, workspace-membership assertion,
 # build, test (incl. doctests), lint, docs-as-errors, doc-link and
 # EngineConfig-drift check, the eq_check concurrency-discipline
-# analyzer (workspace scan + fixture suite), the differential-oracle proptests for the undo-log
-# unifier, the small-stack evaluator regression (RUST_MIN_STACK), a
-# --smoke run of every bench target (paper Figs. 6-9 + ablations), and
-# last the benchmark package that judges every perf claim (benchmark/,
+# analyzer (workspace scan + fixture suite), the differential-oracle
+# proptests for the undo-log unifier and for matching's one-pass
+# propagation (against Algorithm 1's worklist), the small-stack
+# evaluator regression (RUST_MIN_STACK), a --smoke run of every bench
+# target (paper Figs. 6-9 + ablations), and last the benchmark package that judges every perf claim (benchmark/,
 # BENCHMARK.json): its own tests and a short run of every workload —
 # pairs_incremental, churn_sharded, cliques_paged, giant_shared (at two
 # seeds) and pairs_durable (kill + recover compared id for id) — whose
@@ -54,13 +55,18 @@ echo "== 9/13 eq_check concurrency-discipline analyzer =="
 cargo run -q --offline -p eq_check
 cargo run -q --offline -p eq_check -- --fixtures
 
-echo "== 10/13 differential-oracle proptests (undo-log unifier vs clone oracle) =="
+echo "== 10/13 differential-oracle proptests (undo-log unifier vs clone oracle; one-pass matching vs worklist) =="
 # The undo-log snapshot/commit/rollback table must stay observationally
 # equivalent to the frozen clone-based oracle through random
 # op/snapshot interleavings (conflicting merges inside nested snapshots
-# included). Step 4 runs these too; this explicit invocation keeps the
-# harness from silently dropping out of the suite.
+# included). Matching's one pass over the condensation must keep
+# Algorithm 1's worklist survivors, removals and global classes on
+# random conflicting components, and its folded-entry count must stay
+# linear on a ring with a conflicting sink. Step 4 runs these too; this
+# explicit invocation keeps the harnesses from silently dropping out of
+# the suite.
 cargo test -q --offline -p eq_unify differential
+cargo test -q --offline -p eq_core --lib matching
 
 echo "== 11/13 small-stack evaluator regression (RUST_MIN_STACK=1 MiB) =="
 # The join evaluator is iterative (heap-bounded frames); this deep-chain
