@@ -800,7 +800,8 @@ impl Recovered {
         for _ in 0..dec.cur.count()? {
             let (table, columns) = dec.schema()?;
             create_table(&mut self.db, table, &columns)?;
-            // Decoded rows move into the table: no second copy.
+            // Decoded rows are copied into the table's slab, each
+            // dropped right after its copy.
             let rows = dec.rows()?;
             self.db
                 .insert_many(table.as_str(), rows)

@@ -126,31 +126,21 @@ impl Database {
                 got: row.len(),
             });
         }
-        table.push(row);
+        table.push(&row);
         self.revision += 1;
         Ok(())
     }
 
-    /// Bulk insert.
-    pub fn insert_all(
-        &mut self,
-        relation: &str,
-        rows: impl IntoIterator<Item = Tuple>,
-    ) -> Result<(), DbError> {
-        for row in rows {
-            self.insert(relation, row)?;
-        }
-        Ok(())
-    }
-
     /// Bulk insert with one catalog lookup, one arity validation pass,
-    /// and a **single revision bump** for the whole batch. Loading n
-    /// rows through [`Database::insert`] bumps [`Database::revision`] n
-    /// times and — when the database sits behind the engine's lock —
-    /// costs n lock round trips; `insert_many` is the
-    /// one-lock/one-revision form workload generators and example setup
-    /// code should use. All-or-nothing: if any row has the wrong arity,
-    /// nothing is inserted. Returns the number of rows inserted.
+    /// one [`RowStore::reserve`] and a **single revision bump** for the
+    /// whole batch. Loading n rows through [`Database::insert`] bumps
+    /// [`Database::revision`] n times and — when the database sits
+    /// behind the engine's lock — costs n lock round trips;
+    /// `insert_many` is the one-lock/one-revision form workload
+    /// generators and example setup code should use. All-or-nothing: if
+    /// any row has the wrong arity, nothing is inserted. Returns the
+    /// number of rows inserted. The rows' cells are copied into the
+    /// table's row storage; each row is dropped right after its copy.
     pub fn insert_many(&mut self, relation: &str, rows: Vec<Tuple>) -> Result<usize, DbError> {
         let name = Symbol::new(relation);
         let table = self
@@ -166,8 +156,13 @@ impl Database {
             });
         }
         let n = rows.len();
+        table.reserve(n);
+        // Each row is freed right after its cells are copied, so the
+        // batch's rows are released while the table's storage and
+        // index grow rather than after: the peak heap of a load is not
+        // the whole batch plus the whole index.
         for row in rows {
-            table.push(row);
+            table.push(&row);
         }
         if n > 0 {
             self.revision += 1;
@@ -209,7 +204,12 @@ impl Database {
 
     /// A deep copy of the database (schemas + rows, fresh revision
     /// counter, tombstones compacted away). The substrate has no
-    /// structural sharing, so this is O(rows); one-shot coordination,
+    /// structural sharing, so this is O(rows) in time — every cell is
+    /// copied and every row id re-indexed — but not in allocations:
+    /// each copied table's row slab is reserved once at exactly its
+    /// source's live row count, and rows are pushed from the borrowed
+    /// slices [`RowStore::for_each_row`] lends out, so no row is ever
+    /// materialized as a `Tuple` on the way. One-shot coordination,
     /// engine-rebuild flows, and durability checkpoints use it to get
     /// an owned database from a borrowed one.
     ///
@@ -225,7 +225,8 @@ impl Database {
         let mut out = Database::new();
         for table in self.tables.values() {
             let mut copy = Table::new(table.schema().clone());
-            table.for_each_row(&mut |row| Table::push(&mut copy, row.to_vec()));
+            copy.reserve(table.len());
+            table.for_each_row(&mut |row| copy.push(row));
             out.tables.insert(copy.schema().name, Box::new(copy));
             out.revision += 1;
         }

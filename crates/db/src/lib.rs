@@ -2,10 +2,11 @@
 //!
 //! The paper's prototype delegated combined-query evaluation to MySQL
 //! 4.1 over JDBC (§5.1). This crate provides the equivalent substrate:
-//! a catalog of named relations, row storage with per-column hash
-//! indexes, and an evaluator for conjunctive (select-project-join)
-//! queries with `LIMIT k` — exactly the query class the combined queries
-//! of §4.2 fall into.
+//! a catalog of named relations, row storage (one fixed-stride slab
+//! and one liveness bitmap per relation) with per-column hash indexes,
+//! and an evaluator for conjunctive (select-project-join) queries with
+//! `LIMIT k` — exactly the query class the combined queries of §4.2
+//! fall into.
 //!
 //! Two entry points matter to the coordination engine:
 //!
@@ -28,4 +29,4 @@ mod table;
 
 pub use database::{Database, DbError};
 pub use eval::{EvalStats, Prepared, Slot, Solution, Valuation, Visit};
-pub use table::{RowStore, StoreIoStats, Table, TableSchema, Tuple};
+pub use table::{Liveness, RowStore, StoreIoStats, Table, TableSchema, Tuple};

@@ -1,4 +1,5 @@
-//! Tables: schema, row storage, per-column hash indexes, and the
+//! Tables: schema, slab row storage, the [`Liveness`] bitmap both
+//! backends tombstone through, per-column hash indexes, and the
 //! [`RowStore`] backend trait the catalog and evaluator run over.
 
 use eq_ir::{FastMap, Symbol, Value};
@@ -55,7 +56,10 @@ impl StoreIoStats {
 ///
 /// * Row ids are assigned densely in insertion order and never reused.
 /// * Deletion tombstones a row in place: ids stay stable, and
-///   [`RowStore::read_row`] returns `false` for dead ids.
+///   [`RowStore::read_row`] returns `false` for dead ids. Every backend
+///   keeps which ids are live in one [`Liveness`] bitmap, and the row
+///   counts ([`RowStore::len`], [`RowStore::row_id_bound`],
+///   [`RowStore::tombstone_count`]) are read from it.
 /// * The index is **memory-resident** on every backend and lent out as
 ///   slices: [`RowStore::postings`] yields the live ids holding a value
 ///   in ascending (= insertion) order — the evaluator's answer-order
@@ -63,19 +67,25 @@ impl StoreIoStats {
 ///   test, which intersects posting lists without reading a row.
 /// * Arity is validated by the database layer before `push`/`delete`
 ///   reach the backend.
+/// * Rows are stored at a fixed stride (arity cells, or arity encoded
+///   cells on a page): no row is a heap object of its own.
 pub trait RowStore: fmt::Debug + Send + Sync {
     /// The relation's schema.
     fn schema(&self) -> &TableSchema;
 
-    /// Number of live rows (tombstones excluded).
-    fn len(&self) -> usize;
+    /// Which row ids are live.
+    fn liveness(&self) -> &Liveness;
 
-    /// Upper bound (exclusive) on row ids; ids below it may be
-    /// tombstones.
-    fn row_id_bound(&self) -> u32;
+    /// Appends a copy of `row` at the next row id: its cells go into the
+    /// backend's row storage at a fixed stride — no allocation of its
+    /// own — and its id onto one posting list per column. The caller
+    /// has already validated arity.
+    fn push(&mut self, row: &[Value]);
 
-    /// Appends a row. The caller has already validated arity.
-    fn push(&mut self, row: Tuple);
+    /// Capacity hint: `rows` more rows are about to be pushed. A bulk
+    /// load calls it once, so row storage grows once to the size it
+    /// needs instead of doubling its way there.
+    fn reserve(&mut self, rows: usize);
 
     /// Reads the row with a given id into `out` (clearing it first).
     /// Returns `false` — leaving `out` in an unspecified state — when
@@ -91,8 +101,21 @@ pub trait RowStore: fmt::Debug + Send + Sync {
     /// Returns true if a row was removed.
     fn delete(&mut self, row: &[Value]) -> bool;
 
+    /// Number of live rows (tombstones excluded).
+    fn len(&self) -> usize {
+        self.liveness().live_count()
+    }
+
+    /// Upper bound (exclusive) on row ids; ids below it may be
+    /// tombstones.
+    fn row_id_bound(&self) -> u32 {
+        self.liveness().bound()
+    }
+
     /// Number of tombstoned (deleted) rows still occupying ids.
-    fn tombstone_count(&self) -> usize;
+    fn tombstone_count(&self) -> usize {
+        self.liveness().tombstones()
+    }
 
     /// True if the store has no live rows.
     fn is_empty(&self) -> bool {
@@ -101,11 +124,15 @@ pub trait RowStore: fmt::Debug + Send + Sync {
 
     /// Id of the first live row equal to `row`, decided from the index
     /// alone: the smallest id common to every column's posting list.
-    /// `None` for a wrong-arity or zero-column tuple (no column to look
-    /// up).
+    /// A zero-column relation has no column to look up, and all its
+    /// rows are equal: the first live id. `None` for a wrong-arity
+    /// tuple.
     fn find_row(&self, row: &[Value]) -> Option<u32> {
         if row.len() != self.schema().arity() {
             return None;
+        }
+        if row.is_empty() {
+            return self.liveness().first_live();
         }
         let mut lists: Vec<PostingCursor<'_>> = row
             .iter()
@@ -117,9 +144,6 @@ pub trait RowStore: fmt::Debug + Send + Sync {
 
     /// True if an exact tuple is present.
     fn contains(&self, row: &[Value]) -> bool {
-        if row.is_empty() {
-            return self.schema().arity() == 0 && self.len() > 0;
-        }
         self.find_row(row).is_some()
     }
 
@@ -137,6 +161,83 @@ pub trait RowStore: fmt::Debug + Send + Sync {
     /// report all zeros.
     fn io_stats(&self) -> StoreIoStats {
         StoreIoStats::default()
+    }
+
+    /// Cells the backend's in-memory row slab has room for; `0` for a
+    /// backend without one. Lets tests pin the slab's size.
+    #[cfg(test)]
+    fn slab_capacity(&self) -> usize {
+        0
+    }
+}
+
+/// Which row ids of one relation are live: one bit per id ever
+/// assigned, plus the number of cleared bits, so the live count is O(1)
+/// and a tombstone costs one bit instead of a row-sized marker. Both
+/// [`RowStore`] backends keep their tombstones here.
+#[derive(Debug, Default)]
+pub struct Liveness {
+    /// Bit `id % 64` of word `id / 64` is set while row `id` is live.
+    words: Vec<u64>,
+    /// Ids assigned so far: the next id to hand out.
+    bound: u32,
+    tombstones: usize,
+}
+
+impl Liveness {
+    /// Assigns the next row id, live. Panics once `u32` ids run out.
+    pub fn push(&mut self) -> u32 {
+        let id = self.bound;
+        self.bound = id.checked_add(1).expect("table too large");
+        if id.is_multiple_of(64) {
+            self.words.push(0);
+        }
+        self.words[(id / 64) as usize] |= 1 << (id % 64);
+        id
+    }
+
+    /// Makes room for `rows` more ids.
+    pub fn reserve(&mut self, rows: usize) {
+        let words = (self.bound as usize).saturating_add(rows).div_ceil(64);
+        self.words.reserve(words.saturating_sub(self.words.len()));
+    }
+
+    /// True if `id` was assigned and not tombstoned; `false` for an id
+    /// out of range.
+    pub fn is_live(&self, id: u32) -> bool {
+        id < self.bound && self.words[(id / 64) as usize] & (1 << (id % 64)) != 0
+    }
+
+    /// Tombstones a live id. Returns `false` (changing nothing) if it
+    /// was not live.
+    pub fn kill(&mut self, id: u32) -> bool {
+        if !self.is_live(id) {
+            return false;
+        }
+        self.words[(id / 64) as usize] &= !(1 << (id % 64));
+        self.tombstones += 1;
+        true
+    }
+
+    /// The smallest live id, if any.
+    pub fn first_live(&self) -> Option<u32> {
+        let (word, bits) = self.words.iter().enumerate().find(|(_, &w)| w != 0)?;
+        Some(word as u32 * 64 + bits.trailing_zeros())
+    }
+
+    /// Upper bound (exclusive) on assigned ids.
+    pub fn bound(&self) -> u32 {
+        self.bound
+    }
+
+    /// Number of live ids.
+    pub fn live_count(&self) -> usize {
+        self.bound as usize - self.tombstones
+    }
+
+    /// Number of tombstoned ids.
+    pub fn tombstones(&self) -> usize {
+        self.tombstones
     }
 }
 
@@ -237,7 +338,21 @@ impl fmt::Debug for TableSchema {
     }
 }
 
-/// One relation: rows plus a hash index per column.
+/// One relation, in memory: a row slab, a [`Liveness`] bitmap and a
+/// hash index per column.
+///
+/// **The slab.** Every row's cells sit in one `Vec<Value>`, row-major
+/// at a stride of the relation's arity: row `id` is
+/// `cells[id * arity..(id + 1) * arity]`. A row is never a heap object
+/// of its own, so a table of n rows holds its data in one allocation of
+/// n × arity cells — plus the bitmap's n bits and the posting lists.
+/// A zero-arity relation's rows are empty slices: the slab stays empty
+/// and the bitmap alone counts them.
+///
+/// **Tombstones.** Deleting a row clears its bit and takes its id off
+/// the posting lists; its cells stay in the slab, so ids stay stable.
+/// [`Database::snapshot`](crate::Database::snapshot) is what compacts
+/// them away.
 ///
 /// Indexes are maintained eagerly on insert. Workload relations are
 /// narrow (arity ≤ 3 in the paper's schema) and read-dominated — the
@@ -247,11 +362,14 @@ impl fmt::Debug for TableSchema {
 /// the shortest posting list.
 pub struct Table {
     schema: TableSchema,
-    rows: Vec<Tuple>,
-    /// `indexes[col][value]` = row ids having `value` in column `col`.
+    /// Cells per row: the slab's stride.
+    arity: usize,
+    /// Row-major cells of every row ever pushed, tombstones included.
+    cells: Vec<Value>,
+    live: Liveness,
+    /// `indexes[col][value]` = live row ids having `value` in column
+    /// `col`, ascending.
     indexes: Vec<FastMap<Value, Vec<u32>>>,
-    /// Deleted rows left in place as tombstones so row ids stay stable.
-    tombstones: usize,
 }
 
 impl Table {
@@ -260,134 +378,82 @@ impl Table {
         let arity = schema.arity();
         Table {
             schema,
-            rows: Vec::new(),
+            arity,
+            cells: Vec::new(),
+            live: Liveness::default(),
             indexes: (0..arity).map(|_| FastMap::default()).collect(),
-            tombstones: 0,
         }
     }
 
-    /// The table's schema.
-    pub fn schema(&self) -> &TableSchema {
-        &self.schema
-    }
-
-    /// Number of live rows (tombstones excluded).
-    pub fn len(&self) -> usize {
-        self.rows.len() - self.tombstones
-    }
-
-    /// Upper bound (exclusive) on row ids; ids below it may be
-    /// tombstones. Scans iterate this range and skip dead rows.
-    pub fn row_id_bound(&self) -> u32 {
-        self.rows.len() as u32
-    }
-
-    /// True if the row id refers to a live (non-tombstoned) row.
+    /// True if the row id refers to a live (non-tombstoned) row;
+    /// `false` for an id out of range.
     pub fn is_live(&self, id: u32) -> bool {
-        self.schema.arity() == 0 || !self.rows[id as usize].is_empty()
+        self.live.is_live(id)
     }
 
-    /// True if the table has no live rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Appends a row (arity already checked by the database layer).
-    pub(crate) fn push(&mut self, row: Tuple) {
-        debug_assert_eq!(row.len(), self.schema.arity());
-        let id = u32::try_from(self.rows.len()).expect("table too large");
-        for (col, value) in row.iter().enumerate() {
-            self.indexes[col].entry(*value).or_default().push(id);
+    /// The cells of a live row; `None` for a tombstone or an id out of
+    /// range.
+    pub fn row(&self, id: u32) -> Option<&[Value]> {
+        if !self.is_live(id) {
+            return None;
         }
-        self.rows.push(row);
+        let start = id as usize * self.arity;
+        Some(&self.cells[start..start + self.arity])
     }
 
-    /// The row with a given id.
-    pub fn row(&self, id: u32) -> &Tuple {
-        &self.rows[id as usize]
-    }
-
-    /// Iterates over all live rows.
-    pub fn rows(&self) -> impl Iterator<Item = &Tuple> {
-        let arity = self.schema.arity();
-        self.rows
-            .iter()
-            .filter(move |r| arity == 0 || !r.is_empty())
-    }
-
-    /// Row ids whose column `col` equals `value`; empty slice if none.
-    pub fn probe(&self, col: usize, value: Value) -> &[u32] {
-        self.indexes[col]
-            .get(&value)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Deletes the first occurrence of an exact tuple, updating all
-    /// indexes. Returns true if a row was removed.
-    ///
-    /// Deletion marks the row as a tombstone (empty tuple) rather than
-    /// shifting ids, so existing row ids stay stable; tombstones are
-    /// skipped by scans and never referenced by indexes.
-    pub(crate) fn delete(&mut self, row: &[Value]) -> bool {
-        let Some(id) = self.find_row(row) else {
-            return false;
-        };
-        for (col, value) in row.iter().enumerate() {
-            if let Some(list) = self.indexes[col].get_mut(value) {
-                list.retain(|&x| x != id);
-            }
-        }
-        self.rows[id as usize] = Tuple::new();
-        self.tombstones += 1;
-        true
-    }
-
-    /// Number of tombstoned (deleted) rows still occupying ids.
-    pub fn tombstone_count(&self) -> usize {
-        self.tombstones
+    /// Iterates over all live rows, in id order.
+    pub fn rows(&self) -> impl Iterator<Item = &[Value]> {
+        (0..self.live.bound()).filter_map(|id| self.row(id))
     }
 }
 
 impl RowStore for Table {
     fn schema(&self) -> &TableSchema {
-        Table::schema(self)
+        &self.schema
     }
 
-    fn len(&self) -> usize {
-        Table::len(self)
+    fn liveness(&self) -> &Liveness {
+        &self.live
     }
 
-    fn row_id_bound(&self) -> u32 {
-        Table::row_id_bound(self)
+    fn push(&mut self, row: &[Value]) {
+        // The stride of every later row depends on it.
+        assert_eq!(row.len(), self.arity, "row arity");
+        let id = self.live.push();
+        for (index, value) in self.indexes.iter_mut().zip(row) {
+            index.entry(*value).or_default().push(id);
+        }
+        self.cells.extend_from_slice(row);
     }
 
-    fn push(&mut self, row: Tuple) {
-        Table::push(self, row)
+    fn reserve(&mut self, rows: usize) {
+        self.cells.reserve(rows.saturating_mul(self.arity));
+        self.live.reserve(rows);
     }
 
     fn read_row(&self, id: u32, out: &mut Tuple) -> bool {
-        let Some(row) = self.rows.get(id as usize) else {
+        let Some(row) = self.row(id) else {
             return false;
         };
-        if !Table::is_live(self, id) {
-            return false;
-        }
         out.clear();
         out.extend_from_slice(row);
         true
     }
 
     fn postings(&self, col: usize, value: Value) -> &[u32] {
-        Table::probe(self, col, value)
+        self.indexes[col].get(&value).map_or(&[], Vec::as_slice)
     }
 
     fn delete(&mut self, row: &[Value]) -> bool {
-        Table::delete(self, row)
-    }
-
-    fn tombstone_count(&self) -> usize {
-        Table::tombstone_count(self)
+        let Some(id) = self.find_row(row) else {
+            return false;
+        };
+        for (index, value) in self.indexes.iter_mut().zip(row) {
+            if let Some(list) = index.get_mut(value) {
+                list.retain(|&x| x != id);
+            }
+        }
+        self.live.kill(id)
     }
 
     fn for_each_row(&self, f: &mut dyn FnMut(&[Value])) {
@@ -395,11 +461,16 @@ impl RowStore for Table {
             f(row);
         }
     }
+
+    #[cfg(test)]
+    fn slab_capacity(&self) -> usize {
+        self.cells.capacity()
+    }
 }
 
 impl fmt::Debug for Table {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Table({:?}, {} rows)", self.schema, self.rows.len())
+        write!(f, "Table({:?}, {} rows)", self.schema, self.live.bound())
     }
 }
 
@@ -410,7 +481,7 @@ mod tests {
     fn flights() -> Table {
         let mut t = Table::new(TableSchema::new("Flights", &["fno", "dest"]));
         for (fno, dest) in [(122, "Paris"), (123, "Paris"), (136, "Rome")] {
-            t.push(vec![Value::int(fno), Value::str(dest)]);
+            t.push(&[Value::int(fno), Value::str(dest)]);
         }
         t
     }
@@ -436,10 +507,10 @@ mod tests {
     #[test]
     fn index_probe() {
         let t = flights();
-        let paris = t.probe(1, Value::str("Paris"));
+        let paris = t.postings(1, Value::str("Paris"));
         assert_eq!(paris.len(), 2);
-        assert_eq!(t.probe(1, Value::str("Athens")), &[] as &[u32]);
-        assert_eq!(t.probe(0, Value::int(136)), &[2]);
+        assert_eq!(t.postings(1, Value::str("Athens")), &[] as &[u32]);
+        assert_eq!(t.postings(0, Value::int(136)), &[2]);
     }
 
     #[test]
@@ -453,8 +524,55 @@ mod tests {
     #[test]
     fn duplicate_rows_both_indexed() {
         let mut t = Table::new(TableSchema::new("D", &["a"]));
-        t.push(vec![Value::int(1)]);
-        t.push(vec![Value::int(1)]);
-        assert_eq!(t.probe(0, Value::int(1)).len(), 2);
+        t.push(&[Value::int(1)]);
+        t.push(&[Value::int(1)]);
+        assert_eq!(t.postings(0, Value::int(1)).len(), 2);
+    }
+
+    #[test]
+    fn liveness_is_false_out_of_range() {
+        let t = flights();
+        assert!(t.is_live(2));
+        assert!(!t.is_live(3));
+        assert!(t.row(3).is_none());
+        let nullary = Table::new(TableSchema::new("Flag", &[]));
+        assert!(!nullary.is_live(0));
+        assert!(!nullary.contains(&[]));
+    }
+
+    /// The slab is one allocation of exactly n × arity cells after the
+    /// two bulk paths — a bulk load and a snapshot — so the layout
+    /// cannot quietly regress to per-row objects or doubling slack. A
+    /// zero-arity relation's slab stays empty: its bitmap counts it.
+    #[test]
+    fn bulk_paths_size_the_slab_exactly() {
+        use crate::Database;
+        const N: usize = 1000;
+        for columns in [&["a", "b", "c"][..], &[]] {
+            let arity = columns.len();
+            let row =
+                |i: i64| [Value::int(i), Value::int(i % 7), Value::str("x")][..arity].to_vec();
+            let mut db = Database::new();
+            db.create_table("T", columns).unwrap();
+            db.insert_many("T", (0..N as i64).map(row).collect())
+                .unwrap();
+            let table = db.table(Symbol::new("T")).unwrap();
+            assert_eq!(table.slab_capacity(), N * arity);
+
+            // Five rows pushed past the loaded capacity, five deleted:
+            // the copy holds exactly the n live ones.
+            for i in 0..5 {
+                db.insert("T", row(-1 - i)).unwrap();
+            }
+            for i in 0..5 {
+                assert!(db.delete("T", &row(i)).unwrap());
+            }
+            let source = db.table(Symbol::new("T")).unwrap();
+            assert_eq!((source.len(), source.tombstone_count()), (N, 5));
+            let copy = db.snapshot();
+            let table = copy.table(Symbol::new("T")).unwrap();
+            assert_eq!((table.len(), table.tombstone_count()), (N, 0));
+            assert_eq!(table.slab_capacity(), N * arity);
+        }
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::cache::{PageCacheConfig, PageStore};
 use crate::error::StoreError;
-use eq_db::{RowStore, StoreIoStats, TableSchema, Tuple};
+use eq_db::{Liveness, RowStore, StoreIoStats, TableSchema, Tuple};
 use eq_ir::{FastMap, Symbol, Value};
 use std::fmt;
 use std::path::Path;
@@ -26,21 +26,37 @@ const CELL_BYTES: usize = 9;
 /// a `Database` drives it exactly like the in-memory table.
 ///
 /// Memory-resident state: the per-column hash indexes (value → row
-/// ids), the liveness bitmap, and the string dictionary. Disk-resident
-/// state: the row payloads.
+/// ids), the [`Liveness`] bitmap, and the string dictionary.
+/// Disk-resident state: the row payloads.
 pub struct PagedTable {
     schema: TableSchema,
     store: PageStore,
-    rows: u32,
-    live: Vec<bool>,
-    tombstones: usize,
+    live: Liveness,
     /// `indexes[col][value]` = row ids having `value` in column `col`.
     indexes: Vec<FastMap<Value, Vec<u32>>>,
-    /// Dictionary: local string id → symbol (and its inverse).
-    symbols: Vec<Symbol>,
-    symbol_ids: FastMap<Symbol, u64>,
+    dictionary: Dictionary,
     rows_per_page: usize,
     arity: usize,
+}
+
+/// Local string id → symbol, and its inverse.
+#[derive(Default)]
+struct Dictionary {
+    symbols: Vec<Symbol>,
+    ids: FastMap<Symbol, u64>,
+}
+
+impl Dictionary {
+    /// The local id of `s`, assigned on first sight.
+    fn local(&mut self, s: Symbol) -> u64 {
+        if let Some(&id) = self.ids.get(&s) {
+            return id;
+        }
+        let id = self.symbols.len() as u64;
+        self.symbols.push(s);
+        self.ids.insert(s, id);
+        id
+    }
 }
 
 impl PagedTable {
@@ -68,12 +84,9 @@ impl PagedTable {
         Ok(PagedTable {
             schema,
             store,
-            rows: 0,
-            live: Vec::new(),
-            tombstones: 0,
+            live: Liveness::default(),
             indexes: (0..arity).map(|_| FastMap::default()).collect(),
-            symbols: Vec::new(),
-            symbol_ids: FastMap::default(),
+            dictionary: Dictionary::default(),
             rows_per_page,
             arity,
         })
@@ -87,17 +100,7 @@ impl PagedTable {
 
     /// True if the row id refers to a live (non-tombstoned) row.
     pub fn is_live(&self, id: u32) -> bool {
-        self.live.get(id as usize).copied().unwrap_or(false)
-    }
-
-    fn local_symbol(&mut self, s: Symbol) -> u64 {
-        if let Some(&id) = self.symbol_ids.get(&s) {
-            return id;
-        }
-        let id = self.symbols.len() as u64;
-        self.symbols.push(s);
-        self.symbol_ids.insert(s, id);
-        id
+        self.live.is_live(id)
     }
 }
 
@@ -131,48 +134,42 @@ impl RowStore for PagedTable {
         &self.schema
     }
 
-    fn len(&self) -> usize {
-        self.rows as usize - self.tombstones
+    fn liveness(&self) -> &Liveness {
+        &self.live
     }
 
-    fn row_id_bound(&self) -> u32 {
-        self.rows
-    }
-
-    fn push(&mut self, row: Tuple) {
-        debug_assert_eq!(row.len(), self.arity);
-        let id = self.rows;
+    fn push(&mut self, row: &[Value]) {
+        // The slot layout of every later row depends on it.
+        assert_eq!(row.len(), self.arity, "row arity");
+        let id = self.live.push();
         if self.arity > 0 {
-            let mut encoded = vec![0u8; self.arity * CELL_BYTES];
-            for (i, value) in row.iter().enumerate() {
-                let cell = &mut encoded[i * CELL_BYTES..(i + 1) * CELL_BYTES];
-                match value {
-                    Value::Int(x) => {
-                        cell[0] = 0;
-                        cell[1..].copy_from_slice(&x.to_le_bytes());
-                    }
-                    Value::Str(s) => {
-                        let local = self.local_symbol(*s);
-                        cell[0] = 1;
-                        cell[1..].copy_from_slice(&local.to_le_bytes());
-                    }
-                }
-            }
+            // Encoded straight into the pinned page: no staging buffer.
             let (page, offset) = self.slot(id);
+            let dictionary = &mut self.dictionary;
             self.store
                 .with_page_mut(page, |buf| {
-                    buf[offset..offset + encoded.len()].copy_from_slice(&encoded)
+                    let slot = &mut buf[offset..offset + row.len() * CELL_BYTES];
+                    for (cell, value) in slot.chunks_exact_mut(CELL_BYTES).zip(row) {
+                        let (tag, payload) = match *value {
+                            Value::Int(x) => (0, x.to_le_bytes()),
+                            Value::Str(s) => (1, dictionary.local(s).to_le_bytes()),
+                        };
+                        cell[0] = tag;
+                        cell[1..].copy_from_slice(&payload);
+                    }
                 })
                 // Spill I/O failure mid-insert leaves no consistent
                 // fallback; surface it loudly rather than serving a
                 // silently truncated relation.
                 .expect("paged table spill write failed");
         }
-        for (col, value) in row.iter().enumerate() {
-            self.indexes[col].entry(*value).or_default().push(id);
+        for (index, value) in self.indexes.iter_mut().zip(row) {
+            index.entry(*value).or_default().push(id);
         }
-        self.live.push(true);
-        self.rows += 1;
+    }
+
+    fn reserve(&mut self, rows: usize) {
+        self.live.reserve(rows);
     }
 
     fn read_row(&self, id: u32, out: &mut Tuple) -> bool {
@@ -192,7 +189,7 @@ impl RowStore for PagedTable {
                     0 => out.push(Value::Int(i64::from_le_bytes(payload))),
                     _ => {
                         let local = u64::from_le_bytes(payload) as usize;
-                        let Some(&symbol) = self.symbols.get(local) else {
+                        let Some(&symbol) = self.dictionary.symbols.get(local) else {
                             return false;
                         };
                         out.push(Value::Str(symbol));
@@ -213,18 +210,12 @@ impl RowStore for PagedTable {
         let Some(id) = self.find_row(row) else {
             return false;
         };
-        for (col, value) in row.iter().enumerate() {
-            if let Some(list) = self.indexes[col].get_mut(value) {
+        for (index, value) in self.indexes.iter_mut().zip(row) {
+            if let Some(list) = index.get_mut(value) {
                 list.retain(|&x| x != id);
             }
         }
-        self.live[id as usize] = false;
-        self.tombstones += 1;
-        true
-    }
-
-    fn tombstone_count(&self) -> usize {
-        self.tombstones
+        self.live.kill(id)
     }
 
     fn io_stats(&self) -> StoreIoStats {
@@ -237,7 +228,9 @@ impl fmt::Debug for PagedTable {
         write!(
             f,
             "PagedTable({:?}, {} rows, {:?})",
-            self.schema, self.rows, self.store
+            self.schema,
+            self.live.bound(),
+            self.store
         )
     }
 }
@@ -264,7 +257,7 @@ mod tests {
     fn rows_survive_out_of_core_traffic() {
         let (dir, mut t) = small_paged(2);
         for i in 0..100i64 {
-            t.push(vec![Value::int(i), Value::str(&format!("s{}", i % 5))]);
+            t.push(&[Value::int(i), Value::str(&format!("s{}", i % 5))]);
         }
         assert_eq!(t.len(), 100);
         let mut buf = Tuple::new();
@@ -283,9 +276,9 @@ mod tests {
     #[test]
     fn probe_and_delete_match_table_semantics() {
         let (dir, mut t) = small_paged(4);
-        t.push(vec![Value::int(1), Value::str("x")]);
-        t.push(vec![Value::int(2), Value::str("x")]);
-        t.push(vec![Value::int(1), Value::str("y")]);
+        t.push(&[Value::int(1), Value::str("x")]);
+        t.push(&[Value::int(2), Value::str("x")]);
+        t.push(&[Value::int(1), Value::str("y")]);
         assert_eq!(t.postings(1, Value::str("x")), &[0, 1]);
         assert_eq!(t.postings(0, Value::int(1)).len(), 2);
         assert!(t.contains(&[Value::int(1), Value::str("y")]));
@@ -299,7 +292,7 @@ mod tests {
         assert!(!t.read_row(0, &mut buf));
         assert_eq!(t.postings(0, Value::int(1)), &[2]);
         // Ids stay stable: a fresh push gets the next id, not id 0.
-        t.push(vec![Value::int(9), Value::str("z")]);
+        t.push(&[Value::int(9), Value::str("z")]);
         assert_eq!(t.row_id_bound(), 4);
         crate::purge_dir(&dir);
     }
@@ -314,7 +307,7 @@ mod tests {
             PageCacheConfig::default(),
         )
         .unwrap();
-        t.push(vec![Value::str("ann"), Value::str("bob")]);
+        t.push(&[Value::str("ann"), Value::str("bob")]);
         let mut db = Database::new();
         db.attach_table(Box::new(t)).unwrap();
         assert!(db.contains("Friends", &[Value::str("ann"), Value::str("bob")]));
@@ -345,11 +338,11 @@ mod tests {
         };
         let mut dotted = PagedTable::create(&dir, TableSchema::new("a.b", &["x"]), config).unwrap();
         for i in 0..20i64 {
-            dotted.push(vec![Value::int(i)]);
+            dotted.push(&[Value::int(i)]);
         }
         let mut under = PagedTable::create(&dir, TableSchema::new("a_b", &["x"]), config).unwrap();
         for i in 0..20i64 {
-            under.push(vec![Value::int(-i)]);
+            under.push(&[Value::int(-i)]);
         }
         let mut buf = Tuple::new();
         for i in 0..20u32 {

@@ -155,6 +155,43 @@ fn emptied_table_is_empty_on_both_backends() {
     eq_store::purge_dir(&dir);
 }
 
+/// A zero-column relation's rows are all equal and have no column to
+/// look up: on both backends `delete` takes exactly one of them, and
+/// `contains`, the counts and evaluation follow.
+#[test]
+fn nullary_rows_delete_on_both_backends() {
+    let dir = eq_store::scratch_dir("backend-nullary");
+    let mut mem = Database::new();
+    mem.create_table("Flag", &[]).unwrap();
+    let mut paged = Database::new();
+    let table = PagedTable::create(
+        &dir,
+        TableSchema::new("Flag", &[]),
+        PageCacheConfig {
+            page_bytes: PAGE_BYTES,
+            budget_bytes: BUDGET_BYTES,
+        },
+    )
+    .unwrap();
+    paged.attach_table(Box::new(table)).unwrap();
+    let flag = [Atom::new("Flag", vec![])];
+    for db in [&mut mem, &mut paged] {
+        db.insert("Flag", vec![]).unwrap();
+        db.insert("Flag", vec![]).unwrap();
+        assert_eq!(db.delete("Flag", &[]), Ok(true));
+        assert!(db.contains("Flag", &[]));
+        assert_eq!(db.delete("Flag", &[]), Ok(true));
+        assert!(!db.contains("Flag", &[]));
+        assert_eq!(db.delete("Flag", &[]), Ok(false));
+        assert!(db.evaluate(&flag, usize::MAX).unwrap().is_empty());
+        db.insert("Flag", vec![]).unwrap();
+        let t = db.table("Flag".into()).unwrap();
+        assert_eq!((t.len(), t.tombstone_count(), t.row_id_bound()), (1, 2, 3));
+        assert_eq!(db.evaluate(&flag, usize::MAX).unwrap().len(), 1);
+    }
+    eq_store::purge_dir(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 

@@ -10,8 +10,9 @@
 # BENCHMARK.json): its own tests and a short run of every workload —
 # pairs_incremental, churn_sharded, cliques_paged, giant_shared (at two
 # seeds) and pairs_durable (kill + recover compared id for id) — whose
-# output checks must pass. Everything runs offline (vendored shims only
-# — see README "Offline-dependency policy").
+# output checks must pass, and whose pairs_incremental and pairs_durable
+# peak RSS must stay under a ceiling. Everything runs offline (vendored
+# shims only — see README "Offline-dependency policy").
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -79,7 +80,7 @@ for bench in fig6_two_way fig7_postconditions fig8_stress fig9_safety ablation; 
     cargo bench -q --offline -p eq_bench --bench "$bench" -- --smoke
 done
 
-echo "== 13/13 benchmark package: unit tests + a short run of all five workloads with their output checks =="
+echo "== 13/13 benchmark package: unit tests + a short run of all five workloads with their output checks and two peak-RSS ceilings =="
 # The benchmark is a package of its own, outside the workspace, so no
 # step above builds it. The admission path runs both ways:
 # pairs_incremental is the only workload that drives one `submit` per
@@ -93,6 +94,14 @@ echo "== 13/13 benchmark package: unit tests + a short run of all five workloads
 # every region's join order and cost. Last the durable path: the pair
 # stream through the WAL with a mid-stream checkpoint, then kill +
 # recover — accounting must match id for id and the pinned counts.
+# The two pair workloads hold the largest databases (41,084 users,
+# 594,400 friendships), at least two copies each and three at
+# pairs_durable's peak: their peak RSS must stay under a ceiling of the
+# value measured once every table became one row slab, + 10 %. Measured
+# with these 2 s runs on a 2-core x86-64 box, median of 5 runs:
+# pairs_incremental 215.8 MB, pairs_durable 265.9 MB (a heap `Vec` per
+# row had held them at 284.5 and 342.5 MB).
+declare -A rss_ceiling_mb=([pairs_incremental]=237.4 [pairs_durable]=292.4)
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 for run in "pairs_incremental" "churn_sharded" "cliques_paged" "giant_shared" "giant_shared --seed 7" \
     "pairs_durable"; do
@@ -102,6 +111,15 @@ for run in "pairs_incremental" "churn_sharded" "cliques_paged" "giant_shared" "g
     if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0[,}]' <<<"$result"; then
         echo "FATAL: $run run did not end correct with 0 failed operations" >&2
         exit 1
+    fi
+    ceiling=${rss_ceiling_mb[$run]:-}
+    if [ -n "$ceiling" ]; then
+        rss=$(python3 -c 'import json, sys; print(json.loads(sys.argv[1])["metrics"]["peak_rss_mb"]["value"])' "$result")
+        if awk -v rss="$rss" -v ceiling="$ceiling" 'BEGIN { exit !(rss > ceiling) }'; then
+            echo "FATAL: $run peak_rss_mb $rss is above its ceiling of $ceiling MB" >&2
+            exit 1
+        fi
+        echo "$run peak_rss_mb $rss (ceiling $ceiling MB)"
     fi
 done
 
