@@ -37,10 +37,6 @@ fn main() {
         admission_safety_check: false,
         ..Default::default()
     };
-    let incremental_unbounded = EngineConfig {
-        incremental_partition_limit: usize::MAX,
-        ..incremental.clone()
-    };
     let batch = EngineConfig {
         mode: EngineMode::SetAtATime { batch_size: 0 },
         admission_safety_check: false,
@@ -70,12 +66,7 @@ fn main() {
             drive(Database::new(), &ch, batch_parallel.clone(), true)
         });
         group.bench("giant incremental", giant.len() as u64, || {
-            drive(
-                build_database(&graph),
-                &giant,
-                incremental_unbounded.clone(),
-                false,
-            )
+            drive(build_database(&graph), &giant, incremental.clone(), false)
         });
         group.bench("giant set-at-a-time", giant.len() as u64, || {
             drive(build_database(&graph), &giant, batch.clone(), true)

@@ -248,13 +248,12 @@ pub fn run_fig8(cfg: &Fig8Config) -> Vec<Row> {
         let queries = giant_cluster(&graph, n, cfg.seed + 2);
 
         // (c) Giant cluster, incremental: the whole partition is
-        // re-matched on every arrival (partition limit lifted).
+        // re-matched on every arrival.
         let mut engine = CoordinationEngine::new(
             clone_db(&db),
             EngineConfig {
                 mode: EngineMode::Incremental,
                 admission_safety_check: false,
-                incremental_partition_limit: usize::MAX,
                 ..Default::default()
             },
         );

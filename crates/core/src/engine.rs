@@ -3,20 +3,25 @@
 //! The engine accepts entangled queries asynchronously, keeps them in a
 //! pending pool, and answers them in one of two modes:
 //!
-//! * **Incremental** — on every submission, the affected partition is
-//!   re-matched from its current state and any component that has become
-//!   answerable is evaluated immediately;
+//! * **Incremental** — every submit call ends by re-matching what it
+//!   dirtied: the components its arrivals joined (and any the database
+//!   or a retirement re-dirtied) are evaluated before the call returns;
 //! * **Set-at-a-time** — submissions accumulate; [`CoordinationEngine::flush`]
 //!   (called manually, or automatically every `batch_size` submissions)
 //!   evaluates the *dirty* components of the resident match graph,
 //!   processing independent components in parallel (§4.1.2).
 //!
+//! The two modes differ only in *when* the dirty set is evaluated, never
+//! in *how*: both run the one evaluation a flush runs (database-revision
+//! check, dirty components, §3.1.1 safety, matching, combined query), so
+//! the same input reaches the same per-query outcomes in either mode
+//! whenever the evaluation points see the same pool.
+//!
 //! Match state is **resident**: one persistent unifiability graph
 //! ([`ResidentGraph`]) keyed by engine slots is updated incrementally at
 //! submission (edges discovered through the sharded atom indexes, MGUs
 //! computed once and kept) and at retirement (edge removal with lazy
-//! component-split resolution). Both modes — and the eager-pairing
-//! fallback for oversized partitions — evaluate straight off this
+//! component-split resolution). Evaluation runs straight off this
 //! resident state through [`crate::graph::MatchView`], borrowing pending
 //! queries in place; nothing is cloned into a per-flush throwaway graph,
 //! and a flush with no changes since the previous one evaluates zero
@@ -55,7 +60,8 @@ use std::time::Instant;
 /// Evaluation scheduling mode (§5.1, §5.3.4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineMode {
-    /// Match and evaluate after every submission.
+    /// Evaluate the dirty set at the end of every submit call (§5.1's
+    /// incremental matching: re-match what the call dirtied).
     Incremental,
     /// Accumulate and evaluate on [`CoordinationEngine::flush`]; if
     /// `batch_size > 0`, flush automatically every `batch_size`
@@ -73,8 +79,9 @@ pub enum NoSolutionPolicy {
     /// Fail the component's queries (§4.2's rejection semantics).
     #[default]
     Reject,
-    /// Keep them pending; they are retried when their component changes
-    /// or the database is updated (via an explicit flush).
+    /// Keep them pending; they are retried at the next evaluation after
+    /// their component changes or the database is updated — the next
+    /// submit in incremental mode, the next flush in set-at-a-time mode.
     KeepPending,
 }
 
@@ -96,17 +103,6 @@ pub struct EngineConfig {
     /// set-at-a-time flushes (§4.1.2). 1 = sequential; 0 = one worker
     /// per available hardware thread.
     pub flush_threads: usize,
-    /// Incremental mode only: partitions up to this size are fully
-    /// re-matched on every arrival (the paper's incremental matching,
-    /// §5.1). Larger partitions — hub destinations where a wildcard
-    /// postcondition unifies with many pending heads — fall back to
-    /// *eager pairing*: the new query is tried against its direct
-    /// unification partners one at a time, first syntactic closure wins
-    /// (the paper's nondeterministic choice), and the pair is evaluated
-    /// immediately. Set to `usize::MAX` to always re-match the whole
-    /// partition (reproduces the giant-cluster blow-up of Figure 8 that
-    /// motivates set-at-a-time mode).
-    pub incremental_partition_limit: usize,
     /// Coordinating sets with at least this many members are evaluated
     /// through the **partitioned intra-component path**
     /// ([`crate::intra`]): the combined query's variable-disjoint work
@@ -143,7 +139,6 @@ impl Default for EngineConfig {
             admission_safety_check: true,
             on_no_solution: NoSolutionPolicy::default(),
             flush_threads: 1,
-            incremental_partition_limit: 64,
             intra_component_threshold: 128,
             service_shards: 1,
         }
@@ -221,18 +216,19 @@ pub struct SubmitOptions {
     /// [`EngineConfig::on_no_solution`]. When a matched component's
     /// combined query has no database solution, members with an
     /// effective [`NoSolutionPolicy::Reject`] are failed and members
-    /// with [`NoSolutionPolicy::KeepPending`] stay pending for a retry.
+    /// with [`NoSolutionPolicy::KeepPending`] stay pending, retried by
+    /// the next evaluation after their component or the database
+    /// changes (in incremental mode, the next submit).
     pub on_no_solution: Option<NoSolutionPolicy>,
 }
 
-/// Summary of one flush (or one incremental trigger).
+/// Summary of one flush.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchReport {
     /// Components examined (after safety masking and split resolution).
     pub components: usize,
     /// Resident components skipped because nothing in them changed
-    /// since they were last evaluated (the dirty-set payoff; always 0
-    /// for incremental triggers).
+    /// since they were last evaluated (the dirty-set payoff).
     pub skipped_clean: usize,
     /// Queries answered.
     pub answered: usize,
@@ -389,8 +385,7 @@ impl<'a> Turn<'a> {
 /// Immutable view over the engine's resident match state: the slot
 /// table provides the queries, the [`ResidentGraph`] the topology.
 /// Matching, safety, UCS, and combined-query construction all run
-/// against this — the same code path for batch flushes, incremental
-/// triggers, and eager pairing — borrowing pending queries in place.
+/// against this, borrowing pending queries in place.
 struct ResidentView<'a> {
     slots: &'a [Option<PendingQuery>],
     graph: &'a ResidentGraph,
@@ -448,9 +443,12 @@ pub struct CoordinationEngine {
     deadlines: BinaryHeap<Reverse<(Instant, QueryId)>>,
     /// Pending queries that carry a deadline — the heap's live entries.
     dated: usize,
+    /// Admissions since the dirty set was last evaluated (the
+    /// `SetAtATime { batch_size }` auto-flush counter).
     submissions_since_flush: usize,
-    /// Database revision seen by the last flush; a change marks every
-    /// component dirty (kept-pending components may now be answerable).
+    /// Database revision seen by the last evaluation; a change marks
+    /// every component dirty (kept-pending components may now be
+    /// answerable).
     flushed_db_revision: u64,
     /// When enabled, every terminal transition is also appended here so
     /// a service layer can push events instead of polling per-query
@@ -575,7 +573,8 @@ impl CoordinationEngine {
     ///
     /// Admission is the body of the batch replay loop
     /// ([`CoordinationEngine::admit_probed`]) run once with an empty
-    /// batch; only the evaluation epilogue is this path's own.
+    /// batch, and the call ends in the batch's evaluation epilogue
+    /// ([`CoordinationEngine::evaluate_if_due`]).
     pub(crate) fn submit_with_source(
         &mut self,
         query: EntangledQuery,
@@ -587,49 +586,9 @@ impl CoordinationEngine {
 
         let renamed = query.rename_apart(&self.gen);
         let probe = self.probe(&renamed, self.config.admission_safety_check, None);
-        let (slot, handle) =
-            self.admit_probed(renamed, opts, source, &mut Turn::alone(&mut [probe]))?;
-
-        match self.config.mode {
-            EngineMode::Incremental => {
-                let limit = self.config.incremental_partition_limit;
-                match self.resident.bounded_component(slot, limit) {
-                    Some(members) => {
-                        // The registry component may still be coarser
-                        // than the true piece (pending split); only
-                        // mark it clean when the piece covers it —
-                        // otherwise other pieces would lose their
-                        // dirtiness.
-                        if members.len() == self.resident.component_len(slot) {
-                            self.resident.mark_clean(slot);
-                        }
-                        self.process_groups(&[members]);
-                    }
-                    None => {
-                        // The direct unification partners, off the
-                        // edges just linked.
-                        let graph = &self.resident;
-                        let mut partners: Vec<u32> = graph
-                            .out_edges(slot)
-                            .iter()
-                            .map(|&e| graph.edge(e).to)
-                            .chain(graph.in_edges(slot).iter().map(|&e| graph.edge(e).from))
-                            .collect();
-                        partners.sort_unstable();
-                        partners.dedup();
-                        self.eager_pair(slot, &partners);
-                    }
-                }
-            }
-            EngineMode::SetAtATime { batch_size } => {
-                self.submissions_since_flush += 1;
-                if batch_size > 0 && self.submissions_since_flush >= batch_size {
-                    self.flush();
-                }
-            }
-        }
-
-        Ok(handle)
+        let admitted = self.admit_probed(renamed, opts, source, &mut Turn::alone(&mut [probe]));
+        self.evaluate_if_due(usize::from(admitted.is_ok()));
+        admitted.map(|(_, handle)| handle)
     }
 
     /// The one admission probe: discovers the unifiability edges
@@ -964,18 +923,12 @@ impl CoordinationEngine {
     /// and linked edges are the same as `n` individual submits would
     /// produce.
     ///
-    /// Admission is one path; what differs from sequential submission,
-    /// by design, is the **evaluation epilogue**:
-    ///
-    /// * evaluation is deferred to the end of the batch — in
-    ///   incremental mode every component the batch dirtied is
-    ///   evaluated once after all admissions (so intra-batch arrivals
-    ///   never race retirements), with components above
-    ///   [`EngineConfig::incremental_partition_limit`] left pending and
-    ///   dirty for an explicit [`CoordinationEngine::flush`] (sequential
-    ///   submission eager-pairs those instead); in set-at-a-time mode
-    ///   the auto-flush threshold is checked once after the batch;
-    /// * the deadline sweep runs once, up front.
+    /// Admission is one path, and so is evaluation: the call ends in the
+    /// same epilogue as a single submit, run once for the whole batch —
+    /// in incremental mode the dirty set is evaluated after all
+    /// admissions (so intra-batch arrivals never race retirements), in
+    /// set-at-a-time mode the auto-flush threshold is checked once. The
+    /// deadline sweep runs once, up front.
     ///
     /// With `SetAtATime { batch_size: 0 }`, `submit_batch` followed by
     /// [`CoordinationEngine::flush`] is observationally equivalent to
@@ -1091,34 +1044,26 @@ impl CoordinationEngine {
             }));
         }
 
-        // Evaluation epilogue, once for the whole batch.
-        match self.config.mode {
-            EngineMode::Incremental => {
-                // Batched incremental: evaluate the components the
-                // batch dirtied, respecting the partition limit —
-                // oversized components stay pending *and dirty* (an
-                // explicit flush picks them up) instead of triggering
-                // the Figure-8 giant-cluster blow-up that sequential
-                // submission's eager-pair fallback caps.
-                let limit = self.config.incremental_partition_limit;
-                let groups = self.resident.take_dirty();
-                let (bounded, oversized): (Vec<_>, Vec<_>) =
-                    groups.into_iter().partition(|g| g.len() <= limit);
-                self.process_groups(&bounded);
-                for group in oversized {
-                    if let Some(&slot) = group.first() {
-                        self.resident.mark_dirty(slot);
-                    }
-                }
-            }
-            EngineMode::SetAtATime { batch_size } => {
-                self.submissions_since_flush += admitted.iter().flatten().count();
-                if batch_size > 0 && self.submissions_since_flush >= batch_size {
-                    self.flush();
-                }
-            }
-        }
+        self.evaluate_if_due(admitted.iter().flatten().count());
         results
+    }
+
+    /// The evaluation epilogue both submit paths end in: counts the
+    /// call's admissions and evaluates the dirty set when the mode says
+    /// so — after every call in incremental mode, once `batch_size`
+    /// admissions have accumulated in set-at-a-time mode (0 disables
+    /// auto-flush).
+    fn evaluate_if_due(&mut self, admitted: usize) {
+        self.submissions_since_flush += admitted;
+        let due = match self.config.mode {
+            EngineMode::Incremental => true,
+            EngineMode::SetAtATime { batch_size } => {
+                batch_size > 0 && self.submissions_since_flush >= batch_size
+            }
+        };
+        if due {
+            self.evaluate_dirty();
+        }
     }
 
     /// Fails and removes every pending query whose deadline
@@ -1157,19 +1102,26 @@ impl CoordinationEngine {
         self.deadlines = BinaryHeap::from(live);
     }
 
-    /// Set-at-a-time evaluation: takes the *dirty* components of the
-    /// resident match graph — those whose membership changed since they
-    /// were last evaluated, or all of them if the database was written
-    /// in between — and processes them on the sharded worker pool
-    /// (`flush_threads` workers; `0` = one per hardware thread; `1` =
-    /// sequential). Clean components are skipped entirely (reported in
-    /// [`BatchReport::skipped_clean`]): a flush with no changes since
-    /// the previous one evaluates zero components. Unmatched queries
-    /// remain pending.
+    /// Runs the deadline sweep, then evaluates the dirty set — the same
+    /// evaluation an incremental submit ends in, on demand: the
+    /// components whose membership changed since they were last
+    /// evaluated, or all of them if the database was written in between.
+    /// Clean components are skipped (reported in
+    /// [`BatchReport::skipped_clean`]). Unmatched queries remain pending.
     pub fn flush(&mut self) -> BatchReport {
-        self.submissions_since_flush = 0;
         self.expire_stale();
+        self.evaluate_dirty()
+    }
 
+    /// The one evaluation, behind [`CoordinationEngine::flush`] and the
+    /// submit epilogue: a database write since the last evaluation
+    /// re-dirties every component, then the dirty components are taken
+    /// and processed on the sharded worker pool (`flush_threads`
+    /// workers; `0` = one per hardware thread; `1` = sequential). With
+    /// no change since the previous evaluation it evaluates zero
+    /// components.
+    fn evaluate_dirty(&mut self) -> BatchReport {
+        self.submissions_since_flush = 0;
         let revision = self.db.read().revision();
         if revision != self.flushed_db_revision {
             self.flushed_db_revision = revision;
@@ -1198,92 +1150,10 @@ impl CoordinationEngine {
         true
     }
 
-    /// Eager pairing for oversized partitions: try the new query against
-    /// each direct unification partner; the first pair that closes
-    /// syntactically is evaluated immediately (the paper's
-    /// nondeterministic choice among coordination options). On a database
-    /// miss the pair is failed or kept per [`NoSolutionPolicy`].
-    ///
-    /// Pairs are matched directly on the resident graph (the member set
-    /// `{new, partner}` hides the rest of the partition), so nothing is
-    /// cloned — the pre-resident implementation cloned the candidate
-    /// query once per partner attempt.
-    fn eager_pair(&mut self, slot: u32, partners: &[u32]) {
-        // A query without postconditions coordinates alone.
-        if self.slots[slot as usize]
-            .as_ref()
-            .expect("live slot")
-            .query
-            .postconditions
-            .is_empty()
-        {
-            self.process_groups(&[vec![slot]]);
-            return;
-        }
-        for &p in partners {
-            if self.slots[p as usize].is_none() {
-                continue;
-            }
-            let members = [slot.min(p), slot.max(p)];
-            let (survivors, solution) = {
-                let view = ResidentView {
-                    slots: &self.slots,
-                    graph: &self.resident,
-                };
-                let m = matching::match_component(&view, &members);
-                if m.survivors.len() != 2 {
-                    continue; // the pair does not close; try the next partner
-                }
-                let Some(global) = m.global else {
-                    continue;
-                };
-                let db = self.db.read();
-                // Same evaluation code path as flushes and incremental
-                // triggers (sequential here: one pair, submit thread).
-                let (solution, _) =
-                    evaluate_survivors(&view, &m.survivors, &global, &db, &self.config, 1);
-                (m.survivors, solution)
-            };
-            match solution {
-                Ok(first) => match first {
-                    Some(answers) => {
-                        for (&s, answer) in survivors.iter().zip(answers) {
-                            self.retire(s, Ok(answer));
-                        }
-                        return;
-                    }
-                    None => {
-                        // Per-member no-solution policy: members with
-                        // an effective Reject are failed, KeepPending
-                        // members stay and (if the new query survived)
-                        // the next partner is tried.
-                        let mut new_query_retired = false;
-                        for &s in &members {
-                            if self.effective_no_solution(s) == NoSolutionPolicy::Reject {
-                                self.retire(s, Err(FailReason::Rejected(RejectReason::NoSolution)));
-                                new_query_retired |= s == slot;
-                            }
-                        }
-                        if new_query_retired {
-                            return;
-                        }
-                        // KeepPending: try the next partner.
-                    }
-                },
-                Err(_) => {
-                    for &s in &members {
-                        self.retire(s, Err(FailReason::Rejected(RejectReason::NoSolution)));
-                    }
-                    return;
-                }
-            }
-        }
-    }
-
     /// Matches and evaluates component member groups straight off the
     /// resident graph. Each group must be one weakly connected resident
-    /// component (as produced by [`ResidentGraph::take_dirty`] or
-    /// [`ResidentGraph::component_members`]). Per group: §3.1.1 safety
+    /// component (as produced by [`ResidentGraph::take_dirty`]). Per
+    /// group: §3.1.1 safety
     /// enforcement sidelines ambiguous members (they stay pending), the
     /// survivors are re-partitioned (removals may disconnect them), and
     /// every piece is matched + evaluated on the sharded worker pool.
@@ -1725,9 +1595,7 @@ struct ComponentOutcome {
 /// `threads` workers ([`intra`]; shared-variable units split into
 /// regions where [`intra::SplitOptions::default`]'s gate admits it),
 /// below it the body is one sequential join. The two produce identical
-/// answers by construction (see [`intra`]'s module docs); this helper is
-/// the **one evaluation code path** shared by set-at-a-time flushes,
-/// incremental triggers, and the eager-pairing fallback. Returns the
+/// answers by construction (see [`intra`]'s module docs). Returns the
 /// first coordinated solution (one answer per survivor, in survivor
 /// order) and the partitioned path's counters (`None` for the
 /// sequential join).
@@ -2210,82 +2078,6 @@ mod tests {
         }
         // Ten queries processed, but only two slots ever allocated.
         assert!(engine.slots.len() <= 4, "slots: {}", engine.slots.len());
-    }
-
-    #[test]
-    fn eager_pairing_kicks_in_for_oversized_partitions() {
-        // Partition limit 1 forces the eager-pair path on every arrival.
-        let mut engine = CoordinationEngine::new(
-            flight_db(),
-            EngineConfig {
-                incremental_partition_limit: 1,
-                admission_safety_check: false,
-                ..Default::default()
-            },
-        );
-        engine
-            .db()
-            .write()
-            .create_table("Buddy", &["a", "b"])
-            .unwrap();
-        for (a, b) in [("Jerry", "Kramer"), ("Kramer", "Jerry")] {
-            engine
-                .db()
-                .write()
-                .insert("Buddy", vec![Value::str(a), Value::str(b)])
-                .unwrap();
-        }
-        let h1 = engine
-            .submit(q("{R(x, ITH)} R(Jerry, ITH) <- Buddy(Jerry, x)"))
-            .unwrap();
-        // Jerry's pc R(x, ITH) unifies Kramer's head and vice versa; the
-        // pair closes and evaluates eagerly.
-        let h2 = engine
-            .submit(q("{R(y, ITH)} R(Kramer, ITH) <- Buddy(Kramer, y)"))
-            .unwrap();
-        assert!(matches!(
-            h1.outcome.try_recv().unwrap(),
-            QueryOutcome::Answered(_)
-        ));
-        assert!(matches!(
-            h2.outcome.try_recv().unwrap(),
-            QueryOutcome::Answered(_)
-        ));
-        assert_eq!(engine.pending_count(), 0);
-    }
-
-    #[test]
-    fn eager_pairing_rejects_both_on_database_miss() {
-        let mut engine = CoordinationEngine::new(
-            flight_db(),
-            EngineConfig {
-                incremental_partition_limit: 1,
-                admission_safety_check: false,
-                ..Default::default()
-            },
-        );
-        engine
-            .db()
-            .write()
-            .create_table("Buddy", &["a", "b"])
-            .unwrap();
-        // No Buddy rows: the pair closes syntactically but the combined
-        // query finds no tuples.
-        let h1 = engine
-            .submit(q("{R(x, ITH)} R(Jerry, ITH) <- Buddy(Jerry, x)"))
-            .unwrap();
-        let h2 = engine
-            .submit(q("{R(y, ITH)} R(Kramer, ITH) <- Buddy(Kramer, y)"))
-            .unwrap();
-        assert!(matches!(
-            h1.outcome.try_recv().unwrap(),
-            QueryOutcome::Failed(_)
-        ));
-        assert!(matches!(
-            h2.outcome.try_recv().unwrap(),
-            QueryOutcome::Failed(_)
-        ));
-        assert_eq!(engine.pending_count(), 0);
     }
 
     #[test]

@@ -43,8 +43,9 @@
 //! **Ordering contract:** candidates are visited in the order their
 //! atoms were inserted into the driving list — exact-constant list
 //! first, then the wildcard list — exactly as if every removal had
-//! deleted its postings on the spot. Admission, the Figure-9 safety
-//! check and eager-pair choice depend on that order.
+//! deleted its postings on the spot. Admission and the Figure-9 safety
+//! check depend on that order: it fixes the order of a slot's resident
+//! edges, and with it where the early-exit probe stops.
 
 use eq_ir::{Atom, FastMap, Symbol, Term, Value};
 use std::collections::hash_map::Entry;

@@ -60,7 +60,6 @@ pub mod durable;
 pub mod engine;
 pub mod error;
 pub mod events;
-pub mod ext;
 pub mod graph;
 pub mod index;
 pub mod intra;

@@ -101,23 +101,6 @@ impl ResidentGraph {
         self.out.len()
     }
 
-    /// Size of the component containing `slot` (1 for an isolated
-    /// resident slot). The count may transiently over-estimate after
-    /// retirements until the next [`ResidentGraph::take_dirty`] resolves
-    /// pending splits — callers using it as a partition bound only need
-    /// an upper bound.
-    pub fn component_len(&self, slot: u32) -> usize {
-        let c = self.comp_of[slot as usize];
-        if c == NO_COMP {
-            return 0;
-        }
-        self.comps[c as usize]
-            .as_ref()
-            .expect("live comp")
-            .members
-            .len()
-    }
-
     /// Sorted members of the component containing `slot`.
     pub fn component_members(&self, slot: u32) -> Vec<u32> {
         let c = self.comp_of[slot as usize];
@@ -202,15 +185,6 @@ impl ResidentGraph {
         }
     }
 
-    /// Marks the component containing `slot` dirty (e.g. after an
-    /// evaluation retired some of its members elsewhere).
-    pub fn mark_dirty(&mut self, slot: u32) {
-        let c = self.comp_of[slot as usize];
-        if c != NO_COMP {
-            self.dirty.insert(c);
-        }
-    }
-
     /// Marks every live component dirty (used when the database changed:
     /// kept-pending components may now be answerable).
     pub fn mark_all_dirty(&mut self) {
@@ -218,16 +192,6 @@ impl ResidentGraph {
             if c.is_some() {
                 self.dirty.insert(id as u32);
             }
-        }
-    }
-
-    /// Marks the component currently containing `slot` clean (used after
-    /// evaluating it through a path that bypassed
-    /// [`ResidentGraph::take_dirty`], e.g. incremental mode).
-    pub fn mark_clean(&mut self, slot: u32) {
-        let c = self.comp_of[slot as usize];
-        if c != NO_COMP {
-            self.dirty.remove(&c);
         }
     }
 
@@ -256,40 +220,6 @@ impl ResidentGraph {
         }
         groups.sort_by_key(|g| g[0]);
         groups
-    }
-
-    /// BFS over the live adjacency from `slot`, stopping early once the
-    /// piece exceeds `limit`. Returns the sorted members of `slot`'s
-    /// true connected piece, or `None` if it is larger than `limit`.
-    /// Exact even while the registry component is still split-pending
-    /// (the traversal sees only live edges), and bounded: cost is
-    /// O(limit · degree), independent of the stale component's size —
-    /// the incremental mode's partition-limit decision must not pay for
-    /// a giant component it is about to eager-pair around.
-    pub fn bounded_component(&self, slot: u32, limit: usize) -> Option<Vec<u32>> {
-        if self.comp_of[slot as usize] == NO_COMP {
-            return None;
-        }
-        let mut seen: FastSet<u32> = FastSet::default();
-        seen.insert(slot);
-        let mut piece = vec![slot];
-        let mut i = 0;
-        while i < piece.len() {
-            let v = piece[i];
-            i += 1;
-            for &eid in self.out[v as usize].iter().chain(&self.inc[v as usize]) {
-                let e = self.edges[eid as usize].as_ref().expect("live edge");
-                let w = if e.from == v { e.to } else { e.from };
-                if seen.insert(w) {
-                    piece.push(w);
-                    if piece.len() > limit {
-                        return None;
-                    }
-                }
-            }
-        }
-        piece.sort_unstable();
-        Some(piece)
     }
 
     /// Partitions `members` into connected pieces over the live

@@ -6,7 +6,7 @@
 //! Safety guarantees that the way queries can match is unique, which is
 //! what makes matching tractable (Theorem 3.1).
 
-use crate::graph::{MatchGraph, MatchView};
+use crate::graph::MatchView;
 use eq_ir::{FastSet, QueryId};
 
 /// A detected safety violation: the postcondition `pc_idx` of `query`
@@ -36,40 +36,12 @@ pub enum SafetyPolicy {
     RejectAll,
 }
 
-/// Scans a graph for safety violations: any query slot with two or more
-/// in-edges on the same postcondition index.
-pub fn violations(graph: &MatchGraph) -> Vec<SafetyViolation> {
-    let mut out = Vec::new();
-    for slot in 0..graph.len() as u32 {
-        let q = &graph.queries()[slot as usize];
-        let pc_count = q.pc_count();
-        if pc_count == 0 {
-            continue;
-        }
-        let mut per_pc: Vec<Vec<(u32, u32)>> = vec![Vec::new(); pc_count];
-        for &eid in graph.in_edges(slot) {
-            let e = &graph.edges()[eid as usize];
-            per_pc[e.pc_idx as usize].push((e.from, e.head_idx));
-        }
-        for (pc_idx, heads) in per_pc.into_iter().enumerate() {
-            if heads.len() >= 2 {
-                out.push(SafetyViolation {
-                    slot,
-                    query: q.id,
-                    pc_idx: pc_idx as u32,
-                    heads,
-                });
-            }
-        }
-    }
-    out
-}
-
 /// Member-scoped violation scan over any [`MatchView`]: reports every
 /// member whose postcondition has two or more in-edges from member
 /// heads. The engine uses this over its resident graph to answer "is
 /// the pending pool safe right now?" without building a throwaway
-/// [`MatchGraph`].
+/// [`crate::graph::MatchGraph`]; over all slots of a graph it is the
+/// whole-graph scan.
 pub fn violations_members<V: MatchView>(graph: &V, members: &[u32]) -> Vec<SafetyViolation> {
     let member_set: FastSet<u32> = members.iter().copied().collect();
     let mut out = Vec::new();
@@ -163,6 +135,7 @@ pub fn enforce_members<V: MatchView>(graph: &V, members: &[u32]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::MatchGraph;
     use eq_ir::{EntangledQuery, QueryId, VarGen};
     use eq_sql::parse_ir_query;
 
@@ -181,6 +154,11 @@ mod tests {
         MatchGraph::build(queries)
     }
 
+    /// Every slot of `g`: the member set of a whole-graph scan.
+    fn all(g: &MatchGraph) -> Vec<u32> {
+        (0..g.len() as u32).collect()
+    }
+
     #[test]
     fn paper_figure_3a_is_unsafe() {
         let g = build(&[
@@ -188,7 +166,7 @@ mod tests {
             "{R(Jerry, y)} R(Elaine, y) <- F(y, Athens)",
             "{R(f, z)} R(Jerry, z) <- F(z, w), Friend(Jerry, f)",
         ]);
-        let vs = violations(&g);
+        let vs = violations_members(&g, &all(&g));
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].slot, 2);
         assert_eq!(vs[0].heads.len(), 2);
@@ -200,7 +178,7 @@ mod tests {
             "{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)",
             "{R(Kramer, y)} R(Jerry, y) <- F(y, Paris), A(y, United)",
         ]);
-        assert!(violations(&g).is_empty());
+        assert!(violations_members(&g, &all(&g)).is_empty());
     }
 
     #[test]
@@ -210,7 +188,7 @@ mod tests {
             "{} R(A, x) & R(B, x) <- T(x)",
             "{R(w, v)} S(v) <- T(v), T(w)",
         ]);
-        let vs = violations(&g);
+        let vs = violations_members(&g, &all(&g));
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].slot, 1);
         assert_eq!(vs[0].heads, vec![(0, 0), (0, 1)]);
@@ -222,9 +200,20 @@ mod tests {
             "{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)",
             "{R(Jerry, y)} R(Elaine, y) <- F(y, Athens)",
             "{R(f, z)} R(Jerry, z) <- F(z, w), Friend(Jerry, f)",
+            "{} X(a) <- T(a)",
+            "{} X(b) <- T(b)",
+            "{X(v)} Y(v) <- T(v)",
         ]);
-        let all: Vec<u32> = (0..3).collect();
-        assert_eq!(violations_members(&g, &all), violations(&g));
+        // The whole-graph scan is the per-component scans concatenated
+        // (how the engine scans its resident pool).
+        let per_component: Vec<SafetyViolation> = g
+            .components()
+            .iter()
+            .flat_map(|c| violations_members(&g, c))
+            .collect();
+        assert_eq!(g.components().len(), 2);
+        assert_eq!(per_component.len(), 2);
+        assert_eq!(violations_members(&g, &all(&g)), per_component);
         // Restricted to the unambiguous pair, the set is safe.
         assert!(violations_members(&g, &[0, 1]).is_empty());
     }
@@ -250,7 +239,8 @@ mod tests {
         let mut alive = vec![true; 3];
         let removed = enforce(&g, &mut alive);
         assert_eq!(removed, vec![2]);
-        assert!(violations(&g).len() == 1);
+        assert_eq!(violations_members(&g, &all(&g)).len(), 1);
+        assert!(violations_members(&g, &[0, 1]).is_empty());
     }
 
     #[test]

@@ -835,7 +835,8 @@ impl Coordinator {
 
     /// Shared handle to the service's database; write to it between
     /// rounds to load or update data (a write re-dirties kept-pending
-    /// components at the next flush).
+    /// components at the next evaluation — the next submit in
+    /// incremental mode, the next flush in set-at-a-time mode).
     pub fn db(&self) -> Arc<RwLock<Database>> {
         Arc::clone(&self.shared.db)
     }
@@ -1050,8 +1051,7 @@ impl Coordinator {
     }
 
     /// Single submission under a held shard guard: the one-request case
-    /// of [`Coordinator::admit_batch_in`], with sequential submission's
-    /// evaluation epilogue.
+    /// of [`Coordinator::admit_batch_in`].
     fn admit_in(
         &self,
         inner: &mut ShardInner,
@@ -1059,7 +1059,7 @@ impl Coordinator {
         now: Instant,
         record: bool,
     ) -> Result<QueryHandle, CoordinationError> {
-        let results = self.admit_batch_in(inner, vec![request], now, true, record);
+        let results = self.admit_batch_in(inner, vec![request], now, record);
         results.into_iter().next().expect("one result per request")
     }
 
@@ -1147,7 +1147,7 @@ impl Coordinator {
         }
         let (positions, batch): (Vec<usize>, Vec<SubmitRequest>) = run.drain(..).unzip();
         let mut inner = self.shared.shards[shard].lock();
-        let results = self.admit_batch_in(&mut inner, batch, now, false, true);
+        let results = self.admit_batch_in(&mut inner, batch, now, true);
         for (pos, result) in positions.into_iter().zip(results) {
             out[pos] = Some(result);
         }
@@ -1159,16 +1159,14 @@ impl Coordinator {
     /// before any handle escapes — the record-before-visibility
     /// contract), tag registration, and staging of whatever outcomes
     /// the admission produced (incremental mode coordinates inline).
-    /// The requests are validated. `sequential` admits the one request
-    /// of a single submission, with its evaluation epilogue instead of
-    /// the batch's; `record: false` is recovery replay, whose records
-    /// the log already holds.
+    /// The requests are validated; a lone request takes the engine's
+    /// single-submit path, which skips the batch-local index. `record:
+    /// false` is recovery replay, whose records the log already holds.
     fn admit_batch_in(
         &self,
         inner: &mut ShardInner,
         requests: Vec<SubmitRequest>,
         now: Instant,
-        sequential: bool,
         record: bool,
     ) -> Vec<Result<QueryHandle, CoordinationError>> {
         // The engine consumes each query, so its durable record is
@@ -1199,8 +1197,8 @@ impl Coordinator {
             })
             .collect();
         let ids = Some(&self.shared.next_id);
-        let results = if sequential {
-            let (query, opts) = batch.pop().expect("a single submission");
+        let results = if batch.len() == 1 {
+            let (query, opts) = batch.pop().expect("one request");
             vec![inner.engine.submit_with_source(query, opts, ids)]
         } else {
             inner.engine.submit_batch_with_source(batch, ids)

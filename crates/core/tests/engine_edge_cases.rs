@@ -159,32 +159,48 @@ fn staleness_zero_expires_everything_on_next_submit() {
 
 #[test]
 fn keep_pending_policy_in_incremental_mode() {
-    let mut engine = CoordinationEngine::new(
-        db(),
-        EngineConfig {
-            on_no_solution: NoSolutionPolicy::KeepPending,
-            ..Default::default()
-        },
-    );
-    let h1 = engine
-        .submit(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Athens)"))
-        .unwrap();
-    let h2 = engine
-        .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Athens)"))
-        .unwrap();
-    // Component closed but no DB solution: both remain pending.
-    assert!(h1.outcome.try_recv().is_err());
-    assert!(h2.outcome.try_recv().is_err());
-    assert_eq!(engine.pending_count(), 2);
-    // Database gains the flight; a flush retries the still-pending
-    // component.
-    engine
-        .db()
-        .write()
-        .insert("F", vec![Value::int(300), Value::str("Athens")])
-        .unwrap();
-    let report = engine.flush();
-    assert_eq!(report.answered, 2);
+    // After the database gains the flight, the still-pending component
+    // is retried by the next evaluation: an explicit flush, or — in
+    // incremental mode — any next submit, even an unrelated one.
+    for retry_by_submit in [false, true] {
+        let mut engine = CoordinationEngine::new(
+            db(),
+            EngineConfig {
+                on_no_solution: NoSolutionPolicy::KeepPending,
+                ..Default::default()
+            },
+        );
+        let h1 = engine
+            .submit(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Athens)"))
+            .unwrap();
+        let h2 = engine
+            .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Athens)"))
+            .unwrap();
+        // Component closed but no DB solution: both remain pending.
+        assert!(h1.outcome.try_recv().is_err());
+        assert!(h2.outcome.try_recv().is_err());
+        assert_eq!(engine.pending_count(), 2);
+        engine
+            .db()
+            .write()
+            .insert("F", vec![Value::int(300), Value::str("Athens")])
+            .unwrap();
+        if retry_by_submit {
+            let lonely = engine
+                .submit(q("{R(Newman, z)} R(Frank, z) <- F(z, Rome)"))
+                .unwrap();
+            assert!(lonely.outcome.try_recv().is_err());
+            assert_eq!(engine.pending_count(), 1);
+        } else {
+            assert_eq!(engine.flush().answered, 2);
+        }
+        for h in [h1, h2] {
+            assert!(matches!(
+                h.outcome.try_recv().unwrap(),
+                QueryOutcome::Answered(_)
+            ));
+        }
+    }
 }
 
 #[test]
@@ -202,9 +218,8 @@ fn handles_survive_engine_drop() {
 
 #[test]
 fn choose_k_queries_accepted_by_engine_with_one_solution() {
-    // The engine's core path answers with one coordinated solution even
-    // for CHOOSE k queries (multi-answer goes through ext); the query
-    // must still round-trip fine.
+    // The engine answers one coordinated solution (CHOOSE 1, §4.2) even
+    // for CHOOSE k queries; the query must still round-trip fine.
     let mut engine = CoordinationEngine::new(db(), EngineConfig::default());
     let h1 = engine
         .submit(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris) choose 2"))

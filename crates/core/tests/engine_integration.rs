@@ -1,10 +1,10 @@
-//! End-to-end engine integration: a two-way coordination scenario — two
+//! End-to-end engine integration: two-way coordination scenarios — two
 //! queries entangled on the same flight (travel) or the same gift
-//! choice (party planning, cf. `examples/party_planning.rs`) — driven
-//! through both `Incremental` and `SetAtATime` modes, asserting that
-//! the modes agree with each other and with the brute-force oracle of
-//! §2.3, and that the sharded parallel flush is indistinguishable from
-//! the sequential one.
+//! choice — and a hub with an ambiguous postcondition, driven through
+//! both `Incremental` and `SetAtATime` modes, asserting that the modes
+//! agree with each other and with the brute-force oracle of §2.3, and
+//! that the sharded parallel flush is indistinguishable from the
+//! sequential one.
 
 use eq_core::engine::QueryOutcome;
 use eq_core::{bruteforce, CoordinationEngine, EngineConfig, EngineMode};
@@ -48,21 +48,28 @@ fn flight_db() -> Database {
     db
 }
 
-/// Drives the pair through an engine in the given mode; returns the
+/// Drives the queries through an engine in the given mode; returns the
 /// terminal outcome of each query (None = still pending).
 fn drive(db: Database, mode: EngineMode, queries: &[EntangledQuery]) -> Vec<Option<QueryOutcome>> {
-    let mut engine = CoordinationEngine::new(
-        db,
-        EngineConfig {
-            mode,
-            ..Default::default()
-        },
-    );
+    let config = EngineConfig {
+        mode,
+        ..Default::default()
+    };
+    drive_with(db, config, queries)
+}
+
+fn drive_with(
+    db: Database,
+    config: EngineConfig,
+    queries: &[EntangledQuery],
+) -> Vec<Option<QueryOutcome>> {
+    let set_at_a_time = matches!(config.mode, EngineMode::SetAtATime { .. });
+    let mut engine = CoordinationEngine::new(db, config);
     let handles: Vec<_> = queries
         .iter()
         .map(|query| engine.submit(query.clone()).unwrap())
         .collect();
-    if matches!(mode, EngineMode::SetAtATime { .. }) {
+    if set_at_a_time {
         engine.flush();
     }
     handles
@@ -167,6 +174,43 @@ fn flight_choice_coordinates_and_oracle_agrees_on_failure_too() {
             .unwrap()
             .is_none()
     );
+}
+
+#[test]
+fn hub_with_an_ambiguous_postcondition_gets_the_same_outcomes_in_both_modes() {
+    // 65 users each want to go to Ithaca with Ann; then Ann wants to go
+    // with *someone* she is a buddy of. Her postcondition unifies with
+    // all 65 heads, so §3.1.1 sidelines her, and nobody else can be
+    // satisfied without her head: every query stays pending — in both
+    // modes, although incremental mode evaluates after each arrival
+    // and set-at-a-time mode only once at the end.
+    const USERS: usize = 65;
+    let mut db = Database::new();
+    db.create_table("Buddy", &["a", "b"]).unwrap();
+    for i in 0..USERS {
+        let user = format!("U{i}");
+        for (a, b) in [(user.as_str(), "Ann"), ("Ann", user.as_str())] {
+            db.insert("Buddy", vec![Value::str(a), Value::str(b)])
+                .unwrap();
+        }
+    }
+    let mut queries: Vec<EntangledQuery> = (0..USERS)
+        .map(|i| q(&format!("{{R(Ann, ITH)}} R(U{i}, ITH) <- Buddy(U{i}, Ann)")))
+        .collect();
+    queries.push(q("{R(x, ITH)} R(Ann, ITH) <- Buddy(Ann, x)"));
+
+    let outcomes = |mode| {
+        let config = EngineConfig {
+            mode,
+            admission_safety_check: false,
+            ..Default::default()
+        };
+        drive_with(db.snapshot(), config, &queries)
+    };
+    let incremental = outcomes(EngineMode::Incremental);
+    let batched = outcomes(EngineMode::SetAtATime { batch_size: 0 });
+    assert_eq!(incremental, batched, "modes must agree query for query");
+    assert!(incremental.iter().all(Option::is_none), "{incremental:?}");
 }
 
 #[test]

@@ -55,9 +55,6 @@ fn outcomes(
             on_no_solution: NoSolutionPolicy::Reject,
             flush_threads: threads,
             intra_component_threshold: threshold,
-            // Incremental mode must re-match whole rings, not
-            // eager-pair them.
-            incremental_partition_limit: usize::MAX,
             ..Default::default()
         },
     );

@@ -51,8 +51,8 @@ pub struct EntangledQuery {
     /// purely a body filter, invisible to matching.
     pub constraints: Vec<Constraint>,
     /// `CHOOSE k`: number of coordinated solutions requested. The paper's
-    /// core language fixes `k = 1`; values `> 1` enable the §6 multi-answer
-    /// extension.
+    /// core language fixes `k = 1`, and the engine answers one solution
+    /// (CHOOSE 1, §4.2) whatever `k` says.
     pub choose: u32,
 }
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Full-workspace CI: format check, workspace-membership assertion,
-# build, test (incl. doctests), lint, docs-as-errors, doc-link and
-# EngineConfig-drift check, the eq_check concurrency-discipline
+# build, test (incl. doctests), the examples run end to end (each
+# asserts its own outcome; the REPL on a piped script), lint,
+# docs-as-errors, doc-link and EngineConfig-drift check, the eq_check
+# concurrency-discipline
 # analyzer (workspace scan + fixture suite), the differential-oracle
 # proptests for the undo-log unifier and for matching's one-pass
 # propagation (against Algorithm 1's worklist), the small-stack
@@ -16,10 +18,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== 1/13 cargo fmt --check =="
+echo "== 1/14 cargo fmt --check =="
 cargo fmt --check
 
-echo "== 2/13 workspace membership (cargo pkgid) =="
+echo "== 2/14 workspace membership (cargo pkgid) =="
 # `cargo pkgid` resolves real package names only and exits non-zero
 # when the workspace has no such member.
 for pkg in eq_ir eq_unify eq_db eq_sql eq_store eq_core eq_workload \
@@ -31,32 +33,54 @@ for pkg in eq_ir eq_unify eq_db eq_sql eq_store eq_core eq_workload \
 done
 echo "all 12 packages present"
 
-echo "== 3/13 cargo build --release =="
+echo "== 3/14 cargo build --release =="
 cargo build --release --offline
 
-echo "== 4/13 cargo test -q (unit + integration; doctests run in step 5) =="
+echo "== 4/14 cargo test -q (unit + integration; doctests run in step 5) =="
 cargo test -q --offline --lib --bins --tests
 
-echo "== 5/13 cargo test --doc (service/error examples compile and run) =="
+echo "== 5/14 cargo test --doc (service/error examples compile and run) =="
 cargo test -q --doc --offline
 
-echo "== 6/13 cargo clippy --workspace --all-targets =="
+echo "== 6/14 examples run end to end =="
+# `cargo test` only compiles the examples. Each asserts its own outcome
+# and exits non-zero on a miss; the REPL reads a script from stdin that
+# books one pair in incremental mode and one in set-at-a-time mode.
+for example in quickstart mmo_raid seat_inventory travel_agency; do
+    cargo run -q --offline --example "$example" >/dev/null
+done
+repl_out=$(printf '%s\n' \
+    '.table Flights fno dest' '.insert Flights 122 Paris' \
+    '{R(Jerry, x)} R(Kramer, x) <- Flights(x, Paris)' \
+    '{R(Kramer, y)} R(Jerry, y) <- Flights(y, Paris)' \
+    '.mode batch' \
+    '{R(Elaine, x)} R(George, x) <- Flights(x, Paris)' \
+    '{R(George, y)} R(Elaine, y) <- Flights(y, Paris)' \
+    '.flush' '.quit' | cargo run -q --offline --example repl)
+if [ "$(grep -c ' answered: R(' <<<"$repl_out")" != 4 ] || ! grep -q 'flush: 2 answered' <<<"$repl_out"; then
+    echo "$repl_out"
+    echo "FATAL: the REPL script did not answer both pairs" >&2
+    exit 1
+fi
+echo "examples ok"
+
+echo "== 7/14 cargo clippy --workspace --all-targets =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== 7/13 cargo doc (warnings are errors) =="
+echo "== 8/14 cargo doc (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
-echo "== 8/13 docs dead-link + EngineConfig drift check =="
+echo "== 9/14 docs dead-link + EngineConfig drift check =="
 python3 scripts/check_doc_links.py
 
-echo "== 9/13 eq_check concurrency-discipline analyzer =="
+echo "== 10/14 eq_check concurrency-discipline analyzer =="
 # The workspace scan must be clean, and every rule must be proven live
 # by its fixture pair (the must-fail fires exactly its own rule, the
 # must-pass stays silent).
 cargo run -q --offline -p eq_check
 cargo run -q --offline -p eq_check -- --fixtures
 
-echo "== 10/13 differential-oracle proptests (undo-log unifier vs clone oracle; one-pass matching vs worklist) =="
+echo "== 11/14 differential-oracle proptests (undo-log unifier vs clone oracle; one-pass matching vs worklist) =="
 # The undo-log snapshot/commit/rollback table must stay observationally
 # equivalent to the frozen clone-based oracle through random
 # op/snapshot interleavings (conflicting merges inside nested snapshots
@@ -69,18 +93,18 @@ echo "== 10/13 differential-oracle proptests (undo-log unifier vs clone oracle; 
 cargo test -q --offline -p eq_unify differential
 cargo test -q --offline -p eq_core --lib matching
 
-echo "== 11/13 small-stack evaluator regression (RUST_MIN_STACK=1 MiB) =="
+echo "== 12/14 small-stack evaluator regression (RUST_MIN_STACK=1 MiB) =="
 # The join evaluator is iterative (heap-bounded frames); this deep-chain
 # join would overflow a 1 MiB test-thread stack through the old
 # recursive search. Run it with the stack clamped to prove the bound.
 RUST_MIN_STACK=1048576 cargo test -q --offline -p eq_db --test deep_stack
 
-echo "== 12/13 bench smoke: every bench target builds and runs =="
+echo "== 13/14 bench smoke: every bench target builds and runs =="
 for bench in fig6_two_way fig7_postconditions fig8_stress fig9_safety ablation; do
     cargo bench -q --offline -p eq_bench --bench "$bench" -- --smoke
 done
 
-echo "== 13/13 benchmark package: unit tests + a short run of all five workloads with their output checks and two peak-RSS ceilings =="
+echo "== 14/14 benchmark package: unit tests + a short run of all five workloads with their output checks and two peak-RSS ceilings =="
 # The benchmark is a package of its own, outside the workspace, so no
 # step above builds it. The admission path runs both ways:
 # pairs_incremental is the only workload that drives one `submit` per
