@@ -8,7 +8,7 @@
 //!    coordinating-set search, on a workload both can handle.
 
 use eq_bench::harness::{smoke_mode, BenchGroup};
-use eq_bench::pairwise_edge_count;
+use eq_bench::pairwise_edges;
 use eq_core::graph::MatchGraph;
 use eq_core::{bruteforce, coordinate};
 use eq_ir::{EntangledQuery, VarGen};
@@ -33,9 +33,9 @@ fn main() {
     for &n in sizes {
         let qs = renamed(&two_way_pairs(&graph, n, PairStyle::BestCase, 7));
         group.bench("indexed", n as u64, || {
-            MatchGraph::build(qs.clone()).edges().len()
+            MatchGraph::build(qs.clone()).edge_count()
         });
-        group.bench("pairwise", n as u64, || pairwise_edge_count(&qs));
+        group.bench("pairwise", n as u64, || pairwise_edges(&qs).len());
     }
 
     let graph = SocialGraph::generate(&SocialGraphConfig {

@@ -27,7 +27,7 @@ mod runner;
 
 pub use harness::BenchGroup;
 pub use runner::{
-    clone_db, instrumented_batch, pairwise_edge_count, run_fig6, run_fig7, run_fig8, run_fig9,
+    clone_db, instrumented_batch, pairwise_edges, run_fig6, run_fig7, run_fig8, run_fig9,
     standard_graph, Fig6Config, Fig8Config, Fig9Config, Row, SplitTiming,
 };
 

@@ -342,19 +342,20 @@ pub fn run_fig9(cfg: &Fig9Config) -> Vec<Row> {
 }
 
 /// Ablation baseline for the atom index (§4.1.4): edge discovery by
-/// exhaustive pairwise unification. Returns the number of edges found
-/// (must equal the indexed graph's edge count).
-pub fn pairwise_edge_count(queries: &[EntangledQuery]) -> usize {
-    let mut edges = 0usize;
+/// exhaustive pairwise unification. Returns every edge found as
+/// `(from, head_idx, to, pc_idx)`, query positions as slots — the same
+/// multiset [`MatchGraph::build`] finds through its indexes.
+pub fn pairwise_edges(queries: &[EntangledQuery]) -> Vec<(u32, u32, u32, u32)> {
+    let mut edges = Vec::new();
     for (i, qi) in queries.iter().enumerate() {
-        for h in &qi.head {
+        for (hi, h) in qi.head.iter().enumerate() {
             for (j, qj) in queries.iter().enumerate() {
                 if i == j {
                     continue;
                 }
-                for p in &qj.postconditions {
+                for (pi, p) in qj.postconditions.iter().enumerate() {
                     if eq_unify::mgu_atoms(h, p).is_some() {
-                        edges += 1;
+                        edges.push((i as u32, hi as u32, j as u32, pi as u32));
                     }
                 }
             }
@@ -422,12 +423,27 @@ mod tests {
 
     #[test]
     fn pairwise_discovery_agrees_with_index() {
+        // One definition of an edge: the graph's indexed discovery finds
+        // exactly the pairwise-MGU multiset.
         let graph = tiny_graph();
-        let queries = two_way_pairs(&graph, 40, PairStyle::BestCase, 5);
-        let gen = VarGen::new();
-        let renamed: Vec<EntangledQuery> = queries.iter().map(|q| q.rename_apart(&gen)).collect();
-        let indexed = MatchGraph::build(renamed.clone());
-        assert_eq!(pairwise_edge_count(&renamed), indexed.edges().len());
+        for style in [PairStyle::BestCase, PairStyle::Random] {
+            let queries = two_way_pairs(&graph, 40, style, 5);
+            let gen = VarGen::new();
+            let renamed: Vec<EntangledQuery> =
+                queries.iter().map(|q| q.rename_apart(&gen)).collect();
+            let indexed = MatchGraph::build(renamed.clone());
+            let mut found: Vec<(u32, u32, u32, u32)> = (0..indexed.len() as u32)
+                .flat_map(|slot| indexed.out_edges(slot))
+                .map(|&eid| indexed.edge(eid))
+                .map(|e| (e.from, e.head_idx, e.to, e.pc_idx))
+                .collect();
+            let mut expected = pairwise_edges(&renamed);
+            assert!(!expected.is_empty());
+            assert_eq!(found.len(), indexed.edge_count());
+            found.sort_unstable();
+            expected.sort_unstable();
+            assert_eq!(found, expected, "{style:?}");
+        }
     }
 
     #[test]

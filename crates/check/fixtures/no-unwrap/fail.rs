@@ -1,4 +1,4 @@
-//@ path: crates/core/src/resident.rs
+//@ path: crates/core/src/graph.rs
 //@ expect: no-unwrap
 // A bare .unwrap() in non-test engine code: the panic message carries
 // no invariant, and a corrupted slot takes the whole service down.

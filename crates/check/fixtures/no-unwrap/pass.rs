@@ -1,4 +1,4 @@
-//@ path: crates/core/src/resident.rs
+//@ path: crates/core/src/graph.rs
 // The same lookup stated structurally; .unwrap_or_* combinators and
 // cfg(test) unwraps stay legal.
 

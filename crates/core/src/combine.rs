@@ -20,7 +20,7 @@
 //! database; each returned valuation grounds every survivor's head atoms
 //! and yields one answer per entangled query.
 
-use crate::graph::MatchView;
+use crate::graph::MatchGraph;
 use eq_db::{Database, DbError, Tuple, Valuation};
 use eq_ir::{Atom, Constraint, QueryId, Symbol, Term, Value};
 use eq_unify::Unifier;
@@ -53,15 +53,14 @@ pub struct QueryAnswer {
 
 impl CombinedQuery {
     /// Builds the combined query from a coordinating set's members
-    /// `survivors` (graph slots) and the `global` unifier. Works over any
-    /// [`MatchView`] — a batch-built graph or the engine's resident
-    /// graph — borrowing the survivor queries in place. Takes the
+    /// `survivors` (graph slots) and the `global` unifier, borrowing the
+    /// survivor queries in place. Takes the
     /// global unifier by value, so assembly moves the table instead of
     /// cloning it (eq_check's `no-unifier-clone` rule watches this
     /// file); the engine, which evaluates several sets against one
     /// shared global, borrows it through the same simplification
     /// instead.
-    pub fn build<V: MatchView>(graph: &V, survivors: &[u32], global: Unifier) -> Self {
+    pub fn build(graph: &MatchGraph, survivors: &[u32], global: Unifier) -> Self {
         let (body, constraints, heads) = simplify_survivors(graph, survivors, &global);
         CombinedQuery {
             body,
@@ -125,8 +124,8 @@ pub(crate) fn distribute_heads(
 /// guarantee requires the paths to simplify byte-identically, so there
 /// is exactly one implementation.
 #[allow(clippy::type_complexity)]
-pub(crate) fn simplify_survivors<V: MatchView>(
-    graph: &V,
+pub(crate) fn simplify_survivors(
+    graph: &MatchGraph,
     survivors: &[u32],
     global: &Unifier,
 ) -> (Vec<Atom>, Vec<Constraint>, Vec<(QueryId, Vec<Atom>)>) {
@@ -184,7 +183,6 @@ pub fn answer_atoms(answers: &[QueryAnswer]) -> Vec<(Symbol, Vec<Value>)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::MatchGraph;
     use crate::matching::match_component;
     use eq_ir::{EntangledQuery, VarGen};
     use eq_sql::parse_ir_query;

@@ -17,15 +17,17 @@
 //! the same input reaches the same per-query outcomes in either mode
 //! whenever the evaluation points see the same pool.
 //!
-//! Match state is **resident**: one persistent unifiability graph
-//! ([`ResidentGraph`]) keyed by engine slots is updated incrementally at
-//! submission (edges discovered through the sharded atom indexes, MGUs
-//! computed once and kept) and at retirement (edge removal with lazy
-//! component-split resolution). Evaluation runs straight off this
-//! resident state through [`crate::graph::MatchView`], borrowing pending
-//! queries in place; nothing is cloned into a per-flush throwaway graph,
-//! and a flush with no changes since the previous one evaluates zero
-//! components.
+//! Match state is **resident**: the engine owns one [`MatchGraph`], the
+//! unifiability graph of §4.1.1 with its atom indexes and component
+//! registry, keyed by engine slots. Admission discovers an arrival's
+//! edges through the graph's indexes (each MGU computed once and kept on
+//! the edge) and links it; retirement unlinks it (lazy component-split
+//! resolution). Evaluation runs straight off the graph, borrowing
+//! pending queries in place; nothing is cloned into a per-flush
+//! throwaway graph, and a flush with no changes since the previous one
+//! evaluates zero components. Per-slot engine state — outcome sender,
+//! no-solution policy, deadline — sits in a slot table beside it,
+//! indexed by the same slot ids.
 //!
 //! Queries that cannot currently be matched stay pending until they
 //! succeed, fail, or pass their own deadline ([`SubmitOptions::deadline`];
@@ -38,12 +40,11 @@
 use crate::combine::{self, QueryAnswer};
 use crate::coordinate::RejectReason;
 use crate::error::InvariantViolation;
-use crate::graph::{Edge, MatchView};
-use crate::index::{AtomIndex, AtomRef, ShardedAtomIndex};
+use crate::graph::{Edge, MatchGraph, ARRIVAL};
+use crate::index::{AtomIndex, AtomRef};
 use crate::intra;
 use crate::matching::{self, MatchStats};
 use crate::pool;
-use crate::resident::ResidentGraph;
 use crate::safety::{self, SafetyViolation};
 use eq_db::{Database, StoreIoStats};
 use eq_ir::{EntangledQuery, FastMap, FastSet, QueryId, ValidationError, VarGen};
@@ -305,19 +306,9 @@ pub struct BatchReport {
     pub unify_clones: u64,
 }
 
-/// A pending query and everything that travels with it — also the
-/// unit the service's shard-merge migration lifts out of one engine
-/// ([`CoordinationEngine::extract_pending`]) and re-admits in another
-/// ([`CoordinationEngine::admit_migrated`]): the live outcome sender,
-/// per-query policy and deadline survive the move.
-pub(crate) struct PendingQuery {
-    pub(crate) query: EntangledQuery,
+/// What the engine keeps for a pending slot beside the graph's query.
+struct SlotState {
     sender: SyncSender<QueryOutcome>,
-    /// Number of live pending heads unifying each postcondition
-    /// (admission-time bookkeeping for the safety check; equals the
-    /// resident graph's in-edge count per postcondition). Rebuilt by
-    /// the linker on every admission.
-    pc_satisfiers: Vec<u32>,
     /// Per-query no-solution policy override (see [`SubmitOptions`]).
     on_no_solution: Option<NoSolutionPolicy>,
     /// Mirror of the deadline heap entry, so shard migration can carry
@@ -326,20 +317,25 @@ pub(crate) struct PendingQuery {
     deadline: Option<Instant>,
 }
 
-/// Stand-in for the arriving query's own slot on a probed [`Edge`]:
-/// the probe runs before the Figure-9 verdict, and only an admitted
-/// query is given a slot.
-const ARRIVAL: u32 = u32::MAX;
+/// A pending query and everything that travels with it — the unit the
+/// service's shard-merge migration lifts out of one engine
+/// ([`CoordinationEngine::extract_pending`]) and re-admits in another
+/// ([`CoordinationEngine::admit_migrated`]): the live outcome sender,
+/// per-query policy and deadline survive the move.
+pub(crate) struct PendingQuery {
+    pub(crate) query: EntangledQuery,
+    state: SlotState,
+}
 
 /// What the one admission probe ([`CoordinationEngine::probe`]) found
-/// for one arrival.
+/// for one arrival. [`ARRIVAL`] stands for the arrival's slot: the probe
+/// runs before the Figure-9 verdict, and only an admitted query is
+/// given a slot.
 #[derive(Default)]
 struct Probe {
-    /// Edges from the arrival's heads to resident postconditions
-    /// (`from` is [`ARRIVAL`]).
+    /// Edges from the arrival's heads to resident postconditions.
     outgoing: Vec<Edge>,
-    /// Edges from resident heads to the arrival's postconditions (`to`
-    /// is [`ARRIVAL`]).
+    /// Edges from resident heads to the arrival's postconditions.
     incoming: Vec<Edge>,
     /// Resident heads found per postcondition of the arrival — the
     /// Figure-9 count the verdict carries on with batch heads.
@@ -353,7 +349,7 @@ struct Probe {
     /// The resident pool alone decides Figure 9 against the arrival.
     /// Probing stopped at that point (the edge lists are incomplete),
     /// and the verdict is final: nothing retires during admission, so
-    /// satisfier counts only grow.
+    /// postconditions only gain satisfiers.
     unsafe_resident: bool,
 }
 
@@ -382,37 +378,6 @@ impl<'a> Turn<'a> {
     }
 }
 
-/// Immutable view over the engine's resident match state: the slot
-/// table provides the queries, the [`ResidentGraph`] the topology.
-/// Matching, safety, UCS, and combined-query construction all run
-/// against this, borrowing pending queries in place.
-struct ResidentView<'a> {
-    slots: &'a [Option<PendingQuery>],
-    graph: &'a ResidentGraph,
-}
-
-impl MatchView for ResidentView<'_> {
-    fn slot_bound(&self) -> usize {
-        self.slots.len()
-    }
-
-    fn query(&self, slot: u32) -> &EntangledQuery {
-        &self.slots[slot as usize].as_ref().expect("live slot").query
-    }
-
-    fn edge(&self, eid: u32) -> &Edge {
-        self.graph.edge(eid)
-    }
-
-    fn out_edges(&self, slot: u32) -> &[u32] {
-        self.graph.out_edges(slot)
-    }
-
-    fn in_edges(&self, slot: u32) -> &[u32] {
-        self.graph.in_edges(slot)
-    }
-}
-
 /// The coordination engine.
 ///
 /// Not `Sync`: submissions mutate internal indexes, so drive it from one
@@ -424,17 +389,15 @@ pub struct CoordinationEngine {
     db: Arc<RwLock<Database>>,
     gen: VarGen,
     next_id: u64,
-    /// Slot-addressed pending queries (slots are reused; `AtomRef.query`
-    /// is a slot).
-    slots: Vec<Option<PendingQuery>>,
-    free_slots: Vec<u32>,
+    /// The pending queries' match graph: queries by slot (slots are
+    /// reused; `AtomRef.query` is a slot), atom indexes, edges,
+    /// components and dirty tracking.
+    graph: MatchGraph,
+    /// Per-slot engine state, indexed by the graph's slot ids (`None`
+    /// for a vacant slot).
+    slots: Vec<Option<SlotState>>,
     by_id: FastMap<QueryId, u32>,
     statuses: FastMap<QueryId, QueryStatus>,
-    /// Resident atom indexes, sharded by `(relation, arity)` (§4.1.4).
-    head_index: ShardedAtomIndex,
-    pc_index: ShardedAtomIndex,
-    /// The persistent match graph: edges + components + dirty tracking.
-    resident: ResidentGraph,
     /// Per-query deadlines ([`SubmitOptions::deadline`]), earliest
     /// first — the one expiry structure. Entries of queries that left
     /// the pool early (answered, failed, cancelled, migrated) are dead:
@@ -472,13 +435,10 @@ impl CoordinationEngine {
             db,
             gen: VarGen::new(),
             next_id: 1,
+            graph: MatchGraph::default(),
             slots: Vec::new(),
-            free_slots: Vec::new(),
             by_id: FastMap::default(),
             statuses: FastMap::default(),
-            head_index: ShardedAtomIndex::default(),
-            pc_index: ShardedAtomIndex::default(),
-            resident: ResidentGraph::new(),
             deadlines: BinaryHeap::new(),
             dated: 0,
             submissions_since_flush: 0,
@@ -591,14 +551,14 @@ impl CoordinationEngine {
         admitted.map(|(_, handle)| handle)
     }
 
-    /// The one admission probe: discovers the unifiability edges
-    /// between a (renamed) arrival and the resident pool through the
-    /// sharded atom indexes — and, inside a batch, its candidate edges
-    /// into the other members' postconditions (`batch` is the arrival's
-    /// position and the batch-local postcondition index). Every MGU
-    /// admission needs is computed here, exactly once: the unifier is
-    /// kept on the resident edge and reused by every future matching
-    /// run over its component.
+    /// The one admission probe: the graph's edge discovery
+    /// ([`MatchGraph::discover`]) between a (renamed) arrival and the
+    /// resident pool — and, inside a batch, the arrival's candidate
+    /// edges into the other members' postconditions (`batch` is the
+    /// arrival's position and the batch-local postcondition index).
+    /// Every MGU admission needs is computed here, exactly once: the
+    /// unifier is kept on the resident edge and reused by every future
+    /// matching run over its component.
     ///
     /// With `check` set the probe follows the Figure-9 rule edge by
     /// edge and returns the moment the resident pool decides against
@@ -608,8 +568,7 @@ impl CoordinationEngine {
     /// resident heads — is refused at its second head.
     ///
     /// Read-only: [`CoordinationEngine::submit_batch`] runs this for
-    /// many queries in parallel, each probe touching only the shards
-    /// its atoms hash to.
+    /// many queries in parallel.
     fn probe(
         &self,
         renamed: &EntangledQuery,
@@ -620,56 +579,29 @@ impl CoordinationEngine {
             pc_hits: vec![0; renamed.pc_count()],
             ..Probe::default()
         };
-        // Leaves the posting list once an edge decides the verdict.
-        let decided = |second_satisfier: bool| {
-            if check && second_satisfier {
+        let walk = self.graph.discover(renamed, |e| {
+            // Whose postcondition the edge lands on: the arrival's own
+            // (`None`) or a pending query's.
+            let (owner, pc) = ((e.to != ARRIVAL).then_some(e.to), e.pc_idx);
+            match owner {
+                None => p.incoming.push(e),
+                Some(_) => p.outgoing.push(e),
+            }
+            // Leaves the posting list once an edge decides the verdict.
+            if check && self.second_satisfier(&mut p.pc_hits, owner, pc) {
                 ControlFlow::Break(())
             } else {
                 ControlFlow::Continue(())
             }
-        };
-        for (ai, atom) in renamed.postconditions.iter().enumerate() {
-            // Resident heads satisfying this postcondition.
-            let walk = self.head_index.try_for_each_candidate(atom, |cand, head| {
-                let Some(mgu) = eq_unify::mgu_atoms(head, atom) else {
-                    return ControlFlow::Continue(());
-                };
-                p.incoming.push(Edge {
-                    from: cand.query,
-                    head_idx: cand.atom,
-                    to: ARRIVAL,
-                    pc_idx: ai as u32,
-                    mgu,
-                });
-                decided(self.second_satisfier(&mut p.pc_hits, None, ai as u32))
-            });
-            if walk.is_break() {
-                p.unsafe_resident = true;
-                return p;
-            }
+        });
+        if walk.is_break() {
+            p.unsafe_resident = true;
+            return p;
         }
+        let Some((k, batch_pcs)) = batch else {
+            return p;
+        };
         for (ai, atom) in renamed.head.iter().enumerate() {
-            // Resident postconditions this head satisfies.
-            let walk = self.pc_index.try_for_each_candidate(atom, |cand, pc| {
-                let Some(mgu) = eq_unify::mgu_atoms(atom, pc) else {
-                    return ControlFlow::Continue(());
-                };
-                p.outgoing.push(Edge {
-                    from: ARRIVAL,
-                    head_idx: ai as u32,
-                    to: cand.query,
-                    pc_idx: cand.atom,
-                    mgu,
-                });
-                decided(self.second_satisfier(&mut [], Some(cand.query), cand.atom))
-            });
-            if walk.is_break() {
-                p.unsafe_resident = true;
-                return p;
-            }
-            let Some((k, batch_pcs)) = batch else {
-                continue;
-            };
             batch_pcs.for_each_candidate(atom, |cand, pc| {
                 // No self-coordination.
                 if cand.query as usize == k {
@@ -693,8 +625,10 @@ impl CoordinationEngine {
     /// head on this postcondition its **second** satisfier? `owner:
     /// None` names a postcondition of the arrival itself, whose heads so
     /// far are counted in `own_hits` (this one included); `Some(slot)`
-    /// names a pending query's, whose `pc_satisfiers` counter
-    /// [`CoordinationEngine::link_probed`] keeps current.
+    /// names a pending query's, which has a satisfier if one of its
+    /// in-edges lands on it. Only asked with the admission check on,
+    /// which keeps every postcondition at one satisfier or none, so a
+    /// slot's in-list is no longer than its postcondition list.
     fn second_satisfier(&self, own_hits: &mut [u32], owner: Option<u32>, pc: u32) -> bool {
         match owner {
             None => {
@@ -702,8 +636,10 @@ impl CoordinationEngine {
                 own_hits[pc as usize] >= 2
             }
             Some(slot) => {
-                let owner = self.slots[slot as usize].as_ref();
-                owner.expect("live during admission").pc_satisfiers[pc as usize] >= 1
+                let in_edges = self.graph.in_edges(slot).iter();
+                in_edges
+                    .map(|&eid| self.graph.edge(eid))
+                    .any(|e| e.pc_idx == pc)
             }
         }
     }
@@ -737,7 +673,7 @@ impl CoordinationEngine {
                 }
             }
         }
-        // Own heads: re-read the resident counters (earlier batch
+        // Own heads: re-read the resident in-edges (earlier batch
         // members may have linked in since the probe), then ask the
         // admitted batch members'.
         let probe = &probes[*k];
@@ -767,24 +703,24 @@ impl CoordinationEngine {
         let (sender, outcome) = sync_channel(1);
         let pending = PendingQuery {
             query: renamed.with_id(id),
-            sender,
-            pc_satisfiers: Vec::new(),
-            on_no_solution: opts.on_no_solution,
-            deadline: opts.deadline,
+            state: SlotState {
+                sender,
+                on_no_solution: opts.on_no_solution,
+                deadline: opts.deadline,
+            },
         };
         Ok((self.link_probed(pending, turn), QueryHandle { id, outcome }))
     }
 
     /// Turns a probe into a linked slot — where fresh, batched and
-    /// migrated admission all end. The probed edges get their real
-    /// endpoints (resident edges in probe order, heads before
-    /// postconditions, then the intra-batch edges whose other end is
-    /// already admitted), then: satisfier bookkeeping, atom indexing,
-    /// resident-graph linking (merging partner components and marking
-    /// the result dirty), id/status/deadline registration under the
-    /// query's own id and deadline.
-    fn link_probed(&mut self, mut pending: PendingQuery, turn: &mut Turn<'_>) -> u32 {
-        let slot = self.allocate_slot();
+    /// migrated admission all end. The edges go to the graph's
+    /// [`MatchGraph::link`] in one order: the probe's resident edges
+    /// (heads before postconditions, each in probe order), then the
+    /// intra-batch edges whose other end is already admitted. Linking
+    /// indexes the query's atoms, merges its partners' components and
+    /// marks the result dirty; the engine registers the slot state and
+    /// the query's id, status and deadline.
+    fn link_probed(&mut self, pending: PendingQuery, turn: &mut Turn<'_>) -> u32 {
         let Turn {
             k,
             probes,
@@ -793,13 +729,6 @@ impl CoordinationEngine {
         } = turn;
         let mut edges = std::mem::take(&mut probes[*k].outgoing);
         edges.append(&mut probes[*k].incoming);
-        for e in &mut edges {
-            if e.from == ARRIVAL {
-                e.from = slot;
-            } else {
-                e.to = slot;
-            }
-        }
         // Edges from earlier-admitted batch members into this query.
         for &(src, i) in incoming.iter() {
             if let Some(from) = admitted[src] {
@@ -807,7 +736,7 @@ impl CoordinationEngine {
                 let e = e.expect("intra-batch edge consumed once");
                 edges.push(Edge {
                     from,
-                    to: slot,
+                    to: ARRIVAL,
                     ..e
                 });
             }
@@ -818,50 +747,21 @@ impl CoordinationEngine {
         for e in probes[*k].batch_out.iter_mut() {
             if let Some(to) = e.as_ref().and_then(|e| admitted[e.to as usize]) {
                 let e = e.take().expect("checked above");
-                edges.push(Edge {
-                    from: slot,
-                    to,
-                    ..e
-                });
+                edges.push(Edge { to, ..e });
             }
         }
 
-        // Satisfier counters follow the discovered edges.
-        pending.pc_satisfiers = vec![0u32; pending.query.pc_count()];
-        for e in &edges {
-            if e.from == slot {
-                if let Some(p) = self.slots[e.to as usize].as_mut() {
-                    p.pc_satisfiers[e.pc_idx as usize] += 1;
-                }
-            } else {
-                pending.pc_satisfiers[e.pc_idx as usize] += 1;
-            }
-        }
-        for (ai, atom) in pending.query.head.iter().enumerate() {
-            self.head_index.insert(
-                AtomRef {
-                    query: slot,
-                    atom: ai as u32,
-                },
-                atom,
-            );
-        }
-        for (ai, atom) in pending.query.postconditions.iter().enumerate() {
-            self.pc_index.insert(
-                AtomRef {
-                    query: slot,
-                    atom: ai as u32,
-                },
-                atom,
-            );
-        }
-        let id = pending.query.id;
-        if let Some(deadline) = pending.deadline {
+        let PendingQuery { query, state } = pending;
+        let id = query.id;
+        if let Some(deadline) = state.deadline {
             self.deadlines.push(Reverse((deadline, id)));
             self.dated += 1;
         }
-        self.slots[slot as usize] = Some(pending);
-        self.resident.link(slot, edges);
+        let slot = self.graph.link(query, edges);
+        if self.slots.len() <= slot as usize {
+            self.slots.resize_with(slot as usize + 1, || None);
+        }
+        self.slots[slot as usize] = Some(state);
         self.by_id.insert(id, slot);
         self.statuses.insert(id, QueryStatus::Pending);
         slot
@@ -877,11 +777,8 @@ impl CoordinationEngine {
         &mut self,
         mut pred: impl FnMut(&EntangledQuery) -> bool,
     ) -> Vec<PendingQuery> {
-        let victims: Vec<u32> = self
-            .slots
-            .iter()
-            .enumerate()
-            .filter_map(|(s, entry)| entry.as_ref().filter(|p| pred(&p.query)).map(|_| s as u32))
+        let victims: Vec<u32> = (0..self.slots.len() as u32)
+            .filter(|&s| self.slots[s as usize].is_some() && pred(self.graph.query(s)))
             .collect();
         let mut out = Vec::with_capacity(victims.len());
         for slot in victims {
@@ -915,9 +812,8 @@ impl CoordinationEngine {
     /// Submits a batch of queries, running the expensive admission work
     /// — index probing and MGU computation against both the resident
     /// pool and the rest of the batch — **in parallel** on the flush
-    /// worker pool ([`EngineConfig::flush_threads`]; the sharded atom
-    /// indexes make the probes read-disjoint per `(relation, arity)`
-    /// shard). A cheap sequential pass then replays admission in
+    /// worker pool ([`EngineConfig::flush_threads`]; a probe only reads
+    /// the graph). A cheap sequential pass then replays admission in
     /// submission order through the same core a single
     /// [`CoordinationEngine::submit`] runs, so ids, safety decisions,
     /// and linked edges are the same as `n` individual submits would
@@ -1125,13 +1021,13 @@ impl CoordinationEngine {
         let revision = self.db.read().revision();
         if revision != self.flushed_db_revision {
             self.flushed_db_revision = revision;
-            self.resident.mark_all_dirty();
+            self.graph.mark_all_dirty();
         }
         // Count skips before splits resolve: a split-pending dirty
         // component may become several groups, which must not eat into
         // the clean-skip count.
-        let skipped = self.resident.component_count() - self.resident.dirty_count();
-        let groups = self.resident.take_dirty();
+        let skipped = self.graph.component_count() - self.graph.dirty_count();
+        let groups = self.graph.take_dirty();
         let mut report = self.process_groups(&groups);
         report.skipped_clean = skipped;
         report.io = self.db.read().io_stats();
@@ -1151,12 +1047,12 @@ impl CoordinationEngine {
     }
 
     /// Matches and evaluates component member groups straight off the
-    /// resident graph. Each group must be one weakly connected resident
-    /// component (as produced by [`ResidentGraph::take_dirty`]). Per
-    /// group: §3.1.1 safety
-    /// enforcement sidelines ambiguous members (they stay pending), the
-    /// survivors are re-partitioned (removals may disconnect them), and
-    /// every piece is matched + evaluated on the sharded worker pool.
+    /// match graph. Each group must be one weakly connected component
+    /// (as produced by [`MatchGraph::take_dirty`]). Per group: §3.1.1
+    /// safety enforcement sidelines ambiguous members (they stay
+    /// pending), the survivors are re-partitioned (removals may
+    /// disconnect them), and every piece is matched + evaluated on the
+    /// sharded worker pool.
     fn process_groups(&mut self, groups: &[Vec<u32>]) -> BatchReport {
         let mut report = BatchReport::default();
         if groups.is_empty() {
@@ -1172,10 +1068,7 @@ impl CoordinationEngine {
         let pieces: Vec<Vec<u32>>;
         let outcomes: Vec<ComponentOutcome>;
         {
-            let view = ResidentView {
-                slots: &self.slots,
-                graph: &self.resident,
-            };
+            let graph = &self.graph;
             pieces = groups
                 .iter()
                 .flat_map(|group| {
@@ -1184,9 +1077,14 @@ impl CoordinationEngine {
                     // pending — their ambiguity may resolve when
                     // partners retire. (The admission-time check, when
                     // enabled, makes this a no-op.)
-                    let removed = safety::enforce_members(&view, group);
-                    let dead: FastSet<u32> = removed.into_iter().collect();
-                    self.resident.connected_pieces(group, &dead)
+                    let removed: FastSet<u32> =
+                        safety::enforce_members(graph, group).into_iter().collect();
+                    let live: Vec<u32> = group
+                        .iter()
+                        .copied()
+                        .filter(|s| !removed.contains(s))
+                        .collect();
+                    graph.connected_pieces(&live)
                 })
                 .collect();
             report.components = pieces.len();
@@ -1222,18 +1120,18 @@ impl CoordinationEngine {
             let threads = pool.min(small_idx.len().max(1));
             if threads > 1 {
                 for (i, outcome) in
-                    sharded_process(&view, &pieces, &small_idx, &db, &self.config, threads)
+                    sharded_process(graph, &pieces, &small_idx, &db, &self.config, threads)
                 {
                     slots_out[i] = Some(outcome);
                 }
             } else {
                 for &i in &small_idx {
-                    slots_out[i] = Some(process_component(&view, &pieces[i], &db, &self.config, 1));
+                    slots_out[i] = Some(process_component(graph, &pieces[i], &db, &self.config, 1));
                 }
             }
             for &i in &giant_idx {
                 slots_out[i] = Some(process_component(
-                    &view,
+                    graph,
                     &pieces[i],
                     &db,
                     &self.config,
@@ -1247,7 +1145,7 @@ impl CoordinationEngine {
         }
 
         // Phase 2 (sequential): deliver outcomes and retire queries.
-        // Retirement unlinks slots from the resident graph, re-marking
+        // Retirement unlinks slots from the match graph, re-marking
         // partially-retired components dirty — the next flush re-checks
         // whatever remains pending in them.
         for outcome in outcomes {
@@ -1298,66 +1196,28 @@ impl CoordinationEngine {
             .unwrap_or(self.config.on_no_solution)
     }
 
-    fn allocate_slot(&mut self) -> u32 {
-        if let Some(s) = self.free_slots.pop() {
-            return s;
-        }
-        let s = self.slots.len() as u32;
-        self.slots.push(None);
-        s
-    }
-
-    /// Takes the query at `slot` out of the pending pool — id map,
-    /// partner satisfier counters, atom indexes (O(arity) per atom,
-    /// whatever the pool size), resident graph — and frees the slot.
+    /// Takes the query at `slot` out of the pending pool — slot state,
+    /// id map, and the graph (atom indexes, O(arity) per atom whatever
+    /// the pool size; incident edges; component) — and frees the slot.
     /// Status and outcome delivery are the caller's. `None` if the slot
     /// is not live.
     fn detach(&mut self, slot: u32) -> Option<PendingQuery> {
-        let pending = self.slots[slot as usize].take()?;
-        self.by_id.remove(&pending.query.id);
-        // A head leaving the pool frees up partner postconditions; the
-        // resident out-edges name exactly the affected (partner, pc)
-        // pairs — no index probing or re-unification needed.
-        for &eid in self.resident.out_edges(slot) {
-            let e = self.resident.edge(eid);
-            if let Some(p) = self.slots[e.to as usize].as_mut() {
-                let c = &mut p.pc_satisfiers[e.pc_idx as usize];
-                *c = c.saturating_sub(1);
-            }
-        }
-        for (ai, atom) in pending.query.head.iter().enumerate() {
-            self.head_index.remove(
-                AtomRef {
-                    query: slot,
-                    atom: ai as u32,
-                },
-                atom,
-            );
-        }
-        for (ai, atom) in pending.query.postconditions.iter().enumerate() {
-            self.pc_index.remove(
-                AtomRef {
-                    query: slot,
-                    atom: ai as u32,
-                },
-                atom,
-            );
-        }
-        self.resident.unlink(slot);
-        self.free_slots.push(slot);
-        if pending.deadline.is_some() {
+        let state = self.slots[slot as usize].take()?;
+        let query = self.graph.unlink(slot);
+        self.by_id.remove(&query.id);
+        if state.deadline.is_some() {
             self.dated -= 1;
             self.compact_deadlines();
         }
-        Some(pending)
+        Some(PendingQuery { query, state })
     }
 
     /// Removes a query from all engine state and delivers its outcome.
     fn retire(&mut self, slot: u32, outcome: Result<QueryAnswer, FailReason>) {
-        let Some(pending) = self.detach(slot) else {
+        let Some(PendingQuery { query, state }) = self.detach(slot) else {
             return;
         };
-        let id = pending.query.id;
+        let id = query.id;
 
         let (status, message) = match outcome {
             Ok(answer) => (QueryStatus::Answered, QueryOutcome::Answered(answer)),
@@ -1370,83 +1230,31 @@ impl CoordinationEngine {
         if let Some(log) = self.outcome_log.as_mut() {
             log.push((id, message.clone()));
         }
-        let _ = pending.sender.try_send(message);
+        let _ = state.sender.try_send(message);
     }
 
     /// Structural invariant check over the whole engine, for tests and
-    /// debugging: the resident graph is internally consistent, the atom
-    /// indexes hold exactly the live slots' atoms (no dangling
-    /// [`AtomRef`]s after slot reuse), satisfier counters agree with the
-    /// resident in-edges, and id/slot maps line up. Violations are
-    /// typed ([`InvariantViolation`]) and fold into
-    /// [`crate::CoordinationError`].
+    /// debugging: the match graph is internally consistent
+    /// ([`MatchGraph`]'s edges, components and atom indexes), the slot
+    /// table holds state for exactly the linked slots, and id/slot maps
+    /// line up. Violations are typed ([`InvariantViolation`]) and fold
+    /// into [`crate::CoordinationError`].
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
-        self.resident
-            .check_invariants()
-            .map_err(InvariantViolation::Resident)?;
-        let mut live_heads = 0usize;
-        let mut live_pcs = 0usize;
-        for (slot, entry) in self.slots.iter().enumerate() {
-            let Some(p) = entry else { continue };
-            if self.by_id.get(&p.query.id) != Some(&(slot as u32)) {
-                return Err(InvariantViolation::IdMapMismatch { slot: slot as u32 });
+        self.graph.check_invariants()?;
+        let mut live = 0usize;
+        for slot in 0..self.graph.len() as u32 {
+            let held = self.slots.get(slot as usize).is_some_and(Option::is_some);
+            if held != self.graph.is_linked(slot) {
+                return Err(InvariantViolation::IdMapMismatch { slot });
             }
-            live_heads += p.query.head.len();
-            live_pcs += p.query.postconditions.len();
-            for (ai, atom) in p.query.head.iter().enumerate() {
-                let r = AtomRef {
-                    query: slot as u32,
-                    atom: ai as u32,
-                };
-                if self.head_index.get(r) != Some(atom) {
-                    return Err(InvariantViolation::MissingHeadAtom {
-                        slot: slot as u32,
-                        atom: ai as u32,
-                    });
-                }
+            if !held {
+                continue;
             }
-            for (ai, atom) in p.query.postconditions.iter().enumerate() {
-                let r = AtomRef {
-                    query: slot as u32,
-                    atom: ai as u32,
-                };
-                if self.pc_index.get(r) != Some(atom) {
-                    return Err(InvariantViolation::MissingPcAtom {
-                        slot: slot as u32,
-                        atom: ai as u32,
-                    });
-                }
-            }
-            // Satisfier counters equal resident in-edge counts per pc.
-            let mut counts = vec![0u32; p.query.pc_count()];
-            if (slot) < self.resident.slot_bound() {
-                for &eid in self.resident.in_edges(slot as u32) {
-                    counts[self.resident.edge(eid).pc_idx as usize] += 1;
-                }
-            }
-            if counts != p.pc_satisfiers {
-                return Err(InvariantViolation::SatisfierDrift {
-                    slot: slot as u32,
-                    counters: p.pc_satisfiers.clone(),
-                    in_edges: counts,
-                });
+            live += 1;
+            if self.by_id.get(&self.graph.query(slot).id) != Some(&slot) {
+                return Err(InvariantViolation::IdMapMismatch { slot });
             }
         }
-        if self.head_index.len() != live_heads {
-            return Err(InvariantViolation::IndexSizeMismatch {
-                index: "head",
-                indexed: self.head_index.len(),
-                live: live_heads,
-            });
-        }
-        if self.pc_index.len() != live_pcs {
-            return Err(InvariantViolation::IndexSizeMismatch {
-                index: "postcondition",
-                indexed: self.pc_index.len(),
-                live: live_pcs,
-            });
-        }
-        let live = self.slots.iter().filter(|s| s.is_some()).count();
         if self.by_id.len() != live {
             return Err(InvariantViolation::IdMapSizeMismatch {
                 ids: self.by_id.len(),
@@ -1456,43 +1264,17 @@ impl CoordinationEngine {
         Ok(())
     }
 
-    /// The live pending slots grouped into resident components, each
-    /// group sorted, groups ordered by smallest slot. (Groups may be
-    /// coarser than true connectivity while a component split is
-    /// pending resolution; safety analysis is grouping-insensitive.)
-    fn live_component_groups(&self) -> Vec<Vec<u32>> {
-        let snapshot = self.resident.components_snapshot();
-        let mut groups: Vec<Vec<u32>> = Vec::new();
-        let mut seen: FastSet<u32> = FastSet::default();
-        let mut roots: Vec<u32> = snapshot.keys().copied().collect();
-        roots.sort_unstable();
-        for slot in roots {
-            if seen.contains(&slot) {
-                continue;
-            }
-            let members = snapshot[&slot].clone();
-            for &m in &members {
-                seen.insert(m);
-            }
-            groups.push(members);
-        }
-        groups
-    }
-
     /// Scans the pending pool for §3.1.1 safety violations — any
     /// postcondition with two or more unifying live heads — without
     /// mutating anything. Used by strict one-shot coordination
     /// ([`crate::coordinate_with_config`] under
     /// [`safety::SafetyPolicy::RejectAll`]).
     pub fn safety_violations(&self) -> Vec<SafetyViolation> {
-        let view = ResidentView {
-            slots: &self.slots,
-            graph: &self.resident,
-        };
-        let mut out = Vec::new();
-        for group in self.live_component_groups() {
-            out.extend(safety::violations_members(&view, &group));
-        }
+        let components = self.graph.components();
+        let mut out: Vec<SafetyViolation> = components
+            .iter()
+            .flat_map(|c| safety::violations_members(&self.graph, c))
+            .collect();
         out.sort_by_key(|v| (v.slot, v.pc_idx));
         out
     }
@@ -1503,19 +1285,12 @@ impl CoordinationEngine {
     /// their ambiguity resolves; one-shot coordination reports them as
     /// `Unsafe`-rejected.
     pub fn safety_sidelined(&self) -> Vec<QueryId> {
-        let view = ResidentView {
-            slots: &self.slots,
-            graph: &self.resident,
-        };
-        let mut out = Vec::new();
-        for group in self.live_component_groups() {
-            for slot in safety::enforce_members(&view, &group) {
-                if let Some(p) = self.slots[slot as usize].as_ref() {
-                    out.push(p.query.id);
-                }
-            }
-        }
-        out
+        let components = self.graph.components();
+        components
+            .iter()
+            .flat_map(|c| safety::enforce_members(&self.graph, c))
+            .map(|slot| self.graph.query(slot).id)
+            .collect()
     }
 
     /// Number of slot positions ever allocated (reuse means this stays
@@ -1524,14 +1299,10 @@ impl CoordinationEngine {
         self.slots.len()
     }
 
-    /// Number of live edges in the resident match graph.
-    pub fn resident_edge_count(&self) -> usize {
-        self.resident.edge_count()
-    }
-
-    /// Number of live components in the resident match graph.
-    pub fn resident_component_count(&self) -> usize {
-        self.resident.component_count()
+    /// The pending pool's match graph: its queries by slot, edges and
+    /// components.
+    pub fn graph(&self) -> &MatchGraph {
+        &self.graph
     }
 }
 
@@ -1558,8 +1329,8 @@ impl EngineConfig {
 /// starve a static chunking). Results are returned keyed by original
 /// index, so outcome delivery order is byte-for-byte identical to the
 /// sequential path.
-fn sharded_process<V: MatchView + Sync>(
-    graph: &V,
+fn sharded_process(
+    graph: &MatchGraph,
     components: &[Vec<u32>],
     indices: &[usize],
     db: &Database,
@@ -1599,8 +1370,8 @@ struct ComponentOutcome {
 /// first coordinated solution (one answer per survivor, in survivor
 /// order) and the partitioned path's counters (`None` for the
 /// sequential join).
-fn evaluate_survivors<V: MatchView>(
-    graph: &V,
+fn evaluate_survivors(
+    graph: &MatchGraph,
     survivors: &[u32],
     global: &Unifier,
     db: &Database,
@@ -1658,8 +1429,8 @@ struct IntraCounters {
 /// alone, so one set's missing solution or database error never fails
 /// another. Members matching removed stay pending — their partners may
 /// still arrive.
-fn process_component<V: MatchView + Sync>(
-    graph: &V,
+fn process_component(
+    graph: &MatchGraph,
     members: &[u32],
     db: &Database,
     config: &EngineConfig,
@@ -1754,9 +1525,9 @@ mod tests {
         [
             e.next_id as usize,
             e.slot_capacity(),
-            e.resident_edge_count(),
-            e.head_index.len(),
-            e.pc_index.len(),
+            e.graph.edge_count(),
+            e.graph.head_index().len(),
+            e.graph.pc_index().len(),
         ]
     }
 
@@ -2191,8 +1962,8 @@ mod tests {
             assert_eq!(report.answered, 2);
             engine.check_invariants().unwrap();
         }
-        assert_eq!(engine.resident_edge_count(), 0);
-        assert_eq!(engine.resident_component_count(), 0);
+        assert_eq!(engine.graph.edge_count(), 0);
+        assert_eq!(engine.graph.component_count(), 0);
         assert!(
             engine.slot_capacity() <= 4,
             "slots: {}",
@@ -2200,9 +1971,10 @@ mod tests {
         );
         // Twenty distinct user constants went through the indexes; no
         // posting or relation list may outlive its last atom.
-        assert!(engine.head_index.is_empty() && engine.pc_index.is_empty());
-        assert_eq!(engine.head_index.list_count(), 0);
-        assert_eq!(engine.pc_index.list_count(), 0);
+        let (heads, pcs) = (engine.graph.head_index(), engine.graph.pc_index());
+        assert!(heads.is_empty() && pcs.is_empty());
+        assert_eq!(heads.list_count(), 0);
+        assert_eq!(pcs.list_count(), 0);
     }
 
     #[test]
@@ -2669,5 +2441,43 @@ mod tests {
             expected.push(QueryStatus::Pending);
             assert_eq!(flush_statuses(&texts), expected, "piece {piece:?}");
         }
+    }
+
+    #[test]
+    fn safety_scan_walks_each_component_once() {
+        // A count, not a timing: the scan groups the pool by one walk of
+        // the component registry, so doubling a ring (one component)
+        // doubles the member slots copied into groups; copying the
+        // component once per member would quadruple them.
+        use crate::graph::GROUP_STEPS;
+        use std::cell::Cell;
+        let steps = |n: usize| {
+            let (db, queries) = eq_workload::giant_component(&eq_workload::GiantComponentConfig {
+                queries: n,
+                friends_per_user: 1,
+                body: eq_workload::GiantBody::SharedChain,
+            });
+            let mut engine = CoordinationEngine::new(
+                db,
+                EngineConfig {
+                    mode: EngineMode::SetAtATime { batch_size: 0 },
+                    admission_safety_check: false,
+                    ..Default::default()
+                },
+            );
+            let batch = queries.into_iter().map(|q| (q, SubmitOptions::default()));
+            let admitted = engine.submit_batch(batch.collect());
+            assert!(admitted.iter().all(Result::is_ok));
+            assert_eq!(engine.graph.component_count(), 1);
+            let before = GROUP_STEPS.with(Cell::get);
+            assert!(engine.safety_violations().is_empty());
+            assert!(engine.safety_sidelined().is_empty());
+            GROUP_STEPS.with(Cell::get) - before
+        };
+        let (small, large) = (steps(2_048), steps(4_096));
+        assert!(
+            2 * large <= 5 * small,
+            "grouping copied {small} -> {large} member slots when the ring doubled"
+        );
     }
 }

@@ -38,40 +38,30 @@ use std::fmt;
 /// still printing an actionable message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum InvariantViolation {
-    /// The resident match graph is internally inconsistent (edge slab,
-    /// component registry, or dirty set out of sync); the payload is
-    /// the graph checker's diagnostic.
+    /// The match graph is internally inconsistent (edge slab, component
+    /// registry, or free lists out of sync); the payload is the graph
+    /// checker's diagnostic.
     Resident(String),
     /// `by_id` does not map a live slot's query id back to that slot.
     IdMapMismatch {
         /// The slot whose id round-trip failed.
         slot: u32,
     },
-    /// A live slot's head atom is missing from the sharded head index
-    /// (dangling or lost `AtomRef` after slot reuse).
+    /// A live slot's head atom is missing from the head index (dangling
+    /// or lost `AtomRef` after slot reuse).
     MissingHeadAtom {
         /// Owning slot.
         slot: u32,
         /// Head atom index within the query.
         atom: u32,
     },
-    /// A live slot's postcondition atom is missing from the sharded
+    /// A live slot's postcondition atom is missing from the
     /// postcondition index.
     MissingPcAtom {
         /// Owning slot.
         slot: u32,
         /// Postcondition atom index within the query.
         atom: u32,
-    },
-    /// A slot's admission-time satisfier counters disagree with its
-    /// resident in-edges.
-    SatisfierDrift {
-        /// The slot whose counters drifted.
-        slot: u32,
-        /// The counters held by the pending query.
-        counters: Vec<u32>,
-        /// The per-postcondition in-edge counts of the resident graph.
-        in_edges: Vec<u32>,
     },
     /// An atom index holds a different number of atoms than the live
     /// slots contribute.
@@ -96,7 +86,7 @@ pub enum InvariantViolation {
 impl fmt::Display for InvariantViolation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            InvariantViolation::Resident(msg) => write!(f, "resident graph: {msg}"),
+            InvariantViolation::Resident(msg) => write!(f, "match graph: {msg}"),
             InvariantViolation::IdMapMismatch { slot } => {
                 write!(f, "by_id out of sync for slot {slot}")
             }
@@ -106,14 +96,6 @@ impl fmt::Display for InvariantViolation {
             InvariantViolation::MissingPcAtom { slot, atom } => {
                 write!(f, "pc {slot}/{atom} missing from index")
             }
-            InvariantViolation::SatisfierDrift {
-                slot,
-                counters,
-                in_edges,
-            } => write!(
-                f,
-                "pc_satisfiers out of sync for slot {slot}: {counters:?} vs in-edges {in_edges:?}"
-            ),
             InvariantViolation::IndexSizeMismatch {
                 index,
                 indexed,
@@ -264,11 +246,7 @@ mod tests {
         assert!(CoordinationError::UnknownQuery(QueryId(7))
             .to_string()
             .contains('7'));
-        let v = InvariantViolation::SatisfierDrift {
-            slot: 2,
-            counters: vec![1],
-            in_edges: vec![0],
-        };
+        let v = InvariantViolation::IdMapMismatch { slot: 2 };
         assert!(v.to_string().contains("slot 2"));
         assert!(CoordinationError::from(v).to_string().contains("invariant"));
     }

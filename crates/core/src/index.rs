@@ -375,118 +375,6 @@ impl AtomIndex {
     }
 }
 
-/// An [`AtomIndex`] sharded by `(relation, arity)`.
-///
-/// Atoms of one relation/arity always land in one shard, so a probe
-/// touches exactly one shard and probes for *different* relations touch
-/// disjoint state — the structural prerequisite for parallel admission
-/// probing (several submissions' atoms can be probed concurrently with
-/// one immutable borrow per shard, no lock striping needed). The engine
-/// keeps its resident head and postcondition indexes in this form.
-pub struct ShardedAtomIndex {
-    shards: Vec<AtomIndex>,
-}
-
-/// Default shard count for the engine's resident indexes.
-pub const DEFAULT_INDEX_SHARDS: usize = 8;
-
-impl Default for ShardedAtomIndex {
-    fn default() -> Self {
-        ShardedAtomIndex::new(DEFAULT_INDEX_SHARDS)
-    }
-}
-
-impl ShardedAtomIndex {
-    /// An empty index with `shard_count` shards (at least 1).
-    pub fn new(shard_count: usize) -> Self {
-        ShardedAtomIndex {
-            shards: (0..shard_count.max(1)).map(|_| AtomIndex::new()).collect(),
-        }
-    }
-
-    fn shard_id(&self, relation: Symbol, arity: usize) -> usize {
-        // Cheap deterministic mix of the interned relation id and arity;
-        // relations are few, so simple multiplicative hashing spreads
-        // them well enough.
-        let h = (relation.index() as usize)
-            .wrapping_mul(0x9e37_79b9)
-            .wrapping_add(arity);
-        h % self.shards.len()
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Read access to the shards (for parallel probing: each shard is an
-    /// independent [`AtomIndex`]).
-    pub fn shards(&self) -> &[AtomIndex] {
-        &self.shards
-    }
-
-    /// The shard that atoms shaped like `probe` live in.
-    pub fn shard_for(&self, probe: &Atom) -> &AtomIndex {
-        &self.shards[self.shard_id(probe.relation, probe.arity())]
-    }
-
-    /// Total number of atoms indexed across shards.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(AtomIndex::len).sum()
-    }
-
-    /// True if no atoms are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(AtomIndex::is_empty)
-    }
-
-    /// Inserts an atom under `r`.
-    pub fn insert(&mut self, r: AtomRef, atom: &Atom) {
-        let id = self.shard_id(atom.relation, atom.arity());
-        self.shards[id].insert(r, atom);
-    }
-
-    /// Removes an atom by reference; `atom` routes to the owning shard.
-    /// No-op if absent.
-    pub fn remove(&mut self, r: AtomRef, atom: &Atom) {
-        let id = self.shard_id(atom.relation, atom.arity());
-        self.shards[id].remove(r);
-    }
-
-    /// The stored atom for a reference, if present (scans shards; meant
-    /// for tests and invariant checks, not hot paths).
-    pub fn get(&self, r: AtomRef) -> Option<&Atom> {
-        self.shards.iter().find_map(|s| s.get(r))
-    }
-
-    /// Visits every candidate that may unify with `probe` (see
-    /// [`AtomIndex::for_each_candidate`]); only `probe`'s shard is
-    /// touched.
-    pub fn for_each_candidate(&self, probe: &Atom, f: impl FnMut(AtomRef, &Atom)) {
-        self.shard_for(probe).for_each_candidate(probe, f);
-    }
-
-    /// Early-exit visit (see [`AtomIndex::try_for_each_candidate`]).
-    pub(crate) fn try_for_each_candidate(
-        &self,
-        probe: &Atom,
-        f: impl FnMut(AtomRef, &Atom) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        self.shard_for(probe).try_for_each_candidate(probe, f)
-    }
-
-    /// Materialized candidate list (see [`AtomIndex::candidates`]).
-    pub fn candidates(&self, probe: &Atom) -> Vec<AtomRef> {
-        self.shard_for(probe).candidates(probe)
-    }
-
-    /// Position and relation lists currently held, over all shards.
-    #[cfg(test)]
-    pub(crate) fn list_count(&self) -> usize {
-        self.shards.iter().map(AtomIndex::list_count).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -656,40 +544,19 @@ mod tests {
     }
 
     #[test]
-    fn sharded_index_routes_by_relation_and_arity() {
-        let mut idx = ShardedAtomIndex::new(4);
+    fn index_separates_relations_and_arities() {
+        let mut idx = AtomIndex::new();
         idx.insert(r(0, 0), &atom!("R", [Term::str("a"), v(0)]));
         idx.insert(r(1, 0), &atom!("S", [Term::str("a")]));
         idx.insert(r(2, 0), &atom!("R", [Term::str("a")]));
         assert_eq!(idx.len(), 3);
         let probe = atom!("R", [Term::str("a"), v(1)]);
         assert_eq!(idx.candidates(&probe), vec![r(0, 0)]);
-        // Removal routes through the atom's shard.
-        idx.remove(r(0, 0), &atom!("R", [Term::str("a"), v(0)]));
+        assert_eq!(idx.candidates(&atom!("R", [v(2)])), vec![r(2, 0)]);
+        idx.remove(r(0, 0));
         assert!(idx.candidates(&probe).is_empty());
         assert_eq!(idx.len(), 2);
         assert!(idx.get(r(1, 0)).is_some());
-        assert!(!idx.is_empty());
-    }
-
-    #[test]
-    fn sharded_index_agrees_with_flat_index() {
-        let mut flat = AtomIndex::new();
-        let mut sharded = ShardedAtomIndex::new(3);
-        let atoms = [
-            atom!("R", [Term::str("a"), v(0)]),
-            atom!("R", [v(1), Term::str("b")]),
-            atom!("S", [Term::str("a"), Term::str("b")]),
-            atom!("S", [v(2)]),
-            atom!("T", [v(3), v(4)]),
-        ];
-        for (i, a) in atoms.iter().enumerate() {
-            flat.insert(r(i as u32, 0), a);
-            sharded.insert(r(i as u32, 0), a);
-        }
-        for probe in &atoms {
-            assert_eq!(flat.candidates(probe), sharded.candidates(probe));
-        }
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //!
 //! # Work-unit extraction
 //!
-//! [`plan_component`] walks the component's survivors over
-//! [`MatchView`] (the engine's resident graph or a batch-built
-//! [`crate::MatchGraph`] — same code path), simplifies every body atom
-//! and constraint under the component's global unifier exactly as
+//! [`plan_component`] walks the component's survivors in the
+//! [`MatchGraph`], simplifies every body atom and constraint under the
+//! component's global unifier exactly as
 //! [`crate::CombinedQuery::build`] does, and then partitions the
 //! simplified conjunction by **variable connectivity**: two atoms land
 //! in the same [`WorkUnit`] iff they are linked by a chain of shared
@@ -101,7 +100,7 @@
 //! guaranteed (and tested) to agree with.
 
 use crate::combine::{distribute_heads, QueryAnswer};
-use crate::graph::MatchView;
+use crate::graph::MatchGraph;
 use crate::pool;
 use eq_db::{Database, DbError, EvalStats, Prepared, Slot, Solution, Valuation, Visit};
 use eq_ir::{Atom, Constraint, FastMap, FastSet, QueryId, Value, Var};
@@ -250,14 +249,14 @@ impl VarUnion {
 }
 
 /// Builds the partitioned plan for a matched component's survivors and
-/// global unifier, over any [`MatchView`]. The flat concatenation of
+/// global unifier. The flat concatenation of
 /// `ground_atoms` and every unit's `atoms` is a permutation of the
 /// combined query's body; likewise for constraints; `heads` is
 /// identical to the combined query's. Units the `split` gate admits
 /// additionally carry their biconnected-region decomposition
 /// ([`split_unit`]).
-pub fn plan_component<V: MatchView>(
-    graph: &V,
+pub fn plan_component(
+    graph: &MatchGraph,
     survivors: &[u32],
     global: &Unifier,
     split: &SplitOptions,
@@ -1158,7 +1157,6 @@ mod materialized_reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::MatchGraph;
     use crate::matching::match_component;
     use crate::CombinedQuery;
     use eq_ir::{EntangledQuery, Term, Value, VarGen};

@@ -6,8 +6,12 @@
 //! 1. [`index::AtomIndex`] — the `(Relation, Position, Value/Δ)` index of
 //!    §4.1.4 used to discover unifiable head/postcondition pairs without
 //!    pairwise scans;
-//! 2. [`graph::MatchGraph`] — the unifiability multigraph of §4.1.1,
-//!    plus connected-component partitioning (§4.1.2);
+//! 2. [`graph::MatchGraph`] — the unifiability multigraph of §4.1.1 and
+//!    its partition into components (§4.1.2): slot-keyed queries, the
+//!    head and postcondition indexes, edges carrying their MGUs, and a
+//!    component registry with a dirty set. The engine keeps one current
+//!    across flushes; [`MatchGraph::build`] links a fixed query list
+//!    through the same edge discovery;
 //! 3. [`safety`] — the safety condition of §3.1.1 (a postcondition that
 //!    unifies with two or more heads makes the set unsafe);
 //! 4. [`ucs`] — the unique-coordination-structure condition of §3.1.2
@@ -17,26 +21,21 @@
 //!    also yields the coordinating sets the UCS condition allows;
 //! 6. [`combine`] — combined-query construction and answer distribution
 //!    (§4.2);
-//! 7. [`resident`] — the persistent match graph that survives across
-//!    flushes: slot-keyed edges, incremental component tracking, dirty
-//!    sets;
-//! 8. [`intra`] — parallel evaluation *inside* one matched component:
+//! 7. [`intra`] — parallel evaluation *inside* one matched component:
 //!    the combined query partitioned into variable-disjoint work units
 //!    with a deterministic merge
 //!    ([`engine::EngineConfig::intra_component_threshold`]), and
 //!    shared-variable units split into biconnected regions joined by a
 //!    streaming articulation projection — the one region evaluator;
-//! 9. [`engine`] — the D3C engine of §5.1: asynchronous submission,
-//!    set-at-a-time and incremental modes over resident match state,
+//! 8. [`engine`] — the D3C engine of §5.1: asynchronous submission,
+//!    set-at-a-time and incremental modes over one resident match graph,
 //!    per-query deadlines, per-component and intra-component
 //!    parallelism;
-//! 10. [`events`] — bounded per-subscriber event queues with explicit
-//!     overflow policies (block / drop-oldest / disconnect), feeding
-//!     the service layer's push stream.
+//! 9. [`events`] — bounded per-subscriber event queues with explicit
+//!    overflow policies (block / drop-oldest / disconnect), feeding the
+//!    service layer's push stream.
 //!
-//! Steps 3–6 are written against [`graph::MatchView`], so they run over
-//! a batch-built [`graph::MatchGraph`] and over the engine's resident
-//! state with the same code.
+//! Steps 3–6 take a `&MatchGraph`, whether the engine's or a built one.
 //!
 //! [`bruteforce`] implements the generic coordinating-set semantics of
 //! §2.3 directly (the NP-hard search of Theorem 2.1); it serves as a
@@ -65,7 +64,6 @@ pub mod index;
 pub mod intra;
 pub mod matching;
 mod pool;
-pub mod resident;
 pub mod safety;
 pub mod service;
 pub mod ucs;
@@ -79,10 +77,9 @@ pub use engine::{
 };
 pub use error::{CoordinationError, InvariantViolation};
 pub use events::{Events, OverflowPolicy, SubscriberStats};
-pub use graph::{Edge, MatchGraph, MatchView};
-pub use index::{AtomIndex, AtomRef, ShardedAtomIndex};
+pub use graph::{Edge, MatchGraph};
+pub use index::{AtomIndex, AtomRef};
 pub use intra::{ComponentPlan, WorkUnit};
-pub use resident::ResidentGraph;
 pub use safety::{SafetyPolicy, SafetyViolation};
 pub use service::{Coordinator, Event, LockStats, Session, SubmitRequest, DEFAULT_EVENT_CAPACITY};
 pub use ucs::UcsViolation;

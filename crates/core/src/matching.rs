@@ -45,7 +45,7 @@
 //! no surviving edge to or from another SCC. Such a piece is a
 //! coordinating set and is evaluated alone.
 
-use crate::graph::MatchView;
+use crate::graph::MatchGraph;
 use eq_ir::{FastMap, FastSet};
 use eq_unify::{Conflict, Unifier};
 
@@ -108,14 +108,14 @@ impl ComponentMatch {
 /// Runs matching on the component `members` of `graph`. Slots outside
 /// `members` are treated as absent; `members` must be closed under the
 /// graph's edges (i.e. be a full connected component, as produced by
-/// [`crate::graph::MatchGraph::components`] or taken from the engine's
-/// resident graph) — edges to non-members are ignored.
+/// [`MatchGraph::components`] or taken from the engine's dirty set) —
+/// edges to non-members are ignored.
 ///
 /// State is keyed by member slot (not dense over `slot_bound`), so the
 /// cost of matching a component depends on the component's size alone —
 /// the property that makes dirty-component-only flushes O(dirty), not
 /// O(pending).
-pub fn match_component<V: MatchView>(graph: &V, members: &[u32]) -> ComponentMatch {
+pub fn match_component(graph: &MatchGraph, members: &[u32]) -> ComponentMatch {
     let mut stats = MatchStats::default();
     let (mut seeds, live, mut removed) = seed_phase(graph, members, &mut stats);
 
@@ -222,8 +222,8 @@ pub fn match_component<V: MatchView>(graph: &V, members: &[u32]) -> ComponentMat
 /// MGUs, then removes each member with an unsatisfied postcondition or
 /// conflicting in-edges together with its descendants (CLEANUP).
 /// Returns the seeds, the live members in member order, and the removed.
-fn seed_phase<V: MatchView>(
-    graph: &V,
+fn seed_phase(
+    graph: &MatchGraph,
     members: &[u32],
     stats: &mut MatchStats,
 ) -> (FastMap<u32, Unifier>, Vec<u32>, Vec<u32>) {
@@ -252,8 +252,8 @@ fn seed_phase<V: MatchView>(
 /// Seeds one member: its in-component in-edge MGUs folded into a local
 /// unifier, and whether it can still be answered (every postcondition
 /// has an in-component satisfier and the in-edge MGUs agree).
-fn seed_member<V: MatchView>(
-    graph: &V,
+fn seed_member(
+    graph: &MatchGraph,
     in_component: &FastSet<u32>,
     m: u32,
     stats: &mut MatchStats,
@@ -311,8 +311,8 @@ fn fold(into: &mut Unifier, from: &Unifier, stats: &mut MatchStats) -> Result<bo
 /// at most one satisfier, so a descendant losing its parent is
 /// unanswerable and must go too. Since `alive` is a subset of the
 /// component's members, nodes outside the component are never touched.
-fn cleanup<V: MatchView>(
-    graph: &V,
+fn cleanup(
+    graph: &MatchGraph,
     start: u32,
     alive: &mut FastSet<u32>,
     removed: &mut Vec<u32>,
@@ -337,7 +337,6 @@ fn cleanup<V: MatchView>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::MatchGraph;
     use crate::ucs;
     use eq_ir::{Atom, EntangledQuery, QueryId, Term, Value, Var, VarGen};
     use eq_sql::parse_ir_query;
@@ -370,8 +369,8 @@ mod tests {
     /// order-dependent formulation the one pass replaces, kept as its
     /// oracle. Returns the survivors in member order, the removed, and
     /// every survivor's fixpoint unifier.
-    fn worklist_match<V: MatchView>(
-        graph: &V,
+    fn worklist_match(
+        graph: &MatchGraph,
         members: &[u32],
     ) -> (Vec<u32>, Vec<u32>, FastMap<u32, Unifier>) {
         let mut stats = MatchStats::default();
@@ -531,9 +530,8 @@ mod tests {
                     let mut order: Vec<u32> = live.clone();
                     order.sort_by_key(|s| std::cmp::Reverse(scc[s]));
                     order.dedup_by_key(|s| scc[s]);
-                    let mut cross: Vec<(u32, u32)> = g
-                        .edges()
-                        .iter()
+                    let mut cross: Vec<(u32, u32)> = (0..g.edge_count() as u32)
+                        .map(|eid| g.edge(eid))
                         .filter_map(|e| Some((*scc.get(&e.from)?, *scc.get(&e.to)?)))
                         .filter(|(from, to)| from != to)
                         .collect();

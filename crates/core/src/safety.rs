@@ -6,7 +6,7 @@
 //! Safety guarantees that the way queries can match is unique, which is
 //! what makes matching tractable (Theorem 3.1).
 
-use crate::graph::MatchView;
+use crate::graph::MatchGraph;
 use eq_ir::{FastSet, QueryId};
 
 /// A detected safety violation: the postcondition `pc_idx` of `query`
@@ -36,13 +36,12 @@ pub enum SafetyPolicy {
     RejectAll,
 }
 
-/// Member-scoped violation scan over any [`MatchView`]: reports every
-/// member whose postcondition has two or more in-edges from member
-/// heads. The engine uses this over its resident graph to answer "is
-/// the pending pool safe right now?" without building a throwaway
-/// [`crate::graph::MatchGraph`]; over all slots of a graph it is the
-/// whole-graph scan.
-pub fn violations_members<V: MatchView>(graph: &V, members: &[u32]) -> Vec<SafetyViolation> {
+/// Member-scoped violation scan: reports every member whose
+/// postcondition has two or more in-edges from member heads. The engine
+/// runs it per component of its graph to answer "is the pending pool
+/// safe right now?"; over all slots of a graph it is the whole-graph
+/// scan.
+pub fn violations_members(graph: &MatchGraph, members: &[u32]) -> Vec<SafetyViolation> {
     let member_set: FastSet<u32> = members.iter().copied().collect();
     let mut out = Vec::new();
     for &slot in members {
@@ -80,8 +79,8 @@ pub fn violations_members<V: MatchView>(graph: &V, members: &[u32]) -> Vec<Safet
 /// graph; downstream phases (matching, UCS) accept the mask. For
 /// component-scoped enforcement that does not allocate over the whole
 /// slot space, use [`enforce_members`].
-pub fn enforce<V: MatchView>(graph: &V, alive: &mut [bool]) -> Vec<u32> {
-    let members: Vec<u32> = (0..graph.slot_bound() as u32)
+pub fn enforce(graph: &MatchGraph, alive: &mut [bool]) -> Vec<u32> {
+    let members: Vec<u32> = (0..graph.len() as u32)
         .filter(|&s| alive[s as usize])
         .collect();
     let removed = enforce_members(graph, &members);
@@ -100,7 +99,7 @@ pub fn enforce<V: MatchView>(graph: &V, alive: &mut [bool]) -> Vec<u32> {
 /// unifiability component), so enforcing it component by component is
 /// equivalent to a whole-pool pass — and costs O(|component|) instead of
 /// O(|pool|).
-pub fn enforce_members<V: MatchView>(graph: &V, members: &[u32]) -> Vec<u32> {
+pub fn enforce_members(graph: &MatchGraph, members: &[u32]) -> Vec<u32> {
     let mut live: FastSet<u32> = members.iter().copied().collect();
     let mut removed = Vec::new();
     loop {
@@ -135,7 +134,6 @@ pub fn enforce_members<V: MatchView>(graph: &V, members: &[u32]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::MatchGraph;
     use eq_ir::{EntangledQuery, QueryId, VarGen};
     use eq_sql::parse_ir_query;
 

@@ -17,8 +17,7 @@
 //!   `staleness`, `on_no_solution`, `tag`) replacing engine-wide
 //!   configuration knobs for per-query concerns, plus
 //!   [`Session::submit_batch`], whose admission probes run in parallel
-//!   across the sharded atom indexes
-//!   ([`CoordinationEngine::submit_batch`]);
+//!   over the shard's match graph ([`CoordinationEngine::submit_batch`]);
 //! * **[`Event`] subscriptions** — terminal outcomes and flush reports
 //!   are *pushed* over **bounded** per-subscriber queues
 //!   ([`Coordinator::subscribe`], [`Coordinator::subscribe_with`]) with

@@ -16,7 +16,7 @@
 //! ([`crate::matching::ComponentMatch::sets`]), so an evaluated
 //! component costs one Tarjan.
 
-use crate::graph::MatchView;
+use crate::graph::MatchGraph;
 use eq_ir::{FastMap, QueryId};
 
 /// A UCS violation: an edge whose endpoints fall into different strongly
@@ -36,12 +36,12 @@ pub struct UcsViolation {
 
 /// Computes SCC ids for the live slots of the graph (dead slots get
 /// `None`). Ids are arbitrary but equal within an SCC.
-pub fn scc_ids<V: MatchView>(graph: &V, alive: &[bool]) -> Vec<Option<u32>> {
-    let members: Vec<u32> = (0..graph.slot_bound() as u32)
+pub fn scc_ids(graph: &MatchGraph, alive: &[bool]) -> Vec<Option<u32>> {
+    let members: Vec<u32> = (0..graph.len() as u32)
         .filter(|&s| alive[s as usize])
         .collect();
     let by_member = scc_ids_members(graph, &members);
-    let mut out = vec![None; graph.slot_bound()];
+    let mut out = vec![None; graph.len()];
     for (slot, id) in by_member {
         out[slot as usize] = Some(id);
     }
@@ -50,8 +50,8 @@ pub fn scc_ids<V: MatchView>(graph: &V, alive: &[bool]) -> Vec<Option<u32>> {
 
 /// Checks the UCS property on the live subgraph; returns all violating
 /// edges (empty means UCS holds).
-pub fn violations<V: MatchView>(graph: &V, alive: &[bool]) -> Vec<UcsViolation> {
-    let members: Vec<u32> = (0..graph.slot_bound() as u32)
+pub fn violations(graph: &MatchGraph, alive: &[bool]) -> Vec<UcsViolation> {
+    let members: Vec<u32> = (0..graph.len() as u32)
         .filter(|&s| alive[s as usize])
         .collect();
     let scc = scc_ids_members(graph, &members);
@@ -86,7 +86,7 @@ pub fn violations<V: MatchView>(graph: &V, alive: &[bool]) -> Vec<UcsViolation> 
 /// **reverse-topological** — for every edge `u → v` with `u` and `v`
 /// in different SCCs, `id(u) > id(v)`. Any reimplementation must
 /// preserve this (or matching must compute its own topological order).
-pub fn scc_ids_members<V: MatchView>(graph: &V, members: &[u32]) -> FastMap<u32, u32> {
+pub fn scc_ids_members(graph: &MatchGraph, members: &[u32]) -> FastMap<u32, u32> {
     let local: FastMap<u32, u32> = members
         .iter()
         .enumerate()
@@ -117,8 +117,8 @@ pub fn scc_ids_members<V: MatchView>(graph: &V, members: &[u32]) -> FastMap<u32,
         .collect()
 }
 
-struct Tarjan<'a, V: MatchView> {
-    graph: &'a V,
+struct Tarjan<'a> {
+    graph: &'a MatchGraph,
     members: &'a [u32],
     local: &'a FastMap<u32, u32>,
     index: Vec<Option<u32>>,
@@ -130,7 +130,7 @@ struct Tarjan<'a, V: MatchView> {
     next_scc: u32,
 }
 
-impl<V: MatchView> Tarjan<'_, V> {
+impl Tarjan<'_> {
     /// Iterative Tarjan (explicit stack) over *local* member indices, so
     /// giant-cluster workloads don't overflow the call stack and state
     /// stays proportional to the member set.
@@ -193,7 +193,6 @@ impl<V: MatchView> Tarjan<'_, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::MatchGraph;
     use eq_ir::{EntangledQuery, VarGen};
     use eq_sql::parse_ir_query;
 
@@ -234,7 +233,7 @@ mod tests {
         assert_eq!(scc[&4], scc[&5]);
         assert_eq!(scc[&5], scc[&6]);
         assert_ne!(scc[&2], scc[&3]);
-        for e in g.edges() {
+        for e in (0..g.edge_count() as u32).map(|eid| g.edge(eid)) {
             let (from, to) = (scc[&e.from], scc[&e.to]);
             if from != to {
                 assert!(
@@ -315,7 +314,7 @@ mod tests {
             "{R(Elaine, IAH)} R(Kramer, IAH) <- F(Kramer, Elaine)",
             "{R(Jerry, IAH)} R(Elaine, IAH) <- F(Elaine, Jerry)",
         ]);
-        assert_eq!(g.edges().len(), 3);
+        assert_eq!(g.edge_count(), 3);
         assert!(violations(&g, &[true, true, true]).is_empty());
     }
 

@@ -1,11 +1,11 @@
 //! Property checks for the resident match graph under churn: heavy
 //! interleavings of submit / flush / cancel / expire must leave the
 //! engine's resident state internally consistent (no dangling
-//! `AtomRef`s in the sharded indexes, satisfier counters equal to
-//! resident in-edges, component registry in sync), must reuse freed
-//! slots instead of growing the slot table, must stay observationally
-//! identical between sequential and parallel flushes, and must answer
-//! exactly the queries a rebuild-from-scratch-per-flush engine answers.
+//! `AtomRef`s in the atom indexes, edge lists and component registry in
+//! sync), must reuse freed slots instead of growing the slot table, must
+//! stay observationally identical between sequential and parallel
+//! flushes, and must answer exactly the queries a
+//! rebuild-from-scratch-per-flush engine answers.
 //! Invariant failures surface as typed
 //! [`eq_core::InvariantViolation`]s, rendered into the panic message.
 

@@ -8,10 +8,15 @@
 //! 4. a coordination round partitions the input: every query id appears
 //!    exactly once across answers and rejections;
 //! 5. produced answers are mutually satisfying (every grounded
-//!    postcondition appears among the grounded heads).
+//!    postcondition appears among the grounded heads);
+//! 6. an edge has one definition: [`MatchGraph::build`] finds exactly
+//!    the pairwise-MGU edges, and an engine's batch admission links the
+//!    same edges into the same components.
 
 use eq_core::graph::MatchGraph;
-use eq_core::{coordinate, matching, safety, ucs};
+use eq_core::{
+    coordinate, matching, safety, ucs, CoordinationEngine, EngineConfig, EngineMode, SubmitOptions,
+};
 use eq_db::Database;
 use eq_ir::{Atom, EntangledQuery, QueryId, Term, Value, Var, VarGen};
 use proptest::prelude::*;
@@ -148,6 +153,17 @@ fn materialize(raws: &[RawQuery]) -> Vec<EntangledQuery> {
         .collect()
 }
 
+/// Every edge of `graph` as `(from, head_idx, to, pc_idx)`, sorted.
+fn edge_multiset(graph: &MatchGraph) -> Vec<(u32, u32, u32, u32)> {
+    let mut edges: Vec<(u32, u32, u32, u32)> = (0..graph.len() as u32)
+        .flat_map(|slot| graph.out_edges(slot))
+        .map(|&eid| graph.edge(eid))
+        .map(|e| (e.from, e.head_idx, e.to, e.pc_idx))
+        .collect();
+    edges.sort_unstable();
+    edges
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -170,7 +186,7 @@ proptest! {
             let pc_count = graph.queries()[slot as usize].pc_count();
             let mut per_pc = vec![0usize; pc_count];
             for &eid in graph.in_edges(slot) {
-                let e = &graph.edges()[eid as usize];
+                let e = graph.edge(eid);
                 if alive[e.from as usize] {
                     per_pc[e.pc_idx as usize] += 1;
                 }
@@ -195,9 +211,8 @@ proptest! {
         let alive = vec![true; graph.len()];
         let scc = ucs::scc_ids(&graph, &alive);
         let violations = ucs::violations(&graph, &alive);
-        let mut expected: Vec<(u32, u32)> = graph
-            .edges()
-            .iter()
+        let mut expected: Vec<(u32, u32)> = (0..graph.edge_count() as u32)
+            .map(|eid| graph.edge(eid))
             .filter(|e| scc[e.from as usize] != scc[e.to as usize])
             .map(|e| (e.from, e.to))
             .collect();
@@ -229,7 +244,7 @@ proptest! {
                 let pc_count = graph.queries()[s as usize].pc_count();
                 let mut satisfied = vec![false; pc_count];
                 for &eid in graph.in_edges(s) {
-                    let e = &graph.edges()[eid as usize];
+                    let e = graph.edge(eid);
                     if surviving.contains(&e.from) {
                         satisfied[e.pc_idx as usize] = true;
                     }
@@ -246,6 +261,54 @@ proptest! {
             comp.sort_unstable();
             prop_assert_eq!(both, comp);
         }
+    }
+
+    #[test]
+    fn one_edge_definition_for_build_pairwise_and_engine(
+        raws in proptest::collection::vec(arb_query(), 1..8)
+    ) {
+        let queries = materialize(&raws);
+        let gen = VarGen::new();
+        let renamed: Vec<EntangledQuery> =
+            queries.iter().map(|q| q.rename_apart(&gen)).collect();
+        let graph = MatchGraph::build(renamed.clone());
+
+        // Pairwise MGU over every head and every other query's
+        // postcondition, no index.
+        let mut pairwise = Vec::new();
+        for (i, qi) in renamed.iter().enumerate() {
+            for (j, qj) in renamed.iter().enumerate() {
+                for (hi, h) in qi.head.iter().enumerate() {
+                    for (pi, p) in qj.postconditions.iter().enumerate() {
+                        if i != j && eq_unify::mgu_atoms(h, p).is_some() {
+                            pairwise.push((i as u32, hi as u32, j as u32, pi as u32));
+                        }
+                    }
+                }
+            }
+        }
+        pairwise.sort_unstable();
+        prop_assert_eq!(edge_multiset(&graph), pairwise);
+
+        // The engine admits the list as one batch (probes against its
+        // graph plus the batch-local index) into slots 0..n.
+        let mut engine = CoordinationEngine::new(
+            build_db(4),
+            EngineConfig {
+                mode: EngineMode::SetAtATime { batch_size: 0 },
+                admission_safety_check: false,
+                ..EngineConfig::default()
+            },
+        );
+        let batch = renamed.iter().map(|q| (q.clone(), SubmitOptions::default()));
+        let admitted = engine.submit_batch(batch.collect());
+        prop_assert!(admitted.iter().all(Result::is_ok));
+        prop_assert_eq!(edge_multiset(engine.graph()), edge_multiset(&graph));
+        prop_assert_eq!(engine.graph().components(), graph.components());
+        prop_assert_eq!(
+            engine.graph().components_live(&vec![true; graph.len()]),
+            graph.components()
+        );
     }
 
     #[test]

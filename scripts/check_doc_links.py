@@ -13,6 +13,13 @@ crates/core/src/engine.rs: README's field table (and its "has N
 fields" count) must list exactly the struct's fields, and no
 `EngineConfig::<name>` in README.md or docs/** may name something the
 struct has neither as a field nor as an associated function.
+
+And it fails when a code span in README.md or docs/** names an
+`eq_core::<path>` that crates/core/src does not declare `pub`: the
+first segment must be a `pub mod` of lib.rs or a name lib.rs exports,
+the next (inside a module) a `pub` item or `pub use` of that module's
+file, and any further segment a function, `pub` field or enum variant
+declared somewhere in crates/core/src.
 """
 
 import re
@@ -21,7 +28,8 @@ from pathlib import Path
 
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 REPO = Path(__file__).resolve().parent.parent
-ENGINE = REPO / "crates" / "core" / "src" / "engine.rs"
+CORE = REPO / "crates" / "core" / "src"
+ENGINE = CORE / "engine.rs"
 CONFIG_TABLE = re.compile(
     r"`EngineConfig` has (\d+) fields:\s*\n\s*\n\| Field \|[^\n]*\n\|[-| ]+\|\n((?:\|[^\n]*\n)+)"
 )
@@ -66,6 +74,60 @@ def config_drift(files: list[Path]) -> list[str]:
     return errors
 
 
+CODE_SPAN = re.compile(r"`([^`\n]+)`")
+CORE_PATH = re.compile(r"\beq_core((?:::\w+)+)")
+PUB_ITEM = re.compile(
+    r"^\s*pub\s+(?:unsafe\s+)?(?:fn|struct|enum|trait|type|const|static|mod)\s+(\w+)", re.M
+)
+PUB_USE = re.compile(r"^\s*pub\s+use\s+([^;]+);", re.M)
+
+
+def pub_names(src: str) -> set[str]:
+    """Names a source file declares `pub` (not `pub(crate)`) or re-exports."""
+    names = set(PUB_ITEM.findall(src))
+    for m in PUB_USE.finditer(src):
+        body = m.group(1)
+        if "{" in body:
+            body = body[body.index("{") + 1 : body.rindex("}")]
+        for piece in body.split(","):
+            words = re.findall(r"\w+", piece)
+            if words:
+                names.add(words[-1])  # the last word: the name, or its `as` alias
+    return names
+
+
+def core_path_drift(files: list[Path]) -> list[str]:
+    lib = (CORE / "lib.rs").read_text(encoding="utf-8")
+    modules = set(re.findall(r"^pub mod (\w+);", lib, re.M))
+    exported = pub_names(lib)
+    every_src = "\n".join(p.read_text(encoding="utf-8") for p in sorted(CORE.glob("*.rs")))
+
+    def member(name: str) -> bool:
+        decl = rf"\bfn {name}\b|\bpub {name}:|^\s*{name}\b\s*(?:[({{,]|$)"
+        return re.search(decl, every_src, re.M) is not None
+
+    def resolves(segments: list[str]) -> bool:
+        first, rest = segments[0], segments[1:]
+        if first in modules:
+            if rest:
+                module_src = (CORE / f"{first}.rs").read_text(encoding="utf-8")
+                if rest[0] not in pub_names(module_src):
+                    return False
+                rest = rest[1:]
+        elif first not in exported:
+            return False
+        return all(member(name) for name in rest)
+
+    errors = []
+    for f in files:
+        text = f.read_text(encoding="utf-8")
+        paths = {m.group(1) for span in CODE_SPAN.findall(text) for m in CORE_PATH.finditer(span)}
+        for path in sorted(paths):
+            if not resolves(path.split("::")[1:]):
+                errors.append(f"{f.relative_to(REPO)}: no pub item eq_core{path}")
+    return errors
+
+
 def slug(heading: str) -> str:
     s = heading.strip().lower()
     s = re.sub(r"[^\w\- ]", "", s)
@@ -100,12 +162,13 @@ def main() -> int:
                         f"{f.relative_to(REPO)}: missing anchor -> {target}"
                     )
     errors += config_drift(files)
+    errors += core_path_drift(files)
     if errors:
-        print("dead links or EngineConfig drift found:", file=sys.stderr)
+        print("dead links, EngineConfig or eq_core path drift found:", file=sys.stderr)
         for e in errors:
             print(f"  {e}", file=sys.stderr)
         return 1
-    print(f"doc links and EngineConfig table ok ({len(files)} files checked)")
+    print(f"doc links, EngineConfig table and eq_core paths ok ({len(files)} files checked)")
     return 0
 
 

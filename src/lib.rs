@@ -113,7 +113,7 @@ pub mod prelude {
         coordinate, BatchReport, CoordinationEngine, CoordinationError, CoordinationOutcome,
         Coordinator, EngineConfig, EngineMode, Event, Events, FailReason, InvariantViolation,
         NoSolutionPolicy, OverflowPolicy, QueryAnswer, QueryHandle, QueryOutcome, QueryStatus,
-        RejectReason, ResidentGraph, SafetyViolation, Session, SubmitRequest, SubscriberStats,
+        RejectReason, SafetyViolation, Session, SubmitRequest, SubscriberStats,
     };
     pub use eq_db::{Database, Tuple};
     pub use eq_ir::{Atom, EntangledQuery, QueryId, Symbol, Term, Value, Var, VarGen};
