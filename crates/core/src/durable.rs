@@ -31,9 +31,13 @@
 //!   next checkpoint truncates it;
 //! * [`DurableCoordinator::open`] rebuilds state as *checkpoint +
 //!   log replay*: tables are reloaded, still-pending submissions are
-//!   re-admitted under their **original** ids, recorded outcomes are
-//!   restored to the ledger, and the id watermark moves past every id
-//!   ever assigned.
+//!   re-admitted in one call under their **original** ids, recorded
+//!   outcomes are restored to the ledger, and the id watermark moves
+//!   past every id ever assigned. Recovery re-links without
+//!   re-judging: an acknowledged query passes no second Figure-9 check,
+//!   so a directory written with `admission_safety_check` off reopens
+//!   with it on, and matching-time §3.1.1 enforcement sidelines
+//!   whatever the pending set holds that is ambiguous.
 //!
 //! The recovery invariant — property-tested against prefix-truncated
 //! logs — is *exactly-once accounting*: after a kill and reopen, every
@@ -541,14 +545,9 @@ impl Dec<'_, '_> {
     }
 }
 
-/// One acknowledged, not-yet-terminal submission, decoded.
-struct Submission {
-    query: EntangledQuery,
-    tag: Option<String>,
-    on_no_solution: Option<NoSolutionPolicy>,
-}
-
-fn decode_submit(id: QueryId, body: &[u8], dict: &Dict) -> Result<Submission, StoreError> {
+/// Decodes one acknowledged, not-yet-terminal submission as the request
+/// it was, under its recorded id.
+fn decode_submit(id: QueryId, body: &[u8], dict: &Dict) -> Result<SubmitRequest, StoreError> {
     let mut dec = Dec {
         cur: Cur::new(body),
         dict,
@@ -581,18 +580,17 @@ fn decode_submit(id: QueryId, body: &[u8], dict: &Dict) -> Result<Submission, St
         _ => return Err(StoreError::Corrupt("policy tag")),
     };
     dec.cur.finish()?;
-    Ok(Submission {
-        query: EntangledQuery {
-            id,
-            head,
-            postconditions,
-            body: atoms,
-            constraints,
-            choose,
-        },
-        tag,
-        on_no_solution,
-    })
+    let mut request = SubmitRequest::new(EntangledQuery {
+        id,
+        head,
+        postconditions,
+        body: atoms,
+        constraints,
+        choose,
+    });
+    request.tag = tag;
+    request.on_no_solution = on_no_solution;
+    Ok(request)
 }
 
 fn decode_outcome(body: &[u8], dict: &Dict) -> Result<QueryOutcome, StoreError> {
@@ -1135,13 +1133,9 @@ impl DurableCoordinator {
             state: Arc::clone(&state),
         }));
 
-        // Re-admit pending submissions in ascending id order so each
-        // reproduces its original id. `recover_submit` bypasses the
-        // sink — these records are already in the log; re-recording
-        // them would duplicate the history on the next replay.
-        for s in replay {
-            coordinator.recover_submit(s.query.id, s.query, s.on_no_solution, s.tag)?;
-        }
+        // Re-admit the pending set in one call, ascending id, each under
+        // its recorded id: re-linked without re-judging (module docs).
+        coordinator.recover(replay)?;
         coordinator.set_id_watermark(next_query_id);
         // Outcomes produced by recovery-time coordination (incremental
         // mode) are new history: record and broadcast them now, after
@@ -1188,13 +1182,14 @@ impl DurableCoordinator {
         self.coordinator.load(table, rows)
     }
 
-    /// Submits one query durably: the WAL holds its record before the
-    /// handle is returned.
+    /// Submits one query durably, as a batch of one: the WAL holds its
+    /// record before the handle is returned.
     pub fn submit(
         &self,
         request: impl Into<SubmitRequest>,
     ) -> Result<QueryHandle, CoordinationError> {
-        self.coordinator.submit_request(request.into())
+        let mut results = self.submit_batch(vec![request.into()]);
+        results.pop().expect("one result per request")
     }
 
     /// Submits a batch durably (see [`crate::Session::submit_batch`]);
@@ -1326,59 +1321,147 @@ mod tests {
         dc.coordinator().db().read().scan(table).unwrap()
     }
 
+    fn answered(outcome: Option<QueryOutcome>) -> bool {
+        matches!(outcome, Some(QueryOutcome::Answered(_)))
+    }
+
     #[test]
     fn reopen_restores_pending_and_outcomes() {
-        let dir = eq_store::scratch_dir("durable-reopen");
-        let (answered, lonely) = {
-            let dc = DurableCoordinator::open(&dir, config()).unwrap();
-            seed(&dc);
-            let a = dc
-                .submit(SubmitRequest::new(q(
-                    "{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)",
-                )))
-                .unwrap();
-            let b = dc
-                .submit(SubmitRequest::new(q(
-                    "{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)",
-                )))
-                .unwrap();
-            let report = dc.flush();
-            assert_eq!(report.answered, 2);
-            let lonely = dc
-                .submit(
-                    SubmitRequest::new(q("{R(Newman, z)} R(Frank, z) <- F(z, Rome)")).tag("lonely"),
-                )
-                .unwrap();
-            (vec![a.id, b.id], lonely.id)
-        };
+        for mode in [
+            EngineMode::SetAtATime { batch_size: 0 },
+            EngineMode::Incremental,
+        ] {
+            let incremental = mode == EngineMode::Incremental;
+            let config = EngineConfig {
+                mode,
+                ..Default::default()
+            };
+            let dir = eq_store::scratch_dir(&format!("durable-reopen-{incremental}"));
+            let (answered_ids, lonely, kept) = {
+                let dc = DurableCoordinator::open(&dir, config.clone()).unwrap();
+                seed(&dc);
+                let a = dc
+                    .submit(SubmitRequest::new(q(
+                        "{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)",
+                    )))
+                    .unwrap();
+                let b = dc
+                    .submit(SubmitRequest::new(q(
+                        "{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)",
+                    )))
+                    .unwrap();
+                dc.flush();
+                let lonely = dc
+                    .submit(
+                        SubmitRequest::new(q("{R(Newman, z)} R(Frank, z) <- F(z, Rome)"))
+                            .tag("lonely"),
+                    )
+                    .unwrap();
+                // A KeepPending pair submitted before its row is loaded:
+                // matched, no solution yet. The row lands, and the
+                // process dies before anything evaluates again.
+                let keep = |text| {
+                    let request = SubmitRequest::new(q(text));
+                    dc.submit(request.on_no_solution(NoSolutionPolicy::KeepPending))
+                        .unwrap()
+                        .id
+                };
+                let kept = vec![
+                    keep("{S(Puddy, u)} S(Elaine, u) <- F(u, Oslo)"),
+                    keep("{S(Elaine, v)} S(Puddy, v) <- F(v, Oslo)"),
+                ];
+                dc.flush();
+                assert_eq!(dc.pending_ids(), vec![lonely.id, kept[0], kept[1]]);
+                dc.load("F", vec![vec![Value::int(200), Value::str("Oslo")]])
+                    .unwrap();
+                (vec![a.id, b.id], lonely.id, kept)
+            };
 
-        let dc = DurableCoordinator::open(&dir, config()).unwrap();
-        // Outcomes restored exactly; the unmatched query is pending
-        // again under its original id, tag intact.
-        for id in answered {
-            assert!(
-                matches!(dc.outcome(id), Some(QueryOutcome::Answered(_))),
-                "{id:?}"
-            );
+            let dc = DurableCoordinator::open(&dir, config.clone()).unwrap();
+            // One lock for installing the sink, one for re-admitting the
+            // whole pending set, one for the pump — not one per query.
+            assert_eq!(dc.coordinator().lock_stats().acquisitions, 3);
+            // Outcomes restored exactly; the unmatched query is pending
+            // again under its original id, tag intact.
+            for &id in &answered_ids {
+                assert!(answered(dc.outcome(id)), "{id:?}");
+            }
+            // In incremental mode the one evaluation at the end of
+            // recovery answers the kept pair; set-at-a-time waits for a
+            // flush.
+            for &id in &kept {
+                assert_eq!(answered(dc.outcome(id)), incremental, "{mode:?} {id:?}");
+            }
+            let mut pending = vec![lonely];
+            if !incremental {
+                pending.extend(&kept);
+            }
+            assert_eq!(dc.pending_ids(), pending);
+            assert!(matches!(
+                dc.coordinator().status(lonely),
+                Some(QueryStatus::Pending)
+            ));
+            // New submissions never reuse an id.
+            let fresh = dc
+                .submit(SubmitRequest::new(q(
+                    "{R(Frank, z)} R(Newman, z) <- F(z, Rome)",
+                )))
+                .unwrap();
+            assert!(fresh.id.0 > kept[1].0);
+            // Both pairs coordinate after recovery.
+            dc.flush();
+            for id in [lonely, fresh.id, kept[0], kept[1]] {
+                assert!(answered(dc.outcome(id)), "{mode:?} {id:?}");
+            }
+            drop(dc);
+
+            // Every outcome landed in the log after its submission
+            // record: replayed again, each id is terminal exactly once.
+            let dc = DurableCoordinator::open(&dir, config).unwrap();
+            let accounting = dc.accounting();
+            let mut ids = answered_ids.clone();
+            ids.extend([lonely, kept[0], kept[1], fresh.id]);
+            let recorded: Vec<QueryId> = accounting.iter().map(|(id, _)| *id).collect();
+            assert_eq!(recorded, ids);
+            assert!(accounting.into_iter().all(|(_, o)| answered(o)));
+            eq_store::purge_dir(&dir);
         }
-        assert_eq!(dc.pending_ids(), vec![lonely]);
-        assert!(matches!(
-            dc.coordinator().status(lonely),
+    }
+
+    /// A directory written with the Figure-9 check off can hold an
+    /// acknowledged pending set the check would refuse. Reopening with
+    /// the check on re-links it as acknowledged; matching-time §3.1.1
+    /// enforcement sidelines the ambiguous consumer.
+    #[test]
+    fn reopening_with_the_check_on_keeps_an_unsafe_pending_set() {
+        let dir = eq_store::scratch_dir("durable-check-on");
+        let unchecked = EngineConfig {
+            admission_safety_check: false,
+            ..config()
+        };
+        let ids: Vec<QueryId> = {
+            let dc = DurableCoordinator::open(&dir, unchecked).unwrap();
+            dc.create_table("T", &["v"]).unwrap();
+            ["{} X(a) <- T(a)", "{} X(b) <- T(b)", "{X(v)} Y(v) <- T(v)"]
+                .into_iter()
+                .map(|text| dc.submit(SubmitRequest::new(q(text))).unwrap().id)
+                .collect()
+        };
+        let checked = config();
+        assert!(checked.admission_safety_check);
+        let dc = DurableCoordinator::open(&dir, checked).unwrap();
+        assert_eq!(dc.pending_ids(), ids);
+        let pending: Vec<(QueryId, Option<QueryOutcome>)> =
+            ids.iter().map(|&id| (id, None)).collect();
+        assert_eq!(dc.accounting(), pending);
+        let consumer = ids[2];
+        assert_eq!(dc.coordinator().safety_sidelined(), vec![consumer]);
+        dc.flush();
+        assert_eq!(
+            dc.coordinator().status(consumer),
             Some(QueryStatus::Pending)
-        ));
-        // New submissions never reuse an id.
-        let fresh = dc
-            .submit(SubmitRequest::new(q(
-                "{R(Frank, z)} R(Newman, z) <- F(z, Rome)",
-            )))
-            .unwrap();
-        assert!(fresh.id.0 > lonely.0);
-        // The pair coordinates after recovery.
-        assert_eq!(dc.flush().answered, 2);
-        assert!(matches!(
-            dc.outcome(lonely),
-            Some(QueryOutcome::Answered(_))
-        ));
+        );
+        assert_eq!(dc.outcome(consumer), None);
         eq_store::purge_dir(&dir);
     }
 

@@ -40,8 +40,7 @@
 use crate::combine::{self, QueryAnswer};
 use crate::coordinate::RejectReason;
 use crate::error::InvariantViolation;
-use crate::graph::{Edge, MatchGraph, ARRIVAL};
-use crate::index::{AtomIndex, AtomRef};
+use crate::graph::MatchGraph;
 use crate::intra;
 use crate::matching::{self, MatchStats};
 use crate::pool;
@@ -52,7 +51,6 @@ use eq_unify::Unifier;
 use parking_lot::RwLock;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -100,9 +98,11 @@ pub struct EngineConfig {
     pub admission_safety_check: bool,
     /// See [`NoSolutionPolicy`].
     pub on_no_solution: NoSolutionPolicy,
-    /// Number of worker threads for per-component parallelism in
-    /// set-at-a-time flushes (§4.1.2). 1 = sequential; 0 = one worker
-    /// per available hardware thread.
+    /// Number of worker threads an evaluation uses: across components
+    /// (§4.1.2) and across a large coordinating set's work units
+    /// ([`crate::intra`]). 1 = sequential; 0 = one worker per available
+    /// hardware thread. Admission never uses the pool: it links one
+    /// query at a time under the shard lock.
     pub flush_threads: usize,
     /// Coordinating sets with at least this many members are evaluated
     /// through the **partitioned intra-component path**
@@ -317,65 +317,46 @@ struct SlotState {
     deadline: Option<Instant>,
 }
 
-/// A pending query and everything that travels with it — the unit the
-/// service's shard-merge migration lifts out of one engine
-/// ([`CoordinationEngine::extract_pending`]) and re-admits in another
-/// ([`CoordinationEngine::admit_migrated`]): the live outcome sender,
-/// per-query policy and deadline survive the move.
+/// A query the service acknowledged earlier, with everything that
+/// travels with it: the unit shard-merge migration lifts out of one
+/// engine ([`CoordinationEngine::extract_pending`]) and recovery
+/// rebuilds from the log, both re-admitted through
+/// [`CoordinationEngine::readmit`]. The id, outcome sender, per-query
+/// policy and deadline survive the move.
 pub(crate) struct PendingQuery {
     pub(crate) query: EntangledQuery,
     state: SlotState,
 }
 
-/// What the one admission probe ([`CoordinationEngine::probe`]) found
-/// for one arrival. [`ARRIVAL`] stands for the arrival's slot: the probe
-/// runs before the Figure-9 verdict, and only an admitted query is
-/// given a slot.
-#[derive(Default)]
-struct Probe {
-    /// Edges from the arrival's heads to resident postconditions.
-    outgoing: Vec<Edge>,
-    /// Edges from resident heads to the arrival's postconditions.
-    incoming: Vec<Edge>,
-    /// Resident heads found per postcondition of the arrival — the
-    /// Figure-9 count the verdict carries on with batch heads.
-    pc_hits: Vec<u32>,
-    /// Candidate edges from the arrival's heads to *other batch
-    /// members'* postconditions (MGU-verified; `to` is a batch
-    /// position, not a slot — neither endpoint is admitted when the
-    /// probe runs). Each entry is taken exactly once, when the later of
-    /// its two endpoints links.
-    batch_out: Vec<Option<Edge>>,
-    /// The resident pool alone decides Figure 9 against the arrival.
-    /// Probing stopped at that point (the edge lists are incomplete),
-    /// and the verdict is final: nothing retires during admission, so
-    /// postconditions only gain satisfiers.
-    unsafe_resident: bool,
-}
-
-/// One arrival's turn in the admission replay: its batch position and
-/// the batch state its verdict and its links read. A single submit (and
-/// a migrated query) is a batch of one — [`Turn::alone`].
-struct Turn<'a> {
-    k: usize,
-    /// Every batch member's probe; `probes[k]` is the arrival's own.
-    probes: &'a mut [Probe],
-    /// Candidate edges from other members into this one: (source
-    /// position, index into its `batch_out`).
-    incoming: &'a [(usize, usize)],
-    /// Slot of every member admitted so far, by batch position.
-    admitted: &'a [Option<u32>],
-}
-
-impl<'a> Turn<'a> {
-    fn alone(probe: &'a mut [Probe; 1]) -> Self {
-        Turn {
-            k: 0,
-            probes: probe,
-            incoming: &[],
-            admitted: &[],
-        }
+impl PendingQuery {
+    /// A submission recovered from the log, under its recorded id
+    /// (`query.id`) and no-solution policy. Nobody holds a handle to it
+    /// (its outcome reaches the ledger through the outcome log), and it
+    /// carries no deadline: wall-clock instants do not survive a
+    /// restart.
+    pub(crate) fn recovered(
+        query: EntangledQuery,
+        on_no_solution: Option<NoSolutionPolicy>,
+    ) -> Self {
+        let (sender, _) = sync_channel(1);
+        let state = SlotState {
+            sender,
+            on_no_solution,
+            deadline: None,
+        };
+        PendingQuery { query, state }
     }
+}
+
+/// Where an admitted query's id comes from.
+enum IdFrom<'a> {
+    /// A new submission: Figure 9 judges it (when the check is on), then
+    /// it draws the next id — from the service's shared counter when one
+    /// is given.
+    Draw(Option<&'a AtomicU64>),
+    /// A query the service acknowledged before (migrated or recovered):
+    /// it keeps its own id and is not judged again.
+    Own,
 }
 
 /// The coordination engine.
@@ -511,260 +492,59 @@ impl CoordinationEngine {
     }
 
     /// Submits a query with per-query options (deadline, no-solution
-    /// policy). See [`CoordinationEngine::submit`].
+    /// policy): a batch of one ([`CoordinationEngine::submit_batch`]).
     pub fn submit_with(
         &mut self,
         query: EntangledQuery,
         opts: SubmitOptions,
     ) -> Result<QueryHandle, SubmitError> {
-        query.validate().map_err(SubmitError::Invalid)?;
-        self.submit_with_source(query, opts, None)
+        let mut results = self.submit_batch(vec![(query, opts)]);
+        results.pop().expect("one result per query")
     }
 
-    /// [`CoordinationEngine::submit_with`] for an **already validated**
-    /// query (validation is pure, so the service runs it before routing
-    /// and before any lock), drawing the query id from an optional
-    /// shared counter instead of the engine-local one — the sharded
-    /// `Coordinator` routes submissions to independently locked engines
-    /// but keeps one global id sequence. The id is consumed only after
-    /// the admission safety check succeeds (it is id-agnostic), so
-    /// successful submissions draw exactly one id in either mode and
-    /// the sequence matches single-shard submission bit for bit.
+    /// The admission step — the one way a query enters the engine:
+    /// rename it apart, probe the graph for its edges
+    /// ([`MatchGraph::probe`], which also gives the Figure-9 verdict on
+    /// a new submission while the check is on), draw or keep its id,
+    /// link it and register its slot state, id, status and deadline.
+    /// Every MGU admission needs is computed in the probe, exactly once:
+    /// the unifier is kept on the edge and reused by every matching run
+    /// over its component.
     ///
-    /// Admission is the body of the batch replay loop
-    /// ([`CoordinationEngine::admit_probed`]) run once with an empty
-    /// batch, and the call ends in the batch's evaluation epilogue
-    /// ([`CoordinationEngine::evaluate_if_due`]).
-    pub(crate) fn submit_with_source(
+    /// Every entry point runs this in a loop, in submission order, under
+    /// one lock. Earlier members of the loop are linked by the time a
+    /// later one is probed, so the probe sees them as residents and its
+    /// early exit is the whole verdict. A refused query leaves no trace:
+    /// the id is drawn after the verdict.
+    fn admit(
         &mut self,
         query: EntangledQuery,
-        opts: SubmitOptions,
-        source: Option<&AtomicU64>,
-    ) -> Result<QueryHandle, SubmitError> {
+        state: SlotState,
+        id: IdFrom<'_>,
+    ) -> Result<QueryId, SubmitError> {
         debug_assert!(query.validate().is_ok(), "callers validate first");
-        self.expire_stale();
-
-        let renamed = query.rename_apart(&self.gen);
-        let probe = self.probe(&renamed, self.config.admission_safety_check, None);
-        let admitted = self.admit_probed(renamed, opts, source, &mut Turn::alone(&mut [probe]));
-        self.evaluate_if_due(usize::from(admitted.is_ok()));
-        admitted.map(|(_, handle)| handle)
-    }
-
-    /// The one admission probe: the graph's edge discovery
-    /// ([`MatchGraph::discover`]) between a (renamed) arrival and the
-    /// resident pool — and, inside a batch, the arrival's candidate
-    /// edges into the other members' postconditions (`batch` is the
-    /// arrival's position and the batch-local postcondition index).
-    /// Every MGU admission needs is computed here, exactly once: the
-    /// unifier is kept on the resident edge and reused by every future
-    /// matching run over its component.
-    ///
-    /// With `check` set the probe follows the Figure-9 rule edge by
-    /// edge and returns the moment the resident pool decides against
-    /// the arrival ([`Probe::unsafe_resident`]), leaving the rest of
-    /// the posting list unvisited. Postconditions go first: Figure 9's
-    /// hub arrival — a wildcard postcondition over thousands of
-    /// resident heads — is refused at its second head.
-    ///
-    /// Read-only: [`CoordinationEngine::submit_batch`] runs this for
-    /// many queries in parallel.
-    fn probe(
-        &self,
-        renamed: &EntangledQuery,
-        check: bool,
-        batch: Option<(usize, &AtomIndex)>,
-    ) -> Probe {
-        let mut p = Probe {
-            pc_hits: vec![0; renamed.pc_count()],
-            ..Probe::default()
+        let query = query.rename_apart(&self.gen);
+        let check = self.config.admission_safety_check && matches!(id, IdFrom::Draw(_));
+        let edges = self
+            .graph
+            .probe(&query, check)
+            .map_err(|_| SubmitError::Unsafe)?;
+        let id = match id {
+            IdFrom::Draw(source) => self.draw_id(source),
+            IdFrom::Own => query.id,
         };
-        let walk = self.graph.discover(renamed, |e| {
-            // Whose postcondition the edge lands on: the arrival's own
-            // (`None`) or a pending query's.
-            let (owner, pc) = ((e.to != ARRIVAL).then_some(e.to), e.pc_idx);
-            match owner {
-                None => p.incoming.push(e),
-                Some(_) => p.outgoing.push(e),
-            }
-            // Leaves the posting list once an edge decides the verdict.
-            if check && self.second_satisfier(&mut p.pc_hits, owner, pc) {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
-        if walk.is_break() {
-            p.unsafe_resident = true;
-            return p;
-        }
-        let Some((k, batch_pcs)) = batch else {
-            return p;
-        };
-        for (ai, atom) in renamed.head.iter().enumerate() {
-            batch_pcs.for_each_candidate(atom, |cand, pc| {
-                // No self-coordination.
-                if cand.query as usize == k {
-                    return;
-                }
-                if let Some(mgu) = eq_unify::mgu_atoms(atom, pc) {
-                    p.batch_out.push(Some(Edge {
-                        from: ARRIVAL,
-                        head_idx: ai as u32,
-                        to: cand.query,
-                        pc_idx: cand.atom,
-                        mgu,
-                    }));
-                }
-            });
-        }
-        p
-    }
-
-    /// The §3.1.1 / Figure-9 rule, one edge at a time: is a further
-    /// head on this postcondition its **second** satisfier? `owner:
-    /// None` names a postcondition of the arrival itself, whose heads so
-    /// far are counted in `own_hits` (this one included); `Some(slot)`
-    /// names a pending query's, which has a satisfier if one of its
-    /// in-edges lands on it. Only asked with the admission check on,
-    /// which keeps every postcondition at one satisfier or none, so a
-    /// slot's in-list is no longer than its postcondition list.
-    fn second_satisfier(&self, own_hits: &mut [u32], owner: Option<u32>, pc: u32) -> bool {
-        match owner {
-            None => {
-                own_hits[pc as usize] += 1;
-                own_hits[pc as usize] >= 2
-            }
-            Some(slot) => {
-                let in_edges = self.graph.in_edges(slot).iter();
-                in_edges
-                    .map(|&eid| self.graph.edge(eid))
-                    .any(|e| e.pc_idx == pc)
-            }
-        }
-    }
-
-    /// The Figure-9 verdict for the arrival whose turn it is: admitting
-    /// it must not give any postcondition — its own or a pending
-    /// query's — two or more unifying heads. Decided from the probe
-    /// alone (all MGU work is done): residents are all still live
-    /// during admission, and batch members count once admitted, which
-    /// makes this the sequential check run at the arrival's position in
-    /// submission order.
-    fn is_unsafe(&self, turn: &mut Turn<'_>) -> bool {
-        let Turn {
-            k,
-            probes,
-            incoming,
-            admitted,
-        } = turn;
-        if probes[*k].unsafe_resident {
-            return true;
-        }
-        // Own postconditions: the probe counted the resident heads;
-        // heads of earlier-admitted batch members count from there.
-        let mut hits = std::mem::take(&mut probes[*k].pc_hits);
-        for &(src, i) in incoming.iter() {
-            if admitted[src].is_some() {
-                let e = probes[src].batch_out[i].as_ref();
-                let pc = e.expect("unconsumed candidate").pc_idx;
-                if self.second_satisfier(&mut hits, None, pc) {
-                    return true;
-                }
-            }
-        }
-        // Own heads: re-read the resident in-edges (earlier batch
-        // members may have linked in since the probe), then ask the
-        // admitted batch members'.
-        let probe = &probes[*k];
-        let resident = probe.outgoing.iter().map(|e| (e.to, e.pc_idx));
-        let batch = probe.batch_out.iter().flatten();
-        let batch = batch.filter_map(|e| admitted[e.to as usize].map(|to| (to, e.pc_idx)));
-        resident
-            .chain(batch)
-            .any(|(to, pc)| self.second_satisfier(&mut [], Some(to), pc))
-    }
-
-    /// The admission core — the body of [`CoordinationEngine::submit_batch`]'s
-    /// replay loop, which a single submit runs once with an empty
-    /// batch: decide Figure 9 from the probe, draw the id, link.
-    /// Returns the new slot with the handle.
-    fn admit_probed(
-        &mut self,
-        renamed: EntangledQuery,
-        opts: SubmitOptions,
-        source: Option<&AtomicU64>,
-        turn: &mut Turn<'_>,
-    ) -> Result<(u32, QueryHandle), SubmitError> {
-        if self.config.admission_safety_check && self.is_unsafe(turn) {
-            return Err(SubmitError::Unsafe);
-        }
-        let id = self.draw_id(source);
-        let (sender, outcome) = sync_channel(1);
-        let pending = PendingQuery {
-            query: renamed.with_id(id),
-            state: SlotState {
-                sender,
-                on_no_solution: opts.on_no_solution,
-                deadline: opts.deadline,
-            },
-        };
-        Ok((self.link_probed(pending, turn), QueryHandle { id, outcome }))
-    }
-
-    /// Turns a probe into a linked slot — where fresh, batched and
-    /// migrated admission all end. The edges go to the graph's
-    /// [`MatchGraph::link`] in one order: the probe's resident edges
-    /// (heads before postconditions, each in probe order), then the
-    /// intra-batch edges whose other end is already admitted. Linking
-    /// indexes the query's atoms, merges its partners' components and
-    /// marks the result dirty; the engine registers the slot state and
-    /// the query's id, status and deadline.
-    fn link_probed(&mut self, pending: PendingQuery, turn: &mut Turn<'_>) -> u32 {
-        let Turn {
-            k,
-            probes,
-            incoming,
-            admitted,
-        } = turn;
-        let mut edges = std::mem::take(&mut probes[*k].outgoing);
-        edges.append(&mut probes[*k].incoming);
-        // Edges from earlier-admitted batch members into this query.
-        for &(src, i) in incoming.iter() {
-            if let Some(from) = admitted[src] {
-                let e = probes[src].batch_out[i].take();
-                let e = e.expect("intra-batch edge consumed once");
-                edges.push(Edge {
-                    from,
-                    to: ARRIVAL,
-                    ..e
-                });
-            }
-        }
-        // Edges from this query to earlier-admitted batch members. The
-        // candidates left behind target later members, which take them
-        // through their own `incoming` when they admit.
-        for e in probes[*k].batch_out.iter_mut() {
-            if let Some(to) = e.as_ref().and_then(|e| admitted[e.to as usize]) {
-                let e = e.take().expect("checked above");
-                edges.push(Edge { to, ..e });
-            }
-        }
-
-        let PendingQuery { query, state } = pending;
-        let id = query.id;
         if let Some(deadline) = state.deadline {
             self.deadlines.push(Reverse((deadline, id)));
             self.dated += 1;
         }
-        let slot = self.graph.link(query, edges);
+        let slot = self.graph.link(query.with_id(id), edges);
         if self.slots.len() <= slot as usize {
             self.slots.resize_with(slot as usize + 1, || None);
         }
         self.slots[slot as usize] = Some(state);
         self.by_id.insert(id, slot);
         self.statuses.insert(id, QueryStatus::Pending);
-        slot
+        Ok(id)
     }
 
     /// Removes every pending query matching `pred` from this engine
@@ -792,39 +572,36 @@ impl CoordinationEngine {
         out
     }
 
-    /// Re-admits a migrated query under its original id, outcome
-    /// channel and deadline. The query is renamed
-    /// apart against *this* engine's variable generator (the donor's
-    /// names could collide here) and re-probed against the resident
-    /// pool; no safety re-check runs — the query passed Figure-9 on
-    /// admission, and merging previously disjoint connectivity groups
-    /// cannot create new head/postcondition competition between them
-    /// (disjoint key sets admit no new unifiable pairs). No evaluation
-    /// is triggered; linking marks the component dirty, so the
-    /// submission that caused the merge (or the next flush) picks it
-    /// up.
-    pub(crate) fn admit_migrated(&mut self, mut m: PendingQuery) {
-        m.query = m.query.rename_apart(&self.gen);
-        let probe = self.probe(&m.query, false, None);
-        self.link_probed(m, &mut Turn::alone(&mut [probe]));
+    /// Links queries the service acknowledged before — moved in from
+    /// another shard, or back from the log at recovery — through the
+    /// admission step, in order, under their own ids, outcome senders,
+    /// policies and deadlines. Each is renamed apart against *this*
+    /// engine's variable generator (the donor's names could collide
+    /// here). None is judged by Figure 9 again: a migrated query passed
+    /// it on admission, and merging disjoint connectivity groups admits
+    /// no new unifiable pairs between them; a recovered one was
+    /// acknowledged under whatever configuration wrote the log.
+    /// Matching-time §3.1.1 enforcement still sidelines any ambiguity.
+    /// Nothing is evaluated here; linking marks the components dirty.
+    pub(crate) fn readmit(&mut self, queries: Vec<PendingQuery>) {
+        for PendingQuery { query, state } in queries {
+            self.admit(query, state, IdFrom::Own)
+                .expect("no verdict without the check");
+        }
     }
 
-    /// Submits a batch of queries, running the expensive admission work
-    /// — index probing and MGU computation against both the resident
-    /// pool and the rest of the batch — **in parallel** on the flush
-    /// worker pool ([`EngineConfig::flush_threads`]; a probe only reads
-    /// the graph). A cheap sequential pass then replays admission in
-    /// submission order through the same core a single
-    /// [`CoordinationEngine::submit`] runs, so ids, safety decisions,
-    /// and linked edges are the same as `n` individual submits would
-    /// produce.
+    /// Submits a batch of queries: the engine's one admission step (edge
+    /// probe, Figure-9 verdict, id, link) for each one in submission
+    /// order, so ids, safety decisions and linked edges are exactly
+    /// those of `n` individual submits — and into an empty engine the
+    /// graph is [`MatchGraph::build`] of the admitted queries, edge id
+    /// for edge id. Structurally invalid entries are refused in place.
     ///
-    /// Admission is one path, and so is evaluation: the call ends in the
-    /// same epilogue as a single submit, run once for the whole batch —
-    /// in incremental mode the dirty set is evaluated after all
-    /// admissions (so intra-batch arrivals never race retirements), in
-    /// set-at-a-time mode the auto-flush threshold is checked once. The
-    /// deadline sweep runs once, up front.
+    /// The deadline sweep runs once, up front, and the call ends in one
+    /// evaluation epilogue for the whole batch: in incremental mode the
+    /// dirty set is evaluated after all admissions (so intra-batch
+    /// arrivals never race retirements), in set-at-a-time mode the
+    /// auto-flush threshold is checked once.
     ///
     /// With `SetAtATime { batch_size: 0 }`, `submit_batch` followed by
     /// [`CoordinationEngine::flush`] is observationally equivalent to
@@ -835,121 +612,52 @@ impl CoordinationEngine {
         &mut self,
         batch: Vec<(EntangledQuery, SubmitOptions)>,
     ) -> Vec<Result<QueryHandle, SubmitError>> {
-        // Structurally invalid entries are refused in place; the rest
-        // is the batch.
-        let refused: Vec<Option<SubmitError>> = batch
-            .iter()
-            .map(|(q, _)| q.validate().err().map(SubmitError::Invalid))
-            .collect();
-        let valid = batch
-            .into_iter()
-            .zip(&refused)
-            .filter_map(|(entry, refused)| refused.is_none().then_some(entry))
-            .collect();
-        let mut admitted = self.submit_batch_with_source(valid, None).into_iter();
-        refused
-            .into_iter()
-            .map(|refused| match refused {
-                Some(e) => Err(e),
-                None => admitted.next().expect("one result per valid query"),
-            })
-            .collect()
+        let checked = batch.into_iter().map(|(query, opts)| {
+            query.validate().map_err(SubmitError::Invalid)?;
+            Ok((query, opts))
+        });
+        self.submit_batch_with_source(checked, None)
     }
 
-    /// [`CoordinationEngine::submit_batch`] for **already validated**
-    /// queries, drawing ids from an optional shared counter — see
-    /// [`CoordinationEngine::submit_with_source`].
+    /// [`CoordinationEngine::submit_batch`] over entries already
+    /// validated or refused (validation is pure, so the service runs it
+    /// before routing and before any lock), drawing ids from an
+    /// optional shared counter instead of the engine-local one — the
+    /// sharded `Coordinator` routes submissions to independently locked
+    /// engines but keeps one global id sequence. An id is drawn only
+    /// after the Figure-9 verdict, so successful submissions draw
+    /// exactly one id each and the sequence matches single-shard
+    /// submission bit for bit.
     pub(crate) fn submit_batch_with_source(
         &mut self,
-        batch: Vec<(EntangledQuery, SubmitOptions)>,
+        batch: impl IntoIterator<Item = Result<(EntangledQuery, SubmitOptions), SubmitError>>,
         source: Option<&AtomicU64>,
     ) -> Vec<Result<QueryHandle, SubmitError>> {
         self.expire_stale();
-        let n = batch.len();
-
-        // Rename in submission order, so fresh variables are drawn
-        // exactly as sequential submits would draw them.
-        let renamed: Vec<(EntangledQuery, SubmitOptions)> = batch
+        let results: Vec<Result<QueryHandle, SubmitError>> = batch
             .into_iter()
-            .map(|(query, opts)| {
-                debug_assert!(query.validate().is_ok(), "callers validate first");
-                (query.rename_apart(&self.gen), opts)
+            .map(|entry| {
+                let (query, opts) = entry?;
+                let (sender, outcome) = sync_channel(1);
+                let state = SlotState {
+                    sender,
+                    on_no_solution: opts.on_no_solution,
+                    deadline: opts.deadline,
+                };
+                let id = self.admit(query, state, IdFrom::Draw(source))?;
+                Ok(QueryHandle { id, outcome })
             })
             .collect();
-
-        // Batch-local postcondition index: the probe target for
-        // intra-batch edge discovery (hashing only; the MGU work runs
-        // in phase A). A batch of one has no other member to find.
-        let batch_pcs = (n > 1).then(|| {
-            let mut index = AtomIndex::new();
-            for (k, (q, _)) in renamed.iter().enumerate() {
-                for (ai, atom) in q.postconditions.iter().enumerate() {
-                    index.insert(
-                        AtomRef {
-                            query: k as u32,
-                            atom: ai as u32,
-                        },
-                        atom,
-                    );
-                }
-            }
-            index
-        });
-
-        // Phase A (parallel, read-only): per query, discover edges
-        // against the pre-batch resident pool and candidate edges
-        // against the rest of the batch. Workers claim queries from a
-        // shared cursor (a single query is probed inline).
-        let check = self.config.admission_safety_check;
-        let work: Vec<usize> = (0..n).collect();
-        let threads = self.config.effective_flush_threads();
-        let mut probed = pool::parallel_claim(&work, threads, None, |k| {
-            self.probe(&renamed[k].0, check, batch_pcs.as_ref().map(|ix| (k, ix)))
-        });
-        probed.sort_unstable_by_key(|&(k, _)| k);
-        let mut probes: Vec<Probe> = probed.into_iter().map(|(_, probe)| probe).collect();
-
-        // Incoming intra-batch candidates per target: (source batch
-        // position, index into its batch_out list).
-        let mut batch_in: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-        for (k, probe) in probes.iter().enumerate() {
-            for (i, e) in probe.batch_out.iter().enumerate() {
-                if let Some(e) = e {
-                    batch_in[e.to as usize].push((k, i));
-                }
-            }
-        }
-
-        // Phase B (sequential, submission order): replay admission —
-        // safety decisions against residents + admitted batch members,
-        // id assignment, slot allocation, linking. All MGUs were
-        // computed in phase A; this pass is counters and hash inserts.
-        let mut results: Vec<Result<QueryHandle, SubmitError>> = Vec::with_capacity(n);
-        let mut admitted: Vec<Option<u32>> = vec![None; n];
-        for (k, (query, opts)) in renamed.into_iter().enumerate() {
-            let mut turn = Turn {
-                k,
-                probes: &mut probes,
-                incoming: &batch_in[k],
-                admitted: &admitted,
-            };
-            let result = self.admit_probed(query, opts, source, &mut turn);
-            results.push(result.map(|(slot, handle)| {
-                admitted[k] = Some(slot);
-                handle
-            }));
-        }
-
-        self.evaluate_if_due(admitted.iter().flatten().count());
+        self.evaluate_if_due(results.iter().filter(|r| r.is_ok()).count());
         results
     }
 
-    /// The evaluation epilogue both submit paths end in: counts the
-    /// call's admissions and evaluates the dirty set when the mode says
-    /// so — after every call in incremental mode, once `batch_size`
-    /// admissions have accumulated in set-at-a-time mode (0 disables
-    /// auto-flush).
-    fn evaluate_if_due(&mut self, admitted: usize) {
+    /// The evaluation epilogue every submit call — and recovery — ends
+    /// in: counts the call's admissions and evaluates the dirty set
+    /// when the mode says so — after every call in incremental mode,
+    /// once `batch_size` admissions have accumulated in set-at-a-time
+    /// mode (0 disables auto-flush).
+    pub(crate) fn evaluate_if_due(&mut self, admitted: usize) {
         self.submissions_since_flush += admitted;
         let due = match self.config.mode {
             EngineMode::Incremental => true,
@@ -1681,8 +1389,8 @@ mod tests {
         // The probe stops unifying at the verdict — the second head —
         // and finds all five when nothing is being decided.
         let renamed = arrival.rename_apart(&engine.gen);
-        assert_eq!(engine.probe(&renamed, true, None).incoming.len(), 2);
-        assert_eq!(engine.probe(&renamed, false, None).incoming.len(), 5);
+        assert_eq!(engine.graph.probe(&renamed, true).unwrap_err().len(), 2);
+        assert_eq!(engine.graph.probe(&renamed, false).unwrap().len(), 5);
     }
 
     #[test]

@@ -112,25 +112,70 @@ pub struct MatchGraph {
 
 impl MatchGraph {
     /// Builds the graph over `queries`: query `i` is linked into slot
-    /// `i`, its edges to queries `0..i` found by
-    /// `MatchGraph::discover` and laid out as the engine lays out an
-    /// admission's (edges from its heads first).
+    /// `i` with the edges `MatchGraph::probe` finds to queries `0..i`
+    /// — exactly what the engine's admission step links, so an engine
+    /// batch admitted into an empty engine is this graph, edge id for
+    /// edge id.
     pub fn build(queries: Vec<EntangledQuery>) -> Self {
         let mut graph = MatchGraph::default();
         for query in queries {
-            let (mut edges, mut incoming) = (Vec::new(), Vec::new());
-            let _ = graph.discover(&query, |e| {
-                if e.from == ARRIVAL {
-                    edges.push(e);
-                } else {
-                    incoming.push(e);
-                }
-                ControlFlow::Continue(())
-            });
-            edges.append(&mut incoming);
+            let edges = graph
+                .probe(&query, false)
+                .expect("no verdict without the check");
             graph.link(query, edges);
         }
         graph
+    }
+
+    /// The admission probe: the arrival's edges in the order
+    /// [`MatchGraph::link`] files them — edges from its heads first,
+    /// then edges into its postconditions, each in discover order.
+    ///
+    /// With `check` set it applies the §3.1.1 / Figure-9 rule edge by
+    /// edge and returns `Err` the moment linking the arrival would give
+    /// a postcondition — its own or a linked query's — a second unifying
+    /// head, with the edges found up to that verdict; the rest of the
+    /// posting lists is never visited. Postconditions go first, so
+    /// Figure 9's hub arrival (a wildcard postcondition over thousands of
+    /// heads) is refused at its second head.
+    pub(crate) fn probe(
+        &self,
+        arrival: &EntangledQuery,
+        check: bool,
+    ) -> Result<Vec<Edge>, Vec<Edge>> {
+        let (mut edges, mut incoming) = (Vec::new(), Vec::new());
+        // Heads found so far per postcondition of the arrival.
+        let mut own_hits = vec![0u32; if check { arrival.pc_count() } else { 0 }];
+        let walk = self.discover(arrival, |e| {
+            let second = check
+                && if e.to == ARRIVAL {
+                    own_hits[e.pc_idx as usize] += 1;
+                    own_hits[e.pc_idx as usize] >= 2
+                } else {
+                    // A linked query's postcondition already has a
+                    // satisfier if one of its in-edges lands on it.
+                    let in_edges = self.in_edges(e.to).iter();
+                    in_edges
+                        .map(|&eid| self.edge(eid))
+                        .any(|i| i.pc_idx == e.pc_idx)
+                };
+            if e.to == ARRIVAL {
+                incoming.push(e);
+            } else {
+                edges.push(e);
+            }
+            if second {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        edges.append(&mut incoming);
+        if walk.is_break() {
+            Err(edges)
+        } else {
+            Ok(edges)
+        }
     }
 
     /// Edge discovery: hands `visit` every edge between `arrival` (not
@@ -176,11 +221,10 @@ impl MatchGraph {
     }
 
     /// Links `query` into a slot (the last one freed, else a new one)
-    /// with its edges, [`ARRIVAL`] standing for that slot on each: the
-    /// ones [`MatchGraph::discover`] found, plus any its caller found
-    /// against queries linked since (a batch). Indexes the query's
-    /// atoms, files the edges, merges every partner's component into its
-    /// own and marks the result dirty. Returns the slot.
+    /// with the edges [`MatchGraph::probe`] found, [`ARRIVAL`] standing
+    /// for that slot on each. Indexes the query's atoms, files the edges
+    /// in the order given, merges every partner's component into its own
+    /// and marks the result dirty. Returns the slot.
     pub(crate) fn link(&mut self, query: EntangledQuery, edges: Vec<Edge>) -> u32 {
         let slot = match self.free_slots.pop() {
             Some(slot) => slot,

@@ -2,11 +2,12 @@
 //! crate uses: claim indices from a shared atomic cursor, run a
 //! read-only job per index, return results keyed by index.
 //!
-//! Three call sites share it — the cross-component flush shard
-//! (`engine::sharded_process`), batched admission probing
-//! (`engine::submit_batch`) and intra-component work-unit evaluation
-//! (`intra::evaluate_plan`) — so claim semantics, the sequential
-//! fallback, and panic propagation live in exactly one place.
+//! Two call sites share it, both in evaluation — the cross-component
+//! flush shard (`engine::sharded_process`) and intra-component
+//! work-unit evaluation (`intra::evaluate_plan_with_stats`) — so claim
+//! semantics, the sequential fallback, and panic propagation live in
+//! exactly one place. Admission never uses it: it links one query at a
+//! time under the shard lock.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 

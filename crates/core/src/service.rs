@@ -16,8 +16,9 @@
 //! * **[`SubmitRequest`]** — a per-query builder (`deadline`,
 //!   `staleness`, `on_no_solution`, `tag`) replacing engine-wide
 //!   configuration knobs for per-query concerns, plus
-//!   [`Session::submit_batch`], whose admission probes run in parallel
-//!   over the shard's match graph ([`CoordinationEngine::submit_batch`]);
+//!   [`Session::submit_batch`], which admits a run of queries under one
+//!   shard lock ([`CoordinationEngine::submit_batch`]) — a single
+//!   submit is a batch of one;
 //! * **[`Event`] subscriptions** — terminal outcomes and flush reports
 //!   are *pushed* over **bounded** per-subscriber queues
 //!   ([`Coordinator::subscribe`], [`Coordinator::subscribe_with`]) with
@@ -88,8 +89,8 @@ use crate::combine::QueryAnswer;
 use crate::coordinate::RejectReason;
 use crate::dispatch::Dispatcher;
 use crate::engine::{
-    BatchReport, CoordinationEngine, EngineConfig, FailReason, NoSolutionPolicy, QueryHandle,
-    QueryOutcome, QueryStatus, SubmitError, SubmitOptions,
+    BatchReport, CoordinationEngine, EngineConfig, FailReason, NoSolutionPolicy, PendingQuery,
+    QueryHandle, QueryOutcome, QueryStatus, SubmitError, SubmitOptions,
 };
 use crate::error::CoordinationError;
 use crate::safety::SafetyViolation;
@@ -139,11 +140,11 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 /// ```
 #[derive(Debug)]
 pub struct SubmitRequest {
-    query: EntangledQuery,
+    pub(crate) query: EntangledQuery,
     deadline: Option<Instant>,
     staleness: Option<Duration>,
-    on_no_solution: Option<NoSolutionPolicy>,
-    tag: Option<String>,
+    pub(crate) on_no_solution: Option<NoSolutionPolicy>,
+    pub(crate) tag: Option<String>,
 }
 
 impl SubmitRequest {
@@ -955,47 +956,6 @@ impl Coordinator {
         self.shared.dispatcher.enqueue(Event::Flushed(report));
     }
 
-    pub(crate) fn submit_request(
-        &self,
-        request: SubmitRequest,
-    ) -> Result<QueryHandle, CoordinationError> {
-        let result = self.submit_routed(request, true);
-        self.shared.dispatcher.drain();
-        result
-    }
-
-    /// Validates one submission, routes it to its shard and admits it
-    /// there. Validation — the one pure step — goes first: a
-    /// structurally invalid request interns no key, merges no group and
-    /// takes no lock. The fast path then resolves the query's keys
-    /// under the router read lock and holds that guard across the shard
-    /// operation; unknown keys or a group-spanning query take the write
-    /// path, where groups merge and losing shards migrate.
-    fn submit_routed(
-        &self,
-        request: SubmitRequest,
-        record: bool,
-    ) -> Result<QueryHandle, CoordinationError> {
-        request.query.validate().map_err(SubmitError::Invalid)?;
-        let now = Instant::now();
-        if self.shared.shards.len() == 1 {
-            let mut inner = self.shared.shards[0].lock();
-            return self.admit_in(&mut inner, request, now, record);
-        }
-        let keys = Router::query_keys(&request.query);
-        {
-            let router = self.shared.router.read();
-            if let Some(shard) = router.resolve(&keys) {
-                let mut inner = self.shared.shards[shard].lock();
-                return self.admit_in(&mut inner, request, now, record);
-            }
-        }
-        let mut router = self.shared.router.write();
-        let shard = self.route_and_migrate(&mut router, &keys);
-        let mut inner = self.shared.shards[shard].lock();
-        self.admit_in(&mut inner, request, now, record)
-    }
-
     /// Write-path routing: merges the key groups, and — when the
     /// merged group spans shards — migrates its pending queries from
     /// every losing shard into the winner. The rendezvous takes the
@@ -1040,28 +1000,31 @@ impl Coordinator {
             .iter_mut()
             .find(|(i, _)| *i == route.shard)
             .expect("winner shard locked");
-        for m in migrated {
-            winner.1.engine.admit_migrated(m);
-        }
+        winner.1.engine.readmit(migrated);
         for (id, tag) in moved_tags {
             winner.1.tags.insert(id, tag);
         }
         route.shard
     }
 
-    /// Single submission under a held shard guard: the one-request case
-    /// of [`Coordinator::admit_batch_in`].
-    fn admit_in(
-        &self,
-        inner: &mut ShardInner,
-        request: SubmitRequest,
-        now: Instant,
-        record: bool,
-    ) -> Result<QueryHandle, CoordinationError> {
-        let results = self.admit_batch_in(inner, vec![request], now, record);
-        results.into_iter().next().expect("one result per request")
+    /// Write-path placement of a batch's key sets: routes (merging
+    /// groups and migrating losers) every set that does not resolve,
+    /// then reads each set's shard — after the whole pass, since a later
+    /// merge may move a group routed earlier.
+    fn route_all(&self, router: &mut Router, keys: &[Vec<u64>]) -> Vec<usize> {
+        for k in keys {
+            if router.resolve(k).is_none() {
+                self.route_and_migrate(router, k);
+            }
+        }
+        keys.iter()
+            .map(|k| router.resolve(k).expect("every key group was routed above"))
+            .collect()
     }
 
+    /// The one routed entry: every submission — a session's single
+    /// submit is a batch of one — is validated, routed and admitted
+    /// here, then its events are dispatched.
     pub(crate) fn submit_batch_request(
         &self,
         requests: Vec<SubmitRequest>,
@@ -1071,107 +1034,102 @@ impl Coordinator {
         results
     }
 
+    /// Validation goes first — the one pure step: an invalid request is
+    /// refused in place, interns no key, merges no group and takes no
+    /// lock. With several shards every valid request is then resolved
+    /// under the router **read** guard, held across admission; only
+    /// when some request's keys are unknown, unplaced or span groups is
+    /// the write guard taken, the groups merged and losing shards
+    /// migrated, and the batch admitted under it.
+    ///
+    /// Admission runs each maximal run of consecutive same-shard
+    /// requests under one lock, in submission order, so the shared id
+    /// counter hands out the ids a sequential replay would, and a run
+    /// sees earlier runs on its shard as residents. Requests on
+    /// different shards are provably edge-free (different key groups),
+    /// so per-shard admission loses no coordination.
     fn submit_batch_routed(
         &self,
         requests: Vec<SubmitRequest>,
     ) -> Vec<Result<QueryHandle, CoordinationError>> {
         let now = Instant::now();
-        // Validation first, as for a single submission: an invalid
-        // request is refused in place and never reaches the router.
-        let mut out: Vec<Option<Result<QueryHandle, CoordinationError>>> = requests
-            .iter()
-            .map(|r| r.query.validate().err())
-            .map(|refused| refused.map(|e| Err(SubmitError::Invalid(e).into())))
-            .collect();
-        // Sharded: route the whole batch under the router write lock
-        // (merges between batch members included), then admit each
-        // maximal run of consecutive same-shard requests as one engine
-        // batch. Runs execute in submission order, so the shared id
-        // counter hands out the same ids a sequential replay would,
-        // and cross-run edges on one shard are found by the resident
-        // probe (earlier runs are resident by then). Requests on
-        // different shards are provably edge-free (different key
-        // groups), so per-shard admission loses no coordination.
-        let router = (self.shared.shards.len() > 1).then(|| {
-            let mut router = self.shared.router.write();
-            let valid = requests
-                .iter()
-                .zip(&out)
-                .filter(|(_, refused)| refused.is_none());
-            for (request, _) in valid {
-                let keys = Router::query_keys(&request.query);
-                if router.resolve(&keys).is_none() {
-                    self.route_and_migrate(&mut router, &keys);
+        let mut out: Vec<Option<Result<QueryHandle, CoordinationError>>> =
+            Vec::with_capacity(requests.len());
+        let mut valid = Vec::with_capacity(requests.len());
+        for request in requests {
+            match request.query.validate() {
+                Ok(()) => {
+                    valid.push((out.len(), request));
+                    out.push(None);
                 }
+                Err(e) => out.push(Some(Err(SubmitError::Invalid(e).into()))),
             }
-            router
-        });
-        let mut run: Vec<(usize, SubmitRequest)> = Vec::new();
-        let mut run_shard = 0;
-        for (i, request) in requests.into_iter().enumerate() {
-            if out[i].is_some() {
-                continue;
-            }
-            // Placement is read after the whole routing pass: a later
-            // merge may have moved a group routed earlier.
-            let shard = router.as_ref().map_or(0, |router| {
-                let keys = Router::query_keys(&request.query);
-                router
-                    .resolve(&keys)
-                    .expect("every batch key group was routed above")
-            });
-            if shard != run_shard {
-                self.admit_run(&mut run, run_shard, &mut out, now);
-                run_shard = shard;
-            }
-            run.push((i, request));
         }
-        self.admit_run(&mut run, run_shard, &mut out, now);
+        if self.shared.shards.len() == 1 {
+            self.admit_runs(valid, |_| 0, &mut out, now);
+        } else {
+            let keys: Vec<Vec<u64>> = valid
+                .iter()
+                .map(|(_, r)| Router::query_keys(&r.query))
+                .collect();
+            let router = self.shared.router.read();
+            let resolved: Option<Vec<usize>> = keys.iter().map(|k| router.resolve(k)).collect();
+            if let Some(shards) = resolved {
+                self.admit_runs(valid, |k| shards[k], &mut out, now);
+            } else {
+                drop(router);
+                let mut router = self.shared.router.write();
+                let shards = self.route_all(&mut router, &keys);
+                self.admit_runs(valid, |k| shards[k], &mut out, now);
+            }
+        }
         out.into_iter()
-            .map(|r| r.expect("every request was refused or admitted in some run"))
+            .map(|r| r.expect("every request was refused or admitted"))
             .collect()
     }
 
-    /// Admits one same-shard run of a routed batch and scatters the
-    /// results back to their positions.
-    fn admit_run(
+    /// Admits the valid requests (`(position, request)`, in submission
+    /// order; the `k`-th goes to `shard_of(k)`), one lock per maximal
+    /// same-shard run, and scatters the results to their positions.
+    fn admit_runs(
         &self,
-        run: &mut Vec<(usize, SubmitRequest)>,
-        shard: usize,
+        valid: Vec<(usize, SubmitRequest)>,
+        shard_of: impl Fn(usize) -> usize,
         out: &mut [Option<Result<QueryHandle, CoordinationError>>],
         now: Instant,
     ) {
-        if run.is_empty() {
-            return;
-        }
-        let (positions, batch): (Vec<usize>, Vec<SubmitRequest>) = run.drain(..).unzip();
-        let mut inner = self.shared.shards[shard].lock();
-        let results = self.admit_batch_in(&mut inner, batch, now, true);
-        for (pos, result) in positions.into_iter().zip(results) {
-            out[pos] = Some(result);
+        let mut valid = valid.into_iter().enumerate().peekable();
+        while let Some((k, first)) = valid.next() {
+            let shard = shard_of(k);
+            let mut run = vec![first];
+            while let Some((_, next)) = valid.next_if(|&(k, _)| shard_of(k) == shard) {
+                run.push(next);
+            }
+            let (positions, batch): (Vec<usize>, Vec<SubmitRequest>) = run.into_iter().unzip();
+            let mut inner = self.shared.shards[shard].lock();
+            let results = self.admit_batch_in(&mut inner, batch, now);
+            for (pos, result) in positions.into_iter().zip(results) {
+                out[pos] = Some(result);
+            }
         }
     }
 
-    /// Admission under a held shard guard, written once for every entry
-    /// point: engine admission with ids drawn from the global counter,
-    /// the durability record (inside the shard's critical section,
-    /// before any handle escapes — the record-before-visibility
-    /// contract), tag registration, and staging of whatever outcomes
-    /// the admission produced (incremental mode coordinates inline).
-    /// The requests are validated; a lone request takes the engine's
-    /// single-submit path, which skips the batch-local index. `record:
-    /// false` is recovery replay, whose records the log already holds.
+    /// Admission under a held shard guard: engine admission with ids
+    /// drawn from the global counter, the durability record (inside the
+    /// shard's critical section, before any handle escapes — the
+    /// record-before-visibility contract), tag registration, and
+    /// staging of whatever outcomes the admission produced (incremental
+    /// mode coordinates inline). The requests are validated.
     fn admit_batch_in(
         &self,
         inner: &mut ShardInner,
         requests: Vec<SubmitRequest>,
         now: Instant,
-        record: bool,
     ) -> Vec<Result<QueryHandle, CoordinationError>> {
         // The engine consumes each query, so its durable record is
         // encoded from a borrow first; the id it draws (or its refusal)
         // is settled at commit.
-        let log = record && self.shared.has_sink.load(Ordering::Relaxed);
+        let log = self.shared.has_sink.load(Ordering::Relaxed);
         if log {
             inner.staged.bytes.clear();
             inner.staged.ends.clear();
@@ -1187,21 +1145,14 @@ impl Coordinator {
             }
         }
         let mut tags = Vec::with_capacity(requests.len());
-        let mut batch: Vec<(EntangledQuery, SubmitOptions)> = requests
-            .into_iter()
-            .map(|r| {
-                let opts = r.to_options(now);
-                tags.push(r.tag);
-                (r.query, opts)
-            })
-            .collect();
-        let ids = Some(&self.shared.next_id);
-        let results = if batch.len() == 1 {
-            let (query, opts) = batch.pop().expect("one request");
-            vec![inner.engine.submit_with_source(query, opts, ids)]
-        } else {
-            inner.engine.submit_batch_with_source(batch, ids)
-        };
+        let batch = requests.into_iter().map(|r| {
+            let opts = r.to_options(now);
+            tags.push(r.tag);
+            Ok((r.query, opts))
+        });
+        let results = inner
+            .engine
+            .submit_batch_with_source(batch, Some(&self.shared.next_id));
         if log {
             if let Some(sink) = self.shared.sink.lock().as_mut() {
                 let mut admitted = results.iter().map(|r| r.as_ref().ok().map(|h| h.id));
@@ -1234,31 +1185,50 @@ impl Coordinator {
         }
     }
 
-    /// Re-admits a recovered submission under its **original** id,
-    /// bypassing the sink (the WAL already holds this record — logging
-    /// it again would duplicate it on the next replay). Recovery calls
-    /// this in ascending id order — the global counter is bumped to
-    /// each id before the draw, so replay reproduces the logged ids
-    /// even across terminal-outcome gaps — and then restores the
-    /// watermark past the maximum. Does not dispatch: the caller pumps
-    /// once after the whole replay so recovery-time outcomes are
-    /// recorded in one batch, each after its submission record.
-    pub(crate) fn recover_submit(
-        &self,
-        id: QueryId,
-        query: EntangledQuery,
-        on_no_solution: Option<NoSolutionPolicy>,
-        tag: Option<String>,
-    ) -> Result<QueryHandle, CoordinationError> {
-        self.shared.next_id.fetch_max(id.0, Ordering::Relaxed);
-        let request = SubmitRequest {
-            on_no_solution,
-            tag,
-            ..SubmitRequest::new(query)
-        };
-        let handle = self.submit_routed(request, false)?;
-        debug_assert_eq!(handle.id, id, "recovery must reproduce the logged id");
-        Ok(handle)
+    /// Re-admits the recovered pending set — ascending id, each under
+    /// its **recorded** id (`query.id`), tag and no-solution policy —
+    /// in one call: every query is routed first, then each shard with a
+    /// share takes it under one lock through the engine's admission step
+    /// ([`CoordinationEngine::readmit`]: no Figure-9 verdict, the log
+    /// already acknowledged them) and ends in one evaluation. The sink
+    /// is bypassed (the log already holds these records; logging them
+    /// again would duplicate them on the next replay). Does not
+    /// dispatch: the caller pumps once afterwards, so recovery-time
+    /// outcomes are recorded after every submission record. A recorded
+    /// query that no longer validates refuses the whole set before
+    /// anything is admitted.
+    pub(crate) fn recover(&self, requests: Vec<SubmitRequest>) -> Result<(), CoordinationError> {
+        for r in &requests {
+            r.query.validate().map_err(SubmitError::Invalid)?;
+        }
+        let keys: Vec<Vec<u64>> = requests
+            .iter()
+            .map(|r| Router::query_keys(&r.query))
+            .collect();
+        let mut router = self.shared.router.write();
+        let shards = self.route_all(&mut router, &keys);
+        let mut per_shard: Vec<Vec<SubmitRequest>> =
+            self.shared.shards.iter().map(|_| Vec::new()).collect();
+        for (r, shard) in requests.into_iter().zip(shards) {
+            per_shard[shard].push(r);
+        }
+        for (shard, requests) in per_shard.into_iter().enumerate() {
+            if requests.is_empty() {
+                continue;
+            }
+            let mut inner = self.shared.shards[shard].lock();
+            let n = requests.len();
+            let mut pending = Vec::with_capacity(n);
+            for r in requests {
+                if let Some(tag) = r.tag {
+                    inner.tags.insert(r.query.id, tag);
+                }
+                pending.push(PendingQuery::recovered(r.query, r.on_no_solution));
+            }
+            inner.engine.readmit(pending);
+            inner.engine.evaluate_if_due(n);
+        }
+        Ok(())
     }
 
     /// Drains, records, and dispatches any terminal outcomes produced
@@ -1366,23 +1336,23 @@ pub struct Session {
 }
 
 impl Session {
-    /// Submits one query. In incremental mode coordination is attempted
-    /// before this returns, so the handle may already hold the outcome
-    /// (and the matching event is already published).
+    /// Submits one query, as a batch of one. In incremental mode
+    /// coordination is attempted before this returns, so the handle may
+    /// already hold the outcome (and the matching event is already
+    /// published).
     pub fn submit(
         &mut self,
         request: impl Into<SubmitRequest>,
     ) -> Result<QueryHandle, CoordinationError> {
-        let handle = self.coordinator.submit_request(request.into())?;
-        self.ids.push(handle.id);
-        self.id_set.insert(handle.id);
-        Ok(handle)
+        let mut results = self.submit_batch(vec![request.into()]);
+        results.pop().expect("one result per request")
     }
 
-    /// Submits a batch, running admission probing in parallel across
-    /// the index shards (see [`CoordinationEngine::submit_batch`]).
-    /// Per-query results are positional; each engine shard admits its
-    /// run of the batch under one lock acquisition.
+    /// Submits a batch: each query goes through its shard engine's one
+    /// admission step in submission order (see
+    /// [`CoordinationEngine::submit_batch`]). Per-query results are
+    /// positional; each maximal run of consecutive same-shard requests
+    /// is admitted under one lock acquisition.
     pub fn submit_batch(
         &mut self,
         requests: Vec<SubmitRequest>,

@@ -10,8 +10,8 @@
 //! 5. produced answers are mutually satisfying (every grounded
 //!    postcondition appears among the grounded heads);
 //! 6. an edge has one definition: [`MatchGraph::build`] finds exactly
-//!    the pairwise-MGU edges, and an engine's batch admission links the
-//!    same edges into the same components.
+//!    the pairwise-MGU edges, and an engine's batch admission builds the
+//!    same graph — edge id for edge id, in every slot's list order.
 
 use eq_core::graph::MatchGraph;
 use eq_core::{
@@ -155,13 +155,30 @@ fn materialize(raws: &[RawQuery]) -> Vec<EntangledQuery> {
 
 /// Every edge of `graph` as `(from, head_idx, to, pc_idx)`, sorted.
 fn edge_multiset(graph: &MatchGraph) -> Vec<(u32, u32, u32, u32)> {
-    let mut edges: Vec<(u32, u32, u32, u32)> = (0..graph.len() as u32)
-        .flat_map(|slot| graph.out_edges(slot))
-        .map(|&eid| graph.edge(eid))
-        .map(|e| (e.from, e.head_idx, e.to, e.pc_idx))
-        .collect();
+    let (mut edges, _) = layout(graph);
     edges.sort_unstable();
     edges
+}
+
+/// The exact layout of a graph nothing was unlinked from: edge `i` as
+/// `(from, head_idx, to, pc_idx)`, and every slot's out- and in-lists
+/// in filing order.
+type Layout = (Vec<(u32, u32, u32, u32)>, Vec<(Vec<u32>, Vec<u32>)>);
+
+fn layout(graph: &MatchGraph) -> Layout {
+    let edges = (0..graph.edge_count() as u32)
+        .map(|eid| graph.edge(eid))
+        .map(|e| (e.from, e.head_idx, e.to, e.pc_idx))
+        .collect();
+    let lists = (0..graph.len() as u32)
+        .map(|slot| {
+            (
+                graph.out_edges(slot).to_vec(),
+                graph.in_edges(slot).to_vec(),
+            )
+        })
+        .collect();
+    (edges, lists)
 }
 
 proptest! {
@@ -290,8 +307,10 @@ proptest! {
         pairwise.sort_unstable();
         prop_assert_eq!(edge_multiset(&graph), pairwise);
 
-        // The engine admits the list as one batch (probes against its
-        // graph plus the batch-local index) into slots 0..n.
+        // The engine admits the list as one batch into slots 0..n, one
+        // query at a time through the same probe `build` links with:
+        // the same graph, edge id for edge id and list order for list
+        // order.
         let mut engine = CoordinationEngine::new(
             build_db(4),
             EngineConfig {
@@ -303,7 +322,7 @@ proptest! {
         let batch = renamed.iter().map(|q| (q.clone(), SubmitOptions::default()));
         let admitted = engine.submit_batch(batch.collect());
         prop_assert!(admitted.iter().all(Result::is_ok));
-        prop_assert_eq!(edge_multiset(engine.graph()), edge_multiset(&graph));
+        prop_assert_eq!(layout(engine.graph()), layout(&graph));
         prop_assert_eq!(engine.graph().components(), graph.components());
         prop_assert_eq!(
             engine.graph().components_live(&vec![true; graph.len()]),

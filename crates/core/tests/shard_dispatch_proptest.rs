@@ -25,7 +25,7 @@ use eq_workload::{
     scale_service_script, ScaleServiceConfig, ServiceOp, SocialGraph, SocialGraphConfig,
 };
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -67,12 +67,18 @@ fn to_request(sub: &eq_workload::ScriptSubmission) -> SubmitRequest {
 /// Per-submission observation: `(id, session, final status)`.
 type Observed = Vec<(QueryId, usize, Option<QueryStatus>)>;
 
+/// Each session's terminal events as `(flush window, id, kind)`, sorted.
+type PerSession = BTreeMap<usize, Vec<(usize, QueryId, &'static str)>>;
+
 /// Drives a scale script through `service_shards` shards, draining the
-/// event stream after every op. Returns per-submission observations
-/// and the drained event log in arrival order.
+/// event stream after every op. The `k`-th `SubmitBatchWith` goes out
+/// as one `submit_batch` (through its first submission's session) when
+/// `batched(k)`, else as single submits. Returns per-submission
+/// observations and the drained event log in arrival order.
 fn drive(
     script: &eq_workload::ScaleScript,
     service_shards: usize,
+    batched: impl Fn(usize) -> bool,
 ) -> (Observed, Vec<std::sync::Arc<Event>>) {
     let coordinator = coordinator(service_shards);
     let bound: usize = script
@@ -92,9 +98,20 @@ fn drive(
         .collect();
     let mut submitted: Vec<(QueryId, usize)> = Vec::new();
     let mut log: Vec<std::sync::Arc<Event>> = Vec::new();
+    let mut bursts = 0;
     for op in &script.ops {
         match op {
+            ServiceOp::SubmitBatchWith(subs) if batched(bursts) && !subs.is_empty() => {
+                bursts += 1;
+                let requests = subs.iter().map(to_request).collect();
+                let handles = sessions[subs[0].session].submit_batch(requests);
+                for (handle, sub) in handles.into_iter().zip(subs) {
+                    let handle = handle.expect("valid scale query");
+                    submitted.push((handle.id, sub.session));
+                }
+            }
             ServiceOp::SubmitBatchWith(subs) => {
+                bursts += 1;
                 for sub in subs {
                     let handle = sessions[sub.session]
                         .submit(to_request(sub))
@@ -140,6 +157,7 @@ proptest! {
         locality_groups in 1usize..9,
         cross_permille in 0u32..120,
         seed in 0u64..1_000,
+        batch_mask in 0u64..u64::MAX,
     ) {
         let script = scale_service_script(
             graph(),
@@ -154,9 +172,13 @@ proptest! {
                 ..Default::default()
             },
         );
-        let mut baseline: Option<Vec<(QueryId, usize, Option<QueryStatus>)>> = None;
-        for shards in [1usize, 2, 4] {
-            let (observed, log) = drive(&script, shards);
+        // Every shard count with single submits, then again with each
+        // burst batched or not by its bit of `batch_mask`.
+        let mut baseline: Option<(Observed, PerSession)> = None;
+        let runs = [false, true].map(|batched| [1usize, 2, 4].map(|shards| (batched, shards)));
+        for (batched, shards) in runs.into_iter().flatten() {
+            let style = |k: usize| batched && batch_mask >> (k % 64) & 1 == 1;
+            let (observed, log) = drive(&script, shards, style);
 
             // Terminal events: exactly one per terminated query, none
             // for pending ones, none for unknown ids.
@@ -223,14 +245,46 @@ proptest! {
                 }
             }
 
-            // Outcome accounting is shard-count invariant.
+            // Each session's terminal events by the flush window they
+            // arrive in. Within a window, retirement follows component
+            // and slot order, which shards and batching may permute; the
+            // window an event lands in may not move.
+            let mut per_session = PerSession::new();
+            let mut window = 0;
+            for event in &log {
+                let kind = match **event {
+                    Event::Answered { .. } => "answered",
+                    Event::Failed { .. } => "failed",
+                    Event::Expired { .. } => "expired",
+                    Event::Cancelled { .. } => "cancelled",
+                    Event::Flushed(_) => {
+                        window += 1;
+                        continue;
+                    }
+                };
+                let id = event.id().expect("a query event");
+                per_session.entry(session_of[&id]).or_default().push((window, id, kind));
+            }
+            for events in per_session.values_mut() {
+                events.sort_unstable();
+            }
+
+            // Ids, outcomes and each session's events are invariant in
+            // the shard count and the submission style.
             match &baseline {
-                None => baseline = Some(observed),
-                Some(single) => {
+                None => baseline = Some((observed, per_session)),
+                Some((single, single_sessions)) => {
                     prop_assert_eq!(single.len(), observed.len());
                     for (a, b) in single.iter().zip(&observed) {
-                        prop_assert_eq!(a, b, "{} shards diverge from single-shard", shards);
+                        prop_assert_eq!(
+                            a, b, "{} shards (batched: {}) diverge from single-shard singles",
+                            shards, batched
+                        );
                     }
+                    prop_assert_eq!(
+                        single_sessions, &per_session,
+                        "{} shards (batched: {}): session events diverge", shards, batched
+                    );
                 }
             }
         }

@@ -6,7 +6,9 @@
 # the eq_check concurrency-discipline
 # analyzer (workspace scan + fixture suite), the differential-oracle
 # proptests for the undo-log unifier and for matching's one-pass
-# propagation (against Algorithm 1's worklist), the small-stack
+# propagation (against Algorithm 1's worklist) and the equivalence
+# proptests that guard the one admission step (batch = sequential
+# submits = `MatchGraph::build`, single vs batched across shards), the small-stack
 # evaluator regression (RUST_MIN_STACK), a --smoke run of every bench
 # target (paper Figs. 6-9 + ablations), and last the benchmark package that judges every perf claim (benchmark/,
 # BENCHMARK.json): its own tests and a short run of every workload —
@@ -80,18 +82,37 @@ echo "== 10/14 eq_check concurrency-discipline analyzer =="
 cargo run -q --offline -p eq_check
 cargo run -q --offline -p eq_check -- --fixtures
 
-echo "== 11/14 differential-oracle proptests (undo-log unifier vs clone oracle; one-pass matching vs worklist) =="
+echo "== 11/14 differential and equivalence proptests (undo-log unifier vs clone oracle; one-pass matching vs worklist; the one admission step) =="
 # The undo-log snapshot/commit/rollback table must stay observationally
 # equivalent to the frozen clone-based oracle through random
 # op/snapshot interleavings (conflicting merges inside nested snapshots
 # included). Matching's one pass over the condensation must keep
 # Algorithm 1's worklist survivors, removals and global classes on
 # random conflicting components, and its folded-entry count must stay
-# linear on a ring with a conflicting sink. Step 4 runs these too; this
-# explicit invocation keeps the harnesses from silently dropping out of
-# the suite.
+# linear on a ring with a conflicting sink. Every way into an engine is
+# one admission step run in a loop, so three equivalences guard it: a
+# batch equals sequential submits, a batch into an empty engine equals
+# `MatchGraph::build` edge id for edge id, and single submits and
+# batches give the same ids, outcomes and per-session events on 1, 2
+# and 4 shards. Step 4 runs these too; this explicit invocation keeps
+# the harnesses from silently dropping out of the suite, and each
+# equivalence must run exactly one test under its name.
 cargo test -q --offline -p eq_unify differential
 cargo test -q --offline -p eq_core --lib matching
+for named in "service_proptest submit_batch_is_equivalent_to_sequential_submits" \
+    "invariants_proptest one_edge_definition_for_build_pairwise_and_engine" \
+    "shard_dispatch_proptest shard_counts_are_observationally_identical"; do
+    read -r suite name <<<"$named"
+    out=$(cargo test -q --offline -p eq_core --test "$suite" -- --exact "$name" 2>&1) || {
+        echo "$out"
+        exit 1
+    }
+    if ! grep -q "test result: ok. 1 passed" <<<"$out"; then
+        echo "$out"
+        echo "FATAL: $suite::$name did not run" >&2
+        exit 1
+    fi
+done
 
 echo "== 12/14 small-stack evaluator regression (RUST_MIN_STACK=1 MiB) =="
 # The join evaluator is iterative (heap-bounded frames); this deep-chain
@@ -106,10 +127,10 @@ done
 
 echo "== 14/14 benchmark package: unit tests + a short run of all five workloads with their output checks and two peak-RSS ceilings =="
 # The benchmark is a package of its own, outside the workspace, so no
-# step above builds it. The admission path runs both ways:
-# pairs_incremental is the only workload that drives one `submit` per
-# query, churn_sharded sends tiny batches through router, rendezvous
-# and migration. Then short runs of the workload that retires the
+# step above builds it. Admission is one step whether a call carries one
+# query or many: pairs_incremental drives one `submit` (a batch of one)
+# per query, churn_sharded sends tiny batches through router,
+# rendezvous and migration. Then short runs of the workload that retires the
 # most resident state per flush and of the one giant component (region
 # split + projection, unify_clones == 0) must still end correct: pinned
 # seed-2011 accounting, per-iteration answer hash, exact layer counts.
