@@ -71,8 +71,9 @@ fn drive_incremental(db: &Database, queries: &[EntangledQuery]) -> (f64, usize) 
     (millis, answered)
 }
 
-/// Deep-copies the workload database so runs stay independent
-/// (delegates to [`Database::snapshot`]).
+/// An independent copy of the workload database for one run: a
+/// [`Database::snapshot`], whose tables are copy-on-write, so a run's
+/// writes never reach the next run's copy.
 pub fn clone_db(db: &Database) -> Database {
     db.snapshot()
 }

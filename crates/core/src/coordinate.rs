@@ -170,9 +170,11 @@ pub fn coordinate_with_config(
         })
         .collect();
 
-    // A throwaway service over a snapshot of the database. The
-    // admission-time safety check stays off: one-shot semantics enforce
-    // §3.1.1 at matching time per the configured policy.
+    // A throwaway service over a snapshot of the database, which shares
+    // the caller's in-memory tables rather than copying them (the
+    // service never writes to them). The admission-time safety check
+    // stays off: one-shot semantics enforce §3.1.1 at matching time per
+    // the configured policy.
     let coordinator = Coordinator::new(
         db.snapshot(),
         EngineConfig {

@@ -3,7 +3,9 @@
 //!
 //! 1. **Shard-count transparency**: driving one multi-session,
 //!    multi-group [`scale_service_script`] through coordinators with 1,
-//!    2, and 4 engine shards yields identical admission ids and
+//!    2, and 4 engine shards yields identical admission results — the
+//!    same ids, and the same rejections where the script drew one
+//!    ground pair twice and the Figure-9 check refused the second — and
 //!    identical final statuses per query, every terminal event exactly
 //!    once, the answered events of each flush drained *before* that
 //!    flush's [`Event::Flushed`] report (the dispatch queue preserves
@@ -17,8 +19,8 @@
 //!    second reopen.
 
 use eq_core::{
-    Coordinator, DurableCoordinator, EngineConfig, EngineMode, Event, NoSolutionPolicy,
-    QueryOutcome, QueryStatus, SubmitRequest,
+    CoordinationError, Coordinator, DurableCoordinator, EngineConfig, EngineMode, Event,
+    NoSolutionPolicy, QueryOutcome, QueryStatus, SubmitRequest,
 };
 use eq_ir::QueryId;
 use eq_workload::{
@@ -64,8 +66,11 @@ fn to_request(sub: &eq_workload::ScriptSubmission) -> SubmitRequest {
     request
 }
 
-/// Per-submission observation: `(id, session, final status)`.
-type Observed = Vec<(QueryId, usize, Option<QueryStatus>)>;
+/// Per-submission observation: `(session, admission)`, where admission
+/// is the admitted query's `(id, final status)` or the error its submit
+/// returned.
+type Observed = Vec<(usize, Admission)>;
+type Admission = Result<(QueryId, Option<QueryStatus>), CoordinationError>;
 
 /// Each session's terminal events as `(flush window, id, kind)`, sorted.
 type PerSession = BTreeMap<usize, Vec<(usize, QueryId, &'static str)>>;
@@ -96,7 +101,7 @@ fn drive(
     let mut sessions: Vec<eq_core::Session> = (0..script.sessions)
         .map(|_| coordinator.session())
         .collect();
-    let mut submitted: Vec<(QueryId, usize)> = Vec::new();
+    let mut submitted: Vec<(usize, Result<QueryId, CoordinationError>)> = Vec::new();
     let mut log: Vec<std::sync::Arc<Event>> = Vec::new();
     let mut bursts = 0;
     for op in &script.ops {
@@ -106,17 +111,14 @@ fn drive(
                 let requests = subs.iter().map(to_request).collect();
                 let handles = sessions[subs[0].session].submit_batch(requests);
                 for (handle, sub) in handles.into_iter().zip(subs) {
-                    let handle = handle.expect("valid scale query");
-                    submitted.push((handle.id, sub.session));
+                    submitted.push((sub.session, handle.map(|h| h.id)));
                 }
             }
             ServiceOp::SubmitBatchWith(subs) => {
                 bursts += 1;
                 for sub in subs {
-                    let handle = sessions[sub.session]
-                        .submit(to_request(sub))
-                        .expect("valid scale query");
-                    submitted.push((handle.id, sub.session));
+                    let handle = sessions[sub.session].submit(to_request(sub));
+                    submitted.push((sub.session, handle.map(|h| h.id)));
                 }
             }
             ServiceOp::Load { relation, rows } => {
@@ -138,7 +140,7 @@ fn drive(
     }
     let observed = submitted
         .into_iter()
-        .map(|(id, session)| (id, session, coordinator.status(id)))
+        .map(|(session, admitted)| (session, admitted.map(|id| (id, coordinator.status(id)))))
         .collect();
     // Sessions stay open until after the status reads so their drop
     // does not cancel still-pending queries first.
@@ -189,7 +191,8 @@ proptest! {
                     *terminals.entry(id).or_default() += 1;
                 }
             }
-            for (id, _, status) in &observed {
+            for (_, admitted) in &observed {
+                let Ok((id, status)) = admitted else { continue };
                 let n = terminals.remove(id).unwrap_or(0);
                 match status {
                     Some(QueryStatus::Pending) => prop_assert_eq!(
@@ -229,7 +232,7 @@ proptest! {
             // session's Expired events arrive in submission order.
             let session_of: HashMap<QueryId, usize> = observed
                 .iter()
-                .map(|&(id, session, _)| (id, session))
+                .filter_map(|(session, admitted)| Some((admitted.as_ref().ok()?.0, *session)))
                 .collect();
             let mut last_expired: HashMap<usize, QueryId> = HashMap::new();
             for event in &log {
@@ -269,8 +272,8 @@ proptest! {
                 events.sort_unstable();
             }
 
-            // Ids, outcomes and each session's events are invariant in
-            // the shard count and the submission style.
+            // Ids, rejections, outcomes and each session's events are
+            // invariant in the shard count and the submission style.
             match &baseline {
                 None => baseline = Some((observed, per_session)),
                 Some((single, single_sessions)) => {

@@ -4,6 +4,7 @@ use crate::eval::{EvalStats, Prepared, Valuation};
 use crate::table::{RowStore, StoreIoStats, Table, TableSchema, Tuple};
 use eq_ir::{Atom, Constraint, FastMap, Symbol, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors raised by the database layer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -51,12 +52,39 @@ impl std::error::Error for DbError {}
 /// (§2.3).
 #[derive(Default)]
 pub struct Database {
-    /// Relation backends. [`Database::create_table`] installs the
-    /// in-memory [`Table`]; [`Database::attach_table`] accepts any
-    /// [`RowStore`] (notably `eq_store`'s paged backend).
-    tables: FastMap<Symbol, Box<dyn RowStore>>,
+    /// Relation backends, one per relation name.
+    tables: FastMap<Symbol, Backend>,
     /// Monotone mutation counter; see [`Database::revision`].
     revision: u64,
+}
+
+/// One relation's backend in the catalog.
+enum Backend {
+    /// A table made by [`Database::create_table`], shared with every
+    /// [`Database::snapshot`] of it until one side writes.
+    Memory(Arc<Table>),
+    /// A backend installed by [`Database::attach_table`] (notably
+    /// `eq_store`'s paged table), owned by this database alone.
+    Attached(Box<dyn RowStore>),
+}
+
+impl Backend {
+    fn store(&self) -> &dyn RowStore {
+        match self {
+            Backend::Memory(table) => &**table,
+            Backend::Attached(store) => &**store,
+        }
+    }
+
+    /// The backend, writable. A shared in-memory table is copied first,
+    /// so the first write on either side of a snapshot pays one copy
+    /// and the other side never sees the write.
+    fn store_mut(&mut self) -> &mut dyn RowStore {
+        match self {
+            Backend::Memory(table) => Arc::<Table>::make_mut(table),
+            Backend::Attached(store) => &mut **store,
+        }
+    }
 }
 
 impl Database {
@@ -72,7 +100,8 @@ impl Database {
         if self.tables.contains_key(&name) {
             return Err(DbError::DuplicateRelation(name));
         }
-        self.tables.insert(name, Box::new(Table::new(schema)));
+        self.tables
+            .insert(name, Backend::Memory(Arc::new(Table::new(schema))));
         self.revision += 1;
         Ok(())
     }
@@ -87,7 +116,7 @@ impl Database {
         if self.tables.contains_key(&name) {
             return Err(DbError::DuplicateRelation(name));
         }
-        self.tables.insert(name, table);
+        self.tables.insert(name, Backend::Attached(table));
         self.revision += 1;
         Ok(())
     }
@@ -99,7 +128,9 @@ impl Database {
     pub fn io_stats(&self) -> StoreIoStats {
         self.tables
             .values()
-            .fold(StoreIoStats::default(), |acc, t| acc.merge(t.io_stats()))
+            .fold(StoreIoStats::default(), |acc, t| {
+                acc.merge(t.store().io_stats())
+            })
     }
 
     /// A counter bumped by every successful mutation (`create_table`,
@@ -114,11 +145,11 @@ impl Database {
     /// Inserts a tuple, maintaining all column indexes.
     pub fn insert(&mut self, relation: &str, row: Tuple) -> Result<(), DbError> {
         let name = Symbol::new(relation);
-        let table = self
+        let backend = self
             .tables
             .get_mut(&name)
             .ok_or(DbError::UnknownRelation(name))?;
-        let expected = table.schema().arity();
+        let expected = backend.store().schema().arity();
         if row.len() != expected {
             return Err(DbError::ArityMismatch {
                 relation: name,
@@ -126,7 +157,7 @@ impl Database {
                 got: row.len(),
             });
         }
-        table.push(&row);
+        backend.store_mut().push(&row);
         self.revision += 1;
         Ok(())
     }
@@ -143,11 +174,11 @@ impl Database {
     /// table's row storage; each row is dropped right after its copy.
     pub fn insert_many(&mut self, relation: &str, rows: Vec<Tuple>) -> Result<usize, DbError> {
         let name = Symbol::new(relation);
-        let table = self
+        let backend = self
             .tables
             .get_mut(&name)
             .ok_or(DbError::UnknownRelation(name))?;
-        let expected = table.schema().arity();
+        let expected = backend.store().schema().arity();
         if let Some(bad) = rows.iter().find(|r| r.len() != expected) {
             return Err(DbError::ArityMismatch {
                 relation: name,
@@ -156,6 +187,10 @@ impl Database {
             });
         }
         let n = rows.len();
+        if n == 0 {
+            return Ok(0);
+        }
+        let table = backend.store_mut();
         table.reserve(n);
         // Each row is freed right after its cells are copied, so the
         // batch's rows are released while the table's storage and
@@ -164,9 +199,7 @@ impl Database {
         for row in rows {
             table.push(&row);
         }
-        if n > 0 {
-            self.revision += 1;
-        }
+        self.revision += 1;
         Ok(n)
     }
 
@@ -174,18 +207,23 @@ impl Database {
     /// was removed. Row ids stay stable (tombstoned internally).
     pub fn delete(&mut self, relation: &str, row: &[Value]) -> Result<bool, DbError> {
         let name = Symbol::new(relation);
-        let table = self
+        let backend = self
             .tables
             .get_mut(&name)
             .ok_or(DbError::UnknownRelation(name))?;
-        if row.len() != table.schema().arity() {
+        let expected = backend.store().schema().arity();
+        if row.len() != expected {
             return Err(DbError::ArityMismatch {
                 relation: name,
-                expected: table.schema().arity(),
+                expected,
                 got: row.len(),
             });
         }
-        let deleted = table.delete(row);
+        // A miss changes nothing, so it must not copy a shared table.
+        if !backend.store().contains(row) {
+            return Ok(false);
+        }
+        let deleted = backend.store_mut().delete(row);
         if deleted {
             self.revision += 1;
         }
@@ -202,32 +240,41 @@ impl Database {
         Ok(true)
     }
 
-    /// A deep copy of the database (schemas + rows, fresh revision
-    /// counter, tombstones compacted away). The substrate has no
-    /// structural sharing, so this is O(rows) in time — every cell is
-    /// copied and every row id re-indexed — but not in allocations:
-    /// each copied table's row slab is reserved once at exactly its
-    /// source's live row count, and rows are pushed from the borrowed
-    /// slices [`RowStore::for_each_row`] lends out, so no row is ever
-    /// materialized as a `Tuple` on the way. One-shot coordination,
-    /// engine-rebuild flows, and durability checkpoints use it to get
-    /// an owned database from a borrowed one.
+    /// An owned database with the same relations and rows, and a fresh
+    /// revision counter: how a caller hands a `Coordinator` a database
+    /// of its own while keeping its own (one-shot coordination does so
+    /// on every call).
     ///
-    /// The copy is a **trusted bulk transfer**: every row already
-    /// passed arity validation when it entered its source table, so the
-    /// snapshot clones schemas and pushes rows straight into fresh
-    /// in-memory tables without re-running the `insert_many` validation
-    /// pass — checkpoints taken every flush must not pay O(rows) of
-    /// re-validation on rows the catalog itself produced. Paged
-    /// backends snapshot to in-memory tables (a snapshot is an owned,
-    /// self-contained image).
+    /// **In-memory tables are shared, copy-on-write**, so a snapshot
+    /// costs O(tables) and allocates nothing per row: the snapshot's
+    /// table *is* the source's until one side writes to it, and that
+    /// first `insert`, `insert_many` or `delete` copies the table once,
+    /// for the writer alone — the other side never sees the write. A
+    /// shared table keeps the source's row ids, tombstones and posting
+    /// order, so evaluating against the snapshot enumerates exactly
+    /// what evaluating against the source would.
+    ///
+    /// **Attached backends are copied** into fresh in-memory tables
+    /// (tombstones compacted away), so a paged owner stays paged and
+    /// owns its page file alone, and the snapshot is a self-contained
+    /// image. The copy is a trusted bulk transfer: every row already
+    /// passed arity validation when it entered its source, so rows are
+    /// pushed from the slices [`RowStore::for_each_row`] lends out into
+    /// a slab reserved once at the live row count, without the
+    /// `insert_many` validation pass.
     pub fn snapshot(&self) -> Database {
         let mut out = Database::new();
-        for table in self.tables.values() {
-            let mut copy = Table::new(table.schema().clone());
-            copy.reserve(table.len());
-            table.for_each_row(&mut |row| copy.push(row));
-            out.tables.insert(copy.schema().name, Box::new(copy));
+        for (&name, backend) in &self.tables {
+            let copy = match backend {
+                Backend::Memory(table) => Arc::clone(table),
+                Backend::Attached(store) => {
+                    let mut copy = Table::new(store.schema().clone());
+                    copy.reserve(store.len());
+                    store.for_each_row(&mut |row| copy.push(row));
+                    Arc::new(copy)
+                }
+            };
+            out.tables.insert(name, Backend::Memory(copy));
             out.revision += 1;
         }
         out
@@ -235,7 +282,7 @@ impl Database {
 
     /// Looks up a table backend by name.
     pub fn table(&self, name: Symbol) -> Option<&dyn RowStore> {
-        self.tables.get(&name).map(|t| t.as_ref())
+        self.tables.get(&name).map(Backend::store)
     }
 
     /// Names of all tables (unordered).
@@ -245,18 +292,14 @@ impl Database {
 
     /// True if the exact tuple is present in `relation`.
     pub fn contains(&self, relation: &str, row: &[Value]) -> bool {
-        self.tables
-            .get(&Symbol::new(relation))
+        self.table(Symbol::new(relation))
             .is_some_and(|t| t.contains(row))
     }
 
     /// All rows of a relation, for tests and exports.
     pub fn scan(&self, relation: &str) -> Result<Vec<Tuple>, DbError> {
         let name = Symbol::new(relation);
-        let table = self
-            .tables
-            .get(&name)
-            .ok_or(DbError::UnknownRelation(name))?;
+        let table = self.table(name).ok_or(DbError::UnknownRelation(name))?;
         let mut rows = Vec::with_capacity(table.len());
         table.for_each_row(&mut |row| rows.push(row.to_vec()));
         Ok(rows)
@@ -317,7 +360,11 @@ impl Database {
 
 impl fmt::Debug for Database {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut names: Vec<_> = self.tables.values().map(|t| format!("{t:?}")).collect();
+        let mut names: Vec<_> = self
+            .tables
+            .values()
+            .map(|t| format!("{:?}", t.store()))
+            .collect();
         names.sort();
         write!(f, "Database[{}]", names.join(", "))
     }
@@ -473,16 +520,34 @@ mod tests {
             .unwrap());
     }
 
+    /// A snapshot keeps the source's ids and tombstones, a delete that
+    /// misses copies nothing, and a write on either side stays there.
     #[test]
-    fn snapshot_is_deep_and_compacted() {
+    fn snapshot_shares_tables_until_the_first_write() {
+        let t = Symbol::new("T");
+        let shared = |a: &Database, b: &Database| {
+            std::ptr::addr_eq(a.table(t).unwrap(), b.table(t).unwrap())
+        };
         let mut db = Database::new();
         db.create_table("T", &["a"]).unwrap();
         db.insert("T", vec![Value::int(1)]).unwrap();
         db.insert("T", vec![Value::int(2)]).unwrap();
         db.delete("T", &[Value::int(1)]).unwrap();
-        let copy = db.snapshot();
+        let mut copy = db.snapshot();
+        let table = copy.table(t).unwrap();
+        assert_eq!((table.row_id_bound(), table.tombstone_count()), (2, 1));
+        assert_eq!(db.delete("T", &[Value::int(9)]), Ok(false));
+        assert!(shared(&db, &copy));
+
         db.insert("T", vec![Value::int(3)]).unwrap();
+        assert!(!shared(&db, &copy));
         assert_eq!(copy.scan("T").unwrap(), vec![vec![Value::int(2)]]);
+        assert_eq!(db.scan("T").unwrap().len(), 2);
+
+        let copy_of_copy = copy.snapshot();
+        assert!(copy.delete("T", &[Value::int(2)]).unwrap());
+        assert!(copy.scan("T").unwrap().is_empty());
+        assert_eq!(copy_of_copy.scan("T").unwrap(), vec![vec![Value::int(2)]]);
         assert_eq!(db.scan("T").unwrap().len(), 2);
     }
 

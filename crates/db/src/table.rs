@@ -175,7 +175,7 @@ pub trait RowStore: fmt::Debug + Send + Sync {
 /// assigned, plus the number of cleared bits, so the live count is O(1)
 /// and a tombstone costs one bit instead of a row-sized marker. Both
 /// [`RowStore`] backends keep their tombstones here.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Liveness {
     /// Bit `id % 64` of word `id / 64` is set while row `id` is live.
     words: Vec<u64>,
@@ -350,9 +350,13 @@ impl fmt::Debug for TableSchema {
 /// and the bitmap alone counts them.
 ///
 /// **Tombstones.** Deleting a row clears its bit and takes its id off
-/// the posting lists; its cells stay in the slab, so ids stay stable.
-/// [`Database::snapshot`](crate::Database::snapshot) is what compacts
-/// them away.
+/// the posting lists; its cells stay in the slab, so ids stay stable
+/// for the table's lifetime, and a clone keeps them too.
+///
+/// **Sharing.** The catalog holds a table behind an `Arc`:
+/// [`Database::snapshot`](crate::Database::snapshot) shares it, and the
+/// first write on either side clones it, the slab and every posting
+/// list at its exact length.
 ///
 /// Indexes are maintained eagerly on insert. Workload relations are
 /// narrow (arity ≤ 3 in the paper's schema) and read-dominated — the
@@ -360,6 +364,7 @@ impl fmt::Debug for TableSchema {
 /// database that changes rarely — so eager maintenance is the right
 /// trade. The evaluator probes the index of whichever bound column has
 /// the shortest posting list.
+#[derive(Clone)]
 pub struct Table {
     schema: TableSchema,
     /// Cells per row: the slab's stride.
@@ -540,9 +545,11 @@ mod tests {
         assert!(!nullary.contains(&[]));
     }
 
-    /// The slab is one allocation of exactly n × arity cells after the
-    /// two bulk paths — a bulk load and a snapshot — so the layout
-    /// cannot quietly regress to per-row objects or doubling slack. A
+    /// The slab is one allocation of exactly n × arity cells after a
+    /// bulk load, a snapshot shares it rather than copying it, and the
+    /// first write to a shared table copies it once at exactly its
+    /// row-id bound × arity cells — so the layout cannot quietly regress
+    /// to per-row objects, doubling slack or a copy per snapshot. A
     /// zero-arity relation's slab stays empty: its bitmap counts it.
     #[test]
     fn bulk_paths_size_the_slab_exactly() {
@@ -560,19 +567,31 @@ mod tests {
             assert_eq!(table.slab_capacity(), N * arity);
 
             // Five rows pushed past the loaded capacity, five deleted:
-            // the copy holds exactly the n live ones.
+            // the snapshot is the same table, slack and tombstones
+            // included.
             for i in 0..5 {
                 db.insert("T", row(-1 - i)).unwrap();
             }
             for i in 0..5 {
                 assert!(db.delete("T", &row(i)).unwrap());
             }
+            let mut copy = db.snapshot();
             let source = db.table(Symbol::new("T")).unwrap();
             assert_eq!((source.len(), source.tombstone_count()), (N, 5));
-            let copy = db.snapshot();
+            let grown = source.slab_capacity();
+            assert!(grown > (N + 5) * arity || arity == 0);
             let table = copy.table(Symbol::new("T")).unwrap();
-            assert_eq!((table.len(), table.tombstone_count()), (N, 0));
-            assert_eq!(table.slab_capacity(), N * arity);
+            assert!(std::ptr::addr_eq(table, source));
+
+            // The copy's first write copies the slab once, at exactly
+            // the n + 5 rows it holds; the source keeps its own.
+            assert!(copy.delete("T", &row(5)).unwrap());
+            let table = copy.table(Symbol::new("T")).unwrap();
+            assert_eq!((table.len(), table.tombstone_count()), (N - 1, 6));
+            assert_eq!(table.slab_capacity(), (N + 5) * arity);
+            let source = db.table(Symbol::new("T")).unwrap();
+            assert_eq!((source.len(), source.tombstone_count()), (N, 5));
+            assert_eq!(source.slab_capacity(), grown);
         }
     }
 }

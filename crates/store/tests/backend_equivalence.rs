@@ -192,6 +192,70 @@ fn nullary_rows_delete_on_both_backends() {
     eq_store::purge_dir(&dir);
 }
 
+/// A snapshot of a paged table is an in-memory copy, never a share: a
+/// write to the owner while the snapshot is alive still goes through
+/// the page cache, and the snapshot neither sees it nor answers
+/// differently from a resident database with the same history.
+#[test]
+fn paged_snapshot_stays_a_copy() {
+    let dir = eq_store::scratch_dir("backend-snapshot");
+    let columns = ["a", "b"];
+    let mut resident = Database::new();
+    resident.create_table("Friends", &columns).unwrap();
+    let mut paged = Database::new();
+    let table = PagedTable::create(
+        &dir,
+        TableSchema::new("Friends", &columns),
+        PageCacheConfig {
+            page_bytes: PAGE_BYTES,
+            budget_bytes: BUDGET_BYTES,
+        },
+    )
+    .unwrap();
+    paged.attach_table(Box::new(table)).unwrap();
+    let rows: Vec<Vec<Value>> = (0..40)
+        .map(|i| vec![Value::int(i % 7), Value::int(i)])
+        .collect();
+    for db in [&mut resident, &mut paged] {
+        db.insert_many("Friends", rows.clone()).unwrap();
+        assert!(db.delete("Friends", &rows[3]).unwrap());
+    }
+
+    let snapshot = paged.snapshot();
+    let touched = |db: &Database| {
+        let io = db.io_stats();
+        io.page_reads + io.cache_hits
+    };
+    let before = touched(&paged);
+    let extra = vec![Value::int(0), Value::int(99)];
+    paged.insert("Friends", extra.clone()).unwrap();
+    assert!(
+        touched(&paged) > before,
+        "the owner's insert went through its cache"
+    );
+    assert!(format!("{paged:?}").contains("PagedTable"), "{paged:?}");
+    assert!(paged.contains("Friends", &extra));
+
+    assert!(!snapshot.contains("Friends", &extra));
+    assert!(
+        !format!("{snapshot:?}").contains("PagedTable"),
+        "{snapshot:?}"
+    );
+    assert_eq!(
+        snapshot.scan("Friends").unwrap(),
+        resident.scan("Friends").unwrap()
+    );
+    let friends_of_zero = [Atom::new(
+        "Friends",
+        vec![Term::Const(Value::int(0)), Term::var(Var(0))],
+    )];
+    assert_eq!(
+        snapshot.evaluate(&friends_of_zero, usize::MAX).unwrap(),
+        resident.evaluate(&friends_of_zero, usize::MAX).unwrap()
+    );
+    eq_store::purge_dir(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 

@@ -14,8 +14,8 @@
 # BENCHMARK.json): its own tests and a short run of every workload —
 # pairs_incremental, churn_sharded, cliques_paged, giant_shared (at two
 # seeds) and pairs_durable (kill + recover compared id for id) — whose
-# output checks must pass, and whose pairs_incremental and pairs_durable
-# peak RSS must stay under a ceiling. Everything runs offline (vendored
+# output checks must pass, and whose pairs_incremental, giant_shared and
+# pairs_durable peak RSS must stay under a ceiling. Everything runs offline (vendored
 # shims only — see README "Offline-dependency policy").
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -125,7 +125,7 @@ for bench in fig6_two_way fig7_postconditions fig8_stress fig9_safety ablation; 
     cargo bench -q --offline -p eq_bench --bench "$bench" -- --smoke
 done
 
-echo "== 14/14 benchmark package: unit tests + a short run of all five workloads with their output checks and two peak-RSS ceilings =="
+echo "== 14/14 benchmark package: unit tests + a short run of all five workloads with their output checks and three peak-RSS ceilings =="
 # The benchmark is a package of its own, outside the workspace, so no
 # step above builds it. Admission is one step whether a call carries one
 # query or many: pairs_incremental drives one `submit` (a batch of one)
@@ -140,13 +140,18 @@ echo "== 14/14 benchmark package: unit tests + a short run of all five workloads
 # stream through the WAL with a mid-stream checkpoint, then kill +
 # recover — accounting must match id for id and the pinned counts.
 # The two pair workloads hold the largest databases (41,084 users,
-# 594,400 friendships), at least two copies each and three at
-# pairs_durable's peak: their peak RSS must stay under a ceiling of the
-# value measured once every table became one row slab, + 10 %. Measured
-# with these 2 s runs on a 2-core x86-64 box, median of 5 runs:
-# pairs_incremental 215.8 MB, pairs_durable 265.9 MB (a heap `Vec` per
-# row had held them at 284.5 and 342.5 MB).
-declare -A rss_ceiling_mb=([pairs_incremental]=237.4 [pairs_durable]=292.4)
+# 594,400 friendships). A coordinator built over `Database::snapshot()`
+# shares the workload's in-memory tables copy-on-write, so
+# pairs_incremental holds one copy of its database and giant_shared and
+# churn_sharded one of theirs; pairs_durable builds its service from a
+# checkpoint image and holds up to three at its peak. Peak RSS must stay
+# under a ceiling of a measured median + 10 %, each measured with these
+# 2 s runs on a 2-core x86-64 box, median of 5 runs: pairs_durable
+# 265.9 MB once every table became one row slab (a heap `Vec` per row
+# had held it at 342.5 MB); pairs_incremental 183.9 MB and giant_shared
+# (seed 2011) 111.8 MB once snapshots shared tables (pairs_incremental
+# had measured 215.8 MB while each snapshot copied every table).
+declare -A rss_ceiling_mb=([pairs_incremental]=202.3 [giant_shared]=123.0 [pairs_durable]=292.4)
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 for run in "pairs_incremental" "churn_sharded" "cliques_paged" "giant_shared" "giant_shared --seed 7" \
     "pairs_durable"; do
