@@ -1,10 +1,10 @@
 //! Figure runners: generate the workload, drive the engine, time it.
 
-use eq_core::engine::NoSolutionPolicy;
+use eq_core::engine::{NoSolutionPolicy, QueryOutcome};
 use eq_core::graph::MatchGraph;
 use eq_core::{matching, safety, CombinedQuery, CoordinationEngine, EngineConfig, EngineMode};
 use eq_db::Database;
-use eq_ir::{EntangledQuery, VarGen};
+use eq_ir::{EntangledQuery, FastMap, QueryId, VarGen};
 use eq_workload::{
     build_database, chains, clique_groups, giant_cluster, no_unify, three_way_triangles,
     two_way_pairs, unsafe_arrivals, unsafe_residents, PairStyle, SocialGraph, SocialGraphConfig,
@@ -59,14 +59,10 @@ fn drive_incremental(db: &Database, queries: &[EntangledQuery]) -> (f64, usize) 
         }
     }
     let millis = start.elapsed().as_secs_f64() * 1e3;
+    let mut log: FastMap<QueryId, QueryOutcome> = engine.drain_outcome_log().into_iter().collect();
     let answered = handles
         .iter()
-        .filter(|h| {
-            matches!(
-                h.outcome.try_recv(),
-                Ok(eq_core::engine::QueryOutcome::Answered(_))
-            )
-        })
+        .filter(|h| matches!(log.remove(&h.id), Some(QueryOutcome::Answered(_))))
         .count();
     (millis, answered)
 }

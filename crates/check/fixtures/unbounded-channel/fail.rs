@@ -1,7 +1,7 @@
-//@ path: crates/core/src/engine.rs
+//@ path: crates/core/src/service.rs
 //@ expect: unbounded-channel
-// An unbounded mpsc channel outside service.rs: a slow consumer would
-// buffer an entire flush in memory with no backpressure.
+// An unbounded mpsc channel, in service.rs as anywhere else: a slow
+// consumer would buffer an entire flush in memory with no backpressure.
 
 pub fn leaky_plumbing() {
     let (tx, rx) = std::sync::mpsc::channel::<u64>();

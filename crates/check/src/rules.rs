@@ -48,9 +48,9 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         name: "unbounded-channel",
-        summary: "no unbounded std::sync::mpsc::channel outside service.rs's \
-                  outcome plumbing (bounded sync_channel is fine anywhere)",
-        allow: &["crates/core/src/service.rs"],
+        summary: "no unbounded std::sync::mpsc::channel in non-test code \
+                  (bounded sync_channel and events::bounded are fine anywhere)",
+        allow: &[],
     },
     Rule {
         name: "no-unwrap",
@@ -385,7 +385,7 @@ fn scan_spawn(path: &str, a: &Analysis, out: &mut Vec<Violation>) {
     }
 }
 
-/// `channel(` (including `mpsc::channel(`) outside service.rs. The
+/// `channel(` (including `mpsc::channel(`) in non-test code. The
 /// bounded `sync_channel` is a different identifier and stays legal.
 fn scan_channel(path: &str, a: &Analysis, out: &mut Vec<Violation>) {
     let r = rule("unbounded-channel");
@@ -401,8 +401,8 @@ fn scan_channel(path: &str, a: &Analysis, out: &mut Vec<Violation>) {
                 rule: r.name,
                 path: path.to_owned(),
                 line: a.tokens[i].line,
-                message: "unbounded mpsc channel outside service.rs's outcome \
-                          plumbing; use sync_channel or events::bounded"
+                message: "unbounded mpsc channel in non-test code; use \
+                          sync_channel or events::bounded"
                     .into(),
             });
         }

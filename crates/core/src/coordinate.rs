@@ -1,21 +1,19 @@
 //! One-shot, set-at-a-time coordination over a fixed query set.
 //!
-//! Since the `Coordinator` service redesign, [`coordinate()`] and
-//! [`coordinate_with_config()`] are thin wrappers over a throwaway
-//! [`Coordinator`] session: submit the whole set as one batch, flush
-//! once, classify the terminal statuses. Queries that stay pending
-//! after the single round — no partner, or sidelined by §3.1.1
-//! enforcement — are reported as rejected, which is what "one-shot"
-//! means.
+//! [`coordinate()`] and [`coordinate_with_config()`] drive a bare
+//! [`CoordinationEngine`]: submit the whole set as one batch, flush
+//! once, classify the outcomes drained from its outcome log. Queries
+//! that stay pending after the single round — no partner, or sidelined
+//! by §3.1.1 enforcement — are reported as rejected, which is what
+//! "one-shot" means.
 
 use crate::combine::QueryAnswer;
 use crate::engine::{
-    EngineConfig, EngineMode, FailReason, NoSolutionPolicy, QueryOutcome, QueryStatus,
+    CoordinationEngine, EngineConfig, EngineMode, FailReason, NoSolutionPolicy, QueryOutcome,
+    SubmitError, SubmitOptions,
 };
-use crate::error::CoordinationError;
 use crate::matching::MatchStats;
 use crate::safety::{self, SafetyPolicy};
-use crate::service::{Coordinator, SubmitRequest};
 use eq_db::{Database, DbError};
 use eq_ir::{EntangledQuery, FastMap, FastSet, QueryId, ValidationError};
 use std::fmt;
@@ -138,9 +136,9 @@ pub fn coordinate(
 /// sequential ids (slot order). Variables are renamed apart internally,
 /// so callers may reuse variable numbers across queries.
 ///
-/// This is a thin wrapper over a one-shot [`Coordinator`] session: the
-/// whole set is admitted as one batch, a single set-at-a-time flush
-/// runs, and terminal statuses are mapped back to the caller's ids.
+/// This drives a one-shot [`CoordinationEngine`]: the whole set is
+/// admitted as one batch, a single set-at-a-time flush runs, and the
+/// outcomes on its log are mapped back to the caller's ids.
 /// Queries left pending by the round are rejected — as
 /// [`RejectReason::Unsafe`] if §3.1.1 enforcement sidelined them, as
 /// [`RejectReason::Unmatched`] otherwise.
@@ -170,12 +168,12 @@ pub fn coordinate_with_config(
         })
         .collect();
 
-    // A throwaway service over a snapshot of the database, which shares
-    // the caller's in-memory tables rather than copying them (the
-    // service never writes to them). The admission-time safety check
-    // stays off: one-shot semantics enforce §3.1.1 at matching time per
-    // the configured policy.
-    let coordinator = Coordinator::new(
+    // A bare engine over a snapshot of the database, which shares the
+    // caller's in-memory tables rather than copying them (the engine
+    // never writes to them). The admission-time safety check stays
+    // off: one-shot semantics enforce §3.1.1 at matching time per the
+    // configured policy.
+    let mut engine = CoordinationEngine::new(
         db.snapshot(),
         EngineConfig {
             mode: EngineMode::SetAtATime { batch_size: 0 },
@@ -185,46 +183,35 @@ pub fn coordinate_with_config(
             ..EngineConfig::default()
         },
     );
-    let mut session = coordinator.session();
-    let results = session.submit_batch(
+    let results = engine.submit_batch(
         queries
             .iter()
-            .map(|q| SubmitRequest::new(q.clone()))
+            .map(|q| (q.clone(), SubmitOptions::default()))
             .collect(),
     );
 
-    // Engine ids are internal; map them back to the caller's ids.
-    let mut to_caller: FastMap<QueryId, QueryId> = FastMap::default();
-    let mut handles = Vec::with_capacity(results.len());
-    for (i, result) in results.into_iter().enumerate() {
+    // Engine ids are internal; pair each admitted one with the
+    // caller's id, in submission order.
+    let mut admitted: Vec<(QueryId, QueryId)> = Vec::with_capacity(results.len());
+    for (result, &caller_id) in results.into_iter().zip(&caller_ids) {
         match result {
-            Ok(handle) => {
-                to_caller.insert(handle.id, caller_ids[i]);
-                handles.push(Some(handle));
+            Ok(handle) => admitted.push((handle.id, caller_id)),
+            Err(SubmitError::Invalid(e)) => {
+                outcome.rejected.push((caller_id, RejectReason::Invalid(e)));
             }
-            Err(CoordinationError::Invalid(e)) => {
-                outcome
-                    .rejected
-                    .push((caller_ids[i], RejectReason::Invalid(e)));
-                handles.push(None);
-            }
-            Err(_) => {
-                // Defensive: with the admission check off the engine
-                // refuses nothing else.
-                outcome.rejected.push((caller_ids[i], RejectReason::Unsafe));
-                handles.push(None);
-            }
+            Err(SubmitError::Unsafe) => outcome.rejected.push((caller_id, RejectReason::Unsafe)),
         }
     }
 
     // Safety (§3.1.1) per the configured policy, before the round runs.
     let sidelined: FastSet<QueryId> = match config.safety {
         SafetyPolicy::RejectAll => {
-            let mut violations = coordinator.safety_violations();
+            let mut violations = engine.safety_violations();
             if !violations.is_empty() {
+                let to_caller: FastMap<QueryId, QueryId> = admitted.iter().copied().collect();
                 for v in &mut violations {
-                    if let Some(&caller) = to_caller.get(&v.query) {
-                        v.query = caller;
+                    if let Some(&caller_id) = to_caller.get(&v.query) {
+                        v.query = caller_id;
                     }
                 }
                 return Err(CoordinateError::UnsafeWorkload(violations));
@@ -232,34 +219,32 @@ pub fn coordinate_with_config(
             // A safe pool sidelines nothing; skip the enforcement scan.
             FastSet::default()
         }
-        SafetyPolicy::RemoveOffending => coordinator.safety_sidelined().into_iter().collect(),
+        SafetyPolicy::RemoveOffending => engine.safety_sidelined().into_iter().collect(),
     };
 
-    let report = coordinator.flush();
+    let report = engine.flush();
     outcome.stats = report.stats;
     outcome.component_count = report.components;
 
-    // Classify terminal statuses back onto caller ids.
-    for (i, handle) in handles.iter().enumerate() {
-        let Some(handle) = handle else { continue };
-        let caller_id = caller_ids[i];
-        match coordinator.status(handle.id) {
-            Some(QueryStatus::Answered) => {
-                if let Ok(QueryOutcome::Answered(mut answer)) = handle.outcome.try_recv() {
-                    answer.query = caller_id;
-                    outcome.answers.insert(caller_id, answer);
-                }
+    // Classify the round's outcomes back onto caller ids.
+    let mut terminal: FastMap<QueryId, QueryOutcome> =
+        engine.drain_outcome_log().into_iter().collect();
+    for (id, caller_id) in admitted {
+        match terminal.remove(&id) {
+            Some(QueryOutcome::Answered(mut answer)) => {
+                answer.query = caller_id;
+                outcome.answers.insert(caller_id, answer);
             }
-            Some(QueryStatus::Failed(FailReason::Rejected(reason))) => {
+            Some(QueryOutcome::Failed(FailReason::Rejected(reason))) => {
                 outcome.rejected.push((caller_id, reason));
             }
-            Some(QueryStatus::Failed(_)) => {
+            Some(QueryOutcome::Failed(FailReason::Stale | FailReason::Cancelled)) => {
                 // No staleness or cancellation exists in a one-shot
                 // round; defensive fallback.
                 outcome.rejected.push((caller_id, RejectReason::Unmatched));
             }
-            Some(QueryStatus::Pending) | None => {
-                let reason = if sidelined.contains(&handle.id) {
+            None => {
+                let reason = if sidelined.contains(&id) {
                     RejectReason::Unsafe
                 } else {
                     RejectReason::Unmatched

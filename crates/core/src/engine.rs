@@ -25,17 +25,21 @@
 //! resolution). Evaluation runs straight off the graph, borrowing
 //! pending queries in place; nothing is cloned into a per-flush
 //! throwaway graph, and a flush with no changes since the previous one
-//! evaluates zero components. Per-slot engine state — outcome sender,
-//! no-solution policy, deadline — sits in a slot table beside it,
-//! indexed by the same slot ids.
+//! evaluates zero components. Per-slot engine state — no-solution
+//! policy, deadline — sits in a slot table beside it, indexed by the
+//! same slot ids.
 //!
 //! Queries that cannot currently be matched stay pending until they
 //! succeed, fail, or pass their own deadline ([`SubmitOptions::deadline`];
 //! §5.1: "when a query becomes stale, it is removed from the list of
 //! pending queries and its evaluation is considered to have failed").
 //!
-//! Answers are delivered through per-query handles (the middleware
-//! layer's asynchronous callback abstraction).
+//! A terminal outcome leaves the engine one way: retirement moves it
+//! onto the engine's outcome log, and whoever drives the engine takes
+//! it from there with [`CoordinationEngine::drain_outcome_log`] (the
+//! `Coordinator` service drains after every locked call and pushes
+//! each outcome to its subscribers as an `Event` — the middleware
+//! layer's asynchronous answer delivery).
 
 use crate::combine::{self, QueryAnswer};
 use crate::coordinate::RejectReason;
@@ -52,7 +56,6 @@ use parking_lot::RwLock;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -151,7 +154,7 @@ impl Default for EngineConfig {
 pub enum QueryStatus {
     /// Waiting for coordination partners.
     Pending,
-    /// Answered; the answer was delivered on the handle.
+    /// Answered; the answer is on the outcome log.
     Answered,
     /// Failed with a reason.
     Failed(FailReason),
@@ -169,7 +172,8 @@ pub enum FailReason {
     Cancelled,
 }
 
-/// Terminal outcome delivered on a query's handle.
+/// A query's terminal outcome, as retirement records it on the outcome
+/// log ([`CoordinationEngine::drain_outcome_log`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum QueryOutcome {
     /// The coordinated answer.
@@ -178,19 +182,13 @@ pub enum QueryOutcome {
     Failed(FailReason),
 }
 
-/// Handle returned by [`CoordinationEngine::submit`]: poll or block on
-/// the receiver for the terminal outcome.
+/// What [`CoordinationEngine::submit`] returns for an admitted query:
+/// the id it was assigned. Its terminal outcome appears under that id
+/// on the outcome log ([`CoordinationEngine::drain_outcome_log`]).
+#[derive(Debug)]
 pub struct QueryHandle {
     /// The id assigned to the query.
     pub id: QueryId,
-    /// Receives exactly one terminal [`QueryOutcome`].
-    pub outcome: Receiver<QueryOutcome>,
-}
-
-impl std::fmt::Debug for QueryHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueryHandle").field("id", &self.id).finish()
-    }
 }
 
 /// Why a submission was refused outright.
@@ -308,7 +306,6 @@ pub struct BatchReport {
 
 /// What the engine keeps for a pending slot beside the graph's query.
 struct SlotState {
-    sender: SyncSender<QueryOutcome>,
     /// Per-query no-solution policy override (see [`SubmitOptions`]).
     on_no_solution: Option<NoSolutionPolicy>,
     /// Mirror of the deadline heap entry, so shard migration can carry
@@ -321,8 +318,8 @@ struct SlotState {
 /// travels with it: the unit shard-merge migration lifts out of one
 /// engine ([`CoordinationEngine::extract_pending`]) and recovery
 /// rebuilds from the log, both re-admitted through
-/// [`CoordinationEngine::readmit`]. The id, outcome sender, per-query
-/// policy and deadline survive the move.
+/// [`CoordinationEngine::readmit`]. The id, per-query policy and
+/// deadline survive the move.
 pub(crate) struct PendingQuery {
     pub(crate) query: EntangledQuery,
     state: SlotState,
@@ -330,17 +327,13 @@ pub(crate) struct PendingQuery {
 
 impl PendingQuery {
     /// A submission recovered from the log, under its recorded id
-    /// (`query.id`) and no-solution policy. Nobody holds a handle to it
-    /// (its outcome reaches the ledger through the outcome log), and it
-    /// carries no deadline: wall-clock instants do not survive a
-    /// restart.
+    /// (`query.id`) and no-solution policy. It carries no deadline:
+    /// wall-clock instants do not survive a restart.
     pub(crate) fn recovered(
         query: EntangledQuery,
         on_no_solution: Option<NoSolutionPolicy>,
     ) -> Self {
-        let (sender, _) = sync_channel(1);
         let state = SlotState {
-            sender,
             on_no_solution,
             deadline: None,
         };
@@ -394,10 +387,9 @@ pub struct CoordinationEngine {
     /// every component dirty (kept-pending components may now be
     /// answerable).
     flushed_db_revision: u64,
-    /// When enabled, every terminal transition is also appended here so
-    /// a service layer can push events instead of polling per-query
-    /// handles. `None` (the default) records nothing.
-    outcome_log: Option<Vec<(QueryId, QueryOutcome)>>,
+    /// Every terminal transition, in retirement order, until drained
+    /// ([`CoordinationEngine::drain_outcome_log`]).
+    outcome_log: Vec<(QueryId, QueryOutcome)>,
 }
 
 impl CoordinationEngine {
@@ -424,34 +416,17 @@ impl CoordinationEngine {
             dated: 0,
             submissions_since_flush: 0,
             flushed_db_revision: revision,
-            outcome_log: None,
+            outcome_log: Vec::new(),
         }
     }
 
-    /// Turns recording of terminal transitions (answer, rejection,
-    /// expiry, cancellation) into an internal log — drained by
-    /// [`CoordinationEngine::drain_outcome_log`] — on or off. The
-    /// `Coordinator` service enables this while it has event
-    /// subscribers and disables it again when the last one hangs up,
-    /// so retirements only pay for outcome clones when somebody is
-    /// listening. Disabling drops any undrained entries.
-    pub fn set_outcome_log(&mut self, enabled: bool) {
-        if enabled {
-            if self.outcome_log.is_none() {
-                self.outcome_log = Some(Vec::new());
-            }
-        } else {
-            self.outcome_log = None;
-        }
-    }
-
-    /// Takes all terminal outcomes recorded since the last drain, in
-    /// retirement order. Empty if the log was never enabled.
+    /// Takes every terminal outcome (answer, rejection, expiry,
+    /// cancellation) recorded since the last drain, in retirement order:
+    /// the one way an outcome leaves the engine, exactly once per
+    /// retired query. The log keeps what nobody drains, so the caller
+    /// drains — the `Coordinator` service does after every locked call.
     pub fn drain_outcome_log(&mut self) -> Vec<(QueryId, QueryOutcome)> {
-        match self.outcome_log.as_mut() {
-            Some(log) => std::mem::take(log),
-            None => Vec::new(),
-        }
+        std::mem::take(&mut self.outcome_log)
     }
 
     /// Shared handle to the engine's database (write to it between
@@ -483,10 +458,10 @@ impl CoordinationEngine {
         self.statuses.get(&id)
     }
 
-    /// Submits a query with default [`SubmitOptions`]. Returns a handle
-    /// delivering the terminal outcome; in incremental mode
-    /// coordination is attempted before this returns, so the handle may
-    /// already hold the outcome.
+    /// Submits a query with default [`SubmitOptions`]. Returns the
+    /// query's handle (its id); in incremental mode coordination is
+    /// attempted before this returns, so the outcome log may already
+    /// hold its outcome.
     pub fn submit(&mut self, query: EntangledQuery) -> Result<QueryHandle, SubmitError> {
         self.submit_with(query, SubmitOptions::default())
     }
@@ -548,7 +523,7 @@ impl CoordinationEngine {
     }
 
     /// Removes every pending query matching `pred` from this engine
-    /// without retiring it — no outcome is delivered, no terminal
+    /// without retiring it — no outcome is logged, no terminal
     /// status is recorded — and returns the queries (ascending by id)
     /// for re-admission elsewhere. This is the donor half of the
     /// service's shard-merge migration. Their deadline-heap entries
@@ -574,8 +549,10 @@ impl CoordinationEngine {
 
     /// Links queries the service acknowledged before — moved in from
     /// another shard, or back from the log at recovery — through the
-    /// admission step, in order, under their own ids, outcome senders,
-    /// policies and deadlines. Each is renamed apart against *this*
+    /// admission step, in order, under their own ids, policies and
+    /// deadlines; an outcome retired before the move was drained where
+    /// it happened, and one retired after it lands on this engine's
+    /// log. Each is renamed apart against *this*
     /// engine's variable generator (the donor's names could collide
     /// here). None is judged by Figure 9 again: a migrated query passed
     /// it on admission, and merging disjoint connectivity groups admits
@@ -638,14 +615,12 @@ impl CoordinationEngine {
             .into_iter()
             .map(|entry| {
                 let (query, opts) = entry?;
-                let (sender, outcome) = sync_channel(1);
                 let state = SlotState {
-                    sender,
                     on_no_solution: opts.on_no_solution,
                     deadline: opts.deadline,
                 };
                 let id = self.admit(query, state, IdFrom::Draw(source))?;
-                Ok(QueryHandle { id, outcome })
+                Ok(QueryHandle { id })
             })
             .collect();
         self.evaluate_if_due(results.iter().filter(|r| r.is_ok()).count());
@@ -907,7 +882,7 @@ impl CoordinationEngine {
     /// Takes the query at `slot` out of the pending pool — slot state,
     /// id map, and the graph (atom indexes, O(arity) per atom whatever
     /// the pool size; incident edges; component) — and frees the slot.
-    /// Status and outcome delivery are the caller's. `None` if the slot
+    /// Status and the outcome log are the caller's. `None` if the slot
     /// is not live.
     fn detach(&mut self, slot: u32) -> Option<PendingQuery> {
         let state = self.slots[slot as usize].take()?;
@@ -920,14 +895,15 @@ impl CoordinationEngine {
         Some(PendingQuery { query, state })
     }
 
-    /// Removes a query from all engine state and delivers its outcome.
+    /// Removes a query from all engine state, records its terminal
+    /// status and moves its outcome onto the outcome log.
     fn retire(&mut self, slot: u32, outcome: Result<QueryAnswer, FailReason>) {
-        let Some(PendingQuery { query, state }) = self.detach(slot) else {
+        let Some(PendingQuery { query, .. }) = self.detach(slot) else {
             return;
         };
         let id = query.id;
 
-        let (status, message) = match outcome {
+        let (status, outcome) = match outcome {
             Ok(answer) => (QueryStatus::Answered, QueryOutcome::Answered(answer)),
             Err(reason) => (
                 QueryStatus::Failed(reason.clone()),
@@ -935,10 +911,7 @@ impl CoordinationEngine {
             ),
         };
         self.statuses.insert(id, status);
-        if let Some(log) = self.outcome_log.as_mut() {
-            log.push((id, message.clone()));
-        }
-        let _ = state.sender.try_send(message);
+        self.outcome_log.push((id, outcome));
     }
 
     /// Structural invariant check over the whole engine, for tests and
@@ -1226,6 +1199,11 @@ mod tests {
         db
     }
 
+    /// The engine's outcome log, drained into a map keyed by id.
+    fn drained(engine: &mut CoordinationEngine) -> FastMap<QueryId, QueryOutcome> {
+        engine.drain_outcome_log().into_iter().collect()
+    }
+
     /// Everything a refused admission must leave untouched: the id
     /// watermark, slot table, resident edges and both atom indexes.
     fn admission_footprint(e: &CoordinationEngine) -> [usize; 5] {
@@ -1246,14 +1224,15 @@ mod tests {
             .submit(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"))
             .unwrap();
         assert_eq!(engine.status(h1.id), Some(&QueryStatus::Pending));
-        assert!(h1.outcome.try_recv().is_err());
+        assert!(!drained(&mut engine).contains_key(&h1.id));
 
         let h2 = engine
             .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris), A(y, United)"))
             .unwrap();
         // Both answered synchronously inside the second submit.
-        let o1 = h1.outcome.try_recv().unwrap();
-        let o2 = h2.outcome.try_recv().unwrap();
+        let mut out = drained(&mut engine);
+        let o1 = out.remove(&h1.id).unwrap();
+        let o2 = out.remove(&h2.id).unwrap();
         let (QueryOutcome::Answered(a1), QueryOutcome::Answered(a2)) = (o1, o2) else {
             panic!("expected both answered");
         };
@@ -1278,12 +1257,12 @@ mod tests {
             .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"))
             .unwrap();
         assert_eq!(engine.pending_count(), 2);
-        assert!(h1.outcome.try_recv().is_err());
+        assert!(!drained(&mut engine).contains_key(&h1.id));
         let report = engine.flush();
         assert_eq!(report.answered, 2);
         assert_eq!(report.pending, 0);
         assert!(matches!(
-            h2.outcome.try_recv().unwrap(),
+            drained(&mut engine).remove(&h2.id).unwrap(),
             QueryOutcome::Answered(_)
         ));
     }
@@ -1305,7 +1284,7 @@ mod tests {
             .unwrap();
         // Second submission hit the batch size and flushed.
         assert!(matches!(
-            h1.outcome.try_recv().unwrap(),
+            drained(&mut engine).remove(&h1.id).unwrap(),
             QueryOutcome::Answered(_)
         ));
     }
@@ -1325,7 +1304,7 @@ mod tests {
         let report = engine.flush();
         assert_eq!(report.answered, 0);
         assert_eq!(report.pending, 1);
-        assert!(h.outcome.try_recv().is_err());
+        assert!(!drained(&mut engine).contains_key(&h.id));
         // Partner arrives; next flush coordinates.
         let _h2 = engine
             .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"))
@@ -1417,13 +1396,13 @@ mod tests {
             .submit_with(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"), soon())
             .unwrap();
         assert_eq!(
-            h1.outcome.try_recv().unwrap(),
+            drained(&mut engine).remove(&h1.id).unwrap(),
             QueryOutcome::Failed(FailReason::Stale)
         );
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(engine.flush().answered, 0);
         assert_eq!(
-            h2.outcome.try_recv().unwrap(),
+            drained(&mut engine).remove(&h2.id).unwrap(),
             QueryOutcome::Failed(FailReason::Stale)
         );
         assert_eq!(engine.pending_count(), 0);
@@ -1439,12 +1418,13 @@ mod tests {
         let h2 = engine
             .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Athens)"))
             .unwrap();
+        let mut out = drained(&mut engine);
         assert_eq!(
-            h1.outcome.try_recv().unwrap(),
+            out.remove(&h1.id).unwrap(),
             QueryOutcome::Failed(FailReason::Rejected(RejectReason::NoSolution))
         );
         assert!(matches!(
-            h2.outcome.try_recv().unwrap(),
+            out.remove(&h2.id).unwrap(),
             QueryOutcome::Failed(_)
         ));
     }
@@ -1477,7 +1457,7 @@ mod tests {
         let report = engine.flush();
         assert_eq!(report.answered, 2);
         assert!(matches!(
-            h1.outcome.try_recv().unwrap(),
+            drained(&mut engine).remove(&h1.id).unwrap(),
             QueryOutcome::Answered(_)
         ));
     }
@@ -1528,7 +1508,7 @@ mod tests {
             .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"))
             .unwrap();
         assert_eq!(engine.pending_count(), 1);
-        assert!(lonely.outcome.try_recv().is_err());
+        assert!(!drained(&mut engine).contains_key(&lonely.id));
     }
 
     #[test]
@@ -1551,7 +1531,7 @@ mod tests {
                 .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"))
                 .unwrap();
             assert!(matches!(
-                h1.outcome.try_recv().unwrap(),
+                drained(&mut engine).remove(&h1.id).unwrap(),
                 QueryOutcome::Answered(_)
             ));
         }
@@ -1634,7 +1614,7 @@ mod tests {
             .unwrap();
         assert!(engine.cancel(h.id));
         assert_eq!(
-            h.outcome.try_recv().unwrap(),
+            drained(&mut engine).remove(&h.id).unwrap(),
             QueryOutcome::Failed(FailReason::Cancelled)
         );
         assert_eq!(engine.pending_count(), 0);
@@ -1645,7 +1625,7 @@ mod tests {
         let h2 = engine
             .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"))
             .unwrap();
-        assert!(h2.outcome.try_recv().is_err());
+        assert!(!drained(&mut engine).contains_key(&h2.id));
     }
 
     #[test]
@@ -1712,10 +1692,11 @@ mod tests {
                     hour(),
                 )
                 .unwrap();
+            let mut out = drained(&mut engine);
             for handle in [first, second] {
                 assert!(matches!(
-                    handle.outcome.try_recv(),
-                    Ok(QueryOutcome::Answered(_))
+                    out.remove(&handle.id),
+                    Some(QueryOutcome::Answered(_))
                 ));
             }
             assert!(engine.deadlines.len() <= 2 * engine.pending_count());
@@ -1823,10 +1804,11 @@ mod tests {
             ),
         ]);
         assert!(matches!(results[2], Err(SubmitError::Invalid(_))));
+        let mut out = drained(&mut engine);
         for r in &results[..2] {
             let h = r.as_ref().unwrap();
             assert!(matches!(
-                h.outcome.try_recv().unwrap(),
+                out.remove(&h.id).unwrap(),
                 QueryOutcome::Answered(_)
             ));
         }
@@ -1857,11 +1839,12 @@ mod tests {
             .unwrap();
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(engine.expire_stale(), 1);
+        let mut out = drained(&mut engine);
         assert_eq!(
-            doomed.outcome.try_recv().unwrap(),
+            out.remove(&doomed.id).unwrap(),
             QueryOutcome::Failed(FailReason::Stale)
         );
-        assert!(patient.outcome.try_recv().is_err());
+        assert!(!out.contains_key(&patient.id));
         assert_eq!(engine.pending_count(), 1);
         engine.check_invariants().unwrap();
     }
@@ -1890,7 +1873,7 @@ mod tests {
             .submit_with(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Athens)"), opts)
             .unwrap();
         assert_eq!(engine.flush().pending, 2);
-        assert!(h1.outcome.try_recv().is_err());
+        assert!(!drained(&mut engine).contains_key(&h1.id));
         engine
             .db()
             .write()
@@ -1901,31 +1884,93 @@ mod tests {
 
     #[test]
     fn outcome_log_records_every_terminal_transition() {
+        // A bare engine with nothing subscribed and nothing switched on
+        // still fills its log: one entry per retired id, whatever the
+        // way out.
         let mut engine = CoordinationEngine::new(flight_db(), EngineConfig::default());
-        engine.set_outcome_log(true);
+        let stale = engine
+            .submit_with(
+                q("{R(Newman, z)} R(Frank, z) <- F(z, Rome)"),
+                SubmitOptions {
+                    deadline: Some(Instant::now() + Duration::from_millis(1)),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(5));
+        // The next submit's deadline sweep expires `stale`.
         let h1 = engine
             .submit(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"))
             .unwrap();
         let h2 = engine
             .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"))
             .unwrap();
-        let lonely = engine
-            .submit(q("{R(Newman, z)} R(Frank, z) <- F(z, Rome)"))
+        let r1 = engine
+            .submit(q("{R(George, u)} R(Elaine, u) <- F(u, Athens)"))
             .unwrap();
-        engine.cancel(lonely.id);
+        let r2 = engine
+            .submit(q("{R(Elaine, v)} R(George, v) <- F(v, Athens)"))
+            .unwrap();
+        let lonely = engine
+            .submit(q("{R(Puddy, w)} R(Bania, w) <- F(w, Rome)"))
+            .unwrap();
+        assert!(engine.cancel(lonely.id));
+
+        // A query that moves to another engine (shard migration) leaves
+        // no entry behind; its outcome lands on the destination's log.
+        let moved = engine
+            .submit(q("{R(Babu, m)} R(Soup, m) <- F(m, Rome)"))
+            .unwrap();
+        let lifted = engine.extract_pending(|query| query.id == moved.id);
+        assert_eq!(lifted.len(), 1);
+        let mut other = CoordinationEngine::new(flight_db(), EngineConfig::default());
+        other.readmit(lifted);
+        assert_eq!(other.status(moved.id), Some(&QueryStatus::Pending));
+        assert!(
+            other.drain_outcome_log().is_empty(),
+            "readmission retires nothing"
+        );
+
         let log = engine.drain_outcome_log();
-        assert_eq!(log.len(), 3);
-        assert!(log
-            .iter()
-            .any(|(id, o)| *id == h1.id && matches!(o, QueryOutcome::Answered(_))));
-        assert!(log
-            .iter()
-            .any(|(id, o)| *id == h2.id && matches!(o, QueryOutcome::Answered(_))));
-        assert!(log
-            .iter()
-            .any(|(id, o)| *id == lonely.id
-                && matches!(o, QueryOutcome::Failed(FailReason::Cancelled))));
+        let expected = [
+            (stale.id, Some(QueryOutcome::Failed(FailReason::Stale))),
+            (h1.id, None),
+            (h2.id, None),
+            (
+                r1.id,
+                Some(QueryOutcome::Failed(FailReason::Rejected(
+                    RejectReason::NoSolution,
+                ))),
+            ),
+            (
+                r2.id,
+                Some(QueryOutcome::Failed(FailReason::Rejected(
+                    RejectReason::NoSolution,
+                ))),
+            ),
+            (lonely.id, Some(QueryOutcome::Failed(FailReason::Cancelled))),
+        ];
+        assert_eq!(log.len(), expected.len());
+        for (id, failure) in expected {
+            let entries: Vec<&QueryOutcome> = log
+                .iter()
+                .filter(|(logged, _)| *logged == id)
+                .map(|(_, o)| o)
+                .collect();
+            assert_eq!(entries.len(), 1, "{id:?} is logged exactly once");
+            match failure {
+                Some(failure) => assert_eq!(entries[0], &failure),
+                None => assert!(matches!(entries[0], QueryOutcome::Answered(_))),
+            }
+        }
+        assert!(log.iter().all(|(id, _)| *id != moved.id));
         assert!(engine.drain_outcome_log().is_empty(), "drained");
+
+        assert!(other.cancel(moved.id));
+        assert_eq!(
+            other.drain_outcome_log(),
+            vec![(moved.id, QueryOutcome::Failed(FailReason::Cancelled))]
+        );
     }
 
     #[test]
@@ -1988,10 +2033,9 @@ mod tests {
             }
             let report = engine.flush();
             engine.check_invariants().unwrap();
-            let outcomes: Vec<QueryOutcome> = handles
-                .iter()
-                .map(|h| h.outcome.try_recv().unwrap())
-                .collect();
+            let mut out = drained(&mut engine);
+            let outcomes: Vec<QueryOutcome> =
+                handles.iter().map(|h| out.remove(&h.id).unwrap()).collect();
             (report, outcomes)
         };
         let (seq_report, seq) = run(usize::MAX, 1);
@@ -2046,20 +2090,21 @@ mod tests {
         let h2 = engine
             .submit(q("{R(Elaine, IAH)} R(Kramer, IAH) <- F(y, Paris)"))
             .unwrap();
-        assert!(h1.outcome.try_recv().is_err());
+        assert!(!drained(&mut engine).contains_key(&h1.id));
         let h3 = engine
             .submit(q("{R(Jerry, IAH)} R(Elaine, IAH) <- F(z, Paris)"))
             .unwrap();
+        let mut out = drained(&mut engine);
         assert!(matches!(
-            h1.outcome.try_recv().unwrap(),
+            out.remove(&h1.id).unwrap(),
             QueryOutcome::Answered(_)
         ));
         assert!(matches!(
-            h2.outcome.try_recv().unwrap(),
+            out.remove(&h2.id).unwrap(),
             QueryOutcome::Answered(_)
         ));
         assert!(matches!(
-            h3.outcome.try_recv().unwrap(),
+            out.remove(&h3.id).unwrap(),
             QueryOutcome::Answered(_)
         ));
     }

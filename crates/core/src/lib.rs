@@ -47,7 +47,7 @@
 //! [`Session::submit_batch`]), a pushed [`Event`] stream, and the
 //! unified [`CoordinationError`] hierarchy ([`error`]). For one-shot,
 //! set-at-a-time coordination over a fixed query set, [`coordinate()`]
-//! wraps a throwaway `Coordinator` session.
+//! drives a bare [`CoordinationEngine`] for one round.
 
 #![forbid(unsafe_code)]
 

@@ -39,8 +39,8 @@
 //!   [`CoordinationError`], the unified hierarchy of
 //!   [`crate::error`].
 //!
-//! One-shot coordination ([`crate::coordinate()`]) is a thin wrapper
-//! over a throwaway `Coordinator` session.
+//! One-shot coordination ([`crate::coordinate()`]) drives a bare
+//! engine for one round.
 //!
 //! # Example: a session, a subscriber, a flush
 //!
@@ -119,7 +119,7 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 /// travels to the [`Event`]s the query produces.
 ///
 /// ```
-/// use eq_core::{Coordinator, EngineConfig, NoSolutionPolicy, SubmitRequest};
+/// use eq_core::{Coordinator, EngineConfig, NoSolutionPolicy, QueryStatus, SubmitRequest};
 /// use eq_db::Database;
 /// use eq_sql::parse_ir_query;
 /// use std::time::Duration;
@@ -136,7 +136,7 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 ///     .tag("kramer-paris");
 /// let handle = session.submit(request).unwrap();
 /// assert_eq!(coordinator.pending_count(), 1);
-/// assert!(handle.outcome.try_recv().is_err()); // waiting for Jerry
+/// assert_eq!(coordinator.status(handle.id), Some(QueryStatus::Pending)); // waiting for Jerry
 /// ```
 #[derive(Debug)]
 pub struct SubmitRequest {
@@ -605,11 +605,11 @@ impl Coordinator {
 
     /// Subscribes to the service's [`Event`] stream, starting now
     /// (outcomes that became terminal before the subscription are not
-    /// replayed; the engines' outcome logs are only kept while at
-    /// least one subscriber is listening). The subscription is a
-    /// bounded queue of [`DEFAULT_EVENT_CAPACITY`] events under
-    /// [`OverflowPolicy::Block`]: a full queue applies backpressure to
-    /// the dispatcher instead of growing without bound.
+    /// replayed: every locked call drains its shard's outcome log, and
+    /// events staged while nobody listens are dropped). The
+    /// subscription is a bounded queue of [`DEFAULT_EVENT_CAPACITY`]
+    /// events under [`OverflowPolicy::Block`]: a full queue applies
+    /// backpressure to the dispatcher instead of growing without bound.
     ///
     /// **Blocking contract:** events are dispatched *after* every
     /// service lock is released, so a full `Block` queue suspends only
@@ -646,11 +646,7 @@ impl Coordinator {
     /// assert_eq!(events.stats().dropped, 0);
     /// ```
     pub fn subscribe_with(&self, capacity: usize, policy: OverflowPolicy) -> Events {
-        let rx = self.shared.dispatcher.subscribe(capacity, policy);
-        for shard in &self.shared.shards {
-            shard.lock().engine.set_outcome_log(true);
-        }
-        rx
+        self.shared.dispatcher.subscribe(capacity, policy)
     }
 
     /// Number of live event subscriptions.
@@ -944,11 +940,6 @@ impl Coordinator {
                 self.shared.dispatcher.enqueue(event);
             }
         }
-        if self.shared.dispatcher.subscriber_count() == 0
-            && !self.shared.has_sink.load(Ordering::Relaxed)
-        {
-            inner.engine.set_outcome_log(false);
-        }
     }
 
     /// The single place a [`Event::Flushed`] report is staged.
@@ -961,8 +952,8 @@ impl Coordinator {
     /// every losing shard into the winner. The rendezvous takes the
     /// involved shard locks in **ascending index order** (the debug
     /// lock-order graph validates the discipline): extract under each
-    /// loser's lock, re-admit under the winner's, carrying outcome
-    /// channels, tags and deadlines unchanged.
+    /// loser's lock, re-admit under the winner's, carrying ids, tags,
+    /// policies and deadlines unchanged.
     /// Returns the shard to admit on. Caller holds the router write
     /// guard, which keeps fast-path readers out until placement is
     /// consistent again.
@@ -1173,16 +1164,13 @@ impl Coordinator {
             .collect()
     }
 
-    /// Installs the durability recorder and switches every engine
-    /// shard's outcome log on for good (the sink counts as a permanent
-    /// listener). One sink per service; called by
+    /// Installs the durability recorder: from here on every drained
+    /// outcome log is committed to it before its events are staged. One
+    /// sink per service; called by
     /// [`crate::durable::DurableCoordinator`] before any submission.
     pub(crate) fn install_sink(&self, sink: Box<dyn DurabilitySink>) {
         *self.shared.sink.lock() = Some(sink);
         self.shared.has_sink.store(true, Ordering::Relaxed);
-        for shard in &self.shared.shards {
-            shard.lock().engine.set_outcome_log(true);
-        }
     }
 
     /// Re-admits the recovered pending set — ascending id, each under
@@ -1337,9 +1325,8 @@ pub struct Session {
 
 impl Session {
     /// Submits one query, as a batch of one. In incremental mode
-    /// coordination is attempted before this returns, so the handle may
-    /// already hold the outcome (and the matching event is already
-    /// published).
+    /// coordination is attempted before this returns, so the query's
+    /// terminal event may already be published.
     pub fn submit(
         &mut self,
         request: impl Into<SubmitRequest>,
@@ -1422,6 +1409,24 @@ mod tests {
 
     fn q(text: &str) -> EntangledQuery {
         parse_ir_query(text).unwrap()
+    }
+
+    /// The one terminal event `evs` holds for `id`.
+    fn terminal_for(evs: &[Arc<Event>], id: QueryId) -> &Event {
+        let mut found = evs.iter().filter(|e| e.is_terminal() && e.id() == Some(id));
+        let event = found.next().expect("a terminal event for the query");
+        assert!(found.next().is_none(), "one terminal event per query");
+        event
+    }
+
+    /// Submission tags the shards still hold.
+    fn held_tags(coordinator: &Coordinator) -> usize {
+        coordinator
+            .shared
+            .shards
+            .iter()
+            .map(|s| s.lock().tags.len())
+            .sum()
     }
 
     fn flight_db() -> Database {
@@ -1558,11 +1563,8 @@ mod tests {
             .unwrap();
         let report = coordinator.flush();
         assert_eq!(report.answered, 2);
-        assert!(matches!(
-            h1.outcome.try_recv().unwrap(),
-            QueryOutcome::Answered(_)
-        ));
         let evs = events.drain();
+        assert!(matches!(terminal_for(&evs, h1.id), Event::Answered { .. }));
         // Two Answered events then the Flushed report.
         assert_eq!(evs.len(), 3);
         assert!(evs[0].is_terminal() && evs[1].is_terminal());
@@ -1570,6 +1572,31 @@ mod tests {
         assert_eq!(kramer.tag(), Some("kramer"));
         assert!(matches!(*evs[2], Event::Flushed(r) if r.answered == 2));
         session.close();
+    }
+
+    #[test]
+    fn retired_queries_leave_no_tags_without_listeners() {
+        // Nobody subscribed and no sink installed: every retirement
+        // still drops its tag, after a flush and inside an
+        // incremental-mode submit alike.
+        let kramer = || SubmitRequest::new(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)")).tag("k");
+        let jerry = || SubmitRequest::new(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)")).tag("j");
+
+        let coordinator = batch_coordinator(flight_db());
+        let mut session = coordinator.session();
+        session.submit(kramer()).unwrap();
+        session.submit(jerry()).unwrap();
+        assert_eq!(held_tags(&coordinator), 2);
+        assert_eq!(coordinator.flush().answered, 2);
+        assert_eq!(held_tags(&coordinator), 0);
+
+        let coordinator = Coordinator::new(flight_db(), EngineConfig::default());
+        let mut session = coordinator.session();
+        session.submit(kramer()).unwrap();
+        assert_eq!(held_tags(&coordinator), 1);
+        session.submit(jerry()).unwrap();
+        assert_eq!(coordinator.pending_count(), 0);
+        assert_eq!(held_tags(&coordinator), 0);
     }
 
     #[test]
@@ -1619,11 +1646,8 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(coordinator.pending_count(), 0);
-        assert_eq!(
-            h.outcome.try_recv().unwrap(),
-            QueryOutcome::Failed(FailReason::Cancelled)
-        );
         let evs = events.drain();
+        assert!(matches!(terminal_for(&evs, h.id), Event::Cancelled { .. }));
         assert!(matches!(evs.as_slice(), [e] if matches!(**e, Event::Cancelled { .. })));
         coordinator.check_invariants().unwrap();
     }
@@ -1666,11 +1690,8 @@ mod tests {
             .unwrap();
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(coordinator.expire_stale(), 1);
-        assert_eq!(
-            h.outcome.try_recv().unwrap(),
-            QueryOutcome::Failed(FailReason::Stale)
-        );
         let evs = events.drain();
+        assert!(matches!(terminal_for(&evs, h.id), Event::Expired { .. }));
         assert!(
             matches!(evs.as_slice(), [e] if matches!(&**e, Event::Expired { tag: Some(t), .. } if t == "doomed")),
             "{evs:?}"
@@ -1683,6 +1704,7 @@ mod tests {
         // admission paths take it as "never expires" instead of
         // panicking under the shard lock.
         let coordinator = batch_coordinator(flight_db());
+        let events = coordinator.subscribe();
         let mut session = coordinator.session();
         let forever = |text: &str| SubmitRequest::new(q(text)).staleness(Duration::MAX);
         let h1 = session
@@ -1693,11 +1715,9 @@ mod tests {
         let h2 = batch.pop().unwrap().unwrap();
         assert_eq!(coordinator.expire_stale(), 0);
         assert_eq!(coordinator.flush().answered, 2);
+        let evs = events.drain();
         for h in [h1, h2] {
-            assert!(matches!(
-                h.outcome.try_recv().unwrap(),
-                QueryOutcome::Answered(_)
-            ));
+            assert!(matches!(terminal_for(&evs, h.id), Event::Answered { .. }));
         }
         coordinator.check_invariants().unwrap();
     }
@@ -1756,9 +1776,9 @@ mod tests {
 
     #[test]
     fn events_start_at_subscription_not_at_service_birth() {
-        // No subscriber: outcomes are delivered on handles only (the
-        // engine's outcome log stays off). A later subscriber sees
-        // only what happens after it arrived — no replay.
+        // No subscriber: the flush drains its outcomes and the events
+        // are dropped. A later subscriber sees only what happens after
+        // it arrived — no replay.
         let coordinator = batch_coordinator(flight_db());
         let mut session = coordinator.session();
         session
@@ -1998,24 +2018,18 @@ mod tests {
             report.answered, 2,
             "cross-group pair coordinates after the merge"
         );
-        assert!(matches!(
-            h1.outcome.try_recv().unwrap(),
-            QueryOutcome::Answered(_)
-        ));
-        assert!(matches!(
-            h2.outcome.try_recv().unwrap(),
-            QueryOutcome::Answered(_)
-        ));
-        coordinator.check_invariants().unwrap();
         let evs = events.drain();
+        assert!(matches!(terminal_for(&evs, h1.id), Event::Answered { .. }));
+        assert!(matches!(terminal_for(&evs, h2.id), Event::Answered { .. }));
+        coordinator.check_invariants().unwrap();
         assert_eq!(evs.iter().filter(|e| e.is_terminal()).count(), 6);
     }
 
     #[test]
     fn rendezvous_migrates_pending_queries_with_tags() {
         // Pending queries physically move between shards when their
-        // groups merge: outcome channels, tags, and coordination all
-        // survive the migration.
+        // groups merge: ids, tags, and coordination all survive the
+        // migration.
         let coordinator = Coordinator::new(
             flight_db(),
             EngineConfig {
@@ -2046,16 +2060,13 @@ mod tests {
             .unwrap();
         let report = coordinator.flush();
         assert_eq!(report.answered, 4, "the merged four-cycle coordinates");
+        let evs = events.drain();
         for h in [h1, h2, h3, h4] {
-            assert!(matches!(
-                h.outcome.try_recv().unwrap(),
-                QueryOutcome::Answered(_)
-            ));
+            assert!(matches!(terminal_for(&evs, h.id), Event::Answered { .. }));
         }
         coordinator.check_invariants().unwrap();
         assert_eq!(coordinator.pending_count(), 0);
         // The migrated query's tag traveled with it.
-        let evs = events.drain();
         let moved = evs.iter().find(|e| e.tag() == Some("moved")).unwrap();
         assert!(matches!(**moved, Event::Answered { .. }));
     }

@@ -14,6 +14,7 @@ use eq_core::{
     CoordinationEngine, Coordinator, EngineConfig, EngineMode, FailReason, QueryStatus,
     SubmitOptions, SubmitRequest,
 };
+use eq_ir::{FastMap, QueryId};
 use eq_workload::{churn_script, ChurnConfig, ChurnOp, SocialGraph, SocialGraphConfig};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -93,11 +94,9 @@ fn drive(
         .check_invariants()
         .unwrap_or_else(|violation| panic!("final resident invariants: {violation}"));
     let capacity = engine.slot_capacity();
+    let mut log: FastMap<QueryId, QueryOutcome> = engine.drain_outcome_log().into_iter().collect();
     (
-        handles
-            .into_iter()
-            .map(|h| h.outcome.try_recv().ok())
-            .collect(),
+        handles.into_iter().map(|h| log.remove(&h.id)).collect(),
         capacity,
     )
 }
@@ -184,8 +183,10 @@ proptest! {
                 ChurnOp::Flush => skipped_clean += resident.flush().skipped_clean,
             }
         }
+        let mut log: FastMap<QueryId, QueryOutcome> =
+            resident.drain_outcome_log().into_iter().collect();
         let answered: Vec<usize> = (0..handles.len())
-            .filter(|&i| matches!(handles[i].outcome.try_recv(), Ok(QueryOutcome::Answered(_))))
+            .filter(|&i| matches!(log.remove(&handles[i].id), Some(QueryOutcome::Answered(_))))
             .collect();
         prop_assert_eq!(&answered, &rebuild_per_flush_answered(&ops));
         prop_assert!(!answered.is_empty(), "churn script should coordinate pairs");

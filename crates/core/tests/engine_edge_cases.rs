@@ -5,12 +5,17 @@
 use eq_core::engine::{FailReason, NoSolutionPolicy, QueryOutcome};
 use eq_core::{CoordinationEngine, EngineConfig, EngineMode, QueryStatus, SubmitOptions};
 use eq_db::Database;
-use eq_ir::{EntangledQuery, Value};
+use eq_ir::{EntangledQuery, FastMap, QueryId, Value};
 use eq_sql::parse_ir_query;
 use std::time::Instant;
 
 fn q(text: &str) -> EntangledQuery {
     parse_ir_query(text).unwrap()
+}
+
+/// The engine's outcome log, drained into a map keyed by id.
+fn drained(engine: &mut CoordinationEngine) -> FastMap<QueryId, QueryOutcome> {
+    engine.drain_outcome_log().into_iter().collect()
 }
 
 fn db() -> Database {
@@ -80,7 +85,7 @@ fn same_query_text_can_be_resubmitted_after_failure() {
         .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Athens)"))
         .unwrap();
     assert!(matches!(
-        h1.outcome.try_recv().unwrap(),
+        drained(&mut engine).remove(&h1.id).unwrap(),
         QueryOutcome::Failed(_)
     ));
     // A flight appears; resubmission coordinates.
@@ -95,12 +100,13 @@ fn same_query_text_can_be_resubmitted_after_failure() {
     let h4 = engine
         .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Athens)"))
         .unwrap();
+    let mut out = drained(&mut engine);
     assert!(matches!(
-        h3.outcome.try_recv().unwrap(),
+        out.remove(&h3.id).unwrap(),
         QueryOutcome::Answered(_)
     ));
     assert!(matches!(
-        h4.outcome.try_recv().unwrap(),
+        out.remove(&h4.id).unwrap(),
         QueryOutcome::Answered(_)
     ));
 }
@@ -120,10 +126,10 @@ fn multi_edge_pair_coordinates() {
             "{R(Kramer, y) & S(Kramer, y)} R(Jerry, y) & S(Jerry, y) <- F(y, Paris)",
         ))
         .unwrap();
-    let (QueryOutcome::Answered(a1), QueryOutcome::Answered(a2)) = (
-        h1.outcome.try_recv().unwrap(),
-        h2.outcome.try_recv().unwrap(),
-    ) else {
+    let mut out = drained(&mut engine);
+    let (QueryOutcome::Answered(a1), QueryOutcome::Answered(a2)) =
+        (out.remove(&h1.id).unwrap(), out.remove(&h2.id).unwrap())
+    else {
         panic!("expected both answered");
     };
     // Each answer carries two head tuples (R and S), on the same flight.
@@ -148,12 +154,13 @@ fn staleness_zero_expires_everything_on_next_submit() {
     let h2 = engine
         .submit_with(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"), now())
         .unwrap();
+    let mut out = drained(&mut engine);
     assert_eq!(
-        h1.outcome.try_recv().unwrap(),
+        out.remove(&h1.id).unwrap(),
         QueryOutcome::Failed(FailReason::Stale)
     );
     // The second query is alone now (it will expire on the next sweep).
-    assert!(h2.outcome.try_recv().is_err());
+    assert!(!out.contains_key(&h2.id));
     assert_eq!(engine.pending_count(), 1);
 }
 
@@ -177,8 +184,9 @@ fn keep_pending_policy_in_incremental_mode() {
             .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Athens)"))
             .unwrap();
         // Component closed but no DB solution: both remain pending.
-        assert!(h1.outcome.try_recv().is_err());
-        assert!(h2.outcome.try_recv().is_err());
+        let mut out = drained(&mut engine);
+        assert!(!out.contains_key(&h1.id));
+        assert!(!out.contains_key(&h2.id));
         assert_eq!(engine.pending_count(), 2);
         engine
             .db()
@@ -189,14 +197,16 @@ fn keep_pending_policy_in_incremental_mode() {
             let lonely = engine
                 .submit(q("{R(Newman, z)} R(Frank, z) <- F(z, Rome)"))
                 .unwrap();
-            assert!(lonely.outcome.try_recv().is_err());
+            out.extend(drained(&mut engine));
+            assert!(!out.contains_key(&lonely.id));
             assert_eq!(engine.pending_count(), 1);
         } else {
             assert_eq!(engine.flush().answered, 2);
         }
+        out.extend(drained(&mut engine));
         for h in [h1, h2] {
             assert!(matches!(
-                h.outcome.try_recv().unwrap(),
+                out.remove(&h.id).unwrap(),
                 QueryOutcome::Answered(_)
             ));
         }
@@ -205,15 +215,17 @@ fn keep_pending_policy_in_incremental_mode() {
 
 #[test]
 fn handles_survive_engine_drop() {
-    let handle = {
+    let (handle, log) = {
         let mut engine = CoordinationEngine::new(db(), EngineConfig::default());
-        engine
+        let handle = engine
             .submit(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"))
-            .unwrap()
+            .unwrap();
+        (handle, engine.drain_outcome_log())
         // Engine dropped here with the query still pending.
     };
-    // The channel reports disconnection rather than blocking.
-    assert!(handle.outcome.try_recv().is_err());
+    // The handle is a plain id that outlives the engine; the drained
+    // log holds no outcome for the still-pending query.
+    assert!(log.iter().all(|(id, _)| *id != handle.id));
 }
 
 #[test]
@@ -227,12 +239,13 @@ fn choose_k_queries_accepted_by_engine_with_one_solution() {
     let h2 = engine
         .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris) choose 2"))
         .unwrap();
+    let mut out = drained(&mut engine);
     assert!(matches!(
-        h1.outcome.try_recv().unwrap(),
+        out.remove(&h1.id).unwrap(),
         QueryOutcome::Answered(_)
     ));
     assert!(matches!(
-        h2.outcome.try_recv().unwrap(),
+        out.remove(&h2.id).unwrap(),
         QueryOutcome::Answered(_)
     ));
 }

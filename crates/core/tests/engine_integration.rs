@@ -9,7 +9,7 @@
 use eq_core::engine::QueryOutcome;
 use eq_core::{bruteforce, CoordinationEngine, EngineConfig, EngineMode};
 use eq_db::Database;
-use eq_ir::{EntangledQuery, Value};
+use eq_ir::{EntangledQuery, FastMap, QueryId, Value};
 use eq_sql::parse_ir_query;
 
 fn q(text: &str) -> EntangledQuery {
@@ -72,10 +72,8 @@ fn drive_with(
     if set_at_a_time {
         engine.flush();
     }
-    handles
-        .into_iter()
-        .map(|h| h.outcome.try_recv().ok())
-        .collect()
+    let mut log: FastMap<QueryId, QueryOutcome> = engine.drain_outcome_log().into_iter().collect();
+    handles.into_iter().map(|h| log.remove(&h.id)).collect()
 }
 
 fn answered_tuple(outcome: &Option<QueryOutcome>) -> &[Value] {
@@ -246,10 +244,10 @@ fn sharded_flush_is_indistinguishable_from_sequential() {
             );
         }
         let report = engine.flush();
-        let outcomes: Vec<Option<QueryOutcome>> = handles
-            .into_iter()
-            .map(|h| h.outcome.try_recv().ok())
-            .collect();
+        let mut log: FastMap<QueryId, QueryOutcome> =
+            engine.drain_outcome_log().into_iter().collect();
+        let outcomes: Vec<Option<QueryOutcome>> =
+            handles.into_iter().map(|h| log.remove(&h.id)).collect();
         (report, outcomes)
     };
     let (seq_report, seq_outcomes) = run(1);

@@ -16,7 +16,7 @@ use eq_core::{
     CombinedQuery, ComponentPlan, CoordinationEngine, EngineConfig, EngineMode, MatchGraph,
 };
 use eq_db::Database;
-use eq_ir::{EntangledQuery, QueryId, VarGen};
+use eq_ir::{EntangledQuery, FastMap, QueryId, VarGen};
 use eq_workload::{
     giant_component, two_way_pairs, GiantBody, GiantComponentConfig, PairStyle, SocialGraph,
     SocialGraphConfig,
@@ -66,9 +66,10 @@ fn outcomes(
         engine.flush();
     }
     engine.check_invariants().unwrap();
+    let mut log: FastMap<QueryId, QueryOutcome> = engine.drain_outcome_log().into_iter().collect();
     handles
         .into_iter()
-        .map(|h| (h.id, h.outcome.try_recv().ok()))
+        .map(|h| (h.id, log.remove(&h.id)))
         .collect()
 }
 

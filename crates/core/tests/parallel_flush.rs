@@ -6,7 +6,7 @@
 use eq_core::engine::{NoSolutionPolicy, QueryOutcome};
 use eq_core::{bruteforce, safety, ucs, CoordinationEngine, EngineConfig, EngineMode, MatchGraph};
 use eq_db::Database;
-use eq_ir::{EntangledQuery, QueryId, VarGen};
+use eq_ir::{EntangledQuery, FastMap, QueryId, VarGen};
 use eq_workload::{
     build_database, chains, clique_groups, giant_cluster, three_way_triangles, two_way_pairs,
     PairStyle, SocialGraph, SocialGraphConfig,
@@ -49,9 +49,10 @@ fn flush_outcomes(
         .map(|q| engine.submit(q.clone()).unwrap())
         .collect();
     engine.flush();
+    let mut log: FastMap<QueryId, QueryOutcome> = engine.drain_outcome_log().into_iter().collect();
     handles
         .into_iter()
-        .map(|h| (h.id, h.outcome.try_recv().ok()))
+        .map(|h| (h.id, log.remove(&h.id)))
         .collect()
 }
 

@@ -14,7 +14,7 @@ use eq_core::{
     CoordinationEngine, EngineConfig, EngineMode, MatchGraph, NoSolutionPolicy, SubmitOptions,
 };
 use eq_db::Database;
-use eq_ir::{EntangledQuery, Value, Var, VarGen};
+use eq_ir::{EntangledQuery, FastMap, QueryId, Value, Var, VarGen};
 use eq_workload::{
     build_database, chains, clique_groups, giant_cluster, three_way_triangles, two_way_pairs,
     PairStyle, SocialGraph, SocialGraphConfig,
@@ -103,10 +103,8 @@ fn flush_outcomes(
             .collect()
     };
     engine.flush();
-    handles
-        .into_iter()
-        .map(|h| h.outcome.try_recv().ok())
-        .collect()
+    let mut log: FastMap<QueryId, QueryOutcome> = engine.drain_outcome_log().into_iter().collect();
+    handles.into_iter().map(|h| log.remove(&h.id)).collect()
 }
 
 proptest! {

@@ -223,7 +223,7 @@ pub fn giant_component(cfg: &GiantComponentConfig) -> (Database, Vec<EntangledQu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eq_ir::VarGen;
+    use eq_ir::{FastMap, VarGen};
 
     #[test]
     fn ring_is_one_component_and_every_body_is_satisfiable() {
@@ -298,9 +298,11 @@ mod tests {
         assert_eq!(report.answered, 40);
         assert_eq!(report.intra_components, 1);
         assert_eq!(report.intra_units, 40);
+        let mut log: FastMap<QueryId, QueryOutcome> =
+            engine.drain_outcome_log().into_iter().collect();
         for h in &handles {
             assert!(matches!(
-                h.outcome.try_recv().unwrap(),
+                log.remove(&h.id).unwrap(),
                 QueryOutcome::Answered(_)
             ));
         }
@@ -338,8 +340,10 @@ mod tests {
             assert_eq!(report.intra_split_units, split_units, "n = {n}");
             // One region per chain edge when split.
             assert_eq!(report.intra_regions, split_units * n, "n = {n}");
+            let mut log: FastMap<QueryId, QueryOutcome> =
+                engine.drain_outcome_log().into_iter().collect();
             for (i, h) in handles.iter().enumerate() {
-                let QueryOutcome::Answered(answer) = h.outcome.try_recv().unwrap() else {
+                let QueryOutcome::Answered(answer) = log.remove(&h.id).unwrap() else {
                     panic!("query {i} must coordinate");
                 };
                 // k = 1 forces the unique valuation: guest i reserves

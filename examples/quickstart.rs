@@ -70,9 +70,8 @@ fn main() {
     println!("Kramer's query (IR): {kramer}");
     println!("Jerry's query  (IR): {jerry}");
 
-    // -- Coordinated answering (§4): one-shot over a throwaway
-    //    Coordinator session. For a long-running service, see the
-    //    travel_agency example.
+    // -- Coordinated answering (§4): one round of a bare engine. For a
+    //    long-running service, see the travel_agency example.
     let outcome = coordinate(&[kramer, jerry], &db).expect("coordination runs");
     for answer in outcome.all_answers() {
         let who = &answer.tuples[0][0];

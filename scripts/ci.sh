@@ -125,7 +125,7 @@ for bench in fig6_two_way fig7_postconditions fig8_stress fig9_safety ablation; 
     cargo bench -q --offline -p eq_bench --bench "$bench" -- --smoke
 done
 
-echo "== 14/14 benchmark package: unit tests + a short run of all five workloads with their output checks and three peak-RSS ceilings =="
+echo "== 14/14 benchmark package: unit tests + a short run of all five workloads with their output checks and four peak-RSS ceilings =="
 # The benchmark is a package of its own, outside the workspace, so no
 # step above builds it. Admission is one step whether a call carries one
 # query or many: pairs_incremental drives one `submit` (a batch of one)
@@ -148,10 +148,13 @@ echo "== 14/14 benchmark package: unit tests + a short run of all five workloads
 # under a ceiling of a measured median + 10 %, each measured with these
 # 2 s runs on a 2-core x86-64 box, median of 5 runs: pairs_durable
 # 265.9 MB once every table became one row slab (a heap `Vec` per row
-# had held it at 342.5 MB); pairs_incremental 183.9 MB and giant_shared
-# (seed 2011) 111.8 MB once snapshots shared tables (pairs_incremental
-# had measured 215.8 MB while each snapshot copied every table).
-declare -A rss_ceiling_mb=([pairs_incremental]=202.3 [giant_shared]=123.0 [pairs_durable]=292.4)
+# had held it at 342.5 MB); pairs_incremental 165.5 MB, giant_shared
+# (seed 2011) 98.2 MB and cliques_paged 155.2 MB (five runs within
+# 0.2 MB of each other) once a terminal outcome left the engine only
+# through its outcome log — a pending query had held a per-query
+# outcome channel of about 0.7 KB, and pairs_incremental measured
+# 183.9 MB and giant_shared 111.8 MB with them.
+declare -A rss_ceiling_mb=([pairs_incremental]=182.1 [giant_shared]=108.0 [cliques_paged]=170.7 [pairs_durable]=292.4)
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 for run in "pairs_incremental" "churn_sharded" "cliques_paged" "giant_shared" "giant_shared --seed 7" \
     "pairs_durable"; do

@@ -70,7 +70,7 @@
 //! ```
 //!
 //! One-shot coordination over a fixed query set is still available as
-//! [`core::coordinate()`] (a thin wrapper over a throwaway session).
+//! [`core::coordinate()`] (one round of a bare engine).
 
 #![forbid(unsafe_code)]
 

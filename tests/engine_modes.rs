@@ -4,6 +4,7 @@
 //! and the full 5.3.x workloads must run cleanly through the engine.
 
 use entangled_queries::core::engine::{NoSolutionPolicy, QueryOutcome};
+use entangled_queries::ir::FastMap;
 use entangled_queries::prelude::*;
 use entangled_queries::workload::{
     build_database, chains, clique_groups, no_unify, three_way_triangles, two_way_pairs, PairStyle,
@@ -36,14 +37,15 @@ fn run_engine(mode: EngineMode, queries: &[EntangledQuery], db: Database) -> (us
     if matches!(mode, EngineMode::SetAtATime { .. }) {
         engine.flush();
     }
+    let mut log: FastMap<QueryId, QueryOutcome> = engine.drain_outcome_log().into_iter().collect();
     let mut answered = 0;
     let mut failed = 0;
     let mut pending = 0;
     for h in handles {
-        match h.outcome.try_recv() {
-            Ok(QueryOutcome::Answered(_)) => answered += 1,
-            Ok(QueryOutcome::Failed(_)) => failed += 1,
-            Err(_) => pending += 1,
+        match log.remove(&h.id) {
+            Some(QueryOutcome::Answered(_)) => answered += 1,
+            Some(QueryOutcome::Failed(_)) => failed += 1,
+            None => pending += 1,
         }
     }
     (answered, failed, pending)
