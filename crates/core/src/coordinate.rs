@@ -1,63 +1,62 @@
 //! One-shot, set-at-a-time coordination over a fixed query set.
 //!
-//! [`coordinate()`] and [`coordinate_with_config()`] drive a bare
-//! [`CoordinationEngine`]: submit the whole set as one batch, flush
-//! once, classify the outcomes drained from its outcome log. Queries
-//! that stay pending after the single round — no partner, or sidelined
-//! by §3.1.1 enforcement — are reported as rejected, which is what
-//! "one-shot" means.
+//! [`coordinate()`] drives a bare [`CoordinationEngine`]: submit the
+//! whole set as one batch, flush once, classify the outcomes drained
+//! from its outcome log. Queries that stay pending after the single
+//! round — no partner, or sidelined by §3.1.1 enforcement — are
+//! reported as unanswered, which is what "one-shot" means.
+//!
+//! The engine rejects a query for one of two reasons
+//! ([`RejectReason`]). A one-shot round has three more outcomes of its
+//! own — refused at admission, sidelined, left without a partner — so
+//! [`Unanswered`] names five.
 
 use crate::combine::QueryAnswer;
 use crate::engine::{
     CoordinationEngine, EngineConfig, EngineMode, FailReason, NoSolutionPolicy, QueryOutcome,
-    SubmitError, SubmitOptions,
+    RejectReason, SubmitError, SubmitOptions,
 };
 use crate::matching::MatchStats;
-use crate::safety::{self, SafetyPolicy};
-use eq_db::{Database, DbError};
+use eq_db::Database;
 use eq_ir::{EntangledQuery, FastMap, FastSet, QueryId, ValidationError};
 use std::fmt;
 
-/// Why a query did not receive an answer in a coordination round.
+/// Why a query did not receive an answer in a one-shot round.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RejectReason {
+pub enum Unanswered {
     /// Structurally invalid (empty head, not range-restricted, ...).
     Invalid(ValidationError),
-    /// Removed by the safety enforcement of §3.1.1 (its postcondition
-    /// unified with more than one head).
+    /// Sidelined by the safety enforcement of §3.1.1 (its
+    /// postcondition unified with more than one head).
     Unsafe,
-    /// Its piece of the matched component — the survivors it is
-    /// connected to — spans several strongly connected components, so
-    /// it violates the unique-coordination-structure condition of
-    /// §3.1.2.
+    /// Rejected by the round: [`RejectReason::NonUcs`].
     NonUcs,
     /// Matching removed it: some postcondition had no satisfier, or its
     /// constraints were inconsistent (CLEANUP).
     Unmatched,
-    /// Its component matched but the database had no tuple satisfying
-    /// the combined query.
+    /// Rejected by the round: [`RejectReason::NoSolution`].
     NoSolution,
 }
 
-impl fmt::Display for RejectReason {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RejectReason::Invalid(e) => write!(f, "invalid query: {e}"),
-            RejectReason::Unsafe => write!(f, "removed by the safety check"),
-            RejectReason::NonUcs => write!(f, "coordination structure not unique"),
-            RejectReason::Unmatched => write!(f, "no coordination partner"),
-            RejectReason::NoSolution => write!(f, "no coordinated solution in the database"),
+impl From<RejectReason> for Unanswered {
+    fn from(r: RejectReason) -> Self {
+        match r {
+            RejectReason::NonUcs => Unanswered::NonUcs,
+            RejectReason::NoSolution => Unanswered::NoSolution,
         }
     }
 }
 
-/// Configuration for one coordination round. (Components violating UCS
-/// are always rejected: §3.1.2 rules out evaluating them as one
-/// combined query.)
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CoordinateConfig {
-    /// How to react to safety violations.
-    pub safety: SafetyPolicy,
+impl fmt::Display for Unanswered {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Unanswered::Invalid(e) => write!(f, "invalid query: {e}"),
+            Unanswered::Unsafe => write!(f, "removed by the safety check"),
+            Unanswered::NonUcs => write!(f, "{}", RejectReason::NonUcs),
+            Unanswered::Unmatched => write!(f, "no coordination partner"),
+            Unanswered::NoSolution => write!(f, "{}", RejectReason::NoSolution),
+        }
+    }
 }
 
 /// Outcome of a coordination round.
@@ -68,7 +67,7 @@ pub struct CoordinationOutcome {
     /// Queries that did not get an answer, with reasons. `Unmatched`
     /// entries are the natural "keep pending and retry later" set for a
     /// long-running engine.
-    pub rejected: Vec<(QueryId, RejectReason)>,
+    pub rejected: Vec<(QueryId, Unanswered)>,
     /// Aggregated matching statistics across components.
     pub stats: MatchStats,
     /// Number of connected components processed.
@@ -83,54 +82,14 @@ impl CoordinationOutcome {
         v
     }
 
-    /// The reject reason for a query, if it was rejected.
-    pub fn reason(&self, id: QueryId) -> Option<&RejectReason> {
+    /// Why a query went unanswered, if it did.
+    pub fn reason(&self, id: QueryId) -> Option<&Unanswered> {
         self.rejected.iter().find(|(q, _)| *q == id).map(|(_, r)| r)
     }
 }
 
-/// Errors aborting a whole round (not per-query rejections).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CoordinateError {
-    /// The workload was unsafe and the policy is
-    /// [`SafetyPolicy::RejectAll`].
-    UnsafeWorkload(Vec<safety::SafetyViolation>),
-    /// A database-layer error. (Kept for API stability: since the
-    /// engine-backed rewrite, a combined query referencing an unknown
-    /// relation rejects its component's queries with
-    /// [`RejectReason::NoSolution`] instead of aborting the round.)
-    Db(DbError),
-}
-
-impl fmt::Display for CoordinateError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CoordinateError::UnsafeWorkload(vs) => {
-                write!(f, "workload is unsafe ({} violations)", vs.len())
-            }
-            CoordinateError::Db(e) => write!(f, "database error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for CoordinateError {}
-
-impl From<DbError> for CoordinateError {
-    fn from(e: DbError) -> Self {
-        CoordinateError::Db(e)
-    }
-}
-
-/// Coordinates `queries` against `db` with default configuration
-/// (safety violations removed per §3.1.1; non-UCS components rejected).
-pub fn coordinate(
-    queries: &[EntangledQuery],
-    db: &Database,
-) -> Result<CoordinationOutcome, CoordinateError> {
-    coordinate_with_config(queries, db, CoordinateConfig::default())
-}
-
-/// Coordinates `queries` against `db`.
+/// Coordinates `queries` against `db` in one round: safety violations
+/// are sidelined per §3.1.1, non-UCS pieces rejected per §3.1.2.
 ///
 /// Queries keep their ids if distinct; otherwise they are assigned
 /// sequential ids (slot order). Variables are renamed apart internally,
@@ -139,14 +98,10 @@ pub fn coordinate(
 /// This drives a one-shot [`CoordinationEngine`]: the whole set is
 /// admitted as one batch, a single set-at-a-time flush runs, and the
 /// outcomes on its log are mapped back to the caller's ids.
-/// Queries left pending by the round are rejected — as
-/// [`RejectReason::Unsafe`] if §3.1.1 enforcement sidelined them, as
-/// [`RejectReason::Unmatched`] otherwise.
-pub fn coordinate_with_config(
-    queries: &[EntangledQuery],
-    db: &Database,
-    config: CoordinateConfig,
-) -> Result<CoordinationOutcome, CoordinateError> {
+/// Queries left pending by the round are unanswered — as
+/// [`Unanswered::Unsafe`] if §3.1.1 enforcement sidelined them, as
+/// [`Unanswered::Unmatched`] otherwise.
+pub fn coordinate(queries: &[EntangledQuery], db: &Database) -> CoordinationOutcome {
     let mut outcome = CoordinationOutcome::default();
 
     // Assign ids if the caller didn't.
@@ -171,8 +126,7 @@ pub fn coordinate_with_config(
     // A bare engine over a snapshot of the database, which shares the
     // caller's in-memory tables rather than copying them (the engine
     // never writes to them). The admission-time safety check stays
-    // off: one-shot semantics enforce §3.1.1 at matching time per the
-    // configured policy.
+    // off: one-shot semantics enforce §3.1.1 at matching time.
     let mut engine = CoordinationEngine::new(
         db.snapshot(),
         EngineConfig {
@@ -197,30 +151,14 @@ pub fn coordinate_with_config(
         match result {
             Ok(handle) => admitted.push((handle.id, caller_id)),
             Err(SubmitError::Invalid(e)) => {
-                outcome.rejected.push((caller_id, RejectReason::Invalid(e)));
+                outcome.rejected.push((caller_id, Unanswered::Invalid(e)));
             }
-            Err(SubmitError::Unsafe) => outcome.rejected.push((caller_id, RejectReason::Unsafe)),
+            Err(SubmitError::Unsafe) => outcome.rejected.push((caller_id, Unanswered::Unsafe)),
         }
     }
 
-    // Safety (§3.1.1) per the configured policy, before the round runs.
-    let sidelined: FastSet<QueryId> = match config.safety {
-        SafetyPolicy::RejectAll => {
-            let mut violations = engine.safety_violations();
-            if !violations.is_empty() {
-                let to_caller: FastMap<QueryId, QueryId> = admitted.iter().copied().collect();
-                for v in &mut violations {
-                    if let Some(&caller_id) = to_caller.get(&v.query) {
-                        v.query = caller_id;
-                    }
-                }
-                return Err(CoordinateError::UnsafeWorkload(violations));
-            }
-            // A safe pool sidelines nothing; skip the enforcement scan.
-            FastSet::default()
-        }
-        SafetyPolicy::RemoveOffending => engine.safety_sidelined().into_iter().collect(),
-    };
+    // Safety (§3.1.1): the queries the round will sideline.
+    let sidelined: FastSet<QueryId> = engine.safety_sidelined().into_iter().collect();
 
     let report = engine.flush();
     outcome.stats = report.stats;
@@ -230,30 +168,24 @@ pub fn coordinate_with_config(
     let mut terminal: FastMap<QueryId, QueryOutcome> =
         engine.drain_outcome_log().into_iter().collect();
     for (id, caller_id) in admitted {
-        match terminal.remove(&id) {
+        let reason = match terminal.remove(&id) {
             Some(QueryOutcome::Answered(mut answer)) => {
                 answer.query = caller_id;
                 outcome.answers.insert(caller_id, answer);
+                continue;
             }
-            Some(QueryOutcome::Failed(FailReason::Rejected(reason))) => {
-                outcome.rejected.push((caller_id, reason));
-            }
+            Some(QueryOutcome::Failed(FailReason::Rejected(reason))) => reason.into(),
+            // No staleness or cancellation exists in a one-shot round;
+            // defensive fallback.
             Some(QueryOutcome::Failed(FailReason::Stale | FailReason::Cancelled)) => {
-                // No staleness or cancellation exists in a one-shot
-                // round; defensive fallback.
-                outcome.rejected.push((caller_id, RejectReason::Unmatched));
+                Unanswered::Unmatched
             }
-            None => {
-                let reason = if sidelined.contains(&id) {
-                    RejectReason::Unsafe
-                } else {
-                    RejectReason::Unmatched
-                };
-                outcome.rejected.push((caller_id, reason));
-            }
-        }
+            None if sidelined.contains(&id) => Unanswered::Unsafe,
+            None => Unanswered::Unmatched,
+        };
+        outcome.rejected.push((caller_id, reason));
     }
-    Ok(outcome)
+    outcome
 }
 
 #[cfg(test)]
@@ -300,8 +232,7 @@ mod tests {
                 q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris), A(y, United)"),
             ],
             &db,
-        )
-        .unwrap();
+        );
         assert_eq!(outcome.answers.len(), 2);
         assert!(outcome.rejected.is_empty());
         let answers = outcome.all_answers();
@@ -313,9 +244,9 @@ mod tests {
     #[test]
     fn lone_query_is_unmatched() {
         let db = flight_db();
-        let outcome = coordinate(&[q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)")], &db).unwrap();
+        let outcome = coordinate(&[q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)")], &db);
         assert!(outcome.answers.is_empty());
-        assert_eq!(outcome.reason(QueryId(0)), Some(&RejectReason::Unmatched));
+        assert_eq!(outcome.reason(QueryId(0)), Some(&Unanswered::Unmatched));
     }
 
     #[test]
@@ -330,29 +261,10 @@ mod tests {
                 q("{R(f, z)} R(Jerry, z) <- F(z, w), A(z, f)"),
             ],
             &db,
-        )
-        .unwrap();
-        assert_eq!(outcome.reason(QueryId(2)), Some(&RejectReason::Unsafe));
-        assert_eq!(outcome.reason(QueryId(0)), Some(&RejectReason::Unmatched));
-        assert_eq!(outcome.reason(QueryId(1)), Some(&RejectReason::Unmatched));
-    }
-
-    #[test]
-    fn reject_all_policy_errors_on_unsafe() {
-        let db = flight_db();
-        let err = coordinate_with_config(
-            &[
-                q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"),
-                q("{R(Jerry, y)} R(Elaine, y) <- F(y, Rome)"),
-                q("{R(f, z)} R(Jerry, z) <- F(z, w), A(z, f)"),
-            ],
-            &db,
-            CoordinateConfig {
-                safety: SafetyPolicy::RejectAll,
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, CoordinateError::UnsafeWorkload(_)));
+        );
+        assert_eq!(outcome.reason(QueryId(2)), Some(&Unanswered::Unsafe));
+        assert_eq!(outcome.reason(QueryId(0)), Some(&Unanswered::Unmatched));
+        assert_eq!(outcome.reason(QueryId(1)), Some(&Unanswered::Unmatched));
     }
 
     #[test]
@@ -366,11 +278,10 @@ mod tests {
                 q("{R(Jerry, z)} R(Frank, z) <- F(z, Paris), A(z, United)"),
             ],
             &db,
-        )
-        .unwrap();
+        );
         assert!(outcome.answers.is_empty());
         for i in 0..3 {
-            assert_eq!(outcome.reason(QueryId(i)), Some(&RejectReason::NonUcs));
+            assert_eq!(outcome.reason(QueryId(i)), Some(&Unanswered::NonUcs));
         }
     }
 
@@ -399,14 +310,13 @@ mod tests {
                 q("{R(X, ITH) & R(Y, ITH) & Missing(D)} R(D, ITH) <- F(D, X)"),
             ],
             &twin_db(),
-        )
-        .unwrap();
+        );
         assert_eq!(outcome.answers.len(), 2);
         assert_eq!(outcome.answers[&QueryId(0)].tuples[0][0], Value::str("X"));
         assert_eq!(outcome.answers[&QueryId(1)].tuples[0][0], Value::str("Xp"));
-        assert_eq!(outcome.reason(QueryId(2)), Some(&RejectReason::NoSolution));
-        assert_eq!(outcome.reason(QueryId(3)), Some(&RejectReason::NoSolution));
-        assert_eq!(outcome.reason(QueryId(4)), Some(&RejectReason::Unmatched));
+        assert_eq!(outcome.reason(QueryId(2)), Some(&Unanswered::NoSolution));
+        assert_eq!(outcome.reason(QueryId(3)), Some(&Unanswered::NoSolution));
+        assert_eq!(outcome.reason(QueryId(4)), Some(&Unanswered::Unmatched));
     }
 
     #[test]
@@ -422,14 +332,13 @@ mod tests {
                 q("{R(X, ITH) & B(C1) & Missing(D)} R(D, ITH) <- F(D, X)"),
             ],
             &twin_db(),
-        )
-        .unwrap();
+        );
         assert_eq!(outcome.answers.len(), 2);
         assert!(outcome.answers.contains_key(&QueryId(0)));
         assert!(outcome.answers.contains_key(&QueryId(1)));
-        assert_eq!(outcome.reason(QueryId(2)), Some(&RejectReason::NonUcs));
-        assert_eq!(outcome.reason(QueryId(3)), Some(&RejectReason::NonUcs));
-        assert_eq!(outcome.reason(QueryId(4)), Some(&RejectReason::Unmatched));
+        assert_eq!(outcome.reason(QueryId(2)), Some(&Unanswered::NonUcs));
+        assert_eq!(outcome.reason(QueryId(3)), Some(&Unanswered::NonUcs));
+        assert_eq!(outcome.reason(QueryId(4)), Some(&Unanswered::Unmatched));
     }
 
     #[test]
@@ -442,20 +351,19 @@ mod tests {
                 q("{R(Kramer, y)} R(Jerry, y) <- F(y, Athens)"),
             ],
             &db,
-        )
-        .unwrap();
+        );
         assert!(outcome.answers.is_empty());
-        assert_eq!(outcome.reason(QueryId(0)), Some(&RejectReason::NoSolution));
+        assert_eq!(outcome.reason(QueryId(0)), Some(&Unanswered::NoSolution));
     }
 
     #[test]
     fn invalid_query_rejected_up_front() {
         let db = flight_db();
         let bad = EntangledQuery::new(vec![], vec![], vec![]);
-        let outcome = coordinate(&[bad], &db).unwrap();
+        let outcome = coordinate(&[bad], &db);
         assert!(matches!(
             outcome.reason(QueryId(0)),
-            Some(&RejectReason::Invalid(_))
+            Some(&Unanswered::Invalid(_))
         ));
     }
 
@@ -470,8 +378,7 @@ mod tests {
                 q("{R(Newman, w)} R(Frank, w) <- F(w, Rome)"),
             ],
             &db,
-        )
-        .unwrap();
+        );
         assert_eq!(outcome.component_count, 2);
         assert_eq!(outcome.answers.len(), 4);
         // Pair 1 shares a Paris flight; pair 2 shares the Rome flight.
@@ -488,7 +395,7 @@ mod tests {
             q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)").with_id(QueryId(1)),
             q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris), A(y, United)").with_id(QueryId(2)),
         ];
-        let fast = coordinate(&queries, &db).unwrap();
+        let fast = coordinate(&queries, &db);
         let gen = eq_ir::VarGen::new();
         let renamed: Vec<EntangledQuery> = queries.iter().map(|x| x.rename_apart(&gen)).collect();
         let slow = crate::bruteforce::find_coordinating_set(&renamed, &db, true).unwrap();

@@ -75,7 +75,8 @@
 //!                  (0 | 1 len:uv tag-bytes)  policy:u8         -- head, postconditions, body
 //! atoms         := n:uv (relation:sym arity:uv term*)*n
 //! outcome-body  := 0 query:uv n:uv sym*n n:uv row*n            -- answered
-//!                | 1 reject-reason | 2 | 3                     -- rejected, stale, cancelled
+//!                | 1 (2 | 4) | 2 | 3                           -- rejected (non-UCS | no
+//!                                                              --   solution), stale, cancelled
 //!
 //! image payload := version:uv next_query_id:uv wal_seqno:uv  defs
 //!                  ntables:uv (table:sym ncols:uv column:sym* nrows:uv row*)*
@@ -110,14 +111,13 @@
 //!   story); an application wanting out-of-core relations re-attaches
 //!   paged backends after `open`.
 
-use crate::engine::{EngineConfig, FailReason, NoSolutionPolicy, QueryHandle, QueryOutcome};
+use crate::engine::{
+    EngineConfig, FailReason, NoSolutionPolicy, QueryHandle, QueryOutcome, RejectReason,
+};
 use crate::error::CoordinationError;
 use crate::service::{Coordinator, DurabilitySink, StagedSubmits, SubmitRequest};
 use eq_db::{Database, Tuple};
-use eq_ir::{
-    Atom, CmpOp, Constraint, EntangledQuery, FastMap, Polarity, QueryId, Symbol, Term,
-    ValidationError, Value, Var,
-};
+use eq_ir::{Atom, CmpOp, Constraint, EntangledQuery, FastMap, QueryId, Symbol, Term, Value, Var};
 use eq_store::{read_checkpoint, write_checkpoint, StoreError, WalStats, WriteAheadLog};
 use parking_lot::Mutex;
 use std::fmt;
@@ -125,7 +125,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::combine::QueryAnswer;
-use crate::coordinate::RejectReason;
 
 /// WAL file name inside a durable coordinator's directory.
 pub const WAL_FILE: &str = "wal.log";
@@ -447,8 +446,7 @@ impl Enc<'_> {
                 }
             }
             QueryOutcome::Failed(FailReason::Rejected(reason)) => {
-                self.out.push(1);
-                put_reject_reason(self.out, reason);
+                self.out.extend([1, reject_reason_tag(*reason)]);
             }
             QueryOutcome::Failed(FailReason::Stale) => self.out.push(2),
             QueryOutcome::Failed(FailReason::Cancelled) => self.out.push(3),
@@ -643,64 +641,18 @@ fn get_cmp_op(cur: &mut Cur<'_>) -> Result<CmpOp, StoreError> {
     }
 }
 
-fn put_validation_error(out: &mut Vec<u8>, e: &ValidationError) {
-    match e {
-        ValidationError::EmptyHead => out.push(0),
-        ValidationError::NotRangeRestricted { var, polarity } => {
-            out.push(1);
-            put_uv(out, u64::from(var.index()));
-            out.push(match polarity {
-                Polarity::Head => 0,
-                Polarity::Postcondition => 1,
-            });
-        }
-        ValidationError::ChooseZero => out.push(2),
-        ValidationError::UnboundConstraintVar { var } => {
-            out.push(3);
-            put_uv(out, u64::from(var.index()));
-        }
-    }
-}
-
-fn get_validation_error(cur: &mut Cur<'_>) -> Result<ValidationError, StoreError> {
-    match cur.u8()? {
-        0 => Ok(ValidationError::EmptyHead),
-        1 => {
-            let var = Var(cur.u32()?);
-            let polarity = match cur.u8()? {
-                0 => Polarity::Head,
-                1 => Polarity::Postcondition,
-                _ => return Err(StoreError::Corrupt("polarity tag")),
-            };
-            Ok(ValidationError::NotRangeRestricted { var, polarity })
-        }
-        2 => Ok(ValidationError::ChooseZero),
-        3 => Ok(ValidationError::UnboundConstraintVar {
-            var: Var(cur.u32()?),
-        }),
-        _ => Err(StoreError::Corrupt("validation-error tag")),
-    }
-}
-
-fn put_reject_reason(out: &mut Vec<u8>, r: &RejectReason) {
+/// A reject reason's tag inside an outcome body. The tags are part of
+/// the on-disk format; 0, 1 and 3 name no reason and are refused.
+fn reject_reason_tag(r: RejectReason) -> u8 {
     match r {
-        RejectReason::Invalid(e) => {
-            out.push(0);
-            put_validation_error(out, e);
-        }
-        RejectReason::Unsafe => out.push(1),
-        RejectReason::NonUcs => out.push(2),
-        RejectReason::Unmatched => out.push(3),
-        RejectReason::NoSolution => out.push(4),
+        RejectReason::NonUcs => 2,
+        RejectReason::NoSolution => 4,
     }
 }
 
 fn get_reject_reason(cur: &mut Cur<'_>) -> Result<RejectReason, StoreError> {
     match cur.u8()? {
-        0 => Ok(RejectReason::Invalid(get_validation_error(cur)?)),
-        1 => Ok(RejectReason::Unsafe),
         2 => Ok(RejectReason::NonUcs),
-        3 => Ok(RejectReason::Unmatched),
         4 => Ok(RejectReason::NoSolution),
         _ => Err(StoreError::Corrupt("reject-reason tag")),
     }
@@ -1842,6 +1794,55 @@ mod tests {
         assert!(recovered.apply_frame(&frame_with_base(golden, 9)).is_err());
     }
 
+    /// Every outcome `retire` can record, byte for byte: the body
+    /// format is on disk.
+    #[test]
+    fn reachable_outcomes_keep_their_bytes() {
+        let answered = QueryOutcome::Answered(QueryAnswer {
+            query: QueryId(7),
+            relations: vec![Symbol::new("Ro")],
+            tuples: vec![vec![Value::str("Jerry"), Value::int(300)]],
+        });
+        let rejected = |r| QueryOutcome::Failed(FailReason::Rejected(r));
+        let cases: [(QueryOutcome, &[u8]); 5] = [
+            (answered, &[0, 7, 1, 0, 1, 2, 2, 1, 1, 0xd8, 0x04]),
+            (rejected(RejectReason::NonUcs), &[1, 2]),
+            (rejected(RejectReason::NoSolution), &[1, 4]),
+            (QueryOutcome::Failed(FailReason::Stale), &[2]),
+            (QueryOutcome::Failed(FailReason::Cancelled), &[3]),
+        ];
+        let mut dict = Dict::default();
+        for (outcome, golden) in cases {
+            let mut body = Vec::new();
+            Enc {
+                out: &mut body,
+                dict: &mut dict,
+            }
+            .outcome(&outcome);
+            assert_eq!(body, golden, "{outcome:?}");
+            assert_eq!(decode_outcome(&body, &dict).unwrap(), outcome);
+        }
+    }
+
+    /// An outcome record whose reject reason has a tag no reason owns
+    /// is a corrupt frame, not a panic and not a decoded outcome.
+    #[test]
+    fn unowned_reject_reason_tags_are_corrupt() {
+        for body in [&[1u8, 0, 0][..], &[1, 1], &[1, 3]] {
+            let mut record = vec![REC_OUTCOME];
+            put_entry(&mut record, QueryId(1), body);
+            let frame = frame_payload(0, &mut Dict::default(), &record);
+            let err = Recovered::default().apply_frame(&frame).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    DurableError::Store(StoreError::Corrupt("reject-reason tag"))
+                ),
+                "{body:?}: {err:?}"
+            );
+        }
+    }
+
     /// `frame` with its base sequence number (one byte here) replaced.
     fn frame_with_base(frame: &[u8], base: u8) -> Vec<u8> {
         let mut frame = frame.to_vec();
@@ -1990,31 +1991,22 @@ mod tests {
         }
     }
 
+    /// The outcomes `retire` can record.
     fn any_outcome(rng: &mut TestRng) -> QueryOutcome {
-        let var = Var(rng.below(1 << 16) as u32);
-        let reason = match rng.below(10) {
-            0 => RejectReason::Unsafe,
-            1 => RejectReason::NonUcs,
-            2 => RejectReason::Unmatched,
-            3 => RejectReason::NoSolution,
-            4 => RejectReason::Invalid(ValidationError::EmptyHead),
-            5 => RejectReason::Invalid(ValidationError::ChooseZero),
-            6 => RejectReason::Invalid(ValidationError::UnboundConstraintVar { var }),
-            7 => RejectReason::Invalid(ValidationError::NotRangeRestricted {
-                var,
-                polarity: [Polarity::Head, Polarity::Postcondition][rng.below(2) as usize],
-            }),
-            8 => return QueryOutcome::Failed(FailReason::Stale),
-            _ => return QueryOutcome::Failed(FailReason::Cancelled),
+        let reason = match rng.below(8) {
+            0 => FailReason::Rejected(RejectReason::NonUcs),
+            1 => FailReason::Rejected(RejectReason::NoSolution),
+            2 => FailReason::Stale,
+            3 => FailReason::Cancelled,
+            _ => {
+                return QueryOutcome::Answered(QueryAnswer {
+                    query: QueryId(rng.next_u64()),
+                    relations: (0..rng.below(4)).map(|_| any_symbol(rng)).collect(),
+                    tuples: any_rows(rng),
+                })
+            }
         };
-        match rng.below(3) {
-            0 => QueryOutcome::Failed(FailReason::Rejected(reason)),
-            _ => QueryOutcome::Answered(QueryAnswer {
-                query: QueryId(rng.next_u64()),
-                relations: (0..rng.below(4)).map(|_| any_symbol(rng)).collect(),
-                tuples: any_rows(rng),
-            }),
-        }
+        QueryOutcome::Failed(reason)
     }
 
     proptest! {

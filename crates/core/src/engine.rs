@@ -42,13 +42,12 @@
 //! layer's asynchronous answer delivery).
 
 use crate::combine::{self, QueryAnswer};
-use crate::coordinate::RejectReason;
 use crate::error::InvariantViolation;
 use crate::graph::MatchGraph;
 use crate::intra;
 use crate::matching::{self, MatchStats};
 use crate::pool;
-use crate::safety::{self, SafetyViolation};
+use crate::safety;
 use eq_db::{Database, StoreIoStats};
 use eq_ir::{EntangledQuery, FastMap, FastSet, QueryId, ValidationError, VarGen};
 use eq_unify::Unifier;
@@ -160,10 +159,33 @@ pub enum QueryStatus {
     Failed(FailReason),
 }
 
+/// Why a coordination round rejected a query: the two ways §3–4 let a
+/// matched query fail.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RejectReason {
+    /// Its piece of the matched component — the survivors it is
+    /// connected to — spans several strongly connected components, so
+    /// it violates the unique-coordination-structure condition of
+    /// §3.1.2.
+    NonUcs,
+    /// Its coordinating set matched but the database had no tuple
+    /// satisfying the combined query (§4.2).
+    NoSolution,
+}
+
+impl std::fmt::Display for RejectReason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            RejectReason::NonUcs => "coordination structure not unique",
+            RejectReason::NoSolution => "no coordinated solution in the database",
+        })
+    }
+}
+
 /// Why a pending query failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FailReason {
-    /// Rejected/removed per a [`RejectReason`].
+    /// Rejected by a coordination round, for a [`RejectReason`].
     Rejected(RejectReason),
     /// Passed its deadline without coordinating.
     Stale,
@@ -945,26 +967,11 @@ impl CoordinationEngine {
         Ok(())
     }
 
-    /// Scans the pending pool for §3.1.1 safety violations — any
-    /// postcondition with two or more unifying live heads — without
-    /// mutating anything. Used by strict one-shot coordination
-    /// ([`crate::coordinate_with_config`] under
-    /// [`safety::SafetyPolicy::RejectAll`]).
-    pub fn safety_violations(&self) -> Vec<SafetyViolation> {
-        let components = self.graph.components();
-        let mut out: Vec<SafetyViolation> = components
-            .iter()
-            .flat_map(|c| safety::violations_members(&self.graph, c))
-            .collect();
-        out.sort_by_key(|v| (v.slot, v.pc_idx));
-        out
-    }
-
     /// The queries that §3.1.1 enforcement would sideline if a flush
     /// ran now: per component, the removal fixpoint over ambiguous
     /// postconditions. These queries stay pending through flushes until
     /// their ambiguity resolves; one-shot coordination reports them as
-    /// `Unsafe`-rejected.
+    /// unsafe.
     pub fn safety_sidelined(&self) -> Vec<QueryId> {
         let components = self.graph.components();
         components
@@ -1992,10 +1999,6 @@ mod tests {
         let ambiguous = engine
             .submit(q("{R(f, z)} R(Jerry, z) <- F(z, w), A(z, f)"))
             .unwrap();
-        let violations = engine.safety_violations();
-        assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].query, ambiguous.id);
-        assert_eq!(violations[0].heads.len(), 2);
         assert_eq!(engine.safety_sidelined(), vec![ambiguous.id]);
     }
 
@@ -2223,7 +2226,6 @@ mod tests {
             assert!(admitted.iter().all(Result::is_ok));
             assert_eq!(engine.graph.component_count(), 1);
             let before = GROUP_STEPS.with(Cell::get);
-            assert!(engine.safety_violations().is_empty());
             assert!(engine.safety_sidelined().is_empty());
             GROUP_STEPS.with(Cell::get) - before
         };

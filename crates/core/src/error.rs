@@ -1,13 +1,13 @@
 //! The unified error hierarchy of the coordination API.
 //!
-//! Before the `Coordinator` service existed, the public surface carried
-//! three disjoint error shapes: [`SubmitError`] from
-//! [`crate::CoordinationEngine::submit`], [`RejectReason`] /
-//! [`FailReason`] as per-query failure payloads, and a stringly
-//! `Result<(), String>` from the invariant checkers.
-//! [`CoordinationError`] folds all of them (plus database and
-//! validation errors) into one typed enum, so service callers match on
-//! a single hierarchy and every legacy shape converts in with `?`.
+//! [`CoordinationError`] is what an operation that is refused reports:
+//! a submission the engine will not admit ([`SubmitError`] converts in
+//! with `?`), an unknown or already-terminal query id, a database
+//! error, or an engine invariant that did not hold. A query that is
+//! admitted and later fails is not an error of any call: its terminal
+//! outcome leaves the engine on its outcome log with a
+//! [`crate::engine::FailReason`] and reaches service subscribers as an
+//! `Event`.
 //!
 //! ```
 //! use eq_core::{Coordinator, CoordinationError, EngineConfig};
@@ -24,8 +24,7 @@
 //! assert!(CoordinationError::UnsafeAdmission.to_string().contains("unsafe"));
 //! ```
 
-use crate::coordinate::RejectReason;
-use crate::engine::{FailReason, SubmitError};
+use crate::engine::SubmitError;
 use eq_db::DbError;
 use eq_ir::{QueryId, ValidationError};
 use std::fmt;
@@ -113,13 +112,9 @@ impl fmt::Display for InvariantViolation {
 
 impl std::error::Error for InvariantViolation {}
 
-/// The one error type of the `Coordinator` service API.
-///
-/// Everything the coordination stack can report — submission refusals,
-/// per-query terminal failures, database errors, invariant violations —
-/// converts into this enum, replacing the pre-service split across
-/// [`SubmitError`], [`RejectReason`], [`FailReason`], and
-/// `Result<(), String>`.
+/// The one error type of the `Coordinator` service API: submission
+/// refusals, unknown or already-terminal ids, database errors and
+/// invariant violations.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CoordinationError {
     /// The query is structurally invalid (empty head, not
@@ -129,11 +124,6 @@ pub enum CoordinationError {
     /// query: admitting it would give some postcondition two or more
     /// unifying heads.
     UnsafeAdmission,
-    /// The query was admitted but reached a terminal failure: rejected
-    /// during a round ([`FailReason::Rejected`]), expired
-    /// ([`FailReason::Stale`]), or withdrawn
-    /// ([`FailReason::Cancelled`]).
-    Failed(FailReason),
     /// The operation named a query id the service does not know (never
     /// submitted, or already drained from a closed session).
     UnknownQuery(QueryId),
@@ -156,16 +146,6 @@ impl fmt::Display for CoordinationError {
                     "admission refused: query would make the pending set unsafe"
                 )
             }
-            CoordinationError::Failed(FailReason::Rejected(r)) => write!(f, "rejected: {r}"),
-            CoordinationError::Failed(FailReason::Stale) => {
-                write!(
-                    f,
-                    "expired: exceeded its staleness bound without coordinating"
-                )
-            }
-            CoordinationError::Failed(FailReason::Cancelled) => {
-                write!(f, "cancelled by the application")
-            }
             CoordinationError::UnknownQuery(id) => write!(f, "unknown query {id}"),
             CoordinationError::AlreadyTerminal(status) => {
                 write!(f, "query already terminal: {status:?}")
@@ -184,18 +164,6 @@ impl From<SubmitError> for CoordinationError {
             SubmitError::Invalid(v) => CoordinationError::Invalid(v),
             SubmitError::Unsafe => CoordinationError::UnsafeAdmission,
         }
-    }
-}
-
-impl From<FailReason> for CoordinationError {
-    fn from(r: FailReason) -> Self {
-        CoordinationError::Failed(r)
-    }
-}
-
-impl From<RejectReason> for CoordinationError {
-    fn from(r: RejectReason) -> Self {
-        CoordinationError::Failed(FailReason::Rejected(r))
     }
 }
 
@@ -225,13 +193,6 @@ mod tests {
     fn every_legacy_shape_converts_in() {
         let e: CoordinationError = SubmitError::Unsafe.into();
         assert_eq!(e, CoordinationError::UnsafeAdmission);
-        let e: CoordinationError = FailReason::Stale.into();
-        assert_eq!(e, CoordinationError::Failed(FailReason::Stale));
-        let e: CoordinationError = RejectReason::NoSolution.into();
-        assert_eq!(
-            e,
-            CoordinationError::Failed(FailReason::Rejected(RejectReason::NoSolution))
-        );
         let e: CoordinationError = DbError::UnknownRelation(eq_ir::Symbol::new("T")).into();
         assert!(matches!(e, CoordinationError::Db(_)));
         let e: CoordinationError = InvariantViolation::IdMapMismatch { slot: 3 }.into();

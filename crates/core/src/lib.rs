@@ -13,7 +13,8 @@
 //!    across flushes; [`MatchGraph::build`] links a fixed query list
 //!    through the same edge discovery;
 //! 3. [`safety`] — the safety condition of §3.1.1 (a postcondition that
-//!    unifies with two or more heads makes the set unsafe);
+//!    unifies with two or more heads makes the set unsafe); the engine
+//!    sidelines such queries per component;
 //! 4. [`ucs`] — the unique-coordination-structure condition of §3.1.2
 //!    via strongly connected components;
 //! 5. [`matching`] — Algorithm 1: unifier propagation with cascading
@@ -45,9 +46,13 @@
 //! [`Coordinator`] handle with [`Session`]-scoped submissions
 //! ([`SubmitRequest`] builder, batched parallel admission via
 //! [`Session::submit_batch`]), a pushed [`Event`] stream, and the
-//! unified [`CoordinationError`] hierarchy ([`error`]). For one-shot,
-//! set-at-a-time coordination over a fixed query set, [`coordinate()`]
-//! drives a bare [`CoordinationEngine`] for one round.
+//! unified [`CoordinationError`] hierarchy ([`error`]) for refused
+//! operations. A round rejects a query for one of two reasons
+//! ([`RejectReason`]: a non-unique coordination structure, §3.1.2, or
+//! no database solution, §4.2). For one-shot, set-at-a-time
+//! coordination over a fixed query set, [`coordinate()`] drives a bare
+//! [`CoordinationEngine`] for one round and labels each unanswered
+//! query ([`Unanswered`]).
 
 #![forbid(unsafe_code)]
 
@@ -69,17 +74,16 @@ pub mod service;
 pub mod ucs;
 
 pub use combine::{CombinedQuery, QueryAnswer};
-pub use coordinate::{coordinate, coordinate_with_config, CoordinationOutcome, RejectReason};
+pub use coordinate::{coordinate, CoordinationOutcome, Unanswered};
 pub use durable::{DurableCoordinator, DurableError};
 pub use engine::{
     BatchReport, CoordinationEngine, EngineConfig, EngineMode, FailReason, NoSolutionPolicy,
-    QueryHandle, QueryOutcome, QueryStatus, SubmitError, SubmitOptions,
+    QueryHandle, QueryOutcome, QueryStatus, RejectReason, SubmitError, SubmitOptions,
 };
 pub use error::{CoordinationError, InvariantViolation};
 pub use events::{Events, OverflowPolicy, SubscriberStats};
 pub use graph::{Edge, MatchGraph};
 pub use index::{AtomIndex, AtomRef};
 pub use intra::{ComponentPlan, WorkUnit};
-pub use safety::{SafetyPolicy, SafetyViolation};
 pub use service::{Coordinator, Event, LockStats, Session, SubmitRequest, DEFAULT_EVENT_CAPACITY};
 pub use ucs::UcsViolation;

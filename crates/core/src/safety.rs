@@ -5,75 +5,21 @@
 //! (heads of two different queries, or two head atoms of the same query).
 //! Safety guarantees that the way queries can match is unique, which is
 //! what makes matching tractable (Theorem 3.1).
+//!
+//! Of the two responses §3.1.1 offers, the engine takes the removal
+//! strategy: [`enforce_members`] sidelines, per component, the queries
+//! whose postconditions are ambiguous, and the rest of the component is
+//! matched. Rejecting the whole set is not offered: in a long-running
+//! pool one ambiguous query would fail every query of its component.
+//! With the admission check on (Figure 9), the query that would make
+//! the pool unsafe is refused at submission instead.
 
 use crate::graph::MatchGraph;
-use eq_ir::{FastSet, QueryId};
+use eq_ir::FastSet;
 
-/// A detected safety violation: the postcondition `pc_idx` of `query`
-/// unifies with more than one head atom.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SafetyViolation {
-    /// Slot of the offending query in the graph.
-    pub slot: u32,
-    /// Its stable query id.
-    pub query: QueryId,
-    /// Index of the ambiguous postcondition atom.
-    pub pc_idx: u32,
-    /// The `(slot, head_idx)` pairs of the unifiable heads (≥ 2).
-    pub heads: Vec<(u32, u32)>,
-}
-
-/// What to do when a workload is unsafe.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SafetyPolicy {
-    /// Remove offending queries until the remainder is safe (the simple
-    /// iteration suggested in §3.1.1; not Church-Rosser but efficient).
-    /// Removed queries are reported as rejected.
-    #[default]
-    RemoveOffending,
-    /// Reject the entire input if any violation exists (strict mode —
-    /// "the problem would be pointed out to the users involved").
-    RejectAll,
-}
-
-/// Member-scoped violation scan: reports every member whose
-/// postcondition has two or more in-edges from member heads. The engine
-/// runs it per component of its graph to answer "is the pending pool
-/// safe right now?"; over all slots of a graph it is the whole-graph
-/// scan.
-pub fn violations_members(graph: &MatchGraph, members: &[u32]) -> Vec<SafetyViolation> {
-    let member_set: FastSet<u32> = members.iter().copied().collect();
-    let mut out = Vec::new();
-    for &slot in members {
-        let q = graph.query(slot);
-        let pc_count = q.pc_count();
-        if pc_count == 0 {
-            continue;
-        }
-        let mut per_pc: Vec<Vec<(u32, u32)>> = vec![Vec::new(); pc_count];
-        for &eid in graph.in_edges(slot) {
-            let e = graph.edge(eid);
-            if member_set.contains(&e.from) {
-                per_pc[e.pc_idx as usize].push((e.from, e.head_idx));
-            }
-        }
-        for (pc_idx, heads) in per_pc.into_iter().enumerate() {
-            if heads.len() >= 2 {
-                out.push(SafetyViolation {
-                    slot,
-                    query: q.id,
-                    pc_idx: pc_idx as u32,
-                    heads,
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Applies the removal strategy of §3.1.1: repeatedly removes queries
-/// having a postcondition that unifies with more than one live head,
-/// until the remaining set is safe. Returns the removed slots.
+/// Applies the removal strategy of §3.1.1: removes queries having a
+/// postcondition that unifies with more than one live head, until the
+/// remaining set is safe. Returns the removed slots.
 ///
 /// Removal is implemented on a liveness mask rather than by mutating the
 /// graph; downstream phases (matching, UCS) accept the mask. For
@@ -90,9 +36,12 @@ pub fn enforce(graph: &MatchGraph, alive: &mut [bool]) -> Vec<u32> {
     removed
 }
 
-/// Member-scoped §3.1.1 enforcement: removes queries from `members`
-/// whose postconditions unify with more than one live member head,
-/// iterating until the remainder is safe. Returns the removed slots.
+/// Member-scoped §3.1.1 enforcement: visits `members` in order and
+/// removes each whose postconditions unify with more than one
+/// still-live member head. Returns the removed slots.
+///
+/// One pass reaches the fixpoint: a removal only lowers other members'
+/// live-head counts, so a member kept when visited stays safe.
 ///
 /// Safety is a per-component property (all of a postcondition's
 /// satisfying heads are its in-edge sources, which lie in the same
@@ -102,33 +51,24 @@ pub fn enforce(graph: &MatchGraph, alive: &mut [bool]) -> Vec<u32> {
 pub fn enforce_members(graph: &MatchGraph, members: &[u32]) -> Vec<u32> {
     let mut live: FastSet<u32> = members.iter().copied().collect();
     let mut removed = Vec::new();
-    loop {
-        let mut changed = false;
-        for &slot in members {
-            if !live.contains(&slot) {
-                continue;
-            }
-            let pc_count = graph.query(slot).pc_count();
-            if pc_count == 0 {
-                continue;
-            }
-            let mut per_pc = vec![0usize; pc_count];
-            for &eid in graph.in_edges(slot) {
-                let e = graph.edge(eid);
-                if live.contains(&e.from) {
-                    per_pc[e.pc_idx as usize] += 1;
-                }
-            }
-            if per_pc.iter().any(|&c| c >= 2) {
-                live.remove(&slot);
-                removed.push(slot);
-                changed = true;
+    for &slot in members {
+        let pc_count = graph.query(slot).pc_count();
+        if pc_count == 0 {
+            continue;
+        }
+        let mut per_pc = vec![0usize; pc_count];
+        for &eid in graph.in_edges(slot) {
+            let e = graph.edge(eid);
+            if live.contains(&e.from) {
+                per_pc[e.pc_idx as usize] += 1;
             }
         }
-        if !changed {
-            return removed;
+        if per_pc.iter().any(|&c| c >= 2) {
+            live.remove(&slot);
+            removed.push(slot);
         }
     }
+    removed
 }
 
 #[cfg(test)]
@@ -164,10 +104,7 @@ mod tests {
             "{R(Jerry, y)} R(Elaine, y) <- F(y, Athens)",
             "{R(f, z)} R(Jerry, z) <- F(z, w), Friend(Jerry, f)",
         ]);
-        let vs = violations_members(&g, &all(&g));
-        assert_eq!(vs.len(), 1);
-        assert_eq!(vs[0].slot, 2);
-        assert_eq!(vs[0].heads.len(), 2);
+        assert_eq!(enforce_members(&g, &all(&g)), vec![2]);
     }
 
     #[test]
@@ -176,7 +113,7 @@ mod tests {
             "{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)",
             "{R(Kramer, y)} R(Jerry, y) <- F(y, Paris), A(y, United)",
         ]);
-        assert!(violations_members(&g, &all(&g)).is_empty());
+        assert!(enforce_members(&g, &all(&g)).is_empty());
     }
 
     #[test]
@@ -186,10 +123,7 @@ mod tests {
             "{} R(A, x) & R(B, x) <- T(x)",
             "{R(w, v)} S(v) <- T(v), T(w)",
         ]);
-        let vs = violations_members(&g, &all(&g));
-        assert_eq!(vs.len(), 1);
-        assert_eq!(vs[0].slot, 1);
-        assert_eq!(vs[0].heads, vec![(0, 0), (0, 1)]);
+        assert_eq!(enforce_members(&g, &all(&g)), vec![1]);
     }
 
     #[test]
@@ -202,18 +136,18 @@ mod tests {
             "{} X(b) <- T(b)",
             "{X(v)} Y(v) <- T(v)",
         ]);
-        // The whole-graph scan is the per-component scans concatenated
-        // (how the engine scans its resident pool).
-        let per_component: Vec<SafetyViolation> = g
+        // The whole-graph pass is the per-component passes concatenated
+        // (how the engine enforces over its resident pool).
+        let per_component: Vec<u32> = g
             .components()
             .iter()
-            .flat_map(|c| violations_members(&g, c))
+            .flat_map(|c| enforce_members(&g, c))
             .collect();
         assert_eq!(g.components().len(), 2);
-        assert_eq!(per_component.len(), 2);
-        assert_eq!(violations_members(&g, &all(&g)), per_component);
+        assert_eq!(per_component, vec![2, 5]);
+        assert_eq!(enforce_members(&g, &all(&g)), per_component);
         // Restricted to the unambiguous pair, the set is safe.
-        assert!(violations_members(&g, &[0, 1]).is_empty());
+        assert!(enforce_members(&g, &[0, 1]).is_empty());
     }
 
     #[test]
@@ -237,8 +171,7 @@ mod tests {
         let mut alive = vec![true; 3];
         let removed = enforce(&g, &mut alive);
         assert_eq!(removed, vec![2]);
-        assert_eq!(violations_members(&g, &all(&g)).len(), 1);
-        assert!(violations_members(&g, &[0, 1]).is_empty());
+        assert!(enforce_members(&g, &[0, 1]).is_empty());
     }
 
     #[test]

@@ -39,8 +39,8 @@
 //!   [`CoordinationError`], the unified hierarchy of
 //!   [`crate::error`].
 //!
-//! One-shot coordination ([`crate::coordinate()`]) drives a bare
-//! engine for one round.
+//! One-shot coordination (`coordinate()`) drives a bare engine for one
+//! round.
 //!
 //! # Example: a session, a subscriber, a flush
 //!
@@ -86,14 +86,12 @@
 //! ```
 
 use crate::combine::QueryAnswer;
-use crate::coordinate::RejectReason;
 use crate::dispatch::Dispatcher;
 use crate::engine::{
     BatchReport, CoordinationEngine, EngineConfig, FailReason, NoSolutionPolicy, PendingQuery,
-    QueryHandle, QueryOutcome, QueryStatus, SubmitError, SubmitOptions,
+    QueryHandle, QueryOutcome, QueryStatus, RejectReason, SubmitError, SubmitOptions,
 };
 use crate::error::CoordinationError;
-use crate::safety::SafetyViolation;
 use eq_db::{Database, Tuple};
 use eq_ir::{Atom, EntangledQuery, FastMap, QueryId};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
@@ -875,17 +873,6 @@ impl Coordinator {
             shard.lock().engine.check_invariants()?;
         }
         Ok(())
-    }
-
-    /// Current §3.1.1 safety violations in the pending pool (see
-    /// [`CoordinationEngine::safety_violations`]).
-    pub fn safety_violations(&self) -> Vec<SafetyViolation> {
-        let _router = self.scan_guard();
-        self.shared
-            .shards
-            .iter()
-            .flat_map(|s| s.lock().engine.safety_violations())
-            .collect()
     }
 
     /// Queries that §3.1.1 enforcement would sideline right now (see

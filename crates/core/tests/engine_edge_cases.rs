@@ -3,9 +3,11 @@
 //! multi-edge matching, and interaction of deadlines with batching.
 
 use eq_core::engine::{FailReason, NoSolutionPolicy, QueryOutcome};
-use eq_core::{CoordinationEngine, EngineConfig, EngineMode, QueryStatus, SubmitOptions};
+use eq_core::{
+    CoordinationEngine, EngineConfig, EngineMode, QueryStatus, SubmitError, SubmitOptions,
+};
 use eq_db::Database;
-use eq_ir::{EntangledQuery, FastMap, QueryId, Value};
+use eq_ir::{EntangledQuery, FastMap, QueryId, ValidationError, Value};
 use eq_sql::parse_ir_query;
 use std::time::Instant;
 
@@ -229,23 +231,19 @@ fn handles_survive_engine_drop() {
 }
 
 #[test]
-fn choose_k_queries_accepted_by_engine_with_one_solution() {
-    // The engine answers one coordinated solution (CHOOSE 1, §4.2) even
-    // for CHOOSE k queries; the query must still round-trip fine.
+fn choose_k_other_than_one_is_refused_at_submit() {
+    // The engine answers one coordinated solution (§4.2), so a query
+    // asking for CHOOSE k with k ≠ 1 is refused rather than answered as
+    // CHOOSE 1; its partner is left alone in the pool.
     let mut engine = CoordinationEngine::new(db(), EngineConfig::default());
-    let h1 = engine
-        .submit(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris) choose 2"))
+    let kramer = q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)").with_choose(3);
+    assert_eq!(
+        engine.submit(kramer).unwrap_err(),
+        SubmitError::Invalid(ValidationError::ChooseUnsupported { k: 3 })
+    );
+    let jerry = engine
+        .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"))
         .unwrap();
-    let h2 = engine
-        .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris) choose 2"))
-        .unwrap();
-    let mut out = drained(&mut engine);
-    assert!(matches!(
-        out.remove(&h1.id).unwrap(),
-        QueryOutcome::Answered(_)
-    ));
-    assert!(matches!(
-        out.remove(&h2.id).unwrap(),
-        QueryOutcome::Answered(_)
-    ));
+    assert!(drained(&mut engine).is_empty());
+    assert_eq!(engine.status(jerry.id), Some(&QueryStatus::Pending));
 }

@@ -51,8 +51,8 @@ pub struct EntangledQuery {
     /// purely a body filter, invisible to matching.
     pub constraints: Vec<Constraint>,
     /// `CHOOSE k`: number of coordinated solutions requested. The paper's
-    /// core language fixes `k = 1`, and the engine answers one solution
-    /// (CHOOSE 1, §4.2) whatever `k` says.
+    /// core language fixes `k = 1`, and [`EntangledQuery::validate`]
+    /// refuses any other `k`: the engine answers one solution (§4.2).
     pub choose: u32,
 }
 
@@ -69,8 +69,12 @@ pub enum ValidationError {
         /// Whether it occurred in a head or a postcondition atom.
         polarity: crate::Polarity,
     },
-    /// `CHOOSE 0` is meaningless.
-    ChooseZero,
+    /// `CHOOSE k` with `k ≠ 1`: the engine answers each coordinating
+    /// set with one solution (§4.2), so only `CHOOSE 1` is accepted.
+    ChooseUnsupported {
+        /// The requested choice count.
+        k: u32,
+    },
     /// A comparison constraint mentions a variable the body does not
     /// bind.
     UnboundConstraintVar {
@@ -88,7 +92,9 @@ impl fmt::Display for ValidationError {
                 "variable {var} appears in a {polarity:?} atom but not in the body \
                  (range restriction, paper §2.2)"
             ),
-            ValidationError::ChooseZero => write!(f, "CHOOSE 0 is not a valid choice count"),
+            ValidationError::ChooseUnsupported { k } => {
+                write!(f, "CHOOSE {k} is not supported: only CHOOSE 1")
+            }
             ValidationError::UnboundConstraintVar { var } => write!(
                 f,
                 "variable {var} appears in a comparison constraint but not in the body"
@@ -132,13 +138,13 @@ impl EntangledQuery {
     }
 
     /// Checks structural well-formedness: non-empty head, range
-    /// restriction, positive choose count.
+    /// restriction, a choose count of one.
     pub fn validate(&self) -> Result<(), ValidationError> {
         if self.head.is_empty() {
             return Err(ValidationError::EmptyHead);
         }
-        if self.choose == 0 {
-            return Err(ValidationError::ChooseZero);
+        if self.choose != 1 {
+            return Err(ValidationError::ChooseUnsupported { k: self.choose });
         }
         let body_vars: HashSet<Var> = self.body.iter().flat_map(|a| a.vars()).collect();
         for atom in &self.head {
@@ -304,8 +310,11 @@ mod tests {
 
     #[test]
     fn choose_zero_rejected() {
-        let q = kramer().with_choose(0);
-        assert_eq!(q.validate(), Err(ValidationError::ChooseZero));
+        for k in [0, 2, 3] {
+            let q = kramer().with_choose(k);
+            assert_eq!(q.validate(), Err(ValidationError::ChooseUnsupported { k }));
+        }
+        assert_eq!(kramer().with_choose(1).validate(), Ok(()));
     }
 
     #[test]

@@ -352,8 +352,11 @@ mod tests {
 
     #[test]
     fn choose_clause() {
-        let q = parse_ir_query("{} R(x) <- T(x) choose 3").unwrap();
-        assert_eq!(q.choose, 3);
+        // `choose 1` is the default; every other count is refused.
+        let q = parse_ir_query("{} R(x) <- T(x) choose 1").unwrap();
+        assert_eq!(q.choose, 1);
+        let err = parse_ir_query("{} R(x) <- T(x) choose 3").unwrap_err();
+        assert!(err.to_string().contains("CHOOSE 3"), "{err}");
         assert!(parse_ir_query("{} R(x) <- T(x) choose 0").is_err());
     }
 

@@ -405,8 +405,15 @@ mod tests {
 
     #[test]
     fn choose_k() {
-        let q = parse_select("SELECT x INTO ANSWER R WHERE T(x) CHOOSE 3").unwrap();
-        assert_eq!(q.choose, 3);
+        // The clause parses; lowering refuses every count but 1.
+        let sql = "SELECT x INTO ANSWER R WHERE T(x) CHOOSE 3";
+        assert_eq!(parse_select(sql).unwrap().choose, 3);
+        let mut catalog = crate::Catalog::new();
+        catalog.add_table("T", &["a"]);
+        let err = crate::parse_entangled_sql(sql, &catalog).unwrap_err();
+        assert!(err.to_string().contains("CHOOSE 3"), "{err}");
+        let one = crate::parse_entangled_sql(&sql.replace('3', "1"), &catalog).unwrap();
+        assert_eq!(one.choose, 1);
     }
 
     #[test]

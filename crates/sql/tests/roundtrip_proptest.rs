@@ -1,5 +1,6 @@
 //! Property test: `parse_ir_query ∘ render_ir_query` is the identity up
-//! to dense variable renumbering, for arbitrary well-formed queries.
+//! to dense variable renumbering, for arbitrary well-formed queries
+//! (`choose 1`; other counts are refused).
 
 use eq_ir::{Atom, EntangledQuery, Term, Var};
 use eq_sql::{parse_ir_query, render_ir_query};
@@ -58,16 +59,23 @@ fn canonical(q: &EntangledQuery) -> EntangledQuery {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    /// `choose 1` round-trips; any other count renders but is refused.
     #[test]
     fn render_parse_roundtrip(q in arb_query()) {
         let text = render_ir_query(&q);
-        let parsed = parse_ir_query(&text)
-            .unwrap_or_else(|e| panic!("rendered text failed to parse: {e}\n{text}"));
-        let a = canonical(&q);
-        let b = canonical(&parsed);
-        prop_assert_eq!(a.head, b.head, "{}", text);
-        prop_assert_eq!(a.postconditions, b.postconditions, "{}", text);
-        prop_assert_eq!(a.body, b.body, "{}", text);
-        prop_assert_eq!(a.choose, b.choose, "{}", text);
+        let parsed = parse_ir_query(&text);
+        if q.choose != 1 {
+            let err = parsed.expect_err(&text);
+            prop_assert!(err.to_string().contains(&format!("CHOOSE {}", q.choose)), "{}", text);
+        } else {
+            let parsed = parsed
+                .unwrap_or_else(|e| panic!("rendered text failed to parse: {e}\n{text}"));
+            let a = canonical(&q);
+            let b = canonical(&parsed);
+            prop_assert_eq!(a.head, b.head, "{}", text);
+            prop_assert_eq!(a.postconditions, b.postconditions, "{}", text);
+            prop_assert_eq!(a.body, b.body, "{}", text);
+            prop_assert_eq!(a.choose, b.choose, "{}", text);
+        }
     }
 }

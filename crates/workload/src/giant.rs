@@ -264,7 +264,7 @@ mod tests {
             body: GiantBody::Chain,
         };
         let (db, queries) = giant_component(&cfg);
-        let outcome = eq_core::coordinate(&queries, &db).unwrap();
+        let outcome = eq_core::coordinate(&queries, &db);
         assert_eq!(outcome.answers.len(), 30, "{:?}", outcome.rejected);
         assert!(outcome.rejected.is_empty());
     }

@@ -342,7 +342,7 @@ mod tests {
     use super::*;
     use crate::social::SocialGraphConfig;
     use crate::{build_database, SocialGraph};
-    use eq_core::{coordinate, RejectReason};
+    use eq_core::{coordinate, Unanswered};
 
     fn small_graph() -> SocialGraph {
         SocialGraph::generate(&SocialGraphConfig {
@@ -359,13 +359,13 @@ mod tests {
         let db = build_database(&g);
         let queries = two_way_pairs(&g, 60, PairStyle::BestCase, 42);
         assert_eq!(queries.len(), 60);
-        let outcome = coordinate(&queries, &db).unwrap();
+        let outcome = coordinate(&queries, &db);
         // Every query either coordinated or failed with NoSolution
         // (pair not co-located) — never Unsafe/NonUcs.
         assert_eq!(outcome.answers.len() % 2, 0);
         for (_, reason) in &outcome.rejected {
             assert!(
-                matches!(reason, RejectReason::NoSolution),
+                matches!(reason, Unanswered::NoSolution),
                 "unexpected reject {reason:?}"
             );
         }
@@ -394,11 +394,11 @@ mod tests {
         let queries = three_way_triangles(&g, 30, 44);
         assert_eq!(queries.len() % 3, 0);
         assert!(!queries.is_empty());
-        let outcome = coordinate(&queries, &db).unwrap();
+        let outcome = coordinate(&queries, &db);
         // Groups answer in multiples of three.
         assert_eq!(outcome.answers.len() % 3, 0);
         for (_, reason) in &outcome.rejected {
-            assert!(matches!(reason, RejectReason::NoSolution));
+            assert!(matches!(reason, Unanswered::NoSolution));
         }
     }
 
@@ -421,10 +421,10 @@ mod tests {
         let g = small_graph();
         let db = build_database(&g);
         let queries = clique_groups(&g, 40, 2, 46);
-        let outcome = coordinate(&queries, &db).unwrap();
+        let outcome = coordinate(&queries, &db);
         assert_eq!(outcome.answers.len() % 3, 0);
         for (_, reason) in &outcome.rejected {
-            assert!(matches!(reason, RejectReason::NoSolution), "{reason:?}");
+            assert!(matches!(reason, Unanswered::NoSolution), "{reason:?}");
         }
     }
 
@@ -451,7 +451,7 @@ mod tests {
         }
         // ... and nothing coordinates.
         let db = eq_db::Database::new();
-        let outcome = coordinate(&queries, &db).unwrap();
+        let outcome = coordinate(&queries, &db);
         assert!(outcome.answers.is_empty());
     }
 

@@ -72,7 +72,7 @@ fn main() {
 
     // -- Coordinated answering (§4): one round of a bare engine. For a
     //    long-running service, see the travel_agency example.
-    let outcome = coordinate(&[kramer, jerry], &db).expect("coordination runs");
+    let outcome = coordinate(&[kramer, jerry], &db);
     for answer in outcome.all_answers() {
         let who = &answer.tuples[0][0];
         let fno = &answer.tuples[0][1];

@@ -8,11 +8,13 @@ CI runs offline. Anchors are checked for same-file links only in the
 cheap way: the heading must appear somewhere in the target file as a
 `#` heading whose slug matches.
 
-It also fails when the docs drift from `pub struct EngineConfig` in
-crates/core/src/engine.rs: README's field table (and its "has N
-fields" count) must list exactly the struct's fields, and no
-`EngineConfig::<name>` in README.md or docs/** may name something the
-struct has neither as a field nor as an associated function.
+It also fails when the docs drift from the types crates/core/src/lib.rs
+exports. README's `EngineConfig` field table (and its "has N fields"
+count) must list exactly the fields of `pub struct EngineConfig`. And a
+code span `<T>::<name>` in README.md or docs/**, where `<T>` is an
+exported type, must name one of `<T>`'s `pub` fields or variants, a
+`pub` or `pub(crate)` fn of an inherent `impl <T>`, or a fn of a trait
+impl for `<T>` (a derived `Default` counts as `default`).
 
 And it fails when a code span in README.md or docs/** names an
 `eq_core::<path>` that crates/core/src does not declare `pub`: the
@@ -35,21 +37,36 @@ CONFIG_TABLE = re.compile(
 )
 
 
-def engine_config_api() -> tuple[list[str], set[str]]:
-    """The struct's fields, and the names of its associated functions."""
-    src = ENGINE.read_text(encoding="utf-8")
-    body = re.search(r"pub struct EngineConfig \{(.*?)\n\}", src, re.S)
-    if body is None:
-        sys.exit(f"{ENGINE.relative_to(REPO)}: no `pub struct EngineConfig`")
-    fields = re.findall(r"^\s*pub (\w+):", body.group(1), re.M)
-    fns = {"default"}
-    for block in re.finditer(r"\nimpl EngineConfig \{(.*?)\n\}", src, re.S):
-        fns.update(re.findall(r"\bfn (\w+)", block.group(1)))
-    return fields, fns
+def core_sources() -> str:
+    return "\n".join(p.read_text(encoding="utf-8") for p in sorted(CORE.glob("*.rs")))
 
 
-def config_drift(files: list[Path]) -> list[str]:
-    fields, fns = engine_config_api()
+def type_api(src: str, name: str) -> tuple[list[str], set[str]]:
+    """The `pub` fields of type `name` in declaration order, and every
+    name `name::<x>` may use (see the module docs)."""
+    fields, members = [], set()
+    decl = rf"^pub (struct|enum) {name}\b[^;{{]*\{{\n(.*?)^\}}"
+    for kind, body in re.findall(decl, src, re.M | re.S):
+        if kind == "struct":
+            fields += re.findall(r"^\s*pub (\w+):", body, re.M)
+        else:
+            members.update(re.findall(r"^ {4}(\w+)\b", body, re.M))
+    derive = rf"#\[derive\(([^)]*)\)\]\s*(?:#\[[^\]]*\]\s*)*pub (?:struct|enum) {name}\b"
+    if any("Default" in d for d in re.findall(derive, src)):
+        members.add("default")
+    impl = (
+        rf"^impl(?:<[^{{\n]*?>)?\s+([^{{\n]*?\s+for\s+)?{name}(?:<[^{{\n]*>)?\s*\{{\n(.*?)^\}}"
+    )
+    for trait_for, body in re.findall(impl, src, re.M | re.S):
+        fn = r"\bfn (\w+)" if trait_for else r"^\s*pub(?:\(crate\))? (?:const )?fn (\w+)"
+        members.update(re.findall(fn, body, re.M))
+    return fields, members | set(fields)
+
+
+def config_drift(src: str) -> list[str]:
+    fields, _ = type_api(src, "EngineConfig")
+    if not fields:
+        return [f"{ENGINE.relative_to(REPO)}: no `pub struct EngineConfig` fields"]
     errors = []
     table = CONFIG_TABLE.search((REPO / "README.md").read_text(encoding="utf-8"))
     if table is None:
@@ -66,16 +83,32 @@ def config_drift(files: list[Path]) -> list[str]:
                 f"README.md: says EngineConfig has {table.group(1)} fields, "
                 f"the struct has {len(fields)}"
             )
+    return errors
+
+
+def type_member_drift(files: list[Path], src: str) -> list[str]:
+    lib = (CORE / "lib.rs").read_text(encoding="utf-8")
+    types = {n for n in pub_names(lib) if n[0].isupper()}
+    apis = {}
+    errors = []
     for f in files:
         text = f.read_text(encoding="utf-8")
-        for name in sorted(set(re.findall(r"EngineConfig::(\w+)", text))):
-            if name not in fields and name not in fns:
-                errors.append(f"{f.relative_to(REPO)}: no such EngineConfig::{name}")
+        paths = {p for span in CODE_SPAN.findall(text) for p in TYPE_PATH.findall(span)}
+        for path in sorted(paths):
+            segments = path.removeprefix("eq_core::").split("::")
+            if len(segments) < 2 or segments[0] not in types:
+                continue
+            ty, name = segments[:2]
+            if ty not in apis:
+                apis[ty] = type_api(src, ty)[1]
+            if name not in apis[ty]:
+                errors.append(f"{f.relative_to(REPO)}: no such {ty}::{name}")
     return errors
 
 
 CODE_SPAN = re.compile(r"`([^`\n]+)`")
 CORE_PATH = re.compile(r"\beq_core((?:::\w+)+)")
+TYPE_PATH = re.compile(r"\b\w+(?:::\w+)+")
 PUB_ITEM = re.compile(
     r"^\s*pub\s+(?:unsafe\s+)?(?:fn|struct|enum|trait|type|const|static|mod)\s+(\w+)", re.M
 )
@@ -96,11 +129,10 @@ def pub_names(src: str) -> set[str]:
     return names
 
 
-def core_path_drift(files: list[Path]) -> list[str]:
+def core_path_drift(files: list[Path], every_src: str) -> list[str]:
     lib = (CORE / "lib.rs").read_text(encoding="utf-8")
     modules = set(re.findall(r"^pub mod (\w+);", lib, re.M))
     exported = pub_names(lib)
-    every_src = "\n".join(p.read_text(encoding="utf-8") for p in sorted(CORE.glob("*.rs")))
 
     def member(name: str) -> bool:
         decl = rf"\bfn {name}\b|\bpub {name}:|^\s*{name}\b\s*(?:[({{,]|$)"
@@ -161,14 +193,16 @@ def main() -> int:
                     errors.append(
                         f"{f.relative_to(REPO)}: missing anchor -> {target}"
                     )
-    errors += config_drift(files)
-    errors += core_path_drift(files)
+    src = core_sources()
+    errors += config_drift(src)
+    errors += type_member_drift(files, src)
+    errors += core_path_drift(files, src)
     if errors:
-        print("dead links, EngineConfig or eq_core path drift found:", file=sys.stderr)
+        print("dead links, EngineConfig, type member or eq_core path drift found:", file=sys.stderr)
         for e in errors:
             print(f"  {e}", file=sys.stderr)
         return 1
-    print(f"doc links, EngineConfig table and eq_core paths ok ({len(files)} files checked)")
+    print(f"doc links, EngineConfig table, type members and eq_core paths ok ({len(files)} files checked)")
     return 0
 
 

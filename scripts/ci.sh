@@ -2,7 +2,8 @@
 # Full-workspace CI: format check, workspace-membership assertion,
 # build, test (incl. doctests), the examples run end to end (each
 # asserts its own outcome; the REPL on a piped script), lint,
-# docs-as-errors, doc-link, EngineConfig-drift and eq_core-path check,
+# docs-as-errors, doc-link, EngineConfig-table, type-member and
+# eq_core-path check,
 # the eq_check concurrency-discipline
 # analyzer (workspace scan + fixture suite), the differential-oracle
 # proptests for the undo-log unifier and for matching's one-pass
@@ -72,7 +73,7 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== 8/14 cargo doc (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
-echo "== 9/14 docs dead-link + EngineConfig and eq_core path drift check =="
+echo "== 9/14 docs dead-link + EngineConfig table, exported-type member and eq_core path drift check =="
 python3 scripts/check_doc_links.py
 
 echo "== 10/14 eq_check concurrency-discipline analyzer =="

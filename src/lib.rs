@@ -69,8 +69,15 @@
 //! assert!(fno == Value::int(122) || fno == Value::int(123));
 //! ```
 //!
+//! A query the service admits either gets an answer or fails: an
+//! `Event::Failed` carries one of the engine's two [`core::RejectReason`]s
+//! (non-unique coordination structure, or no database solution), and
+//! `Event::Expired` / `Event::Cancelled` report the other two ends. A
+//! refused call returns a [`core::CoordinationError`].
+//!
 //! One-shot coordination over a fixed query set is still available as
-//! [`core::coordinate()`] (one round of a bare engine).
+//! [`core::coordinate()`] (one round of a bare engine); it labels every
+//! unanswered query with a [`core::Unanswered`] reason.
 
 #![forbid(unsafe_code)]
 
@@ -113,7 +120,7 @@ pub mod prelude {
         coordinate, BatchReport, CoordinationEngine, CoordinationError, CoordinationOutcome,
         Coordinator, EngineConfig, EngineMode, Event, Events, FailReason, InvariantViolation,
         NoSolutionPolicy, OverflowPolicy, QueryAnswer, QueryHandle, QueryOutcome, QueryStatus,
-        RejectReason, SafetyViolation, Session, SubmitRequest, SubscriberStats,
+        RejectReason, Session, SubmitRequest, SubscriberStats, Unanswered,
     };
     pub use eq_db::{Database, Tuple};
     pub use eq_ir::{Atom, EntangledQuery, QueryId, Symbol, Term, Value, Var, VarGen};

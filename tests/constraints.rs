@@ -56,8 +56,7 @@ fn coordination_respects_constraints() {
             parse_ir_query("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris) & y > 121").unwrap(),
         ],
         &db,
-    )
-    .unwrap();
+    );
     let answers = outcome.all_answers();
     assert_eq!(answers.len(), 2);
     assert_eq!(answers[0].tuples[0][1], Value::int(122));
@@ -73,8 +72,7 @@ fn contradictory_constraints_yield_no_solution() {
             parse_ir_query("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris) & y > 130").unwrap(),
         ],
         &db,
-    )
-    .unwrap();
+    );
     // The constraints meet on the same unified variable: x < 123 ∧ x > 130.
     assert!(outcome.answers.is_empty());
     assert_eq!(outcome.rejected.len(), 2);
@@ -92,7 +90,7 @@ fn constraints_via_builder_api() {
         )]);
     assert!(q1.validate().is_ok());
     let q2 = parse_ir_query("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)").unwrap();
-    let outcome = coordinate(&[q1, q2], &db).unwrap();
+    let outcome = coordinate(&[q1, q2], &db);
     let answers = outcome.all_answers();
     assert_eq!(answers.len(), 2);
     assert_ne!(answers[0].tuples[0][1], Value::int(122));
@@ -110,7 +108,7 @@ fn variable_to_variable_constraints() {
     }
     let q =
         parse_ir_query("{} Pair(t, s) <- Char(t, tl) & Char(s, sl) & tl >= sl & t != s").unwrap();
-    let outcome = coordinate(&[q], &db).unwrap();
+    let outcome = coordinate(&[q], &db);
     let answers = outcome.all_answers();
     assert_eq!(answers.len(), 1);
     // Whatever pair was chosen, the level order must hold.

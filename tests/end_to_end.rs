@@ -58,7 +58,7 @@ fn paper_introduction_sql_to_answers() {
     )
     .unwrap();
 
-    let outcome = coordinate(&[kramer, jerry], &db).unwrap();
+    let outcome = coordinate(&[kramer, jerry], &db);
     let answers = outcome.all_answers();
     assert_eq!(answers.len(), 2);
     // Figure 1(b): mutual constraint satisfaction on a United Paris
@@ -88,8 +88,8 @@ fn sql_and_ir_text_forms_agree() {
 
     // And both coordinate identically against the same partner.
     let partner = parse_ir_query("{R(Kramer, y)} R(Jerry, y) <- Flights(y, Paris)").unwrap();
-    let o1 = coordinate(&[from_sql, partner.clone()], &db).unwrap();
-    let o2 = coordinate(&[from_text, partner], &db).unwrap();
+    let o1 = coordinate(&[from_sql, partner.clone()], &db);
+    let o2 = coordinate(&[from_text, partner], &db);
     assert_eq!(o1.answers.len(), o2.answers.len());
 }
 
@@ -103,7 +103,7 @@ fn figure_3a_unsafe_set_is_handled() {
         parse_ir_query("{R(Jerry, y)} R(Elaine, y) <- Flights(y, Rome)").unwrap(),
         parse_ir_query("{R(f, z)} R(Jerry, z) <- Flights(z, w), Airlines(z, f)").unwrap(),
     ];
-    let outcome = coordinate(&queries, &db).unwrap();
+    let outcome = coordinate(&queries, &db);
     assert!(outcome.answers.is_empty());
     assert_eq!(outcome.rejected.len(), 3);
 }
@@ -117,7 +117,7 @@ fn figure_3b_non_ucs_detected() {
         parse_ir_query("{R(Jerry, z)} R(Frank, z) <- Flights(z, Paris), Airlines(z, United)")
             .unwrap(),
     ];
-    let outcome = coordinate(&queries, &db).unwrap();
+    let outcome = coordinate(&queries, &db);
     assert!(outcome.answers.is_empty());
     assert!(outcome
         .rejected
@@ -143,7 +143,7 @@ fn section_42_running_example_combined_query() {
         parse_ir_query("{T(1)} R(y1) <- D2(y1)").unwrap(),
         parse_ir_query("{T(z1)} S(z2) <- D3(z1, z2)").unwrap(),
     ];
-    let outcome = coordinate(&queries, &db).unwrap();
+    let outcome = coordinate(&queries, &db);
     assert_eq!(outcome.answers.len(), 3);
     let answers = outcome.all_answers();
     // q1's head T(x3) grounds to T(1).
@@ -175,7 +175,7 @@ fn multi_answer_relations_in_one_query() {
     let q2 = parse_ir_query("{A(w)} C(w) <- T(w)").unwrap();
     let q3 = parse_ir_query("{B(u) & C(u)} D(u) <- T(u)").unwrap();
 
-    let outcome = coordinate(&[q1, q2, q3], &db).unwrap();
+    let outcome = coordinate(&[q1, q2, q3], &db);
     assert_eq!(outcome.answers.len(), 3);
     let a = outcome.all_answers();
     // q1 contributed the same tuple to both A and B.
