@@ -116,7 +116,7 @@ use crate::engine::{
 };
 use crate::error::CoordinationError;
 use crate::service::{Coordinator, DurabilitySink, StagedSubmits, SubmitRequest};
-use eq_db::{Database, Tuple};
+use eq_db::{Database, DbError, Tuple};
 use eq_ir::{Atom, CmpOp, Constraint, EntangledQuery, FastMap, QueryId, Symbol, Term, Value, Var};
 use eq_store::{read_checkpoint, write_checkpoint, StoreError, WalStats, WriteAheadLog};
 use parking_lot::Mutex;
@@ -158,6 +158,12 @@ impl std::error::Error for DurableError {}
 impl From<StoreError> for DurableError {
     fn from(e: StoreError) -> Self {
         DurableError::Store(e)
+    }
+}
+
+impl From<DbError> for DurableError {
+    fn from(e: DbError) -> Self {
+        DurableError::Coordination(e.into())
     }
 }
 
@@ -250,8 +256,15 @@ impl<'a> Cur<'a> {
     /// count beyond the bytes left is corrupt — checked before anything
     /// is allocated for it.
     fn count(&mut self) -> Result<usize, StoreError> {
+        self.count_of(1)
+    }
+
+    /// A count of elements that each take at least `min_len` bytes: a
+    /// count the bytes left cannot hold is corrupt, so what is reserved
+    /// for it stays within a constant factor of the record.
+    fn count_of(&mut self, min_len: usize) -> Result<usize, StoreError> {
         let n = self.uv()?;
-        if n > (self.buf.len() - self.pos) as u64 {
+        if n > ((self.buf.len() - self.pos) / min_len) as u64 {
             return Err(StoreError::Corrupt("count exceeds record"));
         }
         Ok(n as usize)
@@ -513,23 +526,17 @@ impl Dec<'_, '_> {
         Ok(atoms)
     }
 
-    fn row(&mut self) -> Result<Tuple, StoreError> {
-        let n = self.cur.count()?;
-        let mut row = Vec::with_capacity(n);
+    /// Decodes one row into `row`, replacing what it held. A cell
+    /// takes a tag byte and at least one value byte.
+    fn row_into(&mut self, row: &mut Tuple) -> Result<(), StoreError> {
+        let n = self.cur.count_of(2)?;
+        row.clear();
+        row.reserve(n);
         for _ in 0..n {
             let tag = self.cur.u8()?;
             row.push(self.value_tagged(tag)?);
         }
-        Ok(row)
-    }
-
-    fn rows(&mut self) -> Result<Vec<Tuple>, StoreError> {
-        let n = self.cur.count()?;
-        let mut rows = Vec::with_capacity(n);
-        for _ in 0..n {
-            rows.push(self.row()?);
-        }
-        Ok(rows)
+        Ok(())
     }
 
     fn schema(&mut self) -> Result<(Symbol, Vec<Symbol>), StoreError> {
@@ -604,7 +611,10 @@ fn decode_outcome(body: &[u8], dict: &Dict) -> Result<QueryOutcome, StoreError> 
             for _ in 0..n {
                 relations.push(dec.sym()?);
             }
-            let tuples = dec.rows()?;
+            let mut tuples = vec![Tuple::new(); dec.cur.count()?];
+            for tuple in &mut tuples {
+                dec.row_into(tuple)?;
+            }
             QueryOutcome::Answered(QueryAnswer {
                 query,
                 relations,
@@ -735,6 +745,9 @@ struct Recovered {
 }
 
 impl Recovered {
+    /// Loads a checkpoint image into an empty state: each table's rows
+    /// move straight into its slab ([`load_rows`]), never held as a
+    /// list of rows; the mirrors keep their entries' bytes verbatim.
     fn apply_image(&mut self, image: &[u8]) -> Result<(), DurableError> {
         let mut cur = Cur::new(image);
         if cur.uv()? != CHECKPOINT_VERSION {
@@ -750,12 +763,7 @@ impl Recovered {
         for _ in 0..dec.cur.count()? {
             let (table, columns) = dec.schema()?;
             create_table(&mut self.db, table, &columns)?;
-            // Decoded rows are copied into the table's slab, each
-            // dropped right after its copy.
-            let rows = dec.rows()?;
-            self.db
-                .insert_many(table.as_str(), rows)
-                .map_err(CoordinationError::from)?;
+            load_rows(&mut self.db, &mut dec, table)?;
         }
         for _ in 0..dec.cur.count()? {
             let (id, body) = dec.cur.entry()?;
@@ -799,10 +807,7 @@ impl Recovered {
                 }
                 REC_LOAD => {
                     let table = dec.sym()?;
-                    let rows = dec.rows()?;
-                    self.db
-                        .insert_many(table.as_str(), rows)
-                        .map_err(CoordinationError::from)?;
+                    load_rows(&mut self.db, &mut dec, table)?;
                 }
                 REC_SUBMIT => {
                     // Decoded only if still pending once replay ends.
@@ -825,10 +830,28 @@ impl Recovered {
     }
 }
 
+/// Decodes a row count and that many rows of `table` straight into its
+/// slab, through one reused row buffer: recovery never holds a table as
+/// a list of rows. A row takes at least 1 + 2 × arity bytes (its cell
+/// count, then a tag and a value byte per cell), so a count the bytes
+/// left cannot hold is refused before the slab is reserved for it, and
+/// a row of the wrong arity is refused before it reaches the table.
+fn load_rows(db: &mut Database, dec: &mut Dec<'_, '_>, table: Symbol) -> Result<(), DurableError> {
+    let arity = db
+        .table(table)
+        .ok_or(DbError::UnknownRelation(table))?
+        .schema()
+        .arity();
+    let n = dec.cur.count_of(1 + 2 * arity)?;
+    db.bulk_load(table.as_str(), n, |row| {
+        dec.row_into(row).map_err(DurableError::from)
+    })?;
+    Ok(())
+}
+
 fn create_table(db: &mut Database, table: Symbol, columns: &[Symbol]) -> Result<(), DurableError> {
     let columns: Vec<&str> = columns.iter().map(|c| c.as_str()).collect();
-    db.create_table(table.as_str(), &columns)
-        .map_err(CoordinationError::from)?;
+    db.create_table(table.as_str(), &columns)?;
     Ok(())
 }
 
@@ -1269,7 +1292,7 @@ mod tests {
         .unwrap();
     }
 
-    fn rows_of(dc: &DurableCoordinator, table: &str) -> Vec<Tuple> {
+    fn table_rows(dc: &DurableCoordinator, table: &str) -> Vec<Tuple> {
         dc.coordinator().db().read().scan(table).unwrap()
     }
 
@@ -1436,13 +1459,13 @@ mod tests {
         };
         let dc = DurableCoordinator::open(&dir, config()).unwrap();
         assert_eq!(dc.pending_ids(), vec![pending_id]);
-        assert_eq!(rows_of(&dc, "F").len(), 2, "checkpointed rows restored");
+        assert_eq!(table_rows(&dc, "F").len(), 2, "checkpointed rows restored");
         // Post-checkpoint history keeps accumulating on the fresh WAL.
         dc.load("F", vec![vec![Value::int(200), Value::str("Rome")]])
             .unwrap();
         drop(dc);
         let dc = DurableCoordinator::open(&dir, config()).unwrap();
-        assert_eq!(rows_of(&dc, "F").len(), 3);
+        assert_eq!(table_rows(&dc, "F").len(), 3);
         eq_store::purge_dir(&dir);
     }
 
@@ -1564,7 +1587,7 @@ mod tests {
             // Reopen must neither fail (replaying the create-table would
             // hit a duplicate relation) nor double-apply the folded load.
             let dc = DurableCoordinator::open(&dir, config()).unwrap();
-            assert_eq!(rows_of(&dc, "F").len(), 3, "2 in the image + 1 above it");
+            assert_eq!(table_rows(&dc, "F").len(), 3, "2 in the image + 1 above it");
             assert_eq!(dc.pending_ids(), pending);
             for &id in &answered {
                 assert!(matches!(dc.outcome(id), Some(QueryOutcome::Answered(_))));
@@ -1586,12 +1609,12 @@ mod tests {
             .unwrap();
         drop(dc);
         let dc = DurableCoordinator::open(&dir, config()).unwrap();
-        assert_eq!(rows_of(&dc, "F").len(), 4);
+        assert_eq!(table_rows(&dc, "F").len(), 4);
         dc.checkpoint().unwrap();
         assert_eq!(dc.wal_len_bytes(), 0);
         drop(dc);
         let dc = DurableCoordinator::open(&dir, config()).unwrap();
-        assert_eq!(rows_of(&dc, "F").len(), 4);
+        assert_eq!(table_rows(&dc, "F").len(), 4);
         assert_eq!(dc.accounting(), accountings[0]);
         eq_store::purge_dir(&dir);
     }
@@ -1616,7 +1639,7 @@ mod tests {
         let mut expected = first;
         expected.extend(second);
         assert_eq!(
-            rows_of(&dc, "F"),
+            table_rows(&dc, "F"),
             expected,
             "every row exactly once, in order"
         );

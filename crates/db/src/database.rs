@@ -43,6 +43,19 @@ impl fmt::Display for DbError {
 
 impl std::error::Error for DbError {}
 
+/// `Ok` if a tuple of `got` cells fits a relation of `expected` columns.
+fn check_arity(relation: Symbol, expected: usize, got: usize) -> Result<(), DbError> {
+    if got == expected {
+        Ok(())
+    } else {
+        Err(DbError::ArityMismatch {
+            relation,
+            expected,
+            got,
+        })
+    }
+}
+
 /// An in-memory relational database.
 ///
 /// Evaluation operates on `&self`; the coordination engine wraps the
@@ -149,58 +162,83 @@ impl Database {
             .tables
             .get_mut(&name)
             .ok_or(DbError::UnknownRelation(name))?;
-        let expected = backend.store().schema().arity();
-        if row.len() != expected {
-            return Err(DbError::ArityMismatch {
-                relation: name,
-                expected,
-                got: row.len(),
-            });
-        }
+        check_arity(name, backend.store().schema().arity(), row.len())?;
         backend.store_mut().push(&row);
         self.revision += 1;
         Ok(())
     }
 
-    /// Bulk insert with one catalog lookup, one arity validation pass,
-    /// one [`RowStore::reserve`] and a **single revision bump** for the
+    /// Bulk insert with one arity validation pass, one
+    /// [`RowStore::reserve`] and a **single revision bump** for the
     /// whole batch. Loading n rows through [`Database::insert`] bumps
     /// [`Database::revision`] n times and — when the database sits
     /// behind the engine's lock — costs n lock round trips;
     /// `insert_many` is the one-lock/one-revision form workload
     /// generators and example setup code should use. All-or-nothing: if
     /// any row has the wrong arity, nothing is inserted. Returns the
-    /// number of rows inserted. The rows' cells are copied into the
-    /// table's row storage; each row is dropped right after its copy.
+    /// number of rows inserted. The rows go through
+    /// [`Database::bulk_load`], each dropped right after its cells are
+    /// copied into the table's slab.
     pub fn insert_many(&mut self, relation: &str, rows: Vec<Tuple>) -> Result<usize, DbError> {
+        let name = Symbol::new(relation);
+        let table = self.table(name).ok_or(DbError::UnknownRelation(name))?;
+        let expected = table.schema().arity();
+        for row in &rows {
+            check_arity(name, expected, row.len())?;
+        }
+        let n = rows.len();
+        let mut rows = rows.into_iter();
+        self.bulk_load(relation, n, |row| {
+            *row = rows.next().expect("one row per count");
+            Ok(())
+        })
+    }
+
+    /// Moves `rows` rows into `relation`, each written by `next_row`
+    /// into one reused buffer and copied from there into the table's
+    /// slab, so a load never holds the relation as a list of rows: the
+    /// bulk form recovery decodes a checkpoint image through. Storage
+    /// is reserved once for `rows` rows, and [`Database::revision`] is
+    /// bumped once if any row went in.
+    ///
+    /// Each row's arity is checked before it reaches the table. The
+    /// first wrong-arity row or `next_row` error ends the load with
+    /// that error, and the rows before it stay in the table: a caller
+    /// that needs all-or-nothing validates first, as
+    /// [`Database::insert_many`] does. Returns `rows`.
+    pub fn bulk_load<E: From<DbError>>(
+        &mut self,
+        relation: &str,
+        rows: usize,
+        mut next_row: impl FnMut(&mut Tuple) -> Result<(), E>,
+    ) -> Result<usize, E> {
         let name = Symbol::new(relation);
         let backend = self
             .tables
             .get_mut(&name)
             .ok_or(DbError::UnknownRelation(name))?;
-        let expected = backend.store().schema().arity();
-        if let Some(bad) = rows.iter().find(|r| r.len() != expected) {
-            return Err(DbError::ArityMismatch {
-                relation: name,
-                expected,
-                got: bad.len(),
-            });
-        }
-        let n = rows.len();
-        if n == 0 {
+        if rows == 0 {
             return Ok(0);
         }
+        let expected = backend.store().schema().arity();
         let table = backend.store_mut();
-        table.reserve(n);
-        // Each row is freed right after its cells are copied, so the
-        // batch's rows are released while the table's storage and
-        // index grow rather than after: the peak heap of a load is not
-        // the whole batch plus the whole index.
-        for row in rows {
-            table.push(&row);
+        table.reserve(rows);
+        let mut row = Tuple::new();
+        let mut pushed = 0;
+        let mut fill = || -> Result<usize, E> {
+            for _ in 0..rows {
+                next_row(&mut row)?;
+                check_arity(name, expected, row.len())?;
+                table.push(&row);
+                pushed += 1;
+            }
+            Ok(rows)
+        };
+        let loaded = fill();
+        if pushed > 0 {
+            self.revision += 1;
         }
-        self.revision += 1;
-        Ok(n)
+        loaded
     }
 
     /// Deletes one occurrence of an exact tuple. Returns true if a row
@@ -211,14 +249,7 @@ impl Database {
             .tables
             .get_mut(&name)
             .ok_or(DbError::UnknownRelation(name))?;
-        let expected = backend.store().schema().arity();
-        if row.len() != expected {
-            return Err(DbError::ArityMismatch {
-                relation: name,
-                expected,
-                got: row.len(),
-            });
-        }
+        check_arity(name, backend.store().schema().arity(), row.len())?;
         // A miss changes nothing, so it must not copy a shared table.
         if !backend.store().contains(row) {
             return Ok(false);
@@ -231,8 +262,12 @@ impl Database {
     }
 
     /// Replaces one occurrence of `old` with `new` (delete + insert).
-    /// Returns true if `old` existed.
+    /// Returns true if `old` existed. `new` is validated first, so a
+    /// failed update changes nothing.
     pub fn update(&mut self, relation: &str, old: &[Value], new: Tuple) -> Result<bool, DbError> {
+        let name = Symbol::new(relation);
+        let table = self.table(name).ok_or(DbError::UnknownRelation(name))?;
+        check_arity(name, table.schema().arity(), new.len())?;
         if !self.delete(relation, old)? {
             return Ok(false);
         }
@@ -518,6 +553,65 @@ mod tests {
                 vec![Value::int(999), Value::int(0)],
             )
             .unwrap());
+    }
+
+    /// A wrong-arity replacement is refused before the old row goes.
+    #[test]
+    fn failed_update_keeps_the_old_row() {
+        let mut db = Database::new();
+        db.create_table("Seats", &["fno", "left"]).unwrap();
+        let old = [Value::int(122), Value::int(3)];
+        db.insert("Seats", old.to_vec()).unwrap();
+        let before = db.revision();
+        assert_eq!(
+            db.update("Seats", &old, vec![Value::int(122)]),
+            Err(DbError::ArityMismatch {
+                relation: Symbol::new("Seats"),
+                expected: 2,
+                got: 1
+            })
+        );
+        assert!(db.contains("Seats", &old));
+        assert_eq!(db.revision(), before);
+        assert!(db.update("Nope", &old, old.to_vec()).is_err());
+    }
+
+    /// One reused buffer per load; a wrong-arity row or a source error
+    /// stops the load before it reaches the table, and a load that
+    /// pushed nothing leaves the revision alone.
+    #[test]
+    fn bulk_load_checks_each_row_and_bumps_once() {
+        let mut db = Database::new();
+        db.create_table("T", &["a", "b"]).unwrap();
+        let before = db.revision();
+        let loaded: Result<_, DbError> = db.bulk_load("T", 3, |row| {
+            let i = row.first().map_or(0, |v| v.as_int().unwrap() + 1);
+            row.clear();
+            row.extend([Value::int(i), Value::str("x")]);
+            Ok(())
+        });
+        assert_eq!(loaded, Ok(3));
+        assert_eq!(db.revision(), before + 1);
+        let ids: Vec<Value> = db.scan("T").unwrap().iter().map(|r| r[0]).collect();
+        assert_eq!(ids, [Value::int(0), Value::int(1), Value::int(2)]);
+
+        let mut source =
+            vec![vec![Value::int(3), Value::str("y")], vec![Value::int(4)]].into_iter();
+        let short = db.bulk_load("T", 5, |row| {
+            *row = source.next().unwrap();
+            Ok::<_, DbError>(())
+        });
+        assert!(matches!(short, Err(DbError::ArityMismatch { got: 1, .. })));
+        assert_eq!(db.scan("T").unwrap().len(), 4, "the row before it stays");
+        assert_eq!(db.revision(), before + 2);
+
+        let refused: Result<_, DbError> = db.bulk_load("T", 2, |_| {
+            Err(DbError::UnknownRelation(Symbol::new("src")))
+        });
+        assert!(refused.is_err());
+        assert_eq!(db.revision(), before + 2);
+        assert_eq!(db.bulk_load("T", 0, |_| Ok::<_, DbError>(())), Ok(0));
+        assert!(db.bulk_load("Nope", 0, |_| Ok::<_, DbError>(())).is_err());
     }
 
     /// A snapshot keeps the source's ids and tombstones, a delete that
