@@ -11,9 +11,12 @@
 //! * the **queries**, addressed by slot (slots are reused; a vacant slot
 //!   holds an empty query);
 //! * the **head and postcondition indexes**, through which an arrival's
-//!   edges are found without a pairwise scan;
+//!   edges are found without a pairwise scan; they name atoms by
+//!   [`AtomRef`] and read them from the query slots, so each atom is
+//!   stored once;
 //! * an **edge slab** with per-slot out- and in-lists (ids are reused;
-//!   each edge keeps the MGU computed when it was found, for matching);
+//!   an edge names its two atoms and carries no substitution — matching
+//!   unifies them again from the query slots);
 //! * a **component registry**, merged eagerly on link (small into large)
 //!   and split lazily on unlink: a retirement marks its component
 //!   *split-pending*, and the next `take_dirty` resolves
@@ -24,8 +27,9 @@
 //!
 //! An edge has one definition, `MatchGraph::discover`: the arrival's
 //! postconditions probe the head index, its heads probe the
-//! postcondition index, and every candidate is confirmed with a real
-//! MGU. The arrival is not indexed while it is probed, so a query's own
+//! postcondition index, and every candidate is confirmed by checking
+//! that its MGU exists ([`eq_unify::unifiable`], which builds none). The
+//! arrival is not indexed while it is probed, so a query's own
 //! head never satisfies its own postcondition: coordination is *between*
 //! queries. The paper's two-way workload (§5.3.1), where Jerry's
 //! postcondition `R(x, ITH)` would otherwise unify with Jerry's own head
@@ -37,14 +41,17 @@
 
 use crate::error::InvariantViolation;
 use crate::index::{AtomIndex, AtomRef};
-use eq_ir::{EntangledQuery, FastSet};
-use eq_unify::{mgu_atoms, Unifier};
+use eq_ir::{Atom, EntangledQuery, FastSet, Polarity};
+use eq_unify::unifiable;
 use std::ops::ControlFlow;
 
 /// One edge of the unifiability multigraph: the head atom `head_idx` of
 /// query slot `from` unifies with the postcondition atom `pc_idx` of
-/// query slot `to`, under the recorded most general unifier.
-#[derive(Clone, Debug)]
+/// query slot `to`. The edge names the two atoms and keeps no
+/// substitution: discovery only confirmed that `mgu(h, p)` exists, and
+/// matching unifies the pair straight from the query slots
+/// ([`eq_unify::Unifier::unify_atoms`]) when it seeds `to`.
+#[derive(Clone, Copy, Debug)]
 pub struct Edge {
     /// Source query slot (provider of the head atom).
     pub from: u32,
@@ -54,8 +61,57 @@ pub struct Edge {
     pub to: u32,
     /// Index of the postcondition atom within the target query.
     pub pc_idx: u32,
-    /// `mgu(h, p)` — the valuation constraints this match imposes.
-    pub mgu: Unifier,
+}
+
+/// One of a graph's atom indexes read together with the atoms it names,
+/// which live in the graph's query slots: what
+/// [`MatchGraph::head_index`] and [`MatchGraph::pc_index`] lend out.
+#[derive(Clone, Copy)]
+pub struct IndexedAtoms<'a> {
+    index: &'a AtomIndex,
+    queries: &'a [EntangledQuery],
+    side: Polarity,
+}
+
+impl<'a> IndexedAtoms<'a> {
+    /// Number of atoms indexed.
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// True if no atoms are indexed.
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    /// The atom `r` names: a head or a postcondition of its query slot.
+    pub fn atom(&self, r: AtomRef) -> &'a Atom {
+        let query = &self.queries[r.query as usize];
+        match self.side {
+            Polarity::Head => &query.head[r.atom as usize],
+            Polarity::Postcondition => &query.postconditions[r.atom as usize],
+        }
+    }
+
+    /// [`AtomIndex::for_each_candidate`] over the graph's atoms.
+    pub fn for_each_candidate(&self, probe: &Atom, f: impl FnMut(AtomRef, &'a Atom)) {
+        self.index.for_each_candidate(probe, |r| self.atom(r), f);
+    }
+
+    fn try_for_each_candidate(
+        &self,
+        probe: &Atom,
+        f: impl FnMut(AtomRef, &'a Atom) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        self.index
+            .try_for_each_candidate(probe, |r| self.atom(r), f)
+    }
+
+    /// Position and relation lists the index holds.
+    #[cfg(test)]
+    pub(crate) fn list_count(&self) -> usize {
+        self.index.list_count()
+    }
 }
 
 /// Stand-in for the arrival's own slot on an [`Edge`] that
@@ -183,39 +239,39 @@ impl MatchGraph {
     /// arrival's slot — first linked heads → the arrival's
     /// postconditions, postcondition by postcondition, then the
     /// arrival's heads → linked postconditions. Each index candidate is
-    /// confirmed with a real MGU, and within one atom the candidates
-    /// come in the index's insertion order. Stops at the first `Break`,
-    /// which it returns.
+    /// confirmed by [`unifiable`] (no unifier is built), and within one
+    /// atom the candidates come in the index's insertion order. Stops at
+    /// the first `Break`, which it returns.
     pub(crate) fn discover(
         &self,
         arrival: &EntangledQuery,
         mut visit: impl FnMut(Edge) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         for (ai, pc) in arrival.postconditions.iter().enumerate() {
-            self.head_index
-                .try_for_each_candidate(pc, |cand, head| match mgu_atoms(head, pc) {
-                    Some(mgu) => visit(Edge {
-                        from: cand.query,
-                        head_idx: cand.atom,
-                        to: ARRIVAL,
-                        pc_idx: ai as u32,
-                        mgu,
-                    }),
-                    None => ControlFlow::Continue(()),
-                })?;
+            self.head_index().try_for_each_candidate(pc, |cand, head| {
+                if !unifiable(head, pc) {
+                    return ControlFlow::Continue(());
+                }
+                visit(Edge {
+                    from: cand.query,
+                    head_idx: cand.atom,
+                    to: ARRIVAL,
+                    pc_idx: ai as u32,
+                })
+            })?;
         }
         for (ai, head) in arrival.head.iter().enumerate() {
-            self.pc_index
-                .try_for_each_candidate(head, |cand, pc| match mgu_atoms(head, pc) {
-                    Some(mgu) => visit(Edge {
-                        from: ARRIVAL,
-                        head_idx: ai as u32,
-                        to: cand.query,
-                        pc_idx: cand.atom,
-                        mgu,
-                    }),
-                    None => ControlFlow::Continue(()),
-                })?;
+            self.pc_index().try_for_each_candidate(head, |cand, pc| {
+                if !unifiable(head, pc) {
+                    return ControlFlow::Continue(());
+                }
+                visit(Edge {
+                    from: ARRIVAL,
+                    head_idx: ai as u32,
+                    to: cand.query,
+                    pc_idx: cand.atom,
+                })
+            })?;
         }
         ControlFlow::Continue(())
     }
@@ -276,11 +332,11 @@ impl MatchGraph {
     /// one is freed.
     pub(crate) fn unlink(&mut self, slot: u32) -> EntangledQuery {
         let query = std::mem::replace(&mut self.queries[slot as usize], empty_query());
-        for ai in 0..query.head.len() {
-            self.head_index.remove(atom_ref(slot, ai));
+        for (ai, atom) in query.head.iter().enumerate() {
+            self.head_index.remove(atom_ref(slot, ai), atom);
         }
-        for ai in 0..query.postconditions.len() {
-            self.pc_index.remove(atom_ref(slot, ai));
+        for (ai, atom) in query.postconditions.iter().enumerate() {
+            self.pc_index.remove(atom_ref(slot, ai), atom);
         }
         for eid in std::mem::take(&mut self.out[slot as usize]) {
             let e = self.free_edge(eid);
@@ -357,14 +413,22 @@ impl MatchGraph {
         &self.inc[slot as usize]
     }
 
-    /// The head index.
-    pub fn head_index(&self) -> &AtomIndex {
-        &self.head_index
+    /// The head index, read with the head atoms it names.
+    pub fn head_index(&self) -> IndexedAtoms<'_> {
+        IndexedAtoms {
+            index: &self.head_index,
+            queries: &self.queries,
+            side: Polarity::Head,
+        }
     }
 
-    /// The postcondition index.
-    pub fn pc_index(&self) -> &AtomIndex {
-        &self.pc_index
+    /// The postcondition index, read with the postconditions it names.
+    pub fn pc_index(&self) -> IndexedAtoms<'_> {
+        IndexedAtoms {
+            index: &self.pc_index,
+            queries: &self.queries,
+            side: Polarity::Postcondition,
+        }
     }
 
     /// The components (§4.1.2) of the registry, one walk: every linked
@@ -636,14 +700,14 @@ impl MatchGraph {
             let q = self.query(slot);
             live_heads += q.head.len();
             live_pcs += q.postconditions.len();
-            for (ai, atom) in q.head.iter().enumerate() {
-                if self.head_index.get(atom_ref(slot, ai)) != Some(atom) {
+            for ai in 0..q.head.len() {
+                if !self.head_index.contains(atom_ref(slot, ai)) {
                     let atom = ai as u32;
                     return Err(InvariantViolation::MissingHeadAtom { slot, atom });
                 }
             }
-            for (ai, atom) in q.postconditions.iter().enumerate() {
-                if self.pc_index.get(atom_ref(slot, ai)) != Some(atom) {
+            for ai in 0..q.postconditions.len() {
+                if !self.pc_index.contains(atom_ref(slot, ai)) {
                     let atom = ai as u32;
                     return Err(InvariantViolation::MissingPcAtom { slot, atom });
                 }
@@ -716,7 +780,6 @@ mod tests {
             head_idx: 0,
             to,
             pc_idx: 0,
-            mgu: Unifier::new(),
         }
     }
 

@@ -11,7 +11,7 @@
 //! The index over-approximates: candidates are guaranteed to contain all
 //! truly unifiable atoms, but repeated-variable patterns can slip
 //! through (`R(z,z)` vs `R(2,3)`), so callers re-check with
-//! [`eq_unify::mgu_atoms`]. The paper makes the same observation and
+//! [`eq_unify::unifiable`]. The paper makes the same observation and
 //! notes the index gives no complexity guarantee but is "immensely
 //! useful" in practice.
 //!
@@ -20,9 +20,13 @@
 //! Every query the engine admits is retired exactly once (§5.1), so
 //! removal is as hot as insertion and must not depend on how many atoms
 //! are resident — the wildcard and per-relation lists hold *all* of
-//! them. Each atom lives once, in a cell of a slab; a posting list is a
-//! `Vec` of cell ids in insertion order. An atom of arity `a` sits in
-//! `a + 1` lists (one per position, plus its relation's).
+//! them. The index names atoms; it does not own them. Each indexed atom
+//! has a cell in a slab holding its [`AtomRef`] and posting count, and
+//! the atom itself stays with its owner — the graph's query slots —
+//! which hands it to [`AtomIndex::insert`] and [`AtomIndex::remove`]
+//! and lends the index a lookup for every candidate visit. A posting
+//! list is a `Vec` of cell ids in insertion order. An atom of arity `a`
+//! sits in `a + 1` lists (one per position, plus its relation's).
 //!
 //! * [`AtomIndex::insert`]: `a + 2` hash operations and `a + 1` pushes.
 //! * [`AtomIndex::remove`]: `a + 2` hash operations; the cell is
@@ -37,8 +41,9 @@
 //!   a later occupant of its cell: re-inserting under a reused
 //!   [`AtomRef`] (the engine reuses query slots) takes a new cell and
 //!   new postings at the *end* of each list.
-//! * A probe reads each candidate's atom by slab index (no hash lookup
-//!   per candidate) and skips tombstones, at most one per live posting.
+//! * A probe reads each candidate's reference by slab index, its atom
+//!   through the owner's lookup (no hash lookup per candidate), and
+//!   skips tombstones, at most one per live posting.
 //!
 //! **Ordering contract:** candidates are visited in the order their
 //! atoms were inserted into the driving list — exact-constant list
@@ -101,16 +106,16 @@ fn keys(atom: &Atom) -> impl Iterator<Item = Key> + '_ {
     positions.chain(std::iter::once(Key::whole_relation(relation)))
 }
 
-/// One slab cell. `atom` is `None` once the atom was removed; the cell
+/// One slab cell. `live` is false once the atom was removed; the cell
 /// stays allocated while `postings` lists still name it.
 struct Cell {
     r: AtomRef,
-    atom: Option<Atom>,
+    live: bool,
     /// Postings naming this cell, live or tombstoned.
     postings: u32,
 }
 
-/// The atoms, each stored once and addressed by a dense cell id.
+/// The indexed references, each addressed by a dense cell id.
 #[derive(Default)]
 struct Slab {
     cells: Vec<Cell>,
@@ -131,10 +136,10 @@ impl Slab {
         }
     }
 
-    /// The reference and atom in cell `id`, unless it is a tombstone.
-    fn live(&self, id: u32) -> Option<(AtomRef, &Atom)> {
+    /// The reference in cell `id`, unless it is a tombstone.
+    fn live(&self, id: u32) -> Option<AtomRef> {
         let cell = &self.cells[id as usize];
-        cell.atom.as_ref().map(|atom| (cell.r, atom))
+        cell.live.then_some(cell.r)
     }
 
     /// Records that one tombstoned posting of cell `id` was discarded;
@@ -205,12 +210,15 @@ impl AtomIndex {
         self.by_ref.is_empty()
     }
 
-    /// Inserts an atom under `r`, which must not be resident (remove it
-    /// first to replace its atom). O(arity).
+    /// Indexes `atom` under `r`, which must not be resident (remove it
+    /// first to replace its atom). The atom is read for its keys, not
+    /// kept: its owner must hand the same atom to
+    /// [`AtomIndex::remove`] and answer for it in candidate visits.
+    /// O(arity).
     pub fn insert(&mut self, r: AtomRef, atom: &Atom) {
         let id = self.slab.alloc(Cell {
             r,
-            atom: Some(atom.clone()),
+            live: true,
             postings: atom.arity() as u32 + 1,
         });
         let previous = self.by_ref.insert(r, id);
@@ -222,7 +230,8 @@ impl AtomIndex {
         }
     }
 
-    /// Removes an atom by reference. No-op if absent.
+    /// Removes the atom indexed under `r`, which must be the `atom`
+    /// [`AtomIndex::insert`] was given. No-op if `r` is absent.
     ///
     /// O(arity) amortized, independent of the number of resident atoms:
     /// the atom's postings become tombstones, a list is compacted only
@@ -230,15 +239,12 @@ impl AtomIndex {
     /// for by the removals, more than half the list, since the previous
     /// one), and a list whose last live atom leaves is dropped from the
     /// map. The relative order of the remaining atoms never changes.
-    pub fn remove(&mut self, r: AtomRef) {
+    pub fn remove(&mut self, r: AtomRef, atom: &Atom) {
         let Some(id) = self.by_ref.remove(&r) else {
             return;
         };
-        let atom = self.slab.cells[id as usize]
-            .atom
-            .take()
-            .expect("by_ref names only live cells");
-        for key in keys(&atom) {
+        self.slab.cells[id as usize].live = false;
+        for key in keys(atom) {
             let Entry::Occupied(mut slot) = self.lists.entry(key) else {
                 continue;
             };
@@ -260,14 +266,14 @@ impl AtomIndex {
         }
     }
 
-    /// The stored atom for a reference, if present.
-    pub fn get(&self, r: AtomRef) -> Option<&Atom> {
-        let &id = self.by_ref.get(&r)?;
-        self.slab.cells[id as usize].atom.as_ref()
+    /// True if an atom is indexed under `r`.
+    pub fn contains(&self, r: AtomRef) -> bool {
+        self.by_ref.contains_key(&r)
     }
 
     /// Candidate atoms that may unify with `probe`:
-    /// `A ∩ ⋂_{constant positions i} (L(R,i,vi) ∪ L(R,i,Δ))`.
+    /// `A ∩ ⋂_{constant positions i} (L(R,i,vi) ∪ L(R,i,Δ))`, with
+    /// `atoms` naming the atom each indexed reference stands for.
     ///
     /// Allocates a fresh `Vec` per probe; hot paths (engine admission,
     /// retirement) should prefer [`AtomIndex::for_each_candidate`],
@@ -275,15 +281,19 @@ impl AtomIndex {
     ///
     /// Candidates are superset-correct; callers must confirm with a real
     /// MGU check. Results are deduplicated and in insertion order.
-    pub fn candidates(&self, probe: &Atom) -> Vec<AtomRef> {
+    pub fn candidates<'a>(
+        &self,
+        probe: &Atom,
+        atoms: impl Fn(AtomRef) -> &'a Atom,
+    ) -> Vec<AtomRef> {
         let mut out = Vec::new();
-        self.for_each_candidate(probe, |r, _| out.push(r));
+        self.for_each_candidate(probe, atoms, |r, _| out.push(r));
         out
     }
 
     /// Visits every candidate that may unify with `probe`, passing the
-    /// reference and the stored atom. This is the allocation-free form
-    /// of [`AtomIndex::candidates`]:
+    /// reference and its atom, which `atoms` looks up. This is the
+    /// allocation-free form of [`AtomIndex::candidates`]:
     ///
     /// The driving posting list is the most selective constant position
     /// (fewest live atoms in `L(R,i,vi) ∪ L(R,i,Δ)`; the first such
@@ -293,9 +303,9 @@ impl AtomIndex {
     /// posting list — the difference between linear and quadratic total
     /// cost on hub-heavy workloads (every query sharing one destination
     /// constant). A probe without constants drives from its relation's
-    /// list. Each candidate's atom is read by slab index; tombstones in
-    /// the driving list (never more than its live postings) are
-    /// skipped.
+    /// list. Each candidate's reference is read by slab index and its
+    /// atom through `atoms`; tombstones in the driving list (never more
+    /// than its live postings) are skipped.
     ///
     /// Candidates are superset-correct; callers must confirm with a real
     /// MGU check. Visit order is deterministic — the exact-constant
@@ -303,8 +313,13 @@ impl AtomIndex {
     /// live atoms, whatever was removed or re-inserted under a reused
     /// [`AtomRef`] in between — and free of duplicates: an atom appears
     /// in exactly one of the exact/wildcard lists for a given position.
-    pub fn for_each_candidate(&self, probe: &Atom, mut f: impl FnMut(AtomRef, &Atom)) {
-        let _ = self.try_for_each_candidate(probe, |r, atom| {
+    pub fn for_each_candidate<'a>(
+        &self,
+        probe: &Atom,
+        atoms: impl Fn(AtomRef) -> &'a Atom,
+        mut f: impl FnMut(AtomRef, &'a Atom),
+    ) {
+        let _ = self.try_for_each_candidate(probe, atoms, |r, atom| {
             f(r, atom);
             ControlFlow::Continue(())
         });
@@ -313,17 +328,19 @@ impl AtomIndex {
     /// [`AtomIndex::for_each_candidate`] with an early exit: the visit
     /// stops at the first `Break`, which is returned — how a decided
     /// admission probe leaves a hub's posting list unwalked.
-    pub(crate) fn try_for_each_candidate(
+    pub(crate) fn try_for_each_candidate<'a>(
         &self,
         probe: &Atom,
-        mut f: impl FnMut(AtomRef, &Atom) -> ControlFlow<()>,
+        atoms: impl Fn(AtomRef) -> &'a Atom,
+        mut f: impl FnMut(AtomRef, &'a Atom) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         let mut visit = |key: Key| {
             let Some(list) = self.lists.get(&key) else {
                 return ControlFlow::Continue(());
             };
             for &id in &list.ids {
-                if let Some((r, atom)) = self.slab.live(id) {
+                if let Some(r) = self.slab.live(id) {
+                    let atom = atoms(r);
                     // Also filters by arity: lists are keyed by
                     // relation, not by relation and arity.
                     if atom.positionally_compatible(probe) {
@@ -380,6 +397,60 @@ mod tests {
     use super::*;
     use eq_ir::{atom, FastSet, Var};
 
+    /// An index together with the atoms it names, kept the way the graph
+    /// keeps them: the harness of these tests and of `differential`.
+    #[derive(Default)]
+    pub(super) struct Owned {
+        pub(super) idx: AtomIndex,
+        atoms: FastMap<AtomRef, Atom>,
+    }
+
+    impl Owned {
+        pub(super) fn insert(&mut self, r: AtomRef, atom: &Atom) {
+            self.idx.insert(r, atom);
+            self.atoms.insert(r, atom.clone());
+        }
+
+        pub(super) fn remove(&mut self, r: AtomRef) {
+            if let Some(atom) = self.atoms.remove(&r) {
+                self.idx.remove(r, &atom);
+            }
+        }
+
+        /// The atom indexed under `r`, if the index holds one.
+        pub(super) fn get(&self, r: AtomRef) -> Option<&Atom> {
+            self.idx.contains(r).then(|| &self.atoms[&r])
+        }
+
+        pub(super) fn len(&self) -> usize {
+            self.idx.len()
+        }
+
+        pub(super) fn is_empty(&self) -> bool {
+            self.idx.is_empty()
+        }
+
+        fn atom(&self, r: AtomRef) -> &Atom {
+            &self.atoms[&r]
+        }
+
+        pub(super) fn candidates(&self, probe: &Atom) -> Vec<AtomRef> {
+            self.idx.candidates(probe, |r| self.atom(r))
+        }
+
+        pub(super) fn for_each_candidate(&self, probe: &Atom, f: impl FnMut(AtomRef, &Atom)) {
+            self.idx.for_each_candidate(probe, |r| self.atom(r), f);
+        }
+
+        pub(super) fn try_for_each_candidate(
+            &self,
+            probe: &Atom,
+            f: impl FnMut(AtomRef, &Atom) -> ControlFlow<()>,
+        ) -> ControlFlow<()> {
+            self.idx.try_for_each_candidate(probe, |r| self.atom(r), f)
+        }
+    }
+
     fn v(i: u32) -> Term {
         Term::var(Var(i))
     }
@@ -392,7 +463,7 @@ mod tests {
     fn paper_example_lookup() {
         // Index Reserve(Kramer, x) and Reserve(Jerry, y); probing with
         // Reserve(Jerry, z) must return only Jerry's atom.
-        let mut idx = AtomIndex::new();
+        let mut idx = Owned::default();
         idx.insert(r(0, 0), &atom!("Reserve", [Term::str("Kramer"), v(0)]));
         idx.insert(r(1, 0), &atom!("Reserve", [Term::str("Jerry"), v(1)]));
         let probe = atom!("Reserve", [Term::str("Jerry"), v(2)]);
@@ -401,7 +472,7 @@ mod tests {
 
     #[test]
     fn wildcard_probe_returns_relation() {
-        let mut idx = AtomIndex::new();
+        let mut idx = Owned::default();
         idx.insert(r(0, 0), &atom!("R", [Term::str("a"), v(0)]));
         idx.insert(r(1, 0), &atom!("R", [Term::str("b"), v(1)]));
         idx.insert(r(2, 0), &atom!("S", [Term::str("a"), v(2)]));
@@ -412,7 +483,7 @@ mod tests {
     #[test]
     fn indexed_wildcards_match_constant_probe() {
         // Head R(x, ITH) must be a candidate for probe R(Jerry, ITH).
-        let mut idx = AtomIndex::new();
+        let mut idx = Owned::default();
         idx.insert(r(0, 0), &atom!("R", [v(0), Term::str("ITH")]));
         let probe = atom!("R", [Term::str("Jerry"), Term::str("ITH")]);
         assert_eq!(idx.candidates(&probe), vec![r(0, 0)]);
@@ -420,7 +491,7 @@ mod tests {
 
     #[test]
     fn multi_constant_intersection() {
-        let mut idx = AtomIndex::new();
+        let mut idx = Owned::default();
         idx.insert(r(0, 0), &atom!("R", [Term::str("a"), Term::str("x")]));
         idx.insert(r(1, 0), &atom!("R", [Term::str("a"), Term::str("y")]));
         idx.insert(r(2, 0), &atom!("R", [v(0), Term::str("y")]));
@@ -440,7 +511,7 @@ mod tests {
 
     #[test]
     fn arity_filtered() {
-        let mut idx = AtomIndex::new();
+        let mut idx = Owned::default();
         idx.insert(r(0, 0), &atom!("R", [Term::str("a")]));
         idx.insert(r(1, 0), &atom!("R", [Term::str("a"), v(0)]));
         let probe = atom!("R", [Term::str("a")]);
@@ -453,7 +524,7 @@ mod tests {
     fn over_approximation_documented() {
         // R(z, z) indexed; probe R(2, 3) — index returns it as a
         // candidate even though true unification fails.
-        let mut idx = AtomIndex::new();
+        let mut idx = Owned::default();
         idx.insert(r(0, 0), &atom!("R", [v(0), v(0)]));
         let probe = atom!("R", [Term::int(2), Term::int(3)]);
         assert_eq!(idx.candidates(&probe), vec![r(0, 0)]);
@@ -462,7 +533,7 @@ mod tests {
 
     #[test]
     fn removal() {
-        let mut idx = AtomIndex::new();
+        let mut idx = Owned::default();
         idx.insert(r(0, 0), &atom!("R", [Term::str("a"), v(0)]));
         idx.insert(r(1, 0), &atom!("R", [Term::str("a"), v(1)]));
         assert_eq!(idx.len(), 2);
@@ -479,7 +550,7 @@ mod tests {
     fn reinsert_under_reused_ref_goes_to_the_back() {
         // The engine reuses query slots: a ref that left and came back
         // is a new atom and must be visited after the ones that stayed.
-        let mut idx = AtomIndex::new();
+        let mut idx = Owned::default();
         idx.insert(r(0, 0), &atom!("R", [Term::str("a"), v(0)]));
         idx.insert(r(1, 0), &atom!("R", [Term::str("a"), v(1)]));
         idx.insert(r(2, 0), &atom!("R", [Term::str("a"), v(2)]));
@@ -495,7 +566,7 @@ mod tests {
     /// Postings touched while retiring `n` atoms that share a wildcard
     /// column, a hub constant and a relation, oldest or newest first.
     fn retire_steps(n: u32, newest_first: bool) -> usize {
-        let mut idx = AtomIndex::new();
+        let mut idx = Owned::default();
         for i in 0..n {
             let atom = atom!("R", [v(i), Term::str("hub"), Term::int(i as i64)]);
             idx.insert(r(i, 0), &atom);
@@ -504,8 +575,8 @@ mod tests {
             idx.remove(r(if newest_first { n - 1 - i } else { i }, 0));
         }
         assert!(idx.is_empty());
-        assert_eq!(idx.list_count(), 0);
-        idx.remove_steps
+        assert_eq!(idx.idx.list_count(), 0);
+        idx.idx.remove_steps
     }
 
     #[test]
@@ -525,7 +596,7 @@ mod tests {
 
     #[test]
     fn visitor_matches_materialized_candidates() {
-        let mut idx = AtomIndex::new();
+        let mut idx = Owned::default();
         idx.insert(r(0, 0), &atom!("R", [Term::str("a"), v(0)]));
         idx.insert(r(1, 0), &atom!("R", [v(1), Term::str("b")]));
         idx.insert(r(2, 0), &atom!("R", [Term::str("a"), Term::str("b")]));
@@ -545,7 +616,7 @@ mod tests {
 
     #[test]
     fn index_separates_relations_and_arities() {
-        let mut idx = AtomIndex::new();
+        let mut idx = Owned::default();
         idx.insert(r(0, 0), &atom!("R", [Term::str("a"), v(0)]));
         idx.insert(r(1, 0), &atom!("S", [Term::str("a")]));
         idx.insert(r(2, 0), &atom!("R", [Term::str("a")]));
@@ -583,7 +654,7 @@ mod tests {
                 atoms.push(Atom::new("R", vec![mk(t1), mk(t2)]));
             }
         }
-        let mut idx = AtomIndex::new();
+        let mut idx = Owned::default();
         for (i, a) in atoms.iter().enumerate() {
             idx.insert(r(i as u32, 0), a);
         }
@@ -604,6 +675,7 @@ mod tests {
 /// Differential test of [`AtomIndex`] against a scan of a `Vec`.
 #[cfg(test)]
 mod differential {
+    use super::tests::Owned;
     use super::*;
     use eq_ir::Var;
     use proptest::prelude::*;
@@ -699,7 +771,7 @@ mod differential {
             ops in arb_ops(),
             probes in proptest::collection::vec(arb_atom(), 1..8),
         ) {
-            let mut idx = AtomIndex::new();
+            let mut idx = Owned::default();
             let mut oracle = Oracle::default();
             for (r, action) in ops {
                 idx.remove(r);
@@ -730,8 +802,8 @@ mod differential {
                 idx.remove(r);
             }
             prop_assert!(idx.is_empty());
-            prop_assert_eq!(idx.list_count(), 0);
-            prop_assert_eq!(idx.slab.free.len(), idx.slab.cells.len());
+            prop_assert_eq!(idx.idx.list_count(), 0);
+            prop_assert_eq!(idx.idx.slab.free.len(), idx.idx.slab.cells.len());
         }
     }
 }

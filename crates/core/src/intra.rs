@@ -57,14 +57,19 @@
 //! variables are exactly the join keys between regions.
 //!
 //! Region evaluation is Yannakakis over that tree, and it **pays for
-//! what it keeps**. Every region's conjunction is resolved against the
-//! database once (`eq_db`'s `Prepared`: table handles, variable slots,
-//! join-order ranks — which is also the plan's one validation) and run
-//! twice. Bottom-up, children first, a region runs as a **projection**
-//! onto its parent articulation variable: it keeps a witness set of the
-//! values carried by some locally-extensible solution — memory
-//! proportional to the articulation-value domain, never to the region's
-//! solution count — and tells the evaluator "done with this value" the
+//! what it keeps**. A region is a list of indices into its unit's atoms
+//! and constraints, not a copy of them. The plan's atoms are checked
+//! against the database once, up front; then each pass resolves a
+//! region's conjunction (`eq_db`'s `Prepared`: table handles, variable
+//! slots, join-order ranks) when it reaches the region and drops it
+//! after that run, so one region's resolved query is alive at a time —
+//! the two passes resolve every region twice, which costs a few percent
+//! of the search. Bottom-up, children first, a region runs as a
+//! **projection** onto its parent articulation variable: it keeps a
+//! witness set of the values carried by some locally-extensible
+//! solution — memory proportional to the articulation-value domain,
+//! never to the region's solution count; a unit's witness sets share
+//! one sorted arena, probed by binary search — and tells the evaluator "done with this value" the
 //! moment a value is witnessed, or a child value is found to have no
 //! witness, whereupon the search **backjumps** to the frame that bound
 //! it instead of enumerating the rest of that value's pre-image. Atoms
@@ -72,8 +77,8 @@
 //! index decides without reading a row. A region therefore costs on the
 //! order of its articulation domain, not of its local solution count.
 //! Top-down from the root, the one joint answer is picked region by
-//! region: the same resolved query runs with its parent articulation
-//! variable *pinned* to the value the parent chose (an equality filter
+//! region: the region's conjunction runs again with its parent
+//! articulation variable *pinned* to the value the parent chose (an equality filter
 //! the evaluator applies through the index; a child's singleton witness
 //! set is pinned the same way), stopping at the first extensible
 //! solution. The result is **exact** — a solution is produced iff the
@@ -105,7 +110,7 @@ use crate::pool;
 use eq_db::{Database, DbError, EvalStats, Prepared, Slot, Solution, Valuation, Visit};
 use eq_ir::{Atom, Constraint, FastMap, FastSet, QueryId, Value, Var};
 use eq_unify::Unifier;
-use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The split gate for shared-variable work units (see the module docs'
@@ -166,33 +171,63 @@ pub struct WorkUnit {
     /// decomposes (≥ 2 regions) and passes the
     /// [`SplitOptions::crossover`] gate, in which case the unit is
     /// evaluated region by region.
-    /// `atoms`/`constraints` still hold the whole unit.
+    /// `atoms`/`constraints` still hold the whole unit; the regions
+    /// index into them.
     pub regions: Option<RegionPlan>,
 }
 
 /// The biconnected-region decomposition of one shared-variable work
 /// unit: regions tiled over the unit's atoms, arranged in a block-cut
-/// tree whose edges are articulation variables.
+/// tree whose edges are articulation variables. Regions name the unit's
+/// atoms and constraints by index, all regions' lists in one flat
+/// allocation each: a region costs a few integers, not a copy of its
+/// conjunction.
 #[derive(Clone, Debug)]
 pub struct RegionPlan {
     /// Regions in deterministic order (by first atom of the region in
     /// the unit's body order). Region 0 is the tree root.
     pub regions: Vec<Region>,
+    /// Indices into the unit's atoms, region after region.
+    atoms: Vec<u32>,
+    /// Indices into the unit's constraints, region after region.
+    constraints: Vec<u32>,
+    /// Child region ids, region after region.
+    children: Vec<u32>,
 }
 
 /// One biconnected region: a sub-conjunction that overlaps the rest of
-/// its unit in exactly one variable per tree edge.
+/// its unit in exactly one variable per tree edge. Its atoms,
+/// constraints and children are read through its [`RegionPlan`].
 #[derive(Clone, Debug)]
 pub struct Region {
-    /// The region's atoms, in unit body order.
-    pub atoms: Vec<Atom>,
-    /// Constraints whose variables live in this region.
-    pub constraints: Vec<Constraint>,
     /// The articulation variable shared with the parent region (`None`
     /// for the root).
     pub parent_var: Option<Var>,
-    /// Child regions in the block-cut tree.
-    pub children: Vec<usize>,
+    atoms: Range<u32>,
+    constraints: Range<u32>,
+    children: Range<u32>,
+}
+
+impl RegionPlan {
+    /// Region `r`'s atoms, as indices into its unit's atoms in body
+    /// order.
+    pub fn atoms(&self, r: usize) -> &[u32] {
+        let at = &self.regions[r].atoms;
+        &self.atoms[at.start as usize..at.end as usize]
+    }
+
+    /// Region `r`'s constraints, as indices into its unit's
+    /// constraints in body order.
+    pub fn constraints(&self, r: usize) -> &[u32] {
+        let at = &self.regions[r].constraints;
+        &self.constraints[at.start as usize..at.end as usize]
+    }
+
+    /// Region `r`'s children in the block-cut tree.
+    pub fn children(&self, r: usize) -> &[u32] {
+        let at = &self.regions[r].children;
+        &self.children[at.start as usize..at.end as usize]
+    }
 }
 
 /// The partitioned evaluation plan for one matched component: work
@@ -371,81 +406,49 @@ pub fn plan_component(
 ///   merge can always key on it) — units violating this refuse to
 ///   split.
 pub fn split_unit(unit: &WorkUnit) -> Option<RegionPlan> {
-    // Variables in first-occurrence order (atoms, then constraints).
-    let mut var_id: FastMap<Var, usize> = FastMap::default();
-    let mut vars: Vec<Var> = Vec::new();
-    let intern = |v: Var, var_id: &mut FastMap<Var, usize>, vars: &mut Vec<Var>| -> usize {
-        *var_id.entry(v).or_insert_with(|| {
-            vars.push(v);
-            vars.len() - 1
-        })
-    };
-    // Distinct-variable lists per atom / constraint, in order.
-    let mut atom_vars: Vec<Vec<usize>> = Vec::with_capacity(unit.atoms.len());
-    for atom in &unit.atoms {
-        let mut vs: Vec<usize> = Vec::new();
-        for v in atom.vars() {
-            let id = intern(v, &mut var_id, &mut vars);
-            if !vs.contains(&id) {
-                vs.push(id);
-            }
-        }
-        atom_vars.push(vs);
-    }
-    let mut constraint_vars: Vec<Vec<usize>> = Vec::with_capacity(unit.constraints.len());
-    for c in &unit.constraints {
-        let mut vs: Vec<usize> = Vec::new();
-        for v in c.vars() {
-            let id = intern(v, &mut var_id, &mut vars);
-            if !vs.contains(&id) {
-                vs.push(id);
-            }
-        }
-        constraint_vars.push(vs);
-    }
-    let n = vars.len();
+    // Conjunct i is atom i, then constraint i - atoms.
+    let conjunct_vars = ConjunctVars::number(unit);
+    let n = conjunct_vars.vars.len();
     if n < 2 {
         return None;
     }
+    let conjuncts = unit.atoms.len() + unit.constraints.len();
 
-    // Edges: one clique per multi-variable atom/constraint, dedupped.
-    let mut edge_of: FastMap<(usize, usize), usize> = FastMap::default();
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n]; // (neighbor, edge id)
-    {
-        let mut add_clique = |vs: &[usize]| {
-            for (i, &a) in vs.iter().enumerate() {
-                for &b in &vs[i + 1..] {
-                    let key = (a.min(b), a.max(b));
-                    if edge_of.contains_key(&key) {
-                        continue;
-                    }
-                    let e = edges.len();
-                    edge_of.insert(key, e);
+    // Edges: one clique per multi-variable conjunct, dedupped.
+    let mut edge_of: FastMap<(u32, u32), u32> = FastMap::default();
+    let mut edges: Vec<(u32, u32)> = Vec::new();
+    for i in 0..conjuncts {
+        let vs = conjunct_vars.of(i);
+        for (j, &a) in vs.iter().enumerate() {
+            for &b in &vs[j + 1..] {
+                let key = (a.min(b), a.max(b));
+                edge_of.entry(key).or_insert_with(|| {
                     edges.push(key);
-                    adj[a].push((b, e));
-                    adj[b].push((a, e));
-                }
+                    edges.len() as u32 - 1
+                });
             }
-        };
-        for vs in &atom_vars {
-            add_clique(vs);
-        }
-        for vs in &constraint_vars {
-            add_clique(vs);
         }
     }
     if edges.is_empty() {
         return None;
     }
+    // Adjacency (neighbor, edge id), each vertex's in edge order.
+    let (adj_at, adj) = group_by_key(
+        n,
+        edges
+            .iter()
+            .enumerate()
+            .flat_map(|(e, &(a, b))| [(a, (b, e as u32)), (b, (a, e as u32))]),
+    );
+    let adj = |v: usize| &adj[adj_at[v] as usize..adj_at[v + 1] as usize];
 
     // Iterative Hopcroft–Tarjan: biconnected components as edge sets.
-    const UNSEEN: usize = usize::MAX;
+    const UNSEEN: u32 = u32::MAX;
     let mut disc = vec![UNSEEN; n];
-    let mut low = vec![0usize; n];
+    let mut low = vec![0u32; n];
     let mut parent_edge = vec![UNSEEN; n];
-    let mut timer = 0usize;
-    let mut edge_stack: Vec<usize> = Vec::new();
+    let mut timer = 0u32;
+    let mut edge_stack: Vec<u32> = Vec::new();
     let mut edge_block = vec![UNSEEN; edges.len()];
     let mut block_count = 0usize;
     disc[0] = timer;
@@ -454,9 +457,9 @@ pub fn split_unit(unit: &WorkUnit) -> Option<RegionPlan> {
     let mut dfs: Vec<(usize, usize)> = vec![(0, 0)];
     while let Some(frame) = dfs.last_mut() {
         let v = frame.0;
-        if frame.1 < adj[v].len() {
-            let (w, e) = adj[v][frame.1];
+        if let Some(&(w, e)) = adj(v).get(frame.1) {
             frame.1 += 1;
+            let w = w as usize;
             if e == parent_edge[v] {
                 continue;
             }
@@ -484,11 +487,11 @@ pub fn split_unit(unit: &WorkUnit) -> Option<RegionPlan> {
                     // invariant; an empty pop would mean the traversal
                     // state is corrupt, so refuse the split (sound: the
                     // unit just evaluates whole).
-                    let block = block_count;
+                    let block = block_count as u32;
                     block_count += 1;
                     loop {
                         let e = edge_stack.pop()?;
-                        edge_block[e] = block;
+                        edge_block[e as usize] = block;
                         if e == parent_edge[v] {
                             break;
                         }
@@ -502,24 +505,26 @@ pub fn split_unit(unit: &WorkUnit) -> Option<RegionPlan> {
         return None;
     }
 
-    // Order blocks deterministically by their first atom in body order,
-    // and map every atom/constraint to its block: multi-variable ones
-    // to the block of their first variable pair, single-variable ones
-    // (and the rare constraint over an articulation variable alone) to
-    // the lowest-ordered block containing the variable. The clique edge
+    // The block of every multi-variable conjunct — that of its first
+    // variable pair (`NONE` for single-variable ones). The clique edge
     // exists by construction; a miss means the edge bookkeeping is
     // inconsistent, so `None` — callers refuse the split, which is
     // always sound.
-    let raw_block = |vs: &[usize]| -> Option<usize> {
-        let key = (vs[0].min(vs[1]), vs[0].max(vs[1]));
-        let e = edge_of.get(&key)?;
-        edge_block.get(*e).copied()
-    };
-    let mut order_key = vec![usize::MAX; block_count];
-    for (ai, vs) in atom_vars.iter().enumerate() {
+    const NONE: u32 = u32::MAX;
+    let mut block_of = vec![NONE; conjuncts];
+    for (i, block) in block_of.iter_mut().enumerate() {
+        let vs = conjunct_vars.of(i);
         if vs.len() >= 2 {
-            let b = raw_block(vs)?;
-            order_key[b] = order_key[b].min(ai);
+            let e = edge_of.get(&(vs[0].min(vs[1]), vs[0].max(vs[1])))?;
+            *block = *edge_block.get(*e as usize)?;
+        }
+    }
+    drop(edge_of);
+    // Order blocks deterministically by their first atom in body order.
+    let mut order_key = vec![usize::MAX; block_count];
+    for (ai, &b) in block_of[..unit.atoms.len()].iter().enumerate() {
+        if b != NONE {
+            order_key[b as usize] = order_key[b as usize].min(ai);
         }
     }
     // A block with no atom clique exists iff a multi-variable
@@ -529,94 +534,93 @@ pub fn split_unit(unit: &WorkUnit) -> Option<RegionPlan> {
     if order_key.contains(&usize::MAX) {
         return None;
     }
-    let mut by_order: Vec<usize> = (0..block_count).collect();
-    by_order.sort_by_key(|&b| order_key[b]);
-    let mut new_id = vec![0usize; block_count];
+    let mut by_order: Vec<u32> = (0..block_count as u32).collect();
+    by_order.sort_by_key(|&b| order_key[b as usize]);
+    let mut new_id = vec![0u32; block_count];
     for (rank, &b) in by_order.iter().enumerate() {
-        new_id[b] = rank;
+        new_id[b as usize] = rank as u32;
     }
-
-    // Region vertex sets (from block edges) and the per-variable block
-    // lists that define articulation variables.
-    let mut region_vars: Vec<Vec<usize>> = vec![Vec::new(); block_count];
-    let mut var_regions: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (e, &(a, b)) in edges.iter().enumerate() {
-        let r = new_id[edge_block[e]];
-        for vid in [a, b] {
-            if !var_regions[vid].contains(&r) {
-                var_regions[vid].push(r);
-                region_vars[r].push(vid);
-            }
+    for b in &mut block_of {
+        if *b != NONE {
+            *b = new_id[*b as usize];
         }
     }
-    for regions in &mut var_regions {
-        regions.sort_unstable();
-    }
 
-    let mut regions: Vec<Region> = (0..block_count)
-        .map(|_| Region {
-            atoms: Vec::new(),
-            constraints: Vec::new(),
-            parent_var: None,
-            children: Vec::new(),
+    // Each variable's regions, ascending: (variable, region) pairs off
+    // the block edges, sorted and deduplicated.
+    let mut memberships: Vec<(u32, u32)> = edges
+        .iter()
+        .zip(&edge_block)
+        .flat_map(|(&(a, b), &block)| {
+            let r = new_id[block as usize];
+            [(a, r), (b, r)]
         })
         .collect();
-    // Multi-variable atoms/constraints go to their (unique) block.
+    drop(edges);
+    memberships.sort_unstable();
+    memberships.dedup();
+    let (var_at, regions_of_var) = group_by_key(n, memberships.iter().copied());
+    let regions_of =
+        |v: u32| &regions_of_var[var_at[v as usize] as usize..var_at[v as usize + 1] as usize];
+    // Each region's articulation variables, ascending.
+    let (art_at, articulations) = group_by_key(
+        block_count,
+        memberships
+            .iter()
+            .filter(|&&(v, _)| regions_of(v).len() > 1)
+            .map(|&(v, r)| (r, v)),
+    );
+    drop(memberships);
+
+    // Multi-variable conjuncts go to their (unique) block.
     // Single-variable ones are **replicated into every region
     // containing the variable**: a conjunct constrains its variable
     // identically wherever it is checked, so replication is sound, and
     // it keeps every region anchored — a region whose only selective
     // atom sat across the articulation boundary would otherwise
     // stream an unfiltered cross product.
-    for (ai, vs) in atom_vars.iter().enumerate() {
-        if vs.len() >= 2 {
-            let r = new_id[raw_block(vs)?];
-            regions[r].atoms.push(unit.atoms[ai].clone());
-        } else {
-            for &r in &var_regions[vs[0]] {
-                regions[r].atoms.push(unit.atoms[ai].clone());
-            }
-        }
-    }
-    for (ci, vs) in constraint_vars.iter().enumerate() {
-        if vs.len() >= 2 {
-            let r = new_id[raw_block(vs)?];
-            regions[r].constraints.push(unit.constraints[ci]);
-        } else {
-            for &r in &var_regions[vs[0]] {
-                regions[r].constraints.push(unit.constraints[ci]);
-            }
-        }
-    }
+    let regions_for = |i: usize| match &block_of[i] {
+        &NONE => regions_of(conjunct_vars.of(i)[0]),
+        block => std::slice::from_ref(block),
+    };
+    let placed = |range: Range<usize>| {
+        range.flat_map(move |i| regions_for(i).iter().map(move |&r| (r, i as u32)))
+    };
+    let atoms_end = unit.atoms.len();
+    let (atom_at, atoms) = group_by_key(block_count, placed(0..atoms_end));
+    let (constraint_at, constraints) = group_by_key(
+        block_count,
+        placed(atoms_end..conjuncts).map(|(r, i)| (r, i - atoms_end as u32)),
+    );
 
     // Block-cut tree, rooted at region 0: BFS where expansion goes
     // through articulation variables, so every tree edge carries
     // exactly the variable its endpoints share.
+    let mut parent_var = vec![NONE; block_count];
+    let mut child_range = vec![0..0; block_count];
+    let mut children: Vec<u32> = Vec::with_capacity(block_count - 1);
     let mut visited = vec![false; block_count];
     visited[0] = true;
-    let mut queue = VecDeque::from([0usize]);
-    let mut reached = 1usize;
-    while let Some(r) = queue.pop_front() {
-        let mut shared: Vec<usize> = region_vars[r]
-            .iter()
-            .copied()
-            .filter(|&v| var_regions[v].len() > 1)
-            .collect();
-        shared.sort_unstable();
-        for v in shared {
-            for &r2 in &var_regions[v] {
-                if !visited[r2] {
-                    visited[r2] = true;
-                    reached += 1;
-                    regions[r2].parent_var = Some(vars[v]);
-                    regions[r].children.push(r2);
-                    queue.push_back(r2);
+    let mut queue: Vec<u32> = vec![0];
+    let mut head = 0;
+    while let Some(&r) = queue.get(head) {
+        head += 1;
+        let r = r as usize;
+        let start = children.len() as u32;
+        for &v in &articulations[art_at[r] as usize..art_at[r + 1] as usize] {
+            for &r2 in regions_of(v) {
+                if !visited[r2 as usize] {
+                    visited[r2 as usize] = true;
+                    parent_var[r2 as usize] = v;
+                    children.push(r2);
+                    queue.push(r2);
                 }
             }
         }
+        child_range[r] = start..children.len() as u32;
     }
-    debug_assert_eq!(reached, block_count, "block-cut tree spans the unit");
-    if reached != block_count {
+    debug_assert_eq!(queue.len(), block_count, "block-cut tree spans the unit");
+    if queue.len() != block_count {
         // Disconnected block-cut tree (the unit's variable graph is
         // connected, so this is defensive): refuse the split.
         return None;
@@ -629,24 +633,111 @@ pub fn split_unit(unit: &WorkUnit) -> Option<RegionPlan> {
     // binds. (Possible when a variable's only atoms sit across the
     // boundary and a single-variable constraint carried it into this
     // region's variable set.) Such units evaluate whole.
-    for region in &regions {
-        let mut anchors: Vec<Var> = Vec::new();
-        if let Some(pv) = region.parent_var {
-            anchors.push(pv);
-        }
-        for &c in &region.children {
-            if let Some(pv) = regions[c].parent_var {
-                anchors.push(pv);
-            }
-        }
+    for r in 0..block_count {
+        let own = &atoms[atom_at[r] as usize..atom_at[r + 1] as usize];
+        let kids = &children[child_range[r].start as usize..child_range[r].end as usize];
+        let anchors = std::iter::once(parent_var[r])
+            .chain(kids.iter().map(|&c| parent_var[c as usize]))
+            .filter(|&v| v != NONE);
         for v in anchors {
-            if !region.atoms.iter().any(|a| a.vars().any(|av| av == v)) {
+            if !own
+                .iter()
+                .any(|&ai| conjunct_vars.of(ai as usize).contains(&v))
+            {
                 return None;
             }
         }
     }
 
-    Some(RegionPlan { regions })
+    let span = |at: &[u32], r: usize| at[r]..at[r + 1];
+    let regions = (0..block_count)
+        .map(|r| Region {
+            parent_var: (parent_var[r] != NONE).then(|| conjunct_vars.vars[parent_var[r] as usize]),
+            atoms: span(&atom_at, r),
+            constraints: span(&constraint_at, r),
+            children: child_range[r].clone(),
+        })
+        .collect();
+    Some(RegionPlan {
+        regions,
+        atoms,
+        constraints,
+        children,
+    })
+}
+
+/// Each conjunct's distinct variables as dense ids, numbered in
+/// first-occurrence order over the unit's atoms, then its constraints:
+/// one flat list for the whole unit.
+struct ConjunctVars {
+    /// Id → variable.
+    vars: Vec<Var>,
+    /// Conjunct `i`'s ids are `ids[at[i]..at[i + 1]]`.
+    at: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl ConjunctVars {
+    fn number(unit: &WorkUnit) -> Self {
+        let mut out = ConjunctVars {
+            vars: Vec::new(),
+            at: Vec::with_capacity(unit.atoms.len() + unit.constraints.len() + 1),
+            ids: Vec::new(),
+        };
+        out.at.push(0);
+        let mut id_of: FastMap<Var, u32> = FastMap::default();
+        for atom in &unit.atoms {
+            out.add(&mut id_of, atom.vars());
+        }
+        for c in &unit.constraints {
+            out.add(&mut id_of, c.vars());
+        }
+        out
+    }
+
+    /// Appends one conjunct's variables.
+    fn add(&mut self, id_of: &mut FastMap<Var, u32>, vars: impl Iterator<Item = Var>) {
+        let start = self.ids.len();
+        for v in vars {
+            let next = self.vars.len() as u32;
+            let id = *id_of.entry(v).or_insert_with(|| {
+                self.vars.push(v);
+                next
+            });
+            if !self.ids[start..].contains(&id) {
+                self.ids.push(id);
+            }
+        }
+        self.at.push(self.ids.len() as u32);
+    }
+
+    /// Conjunct `i`'s distinct variable ids, in order of occurrence.
+    fn of(&self, i: usize) -> &[u32] {
+        &self.ids[self.at[i] as usize..self.at[i + 1] as usize]
+    }
+}
+
+/// Groups `(key, value)` pairs by key in one flat list, each key's
+/// values in iteration order: key `k`'s values are
+/// `values[at[k]..at[k + 1]]` of the returned `(at, values)`.
+fn group_by_key<T: Copy + Default>(
+    keys: usize,
+    pairs: impl Iterator<Item = (u32, T)> + Clone,
+) -> (Vec<u32>, Vec<T>) {
+    let mut at = vec![0u32; keys + 1];
+    for (k, _) in pairs.clone() {
+        at[k as usize + 1] += 1;
+    }
+    for k in 0..keys {
+        at[k + 1] += at[k];
+    }
+    let mut values = vec![T::default(); at[keys] as usize];
+    let mut next = at.clone();
+    for (k, v) in pairs {
+        values[next[k as usize] as usize] = v;
+        next[k as usize] += 1;
+    }
+    (at, values)
 }
 
 /// Outcome of one work unit's `LIMIT 1` evaluation.
@@ -698,50 +789,6 @@ pub fn evaluate_plan(
     evaluate_plan_with_stats(plan, db, threads).map(|(answers, _)| answers)
 }
 
-/// One region's conjunction, resolved against the database once for
-/// both of its passes.
-struct RegionQuery<'a> {
-    query: Prepared<'a>,
-    /// The parent articulation variable's slot in this region's query
-    /// and in the parent region's (`None` for the root).
-    parent: Option<(Slot, Slot)>,
-}
-
-/// A work unit resolved against the database: one conjunction, or one
-/// per region of its block-cut tree.
-enum UnitQuery<'a> {
-    Whole(Prepared<'a>),
-    Split(&'a RegionPlan, Vec<RegionQuery<'a>>),
-}
-
-impl<'a> UnitQuery<'a> {
-    fn resolve(unit: &'a WorkUnit, db: &'a Database) -> Result<Self, DbError> {
-        let Some(rp) = &unit.regions else {
-            return Ok(UnitQuery::Whole(
-                db.prepare(&unit.atoms, &unit.constraints)?,
-            ));
-        };
-        let mut queries = rp
-            .regions
-            .iter()
-            .map(|region| {
-                Ok(RegionQuery {
-                    query: db.prepare(&region.atoms, &region.constraints)?,
-                    parent: None,
-                })
-            })
-            .collect::<Result<Vec<_>, DbError>>()?;
-        for (r, region) in rp.regions.iter().enumerate() {
-            for &c in &region.children {
-                if let Some(pv) = rp.regions[c].parent_var {
-                    queries[c].parent = queries[c].query.slot(pv).zip(queries[r].query.slot(pv));
-                }
-            }
-        }
-        Ok(UnitQuery::Split(rp, queries))
-    }
-}
-
 /// Evaluates a plan against `db`, dispatching its units on up to
 /// `threads` scoped workers (largest unit first; sizes are heavy-tailed
 /// when the global unifier merged some variables). A split unit is one
@@ -749,11 +796,13 @@ impl<'a> UnitQuery<'a> {
 /// that is what makes it deterministic — so the unit is the parallelism
 /// grain.
 ///
-/// Every conjunction of the plan — ground residue, whole units, regions
-/// — is resolved against the database before any of them is searched,
-/// so an unknown relation or a wrong arity anywhere in the body is an
-/// error even if some other unit is unsatisfiable, exactly as one-shot
-/// evaluation of the whole body would report it.
+/// Every atom of the plan — ground residue and every unit — is checked
+/// against the database ([`Database::validate`]) before any conjunction
+/// is searched, so an unknown relation or a wrong arity anywhere in the
+/// body is an error even if some other unit is unsatisfiable, exactly as
+/// one-shot evaluation of the whole body would report it. Each
+/// conjunction is then resolved ([`Database::prepare`]) only when it
+/// runs, and dropped after that run.
 ///
 /// Returns the component's first coordinated solution — one
 /// [`QueryAnswer`] per survivor, in survivor order — or `None` when any
@@ -772,18 +821,19 @@ pub fn evaluate_plan_with_stats(
     db: &Database,
     threads: usize,
 ) -> Result<(Option<Vec<QueryAnswer>>, PlanStats), DbError> {
+    db.validate(
+        plan.ground_atoms
+            .iter()
+            .chain(plan.units.iter().flat_map(|unit| &unit.atoms)),
+    )?;
+
     // The variable-free residue is a conjunction like any other: its
     // atoms are filters the index decides, its constraints are checked
     // against the empty valuation.
-    let ground = db.prepare(&plan.ground_atoms, &plan.ground_constraints)?;
-    let units = plan
-        .units
-        .iter()
-        .map(|unit| UnitQuery::resolve(unit, db))
-        .collect::<Result<Vec<_>, DbError>>()?;
-
     let mut stats = PlanStats::default();
-    let (residue, residue_stats) = ground.collect(1);
+    let (residue, residue_stats) = db
+        .prepare(&plan.ground_atoms, &plan.ground_constraints)?
+        .collect(1);
     stats.eval += residue_stats;
     if residue.is_empty() {
         return Ok((None, stats));
@@ -796,37 +846,36 @@ pub fn evaluate_plan_with_stats(
     order.sort_by_key(|&u| std::cmp::Reverse(plan.units[u].atoms.len()));
     let failed = AtomicBool::new(false);
     let produced = pool::parallel_claim(&order, threads, Some(&failed), |u| {
-        let (result, unit_stats) = match &units[u] {
-            UnitQuery::Split(rp, queries) => stream_unit(rp, queries),
-            UnitQuery::Whole(query) => evaluate_unit(query),
+        let unit = &plan.units[u];
+        let evaluated = match &unit.regions {
+            Some(rp) => stream_unit(unit, rp, db),
+            None => evaluate_unit(unit, db),
         };
-        if matches!(result, UnitResult::Unsat) {
+        if matches!(evaluated, Ok((UnitResult::Unsat, _))) {
             failed.store(true, Ordering::Relaxed);
         }
-        (result, unit_stats)
+        evaluated
     });
-    // The resolved queries are dead weight from here on; the answers
-    // built below are the larger half of the flush's footprint.
-    drop(units);
     let mut unit_results: Vec<UnitResult> = Vec::with_capacity(plan.units.len());
     unit_results.resize_with(plan.units.len(), || UnitResult::Skipped);
-    for (u, (result, unit_stats)) in produced {
+    for (u, evaluated) in produced {
+        let (result, unit_stats) = evaluated?;
         unit_results[u] = result;
         stats.absorb(unit_stats);
     }
     Ok((glue_units(plan, &unit_results), stats))
 }
 
-fn evaluate_unit(query: &Prepared<'_>) -> (UnitResult, PlanStats) {
-    let (first, eval) = query.collect(1);
+fn evaluate_unit(unit: &WorkUnit, db: &Database) -> Result<(UnitResult, PlanStats), DbError> {
+    let (first, eval) = db.prepare(&unit.atoms, &unit.constraints)?.collect(1);
     let stats = PlanStats {
         eval,
         ..PlanStats::default()
     };
-    match first.into_iter().next() {
+    Ok(match first.into_iter().next() {
         Some(valuation) => (UnitResult::Sat(valuation), stats),
         None => (UnitResult::Unsat, stats),
-    }
+    })
 }
 
 /// Glues one valuation per unit into the component's answers. An
@@ -848,8 +897,44 @@ fn glue_units(plan: &ComponentPlan, unit_results: &[UnitResult]) -> Option<Vec<Q
     Some(distribute_heads(&plan.heads, &merged))
 }
 
-/// Region evaluation of one split unit (see the module docs), over the
-/// unit's regions resolved once by [`UnitQuery::resolve`].
+/// Every region's witness set of one split unit, in one arena: region
+/// `r`'s values sit sorted at `values[of[r]]` and are probed by binary
+/// search.
+struct Witnesses {
+    values: Vec<Value>,
+    of: Vec<Range<u32>>,
+}
+
+impl Witnesses {
+    fn for_regions(regions: usize) -> Self {
+        Witnesses {
+            values: Vec::new(),
+            of: vec![0..0; regions],
+        }
+    }
+
+    fn of(&self, r: usize) -> &[Value] {
+        let at = &self.of[r];
+        &self.values[at.start as usize..at.end as usize]
+    }
+
+    fn contains(&self, r: usize, value: Value) -> bool {
+        self.of(r).binary_search(&value).is_ok()
+    }
+
+    /// Sets region `r`'s witness set.
+    fn record(&mut self, r: usize, keys: impl Iterator<Item = Value>) {
+        let start = self.values.len();
+        self.values.extend(keys);
+        self.values[start..].sort_unstable();
+        self.of[r] = start as u32..self.values.len() as u32;
+    }
+}
+
+/// Region evaluation of one split unit (see the module docs). Each run
+/// resolves its region against the database when the pass reaches it
+/// and drops it after, so one region's resolved query is alive at a
+/// time.
 ///
 /// **Bottom-up**, children first, each non-root region runs as a
 /// *projection* onto its parent articulation variable. The visitor
@@ -866,24 +951,27 @@ fn glue_units(plan: &ComponentPlan, unit_results: &[UnitResult]) -> Option<Vec<Q
 ///
 /// **Top-down**, the one joint answer is picked region by region from
 /// the root: the root runs until its first extensible solution, and
-/// every other region's same resolved query runs again with its parent
-/// articulation variable *pinned* to the value its parent chose,
-/// stopping at its first extensible solution. A pin never changes the
-/// evaluator's join order (see `eq_db`'s evaluator docs), so the pinned
-/// run enumerates exactly the subsequence of the region's solutions
-/// binding that value, in the region's own order — its first extensible
-/// hit is precisely the representative the `#[cfg(test)]` materialized
-/// semi-join keeps, which is why the two agree answer for answer
-/// (property-tested). Skipped solutions never matter to either pass:
-/// they carry a key already witnessed, or a child value without a
-/// witness.
+/// every other region runs again with its parent articulation variable
+/// *pinned* to the value its parent chose, stopping at its first
+/// extensible solution. A pin never changes the evaluator's join order
+/// (see `eq_db`'s evaluator docs), so the pinned run enumerates exactly
+/// the subsequence of the region's solutions binding that value, in the
+/// region's own order — its first extensible hit is precisely the
+/// representative the `#[cfg(test)]` materialized semi-join keeps,
+/// which is why the two agree answer for answer (property-tested).
+/// Skipped solutions never matter to either pass: they carry a key
+/// already witnessed, or a child value without a witness.
 ///
 /// A child whose witness set kept exactly one value is **pushed down**
 /// into the parent's run as a pin on the shared variable, so the parent
 /// only ever looks at rows carrying it.
 ///
 /// Returns the unit outcome plus its counters.
-fn stream_unit(rp: &RegionPlan, queries: &[RegionQuery<'_>]) -> (UnitResult, PlanStats) {
+fn stream_unit(
+    unit: &WorkUnit,
+    rp: &RegionPlan,
+    db: &Database,
+) -> Result<(UnitResult, PlanStats), DbError> {
     let n = rp.regions.len();
     let mut stats = PlanStats::default();
     // Pre-order from the root; reverse visit order is children-first.
@@ -891,27 +979,44 @@ fn stream_unit(rp: &RegionPlan, queries: &[RegionQuery<'_>]) -> (UnitResult, Pla
     let mut stack = vec![0usize];
     while let Some(r) = stack.pop() {
         order.push(r);
-        stack.extend(&rp.regions[r].children);
+        stack.extend(rp.children(r).iter().map(|&c| c as usize));
     }
-    if order.len() != n || queries.len() != n {
+    if order.len() != n {
         // Defensive: split_unit guarantees a spanning tree; a malformed
         // one cannot be evaluated, so report no solution.
-        return (UnitResult::Unsat, stats);
+        return Ok((UnitResult::Unsat, stats));
     }
-
+    let resolve = |r: usize| {
+        db.prepare(
+            rp.atoms(r).iter().map(|&a| &unit.atoms[a as usize]),
+            rp.constraints(r)
+                .iter()
+                .map(|&c| &unit.constraints[c as usize]),
+        )
+    };
+    // The slot each child's articulation variable has in region `r`'s
+    // query; `false` if one has none (a malformed tree: split_unit
+    // anchors every articulation variable in both regions of its tree
+    // edge).
+    let child_slots = |r: usize, query: &Prepared<'_>, slots: &mut Vec<(usize, Slot)>| {
+        slots.clear();
+        for &c in rp.children(r) {
+            let c = c as usize;
+            match rp.regions[c].parent_var.and_then(|pv| query.slot(pv)) {
+                Some(slot) => slots.push((c, slot)),
+                None => return false,
+            }
+        }
+        true
+    };
     // `None` when every child has a witness for the value `sol` gives
     // its articulation variable (the children's sets are final by the
     // time a parent runs); otherwise the verdict that skips the first
     // offending child value.
-    let blocked = |r: usize, sol: &Solution<'_>, feasible: &[FastSet<Value>]| -> Option<Visit> {
-        for &c in &rp.regions[r].children {
-            // A walked child always has a parent edge; a missing one
-            // means a malformed tree — treat as inextensible.
-            let Some((_, slot)) = queries[c].parent else {
-                return Some(Visit::Continue);
-            };
+    let blocked = |sol: &Solution<'_>, slots: &[(usize, Slot)], witnesses: &Witnesses| {
+        for &(c, slot) in slots {
             match sol.at(slot) {
-                Some(value) if feasible[c].contains(&value) => {}
+                Some(value) if witnesses.contains(c, value) => {}
                 Some(_) => return Some(Visit::SkipValue(slot)),
                 None => return Some(Visit::Continue),
             }
@@ -919,31 +1024,30 @@ fn stream_unit(rp: &RegionPlan, queries: &[RegionQuery<'_>]) -> (UnitResult, Pla
         None
     };
     // Singleton push-down (see the doc comment above).
-    let pins_for = |r: usize, feasible: &[FastSet<Value>], pins: &mut Vec<(Slot, Value)>| {
-        pins.clear();
-        for &c in &rp.regions[r].children {
-            if feasible[c].len() == 1 {
-                if let (Some((_, slot)), Some(&value)) =
-                    (queries[c].parent, feasible[c].iter().next())
-                {
-                    pins.push((slot, value));
+    let pins_for =
+        |slots: &[(usize, Slot)], witnesses: &Witnesses, pins: &mut Vec<(Slot, Value)>| {
+            pins.clear();
+            for &(c, slot) in slots {
+                if let [value] = witnesses.of(c) {
+                    pins.push((slot, *value));
                 }
             }
-        }
-    };
+        };
 
-    let mut feasible: Vec<FastSet<Value>> = vec![FastSet::default(); n];
+    let mut witnesses = Witnesses::for_regions(n);
+    let mut slots: Vec<(usize, Slot)> = Vec::new();
     let mut pins: Vec<(Slot, Value)> = Vec::new();
+    let mut keys: FastSet<Value> = FastSet::default();
     // Bottom-up over the non-root regions, children first.
     for &r in order[1..].iter().rev() {
-        let Some((own, _)) = queries[r].parent else {
-            // Unreachable: split_unit anchors every articulation
-            // variable in both regions of its tree edge.
-            return (UnitResult::Unsat, stats);
+        let query = resolve(r)?;
+        let own = rp.regions[r].parent_var.and_then(|pv| query.slot(pv));
+        let (Some(own), true) = (own, child_slots(r, &query, &mut slots)) else {
+            return Ok((UnitResult::Unsat, stats));
         };
-        pins_for(r, &feasible, &mut pins);
-        let mut keys: FastSet<Value> = FastSet::default();
-        stats.eval += queries[r].query.run(&pins, |sol| {
+        pins_for(&slots, &witnesses, &mut pins);
+        keys.clear();
+        stats.eval += query.run(&pins, |sol| {
             stats.region_streamed += 1;
             let Some(key) = sol.at(own) else {
                 return Visit::Continue;
@@ -951,16 +1055,16 @@ fn stream_unit(rp: &RegionPlan, queries: &[RegionQuery<'_>]) -> (UnitResult, Pla
             if keys.contains(&key) {
                 return Visit::SkipValue(own);
             }
-            blocked(r, sol, &feasible).unwrap_or_else(|| {
+            blocked(sol, &slots, &witnesses).unwrap_or_else(|| {
                 keys.insert(key);
                 Visit::SkipValue(own)
             })
         });
         if keys.is_empty() {
-            return (UnitResult::Unsat, stats);
+            return Ok((UnitResult::Unsat, stats));
         }
         stats.witness_peak = stats.witness_peak.max(keys.len() as u64);
-        feasible[r] = keys;
+        witnesses.record(r, keys.drain());
     }
 
     // Top-down from the root: each region runs until its first
@@ -969,30 +1073,37 @@ fn stream_unit(rp: &RegionPlan, queries: &[RegionQuery<'_>]) -> (UnitResult, Pla
     // hits: the value entered the child's witness set off an extensible
     // solution, and witness sets are final.
     let mut answer = Valuation::default();
-    let mut walk: Vec<(usize, Option<(Slot, Value)>)> = vec![(0, None)];
+    let mut walk: Vec<(usize, Option<Value>)> = vec![(0, None)];
     while let Some((r, pin)) = walk.pop() {
-        pins_for(r, &feasible, &mut pins);
-        pins.extend(pin);
+        let query = resolve(r)?;
+        if !child_slots(r, &query, &mut slots) {
+            return Ok((UnitResult::Unsat, stats));
+        }
+        pins_for(&slots, &witnesses, &mut pins);
+        if let Some(value) = pin {
+            let Some(own) = rp.regions[r].parent_var.and_then(|pv| query.slot(pv)) else {
+                return Ok((UnitResult::Unsat, stats));
+            };
+            pins.push((own, value));
+        }
         let mut hit = false;
-        stats.eval += queries[r].query.run(&pins, |sol| {
+        stats.eval += query.run(&pins, |sol| {
             stats.region_streamed += 1;
-            if let Some(verdict) = blocked(r, sol, &feasible) {
+            if let Some(verdict) = blocked(sol, &slots, &witnesses) {
                 return verdict;
             }
             hit = true;
             answer.extend(sol.bindings());
-            for &c in &rp.regions[r].children {
-                if let Some((own, in_parent)) = queries[c].parent {
-                    walk.push((c, sol.at(in_parent).map(|key| (own, key))));
-                }
+            for &(c, in_parent) in &slots {
+                walk.push((c, sol.at(in_parent)));
             }
             Visit::Break
         });
         if !hit {
-            return (UnitResult::Unsat, stats);
+            return Ok((UnitResult::Unsat, stats));
         }
     }
-    (UnitResult::Sat(answer), stats)
+    Ok((UnitResult::Sat(answer), stats))
 }
 
 /// The region evaluator that [`stream_unit`] replaced, kept as the test
@@ -1015,7 +1126,7 @@ mod materialized_reference {
         region_cap: usize,
     ) -> Result<Option<Vec<QueryAnswer>>, DbError> {
         for unit in &plan.units {
-            db.prepare(&unit.atoms, &[])?;
+            db.validate(&unit.atoms)?;
         }
         let residue = db.evaluate_filtered(&plan.ground_atoms, &plan.ground_constraints, 1)?;
         if residue.is_empty() {
@@ -1049,12 +1160,18 @@ mod materialized_reference {
         db: &Database,
         region_cap: usize,
     ) -> UnitResult {
-        let sols: Vec<Vec<Valuation>> = rp
-            .regions
-            .iter()
-            .map(|region| {
-                db.evaluate_filtered(&region.atoms, &region.constraints, region_cap)
+        let sols: Vec<Vec<Valuation>> = (0..rp.regions.len())
+            .map(|r| {
+                let atoms = rp.atoms(r).iter().map(|&a| &unit.atoms[a as usize]);
+                let constraints = rp
+                    .constraints(r)
+                    .iter()
+                    .map(|&c| &unit.constraints[c as usize]);
+                let query = db.prepare(atoms, constraints);
+                query
                     .expect("relations validated by evaluate_plan")
+                    .collect(region_cap)
+                    .0
             })
             .collect();
         if sols.iter().any(|s| s.is_empty()) {
@@ -1086,7 +1203,7 @@ mod materialized_reference {
         let mut stack = vec![0usize];
         while let Some(r) = stack.pop() {
             order.push(r);
-            stack.extend(&rp.regions[r].children);
+            stack.extend(rp.children(r).iter().map(|&c| c as usize));
         }
         debug_assert_eq!(order.len(), n);
 
@@ -1098,14 +1215,14 @@ mod materialized_reference {
         for &r in order.iter().rev() {
             let region = &rp.regions[r];
             let extensible = |sol: &Valuation| {
-                region.children.iter().all(|&c| {
+                rp.children(r).iter().all(|&c| {
                     // A walked child always has a parent edge; a missing
                     // one means a malformed tree — treat as inextensible.
-                    let Some(v) = rp.regions[c].parent_var else {
+                    let Some(v) = rp.regions[c as usize].parent_var else {
                         return false;
                     };
                     sol.get(&v)
-                        .is_some_and(|value| feasible[c].contains_key(value))
+                        .is_some_and(|value| feasible[c as usize].contains_key(value))
                 })
             };
             match region.parent_var {
@@ -1143,7 +1260,8 @@ mod materialized_reference {
             for (&v, &value) in sol.iter() {
                 merged.insert(v, value);
             }
-            for &c in &rp.regions[r].children {
+            for &c in rp.children(r) {
+                let c = c as usize;
                 let pv = rp.regions[c].parent_var?;
                 let key = sol.get(&pv)?;
                 let si = *feasible[c].get(key)?;
@@ -1316,11 +1434,10 @@ mod tests {
         assert_eq!(rp.regions[0].parent_var, None);
         assert_eq!(rp.regions[1].parent_var, Some(Var(1)));
         assert_eq!(rp.regions[2].parent_var, Some(Var(2)));
-        assert_eq!(rp.regions[0].children, vec![1]);
-        assert_eq!(rp.regions[1].children, vec![2]);
+        assert_eq!(rp.children(0), [1]);
+        assert_eq!(rp.children(1), [2]);
         // Every atom lands in exactly one region.
-        let total: usize = rp.regions.iter().map(|r| r.atoms.len()).sum();
-        assert_eq!(total, 3);
+        assert_eq!([rp.atoms(0), rp.atoms(1), rp.atoms(2)], [[0], [1], [2]]);
     }
 
     #[test]
@@ -1342,8 +1459,8 @@ mod tests {
         // x1 is the articulation variable: its single-var atom anchors
         // *both* regions (replication is sound — same conjunct, same
         // variable).
-        assert_eq!(rp.regions[0].atoms.len(), 2);
-        assert_eq!(rp.regions[1].atoms.len(), 2);
+        assert_eq!(rp.atoms(0), [0, 2]);
+        assert_eq!(rp.atoms(1), [1, 2]);
     }
 
     #[test]
@@ -1368,7 +1485,8 @@ mod tests {
         };
         let rp = split_unit(&unit).expect("in-cluster constraint splits");
         assert_eq!(rp.regions.len(), 2);
-        assert_eq!(rp.regions[0].constraints.len(), 1);
+        assert_eq!(rp.constraints(0), [0]);
+        assert!(rp.constraints(1).is_empty());
     }
 
     #[test]

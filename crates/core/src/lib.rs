@@ -8,7 +8,8 @@
 //!    pairwise scans;
 //! 2. [`graph::MatchGraph`] — the unifiability multigraph of §4.1.1 and
 //!    its partition into components (§4.1.2): slot-keyed queries, the
-//!    head and postcondition indexes, edges carrying their MGUs, and a
+//!    head and postcondition indexes (which name the slots' atoms),
+//!    edges naming their head/postcondition atom pair, and a
 //!    component registry with a dirty set. The engine keeps one current
 //!    across flushes; [`MatchGraph::build`] links a fixed query list
 //!    through the same edge discovery;

@@ -6,7 +6,8 @@
 //!
 //! 1. seeds each node's unifier with the MGUs of its in-edges (the local
 //!    constraint that its postconditions be satisfied by the matched
-//!    heads);
+//!    heads), unifying each edge's head and postcondition atoms straight
+//!    from the query slots — edges keep no substitution;
 //! 2. removes nodes with an unsatisfied postcondition (`INDEGREE(q) <
 //!    PCCOUNT(q)`) or conflicting in-edges, cascading the removal to all
 //!    descendants (CLEANUP);
@@ -51,8 +52,9 @@ use eq_unify::{Conflict, Unifier};
 
 #[cfg(test)]
 thread_local! {
-    /// Unifier entries folded by [`fold`] on this thread: the step count
-    /// the quadratic-cliff regression test reads.
+    /// Unifier entries folded by [`fold`], plus the terms of every edge
+    /// seed folded, on this thread: the step count the quadratic-cliff
+    /// regression test reads.
     static FOLD_STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
@@ -251,14 +253,20 @@ fn seed_phase(
 
 /// Seeds one member: its in-component in-edge MGUs folded into a local
 /// unifier, and whether it can still be answered (every postcondition
-/// has an in-component satisfier and the in-edge MGUs agree).
+/// has an in-component satisfier and the in-edge MGUs agree). Each edge
+/// folds `mgu(h, p)` of its two atoms with
+/// [`Unifier::unify_atoms`], which makes the equates and binds
+/// `merge_from(&mgu_atoms(h, p))` would, in its order — so the seed's
+/// forest, and every representative the combined query resolves to, is
+/// what a stored per-edge MGU gave.
 fn seed_member(
     graph: &MatchGraph,
     in_component: &FastSet<u32>,
     m: u32,
     stats: &mut MatchStats,
 ) -> (Unifier, bool) {
-    let mut satisfied = vec![false; graph.query(m).pc_count()];
+    let query = graph.query(m);
+    let mut satisfied = vec![false; query.pc_count()];
     let mut unifier = Unifier::new();
     for &eid in graph.in_edges(m) {
         let e = graph.edge(eid);
@@ -266,7 +274,12 @@ fn seed_member(
             continue;
         }
         satisfied[e.pc_idx as usize] = true;
-        if fold(&mut unifier, &e.mgu, stats).is_err() {
+        let head = &graph.query(e.from).head[e.head_idx as usize];
+        let pc = &query.postconditions[e.pc_idx as usize];
+        stats.mgu_calls += 1;
+        #[cfg(test)]
+        FOLD_STEPS.with(|steps| steps.set(steps.get() + (head.arity() + pc.arity()) as u64));
+        if unifier.unify_atoms(head, pc).is_err() {
             return (unifier, false);
         }
     }

@@ -370,15 +370,37 @@ impl Database {
     /// the exact order `evaluate_filtered` would collect, projected
     /// ("done with this value"), or pinned. See [`Prepared`].
     ///
-    /// This is the enumeration primitive behind the engine's region
-    /// evaluation, which prepares each region once and runs it for both
-    /// its bottom-up and its top-down pass.
-    pub fn prepare(
+    /// The conjunction is borrowed atom by atom, so a caller holding a
+    /// sub-conjunction as indices into a larger body — the engine's
+    /// region evaluation, which resolves a region when a pass reaches
+    /// it — hands its atoms over without copying them.
+    pub fn prepare<'q>(
         &self,
-        atoms: &[Atom],
-        constraints: &[Constraint],
+        atoms: impl IntoIterator<Item = &'q Atom>,
+        constraints: impl IntoIterator<Item = &'q Constraint>,
     ) -> Result<Prepared<'_>, DbError> {
-        Prepared::resolve(self, atoms, constraints)
+        let atoms: Vec<&Atom> = atoms.into_iter().collect();
+        let constraints: Vec<&Constraint> = constraints.into_iter().collect();
+        Prepared::resolve(self, &atoms, &constraints)
+    }
+
+    /// Checks that every atom names a table of its arity: the fail-fast
+    /// validation [`Database::prepare`] runs, without resolving
+    /// anything. Reports the first offending atom.
+    pub fn validate<'q>(&self, atoms: impl IntoIterator<Item = &'q Atom>) -> Result<(), DbError> {
+        atoms
+            .into_iter()
+            .try_for_each(|atom| self.table_for(atom).map(drop))
+    }
+
+    /// The table `atom` reads, once its relation exists and its arity
+    /// matches.
+    pub(crate) fn table_for(&self, atom: &Atom) -> Result<&dyn RowStore, DbError> {
+        let table = self
+            .table(atom.relation)
+            .ok_or(DbError::UnknownRelation(atom.relation))?;
+        check_arity(atom.relation, table.schema().arity(), atom.arity())?;
+        Ok(table)
     }
 
     /// [`Database::evaluate`] plus evaluator statistics (rows read,
@@ -389,7 +411,7 @@ impl Database {
         atoms: &[Atom],
         limit: usize,
     ) -> Result<(Vec<Valuation>, EvalStats), DbError> {
-        Ok(self.prepare(atoms, &[])?.collect(limit))
+        Ok(self.prepare(atoms, None)?.collect(limit))
     }
 }
 

@@ -178,8 +178,8 @@ impl<'a> Prepared<'a> {
     /// failures.
     pub(crate) fn resolve(
         db: &'a Database,
-        atoms: &[Atom],
-        constraints: &[Constraint],
+        atoms: &[&Atom],
+        constraints: &[&Constraint],
     ) -> Result<Self, DbError> {
         // Slots are the variables' ranks in sorted order: assignment and
         // [`Prepared::slot`] are binary searches, no map is kept. A
@@ -187,8 +187,8 @@ impl<'a> Prepared<'a> {
         // stays empty: undecidable, so it passes — as it always has.
         let mut vars: Vec<Var> = atoms
             .iter()
-            .flat_map(Atom::vars)
-            .chain(constraints.iter().flat_map(Constraint::vars))
+            .flat_map(|atom| atom.vars())
+            .chain(constraints.iter().flat_map(|c| c.vars()))
             .collect();
         vars.sort_unstable();
         vars.dedup();
@@ -196,19 +196,9 @@ impl<'a> Prepared<'a> {
         // point of a missing one is only there to keep this total.
         let slot = |v: Var| vars.binary_search(&v).unwrap_or_else(|at| at) as u32;
         let mut prepared = Vec::with_capacity(atoms.len());
-        let mut terms = Vec::with_capacity(atoms.iter().map(Atom::arity).sum());
+        let mut terms = Vec::with_capacity(atoms.iter().map(|atom| atom.arity()).sum());
         for atom in atoms {
-            let table = db
-                .table(atom.relation)
-                .ok_or(DbError::UnknownRelation(atom.relation))?;
-            let expected = table.schema().arity();
-            if atom.arity() != expected {
-                return Err(DbError::ArityMismatch {
-                    relation: atom.relation,
-                    expected,
-                    got: atom.arity(),
-                });
-            }
+            let table = db.table_for(atom)?;
             let start = terms.len() as u32;
             for (col, term) in atom.terms.iter().enumerate() {
                 terms.push(match *term {
@@ -223,7 +213,7 @@ impl<'a> Prepared<'a> {
             });
         }
         let mut order: Vec<usize> = (0..atoms.len()).collect();
-        order.sort_by(|&a, &b| atoms[a].cmp(&atoms[b]));
+        order.sort_by(|&a, &b| atoms[a].cmp(atoms[b]));
         let mut rank = 0;
         for (i, &a) in order.iter().enumerate() {
             if i > 0 && atoms[order[i - 1]] != atoms[a] {

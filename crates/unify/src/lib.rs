@@ -26,7 +26,7 @@ mod mgu;
 pub mod ops;
 mod unifier;
 
-pub use mgu::{mgu_atoms, mgu_terms};
+pub use mgu::{mgu_atoms, mgu_terms, unifiable};
 pub use unifier::{Conflict, Snapshot, SnapshotError, Unifier};
 
 #[cfg(test)]

@@ -25,9 +25,8 @@ fn arb_atom() -> impl Strategy<Value = Atom> {
     proptest::collection::vec(arb_term(), 1..4).prop_map(|terms| Atom::new("R", terms))
 }
 
-/// A random unifier built from a script of equates and binds, discarding
-/// failing steps so the result is always consistent.
-fn arb_unifier() -> impl Strategy<Value = Unifier> {
+/// A script of equates and binds over the shared variables and values.
+fn arb_script() -> impl Strategy<Value = Vec<Op>> {
     proptest::collection::vec(
         prop_oneof![
             ((0..NUM_VARS), (0..NUM_VARS)).prop_map(|(a, b)| Op::Equate(Var(a), Var(b))),
@@ -35,20 +34,42 @@ fn arb_unifier() -> impl Strategy<Value = Unifier> {
         ],
         0..8,
     )
-    .prop_map(|ops| {
-        let mut u = Unifier::new();
-        for op in ops {
-            match op {
-                Op::Equate(a, b) => {
-                    let _ = u.equate(a, b);
-                }
-                Op::Bind(v, c) => {
-                    let _ = u.bind(v, c);
-                }
+}
+
+/// The unifier a script builds, discarding failing steps so the result
+/// is always consistent.
+fn build(ops: &[Op]) -> Unifier {
+    let mut u = Unifier::new();
+    for op in ops {
+        match *op {
+            Op::Equate(a, b) => {
+                let _ = u.equate(a, b);
+            }
+            Op::Bind(v, c) => {
+                let _ = u.bind(v, c);
             }
         }
-        u
-    })
+    }
+    u
+}
+
+/// A random unifier built from a script of equates and binds.
+fn arb_unifier() -> impl Strategy<Value = Unifier> {
+    arb_script().prop_map(|ops| build(&ops))
+}
+
+/// A head and a postcondition of one relation and arity: repeated
+/// variables, constants, and constants that clash within the pair or
+/// with a prior.
+fn arb_pair() -> impl Strategy<Value = (Atom, Atom)> {
+    (1usize..5)
+        .prop_flat_map(|n| {
+            (
+                proptest::collection::vec(arb_term(), n),
+                proptest::collection::vec(arb_term(), n),
+            )
+        })
+        .prop_map(|(h, p)| (Atom::new("R", h), Atom::new("R", p)))
 }
 
 #[derive(Clone, Debug)]
@@ -163,6 +184,37 @@ proptest! {
             let ra = a.apply(&|v| Some(u.resolve(Term::var(v))));
             let rb = b.apply(&|v| Some(u.resolve(Term::var(v))));
             prop_assert_eq!(ra, rb);
+        }
+    }
+
+    #[test]
+    fn unifiable_is_mgu_existence(a in arb_atom(), b in arb_atom()) {
+        prop_assert_eq!(crate::unifiable(&a, &b), mgu_atoms(&a, &b).is_some(), "atoms {} vs {}", a, b);
+    }
+
+    /// The edge fold replays the stored-MGU fold: folding a pair into a
+    /// prior directly conflicts exactly when `merge_from(&mgu_atoms(h,
+    /// p))` does (or when the pair has no MGU), and on success reports
+    /// the same change and leaves every variable with the same
+    /// representative and constant — the same forest, not only an
+    /// equivalent partition.
+    #[test]
+    fn edge_fold_equals_the_stored_mgu_fold(prior in arb_script(), pair in arb_pair()) {
+        let (h, p) = pair;
+        let mut direct = build(&prior);
+        let mut stored = build(&prior);
+        let folded = direct.unify_atoms(&h, &p);
+        let reference = match mgu_atoms(&h, &p) {
+            Some(mgu) => stored.merge_from(&mgu).map_err(|_| ()),
+            None => Err(()),
+        };
+        prop_assert_eq!(folded.map_err(|_| ()), reference, "{} / {} into {:?}", h, p, prior);
+        if reference.is_ok() {
+            for i in 0..NUM_VARS {
+                prop_assert_eq!(direct.find(Var(i)), stored.find(Var(i)), "{} / {} into {:?}", h, p, prior);
+                prop_assert_eq!(direct.constant_of(Var(i)), stored.constant_of(Var(i)));
+            }
+            prop_assert_eq!(direct.classes(), stored.classes());
         }
     }
 

@@ -42,30 +42,47 @@ pub use service::{
 };
 pub use social::{SocialGraph, SocialGraphConfig};
 
-use eq_db::Database;
+use eq_db::{Database, DbError, Tuple};
 
 /// Builds the experiment database (`Friends` + `User` tables) from a
-/// social graph, bulk-loading each table with one
-/// [`Database::insert_many`] (one revision bump per table). The
-/// `Reserve` relation is virtual (an ANSWER relation) and is *not* a
-/// database table.
+/// social graph, streaming each table's rows through one
+/// [`Database::bulk_load`]. The `Reserve` relation is virtual (an
+/// ANSWER relation) and is *not* a database table.
 pub fn build_database(graph: &SocialGraph) -> Database {
     let mut db = Database::new();
     db.create_table("Friends", &["name1", "name2"])
         .expect("fresh database");
     db.create_table("User", &["name", "home"])
         .expect("fresh database");
-    let mut users = Vec::with_capacity(graph.num_users());
-    let mut friends = Vec::new();
-    for u in 0..graph.num_users() {
-        users.push(vec![graph.user_value(u), graph.hometown_value(u)]);
-        for &v in graph.friends(u) {
-            friends.push(vec![graph.user_value(u), graph.user_value(v as usize)]);
-        }
-    }
-    db.insert_many("User", users).expect("schema arity");
-    db.insert_many("Friends", friends).expect("schema arity");
+    load_social_tables(&mut db, graph);
     db
+}
+
+/// Fills `User` (one row per user) and then `Friends` (one row per
+/// directed friendship, user by user) straight from the graph, each
+/// table with one [`Database::bulk_load`] (one revision bump per
+/// table): rows are written into the table one at a time, so a load
+/// never holds a table as a list of rows.
+fn load_social_tables(db: &mut Database, graph: &SocialGraph) {
+    let users = graph.num_users();
+    let mut next = 0..users;
+    let loaded = db.bulk_load("User", users, |row: &mut Tuple| {
+        let u = next.next().expect("one row per user");
+        row.clear();
+        row.extend([graph.user_value(u), graph.hometown_value(u)]);
+        Ok::<_, DbError>(())
+    });
+    loaded.expect("schema arity");
+    let rows = (0..users).map(|u| graph.friends(u).len()).sum();
+    let mut friendships =
+        (0..users).flat_map(|u| graph.friends(u).iter().map(move |&v| (u, v as usize)));
+    let loaded = db.bulk_load("Friends", rows, |row: &mut Tuple| {
+        let (u, v) = friendships.next().expect("one row per friendship");
+        row.clear();
+        row.extend([graph.user_value(u), graph.user_value(v)]);
+        Ok::<_, DbError>(())
+    });
+    loaded.expect("schema arity");
 }
 
 #[cfg(test)]

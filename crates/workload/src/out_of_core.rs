@@ -67,16 +67,7 @@ pub fn build_out_of_core_database(
     db.create_table("User", &["name", "home"])
         .expect("fresh database");
 
-    let mut users = Vec::with_capacity(graph.num_users());
-    let mut friends = Vec::new();
-    for u in 0..graph.num_users() {
-        users.push(vec![graph.user_value(u), graph.hometown_value(u)]);
-        for &v in graph.friends(u) {
-            friends.push(vec![graph.user_value(u), graph.user_value(v as usize)]);
-        }
-    }
-    db.insert_many("User", users).expect("schema arity");
-    db.insert_many("Friends", friends).expect("schema arity");
+    crate::load_social_tables(&mut db, graph);
 
     OutOfCoreSetup {
         db,
