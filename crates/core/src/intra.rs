@@ -765,6 +765,9 @@ pub struct PlanStats {
     pub region_streamed: u64,
     /// Peak per-region witness-set entry count across split units.
     pub witness_peak: u64,
+    /// Peak region-local solutions any one bottom-up region run
+    /// consumed.
+    pub region_streamed_peak: u64,
     /// What the evaluator did for the whole plan: the sum of the
     /// [`EvalStats`] of the ground residue, every whole unit and every
     /// region run.
@@ -775,6 +778,7 @@ impl PlanStats {
     fn absorb(&mut self, other: PlanStats) {
         self.region_streamed += other.region_streamed;
         self.witness_peak = self.witness_peak.max(other.witness_peak);
+        self.region_streamed_peak = self.region_streamed_peak.max(other.region_streamed_peak);
         self.eval += other.eval;
     }
 }
@@ -947,7 +951,10 @@ impl Witnesses {
 /// its value, since no solution carrying it can ever extend. Either
 /// way the search backjumps past the joins hanging off a value whose
 /// fate is settled, so a region costs on the order of its articulation
-/// domain, not of its local solution count.
+/// domain, not of its local solution count. The run opens its first
+/// frame on an atom that binds the articulation variable
+/// ([`Prepared::run_binding_first`]), so a settled value backjumps all
+/// the way to that frame's next candidate.
 ///
 /// **Top-down**, the one joint answer is picked region by region from
 /// the root: the root runs until its first extensible solution, and
@@ -1047,8 +1054,9 @@ fn stream_unit(
         };
         pins_for(&slots, &witnesses, &mut pins);
         keys.clear();
-        stats.eval += query.run(&pins, |sol| {
-            stats.region_streamed += 1;
+        let mut streamed = 0;
+        stats.eval += query.run_binding_first(own, &pins, |sol| {
+            streamed += 1;
             let Some(key) = sol.at(own) else {
                 return Visit::Continue;
             };
@@ -1060,6 +1068,8 @@ fn stream_unit(
                 Visit::SkipValue(own)
             })
         });
+        stats.region_streamed += streamed;
+        stats.region_streamed_peak = stats.region_streamed_peak.max(streamed);
         if keys.is_empty() {
             return Ok((UnitResult::Unsat, stats));
         }
@@ -1802,9 +1812,10 @@ mod tests {
     /// of every probed posting list cost ≈ 157·k rows and 6.6·k
     /// solutions per region; projection backjumping and index-only
     /// membership must hold that to the order of the articulation
-    /// domain — in ring order, where every region binds its parent
-    /// articulation variable first, and in a shuffled arrival order,
-    /// where the regions on one side of the root bind it second.
+    /// domain, in every region: in ring order and in shuffled arrival
+    /// orders, where the regions on one side of the root would bind
+    /// their parent articulation variable second if the bottom-up run
+    /// did not open on it.
     #[test]
     fn region_cost_tracks_the_articulation_domain() {
         const K: u64 = 12;
@@ -1813,7 +1824,7 @@ mod tests {
             friends_per_user: K as usize,
             body: eq_workload::GiantBody::SharedChain,
         };
-        for arrival in [None, Some(2011)] {
+        for arrival in [None, Some(2011), Some(7)] {
             let (db, plan) = ring_plan(&cfg, None, arrival, &SplitOptions::default());
             let regions = plan.units[0]
                 .regions
@@ -1837,6 +1848,11 @@ mod tests {
                 stats.region_streamed
             );
             assert!(stats.witness_peak <= K);
+            assert!(
+                stats.region_streamed_peak <= 2 * K,
+                "arrival {arrival:?}: one region streamed {} solutions",
+                stats.region_streamed_peak
+            );
         }
     }
 

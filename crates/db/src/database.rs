@@ -198,8 +198,10 @@ impl Database {
     /// into one reused buffer and copied from there into the table's
     /// slab, so a load never holds the relation as a list of rows: the
     /// bulk form recovery decodes a checkpoint image through. Storage
-    /// is reserved once for `rows` rows, and [`Database::revision`] is
-    /// bumped once if any row went in.
+    /// is reserved once for `rows` rows, the index is built per column
+    /// once the rows are in ([`RowStore::finish_load`], also when the
+    /// load ends early), and [`Database::revision`] is bumped once if
+    /// any row went in.
     ///
     /// Each row's arity is checked before it reaches the table. The
     /// first wrong-arity row or `next_row` error ends the load with
@@ -235,6 +237,7 @@ impl Database {
             Ok(rows)
         };
         let loaded = fill();
+        table.finish_load();
         if pushed > 0 {
             self.revision += 1;
         }
@@ -296,7 +299,7 @@ impl Database {
     /// passed arity validation when it entered its source, so rows are
     /// pushed from the slices [`RowStore::for_each_row`] lends out into
     /// a slab reserved once at the live row count, without the
-    /// `insert_many` validation pass.
+    /// `insert_many` validation pass, and indexed once at the end.
     pub fn snapshot(&self) -> Database {
         let mut out = Database::new();
         for (&name, backend) in &self.tables {
@@ -306,6 +309,7 @@ impl Database {
                     let mut copy = Table::new(store.schema().clone());
                     copy.reserve(store.len());
                     store.for_each_row(&mut |row| copy.push(row));
+                    copy.finish_load();
                     Arc::new(copy)
                 }
             };

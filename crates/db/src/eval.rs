@@ -270,13 +270,25 @@ impl<'a> Prepared<'a> {
     /// reproduce the sequential answer choice from independently
     /// evaluated work units. Pins are not bindings: the key ignores
     /// them (see the module docs).
-    fn choose_atom(&self, remaining: &[u32], values: &[Option<Value>]) -> usize {
+    ///
+    /// With a `lead` slot, only atoms that mention it compete, as long
+    /// as one does ([`Prepared::run_binding_first`]).
+    fn choose_atom(&self, remaining: &[u32], values: &[Option<Value>], lead: Option<u32>) -> usize {
+        let mentions = |a: u32, slot: u32| {
+            self.terms_of(&self.atoms[a as usize])
+                .iter()
+                .any(|term| matches!(*term, PreparedTerm::Var(s) if s == slot))
+        };
         if remaining.len() == 1 {
             return 0;
         }
+        let lead = lead.filter(|&slot| remaining.iter().any(|&a| mentions(a, slot)));
         let mut best_idx = 0;
         let mut best_key = (usize::MAX, usize::MAX, u32::MAX); // (unbound, cardinality, rank)
         for (i, &a) in remaining.iter().enumerate() {
+            if lead.is_some_and(|slot| !mentions(a, slot)) {
+                continue;
+            }
             let atom = &self.atoms[a as usize];
             let mut unbound = 0usize;
             let mut card = atom.table.len();
@@ -324,6 +336,31 @@ impl<'a> Prepared<'a> {
     pub fn run(
         &self,
         pins: &[(Slot, Value)],
+        visit: impl FnMut(&Solution<'_>) -> Visit,
+    ) -> EvalStats {
+        self.search(None, pins, visit)
+    }
+
+    /// [`Prepared::run`] with the first frame opened on an atom that
+    /// binds `lead` — the greedy pick among the atoms that mention it —
+    /// so `Visit::SkipValue(lead)` backjumps to the first frame. Made
+    /// for projections onto `lead`: the valuations are the same set,
+    /// enumerated in another order, and a consumer that only keeps
+    /// `lead`'s values skips every solution behind a settled value.
+    /// Later frames are chosen as in [`Prepared::run`].
+    pub fn run_binding_first(
+        &self,
+        lead: Slot,
+        pins: &[(Slot, Value)],
+        visit: impl FnMut(&Solution<'_>) -> Visit,
+    ) -> EvalStats {
+        self.search(Some(lead.0), pins, visit)
+    }
+
+    fn search(
+        &self,
+        lead: Option<u32>,
+        pins: &[(Slot, Value)],
         mut visit: impl FnMut(&Solution<'_>) -> Visit,
     ) -> EvalStats {
         let mut stats = EvalStats::default();
@@ -360,7 +397,7 @@ impl<'a> Prepared<'a> {
         let mut stack: Vec<Frame> = Vec::with_capacity(self.atoms.len());
         // One scratch tuple receives each row a frame reads.
         let mut row: Tuple = Tuple::new();
-        stack.push(search.open(self, &mut stats));
+        stack.push(search.open(self, lead, &mut stats));
 
         'search: while let Some(depth) = stack.len().checked_sub(1) {
             let frame = &mut stack[depth];
@@ -418,7 +455,7 @@ impl<'a> Prepared<'a> {
                 search.unbind(frame.trail_start);
             }
             if descend {
-                stack.push(search.open(self, &mut stats));
+                stack.push(search.open(self, None, &mut stats));
             } else {
                 // Candidates exhausted: backtrack into the frame below.
                 search.close(&mut stack);
@@ -482,8 +519,8 @@ impl<'a> Search<'a> {
     /// Picks the next atom greedily ([`Prepared::choose_atom`]), removes
     /// it from the worklist, and stacks the posting lists of its known
     /// terms, shortest first (it drives the intersection).
-    fn open(&mut self, query: &Prepared<'a>, stats: &mut EvalStats) -> Frame {
-        let pick = query.choose_atom(&self.remaining, &self.values);
+    fn open(&mut self, query: &Prepared<'a>, lead: Option<u32>, stats: &mut EvalStats) -> Frame {
+        let pick = query.choose_atom(&self.remaining, &self.values, lead);
         let index = self.remaining.swap_remove(pick);
         let atom = &query.atoms[index as usize];
         let lists_start = self.lists.len();

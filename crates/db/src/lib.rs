@@ -2,8 +2,9 @@
 //!
 //! The paper's prototype delegated combined-query evaluation to MySQL
 //! 4.1 over JDBC (§5.1). This crate provides the equivalent substrate:
-//! a catalog of named relations, row storage (one fixed-stride slab
-//! and one liveness bitmap per relation) with per-column hash indexes,
+//! a catalog of named relations, row storage (one fixed-stride slab of
+//! dictionary codes and one liveness bitmap per relation) indexed by one
+//! value dictionary and one packed posting arena per column,
 //! and an evaluator for conjunctive (select-project-join) queries with
 //! `LIMIT k` — exactly the query class the combined queries of §4.2
 //! fall into.
@@ -25,8 +26,10 @@
 
 mod database;
 mod eval;
+mod index;
 mod table;
 
 pub use database::{Database, DbError};
 pub use eval::{EvalStats, Prepared, Slot, Solution, Valuation, Visit};
+pub use index::PostingIndex;
 pub use table::{Liveness, RowStore, StoreIoStats, Table, TableSchema, Tuple};

@@ -1,8 +1,11 @@
 //! Tables: schema, slab row storage, the [`Liveness`] bitmap both
-//! backends tombstone through, per-column hash indexes, and the
-//! [`RowStore`] backend trait the catalog and evaluator run over.
+//! backends tombstone through, and the [`RowStore`] backend trait the
+//! catalog and evaluator run over. Both backends index their rows with
+//! one [`PostingIndex`]: a value dictionary and a packed posting arena
+//! per column.
 
-use eq_ir::{FastMap, Symbol, Value};
+use crate::index::PostingIndex;
+use eq_ir::{Symbol, Value};
 use std::fmt;
 
 /// A database tuple.
@@ -60,15 +63,22 @@ impl StoreIoStats {
 ///   keeps which ids are live in one [`Liveness`] bitmap, and the row
 ///   counts ([`RowStore::len`], [`RowStore::row_id_bound`],
 ///   [`RowStore::tombstone_count`]) are read from it.
-/// * The index is **memory-resident** on every backend and lent out as
-///   slices: [`RowStore::postings`] yields the live ids holding a value
-///   in ascending (= insertion) order — the evaluator's answer-order
+/// * The index is **memory-resident** on every backend — one
+///   [`PostingIndex`] each — and lent out as slices:
+///   [`RowStore::postings`] yields the live ids holding a value in
+///   ascending (= insertion) order — the evaluator's answer-order
 ///   guarantee rests on this, and so does its index-only membership
 ///   test, which intersects posting lists without reading a row.
+/// * A bulk load is [`RowStore::reserve`], pushes, then
+///   [`RowStore::finish_load`]: the pushes in between file nothing in
+///   the index, and the end-of-load step files them all per column and
+///   packs the index to its exact size. Only the database's bulk paths
+///   open a load, and they hold the store until it ends.
 /// * Arity is validated by the database layer before `push`/`delete`
 ///   reach the backend.
-/// * Rows are stored at a fixed stride (arity cells, or arity encoded
-///   cells on a page): no row is a heap object of its own.
+/// * Rows are stored at a fixed stride of dictionary codes (arity codes
+///   in a slab, or arity encoded cells on a page): no row is a heap
+///   object of its own, and no value is stored once per cell.
 pub trait RowStore: fmt::Debug + Send + Sync {
     /// The relation's schema.
     fn schema(&self) -> &TableSchema;
@@ -82,10 +92,16 @@ pub trait RowStore: fmt::Debug + Send + Sync {
     /// has already validated arity.
     fn push(&mut self, row: &[Value]);
 
-    /// Capacity hint: `rows` more rows are about to be pushed. A bulk
-    /// load calls it once, so row storage grows once to the size it
-    /// needs instead of doubling its way there.
+    /// Opens a bulk load of `rows` more rows: row storage grows once to
+    /// the size it needs instead of doubling its way there, and the
+    /// rows pushed until [`RowStore::finish_load`] are filed in the
+    /// index only then.
     fn reserve(&mut self, rows: usize);
+
+    /// Ends a bulk load (a no-op filing when none is open): files every
+    /// row pushed since [`RowStore::reserve`] in the index, column by
+    /// column, and packs the index so it holds exactly its live ids.
+    fn finish_load(&mut self);
 
     /// Reads the row with a given id into `out` (clearing it first).
     /// Returns `false` — leaving `out` in an unspecified state — when
@@ -167,6 +183,14 @@ pub trait RowStore: fmt::Debug + Send + Sync {
     /// backend without one. Lets tests pin the slab's size.
     #[cfg(test)]
     fn slab_capacity(&self) -> usize {
+        0
+    }
+
+    /// Row ids the backend's posting arenas have room for, across every
+    /// column; `0` for a backend without them. Lets tests pin the
+    /// index's size.
+    #[cfg(test)]
+    fn posting_capacity(&self) -> usize {
         0
     }
 }
@@ -338,43 +362,45 @@ impl fmt::Debug for TableSchema {
     }
 }
 
-/// One relation, in memory: a row slab, a [`Liveness`] bitmap and a
-/// hash index per column.
+/// One relation, in memory: a slab of value codes, a [`Liveness`]
+/// bitmap and a [`PostingIndex`].
 ///
-/// **The slab.** Every row's cells sit in one `Vec<Value>`, row-major
-/// at a stride of the relation's arity: row `id` is
-/// `cells[id * arity..(id + 1) * arity]`. A row is never a heap object
-/// of its own, so a table of n rows holds its data in one allocation of
-/// n × arity cells — plus the bitmap's n bits and the posting lists.
-/// A zero-arity relation's rows are empty slices: the slab stays empty
-/// and the bitmap alone counts them.
+/// **The slab.** Every row's cells sit in one `Vec<u32>` of dictionary
+/// codes, row-major at a stride of the relation's arity: row `id` is
+/// `cells[id * arity..(id + 1) * arity]`, decoded through the index's
+/// dictionary on read. A row is never a heap object of its own, and a
+/// value is stored once per table however many cells hold it, so a
+/// loaded table of n rows holds n × arity codes and n × arity posting
+/// ids — plus the bitmap's n bits and a few words per distinct value.
+/// A zero-arity relation's rows are empty: the slab stays empty and the
+/// bitmap alone counts them.
 ///
 /// **Tombstones.** Deleting a row clears its bit and takes its id off
-/// the posting lists; its cells stay in the slab, so ids stay stable
-/// for the table's lifetime, and a clone keeps them too.
+/// the posting lists; its codes stay in the slab, so ids stay stable
+/// for the table's lifetime, and a clone keeps them too. A dead row's
+/// codes are never decoded, so a code freed by the delete may be reused.
 ///
 /// **Sharing.** The catalog holds a table behind an `Arc`:
 /// [`Database::snapshot`](crate::Database::snapshot) shares it, and the
-/// first write on either side clones it, the slab and every posting
-/// list at its exact length.
+/// first write on either side clones it, the slab and every index
+/// vector at its exact length.
 ///
-/// Indexes are maintained eagerly on insert. Workload relations are
-/// narrow (arity ≤ 3 in the paper's schema) and read-dominated — the
-/// coordination engine evaluates many combined queries against a
-/// database that changes rarely — so eager maintenance is the right
-/// trade. The evaluator probes the index of whichever bound column has
-/// the shortest posting list.
+/// A single insert files its row in the index at once; a bulk load
+/// ([`RowStore::reserve`] … [`RowStore::finish_load`]) files its rows
+/// per column at its end, straight from the slab. The evaluator probes
+/// the index of whichever bound column has the shortest posting list.
 #[derive(Clone)]
 pub struct Table {
     schema: TableSchema,
     /// Cells per row: the slab's stride.
     arity: usize,
-    /// Row-major cells of every row ever pushed, tombstones included.
-    cells: Vec<Value>,
+    /// Row-major codes of every row ever pushed, tombstones included.
+    cells: Vec<u32>,
     live: Liveness,
-    /// `indexes[col][value]` = live row ids having `value` in column
-    /// `col`, ascending.
-    indexes: Vec<FastMap<Value, Vec<u32>>>,
+    index: PostingIndex,
+    /// The first row of an open bulk load: rows from it on are in the
+    /// slab but not yet in the index.
+    loading: Option<u32>,
 }
 
 impl Table {
@@ -386,7 +412,8 @@ impl Table {
             arity,
             cells: Vec::new(),
             live: Liveness::default(),
-            indexes: (0..arity).map(|_| FastMap::default()).collect(),
+            index: PostingIndex::new(arity),
+            loading: None,
         }
     }
 
@@ -396,19 +423,10 @@ impl Table {
         self.live.is_live(id)
     }
 
-    /// The cells of a live row; `None` for a tombstone or an id out of
-    /// range.
-    pub fn row(&self, id: u32) -> Option<&[Value]> {
-        if !self.is_live(id) {
-            return None;
-        }
+    /// The codes of row `id`, live or not.
+    fn codes(&self, id: u32) -> &[u32] {
         let start = id as usize * self.arity;
-        Some(&self.cells[start..start + self.arity])
-    }
-
-    /// Iterates over all live rows, in id order.
-    pub fn rows(&self) -> impl Iterator<Item = &[Value]> {
-        (0..self.live.bound()).filter_map(|id| self.row(id))
+        &self.cells[start..start + self.arity]
     }
 }
 
@@ -425,51 +443,57 @@ impl RowStore for Table {
         // The stride of every later row depends on it.
         assert_eq!(row.len(), self.arity, "row arity");
         let id = self.live.push();
-        for (index, value) in self.indexes.iter_mut().zip(row) {
-            index.entry(*value).or_default().push(id);
+        for &value in row {
+            let code = self.index.encode(value);
+            self.cells.push(code);
         }
-        self.cells.extend_from_slice(row);
+        if self.loading.is_none() {
+            let start = id as usize * self.arity;
+            self.index.insert(&self.cells[start..], id);
+        }
     }
 
     fn reserve(&mut self, rows: usize) {
         self.cells.reserve(rows.saturating_mul(self.arity));
         self.live.reserve(rows);
+        self.loading.get_or_insert(self.live.bound());
+    }
+
+    fn finish_load(&mut self) {
+        let first = self.loading.take().unwrap_or(self.live.bound());
+        self.index
+            .pack(&self.cells[first as usize * self.arity..], first);
     }
 
     fn read_row(&self, id: u32, out: &mut Tuple) -> bool {
-        let Some(row) = self.row(id) else {
+        if !self.is_live(id) {
             return false;
-        };
+        }
         out.clear();
-        out.extend_from_slice(row);
+        out.extend(self.codes(id).iter().map(|&code| self.index.value(code)));
         true
     }
 
     fn postings(&self, col: usize, value: Value) -> &[u32] {
-        self.indexes[col].get(&value).map_or(&[], Vec::as_slice)
+        self.index.postings(col, value)
     }
 
     fn delete(&mut self, row: &[Value]) -> bool {
         let Some(id) = self.find_row(row) else {
             return false;
         };
-        for (index, value) in self.indexes.iter_mut().zip(row) {
-            if let Some(list) = index.get_mut(value) {
-                list.retain(|&x| x != id);
-            }
-        }
+        self.index.remove(row, id);
         self.live.kill(id)
-    }
-
-    fn for_each_row(&self, f: &mut dyn FnMut(&[Value])) {
-        for row in self.rows() {
-            f(row);
-        }
     }
 
     #[cfg(test)]
     fn slab_capacity(&self) -> usize {
         self.cells.capacity()
+    }
+
+    #[cfg(test)]
+    fn posting_capacity(&self) -> usize {
+        self.index.id_capacity()
     }
 }
 
@@ -505,8 +529,10 @@ mod tests {
         let t = flights();
         assert_eq!(t.len(), 3);
         assert!(!t.is_empty());
-        let rows: Vec<_> = t.rows().collect();
+        let mut rows = Vec::new();
+        t.for_each_row(&mut |row| rows.push(row.to_vec()));
         assert_eq!(rows[0][0], Value::int(122));
+        assert_eq!(rows[2], [Value::int(136), Value::str("Rome")]);
     }
 
     #[test]
@@ -539,14 +565,15 @@ mod tests {
         let t = flights();
         assert!(t.is_live(2));
         assert!(!t.is_live(3));
-        assert!(t.row(3).is_none());
+        assert!(!t.read_row(3, &mut Tuple::new()));
         let nullary = Table::new(TableSchema::new("Flag", &[]));
         assert!(!nullary.is_live(0));
         assert!(!nullary.contains(&[]));
     }
 
-    /// The slab is one allocation of exactly n × arity cells after a
-    /// bulk load, a snapshot shares it rather than copying it, and the
+    /// The slab is one allocation of exactly n × arity codes after a
+    /// bulk load, and the posting arenas hold exactly n × arity ids; a
+    /// snapshot shares it rather than copying it, and the
     /// first write to a shared table copies it once at exactly its
     /// row-id bound × arity cells — so the layout cannot quietly regress
     /// to per-row objects, doubling slack or a copy per snapshot. A
@@ -565,6 +592,7 @@ mod tests {
                 .unwrap();
             let table = db.table(Symbol::new("T")).unwrap();
             assert_eq!(table.slab_capacity(), N * arity);
+            assert_eq!(table.posting_capacity(), N * arity);
 
             // Five rows pushed past the loaded capacity, five deleted:
             // the snapshot is the same table, slack and tombstones
@@ -593,5 +621,31 @@ mod tests {
             assert_eq!((source.len(), source.tombstone_count()), (N, 5));
             assert_eq!(source.slab_capacity(), grown);
         }
+    }
+
+    /// The dictionary tracks live values, not history: a value whose
+    /// last cell is deleted gives its code to the next new value, so
+    /// 10,000 rounds of insert-then-delete over fresh values never hold
+    /// more codes than live distinct values, and the reused spans keep
+    /// the arenas from growing.
+    #[test]
+    fn freed_codes_are_reused() {
+        let mut t = Table::new(TableSchema::new("T", &["a", "b"]));
+        let kept = [Value::int(-1), Value::str("kept")];
+        t.push(&kept);
+        for i in 0..10_000 {
+            let row = [Value::int(i), Value::str(&format!("fresh{i}"))];
+            t.push(&row);
+            assert!(t.index.code_space() <= 4, "round {i}");
+            assert_eq!(t.postings(1, row[1]), &[i as u32 + 1]);
+            assert!(t.delete(&row));
+            assert_eq!(t.postings(0, row[0]), &[] as &[u32]);
+        }
+        assert!(t.index.code_space() <= 4);
+        assert!(t.posting_capacity() <= 16);
+        assert_eq!(t.postings(1, kept[1]), &[0]);
+        let mut rows = Vec::new();
+        t.for_each_row(&mut |row| rows.push(row.to_vec()));
+        assert_eq!(rows, [kept.to_vec()]);
     }
 }

@@ -2,7 +2,7 @@
 //! reference evaluator (full cross product + filter) on random databases
 //! and random conjunctive queries.
 
-use eq_db::{Database, Valuation};
+use eq_db::{Database, Valuation, Visit};
 use eq_ir::{Atom, Term, Value, Var};
 use proptest::prelude::*;
 
@@ -140,5 +140,53 @@ proptest! {
         for lv in &limited {
             prop_assert!(full.contains(lv));
         }
+    }
+
+    /// A run that opens on an atom binding `lead` enumerates the same
+    /// valuations, as a multiset, and a projection onto `lead` that
+    /// skips each value it is handed sees every value, at most once per
+    /// row of the first frame's relation: the skip backjumps to the
+    /// first frame.
+    #[test]
+    fn binding_first_enumerates_the_same_valuations(
+        inst in arb_instance(),
+        lead in 0..NUM_VARS,
+    ) {
+        let db = build_db(&inst);
+        let query = db.prepare(&inst.atoms, None).unwrap();
+        let Some(slot) = query.slot(Var(lead)) else {
+            return Ok(());
+        };
+        let all = |first: bool| {
+            let mut out: Vec<Vec<(Var, Value)>> = Vec::new();
+            let visit = |sol: &eq_db::Solution<'_>| {
+                out.push(sol.bindings().collect());
+                Visit::Continue
+            };
+            if first {
+                query.run_binding_first(slot, &[], visit);
+            } else {
+                query.run(&[], visit);
+            }
+            out.sort();
+            out
+        };
+        prop_assert_eq!(all(true), all(false));
+
+        let mut projected = Vec::new();
+        query.run_binding_first(slot, &[], |sol| {
+            projected.push(sol.at(slot));
+            Visit::SkipValue(slot)
+        });
+        prop_assert!(projected.len() <= inst.rows_p.len().max(inst.rows_q.len()));
+        let mut distinct = projected;
+        distinct.sort();
+        distinct.dedup();
+        let mut expected: Vec<_> = all(false).iter().map(|v| {
+            v.iter().find(|(var, _)| *var == Var(lead)).map(|&(_, value)| value)
+        }).collect();
+        expected.sort();
+        expected.dedup();
+        prop_assert_eq!(distinct, expected);
     }
 }

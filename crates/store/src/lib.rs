@@ -9,11 +9,12 @@
 //!
 //! * **Paged tables** ([`PagedTable`]): rows spill to fixed-size
 //!   slotted pages served by a pinning, budgeted page cache
-//!   ([`PageStore`], CLOCK eviction) while the per-column hash index
-//!   stays memory-resident. A `Database` drives the backend through
-//!   [`eq_db::RowStore`], so the evaluator's candidate cursors work
-//!   unchanged; cache counters surface through
-//!   [`eq_db::StoreIoStats`] into `BatchReport::io`.
+//!   ([`PageStore`], CLOCK eviction) while the table's
+//!   [`eq_db::PostingIndex`] — the value dictionary and posting arenas
+//!   the in-memory table indexes with too — stays memory-resident. A
+//!   `Database` drives the backend through [`eq_db::RowStore`], so the
+//!   evaluator's candidate cursors work unchanged; cache counters
+//!   surface through [`eq_db::StoreIoStats`] into `BatchReport::io`.
 //! * **Durability primitives** ([`WriteAheadLog`], [`checkpoint`]):
 //!   length-prefixed checksummed log frames (one per service call,
 //!   one `write` each) with torn-tail-tolerant replay, and

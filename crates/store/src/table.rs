@@ -4,17 +4,18 @@
 //!
 //! Row encoding is fixed-width: `arity × 9` bytes per slot, each cell a
 //! tag byte (`0` = integer, `1` = string) followed by 8 little-endian
-//! payload bytes. Strings are dictionary-encoded against a
-//! memory-resident per-table dictionary of interned symbols, so the
-//! page files never depend on the process-global interner's id
-//! assignment order... they don't need to: page files are **ephemeral
-//! spill** for the current process (durability is the WAL + checkpoint
-//! pair, which persist strings by text).
+//! payload bytes: the integer itself, or the string's code in the
+//! table's memory-resident [`PostingIndex`] dictionary — the same
+//! dictionary and posting arenas the in-memory table indexes with. A
+//! code is only meaningful to the process that wrote it, and it need
+//! not be more: page files are **ephemeral spill** for the current
+//! process (durability is the WAL + checkpoint pair, which persist
+//! strings by text).
 
 use crate::cache::{PageCacheConfig, PageStore};
 use crate::error::StoreError;
-use eq_db::{Liveness, RowStore, StoreIoStats, TableSchema, Tuple};
-use eq_ir::{FastMap, Symbol, Value};
+use eq_db::{Liveness, PostingIndex, RowStore, StoreIoStats, TableSchema, Tuple};
+use eq_ir::Value;
 use std::fmt;
 use std::path::Path;
 
@@ -25,38 +26,21 @@ const CELL_BYTES: usize = 9;
 /// served through a budgeted [`PageStore`]. Implements [`RowStore`], so
 /// a `Database` drives it exactly like the in-memory table.
 ///
-/// Memory-resident state: the per-column hash indexes (value → row
-/// ids), the [`Liveness`] bitmap, and the string dictionary.
-/// Disk-resident state: the row payloads.
+/// Memory-resident state: the [`PostingIndex`] (value dictionary and
+/// posting arenas) and the [`Liveness`] bitmap. Disk-resident state:
+/// the row payloads.
 pub struct PagedTable {
     schema: TableSchema,
     store: PageStore,
     live: Liveness,
-    /// `indexes[col][value]` = row ids having `value` in column `col`.
-    indexes: Vec<FastMap<Value, Vec<u32>>>,
-    dictionary: Dictionary,
+    index: PostingIndex,
+    /// The codes of the rows an open bulk load has pushed, at the arity
+    /// stride: the index files them at the load's end.
+    pending: Vec<u32>,
+    /// The first row of an open bulk load.
+    loading: Option<u32>,
     rows_per_page: usize,
     arity: usize,
-}
-
-/// Local string id → symbol, and its inverse.
-#[derive(Default)]
-struct Dictionary {
-    symbols: Vec<Symbol>,
-    ids: FastMap<Symbol, u64>,
-}
-
-impl Dictionary {
-    /// The local id of `s`, assigned on first sight.
-    fn local(&mut self, s: Symbol) -> u64 {
-        if let Some(&id) = self.ids.get(&s) {
-            return id;
-        }
-        let id = self.symbols.len() as u64;
-        self.symbols.push(s);
-        self.ids.insert(s, id);
-        id
-    }
 }
 
 impl PagedTable {
@@ -85,8 +69,9 @@ impl PagedTable {
             schema,
             store,
             live: Liveness::default(),
-            indexes: (0..arity).map(|_| FastMap::default()).collect(),
-            dictionary: Dictionary::default(),
+            index: PostingIndex::new(arity),
+            pending: Vec::new(),
+            loading: None,
             rows_per_page,
             arity,
         })
@@ -142,17 +127,23 @@ impl RowStore for PagedTable {
         // The slot layout of every later row depends on it.
         assert_eq!(row.len(), self.arity, "row arity");
         let id = self.live.push();
+        let start = self.pending.len();
+        for &value in row {
+            let code = self.index.encode(value);
+            self.pending.push(code);
+        }
         if self.arity > 0 {
-            // Encoded straight into the pinned page: no staging buffer.
+            // Encoded straight into the pinned page.
             let (page, offset) = self.slot(id);
-            let dictionary = &mut self.dictionary;
+            let codes = &self.pending[start..];
             self.store
                 .with_page_mut(page, |buf| {
                     let slot = &mut buf[offset..offset + row.len() * CELL_BYTES];
-                    for (cell, value) in slot.chunks_exact_mut(CELL_BYTES).zip(row) {
+                    let cells = slot.chunks_exact_mut(CELL_BYTES).zip(row.iter().zip(codes));
+                    for (cell, (value, &code)) in cells {
                         let (tag, payload) = match *value {
                             Value::Int(x) => (0, x.to_le_bytes()),
-                            Value::Str(s) => (1, dictionary.local(s).to_le_bytes()),
+                            Value::Str(_) => (1, u64::from(code).to_le_bytes()),
                         };
                         cell[0] = tag;
                         cell[1..].copy_from_slice(&payload);
@@ -163,13 +154,22 @@ impl RowStore for PagedTable {
                 // silently truncated relation.
                 .expect("paged table spill write failed");
         }
-        for (index, value) in self.indexes.iter_mut().zip(row) {
-            index.entry(*value).or_default().push(id);
+        if self.loading.is_none() {
+            self.index.insert(&self.pending, id);
+            self.pending.clear();
         }
     }
 
     fn reserve(&mut self, rows: usize) {
         self.live.reserve(rows);
+        self.pending.reserve(rows.saturating_mul(self.arity));
+        self.loading.get_or_insert(self.live.bound());
+    }
+
+    fn finish_load(&mut self) {
+        let first = self.loading.take().unwrap_or(self.live.bound());
+        self.index.pack(&self.pending, first);
+        self.pending = Vec::new();
     }
 
     fn read_row(&self, id: u32, out: &mut Tuple) -> bool {
@@ -188,11 +188,10 @@ impl RowStore for PagedTable {
                 match cell[0] {
                     0 => out.push(Value::Int(i64::from_le_bytes(payload))),
                     _ => {
-                        let local = u64::from_le_bytes(payload) as usize;
-                        let Some(&symbol) = self.dictionary.symbols.get(local) else {
+                        let Ok(code) = u32::try_from(u64::from_le_bytes(payload)) else {
                             return false;
                         };
-                        out.push(Value::Str(symbol));
+                        out.push(self.index.value(code));
                     }
                 }
             }
@@ -202,7 +201,7 @@ impl RowStore for PagedTable {
     }
 
     fn postings(&self, col: usize, value: Value) -> &[u32] {
-        self.indexes[col].get(&value).map_or(&[], Vec::as_slice)
+        self.index.postings(col, value)
     }
 
     fn delete(&mut self, row: &[Value]) -> bool {
@@ -210,11 +209,7 @@ impl RowStore for PagedTable {
         let Some(id) = self.find_row(row) else {
             return false;
         };
-        for (index, value) in self.indexes.iter_mut().zip(row) {
-            if let Some(list) = index.get_mut(value) {
-                list.retain(|&x| x != id);
-            }
-        }
+        self.index.remove(row, id);
         self.live.kill(id)
     }
 

@@ -147,23 +147,25 @@ echo "== 14/14 benchmark package: unit tests + a short run of all five workloads
 # churn_sharded one of theirs; pairs_durable builds its service from a
 # checkpoint image and holds up to three at its peak. Peak RSS must stay
 # under a ceiling of a measured median + 10 %, each measured with these
-# 2 s runs on a 2-core x86-64 box, median of 5 runs, and looked up by
-# workload name, so both giant_shared runs are held to one ceiling:
-# giant_shared (seed 2011) 74.3 MB once its flush stopped copying the
-# component — edges without a unifier, atom indexes and regions naming
-# atoms instead of cloning them, one region resolved at a time (it was
-# 98.2 MB); cliques_paged 124.6 MB once the loader streamed rows into
-# the tables instead of building the relation as a list first (it was
-# 155.2 MB); pairs_durable 247.4 MB once recovery decoded rows straight
-# into each table's slab (a `Vec<Tuple>` per checkpointed table had
-# held it at 265.9 MB, and a heap `Vec` per stored row at 342.5 MB);
-# churn_sharded 269.0 MB; pairs_incremental 165.5 MB once a terminal
-# outcome left the engine only through its outcome log — a pending
-# query had held a per-query outcome channel of about 0.7 KB, and
-# pairs_incremental measured 183.9 MB with them. Each workload's five
-# runs lay within 3 MB of each other.
-declare -A rss_ceiling_mb=([pairs_incremental]=182.1 [churn_sharded]=295.9 [giant_shared]=81.7
-    [cliques_paged]=137.1 [pairs_durable]=272.2)
+# 2 s runs on a 2-core x86-64 box, median of 5 runs (alternated with 5
+# of the parent), and looked up by workload name, so both giant_shared
+# runs are held to one ceiling. Since tables store each value once — a
+# value dictionary per table, rows as 4-byte codes, one packed posting
+# arena per column in place of a slab of 16-byte cells and a hash map
+# of `Vec`s per column — the medians are: pairs_durable 174.1 MB (it
+# was 243.1, its three copies of the pairs database setting the peak),
+# pairs_incremental 126.3 MB (152.6), cliques_paged 104.9 MB (124.5:
+# its paged Friends' memory-resident index is the same one), churn_sharded
+# 258.8 MB (264.0) and giant_shared 64.7 MB (74.3; 64.1 and 63.5 at
+# seed 7). Earlier steps down: giant_shared from 98.2 MB when its flush
+# stopped copying the component, cliques_paged from 155.2 MB when the
+# loader streamed rows into the tables, pairs_durable from 265.9 MB when
+# recovery decoded rows straight into each table's slab, and
+# pairs_incremental from 183.9 MB when a pending query stopped holding a
+# per-query outcome channel. Each workload's five runs lay within 2 MB
+# of each other.
+declare -A rss_ceiling_mb=([pairs_incremental]=138.9 [churn_sharded]=284.6 [giant_shared]=71.2
+    [cliques_paged]=115.4 [pairs_durable]=191.6)
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 for run in "pairs_incremental" "churn_sharded" "cliques_paged" "giant_shared" "giant_shared --seed 7" \
     "pairs_durable"; do
