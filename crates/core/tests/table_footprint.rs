@@ -5,7 +5,8 @@
 //! switched on for the test thread alone, measures what a bulk load of
 //! 200,000 two-column rows leaves allocated on either backend, over
 //! 2,000 and over 20,000 distinct values; a reopen from a checkpoint
-//! must then scan the rows back unchanged.
+//! must then scan the rows back unchanged. Many small loads into that
+//! table then cost their own rows, not the table's.
 
 use eq_core::{DurableCoordinator, EngineConfig};
 use eq_db::{Database, DbError, TableSchema, Tuple};
@@ -15,23 +16,26 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 /// Counts the allocations (and reallocations) of whichever thread has
-/// switched counting on, and the bytes they leave live.
+/// switched counting on, the bytes they ask for, and the bytes they
+/// leave live.
 struct Counting;
 
 thread_local! {
     static ON: Cell<bool> = const { Cell::new(false) };
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+    static REQUESTED: Cell<usize> = const { Cell::new(0) };
     static LIVE: Cell<isize> = const { Cell::new(0) };
 }
 
-/// Notes `grown` more live bytes (negative when freed); `allocated` if
-/// the call asked for memory.
-fn note(grown: isize, allocated: bool) {
+/// Notes `grown` more live bytes (negative when freed) and, if the call
+/// asked for memory, an allocation of `requested` bytes.
+fn note(grown: isize, requested: Option<usize>) {
     // `try_with`: the allocator also runs while a thread's locals are
     // being torn down.
     if ON.try_with(Cell::get).unwrap_or(false) {
-        if allocated {
+        if let Some(bytes) = requested {
             ALLOCATIONS.with(|n| n.set(n.get() + 1));
+            REQUESTED.with(|n| n.set(n.get() + bytes));
         }
         LIVE.with(|live| live.set(live.get() + grown));
     }
@@ -43,22 +47,22 @@ fn note(grown: isize, allocated: bool) {
 // const-initialized `Cell`s that have no destructor to register.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size() as isize, true);
+        note(layout.size() as isize, Some(layout.size()));
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size() as isize, true);
+        note(layout.size() as isize, Some(layout.size()));
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size as isize - layout.size() as isize, true);
+        note(new_size as isize - layout.size() as isize, Some(new_size));
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        note(-(layout.size() as isize), false);
+        note(-(layout.size() as isize), None);
         System.dealloc(ptr, layout)
     }
 }
@@ -70,6 +74,7 @@ static GLOBAL: Counting = Counting;
 /// number of allocations and the bytes left live.
 fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, isize) {
     ALLOCATIONS.with(|n| n.set(0));
+    REQUESTED.with(|n| n.set(0));
     LIVE.with(|live| live.set(0));
     ON.with(|on| on.set(true));
     let out = f();
@@ -191,4 +196,45 @@ fn a_reopened_checkpoint_scans_the_source_row_for_row() {
     assert_eq!(dc.coordinator().db().read().scan("T").unwrap(), rows);
     drop(dc);
     eq_store::purge_dir(&dir);
+}
+
+/// A thousand one-row loads into a loaded table file their rows one by
+/// one: between them they may grow the slab and each arena by a
+/// doubling — 2 × `ROWS × PER_ROW` bytes, about 6.5 MB measured on the
+/// in-memory table — not lay the table's index out afresh once a load,
+/// which asks for 1.6 GB.
+#[test]
+fn small_loads_cost_their_rows_not_the_table() {
+    const LOADS: usize = 1_000;
+    let values = values(20_000);
+    for paged in [false, true] {
+        let dir = eq_store::scratch_dir("table-footprint-small-loads");
+        let (mut db, _, _) = load(&values, paged.then_some(dir.as_path()));
+        let ((), _, _) = counted(|| {
+            for i in ROWS..ROWS + LOADS {
+                let mut out = Tuple::new();
+                row(&values, i, &mut out);
+                db.insert_many("T", vec![out]).unwrap();
+            }
+        });
+        let requested = REQUESTED.with(Cell::get);
+        let bound = 3 * ROWS * PER_ROW;
+        assert!(
+            requested <= bound,
+            "paged: {paged}: {LOADS} one-row loads asked for {requested} bytes, bound {bound}"
+        );
+
+        let mut expected = Tuple::new();
+        for i in [0, ROWS - 1, ROWS, ROWS + LOADS - 1] {
+            row(&values, i, &mut expected);
+            let ids = db
+                .table(eq_ir::Symbol::new("T"))
+                .unwrap()
+                .postings(1, expected[1]);
+            assert!(ids.contains(&(i as u32)), "paged: {paged}, row {i}");
+        }
+        assert_eq!(db.scan("T").unwrap().len(), ROWS + LOADS);
+        drop(db);
+        eq_store::purge_dir(&dir);
+    }
 }

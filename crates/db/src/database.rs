@@ -169,7 +169,7 @@ impl Database {
     }
 
     /// Bulk insert with one arity validation pass, one
-    /// [`RowStore::reserve`] and a **single revision bump** for the
+    /// [`RowStore::begin_load`] and a **single revision bump** for the
     /// whole batch. Loading n rows through [`Database::insert`] bumps
     /// [`Database::revision`] n times and — when the database sits
     /// behind the engine's lock — costs n lock round trips;
@@ -198,9 +198,10 @@ impl Database {
     /// into one reused buffer and copied from there into the table's
     /// slab, so a load never holds the relation as a list of rows: the
     /// bulk form recovery decodes a checkpoint image through. Storage
-    /// is reserved once for `rows` rows, the index is built per column
-    /// once the rows are in ([`RowStore::finish_load`], also when the
-    /// load ends early), and [`Database::revision`] is bumped once if
+    /// is reserved once for `rows` rows, the index is built once the
+    /// rows are in ([`RowStore::finish_load`], also when the load ends
+    /// early) — per column when the load outgrows the table, row by row
+    /// when it does not — and [`Database::revision`] is bumped once if
     /// any row went in.
     ///
     /// Each row's arity is checked before it reaches the table. The
@@ -224,7 +225,7 @@ impl Database {
         }
         let expected = backend.store().schema().arity();
         let table = backend.store_mut();
-        table.reserve(rows);
+        table.begin_load(rows);
         let mut row = Tuple::new();
         let mut pushed = 0;
         let mut fill = || -> Result<usize, E> {
@@ -307,7 +308,7 @@ impl Database {
                 Backend::Memory(table) => Arc::clone(table),
                 Backend::Attached(store) => {
                     let mut copy = Table::new(store.schema().clone());
-                    copy.reserve(store.len());
+                    copy.begin_load(store.len());
                     store.for_each_row(&mut |row| copy.push(row));
                     copy.finish_load();
                     Arc::new(copy)

@@ -69,11 +69,13 @@ impl StoreIoStats {
 ///   ascending (= insertion) order — the evaluator's answer-order
 ///   guarantee rests on this, and so does its index-only membership
 ///   test, which intersects posting lists without reading a row.
-/// * A bulk load is [`RowStore::reserve`], pushes, then
+/// * A bulk load is [`RowStore::begin_load`], pushes, then
 ///   [`RowStore::finish_load`]: the pushes in between file nothing in
-///   the index, and the end-of-load step files them all per column and
-///   packs the index to its exact size. Only the database's bulk paths
-///   open a load, and they hold the store until it ends.
+///   the index, and the end-of-load step files them all — per column,
+///   packing the index to its exact size, when the load outgrows the
+///   table it joins. Only the database's bulk paths open a load, and
+///   they hold the store until it ends: the index is not read while a
+///   load is open.
 /// * Arity is validated by the database layer before `push`/`delete`
 ///   reach the backend.
 /// * Rows are stored at a fixed stride of dictionary codes (arity codes
@@ -95,12 +97,14 @@ pub trait RowStore: fmt::Debug + Send + Sync {
     /// Opens a bulk load of `rows` more rows: row storage grows once to
     /// the size it needs instead of doubling its way there, and the
     /// rows pushed until [`RowStore::finish_load`] are filed in the
-    /// index only then.
-    fn reserve(&mut self, rows: usize);
+    /// index only then. Every load opened must be finished.
+    fn begin_load(&mut self, rows: usize);
 
-    /// Ends a bulk load (a no-op filing when none is open): files every
-    /// row pushed since [`RowStore::reserve`] in the index, column by
-    /// column, and packs the index so it holds exactly its live ids.
+    /// Ends the open bulk load: files every row pushed since
+    /// [`RowStore::begin_load`] in the index. A load of more rows than
+    /// the table held is filed column by column and packs the index so
+    /// it holds exactly its live ids; a smaller one is filed row by
+    /// row, so it costs its own rows, not the table's.
     fn finish_load(&mut self);
 
     /// Reads the row with a given id into `out` (clearing it first).
@@ -386,8 +390,8 @@ impl fmt::Debug for TableSchema {
 /// vector at its exact length.
 ///
 /// A single insert files its row in the index at once; a bulk load
-/// ([`RowStore::reserve`] … [`RowStore::finish_load`]) files its rows
-/// per column at its end, straight from the slab. The evaluator probes
+/// ([`RowStore::begin_load`] … [`RowStore::finish_load`]) files its
+/// rows at its end, straight from the slab. The evaluator probes
 /// the index of whichever bound column has the shortest posting list.
 #[derive(Clone)]
 pub struct Table {
@@ -453,16 +457,17 @@ impl RowStore for Table {
         }
     }
 
-    fn reserve(&mut self, rows: usize) {
+    fn begin_load(&mut self, rows: usize) {
+        assert!(self.loading.is_none(), "a load is already open");
         self.cells.reserve(rows.saturating_mul(self.arity));
         self.live.reserve(rows);
-        self.loading.get_or_insert(self.live.bound());
+        self.loading = Some(self.live.bound());
     }
 
     fn finish_load(&mut self) {
-        let first = self.loading.take().unwrap_or(self.live.bound());
+        let first = self.loading.take().expect("no load is open");
         self.index
-            .pack(&self.cells[first as usize * self.arity..], first);
+            .finish_load(&self.cells[first as usize * self.arity..], first);
     }
 
     fn read_row(&self, id: u32, out: &mut Tuple) -> bool {
@@ -475,10 +480,12 @@ impl RowStore for Table {
     }
 
     fn postings(&self, col: usize, value: Value) -> &[u32] {
+        debug_assert!(self.loading.is_none(), "index read during a load");
         self.index.postings(col, value)
     }
 
     fn delete(&mut self, row: &[Value]) -> bool {
+        debug_assert!(self.loading.is_none(), "delete during a load");
         let Some(id) = self.find_row(row) else {
             return false;
         };

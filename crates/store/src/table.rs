@@ -160,15 +160,16 @@ impl RowStore for PagedTable {
         }
     }
 
-    fn reserve(&mut self, rows: usize) {
+    fn begin_load(&mut self, rows: usize) {
+        assert!(self.loading.is_none(), "a load is already open");
         self.live.reserve(rows);
         self.pending.reserve(rows.saturating_mul(self.arity));
-        self.loading.get_or_insert(self.live.bound());
+        self.loading = Some(self.live.bound());
     }
 
     fn finish_load(&mut self) {
-        let first = self.loading.take().unwrap_or(self.live.bound());
-        self.index.pack(&self.pending, first);
+        let first = self.loading.take().expect("no load is open");
+        self.index.finish_load(&self.pending, first);
         self.pending = Vec::new();
     }
 
@@ -201,10 +202,12 @@ impl RowStore for PagedTable {
     }
 
     fn postings(&self, col: usize, value: Value) -> &[u32] {
+        debug_assert!(self.loading.is_none(), "index read during a load");
         self.index.postings(col, value)
     }
 
     fn delete(&mut self, row: &[Value]) -> bool {
+        debug_assert!(self.loading.is_none(), "delete during a load");
         // Found in the memory-resident index: no page is read.
         let Some(id) = self.find_row(row) else {
             return false;
