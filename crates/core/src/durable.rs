@@ -117,7 +117,9 @@ use crate::engine::{
 use crate::error::CoordinationError;
 use crate::service::{Coordinator, DurabilitySink, StagedSubmits, SubmitRequest};
 use eq_db::{Database, DbError, Tuple};
-use eq_ir::{Atom, CmpOp, Constraint, EntangledQuery, FastMap, QueryId, Symbol, Term, Value, Var};
+use eq_ir::{
+    Atom, CmpOp, Constraint, EntangledQuery, FastMap, QueryId, Symbol, Term, Terms, Value, Var,
+};
 use eq_store::{read_checkpoint, write_checkpoint, StoreError, WalStats, WriteAheadLog};
 use parking_lot::Mutex;
 use std::fmt;
@@ -517,7 +519,7 @@ impl Dec<'_, '_> {
         for _ in 0..n {
             let relation = self.sym()?;
             let arity = self.cur.count()?;
-            let mut terms = Vec::with_capacity(arity);
+            let mut terms = Terms::new();
             for _ in 0..arity {
                 terms.push(self.term()?);
             }

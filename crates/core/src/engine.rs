@@ -500,13 +500,10 @@ impl CoordinationEngine {
     }
 
     /// The admission step — the one way a query enters the engine:
-    /// rename it apart, probe the graph for its edges
+    /// rename it apart in place, probe the graph for its edges
     /// ([`MatchGraph::probe`], which also gives the Figure-9 verdict on
     /// a new submission while the check is on), draw or keep its id,
     /// link it and register its slot state, id, status and deadline.
-    /// Every MGU admission needs is computed in the probe, exactly once:
-    /// the unifier is kept on the edge and reused by every matching run
-    /// over its component.
     ///
     /// Every entry point runs this in a loop, in submission order, under
     /// one lock. Earlier members of the loop are linked by the time a
@@ -515,12 +512,12 @@ impl CoordinationEngine {
     /// the id is drawn after the verdict.
     fn admit(
         &mut self,
-        query: EntangledQuery,
+        mut query: EntangledQuery,
         state: SlotState,
         id: IdFrom<'_>,
     ) -> Result<QueryId, SubmitError> {
         debug_assert!(query.validate().is_ok(), "callers validate first");
-        let query = query.rename_apart(&self.gen);
+        query.rename_apart_in_place(&self.gen);
         let check = self.config.admission_safety_check && matches!(id, IdFrom::Draw(_));
         let edges = self
             .graph

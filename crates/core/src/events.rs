@@ -287,10 +287,9 @@ pub(crate) fn bounded(capacity: usize, policy: OverflowPolicy) -> (EventSender, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::BatchReport;
 
     fn flushed() -> Arc<Event> {
-        Arc::new(Event::Flushed(BatchReport::default()))
+        Arc::new(Event::Flushed(Box::default()))
     }
 
     fn mk(capacity: usize, policy: OverflowPolicy) -> (EventSender, Events) {

@@ -247,8 +247,9 @@ pub enum Event {
         /// Its submission tag.
         tag: Option<String>,
     },
-    /// A flush completed; the report summarizes the round.
-    Flushed(BatchReport),
+    /// A flush completed; the report summarizes the round. Boxed, so
+    /// the other events do not carry a report's worth of bytes.
+    Flushed(Box<BatchReport>),
 }
 
 impl Event {
@@ -931,7 +932,9 @@ impl Coordinator {
 
     /// The single place a [`Event::Flushed`] report is staged.
     fn stage_flushed(&self, report: BatchReport) {
-        self.shared.dispatcher.enqueue(Event::Flushed(report));
+        self.shared
+            .dispatcher
+            .enqueue(Event::Flushed(Box::new(report)));
     }
 
     /// Write-path routing: merges the key groups, and — when the
@@ -1495,6 +1498,12 @@ mod tests {
     }
 
     #[test]
+    fn a_flushed_event_boxes_its_report() {
+        // Every queued event is as large as the largest variant.
+        assert!(std::mem::size_of::<Event>() <= 96);
+    }
+
+    #[test]
     fn load_is_logged_while_the_database_write_guard_is_held() {
         let coordinator = batch_coordinator(flight_db());
         let commits = ProbeSink::install(&coordinator);
@@ -1557,7 +1566,7 @@ mod tests {
         assert!(evs[0].is_terminal() && evs[1].is_terminal());
         let kramer = evs.iter().find(|e| e.id() == Some(h1.id)).unwrap();
         assert_eq!(kramer.tag(), Some("kramer"));
-        assert!(matches!(*evs[2], Event::Flushed(r) if r.answered == 2));
+        assert!(matches!(&*evs[2], Event::Flushed(r) if r.answered == 2));
         session.close();
     }
 
@@ -1607,8 +1616,8 @@ mod tests {
         let evs = events.drain();
         let flushed = evs
             .iter()
-            .find_map(|e| match **e {
-                Event::Flushed(r) => Some(r),
+            .find_map(|e| match &**e {
+                Event::Flushed(r) => Some(**r),
                 _ => None,
             })
             .unwrap();

@@ -213,7 +213,7 @@ proptest! {
             let mut answered_seen = 0u64;
             let mut answered_reported = 0u64;
             for event in &log {
-                match **event {
+                match &**event {
                     Event::Answered { .. } => answered_seen += 1,
                     Event::Flushed(report) => {
                         answered_reported += report.answered as u64;

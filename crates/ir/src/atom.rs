@@ -1,6 +1,6 @@
 //! Relational atoms.
 
-use crate::{Symbol, Term, Value, Var};
+use crate::{Symbol, Term, Terms, Value, Var};
 use std::fmt;
 
 /// Whether an atom occurs as a query *head* (the query's contribution to an
@@ -20,20 +20,33 @@ pub enum Polarity {
 /// Atoms are used for all three parts of an entangled query: head and
 /// postcondition atoms range over ANSWER relations, body atoms over
 /// database relations. The distinction is contextual, not structural.
+///
+/// An atom is 48 bytes and keeps up to two terms inline ([`Terms`]), so
+/// a binary atom — every atom of the paper's schemas — owns no heap
+/// allocation. Equality, ordering and hashing are as if `terms` were a
+/// `Vec<Term>`.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Atom {
     /// The relation name.
     pub relation: Symbol,
     /// The argument terms, in schema order.
-    pub terms: Vec<Term>,
+    pub terms: Terms,
 }
 
 impl Atom {
-    /// Builds an atom from a relation name and terms.
+    /// Builds an atom from a relation name and a vector of terms (which
+    /// is freed at arity ≤ 2); `iter.collect()` can be passed as is.
     pub fn new(relation: impl Into<Symbol>, terms: Vec<Term>) -> Self {
+        Atom::with_terms(relation, terms)
+    }
+
+    /// Builds an atom from a relation name and anything that converts
+    /// into [`Terms`]: an array `[Term; N]` costs no allocation at
+    /// `N` ≤ 2.
+    pub fn with_terms(relation: impl Into<Symbol>, terms: impl Into<Terms>) -> Self {
         Atom {
             relation: relation.into(),
-            terms,
+            terms: terms.into(),
         }
     }
 
@@ -120,7 +133,7 @@ impl fmt::Display for Atom {
 #[macro_export]
 macro_rules! atom {
     ($rel:expr, [$($t:expr),* $(,)?]) => {
-        $crate::Atom::new($rel, vec![$($t),*])
+        $crate::Atom::with_terms($rel, [$($t),*])
     };
 }
 

@@ -1,7 +1,7 @@
 //! The intermediate representation of an entangled query: `{C} H ⊣ B`.
 
-use crate::{Atom, Constraint, Term, Var, VarGen};
-use std::collections::{HashMap, HashSet};
+use crate::{Atom, Constraint, FastMap, Term, Var, VarGen};
+use std::collections::HashSet;
 use std::fmt;
 
 /// Identity of an entangled query within an engine or a matching run.
@@ -198,43 +198,73 @@ impl EntangledQuery {
 
     /// Renames all variables apart using fresh variables from `gen`,
     /// establishing the matching precondition that no variable is shared
-    /// between queries (§4.1.3).
+    /// between queries (§4.1.3). A clone plus
+    /// [`EntangledQuery::rename_apart_in_place`].
     pub fn rename_apart(&self, gen: &VarGen) -> EntangledQuery {
-        let mut mapping: HashMap<Var, Var> = HashMap::new();
-        let rename = |atom: &Atom, mapping: &mut HashMap<Var, Var>| Atom {
-            relation: atom.relation,
-            terms: atom
-                .terms
-                .iter()
-                .map(|t| match t {
-                    Term::Var(v) => Term::Var(*mapping.entry(*v).or_insert_with(|| gen.fresh())),
-                    Term::Const(_) => *t,
-                })
-                .collect(),
+        let mut renamed = self.clone();
+        renamed.rename_apart_in_place(gen);
+        renamed
+    }
+
+    /// Renames all variables apart in place: fresh variables from `gen`
+    /// are handed out in first-occurrence order over head,
+    /// postconditions, body and constraints. Reuses the query's vectors;
+    /// allocates nothing when the query has at most eight distinct
+    /// variables.
+    pub fn rename_apart_in_place(&mut self, gen: &VarGen) {
+        let mut renames = Renames::default();
+        let atoms = self
+            .head
+            .iter_mut()
+            .chain(&mut self.postconditions)
+            .chain(&mut self.body);
+        for term in atoms.flat_map(|atom| &mut atom.terms) {
+            renames.apply(term, gen);
+        }
+        for c in &mut self.constraints {
+            renames.apply(&mut c.lhs, gen);
+            renames.apply(&mut c.rhs, gen);
+        }
+    }
+}
+
+/// How many renames [`Renames`] keeps before it needs a map.
+const SMALL_RENAMES: usize = 8;
+
+/// A variable renaming: the first [`SMALL_RENAMES`] pairs in an array
+/// searched linearly, any more in a map.
+struct Renames {
+    small: [(Var, Var); SMALL_RENAMES],
+    len: usize,
+    spill: FastMap<Var, Var>,
+}
+
+impl Default for Renames {
+    fn default() -> Self {
+        Renames {
+            small: [(Var(0), Var(0)); SMALL_RENAMES],
+            len: 0,
+            spill: FastMap::default(),
+        }
+    }
+}
+
+impl Renames {
+    /// Replaces a variable term by its rename, drawing a fresh variable
+    /// from `gen` on its first occurrence.
+    fn apply(&mut self, term: &mut Term, gen: &VarGen) {
+        let Term::Var(v) = term else { return };
+        let old = *v;
+        *v = if let Some(&(_, new)) = self.small[..self.len].iter().find(|(o, _)| *o == old) {
+            new
+        } else if self.len < SMALL_RENAMES {
+            let new = gen.fresh();
+            self.small[self.len] = (old, new);
+            self.len += 1;
+            new
+        } else {
+            *self.spill.entry(old).or_insert_with(|| gen.fresh())
         };
-        let head = self.head.iter().map(|a| rename(a, &mut mapping)).collect();
-        let postconditions = self
-            .postconditions
-            .iter()
-            .map(|a| rename(a, &mut mapping))
-            .collect();
-        let body = self.body.iter().map(|a| rename(a, &mut mapping)).collect();
-        let mut constraints = Vec::with_capacity(self.constraints.len());
-        for c in &self.constraints {
-            let mut map_term = |t: Term| match t {
-                Term::Var(v) => Term::Var(*mapping.entry(v).or_insert_with(|| gen.fresh())),
-                Term::Const(_) => t,
-            };
-            constraints.push(Constraint::new(map_term(c.lhs), c.op, map_term(c.rhs)));
-        }
-        EntangledQuery {
-            id: self.id,
-            head,
-            postconditions,
-            body,
-            constraints,
-            choose: self.choose,
-        }
     }
 }
 

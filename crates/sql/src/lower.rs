@@ -6,7 +6,7 @@
 use crate::ast::*;
 use crate::catalog::Catalog;
 use crate::error::ParseError;
-use eq_ir::{Atom, EntangledQuery, FastMap, Symbol, Term, Var};
+use eq_ir::{Atom, EntangledQuery, FastMap, Symbol, Term, Terms, Var, VarGen};
 
 /// Lowers a parsed statement, resolving column names through `catalog`.
 ///
@@ -23,11 +23,11 @@ pub fn lower_select(
     let mut cx = Lowering::default();
 
     // Head atoms: one per ANSWER target, sharing the SELECT tuple.
-    let head_terms: Vec<Term> = stmt.items.iter().map(|e| cx.scalar(e)).collect();
-    let head: Vec<Atom> = stmt
+    let head_terms: Terms = stmt.items.iter().map(|e| cx.scalar(e)).collect();
+    let mut head: Vec<Atom> = stmt
         .into
         .iter()
-        .map(|r| Atom::new(r.as_str(), head_terms.clone()))
+        .map(|r| Atom::with_terms(r.as_str(), head_terms.clone()))
         .collect();
 
     let mut postconditions = Vec::new();
@@ -36,8 +36,8 @@ pub fn lower_select(
     for cond in &stmt.conditions {
         match cond {
             Condition::InAnswer(m) => {
-                let terms = m.tuple.iter().map(|e| cx.scalar(e)).collect();
-                postconditions.push(Atom::new(m.answer.as_str(), terms));
+                let terms: Terms = m.tuple.iter().map(|e| cx.scalar(e)).collect();
+                postconditions.push(Atom::with_terms(m.answer.as_str(), terms));
             }
             Condition::DbAtom { relation, tuple } => {
                 let rel = Symbol::new(relation);
@@ -50,8 +50,8 @@ pub fn lower_select(
                         tuple.len()
                     )));
                 }
-                let terms = tuple.iter().map(|e| cx.scalar(e)).collect();
-                body.push(Atom::new(rel, terms));
+                let terms: Terms = tuple.iter().map(|e| cx.scalar(e)).collect();
+                body.push(Atom::with_terms(rel, terms));
             }
             Condition::Equality(a, b) => {
                 let ta = cx.scalar(a);
@@ -64,28 +64,16 @@ pub fn lower_select(
         }
     }
 
-    // Apply the accumulated substitution and renumber densely.
-    let resolve_all = |atoms: Vec<Atom>, cx: &Lowering| -> Vec<Atom> {
-        atoms
-            .into_iter()
-            .map(|a| Atom {
-                relation: a.relation,
-                terms: a.terms.iter().map(|&t| cx.resolve(t)).collect(),
-            })
-            .collect()
-    };
-    let head = resolve_all(head, &cx);
-    let postconditions = resolve_all(postconditions, &cx);
-    let body = resolve_all(body, &cx);
-
-    let q = renumber(EntangledQuery {
-        id: eq_ir::QueryId(0),
-        head,
-        postconditions,
-        body,
-        constraints: Vec::new(),
-        choose: stmt.choose,
-    });
+    // Apply the accumulated substitution, then renumber densely in
+    // first-occurrence order (head, postconditions, body) so lowering
+    // output is deterministic.
+    for atom in head.iter_mut().chain(&mut postconditions).chain(&mut body) {
+        for t in &mut atom.terms {
+            *t = cx.resolve(*t);
+        }
+    }
+    let mut q = EntangledQuery::new(head, postconditions, body).with_choose(stmt.choose);
+    q.rename_apart_in_place(&VarGen::new());
     q.validate()
         .map_err(|e| ParseError::general(e.to_string()))?;
     Ok(q)
@@ -172,13 +160,13 @@ impl Lowering {
             let columns = catalog
                 .columns(rel)
                 .ok_or_else(|| ParseError::general(format!("unknown relation {}", tref.table)))?;
-            let mut terms = Vec::with_capacity(columns.len());
+            let mut terms = Terms::new();
             for &col in columns {
                 let v = self.fresh();
                 cols.insert((tref.alias.clone(), col.as_str().to_owned()), v);
                 terms.push(Term::Var(v));
             }
-            body.push(Atom::new(rel, terms));
+            body.push(Atom::with_terms(rel, terms));
         }
 
         let lookup = |cols: &FastMap<(String, String), Var>,
@@ -228,51 +216,6 @@ impl Lowering {
         let proj = lookup(&cols, &sub.column)?;
         let outer = self.name_var(outer_name);
         self.equate(Term::Var(outer), Term::Var(proj))
-    }
-}
-
-/// Renumbers variables densely in first-occurrence order (head, then
-/// postconditions, then body) so lowering output is deterministic.
-fn renumber(q: EntangledQuery) -> EntangledQuery {
-    let mut map: FastMap<Var, Var> = FastMap::default();
-    let mut next = 0u32;
-    let rename = |atom: &Atom, map: &mut FastMap<Var, Var>, next: &mut u32| Atom {
-        relation: atom.relation,
-        terms: atom
-            .terms
-            .iter()
-            .map(|t| match t {
-                Term::Var(v) => Term::Var(*map.entry(*v).or_insert_with(|| {
-                    let nv = Var(*next);
-                    *next += 1;
-                    nv
-                })),
-                Term::Const(_) => *t,
-            })
-            .collect(),
-    };
-    let head = q
-        .head
-        .iter()
-        .map(|a| rename(a, &mut map, &mut next))
-        .collect();
-    let postconditions = q
-        .postconditions
-        .iter()
-        .map(|a| rename(a, &mut map, &mut next))
-        .collect();
-    let body = q
-        .body
-        .iter()
-        .map(|a| rename(a, &mut map, &mut next))
-        .collect();
-    EntangledQuery {
-        id: q.id,
-        head,
-        postconditions,
-        body,
-        constraints: q.constraints,
-        choose: q.choose,
     }
 }
 

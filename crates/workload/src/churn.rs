@@ -66,7 +66,7 @@ impl Default for ChurnConfig {
 }
 
 fn reserve(user: Term, dest: Term) -> Atom {
-    Atom::new("Reserve", vec![user, dest])
+    Atom::with_terms("Reserve", [user, dest])
 }
 
 /// Generates a deterministic churn script. The returned ops contain
@@ -172,12 +172,12 @@ pub(crate) fn pair_query_in(
     let d = Term::Const(dest);
     let c = Term::Var(Var(0));
     EntangledQuery::new(
-        vec![Atom::new(head_relation, vec![m, d])],
-        vec![Atom::new(post_relation, vec![p, d])],
+        vec![Atom::with_terms(head_relation, [m, d])],
+        vec![Atom::with_terms(post_relation, [p, d])],
         vec![
-            Atom::new("Friends", vec![m, p]),
-            Atom::new("User", vec![m, c]),
-            Atom::new("User", vec![p, c]),
+            Atom::with_terms("Friends", [m, p]),
+            Atom::with_terms("User", [m, c]),
+            Atom::with_terms("User", [p, c]),
         ],
     )
 }

@@ -173,19 +173,19 @@ pub fn giant_component(cfg: &GiantComponentConfig) -> (Database, Vec<EntangledQu
             let me = Term::Const(user(i, n));
             let next = Term::Const(user(i + 1, n));
             let mut body = vec![
-                Atom::new(FRIENDS, vec![me, x]),
-                Atom::new(FRIENDS, vec![x, y]),
+                Atom::with_terms(FRIENDS, [me, x]),
+                Atom::with_terms(FRIENDS, [x, y]),
             ];
             let (head, pc) = match cfg.body {
                 GiantBody::Chain => (
-                    Atom::new(RESERVE, vec![me, hub]),
-                    Atom::new(RESERVE, vec![next, hub]),
+                    Atom::with_terms(RESERVE, [me, hub]),
+                    Atom::with_terms(RESERVE, [next, hub]),
                 ),
                 GiantBody::Triangle => {
-                    body.push(Atom::new(FRIENDS, vec![y, me]));
+                    body.push(Atom::with_terms(FRIENDS, [y, me]));
                     (
-                        Atom::new(RESERVE, vec![me, hub]),
-                        Atom::new(RESERVE, vec![next, hub]),
+                        Atom::with_terms(RESERVE, [me, hub]),
+                        Atom::with_terms(RESERVE, [next, hub]),
                     )
                 }
                 GiantBody::SharedChain | GiantBody::SharedWide => {
@@ -194,7 +194,7 @@ pub fn giant_component(cfg: &GiantComponentConfig) -> (Database, Vec<EntangledQu
                         // query, so each region's local solution count
                         // multiplies by k while the articulation domain
                         // (values of x) does not grow.
-                        body.push(Atom::new(FRIENDS, vec![x, z]));
+                        body.push(Atom::with_terms(FRIENDS, [x, z]));
                     }
                     // Query 0 anchors with a ground head; query n-1
                     // closes the entanglement ring with the matching
@@ -202,14 +202,14 @@ pub fn giant_component(cfg: &GiantComponentConfig) -> (Database, Vec<EntangledQu
                     // own body's x and demands the successor reserve
                     // this body's y — matching chains the variables.
                     let head = if i == 0 {
-                        Atom::new(RESERVE, vec![me, hub])
+                        Atom::with_terms(RESERVE, [me, hub])
                     } else {
-                        Atom::new(RESERVE, vec![me, x])
+                        Atom::with_terms(RESERVE, [me, x])
                     };
                     let pc = if i == n - 1 {
-                        Atom::new(RESERVE, vec![next, hub])
+                        Atom::with_terms(RESERVE, [next, hub])
                     } else {
-                        Atom::new(RESERVE, vec![next, y])
+                        Atom::with_terms(RESERVE, [next, y])
                     };
                     (head, pc)
                 }

@@ -26,15 +26,15 @@ pub enum PairStyle {
 }
 
 fn reserve(user: Term, dest: Term) -> Atom {
-    Atom::new(RESERVE, vec![user, dest])
+    Atom::with_terms(RESERVE, [user, dest])
 }
 
 fn friends(a: Term, b: Term) -> Atom {
-    Atom::new(FRIENDS, vec![a, b])
+    Atom::with_terms(FRIENDS, [a, b])
 }
 
 fn user(name: Term, home: Term) -> Atom {
-    Atom::new(USER, vec![name, home])
+    Atom::with_terms(USER, [name, home])
 }
 
 /// Generates `n` queries (n/2 mutually-coordinating friend pairs), in a

@@ -279,8 +279,8 @@ pub fn scale_service_script(graph: &SocialGraph, cfg: &ScaleServiceConfig) -> Sc
             let d = Term::Const(graph.airport_value(rng.gen_range(0..graph.num_airports())));
             subs.push(ScriptSubmission {
                 query: EntangledQuery::new(
-                    vec![Atom::new(rel.as_str(), vec![me, d])],
-                    vec![Atom::new(rel.as_str(), vec![ghost, d])],
+                    vec![Atom::with_terms(rel.as_str(), [me, d])],
+                    vec![Atom::with_terms(rel.as_str(), [ghost, d])],
                     vec![],
                 )
                 .with_id(QueryId(subs.len() as u64)),
@@ -298,9 +298,12 @@ pub fn scale_service_script(graph: &SocialGraph, cfg: &ScaleServiceConfig) -> Sc
             for (me, partner) in [(a, b), (b, a)] {
                 subs.push(ScriptSubmission {
                     query: EntangledQuery::new(
-                        vec![Atom::new(rel.as_str(), vec![me, d])],
-                        vec![Atom::new(rel.as_str(), vec![partner, d])],
-                        vec![Atom::new("User", vec![Term::var(Var(0)), Term::str(LIMBO)])],
+                        vec![Atom::with_terms(rel.as_str(), [me, d])],
+                        vec![Atom::with_terms(rel.as_str(), [partner, d])],
+                        vec![Atom::with_terms(
+                            "User",
+                            [Term::var(Var(0)), Term::str(LIMBO)],
+                        )],
                     )
                     .with_id(QueryId(subs.len() as u64)),
                     staleness: None,

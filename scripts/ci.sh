@@ -149,23 +149,24 @@ echo "== 14/14 benchmark package: unit tests + a short run of all five workloads
 # under a ceiling of a measured median + 10 %, each measured with these
 # 2 s runs on a 2-core x86-64 box, median of 5 runs (alternated with 5
 # of the parent), and looked up by workload name, so both giant_shared
-# runs are held to one ceiling. Since tables store each value once — a
-# value dictionary per table, rows as 4-byte codes, one packed posting
-# arena per column in place of a slab of 16-byte cells and a hash map
-# of `Vec`s per column — the medians are: pairs_durable 174.1 MB (it
-# was 243.1, its three copies of the pairs database setting the peak),
-# pairs_incremental 126.3 MB (152.6), cliques_paged 104.9 MB (124.5:
-# its paged Friends' memory-resident index is the same one), churn_sharded
-# 258.8 MB (264.0) and giant_shared 64.7 MB (74.3; 64.1 and 63.5 at
-# seed 7). Earlier steps down: giant_shared from 98.2 MB when its flush
+# runs are held to one ceiling. Since atoms keep up to two terms inline
+# — a binary atom, every atom of these workloads, owns no allocation, so
+# a pending pair query is 3 allocations, not 8 — and admission renames
+# the submitted query in place, the medians are: churn_sharded 221.3 MB
+# (it was 256.4, the largest peak of the five), pairs_incremental
+# 103.3 MB (126.3), cliques_paged 88.8 MB (105.3), pairs_durable
+# 156.0 MB (174.5) and giant_shared 59.1 MB (64.2; 58.9 and 63.9 at
+# seed 7). Earlier steps down: pairs_durable from 243.1 MB
+# when tables stored each value once (its three copies of the pairs
+# database had set the peak), giant_shared from 98.2 MB when its flush
 # stopped copying the component, cliques_paged from 155.2 MB when the
-# loader streamed rows into the tables, pairs_durable from 265.9 MB when
-# recovery decoded rows straight into each table's slab, and
-# pairs_incremental from 183.9 MB when a pending query stopped holding a
-# per-query outcome channel. Each workload's five runs lay within 2 MB
-# of each other.
-declare -A rss_ceiling_mb=([pairs_incremental]=138.9 [churn_sharded]=284.6 [giant_shared]=71.2
-    [cliques_paged]=115.4 [pairs_durable]=191.6)
+# loader streamed rows into the tables, pairs_durable from 265.9 MB
+# when recovery decoded rows straight into each table's slab, and
+# pairs_incremental from 183.9 MB when a pending query stopped holding
+# a per-query outcome channel. Each workload's five runs lay within
+# 1.2 MB of each other.
+declare -A rss_ceiling_mb=([pairs_incremental]=113.6 [churn_sharded]=243.4 [giant_shared]=65.0
+    [cliques_paged]=97.7 [pairs_durable]=171.6)
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 for run in "pairs_incremental" "churn_sharded" "cliques_paged" "giant_shared" "giant_shared --seed 7" \
     "pairs_durable"; do
