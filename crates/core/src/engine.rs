@@ -315,9 +315,12 @@ pub struct BatchReport {
     /// Aggregated matching statistics.
     pub stats: MatchStats,
     /// Unifier `merge_from` folds performed while producing this
-    /// report (seeding, propagation, global folds, probe assembly) —
-    /// the delta of [`eq_unify::ops`]'s process counter across the
-    /// operation.
+    /// report — the delta of [`eq_unify::ops`]'s process counter across
+    /// the operation. Matching's SCC `fold` is the only counted caller:
+    /// it merges members and predecessors into an SCC's seed and each
+    /// SCC into the component's global unifier. Seeding
+    /// (`Unifier::unify_atoms`) and admission probes
+    /// (`eq_unify::unifiable`) are not counted.
     pub unify_merges: u64,
     /// `Unifier::clone` calls across the operation. The engine's
     /// matching / admission / combine paths move or merge unifiers in

@@ -1,23 +1,19 @@
-//! Differential-oracle harness for the undo-log `Unifier`.
+//! Differential-oracle harness for the `Unifier`.
 //!
 //! A script interpreter drives the production table and the frozen
-//! clone-based [`crate::oracle::OracleUnifier`] through the same random
-//! interleaving of `equate` / `bind` / `unify_terms` / `merge_from` /
-//! `snapshot` / `rollback` / `commit` — including merges that conflict
-//! inside nested snapshots — and asserts **observational equivalence
-//! after every single step**: identical `classes()`, identical lengths,
-//! identical success/conflict results. The oracle models speculation
-//! the expensive way the engine used to: `snapshot` pushes a deep
-//! clone, `rollback` pops and restores it, `commit` pops and discards.
+//! reference [`crate::oracle::OracleUnifier`] through the same random
+//! sequence of `equate` / `bind` / `unify_terms` / `merge_from` —
+//! conflicting merges included — and asserts **observational
+//! equivalence after every single step**: identical `classes()`,
+//! identical lengths, identical success/conflict results.
 //!
-//! The internal forests are allowed to differ (representatives are not
-//! part of the observable contract; `classes()` is canonical), which is
-//! exactly why the harness catches undo-log bugs: any missed or
-//! mis-ordered undo entry shows up as a partition/constant divergence
-//! on the next comparison.
+//! The internal forests are allowed to differ (the production `find`
+//! compresses paths, the oracle's does not; `classes()` is canonical),
+//! so a union, constant or compression bug shows up as a
+//! partition/constant divergence on the next comparison.
 
 use crate::oracle::OracleUnifier;
-use crate::{Conflict, Snapshot, Unifier};
+use crate::{Conflict, Unifier};
 use eq_ir::{Term, Value, Var};
 use proptest::prelude::*;
 
@@ -33,9 +29,6 @@ enum ScriptOp {
     UnifyTerms(Term, Term),
     /// Merge one of the prebuilt operand tables (by pool index).
     MergeFrom(usize),
-    Snapshot,
-    Rollback,
-    Commit,
 }
 
 /// A pool operand described as a build script (equates/binds, failures
@@ -72,9 +65,6 @@ fn arb_script() -> impl Strategy<Value = Vec<ScriptOp>> {
                 .prop_map(|(v, c)| ScriptOp::Bind(Var(v), Value::int(c))),
             (arb_term(), arb_term()).prop_map(|(a, b)| ScriptOp::UnifyTerms(a, b)),
             (0..POOL).prop_map(ScriptOp::MergeFrom),
-            Just(ScriptOp::Snapshot),
-            Just(ScriptOp::Rollback),
-            Just(ScriptOp::Commit),
         ],
         0..40,
     )
@@ -138,193 +128,47 @@ fn assert_same_observables(subject: &Unifier, oracle: &OracleUnifier, step: usiz
     );
 }
 
-/// Interpreter state: the production table with its LIFO snapshot
-/// tokens, and the oracle with its clone stack.
-struct Differential {
-    subject: Unifier,
-    tokens: Vec<Snapshot>,
-    oracle: OracleUnifier,
-    saved: Vec<OracleUnifier>,
-}
-
-impl Differential {
-    fn new() -> Self {
-        Differential {
-            subject: Unifier::new(),
-            tokens: Vec::new(),
-            oracle: OracleUnifier::new(),
-            saved: Vec::new(),
-        }
-    }
-
-    /// Applies one op to both sides, asserting the outcomes agree.
-    fn step(&mut self, op: &ScriptOp, pool: &[(Unifier, OracleUnifier)], step: usize) {
-        match op {
-            ScriptOp::Equate(a, b) => {
-                let ru = self.subject.equate(*a, *b);
-                let ro = self.oracle.equate(*a, *b);
-                assert!(results_agree(&ru, &ro), "equate diverged at step {step}");
-            }
-            ScriptOp::Bind(v, c) => {
-                let ru = self.subject.bind(*v, *c);
-                let ro = self.oracle.bind(*v, *c);
-                assert!(results_agree(&ru, &ro), "bind diverged at step {step}");
-            }
-            ScriptOp::UnifyTerms(a, b) => {
-                let ru = self.subject.unify_terms(*a, *b);
-                let ro = self.oracle.unify_terms(*a, *b);
-                assert!(
-                    results_agree(&ru, &ro),
-                    "unify_terms diverged at step {step}"
-                );
-            }
-            ScriptOp::MergeFrom(i) => {
-                // Conflicting merges are the interesting case: both
-                // sides stop at the same class, so even the partially
-                // merged states must observe identically (and a later
-                // rollback must erase the production side's residue).
-                let (ref pu, ref po) = pool[*i];
-                let ru = self.subject.merge_from(pu);
-                let ro = self.oracle.merge_from(po);
-                assert!(
-                    results_agree(&ru, &ro),
-                    "merge_from diverged at step {step}"
-                );
-            }
-            ScriptOp::Snapshot => {
-                self.tokens.push(self.subject.snapshot());
-                self.saved.push(self.oracle.clone());
-            }
-            ScriptOp::Rollback => {
-                if let (Some(token), Some(prev)) = (self.tokens.pop(), self.saved.pop()) {
-                    self.subject
-                        .rollback_to(token)
-                        .expect("LIFO token must be accepted");
-                    self.oracle = prev;
-                }
-            }
-            ScriptOp::Commit => {
-                if let (Some(token), Some(_)) = (self.tokens.pop(), self.saved.pop()) {
-                    self.subject
-                        .commit(token)
-                        .expect("LIFO token must be accepted");
-                }
-            }
-        }
-        assert_same_observables(&self.subject, &self.oracle, step);
-        if self.tokens.is_empty() {
-            assert_eq!(
-                self.subject.undo_len(),
-                0,
-                "undo log must be empty with no open snapshots (step {step})"
-            );
-        }
-    }
+/// Applies one op to both sides, asserting the outcomes agree and the
+/// two tables observe identically afterwards.
+fn step(
+    subject: &mut Unifier,
+    oracle: &mut OracleUnifier,
+    op: &ScriptOp,
+    pool: &[(Unifier, OracleUnifier)],
+    at: usize,
+) {
+    let (ru, ro) = match op {
+        ScriptOp::Equate(a, b) => (subject.equate(*a, *b), oracle.equate(*a, *b)),
+        ScriptOp::Bind(v, c) => (subject.bind(*v, *c), oracle.bind(*v, *c)),
+        ScriptOp::UnifyTerms(a, b) => (subject.unify_terms(*a, *b), oracle.unify_terms(*a, *b)),
+        // Conflicting merges are the interesting case: both sides stop
+        // at the same class, so even the partially merged states must
+        // observe identically.
+        ScriptOp::MergeFrom(i) => (
+            subject.merge_from(&pool[*i].0),
+            oracle.merge_from(&pool[*i].1),
+        ),
+    };
+    assert!(results_agree(&ru, &ro), "{op:?} diverged at step {at}");
+    assert_same_observables(subject, oracle, at);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// The headline differential property: the undo-log table and the
-    /// clone-based oracle observe identically after every step of a
-    /// random op/snapshot interleaving, and again after unwinding every
-    /// snapshot still open at end of script by rollback.
+    /// The production table and the reference oracle observe
+    /// identically after every step of a random script.
     #[test]
-    fn undo_log_table_equals_clone_oracle(
+    fn unifier_equals_reference_oracle(
         script in arb_script(),
         pool_scripts in proptest::collection::vec(arb_build_ops(), POOL..=POOL),
     ) {
         let pool: Vec<(Unifier, OracleUnifier)> =
             pool_scripts.iter().map(|s| build_operand(s)).collect();
-        let mut d = Differential::new();
+        let mut subject = Unifier::new();
+        let mut oracle = OracleUnifier::new();
         for (i, op) in script.iter().enumerate() {
-            d.step(op, &pool, i);
+            step(&mut subject, &mut oracle, op, &pool, i);
         }
-        // Unwind what's left open, innermost first, comparing after
-        // each pop — the "nested rollbacks included" leg.
-        let mut step = script.len();
-        while let (Some(token), Some(prev)) = (d.tokens.pop(), d.saved.pop()) {
-            d.subject.rollback_to(token).expect("LIFO unwind");
-            d.oracle = prev;
-            assert_same_observables(&d.subject, &d.oracle, step);
-            step += 1;
-        }
-        prop_assert_eq!(d.subject.undo_len(), 0);
-        prop_assert_eq!(d.subject.open_snapshots(), 0);
-    }
-
-    /// Commit-side unwind: committing every open snapshot keeps the
-    /// final speculative state and still matches the oracle (whose
-    /// commit is simply dropping the saved clone).
-    #[test]
-    fn commit_unwind_matches_oracle(
-        script in arb_script(),
-        pool_scripts in proptest::collection::vec(arb_build_ops(), POOL..=POOL),
-    ) {
-        let pool: Vec<(Unifier, OracleUnifier)> =
-            pool_scripts.iter().map(|s| build_operand(s)).collect();
-        let mut d = Differential::new();
-        for (i, op) in script.iter().enumerate() {
-            d.step(op, &pool, i);
-        }
-        while let (Some(token), Some(_)) = (d.tokens.pop(), d.saved.pop()) {
-            d.subject.commit(token).expect("LIFO unwind");
-            assert_same_observables(&d.subject, &d.oracle, usize::MAX);
-        }
-        prop_assert_eq!(d.subject.undo_len(), 0);
-    }
-
-    /// Rollback is an exact inverse: a snapshot taken after an arbitrary
-    /// build, followed by arbitrary further mutation (conflicts and
-    /// all), rolls back to the *bit-identical* class list — not just an
-    /// equivalent one — with `len()` restored.
-    #[test]
-    fn rollback_is_exact_inverse(
-        base in arb_build_ops(),
-        extra in arb_script(),
-        pool_scripts in proptest::collection::vec(arb_build_ops(), POOL..=POOL),
-    ) {
-        let pool: Vec<(Unifier, OracleUnifier)> =
-            pool_scripts.iter().map(|s| build_operand(s)).collect();
-        let (mut u, _) = build_operand(&base);
-        let before_classes = u.classes();
-        let before_len = u.len();
-        let snap = u.snapshot();
-        let mut inner: Vec<Snapshot> = Vec::new();
-        for op in &extra {
-            match op {
-                ScriptOp::Equate(a, b) => {
-                    let _ = u.equate(*a, *b);
-                }
-                ScriptOp::Bind(v, c) => {
-                    let _ = u.bind(*v, *c);
-                }
-                ScriptOp::UnifyTerms(a, b) => {
-                    let _ = u.unify_terms(*a, *b);
-                }
-                ScriptOp::MergeFrom(i) => {
-                    let _ = u.merge_from(&pool[*i].0);
-                }
-                ScriptOp::Snapshot => inner.push(u.snapshot()),
-                ScriptOp::Rollback => {
-                    if let Some(t) = inner.pop() {
-                        u.rollback_to(t).expect("LIFO token");
-                    }
-                }
-                ScriptOp::Commit => {
-                    if let Some(t) = inner.pop() {
-                        u.commit(t).expect("LIFO token");
-                    }
-                }
-            }
-        }
-        // Close whatever inner snapshots remain, then the outer one.
-        while let Some(t) = inner.pop() {
-            u.rollback_to(t).expect("LIFO unwind");
-        }
-        u.rollback_to(snap).expect("outer rollback");
-        prop_assert_eq!(u.classes(), before_classes);
-        prop_assert_eq!(u.len(), before_len);
-        prop_assert_eq!(u.undo_len(), 0);
     }
 }

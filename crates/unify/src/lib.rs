@@ -12,13 +12,11 @@
 //! absent from the forest are implicit singletons, so an empty `Unifier`
 //! imposes no constraints.
 //!
-//! Speculation is first-class: [`Unifier::snapshot`] opens an undo-log
-//! window, [`Unifier::rollback_to`] reverts it exactly (forest shape
-//! included) and [`Unifier::commit`] keeps it — so a backtracking caller
-//! (`mgu` itself) pays for the writes it makes instead of cloning whole
-//! tables. The [`ops`] module counts merges/rollbacks/clones
-//! process-wide; the engine's benchmark reports surface them and ci
-//! asserts the hot-path clone count is 0.
+//! Merges happen in place and are never undone: when a merge conflicts,
+//! Algorithm 1 removes the node, so the half-merged table is dropped.
+//! The [`ops`] module counts merges and clones process-wide; the
+//! engine's benchmark reports surface them and ci asserts the hot-path
+//! clone count is 0.
 
 #![forbid(unsafe_code)]
 
@@ -27,7 +25,7 @@ pub mod ops;
 mod unifier;
 
 pub use mgu::{mgu_atoms, mgu_terms, unifiable};
-pub use unifier::{Conflict, Snapshot, SnapshotError, Unifier};
+pub use unifier::{Conflict, Unifier};
 
 #[cfg(test)]
 mod differential;

@@ -11,42 +11,34 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static MERGES: AtomicU64 = AtomicU64::new(0);
-static ROLLBACKS: AtomicU64 = AtomicU64::new(0);
-static SNAPSHOTS: AtomicU64 = AtomicU64::new(0);
 static CLONES: AtomicU64 = AtomicU64::new(0);
-static UNDO_HIGH_WATER: AtomicU64 = AtomicU64::new(0);
 
 /// A point-in-time reading of the process-wide unifier counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UnifyOps {
     /// [`crate::Unifier::merge_from`] invocations (every in-place MGU
-    /// fold: seeding, propagation, global folds, probe assembly).
+    /// fold of a whole table; [`crate::Unifier::unify_atoms`] is not
+    /// counted).
     pub merges: u64,
-    /// Snapshots closed by rollback (speculation rejected in place).
+    /// Always 0: the unifier has no rollback. Kept until the benchmark
+    /// drops its `unify.rollbacks` row (ROADMAP item 2).
     pub rollbacks: u64,
-    /// Snapshots opened.
-    pub snapshots: u64,
     /// `Unifier::clone` calls. The engine's matching / admission /
     /// combine paths must keep this at 0 — ci asserts the delta across
-    /// a benchmark flush — leaving the differential-oracle tests as the
-    /// only sanctioned cloners.
+    /// a benchmark flush — leaving tests as the only cloners.
     pub clones: u64,
-    /// Highest undo-log length observed when a snapshot was closed: the
-    /// peak in-flight speculation footprint, in logged writes.
+    /// Always 0: the unifier has no undo log. Kept until the benchmark
+    /// drops its `unify.undo_high_water` row (ROADMAP item 2).
     pub undo_high_water: u64,
 }
 
 impl UnifyOps {
-    /// Counter movement since the `earlier` reading. The high-water
-    /// mark is a running peak, not a sum, so it is carried over rather
-    /// than subtracted.
+    /// Counter movement since the `earlier` reading.
     pub fn delta_since(&self, earlier: &UnifyOps) -> UnifyOps {
         UnifyOps {
             merges: self.merges.saturating_sub(earlier.merges),
-            rollbacks: self.rollbacks.saturating_sub(earlier.rollbacks),
-            snapshots: self.snapshots.saturating_sub(earlier.snapshots),
             clones: self.clones.saturating_sub(earlier.clones),
-            undo_high_water: self.undo_high_water,
+            ..UnifyOps::default()
         }
     }
 }
@@ -55,10 +47,8 @@ impl UnifyOps {
 pub fn global() -> UnifyOps {
     UnifyOps {
         merges: MERGES.load(Ordering::Relaxed),
-        rollbacks: ROLLBACKS.load(Ordering::Relaxed),
-        snapshots: SNAPSHOTS.load(Ordering::Relaxed),
         clones: CLONES.load(Ordering::Relaxed),
-        undo_high_water: UNDO_HIGH_WATER.load(Ordering::Relaxed),
+        ..UnifyOps::default()
     }
 }
 
@@ -66,38 +56,8 @@ pub(crate) fn count_merge() {
     MERGES.fetch_add(1, Ordering::Relaxed);
 }
 
-pub(crate) fn count_rollback() {
-    ROLLBACKS.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn count_snapshot() {
-    SNAPSHOTS.fetch_add(1, Ordering::Relaxed);
-}
-
 pub(crate) fn count_clone() {
     CLONES.fetch_add(1, Ordering::Relaxed);
-    #[cfg(test)]
-    THREAD_CLONES.with(|c| c.set(c.get() + 1));
-}
-
-#[cfg(test)]
-thread_local! {
-    static THREAD_CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// `Unifier::clone` calls made on the calling thread. `cargo test` runs
-/// sibling tests — the differential oracles clone freely — on other
-/// threads of the same process, so a unit test asserting "this call did
-/// not clone" must not read the process total.
-#[cfg(test)]
-pub(crate) fn clones_on_this_thread() -> u64 {
-    THREAD_CLONES.with(std::cell::Cell::get)
-}
-
-/// Records the undo-log length at a snapshot-close boundary. The log
-/// only grows between closes, so sampling here captures the peak.
-pub(crate) fn note_undo_high_water(len: usize) {
-    UNDO_HIGH_WATER.fetch_max(len as u64, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -105,26 +65,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn delta_subtracts_monotone_counters_but_keeps_peak() {
+    fn delta_subtracts_monotone_counters() {
         let earlier = UnifyOps {
             merges: 10,
-            rollbacks: 1,
-            snapshots: 4,
             clones: 2,
-            undo_high_water: 7,
+            ..UnifyOps::default()
         };
         let later = UnifyOps {
             merges: 15,
-            rollbacks: 3,
-            snapshots: 9,
             clones: 2,
-            undo_high_water: 7,
+            ..UnifyOps::default()
         };
         let d = later.delta_since(&earlier);
         assert_eq!(d.merges, 5);
-        assert_eq!(d.rollbacks, 2);
-        assert_eq!(d.snapshots, 5);
         assert_eq!(d.clones, 0);
-        assert_eq!(d.undo_high_water, 7);
     }
 }

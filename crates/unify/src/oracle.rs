@@ -1,28 +1,26 @@
-//! A frozen, clone-based reference `Unifier` for differential testing.
+//! A frozen reference `Unifier` for differential testing.
 //!
-//! [`OracleUnifier`] is a copy of the pre-undo-log implementation: a
-//! plain disjoint-set forest with union by rank, no undo machinery, and
-//! no interior mutability (`find` walks without compressing — roots,
+//! [`OracleUnifier`] is a plain disjoint-set forest with union by rank
+//! and no interior mutability (`find` walks without compressing — roots,
 //! and therefore every observable, are identical either way). The
-//! differential harness ([`crate::differential`]) models snapshots on
-//! this oracle the expensive way — `snapshot` pushes a full clone,
-//! `rollback` pops and restores it, `commit` pops and discards — and
-//! asserts the production table observes identically after every step.
+//! differential harness ([`crate::differential`]) drives it and the
+//! production table through the same script and asserts they observe
+//! identically after every step.
 //!
 //! Deliberately duplicated rather than shared with the production code:
 //! the whole point is that this copy does **not** evolve with it.
 
 use eq_ir::{FastMap, Term, Value, Var};
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct ONode {
     parent: Var,
     rank: u8,
     constant: Option<Value>,
 }
 
-/// The paper's §4.1.3 unifier, clone-based-speculation era.
-#[derive(Clone, Debug, Default)]
+/// The paper's §4.1.3 unifier, written as simply as possible.
+#[derive(Debug, Default)]
 pub struct OracleUnifier {
     nodes: FastMap<Var, ONode>,
 }

@@ -8,13 +8,16 @@ CI runs offline. Anchors are checked for same-file links only in the
 cheap way: the heading must appear somewhere in the target file as a
 `#` heading whose slug matches.
 
-It also fails when the docs drift from the types crates/core/src/lib.rs
-exports. README's `EngineConfig` field table (and its "has N fields"
-count) must list exactly the fields of `pub struct EngineConfig`. And a
-code span `<T>::<name>` in README.md or docs/**, where `<T>` is an
-exported type, must name one of `<T>`'s `pub` fields or variants, a
-`pub` or `pub(crate)` fn of an inherent `impl <T>`, or a fn of a trait
-impl for `<T>` (a derived `Default` counts as `default`).
+It also fails when the docs drift from the types that
+crates/core/src/lib.rs and crates/unify/src/lib.rs export. README's
+`EngineConfig` field table (and its "has N fields" count) must list
+exactly the fields of `pub struct EngineConfig`. And a code span
+`<T>::<name>` in README.md or docs/**, where `<T>` is a type either
+crate exports (`eq_core`'s, or `eq_unify`'s `Unifier` and `Conflict`),
+optionally prefixed with its crate, must name one of `<T>`'s `pub`
+fields or variants, a `pub` or `pub(crate)` fn of an inherent
+`impl <T>` in that crate, or a fn of a trait impl for `<T>` (a derived
+`Default` counts as `default`).
 
 And it fails when a code span in README.md or docs/** names an
 `eq_core::<path>` that crates/core/src does not declare `pub`: the
@@ -31,14 +34,15 @@ from pathlib import Path
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 REPO = Path(__file__).resolve().parent.parent
 CORE = REPO / "crates" / "core" / "src"
+UNIFY = REPO / "crates" / "unify" / "src"
 ENGINE = CORE / "engine.rs"
 CONFIG_TABLE = re.compile(
     r"`EngineConfig` has (\d+) fields:\s*\n\s*\n\| Field \|[^\n]*\n\|[-| ]+\|\n((?:\|[^\n]*\n)+)"
 )
 
 
-def core_sources() -> str:
-    return "\n".join(p.read_text(encoding="utf-8") for p in sorted(CORE.glob("*.rs")))
+def crate_sources(crate: Path) -> str:
+    return "\n".join(p.read_text(encoding="utf-8") for p in sorted(crate.glob("*.rs")))
 
 
 def type_api(src: str, name: str) -> tuple[list[str], set[str]]:
@@ -86,22 +90,34 @@ def config_drift(src: str) -> list[str]:
     return errors
 
 
-def type_member_drift(files: list[Path], src: str) -> list[str]:
-    lib = (CORE / "lib.rs").read_text(encoding="utf-8")
-    types = {n for n in pub_names(lib) if n[0].isupper()}
+def type_member_drift(files: list[Path], crates: dict[str, Path]) -> list[str]:
+    """`T::member` spans against the types each of `crates` (crate name
+    -> its src directory) exports from its lib.rs."""
+    srcs = {crate: crate_sources(src_dir) for crate, src_dir in crates.items()}
+    owners = {}
+    for crate, src_dir in crates.items():
+        for name in pub_names((src_dir / "lib.rs").read_text(encoding="utf-8")):
+            if name[0].isupper():
+                owners.setdefault(name, []).append(crate)
     apis = {}
     errors = []
     for f in files:
         text = f.read_text(encoding="utf-8")
         paths = {p for span in CODE_SPAN.findall(text) for p in TYPE_PATH.findall(span)}
         for path in sorted(paths):
-            segments = path.removeprefix("eq_core::").split("::")
-            if len(segments) < 2 or segments[0] not in types:
+            segments = path.split("::")
+            if segments[0] in srcs:
+                crate, segments = segments[0], segments[1:]
+                owning = [crate] if crate in owners.get(segments[0], []) else []
+            else:
+                owning = owners.get(segments[0], [])
+            if len(segments) < 2 or not owning:
                 continue
             ty, name = segments[:2]
-            if ty not in apis:
-                apis[ty] = type_api(src, ty)[1]
-            if name not in apis[ty]:
+            for crate in owning:
+                if (crate, ty) not in apis:
+                    apis[crate, ty] = type_api(srcs[crate], ty)[1]
+            if not any(name in apis[crate, ty] for crate in owning):
                 errors.append(f"{f.relative_to(REPO)}: no such {ty}::{name}")
     return errors
 
@@ -193,9 +209,9 @@ def main() -> int:
                     errors.append(
                         f"{f.relative_to(REPO)}: missing anchor -> {target}"
                     )
-    src = core_sources()
+    src = crate_sources(CORE)
     errors += config_drift(src)
-    errors += type_member_drift(files, src)
+    errors += type_member_drift(files, {"eq_core": CORE, "eq_unify": UNIFY})
     errors += core_path_drift(files, src)
     if errors:
         print("dead links, EngineConfig, type member or eq_core path drift found:", file=sys.stderr)

@@ -6,7 +6,7 @@
 # eq_core-path check,
 # the eq_check concurrency-discipline
 # analyzer (workspace scan + fixture suite), the differential-oracle
-# proptests for the undo-log unifier and for matching's one-pass
+# proptests for the unifier and for matching's one-pass
 # propagation (against Algorithm 1's worklist) and the equivalence
 # proptests that guard the one admission step (batch = sequential
 # submits = `MatchGraph::build`, single vs batched across shards), the small-stack
@@ -83,11 +83,11 @@ echo "== 10/14 eq_check concurrency-discipline analyzer =="
 cargo run -q --offline -p eq_check
 cargo run -q --offline -p eq_check -- --fixtures
 
-echo "== 11/14 differential and equivalence proptests (undo-log unifier vs clone oracle; one-pass matching vs worklist; the one admission step) =="
-# The undo-log snapshot/commit/rollback table must stay observationally
-# equivalent to the frozen clone-based oracle through random
-# op/snapshot interleavings (conflicting merges inside nested snapshots
-# included). Matching's one pass over the condensation must keep
+echo "== 11/14 differential and equivalence proptests (unifier vs reference oracle; one-pass matching vs worklist; the one admission step) =="
+# The union-find unifier must stay observationally equivalent to the
+# frozen reference oracle after every step of random equate / bind /
+# unify_terms / merge_from scripts (conflicting merges included).
+# Matching's one pass over the condensation must keep
 # Algorithm 1's worklist survivors, removals and global classes on
 # random conflicting components, and its folded-entry count must stay
 # linear on a ring with a conflicting sink. Every way into an engine is
@@ -96,21 +96,22 @@ echo "== 11/14 differential and equivalence proptests (undo-log unifier vs clone
 # `MatchGraph::build` edge id for edge id, and single submits and
 # batches give the same ids, outcomes and per-session events on 1, 2
 # and 4 shards. Step 4 runs these too; this explicit invocation keeps
-# the harnesses from silently dropping out of the suite, and each
-# equivalence must run exactly one test under its name.
-cargo test -q --offline -p eq_unify differential
+# the harnesses from silently dropping out of the suite, and the
+# unifier's oracle property and each equivalence must run exactly one
+# test under its name.
 cargo test -q --offline -p eq_core --lib matching
-for named in "service_proptest submit_batch_is_equivalent_to_sequential_submits" \
-    "invariants_proptest one_edge_definition_for_build_pairwise_and_engine" \
-    "shard_dispatch_proptest shard_counts_are_observationally_identical"; do
-    read -r suite name <<<"$named"
-    out=$(cargo test -q --offline -p eq_core --test "$suite" -- --exact "$name" 2>&1) || {
+for named in "eq_unify --lib differential::unifier_equals_reference_oracle" \
+    "eq_core --test=service_proptest submit_batch_is_equivalent_to_sequential_submits" \
+    "eq_core --test=invariants_proptest one_edge_definition_for_build_pairwise_and_engine" \
+    "eq_core --test=shard_dispatch_proptest shard_counts_are_observationally_identical"; do
+    read -r package target name <<<"$named"
+    out=$(cargo test -q --offline -p "$package" "$target" -- --exact "$name" 2>&1) || {
         echo "$out"
         exit 1
     }
     if ! grep -q "test result: ok. 1 passed" <<<"$out"; then
         echo "$out"
-        echo "FATAL: $suite::$name did not run" >&2
+        echo "FATAL: $package $target $name did not run" >&2
         exit 1
     fi
 done
