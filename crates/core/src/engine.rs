@@ -272,18 +272,22 @@ pub struct BatchReport {
     /// Biconnected regions dispatched as work items across those split
     /// units.
     pub intra_regions: usize,
-    /// Region-local solutions the region passes were handed across
-    /// split units (bottom-up projection + top-down pinned pick). Under
-    /// projection this tracks the articulation domain — a few per
-    /// witnessed value — rather than the regions' solution counts;
-    /// compare with [`BatchReport::intra_witness_peak`] to see how
-    /// little of it was retained.
+    /// Region-local solutions the region runs were handed across split
+    /// units. It equals [`BatchReport::intra_regions`] when every split
+    /// unit was answered by the first-choice descent (one pinned run per
+    /// region, one solution each). A unit whose descent dead-ended adds
+    /// its bottom-up projection and top-down pinned pick, which under
+    /// projection track the articulation domain — a few per witnessed
+    /// value — rather than the regions' solution counts; compare with
+    /// [`BatchReport::intra_witness_peak`] to see how little of it was
+    /// retained.
     pub intra_region_streamed: u64,
     /// Peak witness-map size — the most entries any single region's
     /// articulation-value witness set held — across split units
     /// (maximum, not sum). Bounded by the articulation-value domain
     /// width, **not** by region solution counts: this is the region
-    /// evaluator's memory guarantee, surfaced as a counter.
+    /// evaluator's memory guarantee, surfaced as a counter. 0 means the
+    /// descent answered every split unit and no witness set was built.
     pub intra_witness_peak: u64,
     /// Nanoseconds the **service shard locks** were held by the
     /// operation that produced this report (engine flush; event

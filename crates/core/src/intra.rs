@@ -56,48 +56,63 @@
 //! one vertex, the block-cut structure is a tree, and the articulation
 //! variables are exactly the join keys between regions.
 //!
-//! Region evaluation is Yannakakis over that tree, and it **pays for
-//! what it keeps**. A region is a list of indices into its unit's atoms
-//! and constraints, not a copy of them. The plan's atoms are checked
-//! against the database once, up front; then each pass resolves a
-//! region's conjunction (`eq_db`'s `Prepared`: table handles, variable
-//! slots, join-order ranks) when it reaches the region and drops it
-//! after that run, so one region's resolved query is alive at a time —
-//! the two passes resolve every region twice, which costs a few percent
-//! of the search. Bottom-up, children first, a region runs as a
+//! Region evaluation walks that tree, and it **pays for what it
+//! keeps**. A region is a list of indices into its unit's atoms and
+//! constraints, not a copy of them. The plan's atoms are checked against
+//! the database once, up front; then each run resolves a region's
+//! conjunction (`eq_db`'s `Prepared`: table handles, variable slots,
+//! join-order ranks) when the walk reaches the region and drops it after
+//! that run, so one region's resolved query is alive at a time.
+//!
+//! **First choices first.** The walk starts with a greedy descent from
+//! the root: every region runs with its parent articulation variable
+//! *pinned* to the value its parent's solution chose (an equality filter
+//! the evaluator applies through the index) and keeps its first
+//! solution. When every region has one, the bindings agree on every
+//! tree edge, so by running intersection they are a solution of the
+//! unit — one pinned run per region, nothing retained. A region with no
+//! solution under its pin is a dead end: the partial answer is dropped
+//! and the unit falls back to Yannakakis over the tree.
+//!
+//! **The fallback.** Bottom-up, children first, a region runs as a
 //! **projection** onto its parent articulation variable: it keeps a
 //! witness set of the values carried by some locally-extensible
 //! solution — memory proportional to the articulation-value domain,
 //! never to the region's solution count; a unit's witness sets share
-//! one sorted arena, probed by binary search — and tells the evaluator "done with this value" the
+//! one sorted arena, probed by binary search, allocated only when the
+//! fallback runs — and tells the evaluator "done with this value" the
 //! moment a value is witnessed, or a child value is found to have no
 //! witness, whereupon the search **backjumps** to the frame that bound
 //! it instead of enumerating the rest of that value's pre-image. Atoms
 //! whose terms are all bound by then are **filters** the memory-resident
 //! index decides without reading a row. A region therefore costs on the
 //! order of its articulation domain, not of its local solution count.
-//! Top-down from the root, the one joint answer is picked region by
-//! region: the region's conjunction runs again with its parent
-//! articulation variable *pinned* to the value the parent chose (an equality filter
-//! the evaluator applies through the index; a child's singleton witness
-//! set is pinned the same way), stopping at the first extensible
-//! solution. The result is **exact** — a solution is produced iff the
-//! unit has one — and **deterministic** (independent of thread count;
-//! the tree walk is sequential within a unit, units run in parallel),
-//! but it is the tree-join's first solution, not necessarily the one
-//! the sequential whole-unit backtracking search would find first; when
-//! a unit's solution is unique the two coincide. There is no
-//! enumeration cap and no fallback. Splitting itself is gated by a
-//! work/overhead crossover ([`SplitOptions::crossover`]): small units
-//! evaluate faster whole than through per-region dispatch.
+//! Then the descent's walk runs again, now keeping each region's first
+//! *extensible* solution under its pin (a child's singleton witness set
+//! is pinned the same way). A dead end costs at most one extra pinned
+//! run per region the descent visited before it.
+//!
+//! Both paths give the same answer: a first solution the descent showed
+//! to extend is the first extensible one under the same pin, and a pin
+//! never changes the evaluator's join order. The result is **exact** —
+//! a solution is produced iff the unit has one — and **deterministic**
+//! (independent of thread count; the tree walk is sequential within a
+//! unit, units run in parallel), but it is the tree-join's first
+//! solution, not necessarily the one the sequential whole-unit
+//! backtracking search would find first; when a unit's solution is
+//! unique the two coincide. There is no enumeration cap. Splitting
+//! itself is gated by a work/overhead crossover
+//! ([`SplitOptions::crossover`]): small units evaluate faster whole than
+//! through per-region dispatch.
 //!
 //! The first region evaluator — materialize every region's solutions up
 //! to a cap, semi-join the sets over the tree, fall back to whole-unit
 //! evaluation on cap overflow — survives only as the `#[cfg(test)]`
 //! oracle `materialized_reference`. The pinned run picks exactly the
 //! representative that semi-join keeps (neither pins nor skipped values
-//! influence the evaluator's join order), and the production path is
-//! property-tested against it answer for answer.
+//! influence the evaluator's join order), and the production path —
+//! descent and fallback alike — is property-tested against it answer
+//! for answer.
 //!
 //! Components below [`crate::EngineConfig::intra_component_threshold`]
 //! never reach this module — they evaluate through the plain
@@ -754,19 +769,21 @@ enum UnitResult {
 
 /// Evaluation counters for one plan. The first two are surfaced
 /// through `BatchReport::{intra_region_streamed, intra_witness_peak}`:
-/// how many region-local solutions the region passes were handed
-/// (bottom-up witness pass + top-down pinned pass — under projection, a
-/// few per articulation value rather than the region's solution count),
-/// and the peak entry count of any single region's witness set — the
-/// retained state, bounded by the articulation-value domain.
+/// how many region-local solutions the region runs were handed (one
+/// per region when the descent answers; after a dead end, plus the
+/// bottom-up witness pass and the pinned pick — under projection, a few
+/// per articulation value rather than the region's solution count), and
+/// the peak entry count of any single region's witness set — the
+/// retained state, bounded by the articulation-value domain, and 0 when
+/// the descent answered every split unit.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Region-local solutions consumed by split units.
     pub region_streamed: u64,
     /// Peak per-region witness-set entry count across split units.
     pub witness_peak: u64,
-    /// Peak region-local solutions any one bottom-up region run
-    /// consumed.
+    /// Peak region-local solutions any one bottom-up (witness pass)
+    /// region run consumed.
     pub region_streamed_peak: u64,
     /// What the evaluator did for the whole plan: the sum of the
     /// [`EvalStats`] of the ground residue, every whole unit and every
@@ -935,43 +952,38 @@ impl Witnesses {
     }
 }
 
-/// Region evaluation of one split unit (see the module docs). Each run
-/// resolves its region against the database when the pass reaches it
-/// and drops it after, so one region's resolved query is alive at a
-/// time.
+/// Region evaluation of one split unit (see the module docs): a greedy
+/// descent first, the witness pass and a pinned pick only when the
+/// descent dead-ends. Each run resolves its region against the
+/// database when the walk reaches it and drops it after, so one
+/// region's resolved query is alive at a time.
 ///
-/// **Bottom-up**, children first, each non-root region runs as a
-/// *projection* onto its parent articulation variable. The visitor
-/// keeps a **witness set** of articulation values carried by some
-/// locally-extensible solution — memory is bounded by the
-/// articulation-value domain — and answers each solution with
-/// "done with this value" ([`Visit::SkipValue`]): of the articulation
-/// variable, as soon as its value is (or just went) in the set; of a
-/// child's articulation variable, when that child has no witness for
-/// its value, since no solution carrying it can ever extend. Either
-/// way the search backjumps past the joins hanging off a value whose
-/// fate is settled, so a region costs on the order of its articulation
-/// domain, not of its local solution count. The run opens its first
-/// frame on an atom that binds the articulation variable
-/// ([`Prepared::run_binding_first`]), so a settled value backjumps all
-/// the way to that frame's next candidate.
+/// **Descent.** From the root, every region runs pinned to the value
+/// its parent's solution gave their shared articulation variable and
+/// keeps its first solution ([`RegionWalk::pick`] without witnesses).
+/// When every region has one, the bindings agree on every tree edge,
+/// so by running intersection they are a solution of the unit. Each of
+/// those first solutions has just been shown to extend, so it is also
+/// the first *extensible* one under the same pin — what the pinned pick
+/// below would choose — so the descent returns exactly the answer the
+/// fallback would. A region with no solution under its pin ends the
+/// descent; its partial answer is dropped.
 ///
-/// **Top-down**, the one joint answer is picked region by region from
-/// the root: the root runs until its first extensible solution, and
-/// every other region runs again with its parent articulation variable
-/// *pinned* to the value its parent chose, stopping at its first
-/// extensible solution. A pin never changes the evaluator's join order
-/// (see `eq_db`'s evaluator docs), so the pinned run enumerates exactly
-/// the subsequence of the region's solutions binding that value, in the
+/// **Witness pass** ([`RegionWalk::witnesses`]), the fallback: bottom-up,
+/// children first, each non-root region runs as a *projection* onto
+/// its parent articulation variable and records the values some
+/// locally-extensible solution carries.
+///
+/// **Pinned pick** ([`RegionWalk::pick`] with those witnesses): the
+/// descent's walk again, now skipping every solution a child has no
+/// witness for. Below the root every run hits: the value entered the
+/// child's witness set off an extensible solution, and witness sets are
+/// final. A pin never changes the evaluator's join order (see `eq_db`'s
+/// evaluator docs), so the pinned run enumerates exactly the
+/// subsequence of the region's solutions binding that value, in the
 /// region's own order — its first extensible hit is precisely the
 /// representative the `#[cfg(test)]` materialized semi-join keeps,
 /// which is why the two agree answer for answer (property-tested).
-/// Skipped solutions never matter to either pass: they carry a key
-/// already witnessed, or a child value without a witness.
-///
-/// A child whose witness set kept exactly one value is **pushed down**
-/// into the parent's run as a pin on the shared variable, so the parent
-/// only ever looks at rows carrying it.
 ///
 /// Returns the unit outcome plus its counters.
 fn stream_unit(
@@ -979,141 +991,207 @@ fn stream_unit(
     rp: &RegionPlan,
     db: &Database,
 ) -> Result<(UnitResult, PlanStats), DbError> {
-    let n = rp.regions.len();
     let mut stats = PlanStats::default();
     // Pre-order from the root; reverse visit order is children-first.
-    let mut order: Vec<usize> = Vec::with_capacity(n);
+    let mut order: Vec<usize> = Vec::with_capacity(rp.regions.len());
     let mut stack = vec![0usize];
     while let Some(r) = stack.pop() {
         order.push(r);
         stack.extend(rp.children(r).iter().map(|&c| c as usize));
     }
-    if order.len() != n {
+    if order.len() != rp.regions.len() {
         // Defensive: split_unit guarantees a spanning tree; a malformed
         // one cannot be evaluated, so report no solution.
         return Ok((UnitResult::Unsat, stats));
     }
-    let resolve = |r: usize| {
-        db.prepare(
-            rp.atoms(r).iter().map(|&a| &unit.atoms[a as usize]),
-            rp.constraints(r)
+    let walk = RegionWalk { unit, rp, db };
+    if let Some(answer) = walk.pick(None, &mut stats)? {
+        return Ok((UnitResult::Sat(answer), stats));
+    }
+    let picked = match walk.witnesses(&order, &mut stats)? {
+        Some(witnesses) => walk.pick(Some(&witnesses), &mut stats)?,
+        None => None,
+    };
+    Ok((picked.map_or(UnitResult::Unsat, UnitResult::Sat), stats))
+}
+
+/// One split unit's regions, resolved one at a time as a walk reaches
+/// them.
+struct RegionWalk<'a> {
+    unit: &'a WorkUnit,
+    rp: &'a RegionPlan,
+    db: &'a Database,
+}
+
+impl<'a> RegionWalk<'a> {
+    fn resolve(&self, r: usize) -> Result<Prepared<'a>, DbError> {
+        let unit = self.unit;
+        self.db.prepare(
+            self.rp.atoms(r).iter().map(|&a| &unit.atoms[a as usize]),
+            self.rp
+                .constraints(r)
                 .iter()
                 .map(|&c| &unit.constraints[c as usize]),
         )
-    };
-    // The slot each child's articulation variable has in region `r`'s
-    // query; `false` if one has none (a malformed tree: split_unit
-    // anchors every articulation variable in both regions of its tree
-    // edge).
-    let child_slots = |r: usize, query: &Prepared<'_>, slots: &mut Vec<(usize, Slot)>| {
+    }
+
+    /// The slot each child's articulation variable has in region `r`'s
+    /// query; `false` if one has none (a malformed tree: split_unit
+    /// anchors every articulation variable in both regions of its tree
+    /// edge).
+    fn child_slots(&self, r: usize, query: &Prepared<'_>, slots: &mut Vec<(usize, Slot)>) -> bool {
         slots.clear();
-        for &c in rp.children(r) {
+        for &c in self.rp.children(r) {
             let c = c as usize;
-            match rp.regions[c].parent_var.and_then(|pv| query.slot(pv)) {
+            match self.rp.regions[c].parent_var.and_then(|pv| query.slot(pv)) {
                 Some(slot) => slots.push((c, slot)),
                 None => return false,
             }
         }
         true
-    };
-    // `None` when every child has a witness for the value `sol` gives
-    // its articulation variable (the children's sets are final by the
-    // time a parent runs); otherwise the verdict that skips the first
-    // offending child value.
-    let blocked = |sol: &Solution<'_>, slots: &[(usize, Slot)], witnesses: &Witnesses| {
-        for &(c, slot) in slots {
-            match sol.at(slot) {
-                Some(value) if witnesses.contains(c, value) => {}
-                Some(_) => return Some(Visit::SkipValue(slot)),
-                None => return Some(Visit::Continue),
-            }
-        }
-        None
-    };
-    // Singleton push-down (see the doc comment above).
-    let pins_for =
-        |slots: &[(usize, Slot)], witnesses: &Witnesses, pins: &mut Vec<(Slot, Value)>| {
-            pins.clear();
-            for &(c, slot) in slots {
-                if let [value] = witnesses.of(c) {
-                    pins.push((slot, *value));
+    }
+
+    /// The bottom-up witness pass over the non-root regions, children
+    /// first. Each runs as a projection onto its parent articulation
+    /// variable: the visitor keeps a **witness set** of the values some
+    /// locally-extensible solution carries — memory bounded by the
+    /// articulation-value domain — and answers each solution with
+    /// "done with this value" ([`Visit::SkipValue`]): of the
+    /// articulation variable, as soon as its value is (or just went) in
+    /// the set; of a child's articulation variable, when that child has
+    /// no witness for its value, since no solution carrying it can ever
+    /// extend. Either way the search backjumps past the joins hanging
+    /// off a value whose fate is settled, so a region costs on the order
+    /// of its articulation domain, not of its local solution count. The
+    /// run opens its first frame on an atom that binds the articulation
+    /// variable ([`Prepared::run_binding_first`]), so a settled value
+    /// backjumps all the way to that frame's next candidate.
+    ///
+    /// `None` when some region witnesses nothing: the unit has no
+    /// solution.
+    fn witnesses(
+        &self,
+        order: &[usize],
+        stats: &mut PlanStats,
+    ) -> Result<Option<Witnesses>, DbError> {
+        let mut witnesses = Witnesses::for_regions(self.rp.regions.len());
+        let mut slots: Vec<(usize, Slot)> = Vec::new();
+        let mut pins: Vec<(Slot, Value)> = Vec::new();
+        let mut keys: FastSet<Value> = FastSet::default();
+        for &r in order[1..].iter().rev() {
+            let query = self.resolve(r)?;
+            let own = self.rp.regions[r].parent_var.and_then(|pv| query.slot(pv));
+            let (Some(own), true) = (own, self.child_slots(r, &query, &mut slots)) else {
+                return Ok(None);
+            };
+            pins_for(&slots, Some(&witnesses), &mut pins);
+            keys.clear();
+            let mut streamed = 0;
+            stats.eval += query.run_binding_first(own, &pins, |sol| {
+                streamed += 1;
+                let Some(key) = sol.at(own) else {
+                    return Visit::Continue;
+                };
+                if keys.contains(&key) {
+                    return Visit::SkipValue(own);
                 }
+                blocked(sol, &slots, Some(&witnesses)).unwrap_or_else(|| {
+                    keys.insert(key);
+                    Visit::SkipValue(own)
+                })
+            });
+            stats.region_streamed += streamed;
+            stats.region_streamed_peak = stats.region_streamed_peak.max(streamed);
+            if keys.is_empty() {
+                return Ok(None);
             }
-        };
-
-    let mut witnesses = Witnesses::for_regions(n);
-    let mut slots: Vec<(usize, Slot)> = Vec::new();
-    let mut pins: Vec<(Slot, Value)> = Vec::new();
-    let mut keys: FastSet<Value> = FastSet::default();
-    // Bottom-up over the non-root regions, children first.
-    for &r in order[1..].iter().rev() {
-        let query = resolve(r)?;
-        let own = rp.regions[r].parent_var.and_then(|pv| query.slot(pv));
-        let (Some(own), true) = (own, child_slots(r, &query, &mut slots)) else {
-            return Ok((UnitResult::Unsat, stats));
-        };
-        pins_for(&slots, &witnesses, &mut pins);
-        keys.clear();
-        let mut streamed = 0;
-        stats.eval += query.run_binding_first(own, &pins, |sol| {
-            streamed += 1;
-            let Some(key) = sol.at(own) else {
-                return Visit::Continue;
-            };
-            if keys.contains(&key) {
-                return Visit::SkipValue(own);
-            }
-            blocked(sol, &slots, &witnesses).unwrap_or_else(|| {
-                keys.insert(key);
-                Visit::SkipValue(own)
-            })
-        });
-        stats.region_streamed += streamed;
-        stats.region_streamed_peak = stats.region_streamed_peak.max(streamed);
-        if keys.is_empty() {
-            return Ok((UnitResult::Unsat, stats));
+            stats.witness_peak = stats.witness_peak.max(keys.len() as u64);
+            witnesses.record(r, keys.drain());
         }
-        stats.witness_peak = stats.witness_peak.max(keys.len() as u64);
-        witnesses.record(r, keys.drain());
+        Ok(Some(witnesses))
     }
 
-    // Top-down from the root: each region runs until its first
-    // extensible solution, which joins the answer and hands every child
-    // the articulation value to run pinned to. Below the root every run
-    // hits: the value entered the child's witness set off an extensible
-    // solution, and witness sets are final.
-    let mut answer = Valuation::default();
-    let mut walk: Vec<(usize, Option<Value>)> = vec![(0, None)];
-    while let Some((r, pin)) = walk.pop() {
-        let query = resolve(r)?;
-        if !child_slots(r, &query, &mut slots) {
-            return Ok((UnitResult::Unsat, stats));
-        }
-        pins_for(&slots, &witnesses, &mut pins);
-        if let Some(value) = pin {
-            let Some(own) = rp.regions[r].parent_var.and_then(|pv| query.slot(pv)) else {
-                return Ok((UnitResult::Unsat, stats));
-            };
-            pins.push((own, value));
-        }
-        let mut hit = false;
-        stats.eval += query.run(&pins, |sol| {
-            stats.region_streamed += 1;
-            if let Some(verdict) = blocked(sol, &slots, &witnesses) {
-                return verdict;
+    /// The top-down walk that picks the unit's one answer: the root runs
+    /// unpinned, every other region pinned to the value its parent's
+    /// pick gave their articulation variable, and each keeps its first
+    /// solution that binds every child's articulation variable — with
+    /// `witnesses`, its first solution every child has a witness for,
+    /// and a child's singleton witness set pinned into the run too, so
+    /// the parent only ever looks at rows carrying it. `None` when some
+    /// region has no such solution.
+    fn pick(
+        &self,
+        witnesses: Option<&Witnesses>,
+        stats: &mut PlanStats,
+    ) -> Result<Option<Valuation>, DbError> {
+        let mut slots: Vec<(usize, Slot)> = Vec::new();
+        let mut pins: Vec<(Slot, Value)> = Vec::new();
+        let mut answer = Valuation::default();
+        let mut walk: Vec<(usize, Option<Value>)> = vec![(0, None)];
+        while let Some((r, pin)) = walk.pop() {
+            let query = self.resolve(r)?;
+            if !self.child_slots(r, &query, &mut slots) {
+                return Ok(None);
             }
-            hit = true;
-            answer.extend(sol.bindings());
-            for &(c, in_parent) in &slots {
-                walk.push((c, sol.at(in_parent)));
+            pins_for(&slots, witnesses, &mut pins);
+            if let Some(value) = pin {
+                let Some(own) = self.rp.regions[r].parent_var.and_then(|pv| query.slot(pv)) else {
+                    return Ok(None);
+                };
+                pins.push((own, value));
             }
-            Visit::Break
-        });
-        if !hit {
-            return Ok((UnitResult::Unsat, stats));
+            let mut hit = false;
+            stats.eval += query.run(&pins, |sol| {
+                stats.region_streamed += 1;
+                if let Some(verdict) = blocked(sol, &slots, witnesses) {
+                    return verdict;
+                }
+                hit = true;
+                answer.extend(sol.bindings());
+                for &(c, in_parent) in &slots {
+                    walk.push((c, sol.at(in_parent)));
+                }
+                Visit::Break
+            });
+            if !hit {
+                return Ok(None);
+            }
+        }
+        Ok(Some(answer))
+    }
+}
+
+/// `None` when `sol` binds every child's articulation variable and, with
+/// `witnesses`, every child has a witness for the value it binds (the
+/// children's sets are final by the time a parent runs); otherwise the
+/// verdict that skips the solution, or the first offending child value.
+fn blocked(
+    sol: &Solution<'_>,
+    slots: &[(usize, Slot)],
+    witnesses: Option<&Witnesses>,
+) -> Option<Visit> {
+    for &(c, slot) in slots {
+        match sol.at(slot) {
+            None => return Some(Visit::Continue),
+            Some(value) if witnesses.is_none_or(|w| w.contains(c, value)) => {}
+            Some(_) => return Some(Visit::SkipValue(slot)),
         }
     }
-    Ok((UnitResult::Sat(answer), stats))
+    None
+}
+
+/// Singleton push-down: every child whose witness set kept exactly one
+/// value pins it on the shared variable. No pins without `witnesses`.
+fn pins_for(slots: &[(usize, Slot)], witnesses: Option<&Witnesses>, pins: &mut Vec<(Slot, Value)>) {
+    pins.clear();
+    let Some(witnesses) = witnesses else {
+        return;
+    };
+    for &(c, slot) in slots {
+        if let [value] = witnesses.of(c) {
+            pins.push((slot, *value));
+        }
+    }
 }
 
 /// The region evaluator that [`stream_unit`] replaced, kept as the test
@@ -1715,31 +1793,62 @@ mod tests {
         }
     }
 
-    /// Plans one `eq_workload::giant_component` ring (one matched
-    /// component). `break_at` points one query's body anchor at a name
-    /// absent from Friends: one region becomes unsatisfiable, so the
-    /// whole ring has no solution. `arrival` seeds a shuffle of the
-    /// order the queries reach the graph in (`None`: ring order) — it
-    /// decides which region roots the block-cut tree, hence which side
-    /// of each region its parent articulation variable sits on.
+    /// How [`ring_plan`] rigs and orders an `eq_workload` ring.
+    #[derive(Clone, Copy, Default)]
+    struct Ring {
+        /// Points one query's body anchor at a name absent from Friends:
+        /// one region becomes unsatisfiable, so the whole ring has no
+        /// solution.
+        break_at: Option<usize>,
+        /// Seeds a shuffle of the order the queries reach the graph in
+        /// (`None`: ring order). It decides which region roots the
+        /// block-cut tree, hence which side of each region its parent
+        /// articulation variable sits on.
+        arrival: Option<u64>,
+        /// Builds the ring with `eq_workload::giant_detour` at the query
+        /// this many places right of the first to arrive, whose region
+        /// is the root: the region that deep has no solution under its
+        /// parent's first choice, but the ring stays satisfiable. The
+        /// first query in arrival order with that much room on its right
+        /// is moved to the front (a trap left of the root is stepped
+        /// round: see `giant_detour`). Left out when no query has room.
+        detour: Option<usize>,
+    }
+
+    /// Plans one shared-flavor ring (one matched component) as `ring`
+    /// says; the flag tells whether the detour was placed.
     fn ring_plan(
         cfg: &eq_workload::GiantComponentConfig,
-        break_at: Option<usize>,
-        arrival: Option<u64>,
+        ring: Ring,
         split: &SplitOptions,
-    ) -> (Database, ComponentPlan) {
+    ) -> (Database, ComponentPlan, bool) {
         use eq_workload::rng::{SliceRandom, StdRng};
         let (db, mut queries) = eq_workload::giant_component(cfg);
-        if let Some(i) = break_at {
+        if let Some(i) = ring.break_at {
             let q = &queries[i % cfg.queries];
             let mut body = q.body.clone();
             body[0].terms[0] = Term::str("NOBODY");
             queries[i % cfg.queries] =
                 EntangledQuery::new(q.head.clone(), q.postconditions.clone(), body).with_id(q.id);
         }
-        if let Some(seed) = arrival {
+        if let Some(seed) = ring.arrival {
             queries.shuffle(&mut StdRng::seed_from_u64(seed));
         }
+        if let Some(depth) = ring.detour {
+            let room = |q: &EntangledQuery| q.id.0 as usize + depth < cfg.queries;
+            if let Some(i) = queries.iter().position(room) {
+                queries[..=i].rotate_right(1);
+            }
+        }
+        let root = queries[0].id.0 as usize;
+        let detour = ring
+            .detour
+            .map(|depth| root + depth)
+            .filter(|&at| at < cfg.queries);
+        let db = match detour {
+            Some(at) => eq_workload::giant_detour(cfg, at).0,
+            None => db,
+        };
         let gen = VarGen::new();
         let g = MatchGraph::build(
             queries
@@ -1750,7 +1859,8 @@ mod tests {
         let members: Vec<u32> = (0..cfg.queries as u32).collect();
         let m = match_component(&g, &members);
         let global = m.global.expect("rings always match");
-        (db, plan_component(&g, &m.survivors, &global, split))
+        let plan = plan_component(&g, &m.survivors, &global, split);
+        (db, plan, detour.is_some())
     }
 
     #[test]
@@ -1771,7 +1881,7 @@ mod tests {
             (801, None),
             (4096, None),
         ] {
-            let (_, plan) = ring_plan(&cfg, None, None, &SplitOptions { crossover });
+            let (_, plan, _) = ring_plan(&cfg, Ring::default(), &SplitOptions { crossover });
             assert_eq!(plan.units.len(), 1);
             assert_eq!(plan.units[0].atoms.len(), 40);
             assert_eq!(
@@ -1806,26 +1916,29 @@ mod tests {
         }
     }
 
-    /// Step-count guard for region evaluation. A 2,000-query shared
-    /// chain with k = 12 has 2,000 three-atom regions of k(k+1)/2 = 78
-    /// local solutions each. Enumerating them all and reading every row
-    /// of every probed posting list cost ≈ 157·k rows and 6.6·k
-    /// solutions per region; projection backjumping and index-only
-    /// membership must hold that to the order of the articulation
-    /// domain, in every region: in ring order and in shuffled arrival
-    /// orders, where the regions on one side of the root would bind
-    /// their parent articulation variable second if the bottom-up run
-    /// did not open on it.
-    #[test]
-    fn region_cost_tracks_the_articulation_domain() {
-        const K: u64 = 12;
-        let cfg = eq_workload::GiantComponentConfig {
+    /// A 2,000-query shared chain with k = 12: 2,000 three-atom regions
+    /// of k(k+1)/2 = 78 local solutions each.
+    fn chain_2000() -> eq_workload::GiantComponentConfig {
+        eq_workload::GiantComponentConfig {
             queries: 2_000,
-            friends_per_user: K as usize,
+            friends_per_user: 12,
             body: eq_workload::GiantBody::SharedChain,
-        };
-        for arrival in [None, Some(2011), Some(7)] {
-            let (db, plan) = ring_plan(&cfg, None, arrival, &SplitOptions::default());
+        }
+    }
+
+    /// On a clean shared chain every region's first solution under its
+    /// parent's pin extends, whichever region the arrival order makes
+    /// the root: the descent answers alone, one pinned run and about
+    /// one row per region, and no witness set is ever built.
+    #[test]
+    fn descent_answers_a_clean_ring_with_one_run_per_region() {
+        let cfg = chain_2000();
+        for arrival in [Some(2011), Some(7), Some(3)] {
+            let ring = Ring {
+                arrival,
+                ..Ring::default()
+            };
+            let (db, plan, _) = ring_plan(&cfg, ring, &SplitOptions { crossover: 0 });
             let regions = plan.units[0]
                 .regions
                 .as_ref()
@@ -1837,6 +1950,86 @@ mod tests {
             let reference = materialized_reference::evaluate_plan(&plan, &db, 4096).unwrap();
             assert!(answers.is_some());
             assert_eq!(answers, reference, "arrival {arrival:?}");
+            assert_eq!(stats.region_streamed, regions, "arrival {arrival:?}");
+            assert_eq!(stats.witness_peak, 0, "arrival {arrival:?}");
+            assert!(
+                stats.eval.rows_considered <= 2 * regions,
+                "arrival {arrival:?}: {} rows read for {regions} regions",
+                stats.eval.rows_considered
+            );
+        }
+    }
+
+    /// A detour deep below the root: the descent dead-ends there, the
+    /// witness pass runs, and the pinned pick goes round the trap to the
+    /// answer the materialized semi-join keeps — on both shared flavors
+    /// and in ring and shuffled arrival orders.
+    #[test]
+    fn a_dead_end_falls_back_to_the_witness_pass() {
+        for body in [
+            eq_workload::GiantBody::SharedChain,
+            eq_workload::GiantBody::SharedWide,
+        ] {
+            let cfg = eq_workload::GiantComponentConfig {
+                queries: 60,
+                friends_per_user: 3,
+                body,
+            };
+            for arrival in [None, Some(2011), Some(7)] {
+                let ring = Ring {
+                    arrival,
+                    detour: Some(12),
+                    ..Ring::default()
+                };
+                let (db, plan, detoured) = ring_plan(&cfg, ring, &SplitOptions { crossover: 0 });
+                assert!(detoured, "{body:?}, arrival {arrival:?}");
+                let (answers, stats) = evaluate_plan_with_stats(&plan, &db, 2).unwrap();
+                let reference = materialized_reference::evaluate_plan(&plan, &db, 4096).unwrap();
+                assert!(answers.is_some(), "{body:?}, arrival {arrival:?}");
+                assert_eq!(answers, reference, "{body:?}, arrival {arrival:?}");
+                assert!(stats.witness_peak > 0, "{body:?}, arrival {arrival:?}");
+            }
+        }
+    }
+
+    /// Step-count guard for the witness pass. On a 2,000-query shared
+    /// chain with k = 12, enumerating every region's 78 local solutions
+    /// and reading every row of every probed posting list cost ≈ 157·k
+    /// rows and 6.6·k solutions per region; projection backjumping and
+    /// index-only membership must hold that to the order of the
+    /// articulation domain, in every region: in ring order and in
+    /// shuffled arrival orders, where the regions on one side of the
+    /// root would bind their parent articulation variable second if the
+    /// bottom-up run did not open on it. A detour 1,000 regions below
+    /// the root makes the descent dead-end, so the witness pass runs
+    /// over every region; the counts include the descent's runs too.
+    #[test]
+    fn region_cost_tracks_the_articulation_domain() {
+        const K: u64 = 12;
+        let cfg = chain_2000();
+        for arrival in [None, Some(2011), Some(7)] {
+            let ring = Ring {
+                arrival,
+                detour: Some(1_000),
+                ..Ring::default()
+            };
+            let (db, plan, detoured) = ring_plan(&cfg, ring, &SplitOptions::default());
+            assert!(detoured, "arrival {arrival:?}");
+            let regions = plan.units[0]
+                .regions
+                .as_ref()
+                .expect("the chain splits")
+                .regions
+                .len() as u64;
+            assert_eq!(regions, 2_000);
+            let (answers, stats) = evaluate_plan_with_stats(&plan, &db, 1).unwrap();
+            let reference = materialized_reference::evaluate_plan(&plan, &db, 4096).unwrap();
+            assert!(answers.is_some());
+            assert_eq!(answers, reference, "arrival {arrival:?}");
+            assert!(
+                stats.witness_peak > 0,
+                "arrival {arrival:?}: no witness pass"
+            );
             assert!(
                 stats.eval.rows_considered <= 25 * K * regions,
                 "arrival {arrival:?}: {} rows read for {regions} regions",
@@ -1864,17 +2057,22 @@ mod tests {
             n in 9usize..36,
             k in 1usize..5,
             threads in 1usize..9,
-            break_at in proptest::option::of(0usize..36),
+            flavor in 0usize..3,
+            at in 0usize..36,
             arrival in proptest::option::of(0u64..1000),
             wide in 0usize..2,
         ) {
-            // Shared-variable rings planned with the split forced: the
-            // streaming projection must be answer-for-answer identical
-            // to the materialized semi-join it replaced — for every k
-            // (many local solutions per region), on satisfiable and
-            // sabotaged rings, in ring and in shuffled arrival order,
-            // and on the wide flavor whose pendant regions carry Θ(k²)
-            // local solutions.
+            // Shared-variable rings planned with the split forced: region
+            // evaluation must be answer-for-answer identical to the
+            // materialized semi-join — for every k (many local solutions
+            // per region), on satisfiable, detoured and sabotaged rings,
+            // in ring and in shuffled arrival order, and on the wide
+            // flavor whose pendant regions carry Θ(k²) local solutions.
+            // A clean ring (flavor 0) is answered by the descent alone;
+            // a detoured one (flavor 1, up to `at + 1` regions below the root)
+            // stays satisfiable and is answered by the witness pass and
+            // the pinned pick; a broken one (flavor 2, at query `at`) has
+            // no solution.
             use eq_workload::{GiantBody, GiantComponentConfig};
             proptest::prop_assume!(n > 4 * k);
             let cfg = GiantComponentConfig {
@@ -1882,11 +2080,21 @@ mod tests {
                 friends_per_user: k,
                 body: if wide == 1 { GiantBody::SharedWide } else { GiantBody::SharedChain },
             };
-            let (db, plan) = ring_plan(&cfg, break_at, arrival, &SplitOptions { crossover: 0 });
+            let break_at = (flavor == 2).then_some(at);
+            let ring = Ring {
+                break_at,
+                arrival,
+                detour: (flavor == 1).then_some(1 + at % (n - 1)),
+            };
+            let (db, plan, detoured) = ring_plan(&cfg, ring, &SplitOptions { crossover: 0 });
             proptest::prop_assert!(plan.units.iter().any(|u| u.regions.is_some()));
-            let streamed = evaluate_plan(&plan, &db, threads).unwrap();
+            let (streamed, stats) = evaluate_plan_with_stats(&plan, &db, threads).unwrap();
             let materialized = materialized_reference::evaluate_plan(&plan, &db, 4096).unwrap();
             proptest::prop_assert_eq!(streamed.is_some(), break_at.is_none());
+            proptest::prop_assert_eq!(detoured, flavor == 1);
+            if break_at.is_none() {
+                proptest::prop_assert_eq!(stats.witness_peak > 0, detoured);
+            }
             proptest::prop_assert_eq!(streamed, materialized);
         }
     }
@@ -1896,11 +2104,14 @@ mod tests {
         // Each region holds domain² local solutions (x × private var),
         // but the witness map keys only on the articulation variable:
         // peak stays ≤ the domain size while the streamed count shows
-        // the full enumeration volume passing through.
+        // the full enumeration volume passing through. The root's first
+        // row carries an x no B row has, so the descent dead-ends at B
+        // and the witness pass runs.
         const DOMAIN: i64 = 8;
         let mut db = Database::new();
         db.create_table("A", &["x", "y"]).unwrap();
         db.create_table("B", &["x", "z"]).unwrap();
+        db.insert("A", vec![Value::int(-1), Value::int(9)]).unwrap();
         for x in 0..DOMAIN {
             for p in 0..DOMAIN {
                 db.insert("A", vec![Value::int(x), Value::int(10 + p)])
@@ -1915,7 +2126,9 @@ mod tests {
         ];
         let plan = split_plan(atoms, &[0, 1, 2]);
         let (answers, stats) = evaluate_plan_with_stats(&plan, &db, 2).unwrap();
+        let reference = materialized_reference::evaluate_plan(&plan, &db, 4096).unwrap();
         assert!(answers.is_some());
+        assert_eq!(answers, reference);
         assert!(
             stats.witness_peak > 0 && stats.witness_peak <= DOMAIN as u64,
             "witness peak {} exceeds articulation domain {}",

@@ -8,13 +8,14 @@
 //! The interner is a process-wide singleton: entangled queries, database
 //! tuples and workload generators all need to agree on symbol identity and
 //! threading an interner handle through every API would add noise without
-//! a correctness benefit. Lookups after interning are lock-free reads of a
-//! boxed `&'static str`.
+//! a correctness benefit. It sits behind a plain `std::sync::RwLock`:
+//! builders intern a relation name per atom, hundreds of thousands of
+//! calls per workload, and nothing reads lock statistics for it. The map
+//! keeps std's SipHash — client strings are untrusted keys.
 
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{OnceLock, RwLock, RwLockReadGuard};
 
 /// An interned string.
 ///
@@ -91,11 +92,17 @@ impl Interner {
         }
     }
 
+    /// A poisoned lock means an `intern` panicked half-way; going on
+    /// could mint a second symbol for one string, so it is fatal.
+    fn read(&self) -> RwLockReadGuard<'_, Inner> {
+        self.inner.read().expect("interner lock poisoned")
+    }
+
     fn intern(&self, s: &str) -> Symbol {
-        if let Some(&sym) = self.inner.read().map.get(s) {
+        if let Some(&sym) = self.read().map.get(s) {
             return sym;
         }
-        let mut inner = self.inner.write();
+        let mut inner = self.inner.write().expect("interner lock poisoned");
         if let Some(&sym) = inner.map.get(s) {
             return sym;
         }
@@ -107,12 +114,12 @@ impl Interner {
     }
 
     fn resolve(&self, sym: Symbol) -> &'static str {
-        self.inner.read().strings[sym.0 as usize]
+        self.read().strings[sym.0 as usize]
     }
 
     /// Number of distinct symbols interned so far.
     pub fn len(&self) -> usize {
-        self.inner.read().strings.len()
+        self.read().strings.len()
     }
 
     /// True if nothing has been interned.

@@ -21,14 +21,14 @@ pub struct UnifyOps {
     /// counted).
     pub merges: u64,
     /// Always 0: the unifier has no rollback. Kept until the benchmark
-    /// drops its `unify.rollbacks` row (ROADMAP item 2).
+    /// drops its `unify.rollbacks` row (ROADMAP item 2(g)).
     pub rollbacks: u64,
     /// `Unifier::clone` calls. The engine's matching / admission /
     /// combine paths must keep this at 0 — ci asserts the delta across
     /// a benchmark flush — leaving tests as the only cloners.
     pub clones: u64,
     /// Always 0: the unifier has no undo log. Kept until the benchmark
-    /// drops its `unify.undo_high_water` row (ROADMAP item 2).
+    /// drops its `unify.undo_high_water` row (ROADMAP item 2(g)).
     pub undo_high_water: u64,
 }
 

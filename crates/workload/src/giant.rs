@@ -77,6 +77,13 @@
 //!
 //! All rings are safe (every postcondition has exactly one unifying
 //! head), UCS (one cycle ⇒ one SCC), and fully answerable.
+//!
+//! [`giant_detour`] rigs a shared-flavor ring so that taking every
+//! region's first solution dead-ends: user `G_d`'s first friend becomes
+//! a `TRAP` user with no friends of its own. Region evaluation that
+//! walks down from a root left of query `d` binds `x_{d-1} = G_d`, then
+//! `x_d = TRAP` — which no solution of region `d` carries — and has to
+//! back out; the ring stays answerable through `G_d`'s real friends.
 
 use eq_db::Database;
 use eq_ir::{Atom, EntangledQuery, QueryId, Term, Value, Var};
@@ -220,6 +227,23 @@ pub fn giant_component(cfg: &GiantComponentConfig) -> (Database, Vec<EntangledQu
     (db, queries)
 }
 
+/// [`giant_component`] with a detour at query `at` (see the module
+/// docs): the same queries, and the same `Friends` rows in the same
+/// order behind one extra row, `Friends(G_at, TRAP)`. For the
+/// shared flavors, so that region `at` has no solution under the pin
+/// its parent's first choice sets whenever the block-cut tree's root
+/// lies left of it (the first query to arrive is one of `0..at`).
+pub fn giant_detour(cfg: &GiantComponentConfig, at: usize) -> (Database, Vec<EntangledQuery>) {
+    let (ring, queries) = giant_component(cfg);
+    let mut db = Database::new();
+    db.create_table(FRIENDS, &["name1", "name2"])
+        .expect("fresh database");
+    let mut rows = vec![vec![user(at, cfg.queries), Value::str("TRAP")]];
+    rows.extend(ring.scan(FRIENDS).expect("the ring has Friends"));
+    db.insert_many(FRIENDS, rows).expect("schema arity");
+    (db, queries)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,12 +384,18 @@ mod tests {
 
     /// Matches a ring as one component and plans it under `split` — the
     /// level at which a split can be forced on a ring too small for the
-    /// engine's gate (`crossover: 0`).
+    /// engine's gate (`crossover: 0`). `detour` builds the ring with
+    /// [`giant_detour`] at that query; queries arrive in ring order, so
+    /// query 0's region roots the block-cut tree.
     fn ring_plan(
         cfg: &GiantComponentConfig,
+        detour: Option<usize>,
         split: &eq_core::intra::SplitOptions,
     ) -> (Database, eq_core::ComponentPlan) {
-        let (db, queries) = giant_component(cfg);
+        let (db, queries) = match detour {
+            Some(at) => giant_detour(cfg, at),
+            None => giant_component(cfg),
+        };
         let gen = VarGen::new();
         let graph = eq_core::MatchGraph::build(
             queries
@@ -391,8 +421,8 @@ mod tests {
             friends_per_user: 4,
             body: GiantBody::SharedChain,
         };
-        let (db, split) = ring_plan(&cfg, &SplitOptions { crossover: 0 });
-        let (_, whole) = ring_plan(&cfg, &SplitOptions::default());
+        let (db, split) = ring_plan(&cfg, None, &SplitOptions { crossover: 0 });
+        let (_, whole) = ring_plan(&cfg, None, &SplitOptions::default());
         let regions = |plan: &eq_core::ComponentPlan| {
             plan.units
                 .iter()
@@ -414,14 +444,18 @@ mod tests {
         // The anti-materialization flavor: each pendant region carries
         // Θ(k²) local solutions, but the region evaluator retains only
         // the ≤ k articulation witness values per region — and, running
-        // each region as a projection, is handed only O(k) of them.
+        // each region as a projection, is handed only O(k) of them. A
+        // detour at query 1 makes the first-choice descent dead-end one
+        // region below the root, so the witness pass runs over every
+        // region while the descent adds no more than the handful of
+        // solutions it was handed on the way down.
         let (n, k) = (30usize, 4usize);
         let cfg = GiantComponentConfig {
             queries: n,
             friends_per_user: k,
             body: GiantBody::SharedWide,
         };
-        let (db, plan) = ring_plan(&cfg, &SplitOptions { crossover: 0 });
+        let (db, plan) = ring_plan(&cfg, Some(1), &SplitOptions { crossover: 0 });
         assert_eq!(plan.units.len(), 1);
         // n chain regions plus n pendant {x_i, z_i} regions.
         let regions = plan.units[0].regions.as_ref().expect("the ring splits");

@@ -30,7 +30,7 @@ mod service;
 mod social;
 
 pub use churn::{churn_script, ChurnConfig, ChurnOp};
-pub use giant::{giant_component, GiantBody, GiantComponentConfig};
+pub use giant::{giant_component, giant_detour, GiantBody, GiantComponentConfig};
 pub use out_of_core::{build_out_of_core_database, OutOfCoreSetup};
 pub use queries::{
     chains, clique_groups, giant_cluster, grid_pairs, no_unify, three_way_triangles, two_way_pairs,

@@ -6,8 +6,9 @@
 # eq_core-path check,
 # the eq_check concurrency-discipline
 # analyzer (workspace scan + fixture suite), the differential-oracle
-# proptests for the unifier and for matching's one-pass
-# propagation (against Algorithm 1's worklist) and the equivalence
+# proptests for the unifier, for matching's one-pass
+# propagation (against Algorithm 1's worklist) and for region
+# evaluation (against the materialized semi-join), the equivalence
 # proptests that guard the one admission step (batch = sequential
 # submits = `MatchGraph::build`, single vs batched across shards), the small-stack
 # evaluator regression (RUST_MIN_STACK), a --smoke run of every bench
@@ -83,7 +84,7 @@ echo "== 10/14 eq_check concurrency-discipline analyzer =="
 cargo run -q --offline -p eq_check
 cargo run -q --offline -p eq_check -- --fixtures
 
-echo "== 11/14 differential and equivalence proptests (unifier vs reference oracle; one-pass matching vs worklist; the one admission step) =="
+echo "== 11/14 differential and equivalence proptests (unifier vs reference oracle; one-pass matching vs worklist; region evaluation vs materialized semi-join; the one admission step) =="
 # The union-find unifier must stay observationally equivalent to the
 # frozen reference oracle after every step of random equate / bind /
 # unify_terms / merge_from scripts (conflicting merges included).
@@ -98,9 +99,13 @@ echo "== 11/14 differential and equivalence proptests (unifier vs reference orac
 # and 4 shards. Step 4 runs these too; this explicit invocation keeps
 # the harnesses from silently dropping out of the suite, and the
 # unifier's oracle property and each equivalence must run exactly one
-# test under its name.
+# test under its name. So must region evaluation's oracle property:
+# the first-choice descent and its witness-pass fallback must stay
+# answer-for-answer equal to the materialized semi-join on clean,
+# detoured and broken shared-variable rings.
 cargo test -q --offline -p eq_core --lib matching
 for named in "eq_unify --lib differential::unifier_equals_reference_oracle" \
+    "eq_core --lib intra::tests::streaming_equals_materialized_region_evaluation" \
     "eq_core --test=service_proptest submit_batch_is_equivalent_to_sequential_submits" \
     "eq_core --test=invariants_proptest one_edge_definition_for_build_pairwise_and_engine" \
     "eq_core --test=shard_dispatch_proptest shard_counts_are_observationally_identical"; do
@@ -138,7 +143,10 @@ echo "== 14/14 benchmark package: unit tests + a short run of all five workloads
 # seed-2011 accounting, per-iteration answer hash, exact layer counts.
 # The giant component runs at a second seed too: the seed is its
 # arrival order, which decides the root of the block-cut tree and so
-# every region's join order and cost. Last the durable path: the pair
+# every region's join order. The first-choice descent that answers
+# this ring costs one pinned run per region whichever region is the
+# root; the second seed stays as the check that another arrival order
+# still ends correct. Last the durable path: the pair
 # stream through the WAL with a mid-stream checkpoint, then kill +
 # recover — accounting must match id for id and the pinned counts.
 # The two pair workloads hold the largest databases (41,084 users,
@@ -157,7 +165,11 @@ echo "== 14/14 benchmark package: unit tests + a short run of all five workloads
 # (it was 256.4, the largest peak of the five), pairs_incremental
 # 103.3 MB (126.3), cliques_paged 88.8 MB (105.3), pairs_durable
 # 156.0 MB (174.5) and giant_shared 59.1 MB (64.2; 58.9 and 63.9 at
-# seed 7). Earlier steps down: pairs_durable from 243.1 MB
+# seed 7). giant_shared was measured again once its flush answered the
+# ring by a first-choice descent that builds no witness sets and the
+# symbol interner left the instrumented lock: 54.7 MB (54.8 at seed 7;
+# median of five 2 s runs each, within 1.6 MB of each other), so its
+# ceiling is 60.1 MB. Earlier steps down: pairs_durable from 243.1 MB
 # when tables stored each value once (its three copies of the pairs
 # database had set the peak), giant_shared from 98.2 MB when its flush
 # stopped copying the component, cliques_paged from 155.2 MB when the
@@ -166,7 +178,7 @@ echo "== 14/14 benchmark package: unit tests + a short run of all five workloads
 # pairs_incremental from 183.9 MB when a pending query stopped holding
 # a per-query outcome channel. Each workload's five runs lay within
 # 1.2 MB of each other.
-declare -A rss_ceiling_mb=([pairs_incremental]=113.6 [churn_sharded]=243.4 [giant_shared]=65.0
+declare -A rss_ceiling_mb=([pairs_incremental]=113.6 [churn_sharded]=243.4 [giant_shared]=60.1
     [cliques_paged]=97.7 [pairs_durable]=171.6)
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 for run in "pairs_incremental" "churn_sharded" "cliques_paged" "giant_shared" "giant_shared --seed 7" \
