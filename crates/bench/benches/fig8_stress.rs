@@ -1,7 +1,7 @@
 //! Harness version of Figure 8: matching stress — no-unification
 //! workload, bounded chains ("usual partitions"), and giant cluster in
-//! incremental versus set-at-a-time mode (sequential and parallel
-//! flush).
+//! incremental versus set-at-a-time mode; the bounded chains also run
+//! set-at-a-time.
 
 use eq_bench::harness::{smoke_mode, BenchGroup};
 use eq_core::{CoordinationEngine, EngineConfig, EngineMode};
@@ -42,13 +42,6 @@ fn main() {
         admission_safety_check: false,
         ..Default::default()
     };
-    // The sharded flush: one worker per hardware thread over the
-    // match-graph components (§4.1.2).
-    let batch_parallel = EngineConfig {
-        flush_threads: 0,
-        ..batch.clone()
-    };
-
     let mut group = BenchGroup::new("fig8");
     group.sample_size(10);
     for &n in sizes {
@@ -62,8 +55,8 @@ fn main() {
         group.bench("usual partitions", n as u64, || {
             drive(Database::new(), &ch, incremental.clone(), false)
         });
-        group.bench("usual partitions (parallel flush)", n as u64, || {
-            drive(Database::new(), &ch, batch_parallel.clone(), true)
+        group.bench("usual partitions (set-at-a-time flush)", n as u64, || {
+            drive(Database::new(), &ch, batch.clone(), true)
         });
         group.bench("giant incremental", giant.len() as u64, || {
             drive(build_database(&graph), &giant, incremental.clone(), false)

@@ -1,7 +1,7 @@
 //@ path: crates/core/src/engine.rs
 //@ expect: spawn-confinement
-// A raw thread spawn in non-test engine code: every parallel phase must
-// go through pool::parallel_claim instead.
+// A raw thread spawn in non-test engine code: evaluation runs on the
+// caller's thread, and only the event plumbing may spawn.
 
 pub fn rogue_worker() {
     std::thread::spawn(|| {

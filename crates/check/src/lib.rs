@@ -1,8 +1,8 @@
 //! `eq_check`: the in-tree concurrency-discipline analyzer.
 //!
 //! The engine's correctness rests on concurrency invariants that the
-//! compiler cannot see — worker threads must come from
-//! `pool::parallel_claim`, events are only built at the service-lock
+//! compiler cannot see — no thread is spawned outside the event
+//! plumbing, events are only built at the service-lock
 //! choke point, the evaluator/matching/intra files must stay iterative
 //! (heap-bounded depth), hot paths must not panic through
 //! `.unwrap()`/`.expect()`. This crate makes those invariants

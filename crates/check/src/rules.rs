@@ -41,10 +41,9 @@ pub struct Rule {
 pub const RULES: &[Rule] = &[
     Rule {
         name: "spawn-confinement",
-        summary: "thread spawns are confined to the pool primitive and the \
-                  event plumbing; everything else must go through \
-                  pool::parallel_claim",
-        allow: &["crates/core/src/pool.rs", "crates/core/src/events.rs"],
+        summary: "thread spawns are confined to the event plumbing; \
+                  evaluation runs on the caller's thread",
+        allow: &["crates/core/src/events.rs"],
     },
     Rule {
         name: "unbounded-channel",
@@ -187,7 +186,7 @@ fn allowed(rule: &Rule, path: &str, func: Option<&str>) -> bool {
     })
 }
 
-/// Suffix match so both `crates/core/src/pool.rs` and an absolute
+/// Suffix match so both `crates/core/src/events.rs` and an absolute
 /// on-disk path compare equal to the rule's workspace-relative entry.
 fn path_matches(path: &str, entry: &str) -> bool {
     path == entry || path.ends_with(&format!("/{entry}"))
@@ -377,8 +376,8 @@ fn scan_spawn(path: &str, a: &Analysis, out: &mut Vec<Violation>) {
                 rule: r.name,
                 path: path.to_owned(),
                 line: a.tokens[i].line,
-                message: "thread spawn outside pool.rs/events.rs; \
-                          use pool::parallel_claim"
+                message: "thread spawn outside events.rs; \
+                          evaluation runs on the caller's thread"
                     .into(),
             });
         }

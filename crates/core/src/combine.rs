@@ -89,7 +89,7 @@ impl CombinedQuery {
 
 /// Grounds a list of per-query simplified head atoms under one valuation
 /// of the combined body, yielding one answer per entangled query. Shared
-/// by [`CombinedQuery::evaluate`], the engine's sequential join and the
+/// by [`CombinedQuery::evaluate`], the engine's whole-body join and the
 /// partitioned intra-component path ([`crate::intra::evaluate_plan`]),
 /// so all three produce answers through identical distribution code.
 pub(crate) fn distribute_heads(

@@ -133,7 +133,6 @@ pub fn coordinate(queries: &[EntangledQuery], db: &Database) -> CoordinationOutc
             mode: EngineMode::SetAtATime { batch_size: 0 },
             admission_safety_check: false,
             on_no_solution: NoSolutionPolicy::Reject,
-            flush_threads: 1,
             ..EngineConfig::default()
         },
     );

@@ -9,7 +9,7 @@
 //! * **Set-at-a-time** — submissions accumulate; [`CoordinationEngine::flush`]
 //!   (called manually, or automatically every `batch_size` submissions)
 //!   evaluates the *dirty* components of the resident match graph,
-//!   processing independent components in parallel (§4.1.2).
+//!   each matched and evaluated on its own (§4.1.2).
 //!
 //! The two modes differ only in *when* the dirty set is evaluated, never
 //! in *how*: both run the one evaluation a flush runs (database-revision
@@ -34,6 +34,11 @@
 //! §5.1: "when a query becomes stale, it is removed from the list of
 //! pending queries and its evaluation is considered to have failed").
 //!
+//! The engine is a plain state machine: it reads no clock and starts
+//! no thread. Time is an argument ([`CoordinationEngine::expire_stale`]
+//! takes `now`; the `Coordinator` service reads the clock), and every
+//! evaluation runs on the calling thread.
+//!
 //! A terminal outcome leaves the engine one way: retirement moves it
 //! onto the engine's outcome log, and whoever drives the engine takes
 //! it from there with [`CoordinationEngine::drain_outcome_log`] (the
@@ -46,7 +51,6 @@ use crate::error::InvariantViolation;
 use crate::graph::MatchGraph;
 use crate::intra;
 use crate::matching::{self, MatchStats};
-use crate::pool;
 use crate::safety;
 use eq_db::{Database, StoreIoStats};
 use eq_ir::{EntangledQuery, FastMap, FastSet, QueryId, ValidationError, VarGen};
@@ -100,27 +104,25 @@ pub struct EngineConfig {
     pub admission_safety_check: bool,
     /// See [`NoSolutionPolicy`].
     pub on_no_solution: NoSolutionPolicy,
-    /// Number of worker threads an evaluation uses: across components
-    /// (§4.1.2) and across a large coordinating set's work units
-    /// ([`crate::intra`]). 1 = sequential; 0 = one worker per available
-    /// hardware thread. Admission never uses the pool: it links one
-    /// query at a time under the shard lock.
+    /// Ignored: evaluation runs on the caller's thread. The field stays
+    /// only because the frozen benchmark still sets it; ROADMAP item
+    /// 2(b) deletes it.
+    #[deprecated(note = "ignored: evaluation runs on the caller's thread (ROADMAP 2(b))")]
     pub flush_threads: usize,
     /// Coordinating sets with at least this many members are evaluated
     /// through the **partitioned intra-component path**
     /// ([`crate::intra`]): the combined query's variable-disjoint work
-    /// units run on the flush worker pool, with a deterministic merge
-    /// that reproduces the sequential answer choice (the two paths are
+    /// units are evaluated one by one and glued, which reproduces the
+    /// whole-body join's answer choice (the two paths are
     /// property-tested answer-for-answer identical). A shared-variable
     /// unit that the [`crate::intra::SplitOptions::default`] gate admits
     /// is further split into biconnected regions joined by projection.
     /// Smaller sets evaluate their combined query
     /// ([`crate::CombinedQuery`]) as one sequential join. Set to
     /// `usize::MAX` to always evaluate
-    /// sequentially; the partitioned path pays off even at
-    /// `flush_threads: 1` because evaluating k independent joins of
-    /// size n/k sidesteps the whole-body join's quadratic atom-selection
-    /// scan.
+    /// the whole body as one join; the partitioned path pays off because
+    /// evaluating k independent joins of size n/k sidesteps the
+    /// whole-body join's quadratic atom-selection scan.
     pub intra_component_threshold: usize,
     /// Number of independently locked **service shards** the
     /// `Coordinator` partitions its pending pool into (the engine
@@ -136,6 +138,7 @@ pub struct EngineConfig {
 }
 
 impl Default for EngineConfig {
+    #[allow(deprecated)]
     fn default() -> Self {
         EngineConfig {
             mode: EngineMode::Incremental,
@@ -384,7 +387,7 @@ enum IdFrom<'a> {
 /// The coordination engine.
 ///
 /// Not `Sync`: submissions mutate internal indexes, so drive it from one
-/// thread (flushes parallelize internally). The database is shared
+/// thread; evaluation runs on that thread too. The database is shared
 /// behind a read-write lock; evaluation takes read guards, so an
 /// application may update tables between rounds.
 pub struct CoordinationEngine {
@@ -600,7 +603,8 @@ impl CoordinationEngine {
     /// graph is [`MatchGraph::build`] of the admitted queries, edge id
     /// for edge id. Structurally invalid entries are refused in place.
     ///
-    /// The deadline sweep runs once, up front, and the call ends in one
+    /// The call sweeps no deadline (the caller owns the clock:
+    /// [`CoordinationEngine::expire_stale`]) and ends in one
     /// evaluation epilogue for the whole batch: in incremental mode the
     /// dirty set is evaluated after all admissions (so intra-batch
     /// arrivals never race retirements), in set-at-a-time mode the
@@ -636,7 +640,6 @@ impl CoordinationEngine {
         batch: impl IntoIterator<Item = Result<(EntangledQuery, SubmitOptions), SubmitError>>,
         source: Option<&AtomicU64>,
     ) -> Vec<Result<QueryHandle, SubmitError>> {
-        self.expire_stale();
         let results: Vec<Result<QueryHandle, SubmitError>> = batch
             .into_iter()
             .map(|entry| {
@@ -672,9 +675,11 @@ impl CoordinationEngine {
     }
 
     /// Fails and removes every pending query whose deadline
-    /// ([`SubmitOptions::deadline`]) has passed.
-    pub fn expire_stale(&mut self) -> usize {
-        let now = Instant::now();
+    /// ([`SubmitOptions::deadline`]) is at or before `now`. The engine
+    /// reads no clock: whoever drives it passes the time (the
+    /// `Coordinator` reads the clock and sweeps before every submit and
+    /// flush).
+    pub fn expire_stale(&mut self, now: Instant) -> usize {
         let mut expired = 0;
         // Earliest first. Dead entries (queries that already left the
         // pool) are skipped.
@@ -707,24 +712,21 @@ impl CoordinationEngine {
         self.deadlines = BinaryHeap::from(live);
     }
 
-    /// Runs the deadline sweep, then evaluates the dirty set — the same
+    /// Evaluates the dirty set — the same
     /// evaluation an incremental submit ends in, on demand: the
     /// components whose membership changed since they were last
     /// evaluated, or all of them if the database was written in between.
     /// Clean components are skipped (reported in
     /// [`BatchReport::skipped_clean`]). Unmatched queries remain pending.
     pub fn flush(&mut self) -> BatchReport {
-        self.expire_stale();
         self.evaluate_dirty()
     }
 
     /// The one evaluation, behind [`CoordinationEngine::flush`] and the
     /// submit epilogue: a database write since the last evaluation
     /// re-dirties every component, then the dirty components are taken
-    /// and processed on the sharded worker pool (`flush_threads`
-    /// workers; `0` = one per hardware thread; `1` = sequential). With
-    /// no change since the previous evaluation it evaluates zero
-    /// components.
+    /// and processed one after another. With no change since the
+    /// previous evaluation it evaluates zero components.
     fn evaluate_dirty(&mut self) -> BatchReport {
         self.submissions_since_flush = 0;
         let revision = self.db.read().revision();
@@ -760,8 +762,7 @@ impl CoordinationEngine {
     /// (as produced by [`MatchGraph::take_dirty`]). Per group: §3.1.1
     /// safety enforcement sidelines ambiguous members (they stay
     /// pending), the survivors are re-partitioned (removals may
-    /// disconnect them), and every piece is matched + evaluated on the
-    /// sharded worker pool.
+    /// disconnect them), and every piece is matched + evaluated in turn.
     fn process_groups(&mut self, groups: &[Vec<u32>]) -> BatchReport {
         let mut report = BatchReport::default();
         if groups.is_empty() {
@@ -769,91 +770,39 @@ impl CoordinationEngine {
             return report;
         }
         // Unifier-op accounting: diff the process-global counters
-        // across the whole operation (the worker threads' activity
-        // lands in the same atomics).
+        // across the whole operation.
         let unify_before = eq_unify::ops::global();
 
         // Phase 1 (read-only): safety, partition, match, evaluate.
-        let pieces: Vec<Vec<u32>>;
-        let outcomes: Vec<ComponentOutcome>;
-        {
-            let graph = &self.graph;
-            pieces = groups
-                .iter()
-                .flat_map(|group| {
-                    // Safety enforcement (§3.1.1) at matching time:
-                    // ambiguous queries sit out this round but stay
-                    // pending — their ambiguity may resolve when
-                    // partners retire. (The admission-time check, when
-                    // enabled, makes this a no-op.)
-                    let removed: FastSet<u32> =
-                        safety::enforce_members(graph, group).into_iter().collect();
-                    let live: Vec<u32> = group
-                        .iter()
-                        .copied()
-                        .filter(|s| !removed.contains(s))
-                        .collect();
-                    graph.connected_pieces(&live)
-                })
-                .collect();
-            report.components = pieces.len();
-
+        let graph = &self.graph;
+        let pieces: Vec<Vec<u32>> = groups
+            .iter()
+            .flat_map(|group| {
+                // Safety enforcement (§3.1.1) at matching time:
+                // ambiguous queries sit out this round but stay
+                // pending — their ambiguity may resolve when partners
+                // retire. (The admission-time check, when enabled,
+                // makes this a no-op.)
+                let removed: FastSet<u32> =
+                    safety::enforce_members(graph, group).into_iter().collect();
+                let live: Vec<u32> = group
+                    .iter()
+                    .copied()
+                    .filter(|s| !removed.contains(s))
+                    .collect();
+                graph.connected_pieces(&live)
+            })
+            .collect();
+        report.components = pieces.len();
+        let outcomes: Vec<ComponentOutcome> = {
             let db = self.db.read();
-            let pool = self.config.effective_flush_threads();
-            // Two parallelism regimes, sharing one worker-count budget:
-            // *across* components for the (usually many) small pieces,
-            // *inside* the component for pieces at or above the
-            // intra-component threshold — a giant piece would otherwise
-            // serialize the flush on one worker while the rest idle.
-            let threshold = self.config.intra_component_threshold;
-            let (mut giant_idx, mut small_idx): (Vec<usize>, Vec<usize>) =
-                (0..pieces.len()).partition(|&i| pieces[i].len() >= threshold);
-            // With at least one over-threshold piece per worker,
-            // cross-component sharding beats working inside one piece
-            // at a time: fold the giants into the sharded set (each
-            // still gets the partitioned evaluation algorithmically —
-            // just single-threaded per piece).
-            if giant_idx.len() >= pool {
-                small_idx.append(&mut giant_idx);
-                small_idx.sort_unstable();
-            }
-            let mut slots_out: Vec<Option<ComponentOutcome>> = Vec::with_capacity(pieces.len());
-            slots_out.resize_with(pieces.len(), || None);
-            // Small pieces first (the pool saturates across them), then
-            // each giant piece with the whole pool working inside it —
-            // a giant's sequential phases (matching fixpoint, UCS) must
-            // not idle workers while small pieces wait. The two regimes
-            // run back to back rather than overlapped: overlapping them
-            // would oversubscribe the pool during a giant's parallel
-            // phases.
-            let threads = pool.min(small_idx.len().max(1));
-            if threads > 1 {
-                for (i, outcome) in
-                    sharded_process(graph, &pieces, &small_idx, &db, &self.config, threads)
-                {
-                    slots_out[i] = Some(outcome);
-                }
-            } else {
-                for &i in &small_idx {
-                    slots_out[i] = Some(process_component(graph, &pieces[i], &db, &self.config, 1));
-                }
-            }
-            for &i in &giant_idx {
-                slots_out[i] = Some(process_component(
-                    graph,
-                    &pieces[i],
-                    &db,
-                    &self.config,
-                    pool,
-                ));
-            }
-            outcomes = slots_out
-                .into_iter()
-                .map(|o| o.expect("every piece processed"))
-                .collect();
-        }
+            pieces
+                .iter()
+                .map(|piece| process_component(graph, piece, &db, &self.config))
+                .collect()
+        };
 
-        // Phase 2 (sequential): deliver outcomes and retire queries.
+        // Phase 2: deliver outcomes and retire queries.
         // Retirement unlinks slots from the match graph, re-marking
         // partially-retired components dirty — the next flush re-checks
         // whatever remains pending in them.
@@ -998,50 +947,11 @@ impl CoordinationEngine {
     }
 }
 
-impl EngineConfig {
-    /// Resolves `flush_threads`: 0 means one worker per available
-    /// hardware thread.
-    pub fn effective_flush_threads(&self) -> usize {
-        match self.flush_threads {
-            0 => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            n => n,
-        }
-    }
-}
-
-/// Evaluates independent match-graph components (§4.1.2) on a sharded
-/// `std::thread` worker pool. `indices` selects which entries of
-/// `components` to process (the engine routes at-or-above-threshold
-/// pieces through the intra-component path instead). Workers claim
-/// components largest-first from a shared atomic queue — dynamic load
-/// balancing matters because component sizes are heavy-tailed (a big
-/// piece next to thousands of pairs under the Figure 8 workloads would
-/// starve a static chunking). Results are returned keyed by original
-/// index, so outcome delivery order is byte-for-byte identical to the
-/// sequential path.
-fn sharded_process(
-    graph: &MatchGraph,
-    components: &[Vec<u32>],
-    indices: &[usize],
-    db: &Database,
-    config: &EngineConfig,
-    threads: usize,
-) -> Vec<(usize, ComponentOutcome)> {
-    // Claim order: largest components first.
-    let mut order: Vec<usize> = indices.to_vec();
-    order.sort_by_key(|&i| std::cmp::Reverse(components[i].len()));
-    pool::parallel_claim(&order, threads, None, |idx| {
-        process_component(graph, &components[idx], db, config, 1)
-    })
-}
-
 /// Result of processing one component: outcomes keyed by engine slot.
 /// `no_solution` members matched but found no database tuple; the
-/// engine's sequential phase applies each one's no-solution policy
-/// (policies are per-query state, which the read-only component workers
-/// do not see).
+/// engine's retirement phase applies each one's no-solution policy
+/// (policies are per-query state, which the read-only evaluation phase
+/// does not see).
 struct ComponentOutcome {
     answered: Vec<(u32, QueryAnswer)>,
     failed: Vec<(u32, RejectReason)>,
@@ -1054,21 +964,20 @@ struct ComponentOutcome {
 
 /// Evaluates one coordinating set's combined query, routing by size: at
 /// or above [`EngineConfig::intra_component_threshold`] the body is
-/// partitioned into variable-disjoint work units evaluated on up to
-/// `threads` workers ([`intra`]; shared-variable units split into
-/// regions where [`intra::SplitOptions::default`]'s gate admits it),
-/// below it the body is one sequential join. The two produce identical
+/// partitioned into variable-disjoint work units evaluated one by one
+/// ([`intra`]; shared-variable units split into regions where
+/// [`intra::SplitOptions::default`]'s gate admits it), below it the
+/// body is one join. The two produce identical
 /// answers by construction (see [`intra`]'s module docs). Returns the
 /// first coordinated solution (one answer per survivor, in survivor
 /// order) and the partitioned path's counters (`None` for the
-/// sequential join).
+/// whole-body join).
 fn evaluate_survivors(
     graph: &MatchGraph,
     survivors: &[u32],
     global: &Unifier,
     db: &Database,
     config: &EngineConfig,
-    threads: usize,
 ) -> (
     Result<Option<Vec<QueryAnswer>>, eq_db::DbError>,
     Option<IntraCounters>,
@@ -1087,7 +996,7 @@ fn evaluate_survivors(
             region_streamed: 0,
             witness_peak: 0,
         };
-        let result = intra::evaluate_plan_with_stats(&plan, db, threads).map(|(answers, stats)| {
+        let result = intra::evaluate_plan(&plan, db).map(|(answers, stats)| {
             counters.region_streamed = stats.region_streamed;
             counters.witness_peak = stats.witness_peak;
             answers
@@ -1126,7 +1035,6 @@ fn process_component(
     members: &[u32],
     db: &Database,
     config: &EngineConfig,
-    threads: usize,
 ) -> ComponentOutcome {
     let m = matching::match_component(graph, members);
     let mut out = ComponentOutcome {
@@ -1156,7 +1064,7 @@ fn process_component(
                 global
             }
         };
-        let (solution, counters) = evaluate_survivors(graph, set, global, db, config, threads);
+        let (solution, counters) = evaluate_survivors(graph, set, global, db, config);
         out.intra.extend(counters);
         match solution {
             // `answers` is parallel to `set`.
@@ -1385,8 +1293,9 @@ mod tests {
 
     #[test]
     fn staleness_fails_old_queries() {
-        // A stale query fails at the engine's next operation: every
-        // submit and flush sweeps the deadline heap first.
+        // A stale query fails at the next sweep, which its caller runs
+        // with its own clock; a partner arriving after that sweep finds
+        // nobody to coordinate with.
         let mut engine = CoordinationEngine::new(
             flight_db(),
             EngineConfig {
@@ -1394,23 +1303,34 @@ mod tests {
                 ..Default::default()
             },
         );
-        let soon = || SubmitOptions {
-            deadline: Some(Instant::now() + Duration::from_millis(1)),
-            ..Default::default()
-        };
+        let t0 = Instant::now();
+        let ms = Duration::from_millis;
         let h1 = engine
-            .submit_with(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"), soon())
+            .submit_with(
+                q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"),
+                SubmitOptions {
+                    deadline: Some(t0 + ms(1)),
+                    ..Default::default()
+                },
+            )
             .unwrap();
-        std::thread::sleep(Duration::from_millis(5));
-        // The partner arrives too late: its submit expires h1 first.
+        // The partner arrives too late: the sweep before its submit
+        // expires h1.
+        assert_eq!(engine.expire_stale(t0 + ms(5)), 1);
         let h2 = engine
-            .submit_with(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"), soon())
+            .submit_with(
+                q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"),
+                SubmitOptions {
+                    deadline: Some(t0 + ms(6)),
+                    ..Default::default()
+                },
+            )
             .unwrap();
         assert_eq!(
             drained(&mut engine).remove(&h1.id).unwrap(),
             QueryOutcome::Failed(FailReason::Stale)
         );
-        std::thread::sleep(Duration::from_millis(5));
+        assert_eq!(engine.expire_stale(t0 + ms(10)), 1);
         assert_eq!(engine.flush().answered, 0);
         assert_eq!(
             drained(&mut engine).remove(&h2.id).unwrap(),
@@ -1474,33 +1394,27 @@ mod tests {
     }
 
     #[test]
-    fn parallel_flush_matches_sequential() {
-        let mk = |threads: usize| {
-            let mut engine = CoordinationEngine::new(
-                flight_db(),
-                EngineConfig {
-                    mode: EngineMode::SetAtATime { batch_size: 0 },
-                    flush_threads: threads,
-                    ..Default::default()
-                },
-            );
-            for i in 0..20 {
-                let a = format!("U{i}a");
-                let b = format!("U{i}b");
-                engine
-                    .submit(q(&format!("{{R({b}, ITH)}} R({a}, ITH) <- F(x{i}, Paris)")))
-                    .unwrap();
-                engine
-                    .submit(q(&format!("{{R({a}, ITH)}} R({b}, ITH) <- F(y{i}, Paris)")))
-                    .unwrap();
-            }
-            engine.flush()
-        };
-        let seq = mk(1);
-        let par = mk(4);
-        assert_eq!(seq.answered, par.answered);
-        assert_eq!(seq.answered, 40);
-        assert_eq!(seq.components, par.components);
+    fn flush_answers_every_independent_component() {
+        let mut engine = CoordinationEngine::new(
+            flight_db(),
+            EngineConfig {
+                mode: EngineMode::SetAtATime { batch_size: 0 },
+                ..Default::default()
+            },
+        );
+        for i in 0..20 {
+            let a = format!("U{i}a");
+            let b = format!("U{i}b");
+            engine
+                .submit(q(&format!("{{R({b}, ITH)}} R({a}, ITH) <- F(x{i}, Paris)")))
+                .unwrap();
+            engine
+                .submit(q(&format!("{{R({a}, ITH)}} R({b}, ITH) <- F(y{i}, Paris)")))
+                .unwrap();
+        }
+        let report = engine.flush();
+        assert_eq!(report.answered, 40);
+        assert_eq!(report.components, 20);
     }
 
     #[test]
@@ -1741,7 +1655,6 @@ mod tests {
         let config = EngineConfig {
             mode: EngineMode::SetAtATime { batch_size: 0 },
             admission_safety_check: true,
-            flush_threads: 4,
             ..Default::default()
         };
 
@@ -1836,11 +1749,12 @@ mod tests {
                 ..Default::default()
             },
         );
+        let t0 = Instant::now();
         let doomed = engine
             .submit_with(
                 q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"),
                 SubmitOptions {
-                    deadline: Some(Instant::now() + Duration::from_millis(1)),
+                    deadline: Some(t0 + Duration::from_millis(1)),
                     ..Default::default()
                 },
             )
@@ -1848,8 +1762,7 @@ mod tests {
         let patient = engine
             .submit(q("{R(Newman, z)} R(Frank, z) <- F(z, Rome)"))
             .unwrap();
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(engine.expire_stale(), 1);
+        assert_eq!(engine.expire_stale(t0 + Duration::from_millis(5)), 1);
         let mut out = drained(&mut engine);
         assert_eq!(
             out.remove(&doomed.id).unwrap(),
@@ -1858,6 +1771,36 @@ mod tests {
         assert!(!out.contains_key(&patient.id));
         assert_eq!(engine.pending_count(), 1);
         engine.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn deadline_is_inclusive_at_the_sweep_time() {
+        // A query with deadline `t` survives a sweep at any earlier
+        // instant and expires at the sweep at `t` itself.
+        let mut engine = CoordinationEngine::new(
+            flight_db(),
+            EngineConfig {
+                mode: EngineMode::SetAtATime { batch_size: 0 },
+                ..Default::default()
+            },
+        );
+        let t = Instant::now() + Duration::from_secs(1);
+        let h = engine
+            .submit_with(
+                q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"),
+                SubmitOptions {
+                    deadline: Some(t),
+                    ..Default::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(engine.expire_stale(t - Duration::from_nanos(1)), 0);
+        assert_eq!(engine.status(h.id), Some(&QueryStatus::Pending));
+        assert_eq!(engine.expire_stale(t), 1);
+        assert_eq!(
+            drained(&mut engine).remove(&h.id).unwrap(),
+            QueryOutcome::Failed(FailReason::Stale)
+        );
     }
 
     #[test]
@@ -1899,17 +1842,17 @@ mod tests {
         // still fills its log: one entry per retired id, whatever the
         // way out.
         let mut engine = CoordinationEngine::new(flight_db(), EngineConfig::default());
+        let t0 = Instant::now();
         let stale = engine
             .submit_with(
                 q("{R(Newman, z)} R(Frank, z) <- F(z, Rome)"),
                 SubmitOptions {
-                    deadline: Some(Instant::now() + Duration::from_millis(1)),
+                    deadline: Some(t0 + Duration::from_millis(1)),
                     ..Default::default()
                 },
             )
             .unwrap();
-        std::thread::sleep(Duration::from_millis(5));
-        // The next submit's deadline sweep expires `stale`.
+        assert_eq!(engine.expire_stale(t0 + Duration::from_millis(5)), 1);
         let h1 = engine
             .submit(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"))
             .unwrap();
@@ -2008,17 +1951,15 @@ mod tests {
 
     #[test]
     fn intra_partitioned_flush_matches_sequential_evaluation() {
-        // The same workload through three engines: plain sequential
-        // (threshold disabled), partitioned single-threaded, and
-        // partitioned multi-threaded. Answers must be identical tuple
-        // for tuple — the partitioned merge reproduces the sequential
-        // answer choice.
-        let run = |threshold: usize, threads: usize| {
+        // The same workload through three engines: one whole-body join
+        // (threshold disabled) and partitioned at two thresholds.
+        // Answers must be identical tuple for tuple — the partitioned
+        // merge reproduces the whole-body join's answer choice.
+        let run = |threshold: usize| {
             let mut engine = CoordinationEngine::new(
                 flight_db(),
                 EngineConfig {
                     mode: EngineMode::SetAtATime { batch_size: 0 },
-                    flush_threads: threads,
                     intra_component_threshold: threshold,
                     ..Default::default()
                 },
@@ -2045,14 +1986,14 @@ mod tests {
                 handles.iter().map(|h| out.remove(&h.id).unwrap()).collect();
             (report, outcomes)
         };
-        let (seq_report, seq) = run(usize::MAX, 1);
+        let (seq_report, seq) = run(usize::MAX);
         assert_eq!(seq_report.intra_components, 0);
-        for (threshold, threads) in [(1, 1), (1, 4), (2, 8)] {
-            let (report, outcomes) = run(threshold, threads);
+        for threshold in [1, 2] {
+            let (report, outcomes) = run(threshold);
             assert_eq!(report.answered, seq_report.answered);
             assert_eq!(report.intra_components, 1);
             assert!(report.intra_units >= 6, "units: {}", report.intra_units);
-            assert_eq!(outcomes, seq, "threshold={threshold} threads={threads}");
+            assert_eq!(outcomes, seq, "threshold={threshold}");
         }
     }
 
@@ -2070,7 +2011,6 @@ mod tests {
                 EngineConfig {
                     mode: EngineMode::SetAtATime { batch_size: 0 },
                     intra_component_threshold: 1,
-                    flush_threads: 4,
                     on_no_solution: policy,
                     ..Default::default()
                 },

@@ -1,13 +1,13 @@
-//! Parallel evaluation *inside* one matched component.
+//! Partitioned evaluation *inside* one matched component.
 //!
-//! Per-component parallelism (§4.1.2, `EngineConfig::flush_threads`)
-//! goes idle the moment a workload entangles everything into one giant
-//! component: the paper's coordination semantics force all queries of a
-//! match-graph component to be answered together, so one combined query
-//! serializes the whole flush. This module splits that combined query's
-//! evaluation search space into **work units** that are independent by
-//! construction and can be dispatched on the same worker pool, with a
-//! deterministic merge that reproduces the sequential answer choice.
+//! Splitting the match graph into components (§4.1.2) buys nothing the
+//! moment a workload entangles everything into one giant component: the
+//! paper's coordination semantics force all queries of a match-graph
+//! component to be answered together, as one combined query. This
+//! module splits that combined query's evaluation search space into
+//! **work units** that are independent by construction, evaluates them
+//! one after another, and glues their answers in a way that reproduces
+//! the whole-body join's answer choice.
 //!
 //! # Work-unit extraction
 //!
@@ -31,16 +31,17 @@
 //!
 //! Because the units are variable-disjoint, a valuation of the whole
 //! combined body is exactly one valuation per unit, glued together.
-//! [`evaluate_plan`] evaluates each unit with `LIMIT 1` and merges the
-//! per-unit valuations by unit index. The merged result equals the
-//! *sequential* evaluator's first solution because the evaluator's
-//! greedy join order breaks ties structurally (see
-//! `choose_atom` in `eq_db`): an atom's ordering key depends only on
-//! its own unit's bindings, so the backtracking search over the whole
+//! [`evaluate_plan`] evaluates each unit with `LIMIT 1`, in plan
+//! order, and merges the per-unit valuations; a unit without one ends
+//! the evaluation. The merged result equals the whole-body join's first
+//! solution because the evaluator's greedy join order breaks ties
+//! structurally (see `choose_atom` in `eq_db`): an atom's ordering key
+//! depends only on its own unit's bindings, so the backtracking search
+//! over the whole
 //! body explores each unit's assignments in exactly the order the
 //! unit-local search does, and its first full solution is the
 //! composition of the per-unit firsts. The engine property-tests this
-//! equivalence (intra-parallel ≡ sequential, answer for answer) in
+//! equivalence (partitioned ≡ whole-body join, answer for answer) in
 //! both engine modes.
 //!
 //! # Shared-variable splitting: biconnected regions
@@ -96,9 +97,8 @@
 //! to extend is the first extensible one under the same pin, and a pin
 //! never changes the evaluator's join order. The result is **exact** —
 //! a solution is produced iff the unit has one — and **deterministic**
-//! (independent of thread count; the tree walk is sequential within a
-//! unit, units run in parallel), but it is the tree-join's first
-//! solution, not necessarily the one the sequential whole-unit
+//! (a function of the plan and the database alone), but it is the
+//! tree-join's first solution, not necessarily the one the whole-unit
 //! backtracking search would find first; when a unit's solution is
 //! unique the two coincide. There is no enumeration cap. Splitting
 //! itself is gated by a work/overhead crossover
@@ -121,12 +121,10 @@
 
 use crate::combine::{distribute_heads, QueryAnswer};
 use crate::graph::MatchGraph;
-use crate::pool;
 use eq_db::{Database, DbError, EvalStats, Prepared, Slot, Solution, Valuation, Visit};
 use eq_ir::{Atom, Constraint, FastMap, FastSet, QueryId, Value, Var};
 use eq_unify::Unifier;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The split gate for shared-variable work units (see the module docs'
 /// "biconnected regions" section). The engine always plans with
@@ -755,18 +753,6 @@ fn group_by_key<T: Copy + Default>(
     (at, values)
 }
 
-/// Outcome of one work unit's `LIMIT 1` evaluation.
-enum UnitResult {
-    /// First valuation of the unit's sub-conjunction.
-    Sat(Valuation),
-    /// The sub-conjunction has no solution: the whole component has
-    /// none.
-    Unsat,
-    /// Not evaluated because another unit already proved `Unsat` (early
-    /// exit); only possible when the overall answer is `None`.
-    Skipped,
-}
-
 /// Evaluation counters for one plan. The first two are surfaced
 /// through `BatchReport::{intra_region_streamed, intra_witness_peak}`:
 /// how many region-local solutions the region runs were handed (one
@@ -800,22 +786,10 @@ impl PlanStats {
     }
 }
 
-/// Evaluates a plan against `db`; see [`evaluate_plan_with_stats`] for
-/// the full contract. This wrapper discards the plan counters.
-pub fn evaluate_plan(
-    plan: &ComponentPlan,
-    db: &Database,
-    threads: usize,
-) -> Result<Option<Vec<QueryAnswer>>, DbError> {
-    evaluate_plan_with_stats(plan, db, threads).map(|(answers, _)| answers)
-}
-
-/// Evaluates a plan against `db`, dispatching its units on up to
-/// `threads` scoped workers (largest unit first; sizes are heavy-tailed
-/// when the global unifier merged some variables). A split unit is one
-/// work item: its region tree walk (`stream_unit`) is sequential —
-/// that is what makes it deterministic — so the unit is the parallelism
-/// grain.
+/// Evaluates a plan against `db`, one unit after another in plan
+/// order, on the calling thread; the first unsatisfiable unit ends the
+/// evaluation. A split unit's region tree walk (`stream_unit`) is one
+/// step of that loop.
 ///
 /// Every atom of the plan — ground residue and every unit — is checked
 /// against the database ([`Database::validate`]) before any conjunction
@@ -828,19 +802,17 @@ pub fn evaluate_plan(
 /// Returns the component's first coordinated solution — one
 /// [`QueryAnswer`] per survivor, in survivor order — or `None` when any
 /// unit, region, ground atom, or ground constraint is unsatisfiable,
-/// plus the plan's [`PlanStats`].
+/// plus the plan's [`PlanStats`] (counting only the units evaluated).
 /// For plans without split units the result is answer-for-answer
-/// identical to `CombinedQuery::evaluate(db, 1)` on the same survivors,
-/// for every `threads` value (see the module docs for why the merge
-/// preserves the sequential answer choice). Split units return the
-/// block-cut tree join's first solution instead — still a solution iff
-/// the sequential path finds one, still deterministic in the plan and
-/// database for every `threads` value, but not necessarily the same
-/// valuation unless the unit's solution is unique.
-pub fn evaluate_plan_with_stats(
+/// identical to `CombinedQuery::evaluate(db, 1)` on the same survivors
+/// (see the module docs for why the merge preserves the whole-body
+/// join's answer choice). Split units return the block-cut tree join's
+/// first solution instead — still a solution iff the whole-body join
+/// finds one, still deterministic in the plan and database, but not
+/// necessarily the same valuation unless the unit's solution is unique.
+pub fn evaluate_plan(
     plan: &ComponentPlan,
     db: &Database,
-    threads: usize,
 ) -> Result<(Option<Vec<QueryAnswer>>, PlanStats), DbError> {
     db.validate(
         plan.ground_atoms
@@ -860,62 +832,48 @@ pub fn evaluate_plan_with_stats(
         return Ok((None, stats));
     }
 
-    // Units run largest-first on the shared worker pool; the stop flag
-    // bails out of remaining claims as soon as any unit proves
-    // unsatisfiable.
-    let mut order: Vec<usize> = (0..plan.units.len()).collect();
-    order.sort_by_key(|&u| std::cmp::Reverse(plan.units[u].atoms.len()));
-    let failed = AtomicBool::new(false);
-    let produced = pool::parallel_claim(&order, threads, Some(&failed), |u| {
-        let unit = &plan.units[u];
-        let evaluated = match &unit.regions {
-            Some(rp) => stream_unit(unit, rp, db),
-            None => evaluate_unit(unit, db),
+    let mut merged = Valuation::default();
+    for unit in &plan.units {
+        let (first, unit_stats) = match &unit.regions {
+            Some(rp) => stream_unit(unit, rp, db)?,
+            None => evaluate_unit(unit, db)?,
         };
-        if matches!(evaluated, Ok((UnitResult::Unsat, _))) {
-            failed.store(true, Ordering::Relaxed);
-        }
-        evaluated
-    });
-    let mut unit_results: Vec<UnitResult> = Vec::with_capacity(plan.units.len());
-    unit_results.resize_with(plan.units.len(), || UnitResult::Skipped);
-    for (u, evaluated) in produced {
-        let (result, unit_stats) = evaluated?;
-        unit_results[u] = result;
         stats.absorb(unit_stats);
+        let Some(valuation) = first else {
+            return Ok((None, stats));
+        };
+        // Units are variable-disjoint: plain union.
+        for (&v, &value) in valuation.iter() {
+            merged.insert(v, value);
+        }
     }
-    Ok((glue_units(plan, &unit_results), stats))
+    Ok((Some(distribute_heads(&plan.heads, &merged)), stats))
 }
 
-fn evaluate_unit(unit: &WorkUnit, db: &Database) -> Result<(UnitResult, PlanStats), DbError> {
+/// [`evaluate_plan`] under the name and signature the frozen benchmark
+/// still calls; the thread count is ignored. ROADMAP item 2(b) deletes
+/// it.
+#[deprecated(note = "use `evaluate_plan`; the thread count is ignored (ROADMAP 2(b))")]
+pub fn evaluate_plan_with_stats(
+    plan: &ComponentPlan,
+    db: &Database,
+    _threads: usize,
+) -> Result<(Option<Vec<QueryAnswer>>, PlanStats), DbError> {
+    evaluate_plan(plan, db)
+}
+
+/// One unsplit unit's first valuation (`None`: the unit, and so the
+/// component, has no solution).
+fn evaluate_unit(
+    unit: &WorkUnit,
+    db: &Database,
+) -> Result<(Option<Valuation>, PlanStats), DbError> {
     let (first, eval) = db.prepare(&unit.atoms, &unit.constraints)?.collect(1);
     let stats = PlanStats {
         eval,
         ..PlanStats::default()
     };
-    Ok(match first.into_iter().next() {
-        Some(valuation) => (UnitResult::Sat(valuation), stats),
-        None => (UnitResult::Unsat, stats),
-    })
-}
-
-/// Glues one valuation per unit into the component's answers. An
-/// `Unsat` or `Skipped` unit means the component has no solution this
-/// round.
-fn glue_units(plan: &ComponentPlan, unit_results: &[UnitResult]) -> Option<Vec<QueryAnswer>> {
-    let mut merged = Valuation::default();
-    for r in unit_results {
-        match r {
-            UnitResult::Sat(val) => {
-                // Units are variable-disjoint: plain union.
-                for (&v, &value) in val.iter() {
-                    merged.insert(v, value);
-                }
-            }
-            UnitResult::Unsat | UnitResult::Skipped => return None,
-        }
-    }
-    Some(distribute_heads(&plan.heads, &merged))
+    Ok((first.into_iter().next(), stats))
 }
 
 /// Every region's witness set of one split unit, in one arena: region
@@ -985,12 +943,12 @@ impl Witnesses {
 /// representative the `#[cfg(test)]` materialized semi-join keeps,
 /// which is why the two agree answer for answer (property-tested).
 ///
-/// Returns the unit outcome plus its counters.
+/// Returns the unit's valuation (`None`: no solution) plus its counters.
 fn stream_unit(
     unit: &WorkUnit,
     rp: &RegionPlan,
     db: &Database,
-) -> Result<(UnitResult, PlanStats), DbError> {
+) -> Result<(Option<Valuation>, PlanStats), DbError> {
     let mut stats = PlanStats::default();
     // Pre-order from the root; reverse visit order is children-first.
     let mut order: Vec<usize> = Vec::with_capacity(rp.regions.len());
@@ -1002,17 +960,17 @@ fn stream_unit(
     if order.len() != rp.regions.len() {
         // Defensive: split_unit guarantees a spanning tree; a malformed
         // one cannot be evaluated, so report no solution.
-        return Ok((UnitResult::Unsat, stats));
+        return Ok((None, stats));
     }
     let walk = RegionWalk { unit, rp, db };
     if let Some(answer) = walk.pick(None, &mut stats)? {
-        return Ok((UnitResult::Sat(answer), stats));
+        return Ok((Some(answer), stats));
     }
     let picked = match walk.witnesses(&order, &mut stats)? {
         Some(witnesses) => walk.pick(Some(&witnesses), &mut stats)?,
         None => None,
     };
-    Ok((picked.map_or(UnitResult::Unsat, UnitResult::Sat), stats))
+    Ok((picked, stats))
 }
 
 /// One split unit's regions, resolved one at a time as a walk reaches
@@ -1204,8 +1162,8 @@ fn pins_for(slots: &[(usize, Slot)], witnesses: Option<&Witnesses>, pins: &mut V
 mod materialized_reference {
     use super::*;
 
-    /// Same contract as [`super::evaluate_plan`], sequential, with every
-    /// split unit evaluated through the materialized semi-join.
+    /// Same contract as [`super::evaluate_plan`] without the counters,
+    /// with every split unit evaluated through the materialized semi-join.
     /// `region_cap` is clamped to at least 1: a zero budget would make
     /// every region look empty (= unsatisfiable) instead of truncated.
     pub(super) fn evaluate_plan(
@@ -1221,25 +1179,27 @@ mod materialized_reference {
             return Ok(None);
         }
         let region_cap = region_cap.max(1);
-        let unit_results: Vec<UnitResult> = plan
-            .units
-            .iter()
-            .map(|unit| match &unit.regions {
+        let mut merged = Valuation::default();
+        for unit in &plan.units {
+            let first = match &unit.regions {
                 Some(rp) => evaluate_split_unit(unit, rp, db, region_cap),
                 None => evaluate_unit(unit, db),
-            })
-            .collect();
-        Ok(glue_units(plan, &unit_results))
+            };
+            let Some(valuation) = first else {
+                return Ok(None);
+            };
+            for (&v, &value) in valuation.iter() {
+                merged.insert(v, value);
+            }
+        }
+        Ok(Some(distribute_heads(&plan.heads, &merged)))
     }
 
-    fn evaluate_unit(unit: &WorkUnit, db: &Database) -> UnitResult {
+    fn evaluate_unit(unit: &WorkUnit, db: &Database) -> Option<Valuation> {
         let first = db
             .evaluate_filtered(&unit.atoms, &unit.constraints, 1)
             .expect("relations validated by evaluate_plan");
-        first
-            .into_iter()
-            .next()
-            .map_or(UnitResult::Unsat, UnitResult::Sat)
+        first.into_iter().next()
     }
 
     fn evaluate_split_unit(
@@ -1247,7 +1207,7 @@ mod materialized_reference {
         rp: &RegionPlan,
         db: &Database,
         region_cap: usize,
-    ) -> UnitResult {
+    ) -> Option<Valuation> {
         let sols: Vec<Vec<Valuation>> = (0..rp.regions.len())
             .map(|r| {
                 let atoms = rp.atoms(r).iter().map(|&a| &unit.atoms[a as usize]);
@@ -1263,17 +1223,14 @@ mod materialized_reference {
             })
             .collect();
         if sols.iter().any(|s| s.is_empty()) {
-            UnitResult::Unsat
+            None
         } else if sols.iter().any(|s| s.len() >= region_cap) {
             // A region may have overflowed the cap: the semi-join could
             // miss keys, so evaluate the unit whole (complete, and the
             // same deterministic path the unsplit plan takes).
             evaluate_unit(unit, db)
         } else {
-            match semijoin_merge(rp, &sols) {
-                Some(val) => UnitResult::Sat(val),
-                None => UnitResult::Unsat,
-            }
+            semijoin_merge(rp, &sols)
         }
     }
 
@@ -1448,7 +1405,7 @@ mod tests {
         assert!(plan.units.is_empty());
         assert_eq!(plan.ground_atoms.len(), 2);
         let db = flight_db();
-        let par = evaluate_plan(&plan, &db, 4).unwrap();
+        let par = evaluate_plan(&plan, &db).unwrap().0;
         let seq = cq.evaluate(&db, 1).unwrap().into_iter().next();
         assert_eq!(par, seq);
         assert!(par.is_some());
@@ -1462,7 +1419,7 @@ mod tests {
         ]);
         let (plan, cq) = plan_for(&g, &[0, 1]);
         let db = flight_db();
-        assert_eq!(evaluate_plan(&plan, &db, 1).unwrap(), None);
+        assert_eq!(evaluate_plan(&plan, &db).unwrap().0, None);
         assert!(cq.evaluate(&db, 1).unwrap().is_empty());
     }
 
@@ -1477,9 +1434,7 @@ mod tests {
         let (plan, cq) = plan_for(&g, &[0, 1]);
         let db = flight_db();
         let seq = cq.evaluate(&db, 1).unwrap().into_iter().next();
-        for threads in [1, 2, 4, 8] {
-            assert_eq!(evaluate_plan(&plan, &db, threads).unwrap(), seq);
-        }
+        assert_eq!(evaluate_plan(&plan, &db).unwrap().0, seq);
     }
 
     #[test]
@@ -1490,7 +1445,7 @@ mod tests {
         ]);
         let (plan, cq) = plan_for(&g, &[0, 1]);
         let db = flight_db();
-        assert!(evaluate_plan(&plan, &db, 2).is_err());
+        assert!(evaluate_plan(&plan, &db).is_err());
         assert!(cq.evaluate(&db, 1).is_err());
     }
 
@@ -1637,12 +1592,11 @@ mod tests {
             &[0, 1, 2],
         );
         let expect = vec![Value::int(2), Value::int(20), Value::int(30)];
-        for threads in [1, 2, 4] {
-            let answers = evaluate_plan(&plan, &db, threads)
-                .unwrap()
-                .expect("x=2 is consistent");
-            assert_eq!(answers[0].tuples[0], expect);
-        }
+        let answers = evaluate_plan(&plan, &db)
+            .unwrap()
+            .0
+            .expect("x=2 is consistent");
+        assert_eq!(answers[0].tuples[0], expect);
         let answers = materialized_reference::evaluate_plan(&plan, &db, 64)
             .unwrap()
             .expect("x=2 is consistent");
@@ -1661,7 +1615,7 @@ mod tests {
             ],
             &[0],
         );
-        assert_eq!(evaluate_plan(&plan, &db, 2).unwrap(), None);
+        assert_eq!(evaluate_plan(&plan, &db).unwrap().0, None);
         assert_eq!(
             materialized_reference::evaluate_plan(&plan, &db, 64).unwrap(),
             None
@@ -1710,10 +1664,8 @@ mod tests {
             12,
             "every interior variable is an articulation point"
         );
-        for threads in [1, 3, 8] {
-            let answers = evaluate_plan(&plan, &db, threads).unwrap().unwrap();
-            assert_eq!(answers[0].tuples[0], expect, "chain solution is unique");
-        }
+        let answers = evaluate_plan(&plan, &db).unwrap().0.unwrap();
+        assert_eq!(answers[0].tuples[0], expect, "chain solution is unique");
         let answers = materialized_reference::evaluate_plan(&plan, &db, 64)
             .unwrap()
             .unwrap();
@@ -1748,10 +1700,7 @@ mod tests {
         let plan = split_plan(atoms, &[0, 1, 2]);
         let m = materialized_reference::evaluate_plan(&plan, &db, 4096).unwrap();
         assert!(m.is_some());
-        for threads in [1, 2, 4] {
-            let s = evaluate_plan(&plan, &db, threads).unwrap();
-            assert_eq!(s, m, "streaming diverged at {threads} threads");
-        }
+        assert_eq!(evaluate_plan(&plan, &db).unwrap().0, m);
     }
 
     #[test]
@@ -1787,10 +1736,8 @@ mod tests {
             .unwrap()
             .expect("x=0, y=1, z=2, w=20 is consistent");
         assert_eq!(m[0].tuples[0], expect);
-        for threads in [1, 4] {
-            let s = evaluate_plan(&plan, &db, threads).unwrap();
-            assert_eq!(s.as_ref(), Some(&m), "streaming diverged");
-        }
+        let s = evaluate_plan(&plan, &db).unwrap().0;
+        assert_eq!(s.as_ref(), Some(&m), "streaming diverged");
     }
 
     /// How [`ring_plan`] rigs and orders an `eq_workload` ring.
@@ -1946,7 +1893,7 @@ mod tests {
                 .regions
                 .len() as u64;
             assert_eq!(regions, 2_000);
-            let (answers, stats) = evaluate_plan_with_stats(&plan, &db, 1).unwrap();
+            let (answers, stats) = evaluate_plan(&plan, &db).unwrap();
             let reference = materialized_reference::evaluate_plan(&plan, &db, 4096).unwrap();
             assert!(answers.is_some());
             assert_eq!(answers, reference, "arrival {arrival:?}");
@@ -1983,7 +1930,7 @@ mod tests {
                 };
                 let (db, plan, detoured) = ring_plan(&cfg, ring, &SplitOptions { crossover: 0 });
                 assert!(detoured, "{body:?}, arrival {arrival:?}");
-                let (answers, stats) = evaluate_plan_with_stats(&plan, &db, 2).unwrap();
+                let (answers, stats) = evaluate_plan(&plan, &db).unwrap();
                 let reference = materialized_reference::evaluate_plan(&plan, &db, 4096).unwrap();
                 assert!(answers.is_some(), "{body:?}, arrival {arrival:?}");
                 assert_eq!(answers, reference, "{body:?}, arrival {arrival:?}");
@@ -2022,7 +1969,7 @@ mod tests {
                 .regions
                 .len() as u64;
             assert_eq!(regions, 2_000);
-            let (answers, stats) = evaluate_plan_with_stats(&plan, &db, 1).unwrap();
+            let (answers, stats) = evaluate_plan(&plan, &db).unwrap();
             let reference = materialized_reference::evaluate_plan(&plan, &db, 4096).unwrap();
             assert!(answers.is_some());
             assert_eq!(answers, reference, "arrival {arrival:?}");
@@ -2056,7 +2003,6 @@ mod tests {
         fn streaming_equals_materialized_region_evaluation(
             n in 9usize..36,
             k in 1usize..5,
-            threads in 1usize..9,
             flavor in 0usize..3,
             at in 0usize..36,
             arrival in proptest::option::of(0u64..1000),
@@ -2088,7 +2034,7 @@ mod tests {
             };
             let (db, plan, detoured) = ring_plan(&cfg, ring, &SplitOptions { crossover: 0 });
             proptest::prop_assert!(plan.units.iter().any(|u| u.regions.is_some()));
-            let (streamed, stats) = evaluate_plan_with_stats(&plan, &db, threads).unwrap();
+            let (streamed, stats) = evaluate_plan(&plan, &db).unwrap();
             let materialized = materialized_reference::evaluate_plan(&plan, &db, 4096).unwrap();
             proptest::prop_assert_eq!(streamed.is_some(), break_at.is_none());
             proptest::prop_assert_eq!(detoured, flavor == 1);
@@ -2125,7 +2071,7 @@ mod tests {
             Atom::new("B", vec![vx(0), vx(2)]),
         ];
         let plan = split_plan(atoms, &[0, 1, 2]);
-        let (answers, stats) = evaluate_plan_with_stats(&plan, &db, 2).unwrap();
+        let (answers, stats) = evaluate_plan(&plan, &db).unwrap();
         let reference = materialized_reference::evaluate_plan(&plan, &db, 4096).unwrap();
         assert!(answers.is_some());
         assert_eq!(answers, reference);

@@ -23,16 +23,16 @@
 //!    also yields the coordinating sets the UCS condition allows;
 //! 6. [`combine`] — combined-query construction and answer distribution
 //!    (§4.2);
-//! 7. [`intra`] — parallel evaluation *inside* one matched component:
-//!    the combined query partitioned into variable-disjoint work units
-//!    with a deterministic merge
+//! 7. [`intra`] — partitioned evaluation *inside* one matched
+//!    component: the combined query split into variable-disjoint work
+//!    units evaluated one by one and glued
 //!    ([`engine::EngineConfig::intra_component_threshold`]), and
 //!    shared-variable units split into biconnected regions joined by a
 //!    streaming articulation projection — the one region evaluator;
 //! 8. [`engine`] — the D3C engine of §5.1: asynchronous submission,
 //!    set-at-a-time and incremental modes over one resident match graph,
-//!    per-query deadlines, per-component and intra-component
-//!    parallelism;
+//!    per-query deadlines swept at a time its caller passes in, every
+//!    evaluation on the calling thread;
 //! 9. [`events`] — bounded per-subscriber event queues with explicit
 //!    overflow policies (block / drop-oldest / disconnect), feeding the
 //!    service layer's push stream.
@@ -69,7 +69,6 @@ pub mod graph;
 pub mod index;
 pub mod intra;
 pub mod matching;
-mod pool;
 pub mod safety;
 pub mod service;
 pub mod ucs;

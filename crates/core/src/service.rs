@@ -554,9 +554,9 @@ struct ServiceShared {
 /// ([`EngineConfig::service_shards`]; one shard — the default — is the
 /// classic single-mutex service). Every method locks only the shard(s)
 /// an operation touches, and event fan-out happens *after* those locks
-/// are released (see `crate::dispatch`). Flush-internal parallelism
-/// (per-component workers, batched admission probing) is unaffected —
-/// it happens inside an engine while its shard lock is held once.
+/// are released (see `crate::dispatch`). Evaluation runs inside an
+/// engine, on the thread that holds its shard lock; the service owns
+/// the clock and passes it to the engine's deadline sweep.
 #[derive(Clone)]
 pub struct Coordinator {
     shared: Arc<ServiceShared>,
@@ -662,7 +662,8 @@ impl Coordinator {
         self.shared.dispatcher.disconnected()
     }
 
-    /// Runs a set-at-a-time evaluation round over the dirty components
+    /// Sweeps every shard's expired queries, then runs a set-at-a-time
+    /// evaluation round over the dirty components
     /// of every shard (see [`CoordinationEngine::flush`]), staging one
     /// terminal event per retired query followed by an
     /// [`Event::Flushed`] report and dispatching them after all shard
@@ -683,6 +684,7 @@ impl Coordinator {
             let _router = self.scan_guard();
             for shard in &self.shared.shards {
                 let mut inner = shard.lock();
+                inner.engine.expire_stale(Instant::now());
                 let shard_report = inner.engine.flush();
                 self.stage_outcomes(&mut inner);
                 let held = inner.held_ns();
@@ -741,7 +743,7 @@ impl Coordinator {
             let _router = self.scan_guard();
             for shard in &self.shared.shards {
                 let mut inner = shard.lock();
-                expired += inner.engine.expire_stale();
+                expired += inner.engine.expire_stale(Instant::now());
                 self.stage_outcomes(&mut inner);
             }
         }
@@ -1095,7 +1097,8 @@ impl Coordinator {
         }
     }
 
-    /// Admission under a held shard guard: engine admission with ids
+    /// Admission under a held shard guard: the deadline sweep at the
+    /// current time, engine admission with ids
     /// drawn from the global counter, the durability record (inside the
     /// shard's critical section, before any handle escapes — the
     /// record-before-visibility contract), tag registration, and
@@ -1131,6 +1134,8 @@ impl Coordinator {
             tags.push(r.tag);
             Ok((r.query, opts))
         });
+        // The service owns the clock: the engine reads none.
+        inner.engine.expire_stale(Instant::now());
         let results = inner
             .engine
             .submit_batch_with_source(batch, Some(&self.shared.next_id));

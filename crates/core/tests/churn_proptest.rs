@@ -2,9 +2,8 @@
 //! interleavings of submit / flush / cancel / expire must leave the
 //! engine's resident state internally consistent (no dangling
 //! `AtomRef`s in the atom indexes, edge lists and component registry in
-//! sync), must reuse freed slots instead of growing the slot table, must
-//! stay observationally identical between sequential and parallel
-//! flushes, and must answer exactly the queries a
+//! sync), must reuse freed slots instead of growing the slot table, and
+//! must answer exactly the queries a
 //! rebuild-from-scratch-per-flush engine answers.
 //! Invariant failures surface as typed
 //! [`eq_core::InvariantViolation`]s, rendered into the panic message.
@@ -45,21 +44,22 @@ fn sparse_graph() -> &'static SocialGraph {
     })
 }
 
-fn churn_config(threads: usize) -> EngineConfig {
+fn churn_config() -> EngineConfig {
     EngineConfig {
         mode: EngineMode::SetAtATime { batch_size: 0 },
         admission_safety_check: false,
-        flush_threads: threads,
         ..Default::default()
     }
 }
 
-fn engine(threads: usize) -> CoordinationEngine {
-    CoordinationEngine::new(eq_workload::build_database(graph()), churn_config(threads))
+fn engine() -> CoordinationEngine {
+    CoordinationEngine::new(eq_workload::build_database(graph()), churn_config())
 }
 
 /// Runs a churn script, checking engine invariants at every flush;
-/// every submission carries the same staleness bound (`None`: none).
+/// every submission carries the same staleness bound (`None`: none),
+/// and the loop sweeps expired queries before every submit and flush,
+/// as the `Coordinator` does.
 /// Returns per-submission terminal outcomes (None = still pending) and
 /// the final slot capacity.
 fn drive(
@@ -71,6 +71,7 @@ fn drive(
     for op in ops {
         match op {
             ChurnOp::Submit(q) => {
+                engine.expire_stale(Instant::now());
                 let opts = SubmitOptions {
                     deadline: staleness.map(|bound| Instant::now() + bound),
                     ..Default::default()
@@ -81,6 +82,7 @@ fn drive(
                 engine.cancel(handles[*idx].id);
             }
             ChurnOp::Flush => {
+                engine.expire_stale(Instant::now());
                 engine.flush();
                 engine.check_invariants().unwrap_or_else(
                     |violation: eq_core::InvariantViolation| {
@@ -109,8 +111,7 @@ fn drive(
 /// re-admitted at the next flush. Returns the submission indices that
 /// were answered.
 fn rebuild_per_flush_answered(ops: &[ChurnOp]) -> Vec<usize> {
-    let coordinator =
-        Coordinator::new(eq_workload::build_database(sparse_graph()), churn_config(1));
+    let coordinator = Coordinator::new(eq_workload::build_database(sparse_graph()), churn_config());
     let mut pool = Vec::new();
     let mut answered = Vec::new();
     for op in ops {
@@ -170,7 +171,7 @@ proptest! {
         }));
         let mut resident = CoordinationEngine::new(
             eq_workload::build_database(sparse_graph()),
-            churn_config(1),
+            churn_config(),
         );
         let mut handles = Vec::new();
         let mut skipped_clean = 0;
@@ -201,13 +202,12 @@ proptest! {
         flush_every in 10usize..40,
         solo_permille in 100u32..600,
         seed in 0u64..1_000,
-        threads in 1usize..5,
     ) {
         let ops = churn_script(
             graph(),
             &ChurnConfig { queries, flush_every, solo_permille, seed },
         );
-        let (outcomes, capacity) = drive(engine(threads), &ops, None);
+        let (outcomes, capacity) = drive(engine(), &ops, None);
         prop_assert_eq!(outcomes.len(), queries);
         // Cancel + answer churn retires queries throughout the run, so
         // the slot table must stay well below one slot per submission.
@@ -229,22 +229,6 @@ proptest! {
     }
 
     #[test]
-    fn sequential_and_parallel_churn_flushes_agree(
-        queries in 40usize..120,
-        flush_every in 10usize..30,
-        seed in 0u64..1_000,
-        threads in 2usize..7,
-    ) {
-        let ops = churn_script(
-            graph(),
-            &ChurnConfig { queries, flush_every, solo_permille: 300, seed },
-        );
-        let (seq, _) = drive(engine(1), &ops, None);
-        let (par, _) = drive(engine(threads), &ops, None);
-        prop_assert_eq!(seq, par, "threads={}", threads);
-    }
-
-    #[test]
     fn zero_staleness_expires_everything_and_reuses_all_slots(
         queries in 30usize..100,
         flush_every in 5usize..25,
@@ -256,7 +240,7 @@ proptest! {
             graph(),
             &ChurnConfig { queries, flush_every, solo_permille: 400, seed },
         );
-        let (outcomes, capacity) = drive(engine(1), &ops, Some(Duration::ZERO));
+        let (outcomes, capacity) = drive(engine(), &ops, Some(Duration::ZERO));
         // Everything reaches a terminal state (stale, cancelled, or an
         // answer in the same-submit window), nothing stays pending.
         for (i, o) in outcomes.iter().enumerate() {

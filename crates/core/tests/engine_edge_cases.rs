@@ -47,20 +47,6 @@ fn empty_flush_reports_zeroes() {
 }
 
 #[test]
-fn parallel_flush_on_empty_pool_is_fine() {
-    let mut engine = CoordinationEngine::new(
-        db(),
-        EngineConfig {
-            mode: EngineMode::SetAtATime { batch_size: 0 },
-            flush_threads: 8,
-            ..Default::default()
-        },
-    );
-    let report = engine.flush();
-    assert_eq!(report.components, 0);
-}
-
-#[test]
 fn status_transitions_pending_to_answered() {
     let mut engine = CoordinationEngine::new(db(), EngineConfig::default());
     let h1 = engine
@@ -151,8 +137,9 @@ fn staleness_zero_expires_everything_on_next_submit() {
     let h1 = engine
         .submit_with(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"), now())
         .unwrap();
-    // The next submission sweeps the (instantly stale) first query, so
-    // the pair never forms.
+    // The sweep its caller runs before the next submission expires the
+    // (instantly stale) first query, so the pair never forms.
+    assert_eq!(engine.expire_stale(Instant::now()), 1);
     let h2 = engine
         .submit_with(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"), now())
         .unwrap();

@@ -18,14 +18,13 @@ use eq_ir::QueryId;
 use eq_workload::{giant_component, GiantBody, GiantComponentConfig};
 use proptest::prelude::*;
 
-fn coordinator(db: eq_db::Database, flush_threads: usize) -> Coordinator {
+fn coordinator(db: eq_db::Database) -> Coordinator {
     Coordinator::new(
         db,
         EngineConfig {
             mode: EngineMode::SetAtATime { batch_size: 0 },
             admission_safety_check: false,
             on_no_solution: NoSolutionPolicy::Reject,
-            flush_threads,
             intra_component_threshold: 32,
             ..Default::default()
         },
@@ -40,7 +39,6 @@ proptest! {
         n in 6usize..40,
         k in 1usize..4,
         capacity in 1usize..8,
-        threads in 1usize..5,
     ) {
         prop_assume!(n > 4 * k);
         let (db, queries) = giant_component(&GiantComponentConfig {
@@ -48,7 +46,7 @@ proptest! {
             friends_per_user: k,
             body: GiantBody::Chain,
         });
-        let coordinator = coordinator(db, threads);
+        let coordinator = coordinator(db);
         let events = coordinator.subscribe_with(capacity, OverflowPolicy::Block);
         // Tiny queue + big flush: the publisher must block on the
         // drainer, not drop or deadlock.
@@ -108,7 +106,7 @@ proptest! {
         } else {
             OverflowPolicy::Disconnect
         };
-        let coordinator = coordinator(db, 1);
+        let coordinator = coordinator(db);
         let events = coordinator.subscribe_with(capacity, policy);
         let mut session = coordinator.session();
         let admitted = session

@@ -98,7 +98,6 @@ fn giant_flush_footprint() {
     queries.shuffle(&mut StdRng::seed_from_u64(2011));
     let config = EngineConfig {
         mode: EngineMode::SetAtATime { batch_size: 0 },
-        flush_threads: 1,
         ..EngineConfig::default()
     };
     let mut engine = CoordinationEngine::new(db, config);

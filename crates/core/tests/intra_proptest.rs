@@ -1,9 +1,9 @@
 //! Property checks for the partitioned intra-component evaluation
 //! path: on giant-ring and generator workloads, an engine that
-//! partitions every component into work units (threshold 1) and
-//! evaluates them on several workers must be **answer-for-answer
-//! identical** to the plain sequential engine (threshold ∞, one
-//! worker) — same terminal statuses, same answer tuples — in both
+//! partitions every component into work units (threshold 1) must be
+//! **answer-for-answer identical** to an engine that evaluates each
+//! component as one whole-body join (threshold ∞) — same terminal
+//! statuses, same answer tuples — in both
 //! engine modes (§5.1). Region splitting is checked at the plan level,
 //! the one place a split can be forced on a small ring
 //! (`SplitOptions { crossover: 0 }`; the engine always gates with the
@@ -45,7 +45,6 @@ fn outcomes(
     queries: &[EntangledQuery],
     mode: EngineMode,
     threshold: usize,
-    threads: usize,
 ) -> Vec<(QueryId, Option<QueryOutcome>)> {
     let mut engine = CoordinationEngine::new(
         db,
@@ -53,7 +52,6 @@ fn outcomes(
             mode,
             admission_safety_check: false,
             on_no_solution: NoSolutionPolicy::Reject,
-            flush_threads: threads,
             intra_component_threshold: threshold,
             ..Default::default()
         },
@@ -133,7 +131,6 @@ proptest! {
     fn intra_parallel_equals_sequential_on_giant_rings(
         n in 6usize..48,
         k in 1usize..5,
-        threads in 2usize..9,
         break_at in proptest::option::of(0usize..48),
         batch in 0usize..2,
     ) {
@@ -144,15 +141,14 @@ proptest! {
         } else {
             EngineMode::Incremental
         };
-        let seq = outcomes(db.snapshot(), &queries, mode, usize::MAX, 1);
-        let par = outcomes(db.snapshot(), &queries, mode, 1, threads);
+        let seq = outcomes(db.snapshot(), &queries, mode, usize::MAX);
+        let par = outcomes(db.snapshot(), &queries, mode, 1);
         prop_assert_eq!(seq, par);
     }
 
     #[test]
     fn region_split_equals_sequential_on_unique_shared_chains(
         n in 6usize..40,
-        threads in 2usize..9,
         break_at in proptest::option::of(0usize..40),
     ) {
         // friends_per_user = 1 makes the shared-variable chain's
@@ -164,32 +160,13 @@ proptest! {
         let (plan, combined) = forced_split_plan(&queries);
         let sequential = combined.evaluate(&db, 1).unwrap().into_iter().next();
         prop_assert_eq!(sequential.is_some(), break_at.is_none());
-        prop_assert_eq!(evaluate_plan(&plan, &db, threads).unwrap(), sequential);
-    }
-
-    #[test]
-    fn region_split_is_deterministic_across_thread_counts(
-        n in 9usize..36,
-        k in 2usize..5,
-        threads in 2usize..9,
-    ) {
-        // Larger k: many local solutions per region. The split answer
-        // may legitimately differ from the sequential join's first
-        // choice, but it must be identical for every worker count —
-        // and the ring coordinates.
-        prop_assume!(n > 4 * k);
-        let (db, queries) = ring(n, k, GiantBody::SharedChain, None);
-        let (plan, _) = forced_split_plan(&queries);
-        let one = evaluate_plan(&plan, &db, 1).unwrap();
-        prop_assert!(one.is_some(), "the ring did not coordinate");
-        prop_assert_eq!(evaluate_plan(&plan, &db, threads).unwrap(), one);
+        prop_assert_eq!(evaluate_plan(&plan, &db).unwrap().0, sequential);
     }
 
     #[test]
     fn intra_parallel_equals_sequential_on_generator_workloads(
         n in 8usize..40,
         seed in 0u64..1_000,
-        threads in 2usize..9,
         style in 0usize..2,
     ) {
         let style = if style == 1 { PairStyle::Random } else { PairStyle::BestCase };
@@ -197,8 +174,8 @@ proptest! {
         prop_assume!(!queries.is_empty());
         let db = eq_workload::build_database(graph());
         let mode = EngineMode::SetAtATime { batch_size: 0 };
-        let seq = outcomes(db.snapshot(), &queries, mode, usize::MAX, 1);
-        let par = outcomes(db.snapshot(), &queries, mode, 1, threads);
+        let seq = outcomes(db.snapshot(), &queries, mode, usize::MAX);
+        let par = outcomes(db.snapshot(), &queries, mode, 1);
         prop_assert_eq!(seq, par);
     }
 }

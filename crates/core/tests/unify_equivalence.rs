@@ -1,7 +1,7 @@
 //! Engine-level equivalence properties for the unifier core: matching
 //! (one pass over the condensation, each SCC riding a seed it moved out
 //! of the seed map) and batch probes must leave every observable result
-//! bit-for-bit unchanged — across thread counts and between batched and
+//! bit-for-bit unchanged — between batched and
 //! sequential admission — and the process-global clone counter proves
 //! no production path deep-copied a `Unifier` along the way. (These
 //! tests never clone a `Unifier` themselves, so a nonzero delta in this
@@ -65,13 +65,11 @@ fn observe(m: &ComponentMatch) -> ObservedMatch {
     )
 }
 
-/// Submits everything as one batch (or sequentially), flushes once with
-/// the given worker count, and returns each query's terminal outcome in
-/// submission order.
+/// Submits everything as one batch (or sequentially), flushes once, and
+/// returns each query's terminal outcome in submission order.
 fn flush_outcomes(
     db: Database,
     queries: &[EntangledQuery],
-    threads: usize,
     batched: bool,
 ) -> Vec<Option<QueryOutcome>> {
     let mut engine = CoordinationEngine::new(
@@ -80,7 +78,6 @@ fn flush_outcomes(
             mode: EngineMode::SetAtATime { batch_size: 0 },
             admission_safety_check: false,
             on_no_solution: NoSolutionPolicy::Reject,
-            flush_threads: threads,
             ..Default::default()
         },
     );
@@ -136,8 +133,8 @@ proptest! {
         prop_assert_eq!(delta.clones, 0, "matching cloned a Unifier");
     }
 
-    /// Batched admission + flush equals sequential admission + flush at
-    /// every thread count (same terminal outcomes, answers bit-for-bit),
+    /// Batched admission + flush equals sequential admission + flush
+    /// (same terminal outcomes, answers bit-for-bit),
     /// and the whole engine pipeline — probes, matching, SCC
     /// propagation, combined-query assembly — performs zero unifier
     /// clones.
@@ -150,14 +147,9 @@ proptest! {
         let queries = workload(kind, n, seed);
         prop_assume!(!queries.is_empty());
         let before = eq_unify::ops::global();
-        let sequential = flush_outcomes(build_database(graph()), &queries, 1, false);
-        for threads in [1usize, 2, 4, 8] {
-            let batched = flush_outcomes(build_database(graph()), &queries, threads, true);
-            prop_assert_eq!(
-                &sequential, &batched,
-                "kind={} n={} seed={} threads={}", kind, n, seed, threads
-            );
-        }
+        let sequential = flush_outcomes(build_database(graph()), &queries, false);
+        let batched = flush_outcomes(build_database(graph()), &queries, true);
+        prop_assert_eq!(sequential, batched, "kind={} n={} seed={}", kind, n, seed);
         let delta = eq_unify::ops::global().delta_since(&before);
         prop_assert_eq!(delta.clones, 0, "engine pipeline cloned a Unifier");
     }

@@ -3,8 +3,8 @@
 
 use crate::ops;
 use eq_ir::{FastMap, Term, Value, Var};
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A failed unification: two classes that must merge carry different
 /// constants (e.g. `{{x, 3}}` versus `{{x, 4}}` in the paper's example).
@@ -28,28 +28,17 @@ impl fmt::Display for Conflict {
 
 impl std::error::Error for Conflict {}
 
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Node {
-    /// Parent pointer (a root points at itself), stored atomically so
-    /// that `find` can path-compress through a shared reference while
-    /// unifiers are shared across component-evaluation threads. The
+    /// Parent pointer (a root points at itself), in a `Cell` so that
+    /// `find` can path-compress through a shared reference. The
     /// compression write is benign: it only ever re-points a node at a
     /// higher ancestor.
-    parent: AtomicU32,
+    parent: Cell<u32>,
     /// Union-by-rank rank; meaningful at roots only.
     rank: u8,
     /// Class constant; meaningful at roots only.
     constant: Option<Value>,
-}
-
-impl Clone for Node {
-    fn clone(&self) -> Self {
-        Node {
-            parent: AtomicU32::new(self.parent.load(Ordering::Relaxed)),
-            rank: self.rank,
-            constant: self.constant,
-        }
-    }
 }
 
 /// A constraint on valuations: a partition of a subset of the variables,
@@ -104,7 +93,7 @@ impl Unifier {
 
     fn ensure(&mut self, v: Var) {
         self.nodes.entry(v).or_insert_with(|| Node {
-            parent: AtomicU32::new(v.0),
+            parent: Cell::new(v.0),
             rank: 0,
             constant: None,
         });
@@ -116,13 +105,13 @@ impl Unifier {
         let Some(node) = self.nodes.get(&v) else {
             return v;
         };
-        let parent = Var(node.parent.load(Ordering::Relaxed));
+        let parent = Var(node.parent.get());
         if parent == v {
             return v;
         }
         let root = self.find(parent);
         // Path compression; the map structure itself is unchanged.
-        node.parent.store(root.0, Ordering::Relaxed);
+        node.parent.set(root.0);
         root
     }
 
@@ -169,7 +158,7 @@ impl Unifier {
             }
         };
         if let Some(child_node) = self.nodes.get_mut(&child) {
-            child_node.parent.store(root.0, Ordering::Relaxed);
+            child_node.parent.set(root.0);
         }
         if let Some(root_node) = self.nodes.get_mut(&root) {
             root_node.constant = merged_const;
@@ -499,7 +488,7 @@ mod tests {
         u.equate(v(0), v(1)).unwrap();
         u.equate(v(2), v(3)).unwrap();
         u.equate(v(0), v(2)).unwrap();
-        let parent = |u: &Unifier, x: u32| Var(u.nodes[&v(x)].parent.load(Ordering::Relaxed));
+        let parent = |u: &Unifier, x: u32| Var(u.nodes[&v(x)].parent.get());
         // Rank ties make 0 the root of {0, 1}, 2 the root of {2, 3}, and
         // then 0 the root of both: 3 is two hops from it.
         assert_eq!(parent(&u, 3), v(2));

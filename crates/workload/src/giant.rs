@@ -310,7 +310,6 @@ mod tests {
             EngineConfig {
                 mode: EngineMode::SetAtATime { batch_size: 0 },
                 intra_component_threshold: 1,
-                flush_threads: 4,
                 ..Default::default()
             },
         );
@@ -432,15 +431,15 @@ mod tests {
         };
         assert_eq!(regions(&split), 30);
         assert_eq!(regions(&whole), 0);
-        let split = evaluate_plan(&split, &db, 4).unwrap();
-        let whole = evaluate_plan(&whole, &db, 4).unwrap();
+        let (split, _) = evaluate_plan(&split, &db).unwrap();
+        let (whole, _) = evaluate_plan(&whole, &db).unwrap();
         assert_eq!(split.map(|a| a.len()), Some(30));
         assert_eq!(whole.map(|a| a.len()), Some(30));
     }
 
     #[test]
     fn shared_wide_witness_peak_is_bounded_by_articulation_domain() {
-        use eq_core::intra::{evaluate_plan_with_stats, SplitOptions};
+        use eq_core::intra::{evaluate_plan, SplitOptions};
         // The anti-materialization flavor: each pendant region carries
         // Θ(k²) local solutions, but the region evaluator retains only
         // the ≤ k articulation witness values per region — and, running
@@ -460,7 +459,7 @@ mod tests {
         // n chain regions plus n pendant {x_i, z_i} regions.
         let regions = plan.units[0].regions.as_ref().expect("the ring splits");
         assert_eq!(regions.regions.len(), 2 * n);
-        let (answers, stats) = evaluate_plan_with_stats(&plan, &db, 4).unwrap();
+        let (answers, stats) = evaluate_plan(&plan, &db).unwrap();
         assert_eq!(answers.map(|a| a.len()), Some(n));
         // Every region binds its parent articulation variable first, so
         // "done with this value" leaves one solution per value bottom-up
