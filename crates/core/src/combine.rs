@@ -89,9 +89,9 @@ impl CombinedQuery {
 
 /// Grounds a list of per-query simplified head atoms under one valuation
 /// of the combined body, yielding one answer per entangled query. Shared
-/// by [`CombinedQuery::evaluate`], the engine's whole-body join and the
-/// partitioned intra-component path ([`crate::intra::evaluate_plan`]),
-/// so all three produce answers through identical distribution code.
+/// by [`CombinedQuery::evaluate`] (the whole-body join, the reference)
+/// and the engine's partitioned path ([`crate::intra::evaluate_plan`]),
+/// so both produce answers through identical distribution code.
 pub(crate) fn distribute_heads(
     heads: &[(QueryId, Vec<Atom>)],
     valuation: &Valuation,
@@ -118,11 +118,10 @@ pub(crate) fn distribute_heads(
 /// global unifier: concatenated body atoms, concatenated constraints,
 /// and per-survivor simplified heads (every term resolved to its class
 /// constant or representative). The **single** source of the
-/// simplification for [`CombinedQuery::build`], the engine's sequential
-/// join and the partitioned intra-component plan
-/// ([`crate::intra::plan_component`]) — the intra ≡ sequential answer
-/// guarantee requires the paths to simplify byte-identically, so there
-/// is exactly one implementation.
+/// simplification for [`CombinedQuery::build`] and the engine's
+/// partitioned plan ([`crate::intra::plan_component`]) — the guarantee
+/// that the engine answers as the whole-body join does requires both to
+/// simplify byte-identically, so there is exactly one implementation.
 #[allow(clippy::type_complexity)]
 pub(crate) fn simplify_survivors(
     graph: &MatchGraph,

@@ -46,7 +46,7 @@
 //! each outcome to its subscribers as an `Event` — the middleware
 //! layer's asynchronous answer delivery).
 
-use crate::combine::{self, QueryAnswer};
+use crate::combine::QueryAnswer;
 use crate::error::InvariantViolation;
 use crate::graph::MatchGraph;
 use crate::intra;
@@ -109,20 +109,11 @@ pub struct EngineConfig {
     /// 2(b) deletes it.
     #[deprecated(note = "ignored: evaluation runs on the caller's thread (ROADMAP 2(b))")]
     pub flush_threads: usize,
-    /// Coordinating sets with at least this many members are evaluated
-    /// through the **partitioned intra-component path**
-    /// ([`crate::intra`]): the combined query's variable-disjoint work
-    /// units are evaluated one by one and glued, which reproduces the
-    /// whole-body join's answer choice (the two paths are
-    /// property-tested answer-for-answer identical). A shared-variable
-    /// unit that the [`crate::intra::SplitOptions::default`] gate admits
-    /// is further split into biconnected regions joined by projection.
-    /// Smaller sets evaluate their combined query
-    /// ([`crate::CombinedQuery`]) as one sequential join. Set to
-    /// `usize::MAX` to always evaluate
-    /// the whole body as one join; the partitioned path pays off because
-    /// evaluating k independent joins of size n/k sidesteps the
-    /// whole-body join's quadratic atom-selection scan.
+    /// Ignored: every coordinating set, whatever its size, is evaluated
+    /// through the partitioned path ([`crate::intra`]). The field stays
+    /// only because the frozen benchmark still reads it; ROADMAP item
+    /// 2(b) deletes it.
+    #[deprecated(note = "ignored: every coordinating set is evaluated by `intra` (ROADMAP 2(b))")]
     pub intra_component_threshold: usize,
     /// Number of independently locked **service shards** the
     /// `Coordinator` partitions its pending pool into (the engine
@@ -233,8 +224,9 @@ pub enum SubmitError {
 pub struct SubmitOptions {
     /// Absolute deadline: if the query is still pending when this
     /// instant passes, it is failed as [`FailReason::Stale`] at the next
-    /// deadline sweep ([`CoordinationEngine::expire_stale`], which every
-    /// submit and flush runs first). `None` never expires.
+    /// deadline sweep ([`CoordinationEngine::expire_stale`], which the
+    /// `Coordinator` runs before every submit and flush; a bare engine
+    /// sweeps only when its caller asks). `None` never expires.
     pub deadline: Option<Instant>,
     /// Per-query no-solution policy; `None` uses
     /// [`EngineConfig::on_no_solution`]. When a matched component's
@@ -261,12 +253,11 @@ pub struct BatchReport {
     pub failed: usize,
     /// Queries left pending.
     pub pending: usize,
-    /// Coordinating sets evaluated through the partitioned
-    /// intra-component path ([`EngineConfig::intra_component_threshold`]).
+    /// Coordinating sets evaluated. Every set goes through the
+    /// partitioned path ([`crate::intra`]), so this counts them all.
     pub intra_components: usize,
-    /// Work units dispatched by the partitioned path across those
-    /// components (each unit is one variable-disjoint sub-join of a
-    /// combined query).
+    /// Work units evaluated across those sets (each unit is one
+    /// variable-disjoint sub-join of a combined query).
     pub intra_units: usize,
     /// Work units that additionally went through shared-variable
     /// biconnected-region splitting (the gate of
@@ -798,7 +789,7 @@ impl CoordinationEngine {
             let db = self.db.read();
             pieces
                 .iter()
-                .map(|piece| process_component(graph, piece, &db, &self.config))
+                .map(|piece| process_component(graph, piece, &db, &mut report))
                 .collect()
         };
 
@@ -807,17 +798,6 @@ impl CoordinationEngine {
         // partially-retired components dirty — the next flush re-checks
         // whatever remains pending in them.
         for outcome in outcomes {
-            report.stats.dequeues += outcome.stats.dequeues;
-            report.stats.mgu_calls += outcome.stats.mgu_calls;
-            report.stats.cleanups += outcome.stats.cleanups;
-            for intra in outcome.intra {
-                report.intra_components += 1;
-                report.intra_units += intra.units;
-                report.intra_split_units += intra.split_units;
-                report.intra_regions += intra.regions;
-                report.intra_region_streamed += intra.region_streamed;
-                report.intra_witness_peak = report.intra_witness_peak.max(intra.witness_peak);
-            }
             for (slot, answer) in outcome.answered {
                 self.retire(slot, Ok(answer));
                 report.answered += 1;
@@ -956,93 +936,52 @@ struct ComponentOutcome {
     answered: Vec<(u32, QueryAnswer)>,
     failed: Vec<(u32, RejectReason)>,
     no_solution: Vec<u32>,
-    stats: MatchStats,
-    /// Work-unit / region counters of each coordinating set that went
-    /// through the partitioned intra-component path.
-    intra: Vec<IntraCounters>,
 }
 
-/// Evaluates one coordinating set's combined query, routing by size: at
-/// or above [`EngineConfig::intra_component_threshold`] the body is
+/// Evaluates one coordinating set's combined query: the body is
 /// partitioned into variable-disjoint work units evaluated one by one
 /// ([`intra`]; shared-variable units split into regions where
-/// [`intra::SplitOptions::default`]'s gate admits it), below it the
-/// body is one join. The two produce identical
-/// answers by construction (see [`intra`]'s module docs). Returns the
+/// [`intra::SplitOptions::default`]'s gate admits it). Returns the
 /// first coordinated solution (one answer per survivor, in survivor
-/// order) and the partitioned path's counters (`None` for the
-/// whole-body join).
+/// order) and adds the plan's counters to `report`.
 fn evaluate_survivors(
     graph: &MatchGraph,
     survivors: &[u32],
     global: &Unifier,
     db: &Database,
-    config: &EngineConfig,
-) -> (
-    Result<Option<Vec<QueryAnswer>>, eq_db::DbError>,
-    Option<IntraCounters>,
-) {
-    if survivors.len() >= config.intra_component_threshold {
-        let plan = intra::plan_component(graph, survivors, global, &intra::SplitOptions::default());
-        let mut counters = IntraCounters {
-            units: plan.units.len(),
-            split_units: plan.units.iter().filter(|u| u.regions.is_some()).count(),
-            regions: plan
-                .units
-                .iter()
-                .filter_map(|u| u.regions.as_ref())
-                .map(|rp| rp.regions.len())
-                .sum(),
-            region_streamed: 0,
-            witness_peak: 0,
-        };
-        let result = intra::evaluate_plan(&plan, db).map(|(answers, stats)| {
-            counters.region_streamed = stats.region_streamed;
-            counters.witness_peak = stats.witness_peak;
-            answers
-        });
-        (result, Some(counters))
-    } else {
-        let (body, constraints, heads) = combine::simplify_survivors(graph, survivors, global);
-        let result = db
-            .evaluate_filtered(&body, &constraints, 1)
-            .map(|valuations| {
-                valuations
-                    .first()
-                    .map(|v| combine::distribute_heads(&heads, v))
-            });
-        (result, None)
+    report: &mut BatchReport,
+) -> Result<Option<Vec<QueryAnswer>>, eq_db::DbError> {
+    let plan = intra::plan_component(graph, survivors, global, &intra::SplitOptions::default());
+    report.intra_components += 1;
+    report.intra_units += plan.units.len();
+    for rp in plan.units.iter().filter_map(|u| u.regions.as_ref()) {
+        report.intra_split_units += 1;
+        report.intra_regions += rp.regions.len();
     }
-}
-
-/// Work-partitioning counters of one partitioned evaluation (folded
-/// into [`BatchReport`]).
-#[derive(Clone, Copy, Default)]
-struct IntraCounters {
-    units: usize,
-    split_units: usize,
-    regions: usize,
-    region_streamed: u64,
-    witness_peak: u64,
+    let (answers, stats) = intra::evaluate_plan(&plan, db)?;
+    report.intra_region_streamed += stats.region_streamed;
+    report.intra_witness_peak = report.intra_witness_peak.max(stats.witness_peak);
+    Ok(answers)
 }
 
 /// Matches one component and evaluates each of its coordinating sets
 /// alone, so one set's missing solution or database error never fails
 /// another. Members matching removed stay pending — their partners may
-/// still arrive.
+/// still arrive. Matching and evaluation counters go to `report`.
 fn process_component(
     graph: &MatchGraph,
     members: &[u32],
     db: &Database,
-    config: &EngineConfig,
+    report: &mut BatchReport,
 ) -> ComponentOutcome {
     let m = matching::match_component(graph, members);
+    report.stats.dequeues += m.stats.dequeues;
+    report.stats.mgu_calls += m.stats.mgu_calls;
+    report.stats.cleanups += m.stats.cleanups;
     let mut out = ComponentOutcome {
         answered: Vec::new(),
         failed: Vec::new(),
         no_solution: Vec::new(),
-        stats: m.stats,
-        intra: Vec::new(),
     };
     // §3.1.2: a piece of the survivors spanning several SCCs is never
     // evaluated as one combined query.
@@ -1064,9 +1003,7 @@ fn process_component(
                 global
             }
         };
-        let (solution, counters) = evaluate_survivors(graph, set, global, db, config);
-        out.intra.extend(counters);
-        match solution {
+        match evaluate_survivors(graph, set, global, db, report) {
             // `answers` is parallel to `set`.
             Ok(Some(answers)) => out.answered.extend(set.iter().copied().zip(answers)),
             // Policy application happens on the engine's sequential
@@ -1951,57 +1888,56 @@ mod tests {
 
     #[test]
     fn intra_partitioned_flush_matches_sequential_evaluation() {
-        // The same workload through three engines: one whole-body join
-        // (threshold disabled) and partitioned at two thresholds.
-        // Answers must be identical tuple for tuple — the partitioned
-        // merge reproduces the whole-body join's answer choice.
-        let run = |threshold: usize| {
-            let mut engine = CoordinationEngine::new(
-                flight_db(),
-                EngineConfig {
-                    mode: EngineMode::SetAtATime { batch_size: 0 },
-                    intra_component_threshold: threshold,
-                    ..Default::default()
-                },
-            );
-            let mut handles = Vec::new();
-            // A six-member ring entangled through ground heads, each
-            // with a private-variable body — decomposes into one unit
-            // per member.
-            for i in 0..6 {
-                let me = format!("U{i}");
-                let next = format!("U{}", (i + 1) % 6);
-                handles.push(
-                    engine
-                        .submit(q(&format!(
-                            "{{R({next}, ITH)}} R({me}, ITH) <- F(x{i}, Paris), A(x{i}, United)"
-                        )))
-                        .unwrap(),
-                );
-            }
-            let report = engine.flush();
-            engine.check_invariants().unwrap();
-            let mut out = drained(&mut engine);
-            let outcomes: Vec<QueryOutcome> =
-                handles.iter().map(|h| out.remove(&h.id).unwrap()).collect();
-            (report, outcomes)
-        };
-        let (seq_report, seq) = run(usize::MAX);
-        assert_eq!(seq_report.intra_components, 0);
-        for threshold in [1, 2] {
-            let (report, outcomes) = run(threshold);
-            assert_eq!(report.answered, seq_report.answered);
-            assert_eq!(report.intra_components, 1);
-            assert!(report.intra_units >= 6, "units: {}", report.intra_units);
-            assert_eq!(outcomes, seq, "threshold={threshold}");
+        // A six-member ring entangled through ground heads, each with a
+        // private-variable body: the engine partitions it into one unit
+        // per member, and its answers must equal the whole-body join's
+        // (`CombinedQuery::evaluate`) on the same coordinating set tuple
+        // for tuple — the partitioned merge reproduces the join's answer
+        // choice. Two United flights go to Paris, so each `B` head shows
+        // which one was chosen.
+        let mut engine = CoordinationEngine::new(
+            flight_db(),
+            EngineConfig {
+                mode: EngineMode::SetAtATime { batch_size: 0 },
+                ..Default::default()
+            },
+        );
+        for i in 0..6 {
+            let me = format!("U{i}");
+            let next = format!("U{}", (i + 1) % 6);
+            engine
+                .submit(q(&format!(
+                    "{{R({next}, ITH)}} R({me}, ITH), B({me}, x{i}) <- F(x{i}, Paris), A(x{i}, United)"
+                )))
+                .unwrap();
         }
+        let components = engine.graph().components();
+        assert_eq!(components.len(), 1);
+        let m = matching::match_component(engine.graph(), &components[0]);
+        assert_eq!(m.sets.len(), 1);
+        let combined = crate::CombinedQuery::build(engine.graph(), &m.sets[0], m.global.unwrap());
+        let reference = combined.evaluate(&flight_db(), 1).unwrap().remove(0);
+        assert_eq!(reference.len(), 6);
+
+        let report = engine.flush();
+        engine.check_invariants().unwrap();
+        assert_eq!(report.answered, 6);
+        assert_eq!(report.intra_components, 1);
+        assert!(report.intra_units >= 6, "units: {}", report.intra_units);
+        let mut out = drained(&mut engine);
+        for answer in reference {
+            assert_eq!(
+                out.remove(&answer.query),
+                Some(QueryOutcome::Answered(answer))
+            );
+        }
+        assert!(out.is_empty());
     }
 
     #[test]
     fn intra_partitioned_no_solution_respects_policies() {
-        // A partitioned component with an unsatisfiable unit: all
-        // members fail under Reject, stay under KeepPending — exactly
-        // like the sequential path.
+        // A component with an unsatisfiable unit: all members fail
+        // under Reject, stay under KeepPending.
         for (policy, expect_pending) in [
             (NoSolutionPolicy::Reject, 0usize),
             (NoSolutionPolicy::KeepPending, 2usize),
@@ -2010,7 +1946,6 @@ mod tests {
                 flight_db(),
                 EngineConfig {
                     mode: EngineMode::SetAtATime { batch_size: 0 },
-                    intra_component_threshold: 1,
                     on_no_solution: policy,
                     ..Default::default()
                 },

@@ -114,10 +114,14 @@
 //! descent and fallback alike — is property-tested against it answer
 //! for answer.
 //!
-//! Components below [`crate::EngineConfig::intra_component_threshold`]
-//! never reach this module — they evaluate through the plain
-//! [`crate::CombinedQuery`] path, which this module's result is
-//! guaranteed (and tested) to agree with.
+//! This module is the engine's one evaluator: every coordinating set,
+//! whatever its size, is planned by [`plan_component`] and evaluated by
+//! [`evaluate_plan`]. The whole-body join, [`crate::CombinedQuery::evaluate`],
+//! stays as the reference this module's result is guaranteed (and
+//! tested) to agree with; it is never the engine's path, because its
+//! chronological backtracking across interleaved independent units is
+//! exponential in the set's size on bodies that backtrack (a 13-query
+//! triangle ring took minutes through it).
 
 use crate::combine::{distribute_heads, QueryAnswer};
 use crate::graph::MatchGraph;
@@ -309,7 +313,7 @@ pub fn plan_component(
     global: &Unifier,
     split: &SplitOptions,
 ) -> ComponentPlan {
-    // One shared simplification with the sequential path — the
+    // One shared simplification with `CombinedQuery::build` — the
     // answer-equivalence guarantee requires byte-identical inputs.
     let (atoms, constraints, heads) = crate::combine::simplify_survivors(graph, survivors, global);
 
@@ -366,7 +370,7 @@ pub fn plan_component(
                 match unit_of_root.get(&root) {
                     Some(&idx) => units[idx].constraints.push(c),
                     // A constraint over variables no body atom binds can
-                    // never become decidable; the sequential evaluator
+                    // never become decidable; the whole-body join
                     // passes it provisionally forever, so checking it
                     // against the empty valuation (undecidable ⇒ pass)
                     // is equivalent.
@@ -1424,12 +1428,12 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_answers_match_sequential_for_all_thread_counts() {
+    fn partitioned_answers_match_the_combined_query() {
+        // A pair sharing its answer variable: one unit, answered exactly
+        // as the whole-body join answers it.
         let g = build(&[
             "{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)",
             "{R(Kramer, y)} R(Jerry, y) <- F(y, Paris), A(y, United)",
-            // Note: separate component would not share a global; keep
-            // this pair entangled through a second ring.
         ]);
         let (plan, cq) = plan_for(&g, &[0, 1]);
         let db = flight_db();

@@ -23,12 +23,11 @@
 //!    also yields the coordinating sets the UCS condition allows;
 //! 6. [`combine`] — combined-query construction and answer distribution
 //!    (§4.2);
-//! 7. [`intra`] — partitioned evaluation *inside* one matched
-//!    component: the combined query split into variable-disjoint work
-//!    units evaluated one by one and glued
-//!    ([`engine::EngineConfig::intra_component_threshold`]), and
-//!    shared-variable units split into biconnected regions joined by a
-//!    streaming articulation projection — the one region evaluator;
+//! 7. [`intra`] — the engine's one evaluator of a coordinating set:
+//!    the combined query split into variable-disjoint work units
+//!    evaluated one by one and glued, and shared-variable units split
+//!    into biconnected regions joined by a streaming articulation
+//!    projection — the one region evaluator;
 //! 8. [`engine`] — the D3C engine of §5.1: asynchronous submission,
 //!    set-at-a-time and incremental modes over one resident match graph,
 //!    per-query deadlines swept at a time its caller passes in, every
@@ -45,10 +44,10 @@
 //!
 //! The public face of the engine is the [`service`] layer: a clonable
 //! [`Coordinator`] handle with [`Session`]-scoped submissions
-//! ([`SubmitRequest`] builder, batched parallel admission via
-//! [`Session::submit_batch`]), a pushed [`Event`] stream, and the
-//! unified [`CoordinationError`] hierarchy ([`error`]) for refused
-//! operations. A round rejects a query for one of two reasons
+//! ([`SubmitRequest`] builder, batched admission — one query at a time
+//! under one shard lock — via [`Session::submit_batch`]), a pushed
+//! [`Event`] stream, and the unified [`CoordinationError`] hierarchy
+//! ([`error`]) for refused operations. A round rejects a query for one of two reasons
 //! ([`RejectReason`]: a non-unique coordination structure, §3.1.2, or
 //! no database solution, §4.2). For one-shot, set-at-a-time
 //! coordination over a fixed query set, [`coordinate()`] drives a bare

@@ -25,7 +25,6 @@ fn coordinator(db: eq_db::Database) -> Coordinator {
             mode: EngineMode::SetAtATime { batch_size: 0 },
             admission_safety_check: false,
             on_no_solution: NoSolutionPolicy::Reject,
-            intra_component_threshold: 32,
             ..Default::default()
         },
     )

@@ -1,11 +1,13 @@
-//! Property checks for the partitioned intra-component evaluation
-//! path: on giant-ring and generator workloads, an engine that
-//! partitions every component into work units (threshold 1) must be
-//! **answer-for-answer identical** to an engine that evaluates each
-//! component as one whole-body join (threshold ∞) — same terminal
-//! statuses, same answer tuples — in both
-//! engine modes (§5.1). Region splitting is checked at the plan level,
-//! the one place a split can be forced on a small ring
+//! Property checks for the engine's one evaluator, the partitioned
+//! path of `eq_core::intra`: on giant-ring and generator workloads, the
+//! engine's terminal outcomes must be **answer-for-answer identical**
+//! to the reference — every coordinating set of the same pool matched
+//! as a flush matches it and answered by its own whole-body join,
+//! `CombinedQuery::evaluate` — same terminal statuses, same answer
+//! tuples, in both engine modes (§5.1). Shared-chain rings are one
+//! unit the default gate keeps whole, with variable heads, so they
+//! pin the answer choice itself. Region splitting is checked at
+//! the plan level, the one place a split can be forced on a small ring
 //! (`SplitOptions { crossover: 0 }`; the engine always gates with the
 //! default, which keeps these rings whole).
 
@@ -13,7 +15,8 @@ use eq_core::engine::{NoSolutionPolicy, QueryOutcome};
 use eq_core::intra::{evaluate_plan, plan_component, SplitOptions};
 use eq_core::matching::match_component;
 use eq_core::{
-    CombinedQuery, ComponentPlan, CoordinationEngine, EngineConfig, EngineMode, MatchGraph,
+    safety, CombinedQuery, ComponentPlan, CoordinationEngine, EngineConfig, EngineMode, FailReason,
+    MatchGraph, RejectReason,
 };
 use eq_db::Database;
 use eq_ir::{EntangledQuery, FastMap, QueryId, VarGen};
@@ -36,46 +39,107 @@ fn graph() -> &'static SocialGraph {
     })
 }
 
-/// Drives the same workload through one engine configuration and
-/// returns each query's terminal outcome in submission order (None =
-/// still pending). Chain bodies only for the sequential engine —
-/// triangle rings thrash the one-combined-join evaluator by design.
-fn outcomes(
-    db: Database,
+/// Each query's terminal outcome in submission order (None = still
+/// pending).
+type Outcomes = Vec<(QueryId, Option<QueryOutcome>)>;
+
+fn config(mode: EngineMode) -> EngineConfig {
+    EngineConfig {
+        mode,
+        admission_safety_check: false,
+        on_no_solution: NoSolutionPolicy::Reject,
+        ..Default::default()
+    }
+}
+
+/// Drives `queries` through an engine in `mode` and, beside it, the
+/// reference ([`reference`]) over the pool a set-at-a-time engine holds
+/// just before its one flush: the same queries, renamed apart and
+/// numbered in the same submission order, in the same slots.
+fn engine_and_reference(
+    db: &Database,
     queries: &[EntangledQuery],
     mode: EngineMode,
-    threshold: usize,
-) -> Vec<(QueryId, Option<QueryOutcome>)> {
-    let mut engine = CoordinationEngine::new(
-        db,
-        EngineConfig {
-            mode,
-            admission_safety_check: false,
-            on_no_solution: NoSolutionPolicy::Reject,
-            intra_component_threshold: threshold,
-            ..Default::default()
-        },
+) -> (Outcomes, Outcomes) {
+    let submit_all = |engine: &mut CoordinationEngine| -> Vec<QueryId> {
+        queries
+            .iter()
+            .map(|q| engine.submit(q.clone()).unwrap().id)
+            .collect()
+    };
+    let mut pool = CoordinationEngine::new(
+        db.snapshot(),
+        config(EngineMode::SetAtATime { batch_size: 0 }),
     );
-    let handles: Vec<_> = queries
-        .iter()
-        .map(|q| engine.submit(q.clone()).unwrap())
-        .collect();
-    if matches!(mode, EngineMode::SetAtATime { .. }) {
-        engine.flush();
-    }
+    let ids = submit_all(&mut pool);
+    let mut expected = reference(pool.graph(), db);
+    let mut engine = match mode {
+        EngineMode::SetAtATime { .. } => pool,
+        EngineMode::Incremental => {
+            let mut engine = CoordinationEngine::new(db.snapshot(), config(mode));
+            assert_eq!(submit_all(&mut engine), ids);
+            engine
+        }
+    };
+    engine.flush();
     engine.check_invariants().unwrap();
     let mut log: FastMap<QueryId, QueryOutcome> = engine.drain_outcome_log().into_iter().collect();
-    handles
-        .into_iter()
-        .map(|h| (h.id, log.remove(&h.id)))
-        .collect()
+    let got = ids.iter().map(|&id| (id, log.remove(&id))).collect();
+    let want = ids.iter().map(|&id| (id, expected.remove(&id))).collect();
+    (got, want)
+}
+
+/// What one flush over `graph` must decide, with every coordinating set
+/// answered by its whole-body join: per component, §3.1.1 sidelines the
+/// ambiguous members, the rest split into live pieces, and Algorithm 1
+/// matches each piece. Non-UCS members fail; a set whose
+/// `CombinedQuery::evaluate` finds no solution (or errs) fails under
+/// the `Reject` policy; sidelined and unmatched members stay pending
+/// (absent from the map).
+fn reference(graph: &MatchGraph, db: &Database) -> FastMap<QueryId, QueryOutcome> {
+    let mut alive = vec![true; graph.len()];
+    for component in graph.components() {
+        for slot in safety::enforce_members(graph, &component) {
+            alive[slot as usize] = false;
+        }
+    }
+    let rejected = |reason| QueryOutcome::Failed(FailReason::Rejected(reason));
+    let mut out = FastMap::default();
+    for piece in graph.components_live(&alive) {
+        let m = match_component(graph, &piece);
+        for &slot in &m.non_ucs {
+            out.insert(graph.query(slot).id, rejected(RejectReason::NonUcs));
+        }
+        for set in &m.sets {
+            let global = match &m.global {
+                Some(global) => global.clone(),
+                None => match_component(graph, set)
+                    .global
+                    .expect("a set matches alone"),
+            };
+            let combined = CombinedQuery::build(graph, set, global);
+            match combined.evaluate(db, 1).map(|s| s.into_iter().next()) {
+                Ok(Some(answers)) => {
+                    for answer in answers {
+                        out.insert(answer.query, QueryOutcome::Answered(answer));
+                    }
+                }
+                Ok(None) | Err(_) => {
+                    for &slot in set {
+                        out.insert(graph.query(slot).id, rejected(RejectReason::NoSolution));
+                    }
+                }
+            }
+        }
+    }
+    out
 }
 
 /// A giant ring, optionally sabotaged: `break_at` (when set) points one
 /// query's body anchor at a name absent from the Friends table, making
 /// that work unit (or region) unsatisfiable — the whole component
 /// becomes a no-solution case (the empty posting list also means the
-/// sequential join fails at its root, no thrashing).
+/// whole-body join fails at its root, no thrashing).
 fn ring(
     n: usize,
     k: usize,
@@ -99,7 +163,7 @@ fn ring(
 }
 
 /// Matches a ring as one component and plans it with the split forced,
-/// next to the sequential combined query over the same survivors.
+/// next to the combined query over the same survivors.
 fn forced_split_plan(queries: &[EntangledQuery]) -> (ComponentPlan, CombinedQuery) {
     let gen = VarGen::new();
     let graph = MatchGraph::build(
@@ -128,22 +192,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn intra_parallel_equals_sequential_on_giant_rings(
+    fn engine_equals_combined_query_on_giant_rings(
         n in 6usize..48,
         k in 1usize..5,
         break_at in proptest::option::of(0usize..48),
         batch in 0usize..2,
+        shared in 0usize..2,
     ) {
         prop_assume!(n > 4 * k);
-        let (db, queries) = ring(n, k, GiantBody::Chain, break_at);
+        // Chain heads are ground; SharedChain heads carry the body's
+        // `x`, so its answers show which valuation was chosen.
+        let body = if shared == 1 { GiantBody::SharedChain } else { GiantBody::Chain };
+        let (db, queries) = ring(n, k, body, break_at);
         let mode = if batch == 1 {
             EngineMode::SetAtATime { batch_size: 0 }
         } else {
             EngineMode::Incremental
         };
-        let seq = outcomes(db.snapshot(), &queries, mode, usize::MAX);
-        let par = outcomes(db.snapshot(), &queries, mode, 1);
-        prop_assert_eq!(seq, par);
+        let (got, want) = engine_and_reference(&db, &queries, mode);
+        prop_assert_eq!(got, want);
     }
 
     #[test]
@@ -164,7 +231,7 @@ proptest! {
     }
 
     #[test]
-    fn intra_parallel_equals_sequential_on_generator_workloads(
+    fn engine_equals_combined_query_on_generator_workloads(
         n in 8usize..40,
         seed in 0u64..1_000,
         style in 0usize..2,
@@ -174,8 +241,7 @@ proptest! {
         prop_assume!(!queries.is_empty());
         let db = eq_workload::build_database(graph());
         let mode = EngineMode::SetAtATime { batch_size: 0 };
-        let seq = outcomes(db.snapshot(), &queries, mode, usize::MAX);
-        let par = outcomes(db.snapshot(), &queries, mode, 1);
-        prop_assert_eq!(seq, par);
+        let (got, want) = engine_and_reference(&db, &queries, mode);
+        prop_assert_eq!(got, want);
     }
 }

@@ -139,7 +139,7 @@ proptest! {
     /// propagation, combined-query assembly — performs zero unifier
     /// clones.
     #[test]
-    fn batch_flush_is_thread_stable_and_clone_free(
+    fn batch_flush_equals_sequential_and_is_clone_free(
         kind in 0usize..6,
         n in 8usize..24,
         seed in 0u64..1_000,

@@ -17,9 +17,9 @@
 //! * **flushes** every `flush_every` submissions, preceded by a wave of
 //!   cancellations of the oldest solo residents.
 //!
-//! Scripts are deterministic in the seed, so resident and
-//! rebuild-per-flush drivers (and sequential and parallel flushes) see
-//! byte-identical operation streams.
+//! Scripts are deterministic in the seed, so every replay of one — on a
+//! bare engine or a `Coordinator`, by single submits or batches — sees
+//! a byte-identical operation stream.
 
 use crate::rng::{Rng, SliceRandom, StdRng};
 use crate::social::SocialGraph;

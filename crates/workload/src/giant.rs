@@ -6,9 +6,9 @@
 //! queries form one ring of ground entanglements (query `i`'s
 //! postcondition names query `i+1 mod n`'s head), so the paper's
 //! coordination semantics force all `n` to be answered together through
-//! a single combined query — the worst case for per-component flush
-//! parallelism, and the workload the engine's partitioned
-//! intra-component path (`eq_core::intra`) exists for.
+//! a single combined query — the worst case for per-component
+//! evaluation, and the workload the engine's partitioned evaluator
+//! (`eq_core::intra`) exists for.
 //!
 //! Each query carries a body over a synthetic `Friends` relation, in
 //! one of three flavors ([`GiantBody`]):
@@ -21,27 +21,28 @@
 //! ```
 //!
 //! `Chain` and `Triangle` bodies use **private** variables, so the
-//! combined query decomposes into `n` variable-disjoint work units. The
-//! difference is what the *sequential* (one combined join) evaluator
-//! does with them:
+//! combined query decomposes into `n` variable-disjoint work units, and
+//! the engine evaluates them one by one. The difference is what the
+//! whole-body join — `eq_core::CombinedQuery::evaluate`, the reference
+//! the engine is tested against — does with them:
 //!
-//! * **`Chain`** bodies never fail a row, so the sequential join is
+//! * **`Chain`** bodies never fail a row, so the whole-body join is
 //!   backtrack-free and terminates — its cost is the quadratic
 //!   atom-selection scan over the 2n-atom body. Use this flavor to
-//!   *measure* sequential-vs-partitioned on the same input.
+//!   compare the engine with the whole-body join on the same input.
 //! * **`Triangle`** bodies are rigged so every triangle search
 //!   succeeds, but only on (roughly) the **last** of its `k²` candidate
 //!   2-paths: user `G_m`'s friends are `G_{m+1} … G_{m+k}` (forward
 //!   ring edges — no triangles among themselves for `n > 3k`), plus one
 //!   *closure* edge `G_{m+2k} → G_m` that completes exactly the longest
-//!   2-path. Each work unit therefore does Θ(k²) indexed row visits —
-//!   real, parallelizable work. Do **not** point the sequential
-//!   evaluator at a triangle ring: chronological backtracking thrashes
-//!   across the interleaved independent sub-searches (a dead end in one
-//!   unit re-enumerates every binding of the units interleaved after
-//!   it), which is exponential in the ring size. The partitioned path
-//!   evaluates each unit in isolation and is immune — that cliff *is*
-//!   the point of this workload.
+//!   2-path. Each work unit therefore does Θ(k²) indexed row visits of
+//!   real work. Do **not** point `CombinedQuery::evaluate` at a
+//!   triangle ring: chronological backtracking thrashes across the
+//!   interleaved independent sub-searches (a dead end in one unit
+//!   re-enumerates every binding of the units interleaved after it),
+//!   which is exponential in the ring size — a 13-query ring at k = 3
+//!   took minutes. The engine evaluates each unit in isolation and is
+//!   immune — that cliff *is* the point of this workload.
 //!
 //! **`SharedChain`** is the flavor the other two cannot model: its
 //! postcondition names the *body variable* `y`, so matching unifies
@@ -52,12 +53,11 @@
 //! (query `0` anchors the ring with a ground head `R(G_0, HUB)` and
 //! query `n-1` closes it with the matching ground postcondition, so
 //! the variable chain is a path, not a cycle). Variable-disjoint
-//! partitioning (`eq_core::intra`) sees a single work unit and the
-//! flush serializes again; the **biconnected-region split**
-//! (`eq_core::intra::split_unit`) is what decomposes this flavor — every
-//! interior chain variable is an articulation point, so the unit
-//! shatters into `n` two-variable join regions evaluated in parallel
-//! and glued by an exact tree semi-join. With `friends_per_user = 1`
+//! partitioning (`eq_core::intra`) sees a single work unit; the
+//! **biconnected-region split** (`eq_core::intra::split_unit`) is what
+//! decomposes this flavor — every interior chain variable is an
+//! articulation point, so the unit shatters into `n` two-variable join
+//! regions evaluated one at a time and glued by an exact tree join. With `friends_per_user = 1`
 //! the chain's solution is unique (`x_i = G_{i+1}`), making split and
 //! whole-unit evaluation answer-identical — the property-test
 //! configuration; larger `k` gives each region `Θ(k²)` local solutions,
@@ -94,10 +94,11 @@ const FRIENDS: &str = "Friends";
 /// Per-query body flavor of the giant ring (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum GiantBody {
-    /// Backtrack-free two-atom walk: safe for the sequential evaluator.
+    /// Backtrack-free two-atom walk: safe for the whole-body join too.
     #[default]
     Chain,
-    /// Θ(k²)-per-unit triangle search: partitioned evaluation only.
+    /// Θ(k²)-per-unit triangle search: exponential through the
+    /// whole-body join, linear in the ring through the engine.
     Triangle,
     /// Postconditions name body variables: the combined body is one
     /// shared-variable chain, split only by biconnected regions.
@@ -280,8 +281,8 @@ mod tests {
 
     #[test]
     fn chain_ring_coordinates_sequentially() {
-        // Chain bodies are backtrack-free, so even the plain one-shot
-        // sequential evaluation handles the whole ring.
+        // Chain bodies are backtrack-free, so the whole-body join
+        // answers the whole ring as one-shot coordination does.
         let cfg = GiantComponentConfig {
             queries: 30,
             friends_per_user: 4,
@@ -291,43 +292,61 @@ mod tests {
         let outcome = eq_core::coordinate(&queries, &db);
         assert_eq!(outcome.answers.len(), 30, "{:?}", outcome.rejected);
         assert!(outcome.rejected.is_empty());
+        let (graph, m) = ring_match(&queries);
+        let combined = eq_core::CombinedQuery::build(&graph, &m.survivors, m.global.unwrap());
+        let solutions = combined.evaluate(&db, 1).unwrap();
+        assert_eq!(solutions.first().map(Vec::len), Some(30));
     }
 
     #[test]
     fn triangle_ring_coordinates_through_the_partitioned_path() {
-        // Triangle bodies thrash the interleaved sequential join (see
-        // module docs); the intra-component path evaluates each unit in
-        // isolation and answers the whole ring.
+        // Triangle bodies thrash the interleaved whole-body join (see
+        // module docs): a 13-query ring at k = 3 takes minutes through
+        // it. At the default configuration, in both modes, the engine
+        // evaluates each unit in isolation and answers the whole ring.
         use eq_core::{CoordinationEngine, EngineConfig, EngineMode, QueryOutcome};
-        let cfg = GiantComponentConfig {
-            queries: 40,
-            friends_per_user: 6,
-            body: GiantBody::Triangle,
-        };
-        let (db, queries) = giant_component(&cfg);
-        let mut engine = CoordinationEngine::new(
-            db,
-            EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
-                intra_component_threshold: 1,
-                ..Default::default()
-            },
-        );
-        let handles: Vec<_> = queries
-            .iter()
-            .map(|q| engine.submit(q.clone()).unwrap())
-            .collect();
-        let report = engine.flush();
-        assert_eq!(report.answered, 40);
-        assert_eq!(report.intra_components, 1);
-        assert_eq!(report.intra_units, 40);
-        let mut log: FastMap<QueryId, QueryOutcome> =
-            engine.drain_outcome_log().into_iter().collect();
-        for h in &handles {
-            assert!(matches!(
-                log.remove(&h.id).unwrap(),
-                QueryOutcome::Answered(_)
-            ));
+        for (n, k) in [(13, 3), (40, 6)] {
+            let cfg = GiantComponentConfig {
+                queries: n,
+                friends_per_user: k,
+                body: GiantBody::Triangle,
+            };
+            for mode in [
+                EngineMode::Incremental,
+                EngineMode::SetAtATime { batch_size: 0 },
+            ] {
+                let (db, queries) = giant_component(&cfg);
+                let mut engine = CoordinationEngine::new(
+                    db,
+                    EngineConfig {
+                        mode,
+                        ..Default::default()
+                    },
+                );
+                let handles: Vec<_> = queries
+                    .iter()
+                    .map(|q| engine.submit(q.clone()).unwrap())
+                    .collect();
+                // An incremental submit returns no report: the submit
+                // that closes the ring runs the evaluation a flush runs,
+                // so this flush finds nothing left, and the counters are
+                // read from the set-at-a-time flush.
+                let report = engine.flush();
+                assert_eq!(engine.pending_count(), 0, "n = {n}, {mode:?}");
+                if mode != EngineMode::Incremental {
+                    assert_eq!(report.answered, n, "n = {n}");
+                    assert_eq!(report.intra_components, 1, "n = {n}");
+                    assert_eq!(report.intra_units, n, "n = {n}");
+                }
+                let mut log: FastMap<QueryId, QueryOutcome> =
+                    engine.drain_outcome_log().into_iter().collect();
+                for h in &handles {
+                    assert!(matches!(
+                        log.remove(&h.id).unwrap(),
+                        QueryOutcome::Answered(_)
+                    ));
+                }
+            }
         }
     }
 
@@ -395,6 +414,17 @@ mod tests {
             Some(at) => giant_detour(cfg, at),
             None => giant_component(cfg),
         };
+        let (graph, m) = ring_match(&queries);
+        let global = m.global.expect("rings always match");
+        let plan = eq_core::intra::plan_component(&graph, &m.survivors, &global, split);
+        (db, plan)
+    }
+
+    /// Builds a ring's match graph, queries in ring order, and matches
+    /// it as one component.
+    fn ring_match(
+        queries: &[EntangledQuery],
+    ) -> (eq_core::MatchGraph, eq_core::matching::ComponentMatch) {
         let gen = VarGen::new();
         let graph = eq_core::MatchGraph::build(
             queries
@@ -402,11 +432,9 @@ mod tests {
                 .map(|q| q.rename_apart(&gen).with_id(q.id))
                 .collect(),
         );
-        let members: Vec<u32> = (0..cfg.queries as u32).collect();
+        let members: Vec<u32> = (0..queries.len() as u32).collect();
         let m = eq_core::matching::match_component(&graph, &members);
-        let global = m.global.expect("rings always match");
-        let plan = eq_core::intra::plan_component(&graph, &m.survivors, &global, split);
-        (db, plan)
+        (graph, m)
     }
 
     #[test]

@@ -259,10 +259,9 @@ pub fn giant_cluster(graph: &SocialGraph, n: usize, seed: u64) -> Vec<EntangledQ
 /// filtering does real work on each probe, and — because no
 /// postcondition ever has a second satisfier — the workload is *safe*,
 /// so the Figure-9 admission check scans full candidate lists with no
-/// early exit. This is the workload where batched admission's
-/// probe-once strategy (safety decided from the same probes that
-/// discover edges) beats sequential submission's scan-per-check, and
-/// where those probes parallelize across index shards.
+/// early exit. This is the workload that loads admission's probes
+/// hardest: each query's Figure-9 verdict is decided from the same
+/// full candidate lists that discover its edges.
 pub fn grid_pairs(n: usize, seed: u64) -> Vec<EntangledQuery> {
     let mut rng = StdRng::seed_from_u64(seed);
     let pairs = n / 2;

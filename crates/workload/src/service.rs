@@ -4,8 +4,9 @@
 //! Where `crate::churn_script` drives the raw engine one submission at
 //! a time, a *service script* models the traffic shape the paper's
 //! middleware sees in production: clients arrive in **bursts** (the
-//! natural unit for batched parallel admission), abandon requests
-//! between bursts, and the service flushes on a cadence. The same
+//! natural unit for batched admission: one lock, the queries admitted
+//! one at a time under it), abandon requests between bursts, and the
+//! service flushes on a cadence. The same
 //! script can be replayed through sequential `submit` calls and
 //! through `submit_batch`, which is exactly how the equivalence
 //! proptests cross-check the two paths.

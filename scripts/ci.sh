@@ -84,7 +84,7 @@ echo "== 10/14 eq_check concurrency-discipline analyzer =="
 cargo run -q --offline -p eq_check
 cargo run -q --offline -p eq_check -- --fixtures
 
-echo "== 11/14 differential and equivalence proptests (unifier vs reference oracle; one-pass matching vs worklist; region evaluation vs materialized semi-join; the one admission step) =="
+echo "== 11/14 differential and equivalence proptests (unifier vs reference oracle; one-pass matching vs worklist; region evaluation vs materialized semi-join; the engine's evaluator vs the whole-body join; the one admission step) =="
 # The union-find unifier must stay observationally equivalent to the
 # frozen reference oracle after every step of random equate / bind /
 # unify_terms / merge_from scripts (conflicting merges included).
@@ -102,10 +102,15 @@ echo "== 11/14 differential and equivalence proptests (unifier vs reference orac
 # test under its name. So must region evaluation's oracle property:
 # the first-choice descent and its witness-pass fallback must stay
 # answer-for-answer equal to the materialized semi-join on clean,
-# detoured and broken shared-variable rings.
+# detoured and broken shared-variable rings. So must the one guard
+# tying the engine's one evaluator (`intra`) to the whole-body join:
+# on clean and broken rings, in both engine modes, the engine's
+# outcomes must equal each coordinating set's
+# `CombinedQuery::evaluate`.
 cargo test -q --offline -p eq_core --lib matching
 for named in "eq_unify --lib differential::unifier_equals_reference_oracle" \
     "eq_core --lib intra::tests::streaming_equals_materialized_region_evaluation" \
+    "eq_core --test=intra_proptest engine_equals_combined_query_on_giant_rings" \
     "eq_core --test=service_proptest submit_batch_is_equivalent_to_sequential_submits" \
     "eq_core --test=invariants_proptest one_edge_definition_for_build_pairwise_and_engine" \
     "eq_core --test=shard_dispatch_proptest shard_counts_are_observationally_identical"; do
