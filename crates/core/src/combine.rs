@@ -119,7 +119,7 @@ pub(crate) fn distribute_heads(
 /// and per-survivor simplified heads (every term resolved to its class
 /// constant or representative). The **single** source of the
 /// simplification for [`CombinedQuery::build`] and the engine's
-/// partitioned plan ([`crate::intra::plan_component`]) — the guarantee
+/// partitioned plan ([`crate::intra::plan`]) — the guarantee
 /// that the engine answers as the whole-body join does requires both to
 /// simplify byte-identically, so there is exactly one implementation.
 #[allow(clippy::type_complexity)]

@@ -20,9 +20,11 @@
 //! Match state is **resident**: the engine owns one [`MatchGraph`], the
 //! unifiability graph of §4.1.1 with its atom indexes and component
 //! registry, keyed by engine slots. Admission discovers an arrival's
-//! edges through the graph's indexes (each MGU computed once and kept on
-//! the edge) and links it; retirement unlinks it (lazy component-split
-//! resolution). Evaluation runs straight off the graph, borrowing
+//! edges through the graph's indexes (an edge is four indices — which
+//! head of which query unifies with which postcondition — and keeps no
+//! unifier: matching folds each edge's atom pair afresh) and links it;
+//! retirement unlinks it (lazy component-split resolution).
+//! Evaluation runs straight off the graph, borrowing
 //! pending queries in place; nothing is cloned into a per-flush
 //! throwaway graph, and a flush with no changes since the previous one
 //! evaluates zero components. Per-slot engine state — no-solution
@@ -260,8 +262,8 @@ pub struct BatchReport {
     /// variable-disjoint sub-join of a combined query).
     pub intra_units: usize,
     /// Work units that additionally went through shared-variable
-    /// biconnected-region splitting (the gate of
-    /// [`crate::intra::SplitOptions::default`]).
+    /// biconnected-region splitting: every unit whose variable graph
+    /// [`crate::intra::split_unit`] cuts into regions.
     pub intra_split_units: usize,
     /// Biconnected regions dispatched as work items across those split
     /// units.
@@ -940,8 +942,8 @@ struct ComponentOutcome {
 
 /// Evaluates one coordinating set's combined query: the body is
 /// partitioned into variable-disjoint work units evaluated one by one
-/// ([`intra`]; shared-variable units split into regions where
-/// [`intra::SplitOptions::default`]'s gate admits it). Returns the
+/// ([`intra`]; shared-variable units split into regions wherever their
+/// variable graph has an articulation variable). Returns the
 /// first coordinated solution (one answer per survivor, in survivor
 /// order) and adds the plan's counters to `report`.
 fn evaluate_survivors(
@@ -951,7 +953,7 @@ fn evaluate_survivors(
     db: &Database,
     report: &mut BatchReport,
 ) -> Result<Option<Vec<QueryAnswer>>, eq_db::DbError> {
-    let plan = intra::plan_component(graph, survivors, global, &intra::SplitOptions::default());
+    let plan = intra::plan(graph, survivors, global);
     report.intra_components += 1;
     report.intra_units += plan.units.len();
     for rp in plan.units.iter().filter_map(|u| u.regions.as_ref()) {

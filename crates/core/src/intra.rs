@@ -11,7 +11,7 @@
 //!
 //! # Work-unit extraction
 //!
-//! [`plan_component`] walks the component's survivors in the
+//! [`plan`] walks the component's survivors in the
 //! [`MatchGraph`], simplifies every body atom and constraint under the
 //! component's global unifier exactly as
 //! [`crate::CombinedQuery::build`] does, and then partitions the
@@ -100,10 +100,14 @@
 //! (a function of the plan and the database alone), but it is the
 //! tree-join's first solution, not necessarily the one the whole-unit
 //! backtracking search would find first; when a unit's solution is
-//! unique the two coincide. There is no enumeration cap. Splitting
-//! itself is gated by a work/overhead crossover
-//! ([`SplitOptions::crossover`]): small units evaluate faster whole than
-//! through per-region dispatch.
+//! unique the two coincide. There is no enumeration cap, and no size
+//! gate: a unit splits wherever [`split_unit`] finds two atom-anchored
+//! blocks, whatever its size, so a hopeless block fails alone instead
+//! of being re-proved once per solution of the rest of the unit (a
+//! 51-atom 3-colouring query whose K4 hangs by a bridge off a random
+//! graph took tens of seconds whole). Only the structure refuses a
+//! split: a constraint bridging two atom clusters, or an articulation
+//! variable some region sees through no atom.
 //!
 //! The first region evaluator — materialize every region's solutions up
 //! to a cap, semi-join the sets over the tree, fall back to whole-unit
@@ -115,13 +119,14 @@
 //! for answer.
 //!
 //! This module is the engine's one evaluator: every coordinating set,
-//! whatever its size, is planned by [`plan_component`] and evaluated by
+//! whatever its size, is planned by [`plan`] and evaluated by
 //! [`evaluate_plan`]. The whole-body join, [`crate::CombinedQuery::evaluate`],
 //! stays as the reference this module's result is guaranteed (and
-//! tested) to agree with; it is never the engine's path, because its
-//! chronological backtracking across interleaved independent units is
-//! exponential in the set's size on bodies that backtrack (a 13-query
-//! triangle ring took minutes through it).
+//! tested) to agree with — answer for answer where no unit splits, on
+//! whether a solution exists where one does; it is never the engine's
+//! path, because its chronological backtracking across interleaved
+//! independent units is exponential in the set's size on bodies that
+//! backtrack (a 13-query triangle ring took minutes through it).
 
 use crate::combine::{distribute_heads, QueryAnswer};
 use crate::graph::MatchGraph;
@@ -130,48 +135,11 @@ use eq_ir::{Atom, Constraint, FastMap, FastSet, QueryId, Value, Var};
 use eq_unify::Unifier;
 use std::ops::Range;
 
-/// The split gate for shared-variable work units (see the module docs'
-/// "biconnected regions" section). The engine always plans with
-/// [`SplitOptions::default`]; the field exists so plan-level tests can
-/// force splits on small units (`crossover: 0`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SplitOptions {
-    /// Work/overhead crossover for the split decision: a unit of `a`
-    /// atoms that decomposes into `r` regions splits only when
-    /// `a² ≥ crossover × r`. Region dispatch has a fixed per-region
-    /// cost (plan walk, per-region join setup, witness bookkeeping)
-    /// that whole-unit evaluation does not pay, so small units — where
-    /// the combined join's quadratic atom-selection scan is still cheap
-    /// — evaluate faster whole (measured crossover ≈ n=600..1200 chain
-    /// queries; see the README scaling guide). `0` always splits.
-    ///
-    /// A split has at least two regions, so a unit with
-    /// `a² < 2 × crossover` is never analyzed at all: at the default
-    /// that is every unit under 91 atoms.
-    pub crossover: usize,
-}
-
-impl Default for SplitOptions {
-    fn default() -> Self {
-        SplitOptions { crossover: 4096 }
-    }
-}
-
-impl SplitOptions {
-    /// The region decomposition `unit` is evaluated through, if any:
-    /// [`split_unit`]'s, when the crossover gate admits it. The unit's
-    /// whole-evaluation cost scales with atoms² (the greedy
-    /// atom-selection scan alone is quadratic); the split's overhead
-    /// scales with the region count.
-    fn regions(&self, unit: &WorkUnit) -> Option<RegionPlan> {
-        let a = unit.atoms.len();
-        let work = a.saturating_mul(a);
-        if work < self.crossover.saturating_mul(2) {
-            return None;
-        }
-        split_unit(unit).filter(|rp| work >= self.crossover.saturating_mul(rp.regions.len()))
-    }
-}
+/// Inert, kept only because the frozen benchmark still names it; the
+/// region split has no gate. ROADMAP item 2(b) deletes it.
+#[deprecated(note = "ignored: a unit splits wherever `split_unit` finds regions (ROADMAP 2(b))")]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SplitOptions;
 
 /// One independently evaluable piece of a combined query: a maximal
 /// variable-connected sub-conjunction of the simplified body, plus the
@@ -184,9 +152,8 @@ pub struct WorkUnit {
     pub atoms: Vec<Atom>,
     /// Simplified constraints whose variables belong to this unit.
     pub constraints: Vec<Constraint>,
-    /// Biconnected-region decomposition, present when the unit
-    /// decomposes (≥ 2 regions) and passes the
-    /// [`SplitOptions::crossover`] gate, in which case the unit is
+    /// Biconnected-region decomposition ([`split_unit`]), present when
+    /// the unit decomposes into ≥ 2 regions, in which case the unit is
     /// evaluated region by region.
     /// `atoms`/`constraints` still hold the whole unit; the regions
     /// index into them.
@@ -304,15 +271,10 @@ impl VarUnion {
 /// global unifier. The flat concatenation of
 /// `ground_atoms` and every unit's `atoms` is a permutation of the
 /// combined query's body; likewise for constraints; `heads` is
-/// identical to the combined query's. Units the `split` gate admits
-/// additionally carry their biconnected-region decomposition
+/// identical to the combined query's. Every unit that decomposes
+/// additionally carries its biconnected-region decomposition
 /// ([`split_unit`]).
-pub fn plan_component(
-    graph: &MatchGraph,
-    survivors: &[u32],
-    global: &Unifier,
-    split: &SplitOptions,
-) -> ComponentPlan {
+pub fn plan(graph: &MatchGraph, survivors: &[u32], global: &Unifier) -> ComponentPlan {
     // One shared simplification with `CombinedQuery::build` — the
     // answer-equivalence guarantee requires byte-identical inputs.
     let (atoms, constraints, heads) = crate::combine::simplify_survivors(graph, survivors, global);
@@ -381,7 +343,7 @@ pub fn plan_component(
     }
 
     for unit in &mut units {
-        unit.regions = split.regions(unit);
+        unit.regions = split_unit(unit);
     }
 
     ComponentPlan {
@@ -392,11 +354,26 @@ pub fn plan_component(
     }
 }
 
+/// [`plan`] under the name and signature the frozen benchmark still
+/// calls; `split` is ignored. ROADMAP item 2(b) deletes it.
+#[deprecated(note = "use `plan`; the split options are ignored (ROADMAP 2(b))")]
+#[allow(deprecated)]
+pub fn plan_component(
+    graph: &MatchGraph,
+    survivors: &[u32],
+    global: &Unifier,
+    _split: &SplitOptions,
+) -> ComponentPlan {
+    plan(graph, survivors, global)
+}
+
 /// Decomposes one variable-connected work unit into biconnected
 /// regions of its variable graph (vertices = the unit's variables, one
 /// clique per atom/constraint over its distinct variables). Returns
 /// `None` when the unit does not decompose — fewer than two blocks
-/// (e.g. a cycle of shared variables, which is 2-connected) — or when a
+/// (e.g. a cycle of shared variables, which is 2-connected; a unit with
+/// fewer than two conjuncts over two or more variables, the only ones
+/// that add edges, is refused before anything is allocated) — or when a
 /// block holds no atom at all (its only edges came from a
 /// multi-variable *constraint* bridging two atom clusters; such a
 /// constraint spans regions and no region could enforce it, so the
@@ -423,12 +400,16 @@ pub fn plan_component(
 ///   merge can always key on it) — units violating this refuse to
 ///   split.
 pub fn split_unit(unit: &WorkUnit) -> Option<RegionPlan> {
+    // Every edge comes from one multi-variable conjunct's clique, and a
+    // clique lies in one block: two blocks need two such conjuncts.
+    let atoms = unit.atoms.iter().map(|a| spans_two_vars(a.vars()));
+    let constraints = unit.constraints.iter().map(|c| spans_two_vars(c.vars()));
+    if atoms.chain(constraints).filter(|&multi| multi).count() < 2 {
+        return None;
+    }
     // Conjunct i is atom i, then constraint i - atoms.
     let conjunct_vars = ConjunctVars::number(unit);
     let n = conjunct_vars.vars.len();
-    if n < 2 {
-        return None;
-    }
     let conjuncts = unit.atoms.len() + unit.constraints.len();
 
     // Edges: one clique per multi-variable conjunct, dedupped.
@@ -445,9 +426,6 @@ pub fn split_unit(unit: &WorkUnit) -> Option<RegionPlan> {
                 });
             }
         }
-    }
-    if edges.is_empty() {
-        return None;
     }
     // Adjacency (neighbor, edge id), each vertex's in edge order.
     let (adj_at, adj) = group_by_key(
@@ -681,6 +659,11 @@ pub fn split_unit(unit: &WorkUnit) -> Option<RegionPlan> {
         constraints,
         children,
     })
+}
+
+/// Whether a conjunct's variables hold two distinct ones.
+fn spans_two_vars(mut vars: impl Iterator<Item = Var>) -> bool {
+    vars.next().is_some_and(|first| vars.any(|v| v != first))
 }
 
 /// Each conjunct's distinct variables as dense ids, numbered in
@@ -1367,7 +1350,7 @@ mod tests {
     fn plan_for(g: &MatchGraph, members: &[u32]) -> (ComponentPlan, CombinedQuery) {
         let m = match_component(g, members);
         let global = m.global.expect("answerable");
-        let plan = plan_component(g, &m.survivors, &global, &SplitOptions::default());
+        let plan = plan(g, &m.survivors, &global);
         let cq = CombinedQuery::build(g, &m.survivors, global.clone());
         (plan, cq)
     }
@@ -1771,7 +1754,6 @@ mod tests {
     fn ring_plan(
         cfg: &eq_workload::GiantComponentConfig,
         ring: Ring,
-        split: &SplitOptions,
     ) -> (Database, ComponentPlan, bool) {
         use eq_workload::rng::{SliceRandom, StdRng};
         let (db, mut queries) = eq_workload::giant_component(cfg);
@@ -1810,61 +1792,8 @@ mod tests {
         let members: Vec<u32> = (0..cfg.queries as u32).collect();
         let m = match_component(&g, &members);
         let global = m.global.expect("rings always match");
-        let plan = plan_component(&g, &m.survivors, &global, split);
+        let plan = plan(&g, &m.survivors, &global);
         (db, plan, detour.is_some())
-    }
-
-    #[test]
-    fn crossover_gate_splits_only_when_atoms_squared_reaches_crossover_times_regions() {
-        // A 20-query shared chain is one unit of 40 atoms that
-        // decomposes into 20 regions: 40² = 80 × 20 exactly. Past 800
-        // (40² = 2 × 800) the unit is not even analyzed.
-        let cfg = eq_workload::GiantComponentConfig {
-            queries: 20,
-            friends_per_user: 1,
-            body: eq_workload::GiantBody::SharedChain,
-        };
-        for (crossover, regions) in [
-            (0, Some(20)),
-            (80, Some(20)),
-            (81, None),
-            (800, None),
-            (801, None),
-            (4096, None),
-        ] {
-            let (_, plan, _) = ring_plan(&cfg, Ring::default(), &SplitOptions { crossover });
-            assert_eq!(plan.units.len(), 1);
-            assert_eq!(plan.units[0].atoms.len(), 40);
-            assert_eq!(
-                plan.units[0].regions.as_ref().map(|rp| rp.regions.len()),
-                regions,
-                "crossover {crossover}"
-            );
-        }
-        // A two-region unit sits exactly on the pre-check boundary
-        // a² = 2 × crossover: one edge atom hung off a block of `t`
-        // atoms over one variable triangle. At the default crossover
-        // that boundary is 91 atoms (90² < 8,192 ≤ 91²).
-        let unit = |t: i64| {
-            let mut atoms = vec![e(vx(0), vx(1))];
-            atoms.extend((0..t).map(|c| Atom::new("T", vec![vx(1), vx(2), vx(3), Term::int(c)])));
-            raw_unit(atoms)
-        };
-        for (t, crossover, splits) in [
-            (1, 2, true),
-            (1, 3, false),
-            (89, 4096, false),
-            (90, 4096, true),
-        ] {
-            let unit = unit(t);
-            let regions = SplitOptions { crossover }.regions(&unit);
-            assert_eq!(
-                regions.map(|rp| rp.regions.len()),
-                splits.then_some(2),
-                "{} atoms, crossover {crossover}",
-                unit.atoms.len()
-            );
-        }
     }
 
     /// A 2,000-query shared chain with k = 12: 2,000 three-atom regions
@@ -1889,7 +1818,7 @@ mod tests {
                 arrival,
                 ..Ring::default()
             };
-            let (db, plan, _) = ring_plan(&cfg, ring, &SplitOptions { crossover: 0 });
+            let (db, plan, _) = ring_plan(&cfg, ring);
             let regions = plan.units[0]
                 .regions
                 .as_ref()
@@ -1932,7 +1861,7 @@ mod tests {
                     detour: Some(12),
                     ..Ring::default()
                 };
-                let (db, plan, detoured) = ring_plan(&cfg, ring, &SplitOptions { crossover: 0 });
+                let (db, plan, detoured) = ring_plan(&cfg, ring);
                 assert!(detoured, "{body:?}, arrival {arrival:?}");
                 let (answers, stats) = evaluate_plan(&plan, &db).unwrap();
                 let reference = materialized_reference::evaluate_plan(&plan, &db, 4096).unwrap();
@@ -1964,7 +1893,7 @@ mod tests {
                 detour: Some(1_000),
                 ..Ring::default()
             };
-            let (db, plan, detoured) = ring_plan(&cfg, ring, &SplitOptions::default());
+            let (db, plan, detoured) = ring_plan(&cfg, ring);
             assert!(detoured, "arrival {arrival:?}");
             let regions = plan.units[0]
                 .regions
@@ -2012,7 +1941,7 @@ mod tests {
             arrival in proptest::option::of(0u64..1000),
             wide in 0usize..2,
         ) {
-            // Shared-variable rings planned with the split forced: region
+            // Shared-variable rings, which every plan splits: region
             // evaluation must be answer-for-answer identical to the
             // materialized semi-join — for every k (many local solutions
             // per region), on satisfiable, detoured and sabotaged rings,
@@ -2036,7 +1965,7 @@ mod tests {
                 arrival,
                 detour: (flavor == 1).then_some(1 + at % (n - 1)),
             };
-            let (db, plan, detoured) = ring_plan(&cfg, ring, &SplitOptions { crossover: 0 });
+            let (db, plan, detoured) = ring_plan(&cfg, ring);
             proptest::prop_assert!(plan.units.iter().any(|u| u.regions.is_some()));
             let (streamed, stats) = evaluate_plan(&plan, &db).unwrap();
             let materialized = materialized_reference::evaluate_plan(&plan, &db, 4096).unwrap();

@@ -3,7 +3,8 @@
 //! and one region's resolved query is alive at a time. A counting global
 //! allocator, switched on for the test thread alone, measures what one
 //! `submit_batch` and one `flush` of a 2,000-query shared-variable ring
-//! ask for.
+//! ask for, and that `split_unit` asks for nothing on a unit that
+//! cannot split.
 
 use eq_core::{CoordinationEngine, EngineConfig, EngineMode, QueryOutcome, SubmitOptions};
 use eq_workload::rng::{SliceRandom, StdRng};
@@ -145,4 +146,54 @@ fn giant_flush_footprint() {
     assert_eq!(report.answered, N);
     assert_eq!(outcomes.len(), N);
     assert_eq!(hash, 0x3eb6_2241_af79_3830, "answer tuples changed");
+}
+
+/// A unit with fewer than two multi-variable conjuncts cannot have two
+/// blocks — every edge of its variable graph comes from one such
+/// conjunct's clique — so `split_unit` refuses it before allocating
+/// anything. The pair and clique workloads' units are all of this kind.
+/// Two multi-variable atoms do make it number the variables and build
+/// the block-cut tree.
+#[test]
+fn split_unit_refuses_units_without_two_multi_variable_conjuncts_before_allocating() {
+    use eq_core::intra::split_unit;
+    use eq_core::WorkUnit;
+    use eq_ir::{Atom, CmpOp, Constraint, Term, Var};
+    let [x, y, z] = [0, 1, 2].map(|i| Term::var(Var(i)));
+    let unit = |atoms: Vec<Atom>, constraints: Vec<Constraint>| WorkUnit {
+        atoms,
+        constraints,
+        regions: None,
+    };
+    let single_variable = unit(
+        vec![
+            Atom::new("User", vec![Term::str("Jerry"), x]),
+            Atom::new("User", vec![Term::str("Kramer"), x]),
+            Atom::new("Friends", vec![x, x]),
+        ],
+        vec![Constraint::new(x, CmpOp::Lt, Term::int(5))],
+    );
+    let one_edge = unit(
+        vec![
+            Atom::new("User", vec![x, Term::str("NYC")]),
+            Atom::new("Friends", vec![x, y]),
+            Atom::new("User", vec![y, Term::str("NYC")]),
+        ],
+        vec![],
+    );
+    for unit in [&single_variable, &one_edge] {
+        let (regions, allocations, _) = counted(|| split_unit(unit));
+        assert!(regions.is_none());
+        assert_eq!(allocations, 0, "{:?}", unit.atoms);
+    }
+    let chain = unit(
+        vec![
+            Atom::new("Friends", vec![x, y]),
+            Atom::new("Friends", vec![y, z]),
+        ],
+        vec![],
+    );
+    let (regions, allocations, _) = counted(|| split_unit(&chain));
+    assert_eq!(regions.map(|rp| rp.regions.len()), Some(2));
+    assert!(allocations > 0);
 }

@@ -5,18 +5,18 @@
 //! as a flush matches it and answered by its own whole-body join,
 //! `CombinedQuery::evaluate` — same terminal statuses, same answer
 //! tuples, in both engine modes (§5.1). Shared-chain rings are one
-//! unit the default gate keeps whole, with variable heads, so they
-//! pin the answer choice itself. Region splitting is checked at
-//! the plan level, the one place a split can be forced on a small ring
-//! (`SplitOptions { crossover: 0 }`; the engine always gates with the
-//! default, which keeps these rings whole).
+//! unit with variable heads, which the engine splits into one region
+//! per chain edge (set-at-a-time flushes report it), so they pin the
+//! region walk's answer choice against the whole-body join's. The
+//! plan-level property checks the split on unique chains, where the
+//! two must coincide whatever the walk does.
 
 use eq_core::engine::{NoSolutionPolicy, QueryOutcome};
-use eq_core::intra::{evaluate_plan, plan_component, SplitOptions};
+use eq_core::intra::{evaluate_plan, plan};
 use eq_core::matching::match_component;
 use eq_core::{
-    safety, CombinedQuery, ComponentPlan, CoordinationEngine, EngineConfig, EngineMode, FailReason,
-    MatchGraph, RejectReason,
+    safety, BatchReport, CombinedQuery, ComponentPlan, CoordinationEngine, EngineConfig,
+    EngineMode, FailReason, MatchGraph, RejectReason,
 };
 use eq_db::Database;
 use eq_ir::{EntangledQuery, FastMap, QueryId, VarGen};
@@ -55,12 +55,14 @@ fn config(mode: EngineMode) -> EngineConfig {
 /// Drives `queries` through an engine in `mode` and, beside it, the
 /// reference ([`reference`]) over the pool a set-at-a-time engine holds
 /// just before its one flush: the same queries, renamed apart and
-/// numbered in the same submission order, in the same slots.
+/// numbered in the same submission order, in the same slots. Also
+/// returns the engine's last flush report (empty in incremental mode,
+/// whose submits leave the flush nothing to do).
 fn engine_and_reference(
     db: &Database,
     queries: &[EntangledQuery],
     mode: EngineMode,
-) -> (Outcomes, Outcomes) {
+) -> (Outcomes, Outcomes, BatchReport) {
     let submit_all = |engine: &mut CoordinationEngine| -> Vec<QueryId> {
         queries
             .iter()
@@ -81,12 +83,12 @@ fn engine_and_reference(
             engine
         }
     };
-    engine.flush();
+    let report = engine.flush();
     engine.check_invariants().unwrap();
     let mut log: FastMap<QueryId, QueryOutcome> = engine.drain_outcome_log().into_iter().collect();
     let got = ids.iter().map(|&id| (id, log.remove(&id))).collect();
     let want = ids.iter().map(|&id| (id, expected.remove(&id))).collect();
-    (got, want)
+    (got, want, report)
 }
 
 /// What one flush over `graph` must decide, with every coordinating set
@@ -162,9 +164,9 @@ fn ring(
     (db, queries)
 }
 
-/// Matches a ring as one component and plans it with the split forced,
+/// Matches a ring as one component and plans it as the engine does,
 /// next to the combined query over the same survivors.
-fn forced_split_plan(queries: &[EntangledQuery]) -> (ComponentPlan, CombinedQuery) {
+fn ring_plan(queries: &[EntangledQuery]) -> (ComponentPlan, CombinedQuery) {
     let gen = VarGen::new();
     let graph = MatchGraph::build(
         queries
@@ -175,12 +177,7 @@ fn forced_split_plan(queries: &[EntangledQuery]) -> (ComponentPlan, CombinedQuer
     let members: Vec<u32> = (0..queries.len() as u32).collect();
     let m = match_component(&graph, &members);
     let global = m.global.expect("rings always match");
-    let plan = plan_component(
-        &graph,
-        &m.survivors,
-        &global,
-        &SplitOptions { crossover: 0 },
-    );
+    let plan = plan(&graph, &m.survivors, &global);
     assert!(
         plan.units.iter().any(|u| u.regions.is_some()),
         "ring must split"
@@ -209,8 +206,11 @@ proptest! {
         } else {
             EngineMode::Incremental
         };
-        let (got, want) = engine_and_reference(&db, &queries, mode);
+        let (got, want, report) = engine_and_reference(&db, &queries, mode);
         prop_assert_eq!(got, want);
+        if shared == 1 && batch == 1 {
+            prop_assert!(report.intra_split_units >= 1);
+        }
     }
 
     #[test]
@@ -224,7 +224,7 @@ proptest! {
         // sabotaged body turns one region unsatisfiable, which must
         // leave both without a solution.
         let (db, queries) = ring(n, 1, GiantBody::SharedChain, break_at);
-        let (plan, combined) = forced_split_plan(&queries);
+        let (plan, combined) = ring_plan(&queries);
         let sequential = combined.evaluate(&db, 1).unwrap().into_iter().next();
         prop_assert_eq!(sequential.is_some(), break_at.is_none());
         prop_assert_eq!(evaluate_plan(&plan, &db).unwrap().0, sequential);
@@ -241,7 +241,7 @@ proptest! {
         prop_assume!(!queries.is_empty());
         let db = eq_workload::build_database(graph());
         let mode = EngineMode::SetAtATime { batch_size: 0 };
-        let (got, want) = engine_and_reference(&db, &queries, mode);
+        let (got, want, _) = engine_and_reference(&db, &queries, mode);
         prop_assert_eq!(got, want);
     }
 }

@@ -352,12 +352,12 @@ mod tests {
 
     #[test]
     fn shared_chain_ring_coordinates_via_region_split() {
-        // The engine's own split gate, `SplitOptions::default()`: a
-        // k = 1 shared chain of n queries is one unit of 2n atoms and n
-        // regions, so it splits iff (2n)² ≥ 4,096 · n — from n = 1,024
-        // on — and answers the ring's unique valuation either way.
+        // A k = 1 shared chain of n queries is one unit of 2n atoms
+        // whose every interior variable is an articulation point: the
+        // engine splits it into n regions whatever n is, and answers the
+        // ring's unique valuation.
         use eq_core::{CoordinationEngine, EngineConfig, EngineMode, QueryOutcome};
-        for (n, split_units) in [(1_023, 0), (1_024, 1)] {
+        for n in [6, 1_024] {
             let cfg = GiantComponentConfig {
                 queries: n,
                 friends_per_user: 1, // unique chain solution: x_i = G_{i+1}
@@ -379,9 +379,9 @@ mod tests {
             assert_eq!(report.answered, n);
             assert_eq!(report.intra_components, 1);
             assert_eq!(report.intra_units, 1);
-            assert_eq!(report.intra_split_units, split_units, "n = {n}");
-            // One region per chain edge when split.
-            assert_eq!(report.intra_regions, split_units * n, "n = {n}");
+            assert_eq!(report.intra_split_units, 1, "n = {n}");
+            // One region per chain edge.
+            assert_eq!(report.intra_regions, n, "n = {n}");
             let mut log: FastMap<QueryId, QueryOutcome> =
                 engine.drain_outcome_log().into_iter().collect();
             for (i, h) in handles.iter().enumerate() {
@@ -400,15 +400,13 @@ mod tests {
         }
     }
 
-    /// Matches a ring as one component and plans it under `split` — the
-    /// level at which a split can be forced on a ring too small for the
-    /// engine's gate (`crossover: 0`). `detour` builds the ring with
-    /// [`giant_detour`] at that query; queries arrive in ring order, so
-    /// query 0's region roots the block-cut tree.
+    /// Matches a ring as one component and plans it as the engine does.
+    /// `detour` builds the ring with [`giant_detour`] at that query;
+    /// queries arrive in ring order, so query 0's region roots the
+    /// block-cut tree.
     fn ring_plan(
         cfg: &GiantComponentConfig,
         detour: Option<usize>,
-        split: &eq_core::intra::SplitOptions,
     ) -> (Database, eq_core::ComponentPlan) {
         let (db, queries) = match detour {
             Some(at) => giant_detour(cfg, at),
@@ -416,7 +414,7 @@ mod tests {
         };
         let (graph, m) = ring_match(&queries);
         let global = m.global.expect("rings always match");
-        let plan = eq_core::intra::plan_component(&graph, &m.survivors, &global, split);
+        let plan = eq_core::intra::plan(&graph, &m.survivors, &global);
         (db, plan)
     }
 
@@ -439,17 +437,21 @@ mod tests {
 
     #[test]
     fn shared_chain_split_matches_unsplit_statuses() {
-        use eq_core::intra::{evaluate_plan, SplitOptions};
+        use eq_core::intra::evaluate_plan;
         // Larger k: per-region solutions multiply, answers may differ
         // between split and whole-unit evaluation, but satisfiability —
-        // hence every terminal status — must agree.
+        // hence every terminal status — must agree. The whole-unit plan
+        // is the engine's with its region decomposition dropped.
         let cfg = GiantComponentConfig {
             queries: 30,
             friends_per_user: 4,
             body: GiantBody::SharedChain,
         };
-        let (db, split) = ring_plan(&cfg, None, &SplitOptions { crossover: 0 });
-        let (_, whole) = ring_plan(&cfg, None, &SplitOptions::default());
+        let (db, split) = ring_plan(&cfg, None);
+        let mut whole = split.clone();
+        for unit in &mut whole.units {
+            unit.regions = None;
+        }
         let regions = |plan: &eq_core::ComponentPlan| {
             plan.units
                 .iter()
@@ -467,7 +469,7 @@ mod tests {
 
     #[test]
     fn shared_wide_witness_peak_is_bounded_by_articulation_domain() {
-        use eq_core::intra::{evaluate_plan, SplitOptions};
+        use eq_core::intra::evaluate_plan;
         // The anti-materialization flavor: each pendant region carries
         // Θ(k²) local solutions, but the region evaluator retains only
         // the ≤ k articulation witness values per region — and, running
@@ -482,7 +484,7 @@ mod tests {
             friends_per_user: k,
             body: GiantBody::SharedWide,
         };
-        let (db, plan) = ring_plan(&cfg, Some(1), &SplitOptions { crossover: 0 });
+        let (db, plan) = ring_plan(&cfg, Some(1));
         assert_eq!(plan.units.len(), 1);
         // n chain regions plus n pendant {x_i, z_i} regions.
         let regions = plan.units[0].regions.as_ref().expect("the ring splits");

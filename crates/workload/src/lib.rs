@@ -21,6 +21,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod adversary;
 mod churn;
 mod giant;
 mod out_of_core;

@@ -10,7 +10,8 @@
 # propagation (against Algorithm 1's worklist) and for region
 # evaluation (against the materialized semi-join), the equivalence
 # proptests that guard the one admission step (batch = sequential
-# submits = `MatchGraph::build`, single vs batched across shards), the small-stack
+# submits = `MatchGraph::build`, single vs batched across shards), a
+# release-build timeout on one adversarial query, the small-stack
 # evaluator regression (RUST_MIN_STACK), a --smoke run of every bench
 # target (paper Figs. 6-9 + ablations), and last the benchmark package that judges every perf claim (benchmark/,
 # BENCHMARK.json): its own tests and a short run of every workload —
@@ -84,7 +85,7 @@ echo "== 10/14 eq_check concurrency-discipline analyzer =="
 cargo run -q --offline -p eq_check
 cargo run -q --offline -p eq_check -- --fixtures
 
-echo "== 11/14 differential and equivalence proptests (unifier vs reference oracle; one-pass matching vs worklist; region evaluation vs materialized semi-join; the engine's evaluator vs the whole-body join; the one admission step) =="
+echo "== 11/14 differential and equivalence proptests (unifier vs reference oracle; one-pass matching vs worklist; region evaluation vs materialized semi-join; the engine's evaluator vs the whole-body join; the one admission step) and the adversarial-query timeout =="
 # The union-find unifier must stay observationally equivalent to the
 # frozen reference oracle after every step of random equate / bind /
 # unify_terms / merge_from scripts (conflicting merges included).
@@ -106,7 +107,10 @@ echo "== 11/14 differential and equivalence proptests (unifier vs reference orac
 # tying the engine's one evaluator (`intra`) to the whole-body join:
 # on clean and broken rings, in both engine modes, the engine's
 # outcomes must equal each coordinating set's
-# `CombinedQuery::evaluate`.
+# `CombinedQuery::evaluate` — shared-chain rings included, which the
+# engine splits into regions whatever their size (their set-at-a-time
+# flushes must report a split unit), so the property covers the region
+# walk's answer choice too.
 cargo test -q --offline -p eq_core --lib matching
 for named in "eq_unify --lib differential::unifier_equals_reference_oracle" \
     "eq_core --lib intra::tests::streaming_equals_materialized_region_evaluation" \
@@ -125,6 +129,24 @@ for named in "eq_unify --lib differential::unifier_equals_reference_oracle" \
         exit 1
     fi
 done
+# One client query must not pin a shard lock: a 51-atom 3-colouring
+# query whose K4 hangs by a bridge off a random graph is rejected in
+# about a tenth of a millisecond because the region split finds the K4
+# alone, and took tens of seconds when a size gate kept the unit whole.
+# Release build, under a timeout, so a returning cliff fails CI in
+# bounded time instead of hanging it; exactly one test must run.
+adversary="adversary::tests::k4_bridge_is_rejected_by_its_own_region"
+cargo test -q --release --offline -p eq_workload --lib --no-run
+out=$(timeout 60 cargo test -q --release --offline -p eq_workload --lib -- --exact "$adversary" 2>&1) || {
+    echo "$out"
+    echo "FATAL: $adversary failed or timed out" >&2
+    exit 1
+}
+if ! grep -q "test result: ok. 1 passed" <<<"$out"; then
+    echo "$out"
+    echo "FATAL: eq_workload --lib $adversary did not run" >&2
+    exit 1
+fi
 
 echo "== 12/14 small-stack evaluator regression (RUST_MIN_STACK=1 MiB) =="
 # The join evaluator is iterative (heap-bounded frames); this deep-chain
