@@ -61,7 +61,11 @@ impl CombinedQuery {
     /// shared global, borrows it through the same simplification
     /// instead.
     pub fn build(graph: &MatchGraph, survivors: &[u32], global: Unifier) -> Self {
-        let (body, constraints, heads) = simplify_survivors(graph, survivors, &global);
+        let Simplified {
+            body,
+            constraints,
+            heads,
+        } = simplify_survivors(graph, survivors, &global);
         CombinedQuery {
             body,
             constraints,
@@ -114,31 +118,43 @@ pub(crate) fn distribute_heads(
         .collect()
 }
 
+/// A coordinating set's queries simplified under the global unifier
+/// (§4.2): what [`simplify_survivors`] returns.
+pub(crate) struct Simplified {
+    /// Concatenated body atoms, in survivor order.
+    pub(crate) body: Vec<Atom>,
+    /// Concatenated body constraints, in survivor order.
+    pub(crate) constraints: Vec<Constraint>,
+    /// Per survivor: its id and its simplified head atoms.
+    pub(crate) heads: Vec<(QueryId, Vec<Atom>)>,
+}
+
 /// The §4.2 simplification of a coordinating set's queries under the
 /// global unifier: concatenated body atoms, concatenated constraints,
 /// and per-survivor simplified heads (every term resolved to its class
-/// constant or representative). The **single** source of the
+/// constant or representative), each list allocated at its exact
+/// length. The **single** source of the
 /// simplification for [`CombinedQuery::build`] and the engine's
 /// partitioned plan ([`crate::intra::plan`]) — the guarantee
 /// that the engine answers as the whole-body join does requires both to
 /// simplify byte-identically, so there is exactly one implementation.
-#[allow(clippy::type_complexity)]
+/// The result borrows nothing: a caller done with `global` can drop it.
 pub(crate) fn simplify_survivors(
     graph: &MatchGraph,
     survivors: &[u32],
     global: &Unifier,
-) -> (Vec<Atom>, Vec<Constraint>, Vec<(QueryId, Vec<Atom>)>) {
+) -> Simplified {
     let simplify = |atom: &Atom| -> Atom {
         Atom {
             relation: atom.relation,
             terms: atom.terms.iter().map(|&t| global.resolve(t)).collect(),
         }
     };
-    let mut body = Vec::new();
-    let mut constraints = Vec::new();
-    let mut heads = Vec::new();
-    for &slot in survivors {
-        let q = graph.query(slot);
+    let queries = || survivors.iter().map(|&slot| graph.query(slot));
+    let mut body = Vec::with_capacity(queries().map(|q| q.body.len()).sum());
+    let mut constraints = Vec::with_capacity(queries().map(|q| q.constraints.len()).sum());
+    let mut heads = Vec::with_capacity(survivors.len());
+    for q in queries() {
         body.extend(q.body.iter().map(&simplify));
         constraints.extend(
             q.constraints
@@ -147,7 +163,11 @@ pub(crate) fn simplify_survivors(
         );
         heads.push((q.id, q.head.iter().map(&simplify).collect()));
     }
-    (body, constraints, heads)
+    Simplified {
+        body,
+        constraints,
+        heads,
+    }
 }
 
 /// Grounds a simplified atom under a valuation of the combined query.

@@ -48,7 +48,7 @@
 //! each outcome to its subscribers as an `Event` — the middleware
 //! layer's asynchronous answer delivery).
 
-use crate::combine::QueryAnswer;
+use crate::combine::{self, QueryAnswer, Simplified};
 use crate::error::InvariantViolation;
 use crate::graph::MatchGraph;
 use crate::intra;
@@ -56,7 +56,6 @@ use crate::matching::{self, MatchStats};
 use crate::safety;
 use eq_db::{Database, StoreIoStats};
 use eq_ir::{EntangledQuery, FastMap, FastSet, QueryId, ValidationError, VarGen};
-use eq_unify::Unifier;
 use parking_lot::RwLock;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -317,8 +316,8 @@ pub struct BatchReport {
     /// Unifier `merge_from` folds performed while producing this
     /// report — the delta of [`eq_unify::ops`]'s process counter across
     /// the operation. Matching's SCC `fold` is the only counted caller:
-    /// it merges members and predecessors into an SCC's seed and each
-    /// SCC into the component's global unifier. Seeding
+    /// it merges predecessors into an SCC's unifier and each SCC into
+    /// the component's global unifier. In-edge unification
     /// (`Unifier::unify_atoms`) and admission probes
     /// (`eq_unify::unifiable`) are not counted.
     pub unify_merges: u64,
@@ -633,8 +632,9 @@ impl CoordinationEngine {
         batch: impl IntoIterator<Item = Result<(EntangledQuery, SubmitOptions), SubmitError>>,
         source: Option<&AtomicU64>,
     ) -> Vec<Result<QueryHandle, SubmitError>> {
+        let batch = batch.into_iter();
+        self.reserve(batch.size_hint().0);
         let results: Vec<Result<QueryHandle, SubmitError>> = batch
-            .into_iter()
             .map(|entry| {
                 let (query, opts) = entry?;
                 let state = SlotState {
@@ -647,6 +647,16 @@ impl CoordinationEngine {
             .collect();
         self.evaluate_if_due(results.iter().filter(|r| r.is_ok()).count());
         results
+    }
+
+    /// Makes room for `n` admissions at once — the graph's slot vectors,
+    /// the slot table, the id map and the status map — so a batch grows
+    /// each of them once instead of doubling through it.
+    fn reserve(&mut self, n: usize) {
+        let slots = self.graph.len() + self.graph.reserve_slots(n);
+        self.slots.reserve(slots.saturating_sub(self.slots.len()));
+        self.by_id.reserve(n);
+        self.statuses.reserve(n);
     }
 
     /// The evaluation epilogue every submit call — and recovery — ends
@@ -732,7 +742,7 @@ impl CoordinationEngine {
         // the clean-skip count.
         let skipped = self.graph.component_count() - self.graph.dirty_count();
         let groups = self.graph.take_dirty();
-        let mut report = self.process_groups(&groups);
+        let mut report = self.process_groups(groups);
         report.skipped_clean = skipped;
         report.io = self.db.read().io_stats();
         report
@@ -756,7 +766,7 @@ impl CoordinationEngine {
     /// safety enforcement sidelines ambiguous members (they stay
     /// pending), the survivors are re-partitioned (removals may
     /// disconnect them), and every piece is matched + evaluated in turn.
-    fn process_groups(&mut self, groups: &[Vec<u32>]) -> BatchReport {
+    fn process_groups(&mut self, groups: Vec<Vec<u32>>) -> BatchReport {
         let mut report = BatchReport::default();
         if groups.is_empty() {
             report.pending = self.pending_count();
@@ -768,24 +778,23 @@ impl CoordinationEngine {
 
         // Phase 1 (read-only): safety, partition, match, evaluate.
         let graph = &self.graph;
-        let pieces: Vec<Vec<u32>> = groups
-            .iter()
-            .flat_map(|group| {
-                // Safety enforcement (§3.1.1) at matching time:
-                // ambiguous queries sit out this round but stay
-                // pending — their ambiguity may resolve when partners
-                // retire. (The admission-time check, when enabled,
-                // makes this a no-op.)
-                let removed: FastSet<u32> =
-                    safety::enforce_members(graph, group).into_iter().collect();
-                let live: Vec<u32> = group
-                    .iter()
-                    .copied()
-                    .filter(|s| !removed.contains(s))
-                    .collect();
-                graph.connected_pieces(&live)
-            })
-            .collect();
+        let mut pieces: Vec<Vec<u32>> = Vec::with_capacity(groups.len());
+        for group in groups {
+            // Safety enforcement (§3.1.1) at matching time: ambiguous
+            // queries sit out this round but stay pending — their
+            // ambiguity may resolve when partners retire. (The
+            // admission-time check, when enabled, makes this a no-op.)
+            let removed = safety::enforce_members(graph, &group);
+            if removed.is_empty() {
+                // A dirty group is a sorted connected component: its
+                // own one piece.
+                pieces.push(group);
+                continue;
+            }
+            let removed: FastSet<u32> = removed.into_iter().collect();
+            let live: Vec<u32> = group.into_iter().filter(|s| !removed.contains(s)).collect();
+            pieces.extend(graph.connected_pieces(&live));
+        }
         report.components = pieces.len();
         let outcomes: Vec<ComponentOutcome> = {
             let db = self.db.read();
@@ -940,20 +949,19 @@ struct ComponentOutcome {
     no_solution: Vec<u32>,
 }
 
-/// Evaluates one coordinating set's combined query: the body is
-/// partitioned into variable-disjoint work units evaluated one by one
-/// ([`intra`]; shared-variable units split into regions wherever their
-/// variable graph has an articulation variable). Returns the
-/// first coordinated solution (one answer per survivor, in survivor
-/// order) and adds the plan's counters to `report`.
-fn evaluate_survivors(
-    graph: &MatchGraph,
-    survivors: &[u32],
-    global: &Unifier,
+/// Evaluates one coordinating set's combined query, simplified under
+/// the global unifier: the body is partitioned into variable-disjoint
+/// work units evaluated one by one ([`intra`]; shared-variable units
+/// split into regions wherever their variable graph has an articulation
+/// variable). Returns the first coordinated solution (one answer per
+/// survivor, in survivor order) and adds the plan's counters to
+/// `report`.
+fn evaluate_simplified(
+    simplified: Simplified,
     db: &Database,
     report: &mut BatchReport,
 ) -> Result<Option<Vec<QueryAnswer>>, eq_db::DbError> {
-    let plan = intra::plan(graph, survivors, global);
+    let plan = intra::partition(simplified);
     report.intra_components += 1;
     report.intra_units += plan.units.len();
     for rp in plan.units.iter().filter_map(|u| u.regions.as_ref()) {
@@ -976,10 +984,16 @@ fn process_component(
     db: &Database,
     report: &mut BatchReport,
 ) -> ComponentOutcome {
-    let m = matching::match_component(graph, members);
-    report.stats.dequeues += m.stats.dequeues;
-    report.stats.mgu_calls += m.stats.mgu_calls;
-    report.stats.cleanups += m.stats.cleanups;
+    let matching::ComponentMatch {
+        mut global,
+        sets,
+        non_ucs,
+        stats,
+        ..
+    } = matching::match_component(graph, members);
+    report.stats.dequeues += stats.dequeues;
+    report.stats.mgu_calls += stats.mgu_calls;
+    report.stats.cleanups += stats.cleanups;
     let mut out = ComponentOutcome {
         answered: Vec::new(),
         failed: Vec::new(),
@@ -987,25 +1001,27 @@ fn process_component(
     };
     // §3.1.2: a piece of the survivors spanning several SCCs is never
     // evaluated as one combined query.
-    for &s in &m.non_ucs {
+    for &s in &non_ucs {
         out.failed.push((s, RejectReason::NonUcs));
     }
-    for set in &m.sets {
+    for (i, set) in sets.iter().enumerate() {
         // The all-survivor fold conflicts only inside a non-UCS piece;
         // then each set folds its own unifier by matching alone (it has
         // no in-edge from outside itself, so it matches to itself).
-        let own;
-        let global = match &m.global {
-            Some(global) => global,
-            None => {
-                own = matching::match_component(graph, set).global;
-                let Some(global) = own.as_ref() else {
-                    continue; // unreachable: a coordinating set matches alone
-                };
-                global
-            }
+        let simplified = match &global {
+            Some(global) => combine::simplify_survivors(graph, set, global),
+            None => match matching::match_component(graph, set).global {
+                Some(own) => combine::simplify_survivors(graph, set, &own),
+                None => continue, // unreachable: a coordinating set matches alone
+            },
         };
-        match evaluate_survivors(graph, set, global, db, report) {
+        // The simplified body borrows nothing: the global goes as soon
+        // as the last set no longer needs it, before that set's plan is
+        // built.
+        if i + 1 == sets.len() {
+            global = None;
+        }
+        match evaluate_simplified(simplified, db, report) {
             // `answers` is parallel to `set`.
             Ok(Some(answers)) => out.answered.extend(set.iter().copied().zip(answers)),
             // Policy application happens on the engine's sequential

@@ -276,6 +276,18 @@ impl MatchGraph {
         ControlFlow::Continue(())
     }
 
+    /// Makes room for `n` more linked queries at once: the per-slot
+    /// vectors grow by what the free slots cannot hold, instead of
+    /// doubling through a batch. Returns that number of new slots.
+    pub(crate) fn reserve_slots(&mut self, n: usize) -> usize {
+        let fresh = n.saturating_sub(self.free_slots.len());
+        self.queries.reserve(fresh);
+        self.out.reserve(fresh);
+        self.inc.reserve(fresh);
+        self.comp_of.reserve(fresh);
+        fresh
+    }
+
     /// Links `query` into a slot (the last one freed, else a new one)
     /// with the edges [`MatchGraph::probe`] found, [`ARRIVAL`] standing
     /// for that slot on each. Indexes the query's atoms, files the edges
@@ -945,6 +957,52 @@ mod tests {
         assert_eq!(g.edge_count(), 1);
         assert!(g.edges.len() <= 2, "edge slab grew: {}", g.edges.len());
         g.check_invariants().unwrap();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The engine skips re-partitioning a group that safety left
+        /// whole because every group `take_dirty` returns — split
+        /// resolutions included — is a sorted connected component: the
+        /// BFS would hand it back as its one piece.
+        #[test]
+        fn take_dirty_groups_are_their_own_connected_pieces(
+            steps in proptest::collection::vec((0u8..4, 0usize..64, 0usize..64), 1..60),
+        ) {
+            let mut g = MatchGraph::default();
+            let mut live: Vec<u32> = Vec::new();
+            let check = |g: &mut MatchGraph| {
+                for group in g.take_dirty() {
+                    if g.connected_pieces(&group) != vec![group.clone()] {
+                        return Err(group);
+                    }
+                }
+                Ok(())
+            };
+            for (op, a, b) in steps {
+                if op == 0 && !live.is_empty() {
+                    g.unlink(live.swap_remove(a % live.len()));
+                } else {
+                    // Up to one edge in from a live slot and one out to
+                    // another.
+                    let mut edges = Vec::new();
+                    if !live.is_empty() && op != 1 {
+                        edges.push(edge(live[a % live.len()], ARRIVAL));
+                    }
+                    if !live.is_empty() && op == 3 {
+                        edges.push(edge(ARRIVAL, live[b % live.len()]));
+                    }
+                    live.push(g.link(lone(), edges));
+                }
+                if b % 4 == 0 {
+                    let checked = check(&mut g);
+                    proptest::prop_assert!(checked.is_ok(), "{:?}", checked);
+                }
+            }
+            let checked = check(&mut g);
+            proptest::prop_assert!(checked.is_ok(), "{:?}", checked);
+        }
     }
 
     #[test]

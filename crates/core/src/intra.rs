@@ -25,7 +25,9 @@
 //! ring of 10,000 pairwise-entangled queries yields thousands of small
 //! independent joins instead of one 30,000-atom join. Fully ground
 //! atoms and constraints (no variables at all after simplification)
-//! become per-plan membership checks.
+//! become per-plan membership checks. The plan holds the simplified
+//! body once; units, the ground residue and regions name its atoms and
+//! constraints by index.
 //!
 //! # Deterministic merge
 //!
@@ -58,7 +60,7 @@
 //! variables are exactly the join keys between regions.
 //!
 //! Region evaluation walks that tree, and it **pays for what it
-//! keeps**. A region is a list of indices into its unit's atoms and
+//! keeps**. A region is a list of indices into the plan's atoms and
 //! constraints, not a copy of them. The plan's atoms are checked against
 //! the database once, up front; then each run resolves a region's
 //! conjunction (`eq_db`'s `Prepared`: table handles, variable slots,
@@ -128,7 +130,7 @@
 //! independent units is exponential in the set's size on bodies that
 //! backtrack (a 13-query triangle ring took minutes through it).
 
-use crate::combine::{distribute_heads, QueryAnswer};
+use crate::combine::{distribute_heads, QueryAnswer, Simplified};
 use crate::graph::MatchGraph;
 use eq_db::{Database, DbError, EvalStats, Prepared, Slot, Solution, Valuation, Visit};
 use eq_ir::{Atom, Constraint, FastMap, FastSet, QueryId, Value, Var};
@@ -143,37 +145,40 @@ pub struct SplitOptions;
 
 /// One independently evaluable piece of a combined query: a maximal
 /// variable-connected sub-conjunction of the simplified body, plus the
-/// constraints over its variables.
-#[derive(Clone, Debug)]
+/// constraints over its variables. A unit names its atoms and
+/// constraints by index into its plan's one simplified body
+/// ([`ComponentPlan::atoms`], [`ComponentPlan::constraints`]); it holds
+/// no copy of them.
+#[derive(Clone, Debug, Default)]
 pub struct WorkUnit {
-    /// Simplified body atoms of this unit (each shares a variable chain
-    /// with every other atom of the unit, and none with any other
-    /// unit).
-    pub atoms: Vec<Atom>,
-    /// Simplified constraints whose variables belong to this unit.
-    pub constraints: Vec<Constraint>,
+    /// This unit's atoms, as ascending indices into the plan's atoms
+    /// (each shares a variable chain with every other atom of the unit,
+    /// and none with any other unit).
+    pub atoms: Vec<u32>,
+    /// The constraints whose variables belong to this unit, as
+    /// ascending indices into the plan's constraints.
+    pub constraints: Vec<u32>,
     /// Biconnected-region decomposition ([`split_unit`]), present when
     /// the unit decomposes into ≥ 2 regions, in which case the unit is
-    /// evaluated region by region.
-    /// `atoms`/`constraints` still hold the whole unit; the regions
-    /// index into them.
+    /// evaluated region by region. `atoms`/`constraints` still name the
+    /// whole unit.
     pub regions: Option<RegionPlan>,
 }
 
 /// The biconnected-region decomposition of one shared-variable work
 /// unit: regions tiled over the unit's atoms, arranged in a block-cut
 /// tree whose edges are articulation variables. Regions name the unit's
-/// atoms and constraints by index, all regions' lists in one flat
-/// allocation each: a region costs a few integers, not a copy of its
-/// conjunction.
+/// atoms and constraints by their index into the plan's body, all
+/// regions' lists in one flat allocation each: a region costs a few
+/// integers, not a copy of its conjunction.
 #[derive(Clone, Debug)]
 pub struct RegionPlan {
     /// Regions in deterministic order (by first atom of the region in
     /// the unit's body order). Region 0 is the tree root.
     pub regions: Vec<Region>,
-    /// Indices into the unit's atoms, region after region.
+    /// Indices into the plan's atoms, region after region.
     atoms: Vec<u32>,
-    /// Indices into the unit's constraints, region after region.
+    /// Indices into the plan's constraints, region after region.
     constraints: Vec<u32>,
     /// Child region ids, region after region.
     children: Vec<u32>,
@@ -193,14 +198,14 @@ pub struct Region {
 }
 
 impl RegionPlan {
-    /// Region `r`'s atoms, as indices into its unit's atoms in body
+    /// Region `r`'s atoms, as indices into the plan's atoms in body
     /// order.
     pub fn atoms(&self, r: usize) -> &[u32] {
         let at = &self.regions[r].atoms;
         &self.atoms[at.start as usize..at.end as usize]
     }
 
-    /// Region `r`'s constraints, as indices into its unit's
+    /// Region `r`'s constraints, as indices into the plan's
     /// constraints in body order.
     pub fn constraints(&self, r: usize) -> &[u32] {
         let at = &self.regions[r].constraints;
@@ -214,21 +219,46 @@ impl RegionPlan {
     }
 }
 
-/// The partitioned evaluation plan for one matched component: work
-/// units, plus the variable-free residue that needs no search.
+/// The partitioned evaluation plan for one matched component: the
+/// simplified combined body, held once, and the work units and the
+/// variable-free residue that needs no search, which name its atoms and
+/// constraints by index.
 #[derive(Clone, Debug)]
 pub struct ComponentPlan {
+    /// The combined query's simplified body atoms, exactly as
+    /// [`crate::CombinedQuery::build`] produces them (survivor order,
+    /// then body order).
+    pub atoms: Vec<Atom>,
+    /// The combined query's simplified constraints, likewise.
+    pub constraints: Vec<Constraint>,
     /// Variable-connected work units, in order of first appearance in
-    /// the combined body (survivor order, then body order).
+    /// the combined body.
     pub units: Vec<WorkUnit>,
-    /// Fully ground body atoms: membership checks, no bindings.
-    pub ground_atoms: Vec<Atom>,
-    /// Fully ground constraints: checked once against the empty
-    /// valuation.
-    pub ground_constraints: Vec<Constraint>,
+    /// Fully ground body atoms (indices into `atoms`): membership
+    /// checks, no bindings.
+    pub ground_atoms: Vec<u32>,
+    /// Fully ground constraints (indices into `constraints`): checked
+    /// once against the empty valuation.
+    pub ground_constraints: Vec<u32>,
     /// Per-survivor simplified heads, exactly as
     /// [`crate::CombinedQuery::build`] produces them.
     pub heads: Vec<(QueryId, Vec<Atom>)>,
+}
+
+impl ComponentPlan {
+    /// The atoms at `indices` (into [`ComponentPlan::atoms`]).
+    pub(crate) fn atoms_at<'a>(&'a self, indices: &'a [u32]) -> impl Iterator<Item = &'a Atom> {
+        indices.iter().map(|&a| &self.atoms[a as usize])
+    }
+
+    /// The constraints at `indices` (into
+    /// [`ComponentPlan::constraints`]).
+    pub(crate) fn constraints_at<'a>(
+        &'a self,
+        indices: &'a [u32],
+    ) -> impl Iterator<Item = &'a Constraint> {
+        indices.iter().map(|&c| &self.constraints[c as usize])
+    }
 }
 
 /// Union-find over query variables, used to group atoms into
@@ -268,21 +298,52 @@ impl VarUnion {
 }
 
 /// Builds the partitioned plan for a matched component's survivors and
-/// global unifier. The flat concatenation of
-/// `ground_atoms` and every unit's `atoms` is a permutation of the
-/// combined query's body; likewise for constraints; `heads` is
-/// identical to the combined query's. Every unit that decomposes
-/// additionally carries its biconnected-region decomposition
-/// ([`split_unit`]).
+/// global unifier. `atoms`, `constraints` and `heads` are the combined
+/// query's; every atom and constraint is named by exactly one unit or
+/// by the ground residue. Every unit that decomposes additionally
+/// carries its biconnected-region decomposition ([`split_unit`]).
 pub fn plan(graph: &MatchGraph, survivors: &[u32], global: &Unifier) -> ComponentPlan {
     // One shared simplification with `CombinedQuery::build` — the
     // answer-equivalence guarantee requires byte-identical inputs.
-    let (atoms, constraints, heads) = crate::combine::simplify_survivors(graph, survivors, global);
+    partition(crate::combine::simplify_survivors(graph, survivors, global))
+}
 
-    // Variable-connectivity union-find: atoms glue their own variables
-    // together; constraints glue their variables' units together.
+/// [`plan`] from the simplified body on: groups it into units and
+/// splits each unit that decomposes. The engine simplifies first, so
+/// that it can drop the global unifier before anything below is built.
+pub(crate) fn partition(simplified: Simplified) -> ComponentPlan {
+    let Simplified {
+        body: atoms,
+        constraints,
+        heads,
+    } = simplified;
+    let (units, ground_atoms, ground_constraints) = variable_units(&atoms, &constraints);
+    let mut plan = ComponentPlan {
+        atoms,
+        constraints,
+        units,
+        ground_atoms,
+        ground_constraints,
+        heads,
+    };
+    for unit in &mut plan.units {
+        unit.regions = split_unit(&plan.atoms, &plan.constraints, unit);
+    }
+    plan
+}
+
+/// Partitions a simplified body by variable connectivity: the work
+/// units, in order of first appearance, then the indices of the ground
+/// atoms and of the ground constraints. The union-find it runs on is
+/// freed on return, before any unit is split.
+fn variable_units(
+    atoms: &[Atom],
+    constraints: &[Constraint],
+) -> (Vec<WorkUnit>, Vec<u32>, Vec<u32>) {
+    // Atoms glue their own variables together; constraints glue their
+    // variables' units together.
     let mut uf = VarUnion::default();
-    for atom in &atoms {
+    for atom in atoms {
         let mut vars = atom.vars();
         if let Some(first) = vars.next() {
             for v in vars {
@@ -290,7 +351,7 @@ pub fn plan(graph: &MatchGraph, survivors: &[u32], global: &Unifier) -> Componen
             }
         }
     }
-    for c in &constraints {
+    for c in constraints {
         let mut vars = c.vars();
         if let Some(first) = vars.next() {
             for v in vars {
@@ -304,54 +365,33 @@ pub fn plan(graph: &MatchGraph, survivors: &[u32], global: &Unifier) -> Componen
     let mut unit_of_root: FastMap<Var, usize> = FastMap::default();
     let mut units: Vec<WorkUnit> = Vec::new();
     let mut ground_atoms = Vec::new();
-    for atom in atoms {
-        let first_var = atom.vars().next();
-        match first_var {
-            None => ground_atoms.push(atom),
+    for (i, atom) in atoms.iter().enumerate() {
+        match atom.vars().next() {
+            None => ground_atoms.push(i as u32),
             Some(v) => {
                 let root = uf.find(v);
                 let idx = *unit_of_root.entry(root).or_insert_with(|| {
-                    units.push(WorkUnit {
-                        atoms: Vec::new(),
-                        constraints: Vec::new(),
-                        regions: None,
-                    });
+                    units.push(WorkUnit::default());
                     units.len() - 1
                 });
-                units[idx].atoms.push(atom);
+                units[idx].atoms.push(i as u32);
             }
         }
     }
     let mut ground_constraints = Vec::new();
-    for c in constraints {
-        let first_var = c.vars().next();
-        match first_var {
-            None => ground_constraints.push(c),
-            Some(v) => {
-                let root = uf.find(v);
-                match unit_of_root.get(&root) {
-                    Some(&idx) => units[idx].constraints.push(c),
-                    // A constraint over variables no body atom binds can
-                    // never become decidable; the whole-body join
-                    // passes it provisionally forever, so checking it
-                    // against the empty valuation (undecidable ⇒ pass)
-                    // is equivalent.
-                    None => ground_constraints.push(c),
-                }
-            }
+    for (i, c) in constraints.iter().enumerate() {
+        let unit = c.vars().next().and_then(|v| unit_of_root.get(&uf.find(v)));
+        match unit {
+            Some(&idx) => units[idx].constraints.push(i as u32),
+            // Ground, or over variables no body atom binds: such a
+            // constraint can never become decidable, and the whole-body
+            // join passes it provisionally forever, so checking it
+            // against the empty valuation (undecidable ⇒ pass) is
+            // equivalent.
+            None => ground_constraints.push(i as u32),
         }
     }
-
-    for unit in &mut units {
-        unit.regions = split_unit(unit);
-    }
-
-    ComponentPlan {
-        units,
-        ground_atoms,
-        ground_constraints,
-        heads,
-    }
+    (units, ground_atoms, ground_constraints)
 }
 
 /// [`plan`] under the name and signature the frozen benchmark still
@@ -367,8 +407,9 @@ pub fn plan_component(
     plan(graph, survivors, global)
 }
 
-/// Decomposes one variable-connected work unit into biconnected
-/// regions of its variable graph (vertices = the unit's variables, one
+/// Decomposes one variable-connected work unit — indices into the
+/// plan's `atoms` and `constraints` — into biconnected regions of its
+/// variable graph (vertices = the unit's variables, one
 /// clique per atom/constraint over its distinct variables). Returns
 /// `None` when the unit does not decompose — fewer than two blocks
 /// (e.g. a cycle of shared variables, which is 2-connected; a unit with
@@ -399,16 +440,23 @@ pub fn plan_component(
 ///   endpoint regions (bound by every region-local solution, so the
 ///   merge can always key on it) — units violating this refuse to
 ///   split.
-pub fn split_unit(unit: &WorkUnit) -> Option<RegionPlan> {
+pub fn split_unit(
+    atoms: &[Atom],
+    constraints: &[Constraint],
+    unit: &WorkUnit,
+) -> Option<RegionPlan> {
+    let unit_atoms = || unit.atoms.iter().map(|&a| &atoms[a as usize]);
+    let unit_constraints = || unit.constraints.iter().map(|&c| &constraints[c as usize]);
     // Every edge comes from one multi-variable conjunct's clique, and a
     // clique lies in one block: two blocks need two such conjuncts.
-    let atoms = unit.atoms.iter().map(|a| spans_two_vars(a.vars()));
-    let constraints = unit.constraints.iter().map(|c| spans_two_vars(c.vars()));
-    if atoms.chain(constraints).filter(|&multi| multi).count() < 2 {
+    let multi = unit_atoms()
+        .map(|a| spans_two_vars(a.vars()))
+        .chain(unit_constraints().map(|c| spans_two_vars(c.vars())));
+    if multi.filter(|&multi| multi).count() < 2 {
         return None;
     }
-    // Conjunct i is atom i, then constraint i - atoms.
-    let conjunct_vars = ConjunctVars::number(unit);
+    // Conjunct i is the unit's atom i, then its constraint i - atoms.
+    let conjunct_vars = ConjunctVars::number(unit_atoms(), unit_constraints());
     let n = conjunct_vars.vars.len();
     let conjuncts = unit.atoms.len() + unit.constraints.len();
 
@@ -582,8 +630,8 @@ pub fn split_unit(unit: &WorkUnit) -> Option<RegionPlan> {
         range.flat_map(move |i| regions_for(i).iter().map(move |&r| (r, i as u32)))
     };
     let atoms_end = unit.atoms.len();
-    let (atom_at, atoms) = group_by_key(block_count, placed(0..atoms_end));
-    let (constraint_at, constraints) = group_by_key(
+    let (atom_at, mut region_atoms) = group_by_key(block_count, placed(0..atoms_end));
+    let (constraint_at, mut region_constraints) = group_by_key(
         block_count,
         placed(atoms_end..conjuncts).map(|(r, i)| (r, i - atoms_end as u32)),
     );
@@ -629,7 +677,7 @@ pub fn split_unit(unit: &WorkUnit) -> Option<RegionPlan> {
     // boundary and a single-variable constraint carried it into this
     // region's variable set.) Such units evaluate whole.
     for r in 0..block_count {
-        let own = &atoms[atom_at[r] as usize..atom_at[r + 1] as usize];
+        let own = &region_atoms[atom_at[r] as usize..atom_at[r + 1] as usize];
         let kids = &children[child_range[r].start as usize..child_range[r].end as usize];
         let anchors = std::iter::once(parent_var[r])
             .chain(kids.iter().map(|&c| parent_var[c as usize]))
@@ -644,6 +692,13 @@ pub fn split_unit(unit: &WorkUnit) -> Option<RegionPlan> {
         }
     }
 
+    // Positions in the unit become indices into the plan's body.
+    for a in &mut region_atoms {
+        *a = unit.atoms[*a as usize];
+    }
+    for c in &mut region_constraints {
+        *c = unit.constraints[*c as usize];
+    }
     let span = |at: &[u32], r: usize| at[r]..at[r + 1];
     let regions = (0..block_count)
         .map(|r| Region {
@@ -655,8 +710,8 @@ pub fn split_unit(unit: &WorkUnit) -> Option<RegionPlan> {
         .collect();
     Some(RegionPlan {
         regions,
-        atoms,
-        constraints,
+        atoms: region_atoms,
+        constraints: region_constraints,
         children,
     })
 }
@@ -667,7 +722,7 @@ fn spans_two_vars(mut vars: impl Iterator<Item = Var>) -> bool {
 }
 
 /// Each conjunct's distinct variables as dense ids, numbered in
-/// first-occurrence order over the unit's atoms, then its constraints:
+/// first-occurrence order over a unit's atoms, then its constraints:
 /// one flat list for the whole unit.
 struct ConjunctVars {
     /// Id → variable.
@@ -678,18 +733,21 @@ struct ConjunctVars {
 }
 
 impl ConjunctVars {
-    fn number(unit: &WorkUnit) -> Self {
+    fn number<'a>(
+        atoms: impl ExactSizeIterator<Item = &'a Atom>,
+        constraints: impl ExactSizeIterator<Item = &'a Constraint>,
+    ) -> Self {
         let mut out = ConjunctVars {
             vars: Vec::new(),
-            at: Vec::with_capacity(unit.atoms.len() + unit.constraints.len() + 1),
+            at: Vec::with_capacity(atoms.len() + constraints.len() + 1),
             ids: Vec::new(),
         };
         out.at.push(0);
         let mut id_of: FastMap<Var, u32> = FastMap::default();
-        for atom in &unit.atoms {
+        for atom in atoms {
             out.add(&mut id_of, atom.vars());
         }
-        for c in &unit.constraints {
+        for c in constraints {
             out.add(&mut id_of, c.vars());
         }
         out
@@ -801,18 +859,17 @@ pub fn evaluate_plan(
     plan: &ComponentPlan,
     db: &Database,
 ) -> Result<(Option<Vec<QueryAnswer>>, PlanStats), DbError> {
-    db.validate(
-        plan.ground_atoms
-            .iter()
-            .chain(plan.units.iter().flat_map(|unit| &unit.atoms)),
-    )?;
+    db.validate(&plan.atoms)?;
 
     // The variable-free residue is a conjunction like any other: its
     // atoms are filters the index decides, its constraints are checked
     // against the empty valuation.
     let mut stats = PlanStats::default();
     let (residue, residue_stats) = db
-        .prepare(&plan.ground_atoms, &plan.ground_constraints)?
+        .prepare(
+            plan.atoms_at(&plan.ground_atoms),
+            plan.constraints_at(&plan.ground_constraints),
+        )?
         .collect(1);
     stats.eval += residue_stats;
     if residue.is_empty() {
@@ -822,8 +879,8 @@ pub fn evaluate_plan(
     let mut merged = Valuation::default();
     for unit in &plan.units {
         let (first, unit_stats) = match &unit.regions {
-            Some(rp) => stream_unit(unit, rp, db)?,
-            None => evaluate_unit(unit, db)?,
+            Some(rp) => stream_unit(plan, rp, db)?,
+            None => evaluate_unit(plan, unit, db)?,
         };
         stats.absorb(unit_stats);
         let Some(valuation) = first else {
@@ -852,10 +909,16 @@ pub fn evaluate_plan_with_stats(
 /// One unsplit unit's first valuation (`None`: the unit, and so the
 /// component, has no solution).
 fn evaluate_unit(
+    plan: &ComponentPlan,
     unit: &WorkUnit,
     db: &Database,
 ) -> Result<(Option<Valuation>, PlanStats), DbError> {
-    let (first, eval) = db.prepare(&unit.atoms, &unit.constraints)?.collect(1);
+    let (first, eval) = db
+        .prepare(
+            plan.atoms_at(&unit.atoms),
+            plan.constraints_at(&unit.constraints),
+        )?
+        .collect(1);
     let stats = PlanStats {
         eval,
         ..PlanStats::default()
@@ -932,7 +995,7 @@ impl Witnesses {
 ///
 /// Returns the unit's valuation (`None`: no solution) plus its counters.
 fn stream_unit(
-    unit: &WorkUnit,
+    plan: &ComponentPlan,
     rp: &RegionPlan,
     db: &Database,
 ) -> Result<(Option<Valuation>, PlanStats), DbError> {
@@ -949,7 +1012,7 @@ fn stream_unit(
         // one cannot be evaluated, so report no solution.
         return Ok((None, stats));
     }
-    let walk = RegionWalk { unit, rp, db };
+    let walk = RegionWalk { plan, rp, db };
     if let Some(answer) = walk.pick(None, &mut stats)? {
         return Ok((Some(answer), stats));
     }
@@ -963,20 +1026,17 @@ fn stream_unit(
 /// One split unit's regions, resolved one at a time as a walk reaches
 /// them.
 struct RegionWalk<'a> {
-    unit: &'a WorkUnit,
+    plan: &'a ComponentPlan,
     rp: &'a RegionPlan,
     db: &'a Database,
 }
 
 impl<'a> RegionWalk<'a> {
     fn resolve(&self, r: usize) -> Result<Prepared<'a>, DbError> {
-        let unit = self.unit;
+        let (plan, rp) = (self.plan, self.rp);
         self.db.prepare(
-            self.rp.atoms(r).iter().map(|&a| &unit.atoms[a as usize]),
-            self.rp
-                .constraints(r)
-                .iter()
-                .map(|&c| &unit.constraints[c as usize]),
+            plan.atoms_at(rp.atoms(r)),
+            plan.constraints_at(rp.constraints(r)),
         )
     }
 
@@ -1158,10 +1218,14 @@ mod materialized_reference {
         db: &Database,
         region_cap: usize,
     ) -> Result<Option<Vec<QueryAnswer>>, DbError> {
-        for unit in &plan.units {
-            db.validate(&unit.atoms)?;
-        }
-        let residue = db.evaluate_filtered(&plan.ground_atoms, &plan.ground_constraints, 1)?;
+        db.validate(&plan.atoms)?;
+        let residue = db
+            .prepare(
+                plan.atoms_at(&plan.ground_atoms),
+                plan.constraints_at(&plan.ground_constraints),
+            )?
+            .collect(1)
+            .0;
         if residue.is_empty() {
             return Ok(None);
         }
@@ -1169,8 +1233,8 @@ mod materialized_reference {
         let mut merged = Valuation::default();
         for unit in &plan.units {
             let first = match &unit.regions {
-                Some(rp) => evaluate_split_unit(unit, rp, db, region_cap),
-                None => evaluate_unit(unit, db),
+                Some(rp) => evaluate_split_unit(plan, unit, rp, db, region_cap),
+                None => evaluate_unit(plan, unit, db),
             };
             let Some(valuation) = first else {
                 return Ok(None);
@@ -1182,14 +1246,20 @@ mod materialized_reference {
         Ok(Some(distribute_heads(&plan.heads, &merged)))
     }
 
-    fn evaluate_unit(unit: &WorkUnit, db: &Database) -> Option<Valuation> {
-        let first = db
-            .evaluate_filtered(&unit.atoms, &unit.constraints, 1)
-            .expect("relations validated by evaluate_plan");
+    fn evaluate_unit(plan: &ComponentPlan, unit: &WorkUnit, db: &Database) -> Option<Valuation> {
+        let query = db.prepare(
+            plan.atoms_at(&unit.atoms),
+            plan.constraints_at(&unit.constraints),
+        );
+        let first = query
+            .expect("relations validated by evaluate_plan")
+            .collect(1)
+            .0;
         first.into_iter().next()
     }
 
     fn evaluate_split_unit(
+        plan: &ComponentPlan,
         unit: &WorkUnit,
         rp: &RegionPlan,
         db: &Database,
@@ -1197,12 +1267,10 @@ mod materialized_reference {
     ) -> Option<Valuation> {
         let sols: Vec<Vec<Valuation>> = (0..rp.regions.len())
             .map(|r| {
-                let atoms = rp.atoms(r).iter().map(|&a| &unit.atoms[a as usize]);
-                let constraints = rp
-                    .constraints(r)
-                    .iter()
-                    .map(|&c| &unit.constraints[c as usize]);
-                let query = db.prepare(atoms, constraints);
+                let query = db.prepare(
+                    plan.atoms_at(rp.atoms(r)),
+                    plan.constraints_at(rp.constraints(r)),
+                );
                 query
                     .expect("relations validated by evaluate_plan")
                     .collect(region_cap)
@@ -1215,7 +1283,7 @@ mod materialized_reference {
             // A region may have overflowed the cap: the semi-join could
             // miss keys, so evaluate the unit whole (complete, and the
             // same deterministic path the unsplit plan takes).
-            evaluate_unit(unit, db)
+            evaluate_unit(plan, unit, db)
         } else {
             semijoin_merge(rp, &sols)
         }
@@ -1436,12 +1504,24 @@ mod tests {
         assert!(cq.evaluate(&db, 1).is_err());
     }
 
-    fn raw_unit(atoms: Vec<Atom>) -> WorkUnit {
+    /// The unit that is the whole of a body of `atoms` atoms and
+    /// `constraints` constraints.
+    fn whole_unit(atoms: usize, constraints: usize) -> WorkUnit {
         WorkUnit {
-            atoms,
-            constraints: vec![],
+            atoms: (0..atoms as u32).collect(),
+            constraints: (0..constraints as u32).collect(),
             regions: None,
         }
+    }
+
+    /// [`split_unit`] on the unit that is all of `atoms` and
+    /// `constraints`.
+    fn split(atoms: &[Atom], constraints: &[Constraint]) -> Option<RegionPlan> {
+        split_unit(
+            atoms,
+            constraints,
+            &whole_unit(atoms.len(), constraints.len()),
+        )
     }
 
     fn e(a: Term, b: Term) -> Atom {
@@ -1456,8 +1536,8 @@ mod tests {
     fn chain_unit_splits_into_edge_regions() {
         // x0—x1—x2—x3: every interior variable is an articulation
         // point, so each edge atom is its own region.
-        let unit = raw_unit(vec![e(vx(0), vx(1)), e(vx(1), vx(2)), e(vx(2), vx(3))]);
-        let rp = split_unit(&unit).expect("chain splits");
+        let rp =
+            split(&[e(vx(0), vx(1)), e(vx(1), vx(2)), e(vx(2), vx(3))], &[]).expect("chain splits");
         assert_eq!(rp.regions.len(), 3);
         // Root is the region of the first atom; children chain off it
         // keyed by the shared articulation variable.
@@ -1473,18 +1553,17 @@ mod tests {
     #[test]
     fn cycle_unit_does_not_split() {
         // x0—x1—x2—x0 is 2-connected: one block, no articulation vars.
-        let unit = raw_unit(vec![e(vx(0), vx(1)), e(vx(1), vx(2)), e(vx(2), vx(0))]);
-        assert!(split_unit(&unit).is_none());
+        assert!(split(&[e(vx(0), vx(1)), e(vx(1), vx(2)), e(vx(2), vx(0))], &[]).is_none());
     }
 
     #[test]
     fn single_variable_atoms_replicate_into_every_region_with_their_var() {
-        let unit = raw_unit(vec![
+        let atoms = [
             e(vx(0), vx(1)),
             e(vx(1), vx(2)),
             Atom::new("E", vec![vx(1), Term::int(7)]), // only var x1
-        ]);
-        let rp = split_unit(&unit).expect("splits at x1");
+        ];
+        let rp = split(&atoms, &[]).expect("splits at x1");
         assert_eq!(rp.regions.len(), 2);
         // x1 is the articulation variable: its single-var atom anchors
         // *both* regions (replication is sound — same conjunct, same
@@ -1499,21 +1578,14 @@ mod tests {
         // Two atom clusters glued only by the constraint x1 < x2: the
         // bridge block holds no atom, and no single region could
         // enforce the constraint — the unit must evaluate whole.
-        let unit = WorkUnit {
-            atoms: vec![e(vx(0), vx(1)), e(vx(2), vx(3))],
-            constraints: vec![Constraint::new(vx(1), CmpOp::Lt, vx(2))],
-            regions: None,
-        };
-        assert!(split_unit(&unit).is_none());
+        let atoms = [e(vx(0), vx(1)), e(vx(2), vx(3))];
+        assert!(split(&atoms, &[Constraint::new(vx(1), CmpOp::Lt, vx(2))]).is_none());
         // A multi-variable constraint *inside* a cluster is fine: its
         // clique edge coincides with an atom's, so its block is a real
         // region and the split goes through.
-        let unit = WorkUnit {
-            atoms: vec![e(vx(0), vx(1)), e(vx(1), vx(2))],
-            constraints: vec![Constraint::new(vx(0), CmpOp::Lt, vx(1))],
-            regions: None,
-        };
-        let rp = split_unit(&unit).expect("in-cluster constraint splits");
+        let atoms = [e(vx(0), vx(1)), e(vx(1), vx(2))];
+        let rp = split(&atoms, &[Constraint::new(vx(0), CmpOp::Lt, vx(1))])
+            .expect("in-cluster constraint splits");
         assert_eq!(rp.regions.len(), 2);
         assert_eq!(rp.constraints(0), [0]);
         assert!(rp.constraints(1).is_empty());
@@ -1552,11 +1624,13 @@ mod tests {
     /// A plan whose single unit is pre-split, with one head atom that
     /// exposes the merged valuation as a grounded tuple.
     fn split_plan(atoms: Vec<Atom>, head_vars: &[u32]) -> ComponentPlan {
-        let mut unit = raw_unit(atoms);
-        unit.regions = split_unit(&unit);
+        let mut unit = whole_unit(atoms.len(), 0);
+        unit.regions = split_unit(&atoms, &[], &unit);
         assert!(unit.regions.is_some(), "test unit must split");
         let head = Atom::new("H", head_vars.iter().map(|&i| vx(i)).collect::<Vec<_>>());
         ComponentPlan {
+            atoms,
+            constraints: vec![],
             units: vec![unit],
             ground_atoms: vec![],
             ground_constraints: vec![],
@@ -2033,14 +2107,15 @@ mod tests {
             "{T(z1)} S(z2) <- D3(z1, z2)",
         ]);
         let (plan, cq) = plan_for(&g, &[0, 1, 2]);
-        let mut plan_atoms: Vec<Atom> = plan.ground_atoms.clone();
-        for u in &plan.units {
-            plan_atoms.extend(u.atoms.iter().cloned());
-        }
-        let mut body = cq.body.clone();
-        plan_atoms.sort();
-        body.sort();
-        assert_eq!(plan_atoms, body);
+        assert_eq!(plan.atoms, cq.body);
+        assert_eq!(plan.constraints, cq.constraints);
         assert_eq!(plan.heads, cq.heads);
+        // The ground residue and the units name every atom once.
+        let mut named: Vec<u32> = plan.ground_atoms.clone();
+        for u in &plan.units {
+            named.extend(&u.atoms);
+        }
+        named.sort_unstable();
+        assert_eq!(named, (0..plan.atoms.len() as u32).collect::<Vec<_>>());
     }
 }

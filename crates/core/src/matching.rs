@@ -4,10 +4,11 @@
 //!
 //! Given one connected component of a *safe* unifiability graph, matching
 //!
-//! 1. seeds each node's unifier with the MGUs of its in-edges (the local
+//! 1. checks each node's seed — the MGUs of its in-edges, the local
 //!    constraint that its postconditions be satisfied by the matched
-//!    heads), unifying each edge's head and postcondition atoms straight
-//!    from the query slots — edges keep no substitution;
+//!    heads — in one reused scratch unifier, unifying each edge's head
+//!    and postcondition atoms straight from the query slots; edges keep
+//!    no substitution, and no seed is kept;
 //! 2. removes nodes with an unsatisfied postcondition (`INDEGREE(q) <
 //!    PCCOUNT(q)`) or conflicting in-edges, cascading the removal to all
 //!    descendants (CLEANUP);
@@ -36,7 +37,13 @@
 //! over the condensation in topological order: an SCC dies if a
 //! predecessor died or if merging its seeds with its predecessors'
 //! unifiers conflicts; otherwise that merge is the fixpoint unifier of
-//! each of its members, and it is folded into the global. On a
+//! each of its members, and it is folded into the global. The pass
+//! builds the merge without the seeds: it unifies the live in-edges of
+//! the SCC's members straight into one table, then folds in its
+//! predecessors' unifiers. That table has the partition and class
+//! constants of the seeds merged, so the global absorbs the same class
+//! lists, and no node's seed is ever a table of its own (the seeds of
+//! an n-query ring would be n tables alive at once). On a
 //! shared-variable entanglement ring (one SCC whose unifier chains *n*
 //! variables) this is O(n) unifier work, where the worklist spends
 //! O(n²) growing n copies of the chain.
@@ -46,14 +53,14 @@
 //! no surviving edge to or from another SCC. Such a piece is a
 //! coordinating set and is evaluated alone.
 
-use crate::graph::MatchGraph;
+use crate::graph::{Edge, MatchGraph};
 use eq_ir::{FastMap, FastSet};
 use eq_unify::{Conflict, Unifier};
 
 #[cfg(test)]
 thread_local! {
     /// Unifier entries folded by [`fold`], plus the terms of every edge
-    /// seed folded, on this thread: the step count the quadratic-cliff
+    /// [`unify_edge`] unified, on this thread: the step count the quadratic-cliff
     /// regression test reads.
     static FOLD_STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
@@ -61,9 +68,12 @@ thread_local! {
 /// Counters for one matching run, reported by the benchmark harness.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MatchStats {
-    /// Live members whose seed the condensation pass visited.
+    /// Live members whose in-edges the condensation pass unified.
     pub dequeues: u64,
-    /// MGU merge operations performed.
+    /// MGU operations performed: one per in-edge unified — by the seed
+    /// check, and again by the condensation pass for an edge between
+    /// live members — and one per unifier folded: a predecessor's into
+    /// an SCC's, an SCC's into the global.
     pub mgu_calls: u64,
     /// Nodes removed by CLEANUP (unsatisfiable queries).
     pub cleanups: u64,
@@ -119,7 +129,7 @@ impl ComponentMatch {
 /// O(pending).
 pub fn match_component(graph: &MatchGraph, members: &[u32]) -> ComponentMatch {
     let mut stats = MatchStats::default();
-    let (mut seeds, live, mut removed) = seed_phase(graph, members, &mut stats);
+    let (live, mut removed) = seed_phase(graph, members, &mut stats);
 
     // Step 3 over the condensation. Tarjan ids are assigned at SCC
     // completion, so every successor SCC has a smaller id than its
@@ -151,9 +161,10 @@ pub fn match_component(graph: &MatchGraph, members: &[u32]) -> ComponentMatch {
         preds[id].sort_unstable();
         preds[id].dedup();
         let Some(u) = scc_fixpoint(
+            graph,
+            &scc_of,
             &members_of[id],
             &preds[id],
-            &mut seeds,
             &scc_unifier,
             &mut stats,
         ) else {
@@ -220,23 +231,20 @@ pub fn match_component(graph: &MatchGraph, members: &[u32]) -> ComponentMatch {
     }
 }
 
-/// Steps 1+2: seeds every member's unifier with its in-component in-edge
-/// MGUs, then removes each member with an unsatisfied postcondition or
-/// conflicting in-edges together with its descendants (CLEANUP).
-/// Returns the seeds, the live members in member order, and the removed.
-fn seed_phase(
-    graph: &MatchGraph,
-    members: &[u32],
-    stats: &mut MatchStats,
-) -> (FastMap<u32, Unifier>, Vec<u32>, Vec<u32>) {
+/// Steps 1+2: checks every member's seed — its in-component in-edge
+/// MGUs — in one reused scratch unifier, then removes each member with
+/// an unsatisfied postcondition or conflicting in-edges together with
+/// its descendants (CLEANUP). No seed is kept: the condensation pass
+/// unifies the survivors' in-edges again, straight into their SCC's
+/// unifier. Returns the live members in member order, and the removed.
+fn seed_phase(graph: &MatchGraph, members: &[u32], stats: &mut MatchStats) -> (Vec<u32>, Vec<u32>) {
     let mut alive: FastSet<u32> = members.iter().copied().collect();
-    let mut seeds: FastMap<u32, Unifier> = FastMap::default();
+    let mut scratch = Unifier::new();
+    let mut satisfied: Vec<bool> = Vec::new();
     let mut removed = Vec::new();
     let mut doomed: Vec<u32> = Vec::new();
     for &m in members {
-        let (unifier, ok) = seed_member(graph, &alive, m, stats);
-        seeds.insert(m, unifier);
-        if !ok {
+        if !seed_member(graph, &alive, m, &mut scratch, &mut satisfied, stats) {
             doomed.push(m);
         }
     }
@@ -248,62 +256,83 @@ fn seed_phase(
         .copied()
         .filter(|m| alive.contains(m))
         .collect();
-    (seeds, live, removed)
+    (live, removed)
 }
 
-/// Seeds one member: its in-component in-edge MGUs folded into a local
-/// unifier, and whether it can still be answered (every postcondition
-/// has an in-component satisfier and the in-edge MGUs agree). Each edge
-/// folds `mgu(h, p)` of its two atoms with
-/// [`Unifier::unify_atoms`], which makes the equates and binds
-/// `merge_from(&mgu_atoms(h, p))` would, in its order — so the seed's
-/// forest, and every representative the combined query resolves to, is
-/// what a stored per-edge MGU gave.
+/// Checks one member's seed in `scratch`: whether it can still be
+/// answered — every postcondition has an in-component satisfier and the
+/// in-edge MGUs agree.
 fn seed_member(
     graph: &MatchGraph,
     in_component: &FastSet<u32>,
     m: u32,
+    scratch: &mut Unifier,
+    satisfied: &mut Vec<bool>,
     stats: &mut MatchStats,
-) -> (Unifier, bool) {
-    let query = graph.query(m);
-    let mut satisfied = vec![false; query.pc_count()];
-    let mut unifier = Unifier::new();
+) -> bool {
+    scratch.clear();
+    satisfied.clear();
+    satisfied.resize(graph.query(m).pc_count(), false);
     for &eid in graph.in_edges(m) {
         let e = graph.edge(eid);
         if !in_component.contains(&e.from) {
             continue;
         }
         satisfied[e.pc_idx as usize] = true;
-        let head = &graph.query(e.from).head[e.head_idx as usize];
-        let pc = &query.postconditions[e.pc_idx as usize];
-        stats.mgu_calls += 1;
-        #[cfg(test)]
-        FOLD_STEPS.with(|steps| steps.set(steps.get() + (head.arity() + pc.arity()) as u64));
-        if unifier.unify_atoms(head, pc).is_err() {
-            return (unifier, false);
+        if unify_edge(graph, e, scratch, stats).is_err() {
+            return false;
         }
     }
-    let ok = satisfied.iter().all(|&s| s);
-    (unifier, ok)
+    satisfied.iter().all(|&s| s)
 }
 
-/// The fixpoint unifier of one SCC: its members' seeds merged with its
-/// predecessors' unifiers, riding the first member's seed (moved out of
-/// the map, not copied). `None` when a predecessor died (it has no
-/// unifier) or a merge conflicts — the SCC dies.
+/// One counted MGU of an edge's head and postcondition atoms, unified
+/// straight from the query slots into `into` with
+/// [`Unifier::unify_atoms`], which makes the equates and binds
+/// `merge_from(&mgu_atoms(h, p))` would, in its order.
+fn unify_edge(
+    graph: &MatchGraph,
+    e: &Edge,
+    into: &mut Unifier,
+    stats: &mut MatchStats,
+) -> Result<bool, Conflict> {
+    let head = &graph.query(e.from).head[e.head_idx as usize];
+    let pc = &graph.query(e.to).postconditions[e.pc_idx as usize];
+    stats.mgu_calls += 1;
+    #[cfg(test)]
+    FOLD_STEPS.with(|steps| steps.set(steps.get() + (head.arity() + pc.arity()) as u64));
+    into.unify_atoms(head, pc)
+}
+
+/// The fixpoint unifier of one SCC: every live in-edge of its members
+/// unified into one fresh table — the merge of the members' seeds,
+/// built without any seed existing on its own — with its predecessors'
+/// unifiers folded in after. The partition and the class constants are
+/// those of the seeds merged, so the class lists the global absorbs are
+/// too. `None` when a predecessor died (it has no unifier) or a
+/// unification conflicts — the SCC dies.
 fn scc_fixpoint(
+    graph: &MatchGraph,
+    live: &FastMap<u32, u32>,
     members: &[u32],
     preds: &[usize],
-    seeds: &mut FastMap<u32, Unifier>,
     scc_unifier: &[Option<Unifier>],
     stats: &mut MatchStats,
 ) -> Option<Unifier> {
-    let (&first, rest) = members.split_first()?;
-    let mut u = seeds.remove(&first)?;
-    stats.dequeues += 1;
-    for &m in rest {
+    if preds.iter().any(|&p| scc_unifier[p].is_none()) {
+        return None;
+    }
+    let mut u = Unifier::new();
+    for &m in members {
         stats.dequeues += 1;
-        fold(&mut u, seeds.get(&m)?, stats).ok()?;
+        for &eid in graph.in_edges(m) {
+            let e = graph.edge(eid);
+            // A live member's in-component in-edges all come from live
+            // members: CLEANUP takes a removed member's descendants too.
+            if live.contains_key(&e.from) {
+                unify_edge(graph, e, &mut u, stats).ok()?;
+            }
+        }
     }
     for &p in preds {
         fold(&mut u, scc_unifier[p].as_ref()?, stats).ok()?;
@@ -387,7 +416,8 @@ mod tests {
         members: &[u32],
     ) -> (Vec<u32>, Vec<u32>, FastMap<u32, Unifier>) {
         let mut stats = MatchStats::default();
-        let (mut unifiers, live, mut removed) = seed_phase(graph, members, &mut stats);
+        let (live, mut removed) = seed_phase(graph, members, &mut stats);
+        let mut unifiers = seeds(graph, &live);
         let mut alive: FastSet<u32> = live.iter().copied().collect();
         let mut queue: VecDeque<u32> = live.iter().copied().collect();
         let mut queued: FastSet<u32> = alive.clone();
@@ -420,6 +450,27 @@ mod tests {
         let survivors: Vec<u32> = live.into_iter().filter(|m| alive.contains(m)).collect();
         unifiers.retain(|m, _| alive.contains(m));
         (survivors, removed, unifiers)
+    }
+
+    /// Algorithm 1's seeds, a table per live member: its in-edge MGUs (a
+    /// live member's in-component in-edges all come from live members).
+    /// Per-member seeding survives only here, for the worklist oracle.
+    fn seeds(graph: &MatchGraph, live: &[u32]) -> FastMap<u32, Unifier> {
+        let alive: FastSet<u32> = live.iter().copied().collect();
+        let mut stats = MatchStats::default();
+        live.iter()
+            .map(|&m| {
+                let mut seed = Unifier::new();
+                for &eid in graph.in_edges(m) {
+                    let e = graph.edge(eid);
+                    if alive.contains(&e.from) {
+                        unify_edge(graph, e, &mut seed, &mut stats)
+                            .expect("a live member's seed unifies");
+                    }
+                }
+                (m, seed)
+            })
+            .collect()
     }
 
     /// `unifiers[s]` for each `s` of `order` folded into a fresh table;
@@ -509,8 +560,10 @@ mod tests {
 
         /// The one pass against the worklist on random small components:
         /// same survivors and removals, same global classes; on
-        /// conflict-free components, one visit per live member, one merge
-        /// per seed in-edge, live member and condensation edge, and the
+        /// conflict-free components, one visit per live member, one MGU
+        /// per in-edge the seed check unified, per in-edge between live
+        /// members, per SCC (its fold into the global) and per
+        /// condensation edge, and the
         /// representatives of the worklist's unifiers folded in
         /// condensation order; and the UCS verdict of every piece of the
         /// survivors.
@@ -537,7 +590,7 @@ mod tests {
                 );
 
                 let mut seed_stats = MatchStats::default();
-                let (_, live, doomed) = seed_phase(&g, &component, &mut seed_stats);
+                let (live, doomed) = seed_phase(&g, &component, &mut seed_stats);
                 if m.global.is_some() && removed.len() == doomed.len() {
                     let scc = ucs::scc_ids_members(&g, &live);
                     let mut order: Vec<u32> = live.clone();
@@ -550,10 +603,14 @@ mod tests {
                         .collect();
                     cross.sort_unstable();
                     cross.dedup();
+                    let live_edges = (0..g.edge_count() as u32)
+                        .map(|eid| g.edge(eid))
+                        .filter(|e| scc.contains_key(&e.from) && scc.contains_key(&e.to))
+                        .count();
                     prop_assert_eq!(m.stats.dequeues, live.len() as u64);
                     prop_assert_eq!(
                         m.stats.mgu_calls,
-                        seed_stats.mgu_calls + (live.len() + cross.len()) as u64
+                        seed_stats.mgu_calls + (live_edges + order.len() + cross.len()) as u64
                     );
                     let in_order = fold_in(&order, &unifiers);
                     prop_assert_eq!(

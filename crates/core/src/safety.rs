@@ -51,12 +51,15 @@ pub fn enforce(graph: &MatchGraph, alive: &mut [bool]) -> Vec<u32> {
 pub fn enforce_members(graph: &MatchGraph, members: &[u32]) -> Vec<u32> {
     let mut live: FastSet<u32> = members.iter().copied().collect();
     let mut removed = Vec::new();
+    // Live satisfiers per postcondition, one buffer for every member.
+    let mut per_pc: Vec<usize> = Vec::new();
     for &slot in members {
         let pc_count = graph.query(slot).pc_count();
         if pc_count == 0 {
             continue;
         }
-        let mut per_pc = vec![0usize; pc_count];
+        per_pc.clear();
+        per_pc.resize(pc_count, 0);
         for &eid in graph.in_edges(slot) {
             let e = graph.edge(eid);
             if live.contains(&e.from) {

@@ -1081,14 +1081,17 @@ impl Coordinator {
         out: &mut [Option<Result<QueryHandle, CoordinationError>>],
         now: Instant,
     ) {
-        let mut valid = valid.into_iter().enumerate().peekable();
-        while let Some((k, first)) = valid.next() {
+        let total = valid.len();
+        let mut valid = valid.into_iter();
+        let mut k = 0;
+        while k < total {
             let shard = shard_of(k);
-            let mut run = vec![first];
-            while let Some((_, next)) = valid.next_if(|&(k, _)| shard_of(k) == shard) {
-                run.push(next);
-            }
-            let (positions, batch): (Vec<usize>, Vec<SubmitRequest>) = run.into_iter().unzip();
+            let len = (k..total).take_while(|&j| shard_of(j) == shard).count();
+            k += len;
+            // One exact allocation each: `unzip` reserves the run's
+            // length.
+            let (positions, batch): (Vec<usize>, Vec<SubmitRequest>) =
+                valid.by_ref().take(len).unzip();
             let mut inner = self.shared.shards[shard].lock();
             let results = self.admit_batch_in(&mut inner, batch, now);
             for (pos, result) in positions.into_iter().zip(results) {

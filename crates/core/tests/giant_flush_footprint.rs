@@ -1,6 +1,7 @@
-//! The giant flush holds its component once: edges keep no unifier, the
-//! atom indexes and the region plan name atoms instead of copying them,
-//! and one region's resolved query is alive at a time. A counting global
+//! The giant flush holds its component once: edges keep no unifier,
+//! matching keeps no seed table per query, the atom indexes, the work
+//! units and the region plan name atoms instead of copying them, and one
+//! region's resolved query is alive at a time. A counting global
 //! allocator, switched on for the test thread alone, measures what one
 //! `submit_batch` and one `flush` of a 2,000-query shared-variable ring
 //! ask for, and that `split_unit` asks for nothing on a unit that
@@ -107,10 +108,10 @@ fn giant_flush_footprint() {
         .map(|q| (q, SubmitOptions::default()))
         .collect();
 
-    let (admitted, admit_allocations, _) = counted(|| engine.submit_batch(batch));
+    let (admitted, admit_allocations, admit_peak) = counted(|| engine.submit_batch(batch));
     assert!(admitted.iter().all(Result::is_ok));
     let edges = engine.graph().edge_count() as u64;
-    let (report, _, flush_peak) = counted(|| engine.flush());
+    let (report, flush_allocations, flush_peak) = counted(|| engine.flush());
     let mut outcomes = engine.drain_outcome_log();
     outcomes.sort_by_key(|(id, _)| *id);
     let mut hash = 0xcbf2_9ce4_8422_2325;
@@ -125,24 +126,43 @@ fn giant_flush_footprint() {
             }
         }
     }
+    // Each bound is a measured count plus 25 % headroom.
     // (a) A ring has one edge per query, so an allocation per edge
-    // shows as one more per query. Measured: 33,060 allocations in a
-    // release build, 35,060 in a debug one; with a unifier table per
-    // edge it was 39,059 and 41,059 — three more per edge.
+    // shows as one more per query. Measured: 16,995 allocations in a
+    // release build, 18,995 in a debug one (the bound's base); with a
+    // unifier table per edge it was three more per edge.
     assert_eq!(edges, N as u64);
     assert!(
-        admit_allocations < 37_000,
+        admit_allocations < 23_750,
         "admitting {N} queries with {edges} edges made {admit_allocations} allocations"
     );
-    // (b) Measured: 1,554,936 bytes above the starting heap, bound with
-    // 25 % headroom. With per-region atom copies, a resolved query per
-    // region alive across both passes and a hash set per witness set it
-    // was 2,883,968.
+    // (b) The slot vectors and id maps grow once for the batch instead
+    // of doubling through it. Measured: 1,445,528 bytes above the
+    // starting heap.
     assert!(
-        flush_peak < 1_950_000,
+        admit_peak < 1_807_000,
+        "admitting {N} queries peaked {admit_peak} bytes above the starting heap"
+    );
+    // (c) Matching checks each query's seed in one scratch unifier and
+    // folds the ring's unifier into the global through one buffer; the
+    // plan holds the simplified body once and its unit names the atoms
+    // by index; the global unifier and the union-find are dropped before
+    // the ring is cut into regions. Measured: 815,880 bytes above the
+    // starting heap and 36,320 allocations. With a seed table per query,
+    // a list per class in every fold, the atoms moved into the unit and
+    // the global kept through evaluation it was 1,292,616 bytes and
+    // 50,373 allocations; with per-region atom copies, a resolved query
+    // per region alive across both passes and a hash set per witness
+    // set as well, 2,883,968 bytes.
+    assert!(
+        flush_peak < 1_020_000,
         "the flush peaked {flush_peak} bytes above its starting heap"
     );
-    // (c) The answers, pinned before edges lost their unifiers.
+    assert!(
+        flush_allocations < 45_400,
+        "the flush made {flush_allocations} allocations"
+    );
+    // (d) The answers, pinned before edges lost their unifiers.
     assert_eq!(report.answered, N);
     assert_eq!(outcomes.len(), N);
     assert_eq!(hash, 0x3eb6_2241_af79_3830, "answer tuples changed");
@@ -160,40 +180,36 @@ fn split_unit_refuses_units_without_two_multi_variable_conjuncts_before_allocati
     use eq_core::WorkUnit;
     use eq_ir::{Atom, CmpOp, Constraint, Term, Var};
     let [x, y, z] = [0, 1, 2].map(|i| Term::var(Var(i)));
-    let unit = |atoms: Vec<Atom>, constraints: Vec<Constraint>| WorkUnit {
-        atoms,
-        constraints,
-        regions: None,
+    // Splits the unit that is the whole body, counting only the split.
+    let split = |atoms: &[Atom], constraints: &[Constraint]| {
+        let unit = WorkUnit {
+            atoms: (0..atoms.len() as u32).collect(),
+            constraints: (0..constraints.len() as u32).collect(),
+            regions: None,
+        };
+        counted(|| split_unit(atoms, constraints, &unit))
     };
-    let single_variable = unit(
-        vec![
-            Atom::new("User", vec![Term::str("Jerry"), x]),
-            Atom::new("User", vec![Term::str("Kramer"), x]),
-            Atom::new("Friends", vec![x, x]),
-        ],
-        vec![Constraint::new(x, CmpOp::Lt, Term::int(5))],
-    );
-    let one_edge = unit(
-        vec![
-            Atom::new("User", vec![x, Term::str("NYC")]),
-            Atom::new("Friends", vec![x, y]),
-            Atom::new("User", vec![y, Term::str("NYC")]),
-        ],
-        vec![],
-    );
-    for unit in [&single_variable, &one_edge] {
-        let (regions, allocations, _) = counted(|| split_unit(unit));
+    let single_variable = [
+        Atom::new("User", vec![Term::str("Jerry"), x]),
+        Atom::new("User", vec![Term::str("Kramer"), x]),
+        Atom::new("Friends", vec![x, x]),
+    ];
+    let one_edge = [
+        Atom::new("User", vec![x, Term::str("NYC")]),
+        Atom::new("Friends", vec![x, y]),
+        Atom::new("User", vec![y, Term::str("NYC")]),
+    ];
+    let below_five = [Constraint::new(x, CmpOp::Lt, Term::int(5))];
+    for (atoms, constraints) in [(&single_variable, &below_five[..]), (&one_edge, &[])] {
+        let (regions, allocations, _) = split(atoms, constraints);
         assert!(regions.is_none());
-        assert_eq!(allocations, 0, "{:?}", unit.atoms);
+        assert_eq!(allocations, 0, "{atoms:?}");
     }
-    let chain = unit(
-        vec![
-            Atom::new("Friends", vec![x, y]),
-            Atom::new("Friends", vec![y, z]),
-        ],
-        vec![],
-    );
-    let (regions, allocations, _) = counted(|| split_unit(&chain));
+    let chain = [
+        Atom::new("Friends", vec![x, y]),
+        Atom::new("Friends", vec![y, z]),
+    ];
+    let (regions, allocations, _) = split(&chain, &[]);
     assert_eq!(regions.map(|rp| rp.regions.len()), Some(2));
     assert!(allocations > 0);
 }

@@ -91,6 +91,12 @@ impl Unifier {
         self.nodes.len()
     }
 
+    /// Drops every constraint and keeps the table's allocation, so one
+    /// unifier can serve as scratch for many checks.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+    }
+
     fn ensure(&mut self, v: Var) {
         self.nodes.entry(v).or_insert_with(|| Node {
             parent: Cell::new(v.0),
@@ -210,7 +216,9 @@ impl Unifier {
     }
 
     /// In-place most general unifier: folds all of `other`'s constraints
-    /// into `self` (`self := MGU(self, other)`).
+    /// into `self` (`self := MGU(self, other)`), class by class in
+    /// [`Unifier::classes`] order, so what `self`'s forest becomes depends
+    /// on `other`'s classes alone, not on `other`'s forest.
     ///
     /// Returns `Ok(true)` iff `self` strictly gained constraints — the
     /// "was changed" test on line 6 of Algorithm 1. On conflict `self` is
@@ -220,12 +228,12 @@ impl Unifier {
     pub fn merge_from(&mut self, other: &Unifier) -> Result<bool, Conflict> {
         ops::count_merge();
         let mut changed = false;
-        for (vars, constant) in other.classes() {
-            let first = vars[0];
-            for &v in &vars[1..] {
+        for class in other.members_by_class().chunk_by(|a, b| a.0 == b.0) {
+            let first = class[0].1;
+            for &(_, v) in &class[1..] {
                 changed |= self.equate(first, v)?;
             }
-            if let Some(c) = constant {
+            if let Some(c) = other.constant_of(first) {
                 changed |= self.bind(first, c)?;
             }
         }
@@ -250,19 +258,31 @@ impl Unifier {
     /// for determinism. Singleton classes without constants are included
     /// only if the variable was explicitly mentioned.
     pub fn classes(&self) -> Vec<(Vec<Var>, Option<Value>)> {
-        let mut groups: FastMap<Var, Vec<Var>> = FastMap::default();
-        for &v in self.nodes.keys() {
-            groups.entry(self.find(v)).or_default().push(v);
-        }
-        let mut out: Vec<(Vec<Var>, Option<Value>)> = groups
-            .into_iter()
-            .map(|(root, mut vars)| {
-                vars.sort_unstable();
-                (vars, self.nodes[&root].constant)
+        self.members_by_class()
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|class| {
+                let vars = class.iter().map(|&(_, v)| v).collect();
+                (vars, self.constant_of(class[0].1))
             })
-            .collect();
-        out.sort_unstable_by_key(|(vars, _)| vars[0]);
-        out
+            .collect()
+    }
+
+    /// Every mentioned variable paired with its class's first (smallest)
+    /// member, in one sorted buffer: the classes of [`Unifier::classes`]
+    /// as runs, in its order, without a table or a list per class.
+    fn members_by_class(&self) -> Vec<(Var, Var)> {
+        let mut members: Vec<(Var, Var)> = self.nodes.keys().map(|&v| (self.find(v), v)).collect();
+        members.sort_unstable();
+        // A root's run starts at its smallest member: key the run by
+        // that member instead, then order the runs by it.
+        for class in members.chunk_by_mut(|a, b| a.0 == b.0) {
+            let first = class[0].1;
+            for member in class {
+                member.0 = first;
+            }
+        }
+        members.sort_unstable();
+        members
     }
 
     /// Structural equality of the *constraints* (ignores internal forest
@@ -418,6 +438,46 @@ mod tests {
         b.bind(v(1), Value::int(2)).unwrap();
         b.equate(v(0), v(1)).unwrap();
         assert!(a.merge_from(&b).is_err());
+    }
+
+    #[test]
+    fn merge_from_reads_classes_not_the_forest() {
+        // One partition, two forests: folded into equal tables they
+        // leave equal forests.
+        let mut a = Unifier::new();
+        a.equate(v(4), v(2)).unwrap();
+        a.equate(v(2), v(9)).unwrap();
+        a.equate(v(1), v(7)).unwrap();
+        a.bind(v(7), Value::int(5)).unwrap();
+        let mut b = Unifier::new();
+        b.bind(v(1), Value::int(5)).unwrap();
+        b.equate(v(9), v(4)).unwrap();
+        b.equate(v(7), v(1)).unwrap();
+        b.equate(v(2), v(9)).unwrap();
+        let fold = |from: &Unifier| {
+            let mut into = Unifier::new();
+            into.equate(v(3), v(4)).unwrap();
+            assert_eq!(into.merge_from(from), Ok(true));
+            let mut forest: Vec<(Var, Var)> = into
+                .nodes
+                .iter()
+                .map(|(&x, node)| (x, Var(node.parent.get())))
+                .collect();
+            forest.sort_unstable();
+            forest
+        };
+        assert_eq!(fold(&a), fold(&b));
+    }
+
+    #[test]
+    fn clear_drops_every_constraint() {
+        let mut u = Unifier::new();
+        u.equate(v(0), v(1)).unwrap();
+        u.bind(v(1), Value::int(3)).unwrap();
+        u.clear();
+        assert!(u.is_empty());
+        assert!(!u.same_class(v(0), v(1)));
+        assert_eq!(u.bind(v(1), Value::int(4)), Ok(true));
     }
 
     #[test]

@@ -192,11 +192,15 @@ echo "== 14/14 benchmark package: unit tests + a short run of all five workloads
 # (it was 256.4, the largest peak of the five), pairs_incremental
 # 103.3 MB (126.3), cliques_paged 88.8 MB (105.3), pairs_durable
 # 156.0 MB (174.5) and giant_shared 59.1 MB (64.2; 58.9 and 63.9 at
-# seed 7). giant_shared was measured again once its flush answered the
-# ring by a first-choice descent that builds no witness sets and the
-# symbol interner left the instrumented lock: 54.7 MB (54.8 at seed 7;
-# median of five 2 s runs each, within 1.6 MB of each other), so its
-# ceiling is 60.1 MB. Earlier steps down: pairs_durable from 243.1 MB
+# seed 7). giant_shared was measured again once matching kept no seed
+# unifier per query, the flush's plan no second copy of its body and
+# admission sized the slot vectors and id maps once per batch: 49.1 MB
+# (49.2 at seed 7; median of five 2 s runs each, within 0.3 MB of each
+# other at seed 2011, one seed-7 run at 52.2), so its ceiling is
+# 54.0 MB. Earlier steps down: giant_shared from 54.7 MB (ceiling
+# 60.1) when its flush answered the ring by a first-choice descent that
+# builds no witness sets and the symbol interner left the instrumented
+# lock, pairs_durable from 243.1 MB
 # when tables stored each value once (its three copies of the pairs
 # database had set the peak), giant_shared from 98.2 MB when its flush
 # stopped copying the component, cliques_paged from 155.2 MB when the
@@ -205,7 +209,7 @@ echo "== 14/14 benchmark package: unit tests + a short run of all five workloads
 # pairs_incremental from 183.9 MB when a pending query stopped holding
 # a per-query outcome channel. Each workload's five runs lay within
 # 1.2 MB of each other.
-declare -A rss_ceiling_mb=([pairs_incremental]=113.6 [churn_sharded]=243.4 [giant_shared]=60.1
+declare -A rss_ceiling_mb=([pairs_incremental]=113.6 [churn_sharded]=243.4 [giant_shared]=54.0
     [cliques_paged]=97.7 [pairs_durable]=171.6)
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 for run in "pairs_incremental" "churn_sharded" "cliques_paged" "giant_shared" "giant_shared --seed 7" \
