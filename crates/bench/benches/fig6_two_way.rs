@@ -5,7 +5,7 @@
 
 use eq_bench::harness::{smoke_mode, BenchGroup};
 use eq_core::engine::NoSolutionPolicy;
-use eq_core::{CoordinationEngine, EngineConfig, EngineMode};
+use eq_core::{CoordinationEngine, EngineConfig};
 use eq_workload::{
     build_database, three_way_triangles, two_way_pairs, PairStyle, SocialGraph, SocialGraphConfig,
 };
@@ -14,7 +14,6 @@ fn engine(graph: &SocialGraph) -> CoordinationEngine {
     CoordinationEngine::new(
         build_database(graph),
         EngineConfig {
-            mode: EngineMode::Incremental,
             admission_safety_check: false,
             on_no_solution: NoSolutionPolicy::Reject,
             ..Default::default()
@@ -49,9 +48,11 @@ fn main() {
         ];
         for (series, qs) in &workloads {
             group.bench(series, n as u64, || {
+                // The incremental cadence: a flush after every submit.
                 let mut e = engine(&graph);
                 for q in qs {
                     let _ = e.submit(q.clone());
+                    e.flush();
                 }
             });
         }

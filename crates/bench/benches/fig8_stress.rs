@@ -4,19 +4,30 @@
 //! set-at-a-time.
 
 use eq_bench::harness::{smoke_mode, BenchGroup};
-use eq_core::{CoordinationEngine, EngineConfig, EngineMode};
+use eq_core::{CoordinationEngine, EngineConfig};
 use eq_db::Database;
 use eq_ir::EntangledQuery;
 use eq_workload::{
     build_database, chains, giant_cluster, no_unify, SocialGraph, SocialGraphConfig,
 };
 
-fn drive(db: Database, queries: &[EntangledQuery], config: EngineConfig, flush: bool) {
-    let mut e = CoordinationEngine::new(db, config);
+/// Submits every query, flushing after each one when `incremental` (the
+/// incremental cadence) and once at the end otherwise.
+fn drive(db: Database, queries: &[EntangledQuery], incremental: bool) {
+    let mut e = CoordinationEngine::new(
+        db,
+        EngineConfig {
+            admission_safety_check: false,
+            ..Default::default()
+        },
+    );
     for q in queries {
         let _ = e.submit(q.clone());
+        if incremental {
+            e.flush();
+        }
     }
-    if flush {
+    if !incremental {
         e.flush();
     }
 }
@@ -32,16 +43,6 @@ fn main() {
         planted_cliques: 100,
         ..Default::default()
     });
-    let incremental = EngineConfig {
-        mode: EngineMode::Incremental,
-        admission_safety_check: false,
-        ..Default::default()
-    };
-    let batch = EngineConfig {
-        mode: EngineMode::SetAtATime { batch_size: 0 },
-        admission_safety_check: false,
-        ..Default::default()
-    };
     let mut group = BenchGroup::new("fig8");
     group.sample_size(10);
     for &n in sizes {
@@ -50,19 +51,19 @@ fn main() {
         let giant = giant_cluster(&graph, n.min(giant_cap), 3);
 
         group.bench("no unification", n as u64, || {
-            drive(Database::new(), &nu, incremental.clone(), false)
+            drive(Database::new(), &nu, true)
         });
         group.bench("usual partitions", n as u64, || {
-            drive(Database::new(), &ch, incremental.clone(), false)
+            drive(Database::new(), &ch, true)
         });
         group.bench("usual partitions (set-at-a-time flush)", n as u64, || {
-            drive(Database::new(), &ch, batch.clone(), true)
+            drive(Database::new(), &ch, false)
         });
         group.bench("giant incremental", giant.len() as u64, || {
-            drive(build_database(&graph), &giant, incremental.clone(), false)
+            drive(build_database(&graph), &giant, true)
         });
         group.bench("giant set-at-a-time", giant.len() as u64, || {
-            drive(build_database(&graph), &giant, batch.clone(), true)
+            drive(build_database(&graph), &giant, false)
         });
     }
 }

@@ -2,7 +2,7 @@
 //! safety check against a resident pool.
 
 use eq_bench::harness::{smoke_mode, BenchGroup};
-use eq_core::{CoordinationEngine, EngineConfig, EngineMode};
+use eq_core::{CoordinationEngine, EngineConfig};
 use eq_db::Database;
 use eq_workload::{unsafe_arrivals, unsafe_residents};
 
@@ -23,13 +23,7 @@ fn main() {
             // Engine setup (loading residents) stays outside the timed
             // section.
             || {
-                let mut e = CoordinationEngine::new(
-                    Database::new(),
-                    EngineConfig {
-                        mode: EngineMode::SetAtATime { batch_size: 0 },
-                        ..Default::default()
-                    },
-                );
+                let mut e = CoordinationEngine::new(Database::new(), EngineConfig::default());
                 for q in &resident_queries {
                     e.submit(q.clone()).expect("residents are safe");
                 }

@@ -2,7 +2,7 @@
 
 use eq_core::engine::{NoSolutionPolicy, QueryOutcome};
 use eq_core::graph::MatchGraph;
-use eq_core::{matching, safety, CombinedQuery, CoordinationEngine, EngineConfig, EngineMode};
+use eq_core::{matching, safety, CombinedQuery, CoordinationEngine, EngineConfig};
 use eq_db::Database;
 use eq_ir::{EntangledQuery, FastMap, QueryId, VarGen};
 use eq_workload::{
@@ -35,28 +35,27 @@ pub fn standard_graph(users: usize) -> SocialGraph {
     })
 }
 
-fn incremental_engine(db: Database) -> CoordinationEngine {
-    CoordinationEngine::new(
-        db,
+/// Submits each query and flushes after it — the incremental cadence,
+/// which re-matches what every arrival dirtied — and returns the wall
+/// clock and the number of queries answered.
+fn drive_incremental(db: &Database, queries: &[EntangledQuery]) -> (f64, usize) {
+    let mut engine = CoordinationEngine::new(
+        clone_db(db),
         EngineConfig {
-            mode: EngineMode::Incremental,
             // Figure 6/8 measure matching throughput; the admission
             // safety check is the subject of Figure 9 only.
             admission_safety_check: false,
             on_no_solution: NoSolutionPolicy::Reject,
             ..Default::default()
         },
-    )
-}
-
-fn drive_incremental(db: &Database, queries: &[EntangledQuery]) -> (f64, usize) {
-    let mut engine = incremental_engine(clone_db(db));
+    );
     let mut handles = Vec::with_capacity(queries.len());
     let start = Instant::now();
     for q in queries {
         if let Ok(h) = engine.submit(q.clone()) {
             handles.push(h);
         }
+        engine.flush();
     }
     let millis = start.elapsed().as_secs_f64() * 1e3;
     let mut log: FastMap<QueryId, QueryOutcome> = engine.drain_outcome_log().into_iter().collect();
@@ -246,17 +245,15 @@ pub fn run_fig8(cfg: &Fig8Config) -> Vec<Row> {
 
         // (c) Giant cluster, incremental: the whole partition is
         // re-matched on every arrival.
-        let mut engine = CoordinationEngine::new(
-            clone_db(&db),
-            EngineConfig {
-                mode: EngineMode::Incremental,
-                admission_safety_check: false,
-                ..Default::default()
-            },
-        );
+        let config = EngineConfig {
+            admission_safety_check: false,
+            ..Default::default()
+        };
+        let mut engine = CoordinationEngine::new(clone_db(&db), config.clone());
         let start = Instant::now();
         for q in &queries {
             let _ = engine.submit(q.clone());
+            engine.flush();
         }
         rows.push(Row {
             figure: "fig8",
@@ -267,14 +264,7 @@ pub fn run_fig8(cfg: &Fig8Config) -> Vec<Row> {
         });
 
         // (d) Giant cluster, set-at-a-time: one matching pass at flush.
-        let mut engine = CoordinationEngine::new(
-            clone_db(&db),
-            EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
-                admission_safety_check: false,
-                ..Default::default()
-            },
-        );
+        let mut engine = CoordinationEngine::new(clone_db(&db), config);
         let start = Instant::now();
         for q in &queries {
             let _ = engine.submit(q.clone());
@@ -311,7 +301,6 @@ pub fn run_fig9(cfg: &Fig9Config) -> Vec<Row> {
         let mut engine = CoordinationEngine::new(
             Database::new(),
             EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
                 admission_safety_check: true,
                 ..Default::default()
             },

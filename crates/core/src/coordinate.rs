@@ -13,8 +13,8 @@
 
 use crate::combine::QueryAnswer;
 use crate::engine::{
-    CoordinationEngine, EngineConfig, EngineMode, FailReason, NoSolutionPolicy, QueryOutcome,
-    RejectReason, SubmitError, SubmitOptions,
+    CoordinationEngine, EngineConfig, FailReason, NoSolutionPolicy, QueryOutcome, RejectReason,
+    SubmitError, SubmitOptions,
 };
 use crate::matching::MatchStats;
 use eq_db::Database;
@@ -130,7 +130,6 @@ pub fn coordinate(queries: &[EntangledQuery], db: &Database) -> CoordinationOutc
     let mut engine = CoordinationEngine::new(
         db.snapshot(),
         EngineConfig {
-            mode: EngineMode::SetAtATime { batch_size: 0 },
             admission_safety_check: false,
             on_no_solution: NoSolutionPolicy::Reject,
             ..EngineConfig::default()

@@ -1,21 +1,22 @@
 //! The D3C engine of §5.1: a long-running coordination service.
 //!
 //! The engine accepts entangled queries asynchronously, keeps them in a
-//! pending pool, and answers them in one of two modes:
+//! pending pool, and answers them when its caller asks:
 //!
-//! * **Incremental** — every submit call ends by re-matching what it
-//!   dirtied: the components its arrivals joined (and any the database
-//!   or a retirement re-dirtied) are evaluated before the call returns;
-//! * **Set-at-a-time** — submissions accumulate; [`CoordinationEngine::flush`]
-//!   (called manually, or automatically every `batch_size` submissions)
-//!   evaluates the *dirty* components of the resident match graph,
-//!   each matched and evaluated on its own (§4.1.2).
+//! * **admission** ([`CoordinationEngine::submit`] and the batch and
+//!   re-admission entries) only admits: it links each arrival into the
+//!   resident match graph and marks the components it joined dirty;
+//! * **evaluation** ([`CoordinationEngine::flush`], the one call that
+//!   evaluates) re-matches the *dirty* components of the resident match
+//!   graph, each matched and evaluated on its own (§4.1.2).
 //!
-//! The two modes differ only in *when* the dirty set is evaluated, never
-//! in *how*: both run the one evaluation a flush runs (database-revision
-//! check, dirty components, §3.1.1 safety, matching, combined query), so
-//! the same input reaches the same per-query outcomes in either mode
-//! whenever the evaluation points see the same pool.
+//! *When* to evaluate is the middleware's scheduling choice (§5.1,
+//! §5.3.4), not the engine's: the `Coordinator` service reads
+//! [`EngineConfig::mode`] and, in incremental mode, flushes a shard at
+//! the end of every admission call; a bare engine's caller flushes
+//! whenever it likes. The same input reaches the same per-query
+//! outcomes under either cadence whenever the evaluation points see the
+//! same pool.
 //!
 //! Match state is **resident**: the engine owns one [`MatchGraph`], the
 //! unifiability graph of §4.1.1 with its atom indexes and component
@@ -54,7 +55,7 @@ use crate::graph::MatchGraph;
 use crate::intra;
 use crate::matching::{self, MatchStats};
 use crate::safety;
-use eq_db::{Database, StoreIoStats};
+use eq_db::Database;
 use eq_ir::{EntangledQuery, FastMap, FastSet, QueryId, ValidationError, VarGen};
 use parking_lot::RwLock;
 use std::cmp::Reverse;
@@ -63,17 +64,20 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Evaluation scheduling mode (§5.1, §5.3.4).
+/// Evaluation scheduling mode (§5.1, §5.3.4): the `Coordinator`
+/// service's cadence. A bare [`CoordinationEngine`] ignores it; its
+/// caller decides when to [`CoordinationEngine::flush`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineMode {
-    /// Evaluate the dirty set at the end of every submit call (§5.1's
-    /// incremental matching: re-match what the call dirtied).
+    /// The service evaluates a shard's dirty set at the end of every
+    /// admission call (§5.1's incremental matching: re-match what the
+    /// call dirtied).
     Incremental,
-    /// Accumulate and evaluate on [`CoordinationEngine::flush`]; if
-    /// `batch_size > 0`, flush automatically every `batch_size`
-    /// submissions.
+    /// The service evaluates only on `Coordinator::flush`.
     SetAtATime {
-        /// Auto-flush threshold; 0 disables auto-flush.
+        /// Inert: nothing flushes after a number of admissions. The
+        /// field stays only because the frozen benchmark still names
+        /// it; ROADMAP item 2(b) deletes it.
         batch_size: usize,
     },
 }
@@ -85,16 +89,18 @@ pub enum NoSolutionPolicy {
     /// Fail the component's queries (§4.2's rejection semantics).
     #[default]
     Reject,
-    /// Keep them pending; they are retried at the next evaluation after
-    /// their component changes or the database is updated — the next
-    /// submit in incremental mode, the next flush in set-at-a-time mode.
+    /// Keep them pending; they are retried by the next evaluation
+    /// ([`CoordinationEngine::flush`]) after their component changes or
+    /// the database is updated — under an incremental `Coordinator`, the
+    /// one that ends the next admission call on their shard.
     KeepPending,
 }
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Scheduling mode.
+    /// Scheduling mode, read once by the `Coordinator` service when it
+    /// is built. The engine itself never reads it.
     pub mode: EngineMode,
     /// Admission-time safety enforcement: a new query is rejected when
     /// it would make the pending set unsafe (one of its postconditions
@@ -234,12 +240,14 @@ pub struct SubmitOptions {
     /// combined query has no database solution, members with an
     /// effective [`NoSolutionPolicy::Reject`] are failed and members
     /// with [`NoSolutionPolicy::KeepPending`] stay pending, retried by
-    /// the next evaluation after their component or the database
-    /// changes (in incremental mode, the next submit).
+    /// the next evaluation ([`CoordinationEngine::flush`]) after their
+    /// component or the database changes.
     pub on_no_solution: Option<NoSolutionPolicy>,
 }
 
-/// Summary of one flush.
+/// Summary of one evaluation ([`CoordinationEngine::flush`]). A
+/// `Coordinator::flush` report also folds in every evaluation the
+/// service ran at admission since the previous flush.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchReport {
     /// Components examined (after safety masking and split resolution).
@@ -285,32 +293,13 @@ pub struct BatchReport {
     /// descent answered every split unit and no witness set was built.
     pub intra_witness_peak: u64,
     /// Nanoseconds the **service shard locks** were held by the
-    /// operation that produced this report (engine flush; event
-    /// fan-out is staged inside but delivered outside the critical
-    /// section). Stamped by `Coordinator::flush` — summed across
-    /// shards when the service is sharded; 0 when the engine is driven
-    /// directly, without a `Coordinator`. Per-shard figures are on
-    /// `Coordinator::shard_lock_stats()`.
+    /// `Coordinator::flush` that produced this report (engine flush;
+    /// event fan-out is staged inside but delivered outside the
+    /// critical section) — summed across shards when the service is
+    /// sharded; 0 when the engine is driven directly, without a
+    /// `Coordinator`. Lifetime lock counters are on
+    /// `Coordinator::lock_stats()` and `Coordinator::shard_lock_stats()`.
     pub lock_hold_ns: u64,
-    /// Cumulative service shard-lock acquisitions over the
-    /// `Coordinator`'s lifetime (summed across shards), snapshotted at
-    /// publish time (0 without a service).
-    pub lock_acquisitions: u64,
-    /// Longest single completed service-lock hold so far, in
-    /// nanoseconds (0 without a service). With a sharded service this
-    /// is the maximum over the per-shard locks.
-    pub lock_max_hold_ns: u64,
-    /// High-water mark of the service's out-of-lock dispatch queue —
-    /// the most events that were ever staged (under a shard lock)
-    /// awaiting the post-release drain — over the `Coordinator`'s
-    /// lifetime, snapshotted at publish time (0 without a service).
-    pub dispatch_queue_peak: u64,
-    /// Cumulative storage-backend I/O counters summed across the
-    /// database's tables at flush time (all zero for the in-memory
-    /// backend). When relations spill through `eq_store`'s paged
-    /// backend this is where cache traffic — page faults, write-backs,
-    /// hits, evictions, resident peak — surfaces to callers.
-    pub io: StoreIoStats,
     /// Aggregated matching statistics.
     pub stats: MatchStats,
     /// Unifier `merge_from` folds performed while producing this
@@ -404,9 +393,6 @@ pub struct CoordinationEngine {
     deadlines: BinaryHeap<Reverse<(Instant, QueryId)>>,
     /// Pending queries that carry a deadline — the heap's live entries.
     dated: usize,
-    /// Admissions since the dirty set was last evaluated (the
-    /// `SetAtATime { batch_size }` auto-flush counter).
-    submissions_since_flush: usize,
     /// Database revision seen by the last evaluation; a change marks
     /// every component dirty (kept-pending components may now be
     /// answerable).
@@ -438,7 +424,6 @@ impl CoordinationEngine {
             statuses: FastMap::default(),
             deadlines: BinaryHeap::new(),
             dated: 0,
-            submissions_since_flush: 0,
             flushed_db_revision: revision,
             outcome_log: Vec::new(),
         }
@@ -483,9 +468,9 @@ impl CoordinationEngine {
     }
 
     /// Submits a query with default [`SubmitOptions`]. Returns the
-    /// query's handle (its id); in incremental mode coordination is
-    /// attempted before this returns, so the outcome log may already
-    /// hold its outcome.
+    /// query's handle (its id). Admission evaluates nothing: the query
+    /// stays pending, and off the outcome log, until a
+    /// [`CoordinationEngine::flush`] coordinates it.
     pub fn submit(&mut self, query: EntangledQuery) -> Result<QueryHandle, SubmitError> {
         self.submit_with(query, SubmitOptions::default())
     }
@@ -580,7 +565,8 @@ impl CoordinationEngine {
     /// no new unifiable pairs between them; a recovered one was
     /// acknowledged under whatever configuration wrote the log.
     /// Matching-time §3.1.1 enforcement still sidelines any ambiguity.
-    /// Nothing is evaluated here; linking marks the components dirty.
+    /// Like every admission it evaluates nothing; linking marks the
+    /// components dirty.
     pub(crate) fn readmit(&mut self, queries: Vec<PendingQuery>) {
         for PendingQuery { query, state } in queries {
             self.admit(query, state, IdFrom::Own)
@@ -596,16 +582,13 @@ impl CoordinationEngine {
     /// for edge id. Structurally invalid entries are refused in place.
     ///
     /// The call sweeps no deadline (the caller owns the clock:
-    /// [`CoordinationEngine::expire_stale`]) and ends in one
-    /// evaluation epilogue for the whole batch: in incremental mode the
-    /// dirty set is evaluated after all admissions (so intra-batch
-    /// arrivals never race retirements), in set-at-a-time mode the
-    /// auto-flush threshold is checked once.
+    /// [`CoordinationEngine::expire_stale`]) and evaluates nothing: the
+    /// admitted queries' components are left dirty for the next
+    /// [`CoordinationEngine::flush`].
     ///
-    /// With `SetAtATime { batch_size: 0 }`, `submit_batch` followed by
-    /// [`CoordinationEngine::flush`] is observationally equivalent to
-    /// sequential submits followed by `flush` (same admission results,
-    /// same terminal statuses) — property-tested in
+    /// `submit_batch` followed by `flush` is observationally equivalent
+    /// to sequential submits followed by `flush` (same admission
+    /// results, same terminal statuses) — property-tested in
     /// `tests/service_proptest.rs`.
     pub fn submit_batch(
         &mut self,
@@ -634,7 +617,7 @@ impl CoordinationEngine {
     ) -> Vec<Result<QueryHandle, SubmitError>> {
         let batch = batch.into_iter();
         self.reserve(batch.size_hint().0);
-        let results: Vec<Result<QueryHandle, SubmitError>> = batch
+        batch
             .map(|entry| {
                 let (query, opts) = entry?;
                 let state = SlotState {
@@ -644,9 +627,7 @@ impl CoordinationEngine {
                 let id = self.admit(query, state, IdFrom::Draw(source))?;
                 Ok(QueryHandle { id })
             })
-            .collect();
-        self.evaluate_if_due(results.iter().filter(|r| r.is_ok()).count());
-        results
+            .collect()
     }
 
     /// Makes room for `n` admissions at once — the graph's slot vectors,
@@ -657,24 +638,6 @@ impl CoordinationEngine {
         self.slots.reserve(slots.saturating_sub(self.slots.len()));
         self.by_id.reserve(n);
         self.statuses.reserve(n);
-    }
-
-    /// The evaluation epilogue every submit call — and recovery — ends
-    /// in: counts the call's admissions and evaluates the dirty set
-    /// when the mode says so — after every call in incremental mode,
-    /// once `batch_size` admissions have accumulated in set-at-a-time
-    /// mode (0 disables auto-flush).
-    pub(crate) fn evaluate_if_due(&mut self, admitted: usize) {
-        self.submissions_since_flush += admitted;
-        let due = match self.config.mode {
-            EngineMode::Incremental => true,
-            EngineMode::SetAtATime { batch_size } => {
-                batch_size > 0 && self.submissions_since_flush >= batch_size
-            }
-        };
-        if due {
-            self.evaluate_dirty();
-        }
     }
 
     /// Fails and removes every pending query whose deadline
@@ -715,26 +678,19 @@ impl CoordinationEngine {
         self.deadlines = BinaryHeap::from(live);
     }
 
-    /// Evaluates the dirty set — the same
-    /// evaluation an incremental submit ends in, on demand: the
+    /// Evaluates the dirty set — the engine's one evaluation: the
     /// components whose membership changed since they were last
-    /// evaluated, or all of them if the database was written in between.
-    /// Clean components are skipped (reported in
-    /// [`BatchReport::skipped_clean`]). Unmatched queries remain pending.
+    /// evaluated, or all of them if the database was written in between,
+    /// taken and processed one after another under one database read
+    /// guard. Clean components are skipped (reported in
+    /// [`BatchReport::skipped_clean`]); with no change since the previous
+    /// evaluation it evaluates zero components. Unmatched queries remain
+    /// pending.
     pub fn flush(&mut self) -> BatchReport {
-        self.evaluate_dirty()
-    }
-
-    /// The one evaluation, behind [`CoordinationEngine::flush`] and the
-    /// submit epilogue: a database write since the last evaluation
-    /// re-dirties every component, then the dirty components are taken
-    /// and processed one after another. With no change since the
-    /// previous evaluation it evaluates zero components.
-    fn evaluate_dirty(&mut self) -> BatchReport {
-        self.submissions_since_flush = 0;
-        let revision = self.db.read().revision();
-        if revision != self.flushed_db_revision {
-            self.flushed_db_revision = revision;
+        let db = Arc::clone(&self.db);
+        let db = db.read();
+        if db.revision() != self.flushed_db_revision {
+            self.flushed_db_revision = db.revision();
             self.graph.mark_all_dirty();
         }
         // Count skips before splits resolve: a split-pending dirty
@@ -742,9 +698,8 @@ impl CoordinationEngine {
         // the clean-skip count.
         let skipped = self.graph.component_count() - self.graph.dirty_count();
         let groups = self.graph.take_dirty();
-        let mut report = self.process_groups(groups);
+        let mut report = self.process_groups(groups, &db);
         report.skipped_clean = skipped;
-        report.io = self.db.read().io_stats();
         report
     }
 
@@ -766,7 +721,7 @@ impl CoordinationEngine {
     /// safety enforcement sidelines ambiguous members (they stay
     /// pending), the survivors are re-partitioned (removals may
     /// disconnect them), and every piece is matched + evaluated in turn.
-    fn process_groups(&mut self, groups: Vec<Vec<u32>>) -> BatchReport {
+    fn process_groups(&mut self, groups: Vec<Vec<u32>>, db: &Database) -> BatchReport {
         let mut report = BatchReport::default();
         if groups.is_empty() {
             report.pending = self.pending_count();
@@ -796,13 +751,10 @@ impl CoordinationEngine {
             pieces.extend(graph.connected_pieces(&live));
         }
         report.components = pieces.len();
-        let outcomes: Vec<ComponentOutcome> = {
-            let db = self.db.read();
-            pieces
-                .iter()
-                .map(|piece| process_component(graph, piece, &db, &mut report))
-                .collect()
-        };
+        let outcomes: Vec<ComponentOutcome> = pieces
+            .iter()
+            .map(|piece| process_component(graph, piece, db, &mut report))
+            .collect();
 
         // Phase 2: deliver outcomes and retire queries.
         // Retirement unlinks slots from the match graph, re-marking
@@ -1092,18 +1044,51 @@ mod tests {
     }
 
     #[test]
+    fn admission_never_evaluates_even_under_an_incremental_config() {
+        // The default config names the incremental cadence, which is the
+        // service's to apply: a bare engine's submits only admit, so a
+        // matching pair stays pending, with nothing on the outcome log,
+        // until the caller flushes.
+        let mut engine = CoordinationEngine::new(flight_db(), EngineConfig::default());
+        assert_eq!(EngineConfig::default().mode, EngineMode::Incremental);
+        let h1 = engine
+            .submit(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"))
+            .unwrap();
+        let batch = vec![(
+            q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"),
+            SubmitOptions::default(),
+        )];
+        let h2 = engine.submit_batch(batch).pop().unwrap().unwrap();
+        for h in [&h1, &h2] {
+            assert_eq!(engine.status(h.id), Some(&QueryStatus::Pending));
+        }
+        assert!(engine.drain_outcome_log().is_empty());
+        assert_eq!(engine.pending_count(), 2);
+
+        let report = engine.flush();
+        assert_eq!((report.answered, report.pending), (2, 0));
+        let out = drained(&mut engine);
+        assert!(out.values().all(|o| matches!(o, QueryOutcome::Answered(_))));
+        assert!(out.contains_key(&h1.id) && out.contains_key(&h2.id));
+    }
+
+    #[test]
     fn incremental_pair_coordinates_on_second_arrival() {
+        // The incremental cadence, driven by hand: a flush after every
+        // submit.
         let mut engine = CoordinationEngine::new(flight_db(), EngineConfig::default());
         let h1 = engine
             .submit(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"))
             .unwrap();
+        assert_eq!(engine.flush().pending, 1);
         assert_eq!(engine.status(h1.id), Some(&QueryStatus::Pending));
         assert!(!drained(&mut engine).contains_key(&h1.id));
 
         let h2 = engine
             .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris), A(y, United)"))
             .unwrap();
-        // Both answered synchronously inside the second submit.
+        // Both answered by the flush after the second submit.
+        assert_eq!(engine.flush().answered, 2);
         let mut out = drained(&mut engine);
         let o1 = out.remove(&h1.id).unwrap();
         let o2 = out.remove(&h2.id).unwrap();
@@ -1117,13 +1102,7 @@ mod tests {
 
     #[test]
     fn set_at_a_time_waits_for_flush() {
-        let mut engine = CoordinationEngine::new(
-            flight_db(),
-            EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
-                ..Default::default()
-            },
-        );
+        let mut engine = CoordinationEngine::new(flight_db(), EngineConfig::default());
         let h1 = engine
             .submit(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"))
             .unwrap();
@@ -1142,36 +1121,8 @@ mod tests {
     }
 
     #[test]
-    fn auto_flush_on_batch_size() {
-        let mut engine = CoordinationEngine::new(
-            flight_db(),
-            EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 2 },
-                ..Default::default()
-            },
-        );
-        let h1 = engine
-            .submit(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"))
-            .unwrap();
-        let _h2 = engine
-            .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"))
-            .unwrap();
-        // Second submission hit the batch size and flushed.
-        assert!(matches!(
-            drained(&mut engine).remove(&h1.id).unwrap(),
-            QueryOutcome::Answered(_)
-        ));
-    }
-
-    #[test]
     fn unmatched_queries_stay_pending_across_flushes() {
-        let mut engine = CoordinationEngine::new(
-            flight_db(),
-            EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
-                ..Default::default()
-            },
-        );
+        let mut engine = CoordinationEngine::new(flight_db(), EngineConfig::default());
         let h = engine
             .submit(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"))
             .unwrap();
@@ -1191,13 +1142,7 @@ mod tests {
     fn admission_safety_check_rejects_second_satisfier() {
         // Two pending heads R(*, ITH); a new query whose pc unifies both
         // is rejected (Figure 9 semantics).
-        let mut engine = CoordinationEngine::new(
-            flight_db(),
-            EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
-                ..Default::default()
-            },
-        );
+        let mut engine = CoordinationEngine::new(flight_db(), EngineConfig::default());
         engine
             .submit(q("{R(Kramer, ITH)} R(Jerry, ITH) <- F(x, Paris)"))
             .unwrap();
@@ -1251,13 +1196,7 @@ mod tests {
         // A stale query fails at the next sweep, which its caller runs
         // with its own clock; a partner arriving after that sweep finds
         // nobody to coordinate with.
-        let mut engine = CoordinationEngine::new(
-            flight_db(),
-            EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
-                ..Default::default()
-            },
-        );
+        let mut engine = CoordinationEngine::new(flight_db(), EngineConfig::default());
         let t0 = Instant::now();
         let ms = Duration::from_millis;
         let h1 = engine
@@ -1304,6 +1243,7 @@ mod tests {
         let h2 = engine
             .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Athens)"))
             .unwrap();
+        assert_eq!(engine.flush().failed, 2);
         let mut out = drained(&mut engine);
         assert_eq!(
             out.remove(&h1.id).unwrap(),
@@ -1321,7 +1261,6 @@ mod tests {
             flight_db(),
             EngineConfig {
                 on_no_solution: NoSolutionPolicy::KeepPending,
-                mode: EngineMode::SetAtATime { batch_size: 0 },
                 ..Default::default()
             },
         );
@@ -1350,13 +1289,7 @@ mod tests {
 
     #[test]
     fn flush_answers_every_independent_component() {
-        let mut engine = CoordinationEngine::new(
-            flight_db(),
-            EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
-                ..Default::default()
-            },
-        );
+        let mut engine = CoordinationEngine::new(flight_db(), EngineConfig::default());
         for i in 0..20 {
             let a = format!("U{i}a");
             let b = format!("U{i}b");
@@ -1375,18 +1308,24 @@ mod tests {
     #[test]
     fn incremental_partition_isolation() {
         // Submitting a new pair must not re-trigger work on unrelated
-        // pending queries (checked indirectly: unrelated pending query
-        // remains pending and unanswered).
+        // pending queries: with a flush after every submit, the last one
+        // evaluates the pair's component alone and skips the lonely
+        // query's, which stays pending and unanswered.
         let mut engine = CoordinationEngine::new(flight_db(), EngineConfig::default());
         let lonely = engine
             .submit(q("{R(Newman, z)} R(Frank, z) <- F(z, Rome)"))
             .unwrap();
+        engine.flush();
         engine
             .submit(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"))
             .unwrap();
+        engine.flush();
         engine
             .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"))
             .unwrap();
+        let report = engine.flush();
+        assert_eq!((report.components, report.skipped_clean), (1, 1));
+        assert_eq!(report.answered, 2);
         assert_eq!(engine.pending_count(), 1);
         assert!(!drained(&mut engine).contains_key(&lonely.id));
     }
@@ -1410,6 +1349,7 @@ mod tests {
             let _h2 = engine
                 .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"))
                 .unwrap();
+            engine.flush();
             assert!(matches!(
                 drained(&mut engine).remove(&h1.id).unwrap(),
                 QueryOutcome::Answered(_)
@@ -1421,13 +1361,7 @@ mod tests {
 
     #[test]
     fn flush_with_no_changes_evaluates_zero_components() {
-        let mut engine = CoordinationEngine::new(
-            flight_db(),
-            EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
-                ..Default::default()
-            },
-        );
+        let mut engine = CoordinationEngine::new(flight_db(), EngineConfig::default());
         // Two queries that never coordinate (different destinations).
         engine
             .submit(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"))
@@ -1461,7 +1395,6 @@ mod tests {
         let mut engine = CoordinationEngine::new(
             flight_db(),
             EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
                 on_no_solution: NoSolutionPolicy::KeepPending,
                 ..Default::default()
             },
@@ -1505,18 +1438,13 @@ mod tests {
         let h2 = engine
             .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"))
             .unwrap();
+        assert_eq!(engine.flush().pending, 1);
         assert!(!drained(&mut engine).contains_key(&h2.id));
     }
 
     #[test]
     fn resident_state_shrinks_back_after_churn() {
-        let mut engine = CoordinationEngine::new(
-            flight_db(),
-            EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
-                ..Default::default()
-            },
-        );
+        let mut engine = CoordinationEngine::new(flight_db(), EngineConfig::default());
         for round in 0..10 {
             let a = format!("A{round}");
             let b = format!("B{round}");
@@ -1547,8 +1475,8 @@ mod tests {
 
     #[test]
     fn deadline_heap_compacts_once_dead_entries_outnumber_live_ones() {
-        // 10k queries with a one-hour deadline, each answered within
-        // its own submit: without compaction every one would leave its
+        // 10k queries with a one-hour deadline, each pair answered by
+        // the flush after its second submit: without compaction every one would leave its
         // heap entry behind for the hour.
         let mut engine = CoordinationEngine::new(flight_db(), EngineConfig::default());
         let hour = || SubmitOptions {
@@ -1572,6 +1500,7 @@ mod tests {
                     hour(),
                 )
                 .unwrap();
+            engine.flush();
             let mut out = drained(&mut engine);
             for handle in [first, second] {
                 assert!(matches!(
@@ -1608,7 +1537,6 @@ mod tests {
             ])
             .collect();
         let config = EngineConfig {
-            mode: EngineMode::SetAtATime { batch_size: 0 },
             admission_safety_check: true,
             ..Default::default()
         };
@@ -1667,6 +1595,8 @@ mod tests {
 
     #[test]
     fn submit_batch_incremental_evaluates_once_at_the_end() {
+        // The batch only admits (its invalid entry is refused in place);
+        // the one flush after it answers the pair.
         let mut engine = CoordinationEngine::new(flight_db(), EngineConfig::default());
         let results = engine.submit_batch(vec![
             (
@@ -1683,6 +1613,8 @@ mod tests {
             ),
         ]);
         assert!(matches!(results[2], Err(SubmitError::Invalid(_))));
+        assert!(engine.drain_outcome_log().is_empty());
+        assert_eq!(engine.flush().answered, 2);
         let mut out = drained(&mut engine);
         for r in &results[..2] {
             let h = r.as_ref().unwrap();
@@ -1697,13 +1629,7 @@ mod tests {
 
     #[test]
     fn per_query_deadline_expires_only_that_query() {
-        let mut engine = CoordinationEngine::new(
-            flight_db(),
-            EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
-                ..Default::default()
-            },
-        );
+        let mut engine = CoordinationEngine::new(flight_db(), EngineConfig::default());
         let t0 = Instant::now();
         let doomed = engine
             .submit_with(
@@ -1732,13 +1658,7 @@ mod tests {
     fn deadline_is_inclusive_at_the_sweep_time() {
         // A query with deadline `t` survives a sweep at any earlier
         // instant and expires at the sweep at `t` itself.
-        let mut engine = CoordinationEngine::new(
-            flight_db(),
-            EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
-                ..Default::default()
-            },
-        );
+        let mut engine = CoordinationEngine::new(flight_db(), EngineConfig::default());
         let t = Instant::now() + Duration::from_secs(1);
         let h = engine
             .submit_with(
@@ -1766,7 +1686,6 @@ mod tests {
         let mut engine = CoordinationEngine::new(
             flight_db(),
             EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
                 on_no_solution: NoSolutionPolicy::Reject,
                 ..Default::default()
             },
@@ -1820,6 +1739,7 @@ mod tests {
         let r2 = engine
             .submit(q("{R(Elaine, v)} R(George, v) <- F(v, Athens)"))
             .unwrap();
+        engine.flush();
         let lonely = engine
             .submit(q("{R(Puddy, w)} R(Bania, w) <- F(w, Rome)"))
             .unwrap();
@@ -1887,7 +1807,6 @@ mod tests {
         let mut engine = CoordinationEngine::new(
             flight_db(),
             EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
                 admission_safety_check: false,
                 ..Default::default()
             },
@@ -1913,13 +1832,7 @@ mod tests {
         // for tuple — the partitioned merge reproduces the join's answer
         // choice. Two United flights go to Paris, so each `B` head shows
         // which one was chosen.
-        let mut engine = CoordinationEngine::new(
-            flight_db(),
-            EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
-                ..Default::default()
-            },
-        );
+        let mut engine = CoordinationEngine::new(flight_db(), EngineConfig::default());
         for i in 0..6 {
             let me = format!("U{i}");
             let next = format!("U{}", (i + 1) % 6);
@@ -1963,7 +1876,6 @@ mod tests {
             let mut engine = CoordinationEngine::new(
                 flight_db(),
                 EngineConfig {
-                    mode: EngineMode::SetAtATime { batch_size: 0 },
                     on_no_solution: policy,
                     ..Default::default()
                 },
@@ -1987,13 +1899,16 @@ mod tests {
         let h1 = engine
             .submit(q("{R(Kramer, IAH)} R(Jerry, IAH) <- F(x, Paris)"))
             .unwrap();
+        engine.flush();
         let h2 = engine
             .submit(q("{R(Elaine, IAH)} R(Kramer, IAH) <- F(y, Paris)"))
             .unwrap();
+        engine.flush();
         assert!(!drained(&mut engine).contains_key(&h1.id));
         let h3 = engine
             .submit(q("{R(Jerry, IAH)} R(Elaine, IAH) <- F(z, Paris)"))
             .unwrap();
+        assert_eq!(engine.flush().answered, 3);
         let mut out = drained(&mut engine);
         assert!(matches!(
             out.remove(&h1.id).unwrap(),
@@ -2021,16 +1936,10 @@ mod tests {
         db
     }
 
-    /// Submits `texts` in set-at-a-time mode, flushes once, and returns
+    /// Submits `texts`, flushes once, and returns
     /// each query's status.
     fn flush_statuses(texts: &[&str]) -> Vec<QueryStatus> {
-        let mut engine = CoordinationEngine::new(
-            twin_db(),
-            EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
-                ..Default::default()
-            },
-        );
+        let mut engine = CoordinationEngine::new(twin_db(), EngineConfig::default());
         let handles: Vec<QueryHandle> =
             texts.iter().map(|t| engine.submit(q(t)).unwrap()).collect();
         engine.flush();
@@ -2113,7 +2022,6 @@ mod tests {
             let mut engine = CoordinationEngine::new(
                 db,
                 EngineConfig {
-                    mode: EngineMode::SetAtATime { batch_size: 0 },
                     admission_safety_check: false,
                     ..Default::default()
                 },

@@ -28,10 +28,11 @@
 //!    evaluated one by one and glued, and shared-variable units split
 //!    into biconnected regions joined by a streaming articulation
 //!    projection — the one region evaluator;
-//! 8. [`engine`] — the D3C engine of §5.1: asynchronous submission,
-//!    set-at-a-time and incremental modes over one resident match graph,
-//!    per-query deadlines swept at a time its caller passes in, every
-//!    evaluation on the calling thread;
+//! 8. [`engine`] — the D3C engine of §5.1: asynchronous submission
+//!    into one resident match graph, evaluated only when its caller
+//!    flushes (the service's incremental or set-at-a-time cadence
+//!    decides when), per-query deadlines swept at a time its caller
+//!    passes in, every evaluation on the calling thread;
 //! 9. [`events`] — bounded per-subscriber event queues with explicit
 //!    overflow policies (block / drop-oldest / disconnect), feeding the
 //!    service layer's push stream.

@@ -37,7 +37,15 @@
 //!   bridging two groups takes a rendezvous path that merges them;
 //! * **typed errors** — every operation reports
 //!   [`CoordinationError`], the unified hierarchy of
-//!   [`crate::error`].
+//!   [`crate::error`];
+//! * **the cadence** — an engine only admits until it is flushed, so
+//!   *when* a shard evaluates is decided here, once, from
+//!   [`EngineConfig::mode`]: an incremental service flushes a shard at
+//!   the end of every admission call and of recovery's re-admission
+//!   (under the same lock, before the call's outcomes are staged), a
+//!   set-at-a-time service only on [`Coordinator::flush`]. The reports
+//!   of admission-time evaluations are kept per shard and folded into
+//!   the next flush's report.
 //!
 //! One-shot coordination (`coordinate()`) drives a bare engine for one
 //! round.
@@ -88,8 +96,8 @@
 use crate::combine::QueryAnswer;
 use crate::dispatch::Dispatcher;
 use crate::engine::{
-    BatchReport, CoordinationEngine, EngineConfig, FailReason, NoSolutionPolicy, PendingQuery,
-    QueryHandle, QueryOutcome, QueryStatus, RejectReason, SubmitError, SubmitOptions,
+    BatchReport, CoordinationEngine, EngineConfig, EngineMode, FailReason, NoSolutionPolicy,
+    PendingQuery, QueryHandle, QueryOutcome, QueryStatus, RejectReason, SubmitError, SubmitOptions,
 };
 use crate::error::CoordinationError;
 use eq_db::{Database, Tuple};
@@ -338,6 +346,10 @@ struct ShardInner {
     engine: CoordinationEngine,
     tags: FastMap<QueryId, String>,
     staged: StagedSubmits,
+    /// The evaluations run at admission since the last flush, folded
+    /// into one report (`pending` left 0) that the next
+    /// [`Coordinator::flush`] merges into its own.
+    unreported: BatchReport,
 }
 
 /// Sentinel shard for a union-find group that has not been placed yet.
@@ -546,6 +558,9 @@ struct ServiceShared {
     /// Lock-free mirror of `sink.is_some()` — submission fast paths
     /// consult it to decide whether to encode the query for logging.
     has_sink: AtomicBool,
+    /// The cadence, read from [`EngineConfig::mode`] once: evaluate a
+    /// shard at the end of every admission call.
+    incremental: bool,
 }
 
 /// A clonable handle to a running coordination service.
@@ -556,7 +571,8 @@ struct ServiceShared {
 /// an operation touches, and event fan-out happens *after* those locks
 /// are released (see `crate::dispatch`). Evaluation runs inside an
 /// engine, on the thread that holds its shard lock; the service owns
-/// the clock and passes it to the engine's deadline sweep.
+/// the clock and the cadence, passing the one to the engine's deadline
+/// sweep and deciding with the other when the engine flushes.
 #[derive(Clone)]
 pub struct Coordinator {
     shared: Arc<ServiceShared>,
@@ -575,6 +591,7 @@ impl Coordinator {
                     engine: CoordinationEngine::with_shared_db(Arc::clone(&db), config.clone()),
                     tags: FastMap::default(),
                     staged: StagedSubmits::default(),
+                    unreported: BatchReport::default(),
                 })
             })
             .collect();
@@ -587,6 +604,7 @@ impl Coordinator {
                 next_id: AtomicU64::new(1),
                 sink: Mutex::new(None),
                 has_sink: AtomicBool::new(false),
+                incremental: config.mode == EngineMode::Incremental,
             }),
         }
     }
@@ -669,15 +687,14 @@ impl Coordinator {
     /// [`Event::Flushed`] report and dispatching them after all shard
     /// locks are released.
     ///
-    /// The published report carries the service-lock hold-time
-    /// counters: [`BatchReport::lock_hold_ns`] sums each shard's
-    /// critical section for *this* flush (engine flush + event
-    /// staging, measured off the live guards),
-    /// [`BatchReport::lock_max_hold_ns`] /
-    /// [`BatchReport::lock_acquisitions`] aggregate the shard locks'
-    /// lifetime counters (max / sum), and
-    /// [`BatchReport::dispatch_queue_peak`] snapshots the out-of-lock
-    /// dispatch queue's high-water mark.
+    /// The report also covers every evaluation an incremental service
+    /// ran at admission since the previous flush: their counts are
+    /// added, [`BatchReport::intra_witness_peak`] is the maximum, and
+    /// [`BatchReport::pending`] is this round's. Its
+    /// [`BatchReport::lock_hold_ns`] sums each shard's critical section
+    /// for *this* flush (engine flush + event staging, measured off the
+    /// live guards); lifetime lock counters are on
+    /// [`Coordinator::lock_stats`].
     pub fn flush(&self) -> BatchReport {
         let mut report = BatchReport::default();
         {
@@ -688,14 +705,11 @@ impl Coordinator {
                 let shard_report = inner.engine.flush();
                 self.stage_outcomes(&mut inner);
                 let held = inner.held_ns();
+                merge_reports(&mut report, std::mem::take(&mut inner.unreported));
                 merge_reports(&mut report, shard_report);
                 report.lock_hold_ns += held;
             }
         }
-        let stats = self.lock_stats();
-        report.lock_acquisitions = stats.acquisitions;
-        report.lock_max_hold_ns = stats.max_hold_ns;
-        report.dispatch_queue_peak = self.shared.dispatcher.queue_peak();
         self.stage_flushed(report);
         self.shared.dispatcher.drain();
         report
@@ -703,9 +717,8 @@ impl Coordinator {
 
     /// Snapshot of the shard locks' hold-time counters, aggregated
     /// across shards (acquisitions and hold time summed, max hold
-    /// maxed; completed holds only). The same numbers ride on every
-    /// published [`Event::Flushed`] report; per-shard figures are
-    /// available from [`Coordinator::shard_lock_stats`].
+    /// maxed; completed holds only). Per-shard figures are available
+    /// from [`Coordinator::shard_lock_stats`].
     pub fn lock_stats(&self) -> LockStats {
         let mut out = LockStats::default();
         for shard in &self.shared.shards {
@@ -728,8 +741,8 @@ impl Coordinator {
     }
 
     /// High-water mark of the out-of-lock dispatch queue — the most
-    /// events ever staged awaiting a drain (see
-    /// [`BatchReport::dispatch_queue_peak`]).
+    /// events that were ever staged (under a shard lock) awaiting the
+    /// post-release drain, over the service's lifetime.
     pub fn dispatch_queue_peak(&self) -> u64 {
         self.shared.dispatcher.queue_peak()
     }
@@ -832,8 +845,9 @@ impl Coordinator {
 
     /// Shared handle to the service's database; write to it between
     /// rounds to load or update data (a write re-dirties kept-pending
-    /// components at the next evaluation — the next submit in
-    /// incremental mode, the next flush in set-at-a-time mode).
+    /// components at a shard's next evaluation — in incremental mode
+    /// the one that ends its next admission call, in set-at-a-time
+    /// mode the next [`Coordinator::flush`]).
     pub fn db(&self) -> Arc<RwLock<Database>> {
         Arc::clone(&self.shared.db)
     }
@@ -1104,9 +1118,10 @@ impl Coordinator {
     /// current time, engine admission with ids
     /// drawn from the global counter, the durability record (inside the
     /// shard's critical section, before any handle escapes — the
-    /// record-before-visibility contract), tag registration, and
-    /// staging of whatever outcomes the admission produced (incremental
-    /// mode coordinates inline). The requests are validated.
+    /// record-before-visibility contract), tag registration, the
+    /// cadence's evaluation ([`Coordinator::evaluate_if_incremental`]),
+    /// and staging of whatever outcomes the sweep and that evaluation
+    /// produced. The requests are validated.
     fn admit_batch_in(
         &self,
         inner: &mut ShardInner,
@@ -1153,6 +1168,7 @@ impl Coordinator {
                 inner.tags.insert(handle.id, tag);
             }
         }
+        self.evaluate_if_incremental(inner);
         // Stage after the submit records: an incremental-mode outcome
         // of these very submissions must land in the log *after* them.
         self.stage_outcomes(inner);
@@ -1176,7 +1192,9 @@ impl Coordinator {
     /// in one call: every query is routed first, then each shard with a
     /// share takes it under one lock through the engine's admission step
     /// ([`CoordinationEngine::readmit`]: no Figure-9 verdict, the log
-    /// already acknowledged them) and ends in one evaluation. The sink
+    /// already acknowledged them) and, like any admission call, ends in
+    /// the cadence's evaluation
+    /// ([`Coordinator::evaluate_if_incremental`]). The sink
     /// is bypassed (the log already holds these records; logging them
     /// again would duplicate them on the next replay). Does not
     /// dispatch: the caller pumps once afterwards, so recovery-time
@@ -1203,8 +1221,7 @@ impl Coordinator {
                 continue;
             }
             let mut inner = self.shared.shards[shard].lock();
-            let n = requests.len();
-            let mut pending = Vec::with_capacity(n);
+            let mut pending = Vec::with_capacity(requests.len());
             for r in requests {
                 if let Some(tag) = r.tag {
                     inner.tags.insert(r.query.id, tag);
@@ -1212,9 +1229,25 @@ impl Coordinator {
                 pending.push(PendingQuery::recovered(r.query, r.on_no_solution));
             }
             inner.engine.readmit(pending);
-            inner.engine.evaluate_if_due(n);
+            self.evaluate_if_incremental(&mut inner);
         }
         Ok(())
+    }
+
+    /// The cadence, decided in one place: an incremental service
+    /// evaluates a shard's dirty set at the end of each admission call
+    /// (and of recovery's re-admission), under the same lock, and keeps
+    /// the report for the next [`Coordinator::flush`]; a set-at-a-time
+    /// service leaves the shard to that flush. Shard migration
+    /// re-admits without evaluating: the admission that caused it ends
+    /// here.
+    fn evaluate_if_incremental(&self, inner: &mut ShardInner) {
+        if self.shared.incremental {
+            let report = inner.engine.flush();
+            merge_reports(&mut inner.unreported, report);
+            // A flush reports its own pass's pending count.
+            inner.unreported.pending = 0;
+        }
     }
 
     /// Drains, records, and dispatches any terminal outcomes produced
@@ -1255,11 +1288,10 @@ impl Coordinator {
     }
 }
 
-/// Accumulates per-shard flush reports into one service-wide report.
-/// Counts sum; high-water marks max; the I/O snapshot is taken from
-/// the latest shard (the database — and its cumulative I/O counters —
-/// is shared service-wide, so the last snapshot supersedes the
-/// others). Lock counters are stamped by the caller.
+/// Accumulates one evaluation's report into another: per-shard flush
+/// reports into the service-wide one, admission-time reports into a
+/// shard's accumulator. Counts sum; the witness peak is a maximum. The
+/// lock hold is stamped by the caller.
 fn merge_reports(into: &mut BatchReport, from: BatchReport) {
     into.components += from.components;
     into.skipped_clean += from.skipped_clean;
@@ -1272,7 +1304,6 @@ fn merge_reports(into: &mut BatchReport, from: BatchReport) {
     into.intra_regions += from.intra_regions;
     into.intra_region_streamed += from.intra_region_streamed;
     into.intra_witness_peak = into.intra_witness_peak.max(from.intra_witness_peak);
-    into.io = from.io;
     into.stats.dequeues += from.stats.dequeues;
     into.stats.mgu_calls += from.stats.mgu_calls;
     into.stats.cleanups += from.stats.cleanups;
@@ -1322,9 +1353,11 @@ pub struct Session {
 }
 
 impl Session {
-    /// Submits one query, as a batch of one. In incremental mode
-    /// coordination is attempted before this returns, so the query's
-    /// terminal event may already be published.
+    /// Submits one query, as a batch of one. In incremental mode the
+    /// service evaluates the query's shard before this returns, so the
+    /// query's terminal event may already be published (the
+    /// evaluation's report rides on the next [`Coordinator::flush`]); in
+    /// set-at-a-time mode it waits for that flush.
     pub fn submit(
         &mut self,
         request: impl Into<SubmitRequest>,
@@ -1614,11 +1647,12 @@ mod tests {
         session
             .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"))
             .unwrap();
+        // The two submits completed their lock holds before the flush.
+        let before = coordinator.lock_stats();
+        assert!(before.acquisitions >= 2);
         let report = coordinator.flush();
-        // The two submits completed their lock holds before the flush
-        // acquired; the flush's own (in-progress) hold is measured
-        // directly off its guard.
-        assert!(report.lock_acquisitions >= 2);
+        // The flush's own (in-progress) hold is measured directly off
+        // its guard.
         assert!(report.lock_hold_ns > 0);
         // The published Flushed event carries the identical report.
         let evs = events.drain();
@@ -1630,13 +1664,46 @@ mod tests {
             })
             .unwrap();
         assert_eq!(flushed, report);
-        // The standalone snapshot is a pure atomic read (it does not
-        // itself take a shard lock), so it never runs behind the
-        // report's figure.
-        let stats = coordinator.lock_stats();
-        assert!(stats.acquisitions >= report.lock_acquisitions);
-        assert!(stats.max_hold_ns > 0);
-        assert!(stats.hold_ns >= stats.max_hold_ns);
+        // The lifetime counters live on the service alone: the flush
+        // added one completed hold per shard, as long as the report's.
+        let after = coordinator.lock_stats();
+        assert_eq!(after.acquisitions, before.acquisitions + 1);
+        assert!(after.hold_ns >= before.hold_ns + report.lock_hold_ns);
+        assert!(after.max_hold_ns > 0);
+        assert!(after.hold_ns >= after.max_hold_ns);
+    }
+
+    #[test]
+    fn flush_reports_the_evaluations_run_at_submit() {
+        // An incremental service answers the pair inside the second
+        // submit; that evaluation's report is kept for the next flush,
+        // which returns and publishes it, once.
+        let coordinator = Coordinator::new(flight_db(), EngineConfig::default());
+        let events = coordinator.subscribe();
+        let mut session = coordinator.session();
+        let h1 = session
+            .submit(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)"))
+            .unwrap();
+        let h2 = session
+            .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"))
+            .unwrap();
+        let evs = events.drain();
+        for h in [h1, h2] {
+            assert!(matches!(terminal_for(&evs, h.id), Event::Answered { .. }));
+        }
+        assert!(evs.iter().all(|e| e.is_terminal()), "no report per submit");
+
+        let report = coordinator.flush();
+        assert_eq!((report.answered, report.pending), (2, 0));
+        assert!(report.intra_components >= 1);
+        assert!(report.components >= 1 && report.stats.mgu_calls >= 2);
+        let evs = events.drain();
+        assert!(
+            matches!(evs.as_slice(), [e] if matches!(&**e, Event::Flushed(r) if **r == report))
+        );
+
+        let again = coordinator.flush();
+        assert_eq!((again.answered, again.intra_components), (0, 0));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! renaming add none per binary atom, and a ternary atom spills to
 //! exactly one.
 
-use eq_core::{CoordinationEngine, EngineConfig, EngineMode};
+use eq_core::{CoordinationEngine, EngineConfig};
 use eq_ir::{atom, Atom, EntangledQuery, Symbol, Term, Terms, Var, VarGen};
 use eq_workload::{build_database, two_way_pairs, PairStyle, SocialGraph, SocialGraphConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -169,13 +169,7 @@ fn admission_allocates_no_renamed_copy() {
     // the vectors it came in.
     let queries = best_case_pairs(2_000);
     let n = queries.len();
-    let mut engine = CoordinationEngine::new(
-        build_database(&graph()),
-        EngineConfig {
-            mode: EngineMode::SetAtATime { batch_size: 0 },
-            ..Default::default()
-        },
-    );
+    let mut engine = CoordinationEngine::new(build_database(&graph()), EngineConfig::default());
     let (admitted, allocations) = counted(|| {
         queries
             .into_iter()

@@ -3,9 +3,7 @@
 //! multi-edge matching, and interaction of deadlines with batching.
 
 use eq_core::engine::{FailReason, NoSolutionPolicy, QueryOutcome};
-use eq_core::{
-    CoordinationEngine, EngineConfig, EngineMode, QueryStatus, SubmitError, SubmitOptions,
-};
+use eq_core::{CoordinationEngine, EngineConfig, QueryStatus, SubmitError, SubmitOptions};
 use eq_db::Database;
 use eq_ir::{EntangledQuery, FastMap, QueryId, ValidationError, Value};
 use eq_sql::parse_ir_query;
@@ -32,13 +30,7 @@ fn db() -> Database {
 
 #[test]
 fn empty_flush_reports_zeroes() {
-    let mut engine = CoordinationEngine::new(
-        db(),
-        EngineConfig {
-            mode: EngineMode::SetAtATime { batch_size: 0 },
-            ..Default::default()
-        },
-    );
+    let mut engine = CoordinationEngine::new(db(), EngineConfig::default());
     let report = engine.flush();
     assert_eq!(report.answered, 0);
     assert_eq!(report.failed, 0);
@@ -56,6 +48,8 @@ fn status_transitions_pending_to_answered() {
     let h2 = engine
         .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)"))
         .unwrap();
+    assert_eq!(engine.status(h2.id), Some(&QueryStatus::Pending));
+    engine.flush();
     assert_eq!(engine.status(h1.id), Some(&QueryStatus::Answered));
     assert_eq!(engine.status(h2.id), Some(&QueryStatus::Answered));
     // Unknown ids report nothing.
@@ -72,6 +66,7 @@ fn same_query_text_can_be_resubmitted_after_failure() {
     let _h2 = engine
         .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Athens)"))
         .unwrap();
+    engine.flush();
     assert!(matches!(
         drained(&mut engine).remove(&h1.id).unwrap(),
         QueryOutcome::Failed(_)
@@ -88,6 +83,7 @@ fn same_query_text_can_be_resubmitted_after_failure() {
     let h4 = engine
         .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Athens)"))
         .unwrap();
+    engine.flush();
     let mut out = drained(&mut engine);
     assert!(matches!(
         out.remove(&h3.id).unwrap(),
@@ -114,6 +110,7 @@ fn multi_edge_pair_coordinates() {
             "{R(Kramer, y) & S(Kramer, y)} R(Jerry, y) & S(Jerry, y) <- F(y, Paris)",
         ))
         .unwrap();
+    engine.flush();
     let mut out = drained(&mut engine);
     let (QueryOutcome::Answered(a1), QueryOutcome::Answered(a2)) =
         (out.remove(&h1.id).unwrap(), out.remove(&h2.id).unwrap())
@@ -155,9 +152,10 @@ fn staleness_zero_expires_everything_on_next_submit() {
 
 #[test]
 fn keep_pending_policy_in_incremental_mode() {
-    // After the database gains the flight, the still-pending component
-    // is retried by the next evaluation: an explicit flush, or — in
-    // incremental mode — any next submit, even an unrelated one.
+    // With a flush after every submit (the incremental cadence), a
+    // component kept pending for want of a solution is retried by the
+    // next evaluation after the database gains the flight: a flush on
+    // its own, or the one after any next submit, even an unrelated one.
     for retry_by_submit in [false, true] {
         let mut engine = CoordinationEngine::new(
             db(),
@@ -169,9 +167,11 @@ fn keep_pending_policy_in_incremental_mode() {
         let h1 = engine
             .submit(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Athens)"))
             .unwrap();
+        engine.flush();
         let h2 = engine
             .submit(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Athens)"))
             .unwrap();
+        assert_eq!(engine.flush().components, 1);
         // Component closed but no DB solution: both remain pending.
         let mut out = drained(&mut engine);
         assert!(!out.contains_key(&h1.id));
@@ -186,6 +186,7 @@ fn keep_pending_policy_in_incremental_mode() {
             let lonely = engine
                 .submit(q("{R(Newman, z)} R(Frank, z) <- F(z, Rome)"))
                 .unwrap();
+            assert_eq!(engine.flush().answered, 2);
             out.extend(drained(&mut engine));
             assert!(!out.contains_key(&lonely.id));
             assert_eq!(engine.pending_count(), 1);

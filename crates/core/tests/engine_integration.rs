@@ -1,14 +1,18 @@
 //! End-to-end engine integration: two-way coordination scenarios — two
 //! queries entangled on the same flight (travel) or the same gift
 //! choice — and a hub with an ambiguous postcondition, driven through
-//! both `Incremental` and `SetAtATime` modes, asserting that the modes
-//! agree with each other and with the brute-force oracle of §2.3 — and,
-//! as a property over the paper's two-way workload generator, that a
-//! set-at-a-time flush answers exactly the components the oracle finds
-//! a coordinating set for.
+//! a `Coordinator` in both `Incremental` and `SetAtATime` modes (the
+//! mode is the service's cadence), asserting that the modes agree with
+//! each other and with the brute-force oracle of §2.3 — and, as a
+//! property over the paper's two-way workload generator, that one flush
+//! of a bare engine answers exactly the components the oracle finds a
+//! coordinating set for.
 
-use eq_core::engine::{NoSolutionPolicy, QueryOutcome};
-use eq_core::{bruteforce, safety, ucs, CoordinationEngine, EngineConfig, EngineMode, MatchGraph};
+use eq_core::engine::{FailReason, NoSolutionPolicy, QueryOutcome};
+use eq_core::{
+    bruteforce, safety, ucs, CoordinationEngine, Coordinator, EngineConfig, EngineMode, Event,
+    MatchGraph, OverflowPolicy,
+};
 use eq_db::Database;
 use eq_ir::{EntangledQuery, FastMap, QueryId, Value, VarGen};
 use eq_sql::parse_ir_query;
@@ -52,8 +56,8 @@ fn flight_db() -> Database {
     db
 }
 
-/// Drives the queries through an engine in the given mode; returns the
-/// terminal outcome of each query (None = still pending).
+/// Drives the queries through a `Coordinator` in the given mode; returns
+/// the terminal outcome of each query (None = still pending).
 fn drive(db: Database, mode: EngineMode, queries: &[EntangledQuery]) -> Vec<Option<QueryOutcome>> {
     let config = EngineConfig {
         mode,
@@ -62,21 +66,34 @@ fn drive(db: Database, mode: EngineMode, queries: &[EntangledQuery]) -> Vec<Opti
     drive_with(db, config, queries)
 }
 
+/// One submit per query, then — in set-at-a-time mode — one flush;
+/// each query's outcome is read off its terminal event.
 fn drive_with(
     db: Database,
     config: EngineConfig,
     queries: &[EntangledQuery],
 ) -> Vec<Option<QueryOutcome>> {
     let set_at_a_time = matches!(config.mode, EngineMode::SetAtATime { .. });
-    let mut engine = CoordinationEngine::new(db, config);
+    let coordinator = Coordinator::new(db, config);
+    let events = coordinator.subscribe_with(queries.len() + 1, OverflowPolicy::Block);
+    let mut session = coordinator.session();
     let handles: Vec<_> = queries
         .iter()
-        .map(|query| engine.submit(query.clone()).unwrap())
+        .map(|query| session.submit(query.clone()).unwrap())
         .collect();
     if set_at_a_time {
-        engine.flush();
+        coordinator.flush();
     }
-    let mut log: FastMap<QueryId, QueryOutcome> = engine.drain_outcome_log().into_iter().collect();
+    let mut log: FastMap<QueryId, QueryOutcome> = FastMap::default();
+    for event in events.drain() {
+        let outcome = match &*event {
+            Event::Answered { answer, .. } => QueryOutcome::Answered(answer.clone()),
+            Event::Failed { reason, .. } => QueryOutcome::Failed(FailReason::Rejected(*reason)),
+            Event::Flushed(_) => continue,
+            other => panic!("no query expires or is cancelled here: {other:?}"),
+        };
+        assert!(log.insert(event.id().unwrap(), outcome).is_none());
+    }
     handles.into_iter().map(|h| log.remove(&h.id)).collect()
 }
 
@@ -235,7 +252,6 @@ proptest! {
         let queries = two_way_pairs(social_graph(), 12, PairStyle::BestCase, seed);
         let db = build_database(social_graph());
         let config = EngineConfig {
-            mode: EngineMode::SetAtATime { batch_size: 0 },
             admission_safety_check: false,
             on_no_solution: NoSolutionPolicy::Reject,
             ..Default::default()
@@ -243,9 +259,16 @@ proptest! {
         // The engine assigns its own QueryIds at submission, so key
         // outcomes by submission index — the same order the match-graph
         // slots below use.
-        let answered: Vec<bool> = drive_with(db.snapshot(), config, &queries)
+        let mut engine = CoordinationEngine::new(db.snapshot(), config);
+        let handles: Vec<_> = queries
             .iter()
-            .map(|o| matches!(o, Some(QueryOutcome::Answered(_))))
+            .map(|query| engine.submit(query.clone()).unwrap())
+            .collect();
+        engine.flush();
+        let log: FastMap<QueryId, QueryOutcome> = engine.drain_outcome_log().into_iter().collect();
+        let answered: Vec<bool> = handles
+            .iter()
+            .map(|h| matches!(log.get(&h.id), Some(QueryOutcome::Answered(_))))
             .collect();
 
         // Per unifiability component, the engine answers everyone iff

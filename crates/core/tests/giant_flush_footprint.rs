@@ -7,7 +7,7 @@
 //! ask for, and that `split_unit` asks for nothing on a unit that
 //! cannot split.
 
-use eq_core::{CoordinationEngine, EngineConfig, EngineMode, QueryOutcome, SubmitOptions};
+use eq_core::{CoordinationEngine, EngineConfig, QueryOutcome, SubmitOptions};
 use eq_workload::rng::{SliceRandom, StdRng};
 use eq_workload::{giant_component, GiantBody, GiantComponentConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -98,11 +98,7 @@ fn giant_flush_footprint() {
         body: GiantBody::SharedChain,
     });
     queries.shuffle(&mut StdRng::seed_from_u64(2011));
-    let config = EngineConfig {
-        mode: EngineMode::SetAtATime { batch_size: 0 },
-        ..EngineConfig::default()
-    };
-    let mut engine = CoordinationEngine::new(db, config);
+    let mut engine = CoordinationEngine::new(db, EngineConfig::default());
     let batch = queries
         .into_iter()
         .map(|q| (q, SubmitOptions::default()))

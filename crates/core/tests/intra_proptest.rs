@@ -4,9 +4,10 @@
 //! to the reference — every coordinating set of the same pool matched
 //! as a flush matches it and answered by its own whole-body join,
 //! `CombinedQuery::evaluate` — same terminal statuses, same answer
-//! tuples, in both engine modes (§5.1). Shared-chain rings are one
-//! unit with variable heads, which the engine splits into one region
-//! per chain edge (set-at-a-time flushes report it), so they pin the
+//! tuples, in both cadences (§5.1): a flush after every submit, or one
+//! flush at the end. Shared-chain rings are one unit with variable
+//! heads, which the engine splits into one region per chain edge (the
+//! flush that closes the ring reports it), so they pin the
 //! region walk's answer choice against the whole-body join's. The
 //! plan-level property checks the split on unique chains, where the
 //! two must coincide whatever the walk does.
@@ -16,7 +17,7 @@ use eq_core::intra::{evaluate_plan, plan};
 use eq_core::matching::match_component;
 use eq_core::{
     safety, BatchReport, CombinedQuery, ComponentPlan, CoordinationEngine, EngineConfig,
-    EngineMode, FailReason, MatchGraph, RejectReason,
+    FailReason, MatchGraph, RejectReason,
 };
 use eq_db::Database;
 use eq_ir::{EntangledQuery, FastMap, QueryId, VarGen};
@@ -43,45 +44,44 @@ fn graph() -> &'static SocialGraph {
 /// pending).
 type Outcomes = Vec<(QueryId, Option<QueryOutcome>)>;
 
-fn config(mode: EngineMode) -> EngineConfig {
+fn config() -> EngineConfig {
     EngineConfig {
-        mode,
         admission_safety_check: false,
         on_no_solution: NoSolutionPolicy::Reject,
         ..Default::default()
     }
 }
 
-/// Drives `queries` through an engine in `mode` and, beside it, the
-/// reference ([`reference`]) over the pool a set-at-a-time engine holds
-/// just before its one flush: the same queries, renamed apart and
-/// numbered in the same submission order, in the same slots. Also
-/// returns the engine's last flush report (empty in incremental mode,
-/// whose submits leave the flush nothing to do).
+/// Drives `queries` through an engine — flushed after every submit
+/// when `per_submit`, else once at the end — and, beside it, the
+/// reference ([`reference`]) over the pool an engine holds just before
+/// that one flush: the same queries, renamed apart and numbered in the
+/// same submission order, in the same slots. Also returns the engine's
+/// last flush report.
 fn engine_and_reference(
     db: &Database,
     queries: &[EntangledQuery],
-    mode: EngineMode,
+    per_submit: bool,
 ) -> (Outcomes, Outcomes, BatchReport) {
-    let submit_all = |engine: &mut CoordinationEngine| -> Vec<QueryId> {
-        queries
-            .iter()
-            .map(|q| engine.submit(q.clone()).unwrap().id)
-            .collect()
-    };
-    let mut pool = CoordinationEngine::new(
-        db.snapshot(),
-        config(EngineMode::SetAtATime { batch_size: 0 }),
-    );
-    let ids = submit_all(&mut pool);
-    let mut expected = reference(pool.graph(), db);
-    let mut engine = match mode {
-        EngineMode::SetAtATime { .. } => pool,
-        EngineMode::Incremental => {
-            let mut engine = CoordinationEngine::new(db.snapshot(), config(mode));
-            assert_eq!(submit_all(&mut engine), ids);
-            engine
+    let submit_all = |engine: &mut CoordinationEngine, flush: bool| -> Vec<QueryId> {
+        let mut ids = Vec::with_capacity(queries.len());
+        for (i, q) in queries.iter().enumerate() {
+            ids.push(engine.submit(q.clone()).unwrap().id);
+            if flush && i + 1 < queries.len() {
+                engine.flush();
+            }
         }
+        ids
+    };
+    let mut pool = CoordinationEngine::new(db.snapshot(), config());
+    let ids = submit_all(&mut pool, false);
+    let mut expected = reference(pool.graph(), db);
+    let mut engine = if per_submit {
+        let mut engine = CoordinationEngine::new(db.snapshot(), config());
+        assert_eq!(submit_all(&mut engine, true), ids);
+        engine
+    } else {
+        pool
     };
     let report = engine.flush();
     engine.check_invariants().unwrap();
@@ -201,14 +201,9 @@ proptest! {
         // `x`, so its answers show which valuation was chosen.
         let body = if shared == 1 { GiantBody::SharedChain } else { GiantBody::Chain };
         let (db, queries) = ring(n, k, body, break_at);
-        let mode = if batch == 1 {
-            EngineMode::SetAtATime { batch_size: 0 }
-        } else {
-            EngineMode::Incremental
-        };
-        let (got, want, report) = engine_and_reference(&db, &queries, mode);
+        let (got, want, report) = engine_and_reference(&db, &queries, batch == 0);
         prop_assert_eq!(got, want);
-        if shared == 1 && batch == 1 {
+        if shared == 1 {
             prop_assert!(report.intra_split_units >= 1);
         }
     }
@@ -240,8 +235,7 @@ proptest! {
         let queries = two_way_pairs(graph(), n, style, seed);
         prop_assume!(!queries.is_empty());
         let db = eq_workload::build_database(graph());
-        let mode = EngineMode::SetAtATime { batch_size: 0 };
-        let (got, want, _) = engine_and_reference(&db, &queries, mode);
+        let (got, want, _) = engine_and_reference(&db, &queries, false);
         prop_assert_eq!(got, want);
     }
 }

@@ -14,9 +14,7 @@
 //!    same graph — edge id for edge id, in every slot's list order.
 
 use eq_core::graph::MatchGraph;
-use eq_core::{
-    coordinate, matching, safety, ucs, CoordinationEngine, EngineConfig, EngineMode, SubmitOptions,
-};
+use eq_core::{coordinate, matching, safety, ucs, CoordinationEngine, EngineConfig, SubmitOptions};
 use eq_db::Database;
 use eq_ir::{Atom, EntangledQuery, QueryId, Term, Value, Var, VarGen};
 use proptest::prelude::*;
@@ -314,7 +312,6 @@ proptest! {
         let mut engine = CoordinationEngine::new(
             build_db(4),
             EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
                 admission_safety_check: false,
                 ..EngineConfig::default()
             },

@@ -9,9 +9,7 @@
 
 use eq_core::engine::QueryOutcome;
 use eq_core::matching::{match_component, ComponentMatch, MatchStats};
-use eq_core::{
-    CoordinationEngine, EngineConfig, EngineMode, MatchGraph, NoSolutionPolicy, SubmitOptions,
-};
+use eq_core::{CoordinationEngine, EngineConfig, MatchGraph, NoSolutionPolicy, SubmitOptions};
 use eq_db::Database;
 use eq_ir::{EntangledQuery, FastMap, QueryId, Value, Var, VarGen};
 use eq_workload::{
@@ -75,7 +73,6 @@ fn flush_outcomes(
     let mut engine = CoordinationEngine::new(
         db,
         EngineConfig {
-            mode: EngineMode::SetAtATime { batch_size: 0 },
             admission_safety_check: false,
             on_no_solution: NoSolutionPolicy::Reject,
             ..Default::default()

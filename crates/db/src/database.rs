@@ -136,8 +136,9 @@ impl Database {
 
     /// Sum of the I/O counters of every table backend. In-memory
     /// tables contribute zeros, so this is non-zero exactly when a
-    /// paged backend has touched its cache. Stamped into
-    /// `BatchReport::io` by the coordination engine's flush.
+    /// paged backend has touched its cache. The one place a caller
+    /// reads cache traffic — page faults, write-backs, hits, evictions,
+    /// resident peak.
     pub fn io_stats(&self) -> StoreIoStats {
         self.tables
             .values()

@@ -14,7 +14,7 @@
 //!   the in-memory table indexes with too — stays memory-resident. A
 //!   `Database` drives the backend through [`eq_db::RowStore`], so the
 //!   evaluator's candidate cursors work unchanged; cache counters
-//!   surface through [`eq_db::StoreIoStats`] into `BatchReport::io`.
+//!   surface as [`eq_db::StoreIoStats`] through `Database::io_stats`.
 //! * **Durability primitives** ([`WriteAheadLog`], [`checkpoint`]):
 //!   length-prefixed checksummed log frames (one per service call,
 //!   one `write` each) with torn-tail-tolerant replay, and

@@ -302,42 +302,33 @@ mod tests {
     fn triangle_ring_coordinates_through_the_partitioned_path() {
         // Triangle bodies thrash the interleaved whole-body join (see
         // module docs): a 13-query ring at k = 3 takes minutes through
-        // it. At the default configuration, in both modes, the engine
+        // it. At the default configuration, flushed after every submit
+        // (the incremental cadence) or once at the end, the engine
         // evaluates each unit in isolation and answers the whole ring.
-        use eq_core::{CoordinationEngine, EngineConfig, EngineMode, QueryOutcome};
+        use eq_core::{CoordinationEngine, EngineConfig, QueryOutcome};
         for (n, k) in [(13, 3), (40, 6)] {
             let cfg = GiantComponentConfig {
                 queries: n,
                 friends_per_user: k,
                 body: GiantBody::Triangle,
             };
-            for mode in [
-                EngineMode::Incremental,
-                EngineMode::SetAtATime { batch_size: 0 },
-            ] {
+            for per_submit in [true, false] {
                 let (db, queries) = giant_component(&cfg);
-                let mut engine = CoordinationEngine::new(
-                    db,
-                    EngineConfig {
-                        mode,
-                        ..Default::default()
-                    },
-                );
-                let handles: Vec<_> = queries
-                    .iter()
-                    .map(|q| engine.submit(q.clone()).unwrap())
-                    .collect();
-                // An incremental submit returns no report: the submit
-                // that closes the ring runs the evaluation a flush runs,
-                // so this flush finds nothing left, and the counters are
-                // read from the set-at-a-time flush.
-                let report = engine.flush();
-                assert_eq!(engine.pending_count(), 0, "n = {n}, {mode:?}");
-                if mode != EngineMode::Incremental {
-                    assert_eq!(report.answered, n, "n = {n}");
-                    assert_eq!(report.intra_components, 1, "n = {n}");
-                    assert_eq!(report.intra_units, n, "n = {n}");
+                let mut engine = CoordinationEngine::new(db, EngineConfig::default());
+                let mut handles = Vec::with_capacity(n);
+                for q in &queries {
+                    handles.push(engine.submit(q.clone()).unwrap());
+                    if per_submit && handles.len() < n {
+                        assert_eq!(engine.flush().answered, 0, "n = {n}");
+                    }
                 }
+                // The flush after the submit that closes the ring
+                // answers all of it, whichever the cadence.
+                let report = engine.flush();
+                assert_eq!(engine.pending_count(), 0, "n = {n}, {per_submit}");
+                assert_eq!(report.answered, n, "n = {n}");
+                assert_eq!(report.intra_components, 1, "n = {n}");
+                assert_eq!(report.intra_units, n, "n = {n}");
                 let mut log: FastMap<QueryId, QueryOutcome> =
                     engine.drain_outcome_log().into_iter().collect();
                 for h in &handles {
@@ -356,7 +347,7 @@ mod tests {
         // whose every interior variable is an articulation point: the
         // engine splits it into n regions whatever n is, and answers the
         // ring's unique valuation.
-        use eq_core::{CoordinationEngine, EngineConfig, EngineMode, QueryOutcome};
+        use eq_core::{CoordinationEngine, EngineConfig, QueryOutcome};
         for n in [6, 1_024] {
             let cfg = GiantComponentConfig {
                 queries: n,
@@ -364,13 +355,7 @@ mod tests {
                 body: GiantBody::SharedChain,
             };
             let (db, queries) = giant_component(&cfg);
-            let mut engine = CoordinationEngine::new(
-                db,
-                EngineConfig {
-                    mode: EngineMode::SetAtATime { batch_size: 0 },
-                    ..Default::default()
-                },
-            );
+            let mut engine = CoordinationEngine::new(db, EngineConfig::default());
             let handles: Vec<_> = queries
                 .iter()
                 .map(|q| engine.submit(q.clone()).unwrap())

@@ -468,16 +468,10 @@ mod tests {
 
     #[test]
     fn unsafe_arrivals_fail_safety_against_residents() {
-        use eq_core::{CoordinationEngine, EngineConfig, EngineMode, SubmitError};
+        use eq_core::{CoordinationEngine, EngineConfig, SubmitError};
         let residents = unsafe_residents(100, 4, 50);
         let arrivals = unsafe_arrivals(20, 4, 51);
-        let mut engine = CoordinationEngine::new(
-            eq_db::Database::new(),
-            EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
-                ..Default::default()
-            },
-        );
+        let mut engine = CoordinationEngine::new(eq_db::Database::new(), EngineConfig::default());
         for q in &residents {
             engine.submit(q.clone()).unwrap();
         }
@@ -492,15 +486,9 @@ mod tests {
 
     #[test]
     fn residents_alone_are_safe() {
-        use eq_core::{CoordinationEngine, EngineConfig, EngineMode};
+        use eq_core::{CoordinationEngine, EngineConfig};
         let residents = unsafe_residents(200, 4, 52);
-        let mut engine = CoordinationEngine::new(
-            eq_db::Database::new(),
-            EngineConfig {
-                mode: EngineMode::SetAtATime { batch_size: 0 },
-                ..Default::default()
-            },
-        );
+        let mut engine = CoordinationEngine::new(eq_db::Database::new(), EngineConfig::default());
         for q in &residents {
             engine.submit(q.clone()).unwrap();
         }

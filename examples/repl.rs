@@ -9,7 +9,7 @@
 //! ```text
 //! .table <name> <col> [<col> ...]     create a database table
 //! .insert <name> <v1> [<v2> ...]      insert a row (ints parsed, rest strings)
-//! .mode incremental | batch           switch engine mode
+//! .mode incremental | batch           switch the service's mode
 //! .flush                              set-at-a-time evaluation round
 //! .pending                            number of pending queries
 //! .watch                              drain and print queued events

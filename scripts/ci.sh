@@ -50,7 +50,8 @@ cargo test -q --doc --offline
 echo "== 6/14 examples run end to end =="
 # `cargo test` only compiles the examples. Each asserts its own outcome
 # and exits non-zero on a miss; the REPL reads a script from stdin that
-# books one pair in incremental mode and one in set-at-a-time mode.
+# books one pair in incremental mode (the service evaluates inside the
+# second submit) and one in set-at-a-time mode (answered by `.flush`).
 for example in quickstart mmo_raid seat_inventory travel_agency; do
     cargo run -q --offline --example "$example" >/dev/null
 done
@@ -105,12 +106,12 @@ echo "== 11/14 differential and equivalence proptests (unifier vs reference orac
 # answer-for-answer equal to the materialized semi-join on clean,
 # detoured and broken shared-variable rings. So must the one guard
 # tying the engine's one evaluator (`intra`) to the whole-body join:
-# on clean and broken rings, in both engine modes, the engine's
-# outcomes must equal each coordinating set's
-# `CombinedQuery::evaluate` — shared-chain rings included, which the
-# engine splits into regions whatever their size (their set-at-a-time
-# flushes must report a split unit), so the property covers the region
-# walk's answer choice too.
+# on clean and broken rings, in both cadences (a flush after every
+# submit, or one flush at the end), the engine's outcomes must equal
+# each coordinating set's `CombinedQuery::evaluate` — shared-chain
+# rings included, which the engine splits into regions whatever their
+# size (the flush that closes the ring must report a split unit), so
+# the property covers the region walk's answer choice too.
 cargo test -q --offline -p eq_core --lib matching
 for named in "eq_unify --lib differential::unifier_equals_reference_oracle" \
     "eq_core --lib intra::tests::streaming_equals_materialized_region_evaluation" \
