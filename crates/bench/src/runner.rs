@@ -420,7 +420,7 @@ mod tests {
             let indexed = MatchGraph::build(renamed.clone());
             let mut found: Vec<(u32, u32, u32, u32)> = (0..indexed.len() as u32)
                 .flat_map(|slot| indexed.out_edges(slot))
-                .map(|&eid| indexed.edge(eid))
+                .map(|eid| indexed.edge(eid))
                 .map(|e| (e.from, e.head_idx, e.to, e.pc_idx))
                 .collect();
             let mut expected = pairwise_edges(&renamed);

@@ -28,9 +28,18 @@
 //! Evaluation runs straight off the graph, borrowing
 //! pending queries in place; nothing is cloned into a per-flush
 //! throwaway graph, and a flush with no changes since the previous one
-//! evaluates zero components. Per-slot engine state — no-solution
-//! policy, deadline — sits in a slot table beside it, indexed by the
-//! same slot ids.
+//! evaluates zero components. Per-slot engine state — the no-solution
+//! policy and whether a deadline is set — sits in a slot table beside
+//! it, indexed by the same slot ids; deadlines themselves live on one
+//! heap.
+//!
+//! Admission and retirement are the two costs every query pays, so
+//! their bookkeeping is slot-indexed: one map from [`QueryId`] to the
+//! query's status and, while it is pending, its slot; the graph's
+//! per-slot links for everything else. Admission probes into a reused
+//! edge buffer and allocates nothing of its own but what validation
+//! needs; retirement looks up the id once, to record the status, and
+//! allocates nothing.
 //!
 //! Queries that cannot currently be matched stay pending until they
 //! succeed, fail, or pass their own deadline ([`SubmitOptions::deadline`];
@@ -51,7 +60,7 @@
 
 use crate::combine::{self, QueryAnswer, Simplified};
 use crate::error::InvariantViolation;
-use crate::graph::MatchGraph;
+use crate::graph::{Edge, MatchGraph};
 use crate::intra;
 use crate::matching::{self, MatchStats};
 use crate::safety;
@@ -317,14 +326,33 @@ pub struct BatchReport {
     pub unify_clones: u64,
 }
 
+/// What the engine keeps per query id: its status and, while it is
+/// pending, its slot. One entry stays per retired id, for
+/// [`CoordinationEngine::status`].
+struct IdEntry {
+    status: QueryStatus,
+    /// The query's slot while it is pending; [`NO_SLOT`] once it left.
+    slot: u32,
+}
+
+/// [`IdEntry::slot`] of a query that is no longer pending.
+const NO_SLOT: u32 = u32::MAX;
+
+impl IdEntry {
+    /// The slot of a pending query.
+    fn pending(&self) -> Option<u32> {
+        (self.slot != NO_SLOT).then_some(self.slot)
+    }
+}
+
 /// What the engine keeps for a pending slot beside the graph's query.
+/// The deadline itself lives only on the deadline heap.
+#[derive(Clone, Copy)]
 struct SlotState {
     /// Per-query no-solution policy override (see [`SubmitOptions`]).
     on_no_solution: Option<NoSolutionPolicy>,
-    /// Mirror of the deadline heap entry, so shard migration can carry
-    /// the deadline to the destination engine (heap entries don't
-    /// travel; the donor's are skipped lazily).
-    deadline: Option<Instant>,
+    /// The query has a deadline, hence a live entry on the heap.
+    dated: bool,
 }
 
 /// A query the service acknowledged earlier, with everything that
@@ -335,7 +363,7 @@ struct SlotState {
 /// deadline survive the move.
 pub(crate) struct PendingQuery {
     pub(crate) query: EntangledQuery,
-    state: SlotState,
+    opts: SubmitOptions,
 }
 
 impl PendingQuery {
@@ -346,11 +374,11 @@ impl PendingQuery {
         query: EntangledQuery,
         on_no_solution: Option<NoSolutionPolicy>,
     ) -> Self {
-        let state = SlotState {
-            on_no_solution,
+        let opts = SubmitOptions {
             deadline: None,
+            on_no_solution,
         };
-        PendingQuery { query, state }
+        PendingQuery { query, opts }
     }
 }
 
@@ -383,8 +411,12 @@ pub struct CoordinationEngine {
     /// Per-slot engine state, indexed by the graph's slot ids (`None`
     /// for a vacant slot).
     slots: Vec<Option<SlotState>>,
-    by_id: FastMap<QueryId, u32>,
-    statuses: FastMap<QueryId, QueryStatus>,
+    /// Every admitted id: its status, and its slot while it is pending
+    /// — the one map an id is looked up in.
+    ids: FastMap<QueryId, IdEntry>,
+    /// The admission probe's edges, kept between admissions so that a
+    /// probe allocates nothing once the buffer has grown.
+    edge_buf: Vec<Edge>,
     /// Per-query deadlines ([`SubmitOptions::deadline`]), earliest
     /// first — the one expiry structure. Entries of queries that left
     /// the pool early (answered, failed, cancelled, migrated) are dead:
@@ -420,8 +452,8 @@ impl CoordinationEngine {
             next_id: 1,
             graph: MatchGraph::default(),
             slots: Vec::new(),
-            by_id: FastMap::default(),
-            statuses: FastMap::default(),
+            ids: FastMap::default(),
+            edge_buf: Vec::new(),
             deadlines: BinaryHeap::new(),
             dated: 0,
             flushed_db_revision: revision,
@@ -459,12 +491,17 @@ impl CoordinationEngine {
 
     /// Number of pending queries.
     pub fn pending_count(&self) -> usize {
-        self.by_id.len()
+        self.graph.linked_count()
     }
 
     /// The status of a query, if known.
     pub fn status(&self, id: QueryId) -> Option<&QueryStatus> {
-        self.statuses.get(&id)
+        self.ids.get(&id).map(|entry| &entry.status)
+    }
+
+    /// The slot of a pending query.
+    fn pending_slot(&self, id: QueryId) -> Option<u32> {
+        self.ids.get(&id).and_then(IdEntry::pending)
     }
 
     /// Submits a query with default [`SubmitOptions`]. Returns the
@@ -476,14 +513,15 @@ impl CoordinationEngine {
     }
 
     /// Submits a query with per-query options (deadline, no-solution
-    /// policy): a batch of one ([`CoordinationEngine::submit_batch`]).
+    /// policy): a batch of one ([`CoordinationEngine::submit_batch`]),
+    /// without the batch's vectors.
     pub fn submit_with(
         &mut self,
         query: EntangledQuery,
         opts: SubmitOptions,
     ) -> Result<QueryHandle, SubmitError> {
-        let mut results = self.submit_batch(vec![(query, opts)]);
-        results.pop().expect("one result per query")
+        query.validate().map_err(SubmitError::Invalid)?;
+        self.submit_entry(Ok((query, opts)), None)
     }
 
     /// The admission step — the one way a query enters the engine:
@@ -500,31 +538,41 @@ impl CoordinationEngine {
     fn admit(
         &mut self,
         mut query: EntangledQuery,
-        state: SlotState,
+        opts: SubmitOptions,
         id: IdFrom<'_>,
     ) -> Result<QueryId, SubmitError> {
         debug_assert!(query.validate().is_ok(), "callers validate first");
         query.rename_apart_in_place(&self.gen);
         let check = self.config.admission_safety_check && matches!(id, IdFrom::Draw(_));
-        let edges = self
+        if self
             .graph
-            .probe(&query, check)
-            .map_err(|_| SubmitError::Unsafe)?;
+            .probe(&query, check, &mut self.edge_buf)
+            .is_break()
+        {
+            return Err(SubmitError::Unsafe);
+        }
         let id = match id {
             IdFrom::Draw(source) => self.draw_id(source),
             IdFrom::Own => query.id,
         };
-        if let Some(deadline) = state.deadline {
+        if let Some(deadline) = opts.deadline {
             self.deadlines.push(Reverse((deadline, id)));
             self.dated += 1;
         }
-        let slot = self.graph.link(query.with_id(id), edges);
+        let state = SlotState {
+            on_no_solution: opts.on_no_solution,
+            dated: opts.deadline.is_some(),
+        };
+        let slot = self.graph.link(query.with_id(id), &self.edge_buf);
         if self.slots.len() <= slot as usize {
             self.slots.resize_with(slot as usize + 1, || None);
         }
         self.slots[slot as usize] = Some(state);
-        self.by_id.insert(id, slot);
-        self.statuses.insert(id, QueryStatus::Pending);
+        let entry = IdEntry {
+            status: QueryStatus::Pending,
+            slot,
+        };
+        self.ids.insert(id, entry);
         Ok(id)
     }
 
@@ -532,7 +580,8 @@ impl CoordinationEngine {
     /// without retiring it — no outcome is logged, no terminal
     /// status is recorded — and returns the queries (ascending by id)
     /// for re-admission elsewhere. This is the donor half of the
-    /// service's shard-merge migration. Their deadline-heap entries
+    /// service's shard-merge migration. Each query takes its deadline
+    /// along, read off the deadline heap in one pass; the heap entries
     /// stay behind as dead entries, like any other retirement's.
     pub(crate) fn extract_pending(
         &mut self,
@@ -541,13 +590,31 @@ impl CoordinationEngine {
         let victims: Vec<u32> = (0..self.slots.len() as u32)
             .filter(|&s| self.slots[s as usize].is_some() && pred(self.graph.query(s)))
             .collect();
+        let dated: FastSet<QueryId> = victims
+            .iter()
+            .filter(|&&s| self.slots[s as usize].is_some_and(|state| state.dated))
+            .map(|&s| self.graph.query(s).id)
+            .collect();
+        let deadlines: FastMap<QueryId, Instant> = self
+            .deadlines
+            .iter()
+            .filter(|Reverse((_, id))| dated.contains(id))
+            .map(|&Reverse((deadline, id))| (id, deadline))
+            .collect();
         let mut out = Vec::with_capacity(victims.len());
         for slot in victims {
-            let pending = self.detach(slot).expect("victim slot live");
-            // The Pending status entry travels with the query; the
-            // destination re-inserts it on admission.
-            self.statuses.remove(&pending.query.id);
-            out.push(pending);
+            let (query, state) = self.detach(slot).expect("victim slot live");
+            // The id's entry travels with the query; the destination
+            // re-inserts it on admission.
+            self.ids.remove(&query.id);
+            if state.dated {
+                self.compact_deadlines();
+            }
+            let opts = SubmitOptions {
+                deadline: deadlines.get(&query.id).copied(),
+                on_no_solution: state.on_no_solution,
+            };
+            out.push(PendingQuery { query, opts });
         }
         out.sort_by_key(|m| m.query.id);
         out
@@ -568,8 +635,8 @@ impl CoordinationEngine {
     /// Like every admission it evaluates nothing; linking marks the
     /// components dirty.
     pub(crate) fn readmit(&mut self, queries: Vec<PendingQuery>) {
-        for PendingQuery { query, state } in queries {
-            self.admit(query, state, IdFrom::Own)
+        for PendingQuery { query, opts } in queries {
+            self.admit(query, opts, IdFrom::Own)
                 .expect("no verdict without the check");
         }
     }
@@ -618,26 +685,29 @@ impl CoordinationEngine {
         let batch = batch.into_iter();
         self.reserve(batch.size_hint().0);
         batch
-            .map(|entry| {
-                let (query, opts) = entry?;
-                let state = SlotState {
-                    on_no_solution: opts.on_no_solution,
-                    deadline: opts.deadline,
-                };
-                let id = self.admit(query, state, IdFrom::Draw(source))?;
-                Ok(QueryHandle { id })
-            })
+            .map(|entry| self.submit_entry(entry, source))
             .collect()
     }
 
+    /// One entry of [`CoordinationEngine::submit_batch_with_source`]: a
+    /// new submission through the admission step.
+    fn submit_entry(
+        &mut self,
+        entry: Result<(EntangledQuery, SubmitOptions), SubmitError>,
+        source: Option<&AtomicU64>,
+    ) -> Result<QueryHandle, SubmitError> {
+        let (query, opts) = entry?;
+        let id = self.admit(query, opts, IdFrom::Draw(source))?;
+        Ok(QueryHandle { id })
+    }
+
     /// Makes room for `n` admissions at once — the graph's slot vectors,
-    /// the slot table, the id map and the status map — so a batch grows
-    /// each of them once instead of doubling through it.
+    /// the slot table and the id map — so a batch grows each of them
+    /// once instead of doubling through it.
     fn reserve(&mut self, n: usize) {
         let slots = self.graph.len() + self.graph.reserve_slots(n);
         self.slots.reserve(slots.saturating_sub(self.slots.len()));
-        self.by_id.reserve(n);
-        self.statuses.reserve(n);
+        self.ids.reserve(n);
     }
 
     /// Fails and removes every pending query whose deadline
@@ -654,7 +724,7 @@ impl CoordinationEngine {
                 break;
             }
             self.deadlines.pop();
-            if let Some(&slot) = self.by_id.get(&id) {
+            if let Some(slot) = self.pending_slot(id) {
                 self.retire(slot, Err(FailReason::Stale));
                 expired += 1;
             }
@@ -672,7 +742,7 @@ impl CoordinationEngine {
             return;
         }
         let mut live = std::mem::take(&mut self.deadlines).into_vec();
-        live.retain(|Reverse((_, id))| self.by_id.contains_key(id));
+        live.retain(|Reverse((_, id))| self.pending_slot(*id).is_some());
         live.sort_unstable();
         live.dedup();
         self.deadlines = BinaryHeap::from(live);
@@ -708,7 +778,7 @@ impl CoordinationEngine {
     /// already terminal. Used by churn workloads and applications whose
     /// users abandon a coordination request.
     pub fn cancel(&mut self, id: QueryId) -> bool {
-        let Some(&slot) = self.by_id.get(&id) else {
+        let Some(slot) = self.pending_slot(id) else {
             return false;
         };
         self.retire(slot, Err(FailReason::Cancelled));
@@ -731,15 +801,15 @@ impl CoordinationEngine {
         // across the whole operation.
         let unify_before = eq_unify::ops::global();
 
-        // Phase 1 (read-only): safety, partition, match, evaluate.
-        let graph = &self.graph;
+        // Phase 1 (read-only but for the partition's scratch marks):
+        // safety, partition, match, evaluate.
         let mut pieces: Vec<Vec<u32>> = Vec::with_capacity(groups.len());
         for group in groups {
             // Safety enforcement (§3.1.1) at matching time: ambiguous
             // queries sit out this round but stay pending — their
             // ambiguity may resolve when partners retire. (The
             // admission-time check, when enabled, makes this a no-op.)
-            let removed = safety::enforce_members(graph, &group);
+            let removed = safety::enforce_members(&self.graph, &group);
             if removed.is_empty() {
                 // A dirty group is a sorted connected component: its
                 // own one piece.
@@ -748,9 +818,10 @@ impl CoordinationEngine {
             }
             let removed: FastSet<u32> = removed.into_iter().collect();
             let live: Vec<u32> = group.into_iter().filter(|s| !removed.contains(s)).collect();
-            pieces.extend(graph.connected_pieces(&live));
+            pieces.extend(self.graph.connected_pieces(&live));
         }
         report.components = pieces.len();
+        let graph = &self.graph;
         let outcomes: Vec<ComponentOutcome> = pieces
             .iter()
             .map(|piece| process_component(graph, piece, db, &mut report))
@@ -797,26 +868,25 @@ impl CoordinationEngine {
             .unwrap_or(self.config.on_no_solution)
     }
 
-    /// Takes the query at `slot` out of the pending pool — slot state,
-    /// id map, and the graph (atom indexes, O(arity) per atom whatever
-    /// the pool size; incident edges; component) — and frees the slot.
-    /// Status and the outcome log are the caller's. `None` if the slot
-    /// is not live.
-    fn detach(&mut self, slot: u32) -> Option<PendingQuery> {
+    /// Takes the query at `slot` out of the pending pool — slot state
+    /// and the graph (atom indexes, O(arity) per atom whatever the pool
+    /// size; incident edges; component) — and frees the slot. The id's
+    /// entry and the outcome log are the caller's. `None` if the slot is
+    /// not live.
+    fn detach(&mut self, slot: u32) -> Option<(EntangledQuery, SlotState)> {
         let state = self.slots[slot as usize].take()?;
         let query = self.graph.unlink(slot);
-        self.by_id.remove(&query.id);
-        if state.deadline.is_some() {
+        if state.dated {
             self.dated -= 1;
-            self.compact_deadlines();
         }
-        Some(PendingQuery { query, state })
+        Some((query, state))
     }
 
     /// Removes a query from all engine state, records its terminal
-    /// status and moves its outcome onto the outcome log.
+    /// status in its id's entry (the one lookup of a retirement) and
+    /// moves its outcome onto the outcome log.
     fn retire(&mut self, slot: u32, outcome: Result<QueryAnswer, FailReason>) {
-        let Some(PendingQuery { query, .. }) = self.detach(slot) else {
+        let Some((query, state)) = self.detach(slot) else {
             return;
         };
         let id = query.id;
@@ -828,15 +898,22 @@ impl CoordinationEngine {
                 QueryOutcome::Failed(reason),
             ),
         };
-        self.statuses.insert(id, status);
+        let entry = self.ids.get_mut(&id).expect("a pending query has an entry");
+        *entry = IdEntry {
+            status,
+            slot: NO_SLOT,
+        };
         self.outcome_log.push((id, outcome));
+        if state.dated {
+            self.compact_deadlines();
+        }
     }
 
     /// Structural invariant check over the whole engine, for tests and
     /// debugging: the match graph is internally consistent
     /// ([`MatchGraph`]'s edges, components and atom indexes), the slot
-    /// table holds state for exactly the linked slots, and id/slot maps
-    /// line up. Violations are typed ([`InvariantViolation`]) and fold
+    /// table holds state for exactly the linked slots, and the id map
+    /// names exactly the linked slots as pending. Violations are typed ([`InvariantViolation`]) and fold
     /// into [`crate::CoordinationError`].
     pub fn check_invariants(&self) -> Result<(), InvariantViolation> {
         self.graph.check_invariants()?;
@@ -850,15 +927,14 @@ impl CoordinationEngine {
                 continue;
             }
             live += 1;
-            if self.by_id.get(&self.graph.query(slot).id) != Some(&slot) {
+            let entry = self.ids.get(&self.graph.query(slot).id);
+            if entry.is_none_or(|e| e.pending() != Some(slot) || e.status != QueryStatus::Pending) {
                 return Err(InvariantViolation::IdMapMismatch { slot });
             }
         }
-        if self.by_id.len() != live {
-            return Err(InvariantViolation::IdMapSizeMismatch {
-                ids: self.by_id.len(),
-                live,
-            });
+        let ids = self.ids.values().filter(|e| e.pending().is_some()).count();
+        if ids != live {
+            return Err(InvariantViolation::IdMapSizeMismatch { ids, live });
         }
         Ok(())
     }
@@ -1187,8 +1263,14 @@ mod tests {
         // The probe stops unifying at the verdict — the second head —
         // and finds all five when nothing is being decided.
         let renamed = arrival.rename_apart(&engine.gen);
-        assert_eq!(engine.graph.probe(&renamed, true).unwrap_err().len(), 2);
-        assert_eq!(engine.graph.probe(&renamed, false).unwrap().len(), 5);
+        let mut edges = Vec::new();
+        assert!(engine.graph.probe(&renamed, true, &mut edges).is_break());
+        assert_eq!(edges.len(), 2);
+        assert!(engine
+            .graph
+            .probe(&renamed, false, &mut edges)
+            .is_continue());
+        assert_eq!(edges.len(), 5);
     }
 
     #[test]

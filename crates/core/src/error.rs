@@ -41,7 +41,8 @@ pub enum InvariantViolation {
     /// registry, or free lists out of sync); the payload is the graph
     /// checker's diagnostic.
     Resident(String),
-    /// `by_id` does not map a live slot's query id back to that slot.
+    /// The id map does not name a live slot's query id as pending in
+    /// that slot.
     IdMapMismatch {
         /// The slot whose id round-trip failed.
         slot: u32,
@@ -72,10 +73,10 @@ pub enum InvariantViolation {
         /// Atoms owned by live slots.
         live: usize,
     },
-    /// `by_id` holds a different number of entries than there are live
-    /// slots.
+    /// The id map holds a different number of pending entries than
+    /// there are live slots.
     IdMapSizeMismatch {
-        /// Entries in `by_id`.
+        /// Pending entries in the id map.
         ids: usize,
         /// Live slots.
         live: usize,
@@ -87,7 +88,7 @@ impl fmt::Display for InvariantViolation {
         match self {
             InvariantViolation::Resident(msg) => write!(f, "match graph: {msg}"),
             InvariantViolation::IdMapMismatch { slot } => {
-                write!(f, "by_id out of sync for slot {slot}")
+                write!(f, "id map out of sync for slot {slot}")
             }
             InvariantViolation::MissingHeadAtom { slot, atom } => {
                 write!(f, "head {slot}/{atom} missing from index")
@@ -104,7 +105,10 @@ impl fmt::Display for InvariantViolation {
                 "{index} index holds {indexed} atoms, live slots have {live}"
             ),
             InvariantViolation::IdMapSizeMismatch { ids, live } => {
-                write!(f, "by_id holds {ids} entries for {live} live slots")
+                write!(
+                    f,
+                    "id map holds {ids} pending entries for {live} live slots"
+                )
             }
         }
     }

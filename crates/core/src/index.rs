@@ -18,41 +18,49 @@
 //! # Layout and cost
 //!
 //! Every query the engine admits is retired exactly once (§5.1), so
-//! removal is as hot as insertion and must not depend on how many atoms
-//! are resident — the wildcard and per-relation lists hold *all* of
-//! them. The index names atoms; it does not own them. Each indexed atom
-//! has a cell in a slab holding its [`AtomRef`] and posting count, and
-//! the atom itself stays with its owner — the graph's query slots —
-//! which hands it to [`AtomIndex::insert`] and [`AtomIndex::remove`]
-//! and lends the index a lookup for every candidate visit. A posting
-//! list is a `Vec` of cell ids in insertion order. An atom of arity `a`
-//! sits in `a + 1` lists (one per position, plus its relation's).
+//! removal is as hot as insertion, and neither may depend on how many
+//! atoms are resident: the wildcard and per-relation lists hold *all* of
+//! them. The index names atoms; it does not own them. The atoms stay
+//! with their owner — the graph's query slots — which hands each one to
+//! [`AtomIndex::insert`] and [`AtomIndex::remove`] and lends the index a
+//! lookup for every candidate visit.
 //!
-//! * [`AtomIndex::insert`]: `a + 2` hash operations and `a + 1` pushes.
-//! * [`AtomIndex::remove`]: `a + 2` hash operations; the cell is
-//!   emptied and its postings stay behind as tombstones. A list is
-//!   compacted in place (order kept) once more than half of it is dead,
-//!   and dropped from the map when its last live atom leaves, so a list
-//!   never holds more dead postings than live ones, removal is
-//!   **O(arity) amortized**, and memory follows the live pool rather
-//!   than every constant ever seen.
-//! * A cell returns to the free list only when the last posting naming
-//!   it has been discarded. A posting therefore can never come to name
-//!   a later occupant of its cell: re-inserting under a reused
-//!   [`AtomRef`] (the engine reuses query slots) takes a new cell and
-//!   new postings at the *end* of each list.
-//! * A probe reads each candidate's reference by slab index, its atom
-//!   through the owner's lookup (no hash lookup per candidate), and
-//!   skips tombstones, at most one per live posting.
+//! An atom of arity `a` sits in `a + 1` posting lists (one per
+//! position, plus its relation's). Its **cell** is a run of `a + 2`
+//! nodes in one arena: a header naming the [`AtomRef`], then one posting
+//! per list — the relation list's first, then position 0, 1, …. A
+//! posting records its list and its two neighbours there: each list is a
+//! circular, doubly linked chain of postings in insertion order, and the
+//! map from a key to its list holds only the list's id. A list of one
+//! posting therefore needs no heap block of its own. A walk of the list
+//! of position `i` finds each candidate's header `i + 2` nodes before
+//! the posting (`1` for a relation list), however long the atom.
+//!
+//! * [`AtomIndex::insert`] returns the new cell's id, which the owner
+//!   keeps. It hashes the `a + 1` keys, each to find or open its list,
+//!   and appends one posting to each.
+//! * [`AtomIndex::remove`] takes that cell id and unlinks its `a + 1`
+//!   postings in exactly `a + 1` steps. It hashes nothing, except to
+//!   drop a list it empties from the map, so memory follows the live
+//!   pool rather than every constant ever seen.
+//! * Freed cells go on a free list per arity, threaded through their
+//!   headers, and freed lists on one threaded through themselves, so a
+//!   removal allocates nothing and an insertion only grows the arena and
+//!   the map.
+//! * A cell's header also links it to the owner's previous cell: the
+//!   owner keeps one id per chain of cells (a query's heads, say) and
+//!   hands it back to [`AtomIndex::remove`], which returns the next.
 //!
 //! **Ordering contract:** candidates are visited in the order their
 //! atoms were inserted into the driving list — exact-constant list
-//! first, then the wildcard list — exactly as if every removal had
-//! deleted its postings on the spot. Admission and the Figure-9 safety
-//! check depend on that order: it fixes the order of a slot's resident
-//! edges, and with it where the early-exit probe stops.
+//! first, then the wildcard list. A removal unlinks its postings where
+//! they stand, and a re-insertion under a reused [`AtomRef`] (the
+//! engine reuses query slots) is a new cell appended at the *end* of
+//! each list. Admission and the Figure-9 safety check depend on that
+//! order: it fixes the order of a slot's resident edges, and with it
+//! where the early-exit probe stops.
 
-use eq_ir::{Atom, FastMap, Symbol, Term, Value};
+use eq_ir::{Atom, FastMap, Symbol, Value};
 use std::collections::hash_map::Entry;
 use std::ops::ControlFlow;
 
@@ -66,130 +74,107 @@ pub struct AtomRef {
     pub atom: u32,
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum KeyValue {
-    Wildcard,
-    Exact(Value),
-}
+/// The end of a chain of cells, and "no cell" wherever a cell id goes.
+pub const NO_CELL: u32 = u32::MAX;
 
+/// A list's key, packed into 16 bytes so that a map entry takes 20: the
+/// relation; the position, shifted left two bits past the kind of value
+/// (`WILDCARD`, `INT` or `STR`); and the value's bits.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
     relation: Symbol,
-    position: u32,
-    value: KeyValue,
+    position_kind: u32,
+    value: [u32; 2],
 }
 
+const WILDCARD: u32 = 0;
+const INT: u32 = 1;
+const STR: u32 = 2;
+
 impl Key {
+    /// The key of position `position` holding `value`; `None` is the
+    /// wildcard `Δ`.
+    fn new(relation: Symbol, position: u32, value: Option<Value>) -> Key {
+        debug_assert!(position < 1 << 30, "position {position} does not fit a key");
+        let (kind, value) = match value {
+            None => (WILDCARD, [0; 2]),
+            Some(Value::Int(i)) => (INT, [i as u32, (i >> 32) as u32]),
+            Some(Value::Str(s)) => (STR, [s.index(), 0]),
+        };
+        Key {
+            relation,
+            position_kind: position << 2 | kind,
+            value,
+        }
+    }
+
     /// The list of all of a relation's atoms (the fallback for probes
     /// without constants), keyed under a position no atom has.
     fn whole_relation(relation: Symbol) -> Key {
         Key {
             relation,
-            position: u32::MAX,
-            value: KeyValue::Wildcard,
+            position_kind: u32::MAX,
+            value: [0; 2],
         }
     }
 }
 
-/// The keys of every list `atom` sits in: one per position, then its
-/// relation's.
+/// The keys of every list `atom` sits in, in the order of its cell's
+/// postings: its relation's, then one per position.
 fn keys(atom: &Atom) -> impl Iterator<Item = Key> + '_ {
     let relation = atom.relation;
-    let positions = atom.terms.iter().enumerate().map(move |(pos, term)| Key {
-        relation,
-        position: pos as u32,
-        value: match term {
-            Term::Const(c) => KeyValue::Exact(*c),
-            Term::Var(_) => KeyValue::Wildcard,
-        },
-    });
-    positions.chain(std::iter::once(Key::whole_relation(relation)))
+    let positions = (atom.terms.iter().enumerate())
+        .map(move |(pos, term)| Key::new(relation, pos as u32, term.as_const()));
+    std::iter::once(Key::whole_relation(relation)).chain(positions)
 }
 
-/// One slab cell. `live` is false once the atom was removed; the cell
-/// stays allocated while `postings` lists still name it.
-struct Cell {
-    r: AtomRef,
-    live: bool,
-    /// Postings naming this cell, live or tombstoned.
-    postings: u32,
+/// Offset from a cell's header to its posting in the list of a relation.
+const RELATION_OFFSET: u32 = 1;
+
+/// Offset from a cell's header to its posting in the list of `position`.
+fn offset(position: u32) -> u32 {
+    position + 2
 }
 
-/// The indexed references, each addressed by a dense cell id.
-#[derive(Default)]
-struct Slab {
-    cells: Vec<Cell>,
-    free: Vec<u32>,
-}
+/// One arena node, three words: a cell's header `[query, atom, chain]`
+/// or one of its postings `[list, prev, next]`.
+type Node = [u32; 3];
+/// A header's link to the owner's previous cell; in a freed cell, to
+/// the next free cell of the same arity.
+const CHAIN: usize = 2;
+const LIST: usize = 0;
+const PREV: usize = 1;
+const NEXT: usize = 2;
 
-impl Slab {
-    fn alloc(&mut self, cell: Cell) -> u32 {
-        match self.free.pop() {
-            Some(id) => {
-                self.cells[id as usize] = cell;
-                id
-            }
-            None => {
-                self.cells.push(cell);
-                (self.cells.len() - 1) as u32
-            }
-        }
-    }
-
-    /// The reference in cell `id`, unless it is a tombstone.
-    fn live(&self, id: u32) -> Option<AtomRef> {
-        let cell = &self.cells[id as usize];
-        cell.live.then_some(cell.r)
-    }
-
-    /// Records that one tombstoned posting of cell `id` was discarded;
-    /// the last one frees the cell for reuse.
-    fn release(&mut self, id: u32) {
-        let cell = &mut self.cells[id as usize];
-        cell.postings -= 1;
-        if cell.postings == 0 {
-            self.free.push(id);
-        }
-    }
-}
-
-/// Cell ids in insertion order, tombstones included.
-#[derive(Default)]
-struct PostingList {
-    ids: Vec<u32>,
-    live: usize,
-}
-
-impl PostingList {
-    /// Discards the tombstones, keeping the live postings in order.
-    fn compact(&mut self, slab: &mut Slab) {
-        let mut kept = 0;
-        for i in 0..self.ids.len() {
-            let id = self.ids[i];
-            if slab.live(id).is_some() {
-                self.ids[kept] = id;
-                kept += 1;
-            } else {
-                slab.release(id);
-            }
-        }
-        self.ids.truncate(kept);
-    }
+/// One posting list: the first of its postings, which form a circular
+/// chain in insertion order (the last is the first's `PREV`). A freed
+/// list's `first` is the next free list.
+#[derive(Clone, Copy)]
+struct List {
+    first: u32,
+    len: u32,
 }
 
 /// An index over a set of atoms supporting unifiability-candidate lookup
 /// and removal (queries retire from the engine when answered or stale).
-/// Insert and remove cost O(arity) amortized however many atoms are
-/// resident; see the module docs for the layout.
+/// Insert costs O(arity) hash lookups and remove O(arity) steps, however
+/// many atoms are resident; see the module docs for the layout.
 #[derive(Default)]
 pub struct AtomIndex {
-    /// Position lists and per-relation lists under one map; a list
-    /// exists only while it holds a live atom.
-    lists: FastMap<Key, PostingList>,
-    slab: Slab,
-    /// The cell of every resident reference.
-    by_ref: FastMap<AtomRef, u32>,
-    /// Postings touched by [`AtomIndex::remove`], compaction included.
+    /// Position lists and per-relation lists, by key; a list exists only
+    /// while it holds an atom.
+    keys: FastMap<Key, u32>,
+    lists: Vec<List>,
+    /// Head of the freed lists' chain.
+    free_list: Option<u32>,
+    /// Cells: headers and postings.
+    nodes: Vec<Node>,
+    /// Per arity, the head of the freed cells' chain ([`NO_CELL`] when
+    /// none).
+    free_cells: Vec<u32>,
+    /// Cells in use.
+    live: usize,
+    /// Postings unlinked by [`AtomIndex::remove`].
     #[cfg(test)]
     remove_steps: usize,
 }
@@ -202,73 +187,131 @@ impl AtomIndex {
 
     /// Number of atoms currently indexed.
     pub fn len(&self) -> usize {
-        self.by_ref.len()
+        self.live
     }
 
     /// True if no atoms are indexed.
     pub fn is_empty(&self) -> bool {
-        self.by_ref.is_empty()
+        self.live == 0
     }
 
-    /// Indexes `atom` under `r`, which must not be resident (remove it
-    /// first to replace its atom). The atom is read for its keys, not
-    /// kept: its owner must hand the same atom to
-    /// [`AtomIndex::remove`] and answer for it in candidate visits.
-    /// O(arity).
-    pub fn insert(&mut self, r: AtomRef, atom: &Atom) {
-        let id = self.slab.alloc(Cell {
-            r,
-            live: true,
-            postings: atom.arity() as u32 + 1,
-        });
-        let previous = self.by_ref.insert(r, id);
-        debug_assert!(previous.is_none(), "{r:?} inserted twice");
-        for key in keys(atom) {
-            let list = self.lists.entry(key).or_default();
-            list.ids.push(id);
-            list.live += 1;
+    /// Posting lists currently held: one per key some indexed atom sits
+    /// under. 0 once every atom is removed.
+    pub fn list_count(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Indexes `atom` under `r` and returns its cell, chained to `chain`
+    /// (the owner's previous cell, or [`NO_CELL`]). The atom is read for
+    /// its keys, not kept: its owner must hand the same atom, with the
+    /// cell id, to [`AtomIndex::remove`], and answer for it in candidate
+    /// visits. O(arity).
+    pub fn insert(&mut self, r: AtomRef, atom: &Atom, chain: u32) -> u32 {
+        let arity = atom.arity();
+        let cell = self.alloc_cell(arity);
+        self.nodes[cell as usize] = [r.query, r.atom, chain];
+        for (k, key) in keys(atom).enumerate() {
+            let (lists, free) = (&mut self.lists, &mut self.free_list);
+            let list = *self
+                .keys
+                .entry(key)
+                .or_insert_with(|| open_list(lists, free));
+            self.append(list, cell + RELATION_OFFSET + k as u32);
         }
+        self.live += 1;
+        cell
     }
 
-    /// Removes the atom indexed under `r`, which must be the `atom`
-    /// [`AtomIndex::insert`] was given. No-op if `r` is absent.
-    ///
-    /// O(arity) amortized, independent of the number of resident atoms:
-    /// the atom's postings become tombstones, a list is compacted only
-    /// once tombstones outnumber its live postings (so the scan is paid
-    /// for by the removals, more than half the list, since the previous
-    /// one), and a list whose last live atom leaves is dropped from the
-    /// map. The relative order of the remaining atoms never changes.
-    pub fn remove(&mut self, r: AtomRef, atom: &Atom) {
-        let Some(id) = self.by_ref.remove(&r) else {
-            return;
-        };
-        self.slab.cells[id as usize].live = false;
-        for key in keys(atom) {
-            let Entry::Occupied(mut slot) = self.lists.entry(key) else {
-                continue;
-            };
-            let list = slot.get_mut();
-            list.live -= 1;
-            // More than half dead (always so when the last live atom
-            // left): sweep the tombstones out.
-            let sweep = list.ids.len() > 2 * list.live;
+    /// Removes the atom in `cell`, which must be the `atom`
+    /// [`AtomIndex::insert`] was given for it, and returns the cell it
+    /// was chained to. Exactly `arity + 1` steps, one per posting,
+    /// whatever the number of resident atoms: each posting is unlinked
+    /// where it stands, so the relative order of the remaining atoms
+    /// never changes. Only a list left empty is looked up, to drop it
+    /// from the map.
+    pub fn remove(&mut self, cell: u32, atom: &Atom) -> u32 {
+        let chain = self.nodes[cell as usize][CHAIN];
+        for (k, key) in keys(atom).enumerate() {
+            let posting = cell + RELATION_OFFSET + k as u32;
+            let list = self.nodes[posting as usize][LIST];
             #[cfg(test)]
             {
-                self.remove_steps += 1 + if sweep { list.ids.len() } else { 0 };
+                self.remove_steps += 1;
             }
-            if sweep {
-                list.compact(&mut self.slab);
-                if list.ids.is_empty() {
-                    slot.remove();
-                }
+            if self.unlink(list, posting) {
+                let Entry::Occupied(slot) = self.keys.entry(key) else {
+                    unreachable!("a list outlived its key");
+                };
+                debug_assert_eq!(*slot.get(), list, "cell {cell} is not this atom's");
+                slot.remove();
+                self.lists[list as usize].first = self.free_list.unwrap_or(NO_CELL);
+                self.free_list = Some(list);
             }
         }
+        let arity = atom.arity();
+        self.nodes[cell as usize][CHAIN] = self.free_cells[arity];
+        self.free_cells[arity] = cell;
+        self.live -= 1;
+        chain
     }
 
-    /// True if an atom is indexed under `r`.
-    pub fn contains(&self, r: AtomRef) -> bool {
-        self.by_ref.contains_key(&r)
+    /// The reference a live cell names and the cell it is chained to.
+    pub(crate) fn cell(&self, cell: u32) -> (AtomRef, u32) {
+        let [query, atom, chain] = self.nodes[cell as usize];
+        (AtomRef { query, atom }, chain)
+    }
+
+    /// A cell of `arity`: the last one freed, else `arity + 2` new
+    /// nodes.
+    fn alloc_cell(&mut self, arity: usize) -> u32 {
+        if self.free_cells.len() <= arity {
+            self.free_cells.resize(arity + 1, NO_CELL);
+        }
+        let cell = self.free_cells[arity];
+        if cell != NO_CELL {
+            self.free_cells[arity] = self.nodes[cell as usize][CHAIN];
+            return cell;
+        }
+        let cell = self.nodes.len() as u32;
+        self.nodes.resize(self.nodes.len() + arity + 2, [0; 3]);
+        cell
+    }
+
+    /// Appends `posting` to the end of `list`.
+    fn append(&mut self, list: u32, posting: u32) {
+        let l = &mut self.lists[list as usize];
+        l.len += 1;
+        if l.len == 1 {
+            l.first = posting;
+            self.nodes[posting as usize] = [list, posting, posting];
+            return;
+        }
+        let first = l.first;
+        let last = self.nodes[first as usize][PREV];
+        self.nodes[posting as usize] = [list, last, first];
+        self.nodes[last as usize][NEXT] = posting;
+        self.nodes[first as usize][PREV] = posting;
+    }
+
+    /// Unlinks `posting` from `list`; true if that emptied the list.
+    fn unlink(&mut self, list: u32, posting: u32) -> bool {
+        let l = &mut self.lists[list as usize];
+        l.len -= 1;
+        if l.len == 0 {
+            return true;
+        }
+        let [_, prev, next] = self.nodes[posting as usize];
+        self.nodes[prev as usize][NEXT] = next;
+        self.nodes[next as usize][PREV] = prev;
+        if l.first == posting {
+            l.first = next;
+        }
+        false
+    }
+
+    /// The list under `key`, if any atom sits there.
+    fn list(&self, key: Key) -> Option<List> {
+        self.keys.get(&key).map(|&id| self.lists[id as usize])
     }
 
     /// Candidate atoms that may unify with `probe`:
@@ -296,21 +339,22 @@ impl AtomIndex {
     /// allocation-free form of [`AtomIndex::candidates`]:
     ///
     /// The driving posting list is the most selective constant position
-    /// (fewest live atoms in `L(R,i,vi) ∪ L(R,i,Δ)`; the first such
-    /// position on a tie); the remaining positions are enforced by
-    /// filtering the candidates positionally, which costs
-    /// `O(|smallest list| · arity)` instead of materializing every
-    /// posting list — the difference between linear and quadratic total
-    /// cost on hub-heavy workloads (every query sharing one destination
-    /// constant). A probe without constants drives from its relation's
-    /// list. Each candidate's reference is read by slab index and its
-    /// atom through `atoms`; tombstones in the driving list (never more
-    /// than its live postings) are skipped.
+    /// (fewest atoms in `L(R,i,vi) ∪ L(R,i,Δ)`; the first such position
+    /// on a tie); the remaining positions are enforced by filtering the
+    /// candidates positionally, which costs `O(|smallest list| · arity)`
+    /// instead of materializing every posting list — the difference
+    /// between linear and quadratic total cost on hub-heavy workloads
+    /// (every query sharing one destination constant). A probe without
+    /// constants drives from its relation's list. Choosing the list
+    /// looks up two keys per constant position; the walk then follows
+    /// the chosen lists' postings and hashes nothing. Each candidate's
+    /// reference is read from its cell's header, and its atom through
+    /// `atoms`.
     ///
     /// Candidates are superset-correct; callers must confirm with a real
     /// MGU check. Visit order is deterministic — the exact-constant
     /// list, then the wildcard list, each in the insertion order of its
-    /// live atoms, whatever was removed or re-inserted under a reused
+    /// atoms, whatever was removed or re-inserted under a reused
     /// [`AtomRef`] in between — and free of duplicates: an atom appears
     /// in exactly one of the exact/wildcard lists for a given position.
     pub fn for_each_candidate<'a>(
@@ -334,95 +378,102 @@ impl AtomIndex {
         atoms: impl Fn(AtomRef) -> &'a Atom,
         mut f: impl FnMut(AtomRef, &'a Atom) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        let mut visit = |key: Key| {
-            let Some(list) = self.lists.get(&key) else {
+        let mut visit = |list: Option<List>, offset: u32| {
+            let Some(List { mut first, len }) = list else {
                 return ControlFlow::Continue(());
             };
-            for &id in &list.ids {
-                if let Some(r) = self.slab.live(id) {
-                    let atom = atoms(r);
-                    // Also filters by arity: lists are keyed by
-                    // relation, not by relation and arity.
-                    if atom.positionally_compatible(probe) {
-                        f(r, atom)?;
-                    }
+            for _ in 0..len {
+                let [query, atom, _] = self.nodes[(first - offset) as usize];
+                let r = AtomRef { query, atom };
+                let atom = atoms(r);
+                // Also filters by arity: lists are keyed by relation,
+                // not by relation and arity.
+                if atom.positionally_compatible(probe) {
+                    f(r, atom)?;
                 }
+                first = self.nodes[first as usize][NEXT];
             }
             ControlFlow::Continue(())
         };
 
-        let best = probe
-            .terms
-            .iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.as_const().map(|c| (i as u32, c)))
-            .min_by_key(|&(pos, val)| self.union_len(probe.relation, pos, val));
-        let Some((position, val)) = best else {
-            return visit(Key::whole_relation(probe.relation));
-        };
-        for value in [KeyValue::Exact(val), KeyValue::Wildcard] {
-            visit(Key {
-                relation: probe.relation,
-                position,
-                value,
-            })?;
+        // The most selective constant position, with its two lists.
+        let mut best: Option<(u32, Option<List>, Option<List>)> = None;
+        let mut best_len = usize::MAX;
+        for (i, term) in probe.terms.iter().enumerate() {
+            let Some(val) = term.as_const() else { continue };
+            let exact = self.list(Key::new(probe.relation, i as u32, Some(val)));
+            let wild = self.list(Key::new(probe.relation, i as u32, None));
+            let len = [exact, wild].iter().flatten().map(|l| l.len as usize).sum();
+            if len < best_len {
+                best_len = len;
+                best = Some((i as u32, exact, wild));
+            }
         }
-        ControlFlow::Continue(())
+        let Some((position, exact, wild)) = best else {
+            let relation = Key::whole_relation(probe.relation);
+            return visit(self.list(relation), RELATION_OFFSET);
+        };
+        visit(exact, offset(position))?;
+        visit(wild, offset(position))
     }
+}
 
-    /// Live atoms in `L(R, position, value) ∪ L(R, position, Δ)`.
-    fn union_len(&self, relation: Symbol, position: u32, value: Value) -> usize {
-        [KeyValue::Exact(value), KeyValue::Wildcard]
-            .into_iter()
-            .filter_map(|value| {
-                self.lists.get(&Key {
-                    relation,
-                    position,
-                    value,
-                })
-            })
-            .map(|list| list.live)
-            .sum()
-    }
-
-    /// Position and relation lists currently held.
-    #[cfg(test)]
-    pub(crate) fn list_count(&self) -> usize {
-        self.lists.len()
+/// A list id for a new, empty list: the last one freed, else a new one.
+fn open_list(lists: &mut Vec<List>, free: &mut Option<u32>) -> u32 {
+    let empty = List {
+        first: NO_CELL,
+        len: 0,
+    };
+    match free.take() {
+        Some(id) => {
+            let next = lists[id as usize].first;
+            *free = (next != NO_CELL).then_some(next);
+            lists[id as usize] = empty;
+            id
+        }
+        None => {
+            lists.push(empty);
+            (lists.len() - 1) as u32
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eq_ir::{atom, FastSet, Var};
+    use eq_ir::{atom, FastSet, Term, Var};
 
-    /// An index together with the atoms it names, kept the way the graph
-    /// keeps them: the harness of these tests and of `differential`.
+    /// An index together with the atoms it names and their cells, kept
+    /// the way the graph keeps them: the harness of these tests and of
+    /// `differential`.
     #[derive(Default)]
     pub(super) struct Owned {
         pub(super) idx: AtomIndex,
-        atoms: FastMap<AtomRef, Atom>,
+        atoms: FastMap<AtomRef, (Atom, u32)>,
     }
 
     impl Owned {
         pub(super) fn insert(&mut self, r: AtomRef, atom: &Atom) {
-            self.idx.insert(r, atom);
-            self.atoms.insert(r, atom.clone());
+            let cell = self.idx.insert(r, atom, NO_CELL);
+            self.atoms.insert(r, (atom.clone(), cell));
         }
 
         pub(super) fn remove(&mut self, r: AtomRef) {
-            if let Some(atom) = self.atoms.remove(&r) {
-                self.idx.remove(r, &atom);
+            if let Some((atom, cell)) = self.atoms.remove(&r) {
+                assert_eq!(self.idx.remove(cell, &atom), NO_CELL);
             }
         }
 
-        /// The atom indexed under `r`, if the index holds one.
+        /// The atom indexed under `r`, if the index holds one: its cell
+        /// must still name `r`.
         pub(super) fn get(&self, r: AtomRef) -> Option<&Atom> {
-            self.idx.contains(r).then(|| &self.atoms[&r])
+            let (atom, cell) = self.atoms.get(&r)?;
+            assert_eq!(self.idx.cell(*cell).0, r);
+            Some(atom)
         }
 
         pub(super) fn len(&self) -> usize {
+            assert_eq!(self.idx.len(), self.atoms.len());
             self.idx.len()
         }
 
@@ -431,7 +482,7 @@ mod tests {
         }
 
         fn atom(&self, r: AtomRef) -> &Atom {
-            &self.atoms[&r]
+            &self.atoms[&r].0
         }
 
         pub(super) fn candidates(&self, probe: &Atom) -> Vec<AtomRef> {
@@ -563,35 +614,58 @@ mod tests {
         assert_eq!(idx.get(r(0, 0)), Some(&atom!("R", [v(3), Term::str("b")])));
     }
 
-    /// Postings touched while retiring `n` atoms that share a wildcard
-    /// column, a hub constant and a relation, oldest or newest first.
-    fn retire_steps(n: u32, newest_first: bool) -> usize {
-        let mut idx = Owned::default();
-        for i in 0..n {
-            let atom = atom!("R", [v(i), Term::str("hub"), Term::int(i as i64)]);
-            idx.insert(r(i, 0), &atom);
+    #[test]
+    fn removal_cost_does_not_grow_with_the_pool() {
+        // A count, not a timing: retiring an atom unlinks its own
+        // postings and touches nothing else, whichever end of the
+        // shared wildcard, hub and relation lists it sits at and however
+        // many atoms share them.
+        for n in [500u32, 2000] {
+            for newest_first in [false, true] {
+                let mut idx = Owned::default();
+                for i in 0..n {
+                    let atom = atom!("R", [v(i), Term::str("hub"), Term::int(i as i64)]);
+                    idx.insert(r(i, 0), &atom);
+                }
+                for i in 0..n {
+                    let before = idx.idx.remove_steps;
+                    idx.remove(r(if newest_first { n - 1 - i } else { i }, 0));
+                    assert_eq!(idx.idx.remove_steps - before, 3 + 1);
+                }
+                assert!(idx.is_empty());
+                assert_eq!(idx.idx.list_count(), 0);
+            }
         }
-        for i in 0..n {
-            idx.remove(r(if newest_first { n - 1 - i } else { i }, 0));
-        }
-        assert!(idx.is_empty());
-        assert_eq!(idx.idx.list_count(), 0);
-        idx.idx.remove_steps
     }
 
     #[test]
-    fn removal_cost_does_not_grow_with_the_pool() {
-        // A count, not a timing: retiring four times the atoms may touch
-        // about four times the postings (a scan of the shared lists per
-        // removal would touch sixteen times as many).
-        for newest_first in [false, true] {
-            let small = retire_steps(500, newest_first);
-            let large = retire_steps(2000, newest_first);
-            assert!(
-                large <= 5 * small,
-                "newest_first={newest_first}: {small} steps for 500 atoms, {large} for 2000"
-            );
+    fn a_chain_of_cells_is_removed_newest_first() {
+        // The graph keeps one cell id per query side: each insert chains
+        // the new cell to the previous one, and each remove hands back
+        // the next to remove.
+        let mut idx = AtomIndex::new();
+        let atoms = [
+            atom!("R", [Term::str("a"), v(0)]),
+            atom!("S", [v(1)]),
+            atom!("R", [v(2), v(3)]),
+        ];
+        let mut chain = NO_CELL;
+        for (i, atom) in atoms.iter().enumerate() {
+            chain = idx.insert(r(7, i as u32), atom, chain);
         }
+        for (i, atom) in atoms.iter().enumerate().rev() {
+            assert_eq!(idx.cell(chain).0, r(7, i as u32));
+            chain = idx.remove(chain, atom);
+        }
+        assert_eq!(chain, NO_CELL);
+        assert!(idx.is_empty());
+        assert_eq!(idx.list_count(), 0);
+        // Freed cells are reused per arity, and the arena does not grow.
+        let nodes = idx.nodes.len();
+        for (i, atom) in atoms.iter().enumerate() {
+            idx.insert(r(8, i as u32), atom, NO_CELL);
+        }
+        assert_eq!(idx.nodes.len(), nodes);
     }
 
     #[test]
@@ -677,7 +751,7 @@ mod tests {
 mod differential {
     use super::tests::Owned;
     use super::*;
-    use eq_ir::Var;
+    use eq_ir::{Term, Var};
     use proptest::prelude::*;
 
     /// The live atoms in insertion order.
@@ -797,13 +871,12 @@ mod differential {
                 }
             }
 
-            // Drained, the index holds nothing: no list, no pinned cell.
+            // Drained, the index holds nothing: no list and no live cell.
             for r in all_refs() {
                 idx.remove(r);
             }
             prop_assert!(idx.is_empty());
             prop_assert_eq!(idx.idx.list_count(), 0);
-            prop_assert_eq!(idx.idx.slab.free.len(), idx.idx.slab.cells.len());
         }
     }
 }

@@ -143,7 +143,7 @@ pub fn match_component(graph: &MatchGraph, members: &[u32]) -> ComponentMatch {
     let mut preds: Vec<Vec<usize>> = vec![Vec::new(); nscc];
     for &m in &live {
         let from = scc_of[&m] as usize;
-        for &eid in graph.out_edges(m) {
+        for eid in graph.out_edges(m) {
             let Some(&to) = scc_of.get(&graph.edge(eid).to) else {
                 continue; // edge out of the live set
             };
@@ -273,7 +273,7 @@ fn seed_member(
     scratch.clear();
     satisfied.clear();
     satisfied.resize(graph.query(m).pc_count(), false);
-    for &eid in graph.in_edges(m) {
+    for eid in graph.in_edges(m) {
         let e = graph.edge(eid);
         if !in_component.contains(&e.from) {
             continue;
@@ -325,7 +325,7 @@ fn scc_fixpoint(
     let mut u = Unifier::new();
     for &m in members {
         stats.dequeues += 1;
-        for &eid in graph.in_edges(m) {
+        for eid in graph.in_edges(m) {
             let e = graph.edge(eid);
             // A live member's in-component in-edges all come from live
             // members: CLEANUP takes a removed member's descendants too.
@@ -367,7 +367,7 @@ fn cleanup(
     while let Some(v) = stack.pop() {
         removed.push(v);
         stats.cleanups += 1;
-        for &eid in graph.out_edges(v) {
+        for eid in graph.out_edges(v) {
             let w = graph.edge(eid).to;
             if alive.remove(&w) {
                 stack.push(w);
@@ -429,7 +429,7 @@ mod tests {
             // Moved out for the fan-out: the graph has no self-edges, so
             // no child lookup hits the vacated entry.
             let parent_unifier = unifiers.remove(&parent).expect("live members are seeded");
-            for &eid in graph.out_edges(parent) {
+            for eid in graph.out_edges(parent) {
                 let child = graph.edge(eid).to;
                 if !alive.contains(&child) {
                     continue;
@@ -461,7 +461,7 @@ mod tests {
         live.iter()
             .map(|&m| {
                 let mut seed = Unifier::new();
-                for &eid in graph.in_edges(m) {
+                for eid in graph.in_edges(m) {
                     let e = graph.edge(eid);
                     if alive.contains(&e.from) {
                         unify_edge(graph, e, &mut seed, &mut stats)

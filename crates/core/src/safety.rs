@@ -60,7 +60,7 @@ pub fn enforce_members(graph: &MatchGraph, members: &[u32]) -> Vec<u32> {
         }
         per_pc.clear();
         per_pc.resize(pc_count, 0);
-        for &eid in graph.in_edges(slot) {
+        for eid in graph.in_edges(slot) {
             let e = graph.edge(eid);
             if live.contains(&e.from) {
                 per_pc[e.pc_idx as usize] += 1;

@@ -16,7 +16,7 @@
 //! ([`crate::matching::ComponentMatch::sets`]), so an evaluated
 //! component costs one Tarjan.
 
-use crate::graph::MatchGraph;
+use crate::graph::{EdgeIds, MatchGraph};
 use eq_ir::{FastMap, QueryId};
 
 /// A UCS violation: an edge whose endpoints fall into different strongly
@@ -57,7 +57,7 @@ pub fn violations(graph: &MatchGraph, alive: &[bool]) -> Vec<UcsViolation> {
     let scc = scc_ids_members(graph, &members);
     let mut out = Vec::new();
     for &m in &members {
-        for &eid in graph.out_edges(m) {
+        for eid in graph.out_edges(m) {
             let e = graph.edge(eid);
             let (Some(from_scc), Some(to_scc)) = (scc.get(&e.from), scc.get(&e.to)) else {
                 continue;
@@ -135,20 +135,20 @@ impl Tarjan<'_> {
     /// giant-cluster workloads don't overflow the call stack and state
     /// stays proportional to the member set.
     fn strongconnect(&mut self, root: usize) {
-        // Each frame: (local node, next out-edge cursor).
-        let mut frames: Vec<(usize, usize)> = vec![(root, 0)];
+        // Each frame: (local node, its out-edges still to visit).
+        let graph = self.graph;
+        let mut frames: Vec<(usize, EdgeIds<'_>)> =
+            vec![(root, graph.out_edges(self.members[root]))];
         self.index[root] = Some(self.next_index);
         self.low[root] = self.next_index;
         self.next_index += 1;
         self.stack.push(root);
         self.on_stack[root] = true;
 
-        while let Some(&mut (v, ref mut cursor)) = frames.last_mut() {
-            let out = self.graph.out_edges(self.members[v]);
-            if *cursor < out.len() {
-                let eid = out[*cursor];
-                *cursor += 1;
-                let to_slot = self.graph.edge(eid).to;
+        while let Some((v, out)) = frames.last_mut() {
+            let v = *v;
+            if let Some(eid) = out.next() {
+                let to_slot = graph.edge(eid).to;
                 let Some(&w) = self.local.get(&to_slot) else {
                     continue; // edge leaves the member set
                 };
@@ -160,7 +160,7 @@ impl Tarjan<'_> {
                         self.next_index += 1;
                         self.stack.push(w);
                         self.on_stack[w] = true;
-                        frames.push((w, 0));
+                        frames.push((w, graph.out_edges(self.members[w])));
                     }
                     Some(widx) => {
                         if self.on_stack[w] {

@@ -171,8 +171,8 @@ fn layout(graph: &MatchGraph) -> Layout {
     let lists = (0..graph.len() as u32)
         .map(|slot| {
             (
-                graph.out_edges(slot).to_vec(),
-                graph.in_edges(slot).to_vec(),
+                graph.out_edges(slot).collect::<Vec<_>>(),
+                graph.in_edges(slot).collect::<Vec<_>>(),
             )
         })
         .collect();
@@ -200,7 +200,7 @@ proptest! {
             }
             let pc_count = graph.queries()[slot as usize].pc_count();
             let mut per_pc = vec![0usize; pc_count];
-            for &eid in graph.in_edges(slot) {
+            for eid in graph.in_edges(slot) {
                 let e = graph.edge(eid);
                 if alive[e.from as usize] {
                     per_pc[e.pc_idx as usize] += 1;
@@ -258,7 +258,7 @@ proptest! {
             for &s in &m.survivors {
                 let pc_count = graph.queries()[s as usize].pc_count();
                 let mut satisfied = vec![false; pc_count];
-                for &eid in graph.in_edges(s) {
+                for eid in graph.in_edges(s) {
                     let e = graph.edge(eid);
                     if surviving.contains(&e.from) {
                         satisfied[e.pc_idx as usize] = true;

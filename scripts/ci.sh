@@ -111,14 +111,22 @@ echo "== 11/14 differential and equivalence proptests (unifier vs reference orac
 # each coordinating set's `CombinedQuery::evaluate` — shared-chain
 # rings included, which the engine splits into regions whatever their
 # size (the flush that closes the ring must report a split unit), so
-# the property covers the region walk's answer choice too.
+# the property covers the region walk's answer choice too. The pending
+# pool's bookkeeping is intrusive (member rings through the slot table,
+# edge rings through the edge slab, a dirty flag per component), so one
+# property runs random links, unlinks, dirty takes and migration-style
+# extractions against a model: every component's member ring is its
+# BFS piece (a union of pieces while a split is pending), each slot's
+# `comp` agrees with the rings, and each slot's out- and in-edges stay
+# in link order.
 cargo test -q --offline -p eq_core --lib matching
 for named in "eq_unify --lib differential::unifier_equals_reference_oracle" \
     "eq_core --lib intra::tests::streaming_equals_materialized_region_evaluation" \
     "eq_core --test=intra_proptest engine_equals_combined_query_on_giant_rings" \
     "eq_core --test=service_proptest submit_batch_is_equivalent_to_sequential_submits" \
     "eq_core --test=invariants_proptest one_edge_definition_for_build_pairwise_and_engine" \
-    "eq_core --test=shard_dispatch_proptest shard_counts_are_observationally_identical"; do
+    "eq_core --test=shard_dispatch_proptest shard_counts_are_observationally_identical" \
+    "eq_core --lib graph::tests::intrusive_lists_agree_with_bfs_and_link_order"; do
     read -r package target name <<<"$named"
     out=$(cargo test -q --offline -p "$package" "$target" -- --exact "$name" 2>&1) || {
         echo "$out"
@@ -209,8 +217,15 @@ echo "== 14/14 benchmark package: unit tests + a short run of all five workloads
 # when recovery decoded rows straight into each table's slab, and
 # pairs_incremental from 183.9 MB when a pending query stopped holding
 # a per-query outcome channel. Each workload's five runs lay within
-# 1.2 MB of each other.
-declare -A rss_ceiling_mb=([pairs_incremental]=113.6 [churn_sharded]=243.4 [giant_shared]=54.0
+# 1.2 MB of each other. Measured again once the pending pool's
+# bookkeeping became slot-indexed (index cells linked into posting
+# rings, edge and member rings through the slabs, one id map): five
+# 2 s runs each, alternated with five of the parent, on the same box.
+# pairs_incremental read 99.4 MB (99.4-99.9; the parent 103.2,
+# 102.7-104.3) and giant_shared 45.8 MB at seed 2011 (45.8-45.9; the
+# parent 49.3) and 45.8 MB at seed 7 (45.7-45.9; the parent 50.7), so
+# their ceilings are 109.3 MB (was 113.6) and 50.4 MB (was 54.0).
+declare -A rss_ceiling_mb=([pairs_incremental]=109.3 [churn_sharded]=243.4 [giant_shared]=50.4
     [cliques_paged]=97.7 [pairs_durable]=171.6)
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 for run in "pairs_incremental" "churn_sharded" "cliques_paged" "giant_shared" "giant_shared --seed 7" \
