@@ -1,7 +1,8 @@
 //@ path: crates/core/src/service.rs
 // Construction confined to the stage_outcomes/stage_flushed staging
-// choke point, plus the read-only accessors matching on variants; type
-// *mentions* and cfg(test) constructions never fire.
+// choke point (the read-only accessors that match on variants live
+// with the type, in events.rs); type *mentions* and cfg(test)
+// constructions never fire.
 
 pub struct Coordinator;
 
@@ -22,13 +23,8 @@ pub enum Event {
     Flushed(u64),
 }
 
-impl Event {
-    pub fn id(&self) -> Option<u64> {
-        match self {
-            Event::Answered { id } => Some(*id),
-            Event::Flushed(_) => None,
-        }
-    }
+pub fn forward(event: Event) -> Option<Event> {
+    Some(event)
 }
 
 #[cfg(test)]
@@ -37,6 +33,6 @@ mod tests {
 
     #[test]
     fn tests_may_build_events() {
-        assert_eq!(Event::Answered { id: 9 }.id(), Some(9));
+        assert!(forward(Event::Answered { id: 9 }).is_some());
     }
 }

@@ -1,7 +1,7 @@
 //@ path: crates/core/src/service.rs
 // The out-of-lock discipline: inside a `.lock()` scope events are only
 // *staged* (enqueue); delivery (`broadcast`) happens after the guard's
-// scope has closed. `pump_now` is a distinct identifier and stays
+// scope has closed. `pump_stats` is a distinct identifier and stays
 // legal anywhere.
 
 pub struct Coordinator;
@@ -19,10 +19,10 @@ impl Coordinator {
     fn recover(&self) {
         let state = self.state.lock();
         state.replay();
-        self.pump_now();
+        self.pump_stats();
     }
 
     fn enqueue(&self, _event: u64) {}
     fn broadcast(&self, _event: u64) {}
-    fn pump_now(&self) {}
+    fn pump_stats(&self) {}
 }

@@ -1,5 +1,5 @@
 //! The rule engine: a structural pass over the lexed token stream
-//! (`cfg(test)` regions, enclosing-function tracking) plus the ten
+//! (`cfg(test)` regions, enclosing-function tracking) plus the eleven
 //! concurrency- and IO-discipline rules, each with an explicit per-rule
 //! allowlist. The rules are documented for humans in
 //! `docs/ARCHITECTURE.md` ("Invariants & analysis"); this module is the
@@ -89,9 +89,9 @@ pub const RULES: &[Rule] = &[
         allow: &[
             "crates/core/src/service.rs::stage_outcomes",
             "crates/core/src/service.rs::stage_flushed",
-            "crates/core/src/service.rs::id",
-            "crates/core/src/service.rs::tag",
-            "crates/core/src/service.rs::is_terminal",
+            "crates/core/src/events.rs::id",
+            "crates/core/src/events.rs::tag",
+            "crates/core/src/events.rs::is_terminal",
         ],
     },
     Rule {
@@ -100,6 +100,15 @@ pub const RULES: &[Rule] = &[
                   scope that holds a service mutex guard (.lock()) — events \
                   are staged under the lock and delivered only after it is \
                   released (crate::dispatch)",
+        allow: &[],
+    },
+    Rule {
+        name: "sans-io-shard",
+        summary: "the shard state machine and the router (shard.rs, router.rs) \
+                  name no Mutex, RwLock, Instant::now, thread, channel, \
+                  Dispatcher or DurabilitySink outside cfg(test) — the \
+                  service shell owns the locks, the clock, dispatch and the \
+                  sink, and passes the time in",
         allow: &[],
     },
     Rule {
@@ -143,6 +152,11 @@ const UNIFIER_CLONE_FILES: &[&str] = &[
 /// take service-side mutexes and sit next to the event plumbing.
 const PUBLISH_UNDER_LOCK_FILES: &[&str] =
     &["crates/core/src/service.rs", "crates/core/src/durable.rs"];
+
+/// Files `sans-io-shard` applies to (suffix match): the per-shard state
+/// machine and the connectivity router, which the service's lock shell
+/// drives.
+const SANS_IO_FILES: &[&str] = &["crates/core/src/shard.rs", "crates/core/src/router.rs"];
 
 const RECURSION_FILES: &[&str] = &[
     "crates/db/src/eval.rs",
@@ -323,6 +337,7 @@ pub fn check_source(path: &str, src: &str) -> Vec<Violation> {
     scan_unifier_clone(path, &a, &mut out);
     scan_event_construction(path, &a, &mut out);
     scan_publish_under_lock(path, &a, &mut out);
+    scan_sans_io(path, &a, &mut out);
     scan_io(path, &a, &mut out);
     scan_forbid_unsafe(path, &a, &mut out);
 
@@ -622,6 +637,55 @@ fn scan_publish_under_lock(path: &str, a: &Analysis, out: &mut Vec<Violation>) {
     }
 }
 
+/// A lock, thread, channel, dispatcher or sink type named, or the clock
+/// read (`Instant::now`), outside cfg(test) in [`SANS_IO_FILES`]. Names
+/// are matched as whole identifiers, so `now: Instant` parameters and
+/// comments stay legal.
+fn scan_sans_io(path: &str, a: &Analysis, out: &mut Vec<Violation>) {
+    let r = rule("sans-io-shard");
+    if !SANS_IO_FILES.iter().any(|f| path_matches(path, f)) || allowed(r, path, None) {
+        return;
+    }
+    for i in 0..a.tokens.len() {
+        if a.in_test[i] {
+            continue;
+        }
+        let Some(name) = ident_at(a, i) else { continue };
+        let banned = matches!(
+            name,
+            "Mutex"
+                | "MutexGuard"
+                | "RwLock"
+                | "RwLockReadGuard"
+                | "RwLockWriteGuard"
+                | "Condvar"
+                | "thread"
+                | "mpsc"
+                | "channel"
+                | "sync_channel"
+                | "Dispatcher"
+                | "DurabilitySink"
+        );
+        let clock = name == "Instant"
+            && symbol_at(a, i + 1, ':')
+            && symbol_at(a, i + 2, ':')
+            && ident_at(a, i + 3) == Some("now");
+        if banned || clock {
+            let what = if clock { "Instant::now" } else { name };
+            out.push(Violation {
+                rule: r.name,
+                path: path.to_owned(),
+                line: a.tokens[i].line,
+                message: format!(
+                    "`{what}` in the sans-IO shard layer — take `now` as a \
+                     parameter and return effects; the service shell owns \
+                     locks, the clock, dispatch and the sink"
+                ),
+            });
+        }
+    }
+}
+
 /// The token paths `std::fs` and `io::Write` (which also catches
 /// `std::io::Write`) outside cfg(test) — file IO is confined to the
 /// audited choke points so durability guarantees (fsync discipline,
@@ -779,6 +843,19 @@ mod tests {
         let v = check_source("crates/core/src/service.rs", bad);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "event-choke-point");
+        // The accessors match on variants beside the type itself.
+        let accessor = "
+            impl Event {
+                pub fn id(&self) -> Option<u64> {
+                    match self { Event::Answered { id } => Some(*id), _ => None }
+                }
+            }
+        ";
+        assert!(check_source("crates/core/src/events.rs", accessor).is_empty());
+        assert_eq!(
+            check_source("crates/core/src/service.rs", accessor).len(),
+            1
+        );
     }
 
     #[test]
@@ -810,17 +887,42 @@ mod tests {
             }
         ";
         assert!(check_source("crates/core/src/service.rs", good).is_empty());
-        // Out-of-scope files and cfg(test) regions are exempt; `pump_now`
-        // is a different identifier than the banned `pump`.
+        // Out-of-scope files and cfg(test) regions are exempt;
+        // `pump_stats` is a different identifier than the banned `pump`.
         assert!(check_source("crates/core/src/engine.rs", bad).is_empty());
-        let pump_now = "
+        let pump_stats = "
             fn recover(&self) {
                 let state = self.state.lock();
                 drop(state);
-                self.coordinator.pump_now();
+                self.coordinator.pump_stats();
             }
         ";
-        assert!(check_source("crates/core/src/durable.rs", pump_now).is_empty());
+        assert!(check_source("crates/core/src/durable.rs", pump_stats).is_empty());
+    }
+
+    #[test]
+    fn sans_io_shard_bans_locks_and_the_clock_but_not_instants() {
+        let good = "
+            use std::time::Instant;
+            pub struct Shard;
+            impl Shard {
+                pub fn flush(&mut self, now: Instant) {}
+            }
+            #[cfg(test)]
+            mod tests {
+                fn t() { let m = std::sync::Mutex::new(Instant::now()); }
+            }
+        ";
+        assert!(check_source("crates/core/src/shard.rs", good).is_empty());
+        let bad = "
+            pub struct Shard { m: parking_lot::Mutex<u64> }
+            fn tick() { let t = std::time::Instant::now(); }
+        ";
+        let v = check_source("crates/core/src/router.rs", bad);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v.iter().all(|v| v.rule == "sans-io-shard"));
+        // The shell is where locks and the clock live.
+        assert!(check_source("crates/core/src/service.rs", bad).is_empty());
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //! delivered by the incumbent, which rechecks the queue after
 //! releasing the role so no staged event is ever stranded.
 
-use crate::events::{bounded, EventSender, Events, OverflowPolicy};
-use crate::service::Event;
+use crate::events::{bounded, Event, EventSender, Events, OverflowPolicy};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};

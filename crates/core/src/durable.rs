@@ -115,7 +115,8 @@ use crate::engine::{
     EngineConfig, FailReason, NoSolutionPolicy, QueryHandle, QueryOutcome, RejectReason,
 };
 use crate::error::CoordinationError;
-use crate::service::{Coordinator, DurabilitySink, StagedSubmits, SubmitRequest};
+use crate::service::{Coordinator, DurabilitySink, SubmitRequest};
+use crate::shard::StagedSubmits;
 use eq_db::{Database, DbError, Tuple};
 use eq_ir::{
     Atom, CmpOp, Constraint, EntangledQuery, FastMap, QueryId, Symbol, Term, Terms, Value, Var,
@@ -866,7 +867,9 @@ fn create_table(db: &mut Database, table: Symbol, columns: &[Symbol]) -> Result<
 /// checkpoint) proves — which acknowledged submissions are still
 /// pending and which outcomes have been recorded, each as its encoded
 /// body. Innermost lock: always acquired after (never around) the
-/// service shard locks, the database lock and the sink lock.
+/// service shard locks and the database lock. It is also the sink's
+/// only lock: the service holds its sink unlocked, and every shard
+/// records through this one.
 struct DurableState {
     wal: WriteAheadLog,
     /// Sequence number the next committed record will carry. Commits
@@ -949,7 +952,7 @@ struct WalSink {
 
 impl DurabilitySink for WalSink {
     fn stage_submit(
-        &mut self,
+        &self,
         staged: &mut StagedSubmits,
         query: &EntangledQuery,
         tag: Option<&str>,
@@ -965,7 +968,7 @@ impl DurabilitySink for WalSink {
     }
 
     fn commit_submits(
-        &mut self,
+        &self,
         staged: &StagedSubmits,
         admitted: &mut dyn Iterator<Item = Option<QueryId>>,
     ) {
@@ -987,7 +990,7 @@ impl DurabilitySink for WalSink {
         });
     }
 
-    fn commit_outcomes(&mut self, outcomes: &[(QueryId, QueryOutcome)]) {
+    fn commit_outcomes(&self, outcomes: &[(QueryId, QueryOutcome)]) {
         self.state.lock().commit_assembled(|state, records| {
             let mut body = Vec::new();
             for (id, outcome) in outcomes {
@@ -1006,7 +1009,7 @@ impl DurabilitySink for WalSink {
         });
     }
 
-    fn stage_load(&mut self, record: &mut Vec<u8>, table: &str, rows: &[Tuple]) {
+    fn stage_load(&self, record: &mut Vec<u8>, table: &str, rows: &[Tuple]) {
         let mut state = self.state.lock();
         Enc {
             out: record,
@@ -1015,7 +1018,7 @@ impl DurabilitySink for WalSink {
         .load(Symbol::new(table), rows);
     }
 
-    fn commit_load(&mut self, record: &[u8]) {
+    fn commit_load(&self, record: &[u8]) {
         self.state.lock().commit(record, 1);
     }
 }
@@ -1096,7 +1099,6 @@ impl DurableCoordinator {
         for (id, body) in ascending(&pending) {
             replay.push(decode_submit(id, body, &dict)?);
         }
-        let coordinator = Coordinator::new(db, config);
         let state = Arc::new(Mutex::new(DurableState {
             wal,
             next_seqno,
@@ -1106,18 +1108,17 @@ impl DurableCoordinator {
             pending,
             outcomes,
         }));
-        coordinator.install_sink(Box::new(WalSink {
+        let sink = WalSink {
             state: Arc::clone(&state),
-        }));
+        };
+        let coordinator = Coordinator::with_sink(db, config, Some(Box::new(sink)));
 
         // Re-admit the pending set in one call, ascending id, each under
         // its recorded id: re-linked without re-judging (module docs).
+        // Outcomes of recovery-time coordination (incremental mode) are
+        // new history, recorded after every submission they depend on.
         coordinator.recover(replay)?;
         coordinator.set_id_watermark(next_query_id);
-        // Outcomes produced by recovery-time coordination (incremental
-        // mode) are new history: record and broadcast them now, after
-        // every submission record they depend on.
-        coordinator.pump_now();
 
         Ok(DurableCoordinator {
             coordinator,
@@ -1355,10 +1356,9 @@ mod tests {
             };
 
             let dc = DurableCoordinator::open(&dir, config.clone()).unwrap();
-            // One lock for re-admitting the whole pending set, one for
-            // the pump — not one per query. (Installing the sink takes
-            // no shard lock.)
-            assert_eq!(dc.coordinator().lock_stats().acquisitions, 2);
+            // One lock for re-admitting the whole pending set and
+            // staging what that re-admission retired — not one per query.
+            assert_eq!(dc.coordinator().lock_stats().acquisitions, 1);
             // Outcomes restored exactly; the unmatched query is pending
             // again under its original id, tag intact.
             for &id in &answered_ids {

@@ -42,10 +42,89 @@
 //! [`crate::Coordinator::subscribe_with`] spells out what a stalled
 //! subscriber can and cannot hold up.
 
-use crate::service::Event;
+use crate::combine::QueryAnswer;
+use crate::engine::{BatchReport, RejectReason};
+use eq_ir::QueryId;
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
+
+/// A coordination event, pushed to every subscriber
+/// ([`crate::Coordinator::subscribe`]).
+///
+/// Query events carry the submission's tag (if any); every submitted
+/// query produces **exactly one** terminal event — `Answered`,
+/// `Failed`, `Expired`, or `Cancelled` — property-tested against the
+/// engine's final [`crate::QueryStatus`] under churn.
+#[derive(Clone, Debug)]
+pub enum Event {
+    /// The query coordinated; the answer is attached.
+    Answered {
+        /// The answered query.
+        id: QueryId,
+        /// Its submission tag.
+        tag: Option<String>,
+        /// The coordinated answer.
+        answer: QueryAnswer,
+    },
+    /// The query was rejected during a coordination round.
+    Failed {
+        /// The rejected query.
+        id: QueryId,
+        /// Its submission tag.
+        tag: Option<String>,
+        /// Why it was rejected.
+        reason: RejectReason,
+    },
+    /// The query exceeded its deadline or staleness bound.
+    Expired {
+        /// The expired query.
+        id: QueryId,
+        /// Its submission tag.
+        tag: Option<String>,
+    },
+    /// The query was withdrawn (explicit cancel, or its session
+    /// closed).
+    Cancelled {
+        /// The withdrawn query.
+        id: QueryId,
+        /// Its submission tag.
+        tag: Option<String>,
+    },
+    /// A flush completed; the report summarizes the round. Boxed, so
+    /// the other events do not carry a report's worth of bytes.
+    Flushed(Box<BatchReport>),
+}
+
+impl Event {
+    /// The query this event concerns (`None` for [`Event::Flushed`]).
+    pub fn id(&self) -> Option<QueryId> {
+        match self {
+            Event::Answered { id, .. }
+            | Event::Failed { id, .. }
+            | Event::Expired { id, .. }
+            | Event::Cancelled { id, .. } => Some(*id),
+            Event::Flushed(_) => None,
+        }
+    }
+
+    /// The submission tag, if the event concerns a tagged query.
+    pub fn tag(&self) -> Option<&str> {
+        match self {
+            Event::Answered { tag, .. }
+            | Event::Failed { tag, .. }
+            | Event::Expired { tag, .. }
+            | Event::Cancelled { tag, .. } => tag.as_deref(),
+            Event::Flushed(_) => None,
+        }
+    }
+
+    /// True for a query's terminal event (everything except
+    /// [`Event::Flushed`]).
+    pub fn is_terminal(&self) -> bool {
+        !matches!(self, Event::Flushed(_))
+    }
+}
 
 /// What a bounded subscriber queue does when a published event finds it
 /// full. See the module docs for the loss-accounting guarantees.

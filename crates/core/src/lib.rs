@@ -69,8 +69,10 @@ pub mod graph;
 pub mod index;
 pub mod intra;
 pub mod matching;
+mod router;
 pub mod safety;
 pub mod service;
+mod shard;
 pub mod ucs;
 
 pub use combine::{CombinedQuery, QueryAnswer};
@@ -81,9 +83,9 @@ pub use engine::{
     QueryHandle, QueryOutcome, QueryStatus, RejectReason, SubmitError, SubmitOptions,
 };
 pub use error::{CoordinationError, InvariantViolation};
-pub use events::{Events, OverflowPolicy, SubscriberStats};
+pub use events::{Event, Events, OverflowPolicy, SubscriberStats};
 pub use graph::{Edge, MatchGraph};
 pub use index::{AtomIndex, AtomRef};
 pub use intra::{ComponentPlan, WorkUnit};
-pub use service::{Coordinator, Event, LockStats, Session, SubmitRequest, DEFAULT_EVENT_CAPACITY};
+pub use service::{Coordinator, LockStats, Session, SubmitRequest, DEFAULT_EVENT_CAPACITY};
 pub use ucs::UcsViolation;

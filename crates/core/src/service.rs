@@ -1,54 +1,40 @@
-//! The `Coordinator` service facade: the paper's D3C middleware as a
-//! long-running *service* API (§5.1) rather than a single-owner
-//! `&mut` engine.
+//! The `Coordinator` service: the paper's D3C middleware (§5.1) as a
+//! long-running service API rather than a single-owner `&mut` engine.
 //!
 //! A [`Coordinator`] is a clonable handle around a **sharded** pool of
-//! internally synchronized [`CoordinationEngine`]s; clones share the
-//! service, so an application can submit from one place, flush from
-//! another, and observe outcomes from a third. On top of the raw
-//! engine it adds:
+//! [`CoordinationEngine`]s; clones share the service, so an
+//! application can submit from one place, flush from another, and
+//! observe outcomes from a third. On top of the raw engine it adds:
 //!
-//! * **[`Session`]s** — each session owns the queries submitted through
-//!   it and withdraws the still-pending ones when it is closed or
-//!   dropped, giving connection-scoped cleanup for free (the paper's
-//!   queries live inside client transactions; a dropped connection must
-//!   not leak pending residents);
-//! * **[`SubmitRequest`]** — a per-query builder (`deadline`,
-//!   `staleness`, `on_no_solution`, `tag`) replacing engine-wide
-//!   configuration knobs for per-query concerns, plus
-//!   [`Session::submit_batch`], which admits a run of queries under one
-//!   shard lock ([`CoordinationEngine::submit_batch`]) — a single
-//!   submit is a batch of one;
-//! * **[`Event`] subscriptions** — terminal outcomes and flush reports
-//!   are *pushed* over **bounded** per-subscriber queues
-//!   ([`Coordinator::subscribe`], [`Coordinator::subscribe_with`]) with
-//!   an explicit [`OverflowPolicy`] (block / drop-oldest / disconnect —
-//!   see [`crate::events`]). Delivery is **out-of-lock**: events are
-//!   staged on an ordered dispatch queue inside the shard critical
-//!   section that produced them and fanned out only after every
-//!   service lock is released (`crate::dispatch`), so a slow
-//!   subscriber can stall at most the dispatching thread, never
-//!   admission;
-//! * **service sharding** — with [`EngineConfig::service_shards`] > 1,
-//!   pending queries are partitioned by `(relation, arity)`
-//!   connectivity across independently locked engine shards (see
-//!   `Router` below); a submission touching only one connectivity group
-//!   contends only on that group's shard lock, and the rare query
-//!   bridging two groups takes a rendezvous path that merges them;
-//! * **typed errors** — every operation reports
-//!   [`CoordinationError`], the unified hierarchy of
-//!   [`crate::error`];
-//! * **the cadence** — an engine only admits until it is flushed, so
-//!   *when* a shard evaluates is decided here, once, from
-//!   [`EngineConfig::mode`]: an incremental service flushes a shard at
-//!   the end of every admission call and of recovery's re-admission
-//!   (under the same lock, before the call's outcomes are staged), a
-//!   set-at-a-time service only on [`Coordinator::flush`]. The reports
-//!   of admission-time evaluations are kept per shard and folded into
-//!   the next flush's report.
+//! * **[`Session`]s**, which withdraw their still-pending queries when
+//!   closed or dropped (the paper's queries live inside client
+//!   transactions; a dropped connection must not leak residents);
+//! * **[`SubmitRequest`]**, a per-query builder (`deadline`,
+//!   `staleness`, `on_no_solution`, `tag`), and
+//!   [`Session::submit_batch`] — a single submit is a batch of one;
+//! * **[`Event`] subscriptions** over bounded per-subscriber queues with
+//!   an explicit [`OverflowPolicy`] ([`crate::events`]). Events are
+//!   staged inside the shard critical section that produced them and
+//!   fanned out only after every service lock is released
+//!   (`crate::dispatch`), so a slow subscriber can stall at most the
+//!   dispatching thread, never admission;
+//! * **service sharding** ([`EngineConfig::service_shards`]): queries
+//!   are partitioned by `(relation, arity)` connectivity
+//!   (`crate::router`) across independently locked shards, and a query
+//!   bridging two groups takes a rendezvous that merges them;
+//! * **typed errors** ([`CoordinationError`]).
 //!
-//! One-shot coordination (`coordinate()`) drives a bare engine for one
-//! round.
+//! This file is the **lock shell**. What one shard does — admission,
+//! the cadence, migration, recovery, the flush and its report — is
+//! `crate::shard`'s `Shard`, a state machine that holds no lock and
+//! reads no clock. The shell keeps one `Mutex<Shard>` per shard, the
+//! router behind a read-write lock, the durability sink (fixed when the
+//! service is built) and the dispatcher. Each public call reads the
+//! clock at most once, before any shard lock, and passes that instant
+//! to every shard it touches. Under a shard lock it applies effects in
+//! one order — encode the submission records, admit, commit their
+//! frame, then record and stage the drained outcomes — so log order is
+//! acknowledgment order.
 //!
 //! # Example: a session, a subscriber, a flush
 //!
@@ -93,23 +79,24 @@
 //! assert!(matches!(*drained[2], Event::Flushed(_)));
 //! ```
 
-use crate::combine::QueryAnswer;
 use crate::dispatch::Dispatcher;
 use crate::engine::{
-    BatchReport, CoordinationEngine, EngineConfig, EngineMode, FailReason, NoSolutionPolicy,
-    PendingQuery, QueryHandle, QueryOutcome, QueryStatus, RejectReason, SubmitError, SubmitOptions,
+    BatchReport, CoordinationEngine, EngineConfig, FailReason, NoSolutionPolicy, QueryHandle,
+    QueryOutcome, QueryStatus, SubmitError, SubmitOptions,
 };
 use crate::error::CoordinationError;
+use crate::router::Router;
+use crate::shard::{merge_reports, rendezvous, Shard, StagedSubmits};
 use eq_db::{Database, Tuple};
-use eq_ir::{Atom, EntangledQuery, FastMap, QueryId};
-use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use eq_ir::{EntangledQuery, QueryId};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
 pub use parking_lot::LockStats;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-pub use crate::events::{Events, OverflowPolicy, SubscriberStats};
+pub use crate::events::{Event, Events, OverflowPolicy, SubscriberStats};
 
 /// Queue capacity used by [`Coordinator::subscribe`] (the
 /// [`OverflowPolicy::Block`] default): deep enough that a subscriber
@@ -117,12 +104,9 @@ pub use crate::events::{Events, OverflowPolicy, SubscriberStats};
 /// enough to bound memory under a 100k-query sweep.
 pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
-/// One query submission, built fluently.
-///
-/// Replaces the per-query knobs that used to hide in [`EngineConfig`]:
-/// a deadline or staleness bound applies to *this* query, a no-solution
-/// policy applies to *this* query's component outcomes, and a tag
-/// travels to the [`Event`]s the query produces.
+/// One query submission, built fluently: a deadline or staleness bound,
+/// a no-solution policy and a tag that travels to the query's
+/// [`Event`]s, all for *this* query.
 ///
 /// ```
 /// use eq_core::{Coordinator, EngineConfig, NoSolutionPolicy, QueryStatus, SubmitRequest};
@@ -175,9 +159,8 @@ impl SubmitRequest {
 
     /// Relative staleness bound: fail the query as expired if it is
     /// still pending `bound` after submission — the paper's "stale
-    /// query … considered to have failed" (§5.1); an engine-wide bound
-    /// is this, set on every request. A bound too large for the clock
-    /// to represent (`Duration::MAX`) never expires.
+    /// query … considered to have failed" (§5.1). A bound too large for
+    /// the clock to represent (`Duration::MAX`) never expires.
     pub fn staleness(mut self, bound: Duration) -> Self {
         self.staleness = Some(bound);
         self
@@ -197,7 +180,7 @@ impl SubmitRequest {
         self
     }
 
-    fn to_options(&self, now: Instant) -> SubmitOptions {
+    pub(crate) fn to_options(&self, now: Instant) -> SubmitOptions {
         SubmitOptions {
             deadline: self
                 .deadline
@@ -213,100 +196,21 @@ impl From<EntangledQuery> for SubmitRequest {
     }
 }
 
-/// A coordination event, pushed to every subscriber
-/// ([`Coordinator::subscribe`]).
-///
-/// Query events carry the submission's tag (if any); every submitted
-/// query produces **exactly one** terminal event — `Answered`,
-/// `Failed`, `Expired`, or `Cancelled` — property-tested against the
-/// engine's final [`QueryStatus`] under churn.
-#[derive(Clone, Debug)]
-pub enum Event {
-    /// The query coordinated; the answer is attached.
-    Answered {
-        /// The answered query.
-        id: QueryId,
-        /// Its submission tag.
-        tag: Option<String>,
-        /// The coordinated answer.
-        answer: QueryAnswer,
-    },
-    /// The query was rejected during a coordination round.
-    Failed {
-        /// The rejected query.
-        id: QueryId,
-        /// Its submission tag.
-        tag: Option<String>,
-        /// Why it was rejected.
-        reason: RejectReason,
-    },
-    /// The query exceeded its deadline or staleness bound.
-    Expired {
-        /// The expired query.
-        id: QueryId,
-        /// Its submission tag.
-        tag: Option<String>,
-    },
-    /// The query was withdrawn (explicit cancel, or its session
-    /// closed).
-    Cancelled {
-        /// The withdrawn query.
-        id: QueryId,
-        /// Its submission tag.
-        tag: Option<String>,
-    },
-    /// A flush completed; the report summarizes the round. Boxed, so
-    /// the other events do not carry a report's worth of bytes.
-    Flushed(Box<BatchReport>),
-}
-
-impl Event {
-    /// The query this event concerns (`None` for [`Event::Flushed`]).
-    pub fn id(&self) -> Option<QueryId> {
-        match self {
-            Event::Answered { id, .. }
-            | Event::Failed { id, .. }
-            | Event::Expired { id, .. }
-            | Event::Cancelled { id, .. } => Some(*id),
-            Event::Flushed(_) => None,
-        }
-    }
-
-    /// The submission tag, if the event concerns a tagged query.
-    pub fn tag(&self) -> Option<&str> {
-        match self {
-            Event::Answered { tag, .. }
-            | Event::Failed { tag, .. }
-            | Event::Expired { tag, .. }
-            | Event::Cancelled { tag, .. } => tag.as_deref(),
-            Event::Flushed(_) => None,
-        }
-    }
-
-    /// True for a query's terminal event (everything except
-    /// [`Event::Flushed`]).
-    pub fn is_terminal(&self) -> bool {
-        !matches!(self, Event::Flushed(_))
-    }
-}
-
-/// The durability hook: a write-ahead recorder consulted inside the
-/// owning critical section at the points that define the
-/// crash-recovery contract — after a batch of submissions is admitted
-/// (before any handle is released to the caller), when terminal
-/// outcomes are drained (before the first of their events is staged
-/// for dispatch), and after a bulk load (before the database lock is
-/// released). Each call is *encode into a buffer, commit once*: one
-/// log frame per service call. `eq_core::durable` installs a
-/// WAL-backed implementation; the trait stays crate-private so the
-/// recording points cannot be bypassed or reordered from outside.
-pub(crate) trait DurabilitySink: Send {
-    /// Encodes one submission about to be offered to the engine, from
-    /// a borrow (the engine consumes the query). Deadlines are
-    /// deliberately not recorded — wall-clock instants don't survive a
-    /// restart; a recovered query re-enters the pool deadline-free.
+/// The durability hook, fixed when the service is built and consulted
+/// inside the producing critical section: after a batch is admitted
+/// (before any handle is returned), when outcomes are drained (before
+/// the first of their events is staged), and after a bulk load (before
+/// the database lock is released). Each call is *encode into a buffer,
+/// commit once*: one log frame per service call. Shards record
+/// concurrently, so an implementation serializes its own commits.
+/// `eq_core::durable` supplies the WAL-backed one; the trait stays
+/// crate-private so the recording points cannot be bypassed.
+pub(crate) trait DurabilitySink: Send + Sync {
+    /// Encodes one submission from a borrow (the engine consumes the
+    /// query). Deadlines are not recorded: a recovered query re-enters
+    /// the pool deadline-free.
     fn stage_submit(
-        &mut self,
+        &self,
         staged: &mut StagedSubmits,
         query: &EntangledQuery,
         tag: Option<&str>,
@@ -316,263 +220,40 @@ pub(crate) trait DurabilitySink: Send {
     /// yields, in staging order, the id each one drew or `None` for a
     /// refused one, whose bytes are discarded.
     fn commit_submits(
-        &mut self,
+        &self,
         staged: &StagedSubmits,
         admitted: &mut dyn Iterator<Item = Option<QueryId>>,
     );
-    /// Commits terminal outcomes drained from the engine's outcome log
-    /// and not yet staged for broadcast.
-    fn commit_outcomes(&mut self, outcomes: &[(QueryId, QueryOutcome)]);
+    /// Commits a drain's terminal outcomes, before any is staged.
+    fn commit_outcomes(&self, outcomes: &[(QueryId, QueryOutcome)]);
     /// Encodes a bulk load into `record`, from a borrow of the rows.
-    fn stage_load(&mut self, record: &mut Vec<u8>, table: &str, rows: &[Tuple]);
+    fn stage_load(&self, record: &mut Vec<u8>, table: &str, rows: &[Tuple]);
     /// Commits a staged load that succeeded.
-    fn commit_load(&mut self, record: &[u8]);
-}
-
-/// Submission records encoded ahead of admission, back to back; the
-/// `i`-th ends at `ends[i]`. Owned by the shard, so the buffers are
-/// reused from batch to batch under the shard lock.
-#[derive(Default)]
-pub(crate) struct StagedSubmits {
-    pub(crate) bytes: Vec<u8>,
-    pub(crate) ends: Vec<usize>,
-}
-
-/// One engine shard: a slice of the pending pool behind its own lock.
-/// Queries are routed here by `(relation, arity)` connectivity (see
-/// [`Router`]), so every match-graph edge — and the Figure-9 admission
-/// safety check that polices edges — is shard-local by construction.
-struct ShardInner {
-    engine: CoordinationEngine,
-    tags: FastMap<QueryId, String>,
-    staged: StagedSubmits,
-    /// The evaluations run at admission since the last flush, folded
-    /// into one report (`pending` left 0) that the next
-    /// [`Coordinator::flush`] merges into its own.
-    unreported: BatchReport,
-}
-
-/// Sentinel shard for a union-find group that has not been placed yet.
-const UNASSIGNED: u32 = u32::MAX;
-
-/// Routes queries to engine shards by `(relation, arity)` connectivity.
-///
-/// Two entangled queries can share a match-graph edge only if a head
-/// of one unifies with a postcondition of the other — which requires
-/// the same relation symbol and arity. A union-find over the
-/// `(relation, arity)` keys of every admitted query's head and
-/// postcondition atoms therefore *over-approximates* match-graph
-/// connectivity: queries whose key sets ended up in different groups
-/// are provably edge-free, so homing each group on one shard keeps
-/// every possible edge — and the Figure-9 admission safety check that
-/// polices edges — shard-local. Over-merging (a query bridging groups
-/// that never actually coordinate) only costs parallelism, never
-/// correctness.
-///
-/// A submission whose keys all resolve to one placed group takes the
-/// read-locked fast path straight to that group's shard. Anything else
-/// — unknown keys, a group not yet placed, or keys spanning groups —
-/// takes the write path: groups merge, and if the merged group spans
-/// shards the rendezvous migrates every losing shard's members to the
-/// winner ([`Coordinator`]'s `route_and_migrate`).
-struct Router {
-    /// `(relation, arity)` key → union-find slot.
-    index: FastMap<u64, u32>,
-    parent: Vec<u32>,
-    /// Shard owning each group; valid at root slots, [`UNASSIGNED`]
-    /// until the group is first placed.
-    shard: Vec<u32>,
-    /// Key groups homed per shard (placement heuristic for new
-    /// groups).
-    load: Vec<u32>,
-}
-
-/// One write-path routing decision: the shard to admit on, the merged
-/// group's union-find root, and the shards whose members of that group
-/// must migrate to `shard`.
-struct Route {
-    shard: usize,
-    root: u32,
-    losers: Vec<usize>,
-}
-
-impl Router {
-    fn new(shards: usize) -> Self {
-        Router {
-            index: FastMap::default(),
-            parent: Vec::new(),
-            shard: Vec::new(),
-            load: vec![0; shards],
-        }
-    }
-
-    /// The routing key of one answer-relation atom. `Symbol` is
-    /// interned, so `(relation, arity)` packs collision-free into a
-    /// `u64` — atoms unify only when relation and arity agree, which
-    /// is exactly what makes the key a sound connectivity
-    /// over-approximation.
-    fn key(atom: &Atom) -> u64 {
-        ((atom.relation.index() as u64) << 32) | atom.terms.len() as u64
-    }
-
-    /// Sorted, deduplicated routing keys of a query's head and
-    /// postcondition atoms (body atoms name database relations and
-    /// never form match edges).
-    fn query_keys(query: &EntangledQuery) -> Vec<u64> {
-        let mut keys: Vec<u64> = query
-            .head
-            .iter()
-            .chain(query.postconditions.iter())
-            .map(Self::key)
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        keys
-    }
-
-    fn intern(&mut self, key: u64) -> u32 {
-        if let Some(&slot) = self.index.get(&key) {
-            return slot;
-        }
-        let slot = self.parent.len() as u32;
-        self.parent.push(slot);
-        self.shard.push(UNASSIGNED);
-        self.index.insert(key, slot);
-        slot
-    }
-
-    /// Non-compressing find, usable under a read guard (chains grow by
-    /// one hop per merge and merges are rare; the write path re-roots
-    /// directly).
-    fn find(&self, mut slot: u32) -> u32 {
-        while self.parent[slot as usize] != slot {
-            slot = self.parent[slot as usize];
-        }
-        slot
-    }
-
-    /// Root of the group owning `query`, if its keys are interned. All
-    /// of an admitted query's keys are in one group (an admission
-    /// invariant the write path maintains), so the first head atom's
-    /// key decides.
-    fn root_of(&self, query: &EntangledQuery) -> Option<u32> {
-        let key = Self::key(&query.head[0]);
-        self.index.get(&key).map(|&slot| self.find(slot))
-    }
-
-    /// Read-path resolution: the placed shard every key agrees on, or
-    /// `None` if any key is unknown, the keys span groups, or the
-    /// group is unplaced — all of which take the write path.
-    fn resolve(&self, keys: &[u64]) -> Option<usize> {
-        let mut root: Option<u32> = None;
-        for key in keys {
-            let slot = *self.index.get(key)?;
-            let r = self.find(slot);
-            match root {
-                None => root = Some(r),
-                Some(r0) if r0 == r => {}
-                Some(_) => return None,
-            }
-        }
-        let shard = self.shard[root? as usize];
-        (shard != UNASSIGNED).then_some(shard as usize)
-    }
-
-    /// Write-path routing: interns unknown keys, merges every group
-    /// the key set touches into one, places the merged group — on the
-    /// least-loaded shard if none was placed yet, else on the
-    /// least-loaded *involved* shard, ties to the lowest index (the
-    /// deterministic rendezvous winner; preferring the lowest index
-    /// unconditionally would pile every merged group onto shard 0) —
-    /// and names the shards that now owe a migration.
-    fn route(&mut self, keys: &[u64]) -> Route {
-        let slots: Vec<u32> = keys.iter().map(|&k| self.intern(k)).collect();
-        let mut roots: Vec<u32> = slots.iter().map(|&s| self.find(s)).collect();
-        roots.sort_unstable();
-        roots.dedup();
-        let mut involved: Vec<u32> = roots
-            .iter()
-            .map(|&r| self.shard[r as usize])
-            .filter(|&s| s != UNASSIGNED)
-            .collect();
-        involved.sort_unstable();
-        involved.dedup();
-        let target = if involved.is_empty() {
-            let mut best = 0usize;
-            for (s, &l) in self.load.iter().enumerate() {
-                if l < self.load[best] {
-                    best = s;
-                }
-            }
-            best as u32
-        } else {
-            *involved
-                .iter()
-                .min_by_key(|&&s| (self.load[s as usize], s))
-                .expect("non-empty involved set")
-        };
-        let winner_root = roots[0];
-        for &r in &roots {
-            let owner = self.shard[r as usize];
-            if owner != UNASSIGNED {
-                self.load[owner as usize] -= 1;
-            }
-            self.parent[r as usize] = winner_root;
-        }
-        self.shard[winner_root as usize] = target;
-        self.load[target as usize] += 1;
-        Route {
-            shard: target as usize,
-            root: winner_root,
-            losers: involved
-                .into_iter()
-                .filter(|&s| s != target)
-                .map(|s| s as usize)
-                .collect(),
-        }
-    }
+    fn commit_load(&self, record: &[u8]);
 }
 
 /// Everything the `Coordinator` clones share. Lock order (debug builds
 /// validate it through the instrumented `parking_lot` shim): `router`
-/// → shard locks in ascending index → database lock → `sink` →
-/// whatever the sink locks internally.
+/// → shard locks in ascending index → database lock → whatever the
+/// sink locks internally.
 struct ServiceShared {
-    shards: Vec<Mutex<ShardInner>>,
-    /// Connectivity router. Shard-local admission holds a read guard
-    /// across the shard operation; only group merges (and their
-    /// migrations) serialize on the write side.
+    shards: Vec<Mutex<Shard>>,
+    /// Admission holds a read guard across the shard operation; only
+    /// group merges and their migrations take the write side.
     router: RwLock<Router>,
     dispatcher: Dispatcher,
-    /// The database, shared by every engine shard.
     db: Arc<RwLock<Database>>,
-    /// Global id counter. Every shard draws from it and a submission
-    /// consumes an id only on successful admission, so the sequence is
-    /// identical to single-shard submission and recovery reads one
-    /// watermark.
+    /// Global id counter, drawn only on successful admission: the
+    /// sequence is that of one shard, and recovery reads one watermark.
     next_id: AtomicU64,
-    /// Durability recorder, behind its own (leaf) lock so the
-    /// recording points stay inside the producing shard's critical
-    /// section without a global service lock.
-    sink: Mutex<Option<Box<dyn DurabilitySink>>>,
-    /// Lock-free mirror of `sink.is_some()` — submission fast paths
-    /// consult it to decide whether to encode the query for logging.
-    has_sink: AtomicBool,
-    /// The cadence, read from [`EngineConfig::mode`] once: evaluate a
-    /// shard at the end of every admission call.
-    incremental: bool,
+    sink: Option<Box<dyn DurabilitySink>>,
 }
 
-/// A clonable handle to a running coordination service.
-///
-/// All clones share one pool of [`CoordinationEngine`] shards
-/// ([`EngineConfig::service_shards`]; one shard — the default — is the
-/// classic single-mutex service). Every method locks only the shard(s)
-/// an operation touches, and event fan-out happens *after* those locks
-/// are released (see `crate::dispatch`). Evaluation runs inside an
-/// engine, on the thread that holds its shard lock; the service owns
-/// the clock and the cadence, passing the one to the engine's deadline
-/// sweep and deciding with the other when the engine flushes.
+/// A clonable handle to a running coordination service: every clone
+/// shares one pool of engine shards ([`EngineConfig::service_shards`],
+/// one by default). A method locks only the shards it touches; event
+/// fan-out happens after those locks are released, and evaluation runs
+/// on the thread that holds a shard's lock.
 #[derive(Clone)]
 pub struct Coordinator {
     shared: Arc<ServiceShared>,
@@ -583,16 +264,23 @@ impl Coordinator {
     /// [`EngineConfig::service_shards`] engine shards (clamped to at
     /// least 1).
     pub fn new(db: Database, config: EngineConfig) -> Self {
+        Self::with_sink(db, config, None)
+    }
+
+    /// [`Coordinator::new`] with the durability recorder every
+    /// admission, drain and load commits to
+    /// ([`crate::durable::DurableCoordinator`]).
+    pub(crate) fn with_sink(
+        db: Database,
+        config: EngineConfig,
+        sink: Option<Box<dyn DurabilitySink>>,
+    ) -> Self {
         let shard_count = config.service_shards.max(1);
         let db = Arc::new(RwLock::new(db));
         let shards = (0..shard_count)
             .map(|_| {
-                Mutex::new(ShardInner {
-                    engine: CoordinationEngine::with_shared_db(Arc::clone(&db), config.clone()),
-                    tags: FastMap::default(),
-                    staged: StagedSubmits::default(),
-                    unreported: BatchReport::default(),
-                })
+                let engine = CoordinationEngine::with_shared_db(Arc::clone(&db), config.clone());
+                Mutex::new(Shard::new(engine, config.mode))
             })
             .collect();
         Coordinator {
@@ -602,9 +290,7 @@ impl Coordinator {
                 dispatcher: Dispatcher::new(),
                 db,
                 next_id: AtomicU64::new(1),
-                sink: Mutex::new(None),
-                has_sink: AtomicBool::new(false),
-                incremental: config.mode == EngineMode::Incremental,
+                sink,
             }),
         }
     }
@@ -620,39 +306,27 @@ impl Coordinator {
         }
     }
 
-    /// Subscribes to the service's [`Event`] stream, starting now
-    /// (outcomes that became terminal before the subscription are not
-    /// replayed: every locked call drains its shard's outcome log, and
-    /// events staged while nobody listens are dropped). The
-    /// subscription is a bounded queue of [`DEFAULT_EVENT_CAPACITY`]
-    /// events under [`OverflowPolicy::Block`]: a full queue applies
-    /// backpressure to the dispatcher instead of growing without bound.
+    /// Subscribes to the [`Event`] stream from now on (nothing is
+    /// replayed; events staged while nobody listens are dropped), as a
+    /// queue of [`DEFAULT_EVENT_CAPACITY`] events under
+    /// [`OverflowPolicy::Block`].
     ///
-    /// **Blocking contract:** events are dispatched *after* every
-    /// service lock is released, so a full `Block` queue suspends only
-    /// the thread that is currently draining the dispatch queue —
-    /// other sessions keep submitting, flushing, and cancelling, with
-    /// their events staged for whenever the dispatcher resumes. The
-    /// suspended thread is whichever `Coordinator` call happened to
-    /// pick up dispatch duty, so that *caller* still waits on the
-    /// subscriber: drain from a dedicated thread that does **not**
-    /// call back into the `Coordinator`, pick a capacity that covers
-    /// the largest round you publish before draining
-    /// ([`Coordinator::subscribe_with`]), or — for single-threaded
-    /// consumers that drain lazily — prefer
-    /// [`OverflowPolicy::DropOldest`] (evictions are counted, never
-    /// silent).
+    /// **Blocking contract:** a full `Block` queue suspends only the
+    /// thread currently draining the dispatch queue, after every
+    /// service lock is released; other sessions keep submitting and
+    /// flushing. That thread is whichever `Coordinator` call picked up
+    /// dispatch duty, so drain from a thread that does not call back
+    /// into the `Coordinator`, size the queue for the largest round
+    /// ([`Coordinator::subscribe_with`]), or prefer
+    /// [`OverflowPolicy::DropOldest`] (evictions are counted).
     pub fn subscribe(&self) -> Events {
         self.subscribe_with(DEFAULT_EVENT_CAPACITY, OverflowPolicy::Block)
     }
 
-    /// [`Coordinator::subscribe`] with an explicit queue bound and
-    /// [`OverflowPolicy`]. No policy loses terminal events *silently*:
-    /// `Block` delivers everything (backpressure on the dispatching
-    /// thread, never on a shard lock), `DropOldest` counts every
-    /// eviction in the subscriber's [`SubscriberStats`], and
-    /// `Disconnect` ends the subscription visibly on overflow (counted
-    /// in [`Coordinator::disconnected_subscribers`]).
+    /// [`Coordinator::subscribe`] with an explicit bound and
+    /// [`OverflowPolicy`]. No policy loses events silently: `DropOldest`
+    /// counts evictions in [`SubscriberStats`], and `Disconnect` is
+    /// counted in [`Coordinator::disconnected_subscribers`].
     ///
     /// ```
     /// use eq_core::{Coordinator, EngineConfig, OverflowPolicy};
@@ -671,58 +345,42 @@ impl Coordinator {
         self.shared.dispatcher.subscriber_count()
     }
 
-    /// How many subscriptions ended from the publisher's side — the
-    /// subscriber's receiver was dropped (possibly mid-flush), or its
-    /// [`OverflowPolicy::Disconnect`] queue overflowed. The fan-out
-    /// never panics or stalls on such a subscriber; it prunes it and
-    /// accounts the disconnect here.
+    /// Subscriptions ended from the publisher's side: a dropped
+    /// receiver, or an [`OverflowPolicy::Disconnect`] overflow. The
+    /// fan-out prunes such a subscriber and counts it here.
     pub fn disconnected_subscribers(&self) -> u64 {
         self.shared.dispatcher.disconnected()
     }
 
-    /// Sweeps every shard's expired queries, then runs a set-at-a-time
-    /// evaluation round over the dirty components
-    /// of every shard (see [`CoordinationEngine::flush`]), staging one
-    /// terminal event per retired query followed by an
-    /// [`Event::Flushed`] report and dispatching them after all shard
-    /// locks are released.
+    /// Sweeps every shard's expired queries and evaluates its dirty
+    /// components ([`CoordinationEngine::flush`]), staging one terminal
+    /// event per retired query, then an [`Event::Flushed`] report.
     ///
     /// The report also covers every evaluation an incremental service
-    /// ran at admission since the previous flush: their counts are
-    /// added, [`BatchReport::intra_witness_peak`] is the maximum, and
-    /// [`BatchReport::pending`] is this round's. Its
-    /// [`BatchReport::lock_hold_ns`] sums each shard's critical section
-    /// for *this* flush (engine flush + event staging, measured off the
-    /// live guards); lifetime lock counters are on
+    /// ran at admission since the previous flush (counts added,
+    /// [`BatchReport::intra_witness_peak`] maxed, [`BatchReport::pending`]
+    /// this round's). Its [`BatchReport::lock_hold_ns`] sums the shards'
+    /// critical sections of *this* flush; lifetime counters are on
     /// [`Coordinator::lock_stats`].
     pub fn flush(&self) -> BatchReport {
+        let now = Instant::now();
         let mut report = BatchReport::default();
-        {
-            let _router = self.scan_guard();
-            for shard in &self.shared.shards {
-                let mut inner = shard.lock();
-                inner.engine.expire_stale(Instant::now());
-                let shard_report = inner.engine.flush();
-                self.stage_outcomes(&mut inner);
-                let held = inner.held_ns();
-                merge_reports(&mut report, std::mem::take(&mut inner.unreported));
-                merge_reports(&mut report, shard_report);
-                report.lock_hold_ns += held;
-            }
-        }
+        self.each_shard(|shard| {
+            merge_reports(&mut report, shard.flush(now));
+            self.stage_outcomes(shard);
+            report.lock_hold_ns += shard.held_ns();
+            None::<()>
+        });
         self.stage_flushed(report);
         self.shared.dispatcher.drain();
         report
     }
 
-    /// Snapshot of the shard locks' hold-time counters, aggregated
-    /// across shards (acquisitions and hold time summed, max hold
-    /// maxed; completed holds only). Per-shard figures are available
-    /// from [`Coordinator::shard_lock_stats`].
+    /// The shard locks' hold-time counters, summed across shards (max
+    /// hold maxed; completed holds only).
     pub fn lock_stats(&self) -> LockStats {
         let mut out = LockStats::default();
-        for shard in &self.shared.shards {
-            let s = shard.stats();
+        for s in self.shared.shards.iter().map(|shard| shard.stats()) {
             out.acquisitions += s.acquisitions;
             out.hold_ns += s.hold_ns;
             out.max_hold_ns = out.max_hold_ns.max(s.max_hold_ns);
@@ -740,82 +398,61 @@ impl Coordinator {
         self.shared.shards.iter().map(|s| s.stats()).collect()
     }
 
-    /// High-water mark of the out-of-lock dispatch queue — the most
-    /// events that were ever staged (under a shard lock) awaiting the
-    /// post-release drain, over the service's lifetime.
+    /// The most events ever staged awaiting the out-of-lock drain.
     pub fn dispatch_queue_peak(&self) -> u64 {
         self.shared.dispatcher.queue_peak()
     }
 
-    /// Sweeps expired queries (per-query deadlines and staleness
-    /// bounds) on every shard, staging their [`Event::Expired`]
-    /// events. Returns how many queries expired.
+    /// Sweeps expired queries on every shard, staging their
+    /// [`Event::Expired`] events. Returns how many expired.
     pub fn expire_stale(&self) -> usize {
+        let now = Instant::now();
         let mut expired = 0;
-        {
-            let _router = self.scan_guard();
-            for shard in &self.shared.shards {
-                let mut inner = shard.lock();
-                expired += inner.engine.expire_stale(Instant::now());
-                self.stage_outcomes(&mut inner);
-            }
-        }
+        self.each_shard(|shard| {
+            expired += shard.engine.expire_stale(now);
+            self.stage_outcomes(shard);
+            None::<()>
+        });
         self.shared.dispatcher.drain();
         expired
     }
 
-    /// Withdraws a pending query. Typed refusals: the id was never
-    /// submitted ([`CoordinationError::UnknownQuery`]) or the query
-    /// already reached a terminal status
-    /// ([`CoordinationError::AlreadyTerminal`]).
+    /// Withdraws a pending query, or refuses:
+    /// [`CoordinationError::UnknownQuery`] or
+    /// [`CoordinationError::AlreadyTerminal`].
     pub fn cancel(&self, id: QueryId) -> Result<(), CoordinationError> {
-        let result = self.cancel_routed(id);
-        self.shared.dispatcher.drain();
-        result
-    }
-
-    fn cancel_routed(&self, id: QueryId) -> Result<(), CoordinationError> {
-        let _router = self.scan_guard();
-        let mut terminal: Option<QueryStatus> = None;
-        for shard in &self.shared.shards {
-            let mut inner = shard.lock();
-            if inner.engine.cancel(id) {
-                self.stage_outcomes(&mut inner);
-                return Ok(());
+        let mut terminal = None;
+        let cancelled = self.each_shard(|shard| {
+            if shard.engine.cancel(id) {
+                self.stage_outcomes(shard);
+                return Some(());
             }
             if terminal.is_none() {
-                terminal = inner.engine.status(id).cloned();
+                terminal = shard.engine.status(id).cloned();
             }
-        }
-        match terminal {
-            Some(status) => Err(CoordinationError::AlreadyTerminal(status)),
-            None => Err(CoordinationError::UnknownQuery(id)),
+            None
+        });
+        self.shared.dispatcher.drain();
+        match (cancelled, terminal) {
+            (Some(()), _) => Ok(()),
+            (None, Some(status)) => Err(CoordinationError::AlreadyTerminal(status)),
+            (None, None) => Err(CoordinationError::UnknownQuery(id)),
         }
     }
 
-    /// Withdraws every still-pending query in `ids` under **one** lock
-    /// acquisition per shard (session close uses this), staging their
-    /// [`Event::Cancelled`] events and dispatching once at the end.
-    /// Already-terminal and unknown ids are skipped. Returns how many
-    /// were withdrawn.
+    /// Withdraws every still-pending query in `ids` (others are
+    /// skipped) under one lock per shard and one dispatch. Returns how
+    /// many were withdrawn.
     pub fn cancel_all(&self, ids: &[QueryId]) -> usize {
         let mut withdrawn = 0;
-        {
-            let _router = self.scan_guard();
-            for shard in &self.shared.shards {
-                let mut inner = shard.lock();
-                let mut local = 0;
-                for &id in ids {
-                    if inner.engine.cancel(id) {
-                        local += 1;
-                    }
-                }
-                if local > 0 {
-                    self.stage_outcomes(&mut inner);
-                }
-                withdrawn += local;
+        self.each_shard(|shard| {
+            let local = ids.iter().filter(|&&id| shard.engine.cancel(id)).count();
+            if local > 0 {
+                self.stage_outcomes(shard);
             }
-        }
+            withdrawn += local;
+            None::<()>
+        });
         if withdrawn > 0 {
             self.shared.dispatcher.drain();
         }
@@ -824,125 +461,104 @@ impl Coordinator {
 
     /// The status of a query, if known.
     pub fn status(&self, id: QueryId) -> Option<QueryStatus> {
-        let _router = self.scan_guard();
-        for shard in &self.shared.shards {
-            if let Some(status) = shard.lock().engine.status(id).cloned() {
-                return Some(status);
-            }
-        }
-        None
+        self.each_shard(|shard| shard.engine.status(id).cloned())
     }
 
     /// Number of pending queries across all shards.
     pub fn pending_count(&self) -> usize {
-        let _router = self.scan_guard();
-        self.shared
-            .shards
-            .iter()
-            .map(|s| s.lock().engine.pending_count())
-            .sum()
+        let mut pending = 0;
+        self.each_shard(|shard| {
+            pending += shard.engine.pending_count();
+            None::<()>
+        });
+        pending
     }
 
-    /// Shared handle to the service's database; write to it between
-    /// rounds to load or update data (a write re-dirties kept-pending
-    /// components at a shard's next evaluation — in incremental mode
-    /// the one that ends its next admission call, in set-at-a-time
-    /// mode the next [`Coordinator::flush`]).
+    /// Shared handle to the database; a write re-dirties kept-pending
+    /// components at each shard's next evaluation.
     pub fn db(&self) -> Arc<RwLock<Database>> {
         Arc::clone(&self.shared.db)
     }
 
-    /// Bulk-loads rows into a table through the database lock — one
-    /// lock acquisition and one revision bump
+    /// Bulk-loads rows under one database lock and one revision bump
     /// ([`Database::insert_many`]).
     pub fn load(&self, table: &str, rows: Vec<Tuple>) -> Result<usize, CoordinationError> {
-        // The durable record is encoded from a borrow, before
-        // `insert_many` takes the rows and outside the database lock.
-        let logged = self.shared.has_sink.load(Ordering::Relaxed);
+        // Encoded from a borrow, outside the database lock.
+        let sink = self.shared.sink.as_deref();
         let mut record = Vec::new();
-        if logged {
-            if let Some(sink) = self.shared.sink.lock().as_mut() {
-                sink.stage_load(&mut record, table, &rows);
-            }
+        if let Some(sink) = sink {
+            sink.stage_load(&mut record, table, &rows);
         }
         let mut db = self.shared.db.write();
-        // Only a load that actually happened is recorded; a refused one
-        // (unknown table, arity mismatch) leaves no trace to replay.
         let inserted = db.insert_many(table, rows)?;
-        // Logged before the write guard goes: a checkpoint (which reads
-        // the database) can then never fold these rows into its image
-        // and leave their record above its watermark to be replayed on
-        // top of them.
-        if logged {
-            if let Some(sink) = self.shared.sink.lock().as_mut() {
-                sink.commit_load(&record);
-            }
+        // Only a load that happened is logged, before the write guard
+        // goes: a checkpoint can then never fold these rows into its
+        // image with their record above its watermark.
+        if let Some(sink) = sink {
+            sink.commit_load(&record);
         }
         Ok(inserted)
     }
 
-    /// Structural invariant check over every shard, typed
-    /// ([`crate::InvariantViolation`] folded into
-    /// [`CoordinationError`]).
+    /// Structural invariant check over every shard.
     pub fn check_invariants(&self) -> Result<(), CoordinationError> {
-        let _router = self.scan_guard();
-        for shard in &self.shared.shards {
-            shard.lock().engine.check_invariants()?;
+        match self.each_shard(|shard| shard.engine.check_invariants().err()) {
+            Some(violation) => Err(violation.into()),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Queries that §3.1.1 enforcement would sideline right now (see
     /// [`CoordinationEngine::safety_sidelined`]).
     pub fn safety_sidelined(&self) -> Vec<QueryId> {
-        let _router = self.scan_guard();
+        let mut sidelined = Vec::new();
+        self.each_shard(|shard| {
+            sidelined.extend(shard.engine.safety_sidelined());
+            None::<()>
+        });
+        sidelined
+    }
+
+    /// The one way a call visits the shards: `f` runs on each in
+    /// ascending index order under its lock, until it returns `Some`.
+    /// The router's read guard keeps a merge from moving a query
+    /// between shards mid-scan.
+    fn each_shard<R>(
+        &self,
+        mut f: impl FnMut(&mut MutexGuard<'_, Shard>) -> Option<R>,
+    ) -> Option<R> {
+        let _router = (self.shared.shards.len() > 1).then(|| self.shared.router.read());
         self.shared
             .shards
             .iter()
-            .flat_map(|s| s.lock().engine.safety_sidelined())
-            .collect()
+            .find_map(|shard| f(&mut shard.lock()))
     }
 
-    /// Router read guard held across scan/shard-lock sections so a
-    /// concurrent group merge (router write + migration) cannot move a
-    /// query between shards mid-scan. `None` with a single shard —
-    /// there is nothing to route.
-    fn scan_guard(&self) -> Option<RwLockReadGuard<'_, Router>> {
-        (self.shared.shards.len() > 1).then(|| self.shared.router.read())
-    }
-
-    /// Converts a shard's freshly drained terminal outcomes into
-    /// events and **stages** them on the dispatch queue, recording
-    /// each in the durability sink first (durability before
-    /// visibility). Runs inside the shard's critical section so stage
-    /// order equals retirement order — but performs no subscriber I/O:
-    /// delivery happens in the dispatcher's drain, after every lock is
-    /// released. This and [`Coordinator::stage_flushed`] are the only
-    /// functions that construct events (`eq_check`'s
-    /// `event-choke-point` rule), and nothing publishes under a lock
-    /// (`no-publish-under-lock`).
-    fn stage_outcomes(&self, inner: &mut ShardInner) {
-        let outcomes = inner.engine.drain_outcome_log();
-        if !outcomes.is_empty() {
-            // Two passes: the whole drain is logged, as one frame,
-            // before its first event is enqueued — a concurrent
-            // dispatcher drain can never publish an unlogged outcome.
-            let mut sink = self.shared.sink.lock();
-            if let Some(sink) = sink.as_mut() {
-                sink.commit_outcomes(&outcomes);
-            }
-            for (id, outcome) in outcomes {
-                let tag = inner.tags.remove(&id);
-                let event = match outcome {
-                    QueryOutcome::Answered(answer) => Event::Answered { id, tag, answer },
-                    QueryOutcome::Failed(FailReason::Stale) => Event::Expired { id, tag },
-                    QueryOutcome::Failed(FailReason::Cancelled) => Event::Cancelled { id, tag },
-                    QueryOutcome::Failed(FailReason::Rejected(reason)) => {
-                        Event::Failed { id, tag, reason }
-                    }
-                };
-                self.shared.dispatcher.enqueue(event);
-            }
+    /// Drains a shard's outcomes, records them, and **stages** their
+    /// events, inside its critical section, so stage order is
+    /// retirement order; delivery waits for the dispatcher's drain.
+    /// This and [`Coordinator::stage_flushed`] are the only functions
+    /// that build events (`eq_check`'s `event-choke-point`).
+    fn stage_outcomes(&self, shard: &mut Shard) {
+        let drained = shard.drain();
+        if drained.outcomes.is_empty() {
+            return;
+        }
+        // The whole drain is logged, as one frame, before its first
+        // event is enqueued: no dispatcher publishes an unlogged one.
+        if let Some(sink) = &self.shared.sink {
+            sink.commit_outcomes(&drained.outcomes);
+        }
+        for (id, tag, outcome) in drained.tagged() {
+            let event = match outcome {
+                QueryOutcome::Answered(answer) => Event::Answered { id, tag, answer },
+                QueryOutcome::Failed(FailReason::Stale) => Event::Expired { id, tag },
+                QueryOutcome::Failed(FailReason::Cancelled) => Event::Cancelled { id, tag },
+                QueryOutcome::Failed(FailReason::Rejected(reason)) => {
+                    Event::Failed { id, tag, reason }
+                }
+            };
+            self.shared.dispatcher.enqueue(event);
         }
     }
 
@@ -953,99 +569,42 @@ impl Coordinator {
             .enqueue(Event::Flushed(Box::new(report)));
     }
 
-    /// Write-path routing: merges the key groups, and — when the
-    /// merged group spans shards — migrates its pending queries from
-    /// every losing shard into the winner. The rendezvous takes the
-    /// involved shard locks in **ascending index order** (the debug
-    /// lock-order graph validates the discipline): extract under each
-    /// loser's lock, re-admit under the winner's, carrying ids, tags,
-    /// policies and deadlines unchanged.
-    /// Returns the shard to admit on. Caller holds the router write
-    /// guard, which keeps fast-path readers out until placement is
-    /// consistent again.
-    fn route_and_migrate(&self, router: &mut Router, keys: &[u64]) -> usize {
-        let route = router.route(keys);
-        if route.losers.is_empty() {
-            return route.shard;
-        }
-        let mut order: Vec<usize> = route.losers.clone();
-        order.push(route.shard);
-        order.sort_unstable();
-        let snapshot: &Router = router;
-        let mut guards: Vec<(usize, _)> = order
-            .iter()
-            .map(|&i| (i, self.shared.shards[i].lock()))
-            .collect();
-        let mut migrated = Vec::new();
-        let mut moved_tags: Vec<(QueryId, String)> = Vec::new();
-        for (idx, guard) in guards.iter_mut() {
-            if *idx == route.shard {
-                continue;
-            }
-            let lifted = guard
-                .engine
-                .extract_pending(|q| snapshot.root_of(q) == Some(route.root));
-            for m in &lifted {
-                if let Some(tag) = guard.tags.remove(&m.query.id) {
-                    moved_tags.push((m.query.id, tag));
-                }
-            }
-            migrated.extend(lifted);
-        }
-        migrated.sort_by_key(|m| m.query.id);
-        let winner = guards
-            .iter_mut()
-            .find(|(i, _)| *i == route.shard)
-            .expect("winner shard locked");
-        winner.1.engine.readmit(migrated);
-        for (id, tag) in moved_tags {
-            winner.1.tags.insert(id, tag);
-        }
-        route.shard
-    }
-
-    /// Write-path placement of a batch's key sets: routes (merging
-    /// groups and migrating losers) every set that does not resolve,
-    /// then reads each set's shard — after the whole pass, since a later
-    /// merge may move a group routed earlier.
+    /// Write-path placement: merges the groups of every key set that
+    /// does not resolve, and when a merged group spans shards, moves its
+    /// pending queries from the losers into the winner under the
+    /// involved locks, taken in **ascending index order**. Each set's
+    /// shard is read after the whole pass (a later merge may move an
+    /// earlier group). The caller holds the router write guard.
     fn route_all(&self, router: &mut Router, keys: &[Vec<u64>]) -> Vec<usize> {
         for k in keys {
-            if router.resolve(k).is_none() {
-                self.route_and_migrate(router, k);
+            if router.resolve(k).is_some() {
+                continue;
             }
+            let route = router.route(k);
+            if route.losers.is_empty() {
+                continue;
+            }
+            let mut order = route.losers.clone();
+            order.push(route.shard);
+            order.sort_unstable();
+            let mut guards: Vec<_> = order
+                .iter()
+                .map(|&i| self.shared.shards[i].lock())
+                .collect();
+            let shards = guards.iter_mut().map(|guard| &mut **guard);
+            rendezvous(router, &route, order.iter().copied().zip(shards));
         }
         keys.iter()
             .map(|k| router.resolve(k).expect("every key group was routed above"))
             .collect()
     }
 
-    /// The one routed entry: every submission — a session's single
-    /// submit is a batch of one — is validated, routed and admitted
-    /// here, then its events are dispatched.
+    /// The one routed entry of every submission. Validation goes first:
+    /// an invalid request is refused in place and takes no lock. Valid
+    /// ones are resolved under the router **read** guard, held across
+    /// admission; only keys that are unknown, unplaced or span groups
+    /// take the write guard and [`Coordinator::route_all`].
     pub(crate) fn submit_batch_request(
-        &self,
-        requests: Vec<SubmitRequest>,
-    ) -> Vec<Result<QueryHandle, CoordinationError>> {
-        let results = self.submit_batch_routed(requests);
-        self.shared.dispatcher.drain();
-        results
-    }
-
-    /// Validation goes first — the one pure step: an invalid request is
-    /// refused in place, interns no key, merges no group and takes no
-    /// lock. With several shards every valid request is then resolved
-    /// under the router **read** guard, held across admission; only
-    /// when some request's keys are unknown, unplaced or span groups is
-    /// the write guard taken, the groups merged and losing shards
-    /// migrated, and the batch admitted under it.
-    ///
-    /// Admission runs each maximal run of consecutive same-shard
-    /// requests under one lock, in submission order, so the shared id
-    /// counter hands out the ids a sequential replay would, and a run
-    /// sees earlier runs on its shard as residents. Requests on
-    /// different shards are provably edge-free (different key groups),
-    /// so per-shard admission loses no coordination.
-    fn submit_batch_routed(
         &self,
         requests: Vec<SubmitRequest>,
     ) -> Vec<Result<QueryHandle, CoordinationError>> {
@@ -1080,14 +639,18 @@ impl Coordinator {
                 self.admit_runs(valid, |k| shards[k], &mut out, now);
             }
         }
+        self.shared.dispatcher.drain();
         out.into_iter()
             .map(|r| r.expect("every request was refused or admitted"))
             .collect()
     }
 
-    /// Admits the valid requests (`(position, request)`, in submission
-    /// order; the `k`-th goes to `shard_of(k)`), one lock per maximal
-    /// same-shard run, and scatters the results to their positions.
+    /// Admits `(position, request)` pairs in submission order (the
+    /// `k`-th on `shard_of(k)`), one lock per maximal same-shard run, so
+    /// ids are those of a sequential replay. Under each lock: encode the
+    /// records, admit, commit the admitted ones as one frame before any
+    /// handle escapes, then record and stage the outcomes — after the
+    /// submissions they may retire.
     fn admit_runs(
         &self,
         valid: Vec<(usize, SubmitRequest)>,
@@ -1099,108 +662,41 @@ impl Coordinator {
         let mut valid = valid.into_iter();
         let mut k = 0;
         while k < total {
-            let shard = shard_of(k);
-            let len = (k..total).take_while(|&j| shard_of(j) == shard).count();
+            let i = shard_of(k);
+            let len = (k..total).take_while(|&j| shard_of(j) == i).count();
             k += len;
             // One exact allocation each: `unzip` reserves the run's
             // length.
             let (positions, batch): (Vec<usize>, Vec<SubmitRequest>) =
                 valid.by_ref().take(len).unzip();
-            let mut inner = self.shared.shards[shard].lock();
-            let results = self.admit_batch_in(&mut inner, batch, now);
-            for (pos, result) in positions.into_iter().zip(results) {
-                out[pos] = Some(result);
-            }
-        }
-    }
-
-    /// Admission under a held shard guard: the deadline sweep at the
-    /// current time, engine admission with ids
-    /// drawn from the global counter, the durability record (inside the
-    /// shard's critical section, before any handle escapes — the
-    /// record-before-visibility contract), tag registration, the
-    /// cadence's evaluation ([`Coordinator::evaluate_if_incremental`]),
-    /// and staging of whatever outcomes the sweep and that evaluation
-    /// produced. The requests are validated.
-    fn admit_batch_in(
-        &self,
-        inner: &mut ShardInner,
-        requests: Vec<SubmitRequest>,
-        now: Instant,
-    ) -> Vec<Result<QueryHandle, CoordinationError>> {
-        // The engine consumes each query, so its durable record is
-        // encoded from a borrow first; the id it draws (or its refusal)
-        // is settled at commit.
-        let log = self.shared.has_sink.load(Ordering::Relaxed);
-        if log {
-            inner.staged.bytes.clear();
-            inner.staged.ends.clear();
-            if let Some(sink) = self.shared.sink.lock().as_mut() {
-                for r in &requests {
-                    sink.stage_submit(
-                        &mut inner.staged,
-                        &r.query,
-                        r.tag.as_deref(),
-                        r.on_no_solution,
-                    );
+            let mut shard = self.shared.shards[i].lock();
+            let sink = self.shared.sink.as_deref();
+            if let Some(sink) = sink {
+                let staged = &mut shard.staged;
+                staged.bytes.clear();
+                staged.ends.clear();
+                for r in &batch {
+                    sink.stage_submit(staged, &r.query, r.tag.as_deref(), r.on_no_solution);
                 }
             }
-        }
-        let mut tags = Vec::with_capacity(requests.len());
-        let batch = requests.into_iter().map(|r| {
-            let opts = r.to_options(now);
-            tags.push(r.tag);
-            Ok((r.query, opts))
-        });
-        // The service owns the clock: the engine reads none.
-        inner.engine.expire_stale(Instant::now());
-        let results = inner
-            .engine
-            .submit_batch_with_source(batch, Some(&self.shared.next_id));
-        if log {
-            if let Some(sink) = self.shared.sink.lock().as_mut() {
+            let results = shard.admit(batch, now, &self.shared.next_id);
+            if let Some(sink) = sink {
                 let mut admitted = results.iter().map(|r| r.as_ref().ok().map(|h| h.id));
-                sink.commit_submits(&inner.staged, &mut admitted);
+                sink.commit_submits(&shard.staged, &mut admitted);
+            }
+            self.stage_outcomes(&mut shard);
+            for (pos, result) in positions.into_iter().zip(results) {
+                out[pos] = Some(result.map_err(CoordinationError::from));
             }
         }
-        for (result, tag) in results.iter().zip(tags) {
-            if let (Ok(handle), Some(tag)) = (result, tag) {
-                inner.tags.insert(handle.id, tag);
-            }
-        }
-        self.evaluate_if_incremental(inner);
-        // Stage after the submit records: an incremental-mode outcome
-        // of these very submissions must land in the log *after* them.
-        self.stage_outcomes(inner);
-        results
-            .into_iter()
-            .map(|r| r.map_err(CoordinationError::from))
-            .collect()
     }
 
-    /// Installs the durability recorder: from here on every drained
-    /// outcome log is committed to it before its events are staged. One
-    /// sink per service; called by
-    /// [`crate::durable::DurableCoordinator`] before any submission.
-    pub(crate) fn install_sink(&self, sink: Box<dyn DurabilitySink>) {
-        *self.shared.sink.lock() = Some(sink);
-        self.shared.has_sink.store(true, Ordering::Relaxed);
-    }
-
-    /// Re-admits the recovered pending set — ascending id, each under
-    /// its **recorded** id (`query.id`), tag and no-solution policy —
-    /// in one call: every query is routed first, then each shard with a
-    /// share takes it under one lock through the engine's admission step
-    /// ([`CoordinationEngine::readmit`]: no Figure-9 verdict, the log
-    /// already acknowledged them) and, like any admission call, ends in
-    /// the cadence's evaluation
-    /// ([`Coordinator::evaluate_if_incremental`]). The sink
-    /// is bypassed (the log already holds these records; logging them
-    /// again would duplicate them on the next replay). Does not
-    /// dispatch: the caller pumps once afterwards, so recovery-time
-    /// outcomes are recorded after every submission record. A recorded
-    /// query that no longer validates refuses the whole set before
-    /// anything is admitted.
+    /// Re-admits the recovered pending set, ascending id, under the
+    /// recorded ids, tags and policies: all routed first, then one lock
+    /// per shard with a share ([`Shard::recover`]) that also stages the
+    /// outcomes of the cadence's evaluation. The sink records only
+    /// those outcomes; the log already holds the submissions. A query
+    /// that no longer validates refuses the whole set first.
     pub(crate) fn recover(&self, requests: Vec<SubmitRequest>) -> Result<(), CoordinationError> {
         for r in &requests {
             r.query.validate().map_err(SubmitError::Invalid)?;
@@ -1209,114 +705,48 @@ impl Coordinator {
             .iter()
             .map(|r| Router::query_keys(&r.query))
             .collect();
-        let mut router = self.shared.router.write();
-        let shards = self.route_all(&mut router, &keys);
-        let mut per_shard: Vec<Vec<SubmitRequest>> =
-            self.shared.shards.iter().map(|_| Vec::new()).collect();
-        for (r, shard) in requests.into_iter().zip(shards) {
-            per_shard[shard].push(r);
-        }
-        for (shard, requests) in per_shard.into_iter().enumerate() {
-            if requests.is_empty() {
-                continue;
-            }
-            let mut inner = self.shared.shards[shard].lock();
-            let mut pending = Vec::with_capacity(requests.len());
-            for r in requests {
-                if let Some(tag) = r.tag {
-                    inner.tags.insert(r.query.id, tag);
-                }
-                pending.push(PendingQuery::recovered(r.query, r.on_no_solution));
-            }
-            inner.engine.readmit(pending);
-            self.evaluate_if_incremental(&mut inner);
-        }
-        Ok(())
-    }
-
-    /// The cadence, decided in one place: an incremental service
-    /// evaluates a shard's dirty set at the end of each admission call
-    /// (and of recovery's re-admission), under the same lock, and keeps
-    /// the report for the next [`Coordinator::flush`]; a set-at-a-time
-    /// service leaves the shard to that flush. Shard migration
-    /// re-admits without evaluating: the admission that caused it ends
-    /// here.
-    fn evaluate_if_incremental(&self, inner: &mut ShardInner) {
-        if self.shared.incremental {
-            let report = inner.engine.flush();
-            merge_reports(&mut inner.unreported, report);
-            // A flush reports its own pass's pending count.
-            inner.unreported.pending = 0;
-        }
-    }
-
-    /// Drains, records, and dispatches any terminal outcomes produced
-    /// outside the normal operation paths (recovery replay uses this).
-    pub(crate) fn pump_now(&self) {
         {
-            let _router = self.scan_guard();
-            for shard in &self.shared.shards {
-                let mut inner = shard.lock();
-                self.stage_outcomes(&mut inner);
+            let mut router = self.shared.router.write();
+            let shards = self.route_all(&mut router, &keys);
+            let mut per_shard: Vec<Vec<SubmitRequest>> =
+                self.shared.shards.iter().map(|_| Vec::new()).collect();
+            for (r, shard) in requests.into_iter().zip(shards) {
+                per_shard[shard].push(r);
+            }
+            for (i, requests) in per_shard.into_iter().enumerate() {
+                if !requests.is_empty() {
+                    let mut shard = self.shared.shards[i].lock();
+                    shard.recover(requests);
+                    self.stage_outcomes(&mut shard);
+                }
             }
         }
         self.shared.dispatcher.drain();
+        Ok(())
     }
 
-    /// Runs `f` with every shard locked in ascending index order — a
-    /// consistent cut across the whole service. Checkpointing and
-    /// durable schema changes snapshot the database, the WAL state,
-    /// and the id watermark through this so no acknowledgment can land
-    /// inside the cut.
+    /// Runs `f` with every shard locked in ascending index order: a
+    /// consistent cut for checkpoints and durable schema changes.
     pub(crate) fn with_exclusive<R>(&self, f: impl FnOnce() -> R) -> R {
         let _guards: Vec<_> = self.shared.shards.iter().map(|s| s.lock()).collect();
         f()
     }
 
-    /// The id the next submission will draw. Recovery persists this in
-    /// checkpoints.
+    /// The id the next submission will draw (checkpointed).
     pub(crate) fn id_watermark(&self) -> u64 {
         self.shared.next_id.load(Ordering::Relaxed)
     }
 
-    /// Moves the global id counter forward (never backward) — recovery
-    /// replays acknowledged submissions under their original ids and
-    /// then restores the watermark so post-recovery submissions never
-    /// reuse an id.
+    /// Moves the id counter forward, never back, so submissions after
+    /// recovery never reuse an id.
     pub(crate) fn set_id_watermark(&self, next: u64) {
         self.shared.next_id.fetch_max(next, Ordering::Relaxed);
     }
 }
 
-/// Accumulates one evaluation's report into another: per-shard flush
-/// reports into the service-wide one, admission-time reports into a
-/// shard's accumulator. Counts sum; the witness peak is a maximum. The
-/// lock hold is stamped by the caller.
-fn merge_reports(into: &mut BatchReport, from: BatchReport) {
-    into.components += from.components;
-    into.skipped_clean += from.skipped_clean;
-    into.answered += from.answered;
-    into.failed += from.failed;
-    into.pending += from.pending;
-    into.intra_components += from.intra_components;
-    into.intra_units += from.intra_units;
-    into.intra_split_units += from.intra_split_units;
-    into.intra_regions += from.intra_regions;
-    into.intra_region_streamed += from.intra_region_streamed;
-    into.intra_witness_peak = into.intra_witness_peak.max(from.intra_witness_peak);
-    into.stats.dequeues += from.stats.dequeues;
-    into.stats.mgu_calls += from.stats.mgu_calls;
-    into.stats.cleanups += from.stats.cleanups;
-    into.unify_merges += from.unify_merges;
-    into.unify_clones += from.unify_clones;
-}
-
-/// A group of queries owned by one client of the [`Coordinator`].
-///
-/// Submissions go through the session so the service knows which
-/// pending queries belong to which client; when the session is closed
-/// (or dropped), its still-pending queries are withdrawn and their
-/// subscribers receive [`Event::Cancelled`].
+/// The queries of one client of the [`Coordinator`]: when the session
+/// is closed or dropped, its still-pending queries are withdrawn and
+/// their subscribers receive [`Event::Cancelled`].
 ///
 /// ```
 /// use eq_core::{Coordinator, EngineConfig, EngineMode, SubmitRequest};
@@ -1353,11 +783,10 @@ pub struct Session {
 }
 
 impl Session {
-    /// Submits one query, as a batch of one. In incremental mode the
-    /// service evaluates the query's shard before this returns, so the
-    /// query's terminal event may already be published (the
-    /// evaluation's report rides on the next [`Coordinator::flush`]); in
-    /// set-at-a-time mode it waits for that flush.
+    /// Submits one query, as a batch of one. In incremental mode its
+    /// shard is evaluated before this returns (the report rides on the
+    /// next [`Coordinator::flush`]); in set-at-a-time mode it waits for
+    /// that flush.
     pub fn submit(
         &mut self,
         request: impl Into<SubmitRequest>,
@@ -1366,11 +795,9 @@ impl Session {
         results.pop().expect("one result per request")
     }
 
-    /// Submits a batch: each query goes through its shard engine's one
-    /// admission step in submission order (see
-    /// [`CoordinationEngine::submit_batch`]). Per-query results are
-    /// positional; each maximal run of consecutive same-shard requests
-    /// is admitted under one lock acquisition.
+    /// Submits a batch through each shard engine's one admission step,
+    /// in order ([`CoordinationEngine::submit_batch`]), one lock per run
+    /// of same-shard requests. Results are positional.
     pub fn submit_batch(
         &mut self,
         requests: Vec<SubmitRequest>,
@@ -1407,9 +834,8 @@ impl Session {
             .collect()
     }
 
-    /// Closes the session, withdrawing its still-pending queries.
-    /// Returns how many were withdrawn. Dropping the session does the
-    /// same.
+    /// Closes the session, withdrawing its still-pending queries;
+    /// returns how many. Dropping the session does the same.
     pub fn close(mut self) -> usize {
         self.close_inner()
     }
@@ -1419,9 +845,6 @@ impl Session {
             return 0;
         }
         self.closed = true;
-        // One lock acquisition per shard and one dispatch for the
-        // whole session, however many queries it submitted over its
-        // life.
         self.coordinator.cancel_all(&self.ids)
     }
 }
@@ -1437,6 +860,7 @@ mod tests {
     use super::*;
     use eq_ir::Value;
     use eq_sql::parse_ir_query;
+    use std::sync::OnceLock;
 
     fn q(text: &str) -> EntangledQuery {
         parse_ir_query(text).unwrap()
@@ -1476,32 +900,44 @@ mod tests {
 
     /// A sink that only watches the recording points: it logs each
     /// commit with the dispatch queue's high-water mark at that moment.
-    /// (Holding the coordinator it is installed in leaks the pair — a
+    /// (Holding the coordinator it is built into leaks the pair — a
     /// test-only cycle.)
     struct ProbeSink {
-        coordinator: Coordinator,
-        commits: Arc<Mutex<Vec<(&'static str, u64)>>>,
+        coordinator: Arc<OnceLock<Coordinator>>,
+        commits: Commits,
     }
 
+    /// Each recording point reached, with the dispatch queue's peak.
+    type Commits = Arc<Mutex<Vec<(&'static str, u64)>>>;
+
     impl ProbeSink {
-        fn install(coordinator: &Coordinator) -> Arc<Mutex<Vec<(&'static str, u64)>>> {
+        /// A set-at-a-time service that records through a probe, and
+        /// the probe's log.
+        fn build(db: Database) -> (Coordinator, Commits) {
             let commits = Arc::default();
-            coordinator.install_sink(Box::new(ProbeSink {
-                coordinator: coordinator.clone(),
+            let handle = Arc::new(OnceLock::new());
+            let sink = ProbeSink {
+                coordinator: Arc::clone(&handle),
                 commits: Arc::clone(&commits),
-            }));
-            commits
+            };
+            let coordinator = Coordinator::with_sink(db, batch_config(), Some(Box::new(sink)));
+            assert!(handle.set(coordinator.clone()).is_ok());
+            (coordinator, commits)
+        }
+
+        fn coordinator(&self) -> &Coordinator {
+            self.coordinator.get().expect("built")
         }
 
         fn note(&self, what: &'static str) {
-            let peak = self.coordinator.dispatch_queue_peak();
+            let peak = self.coordinator().dispatch_queue_peak();
             self.commits.lock().push((what, peak));
         }
     }
 
     impl DurabilitySink for ProbeSink {
         fn stage_submit(
-            &mut self,
+            &self,
             staged: &mut StagedSubmits,
             _: &EntangledQuery,
             _: Option<&str>,
@@ -1511,7 +947,7 @@ mod tests {
         }
 
         fn commit_submits(
-            &mut self,
+            &self,
             staged: &StagedSubmits,
             admitted: &mut dyn Iterator<Item = Option<QueryId>>,
         ) {
@@ -1519,19 +955,19 @@ mod tests {
             self.note("submits");
         }
 
-        fn commit_outcomes(&mut self, _: &[(QueryId, QueryOutcome)]) {
+        fn commit_outcomes(&self, _: &[(QueryId, QueryOutcome)]) {
             self.note("outcomes");
         }
 
-        fn stage_load(&mut self, _: &mut Vec<u8>, _: &str, _: &[Tuple]) {}
+        fn stage_load(&self, _: &mut Vec<u8>, _: &str, _: &[Tuple]) {}
 
-        fn commit_load(&mut self, _: &[u8]) {
+        fn commit_load(&self, _: &[u8]) {
             // The load‖checkpoint race: a checkpoint reads the database
             // under its read lock. If that lock can be had here, a
             // checkpoint could fold the just-inserted rows into its image
             // with this record still above its watermark.
             assert!(
-                self.coordinator.shared.db.try_read().is_none(),
+                self.coordinator().shared.db.try_read().is_none(),
                 "the load record must be committed under the database write guard"
             );
             self.note("load");
@@ -1546,8 +982,7 @@ mod tests {
 
     #[test]
     fn load_is_logged_while_the_database_write_guard_is_held() {
-        let coordinator = batch_coordinator(flight_db());
-        let commits = ProbeSink::install(&coordinator);
+        let (coordinator, commits) = ProbeSink::build(flight_db());
         let n = coordinator
             .load("F", vec![vec![Value::int(200), Value::str("Oslo")]])
             .unwrap();
@@ -1560,8 +995,7 @@ mod tests {
 
     #[test]
     fn a_drain_is_committed_once_and_before_its_first_event_is_enqueued() {
-        let coordinator = batch_coordinator(flight_db());
-        let commits = ProbeSink::install(&coordinator);
+        let (coordinator, commits) = ProbeSink::build(flight_db());
         let _events = coordinator.subscribe();
         let results = coordinator.submit_batch_request(vec![
             SubmitRequest::new(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)")),
@@ -1575,14 +1009,15 @@ mod tests {
         assert!(coordinator.dispatch_queue_peak() >= 2);
     }
 
+    fn batch_config() -> EngineConfig {
+        EngineConfig {
+            mode: crate::engine::EngineMode::SetAtATime { batch_size: 0 },
+            ..Default::default()
+        }
+    }
+
     fn batch_coordinator(db: Database) -> Coordinator {
-        Coordinator::new(
-            db,
-            EngineConfig {
-                mode: crate::engine::EngineMode::SetAtATime { batch_size: 0 },
-                ..Default::default()
-            },
-        )
+        Coordinator::new(db, batch_config())
     }
 
     #[test]

@@ -11,8 +11,15 @@
 //!   links, slot state, its id entry — is a few hundred bytes.
 //! * Retirement allocates nothing beyond the outcome log's own growth,
 //!   and a drained pool holds no posting list, no cell and no member.
+//! * A `Session::submit` on a one-shard `Coordinator`, the path the
+//!   `pairs_incremental` benchmark drives, allocates no more than the
+//!   counts pinned in its test: end-to-end time is too noisy to show
+//!   one allocation per submit.
 
-use eq_core::{CoordinationEngine, EngineConfig, QueryOutcome, QueryStatus};
+use eq_core::{
+    CoordinationEngine, Coordinator, EngineConfig, EngineMode, OverflowPolicy, QueryOutcome,
+    QueryStatus, SubmitRequest,
+};
 use eq_ir::{Atom, Constraint, EntangledQuery};
 use eq_workload::{build_database, two_way_pairs, PairStyle, SocialGraph, SocialGraphConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -219,4 +226,68 @@ fn pending_pool_footprint() {
     assert_eq!(g.edge_count(), 0);
     assert!(g.components().is_empty());
     engine.check_invariants().unwrap();
+}
+
+/// Submits a service call is not charged for: the pool and the
+/// subscriber's queue grow to their working size first.
+const WARM_UP: usize = 1_000;
+
+/// Allocations of the last `N - WARM_UP` `Session::submit` calls of the
+/// pair stream, one query per call, into a one-shard `Coordinator` with
+/// one subscriber: validation, routing, the shard lock, admission, in
+/// incremental mode the cadence's evaluation, the staging of outcomes
+/// and their dispatch.
+fn service_submit_allocations(mode: EngineMode) -> u64 {
+    let (graph, queries) = pair_stream();
+    let config = EngineConfig {
+        mode,
+        ..Default::default()
+    };
+    let coordinator = Coordinator::new(build_database(&graph), config);
+    // Deep enough that no event is dropped and no dispatch blocks.
+    let events = coordinator.subscribe_with(2 * N + 64, OverflowPolicy::Block);
+    let mut session = coordinator.session();
+    let mut allocations = 0;
+    let mut admitted = 0;
+    for (i, query) in queries.into_iter().enumerate() {
+        let request = SubmitRequest::new(query);
+        let result = if i < WARM_UP {
+            session.submit(request)
+        } else {
+            counted(&mut allocations, || session.submit(request))
+        };
+        admitted += usize::from(result.is_ok());
+    }
+    assert!(admitted > N * 9 / 10, "{admitted} of {N} admitted");
+    assert_eq!(events.stats().dropped, 0);
+    allocations
+}
+
+#[test]
+fn a_service_submit_allocates_no_more_than_before_the_shard_split() {
+    let batch = service_submit_allocations(EngineMode::SetAtATime { batch_size: 0 });
+    let incremental = service_submit_allocations(EngineMode::Incremental);
+    let per_submit = |n: u64| n as f64 / (N - WARM_UP) as f64;
+    eprintln!(
+        "allocations: {batch} set-at-a-time ({:.3} per submit), \
+         {incremental} incremental ({:.3} per submit)",
+        per_submit(batch),
+        per_submit(incremental)
+    );
+    // The service before the split, measured with this test: 8.007 and
+    // 63.411 per submit in a release build, 9.007 and 67.136 in a debug
+    // build (validation runs once more there, in a `debug_assert`).
+    let (batch_bound, incremental_bound) = if cfg!(debug_assertions) {
+        (45_037, 335_679)
+    } else {
+        (40_037, 317_053)
+    };
+    assert!(
+        batch <= batch_bound,
+        "{batch} allocations in set-at-a-time submits"
+    );
+    assert!(
+        incremental <= incremental_bound,
+        "{incremental} allocations in incremental submits"
+    );
 }

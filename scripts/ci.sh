@@ -118,7 +118,11 @@ echo "== 11/14 differential and equivalence proptests (unifier vs reference orac
 # extractions against a model: every component's member ring is its
 # BFS piece (a union of pieces while a split is pending), each slot's
 # `comp` agrees with the rings, and each slot's out- and in-edges stay
-# in link order.
+# in link order. The service's per-shard logic is a state machine that
+# holds no lock and reads no clock, so one test drives two shards and a
+# router by hand, with a fixed time, through a rendezvous that moves a
+# tagged query, a recovery re-admission under a recorded id and a
+# flush, and checks outcomes, tags and their order against one shard.
 cargo test -q --offline -p eq_core --lib matching
 for named in "eq_unify --lib differential::unifier_equals_reference_oracle" \
     "eq_core --lib intra::tests::streaming_equals_materialized_region_evaluation" \
@@ -126,7 +130,8 @@ for named in "eq_unify --lib differential::unifier_equals_reference_oracle" \
     "eq_core --test=service_proptest submit_batch_is_equivalent_to_sequential_submits" \
     "eq_core --test=invariants_proptest one_edge_definition_for_build_pairwise_and_engine" \
     "eq_core --test=shard_dispatch_proptest shard_counts_are_observationally_identical" \
-    "eq_core --lib graph::tests::intrusive_lists_agree_with_bfs_and_link_order"; do
+    "eq_core --lib graph::tests::intrusive_lists_agree_with_bfs_and_link_order" \
+    "eq_core --lib shard::tests::two_shards_and_a_router_driven_by_hand_equal_one_shard"; do
     read -r package target name <<<"$named"
     out=$(cargo test -q --offline -p "$package" "$target" -- --exact "$name" 2>&1) || {
         echo "$out"
