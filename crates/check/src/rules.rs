@@ -147,11 +147,12 @@ const UNIFIER_CLONE_FILES: &[&str] = &[
     "crates/core/src/ucs.rs",
 ];
 
-/// Files `no-publish-under-lock` applies to (suffix match): the
-/// service facade and the durable wrapper — the two places that both
-/// take service-side mutexes and sit next to the event plumbing.
+/// Files `no-publish-under-lock` applies to (suffix match; an entry
+/// ending in `/` is a directory): the service's lock shell and the
+/// durable module — the two places that both take service-side mutexes
+/// and sit next to the event plumbing.
 const PUBLISH_UNDER_LOCK_FILES: &[&str] =
-    &["crates/core/src/service.rs", "crates/core/src/durable.rs"];
+    &["crates/core/src/service.rs", "crates/core/src/durable/"];
 
 /// Files `sans-io-shard` applies to (suffix match): the per-shard state
 /// machine and the connectivity router, which the service's lock shell
@@ -202,7 +203,12 @@ fn allowed(rule: &Rule, path: &str, func: Option<&str>) -> bool {
 
 /// Suffix match so both `crates/core/src/events.rs` and an absolute
 /// on-disk path compare equal to the rule's workspace-relative entry.
+/// An entry ending in `/` is a directory: it matches every path under
+/// it.
 fn path_matches(path: &str, entry: &str) -> bool {
+    if entry.ends_with('/') {
+        return path.starts_with(entry) || path.contains(&format!("/{entry}"));
+    }
     path == entry || path.ends_with(&format!("/{entry}"))
 }
 
@@ -428,9 +434,7 @@ fn scan_channel(path: &str, a: &Analysis, out: &mut Vec<Violation>) {
 fn scan_unwrap_expect(path: &str, a: &Analysis, out: &mut Vec<Violation>) {
     let unwrap_rule = rule("no-unwrap");
     let expect_rule = rule("no-expect-hot");
-    let in_unwrap_scope = NO_UNWRAP_SCOPES
-        .iter()
-        .any(|s| path.starts_with(s) || path.contains(&format!("/{s}")));
+    let in_unwrap_scope = NO_UNWRAP_SCOPES.iter().any(|s| path_matches(path, s));
     let in_hot_file = HOT_PATH_FILES.iter().any(|f| path_matches(path, f));
     if !in_unwrap_scope && !in_hot_file {
         return;
@@ -693,9 +697,7 @@ fn scan_sans_io(path: &str, a: &Analysis, out: &mut Vec<Violation>) {
 /// `std::fmt::Write` is a different path and stays legal everywhere.
 fn scan_io(path: &str, a: &Analysis, out: &mut Vec<Violation>) {
     let r = rule("io-choke-point");
-    let exempt = IO_CHOKE_EXEMPT_DIRS
-        .iter()
-        .any(|s| path.starts_with(s) || path.contains(&format!("/{s}")));
+    let exempt = IO_CHOKE_EXEMPT_DIRS.iter().any(|s| path_matches(path, s));
     if exempt || allowed(r, path, None) {
         return;
     }
@@ -897,7 +899,24 @@ mod tests {
                 self.coordinator.pump_stats();
             }
         ";
-        assert!(check_source("crates/core/src/durable.rs", pump_stats).is_empty());
+        assert!(check_source("crates/core/src/durable/sink.rs", pump_stats).is_empty());
+        // The durable module is a directory: a publish under a lock in
+        // any file of it fires, and in a file beside it does not.
+        let durable_bad = "
+            fn checkpoint(&self) {
+                let state = self.state.lock();
+                self.coordinator.pump();
+            }
+        ";
+        for file in [
+            "crates/core/src/durable/sink.rs",
+            "crates/core/src/durable/mod.rs",
+        ] {
+            let v = check_source(file, durable_bad);
+            assert_eq!(v.len(), 1, "{file}: {v:?}");
+            assert_eq!(v[0].rule, "no-publish-under-lock");
+        }
+        assert!(check_source("crates/core/src/durable.rs", durable_bad).is_empty());
     }
 
     #[test]
@@ -959,7 +978,7 @@ mod tests {
     #[test]
     fn io_is_confined_to_the_storage_choke_point() {
         let banned = "fn persist() { std::fs::write(\"x\", b\"y\").ok(); }";
-        let v = check_source("crates/core/src/durable.rs", banned);
+        let v = check_source("crates/core/src/durable/recovery.rs", banned);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "io-choke-point");
 
@@ -974,7 +993,7 @@ mod tests {
         assert!(check_source("crates/check/src/main.rs", banned).is_empty());
         assert!(check_source("crates/bench/src/lib.rs", trait_import).is_empty());
         assert!(check_source(
-            "crates/core/src/durable.rs",
+            "crates/core/src/durable/codec.rs",
             "use std::fmt::Write;\nfn f() {}"
         )
         .is_empty());

@@ -368,14 +368,14 @@ pub(crate) struct PendingQuery {
 
 impl PendingQuery {
     /// A submission recovered from the log, under its recorded id
-    /// (`query.id`) and no-solution policy. It carries no deadline:
-    /// wall-clock instants do not survive a restart.
+    /// (`query.id`), deadline and no-solution policy.
     pub(crate) fn recovered(
         query: EntangledQuery,
+        deadline: Option<Instant>,
         on_no_solution: Option<NoSolutionPolicy>,
     ) -> Self {
         let opts = SubmitOptions {
-            deadline: None,
+            deadline,
             on_no_solution,
         };
         PendingQuery { query, opts }

@@ -48,7 +48,9 @@
 //! ([`SubmitRequest`] builder, batched admission — one query at a time
 //! under one shard lock — via [`Session::submit_batch`]), a pushed
 //! [`Event`] stream, and the unified [`CoordinationError`] hierarchy
-//! ([`error`]) for refused operations. A round rejects a query for one of two reasons
+//! ([`error`]) for refused operations. Opened on a directory
+//! ([`Coordinator::open`]) the same service is crash-recoverable
+//! ([`durable`]). A round rejects a query for one of two reasons
 //! ([`RejectReason`]: a non-unique coordination structure, §3.1.2, or
 //! no database solution, §4.2). For one-shot, set-at-a-time
 //! coordination over a fixed query set, [`coordinate()`] drives a bare
@@ -77,7 +79,9 @@ pub mod ucs;
 
 pub use combine::{CombinedQuery, QueryAnswer};
 pub use coordinate::{coordinate, CoordinationOutcome, Unanswered};
-pub use durable::{DurableCoordinator, DurableError};
+#[allow(deprecated)]
+pub use durable::DurableCoordinator;
+pub use durable::DurableError;
 pub use engine::{
     BatchReport, CoordinationEngine, EngineConfig, EngineMode, FailReason, NoSolutionPolicy,
     QueryHandle, QueryOutcome, QueryStatus, RejectReason, SubmitError, SubmitOptions,

@@ -80,13 +80,14 @@
 //! ```
 
 use crate::dispatch::Dispatcher;
+use crate::durable::DurabilitySink;
 use crate::engine::{
     BatchReport, CoordinationEngine, EngineConfig, FailReason, NoSolutionPolicy, QueryHandle,
     QueryOutcome, QueryStatus, SubmitError, SubmitOptions,
 };
 use crate::error::CoordinationError;
 use crate::router::Router;
-use crate::shard::{merge_reports, rendezvous, Shard, StagedSubmits};
+use crate::shard::{merge_reports, rendezvous, Shard};
 use eq_db::{Database, Tuple};
 use eq_ir::{EntangledQuery, QueryId};
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -131,7 +132,7 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 #[derive(Debug)]
 pub struct SubmitRequest {
     pub(crate) query: EntangledQuery,
-    deadline: Option<Instant>,
+    pub(crate) deadline: Option<Instant>,
     staleness: Option<Duration>,
     pub(crate) on_no_solution: Option<NoSolutionPolicy>,
     pub(crate) tag: Option<String>,
@@ -196,42 +197,6 @@ impl From<EntangledQuery> for SubmitRequest {
     }
 }
 
-/// The durability hook, fixed when the service is built and consulted
-/// inside the producing critical section: after a batch is admitted
-/// (before any handle is returned), when outcomes are drained (before
-/// the first of their events is staged), and after a bulk load (before
-/// the database lock is released). Each call is *encode into a buffer,
-/// commit once*: one log frame per service call. Shards record
-/// concurrently, so an implementation serializes its own commits.
-/// `eq_core::durable` supplies the WAL-backed one; the trait stays
-/// crate-private so the recording points cannot be bypassed.
-pub(crate) trait DurabilitySink: Send + Sync {
-    /// Encodes one submission from a borrow (the engine consumes the
-    /// query). Deadlines are not recorded: a recovered query re-enters
-    /// the pool deadline-free.
-    fn stage_submit(
-        &self,
-        staged: &mut StagedSubmits,
-        query: &EntangledQuery,
-        tag: Option<&str>,
-        on_no_solution: Option<NoSolutionPolicy>,
-    );
-    /// Commits the staged submissions the engine admitted: `admitted`
-    /// yields, in staging order, the id each one drew or `None` for a
-    /// refused one, whose bytes are discarded.
-    fn commit_submits(
-        &self,
-        staged: &StagedSubmits,
-        admitted: &mut dyn Iterator<Item = Option<QueryId>>,
-    );
-    /// Commits a drain's terminal outcomes, before any is staged.
-    fn commit_outcomes(&self, outcomes: &[(QueryId, QueryOutcome)]);
-    /// Encodes a bulk load into `record`, from a borrow of the rows.
-    fn stage_load(&self, record: &mut Vec<u8>, table: &str, rows: &[Tuple]);
-    /// Commits a staged load that succeeded.
-    fn commit_load(&self, record: &[u8]);
-}
-
 /// Everything the `Coordinator` clones share. Lock order (debug builds
 /// validate it through the instrumented `parking_lot` shim): `router`
 /// → shard locks in ascending index → database lock → whatever the
@@ -260,16 +225,15 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Starts a coordination service over `db` with
+    /// Starts an in-memory coordination service over `db` with
     /// [`EngineConfig::service_shards`] engine shards (clamped to at
-    /// least 1).
+    /// least 1). [`Coordinator::open`] starts a durable one.
     pub fn new(db: Database, config: EngineConfig) -> Self {
         Self::with_sink(db, config, None)
     }
 
     /// [`Coordinator::new`] with the durability recorder every
-    /// admission, drain and load commits to
-    /// ([`crate::durable::DurableCoordinator`]).
+    /// admission, drain and load commits to ([`Coordinator::open`]).
     pub(crate) fn with_sink(
         db: Database,
         config: EngineConfig,
@@ -484,7 +448,7 @@ impl Coordinator {
     /// ([`Database::insert_many`]).
     pub fn load(&self, table: &str, rows: Vec<Tuple>) -> Result<usize, CoordinationError> {
         // Encoded from a borrow, outside the database lock.
-        let sink = self.shared.sink.as_deref();
+        let sink = self.sink();
         let mut record = Vec::new();
         if let Some(sink) = sink {
             sink.stage_load(&mut record, table, &rows);
@@ -599,12 +563,20 @@ impl Coordinator {
             .collect()
     }
 
-    /// The one routed entry of every submission. Validation goes first:
-    /// an invalid request is refused in place and takes no lock. Valid
-    /// ones are resolved under the router **read** guard, held across
-    /// admission; only keys that are unknown, unplaced or span groups
-    /// take the write guard and [`Coordinator::route_all`].
-    pub(crate) fn submit_batch_request(
+    /// Submits a batch outside any session: the one routed entry of
+    /// every submission ([`Session::submit_batch`] is this plus the
+    /// session's bookkeeping). A query submitted here is withdrawn by no
+    /// session close, so it is how a durable query, which outlives its
+    /// client, enters ([`Coordinator::open`]). Results are positional;
+    /// on a durable coordinator the admitted queries' records — one
+    /// frame per shard the batch touches — precede the return.
+    ///
+    /// Validation goes first: an invalid request is refused in place
+    /// and takes no lock. Valid ones are resolved under the router
+    /// **read** guard, held across admission; only keys that are
+    /// unknown, unplaced or span groups take the write guard and are
+    /// placed there.
+    pub fn submit_batch(
         &self,
         requests: Vec<SubmitRequest>,
     ) -> Vec<Result<QueryHandle, CoordinationError>> {
@@ -670,13 +642,13 @@ impl Coordinator {
             let (positions, batch): (Vec<usize>, Vec<SubmitRequest>) =
                 valid.by_ref().take(len).unzip();
             let mut shard = self.shared.shards[i].lock();
-            let sink = self.shared.sink.as_deref();
+            let sink = self.sink();
             if let Some(sink) = sink {
                 let staged = &mut shard.staged;
                 staged.bytes.clear();
                 staged.ends.clear();
                 for r in &batch {
-                    sink.stage_submit(staged, &r.query, r.tag.as_deref(), r.on_no_solution);
+                    sink.stage_submit(staged, r, now);
                 }
             }
             let results = shard.admit(batch, now, &self.shared.next_id);
@@ -726,7 +698,7 @@ impl Coordinator {
     }
 
     /// Runs `f` with every shard locked in ascending index order: a
-    /// consistent cut for checkpoints and durable schema changes.
+    /// consistent cut for checkpoints.
     pub(crate) fn with_exclusive<R>(&self, f: impl FnOnce() -> R) -> R {
         let _guards: Vec<_> = self.shared.shards.iter().map(|s| s.lock()).collect();
         f()
@@ -735,6 +707,11 @@ impl Coordinator {
     /// The id the next submission will draw (checkpointed).
     pub(crate) fn id_watermark(&self) -> u64 {
         self.shared.next_id.load(Ordering::Relaxed)
+    }
+
+    /// The durability sink, if the service was opened on a directory.
+    pub(crate) fn sink(&self) -> Option<&dyn DurabilitySink> {
+        self.shared.sink.as_deref()
     }
 
     /// Moves the id counter forward, never back, so submissions after
@@ -802,7 +779,7 @@ impl Session {
         &mut self,
         requests: Vec<SubmitRequest>,
     ) -> Vec<Result<QueryHandle, CoordinationError>> {
-        let results = self.coordinator.submit_batch_request(requests);
+        let results = self.coordinator.submit_batch(requests);
         for handle in results.iter().flatten() {
             self.ids.push(handle.id);
             self.id_set.insert(handle.id);
@@ -858,6 +835,7 @@ impl Drop for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::StagedSubmits;
     use eq_ir::Value;
     use eq_sql::parse_ir_query;
     use std::sync::OnceLock;
@@ -936,13 +914,7 @@ mod tests {
     }
 
     impl DurabilitySink for ProbeSink {
-        fn stage_submit(
-            &self,
-            staged: &mut StagedSubmits,
-            _: &EntangledQuery,
-            _: Option<&str>,
-            _: Option<NoSolutionPolicy>,
-        ) {
+        fn stage_submit(&self, staged: &mut StagedSubmits, _: &SubmitRequest, _: Instant) {
             staged.ends.push(0);
         }
 
@@ -972,6 +944,12 @@ mod tests {
             );
             self.note("load");
         }
+
+        fn commit_create_table(&self, _: &str, _: &[&str]) {
+            // Like a load, under the database write guard.
+            assert!(self.coordinator().shared.db.try_read().is_none());
+            self.note("create table");
+        }
     }
 
     #[test]
@@ -994,10 +972,20 @@ mod tests {
     }
 
     #[test]
+    fn create_table_is_logged_while_the_database_write_guard_is_held() {
+        let (coordinator, commits) = ProbeSink::build(Database::new());
+        coordinator.create_table("G", &["a", "b"]).unwrap();
+        // A refused one commits nothing.
+        assert!(coordinator.create_table("G", &["a"]).is_err());
+        assert_eq!(*commits.lock(), [("create table", 0)]);
+        assert_eq!(coordinator.db().read().table_names().count(), 1);
+    }
+
+    #[test]
     fn a_drain_is_committed_once_and_before_its_first_event_is_enqueued() {
         let (coordinator, commits) = ProbeSink::build(flight_db());
         let _events = coordinator.subscribe();
-        let results = coordinator.submit_batch_request(vec![
+        let results = coordinator.submit_batch(vec![
             SubmitRequest::new(q("{R(Jerry, x)} R(Kramer, x) <- F(x, Paris)")),
             SubmitRequest::new(q("{R(Kramer, y)} R(Jerry, y) <- F(y, Paris)")),
         ]);

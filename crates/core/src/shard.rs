@@ -115,7 +115,8 @@ impl Shard {
     }
 
     /// Re-admits recovered submissions, ascending id, each under its
-    /// recorded id (`query.id`), tag and no-solution policy, through
+    /// recorded id (`query.id`), tag, no-solution policy and deadline
+    /// (a past one expires at the next sweep), through
     /// the engine's admission step without a second Figure-9 verdict
     /// ([`CoordinationEngine::readmit`]: the log already acknowledged
     /// them), and ends in the cadence's evaluation.
@@ -125,7 +126,11 @@ impl Shard {
             if let Some(tag) = r.tag {
                 self.tags.insert(r.query.id, tag);
             }
-            pending.push(PendingQuery::recovered(r.query, r.on_no_solution));
+            pending.push(PendingQuery::recovered(
+                r.query,
+                r.deadline,
+                r.on_no_solution,
+            ));
         }
         self.engine.readmit(pending);
         self.evaluate_if_incremental();

@@ -4,7 +4,7 @@
 //! budget (the text codec this replaced spent 293 bytes per query on
 //! the same shape of stream).
 
-use eq_core::{DurableCoordinator, EngineConfig, EngineMode, SubmitRequest};
+use eq_core::{Coordinator, EngineConfig, EngineMode, SubmitRequest};
 use eq_workload::{build_database, two_way_pairs, PairStyle, SocialGraph, SocialGraphConfig};
 
 const PAIRS: usize = 2_000;
@@ -27,12 +27,12 @@ fn one_frame_per_call_and_a_bounded_log_volume() {
         mode: EngineMode::SetAtATime { batch_size: 0 },
         ..Default::default()
     };
-    let dc = DurableCoordinator::open(&dir, config.clone()).unwrap();
+    let dc = Coordinator::open(&dir, config.clone()).unwrap();
     for (table, columns) in [("User", ["name", "home"]), ("Friends", ["name1", "name2"])] {
         dc.create_table(table, &columns).unwrap();
-        let before = dc.wal_stats();
+        let before = dc.wal_stats().unwrap();
         dc.load(table, source.scan(table).unwrap()).unwrap();
-        let after = dc.wal_stats();
+        let after = dc.wal_stats().unwrap();
         assert_eq!(
             (after.frames, after.records),
             (before.frames + 1, before.records + 1),
@@ -40,18 +40,18 @@ fn one_frame_per_call_and_a_bounded_log_volume() {
         );
     }
     dc.checkpoint().unwrap();
-    assert_eq!(dc.wal_stats(), eq_store::WalStats::default());
+    assert_eq!(dc.wal_stats(), Some(eq_store::WalStats::default()));
 
     let (mut submitted, mut retired) = (0u64, 0u64);
     for burst in queries.chunks(BURST) {
-        let before = dc.wal_stats();
+        let before = dc.wal_stats().unwrap();
         let requests = burst.iter().cloned().map(SubmitRequest::new).collect();
         let admitted = dc
             .submit_batch(requests)
             .into_iter()
             .filter(Result::is_ok)
             .count() as u64;
-        let mid = dc.wal_stats();
+        let mid = dc.wal_stats().unwrap();
         assert!(admitted > 0);
         assert_eq!(mid.frames, before.frames + 1, "one frame per submit_batch");
         assert_eq!(mid.records, before.records + admitted);
@@ -59,7 +59,7 @@ fn one_frame_per_call_and_a_bounded_log_volume() {
 
         let report = dc.flush();
         let terminal = (report.answered + report.failed) as u64;
-        let after = dc.wal_stats();
+        let after = dc.wal_stats().unwrap();
         assert_eq!(
             after.frames,
             mid.frames + u64::from(terminal > 0),
@@ -72,7 +72,7 @@ fn one_frame_per_call_and_a_bounded_log_volume() {
         retired > submitted / 2,
         "the stream must actually coordinate"
     );
-    let stats = dc.wal_stats();
+    let stats = dc.wal_stats().unwrap();
     assert_eq!(stats.records, submitted + retired);
     let per_query = stats.bytes / queries.len() as u64;
     assert!(
@@ -81,9 +81,9 @@ fn one_frame_per_call_and_a_bounded_log_volume() {
     );
 
     // And what those frames hold is the whole acknowledged history.
-    let before = dc.accounting();
+    let before = dc.accounting().unwrap();
     drop(dc);
-    let dc = DurableCoordinator::open(&dir, config).unwrap();
-    assert_eq!(dc.accounting(), before);
+    let dc = Coordinator::open(&dir, config).unwrap();
+    assert_eq!(dc.accounting().unwrap(), before);
     eq_store::purge_dir(&dir);
 }

@@ -15,13 +15,20 @@
 //! recovers whole or not at all. And the symbol definitions a torn
 //! frame carried die with it, so they cannot poison what is appended
 //! after the reopen.
+//!
+//! A query's deadline is recorded with it: one that passes while the
+//! service is down expires on the first sweep after the reopen.
 
 use eq_core::durable::WAL_FILE;
-use eq_core::{DurableCoordinator, EngineConfig, EngineMode, QueryOutcome, SubmitRequest};
+use eq_core::{
+    CoordinationError, Coordinator, EngineConfig, EngineMode, FailReason, QueryHandle,
+    QueryOutcome, SubmitRequest,
+};
 use eq_ir::{Atom, EntangledQuery, QueryId, Term};
 use eq_workload::grid_pairs;
 use proptest::prelude::*;
 use std::path::Path;
+use std::time::{Duration, Instant};
 
 fn config() -> EngineConfig {
     EngineConfig {
@@ -38,6 +45,23 @@ fn tear_wal(dir: &Path, keep: u64) {
         .unwrap();
     file.set_len(keep).unwrap();
     file.sync_all().unwrap();
+}
+
+/// One submission outside any session, as a batch of one.
+fn submit(dc: &Coordinator, request: SubmitRequest) -> Result<QueryHandle, CoordinationError> {
+    dc.submit_batch(vec![request])
+        .pop()
+        .expect("one result per request")
+}
+
+/// The acknowledged ids still pending, ascending.
+fn pending_ids(dc: &Coordinator) -> Vec<QueryId> {
+    let accounting = dc.accounting().expect("a durable coordinator");
+    accounting
+        .into_iter()
+        .filter(|(_, o)| o.is_none())
+        .map(|(id, _)| id)
+        .collect()
 }
 
 fn requests(queries: &[EntangledQuery]) -> Vec<SubmitRequest> {
@@ -61,24 +85,24 @@ fn definitions_in_a_torn_frame_do_not_poison_later_appends() {
     let first = &booking_pair("Jerry", "Kramer", "Paris")[..];
     let second = &booking_pair("Elaine", "Puddy", "Oslo")[..];
     let (kept, torn_at) = {
-        let dc = DurableCoordinator::open(&dir, config()).unwrap();
+        let dc = Coordinator::open(&dir, config()).unwrap();
         let kept: Vec<QueryId> = dc
             .submit_batch(requests(first))
             .into_iter()
             .map(|r| r.unwrap().id)
             .collect();
-        let intact = dc.wal_len_bytes();
+        let intact = dc.wal_stats().unwrap().bytes;
         // This frame is the only place the second half's names are
         // defined ...
         dc.submit_batch(requests(second));
-        (kept, (intact + dc.wal_len_bytes()) / 2)
+        (kept, (intact + dc.wal_stats().unwrap().bytes) / 2)
     };
     // ... and it is torn in the middle.
     tear_wal(&dir, torn_at);
 
     let resubmitted: Vec<QueryId> = {
-        let dc = DurableCoordinator::open(&dir, config()).unwrap();
-        assert_eq!(dc.pending_ids(), kept, "the torn batch is gone as a whole");
+        let dc = Coordinator::open(&dir, config()).unwrap();
+        assert_eq!(pending_ids(&dc), kept, "the torn batch is gone as a whole");
         // The same names again: they must be defined again, by this
         // frame, under whatever local ids the rebuilt dictionary gives.
         dc.submit_batch(requests(second))
@@ -87,15 +111,16 @@ fn definitions_in_a_torn_frame_do_not_poison_later_appends() {
             .collect()
     };
 
-    let dc = DurableCoordinator::open(&dir, config()).unwrap();
+    let dc = Coordinator::open(&dir, config()).unwrap();
     let mut all = kept.clone();
     all.extend(&resubmitted);
-    assert_eq!(dc.pending_ids(), all);
+    assert_eq!(pending_ids(&dc), all);
     // Every query decoded to the names it was submitted with: the
     // pairs find each other, and the answers carry those names.
     assert_eq!(dc.flush().answered, 4);
     let booked: Vec<String> = dc
         .accounting()
+        .unwrap()
         .into_iter()
         .map(|(id, outcome)| match outcome {
             Some(QueryOutcome::Answered(answer)) => format!("{:?}", answer.tuples[0]),
@@ -111,6 +136,68 @@ fn definitions_in_a_torn_frame_do_not_poison_later_appends() {
             r#"["Puddy", "Oslo"]"#
         ]
     );
+    eq_store::purge_dir(&dir);
+}
+
+/// Deadlines survive a kill (§5.1: a stale query has failed). A query
+/// whose deadline passes while the service is down expires on the
+/// first sweep after the reopen; one whose deadline is still ahead
+/// stays pending through that sweep and expires within one sweep of
+/// its deadline.
+#[test]
+fn deadlines_survive_a_kill_and_expire_on_time() {
+    let dir = eq_store::scratch_dir("kill-recover-deadlines");
+    let start = Instant::now();
+    let soon = start + Duration::from_millis(50);
+    let later = start + Duration::from_secs(2);
+    // Two queries no other query completes.
+    let lonely = |a: &str, b: &str| booking_pair(a, b, "Rome").swap_remove(0);
+    let (gone, kept) = {
+        let dc = Coordinator::open(&dir, config()).unwrap();
+        let ids: Vec<QueryId> = dc
+            .submit_batch(vec![
+                SubmitRequest::new(lonely("Newman", "Frank")).deadline(soon),
+                SubmitRequest::new(lonely("Puddy", "Elaine")).deadline(later),
+            ])
+            .into_iter()
+            .map(|r| r.unwrap().id)
+            .collect();
+        (ids[0], ids[1])
+    }; // killed before either deadline
+    let stale = Some(QueryOutcome::Failed(FailReason::Stale));
+    std::thread::sleep(
+        (soon + Duration::from_millis(100)).saturating_duration_since(Instant::now()),
+    );
+
+    let dc = Coordinator::open(&dir, config()).unwrap();
+    assert_eq!(
+        pending_ids(&dc),
+        [gone, kept],
+        "both acknowledged, both pending"
+    );
+    assert_eq!(
+        dc.expire_stale(),
+        1,
+        "the first sweep expires the one past due"
+    );
+    assert_eq!(dc.outcome(gone), stale);
+    assert!(Instant::now() < later, "the second deadline is still ahead");
+    assert_eq!(pending_ids(&dc), [kept]);
+
+    // Recorded to the millisecond: one sweep a little after the
+    // deadline expires it.
+    std::thread::sleep(
+        (later + Duration::from_millis(50)).saturating_duration_since(Instant::now()),
+    );
+    assert_eq!(
+        dc.expire_stale(),
+        1,
+        "one sweep after its deadline expires it"
+    );
+    assert_eq!(dc.outcome(kept), stale);
+    drop(dc);
+    let dc = Coordinator::open(&dir, config()).unwrap();
+    assert_eq!(pending_ids(&dc), []);
     eq_store::purge_dir(&dir);
 }
 
@@ -132,33 +219,33 @@ proptest! {
         // acknowledged and where its frame ends.
         let mut calls: Vec<(Vec<QueryId>, u64)> = Vec::new();
         let before = {
-            let dc = DurableCoordinator::open(&dir, config()).unwrap();
+            let dc = Coordinator::open(&dir, config()).unwrap();
             for (round, chunk) in queries.chunks(burst).enumerate() {
-                let frames = dc.wal_stats().frames;
+                let frames = dc.wal_stats().unwrap().frames;
                 let ids: Vec<QueryId> = dc
                     .submit_batch(requests(chunk))
                     .into_iter()
                     .filter_map(|r| r.ok().map(|h| h.id))
                     .collect();
                 prop_assert_eq!(
-                    dc.wal_stats().frames,
+                    dc.wal_stats().unwrap().frames,
                     frames + u64::from(!ids.is_empty()),
                     "one frame per batch that admitted anything"
                 );
-                calls.push((ids, dc.wal_len_bytes()));
+                calls.push((ids, dc.wal_stats().unwrap().bytes));
                 if round % 2 == 1 {
                     dc.flush();
                 }
             }
-            dc.accounting()
+            dc.accounting().unwrap()
         };
 
         let len = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
         let keep = len * cut_permille / 1000;
         tear_wal(&dir, keep);
 
-        let dc = DurableCoordinator::open(&dir, config()).unwrap();
-        let after = dc.accounting();
+        let dc = Coordinator::open(&dir, config()).unwrap();
+        let after = dc.accounting().unwrap();
         let survived = |id: &QueryId| after.iter().any(|(a, _)| a == id);
         for (ids, frame_end) in &calls {
             if *frame_end <= keep {
@@ -191,24 +278,24 @@ proptest! {
         // Run: submit half, flush (producing terminal outcomes), submit
         // the rest, then die without ceremony.
         let before = {
-            let dc = DurableCoordinator::open(&dir, config()).unwrap();
+            let dc = Coordinator::open(&dir, config()).unwrap();
             let half = queries.len() / 2;
             for q in &queries[..half] {
-                dc.submit(SubmitRequest::new(q.clone())).unwrap();
+                submit(&dc, SubmitRequest::new(q.clone())).unwrap();
             }
             dc.flush();
             for q in &queries[half..] {
-                dc.submit(SubmitRequest::new(q.clone())).unwrap();
+                submit(&dc, SubmitRequest::new(q.clone())).unwrap();
             }
-            dc.accounting()
+            dc.accounting().unwrap()
         };
 
         // The kill tears the log at an arbitrary byte offset.
         let len = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
         tear_wal(&dir, len * cut_permille / 1000);
 
-        let dc = DurableCoordinator::open(&dir, config()).unwrap();
-        let after = dc.accounting();
+        let dc = Coordinator::open(&dir, config()).unwrap();
+        let after = dc.accounting().unwrap();
 
         // Exactly-once: the survivors are a prefix of the acknowledged
         // ids, each appearing once (accounting is sorted ascending).

@@ -1,12 +1,12 @@
 //! Recovery allocates per table and per distinct value, not per row:
-//! `DurableCoordinator::open` decodes every checkpointed or logged row
+//! `Coordinator::open` decodes every checkpointed or logged row
 //! into one reused buffer and moves it straight into the table's slab.
 //! A counting global allocator, switched on for the test thread alone,
 //! measures what `open` asks for; a corrupt row count or a wrong-arity
 //! row is refused before it can size the slab or reach the table.
 
 use eq_core::durable::{CHECKPOINT_FILE, WAL_FILE};
-use eq_core::{CoordinationError, DurableCoordinator, DurableError, EngineConfig};
+use eq_core::{CoordinationError, Coordinator, DurableError, EngineConfig};
 use eq_db::{DbError, Tuple};
 use eq_ir::Value;
 use eq_store::{write_checkpoint, WriteAheadLog};
@@ -72,8 +72,8 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     (out, ALLOCATIONS.with(Cell::get), LARGEST.with(Cell::get))
 }
 
-fn open(dir: &Path) -> Result<DurableCoordinator, DurableError> {
-    DurableCoordinator::open(dir, EngineConfig::default())
+fn open(dir: &Path) -> Result<Coordinator, DurableError> {
+    Coordinator::open(dir, EngineConfig::default())
 }
 
 fn put_uv(out: &mut Vec<u8>, mut x: u64) {
@@ -115,7 +115,7 @@ fn wrong_arity_rows(out: &mut Vec<u8>) {
     }
 }
 
-fn is_arity_error(opened: Result<DurableCoordinator, DurableError>) -> bool {
+fn is_arity_error(opened: Result<Coordinator, DurableError>) -> bool {
     matches!(
         opened,
         Err(DurableError::Coordination(CoordinationError::Db(
@@ -154,7 +154,7 @@ fn open_allocates_per_table_and_per_value_not_per_row() {
             allocations < 10_000,
             "reopening {ROWS} rows (checkpointed: {checkpointed}) made {allocations} allocations"
         );
-        assert_eq!(dc.coordinator().db().read().scan("F").unwrap(), rows);
+        assert_eq!(dc.db().read().scan("F").unwrap(), rows);
         drop(dc);
         eq_store::purge_dir(&dir);
     }

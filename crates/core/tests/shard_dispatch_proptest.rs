@@ -11,7 +11,7 @@
 //!    flush's [`Event::Flushed`] report (the dispatch queue preserves
 //!    staging order), and per-session `Expired` events in submission
 //!    order.
-//! 2. **Kill + recover exactly-once**: a `DurableCoordinator` killed
+//! 2. **Kill + recover exactly-once**: a durable `Coordinator` killed
 //!    after its sink recorded outcomes that no subscriber ever drained
 //!    (the crash window between WAL append and dispatch delivery)
 //!    reopens with every acknowledged id accounted for exactly once,
@@ -19,8 +19,8 @@
 //!    second reopen.
 
 use eq_core::{
-    CoordinationError, Coordinator, DurableCoordinator, EngineConfig, EngineMode, Event,
-    NoSolutionPolicy, QueryOutcome, QueryStatus, SubmitRequest,
+    CoordinationError, Coordinator, EngineConfig, EngineMode, Event, NoSolutionPolicy, QueryHandle,
+    QueryOutcome, QueryStatus, SubmitRequest,
 };
 use eq_ir::QueryId;
 use eq_workload::{
@@ -53,6 +53,13 @@ fn coordinator(service_shards: usize) -> Coordinator {
             ..Default::default()
         },
     )
+}
+
+/// One submission outside any session, as a batch of one.
+fn submit(dc: &Coordinator, request: SubmitRequest) -> Result<QueryHandle, CoordinationError> {
+    dc.submit_batch(vec![request])
+        .pop()
+        .expect("one result per request")
 }
 
 fn to_request(sub: &eq_workload::ScriptSubmission) -> SubmitRequest {
@@ -319,11 +326,11 @@ proptest! {
         let mut acknowledged: Vec<QueryId> = Vec::new();
         let mut pre_kill: HashMap<QueryId, bool> = HashMap::new(); // id -> was terminal
         {
-            let dc = DurableCoordinator::open(&dir, config.clone()).unwrap();
+            let dc = Coordinator::open(&dir, config.clone()).unwrap();
             dc.create_table("F", &["fno", "dest"]).unwrap();
             dc.load("F", vec![vec![eq_ir::Value::int(7), eq_ir::Value::str("Paris")]])
                 .unwrap();
-            let events = dc.coordinator().subscribe();
+            let events = dc.subscribe();
             if drop_subscriber_early {
                 drop(events);
             } else {
@@ -335,15 +342,14 @@ proptest! {
                 let rel = format!("R{}", i % 4);
                 let head = format!("{{{rel}(B{i}, x)}} {rel}(A{i}, x) <- F(x, Paris)");
                 let post = format!("{{{rel}(A{i}, y)}} {rel}(B{i}, y) <- F(y, Paris)");
-                let a = dc.submit(SubmitRequest::new(eq_sql::parse_ir_query(&head).unwrap()));
-                let b = dc.submit(SubmitRequest::new(eq_sql::parse_ir_query(&post).unwrap()));
+                let a = submit(&dc, SubmitRequest::new(eq_sql::parse_ir_query(&head).unwrap()));
+                let b = submit(&dc, SubmitRequest::new(eq_sql::parse_ir_query(&post).unwrap()));
                 acknowledged.push(a.unwrap().id);
                 acknowledged.push(b.unwrap().id);
             }
             for i in 0..lonely {
                 let text = format!("{{S(Ghost{i}, z)}} S(Solo{i}, z) <- F(z, Paris)");
-                let h = dc
-                    .submit(
+                let h = submit(&dc,
                         SubmitRequest::new(eq_sql::parse_ir_query(&text).unwrap())
                             .staleness(Duration::from_secs(3600)),
                     )
@@ -352,7 +358,7 @@ proptest! {
             }
             dc.flush();
             for &id in &acknowledged {
-                let status = dc.coordinator().status(id);
+                let status = dc.status(id);
                 prop_assert!(status.is_some(), "{id:?} lost before kill");
                 pre_kill.insert(id, !matches!(status, Some(QueryStatus::Pending)));
             }
@@ -363,8 +369,8 @@ proptest! {
         // terminal outcomes are preserved as recorded, pending queries
         // are pending again.
         for reopen in 0..2 {
-            let dc = DurableCoordinator::open(&dir, config.clone()).unwrap();
-            let accounting = dc.accounting();
+            let dc = Coordinator::open(&dir, config.clone()).unwrap();
+            let accounting = dc.accounting().unwrap();
             let ids: Vec<QueryId> = accounting.iter().map(|(id, _)| *id).collect();
             prop_assert_eq!(
                 &ids, &acknowledged,
@@ -385,14 +391,13 @@ proptest! {
                             "reopen {reopen}: terminal {id:?} lost its outcome"
                         );
                         prop_assert!(matches!(
-                            dc.coordinator().status(*id),
+                            dc.status(*id),
                             Some(QueryStatus::Pending)
                         ));
                     }
                 }
             }
-            dc.coordinator()
-                .check_invariants()
+            dc.check_invariants()
                 .unwrap_or_else(|v| panic!("recovered invariants: {v}"));
         }
         eq_store::purge_dir(&dir);

@@ -8,7 +8,7 @@
 //! must then scan the rows back unchanged. Many small loads into that
 //! table then cost their own rows, not the table's.
 
-use eq_core::{DurableCoordinator, EngineConfig};
+use eq_core::{Coordinator, EngineConfig};
 use eq_db::{Database, DbError, TableSchema, Tuple};
 use eq_ir::Value;
 use eq_store::{PageCacheConfig, PagedTable};
@@ -187,13 +187,13 @@ fn a_reopened_checkpoint_scans_the_source_row_for_row() {
         .collect();
     let dir = eq_store::scratch_dir("table-footprint-reopen");
     {
-        let dc = DurableCoordinator::open(&dir, EngineConfig::default()).unwrap();
+        let dc = Coordinator::open(&dir, EngineConfig::default()).unwrap();
         dc.create_table("T", &["a", "b"]).unwrap();
         dc.load("T", rows.clone()).unwrap();
         dc.checkpoint().unwrap();
     }
-    let dc = DurableCoordinator::open(&dir, EngineConfig::default()).unwrap();
-    assert_eq!(dc.coordinator().db().read().scan("T").unwrap(), rows);
+    let dc = Coordinator::open(&dir, EngineConfig::default()).unwrap();
+    assert_eq!(dc.db().read().scan("T").unwrap(), rows);
     drop(dc);
     eq_store::purge_dir(&dir);
 }

@@ -1,6 +1,6 @@
 //! The intermediate representation of an entangled query: `{C} H ⊣ B`.
 
-use crate::{Atom, Constraint, FastMap, Term, Var, VarGen};
+use crate::{Atom, Constraint, FastMap, FastSet, Term, Var, VarGen};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -138,7 +138,8 @@ impl EntangledQuery {
     }
 
     /// Checks structural well-formedness: non-empty head, range
-    /// restriction, a choose count of one.
+    /// restriction, a choose count of one. Allocates nothing when the
+    /// body has at most eight distinct variables.
     pub fn validate(&self) -> Result<(), ValidationError> {
         if self.head.is_empty() {
             return Err(ValidationError::EmptyHead);
@@ -146,9 +147,12 @@ impl EntangledQuery {
         if self.choose != 1 {
             return Err(ValidationError::ChooseUnsupported { k: self.choose });
         }
-        let body_vars: HashSet<Var> = self.body.iter().flat_map(|a| a.vars()).collect();
+        let mut body_vars = VarSet::default();
+        for v in self.body.iter().flat_map(|a| a.vars()) {
+            body_vars.insert(v);
+        }
         for atom in &self.head {
-            if let Some(var) = atom.vars().find(|v| !body_vars.contains(v)) {
+            if let Some(var) = atom.vars().find(|&v| !body_vars.contains(v)) {
                 return Err(ValidationError::NotRangeRestricted {
                     var,
                     polarity: crate::Polarity::Head,
@@ -156,7 +160,7 @@ impl EntangledQuery {
             }
         }
         for atom in &self.postconditions {
-            if let Some(var) = atom.vars().find(|v| !body_vars.contains(v)) {
+            if let Some(var) = atom.vars().find(|&v| !body_vars.contains(v)) {
                 return Err(ValidationError::NotRangeRestricted {
                     var,
                     polarity: crate::Polarity::Postcondition,
@@ -164,7 +168,7 @@ impl EntangledQuery {
             }
         }
         for c in &self.constraints {
-            if let Some(var) = c.vars().find(|v| !body_vars.contains(v)) {
+            if let Some(var) = c.vars().find(|&v| !body_vars.contains(v)) {
                 return Err(ValidationError::UnboundConstraintVar { var });
             }
         }
@@ -228,13 +232,50 @@ impl EntangledQuery {
     }
 }
 
-/// How many renames [`Renames`] keeps before it needs a map.
-const SMALL_RENAMES: usize = 8;
+/// How many variables [`Renames`] and [`VarSet`] keep inline before
+/// they need a hash table.
+const SMALL_VARS: usize = 8;
 
-/// A variable renaming: the first [`SMALL_RENAMES`] pairs in an array
+/// A set of variables: the first [`SMALL_VARS`] in an array searched
+/// linearly, any more in a hash set.
+struct VarSet {
+    small: [Var; SMALL_VARS],
+    len: usize,
+    spill: FastSet<Var>,
+}
+
+impl Default for VarSet {
+    fn default() -> Self {
+        VarSet {
+            small: [Var(0); SMALL_VARS],
+            len: 0,
+            spill: FastSet::default(),
+        }
+    }
+}
+
+impl VarSet {
+    fn insert(&mut self, v: Var) {
+        if self.contains(v) {
+            return;
+        }
+        if self.len < SMALL_VARS {
+            self.small[self.len] = v;
+            self.len += 1;
+        } else {
+            self.spill.insert(v);
+        }
+    }
+
+    fn contains(&self, v: Var) -> bool {
+        self.small[..self.len].contains(&v) || (self.len == SMALL_VARS && self.spill.contains(&v))
+    }
+}
+
+/// A variable renaming: the first [`SMALL_VARS`] pairs in an array
 /// searched linearly, any more in a map.
 struct Renames {
-    small: [(Var, Var); SMALL_RENAMES],
+    small: [(Var, Var); SMALL_VARS],
     len: usize,
     spill: FastMap<Var, Var>,
 }
@@ -242,7 +283,7 @@ struct Renames {
 impl Default for Renames {
     fn default() -> Self {
         Renames {
-            small: [(Var(0), Var(0)); SMALL_RENAMES],
+            small: [(Var(0), Var(0)); SMALL_VARS],
             len: 0,
             spill: FastMap::default(),
         }
@@ -257,7 +298,7 @@ impl Renames {
         let old = *v;
         *v = if let Some(&(_, new)) = self.small[..self.len].iter().find(|(o, _)| *o == old) {
             new
-        } else if self.len < SMALL_RENAMES {
+        } else if self.len < SMALL_VARS {
             let new = gen.fresh();
             self.small[self.len] = (old, new);
             self.len += 1;
@@ -330,6 +371,24 @@ mod tests {
     #[test]
     fn kramer_query_is_valid() {
         assert_eq!(kramer().validate(), Ok(()));
+    }
+
+    /// Range restriction is decided the same whether the body's
+    /// variables fit inline or spill: twelve body variables, a head on
+    /// the last of them, then a head on one the body lacks.
+    #[test]
+    fn range_restriction_sees_variables_past_the_inline_ones() {
+        let body = vec![Atom::new("F", (0..12).map(v).collect())];
+        let q = EntangledQuery::new(vec![atom!("R", [v(11), v(0)])], vec![], body.clone());
+        assert_eq!(q.validate(), Ok(()));
+        let q = EntangledQuery::new(vec![atom!("R", [v(11), v(12)])], vec![], body);
+        assert_eq!(
+            q.validate(),
+            Err(ValidationError::NotRangeRestricted {
+                var: Var(12),
+                polarity: Polarity::Head,
+            })
+        );
     }
 
     #[test]

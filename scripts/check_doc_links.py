@@ -42,7 +42,8 @@ CONFIG_TABLE = re.compile(
 
 
 def crate_sources(crate: Path) -> str:
-    return "\n".join(p.read_text(encoding="utf-8") for p in sorted(crate.glob("*.rs")))
+    """Every source file of the crate, module directories included."""
+    return "\n".join(p.read_text(encoding="utf-8") for p in sorted(crate.rglob("*.rs")))
 
 
 def type_api(src: str, name: str) -> tuple[list[str], set[str]]:
@@ -158,7 +159,10 @@ def core_path_drift(files: list[Path], every_src: str) -> list[str]:
         first, rest = segments[0], segments[1:]
         if first in modules:
             if rest:
-                module_src = (CORE / f"{first}.rs").read_text(encoding="utf-8")
+                module = CORE / f"{first}.rs"
+                if not module.exists():
+                    module = CORE / first / "mod.rs"
+                module_src = module.read_text(encoding="utf-8")
                 if rest[0] not in pub_names(module_src):
                     return False
                 rest = rest[1:]

@@ -123,6 +123,13 @@ echo "== 11/14 differential and equivalence proptests (unifier vs reference orac
 # router by hand, with a fixed time, through a rendezvous that moves a
 # tagged query, a recovery re-admission under a recorded id and a
 # flush, and checks outcomes, tags and their order against one shard.
+# Recovery is one `Coordinator::open` whichever way the service died,
+# so three kill + recover properties must each run as one test too: a
+# log torn at any byte recovers an acknowledged prefix exactly once,
+# outcomes recorded but never delivered to a subscriber recover on 1,
+# 2 and 4 shards, and a deadline passes through a kill (one past due
+# expires on the first sweep after the reopen, one still ahead stays
+# pending until it is due).
 cargo test -q --offline -p eq_core --lib matching
 for named in "eq_unify --lib differential::unifier_equals_reference_oracle" \
     "eq_core --lib intra::tests::streaming_equals_materialized_region_evaluation" \
@@ -131,7 +138,10 @@ for named in "eq_unify --lib differential::unifier_equals_reference_oracle" \
     "eq_core --test=invariants_proptest one_edge_definition_for_build_pairwise_and_engine" \
     "eq_core --test=shard_dispatch_proptest shard_counts_are_observationally_identical" \
     "eq_core --lib graph::tests::intrusive_lists_agree_with_bfs_and_link_order" \
-    "eq_core --lib shard::tests::two_shards_and_a_router_driven_by_hand_equal_one_shard"; do
+    "eq_core --lib shard::tests::two_shards_and_a_router_driven_by_hand_equal_one_shard" \
+    "eq_core --test=kill_recover torn_wal_recovers_a_prefix_exactly_once" \
+    "eq_core --test=shard_dispatch_proptest kill_with_undrained_events_recovers_exactly_once" \
+    "eq_core --test=kill_recover deadlines_survive_a_kill_and_expire_on_time"; do
     read -r package target name <<<"$named"
     out=$(cargo test -q --offline -p "$package" "$target" -- --exact "$name" 2>&1) || {
         echo "$out"
