@@ -29,7 +29,7 @@
 pub mod lexer;
 pub mod rules;
 
-pub use rules::{check_source, Violation, FORBID_UNSAFE_ROOTS, RULES};
+pub use rules::{check_source, check_sources, Violation, FORBID_UNSAFE_ROOTS, RULES};
 
 use std::path::{Path, PathBuf};
 
@@ -72,7 +72,7 @@ pub fn check_workspace(root: &Path) -> std::io::Result<(usize, Vec<Violation>)> 
     }
     files.sort();
 
-    let mut out = Vec::new();
+    let mut sources = Vec::with_capacity(files.len());
     let mut seen_roots = 0usize;
     for file in &files {
         let rel = file
@@ -83,9 +83,9 @@ pub fn check_workspace(root: &Path) -> std::io::Result<(usize, Vec<Violation>)> 
         if FORBID_UNSAFE_ROOTS.iter().any(|r| rel == *r) {
             seen_roots += 1;
         }
-        let src = std::fs::read_to_string(file)?;
-        out.extend(check_source(&rel, &src));
+        sources.push((rel, std::fs::read_to_string(file)?));
     }
+    let mut out = check_sources(&sources);
     if seen_roots != FORBID_UNSAFE_ROOTS.len() {
         out.push(Violation {
             rule: "forbid-unsafe",
@@ -155,12 +155,54 @@ pub fn check_file(path: &Path) -> std::io::Result<Vec<Violation>> {
     Ok(check_source(&virtual_path, &src))
 }
 
+/// Checks every `.rs` file under `dir` as one source tree, each at the
+/// location its `//@ path:` directive names, so a module declared in
+/// one file and kept in another is resolved as in the workspace.
+pub fn check_tree(dir: &Path) -> std::io::Result<Vec<Violation>> {
+    let mut files = Vec::new();
+    collect_rs_files(dir, &mut files)?;
+    files.sort();
+    let mut sources = Vec::with_capacity(files.len());
+    for file in files {
+        let src = std::fs::read_to_string(&file)?;
+        let path = parse_directives(&src)
+            .path
+            .unwrap_or_else(|| file.to_string_lossy().replace('\\', "/"));
+        sources.push((path, src));
+    }
+    Ok(check_sources(&sources))
+}
+
+/// The fixture pair of out-of-line test modules, under
+/// `crates/check/fixtures`: a `fail/` tree whose module file is declared
+/// without a test gate (its `.unwrap()` fires `no-unwrap`) and a `pass/`
+/// tree whose module file is declared by `#[cfg(test)] mod tests;` and
+/// declares a module of its own (both are test code, and clean).
+pub const MODULE_FIXTURE: &str = "test-module-file";
+
 /// Verifies the fixture suite under `crates/check/fixtures`: every rule
 /// has a `fail.rs` that fires exactly its own rule and a `pass.rs` that
-/// is clean. Returns per-rule failures as human-readable strings.
+/// is clean, and [`MODULE_FIXTURE`]'s `fail/` tree fires exactly
+/// `no-unwrap` while its `pass/` tree is clean. Returns failures as
+/// human-readable strings.
 pub fn run_fixture_suite(root: &Path) -> std::io::Result<Vec<String>> {
     let fixtures = root.join("crates/check/fixtures");
     let mut problems = Vec::new();
+    let module_fixture = fixtures.join(MODULE_FIXTURE);
+    let fail = check_tree(&module_fixture.join("fail"))?;
+    if fail.is_empty() || fail.iter().any(|v| v.rule != "no-unwrap") {
+        problems.push(format!(
+            "module fixture {}/fail must fire `no-unwrap` alone (got: {fail:?})",
+            module_fixture.display()
+        ));
+    }
+    let pass = check_tree(&module_fixture.join("pass"))?;
+    if !pass.is_empty() {
+        problems.push(format!(
+            "module fixture {}/pass is not clean: {pass:?}",
+            module_fixture.display()
+        ));
+    }
     for rule in RULES {
         let dir = fixtures.join(rule.name);
         let fail = dir.join("fail.rs");

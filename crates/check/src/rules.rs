@@ -223,6 +223,11 @@ struct Analysis {
     in_test: Vec<bool>,
     /// Name of the innermost enclosing `fn`, if any.
     enclosing_fn: Vec<Option<String>>,
+    /// Modules declared out of line (`mod name;`), each with whether
+    /// the declaration is test-gated (`#[cfg(test)] mod name;`, or any
+    /// declaration inside a test region): the module's file is then
+    /// test code as a whole.
+    modules: Vec<(String, bool)>,
 }
 
 enum Scope {
@@ -231,13 +236,17 @@ enum Scope {
     Other,
 }
 
-fn analyze(src: &str) -> Analysis {
+/// Analyzes one file; `test_file` marks all of it as test code (a
+/// module file declared under a test gate elsewhere).
+fn analyze(src: &str, test_file: bool) -> Analysis {
     let tokens = lex(src);
     let mut in_test = Vec::with_capacity(tokens.len());
     let mut enclosing_fn: Vec<Option<String>> = Vec::with_capacity(tokens.len());
+    let mut modules = Vec::new();
 
     let mut stack: Vec<Scope> = Vec::new();
-    let mut test_depth = 0usize; // Test scopes currently open
+    // Test scopes currently open; a test file is one whole.
+    let mut test_depth = usize::from(test_file);
     let mut fn_stack: Vec<String> = Vec::new();
     let mut pending_test = false;
     let mut pending_fn: Option<String> = None;
@@ -287,6 +296,14 @@ fn analyze(src: &str) -> Analysis {
                     pending_fn = Some(name.to_owned());
                 }
             }
+            crate::lexer::TokenKind::Ident(id) if id == "mod" => {
+                let name = tokens.get(i + 1).and_then(|t| t.ident());
+                if let Some(name) =
+                    name.filter(|_| tokens.get(i + 2).is_some_and(|t| t.is_symbol(';')))
+                {
+                    modules.push((name.to_owned(), pending_test || test_depth > 0));
+                }
+            }
             crate::lexer::TokenKind::Symbol('{') => {
                 let scope = if pending_test {
                     pending_test = false;
@@ -322,7 +339,30 @@ fn analyze(src: &str) -> Analysis {
         tokens,
         in_test,
         enclosing_fn,
+        modules,
     }
+}
+
+/// The files a `mod name;` in `path` may name: `name.rs` or
+/// `name/mod.rs`, beside a crate root or a `mod.rs`, under a directory
+/// named after any other file.
+fn module_files(path: &str, name: &str) -> [String; 2] {
+    let (dir, file) = path.rsplit_once('/').unwrap_or(("", path));
+    let stem = file.strip_suffix(".rs").unwrap_or(file);
+    let base = match stem {
+        "mod" | "lib" | "main" => dir.to_owned(),
+        _ if dir.is_empty() => stem.to_owned(),
+        _ => format!("{dir}/{stem}"),
+    };
+    let prefix = if base.is_empty() {
+        String::new()
+    } else {
+        format!("{base}/")
+    };
+    [
+        format!("{prefix}{name}.rs"),
+        format!("{prefix}{name}/mod.rs"),
+    ]
 }
 
 // ---------------------------------------------------------------------------
@@ -333,19 +373,59 @@ fn analyze(src: &str) -> Analysis {
 /// workspace-relative path the file is checked *as* (fixtures use a
 /// `//@ path:` directive to impersonate real locations).
 pub fn check_source(path: &str, src: &str) -> Vec<Violation> {
-    let a = analyze(src);
+    check_analyzed(path, &analyze(src, false))
+}
+
+/// Runs every applicable rule over a set of source files, given as
+/// `(path, source)` pairs, with each module file that a test-gated
+/// declaration names (`#[cfg(test)] mod tests;`) — and every module
+/// below it — checked as test code, like an inline test module.
+pub fn check_sources(files: &[(String, String)]) -> Vec<Violation> {
+    let mut analyses: Vec<Analysis> = files.iter().map(|(_, src)| analyze(src, false)).collect();
+    let at = |path: &str| files.iter().position(|(p, _)| p == path);
+    let mut test_files = vec![false; files.len()];
+    let mut work: Vec<usize> = Vec::new();
+    let declared = |file: usize, analysis: &Analysis, whole: bool| -> Vec<usize> {
+        (analysis.modules.iter())
+            .filter(|(_, gated)| whole || *gated)
+            .filter_map(|(name, _)| {
+                module_files(&files[file].0, name)
+                    .iter()
+                    .find_map(|p| at(p))
+            })
+            .collect()
+    };
+    for (file, analysis) in analyses.iter().enumerate() {
+        work.extend(declared(file, analysis, false));
+    }
+    while let Some(file) = work.pop() {
+        if !std::mem::replace(&mut test_files[file], true) {
+            work.extend(declared(file, &analyses[file], true));
+        }
+    }
+    let mut out = Vec::new();
+    for (file, (path, src)) in files.iter().enumerate() {
+        if test_files[file] {
+            analyses[file] = analyze(src, true);
+        }
+        out.extend(check_analyzed(path, &analyses[file]));
+    }
+    out
+}
+
+fn check_analyzed(path: &str, a: &Analysis) -> Vec<Violation> {
     let mut out = Vec::new();
 
-    scan_spawn(path, &a, &mut out);
-    scan_channel(path, &a, &mut out);
-    scan_unwrap_expect(path, &a, &mut out);
-    scan_recursion(path, &a, &mut out);
-    scan_unifier_clone(path, &a, &mut out);
-    scan_event_construction(path, &a, &mut out);
-    scan_publish_under_lock(path, &a, &mut out);
-    scan_sans_io(path, &a, &mut out);
-    scan_io(path, &a, &mut out);
-    scan_forbid_unsafe(path, &a, &mut out);
+    scan_spawn(path, a, &mut out);
+    scan_channel(path, a, &mut out);
+    scan_unwrap_expect(path, a, &mut out);
+    scan_recursion(path, a, &mut out);
+    scan_unifier_clone(path, a, &mut out);
+    scan_event_construction(path, a, &mut out);
+    scan_publish_under_lock(path, a, &mut out);
+    scan_sans_io(path, a, &mut out);
+    scan_io(path, a, &mut out);
+    scan_forbid_unsafe(path, a, &mut out);
 
     out.sort_by(|x, y| (x.line, x.rule).cmp(&(y.line, y.rule)));
     out
@@ -765,6 +845,34 @@ mod tests {
             }
         ";
         assert!(check_source("crates/core/src/engine.rs", src).is_empty());
+    }
+
+    /// A module file is test code when its declaration is test-gated,
+    /// and so is every module below it; a plain declaration's file, or
+    /// one gated `cfg(not(test))`, stays engine code.
+    #[test]
+    fn a_test_gated_module_file_is_test_code() {
+        let unwraps = "fn f() { None::<u32>.unwrap(); }\nmod deeper;";
+        let files: Vec<(String, String)> = [
+            (
+                "crates/core/src/a/mod.rs",
+                "#[cfg(test)]\nmod tests;\nmod live;\n#[cfg(not(test))]\nmod prod;",
+            ),
+            ("crates/core/src/a/tests.rs", unwraps),
+            ("crates/core/src/a/tests/deeper/mod.rs", unwraps),
+            ("crates/core/src/a/live.rs", unwraps),
+            ("crates/core/src/a/prod.rs", unwraps),
+            ("crates/core/src/b.rs", "#[cfg(test)]\nmod tests;"),
+            ("crates/core/src/b/tests.rs", unwraps),
+        ]
+        .iter()
+        .map(|(p, s)| (p.to_string(), s.to_string()))
+        .collect();
+        let fired: Vec<String> = check_sources(&files).into_iter().map(|v| v.path).collect();
+        assert_eq!(
+            fired,
+            ["crates/core/src/a/live.rs", "crates/core/src/a/prod.rs"]
+        );
     }
 
     #[test]

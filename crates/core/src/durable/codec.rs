@@ -1,15 +1,14 @@
 //! The byte grammar of the module docs: varints over a plain `Vec<u8>`
 //! — no `std::io` (that belongs to `eq_store`, per the io-choke-point
 //! rule) — the symbol dictionary, and the encoders and decoders of
-//! rows, submissions and outcomes against it.
+//! rows, tables, submissions and outcomes against it.
 
+use super::DurableError;
 use crate::combine::QueryAnswer;
 use crate::engine::{FailReason, NoSolutionPolicy, QueryOutcome, RejectReason};
 use crate::service::SubmitRequest;
-use eq_db::Tuple;
-use eq_ir::{
-    Atom, CmpOp, Constraint, EntangledQuery, FastMap, QueryId, Symbol, Term, Terms, Value, Var,
-};
+use eq_db::{Database, RowStore, Tuple};
+use eq_ir::{Atom, CmpOp, Constraint, EntangledQuery, QueryId, Symbol, Term, Terms, Value, Var};
 use eq_store::StoreError;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -129,13 +128,19 @@ impl<'a> Cur<'a> {
 // The dictionary
 // ---------------------------------------------------------------------
 
+/// An interned symbol with no local id yet.
+const NO_ID: u32 = u32::MAX;
+
 /// Symbol ⇄ dense local id, in order of first use by this state
 /// directory. Only grows, so bytes encoded against it stay decodable
 /// for the life of the process — and, through the image's string table
 /// and the frames' definitions, across restarts.
 #[derive(Default)]
 pub(super) struct Dict {
-    ids: FastMap<Symbol, u32>,
+    /// Local id by [`Symbol::index`], [`NO_ID`] for a symbol this
+    /// directory has not used: an encoder's lookup is an array read,
+    /// never a hash probe. Grows to the highest interner index used.
+    ids: Vec<u32>,
     pub(super) symbols: Vec<Symbol>,
     /// Entries `..logged` have their text on disk (image or log); the
     /// next committed frame defines the rest.
@@ -144,10 +149,21 @@ pub(super) struct Dict {
 
 impl Dict {
     pub(super) fn id(&mut self, s: Symbol) -> u32 {
-        *self.ids.entry(s).or_insert_with(|| {
-            self.symbols.push(s);
-            (self.symbols.len() - 1) as u32
-        })
+        match self.ids.get(s.index() as usize) {
+            Some(&id) if id != NO_ID => id,
+            _ => self.define(s),
+        }
+    }
+
+    /// Gives `s` the next local id.
+    fn define(&mut self, s: Symbol) -> u32 {
+        let (at, id) = (s.index() as usize, self.symbols.len() as u32);
+        if at >= self.ids.len() {
+            self.ids.resize(at + 1, NO_ID);
+        }
+        self.ids[at] = id;
+        self.symbols.push(s);
+        id
     }
 
     pub(super) fn symbol(&self, id: u64) -> Result<Symbol, StoreError> {
@@ -172,9 +188,7 @@ impl Dict {
         for _ in 0..cur.count()? {
             let text = std::str::from_utf8(cur.bytes()?)
                 .map_err(|_| StoreError::Corrupt("non-utf8 symbol"))?;
-            let s = Symbol::new(text);
-            self.ids.insert(s, self.symbols.len() as u32);
-            self.symbols.push(s);
+            self.define(Symbol::new(text));
         }
         self.logged = self.symbols.len();
         Ok(())
@@ -370,6 +384,37 @@ impl Enc<'_> {
         }
     }
 
+    /// A table section of the image: its schema, its live row count,
+    /// its live value dictionary in code order, then every live row's
+    /// codes in row-id order, each renumbered to its value's place in
+    /// that dictionary through `remap` (reused from table to table): a
+    /// freed code is skipped, so the section holds live state only.
+    pub(super) fn table(&mut self, table: &dyn RowStore, remap: &mut Vec<u32>) {
+        let schema = table.schema();
+        self.schema(schema.name, &schema.columns);
+        put_uv(self.out, table.len() as u64);
+        let index = table.index();
+        let mut live = 0u32;
+        remap.clear();
+        remap.extend(index.dictionary().map(|value| match value {
+            Some(_) => {
+                live += 1;
+                live - 1
+            }
+            None => u32::MAX,
+        }));
+        put_uv(self.out, u64::from(live));
+        for value in index.dictionary().flatten() {
+            self.value(value);
+        }
+        let out = &mut *self.out;
+        table.for_each_row_codes(&mut |codes| {
+            for &code in codes {
+                put_uv(out, u64::from(remap[code as usize]));
+            }
+        });
+    }
+
     pub(super) fn load(&mut self, table: Symbol, rows: &[Tuple]) {
         self.out.push(REC_LOAD);
         self.sym(table);
@@ -398,6 +443,19 @@ impl Dec<'_, '_> {
         }
     }
 
+    /// A tagged value: a row's cell, or an entry of a table's
+    /// dictionary in the image.
+    pub(super) fn value(&mut self) -> Result<Value, StoreError> {
+        let tag = self.cur.u8()?;
+        self.value_tagged(tag)
+    }
+
+    /// A row's cell count. A cell takes a tag byte and at least one
+    /// value byte.
+    fn row_len(&mut self) -> Result<usize, StoreError> {
+        self.cur.count_of(2)
+    }
+
     fn term(&mut self) -> Result<Term, StoreError> {
         match self.cur.u8()? {
             TAG_VAR => Ok(Term::Var(Var(self.cur.u32()?))),
@@ -420,16 +478,63 @@ impl Dec<'_, '_> {
         Ok(atoms)
     }
 
-    /// Decodes one row into `row`, replacing what it held. A cell
-    /// takes a tag byte and at least one value byte.
+    /// Decodes one row into `row`, replacing what it held.
     pub(super) fn row_into(&mut self, row: &mut Tuple) -> Result<(), StoreError> {
-        let n = self.cur.count_of(2)?;
+        let n = self.row_len()?;
         row.clear();
         row.reserve(n);
         for _ in 0..n {
-            let tag = self.cur.u8()?;
-            row.push(self.value_tagged(tag)?);
+            row.push(self.value()?);
         }
+        Ok(())
+    }
+
+    /// Reads the rest of a table section ([`Enc::table`]) into `table`,
+    /// just created with `arity` columns: the live row count, the value
+    /// dictionary, then the codes. Each value is looked up in the
+    /// table's dictionary once, which gives the remap from image codes
+    /// to the table's; each image code then goes through it straight
+    /// into the slab ([`Database::bulk_load_coded`]). A code takes at
+    /// least one byte, so a row count the bytes left cannot hold is
+    /// refused before the slab is reserved for it, and a code at or past
+    /// the dictionary's length is refused before it reaches the table.
+    pub(super) fn table_into(
+        &mut self,
+        db: &mut Database,
+        table: Symbol,
+        arity: usize,
+    ) -> Result<(), DurableError> {
+        let rows = if arity == 0 {
+            // A nullary row takes no bytes: its count is bounded by the
+            // row ids a table has instead.
+            let rows = self.cur.uv()?;
+            usize::try_from(rows)
+                .ok()
+                .filter(|&rows| rows <= u32::MAX as usize)
+                .ok_or(StoreError::Corrupt("row count"))?
+        } else {
+            self.cur.count_of(arity)?
+        };
+        // A value takes a tag byte and at least one value byte.
+        let values = self.cur.count_of(2)?;
+        db.bulk_load_coded(table.as_str(), rows, |load| {
+            for _ in 0..values {
+                load.value(self.value()?);
+            }
+            let mut row = vec![0; arity];
+            for _ in 0..rows {
+                for cell in &mut row {
+                    let code = self.cur.uv()?;
+                    *cell = usize::try_from(code)
+                        .ok()
+                        .and_then(|code| load.codes().get(code))
+                        .copied()
+                        .ok_or(StoreError::Corrupt("table code"))?;
+                }
+                load.push(&row)?;
+            }
+            Ok::<(), DurableError>(())
+        })?;
         Ok(())
     }
 
@@ -504,36 +609,82 @@ pub(super) fn decode_submit(
     Ok(request)
 }
 
+/// Decodes a terminal outcome body.
 pub(super) fn decode_outcome(body: &[u8], dict: &Dict) -> Result<QueryOutcome, StoreError> {
+    let mut answer = QueryAnswer {
+        query: QueryId(0),
+        relations: Vec::new(),
+        tuples: Vec::new(),
+    };
+    Ok(match read_outcome(body, dict, Some(&mut answer))? {
+        None => QueryOutcome::Answered(answer),
+        Some(reason) => QueryOutcome::Failed(reason),
+    })
+}
+
+/// Checks that `body` decodes as an outcome, building nothing: replay
+/// validates every outcome it puts in the ledger this way, and
+/// allocates nothing for it.
+pub(super) fn validate_outcome(body: &[u8], dict: &Dict) -> Result<(), StoreError> {
+    read_outcome(body, dict, None).map(drop)
+}
+
+/// Reads an outcome body: the one reader of its grammar, shared by
+/// [`decode_outcome`] and [`validate_outcome`]. An answered body fills
+/// `answer` when one is given, and is only walked when not; a failed
+/// one returns its reason.
+fn read_outcome(
+    body: &[u8],
+    dict: &Dict,
+    mut answer: Option<&mut QueryAnswer>,
+) -> Result<Option<FailReason>, StoreError> {
     let mut dec = Dec {
         cur: Cur::new(body),
         dict,
     };
-    let outcome = match dec.cur.u8()? {
+    let failed = match dec.cur.u8()? {
         0 => {
             let query = QueryId(dec.cur.uv()?);
             let n = dec.cur.count()?;
-            let mut relations = Vec::with_capacity(n);
+            // Exact sizes: a decoded answer lives as long as its caller
+            // keeps it, and `reserve` would round one tuple up to four.
+            if let Some(answer) = answer.as_deref_mut() {
+                answer.query = query;
+                answer.relations.reserve_exact(n);
+            }
             for _ in 0..n {
-                relations.push(dec.sym()?);
+                let relation = dec.sym()?;
+                if let Some(answer) = answer.as_deref_mut() {
+                    answer.relations.push(relation);
+                }
             }
-            let mut tuples = vec![Tuple::new(); dec.cur.count()?];
-            for tuple in &mut tuples {
-                dec.row_into(tuple)?;
+            let n = dec.cur.count()?;
+            if let Some(answer) = answer.as_deref_mut() {
+                answer.tuples.reserve_exact(n);
             }
-            QueryOutcome::Answered(QueryAnswer {
-                query,
-                relations,
-                tuples,
-            })
+            for _ in 0..n {
+                match answer.as_deref_mut() {
+                    Some(answer) => {
+                        let mut tuple = Tuple::new();
+                        dec.row_into(&mut tuple)?;
+                        answer.tuples.push(tuple);
+                    }
+                    None => {
+                        for _ in 0..dec.row_len()? {
+                            dec.value()?;
+                        }
+                    }
+                }
+            }
+            None
         }
-        1 => QueryOutcome::Failed(FailReason::Rejected(get_reject_reason(&mut dec.cur)?)),
-        2 => QueryOutcome::Failed(FailReason::Stale),
-        3 => QueryOutcome::Failed(FailReason::Cancelled),
+        1 => Some(FailReason::Rejected(get_reject_reason(&mut dec.cur)?)),
+        2 => Some(FailReason::Stale),
+        3 => Some(FailReason::Cancelled),
         _ => return Err(StoreError::Corrupt("outcome tag")),
     };
     dec.cur.finish()?;
-    Ok(outcome)
+    Ok(failed)
 }
 
 fn cmp_op_tag(op: CmpOp) -> u8 {

@@ -3,7 +3,7 @@
 //! ([`Coordinator::open`]), and the image a checkpoint writes.
 
 use super::codec::{
-    decode_outcome, decode_submit, put_entry, put_uv, Cur, Dec, Dict, Enc, WallClock,
+    decode_submit, put_entry, put_uv, validate_outcome, Cur, Dec, Dict, Enc, WallClock,
     REC_CREATE_TABLE, REC_LOAD, REC_OUTCOME, REC_SUBMIT,
 };
 use super::sink::{DurableState, WalSink};
@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use std::path::Path;
 use std::sync::Arc;
 
-pub(super) const CHECKPOINT_VERSION: u64 = 3;
+pub(super) const CHECKPOINT_VERSION: u64 = 4;
 
 /// Entries of a mirror in ascending id order — the image's order, and
 /// the order recovery re-admits in.
@@ -37,6 +37,8 @@ fn put_mirror(out: &mut Vec<u8>, mirror: &FastMap<QueryId, Box<[u8]>>) {
 /// Encodes the whole durable state. The tables are encoded first (a
 /// direct database write may hold symbols the dictionary has not seen)
 /// and the string table, complete by then, is put in front of them.
+/// Each table is written from its index's dictionary and its rows'
+/// codes ([`Enc::table`]), whichever backend holds it.
 pub(super) fn encode_image(
     db: &Database,
     next_query_id: u64,
@@ -53,12 +55,9 @@ pub(super) fn encode_image(
         dict,
     };
     put_uv(enc.out, names.len() as u64);
+    let mut remap = Vec::new();
     for name in names {
-        let table = db.table(name).expect("a listed table");
-        let schema = table.schema();
-        enc.schema(schema.name, &schema.columns);
-        put_uv(enc.out, table.len() as u64);
-        table.for_each_row(&mut |row| enc.row(row));
+        enc.table(db.table(name).expect("a listed table"), &mut remap);
     }
     put_mirror(&mut body, pending);
     put_mirror(&mut body, outcomes);
@@ -86,9 +85,10 @@ pub(super) struct Recovered {
 }
 
 impl Recovered {
-    /// Loads a checkpoint image into an empty state: each table's rows
-    /// move straight into its slab ([`load_rows`]), never held as a
-    /// list of rows; the mirrors keep their entries' bytes verbatim.
+    /// Loads a checkpoint image into an empty state: each table's codes
+    /// move straight into its slab ([`Dec::table_into`]), with no cell
+    /// decoded or hashed and no table held as a list of rows; the
+    /// mirrors keep their entries' bytes verbatim.
     pub(super) fn apply_image(&mut self, image: &[u8]) -> Result<(), DurableError> {
         let mut cur = Cur::new(image);
         if cur.uv()? != CHECKPOINT_VERSION {
@@ -104,7 +104,7 @@ impl Recovered {
         for _ in 0..dec.cur.count()? {
             let (table, columns) = dec.schema()?;
             create_table(&mut self.db, table, &columns)?;
-            load_rows(&mut self.db, &mut dec, table)?;
+            dec.table_into(&mut self.db, table, columns.len())?;
         }
         for _ in 0..dec.cur.count()? {
             let (id, body) = dec.cur.entry()?;
@@ -112,7 +112,7 @@ impl Recovered {
         }
         for _ in 0..dec.cur.count()? {
             let (id, body) = dec.cur.entry()?;
-            decode_outcome(body, &self.dict)?;
+            validate_outcome(body, &self.dict)?;
             self.outcomes.insert(id, body.into());
         }
         dec.cur.finish()?;
@@ -159,7 +159,7 @@ impl Recovered {
                 REC_OUTCOME => {
                     // The ledger keeps this for good: validate it now.
                     let (id, body) = dec.cur.entry()?;
-                    decode_outcome(body, &self.dict)?;
+                    validate_outcome(body, &self.dict)?;
                     self.pending.remove(&id);
                     self.outcomes.insert(id, body.into());
                 }
@@ -171,9 +171,9 @@ impl Recovered {
     }
 }
 
-/// Decodes a row count and that many rows of `table` straight into its
-/// slab, through one reused row buffer: recovery never holds a table as
-/// a list of rows. A row takes at least 1 + 2 × arity bytes (its cell
+/// Decodes a load record's row count and that many rows of `table`
+/// straight into its slab, through one reused row buffer: recovery
+/// never holds a table as a list of rows. A row takes at least 1 + 2 × arity bytes (its cell
 /// count, then a tag and a value byte per cell), so a count the bytes
 /// left cannot hold is refused before the slab is reserved for it, and
 /// a row of the wrong arity is refused before it reaches the table.

@@ -336,8 +336,9 @@ impl Coordinator {
         self.sink()?.accounting()
     }
 
-    /// Frames, records and bytes currently in the WAL (all 0 right
-    /// after a checkpoint). `None` on an in-memory coordinator.
+    /// Frames, records and bytes currently in the WAL (no frame right
+    /// after a checkpoint; the bytes count the log's header too).
+    /// `None` on an in-memory coordinator.
     pub fn wal_stats(&self) -> Option<WalStats> {
         self.sink()?.wal_stats()
     }

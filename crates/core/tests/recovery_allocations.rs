@@ -1,15 +1,18 @@
 //! Recovery allocates per table and per distinct value, not per row:
-//! `Coordinator::open` decodes every checkpointed or logged row
-//! into one reused buffer and moves it straight into the table's slab.
-//! A counting global allocator, switched on for the test thread alone,
-//! measures what `open` asks for; a corrupt row count or a wrong-arity
-//! row is refused before it can size the slab or reach the table.
+//! `Coordinator::open` maps every checkpointed row's codes through one
+//! remap per table straight into the table's slab, and decodes every
+//! logged row into one reused buffer. Replayed outcomes are validated
+//! without being built. A counting global allocator, switched on for
+//! the test thread alone, measures what `open` asks for; a corrupt row
+//! count, a code past its table's dictionary or a wrong-arity row is
+//! refused before it can size the slab or reach the table.
 
 use eq_core::durable::{CHECKPOINT_FILE, WAL_FILE};
-use eq_core::{CoordinationError, Coordinator, DurableError, EngineConfig};
+use eq_core::{CoordinationError, Coordinator, DurableError, EngineConfig, SubmitRequest};
 use eq_db::{DbError, Tuple};
 use eq_ir::Value;
-use eq_store::{write_checkpoint, WriteAheadLog};
+use eq_sql::parse_ir_query;
+use eq_store::{write_checkpoint, StoreError, WriteAheadLog};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::Path;
@@ -93,10 +96,10 @@ fn put_defs(out: &mut Vec<u8>, texts: &[&str]) {
     }
 }
 
-/// The image header: version 3, query-id and WAL watermarks, strings.
+/// The image header: version 4, query-id and WAL watermarks, strings.
 fn image_header(texts: &[&str]) -> Vec<u8> {
     let mut image = Vec::new();
-    put_uv(&mut image, 3);
+    put_uv(&mut image, 4);
     put_uv(&mut image, 1);
     put_uv(&mut image, 0);
     put_defs(&mut image, texts);
@@ -173,7 +176,8 @@ fn a_row_count_the_image_cannot_hold_reserves_nothing() {
         put_uv(&mut image, id);
     }
     // A row count equal to the bytes after it: within the one byte per
-    // element every count is held to, far beyond what 32-cell rows fit.
+    // element every count is held to, far beyond what rows of 32 codes
+    // fit. The section's dictionary (count 0) and codes follow.
     const LEFT: usize = 1 << 16;
     put_uv(&mut image, LEFT as u64);
     image.resize(image.len() + LEFT, 0);
@@ -190,31 +194,54 @@ fn a_row_count_the_image_cannot_hold_reserves_nothing() {
     eq_store::purge_dir(&dir);
 }
 
+/// A table section's codes index its own dictionary: a code at or past
+/// the dictionary's length is a corrupt image, refused before it
+/// reaches the table, and never an index out of bounds.
+#[test]
+fn a_code_past_the_dictionary_is_corrupt_not_a_panic() {
+    for (values, code) in [(1, 1), (0, 0), (1, u64::MAX), (2, 1 << 32)] {
+        let mut image = image_header(&["T", "a", "b"]);
+        put_uv(&mut image, 1);
+        put_uv(&mut image, 0);
+        put_uv(&mut image, 2);
+        put_uv(&mut image, 1);
+        put_uv(&mut image, 2);
+        put_uv(&mut image, 1);
+        put_uv(&mut image, values);
+        for x in 0..values {
+            image.push(1);
+            put_uv(&mut image, x << 1);
+        }
+        put_uv(&mut image, 0);
+        put_uv(&mut image, code);
+        put_uv(&mut image, 0);
+        put_uv(&mut image, 0);
+
+        let dir = eq_store::scratch_dir("recovery-allocations-code");
+        write_checkpoint(&dir.join(CHECKPOINT_FILE), &image).unwrap();
+        assert!(
+            matches!(
+                open(&dir),
+                Err(DurableError::Store(StoreError::Corrupt("table code")))
+            ),
+            "{values} values, code {code}"
+        );
+        eq_store::purge_dir(&dir);
+    }
+}
+
+/// A logged load carries each row's cell count, and a row of the wrong
+/// arity is an error, not a panic. (An image's rows carry none: a table
+/// section holds exactly arity codes per row.)
 #[test]
 fn a_wrong_arity_row_is_an_error_not_a_panic() {
-    let texts = ["T", "a", "b"];
-
-    let dir = eq_store::scratch_dir("recovery-allocations-image-arity");
-    let mut image = image_header(&texts);
-    put_uv(&mut image, 1);
-    put_uv(&mut image, 0);
-    put_uv(&mut image, 2);
-    put_uv(&mut image, 1);
-    put_uv(&mut image, 2);
-    wrong_arity_rows(&mut image);
-    put_uv(&mut image, 0);
-    put_uv(&mut image, 0);
-    write_checkpoint(&dir.join(CHECKPOINT_FILE), &image).unwrap();
-    assert!(is_arity_error(open(&dir)));
-    eq_store::purge_dir(&dir);
-
     // A frame: first sequence number, dictionary base, definitions,
     // then a create-table record (tag 1) and a load record (tag 2).
     let dir = eq_store::scratch_dir("recovery-allocations-wal-arity");
     let mut frame = Vec::new();
     put_uv(&mut frame, 0);
     put_uv(&mut frame, 0);
-    put_defs(&mut frame, &texts);
+    put_defs(&mut frame, &["T", "a", "b"]);
     frame.extend([1, 0, 2, 1, 2]);
     frame.extend([2, 0]);
     wrong_arity_rows(&mut frame);
@@ -223,4 +250,53 @@ fn a_wrong_arity_row_is_an_error_not_a_panic() {
     drop(wal);
     assert!(is_arity_error(open(&dir)));
     eq_store::purge_dir(&dir);
+}
+
+/// Replay validates every recorded outcome before the ledger keeps it,
+/// and builds none: an answered outcome's relations, tuples and cells
+/// are walked, not allocated. Reopening a directory of `PAIRS` answered
+/// pairs makes one allocation per ledger entry (its kept bytes) and, on
+/// the log, per pending-mirror entry, plus the maps' growth and a fixed
+/// rest: no allocation per replayed outcome beyond the entry it is kept
+/// as. Building each outcome would add three per outcome.
+#[test]
+fn replayed_outcomes_allocate_only_their_ledger_entries() {
+    const PAIRS: usize = 600;
+    for checkpointed in [true, false] {
+        let dir = eq_store::scratch_dir("recovery-allocations-outcomes");
+        {
+            let dc = open(&dir).unwrap();
+            dc.create_table("F", &["fno", "dest"]).unwrap();
+            dc.load("F", vec![vec![Value::int(122), Value::str("Paris")]])
+                .unwrap();
+            let requests = (0..PAIRS)
+                .flat_map(|i| {
+                    [(i, i + PAIRS), (i + PAIRS, i)].map(|(me, you)| {
+                        let text = format!("{{R(P{you}, x)}} R(P{me}, x) <- F(x, Paris)");
+                        SubmitRequest::new(parse_ir_query(&text).unwrap())
+                    })
+                })
+                .collect();
+            assert!(dc.submit_batch(requests).iter().all(Result::is_ok));
+            assert_eq!(dc.flush().answered, 2 * PAIRS);
+            if checkpointed {
+                dc.checkpoint().unwrap();
+            }
+        }
+        let (dc, allocations, _) = counted(|| open(&dir).unwrap());
+        let outcomes = dc.accounting().unwrap();
+        assert_eq!(outcomes.len(), 2 * PAIRS);
+        // Each outcome's bytes enter the ledger, and replayed from the
+        // log its submission's enter the pending mirror first; the maps
+        // grow by doubling. (Measured: 64 and 77 allocations besides.)
+        let entries = outcomes.len() * if checkpointed { 1 } else { 2 };
+        assert!(
+            allocations <= entries + 150,
+            "reopening {} outcomes (checkpointed: {checkpointed}) made {allocations} \
+             allocations for {entries} mirror and ledger entries",
+            outcomes.len()
+        );
+        drop(dc);
+        eq_store::purge_dir(&dir);
+    }
 }

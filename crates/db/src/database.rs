@@ -56,6 +56,45 @@ fn check_arity(relation: Symbol, expected: usize, got: usize) -> Result<(), DbEr
     }
 }
 
+/// An open coded load ([`Database::bulk_load_coded`]): the load's value
+/// dictionary, mapped onto the table's, and the rows pushed so far.
+pub struct CodedLoad<'a> {
+    table: &'a mut dyn RowStore,
+    relation: Symbol,
+    arity: usize,
+    /// The table code of each value listed, in listing order. The load
+    /// holds each code (one live cell's worth) until it ends, so a code
+    /// stays valid before any row holds it.
+    codes: Vec<u32>,
+    pushed: usize,
+}
+
+impl CodedLoad<'_> {
+    /// Lists the load's next value. Its table code, found or minted with
+    /// one dictionary probe, is [`CodedLoad::codes`]' next entry.
+    pub fn value(&mut self, value: Value) {
+        let code = self.table.index_mut().encode(value);
+        self.codes.push(code);
+    }
+
+    /// The table code of every value listed so far, in listing order:
+    /// the remap from a load's own codes to the table's.
+    pub fn codes(&self) -> &[u32] {
+        &self.codes
+    }
+
+    /// Appends one row given as table codes, each drawn from
+    /// [`CodedLoad::codes`]; a row of the wrong arity is refused before
+    /// it reaches the table. Panics on a code no live cell and no listed
+    /// value holds.
+    pub fn push(&mut self, codes: &[u32]) -> Result<(), DbError> {
+        check_arity(self.relation, self.arity, codes.len())?;
+        self.table.push_codes(codes);
+        self.pushed += 1;
+        Ok(())
+    }
+}
+
 /// An in-memory relational database.
 ///
 /// Evaluation operates on `&self`; the coordination engine wraps the
@@ -244,6 +283,55 @@ impl Database {
             self.revision += 1;
         }
         loaded
+    }
+
+    /// [`Database::bulk_load`] for rows given as codes: the form a
+    /// checkpoint image stores a table in, its value dictionary then its
+    /// rows' codes. `fill` lists the load's values
+    /// ([`CodedLoad::value`]), each looked up in the table's dictionary
+    /// once, and pushes rows of the table codes they drew
+    /// ([`CodedLoad::codes`]), which go into the slab as they are: no
+    /// cell is decoded or hashed, and no row is held as a list.
+    /// Storage is reserved once for `rows` rows, the index is built
+    /// once the rows are in, and [`Database::revision`] is bumped once
+    /// if any row went in. An error from `fill` ends the load, and the
+    /// rows before it stay in the table. Returns the rows pushed.
+    pub fn bulk_load_coded<E: From<DbError>>(
+        &mut self,
+        relation: &str,
+        rows: usize,
+        fill: impl FnOnce(&mut CodedLoad<'_>) -> Result<(), E>,
+    ) -> Result<usize, E> {
+        let name = Symbol::new(relation);
+        let backend = self
+            .tables
+            .get_mut(&name)
+            .ok_or(DbError::UnknownRelation(name))?;
+        let arity = backend.store().schema().arity();
+        let table = backend.store_mut();
+        table.begin_load(rows);
+        let mut load = CodedLoad {
+            table,
+            relation: name,
+            arity,
+            codes: Vec::new(),
+            pushed: 0,
+        };
+        let filled = fill(&mut load);
+        let CodedLoad {
+            table,
+            codes,
+            pushed,
+            ..
+        } = load;
+        for code in codes {
+            table.index_mut().release(code);
+        }
+        table.finish_load();
+        if pushed > 0 {
+            self.revision += 1;
+        }
+        filled.map(|()| pushed)
     }
 
     /// Deletes one occurrence of an exact tuple. Returns true if a row
@@ -640,6 +728,61 @@ mod tests {
         assert_eq!(db.revision(), before + 2);
         assert_eq!(db.bulk_load("T", 0, |_| Ok::<_, DbError>(())), Ok(0));
         assert!(db.bulk_load("Nope", 0, |_| Ok::<_, DbError>(())).is_err());
+    }
+
+    /// A coded load into a table that already holds values: listed
+    /// values map onto the table's codes (an old value keeps its code,
+    /// a new one draws a fresh or freed one), rows go in as those codes,
+    /// a listed value no row holds leaves no code behind, and the table
+    /// then reads, indexes and deletes as if the rows were inserted.
+    #[test]
+    fn a_coded_load_maps_its_values_onto_the_table_dictionary() {
+        let mut db = Database::new();
+        db.create_table("T", &["a", "b"]).unwrap();
+        db.insert("T", vec![Value::int(7), Value::str("x")])
+            .unwrap();
+        db.insert("T", vec![Value::int(8), Value::str("gone")])
+            .unwrap();
+        assert!(db
+            .delete("T", &[Value::int(8), Value::str("gone")])
+            .unwrap());
+        let before = db.revision();
+        let listed = [
+            Value::str("y"),
+            Value::int(7),
+            Value::str("unused"),
+            Value::str("x"),
+        ];
+        let loaded = db.bulk_load_coded("T", 2, |load| {
+            for value in listed {
+                load.value(value);
+            }
+            let c = load.codes().to_vec();
+            assert_eq!(c[1], 0, "7 keeps its code");
+            load.push(&[c[1], c[0]])?;
+            load.push(&[c[1], c[3]])?;
+            load.push(&[c[0]])
+        });
+        assert!(matches!(loaded, Err(DbError::ArityMismatch { got: 1, .. })));
+        assert_eq!(db.revision(), before + 1);
+        let rows = [
+            vec![Value::int(7), Value::str("x")],
+            vec![Value::int(7), Value::str("y")],
+            vec![Value::int(7), Value::str("x")],
+        ];
+        assert_eq!(db.scan("T").unwrap(), rows);
+        let table = db.table(Symbol::new("T")).unwrap();
+        assert_eq!(table.postings(0, Value::int(7)), [0, 2, 3]);
+        assert_eq!(table.postings(1, Value::str("x")), [0, 3]);
+        assert_eq!(table.postings(1, Value::str("unused")), [0u32; 0]);
+        let live: Vec<Value> = table.index().dictionary().flatten().collect();
+        assert_eq!(live.len(), 3, "7, x and y: {live:?}");
+        assert!(db.delete("T", &rows[1]).unwrap());
+        let table = db.table(Symbol::new("T")).unwrap();
+        assert_eq!(table.index().code(Value::str("y")), None);
+        let mut codes = Vec::new();
+        table.for_each_row_codes(&mut |row| codes.push(row.to_vec()));
+        assert_eq!(codes, [[0, 1], [0, 1]]);
     }
 
     /// A snapshot keeps the source's ids and tombstones, a delete that

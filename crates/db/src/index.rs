@@ -33,6 +33,14 @@
 //! inserts are. Either way a load costs in proportion to its own rows,
 //! not the table's, so many small loads stay linear.
 //!
+//! **Coded loads.** A checkpoint image stores a table as this layout:
+//! its live values in code order ([`PostingIndex::dictionary`]), then
+//! its rows' codes. Loading it back looks each value up once
+//! ([`PostingIndex::encode`], which also holds the code for the load)
+//! and pushes every row's codes as they are, counting each cell with
+//! [`PostingIndex::hold`] instead of a lookup; the load then releases
+//! its holds ([`PostingIndex::release`]) and files the rows as above.
+//!
 //! [`RowStore`]: crate::RowStore
 //! [`Table`]: crate::Table
 
@@ -314,6 +322,35 @@ impl PostingIndex {
         self.dictionary.values[code as usize]
     }
 
+    /// The code of `value`, if a live cell holds it.
+    pub fn code(&self, value: Value) -> Option<u32> {
+        self.dictionary.code(value)
+    }
+
+    /// The dictionary in code order: for every code handed out so far,
+    /// its value while a live cell holds it, `None` once it is freed.
+    /// The view a checkpoint writes a table's dictionary from.
+    pub fn dictionary(&self) -> impl Iterator<Item = Option<Value>> + '_ {
+        let dictionary = &self.dictionary;
+        (dictionary.values.iter().zip(&dictionary.cells))
+            .map(|(&value, &cells)| (cells > 0).then_some(value))
+    }
+
+    /// One more live cell holding `code`, which a live cell (or a
+    /// coded load's hold, [`PostingIndex::encode`]) already holds: a
+    /// coded cell is counted without its value being looked up. Panics
+    /// on a freed code.
+    pub fn hold(&mut self, code: u32) {
+        let cells = &mut self.dictionary.cells[code as usize];
+        assert!(*cells > 0, "code {code} is not live");
+        *cells += 1;
+    }
+
+    /// One live cell fewer holding `code`; its last one frees it.
+    pub fn release(&mut self, code: u32) {
+        self.dictionary.release(code);
+    }
+
     /// The live row ids whose column `col` holds `value`, ascending.
     pub fn postings(&self, col: usize, value: Value) -> &[u32] {
         match self.dictionary.code(value) {
@@ -334,10 +371,7 @@ impl PostingIndex {
     /// list and releases its cells' codes.
     pub fn remove(&mut self, row: &[Value], id: u32) {
         for (col, &value) in row.iter().enumerate() {
-            let code = self
-                .dictionary
-                .code(value)
-                .expect("a live cell's value has a code");
+            let code = self.code(value).expect("a live cell's value has a code");
             self.columns[col].remove(code, id);
             self.dictionary.release(code);
         }

@@ -29,7 +29,7 @@ mod eval;
 mod index;
 mod table;
 
-pub use database::{Database, DbError};
+pub use database::{CodedLoad, Database, DbError};
 pub use eval::{EvalStats, Prepared, Slot, Solution, Valuation, Visit};
 pub use index::PostingIndex;
 pub use table::{Liveness, RowStore, StoreIoStats, Table, TableSchema, Tuple};

@@ -80,7 +80,11 @@ impl StoreIoStats {
 ///   reach the backend.
 /// * Rows are stored at a fixed stride of dictionary codes (arity codes
 ///   in a slab, or arity encoded cells on a page): no row is a heap
-///   object of its own, and no value is stored once per cell.
+///   object of its own, and no value is stored once per cell. The
+///   dictionary and the codes are also what a checkpoint writes and a
+///   coded load pushes back ([`RowStore::for_each_row_codes`],
+///   [`RowStore::push_codes`]), through the same trait on either
+///   backend.
 pub trait RowStore: fmt::Debug + Send + Sync {
     /// The relation's schema.
     fn schema(&self) -> &TableSchema;
@@ -175,6 +179,42 @@ pub trait RowStore: fmt::Debug + Send + Sync {
                 f(&buf);
             }
         }
+    }
+
+    /// The relation's index: its value dictionary and posting lists.
+    fn index(&self) -> &PostingIndex;
+
+    /// The index, writable: a coded load
+    /// ([`Database::bulk_load_coded`](crate::Database::bulk_load_coded))
+    /// holds and releases its values' codes through it.
+    fn index_mut(&mut self) -> &mut PostingIndex;
+
+    /// Visits the codes of every live row in id order, one code of the
+    /// index's dictionary per cell: the view a checkpoint writes a
+    /// table's rows from. This default reads each row and looks every
+    /// cell's value up; a backend that stores codes lends them out.
+    fn for_each_row_codes(&self, f: &mut dyn FnMut(&[u32])) {
+        let index = self.index();
+        let mut codes = Vec::new();
+        self.for_each_row(&mut |row| {
+            codes.clear();
+            codes.extend(
+                row.iter()
+                    .map(|&value| index.code(value).expect("a live cell's value has a code")),
+            );
+            f(&codes);
+        });
+    }
+
+    /// Appends a row given as codes of the index's dictionary, each held
+    /// by a live cell or by the open coded load, and counts one more
+    /// live cell for each: [`RowStore::push`] without a value lookup
+    /// per cell. The caller has already validated arity. This default
+    /// decodes the codes and pushes the values; a backend that stores
+    /// codes writes them as they are.
+    fn push_codes(&mut self, codes: &[u32]) {
+        let row: Tuple = codes.iter().map(|&code| self.index().value(code)).collect();
+        self.push(&row);
     }
 
     /// The backend's cumulative I/O counters. Purely in-memory backends
@@ -391,7 +431,9 @@ impl fmt::Debug for TableSchema {
 ///
 /// A single insert files its row in the index at once; a bulk load
 /// ([`RowStore::begin_load`] … [`RowStore::finish_load`]) files its
-/// rows at its end, straight from the slab. The evaluator probes
+/// rows at its end, straight from the slab. A coded row
+/// ([`RowStore::push_codes`]) is copied into the slab as it is, and the
+/// slab is lent out row by row as the checkpoint's code view. The evaluator probes
 /// the index of whichever bound column has the shortest posting list.
 #[derive(Clone)]
 pub struct Table {
@@ -432,6 +474,15 @@ impl Table {
         let start = id as usize * self.arity;
         &self.cells[start..start + self.arity]
     }
+
+    /// Files row `id`, just pushed, in the index, unless a bulk load is
+    /// open: that files its rows at its end.
+    fn file_pushed(&mut self, id: u32) {
+        if self.loading.is_none() {
+            let start = id as usize * self.arity;
+            self.index.insert(&self.cells[start..], id);
+        }
+    }
 }
 
 impl RowStore for Table {
@@ -451,9 +502,32 @@ impl RowStore for Table {
             let code = self.index.encode(value);
             self.cells.push(code);
         }
-        if self.loading.is_none() {
-            let start = id as usize * self.arity;
-            self.index.insert(&self.cells[start..], id);
+        self.file_pushed(id);
+    }
+
+    fn push_codes(&mut self, codes: &[u32]) {
+        assert_eq!(codes.len(), self.arity, "row arity");
+        let id = self.live.push();
+        for &code in codes {
+            self.index.hold(code);
+        }
+        self.cells.extend_from_slice(codes);
+        self.file_pushed(id);
+    }
+
+    fn index(&self) -> &PostingIndex {
+        &self.index
+    }
+
+    fn index_mut(&mut self) -> &mut PostingIndex {
+        &mut self.index
+    }
+
+    fn for_each_row_codes(&self, f: &mut dyn FnMut(&[u32])) {
+        for id in 0..self.live.bound() {
+            if self.is_live(id) {
+                f(self.codes(id));
+            }
         }
     }
 

@@ -160,6 +160,14 @@ impl RowStore for PagedTable {
         }
     }
 
+    fn index(&self) -> &PostingIndex {
+        &self.index
+    }
+
+    fn index_mut(&mut self) -> &mut PostingIndex {
+        &mut self.index
+    }
+
     fn begin_load(&mut self, rows: usize) {
         assert!(self.loading.is_none(), "a load is already open");
         self.live.reserve(rows);

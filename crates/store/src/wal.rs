@@ -3,9 +3,17 @@
 //! # On-disk format
 //!
 //! ```text
+//! log     := magic:"EQWLOG" version:"01"  frame*
 //! frame   := checksum:u64le  payload_len:u32le  records:u32le  payload
-//! log     := frame*
 //! ```
+//!
+//! * The 8-byte header names the format of everything after it: the
+//!   frame layout and the payload grammar `eq_core::durable` writes, so
+//!   a change to either bumps `version`. A log whose header is missing,
+//!   or names another version, is refused before any frame is read —
+//!   formats are replaced, not migrated, as checkpoints are. A file
+//!   holding only a prefix of the header (a kill while the log was
+//!   being created) is a new, empty log.
 //!
 //! * `checksum` is [`checksum64`] over everything after it (the two
 //!   counts and the payload), so a frame whose header was written but
@@ -40,6 +48,11 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
+/// The log's header: magic, then the format version.
+const LOG_HEADER: &[u8; 8] = b"EQWLOG01";
+/// Bytes of the magic in front of the version.
+const MAGIC_LEN: usize = 6;
+
 /// Bytes of frame header in front of every payload.
 const HEADER: usize = 16;
 
@@ -69,7 +82,8 @@ pub struct WalStats {
     pub frames: u64,
     /// Logical records the frames declare.
     pub records: u64,
-    /// Bytes of intact frames, headers included.
+    /// Bytes of the log file up to the end of its last intact frame:
+    /// the log's header, then every frame with its own header.
     pub bytes: u64,
 }
 
@@ -82,9 +96,12 @@ pub struct WriteAheadLog {
 }
 
 impl WriteAheadLog {
-    /// Opens the log (creating it if absent), validates every frame,
-    /// truncates any torn tail, and returns the log positioned for
-    /// appending plus the intact frames' payloads in append order.
+    /// Opens the log (creating it if absent), checks its header,
+    /// validates every frame, truncates any torn tail, and returns the
+    /// log positioned for appending plus the intact frames' payloads in
+    /// append order. A log whose header is missing is refused as
+    /// `Corrupt("wal header")`, one of another version as
+    /// `Corrupt("wal version")`, before any frame is read.
     pub fn open(path: &Path) -> Result<(WriteAheadLog, Vec<Vec<u8>>), StoreError> {
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
@@ -100,10 +117,19 @@ impl WriteAheadLog {
         let mut bytes = Vec::new();
         file.seek(SeekFrom::Start(0))?;
         file.read_to_end(&mut bytes)?;
+        if bytes.len() < LOG_HEADER.len() && LOG_HEADER.starts_with(&bytes) {
+            // New, or torn while it was being created.
+            file.set_len(0)?;
+            file.seek(SeekFrom::Start(0))?;
+            file.write_all(LOG_HEADER)?;
+            bytes.clear();
+            bytes.extend_from_slice(LOG_HEADER);
+        }
+        check_header(&bytes)?;
 
         let mut payloads = Vec::new();
         let mut stats = WalStats::default();
-        let mut offset = 0usize;
+        let mut offset = LOG_HEADER.len();
         while bytes.len() - offset >= HEADER {
             let header = &bytes[offset..offset + HEADER];
             let sum = u64::from_le_bytes(header[..8].try_into().expect("8 bytes"));
@@ -171,16 +197,20 @@ impl WriteAheadLog {
         Ok(())
     }
 
-    /// Empties the log — called right after a checkpoint supersedes
-    /// every frame in it.
+    /// Empties the log of frames, keeping its header — called right
+    /// after a checkpoint supersedes every frame in it.
     pub fn truncate(&mut self) -> Result<(), StoreError> {
-        self.file.set_len(0)?;
-        self.file.seek(SeekFrom::Start(0))?;
-        self.stats = WalStats::default();
+        self.file.set_len(LOG_HEADER.len() as u64)?;
+        self.file.seek(SeekFrom::Start(LOG_HEADER.len() as u64))?;
+        self.stats = WalStats {
+            bytes: LOG_HEADER.len() as u64,
+            ..WalStats::default()
+        };
         Ok(())
     }
 
-    /// Bytes of intact frames currently in the log.
+    /// Bytes of the log up to the end of its last intact frame, its
+    /// header included.
     pub fn len_bytes(&self) -> u64 {
         self.stats.bytes
     }
@@ -189,6 +219,17 @@ impl WriteAheadLog {
     pub fn stats(&self) -> WalStats {
         self.stats
     }
+}
+
+/// Refuses a log that does not start with [`LOG_HEADER`].
+fn check_header(bytes: &[u8]) -> Result<(), StoreError> {
+    if bytes.get(..MAGIC_LEN) != Some(&LOG_HEADER[..MAGIC_LEN]) {
+        return Err(StoreError::Corrupt("wal header"));
+    }
+    if bytes.get(MAGIC_LEN..LOG_HEADER.len()) != Some(&LOG_HEADER[MAGIC_LEN..]) {
+        return Err(StoreError::Corrupt("wal version"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -208,7 +249,7 @@ mod tests {
             wal.sync_data().unwrap();
             let stats = wal.stats();
             assert_eq!((stats.frames, stats.records), (3, 9));
-            assert_eq!(stats.bytes, 3 * HEADER as u64 + 16);
+            assert_eq!(stats.bytes, 8 + 3 * HEADER as u64 + 16);
         }
         let (wal, replayed) = WriteAheadLog::open(&path).unwrap();
         assert_eq!(
@@ -220,7 +261,7 @@ mod tests {
             WalStats {
                 frames: 3,
                 records: 9,
-                bytes: 3 * HEADER as u64 + 16
+                bytes: 8 + 3 * HEADER as u64 + 16
             }
         );
         crate::purge_dir(&dir);
@@ -259,11 +300,58 @@ mod tests {
             let (mut wal, _) = WriteAheadLog::open(&path).unwrap();
             wal.append(b"old").unwrap();
             wal.truncate().unwrap();
-            assert_eq!(wal.stats(), WalStats::default());
+            let empty = WalStats {
+                bytes: 8,
+                ..WalStats::default()
+            };
+            assert_eq!(wal.stats(), empty);
+            assert_eq!(std::fs::read(&path).unwrap(), LOG_HEADER);
             wal.append(b"new").unwrap();
         }
         let (_, replayed) = WriteAheadLog::open(&path).unwrap();
         assert_eq!(replayed, vec![b"new".to_vec()]);
+        crate::purge_dir(&dir);
+    }
+
+    /// A log without the header, or with another version's, is refused
+    /// before a frame is read, and left as it is; a file holding a
+    /// prefix of the header is a log torn while it was being created,
+    /// and opens empty.
+    #[test]
+    fn a_missing_or_other_version_header_is_refused() {
+        let dir = crate::scratch_dir("wal-header");
+        let path = dir.join("log.wal");
+        {
+            let (mut wal, _) = WriteAheadLog::open(&path).unwrap();
+            wal.append(b"frame").unwrap();
+        }
+        let good = std::fs::read(&path).unwrap();
+        let cases: [(&[u8], &str); 4] = [
+            (&good[8..], "wal header"),
+            (b"EQWLOG00", "wal version"),
+            (b"EQWLOG1", "wal version"),
+            (b"EQ!", "wal header"),
+        ];
+        for (bytes, error) in cases {
+            let mut other = bytes.to_vec();
+            if other.len() == 8 {
+                other.extend_from_slice(&good[8..]);
+            }
+            std::fs::write(&path, &other).unwrap();
+            let refused = WriteAheadLog::open(&path).err();
+            assert!(
+                matches!(refused, Some(StoreError::Corrupt(e)) if e == error),
+                "{bytes:?}: {refused:?}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), other, "left as it was");
+        }
+        for cut in 0..8 {
+            std::fs::write(&path, &good[..cut]).unwrap();
+            let (wal, replayed) = WriteAheadLog::open(&path).unwrap();
+            assert!(replayed.is_empty());
+            assert_eq!(wal.len_bytes(), 8);
+            assert_eq!(std::fs::read(&path).unwrap(), LOG_HEADER);
+        }
         crate::purge_dir(&dir);
     }
 
@@ -291,12 +379,14 @@ mod tests {
         let (mut wal, _) = WriteAheadLog::open(&path).unwrap();
         wal.commit(b"entangled", 2).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(bytes.len(), HEADER + 9);
-        assert_eq!(&bytes[8..12], &9u32.to_le_bytes());
-        assert_eq!(&bytes[12..16], &2u32.to_le_bytes());
-        assert_eq!(&bytes[16..], b"entangled");
+        assert_eq!(bytes.len(), 8 + HEADER + 9);
+        assert_eq!(&bytes[..8], b"EQWLOG01");
+        let frame = &bytes[8..];
+        assert_eq!(&frame[8..12], &9u32.to_le_bytes());
+        assert_eq!(&frame[12..16], &2u32.to_le_bytes());
+        assert_eq!(&frame[16..], b"entangled");
         // Worked out by an independent implementation of the checksum.
-        assert_eq!(&bytes[..8], &0x2196_e701_cacc_a04b_u64.to_le_bytes());
+        assert_eq!(&frame[..8], &0x2196_e701_cacc_a04b_u64.to_le_bytes());
         crate::purge_dir(&dir);
     }
 }

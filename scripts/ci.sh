@@ -129,7 +129,11 @@ echo "== 11/14 differential and equivalence proptests (unifier vs reference orac
 # outcomes recorded but never delivered to a subscriber recover on 1,
 # 2 and 4 shards, and a deadline passes through a kill (one past due
 # expires on the first sweep after the reopen, one still ahead stays
-# pending until it is due).
+# pending until it is due). A checkpoint image stores each table as
+# its dictionary and code stream, so one property must run as one test
+# too: random tables with tombstones, freed codes and a reload after the
+# deletes reopen row for row, posting list for posting list, and a
+# byte-mutated image is refused or consistent, never a panic.
 cargo test -q --offline -p eq_core --lib matching
 for named in "eq_unify --lib differential::unifier_equals_reference_oracle" \
     "eq_core --lib intra::tests::streaming_equals_materialized_region_evaluation" \
@@ -141,7 +145,8 @@ for named in "eq_unify --lib differential::unifier_equals_reference_oracle" \
     "eq_core --lib shard::tests::two_shards_and_a_router_driven_by_hand_equal_one_shard" \
     "eq_core --test=kill_recover torn_wal_recovers_a_prefix_exactly_once" \
     "eq_core --test=shard_dispatch_proptest kill_with_undrained_events_recovers_exactly_once" \
-    "eq_core --test=kill_recover deadlines_survive_a_kill_and_expire_on_time"; do
+    "eq_core --test=kill_recover deadlines_survive_a_kill_and_expire_on_time" \
+    "eq_core --lib durable::tests::images_reopen_tables_row_for_row"; do
     read -r package target name <<<"$named"
     out=$(cargo test -q --offline -p "$package" "$target" -- --exact "$name" 2>&1) || {
         echo "$out"
